@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-seq test-xfer-race test-fleet test-trace test-kernels test-batch vet race bench bench-smoke bench-json bench-compare serve clean
+.PHONY: build test test-seq test-xfer-race test-fleet test-trace test-kernels test-batch benchmark-check vet race bench bench-smoke bench-json bench-compare serve clean
 
 # Experiments with committed BENCH_<exp>.json baselines at the repo root —
 # the perf trajectory the compare gate tracks (DESIGN.md §14).
@@ -70,14 +70,20 @@ test-kernels:
 	GOMAXPROCS=1 $(GO) test -count=1 -run 'Blocked|DotRows|AddScaledRows|PackedMat|Fused|Quant|ComputeQuant|DecodeSteady' ./internal/tensor/ ./internal/attention/ ./internal/kvcache/ ./internal/model/
 	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'Blocked|DotRows|AddScaledRows|PackedMat|Fused|Quant|ComputeQuant|DecodeSteady' ./internal/tensor/ ./internal/attention/ ./internal/kvcache/ ./internal/model/
 
-# Batched-decode conformance lane: the cross-stream batched GEMM kernels and
-# the BatchDecoder/engine bit-identity suites at GOMAXPROCS=1 and at
-# GOMAXPROCS=2 with the race detector, locking that batched decode equals
-# per-stream decode token-for-token at any cohort size and pool width
-# (DESIGN.md §13).
+# Batched-decode conformance lane: the cross-stream batched GEMM kernels, the
+# BatchDecoder ≡ Sequence.DecodeInto suites and the engine's cohort-of-8 ≡
+# cohort-of-1 ≡ serial-decode suites at GOMAXPROCS=1 and at GOMAXPROCS=2 with
+# the race detector, locking that a decode cohort emits each stream's serial
+# tokens at any cohort size and pool width (DESIGN.md §13).
 test-batch:
 	GOMAXPROCS=1 $(GO) test -count=1 -run 'MatTMat|MatMulRows|BatchDecode' ./internal/tensor/ ./internal/model/ ./internal/serve/
 	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'MatTMat|MatMulRows|BatchDecode' ./internal/tensor/ ./internal/model/ ./internal/serve/
+
+# Nested benchmark module (benchmark/, driven by BENCHMARK.json): it compiles
+# against this module's API but sits outside `go test ./...`, so vet and test
+# it explicitly (~5 s) whenever that API moves.
+benchmark-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Benchmark smoke lane: compile and run every benchmark in the module once,
 # so perf-critical paths (serve engine, paged arena, parallel kernels) cannot

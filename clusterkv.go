@@ -196,11 +196,10 @@ type TransferChannel = kvcache.Channel
 // layer-ahead prefetch counters.
 type TransferOverlap = metrics.Overlap
 
-// NewTransferRuntime builds a transfer runtime on the given channel. sync
-// forces inline servicing (the fully exposed baseline); throttle makes waits
-// sleep out their exposed modeled time.
-func NewTransferRuntime(ch TransferChannel, sync, throttle bool) *TransferRuntime {
-	return kvcache.NewTransferRuntime(ch, sync, throttle)
+// NewTransferRuntime builds a transfer runtime on the given channel and
+// starts its background worker; callers must Close it.
+func NewTransferRuntime(ch TransferChannel) *TransferRuntime {
+	return kvcache.NewTransferRuntime(ch)
 }
 
 // ---- Serving ----------------------------------------------------------------
@@ -231,6 +230,7 @@ var (
 	ErrEngineClosed    = serve.ErrClosed
 	ErrRequestAborted  = serve.ErrAborted
 	ErrBadServeRequest = serve.ErrBadRequest
+	ErrServeInternal   = serve.ErrInternal
 	ErrRequestTooLarge = serve.ErrTooLarge
 )
 

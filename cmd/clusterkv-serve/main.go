@@ -64,19 +64,15 @@ func main() {
 		qLen      = flag.Int("qlen", 32, "question suffix length (tokens)")
 		newTok    = flag.Int("newtokens", 24, "tokens generated per request")
 		budget    = flag.Int("budget", 256, "per-head KV budget for compressed methods")
-		kvBudget  = flag.Int64("kvbudget", 0, "device KV budget in per-head token slots (0 = unlimited); exact page accounting by default")
+		kvBudget  = flag.Int64("kvbudget", 0, "device KV budget in per-head token slots (0 = unlimited), metered in exact arena pages")
 		hostBud   = flag.Int64("hostbudget", 0, "host-tier KV budget in per-head token slots (0 = single-tier); with -kvbudget set, admission gates on device+host and cold pages spill host-ward between rounds")
-		syncXfer  = flag.Bool("synctransfers", false, "force synchronous KV transfers (no layer-ahead prefetch overlap)")
-		worstCase = flag.Bool("worstcase", false, "revert to worst-case up-front KV reservations (pre-paged admission policy)")
 		decodeKVQ = flag.Int("decodekvbits", 0, "int8-style quantized KV decode bit width (2..8, 0 = exact float path); quantized runs are deterministic per seed but not token-identical to serial, so -verify is disabled")
-		batchDec  = flag.Bool("batchdecode", true, "run each round's decode streams as one lock-step batched cohort (one GEMM per weight matrix per round); bit-identical to per-stream decode")
 		rate      = flag.Float64("rate", 0, "open-loop arrival rate in req/s (0 = closed loop)")
 		attrOn    = flag.Bool("attr", false, "per-request latency attribution: per-phase breakdown table on the modeled clock (DESIGN.md §14); adds a span lane per request to -trace and clusterkv_attr_* series to -metrics")
 		seed      = flag.Uint64("seed", 1, "master seed")
 		method    = flag.String("method", "all", "methods to serve (clusterkv, quest, fullkv, all)")
 		loadKind  = flag.String("load", "qa", "workload shape: qa (shared-doc questions), chat (multi-turn sessions), agentic (re-entry loops), rag (templated retrieval); non-qa loads ignore -requests/-docs/-doclen/-qlen")
-		noPrefix  = flag.Bool("noprefixcache", false, "disable the shared-prefix prefill cache")
-		flatCache = flag.Bool("flatprefix", false, "use the flat whole-prefix cache instead of the radix tree (exact-match reuse only, no nested-prefix forking)")
+		noPrefix  = flag.Bool("noprefixcache", false, "declare no shared prefixes (every request prefills its whole prompt)")
 		noSerial  = flag.Bool("noserial", false, "skip the serial one-at-a-time baseline")
 		verifyOut = flag.Bool("verify", true, "check engine outputs match serial decode token-for-token")
 		traceOut  = flag.String("trace", "", "write a Chrome trace_event JSON timeline of the run (load in chrome://tracing or Perfetto); with -method all each method gets its own process lane")
@@ -155,6 +151,12 @@ func main() {
 		os.Exit(2)
 	}
 
+	if *noPrefix {
+		for i := range load {
+			load[i].SharedPrefixLen = 0
+		}
+	}
+
 	m := clusterkv.NewModel(clusterkv.DefaultModelConfig())
 	fmt.Printf("load: %s\n", loadDesc)
 	if *rate > 0 {
@@ -163,22 +165,12 @@ func main() {
 		fmt.Printf("arrivals: closed loop (all requests queued up front)\n")
 	}
 	admission := fmt.Sprintf("exact pages (%d-token pages)", clusterkv.DefaultKVPageTokens)
-	if *worstCase {
-		admission = "worst-case reservation"
-	} else if *hostBud > 0 && *kvBudget > 0 {
+	if *hostBud > 0 && *kvBudget > 0 {
 		admission = fmt.Sprintf("two-tier exact pages (device %d + host %d slots/head)", *kvBudget, *hostBud)
 	}
-	transfers := "async (layer-ahead prefetch)"
-	if *syncXfer {
-		transfers = "sync (blocking)"
-	}
-	fmt.Printf("transfers: %s\n", transfers)
 	prefixCache := "radix"
-	switch {
-	case *noPrefix:
+	if *noPrefix {
 		prefixCache = "off"
-	case *flatCache || *worstCase:
-		prefixCache = "flat"
 	}
 	fmt.Printf("engine: %d streams, %d workers, intra-op pool %d, prefix cache %s, global KV budget %v, admission %s\n\n",
 		*streams, effWorkers(*workers), clusterkv.IntraOpPool().Width(), prefixCache, budgetStr(*kvBudget), admission)
@@ -216,12 +208,7 @@ func main() {
 		}
 		cfg.KVBudget = *kvBudget
 		cfg.HostBudget = *hostBud
-		cfg.SyncTransfers = *syncXfer
-		cfg.WorstCaseAdmission = *worstCase
 		cfg.DecodeKVBits = *decodeKVQ
-		cfg.BatchDecode = *batchDec
-		cfg.NoPrefixCache = *noPrefix
-		cfg.FlatPrefixCache = *flatCache
 		cfg.Seed = *seed
 		cfg.Trace = tracer.Recorder(mi) // nil tracer -> disabled recorder
 		cfg.Attribution = *attrOn
@@ -290,7 +277,7 @@ func main() {
 		fmt.Printf("== %s ==\n%s", spec.name, mx.String())
 		fmt.Printf("kv arena: peak %d live pages (%d tokens/page, shared prefix pages counted once)\n",
 			arenaPeak, clusterkv.DefaultKVPageTokens)
-		if *hostBud > 0 && !*worstCase {
+		if *hostBud > 0 {
 			fmt.Printf("host tier: %d slots resident (peak %d of %d), %d slots spilled, device peak %d of %d\n",
 				mx.KVHostUsed, mx.KVHostPeak, mx.KVHostCapacity, mx.KVSpilled, mx.KVDevicePeak, mx.KVCapacity)
 		}

@@ -9,8 +9,8 @@
 // page runs — maximal stretches of consecutive positions inside one page — so
 // each run is one blocked kernel call over contiguous page rows, with no
 // intermediate gathered copy. Per-row arithmetic order matches a contiguous
-// layout exactly, so exact-path outputs are bit-identical to the flat-copy
-// fallback (Store.Keys/Values) at any worker count.
+// layout exactly, so exact-path outputs are bit-identical to attention over a
+// flat copy of the rows (Store.ReadKeys/ReadValues) at any worker count.
 //
 // Stores opted into compute quantization (Store.SetComputeQuant) dispatch per
 // page run to int8 kernels that read quant.Tensor codes directly — see
@@ -180,9 +180,11 @@ func runEnd(idx []int, j, pageEnd int) int {
 	return e
 }
 
-// weights writes the scaled raw attention logits into dst using sc's fold
-// scratch for quantized pages.
-func (sc *Scratch) weights(dst, q []float32, s *kvcache.Store) {
+// Weights writes the scaled raw attention logits q·k_i/√d for every token i
+// into dst (length must be ≥ s.Len()), reusing the scratch's fold buffer for
+// quantized pages. No softmax is applied; these are the "attention weights"
+// the paper's selection methods rank by (q·Kᵀ, §III-A).
+func (sc *Scratch) Weights(dst, q []float32, s *kvcache.Store) {
 	d := s.HeadDim()
 	inv := float32(1 / math.Sqrt(float64(d)))
 	n := s.Len()
@@ -201,48 +203,13 @@ func (sc *Scratch) weights(dst, q []float32, s *kvcache.Store) {
 	}
 }
 
-// Weights writes the scaled raw attention logits q·k_i/√d for every token i
-// into dst (length must be ≥ s.Len()), reusing the scratch's fold buffer for
-// quantized pages. Probing decoders on a hot path should use this instead of
-// the package-level Weights, which allocates a fresh Scratch per call.
-func (sc *Scratch) Weights(dst, q []float32, s *kvcache.Store) {
-	sc.weights(dst[:s.Len()], q, s)
-}
-
-// Full computes out = softmax(q·Kᵀ/√d)·V over all n tokens currently in the
-// store. scores is scratch space of length ≥ n (pass nil to allocate).
-// It returns the scratch slice for reuse. Callers on a decode hot path should
-// hold a Scratch and use its Full method instead.
-func Full(out, q []float32, s *kvcache.Store, scores []float32) []float32 {
-	sc := Scratch{scores: scores}
-	sc.Full(out, q, s)
-	return sc.scores
-}
-
-// Sparse computes out = softmax(q·K_Sᵀ/√d)·V_S over the tokens listed in
-// idx. scores is scratch of length ≥ len(idx). It returns the scratch slice.
-// Callers on a decode hot path should hold a Scratch and use its Sparse
-// method instead.
-func Sparse(out, q []float32, s *kvcache.Store, idx []int, scores []float32) []float32 {
-	sc := Scratch{scores: scores}
-	sc.Sparse(out, q, s, idx)
-	return sc.scores
-}
-
-// Weights writes the scaled raw attention logits q·k_i/√d for every token i
-// into dst (length must be ≥ s.Len()). No softmax is applied; these are the
-// "attention weights" the paper's selection methods rank by (q·Kᵀ, §III-A).
-func Weights(dst, q []float32, s *kvcache.Store) {
-	var sc Scratch
-	sc.weights(dst[:s.Len()], q, s)
-}
-
 // TopTrue returns the indices of the B tokens with the largest attention
 // weights for q — the oracle set I_T^true of the paper's recall-rate metric
 // (§V-B). scores is scratch of length ≥ s.Len().
 func TopTrue(q []float32, s *kvcache.Store, b int, scores []float32) []int {
 	n := s.Len()
 	scores = growF32(scores, n)
-	Weights(scores, q, s)
+	var sc Scratch
+	sc.Weights(scores, q, s)
 	return tensor.TopK(scores, b)
 }

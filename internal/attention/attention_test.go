@@ -36,12 +36,12 @@ func TestSparseWithAllIndicesEqualsFull(t *testing.T) {
 		}
 		full := make([]float32, d)
 		sparse := make([]float32, d)
-		Full(full, q, s, nil)
+		new(Scratch).Full(full, q, s)
 		idx := make([]int, n)
 		for i := range idx {
 			idx[i] = i
 		}
-		Sparse(sparse, q, s, idx, nil)
+		new(Scratch).Sparse(sparse, q, s, idx)
 		for j := range full {
 			if math.Abs(float64(full[j]-sparse[j])) > 1e-4 {
 				return false
@@ -59,7 +59,7 @@ func TestWeightsScaling(t *testing.T) {
 	s.Append([]float32{2, 0, 0, 0}, []float32{0, 0, 0, 0})
 	q := []float32{3, 0, 0, 0}
 	w := make([]float32, 1)
-	Weights(w, q, s)
+	new(Scratch).Weights(w, q, s)
 	want := float32(6.0 / 2.0) // q·k/√d, √4 = 2
 	if w[0] != want {
 		t.Fatalf("Weights = %v, want %v", w[0], want)
@@ -73,7 +73,7 @@ func TestFullIsConvexCombination(t *testing.T) {
 		s.Append([]float32{float32(i), 1}, []float32{3, -2})
 	}
 	out := make([]float32, 2)
-	Full(out, []float32{1, 1}, s, nil)
+	new(Scratch).Full(out, []float32{1, 1}, s)
 	if math.Abs(float64(out[0]-3)) > 1e-5 || math.Abs(float64(out[1]+2)) > 1e-5 {
 		t.Fatalf("Full = %v, want [3,-2]", out)
 	}
@@ -84,7 +84,7 @@ func TestSparseSubsetFocusesMass(t *testing.T) {
 	s.Append([]float32{10}, []float32{1})
 	s.Append([]float32{0}, []float32{100})
 	out := make([]float32, 1)
-	Sparse(out, []float32{1}, s, []int{0}, nil)
+	new(Scratch).Sparse(out, []float32{1}, s, []int{0})
 	if out[0] != 1 {
 		t.Fatalf("Sparse over {0} = %v, want exactly value of token 0", out[0])
 	}
@@ -98,7 +98,7 @@ func TestTopTrueMatchesOracle(t *testing.T) {
 		q[j] = r.NormFloat32()
 	}
 	scores := make([]float32, s.Len())
-	Weights(scores, q, s)
+	new(Scratch).Weights(scores, q, s)
 	top := TopTrue(q, s, 5, nil)
 	if len(top) != 5 {
 		t.Fatalf("TopTrue returned %d indices", len(top))

@@ -20,7 +20,7 @@ func flatFull(out, q []float32, s *kvcache.Store) {
 	n, d := s.Len(), s.HeadDim()
 	scores := make([]float32, n)
 	inv := float32(1 / math.Sqrt(float64(d)))
-	keys := s.Keys()
+	keys := s.ReadKeys(0, s.Len(), nil)
 	for i := 0; i < n; i++ {
 		row := keys[i*d : (i+1)*d]
 		var dot float32
@@ -33,7 +33,7 @@ func flatFull(out, q []float32, s *kvcache.Store) {
 	for j := range out {
 		out[j] = 0
 	}
-	vals := s.Values()
+	vals := s.ReadValues(0, s.Len(), nil)
 	for i := 0; i < n; i++ {
 		w := scores[i]
 		if w == 0 {
@@ -88,7 +88,7 @@ func TestPageAwareGatherBitIdentical(t *testing.T) {
 		for name, st := range map[string]*kvcache.Store{"orig": s, "fork": f} {
 			got := make([]float32, d)
 			want := make([]float32, d)
-			attention.Full(got, q, st, nil)
+			new(attention.Scratch).Full(got, q, st)
 			flatFull(want, q, st)
 			for j := range got {
 				if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
@@ -96,8 +96,8 @@ func TestPageAwareGatherBitIdentical(t *testing.T) {
 				}
 			}
 			w1 := make([]float32, st.Len())
-			attention.Weights(w1, q, st)
-			keys := st.Keys()
+			new(attention.Scratch).Weights(w1, q, st)
+			keys := st.ReadKeys(0, st.Len(), nil)
 			inv := float32(1 / math.Sqrt(float64(d)))
 			for i := 0; i < st.Len(); i++ {
 				var dot float32

@@ -417,7 +417,7 @@ func TestSparseOutputsFiniteForAllMethods(t *testing.T) {
 		if idx == nil {
 			t.Fatalf("%s returned nil for budget 64 over 400 tokens", sel.Name())
 		}
-		attention.Sparse(out, q, s, idx, nil)
+		new(attention.Scratch).Sparse(out, q, s, idx)
 		for _, v := range out {
 			if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
 				t.Fatalf("%s produced non-finite attention output", sel.Name())

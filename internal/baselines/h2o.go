@@ -98,7 +98,8 @@ func (h *H2O) seed(st *h2oHead, q []float32, s *kvcache.Store, budget int) {
 	}
 	heavy := budget - recent
 	scores := make([]float32, n)
-	attention.Weights(scores, q, s)
+	var sc attention.Scratch
+	sc.Weights(scores, q, s)
 	tensor.Softmax(scores)
 	h.stats.ScoreOps += int64(n) * int64(s.HeadDim())
 

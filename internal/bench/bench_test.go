@@ -200,32 +200,26 @@ func TestRunOverlapSmall(t *testing.T) {
 	}
 }
 
-// TestRunXferOverlapSmall locks the async-runtime experiment's shape and its
-// two headline claims at the quick-option scale: every request is served
-// even though the device budget is below one request's prefill (two-tier
-// spilling), and the async mode hides a material fraction of transfer time
-// that the sync mode exposes in full. The hidden-fraction floor is set well
-// under the default-scale result (≈50%) because wall-clock windows shrink
-// on loaded CI machines.
+// TestRunXferOverlapSmall: the transfer-overlap experiment serves a load
+// whose footprint exceeds the device budget and hides a real share of its
+// modeled transfer time behind compute. The hidden-fraction floor is set well
+// under the default-scale result (≈50%) because wall-clock windows shrink on
+// loaded CI machines.
 func TestRunXferOverlapSmall(t *testing.T) {
 	rep := RunXferOverlap(smallOptions())
-	if len(rep.Rows) != 2 {
+	if len(rep.Rows) != 1 {
 		t.Fatalf("%d rows", len(rep.Rows))
 	}
-	for _, row := range rep.Rows {
-		if row[1] != "8/8" {
-			t.Fatalf("mode %q served %s, want 8/8 (beyond-device load must be served)", row[0], row[1])
-		}
-	}
-	if got := rep.Rows[0][6]; got != "0%" {
-		t.Fatalf("sync mode hid %s of transfer time, want 0%%", got)
+	row := rep.Rows[0]
+	if row[0] != "8/8" {
+		t.Fatalf("served %s, want 8/8 (beyond-device load must be served)", row[0])
 	}
 	var hidden float64
-	if _, err := fmt.Sscanf(rep.Rows[1][6], "%f%%", &hidden); err != nil {
-		t.Fatalf("parse hidden%% %q: %v", rep.Rows[1][6], err)
+	if _, err := fmt.Sscanf(row[5], "%f%%", &hidden); err != nil {
+		t.Fatalf("parse hidden%% %q: %v", row[5], err)
 	}
 	if hidden < 15 {
-		t.Fatalf("async mode hid only %.0f%% of transfer time", hidden)
+		t.Fatalf("hid only %.0f%% of transfer time", hidden)
 	}
 }
 

@@ -34,7 +34,7 @@ func batchModelConfig() model.Config {
 // streams, per-stream (one Sequence.DecodeInto per stream per round) versus
 // batched (one BatchDecoder.DecodeInto per round), and asserts in-bench that
 // the two paths emit bit-identical greedy token streams — the determinism
-// contract the serving engine relies on to flip Config.BatchDecode freely.
+// contract the serving engine relies on to batch any cohort of two or more.
 // Also reported: heap allocations per batched round in steady state (the
 // zero-alloc decode contract, DESIGN.md §12, extended to cohorts).
 func RunDecodeBatch(o Options) *Report {

@@ -152,7 +152,7 @@ func RetrievalPerplexity(lm *workload.RetrievalLM, sel attention.Selector, budge
 	// the whole prefix at chunk boundaries — C0 tracks L/80 as the input
 	// grows — rather than accumulating decode-time micro-batches only.
 	const reprefillEvery = 512
-	var scratch []float32
+	var scratch attention.Scratch
 	for t := 0; t < n; t++ {
 		for h, s := range stores {
 			k, v := lm.KV(h, t)
@@ -171,9 +171,9 @@ func RetrievalPerplexity(lm *workload.RetrievalLM, sel attention.Selector, budge
 				q := lm.Query(h, t)
 				idx := sel.Select(0, h, q, s, budget)
 				if idx == nil {
-					scratch = attention.Full(outs[h], q, s, scratch)
+					scratch.Full(outs[h], q, s)
 				} else {
-					scratch = attention.Sparse(outs[h], q, s, idx, scratch)
+					scratch.Sparse(outs[h], q, s, idx)
 				}
 			}
 			sel.EndStep()

@@ -40,7 +40,7 @@ func runProbe(opt Options, layer, head, steps int) *probeRun {
 		tok = tensor.ArgMax(logits)
 	}
 	st := seq.Store(layer, head/m.Config().GroupSize())
-	pr.keys = tensor.WrapMat(st.Len(), st.HeadDim(), st.Keys())
+	pr.keys = tensor.WrapMat(st.Len(), st.HeadDim(), st.ReadKeys(0, st.Len(), nil))
 	return pr
 }
 

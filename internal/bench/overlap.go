@@ -46,14 +46,12 @@ func RunOverlap(opt Options) *Report {
 }
 
 // RunXferOverlap measures the async tiered-KV transfer runtime on the
-// longdoc QA serving load: the same engine, load and seed run with the
-// transfer channel forced synchronous (every fetch charges its full modeled
-// PCIe time to the critical path) versus asynchronous (layer-ahead cluster
-// prefetch overlapped with compute). The modeled tokens/sec folds the
+// longdoc QA serving load: layer-ahead cluster prefetch overlapped with
+// compute on one modeled PCIe channel. The modeled tokens/sec folds the
 // exposed transfer time into the measured compute time — sub-millisecond
-// sleep quantization makes literally sleeping the waits (ThrottleTransfers)
-// noisier than adding them — and the hidden fraction is the share of
-// channel-busy time that never reached the critical path.
+// sleep quantization makes literally sleeping the waits noisier than adding
+// them — and the hidden fraction is the share of channel-busy time that never
+// reached the critical path (a blocking channel would expose all of it).
 //
 // The engine runs two-tier admission with a device budget deliberately
 // smaller than one request's prefill footprint: before the host tier, this
@@ -118,8 +116,8 @@ func RunXferOverlap(o Options) *Report {
 
 	rep := &Report{
 		ID:    "overlap",
-		Title: "async transfer runtime: sync vs overlapped fetches, longdoc QA serve load",
-		Headers: []string{"mode", "served", "tok/s", "busy(ms)", "exposed(ms)",
+		Title: "async transfer runtime: overlapped fetches, longdoc QA serve load",
+		Headers: []string{"served", "tok/s", "busy(ms)", "exposed(ms)",
 			"hidden(ms)", "hidden%", "prefetch hit%", "dev peak", "host peak"},
 	}
 
@@ -129,64 +127,51 @@ func RunXferOverlap(o Options) *Report {
 	// way PCIe is for a real offloading serve, while still leaving per-layer
 	// compute windows big enough that overlap is physically possible.
 	const secPerPage = 2e-6
-	for _, sync := range []bool{true, false} {
-		eng := serve.NewEngine(m, serve.Config{
-			Workers: 2, MaxBatch: 2, Seed: o.Seed,
-			KVBudget: devBudget, HostBudget: hostBud,
-			SyncTransfers:  sync,
-			XferSecPerPage: secPerPage,
-		})
-		served := 0
-		for _, r := range eng.Run(reqs) {
-			if r.Err == nil {
-				served++
-			}
+	eng := serve.NewEngine(m, serve.Config{
+		Workers: 2, MaxBatch: 2, Seed: o.Seed,
+		KVBudget: devBudget, HostBudget: hostBud,
+		XferSecPerPage: secPerPage,
+	})
+	served := 0
+	for _, r := range eng.Run(reqs) {
+		if r.Err == nil {
+			served++
 		}
-		// Close before the snapshot: it drains the background worker, so
-		// fire-and-forget spill transfers still queued in async mode are in
-		// the overlap telemetry (the sync row services everything inline).
-		eng.Close()
-		mx := eng.Metrics()
-		mode := "async overlapped"
-		if sync {
-			mode = "sync blocking"
-		}
-		tr := mx.Transfer
-		// Modeled throughput: generated tokens over compute time plus the
-		// transfer time that compute could not hide.
-		tokS := 0.0
-		if denom := mx.Elapsed.Seconds() + tr.ExposedSec; denom > 0 {
-			tokS = float64(mx.TokensGenerated) / denom
-		}
-		rep.Rows = append(rep.Rows, []string{
-			mode,
-			fmt.Sprintf("%d/%d", served, nReqs),
-			f1(tokS),
-			f1(tr.BusySec * 1e3),
-			f1(tr.ExposedSec * 1e3),
-			f1(tr.HiddenSec() * 1e3),
-			fmt.Sprintf("%.0f%%", tr.HiddenFrac()*100),
-			fmt.Sprintf("%.0f%%", tr.PrefetchHitRate()*100),
-			fmt.Sprintf("%d/%d", mx.KVDevicePeak, mx.KVCapacity),
-			fmt.Sprintf("%d/%d", mx.KVHostPeak, mx.KVHostCapacity),
-		})
-		key := "async"
-		if sync {
-			key = "sync"
-		}
-		rep.AddMetric(key+".tok_per_sec", tokS, "tok/s")
-		rep.AddMetric(key+".busy_ms", tr.BusySec*1e3, "ms")
-		rep.AddMetric(key+".exposed_ms", tr.ExposedSec*1e3, "ms")
-		rep.AddMetric(key+".hidden_frac", tr.HiddenFrac(), "frac")
-		rep.AddMetric(key+".prefetch_hit_rate", tr.PrefetchHitRate(), "frac")
-		rep.AddMetric(key+".kv_device_peak", float64(mx.KVDevicePeak), "slots")
 	}
+	// Close before the snapshot: it drains the background worker, so
+	// fire-and-forget spill transfers still queued are in the overlap
+	// telemetry.
+	eng.Close()
+	mx := eng.Metrics()
+	tr := mx.Transfer
+	// Modeled throughput: generated tokens over compute time plus the
+	// transfer time that compute could not hide.
+	tokS := 0.0
+	if denom := mx.Elapsed.Seconds() + tr.ExposedSec; denom > 0 {
+		tokS = float64(mx.TokensGenerated) / denom
+	}
+	rep.Rows = append(rep.Rows, []string{
+		fmt.Sprintf("%d/%d", served, nReqs),
+		f1(tokS),
+		f1(tr.BusySec * 1e3),
+		f1(tr.ExposedSec * 1e3),
+		f1(tr.HiddenSec() * 1e3),
+		fmt.Sprintf("%.0f%%", tr.HiddenFrac()*100),
+		fmt.Sprintf("%.0f%%", tr.PrefetchHitRate()*100),
+		fmt.Sprintf("%d/%d", mx.KVDevicePeak, mx.KVCapacity),
+		fmt.Sprintf("%d/%d", mx.KVHostPeak, mx.KVHostCapacity),
+	})
+	rep.AddMetric("async.tok_per_sec", tokS, "tok/s")
+	rep.AddMetric("async.busy_ms", tr.BusySec*1e3, "ms")
+	rep.AddMetric("async.exposed_ms", tr.ExposedSec*1e3, "ms")
+	rep.AddMetric("async.hidden_frac", tr.HiddenFrac(), "frac")
+	rep.AddMetric("async.prefetch_hit_rate", tr.PrefetchHitRate(), "frac")
+	rep.AddMetric("async.kv_device_peak", float64(mx.KVDevicePeak), "slots")
 	rep.Notes = append(rep.Notes,
 		fmt.Sprintf("load: %d requests, %d docs x %d tokens, %d-token questions, %d new tokens, budget %d",
 			nReqs, lc.NDocs, docLen, qLen, maxNew, budget),
 		fmt.Sprintf("modeled channel: %.0fus per (layer,head) KV page; tok/s = tokens / (compute + exposed transfer time)", secPerPage*1e6),
 		fmt.Sprintf("two-tier admission: device budget %d slots/head < one prefill footprint -> refused outright before the host tier; served with cold-page spilling now", devBudget),
-		"async mode issues layer-ahead cluster prefetch mid-Select of layer l and drains it lazily at layer l+1's Select; hidden% is transfer time that overlapped with compute",
-		"token streams are identical in both modes (locked by serve's determinism suite)")
+		"layer-ahead cluster prefetch is issued mid-Select of layer l and drained lazily at layer l+1's Select; hidden% is transfer time that overlapped with compute")
 	return rep
 }

@@ -85,6 +85,7 @@ func RunTrace(tr *workload.Trace, sel attention.Selector, budget int) *RunResult
 
 	res := &RunResult{}
 	var scores, wFull, wSel []float32
+	var scratch attention.Scratch
 	for _, step := range tr.Steps {
 		for h, s := range stores {
 			s.Append(step.AppendK[h], step.AppendV[h])
@@ -99,7 +100,7 @@ func RunTrace(tr *workload.Trace, sel attention.Selector, budget int) *RunResult
 			scores = scores[:n]
 			wFull = wFull[:n]
 			q := step.Queries[h]
-			attention.Weights(scores, q, s)
+			scratch.Weights(scores, q, s)
 			copy(wFull, scores)
 			tensor.Softmax(wFull)
 			truth := tensor.TopK(scores, budget)

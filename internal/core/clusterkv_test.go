@@ -363,9 +363,9 @@ func TestHostQuantFlagQuantizesOffloadedPages(t *testing.T) {
 }
 
 // TestHostQuantSurvivesDecodeWindow: the decode-window clustering reads the
-// pending tail through Store.Keys; that metadata read must not restore the
-// already-quantized host pages (regression: syncFlat used to dequantize
-// every page as a side effect).
+// pending tail through Store.ReadKeys; that metadata read must not restore
+// the already-quantized host pages (regression: the flat key view used to
+// dequantize every page as a side effect).
 func TestHostQuantSurvivesDecodeWindow(t *testing.T) {
 	cfg := traceConfig()
 	cfg.HostQuantBits = 8
@@ -382,7 +382,7 @@ func TestHostQuantSurvivesDecodeWindow(t *testing.T) {
 		t.Fatal("prefill offload quantized nothing")
 	}
 	// Drive one full decode window (appends trigger tail clustering, which
-	// slices s.Keys()) without any Select fetches.
+	// reads the tail keys) without any Select fetches.
 	r := rng.New(9)
 	k := make([]float32, 8)
 	v := make([]float32, 8)

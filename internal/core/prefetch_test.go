@@ -69,10 +69,9 @@ func positionsEqual(a, b [][]int) (int, bool) {
 }
 
 // TestPrefetchDoesNotChangeSelection is the determinism lock at selector
-// level: layer-ahead prefetch through the async runtime — and the same
-// schedule forced synchronous — must produce exactly the positions the plain
-// synchronous ledger path selects. Transfers change when residency moves,
-// never what attention reads.
+// level: layer-ahead prefetch through the async runtime must produce exactly
+// the positions the plain synchronous ledger path (no runtime) selects.
+// Transfers change when residency moves, never what attention reads.
 func TestPrefetchDoesNotChangeSelection(t *testing.T) {
 	const (
 		layers, heads = 3, 2
@@ -82,18 +81,11 @@ func TestPrefetchDoesNotChangeSelection(t *testing.T) {
 	cfg := traceConfig()
 	base := drivePrefetch(cfg, nil, layers, heads, n, d, steps, budget)
 
-	async := kvcache.NewTransferRuntime(kvcache.Channel{SecPerPage: 5e-6}, false, false)
-	got := drivePrefetch(cfg, async, layers, heads, n, d, steps, budget)
-	async.Close()
+	rt := kvcache.NewTransferRuntime(kvcache.Channel{SecPerPage: 5e-6})
+	got := drivePrefetch(cfg, rt, layers, heads, n, d, steps, budget)
+	rt.Close()
 	if i, ok := positionsEqual(base, got); !ok {
 		t.Fatalf("async runtime changed selection at call %d", i)
-	}
-
-	syncRT := kvcache.NewTransferRuntime(kvcache.Channel{SecPerPage: 5e-6}, true, false)
-	got = drivePrefetch(cfg, syncRT, layers, heads, n, d, steps, budget)
-	syncRT.Close()
-	if i, ok := positionsEqual(base, got); !ok {
-		t.Fatalf("sync runtime changed selection at call %d", i)
 	}
 }
 
@@ -102,7 +94,7 @@ func TestPrefetchDoesNotChangeSelection(t *testing.T) {
 // exact fetch (cross-layer query similarity in the structured test data).
 func TestPrefetchIssuesAndHits(t *testing.T) {
 	cfg := traceConfig()
-	rt := kvcache.NewTransferRuntime(kvcache.Channel{SecPerPage: 5e-6}, false, false)
+	rt := kvcache.NewTransferRuntime(kvcache.Channel{SecPerPage: 5e-6})
 	defer rt.Close()
 	drivePrefetch(cfg, rt, 3, 2, 600, 8, 24, 128)
 	o := rt.Stats()
@@ -134,7 +126,7 @@ func TestPrefetchMispredictionUnderCap(t *testing.T) {
 
 	capped := traceConfig()
 	capped.DeviceCachePages = 2 // far below the ~10 pages a 600-token context needs
-	rt := kvcache.NewTransferRuntime(kvcache.Channel{SecPerPage: 5e-6}, false, false)
+	rt := kvcache.NewTransferRuntime(kvcache.Channel{SecPerPage: 5e-6})
 	defer rt.Close()
 	got := drivePrefetch(capped, rt, layers, heads, n, d, steps, budget)
 	if i, ok := positionsEqual(base, got); !ok {

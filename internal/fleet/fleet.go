@@ -201,11 +201,6 @@ type Router struct {
 	pageTokens int
 	planes     int64
 	maxBatch   int
-	// radix mirrors the replicas' cache shape: when the engines run the radix
-	// prefix cache, the router tracks every page-aligned prefix depth (chain
-	// links) instead of whole-prefix hashes only, so nested-prefix requests
-	// route to the replica holding the deepest cached ancestor.
-	radix bool
 
 	mu sync.Mutex
 	// Placement ledgers: the router's own deterministic model of each
@@ -272,8 +267,6 @@ func NewRouter(m *model.Model, cfg Config) *Router {
 		pageTokens: pageTokens,
 		planes:     int64(mc.NLayers * mc.NKVHeads),
 		maxBatch:   cfg.Engine.MaxBatch,
-		radix: !cfg.Engine.WorstCaseAdmission && !cfg.Engine.FlatPrefixCache &&
-			!cfg.Engine.NoPrefixCache,
 		prefixHome: make(map[uint64]int),
 		charged:    make(map[prefixOn]int64),
 		chainOn:    make(map[prefixOn]struct{}),
@@ -363,9 +356,8 @@ type placement struct {
 
 // routeKey is the consistent-hash key: the shared prefix when there is one
 // (so equal-prefix requests hash alike), the whole prompt otherwise.
-func (r *Router) routeKey(req *serve.Request) (uint64, bool) {
-	shared := req.SharedPrefixLen > 0 && !r.cfg.Engine.NoPrefixCache
-	if shared {
+func routeKey(req *serve.Request) (uint64, bool) {
+	if req.SharedPrefixLen > 0 {
 		return serve.PrefixKey(req.Prompt[:req.SharedPrefixLen]), true
 	}
 	return serve.PrefixKey(req.Prompt), false
@@ -380,14 +372,11 @@ type chainLink struct {
 }
 
 // prefixChain returns the request's residency probe chain, deepest last:
-// every page-aligned prefix depth plus the whole prefix under the radix
-// cache, the whole prefix alone when the replicas only reuse exact matches
-// (flat cache, worst-case admission).
-func (r *Router) prefixChain(req *serve.Request, h uint64) []chainLink {
+// every page-aligned prefix depth plus the whole prefix, mirroring what the
+// replicas' radix caches register, so nested-prefix requests route to the
+// replica holding the deepest cached ancestor.
+func (r *Router) prefixChain(req *serve.Request) []chainLink {
 	prefix := req.Prompt[:req.SharedPrefixLen]
-	if !r.radix {
-		return []chainLink{{hash: h, depth: len(prefix)}}
-	}
 	hashes := serve.AlignedPrefixKeys(prefix, r.pageTokens)
 	links := make([]chainLink, len(hashes))
 	for i, hh := range hashes {
@@ -464,10 +453,10 @@ func (r *Router) leastLoaded(h uint64) int {
 // place makes one deterministic routing decision and commits it to the
 // ledgers. Caller holds r.mu.
 func (r *Router) place(req *serve.Request) placement {
-	h, shared := r.routeKey(req)
+	h, shared := routeKey(req)
 	var chain []chainLink
 	if shared {
-		chain = r.prefixChain(req, h)
+		chain = r.prefixChain(req)
 	}
 	var rep int
 	switch r.cfg.Policy {
@@ -751,10 +740,10 @@ func (r *Router) observe(reqs []serve.Request, out []Response) {
 // are never dropped silently). Streaming placement is latency-driven and
 // timing-dependent; use Run for the deterministic batch contract.
 func (r *Router) Submit(req serve.Request) *Ticket {
-	h, shared := r.routeKey(&req)
+	h, shared := routeKey(&req)
 	var chain []chainLink
 	if shared {
-		chain = r.prefixChain(&req, h)
+		chain = r.prefixChain(&req)
 	}
 
 	// Candidate order: replicas holding the deepest resident prefix first

@@ -12,9 +12,9 @@ import (
 // B slots regardless of the model's layer/head count (every sequence scales
 // by the same factor).
 //
-// The serving engine reserves a sequence's worst-case residency at admission
-// time and releases it at retirement, which is what turns the per-sequence
-// Tier ledgers into a multi-tenant admission-control policy.
+// The serving engine's arena charges it per live page and admission reserves
+// a provisional hold against it, which is what turns the per-sequence Tier
+// ledgers into a multi-tenant admission-control policy.
 //
 // An Accountant is safe for concurrent use.
 //

@@ -31,7 +31,7 @@ func TestStoreAppendBatch(t *testing.T) {
 	if s.Key(1)[0] != 3 || s.Value(1)[1] != 8 {
 		t.Fatal("AppendBatch wrong layout")
 	}
-	if len(s.Keys()) != 4 || len(s.Values()) != 4 {
+	if len(s.ReadKeys(0, s.Len(), nil)) != 4 || len(s.ReadValues(0, s.Len(), nil)) != 4 {
 		t.Fatal("packed accessors wrong length")
 	}
 }

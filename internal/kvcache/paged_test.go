@@ -234,14 +234,14 @@ func TestStoreAppendBatchAcrossPages(t *testing.T) {
 	}
 }
 
-// TestStoreFlatViewMatchesPages: the Keys/Values flat-copy fallback is
+// TestStoreFlatViewMatchesPages: the ReadKeys/ReadValues flat copy is
 // bit-identical to the page reads, across appends, truncates and re-appends.
 func TestStoreFlatViewMatchesPages(t *testing.T) {
 	a := NewArena(8, nil)
 	s := NewStoreIn(a, 3)
 	check := func() {
 		t.Helper()
-		ks, vs := s.Keys(), s.Values()
+		ks, vs := s.ReadKeys(0, s.Len(), nil), s.ReadValues(0, s.Len(), nil)
 		if len(ks) != s.Len()*3 || len(vs) != s.Len()*3 {
 			t.Fatalf("flat view lengths %d/%d for %d tokens", len(ks), len(vs), s.Len())
 		}
@@ -404,7 +404,7 @@ func TestStoreHostQuantRoundTrip(t *testing.T) {
 	a := NewArena(8, nil)
 	s := NewStoreIn(a, 4)
 	fillN(s, 0, 20)
-	orig := append([]float32(nil), s.Keys()...)
+	orig := append([]float32(nil), s.ReadKeys(0, s.Len(), nil)...)
 
 	l := NewLedgerPaged(8)
 	l.Bind(s, 8)
@@ -428,7 +428,7 @@ func TestStoreHostQuantRoundTrip(t *testing.T) {
 	if s.PageQuantized(1) {
 		t.Fatal("read did not restore page 1")
 	}
-	got := s.Keys()
+	got := s.ReadKeys(0, s.Len(), nil)
 	for i := range orig {
 		if diff := math.Abs(float64(orig[i] - got[i])); diff > 1.0 {
 			t.Fatalf("8-bit round trip error %.3f at %d (orig %.1f got %.1f)", diff, i, orig[i], got[i])
@@ -451,13 +451,13 @@ func TestStoreHostQuantRoundTrip(t *testing.T) {
 	// Flag off: residency moves never touch the floats.
 	s3 := NewStoreIn(a, 4)
 	fillN(s3, 0, 16)
-	before := append([]float32(nil), s3.Keys()...)
+	before := append([]float32(nil), s3.ReadKeys(0, s3.Len(), nil)...)
 	l3 := NewLedgerPaged(8)
 	l3.Bind(s3, 0)
 	l3.Extend(16, TierDevice)
 	l3.Offload(0, 16)
 	l3.Fetch([]int{0, 8})
-	after := s3.Keys()
+	after := s3.ReadKeys(0, s3.Len(), nil)
 	for i := range before {
 		if math.Float32bits(before[i]) != math.Float32bits(after[i]) {
 			t.Fatalf("flag-off residency changed bits at %d", i)
@@ -466,7 +466,7 @@ func TestStoreHostQuantRoundTrip(t *testing.T) {
 }
 
 // TestFlatViewDoesNotRestoreQuantizedPages: building selector metadata over
-// Keys/Values (the flat fallback) must not undo the simulated quantized
+// ReadKeys/ReadValues (the flat copy) must not undo the simulated quantized
 // host tier — only Key/KeyPage fetches restore. Regression for the decode
 // window silently dequantizing every host page.
 func TestFlatViewDoesNotRestoreQuantizedPages(t *testing.T) {
@@ -476,8 +476,8 @@ func TestFlatViewDoesNotRestoreQuantizedPages(t *testing.T) {
 	s.QuantizePage(0, 8)
 	s.QuantizePage(1, 8)
 
-	ks := s.Keys()
-	vs := s.Values()
+	ks := s.ReadKeys(0, s.Len(), nil)
+	vs := s.ReadValues(0, s.Len(), nil)
 	if !s.PageQuantized(0) || !s.PageQuantized(1) {
 		t.Fatal("flat view restored quantized pages")
 	}

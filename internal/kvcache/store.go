@@ -32,13 +32,6 @@ type Store struct {
 	pages   []*page
 	n       int
 
-	// flatK/flatV are the lazily materialised contiguous views behind
-	// Keys/Values; flatN is the number of tokens synced into them. Rows are
-	// append-only and COW copies preserve row values, so synced rows stay
-	// valid until Truncate rewinds flatN.
-	flatK, flatV []float32
-	flatN        int
-
 	// computeBits, when non-zero, promotes KIVI quantization from storage
 	// format to *compute* format (DESIGN.md §12): QuantizeFullPages converts
 	// full pages in place and attention kernels read the codes directly via
@@ -213,10 +206,9 @@ func (s *Store) AppendBatch(ks, vs []float32) int {
 // ReadKeys copies the key rows of tokens [from, to) into dst (grown as
 // needed; pass nil to allocate) and returns it, packed row-major. It is the
 // non-retaining metadata read: nothing is cached on the store and
-// host-quantized pages are decoded without being restored. Selectors that
-// need a contiguous key matrix (clustering, SVD) use this with their own
-// short-lived buffers instead of Keys(), whose mirror lives as long as the
-// store.
+// host-quantized pages are decoded without being restored — metadata reads
+// are measurements, not fetches. Selectors that need a contiguous key matrix
+// (clustering, SVD) use this with their own short-lived buffers.
 func (s *Store) ReadKeys(from, to int, dst []float32) []float32 {
 	return s.readRange(from, to, dst, true)
 }
@@ -250,56 +242,6 @@ func (s *Store) readRange(from, to int, dst []float32, keys bool) []float32 {
 		i += rows
 	}
 	return dst
-}
-
-// Keys returns the tokens' keys as one packed row-major slice. With paged
-// storage this is a materialised contiguous view, synced incrementally on
-// call: rows already synced are reused, so amortised cost is O(new tokens)
-// (quantizing a page rewinds the watermark, so the experimental host-quant
-// flag re-syncs from the first still-quantized page). Callers must treat it
-// as read-only; it is the flat-copy fallback kept for selectors and
-// conformance harnesses, while hot paths read pages directly
-// (KeyPage/ValuePage). Unlike Key/KeyPage, reading through the flat view
-// never restores a host-quantized page — metadata reads are measurements,
-// not fetches.
-func (s *Store) Keys() []float32 {
-	s.syncFlat()
-	return s.flatK[:s.n*s.headDim]
-}
-
-// Values returns the packed value storage (see Keys).
-func (s *Store) Values() []float32 {
-	s.syncFlat()
-	return s.flatV[:s.n*s.headDim]
-}
-
-func (s *Store) syncFlat() {
-	if s.flatN == s.n {
-		return
-	}
-	d := s.headDim
-	want := s.n * d
-	if cap(s.flatK) < want {
-		nk := make([]float32, want)
-		nv := make([]float32, want)
-		copy(nk, s.flatK[:s.flatN*d])
-		copy(nv, s.flatV[:s.flatN*d])
-		s.flatK, s.flatV = nk, nv
-	}
-	s.flatK = s.flatK[:want]
-	s.flatV = s.flatV[:want]
-	P := s.arena.pageTokens
-	for i := s.flatN; i < s.n; {
-		p := i / P
-		from := i - p*P
-		rows := s.PageRows(p) - from
-		// Non-mutating read: a host-quantized page is decoded into the flat
-		// view without being restored, so building selector metadata over
-		// Keys/Values never disturbs simulated page residency.
-		s.pages[p].readRows(s.flatK[i*d:(i+rows)*d], s.flatV[i*d:(i+rows)*d], from, rows, d)
-		i += rows
-	}
-	s.flatN = s.n
 }
 
 // Clone returns a deep copy of the store with freshly allocated, exclusively
@@ -353,9 +295,6 @@ func (s *Store) Truncate(n int) {
 	}
 	s.pages = s.pages[:keep]
 	s.n = n
-	if s.flatN > n {
-		s.flatN = n
-	}
 	if full := n / P; s.qmark > full {
 		s.qmark = full
 	}
@@ -370,7 +309,6 @@ func (s *Store) Free() {
 	}
 	s.pages = s.pages[:0]
 	s.n = 0
-	s.flatN = 0
 	s.qmark = 0
 }
 
@@ -393,11 +331,6 @@ func (s *Store) QuantizePage(p, bits int) {
 		return // tail still being written
 	}
 	s.pages[p].quantize(bits, rows, s.headDim)
-	if s.flatN > p*s.arena.pageTokens {
-		// Quantization is lossy; invalidate the flat view so it re-reads the
-		// dequantized rows on next sync.
-		s.flatN = p * s.arena.pageTokens
-	}
 }
 
 // PageQuantized reports whether page p currently holds only the quantized

@@ -11,7 +11,7 @@
 // them (fanning batches out on the shared intra-op pool), and Wait exposes
 // only the modeled time that did not fit behind compute. Transfers change
 // when data moves, never what attention reads — token streams are identical
-// with the runtime on, off, or forced synchronous.
+// with the runtime on or off.
 package kvcache
 
 import (
@@ -36,19 +36,13 @@ type Channel struct {
 // enqueues into the same FIFO, so concurrent tenants contend for the modeled
 // PCIe link exactly like they would for the real one.
 //
-// Modes:
-//   - async (default): requests are serviced by a background worker; Wait
-//     blocks only for servicing plus whatever modeled time is still left on
-//     the channel clock (the *exposed* time).
-//   - sync (NewTransferRuntime with sync=true): requests are serviced inline
-//     on the caller and their full modeled time is exposed — the baseline
-//     the overlap experiment compares against.
+// Queued requests are serviced by a background worker; Wait blocks only for
+// servicing plus whatever modeled time is still left on the channel clock (the
+// *exposed* time).
 //
 // A runtime is safe for concurrent use.
 type TransferRuntime struct {
-	ch       Channel
-	syncMode bool
-	throttle bool
+	ch Channel
 
 	reqs   chan *Transfer
 	exited chan struct{}
@@ -98,23 +92,17 @@ type Transfer struct {
 	waited atomic.Bool
 }
 
-// NewTransferRuntime returns a runtime on the given channel. sync forces
-// inline servicing (every request fully exposed); throttle makes Wait
-// actually sleep out the exposed residue, so wall-clock throughput reflects
-// the modeled channel (experiments opt in; servers usually leave it off and
-// read the overlap telemetry instead).
-func NewTransferRuntime(ch Channel, sync, throttle bool) *TransferRuntime {
-	rt := &TransferRuntime{ch: ch, syncMode: sync, throttle: throttle}
-	if !sync {
-		rt.reqs = make(chan *Transfer, 256)
-		rt.exited = make(chan struct{})
-		go rt.worker()
+// NewTransferRuntime returns a runtime on the given channel and starts its
+// background worker; callers must Close it.
+func NewTransferRuntime(ch Channel) *TransferRuntime {
+	rt := &TransferRuntime{
+		ch:     ch,
+		reqs:   make(chan *Transfer, 256),
+		exited: make(chan struct{}),
 	}
+	go rt.worker()
 	return rt
 }
-
-// Sync reports whether the runtime services requests inline.
-func (rt *TransferRuntime) Sync() bool { return rt.syncMode }
 
 // SetTrace attaches a trace recorder emitting transfer and prefetch events
 // (obs.EvTransferStart/Complete on the modeled channel clock, prefetch
@@ -126,9 +114,6 @@ func (rt *TransferRuntime) SetTrace(rec obs.Recorder) { rt.rec = rec }
 // Close stops the background worker after draining queued requests. Requests
 // enqueued after Close are serviced inline; Close is idempotent.
 func (rt *TransferRuntime) Close() {
-	if rt.reqs == nil {
-		return
-	}
 	rt.mu.Lock()
 	already := rt.closed
 	rt.closed = true
@@ -200,14 +185,14 @@ func (rt *TransferRuntime) Stats() metrics.Overlap {
 	return o
 }
 
-// enqueue hands t to the worker, falling back to inline servicing in sync
-// mode, after Close, or when the queue is full (backpressure degrades to the
-// synchronous path instead of blocking the compute thread indefinitely).
+// enqueue hands t to the worker, falling back to inline servicing after Close
+// or when the queue is full (backpressure degrades to the synchronous path
+// instead of blocking the compute thread indefinitely).
 func (rt *TransferRuntime) enqueue(t *Transfer) {
 	// A ledger with a bound store (quantized host tier) is serviced inline:
 	// dequantize-on-fetch walks the store's page table, which is owned by the
 	// compute goroutine and not synchronised against the background worker.
-	if !rt.syncMode && (t.ledger == nil || !t.ledger.Bound()) {
+	if t.ledger == nil || !t.ledger.Bound() {
 		rt.mu.Lock()
 		if !rt.closed {
 			select {
@@ -300,31 +285,19 @@ func (rt *TransferRuntime) service(batch []*Transfer) {
 			rt.rec.Emit(obs.Event{Type: obs.EvTransferComplete,
 				Req: seq, N: int64(t.moved), Sec: startSec, Dur: dur, Aux: kind})
 		}
-		if rt.syncMode {
-			// The synchronous baseline exposes every modeled second by
-			// definition; Wait then only sleeps (throttle) without
-			// re-measuring, so wall time between service and Wait can never
-			// masquerade as overlap.
-			rt.exposedSec += dur
-		}
 	}
 	rt.mu.Unlock()
 	for _, t := range batch {
-		if rt.syncMode && t.ledger != nil {
-			// Sync mode exposes every modeled second by definition, so the
-			// per-ledger attribution is settled here; Wait skips it.
-			t.ledger.addStall(t.modeled, t.modeled)
-		}
 		if t.ready != nil {
 			close(t.ready)
 		}
 	}
 }
 
-// Wait blocks until the transfer has been serviced, then accounts (and, with
-// throttling, sleeps out) the modeled time still outstanding on the channel
-// clock — the exposed portion; everything that elapsed while compute ran is
-// hidden. Waiting a nil or already-waited Transfer is a no-op.
+// Wait blocks until the transfer has been serviced, then accounts the modeled
+// time still outstanding on the channel clock — the exposed portion;
+// everything that elapsed while compute ran is hidden. Waiting a nil or
+// already-waited Transfer is a no-op.
 func (t *Transfer) Wait() {
 	if t == nil {
 		return
@@ -335,27 +308,17 @@ func (t *Transfer) Wait() {
 	if !t.waited.CompareAndSwap(false, true) {
 		return
 	}
-	residue := time.Until(t.deadline)
-	rt := t.rt
-	if !rt.syncMode {
-		var exposed float64
-		if residue > 0 {
-			exposed = residue.Seconds()
-			if exposed > t.modeled {
-				exposed = t.modeled
-			}
-			rt.mu.Lock()
-			rt.exposedSec += exposed
-			rt.mu.Unlock()
-		}
-		if t.ledger != nil {
-			// Per-ledger stall attribution: exposed blocked this wait, the
-			// rest of the modeled time hid behind compute (DESIGN.md §14).
-			t.ledger.addStall(exposed, t.modeled)
-		}
+	var exposed float64
+	if residue := time.Until(t.deadline); residue > 0 {
+		exposed = min(residue.Seconds(), t.modeled)
+		t.rt.mu.Lock()
+		t.rt.exposedSec += exposed
+		t.rt.mu.Unlock()
 	}
-	if residue > 0 && rt.throttle {
-		time.Sleep(residue)
+	if t.ledger != nil {
+		// Per-ledger stall attribution: exposed blocked this wait, the rest
+		// of the modeled time hid behind compute (DESIGN.md §14).
+		t.ledger.addStall(exposed, t.modeled)
 	}
 }
 

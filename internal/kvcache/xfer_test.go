@@ -47,41 +47,39 @@ func TestOffloadRejectsInvalidInterval(t *testing.T) {
 	}
 }
 
-// TestTransferRuntimeFetchPromotes: an async fetch promotes the pages
-// covering the requested positions, counts transfers on the ledger and
-// channel time on the runtime, and Wait makes the result visible.
+// TestTransferRuntimeFetchPromotes: a fetch promotes the pages covering the
+// requested positions, counts transfers on the ledger and channel time on the
+// runtime, and Wait makes the result visible.
 func TestTransferRuntimeFetchPromotes(t *testing.T) {
-	for _, sync := range []bool{false, true} {
-		rt := NewTransferRuntime(Channel{SecPerPage: 1e-6}, sync, false)
-		l := NewLedgerPaged(4)
-		l.Extend(32, TierDevice)
-		l.OffloadAll()
+	rt := NewTransferRuntime(Channel{SecPerPage: 1e-6})
+	defer rt.Close()
+	l := NewLedgerPaged(4)
+	l.Extend(32, TierDevice)
+	l.OffloadAll()
 
-		tr := rt.Fetch(l, []int{0, 1, 9, 30})
-		tr.Wait()
-		if tr.Pages() != 3 {
-			t.Fatalf("sync=%v: moved %d pages, want 3 (pages 0, 2, 7)", sync, tr.Pages())
+	tr := rt.Fetch(l, []int{0, 1, 9, 30})
+	tr.Wait()
+	if tr.Pages() != 3 {
+		t.Fatalf("moved %d pages, want 3 (pages 0, 2, 7)", tr.Pages())
+	}
+	for _, p := range []int{0, 9, 30} {
+		if l.TierOf(p) != TierDevice {
+			t.Fatalf("position %d not device after fetch", p)
 		}
-		for _, p := range []int{0, 9, 30} {
-			if l.TierOf(p) != TierDevice {
-				t.Fatalf("sync=%v: position %d not device after fetch", sync, p)
-			}
-		}
-		if l.TierOf(16) != TierHost {
-			t.Fatalf("sync=%v: unrequested page promoted", sync)
-		}
-		h2d, _ := l.Counters()
-		if h2d != 3 {
-			t.Fatalf("sync=%v: HostToDevice=%d, want 3", sync, h2d)
-		}
-		o := rt.Stats()
-		if o.Transfers != 1 || o.Pages != 3 || o.BusySec <= 0 {
-			t.Fatalf("sync=%v: stats %+v", sync, o)
-		}
-		if sync && o.ExposedSec != o.BusySec {
-			t.Fatalf("sync mode must expose the full modeled time: busy=%g exposed=%g", o.BusySec, o.ExposedSec)
-		}
-		rt.Close()
+	}
+	if l.TierOf(16) != TierHost {
+		t.Fatal("unrequested page promoted")
+	}
+	h2d, _ := l.Counters()
+	if h2d != 3 {
+		t.Fatalf("HostToDevice=%d, want 3", h2d)
+	}
+	o := rt.Stats()
+	if o.Transfers != 1 || o.Pages != 3 || o.BusySec <= 0 {
+		t.Fatalf("stats %+v", o)
+	}
+	if o.ExposedSec > o.BusySec {
+		t.Fatalf("exposed %g exceeds the modeled busy time %g", o.ExposedSec, o.BusySec)
 	}
 }
 
@@ -89,7 +87,7 @@ func TestTransferRuntimeFetchPromotes(t *testing.T) {
 // and waited after a compute-sized delay exposes (nearly) nothing — the
 // modeled transfer time hides behind the work in between.
 func TestTransferRuntimeOverlapHidesTime(t *testing.T) {
-	rt := NewTransferRuntime(Channel{SecPerPage: 2e-3}, false, false)
+	rt := NewTransferRuntime(Channel{SecPerPage: 2e-3})
 	defer rt.Close()
 	l := NewLedgerPaged(4)
 	l.Extend(64, TierDevice)
@@ -111,26 +109,6 @@ func TestTransferRuntimeOverlapHidesTime(t *testing.T) {
 	}
 }
 
-// TestTransferRuntimeSyncNeverHides: the same schedule forced synchronous
-// exposes every modeled second.
-func TestTransferRuntimeSyncNeverHides(t *testing.T) {
-	rt := NewTransferRuntime(Channel{SecPerPage: 1e-3}, true, false)
-	defer rt.Close()
-	l := NewLedgerPaged(4)
-	l.Extend(64, TierDevice)
-	l.OffloadAll()
-	for i := 0; i < 4; i++ {
-		rt.Fetch(l, []int{i * 16}).Wait()
-	}
-	o := rt.Stats()
-	if o.HiddenSec() > 1e-9 {
-		t.Fatalf("sync runtime hid %.6fs of transfer time", o.HiddenSec())
-	}
-	if o.Transfers != 4 || o.Pages != 4 {
-		t.Fatalf("stats %+v", o)
-	}
-}
-
 // TestPrefetchNeverEvictsPinned is the misprediction-safety lock (run under
 // -race): a compute thread fetch-pins a working set while a concurrent
 // prefetcher floods the ledger with wrong-cluster pages under a tight device
@@ -148,7 +126,7 @@ func TestPrefetchNeverEvictsPinned(t *testing.T) {
 	l.Extend(pages*pageTokens, TierDevice)
 	l.OffloadAll()
 	l.SetDeviceCap(devCap)
-	rt := NewTransferRuntime(Channel{}, false, false)
+	rt := NewTransferRuntime(Channel{})
 	defer rt.Close()
 
 	// Hot working set: pages 0..3 (positions 0, 4, 8, 12).

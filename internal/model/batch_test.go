@@ -14,8 +14,8 @@ import (
 // must produce logits bit-identical to stepping every member alone through
 // Sequence.DecodeInto — at every cohort size, every pool width, with
 // selectors attached, over CoW-forked shared prefixes and under int8 KV
-// decode. This is the contract that lets the serving engine flip
-// Config.BatchDecode without changing a single token.
+// decode. This is the contract that lets the serving engine pick the
+// executor by cohort size without changing a single token.
 
 const batchBudget = 64
 

@@ -41,8 +41,8 @@ func forwardFingerprint(t *testing.T, width int, tokens []int, decodeSteps int) 
 	for l := 0; l < cfg.NLayers; l++ {
 		for kv := 0; kv < cfg.NKVHeads; kv++ {
 			st := seq.Store(l, kv)
-			out = append(out, st.Keys()...)
-			out = append(out, st.Values()...)
+			out = append(out, st.ReadKeys(0, st.Len(), nil)...)
+			out = append(out, st.ReadValues(0, st.Len(), nil)...)
 		}
 	}
 	tok := tokens[len(tokens)-1]

@@ -113,7 +113,8 @@ func TestPrefillDecodeConsistency(t *testing.T) {
 	cfg := m.Config()
 	for l := 0; l < cfg.NLayers; l++ {
 		for h := 0; h < cfg.NKVHeads; h++ {
-			ka, kb := a.Store(l, h).Keys(), b.Store(l, h).Keys()
+			sa, sb := a.Store(l, h), b.Store(l, h)
+			ka, kb := sa.ReadKeys(0, sa.Len(), nil), sb.ReadKeys(0, sb.Len(), nil)
 			for i := range ka {
 				if diff := math.Abs(float64(ka[i] - kb[i])); diff > 2e-3 {
 					t.Fatalf("layer %d head %d key[%d] differs by %v", l, h, i, diff)

@@ -73,7 +73,7 @@ const (
 	EvFleetReroute
 	EvFleetShed
 	// EvBatchRound records a round whose decode streams ran as one batched
-	// cohort (Config.BatchDecode): N = cohort size (decoding streams),
+	// cohort (DESIGN.md §13): N = cohort size (decoding streams),
 	// Aux = prefill steps running per-stream alongside it.
 	EvBatchRound
 	// EvSpan records one attribution span on the modeled attribution clock

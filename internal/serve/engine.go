@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime"
 	"sort"
@@ -39,15 +40,11 @@ type Config struct {
 	// cached prefixes, in per-head token slots (see kvcache.Accountant).
 	// 0 means unlimited.
 	//
-	// Under the default exact page accounting the budget meters *actual
-	// arena pages* (deduplicated across forks: a page shared by ten
-	// sequences is charged once) and admission needs only the request's
-	// marginal prefill pages plus a small decode headroom. Under
-	// WorstCaseAdmission it meters up-front worst-case reservations as the
-	// pre-paged engine did.
+	// The budget meters *actual arena pages* (deduplicated across forks: a
+	// page shared by ten sequences is charged once) and admission needs only
+	// the request's marginal prefill pages plus a small decode headroom.
 	KVBudget int64
-	// HostBudget, when > 0 (exact accounting only), enables two-tier
-	// admission: KVBudget is the *device* capacity, HostBudget the host-tier
+	// HostBudget, when > 0, enables two-tier admission: KVBudget is the *device* capacity, HostBudget the host-tier
 	// capacity (same per-head token-slot units), and requests are admitted
 	// when device + host together can hold them. Between rounds the engine
 	// spills cold pages — slots beyond budgeted sequences' device working
@@ -56,16 +53,6 @@ type Config struct {
 	// the engine serve loads whose total KV footprint exceeds the device
 	// budget. 0 keeps single-tier admission.
 	HostBudget int64
-	// SyncTransfers forces the synchronous transfer path: every simulated KV
-	// fetch blocks for its full modeled channel time instead of overlapping
-	// with compute. Kept for comparison (the overlap experiment) — token
-	// streams and scheduling are identical either way.
-	SyncTransfers bool
-	// ThrottleTransfers makes transfer waits actually sleep out their
-	// exposed modeled time, so wall-clock throughput reflects the modeled
-	// PCIe channel. Off by default: servers usually want the overlap
-	// telemetry (Metrics.Transfer) without the artificial slowdown.
-	ThrottleTransfers bool
 	// XferSecPerPage overrides the modeled seconds to move one (layer, head)
 	// KV page on the transfer channel. 0 derives it from the paper GPU's
 	// PCIe bandwidth (memsim.AdaRTX6000) and the model's page byte size.
@@ -73,32 +60,6 @@ type Config struct {
 	// PageTokens sets the engine arena's page size in tokens
 	// (default kvcache.DefaultPageTokens).
 	PageTokens int
-	// WorstCaseAdmission reverts admission control to the legacy policy:
-	// reserve each request's worst-case residency (kvCost) at admission and
-	// hold it until retirement, with shared prefixes charged on the cache
-	// entry. Kept for comparison (the pagedkv experiment) and for callers
-	// that want hard reservation semantics instead of exact metering.
-	WorstCaseAdmission bool
-	// NoPrefixCache disables shared-prefix prefill reuse (on by default).
-	NoPrefixCache bool
-	// FlatPrefixCache forces the exact-match flat prefix cache instead of the
-	// default radix tree, so nested prefixes only reuse prefill when a
-	// declared prefix matches a cached one token for token. Kept for
-	// comparison (the radix experiment). WorstCaseAdmission implies it: the
-	// legacy reservation policy predates page-granular sharing and has no
-	// notion of partial reuse.
-	FlatPrefixCache bool
-	// BatchDecode batches decode compute across a round's streams
-	// (DESIGN.md §13): a round whose active set contains two or more
-	// decoding sequences runs them as one lock-step cohort through
-	// model.BatchDecoder — one GEMM per weight matrix per layer across the
-	// cohort instead of per-stream GEMVs — while prefill steps and
-	// single-decoder rounds keep the per-stream path. Tokens are
-	// bit-identical to per-stream execution at any cohort size and pool
-	// width (conformance- and determinism-locked), so this is purely a
-	// throughput knob. DefaultConfig enables it; the zero Config keeps the
-	// task-parallel per-stream rounds.
-	BatchDecode bool
 	// DecodeKVBits, when 2..8, turns on the quantized KV decode path
 	// (DESIGN.md §12): published prefix-cache snapshots are converted once to
 	// the KIVI compute format (keys per-channel, values per-token) while
@@ -111,9 +72,6 @@ type Config struct {
 	DecodeKVBits int
 	// Seed drives sampling and any tie-breaking, making runs reproducible.
 	Seed uint64
-	// testPrefixHash, when set (tests only), replaces the flat cache's bucket
-	// hash so hash collisions can be forced deterministically.
-	testPrefixHash func([]int) uint64
 	// Trace, when enabled (obs.Tracer.Recorder), receives the engine's
 	// structured trace events: round begin/end, admit/refuse/retire,
 	// prefix-cache traffic, tier spill/promote, and — through the transfer
@@ -141,12 +99,11 @@ type Config struct {
 // DefaultConfig returns the default engine configuration.
 func DefaultConfig() Config {
 	return Config{
-		Workers:     runtime.GOMAXPROCS(0),
-		MaxBatch:    8,
-		QueueCap:    256,
-		KVBudget:    0,
-		BatchDecode: true,
-		Seed:        1,
+		Workers:  runtime.GOMAXPROCS(0),
+		MaxBatch: 8,
+		QueueCap: 256,
+		KVBudget: 0,
+		Seed:     1,
 	}
 }
 
@@ -156,36 +113,30 @@ type Engine struct {
 	m    *model.Model
 	cfg  Config
 	acct *kvcache.Accountant
-	// arena backs every sequence and cached prefix the engine creates. Under
-	// exact admission it charges acct per live page, so Used() is the exact
-	// deduplicated KV footprint.
+	// arena backs every sequence and cached prefix the engine creates. It
+	// charges acct per live page, so Used() is the exact deduplicated KV
+	// footprint.
 	arena *kvcache.Arena
-	// planes is the number of (layer, kvHead) stores per sequence; exact
-	// accounting runs in raw slots (tokens × planes) and reports per-head
-	// units by dividing back out.
+	// planes is the number of (layer, kvHead) stores per sequence; the
+	// accountant runs in raw slots (tokens × planes) and the engine reports
+	// per-head units by dividing back out.
 	planes int64
-	exact  bool
-	// radix reports the active prefix-cache shape (radix tree vs flat
-	// exact-match); see Config.FlatPrefixCache.
-	radix bool
 	// rt is the engine-wide async transfer runtime: every RuntimeAware
 	// selector's simulated KV movement shares this one modeled PCIe channel.
 	rt *kvcache.TransferRuntime
 
-	// cache is the scheduler-owned prefix cache (radix tree or flat map);
-	// cacheSeq numbers entries in admission order for deterministic LRU
-	// tie-breaks. Touched only on the loop goroutine.
-	cache    prefixCache
+	// cache is the scheduler-owned radix prefix cache; cacheSeq numbers
+	// entries in admission order for deterministic LRU tie-breaks. Touched
+	// only on the loop goroutine.
+	cache    *radixCache
 	cacheSeq uint64
 
 	intake chan []*task
 
 	// resident is the router-facing prefix-residency index, refcounted
 	// content hashes of what the scheduler currently holds (building or
-	// published). Under the radix cache every entry registers its whole
-	// page-aligned prefix chain, so routers can probe nested depths; the flat
-	// cache registers exact hashes only, matching what it can actually reuse.
-	// Refcounts keep a hash resident while any registrant lives (two entries
+	// published). Every entry registers its whole page-aligned prefix chain,
+	// so routers can probe nested depths. Refcounts keep a hash resident while any registrant lives (two entries
 	// legitimately share their common chain prefix). Maintained by the
 	// scheduler at entry creation/release; PrefixResident and
 	// ResidentPrefixLen read it lock-cheaply from any goroutine.
@@ -208,7 +159,7 @@ type Engine struct {
 	// nil when attribution is off. Touched only on the loop goroutine.
 	attr *attrTracker
 
-	// bd is the cross-stream batched decoder (Config.BatchDecode), created
+	// bd is the cross-stream batched decoder (DESIGN.md §13), created
 	// lazily on the loop goroutine; the cohort slices are scheduler-owned
 	// scratch reused across rounds so steady-state rounds allocate nothing.
 	bd        *model.BatchDecoder
@@ -270,15 +221,13 @@ type task struct {
 
 // prefixEntry is one cached shared-prefix prefill.
 type prefixEntry struct {
-	chash    uint64 // content hash, the PrefixResident index key
 	tokens   []int
 	snap     *model.Snapshot // set by the builder's first step
 	ready    bool
-	cost     int64
 	refs     int    // active tasks forked from (or building) this entry
 	seq      uint64 // admission order; deterministic LRU/spill tie-break
 	lastUsed int64  // round of last use, for LRU eviction under pressure
-	// node anchors the entry in the radix cache (nil under the flat cache).
+	// node anchors the entry in the radix cache.
 	node *radixNode
 	// spilled is the raw slot count of this entry's pages accounted
 	// host-resident (two-tier mode): a cached prefix nobody is decoding from
@@ -309,42 +258,28 @@ func NewEngine(m *model.Model, cfg Config) *Engine {
 		m:        m,
 		cfg:      cfg,
 		planes:   planes,
-		exact:    !cfg.WorstCaseAdmission,
+		cache:    newRadixCache(cfg.PageTokens),
 		intake:   make(chan []*task, cfg.QueueCap),
 		resident: make(map[uint64]int),
 		done:     make(chan struct{}),
 	}
-	e.radix = e.exact && !cfg.FlatPrefixCache
-	if e.radix {
-		e.cache = newRadixCache(cfg.PageTokens)
-	} else {
-		e.cache = newFlatCache(cfg.testPrefixHash)
+	capacity := cfg.KVBudget
+	if capacity > 0 {
+		capacity *= planes
 	}
-	if e.exact {
-		capacity := cfg.KVBudget
-		if capacity > 0 {
-			capacity *= planes
-		}
-		hostCap := cfg.HostBudget
-		if hostCap > 0 && capacity > 0 {
-			hostCap *= planes
-		} else {
-			hostCap = 0 // host tier needs a finite device budget to tier against
-		}
-		e.acct = kvcache.NewTieredAccountant(capacity, hostCap)
-		e.arena = kvcache.NewArena(cfg.PageTokens, e.acct)
+	hostCap := cfg.HostBudget
+	if hostCap > 0 && capacity > 0 {
+		hostCap *= planes
 	} else {
-		// Worst-case reservations predate the paged arena; they stay
-		// single-tier (HostBudget is ignored).
-		e.acct = kvcache.NewAccountant(cfg.KVBudget)
-		e.arena = kvcache.NewArena(cfg.PageTokens, nil)
+		hostCap = 0 // host tier needs a finite device budget to tier against
 	}
+	e.acct = kvcache.NewTieredAccountant(capacity, hostCap)
+	e.arena = kvcache.NewArena(cfg.PageTokens, e.acct)
 	secPerPage := cfg.XferSecPerPage
 	if secPerPage <= 0 {
 		secPerPage = memsim.AdaRTX6000().SecPerKVPage(mc.HeadDim, cfg.PageTokens)
 	}
-	e.rt = kvcache.NewTransferRuntime(kvcache.Channel{SecPerPage: secPerPage},
-		cfg.SyncTransfers, cfg.ThrottleTransfers)
+	e.rt = kvcache.NewTransferRuntime(kvcache.Channel{SecPerPage: secPerPage})
 	e.rec = cfg.Trace
 	e.rt.SetTrace(cfg.Trace) // before loop starts: the runtime reads it unlocked
 	if cfg.Attribution {
@@ -380,14 +315,8 @@ func (e *Engine) TransferRuntime() *kvcache.TransferRuntime { return e.rt }
 func (e *Engine) Arena() *kvcache.Arena { return e.arena }
 
 // kvUnits converts raw accountant slots to the per-head token units the
-// config and metrics speak (a no-op under worst-case admission, whose
-// accountant already runs in per-head units).
-func (e *Engine) kvUnits(v int64) int64 {
-	if e.exact {
-		return v / e.planes
-	}
-	return v
-}
+// config and metrics speak.
+func (e *Engine) kvUnits(v int64) int64 { return v / e.planes }
 
 // Accountant exposes the shared residency ledger (read-only use intended).
 func (e *Engine) Accountant() *kvcache.Accountant { return e.acct }
@@ -422,15 +351,9 @@ func (e *Engine) TrySubmit(req Request) (*Ticket, bool) {
 	id := e.nextID + 1
 	ch := make(chan Response, 1)
 	tk := &Ticket{ID: id, ch: ch}
-	err := req.validate()
-	if err == nil && !tokensInRange(req.Prompt, e.m.Config().VocabSize) {
-		err = ErrBadRequest
-	}
-	if err != nil {
+	if e.reject(&req, id, ch) {
 		e.nextID = id
 		e.mx.submitted.Add(1)
-		e.mx.observeRejected()
-		ch <- Response{ID: id, Err: err}
 		return tk, true
 	}
 	// The send happens under submitMu, so closeIntake (which takes the mutex
@@ -448,8 +371,8 @@ func (e *Engine) TrySubmit(req Request) (*Ticket, bool) {
 
 // PrefixResident reports whether the engine's prefix cache currently holds
 // KV state for the given content hash (see PrefixKey) — building or
-// published. Under the radix cache the hash of any page-aligned prefix of a
-// cached entry answers true, not just whole-entry hashes. Routers use it to
+// published. The hash of any page-aligned prefix of a cached entry answers
+// true, not just whole-entry hashes. Routers use it to
 // place shared-prefix requests on the replica that already paid the prefill.
 // The answer is advisory: the scheduler may evict the entry between the
 // probe and admission, in which case the request simply rebuilds it.
@@ -465,41 +388,23 @@ func (e *Engine) PrefixResident(hash uint64) bool {
 // behind longest-prefix affinity: nested-prefix requests go to the replica
 // holding the deepest match. Advisory, like PrefixResident.
 func (e *Engine) ResidentPrefixLen(tokens []int) int {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
 	P := e.cfg.PageTokens
-	best := 0
-	h := uint64(offset64)
+	keys := alignedPrefixKeys(tokens, P)
 	e.resMu.RLock()
 	defer e.resMu.RUnlock()
-	for i, t := range tokens {
-		h ^= uint64(t)
-		h *= prime64
-		if (i+1)%P == 0 || i == len(tokens)-1 {
-			if e.resident[h] > 0 {
-				best = i + 1
-			}
+	for i := len(keys) - 1; i >= 0; i-- {
+		if e.resident[keys[i]] > 0 {
+			return min((i+1)*P, len(tokens))
 		}
 	}
-	return best
+	return 0
 }
 
-// residentHashes lists the hashes entry p registers in the residency index:
-// its whole page-aligned prefix chain under the radix cache (each one a depth
-// a router probe can reuse), the exact content hash alone under the flat
-// cache (all it can reuse).
-func (e *Engine) residentHashes(p *prefixEntry) []uint64 {
-	if e.radix {
-		return alignedPrefixKeys(p.tokens, e.cfg.PageTokens)
-	}
-	return []uint64{p.chash}
-}
-
+// markResident registers entry p's whole page-aligned prefix chain in the
+// residency index — each hash a depth a router probe can reuse.
 func (e *Engine) markResident(p *prefixEntry) {
 	e.resMu.Lock()
-	for _, h := range e.residentHashes(p) {
+	for _, h := range alignedPrefixKeys(p.tokens, e.cfg.PageTokens) {
 		e.resident[h]++
 	}
 	e.resMu.Unlock()
@@ -507,7 +412,7 @@ func (e *Engine) markResident(p *prefixEntry) {
 
 func (e *Engine) unmarkResident(p *prefixEntry) {
 	e.resMu.Lock()
-	for _, h := range e.residentHashes(p) {
+	for _, h := range alignedPrefixKeys(p.tokens, e.cfg.PageTokens) {
 		if e.resident[h]--; e.resident[h] <= 0 {
 			delete(e.resident, h)
 		}
@@ -579,7 +484,6 @@ func (e *Engine) prepare(reqs []Request) ([]*task, []*Ticket, bool) {
 		return nil, nil, false
 	}
 	now := time.Now()
-	vocab := e.m.Config().VocabSize
 	ts := make([]*task, 0, len(reqs))
 	tickets := make([]*Ticket, len(reqs))
 	for i := range reqs {
@@ -588,13 +492,7 @@ func (e *Engine) prepare(reqs []Request) ([]*task, []*Ticket, bool) {
 		ch := make(chan Response, 1)
 		tickets[i] = &Ticket{ID: id, ch: ch}
 		e.mx.submitted.Add(1)
-		err := reqs[i].validate()
-		if err == nil && !tokensInRange(reqs[i].Prompt, vocab) {
-			err = ErrBadRequest
-		}
-		if err != nil {
-			e.mx.observeRejected()
-			ch <- Response{ID: id, Err: err}
+		if e.reject(&reqs[i], id, ch) {
 			continue
 		}
 		ts = append(ts, &task{id: id, req: reqs[i], ch: ch, submitted: now})
@@ -602,6 +500,23 @@ func (e *Engine) prepare(reqs []Request) ([]*task, []*Ticket, bool) {
 	e.inflight.Add(1)
 	e.submitMu.Unlock()
 	return ts, tickets, true
+}
+
+// reject is the one intake validation (Submit, Run and TrySubmit all pass
+// through it): an ill-formed request or an out-of-vocabulary prompt token is
+// counted as failed and resolved on ch with ErrBadRequest — the only place
+// that error originates. It reports whether the request was rejected.
+func (e *Engine) reject(req *Request, id uint64, ch chan<- Response) bool {
+	err := req.validate()
+	if err == nil && !tokensInRange(req.Prompt, e.m.Config().VocabSize) {
+		err = ErrBadRequest
+	}
+	if err == nil {
+		return false
+	}
+	e.mx.observeRejected()
+	ch <- Response{ID: id, Err: err}
+	return true
 }
 
 // Close stops intake and blocks until every accepted request has completed
@@ -788,11 +703,11 @@ const (
 
 // admit tries to activate the pending head. It resolves the request against
 // the prefix cache (exact hit, partial radix reuse, or a new builder entry),
-// reserves the request's KV cost (plus the cache entry's when it creates
-// one), and wires the task to its prefix entry.
+// takes the provisional admission hold, and wires the task to its prefix
+// entry.
 func (e *Engine) admit(t *task, round int64) admitStatus {
 	r := &t.req
-	share := !e.cfg.NoPrefixCache && r.SharedPrefixLen > 0
+	share := r.SharedPrefixLen > 0
 	var (
 		entry *prefixEntry
 		reuse int
@@ -828,72 +743,39 @@ func (e *Engine) admit(t *task, round int64) admitStatus {
 		}
 	}
 
-	// Worst-case mode: the prefix's residency is accounted on the cache
-	// entry (created below if absent), so the request itself is always
-	// charged only its marginal tail, held until retirement.
-	//
-	// Exact mode: the arena charges actual pages as prefill/decode allocate
-	// them, deduplicated by refcount, so shared prefix pages are charged
-	// once no matter how many forks hold them. Admission reserves only a
-	// provisional hold — the request's expected prefill pages plus a small
-	// decode headroom — which the prefill step swaps for the real page
-	// charges.
-	cost := kvCost(r, share)
-	if e.exact {
-		// Gate on the smaller of the page estimate and the legacy device
-		// worst-case: a budgeted selector keeps at most Budget tokens per
-		// head device-resident, so its arena pages beyond that are simulated
-		// host memory and must not make the request unadmittable — exact
-		// admission accepts a superset of what worst-case reservation
-		// accepts at the same KVBudget. The hold is provisional either way;
-		// real page charges replace it at prefill.
-		legacy := cost * e.planes
-		if builds {
-			legacy += int64(r.SharedPrefixLen) * e.planes
-		}
-		cost = e.pageEstimate(r, share, builds, reuse)
-		if legacy < cost {
-			cost = legacy
-		}
-	}
-	need := cost
-	var newEntry *prefixEntry
-	if builds {
-		newEntry = &prefixEntry{tokens: r.Prompt[:r.SharedPrefixLen]}
-		newEntry.chash = prefixKey(newEntry.tokens)
-		if !e.exact {
-			newEntry.cost = int64(r.SharedPrefixLen)
-			need += newEntry.cost
-		}
-	}
-	granted := e.acct.TryReserve(need)
+	// The arena charges actual pages as prefill/decode allocate them,
+	// deduplicated by refcount, so shared prefix pages are charged once no
+	// matter how many forks hold them. Admission reserves only a provisional
+	// hold — the request's expected prefill pages plus a small decode
+	// headroom — which the prefill step swaps for the real page charges.
+	cost := e.pageEstimate(r, builds, reuse)
+	granted := e.acct.TryReserve(cost)
 	for !granted && e.evictIdlePrefix(round) {
 		// Free idle cached prefixes (oldest first) and retry. The entry and
 		// pages this admission relies on are safe: the hit entry is pinned by
 		// refs above, and partial reuse holds its own page references through
 		// t.baseSnap.
-		granted = e.acct.TryReserve(need)
+		granted = e.acct.TryReserve(cost)
 	}
 	if !granted {
 		unpin()
 		// A request too large for the *combined* device + host capacity can
 		// never be admitted; anything smaller waits for retirements (and,
 		// with a host tier, for spills) to free room.
-		if cap := e.acct.TotalCapacity(); cap > 0 && need > cap {
+		if cap := e.acct.TotalCapacity(); cap > 0 && cost > cap {
 			e.rec.Emit(obs.Event{Type: obs.EvRefuse, Round: round,
-				Req: t.id, N: e.kvUnits(need)})
+				Req: t.id, N: e.kvUnits(cost)})
 			e.retire(t, round, ErrTooLarge)
 			return admitFailed
 		}
 		return admitWait // budget busy; retirement will free room
 	}
 	t.reserved = cost
-	if newEntry != nil {
-		newEntry.seq = e.cacheSeq
+	if builds {
+		entry = &prefixEntry{tokens: r.Prompt[:r.SharedPrefixLen], seq: e.cacheSeq}
 		e.cacheSeq++
-		e.cache.insert(newEntry)
-		e.markResident(newEntry)
-		entry = newEntry
+		e.cache.insert(entry)
+		e.markResident(entry)
 		entry.refs++
 		t.builder = true
 		t.reuse = reuse
@@ -930,68 +812,76 @@ func (e *Engine) admit(t *task, round int64) admitStatus {
 	return admitOK
 }
 
-// pageEstimate is the exact-admission gate: the raw slots (tokens × planes,
+// pageEstimate is the admission gate: the raw slots (tokens × planes,
 // page-rounded) the request's prefill will allocate, plus a small decode
-// headroom of at most one page per plane. Unlike kvCost it deliberately does
-// NOT reserve the full MaxNewTokens worst case — decode growth is charged
-// page by page as it happens and throttles later admissions instead, which
-// is what lets the exact accountant admit long-generation loads the
-// worst-case policy refuses outright.
+// headroom of at most one page per plane. It deliberately does NOT reserve
+// the full MaxNewTokens worst case — decode growth is charged page by page as
+// it happens and throttles later admissions instead, which is what lets the
+// engine admit long-generation loads an up-front reservation would refuse
+// outright.
 //
+// builds reports that the request creates its shared prefix's cache entry;
 // reuse is the token depth served from cached pages (the whole prefix on a
-// hit, the forked ancestor depth for a partial-reuse builder, 0 cold):
-// those pages are already charged and shared by refcount, so only tokens
-// past it allocate. A copy-on-write tail page is charged only when the fork
-// point actually splits a page — a page-aligned fork shares every page
+// hit, the forked ancestor depth for a partial-reuse builder, 0 cold or
+// unshared): those pages are already charged and shared by refcount, so only
+// tokens past it allocate. A copy-on-write tail page is charged only when the
+// fork point actually splits a page — a page-aligned fork shares every page
 // purely and copies nothing.
-func (e *Engine) pageEstimate(r *Request, share, builds bool, reuse int) int64 {
+//
+// The estimate is capped at the request's device working set: a budgeted
+// selector keeps at most Budget tokens per head device-resident, so its arena
+// pages beyond that are simulated host memory and must not make the request
+// unadmittable (a 512-token prompt with Budget 64 admits under KVBudget 300).
+// An unbudgeted request's cap is its whole marginal sequence, which only
+// binds below one page. The hold is provisional either way; real page charges
+// replace it at prefill.
+func (e *Engine) pageEstimate(r *Request, builds bool, reuse int) int64 {
 	p := int64(e.arena.PageTokens())
-	toks := int64(len(r.Prompt)) + 1 // +1: re-fed last prompt token
-	if share {
-		toks -= int64(reuse)
-	}
-	headroom := int64(r.MaxNewTokens)
-	if headroom > p {
-		headroom = p
-	}
-	toks += headroom
+	toks := int64(len(r.Prompt)+1-reuse) + min(int64(r.MaxNewTokens), p) // +1: re-fed last prompt token
 	pages := (toks + p - 1) / p
-	if share && int64(r.SharedPrefixLen)%p != 0 {
+	if int64(r.SharedPrefixLen)%p != 0 {
 		pages++ // COW of the snapshot's partially filled tail page at the task's fork
 	}
 	if builds && int64(reuse)%p != 0 {
 		pages++ // COW of the ancestor's tail page at the builder's fork
 	}
-	return pages * p * e.planes
+	// Device working set: Budget tokens under a budgeted selector, else the
+	// request's own tail; the shared prefix is charged once, to whichever
+	// request builds its cache entry.
+	device := len(r.Prompt) + r.MaxNewTokens + 1
+	if r.Budget > 0 && r.Budget < device {
+		device = r.Budget
+	} else {
+		device -= r.SharedPrefixLen
+	}
+	if builds {
+		device += r.SharedPrefixLen
+	}
+	return min(pages*p, int64(device)) * e.planes
 }
 
 // evictIdlePrefix drops the least-recently-used unreferenced prefix entry,
-// releasing its reservation, with admission order (entry seq) as the
-// deterministic tie-break when several entries went idle in the same round.
-// It reports whether anything was evicted.
+// releasing its pages, with admission order (entry seq) as the deterministic
+// tie-break when several entries went idle in the same round. It reports
+// whether anything was evicted.
 func (e *Engine) evictIdlePrefix(round int64) bool {
 	victim := e.cache.evictVictim()
 	if victim == nil {
 		return false
 	}
 	e.cache.remove(victim)
-	released := victim.cost // 0 under exact accounting: pages free on release
 	e.releaseEntry(victim)
 	e.mx.prefixEvicted.Add(1)
-	e.rec.Emit(obs.Event{Type: obs.EvPrefixEvict, Round: round, N: e.kvUnits(released)})
+	e.rec.Emit(obs.Event{Type: obs.EvPrefixEvict, Round: round})
 	return true
 }
 
-// releaseEntry returns a prefix entry's resources: the worst-case
-// reservation (legacy mode) and the snapshot's page references — pages still
-// shared with live forks survive until those sequences retire, so evicting a
-// busy prefix never invalidates its descendants.
+// releaseEntry returns a prefix entry's resources: its residency-index
+// registration and the snapshot's page references — pages still shared with
+// live forks survive until those sequences retire, so evicting a busy prefix
+// never invalidates its descendants.
 func (e *Engine) releaseEntry(p *prefixEntry) {
 	e.unmarkResident(p)
-	if p.cost > 0 {
-		e.acct.Release(p.cost)
-		p.cost = 0
-	}
 	// Host-accounted slots stay host-side (Release clamps them to the live
 	// total); the rebalance pass promotes survivors back as headroom allows.
 	p.spilled = 0
@@ -999,22 +889,6 @@ func (e *Engine) releaseEntry(p *prefixEntry) {
 		p.snap.Release()
 		p.snap = nil
 	}
-}
-
-// runRound executes one step for every active task. Under Config.BatchDecode
-// a round with a cohort of ≥2 decoding streams splits into lock-step phases:
-// prefill steps run with the usual task-parallel fan-out, then the decode
-// cohort advances one token through the batched decoder (one GEMM per weight
-// matrix across the cohort, DESIGN.md §13). Otherwise — knob off, or fewer
-// than two decoders this round — every task steps independently via stepAll.
-// Both shapes produce bit-identical tokens: steps are independent (each task
-// owns its sequence) and the batched kernels preserve per-stream reduction
-// order, so execution order within a round never affects outputs.
-func (e *Engine) runRound(active []*task, round int64) {
-	if e.cfg.BatchDecode && e.batchRound(active, round) {
-		return
-	}
-	e.stepAll(active)
 }
 
 // stepAll is the task-parallel round executor: inline when Workers <= 1,
@@ -1042,13 +916,19 @@ func (e *Engine) stepAll(tasks []*task) {
 	})
 }
 
-// batchRound partitions the round into prefill steps and a decode cohort and
-// runs them as phases. It reports false — caller falls back to stepAll —
-// when fewer than two streams are decoding, so single-stream rounds keep the
-// per-stream path with zero overhead. Solo/batched stream counts feed the
-// decode-batch metrics; prefill steps (whose first token rides the prefill
-// round per-stream) are counted in neither.
-func (e *Engine) batchRound(active []*task, round int64) bool {
+// runRound executes one step for every active task. It partitions the round
+// into prefill steps and a decode cohort: with ≥2 decoding streams the round
+// splits into lock-step phases — prefill steps run with the usual
+// task-parallel fan-out, then the cohort advances one token through the
+// batched decoder (one GEMM per weight matrix across the cohort, DESIGN.md
+// §13); with fewer, every task steps independently via stepAll, so
+// single-stream rounds keep the per-stream path with zero overhead. Both
+// shapes produce bit-identical tokens: steps are independent (each task owns
+// its sequence) and the batched kernels preserve per-stream reduction order,
+// so execution order within a round never affects outputs. Solo/batched
+// stream counts feed the decode-batch metrics; prefill steps (whose first
+// token rides the prefill round per-stream) are counted in neither.
+func (e *Engine) runRound(active []*task, round int64) {
 	cohort, prefills := e.cohort[:0], e.prefills[:0]
 	for _, t := range active {
 		if t.prefilled {
@@ -1068,7 +948,8 @@ func (e *Engine) batchRound(active []*task, round int64) bool {
 	}()
 	if len(cohort) < 2 {
 		e.mx.observeBatch(0, len(cohort))
-		return false
+		e.stepAll(active)
+		return
 	}
 	if len(prefills) > 0 {
 		e.stepAll(prefills)
@@ -1098,7 +979,6 @@ func (e *Engine) batchRound(active []*task, round int64) bool {
 		seqs[i] = nil
 		lgs[i] = nil
 	}
-	return true
 }
 
 // batchDecodeCohort advances every cohort member one token through the
@@ -1108,19 +988,7 @@ func (e *Engine) batchRound(active []*task, round int64) bool {
 // mid-phase can leave members at different positions) fails the whole
 // cohort — the members retire at the round barrier like any failed step.
 func (e *Engine) batchDecodeCohort(cohort []*task, seqs []*model.Sequence, toks []int, lgs [][]float32) {
-	defer func() {
-		if r := recover(); r != nil {
-			err, ok := r.(error)
-			if !ok {
-				err = ErrBadRequest
-			}
-			for _, t := range cohort {
-				if t.failed == nil {
-					t.failed = err
-				}
-			}
-		}
-	}()
+	defer failOnPanic(cohort...)
 	start := time.Now()
 	e.bd.DecodeInto(seqs, toks, lgs)
 	el := time.Since(start).Seconds()
@@ -1145,7 +1013,7 @@ func (e *Engine) batchDecodeCohort(cohort []*task, seqs []*model.Sequence, toks 
 // scheduler goroutine at the round barrier (workers are quiescent), on
 // round-deterministic state.
 func (e *Engine) spillCold(active []*task, round int64) {
-	if !e.exact || e.acct.HostCapacity() <= 0 {
+	if e.acct.HostCapacity() <= 0 {
 		return
 	}
 	devCap := e.acct.Capacity()
@@ -1337,18 +1205,27 @@ func (e *Engine) coldSlots(t *task) int64 {
 	return cold
 }
 
+// failOnPanic is the deferred recovery of every step executor: a panic below
+// it (selector factory, arena exhaustion, kernel fault) fails the tasks that
+// were stepping instead of the process. Requests are validated at intake, so
+// whatever lands here is the engine's fault, not the caller's.
+func failOnPanic(tasks ...*task) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	err := fmt.Errorf("%w: %v", ErrInternal, r)
+	for _, t := range tasks {
+		if t.failed == nil {
+			t.failed = err
+		}
+	}
+}
+
 // step advances one task by one unit of work: its prefill plus first token
 // on the first round after admission, one decoded token afterwards.
 func (e *Engine) step(t *task) {
-	defer func() {
-		if r := recover(); r != nil {
-			if err, ok := r.(error); ok {
-				t.failed = err
-			} else {
-				t.failed = ErrBadRequest
-			}
-		}
-	}()
+	defer failOnPanic(t)
 	if !t.prefilled {
 		e.prefillStep(t)
 		return
@@ -1359,7 +1236,7 @@ func (e *Engine) step(t *task) {
 }
 
 func (e *Engine) prefillStep(t *task) {
-	if e.exact && t.reserved > 0 {
+	if t.reserved > 0 {
 		// Swap the admission hold for the real page charges the allocations
 		// below make. Admission only runs between rounds, so nothing races
 		// the window between release and allocation.
@@ -1484,10 +1361,9 @@ func (t *task) sample() int {
 	return len(logits) - 1
 }
 
-// retire releases a task's resources and delivers its response: any
-// still-held reservation (the worst-case hold, or an exact-mode admission
-// hold the prefill never swapped out), the sequence's pages, and the prefix
-// entry reference.
+// retire releases a task's resources and delivers its response: an
+// admission hold the prefill never swapped out, the sequence's pages, and the
+// prefix entry reference.
 func (e *Engine) retire(t *task, round int64, err error) {
 	// Attribution breakdown first: the stall harvest reads the sequence's
 	// selector ledgers, which Release below tears down. Aborted tasks
@@ -1558,7 +1434,7 @@ func (e *Engine) failAll(pending, active []*task) []*task {
 	return nil
 }
 
-// releasePrefixes returns all cached prefix reservations and pages.
+// releasePrefixes returns all cached prefix pages.
 func (e *Engine) releasePrefixes() {
 	for _, p := range e.cache.entries(nil) {
 		e.cache.remove(p)

@@ -71,11 +71,10 @@ type Metrics struct {
 	Rounds int64
 	// Elapsed spans first admission to last retirement.
 	Elapsed time.Duration
-	// KV accounting, in per-head token slots (see kvcache.Accountant) in
-	// both admission modes. Under exact page accounting KVUsed is the live
-	// deduplicated page footprint and KVPeak its high-water mark sampled at
-	// round barriers; under WorstCaseAdmission they are the reservation
-	// gauge and its instantaneous peak, as in the pre-paged engine.
+	// KV accounting, in per-head token slots (see kvcache.Accountant).
+	// KVUsed is the live deduplicated page footprint and KVPeak its
+	// high-water mark sampled at round barriers (deterministic across worker
+	// interleavings, unlike the accountant's instantaneous peak).
 	KVUsed, KVPeak, KVCapacity int64
 	// Two-tier gauges. Device used/peak are sampled at round barriers after
 	// the spill pass, so KVDevicePeak is what the device tier actually had
@@ -85,12 +84,12 @@ type Metrics struct {
 	KVDeviceUsed, KVDevicePeak             int64
 	KVHostUsed, KVHostPeak, KVHostCapacity int64
 	KVSpilled                              int64
-	// Batched-decode telemetry (Config.BatchDecode). BatchRounds counts
-	// rounds that ran a ≥2-stream decode cohort through the batched decoder;
+	// Batched-decode telemetry. BatchRounds counts rounds that ran a
+	// ≥2-stream decode cohort through the batched decoder;
 	// DecodeStreamsBatched sums cohort sizes over those rounds, while
-	// DecodeStreamsSolo counts decode steps that ran per-stream (cohort of
-	// one, or the knob off — prefill steps count in neither). CohortSize is
-	// the cohort-size distribution over batched rounds, in streams.
+	// DecodeStreamsSolo counts decode steps that ran per-stream (a cohort of
+	// one — prefill steps count in neither). CohortSize is the cohort-size
+	// distribution over batched rounds, in streams.
 	BatchRounds                             int64
 	DecodeStreamsBatched, DecodeStreamsSolo int64
 	CohortSize                              LatencyStats
@@ -238,7 +237,7 @@ type engineMetrics struct {
 	prefixReused             int64
 	tokensOut, prefillTokens int64
 	rounds                   int64
-	// batched-decode counters (Config.BatchDecode), scheduler-only writes.
+	// batched-decode counters, scheduler-only writes.
 	batchRounds                 int64
 	batchedStreams, soloStreams int64
 	cohortSizes                 metrics.Summary
@@ -337,17 +336,6 @@ func (x *engineMetrics) observeRetire(t *task, err error) {
 	x.lastDone = time.Now()
 }
 
-// kvPeak picks the peak gauge for the active admission mode: the sampled
-// round-barrier high-water under exact accounting (deterministic across
-// worker interleavings), the accountant's instantaneous peak under
-// worst-case reservations. The caller holds x.mu.
-func (e *Engine) kvPeak(x *engineMetrics) int64 {
-	if e.exact {
-		return e.kvUnits(x.kvPeak)
-	}
-	return e.acct.Peak()
-}
-
 // Metrics returns a snapshot of the engine's aggregate metrics.
 func (e *Engine) Metrics() Metrics {
 	x := &e.mx
@@ -375,7 +363,7 @@ func (e *Engine) Metrics() Metrics {
 		DecodeStreamsSolo:    x.soloStreams,
 		CohortSize:           summarize(&x.cohortSizes),
 		KVUsed:               e.kvUnits(e.acct.Used()),
-		KVPeak:               e.kvPeak(x),
+		KVPeak:               e.kvUnits(x.kvPeak),
 		KVCapacity:           e.kvUnits(e.acct.Capacity()),
 		KVDeviceUsed:         e.kvUnits(e.acct.DeviceUsed()),
 		KVDevicePeak:         e.kvUnits(x.devPeak),

@@ -1,19 +1,13 @@
 package serve
 
-// The engine's prefix cache behind one scheduler-owned interface, with two
-// implementations:
-//
-//   - flatCache: the original exact-match design — one entry per distinct
-//     shared prefix, content-hashed into buckets, reuse only when a request's
-//     declared prefix matches a cached entry token for token. Retained for
-//     comparison (bench -exp radix) and as the worst-case-admission cache.
-//   - radixCache: a radix tree over page-aligned token runs. Entries anchor at
-//     the node covering their page-aligned prefix and keep their sub-page tail
-//     inline, so nested prefixes (multi-turn chat, agentic re-entry, templated
-//     RAG) share structure: a lookup that misses exactly still finds the
-//     deepest cached ancestor and reuses its pages up to the longest
-//     page-aligned common prefix via a zero-copy truncated fork
-//     (model.Snapshot.Prefix).
+import "slices"
+
+// The engine's prefix cache: a radix tree over page-aligned token runs.
+// Entries anchor at the node covering their page-aligned prefix and keep their
+// sub-page tail inline, so nested prefixes (multi-turn chat, agentic re-entry,
+// templated RAG) share structure: a lookup that misses exactly still finds the
+// deepest cached ancestor and reuses its pages up to the longest page-aligned
+// common prefix via a zero-copy truncated fork (model.Snapshot.Prefix).
 //
 // Tree nodes themselves own no pages — entries do, through their snapshots;
 // interior nodes are pure structure and are pruned when the last entry below
@@ -21,8 +15,8 @@ package serve
 // (lastUsed, seq) order, where seq is the admission sequence number, so two
 // entries idle since the same round always evict oldest-admitted first.
 //
-// Exactly one goroutine (the scheduler loop) touches a prefixCache; no
-// locking anywhere here.
+// Exactly one goroutine (the scheduler loop) touches the cache; no locking
+// anywhere here.
 
 // cacheLookup is the cache's answer for one declared prefix.
 type cacheLookup struct {
@@ -40,114 +34,6 @@ type cacheLookup struct {
 	// round rather than duplicating prefill work already in flight.
 	wait bool
 }
-
-// prefixCache is the scheduler-owned shared-prefix cache.
-type prefixCache interface {
-	lookup(prefix []int) cacheLookup
-	insert(e *prefixEntry)
-	remove(e *prefixEntry)
-	// evictVictim returns the LRU idle published entry — minimal
-	// (lastUsed, seq), refs == 0, ready — or nil when none is evictable.
-	evictVictim() *prefixEntry
-	// entries appends every live entry to dst in admission (seq) order.
-	entries(dst []*prefixEntry) []*prefixEntry
-	len() int
-}
-
-// entryList is the deterministic entry ledger both implementations embed:
-// a slice in admission order, giving seq-ordered iteration and the
-// (lastUsed, seq) eviction scan.
-type entryList struct {
-	byAdmit []*prefixEntry
-}
-
-func (l *entryList) add(e *prefixEntry) { l.byAdmit = append(l.byAdmit, e) }
-
-func (l *entryList) del(e *prefixEntry) {
-	for i, x := range l.byAdmit {
-		if x == e {
-			l.byAdmit = append(l.byAdmit[:i], l.byAdmit[i+1:]...)
-			return
-		}
-	}
-}
-
-func (l *entryList) entries(dst []*prefixEntry) []*prefixEntry {
-	return append(dst, l.byAdmit...)
-}
-
-func (l *entryList) len() int { return len(l.byAdmit) }
-
-func (l *entryList) evictVictim() *prefixEntry {
-	var v *prefixEntry
-	for _, p := range l.byAdmit {
-		if p.refs > 0 || !p.ready {
-			continue
-		}
-		if v == nil || p.lastUsed < v.lastUsed ||
-			(p.lastUsed == v.lastUsed && p.seq < v.seq) {
-			v = p
-		}
-	}
-	return v
-}
-
-// ---- Flat cache -------------------------------------------------------------
-
-// flatCache is the exact-match cache: buckets of entries keyed by content
-// hash, token-verified on lookup. Collisions coexist in one bucket and are
-// removed individually, so deleting an entry can never orphan or duplicate a
-// collided sibling (the linear-probing scheme this replaces broke its probe
-// chain on delete).
-type flatCache struct {
-	entryList
-	hash    func([]int) uint64
-	buckets map[uint64][]*prefixEntry
-}
-
-func newFlatCache(hash func([]int) uint64) *flatCache {
-	if hash == nil {
-		hash = prefixKey
-	}
-	return &flatCache{hash: hash, buckets: map[uint64][]*prefixEntry{}}
-}
-
-func (c *flatCache) lookup(prefix []int) cacheLookup {
-	for _, e := range c.buckets[c.hash(prefix)] {
-		if sameTokens(e.tokens, prefix) {
-			if !e.ready {
-				return cacheLookup{wait: true}
-			}
-			return cacheLookup{exact: e, reuse: len(prefix)}
-		}
-	}
-	return cacheLookup{}
-}
-
-func (c *flatCache) insert(e *prefixEntry) {
-	c.entryList.add(e)
-	h := c.hash(e.tokens)
-	c.buckets[h] = append(c.buckets[h], e)
-}
-
-func (c *flatCache) remove(e *prefixEntry) {
-	c.entryList.del(e)
-	h := c.hash(e.tokens)
-	b := c.buckets[h]
-	for i, x := range b {
-		if x == e {
-			b = append(b[:i], b[i+1:]...)
-			break
-		}
-	}
-	if len(b) == 0 {
-		delete(c.buckets, h)
-	} else {
-		c.buckets[h] = b
-	}
-}
-
-// ---- Radix cache ------------------------------------------------------------
 
 // radixNode is one tree node. Its edge is the token run from its parent's
 // depth to its own; every edge is a whole number of pages (the root has none),
@@ -167,7 +53,9 @@ type radixNode struct {
 }
 
 type radixCache struct {
-	entryList
+	// byAdmit lists every live entry in admission order, giving seq-ordered
+	// iteration and the (lastUsed, seq) eviction scan.
+	byAdmit    []*prefixEntry
 	pageTokens int
 	root       *radixNode
 }
@@ -242,8 +130,29 @@ func (c *radixCache) split(child *radixNode, at int) *radixNode {
 	return mid
 }
 
+// entries appends every live entry to dst in admission (seq) order.
+func (c *radixCache) entries(dst []*prefixEntry) []*prefixEntry {
+	return append(dst, c.byAdmit...)
+}
+
+// evictVictim returns the LRU idle published entry — minimal (lastUsed, seq),
+// refs == 0, ready — or nil when none is evictable.
+func (c *radixCache) evictVictim() *prefixEntry {
+	var v *prefixEntry
+	for _, p := range c.byAdmit {
+		if p.refs > 0 || !p.ready {
+			continue
+		}
+		if v == nil || p.lastUsed < v.lastUsed ||
+			(p.lastUsed == v.lastUsed && p.seq < v.seq) {
+			v = p
+		}
+	}
+	return v
+}
+
 func (c *radixCache) insert(e *prefixEntry) {
-	c.entryList.add(e)
+	c.byAdmit = append(c.byAdmit, e)
 	P := c.pageTokens
 	aligned := len(e.tokens) / P * P
 	node := c.root
@@ -270,7 +179,7 @@ func (c *radixCache) insert(e *prefixEntry) {
 }
 
 func (c *radixCache) remove(e *prefixEntry) {
-	c.entryList.del(e)
+	c.byAdmit = slices.DeleteFunc(c.byAdmit, func(x *prefixEntry) bool { return x == e })
 	n := e.node
 	e.node = nil
 	for i, x := range n.entries {
@@ -348,8 +257,7 @@ func (c *radixCache) walkEntries(n *radixNode, fn func(*prefixEntry)) {
 //
 // Ready entries compete on (reuse desc, seq asc), deterministically. If a
 // still-building entry would beat every ready candidate, lookup reports wait
-// instead, mirroring the flat cache's hold-one-round behaviour on its exact
-// key.
+// instead: the request holds a round rather than duplicating the build.
 func (c *radixCache) lookup(prefix []int) cacheLookup {
 	P := c.pageTokens
 	node := c.root
@@ -395,8 +303,8 @@ func (c *radixCache) lookup(prefix []int) cacheLookup {
 	}
 	// Entries anchored at the deepest fully matched node: exact and
 	// whole-entry (tail-inclusive, unaligned) reuse. A token-equal entry wins
-	// outright — ready means hit, building means wait — exactly like the flat
-	// cache, and admit guarantees at most one such entry exists.
+	// outright — ready means hit, building means wait — and admit guarantees
+	// at most one such entry exists.
 	for _, e := range node.entries {
 		if len(e.tokens) > len(prefix) || !sameTokens(e.tokens, prefix[:len(e.tokens)]) {
 			continue

@@ -33,67 +33,102 @@ func conversationRequests() []Request {
 	return nestedRequests(workload.ConversationLoad(cc))
 }
 
-// TestRadixNestedPrefixReuse is the tentpole's headline behaviour lock: on a
-// multi-turn conversation load — whose declared prefixes grow turn over turn,
-// so a flat exact-match cache never hits — the radix cache must (a) produce
-// token streams identical to the flat cache (reuse never changes tokens) and
-// (b) prefill strictly fewer tokens by forking the longest page-aligned cached
-// ancestor instead of recomputing it.
-func TestRadixNestedPrefixReuse(t *testing.T) {
-	reqs := conversationRequests()
+// exactMatchOnly is the arithmetic expectation for a cache that reuses a
+// prefill only when a declared prefix equals an earlier one token for token:
+// per request, the tokens it would reuse (the whole prefix on a repeat, 0
+// otherwise), and in total the tokens it would prefill.
+func exactMatchOnly(reqs []Request) (reused []int, prefill int64) {
+	seen := map[uint64]bool{}
+	reused = make([]int, len(reqs))
+	for i, r := range reqs {
+		prefill += int64(len(r.Prompt))
+		if r.SharedPrefixLen == 0 {
+			continue
+		}
+		if h := prefixKey(r.Prompt[:r.SharedPrefixLen]); seen[h] {
+			reused[i] = r.SharedPrefixLen
+			prefill -= int64(r.SharedPrefixLen)
+		} else {
+			seen[h] = true
+		}
+	}
+	return reused, prefill
+}
 
-	run := func(flat bool) ([]Response, Metrics, *Engine) {
-		eng := NewEngine(testModel(), Config{
-			Workers: 2, MaxBatch: 4, Seed: 7,
-			PageTokens:      16,
-			FlatPrefixCache: flat,
-		})
+// runNested serves reqs on a fresh 16-token-page engine, then again with every
+// SharedPrefixLen zeroed — the no-sharing oracle — and requires identical
+// tokens: prefix reuse changes what is prefilled, never what is generated.
+func runNested(t *testing.T, reqs []Request) ([]Response, Metrics, *Engine) {
+	t.Helper()
+	run := func(reqs []Request) ([]Response, Metrics, *Engine) {
+		eng := NewEngine(testModel(), Config{Workers: 2, MaxBatch: 4, Seed: 7, PageTokens: 16})
 		resps := eng.Run(reqs)
 		m := eng.Metrics()
 		eng.Close()
 		return resps, m, eng
 	}
-	radixResps, radixM, radixEng := run(false)
-	flatResps, flatM, _ := run(true)
-
+	resps, m, eng := run(reqs)
+	unshared := append([]Request(nil), reqs...)
+	for i := range unshared {
+		unshared[i].SharedPrefixLen = 0
+	}
+	oracle, _, _ := run(unshared)
 	for i := range reqs {
-		if radixResps[i].Err != nil || flatResps[i].Err != nil {
-			t.Fatalf("request %d failed: radix=%v flat=%v", i, radixResps[i].Err, flatResps[i].Err)
+		if resps[i].Err != nil || oracle[i].Err != nil {
+			t.Fatalf("request %d failed: shared=%v unshared=%v", i, resps[i].Err, oracle[i].Err)
 		}
-		if !sameTokens(radixResps[i].Tokens, flatResps[i].Tokens) {
-			t.Fatalf("request %d: radix tokens %v differ from flat %v",
-				i, radixResps[i].Tokens, flatResps[i].Tokens)
-		}
-		if radixResps[i].PrefixReusedTokens < flatResps[i].PrefixReusedTokens {
-			t.Fatalf("request %d: radix reused %d tokens, flat reused %d",
-				i, radixResps[i].PrefixReusedTokens, flatResps[i].PrefixReusedTokens)
+		if !sameTokens(resps[i].Tokens, oracle[i].Tokens) {
+			t.Fatalf("request %d: tokens %v differ from the no-sharing run %v",
+				i, resps[i].Tokens, oracle[i].Tokens)
 		}
 	}
-	if radixM.PrefillTokens >= flatM.PrefillTokens {
-		t.Fatalf("radix prefilled %d tokens, flat %d: nested load saved nothing",
-			radixM.PrefillTokens, flatM.PrefillTokens)
+	return resps, m, eng
+}
+
+// TestRadixNestedPrefixReuse is the radix cache's headline behaviour lock: on
+// a multi-turn conversation load — whose declared prefixes grow turn over
+// turn, so exact matching almost never hits — the engine must (a) produce the
+// token streams of the no-sharing run (reuse never changes tokens) and (b)
+// prefill strictly fewer tokens than exact-match-only reuse would, by forking
+// the longest page-aligned cached ancestor instead of recomputing it.
+func TestRadixNestedPrefixReuse(t *testing.T) {
+	reqs := conversationRequests()
+	resps, m, eng := runNested(t, reqs)
+	exactReused, exactPrefill := exactMatchOnly(reqs)
+
+	var exactReusedTotal int64
+	for i := range reqs {
+		if resps[i].PrefixReusedTokens < exactReused[i] {
+			t.Fatalf("request %d: reused %d tokens, exact matching alone gives %d",
+				i, resps[i].PrefixReusedTokens, exactReused[i])
+		}
+		exactReusedTotal += int64(exactReused[i])
 	}
-	if radixM.PrefixPartialHits == 0 {
-		t.Fatalf("radix run recorded no partial hits on a nested load:\n%s", radixM)
+	if m.PrefillTokens >= exactPrefill {
+		t.Fatalf("prefilled %d tokens, exact-match-only %d: nested load saved nothing",
+			m.PrefillTokens, exactPrefill)
 	}
-	if radixM.PrefixReusedTokens <= flatM.PrefixReusedTokens {
-		t.Fatalf("radix reused %d tokens total, flat %d",
-			radixM.PrefixReusedTokens, flatM.PrefixReusedTokens)
+	if m.PrefixPartialHits == 0 {
+		t.Fatalf("no partial hits on a nested load:\n%s", m)
+	}
+	if m.PrefixReusedTokens <= exactReusedTotal {
+		t.Fatalf("reused %d tokens total, exact-match-only %d",
+			m.PrefixReusedTokens, exactReusedTotal)
 	}
 	// Everything must drain: no page leaks through snapshot forks.
-	if live := radixEng.Arena().LivePages(); live != 0 {
-		t.Fatalf("radix engine leaked %d arena pages after Close", live)
+	if live := eng.Arena().LivePages(); live != 0 {
+		t.Fatalf("engine leaked %d arena pages after Close", live)
 	}
-	if used := radixEng.Accountant().Used(); used != 0 {
-		t.Fatalf("radix engine leaked %d accounted slots after Close", used)
+	if used := eng.Accountant().Used(); used != 0 {
+		t.Fatalf("engine leaked %d accounted slots after Close", used)
 	}
 }
 
 // TestRadixAgenticAndRAGLoads runs the remaining two nested-load generators
-// through the radix engine and checks the reuse the workload shapes promise:
+// through the engine and checks the reuse the workload shapes promise:
 // agentic re-entry reuses (nearly) the whole previous prompt; templated RAG
-// reuses at least the shared template across requests. Tokens must match the
-// flat cache on both.
+// reuses at least the shared template across requests — both prefill less
+// than exact-match-only reuse would, with the no-sharing run's tokens.
 func TestRadixAgenticAndRAGLoads(t *testing.T) {
 	ac := workload.DefaultAgenticConfig()
 	ac.Doc.VocabSize = 128
@@ -110,25 +145,10 @@ func TestRadixAgenticAndRAGLoads(t *testing.T) {
 		"rag":     workload.RAGLoad(rc),
 	} {
 		reqs := nestedRequests(load)
-		run := func(flat bool) ([]Response, Metrics) {
-			eng := NewEngine(testModel(), Config{
-				Workers: 2, MaxBatch: 4, Seed: 7,
-				PageTokens:      16,
-				FlatPrefixCache: flat,
-			})
-			defer eng.Close()
-			return eng.Run(reqs), eng.Metrics()
-		}
-		radixResps, radixM := run(false)
-		flatResps, flatM := run(true)
-		for i := range reqs {
-			if !sameTokens(radixResps[i].Tokens, flatResps[i].Tokens) {
-				t.Fatalf("%s request %d: radix tokens differ from flat", name, i)
-			}
-		}
-		if radixM.PrefillTokens >= flatM.PrefillTokens {
-			t.Fatalf("%s: radix prefilled %d tokens, flat %d",
-				name, radixM.PrefillTokens, flatM.PrefillTokens)
+		_, m, _ := runNested(t, reqs)
+		if _, exactPrefill := exactMatchOnly(reqs); m.PrefillTokens >= exactPrefill {
+			t.Fatalf("%s: prefilled %d tokens, exact-match-only %d",
+				name, m.PrefillTokens, exactPrefill)
 		}
 	}
 }
@@ -255,14 +275,16 @@ func TestPrefixEvictTieBreakSameRound(t *testing.T) {
 		return Request{Prompt: prompt, SharedPrefixLen: len(prefix), MaxNewTokens: 1}
 	}
 	tracer := obs.NewTracer(0)
-	// Worst-case admission: entry cost = prefix len (32 each), request cost =
-	// 8+1+1 = 10. Budget 100 fits building A and B together (2×42) and forces
-	// exactly one eviction when C arrives (32+32+42 > 100).
+	// 16-token pages: a cached 32-token prefix holds exactly two pages (32
+	// slots per head), and a cold builder is gated on prefix + tail = 32 +
+	// 8+1+1 = 42 (its three-page estimate capped at that working set). Budget
+	// 100 fits building A and B together (2×42, then 2×48 in real pages) and
+	// forces exactly one eviction when C arrives (32+32+42 > 100).
 	eng := NewEngine(testModel(), Config{
 		Workers: 1, MaxBatch: 2, Seed: 5,
-		KVBudget:           100,
-		WorstCaseAdmission: true,
-		Trace:              tracer.Recorder(0),
+		PageTokens: 16,
+		KVBudget:   100,
+		Trace:      tracer.Recorder(0),
 	})
 	defer eng.Close()
 	resps := eng.Run([]Request{req(a), req(b), req(c), req(b), req(a)})
@@ -291,70 +313,6 @@ func TestPrefixEvictTieBreakSameRound(t *testing.T) {
 	}
 }
 
-// TestFlatCacheCollisionRemove is the probing-regression unit test: colliding
-// entries coexist in one bucket, and removing one never orphans or duplicates
-// the others (the linear-probing scheme this replaces broke its probe chain on
-// delete, stranding collided entries unreachable).
-func TestFlatCacheCollisionRemove(t *testing.T) {
-	collide := func([]int) uint64 { return 42 }
-	c := newFlatCache(collide)
-	e1 := &prefixEntry{tokens: []int{1, 2}, ready: true, seq: 0}
-	e2 := &prefixEntry{tokens: []int{3, 4}, ready: true, seq: 1}
-	e3 := &prefixEntry{tokens: []int{5, 6}, ready: true, seq: 2}
-	for _, e := range []*prefixEntry{e1, e2, e3} {
-		c.insert(e)
-	}
-	c.remove(e2)
-	if lk := c.lookup(e1.tokens); lk.exact != e1 {
-		t.Fatalf("removing a collided sibling lost e1: %+v", lk)
-	}
-	if lk := c.lookup(e3.tokens); lk.exact != e3 {
-		t.Fatalf("removing a collided sibling lost e3: %+v", lk)
-	}
-	if lk := c.lookup(e2.tokens); lk.exact != nil || lk.wait {
-		t.Fatalf("removed entry still found: %+v", lk)
-	}
-	if c.len() != 2 {
-		t.Fatalf("cache holds %d entries, want 2", c.len())
-	}
-	c.remove(e1)
-	c.remove(e3)
-	if c.len() != 0 || len(c.buckets) != 0 {
-		t.Fatalf("cache not empty after removing everything: len=%d buckets=%d", c.len(), len(c.buckets))
-	}
-}
-
-// TestEngineFlatCacheForcedCollisions drives a live engine whose flat cache
-// hashes every prefix to one bucket: distinct prefixes must still build, hit
-// and evict independently.
-func TestEngineFlatCacheForcedCollisions(t *testing.T) {
-	mk := func(seed uint64) []int { return testDoc(seed, 24) }
-	req := func(prefix []int) Request {
-		prompt := append(append([]int(nil), prefix...), testDoc(77, 6)...)
-		return Request{Prompt: prompt, SharedPrefixLen: len(prefix), MaxNewTokens: 2}
-	}
-	a, b := mk(31), mk(32)
-	eng := NewEngine(testModel(), Config{
-		Workers: 1, MaxBatch: 1, Seed: 9,
-		FlatPrefixCache: true,
-		testPrefixHash:  func([]int) uint64 { return 7 },
-	})
-	defer eng.Close()
-	resps := eng.Run([]Request{req(a), req(b), req(a), req(b)})
-	for i, r := range resps {
-		if r.Err != nil {
-			t.Fatalf("request %d: %v", i, r.Err)
-		}
-	}
-	if resps[0].PrefixHit || resps[1].PrefixHit {
-		t.Fatalf("cold builds reported hits: %v %v", resps[0].PrefixHit, resps[1].PrefixHit)
-	}
-	if !resps[2].PrefixHit || !resps[3].PrefixHit {
-		t.Fatalf("colliding prefixes must both stay hittable: a=%v b=%v",
-			resps[2].PrefixHit, resps[3].PrefixHit)
-	}
-}
-
 // TestPageEstimateAlignedPrefix locks the admission-estimate bugfix: a
 // page-aligned shared prefix forks without copying any tail page, so the
 // estimate must not charge one; an unaligned fork still must.
@@ -367,21 +325,21 @@ func TestPageEstimateAlignedPrefix(t *testing.T) {
 	// Hit path (share, not builds): prompt 37+1 tokens, 32 reused, headroom
 	// capped at one page → 6+16 = 22 marginal tokens.
 	r := &Request{Prompt: make([]int, 37), SharedPrefixLen: 32, MaxNewTokens: 40}
-	if got, want := eng.pageEstimate(r, true, false, 32), 2*page*planes; got != want {
+	if got, want := eng.pageEstimate(r, false, 32), 2*page*planes; got != want {
 		t.Fatalf("aligned hit estimate %d, want %d (no COW tail page)", got, want)
 	}
 	r.SharedPrefixLen = 30
-	if got, want := eng.pageEstimate(r, true, false, 30), 3*page*planes; got != want {
+	if got, want := eng.pageEstimate(r, false, 30), 3*page*planes; got != want {
 		t.Fatalf("unaligned hit estimate %d, want %d (one COW tail page)", got, want)
 	}
 
 	// Builder path: reuse is the forked ancestor's depth; only an unaligned
 	// ancestor fork pays a tail page (on top of the task's own fork charge).
 	r.SharedPrefixLen = 32
-	if got, want := eng.pageEstimate(r, true, true, 16), 3*page*planes; got != want {
+	if got, want := eng.pageEstimate(r, true, 16), 3*page*planes; got != want {
 		t.Fatalf("aligned builder estimate %d, want %d", got, want)
 	}
-	if got, want := eng.pageEstimate(r, true, true, 0), 4*page*planes; got != want {
+	if got, want := eng.pageEstimate(r, true, 0), 4*page*planes; got != want {
 		// Cold build: 38+16 tokens → 4 pages, aligned fork, no tails.
 		t.Fatalf("cold builder estimate %d, want %d", got, want)
 	}

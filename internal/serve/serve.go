@@ -11,10 +11,9 @@
 //     waiting for a whole batch to drain;
 //   - admission control: a bounded intake queue provides backpressure, and a
 //     shared kvcache.Accountant tracks aggregate KV residency against a
-//     global budget. By default the engine's paged arena meters *exact* page
-//     residency (shared copy-on-write pages charged once, admission on
-//     prefill pages plus a small decode headroom); Config.WorstCaseAdmission
-//     restores up-front worst-case reservations;
+//     global budget. The engine's paged arena meters *exact* page residency
+//     (shared copy-on-write pages charged once, admission on prefill pages
+//     plus a small decode headroom);
 //   - prefix caching: requests that declare a shared prompt prefix (the
 //     long-document multi-question scenario ClusterKV targets) reuse one
 //     prefill via copy-on-write kvcache.Store forks instead of recomputing
@@ -22,7 +21,7 @@
 //     a radix tree over page-aligned token runs, so nested prefixes
 //     (multi-turn chat, agentic re-entry, templated RAG) reuse the longest
 //     page-aligned common prefix of any cached entry even without an exact
-//     match (Config.FlatPrefixCache restores exact-match-only reuse);
+//     match;
 //   - per-request selectors: every request brings its own Selector factory,
 //     so ClusterKV, Quest and FullKV tenants can share one server;
 //   - deterministic execution: given a seed and a fixed submission order,
@@ -48,11 +47,17 @@ var (
 	// ErrAborted reports a request cancelled by Shutdown before completion.
 	ErrAborted = errors.New("serve: request aborted by shutdown")
 	// ErrBadRequest reports an invalid request (empty prompt, non-positive
-	// MaxNewTokens, out-of-range SharedPrefixLen).
+	// MaxNewTokens, out-of-range SharedPrefixLen, out-of-vocabulary token).
+	// It is raised only by intake validation, never by a fault mid-decode.
 	ErrBadRequest = errors.New("serve: invalid request")
-	// ErrTooLarge reports a request whose worst-case KV residency can never
-	// fit the engine's global budget.
+	// ErrTooLarge reports a request whose admission estimate (prefill pages
+	// plus decode headroom) exceeds the engine's whole KV capacity, device
+	// plus host, so it could never be admitted.
 	ErrTooLarge = errors.New("serve: request exceeds global KV budget")
+	// ErrInternal reports an engine-side fault: a panic recovered while
+	// stepping a validated request (selector factory, arena, kernel). The
+	// wrapped message carries the panic value; the request was well-formed.
+	ErrInternal = errors.New("serve: internal fault")
 )
 
 // Request describes one generation job.
@@ -93,10 +98,9 @@ type Response struct {
 	// longest page-aligned (or whole-entry) cached ancestor's depth when the
 	// radix cache partially covered a new prefix, 0 on a cold build.
 	PrefixReusedTokens int
-	// KVReserved is the admission charge in per-head token slots: under
-	// exact page accounting, the page-rounded prefill estimate (plus decode
-	// headroom) the request was gated on; under worst-case admission, the
-	// reservation held for the request's lifetime.
+	// KVReserved is the admission charge in per-head token slots: the
+	// page-rounded prefill estimate (plus decode headroom) the request was
+	// gated on.
 	KVReserved int64
 	// QueueWait is the time from Submit to admission.
 	QueueWait time.Duration
@@ -148,24 +152,6 @@ func (r *Request) validate() error {
 	return nil
 }
 
-// kvCost is the worst-case admission policy's estimate of a request's
-// device residency in per-head token slots (Config.WorstCaseAdmission; the
-// default exact policy uses Engine.pageEstimate instead). A budgeted
-// selector keeps at most Budget tokens per head resident; an unbudgeted
-// request keeps its whole sequence. When the shared prefix is served from
-// the cache its residency is accounted once, on the cache entry, so only
-// the marginal tail is charged.
-func kvCost(r *Request, prefixShared bool) int64 {
-	l := len(r.Prompt) + r.MaxNewTokens + 1 // +1: re-fed last prompt token
-	if r.Budget > 0 && r.Budget < l {
-		return int64(r.Budget)
-	}
-	if prefixShared {
-		l -= r.SharedPrefixLen
-	}
-	return int64(l)
-}
-
 // PrefixKey content-addresses a shared prefix: the same hash the engine's
 // prefix-residency index is keyed by. Routers compute it over
 // Prompt[:SharedPrefixLen] and probe Engine.PrefixResident to find the
@@ -175,41 +161,42 @@ func PrefixKey(tokens []int) uint64 { return prefixKey(tokens) }
 // AlignedPrefixKeys returns the content hash of every page-aligned prefix of
 // tokens (pageTokens, 2·pageTokens, ...) plus the whole slice, in one rolling
 // FNV-1a pass; the last element always equals PrefixKey(tokens). These are
-// the depths the radix-cached engine registers in its residency index, so a
-// router can probe a nested prefix from deepest to shallowest and place the
-// request on the replica holding the longest match.
+// the depths the engine registers in its residency index, so a router can
+// probe a nested prefix from deepest to shallowest and place the request on
+// the replica holding the longest match. pageTokens must be positive.
 func AlignedPrefixKeys(tokens []int, pageTokens int) []uint64 {
 	return alignedPrefixKeys(tokens, pageTokens)
 }
 
 func alignedPrefixKeys(tokens []int, pageTokens int) []uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
+	if pageTokens <= 0 {
+		panic("serve: AlignedPrefixKeys needs a positive pageTokens")
+	}
 	out := make([]uint64, 0, len(tokens)/pageTokens+1)
-	h := uint64(offset64)
-	for i, t := range tokens {
-		h ^= uint64(t)
-		h *= prime64
-		if (i+1)%pageTokens == 0 || i == len(tokens)-1 {
-			out = append(out, h)
-		}
+	h := uint64(fnvOffset64)
+	for lo := 0; lo < len(tokens); lo += pageTokens {
+		h = fnv1a(h, tokens[lo:min(lo+pageTokens, len(tokens))])
+		out = append(out, h)
 	}
 	return out
 }
 
 // prefixKey content-addresses a shared prefix with FNV-1a over its tokens.
 // Hits verify the actual tokens, so a collision can never alias prefills.
-func prefixKey(tokens []int) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+func prefixKey(tokens []int) uint64 { return fnv1a(fnvOffset64, tokens) }
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnv1a rolls the FNV-1a hash h forward over tokens, one round per token: the
+// single spelling of the content hash behind PrefixKey, AlignedPrefixKeys and
+// the residency index.
+func fnv1a(h uint64, tokens []int) uint64 {
 	for _, t := range tokens {
 		h ^= uint64(t)
-		h *= prime64
+		h *= fnvPrime64
 	}
 	return h
 }

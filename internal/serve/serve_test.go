@@ -185,7 +185,7 @@ func TestPrefixCacheSharesPrefill(t *testing.T) {
 
 // TestAdmissionControlRespectsKVBudget: with a budget that fits only one
 // stream at a time, requests are serialised, never failed, and the peak
-// reservation stays within capacity.
+// residency stays within capacity.
 func TestAdmissionControlRespectsKVBudget(t *testing.T) {
 	m := testModel()
 	var reqs []Request
@@ -193,7 +193,7 @@ func TestAdmissionControlRespectsKVBudget(t *testing.T) {
 		reqs = append(reqs, Request{
 			Prompt:       testDoc(uint64(i), 48),
 			MaxNewTokens: 4,
-			// Unbudgeted: cost = 48 + 4 + 1 = 53 slots each.
+			// Unbudgeted: 48 + 4 + 1 = 53 slots each.
 		})
 	}
 	e := NewEngine(m, Config{Workers: 1, MaxBatch: 8, KVBudget: 100, Seed: 1})
@@ -218,19 +218,19 @@ func TestAdmissionControlRespectsKVBudget(t *testing.T) {
 	}
 }
 
-// TestOversizedRequestFailsFast locks the worst-case reservation policy: a
-// request whose up-front cost can never fit fails immediately, and a
-// budgeted selector's cost is its budget. (Exact-mode sizing is covered by
-// TestExactAdmissionOversized.)
+// TestOversizedRequestFailsFast: a request whose admission estimate can never
+// fit the budget fails immediately with ErrTooLarge, while a budgeted
+// selector's estimate is capped at its budget. (Page-granular sizing is
+// covered by TestExactAdmissionOversized.)
 func TestOversizedRequestFailsFast(t *testing.T) {
 	m := testModel()
-	e := NewEngine(m, Config{Workers: 1, KVBudget: 32, Seed: 1, WorstCaseAdmission: true})
+	e := NewEngine(m, Config{Workers: 1, KVBudget: 32, Seed: 1})
 	defer e.Close()
 	resp := e.Submit(Request{Prompt: testDoc(1, 64), MaxNewTokens: 4}).Wait()
 	if !errors.Is(resp.Err, ErrTooLarge) {
 		t.Fatalf("err = %v, want ErrTooLarge", resp.Err)
 	}
-	// A budgeted request of the same length fits (cost = Budget).
+	// A budgeted request of the same length fits (estimate capped at Budget).
 	resp = e.Submit(Request{Prompt: testDoc(1, 64), MaxNewTokens: 4, Budget: 16,
 		NewSelector: func() attention.Selector { return baselines.NewFullKV() }}).Wait()
 	if resp.Err != nil {
@@ -319,7 +319,7 @@ func TestShutdownAbortsOnExpiredContext(t *testing.T) {
 		t.Fatal("no request was aborted by an expired shutdown")
 	}
 	if e.Accountant().Used() != 0 {
-		t.Fatalf("leaked reservations after shutdown: %d", e.Accountant().Used())
+		t.Fatalf("leaked KV charges after shutdown: %d", e.Accountant().Used())
 	}
 }
 
@@ -344,13 +344,15 @@ func TestFailedPrefixBuilderDoesNotWedgeEngine(t *testing.T) {
 		MaxNewTokens:    4,
 	}
 
-	e := NewEngine(m, Config{Workers: 1, MaxBatch: 2, Seed: 1, WorstCaseAdmission: true})
+	e := NewEngine(m, Config{Workers: 1, MaxBatch: 2, Seed: 1})
 	resps := e.Run([]Request{bad, good})
-	used := e.Accountant().Used()
+	used := e.Metrics().KVUsed
 	e.Close() // must not hang
 
-	if resps[0].Err == nil {
-		t.Fatal("panicking builder did not fail")
+	// The panic is the engine's (here: the selector factory's) fault, not a
+	// malformed request.
+	if !errors.Is(resps[0].Err, ErrInternal) || errors.Is(resps[0].Err, ErrBadRequest) {
+		t.Fatalf("panicking builder err = %v, want ErrInternal and not ErrBadRequest", resps[0].Err)
 	}
 	if resps[1].Err != nil {
 		t.Fatalf("same-prefix request after failed builder: %v", resps[1].Err)
@@ -358,15 +360,17 @@ func TestFailedPrefixBuilderDoesNotWedgeEngine(t *testing.T) {
 	if len(resps[1].Tokens) != 4 {
 		t.Fatalf("rebuild produced %d tokens", len(resps[1].Tokens))
 	}
-	// Only the rebuilt (published) prefix may stay reserved.
-	if used != int64(len(doc)) {
-		t.Fatalf("reserved %d slots after failed build, want %d", used, len(doc))
+	// Only the rebuilt (published) prefix may stay charged: 96 tokens span
+	// two 64-token pages.
+	if used != 128 {
+		t.Fatalf("%d per-head slots charged after failed build, want the cached prefix's 128", used)
 	}
 }
 
-// TestBuilderNotDoubleChargedForPrefix: a shared-prefix request's own
-// reservation is its marginal tail; the prefix is charged once on the cache
-// entry. A budget that fits entry+tail (but not prompt+entry) must admit.
+// TestBuilderNotDoubleChargedForPrefix: a request that builds its shared
+// prefix is gated on the prefix once plus its marginal tail, never on
+// prompt + prefix. A budget that fits prefix+tail (but not prompt+prefix) must
+// admit.
 func TestBuilderNotDoubleChargedForPrefix(t *testing.T) {
 	m := testModel()
 	doc := testDoc(13, 80)
@@ -375,17 +379,18 @@ func TestBuilderNotDoubleChargedForPrefix(t *testing.T) {
 		Prompt:          prompt,
 		SharedPrefixLen: len(doc),
 		MaxNewTokens:    5,
-		// Unbudgeted: marginal tail = 10 + 5 + 1 = 16; entry = 80.
+		// Unbudgeted: marginal tail = 10 + 5 + 1 = 16; prefix = 80. The page
+		// estimate (three 64-token pages) is capped at that working set.
 	}
 	// 96 needed, 170 would not fit.
-	e := NewEngine(m, Config{Workers: 1, KVBudget: 100, Seed: 1, WorstCaseAdmission: true})
+	e := NewEngine(m, Config{Workers: 1, KVBudget: 100, Seed: 1})
 	resp := e.Submit(req).Wait()
 	e.Close()
 	if resp.Err != nil {
 		t.Fatalf("builder double-charged: %v", resp.Err)
 	}
-	if resp.KVReserved != 16 {
-		t.Fatalf("request reservation = %d, want marginal 16", resp.KVReserved)
+	if resp.KVReserved != 96 {
+		t.Fatalf("admission hold = %d, want prefix 80 + marginal tail 16", resp.KVReserved)
 	}
 }
 
@@ -460,12 +465,12 @@ func TestMixedTenantsShareEngine(t *testing.T) {
 func TestEngineMetricsSnapshot(t *testing.T) {
 	m := testModel()
 	reqs := qaRequests(4, 96, 8, 5, clusterSel)
-	e := NewEngine(m, Config{Workers: 2, MaxBatch: 2, KVBudget: 4096, Seed: 1, WorstCaseAdmission: true})
+	e := NewEngine(m, Config{Workers: 2, MaxBatch: 2, KVBudget: 4096, Seed: 1})
 	e.Run(reqs)
-	if used := e.Accountant().Used(); used != 96 {
-		// The shared 96-token document stays cached (and reserved) while
-		// the engine is alive.
-		t.Fatalf("cached prefix reservation = %d, want 96", used)
+	if used := e.Metrics().KVUsed; used != 128 {
+		// The shared 96-token document stays cached (two 64-token pages,
+		// charged once) while the engine is alive.
+		t.Fatalf("cached prefix charge = %d per-head slots, want 128", used)
 	}
 	e.Close()
 	mx := e.Metrics()
@@ -487,7 +492,7 @@ func TestEngineMetricsSnapshot(t *testing.T) {
 		t.Fatalf("token latency samples = %d", mx.TokenLatency.N)
 	}
 	if mx.KVUsed != 0 {
-		t.Fatalf("KV still reserved after drain: %d", mx.KVUsed)
+		t.Fatalf("KV still charged after drain: %d", mx.KVUsed)
 	}
 	if mx.KVPeak <= 0 || mx.KVPeak > 4096 {
 		t.Fatalf("KV peak = %d", mx.KVPeak)
