@@ -332,6 +332,46 @@ func BenchmarkForkDivergence(b *testing.B) {
 	b.ReportMetric(pagesPerFork, "pages/fork")
 }
 
+// BenchmarkPrefixHitOnPrefill measures what a prefix-cache hit costs a
+// ClusterKV request: fork a cached 2-segment document, prefill a 32-token
+// question, run OnPrefill. The first fork (untimed) clusters the document's
+// segments and publishes them on the shared pages; every timed hit must adopt
+// them — a hit that runs K-means over a complete segment fails the benchmark
+// (and with it `make bench-smoke`).
+func BenchmarkPrefixHitOnPrefill(b *testing.B) {
+	m := clusterkv.NewModel(clusterkv.DefaultModelConfig())
+	arena := clusterkv.NewKVArena(clusterkv.DefaultKVPageTokens, nil)
+	doc := clusterkv.Doc(clusterkv.DefaultDocConfig(), 1024)
+	question := clusterkv.Doc(clusterkv.DefaultDocConfig(), 32)
+	cfg := clusterkv.DefaultConfig()
+	cfg.SegmentTokens = 512
+
+	base := m.NewSequenceIn(arena, nil, 0)
+	base.Prefill(doc, nil)
+	snap := base.Snapshot()
+	base.Release()
+	hit := func() clusterkv.SelStats {
+		sel := clusterkv.New(cfg)
+		seq := m.NewSequenceFrom(snap, sel, 256)
+		seq.Prefill(question, nil)
+		seq.Release()
+		return sel.Stats()
+	}
+	if st := hit(); st.MetaSegsBuilt == 0 {
+		b.Fatal("the first request over the snapshot built no segment")
+	}
+
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if st := hit(); st.MetaSegsBuilt > 0 || st.MetaSegsAdopted == 0 {
+			b.Fatalf("prefix hit built %d segments and adopted %d", st.MetaSegsBuilt, st.MetaSegsAdopted)
+		}
+	}
+	b.StopTimer()
+	snap.Release()
+	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/hit")
+}
+
 // BenchmarkDecodeSteadyAllocs asserts the steady-state decode allocation
 // contract (DESIGN.md §12): with reusable attention scratch, the packed
 // LM-head GEMV and a caller-provided logits buffer, a full-attention decode

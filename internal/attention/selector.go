@@ -94,6 +94,11 @@ type SelStats struct {
 	MetaOps int64
 	// ClustersSelected counts selected clusters/pages across steps.
 	ClustersSelected int64
+	// MetaSegsAdopted counts complete prefill segments whose metadata was
+	// taken from a shared KV page's sidecar instead of being rebuilt;
+	// MetaSegsBuilt counts those this selector had to build itself. A prefix
+	// cache hit whose prefix was clustered before reads (k, 0).
+	MetaSegsAdopted, MetaSegsBuilt int64
 }
 
 // Add accumulates other into s.
@@ -106,6 +111,8 @@ func (s *SelStats) Add(other SelStats) {
 	s.ScoreOps += other.ScoreOps
 	s.MetaOps += other.MetaOps
 	s.ClustersSelected += other.ClustersSelected
+	s.MetaSegsAdopted += other.MetaSegsAdopted
+	s.MetaSegsBuilt += other.MetaSegsBuilt
 }
 
 // HitRate returns the device-cache hit rate TokensHit/(TokensHit+TokensLoaded),

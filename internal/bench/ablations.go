@@ -18,7 +18,7 @@ func RunAblations(opt Options) []*Report {
 	budget := 1024
 
 	runWith := func(mut func(*core.Config)) *RunResult {
-		cfg := core.NewConfig()
+		cfg := paperConfig()
 		cfg.BypassLayers = 0
 		mut(&cfg)
 		return RunTrace(task.Trace, memo.ClusterKV(cfg), budget)
@@ -58,7 +58,7 @@ func RunAblations(opt Options) []*Report {
 	prefillOps := int64(-1)
 	for _, mw := range []int{80, 160, 320, 640} {
 		for _, cp := range []int{2, 4, 8} {
-			cfg := core.NewConfig()
+			cfg := paperConfig()
 			cfg.BypassLayers = 0
 			cfg.DecodeWindow = mw
 			cfg.DecodeClusters = cp
@@ -103,7 +103,7 @@ func RunAblations(opt Options) []*Report {
 		name string
 		v    cluster.Init
 	}{{"random", cluster.RandomInit}, {"k-means++", cluster.PlusPlusInit}} {
-		cfg := core.NewConfig()
+		cfg := paperConfig()
 		cfg.BypassLayers = 0
 		cfg.Init = init.v
 		run := RunTrace(task.Trace, core.New(cfg), budget)
@@ -121,7 +121,7 @@ func RunAblations(opt Options) []*Report {
 		Headers: []string{"MaxIters", "Recall", "PrefillMetaOps"},
 	}
 	for _, it := range []int{2, 4, 8, 16} {
-		cfg := core.NewConfig()
+		cfg := paperConfig()
 		cfg.BypassLayers = 0
 		cfg.KMeansIters = it
 		// Fresh (non-memoised) selector: the iteration cap changes clustering.
@@ -130,5 +130,28 @@ func RunAblations(opt Options) []*Report {
 			fmt.Sprint(it), f3(run.MeanRecall()), fmt.Sprint(run.Stats.MetaOps),
 		})
 	}
-	return []*Report{rRep, mRep, sRep, iRep, kRep}
+
+	// --- Prefill segment length (the one non-paper default) -----------------
+	gRep := &Report{
+		ID:      "ablation-segment-tokens",
+		Title:   fmt.Sprintf("Prefill clustering segment length S over a %d-token trace (0 = the paper's single C0 = L/80 pass)", task.Trace.Cfg.L),
+		Headers: []string{"SegmentTokens", "Clusters", "Recall", "Fidelity", "PrefillMetaOps"},
+	}
+	for _, seg := range []int{0, 1024, 2048, 4096} {
+		cfg := paperConfig()
+		cfg.BypassLayers = 0
+		cfg.SegmentTokens = seg
+		sel := core.New(cfg)
+		run := RunTrace(task.Trace, sel, budget)
+		gRep.Rows = append(gRep.Rows, []string{
+			fmt.Sprint(seg), fmt.Sprint(sel.Book(0, 0).NumClusters()),
+			f3(run.MeanRecall()), f3(run.MeanFidelity()),
+			fmt.Sprint(run.Stats.MetaOps),
+		})
+	}
+	gRep.Notes = append(gRep.Notes,
+		"segments make prefill clustering linear in L (each S-token piece is its own L/80-rule",
+		"K-means) and let prefix-cache hits adopt a cached prefix's clusters from its KV pages;",
+		"core.NewConfig ships S=4096, the tab/fig reproductions above pin S=0 (DESIGN.md §2).")
+	return []*Report{rRep, mRep, sRep, iRep, kRep, gRep}
 }

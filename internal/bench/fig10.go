@@ -28,7 +28,7 @@ func modelMethods() []MethodSpec {
 	return []MethodSpec{
 		{Name: "Quest", New: func() attention.Selector { return baselines.NewQuest(baselines.NewQuestConfig()) }},
 		{Name: "InfiniGen", New: func() attention.Selector { return baselines.NewInfiniGen(baselines.NewInfiniGenConfig()) }},
-		{Name: "ClusterKV", New: func() attention.Selector { return core.New(core.NewConfig()) }},
+		{Name: "ClusterKV", New: func() attention.Selector { return core.New(paperConfig()) }},
 		{Name: "FullKV", New: func() attention.Selector { return baselines.NewFullKV() }},
 	}
 }
@@ -48,7 +48,7 @@ func traceMethodsPlain() []MethodSpec {
 			return baselines.NewInfiniGen(cfg)
 		}},
 		{Name: "ClusterKV", New: func() attention.Selector {
-			cfg := core.NewConfig()
+			cfg := paperConfig()
 			cfg.BypassLayers = 0
 			return core.New(cfg)
 		}},

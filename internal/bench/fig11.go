@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"clusterkv/internal/cluster"
-	"clusterkv/internal/core"
 	"clusterkv/internal/metrics"
 	"clusterkv/internal/workload"
 )
@@ -99,7 +98,7 @@ func RunFig11b(opt Options) *Report {
 		{fmt.Sprintf("C0=%d", c0(800)), cluster.Cosine, c0(800)},
 	}
 	for _, v := range variants {
-		cfg := core.NewConfig()
+		cfg := paperConfig()
 		cfg.BypassLayers = 0
 		cfg.Metric = v.metric
 		cfg.C0Override = v.c0

@@ -109,7 +109,7 @@ func RunFig12(opt Options) []*Report {
 // traceCoreConfig is the ClusterKV configuration used for counter
 // measurement runs (bypass disabled: the trace models selection layers).
 func traceCoreConfig() core.Config {
-	cfg := core.NewConfig()
+	cfg := paperConfig()
 	cfg.BypassLayers = 0
 	return cfg
 }

@@ -29,11 +29,14 @@ func NewMemo() *Memo {
 }
 
 // ClusterKV builds a ClusterKV selector whose prefill clustering is memoised
-// in m. cfg.BypassLayers etc. are honored; the cache key includes the metric
-// and cluster count so ablation configs do not collide.
+// in m. cfg.BypassLayers etc. are honored; the cache key includes the
+// segment's start and length, the metric and the cluster count, so neither
+// equal-length segments nor ablation configs collide. The memo seeds K-means
+// by its own (layer, head) hash, not core's — one reason core never publishes
+// a hook's result to the KV pages.
 func (m *Memo) ClusterKV(cfg core.Config) *core.ClusterKV {
-	cfg.PrefillClusterer = func(layer, head int, keys []float32, d, c int) *cluster.Result {
-		key := fmt.Sprintf("km/%d/%d/%d/%d/%v/%d", layer, head, len(keys), c, cfg.Metric, cfg.Seed)
+	cfg.PrefillClusterer = func(layer, head, from int, keys []float32, d, c int) *cluster.Result {
+		key := fmt.Sprintf("km/%d/%d/%d/%d/%d/%v/%d", layer, head, from, len(keys), c, cfg.Metric, cfg.Seed)
 		m.mu.Lock()
 		res, ok := m.kms[key]
 		m.mu.Unlock()
@@ -111,7 +114,7 @@ func (m *Memo) TraceMethods(tr *workload.Trace) []MethodSpec {
 			return m.InfiniGen(cfg, calib)
 		}},
 		{Name: "ClusterKV", New: func() attention.Selector {
-			cfg := core.NewConfig()
+			cfg := paperConfig()
 			cfg.BypassLayers = 0
 			return m.ClusterKV(cfg)
 		}},

@@ -38,7 +38,7 @@ func TraceMethods() []MethodSpec {
 			return baselines.NewInfiniGen(cfg)
 		}},
 		{Name: "ClusterKV", New: func() attention.Selector {
-			cfg := core.NewConfig()
+			cfg := paperConfig()
 			cfg.BypassLayers = 0
 			return core.New(cfg)
 		}},
@@ -156,10 +156,21 @@ func RunTrace(tr *workload.Trace, sel attention.Selector, budget int) *RunResult
 	return res
 }
 
+// paperConfig is the configuration every paper artifact (tab/fig/ablation) is
+// reproduced with: core's defaults with SegmentTokens 0, i.e. the paper's
+// literal rule of one C0 = L/80 clustering over the whole prefill. The
+// serve-level experiments keep core.NewConfig(); their contexts are shorter
+// than one segment, where the two coincide.
+func paperConfig() core.Config {
+	cfg := core.NewConfig()
+	cfg.SegmentTokens = 0
+	return cfg
+}
+
 // NewClusterKVForTrace builds a ClusterKV selector for trace harness runs
 // with the given overrides (used by the Fig. 11b ablations).
 func NewClusterKVForTrace(metric cluster.Metric, c0 int) *core.ClusterKV {
-	cfg := core.NewConfig()
+	cfg := paperConfig()
 	cfg.BypassLayers = 0
 	cfg.Metric = metric
 	cfg.C0Override = c0

@@ -2,8 +2,11 @@
 // recallable KV-cache compression at the granularity of semantic clusters.
 //
 // Per (layer, head) it maintains a cluster.Book built from the prefill keys
-// (§III-B), extends it every DecodeWindow steps with clusters over the newly
-// generated keys, scores clusters against the query with inner products,
+// (§III-B) — clustered in position-fixed segments of Config.SegmentTokens
+// whose results are published on the shared KV pages, so a sequence forked
+// from a cached prefix adopts the clusters its ancestor built instead of
+// rebuilding them — extends it every DecodeWindow steps with clusters over the
+// newly generated keys, scores clusters against the query with inner products,
 // selects top clusters under the token budget with last-cluster trimming
 // (§III-C, §IV-C), and serves K/V through a cluster-granularity device cache
 // that retains the clusters selected during the last R decode steps (§IV-D).
@@ -33,8 +36,19 @@ type Config struct {
 	// (paper: C0 = L/80, i.e. ratio 80).
 	ClusterRatio int
 	// C0Override, when > 0, fixes the prefill cluster count regardless of
-	// context length (used by the Fig. 11b ablation C0 ∈ {200,...,800}).
+	// context length (used by the Fig. 11b ablation C0 ∈ {200,...,800}). With
+	// several segments each gets its share, C0Override·segLen/clusteredLen.
 	C0Override int
+	// SegmentTokens is S: prefill clustering cuts [SinkTokens, n) at absolute
+	// multiples of S and clusters every piece on its own, so a piece's
+	// clusters depend only on positions and on that piece's keys. A complete
+	// segment's result is published on its last KV page and adopted by every
+	// sequence sharing that page (a prefix-cache hit re-clusters nothing);
+	// the remainder past the last multiple is clustered privately. 0 is one
+	// segment over the whole prefill — the paper's literal C0 = L/80 rule;
+	// NewConfig's 4096 is the one non-paper default (DESIGN.md §2). Keep it a
+	// multiple of the KV page size or few segments will end on a full page.
+	SegmentTokens int
 	// MinClusters floors the prefill cluster count (default 4).
 	MinClusters int
 	// DecodeWindow is m: decode-time clustering is applied every m generated
@@ -71,19 +85,22 @@ type Config struct {
 	// budget, not page capacity, limits the working set).
 	DeviceCachePages int
 	// PrefillClusterer, when non-nil, replaces the built-in K-means call for
-	// prefill clustering. keys holds the post-sink prefill keys (row-major),
-	// d the key dimension and c the requested cluster count; the returned
-	// Result must use indices local to keys. Harnesses use this to memoise
+	// prefill clustering; it is called once per segment. keys holds the keys
+	// of the segment starting at absolute position from (row-major), d the
+	// key dimension and c the requested cluster count; the returned Result
+	// must use indices local to keys. Harnesses use this to memoise
 	// clustering across budget sweeps; tests use it to inject degenerate
-	// clusterings.
-	PrefillClusterer func(layer, head int, keys []float32, d, c int) *cluster.Result
+	// clusterings. A hook's results are not a function of the keys alone, so
+	// they are never published to KV pages, nor are published ones adopted.
+	PrefillClusterer func(layer, head, from int, keys []float32, d, c int) *cluster.Result
 }
 
-// NewConfig returns the paper's default configuration.
+// NewConfig returns the paper's default configuration, plus SegmentTokens.
 func NewConfig() Config {
 	return Config{
 		SinkTokens:     16,
 		ClusterRatio:   80,
+		SegmentTokens:  4096,
 		MinClusters:    4,
 		DecodeWindow:   320,
 		DecodeClusters: 4,
@@ -193,7 +210,10 @@ func (c *ClusterKV) state(layer, head int) *headState {
 }
 
 // OnPrefill implements attention.Selector: cluster the prefill keys beyond
-// the sink prefix into C0 = clusteredLen/ClusterRatio clusters.
+// the sink prefix, one segment at a time. Segment boundaries are absolute
+// multiples of SegmentTokens, so the book of an n-token store is a function
+// of n, the configuration and the keys only — the same whether its complete
+// segments were computed here or adopted from the pages.
 func (c *ClusterKV) OnPrefill(layer, head int, s *kvcache.Store) {
 	st := c.state(layer, head)
 	n := s.Len()
@@ -216,41 +236,93 @@ func (c *ClusterKV) OnPrefill(layer, head int, s *kvcache.Store) {
 	if layer < c.cfg.BypassLayers {
 		return // bypass layers keep full KV on device; no clustering
 	}
-	clusteredLen := n - sinks
-	if clusteredLen <= 0 {
+	if sinks == n {
 		return
 	}
-	c0 := c.prefillClusterCount(clusteredLen)
-	// Non-retaining read: the key matrix lives only for this clustering
-	// call, so the store never carries a flat mirror of its pages.
-	keys := s.ReadKeys(sinks, n, nil)
-	var res *cluster.Result
-	if c.cfg.PrefillClusterer != nil {
-		res = c.cfg.PrefillClusterer(layer, head, keys, s.HeadDim(), c0)
-	} else {
-		res = cluster.KMeans(keys, s.HeadDim(), c0, cluster.Config{
-			Metric:   c.cfg.Metric,
-			MaxIters: c.cfg.KMeansIters,
-			Init:     c.cfg.Init,
-			Seed:     c.cfg.Seed ^ mix(uint64(layer), uint64(head)),
-		})
+	for from := sinks; from < n; {
+		to, complete := n, false
+		if S := c.cfg.SegmentTokens; S > 0 {
+			if b := (from/S + 1) * S; b <= n {
+				to, complete = b, true
+			}
+		}
+		st.book.AddBatch(c.clusterSegment(layer, head, s, from, to, complete, n-sinks))
+		from = to
 	}
-	st.book.AddBatch(res)
-	c.stats.MetaOps += res.AssignOps
 	// Post-prefill offload (Fig. 5): everything beyond the sinks moves to
 	// host memory; sinks stay resident.
 	st.ledger.Offload(sinks, n)
 }
 
-func (c *ClusterKV) prefillClusterCount(clusteredLen int) int {
+// segKey is everything a segment's clustering depends on besides the key
+// rows themselves; a published result is adopted only under an equal key.
+type segKey struct {
+	from, to, c int
+	km          cluster.Config
+}
+
+// segMeta is the page sidecar: one segment's clustering, immutable once
+// published (Book.AddBatch copies out of it).
+type segMeta struct {
+	key segKey
+	res *cluster.Result
+}
+
+// clusterSegment returns the clustering of keys [from, to). A complete
+// segment is looked up on, and after a miss published to, its last KV page.
+func (c *ClusterKV) clusterSegment(layer, head int, s *kvcache.Store, from, to int, complete bool, clusteredLen int) *cluster.Result {
+	d := s.HeadDim()
+	cnt := c.segmentClusterCount(to-from, clusteredLen)
+	seg := 0
+	if c.cfg.SegmentTokens > 0 {
+		seg = from / c.cfg.SegmentTokens
+	}
+	key := segKey{from: from, to: to, c: cnt, km: cluster.Config{
+		Metric:   c.cfg.Metric,
+		MaxIters: c.cfg.KMeansIters,
+		Init:     c.cfg.Init,
+		// Segment 0 keeps the seed of the unsegmented rule, so a prompt
+		// shorter than one segment clusters exactly as it always has.
+		Seed: c.cfg.Seed ^ mix(uint64(layer), uint64(head)) ^ uint64(seg)*0x9e3779b97f4a7c15,
+	}}
+	// A hook's result is not a function of key and rows: it bypasses the pages.
+	hook := c.cfg.PrefillClusterer
+	shared := complete && hook == nil
+	lastPage := (to - 1) / s.PageTokens()
+	if shared {
+		if m, ok := s.PageMeta(lastPage).(*segMeta); ok && m.key == key {
+			c.stats.MetaSegsAdopted++
+			return m.res
+		}
+	}
+	// Non-retaining read: the key matrix lives only for this clustering
+	// call, so the store never carries a flat mirror of its pages.
+	keys := s.ReadKeys(from, to, nil)
+	var res *cluster.Result
+	if hook != nil {
+		res = hook(layer, head, from, keys, d, cnt)
+	} else {
+		res = cluster.KMeans(keys, d, cnt, key.km)
+	}
+	c.stats.MetaOps += res.AssignOps
+	if complete {
+		c.stats.MetaSegsBuilt++
+	}
+	if shared {
+		bytes := 4*len(res.Centroids.Data) +
+			8*(len(res.Labels)+len(res.SortedIndices)+len(res.Sizes)+len(res.PrefixSum))
+		s.SetPageMeta(lastPage, &segMeta{key: key, res: res}, int64(bytes))
+	}
+	return res
+}
+
+// segmentClusterCount is the paper's C0 = L/ClusterRatio rule applied to one
+// segment of segLen of the prefill's clusteredLen clustered keys.
+func (c *ClusterKV) segmentClusterCount(segLen, clusteredLen int) int {
 	if c.cfg.C0Override > 0 {
-		return c.cfg.C0Override
+		return max(1, c.cfg.C0Override*segLen/clusteredLen)
 	}
-	c0 := clusteredLen / c.cfg.ClusterRatio
-	if c0 < c.cfg.MinClusters {
-		c0 = c.cfg.MinClusters
-	}
-	return c0
+	return max(segLen/c.cfg.ClusterRatio, c.cfg.MinClusters)
 }
 
 // OnAppend implements attention.Selector: register the newly decoded token;

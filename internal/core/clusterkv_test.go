@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -236,15 +237,40 @@ func TestClusterRatioDefault(t *testing.T) {
 }
 
 func TestPrefillClustererHook(t *testing.T) {
-	called := 0
+	var froms, lens []int
 	cfg := traceConfig()
-	cfg.PrefillClusterer = func(layer, head int, keys []float32, d, c int) *cluster.Result {
-		called++
+	cfg.PrefillClusterer = func(layer, head, from int, keys []float32, d, c int) *cluster.Result {
+		froms, lens = append(froms, from), append(lens, len(keys)/d)
 		return cluster.KMeans(keys, d, c, cluster.Config{Seed: 42})
 	}
 	prepared(t, cfg, 500)
-	if called != 1 {
-		t.Fatalf("hook called %d times", called)
+	if !slices.Equal(froms, []int{16}) || !slices.Equal(lens, []int{484}) {
+		t.Fatalf("one segment: hook saw starts %v lengths %v", froms, lens)
+	}
+
+	// One call per segment, each with its absolute start; nothing a hook
+	// returns reaches the pages, and nothing on the pages replaces a hook.
+	froms, lens = nil, nil
+	cfg.SegmentTokens = 256
+	sel, s := prepared(t, cfg, 600)
+	if !slices.Equal(froms, []int{16, 256, 512}) || !slices.Equal(lens, []int{240, 256, 88}) {
+		t.Fatalf("three segments: hook saw starts %v lengths %v", froms, lens)
+	}
+	if st := sel.Stats(); st.MetaSegsBuilt != 2 || st.MetaSegsAdopted != 0 {
+		t.Fatalf("hooked prefill: built %d adopted %d", st.MetaSegsBuilt, st.MetaSegsAdopted)
+	}
+	for p := 0; p < s.NumPages(); p++ {
+		if s.PageMeta(p) != nil {
+			t.Fatalf("hook result published on page %d", p)
+		}
+	}
+	plain := segConfig()
+	prefilled(plain, s) // publishes
+	froms = nil
+	sel.Reset(1, 1, 8)
+	sel.OnPrefill(0, 0, s)
+	if len(froms) != 3 || sel.Stats().MetaSegsAdopted != 0 {
+		t.Fatalf("hooked selector adopted published segments: %d hook calls", len(froms))
 	}
 }
 

@@ -34,6 +34,19 @@ type page struct {
 	muQ       sync.Mutex
 	quantized atomic.Bool
 	qk, qv    *quant.Tensor
+
+	// meta is the page's sidecar (Store.PageMeta): an immutable value a
+	// selector derived from the rows of this page and of the pages before it
+	// in the publishing store, shared with every store that shares the page.
+	// Set once by CAS from nil on a full page; cleared wherever the page's
+	// rows can change (Arena.clearMeta has the three sites).
+	meta atomic.Pointer[pageMeta]
+}
+
+// pageMeta boxes a sidecar value with the size its publisher declared.
+type pageMeta struct {
+	v     any
+	bytes int64
 }
 
 // Arena is a process- or engine-wide allocator of KV pages. Every Store is a
@@ -50,6 +63,8 @@ type Arena struct {
 	live       int64
 	peak       int64
 	allocs     int64 // total allocations (incl. reused pages)
+	// metaBytes is the declared size of all live page sidecars.
+	metaBytes atomic.Int64
 }
 
 // NewArena returns an arena with the given page size in tokens. acct, when
@@ -96,6 +111,26 @@ func (a *Arena) Allocs() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.allocs
+}
+
+// MetaBytes returns the declared size of every page sidecar currently
+// attached to a live page of this arena. Sidecars are not charged to the
+// accountant (its unit is KV token slots); this gauge is how their footprint
+// is observed.
+func (a *Arena) MetaBytes() int64 { return a.metaBytes.Load() }
+
+// clearMeta drops pg's sidecar. It is called at the only three points where
+// a page's rows can change under a sidecar: recycling (release), a sole
+// owner's in-place append after Truncate (Store.writableTail), and lossy
+// quantization (Store.QuantizePage). Each runs with the caller holding the
+// only reference, so no reader of the sidecar can be looking at the page.
+func (a *Arena) clearMeta(pg *page) {
+	if pg.meta.Load() == nil {
+		return // the common case, on every decode append: no read-modify-write
+	}
+	if old := pg.meta.Swap(nil); old != nil {
+		a.metaBytes.Add(-old.bytes)
+	}
 }
 
 // alloc hands out a page with refcount 1 for the given head dimension,
@@ -154,8 +189,9 @@ func (a *Arena) release(pg *page, headDim int) {
 		panic("kvcache: page over-released")
 	}
 	// Restore float storage before recycling so a reused page never leaks a
-	// stale quantized form.
+	// stale quantized form, and drop the sidecar with the rows it described.
 	pg.restore(a.pageTokens, headDim)
+	a.clearMeta(pg)
 	a.mu.Lock()
 	a.free[headDim] = append(a.free[headDim], pg)
 	a.live--
@@ -168,20 +204,21 @@ func (a *Arena) release(pg *page, headDim int) {
 
 // quantize drops the page's float storage for a KIVI-style quantized form:
 // keys per-channel, values per-token (see internal/quant). rows is the number
-// of valid rows. No-op while the page is shared or already quantized.
-func (pg *page) quantize(bits, rows, headDim int) {
+// of valid rows. No-op (false) while the page is shared or already quantized.
+func (pg *page) quantize(bits, rows, headDim int) bool {
 	if bits == 0 || rows == 0 || pg.refs.Load() != 1 {
-		return
+		return false
 	}
 	pg.muQ.Lock()
 	defer pg.muQ.Unlock()
 	if pg.quantized.Load() {
-		return
+		return false
 	}
 	pg.qk = quant.Quantize(pg.keys[:rows*headDim], rows, headDim, bits, quant.PerChannel)
 	pg.qv = quant.Quantize(pg.vals[:rows*headDim], rows, headDim, bits, quant.PerToken)
 	pg.keys, pg.vals = nil, nil
 	pg.quantized.Store(true)
+	return true
 }
 
 // readRows copies rows [from, from+n) into dstK and/or dstV (either may be

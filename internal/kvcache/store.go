@@ -93,6 +93,35 @@ func (s *Store) PageRows(p int) int {
 // a fork or snapshot).
 func (s *Store) PageRef(p int) int { return int(s.pages[p].refs.Load()) }
 
+// PageMeta returns the sidecar published on page p, or nil. A sidecar is an
+// immutable value derived from the store's rows up to and including page p;
+// kvcache never looks inside it. Because pages are written only at the tail
+// and Fork/Truncate share them by reference, two stores holding the same
+// physical page at index p hold the same pages 0..p, so whatever one of them
+// derived from those rows holds for the other (DESIGN.md §7).
+func (s *Store) PageMeta(p int) any {
+	if m := s.pages[p].meta.Load(); m != nil {
+		return m.v
+	}
+	return nil
+}
+
+// SetPageMeta publishes m (occupying about bytes bytes) as page p's sidecar
+// and reports whether it did. It refuses a partially filled page, whose rows
+// are still being written, and a page that already carries a sidecar: the
+// slot is set once, so concurrent publishers race by compare-and-swap and the
+// losers keep their private copy. m must never be mutated afterwards.
+func (s *Store) SetPageMeta(p int, m any, bytes int64) bool {
+	if s.PageRows(p) < s.arena.pageTokens {
+		return false
+	}
+	if !s.pages[p].meta.CompareAndSwap(nil, &pageMeta{v: m, bytes: bytes}) {
+		return false
+	}
+	s.arena.metaBytes.Add(bytes)
+	return true
+}
+
 // KeyPage returns the packed key rows of page p (PageRows(p)×HeadDim,
 // row-major, aliasing page storage). A host-quantized page is restored
 // (dequantized) first.
@@ -148,6 +177,10 @@ func (s *Store) writableTail() *page {
 	last := len(s.pages) - 1
 	pg := s.pages[last]
 	if pg.refs.Load() == 1 && !pg.quantized.Load() {
+		// In-place write. A partial tail carries a sidecar only when this
+		// sole owner truncated into a page that was full when it was
+		// published; the rows are about to change under it.
+		s.arena.clearMeta(pg)
 		return pg
 	}
 	// COW: the tail page is shared with a fork/snapshot (or holds only a
@@ -330,7 +363,9 @@ func (s *Store) QuantizePage(p, bits int) {
 	if rows < s.arena.pageTokens {
 		return // tail still being written
 	}
-	s.pages[p].quantize(bits, rows, s.headDim)
+	if pg := s.pages[p]; pg.quantize(bits, rows, s.headDim) {
+		s.arena.clearMeta(pg) // lossy: the rows no longer read as published
+	}
 }
 
 // PageQuantized reports whether page p currently holds only the quantized

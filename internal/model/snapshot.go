@@ -98,8 +98,11 @@ func (snap *Snapshot) QuantizeCompute(bits int) {
 // a sequence of this model. The new sequence shares the snapshot's KV prefix
 // zero-copy and appends independently. The selector is Reset but has seen
 // none of the prefix yet: callers must Prefill at least one continuation
-// token afterwards, which replays OnPrefill over the complete stores so the
-// selector builds its metadata (clusters, pages, ...) over prefix+suffix.
+// token afterwards, which calls OnPrefill over the complete stores
+// (prefix+suffix). What that costs is the selector's business: ClusterKV
+// adopts the clusterings earlier sequences published on the shared prefix
+// pages (kvcache.Store.PageMeta) and clusters only what lies past them;
+// selectors without shareable metadata rebuild theirs over the whole store.
 func (m *Model) NewSequenceFrom(snap *Snapshot, sel attention.Selector, budget int) *Sequence {
 	if snap == nil {
 		panic("model: NewSequenceFrom with nil snapshot")

@@ -1389,6 +1389,11 @@ func (e *Engine) retire(t *task, round int64, err error) {
 			e.mx.quantRuns.Add(qr)
 			e.mx.floatRuns.Add(fr)
 		}
+		if sel := t.seq.Selector(); sel != nil {
+			st := sel.Stats()
+			e.mx.metaAdopted.Add(st.MetaSegsAdopted)
+			e.mx.metaBuilt.Add(st.MetaSegsBuilt)
+		}
 		t.seq.Release()
 		t.seq = nil
 	}

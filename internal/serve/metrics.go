@@ -98,6 +98,11 @@ type Metrics struct {
 	// the float32 fallback (pages shared at conversion time, decode tails).
 	// Both stay zero on the exact path.
 	KVQuantRuns, KVFloatRuns int64
+	// Selector-metadata sharing, harvested from retired sequences' selectors
+	// (attention.SelStats): complete prefill segments whose clustering was
+	// adopted from a shared KV page vs built by the request itself. A prefix
+	// hit over an already clustered prefix adopts everything and builds none.
+	MetaSegsAdopted, MetaSegsBuilt int64
 	// Transfer is the async transfer runtime's overlap telemetry: modeled
 	// channel-busy time vs the portion compute actually waited out, plus
 	// layer-ahead prefetch page counters.
@@ -139,6 +144,10 @@ func (m Metrics) String() string {
 	if total := m.KVQuantRuns + m.KVFloatRuns; total > 0 {
 		fmt.Fprintf(&b, "kv quant: %d int8 page runs, %d f32 page runs (%.0f%% quantized)\n",
 			m.KVQuantRuns, m.KVFloatRuns, float64(m.KVQuantRuns)/float64(total)*100)
+	}
+	if m.MetaSegsAdopted+m.MetaSegsBuilt > 0 {
+		fmt.Fprintf(&b, "meta segments: %d adopted from shared pages, %d built\n",
+			m.MetaSegsAdopted, m.MetaSegsBuilt)
 	}
 	if m.Transfer.Transfers > 0 {
 		fmt.Fprintf(&b, "transfers: %d moves, %d pages, busy %.1fms, exposed %.1fms, hidden %.1fms (%.0f%%)\n",
@@ -185,6 +194,8 @@ func (m Metrics) FillRegistry(reg *obs.Registry, labels ...obs.Label) {
 	cnt("clusterkv_serve_decode_solo_streams_total", m.DecodeStreamsSolo)
 	cnt("clusterkv_serve_kv_quant_runs_total", m.KVQuantRuns)
 	cnt("clusterkv_serve_kv_f32_runs_total", m.KVFloatRuns)
+	cnt("clusterkv_serve_meta_segments_adopted_total", m.MetaSegsAdopted)
+	cnt("clusterkv_serve_meta_segments_built_total", m.MetaSegsBuilt)
 	gauge("clusterkv_serve_kv_used_slots", float64(m.KVUsed))
 	gauge("clusterkv_serve_kv_peak_slots", float64(m.KVPeak))
 	gauge("clusterkv_serve_kv_capacity_slots", float64(m.KVCapacity))
@@ -211,11 +222,14 @@ func (m Metrics) FillRegistry(reg *obs.Registry, labels ...obs.Label) {
 }
 
 // FillRegistry publishes the engine's current Metrics snapshot plus the live
-// arena gauges into reg.
+// arena gauges into reg. Page sidecars (selector metadata riding on shared
+// pages) show here in bytes, not on the accountant: its unit is KV token
+// slots, and a sidecar lives and dies with its page.
 func (e *Engine) FillRegistry(reg *obs.Registry, labels ...obs.Label) {
 	e.Metrics().FillRegistry(reg, labels...)
 	reg.Gauge("clusterkv_arena_live_pages", labels...).Set(float64(e.arena.LivePages()))
 	reg.Gauge("clusterkv_arena_peak_pages", labels...).Set(float64(e.arena.PeakPages()))
+	reg.Gauge("clusterkv_arena_meta_sidecar_bytes", labels...).Set(float64(e.arena.MetaBytes()))
 }
 
 // engineMetrics is the engine-internal accumulator.
@@ -226,6 +240,8 @@ type engineMetrics struct {
 	// quantized-decode run counters, harvested from each sequence's
 	// attention scratch at retirement (step workers run concurrently).
 	quantRuns, floatRuns atomic.Int64
+	// selector-metadata segment counters, harvested the same way.
+	metaAdopted, metaBuilt atomic.Int64
 	// curQueued/curActive are the last round barrier's scheduler gauges,
 	// exposed to routers through Engine.Occupancy (zeroed while idle).
 	curQueued, curActive atomic.Int64
@@ -373,6 +389,8 @@ func (e *Engine) Metrics() Metrics {
 		KVSpilled:            e.kvUnits(x.spilled.Load()),
 		KVQuantRuns:          x.quantRuns.Load(),
 		KVFloatRuns:          x.floatRuns.Load(),
+		MetaSegsAdopted:      x.metaAdopted.Load(),
+		MetaSegsBuilt:        x.metaBuilt.Load(),
 		Transfer:             e.rt.Stats(),
 		TTFT:                 summarize(&x.ttft),
 		TokenLatency:         summarize(&x.tokenLat),

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -84,29 +85,79 @@ func serialDecode(t *testing.T, m *model.Model, req Request) []int {
 }
 
 // TestEngineMatchesSerialDecode: the engine's concurrent, prefix-cached
-// output must be token-identical to one-at-a-time greedy decode.
+// output must be token-identical to one-at-a-time greedy decode — cold ≡ hit
+// ≡ serial — including when the prefill is clustered in several segments that
+// prefix hits adopt from the shared pages: shared prefixes ending on a segment
+// boundary, one page before and one page after it, and a nested chat load
+// whose turns adopt their ancestors' segments. SegmentTokens 0 (one segment,
+// nothing to adopt) is held to the same identity.
 func TestEngineMatchesSerialDecode(t *testing.T) {
 	m := testModel()
-	reqs := qaRequests(6, 192, 16, 12, clusterSel)
-
-	e := NewEngine(m, Config{Workers: 4, MaxBatch: 4, Seed: 9})
-	resps := e.Run(reqs)
-	e.Close()
-
-	for i, r := range resps {
-		if r.Err != nil {
-			t.Fatalf("request %d failed: %v", i, r.Err)
+	planes := int64(m.Config().NLayers * m.Config().NKVHeads)
+	segSel := func(segTokens int) func() attention.Selector {
+		return func() attention.Selector {
+			cfg := core.NewConfig()
+			cfg.BypassLayers = 0
+			cfg.SegmentTokens = segTokens
+			return core.New(cfg)
 		}
-		want := serialDecode(t, m, reqs[i])
-		if len(r.Tokens) != len(want) {
-			t.Fatalf("request %d: %d tokens, want %d", i, len(r.Tokens), len(want))
+	}
+	chat := func(sel func() attention.Selector) []Request {
+		cc := workload.DefaultConversationConfig()
+		cc.Doc.VocabSize, cc.Doc.NTopics, cc.Doc.Seed = 128, 8, 41
+		cc.Sessions, cc.Turns, cc.SystemLen, cc.UserLen, cc.ReplyLen, cc.MaxNewTokens = 2, 6, 300, 24, 24, 6
+		reqs := nestedRequests(workload.ConversationLoad(cc))
+		for i := range reqs {
+			reqs[i].NewSelector = sel
 		}
-		for j := range want {
-			if r.Tokens[j] != want[j] {
-				t.Fatalf("request %d diverges from serial decode at %d: %v vs %v",
-					i, j, r.Tokens, want)
+		return reqs
+	}
+	cases := []struct {
+		name string
+		reqs []Request
+		// segs is the number of complete segments of the shared document (the
+		// first request builds them, every later one adopts them); -1 skips
+		// the exact count.
+		segs int64
+	}{
+		{"doc192", qaRequests(6, 192, 16, 12, clusterSel), 0},
+		{"S256/on-boundary", qaRequests(4, 512, 16, 8, segSel(256)), 2},
+		{"S256/page-before", qaRequests(4, 448, 16, 8, segSel(256)), 1},
+		{"S256/page-after", qaRequests(4, 576, 16, 8, segSel(256)), 2},
+		{"S256/chat", chat(segSel(256)), -1},
+		{"S0/on-boundary", qaRequests(4, 512, 16, 8, segSel(0)), 0},
+		{"S0/chat", chat(segSel(0)), 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine(m, Config{Workers: 4, MaxBatch: 4, Seed: 9})
+			resps := e.Run(tc.reqs)
+			mx := e.Metrics()
+			e.Close()
+			if live := e.Arena().LivePages(); live != 0 {
+				t.Fatalf("%d arena pages live after Close", live)
 			}
-		}
+			for i, r := range resps {
+				if r.Err != nil {
+					t.Fatalf("request %d failed: %v", i, r.Err)
+				}
+				if want := serialDecode(t, m, tc.reqs[i]); !slices.Equal(r.Tokens, want) {
+					t.Fatalf("request %d diverges from serial decode: %v vs %v", i, r.Tokens, want)
+				}
+			}
+			n := int64(len(tc.reqs))
+			switch {
+			case tc.segs >= 0:
+				// Requests after the first wait for the builder's round, so
+				// they ran no K-means over the document's segments at all.
+				if mx.MetaSegsBuilt != planes*tc.segs || mx.MetaSegsAdopted != planes*tc.segs*(n-1) {
+					t.Fatalf("segments built %d adopted %d, want %d and %d",
+						mx.MetaSegsBuilt, mx.MetaSegsAdopted, planes*tc.segs, planes*tc.segs*(n-1))
+				}
+			case mx.MetaSegsAdopted == 0:
+				t.Fatal("no turn adopted a segment of its ancestor")
+			}
+		})
 	}
 }
 
