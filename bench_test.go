@@ -442,6 +442,57 @@ func BenchmarkBatchDecodeSteadyAllocs(b *testing.B) {
 	}
 }
 
+// BenchmarkClusterKVDecodeSteadyAllocs extends the steady-state allocation
+// contract to the ClusterKV selector (DESIGN.md §12) at the longctx_decode
+// shape: a 4096-token prefill decoded at B = 1024 under core.NewConfig().
+// Without a transfer runtime a decode step — score, partial top-cluster pick,
+// bitmap assembly, ledger fetch, recall-cache eviction — allocates nothing.
+// With a runtime attached the only residue is the layer-ahead prefetch's
+// future: one Transfer and its ready channel per async prefetch, i.e. two
+// objects per selecting (layer, head) per step. The measured window sits
+// inside one KV page and one DecodeWindow, like BenchmarkDecodeSteadyAllocs.
+func BenchmarkClusterKVDecodeSteadyAllocs(b *testing.B) {
+	clusterkv.SetIntraOpWorkers(1)
+	defer clusterkv.SetIntraOpWorkers(runtime.GOMAXPROCS(0))
+	m := clusterkv.NewModel(clusterkv.DefaultModelConfig())
+	const ctx, budget = 4096, 1024
+	doc := clusterkv.Doc(clusterkv.DefaultDocConfig(), ctx)
+	base := m.NewSequence(nil, 0)
+	base.Prefill(doc[:ctx-1], nil)
+	snap := base.Snapshot()
+	mc, cfg := m.Config(), clusterkv.DefaultConfig()
+	prefetches := float64((mc.NLayers - cfg.BypassLayers) * mc.NKVHeads)
+
+	run := func(b *testing.B, rt *clusterkv.TransferRuntime, want float64) {
+		sel := clusterkv.New(cfg)
+		if rt != nil {
+			sel.SetTransferRuntime(rt)
+		}
+		seq := m.NewSequenceFrom(snap, sel, budget)
+		seq.Prefill(doc[ctx-1:], nil)
+		logits := make([]float32, mc.VocabSize)
+		tok := doc[0]
+		for i := 0; i < 4; i++ {
+			seq.DecodeInto(tok, logits)
+		}
+		allocs := testing.AllocsPerRun(40, func() { seq.DecodeInto(tok, logits) })
+		if allocs > want+0.5 {
+			b.Fatalf("steady-state ClusterKV decode allocates %.1f objects/step, want %.0f", allocs, want)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			seq.DecodeInto(tok, logits)
+		}
+		b.ReportMetric(allocs, "allocs/step") // after ResetTimer, which drops metrics
+	}
+	b.Run("sync", func(b *testing.B) { run(b, nil, 0) })
+	b.Run("runtime", func(b *testing.B) {
+		rt := clusterkv.NewTransferRuntime(clusterkv.TransferChannel{SecPerPage: 2e-6})
+		defer rt.Close()
+		run(b, rt, 2*prefetches)
+	})
+}
+
 // BenchmarkTransformerDecode measures one decode step with ClusterKV active.
 func BenchmarkTransformerDecode(b *testing.B) {
 	m := clusterkv.NewModel(clusterkv.DefaultModelConfig())

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"slices"
+
 	"clusterkv/internal/parallel"
 	"clusterkv/internal/tensor"
 )
@@ -12,8 +14,9 @@ import (
 // in the Book are absolute sequence positions.
 //
 // The Book also implements the selection-time indexing of paper §IV-C /
-// Fig. 8: given clusters sorted by attention weight, gather member indices
-// via sizes + prefix sums and trim the last cluster to the budget.
+// Fig. 8: pick the top clusters by attention weight under the token budget,
+// trimming the last one, and expose each cluster's members through sizes +
+// prefix sums so callers read them in place.
 type Book struct {
 	d int
 	// centroids packed row-major, one row per global cluster.
@@ -96,43 +99,101 @@ func (b *Book) AddBatch(res *Result) {
 // an independent dot product, so results are bit-identical at any width.
 func (b *Book) ScoreClusters(dst, q []float32) int64 {
 	c := b.NumClusters()
-	parallel.Default().For(c, parallel.Grain(b.d), func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			dst[j] = tensor.Dot(q, b.Centroid(j))
-		}
-	})
+	// Closure-free serial fast path: a decode step scores a few dozen
+	// centroids per head, which never fans out, and a closure passed to For
+	// is forced onto the heap (DESIGN.md §12).
+	if p := parallel.Default(); p.RunsInline(c, parallel.Grain(b.d)) {
+		b.scoreRange(dst, q, 0, c)
+	} else {
+		p.For(c, parallel.Grain(b.d), func(lo, hi int) { b.scoreRange(dst, q, lo, hi) })
+	}
 	return int64(c) * int64(b.d)
 }
 
-// SelectTopClusters implements the §IV-C selection & indexing procedure:
-// clusters are taken in descending score order until their cumulative size
-// reaches tokenBudget; the last selected cluster is trimmed so the total
-// equals the budget exactly (when enough clustered tokens exist).
+func (b *Book) scoreRange(dst, q []float32, lo, hi int) {
+	for j := lo; j < hi; j++ {
+		dst[j] = tensor.Dot(q, b.Centroid(j))
+	}
+}
+
+// TopScratch is the reusable working memory of SelectTopClusters; the zero
+// value is ready to use. One scratch serves one caller at a time.
+type TopScratch struct {
+	heap []int
+}
+
+// SelectTopClusters implements the cluster pick of the §IV-C selection &
+// indexing procedure: non-empty clusters are taken in descending score order
+// (ties: lower id first) until their cumulative size reaches tokenBudget;
+// the last selected cluster is trimmed so the total equals the budget
+// exactly (when enough clustered tokens exist).
 //
-// It returns the chosen cluster ids (in score order) and the gathered member
-// positions I_T. The trim drops the tail of the last cluster's member list.
-func (b *Book) SelectTopClusters(scores []float32, tokenBudget int) (clusters []int, positions []int) {
+// It returns the chosen cluster ids in score order and lastTake, how many
+// members of the last one fit: every other chosen cluster is taken whole,
+// the last contributes Members(id)[:lastTake]. Positions are not gathered —
+// callers walk PickMembers of the chosen clusters themselves. The pick is partial:
+// a max-heap over the C cluster ids is built in O(C) and popped once per
+// chosen cluster, O(C + k log C) instead of a full sort. clusters aliases sc
+// and is valid until sc's next use.
+func (b *Book) SelectTopClusters(sc *TopScratch, scores []float32, tokenBudget int) (clusters []int, lastTake int) {
 	if tokenBudget <= 0 {
-		return nil, nil
+		return nil, 0
 	}
-	order := tensor.ArgsortDesc(scores)
-	positions = make([]int, 0, tokenBudget)
-	total := 0
-	for _, j := range order {
-		sz := b.sizes[j]
-		if sz == 0 {
-			continue
-		}
-		clusters = append(clusters, j)
-		take := sz
-		if total+take > tokenBudget {
-			take = tokenBudget - total // trim the last selected cluster
-		}
-		positions = append(positions, b.Members(j)[:take]...)
-		total += take
-		if total >= tokenBudget {
-			break
+	h := sc.heap[:0]
+	for j, sz := range b.sizes {
+		if sz > 0 {
+			h = append(h, j)
 		}
 	}
-	return clusters, positions
+	sc.heap = h
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, scores, i, len(h))
+	}
+	// Heapsort's layout: each pop parks the root behind the shrinking heap,
+	// so the k picks end up in h[n:] in reverse pick order.
+	n, total := len(h), 0
+	for n > 0 && total < tokenBudget {
+		n--
+		h[0], h[n] = h[n], h[0]
+		siftDown(h, scores, 0, n)
+		lastTake = min(b.sizes[h[n]], tokenBudget-total)
+		total += lastTake
+	}
+	clusters = h[n:]
+	slices.Reverse(clusters)
+	return clusters, lastTake
+}
+
+// PickMembers returns the positions the i-th cluster of a SelectTopClusters
+// pick contributes: all of its members, or the first lastTake for the last.
+func (b *Book) PickMembers(clusters []int, lastTake, i int) []int {
+	m := b.Members(clusters[i])
+	if i == len(clusters)-1 {
+		m = m[:lastTake]
+	}
+	return m
+}
+
+// pickedBefore is SelectTopClusters' order: score descending, ties by
+// ascending cluster id.
+func pickedBefore(scores []float32, x, y int) bool {
+	return scores[x] > scores[y] || (scores[x] == scores[y] && x < y)
+}
+
+// siftDown restores the heap property of h[:n] (root = first pick) below i.
+func siftDown(h []int, scores []float32, i, n int) {
+	for {
+		l := 2*i + 1
+		if l >= n {
+			return
+		}
+		if r := l + 1; r < n && pickedBefore(scores, h[r], h[l]) {
+			l = r
+		}
+		if !pickedBefore(scores, h[l], h[i]) {
+			return
+		}
+		h[i], h[l] = h[l], h[i]
+		i = l
+	}
 }

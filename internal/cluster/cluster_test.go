@@ -310,7 +310,7 @@ func TestBookSelectTopClustersBudgetAndTrim(t *testing.T) {
 	}
 	b.AddBatch(res)
 	scores := []float32{10, 5, 1}
-	clusters, positions := b.SelectTopClusters(scores, 4)
+	clusters, positions := selectPositions(b, scores, 4)
 	if len(clusters) != 2 || clusters[0] != 0 || clusters[1] != 1 {
 		t.Fatalf("clusters = %v", clusters)
 	}
@@ -332,11 +332,11 @@ func TestBookSelectTopClustersSmallBudget(t *testing.T) {
 	b.AddBatch(KMeans(keys, 1, 5, Config{Seed: 1}))
 	scores := make([]float32, b.NumClusters())
 	b.ScoreClusters(scores, []float32{1})
-	_, positions := b.SelectTopClusters(scores, 7)
+	_, positions := selectPositions(b, scores, 7)
 	if len(positions) != 7 {
 		t.Fatalf("got %d positions, want 7", len(positions))
 	}
-	if _, p := b.SelectTopClusters(scores, 0); p != nil {
+	if c, p := selectPositions(b, scores, 0); c != nil || p != nil {
 		t.Fatal("zero budget must select nothing")
 	}
 }
@@ -347,7 +347,7 @@ func TestBookSelectBudgetBeyondTokens(t *testing.T) {
 	b.AddBatch(KMeans(keys, 1, 2, Config{Seed: 1}))
 	scores := make([]float32, b.NumClusters())
 	b.ScoreClusters(scores, []float32{1})
-	_, positions := b.SelectTopClusters(scores, 100)
+	_, positions := selectPositions(b, scores, 100)
 	if len(positions) != 10 {
 		t.Fatalf("budget beyond tokens: got %d, want all 10", len(positions))
 	}

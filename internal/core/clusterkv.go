@@ -19,8 +19,6 @@
 package core
 
 import (
-	"sort"
-
 	"clusterkv/internal/attention"
 	"clusterkv/internal/cluster"
 	"clusterkv/internal/kvcache"
@@ -118,13 +116,24 @@ type headState struct {
 	// tail); tokens in [pendingFrom, store.Len()) are device-resident and
 	// always attended.
 	pendingFrom int
-	// cache maps cluster id -> last step it was selected. Entries older than
-	// CacheR steps are evicted at step end.
-	cache map[int]int64
+	// cachedAt[cl] is the step cluster cl was last selected at while it sits
+	// in the recall cache, -1 otherwise; live lists the cached cluster ids.
+	// Clusters not selected for more than CacheR steps are evicted at step end.
+	cachedAt []int64
+	live     []int
 	// ledger tracks simulated residency and transfer counts.
 	ledger *kvcache.Ledger
-	// scratch for cluster scores.
+	// scratch for cluster scores and the top-cluster pick.
 	scores []float32
+	top    cluster.TopScratch
+	// posSet turns the selected clusters' members into the ascending
+	// clustered part of I_T; pageSet collects the pages under cluster members
+	// for prefetch and eviction, and pages holds its output — read by the
+	// transfer worker while a prefetch is in flight, so it is rewritten only
+	// after pending has been waited.
+	posSet  *kvcache.PageSet
+	pageSet *kvcache.PageSet
+	pages   []int
 	// idx is the reusable selection buffer returned by Select; valid until
 	// the next Select on this (layer, head), which matches the attention
 	// kernels' consume-within-the-step usage.
@@ -201,7 +210,7 @@ func (c *ClusterKV) Reset(layers, heads, headDim int) {
 	c.stats = attention.SelStats{}
 	c.states = make([]*headState, layers*heads)
 	for i := range c.states {
-		c.states[i] = &headState{cache: make(map[int]int64), prefetchStep: -1}
+		c.states[i] = &headState{prefetchStep: -1}
 	}
 }
 
@@ -225,6 +234,8 @@ func (c *ClusterKV) OnPrefill(layer, head int, s *kvcache.Store) {
 	// fetch move whole arena pages, the unit memsim charges PCIe for.
 	st.book = cluster.NewBook(s.HeadDim(), sinks)
 	st.ledger = kvcache.NewLedgerPaged(s.PageTokens())
+	st.posSet = kvcache.NewPageSet(1)
+	st.pageSet = kvcache.NewPageSet(s.PageTokens())
 	if c.cfg.HostQuantBits > 0 {
 		st.ledger.Bind(s, c.cfg.HostQuantBits)
 	}
@@ -391,48 +402,50 @@ func (c *ClusterKV) Select(layer, head int, q []float32, s *kvcache.Store, budge
 	}
 
 	book := st.book
-	cn := book.NumClusters()
-	if cap(st.scores) < cn {
-		st.scores = make([]float32, cn)
-	}
-	scores := st.scores[:cn]
+	scores := st.scoreBuf()
 	c.stats.ScoreOps += book.ScoreClusters(scores, q)
+	clusters, lastTake := book.SelectTopClusters(&st.top, scores, clusterBudget)
+	for len(st.cachedAt) < len(scores) {
+		st.cachedAt = append(st.cachedAt, -1) // clusters added since the last Select
+	}
 
-	clusters, positions := book.SelectTopClusters(scores, clusterBudget)
-
-	// Assemble I_T: sinks, selected cluster members, decode tail. The buffer
-	// is per-head scratch: grown geometrically, reused across steps.
-	if want := mandatory + len(positions); cap(st.idx) < want {
-		c := 2 * cap(st.idx)
-		if c < want {
-			c = want
+	// One walk over the selected clusters' members does the indexing and the
+	// cache accounting (§IV-D): a selected cluster present in the cache is a
+	// hit for all the tokens taken from it; otherwise its taken tokens are
+	// loaded host→device. Sinks and the decode tail are always device
+	// resident and excluded from hit-rate accounting.
+	taken := 0
+	for i, cl := range clusters {
+		members := book.PickMembers(clusters, lastTake, i)
+		st.posSet.Add(members)
+		taken += len(members)
+		if st.cachedAt[cl] >= 0 {
+			c.stats.TokensHit += int64(len(members))
+		} else {
+			c.stats.TokensLoaded += int64(len(members))
+			st.live = append(st.live, cl)
 		}
-		st.idx = make([]int, 0, c)
+		st.cachedAt[cl] = c.step
+	}
+
+	// Assemble I_T: sinks, selected cluster members, decode tail. Ascending
+	// order is free: sinks lie below every clustered position and the tail
+	// above, and the position set emits its members in order. The buffer is
+	// per-head scratch: grown geometrically, reused across steps.
+	if want := mandatory + taken; cap(st.idx) < want {
+		st.idx = make([]int, 0, max(want, 2*cap(st.idx)))
 	}
 	out := st.idx[:0]
 	for i := 0; i < sinks; i++ {
 		out = append(out, i)
 	}
-	out = append(out, positions...)
+	out = st.posSet.AppendTo(out)
+	clustered := out[sinks:]
 	for i := st.pendingFrom; i < n; i++ {
 		out = append(out, i)
 	}
 	st.idx = out
-	sort.Ints(out)
 
-	// Cache accounting (§IV-D): a selected cluster present in the cache is a
-	// hit for all the tokens taken from it; otherwise its taken tokens are
-	// loaded host→device. Sinks and the decode tail are always device
-	// resident and excluded from hit-rate accounting.
-	taken := clusterTakenCounts(book, clusters, positions)
-	for i, cl := range clusters {
-		if _, ok := st.cache[cl]; ok {
-			c.stats.TokensHit += int64(taken[i])
-		} else {
-			c.stats.TokensLoaded += int64(taken[i])
-		}
-		st.cache[cl] = c.step
-	}
 	// Ledger keeps page-granular residency (the cache retains whole
 	// clusters; fetching every selected position promotes the pages they
 	// live on). With a transfer runtime attached, the fetch is scheduled on
@@ -448,13 +461,13 @@ func (c *ClusterKV) Select(layer, head int, q []float32, s *kvcache.Store, budge
 			st.pending.Wait()
 			st.pending = nil
 		}
-		c.rt.Fetch(st.ledger, positions).Wait()
+		c.rt.Fetch(st.ledger, clustered)
 		// Layer-ahead prefetch launches here, mid-attention: the predicted
 		// next-layer clusters transfer while this layer's remaining heads,
 		// output projection and FFN — and the next layer's QKV — compute.
 		c.issuePrefetch(layer+1, head, q, budget)
 	} else {
-		st.ledger.Fetch(positions)
+		st.ledger.Fetch(clustered)
 	}
 
 	c.stats.SelectCalls++
@@ -463,21 +476,13 @@ func (c *ClusterKV) Select(layer, head int, q []float32, s *kvcache.Store, budge
 	return out
 }
 
-// clusterTakenCounts returns, aligned with clusters, how many of each
-// cluster's members appear in positions (all clusters are taken fully except
-// possibly the last, which may be trimmed).
-func clusterTakenCounts(book *cluster.Book, clusters []int, positions []int) []int {
-	taken := make([]int, len(clusters))
-	remaining := len(positions)
-	for i, cl := range clusters {
-		sz := book.Size(cl)
-		if sz > remaining {
-			sz = remaining
-		}
-		taken[i] = sz
-		remaining -= sz
+// scoreBuf returns the head's score scratch, one entry per cluster of its book.
+func (st *headState) scoreBuf() []float32 {
+	cn := st.book.NumClusters()
+	if cap(st.scores) < cn {
+		st.scores = make([]float32, cn)
 	}
-	return taken
+	return st.scores[:cn]
 }
 
 // BeforeLayer implements attention.LayerAware: drain straggler prefetches
@@ -552,19 +557,22 @@ func (c *ClusterKV) issuePrefetch(next, head int, q []float32, budget int) {
 	if clusterBudget <= 0 {
 		return
 	}
-	if cap(st.scores) < cn {
-		st.scores = make([]float32, cn)
-	}
-	scores := st.scores[:cn]
+	scores := st.scoreBuf()
 	c.stats.ScoreOps += st.book.ScoreClusters(scores, q)
-	_, positions := st.book.SelectTopClusters(scores, clusterBudget)
-	if len(positions) == 0 {
+	clusters, lastTake := st.book.SelectTopClusters(&st.top, scores, clusterBudget)
+	if len(clusters) == 0 {
 		return
+	}
+	// Pages are marked straight from the predicted clusters' members; no
+	// position list is gathered for a prediction nobody attends over.
+	for i := range clusters {
+		st.pageSet.Add(st.book.PickMembers(clusters, lastTake, i))
 	}
 	if st.pending != nil {
 		st.pending.Wait() // never stack prefetches on one head
 	}
-	st.pending = c.rt.Prefetch(st.ledger, positions)
+	st.pages = st.pageSet.AppendTo(st.pages[:0])
+	st.pending = c.rt.PrefetchPages(st.ledger, st.pages)
 }
 
 // EndStep implements attention.Selector: advance the step counter and evict
@@ -594,14 +602,19 @@ func (c *ClusterKV) EndStep() {
 	// steps s+1..s+R ("the KV of selected tokens from the last R decoding
 	// steps", §IV-D); R=0 disables the cache.
 	for _, st := range c.states {
-		if st.book == nil {
-			continue
-		}
-		for cl, last := range st.cache {
-			if c.step-last > int64(c.cfg.CacheR) {
-				delete(st.cache, cl)
-				st.ledger.Evict(st.book.Members(cl))
+		keep := st.live[:0]
+		for _, cl := range st.live {
+			if c.step-st.cachedAt[cl] > int64(c.cfg.CacheR) {
+				st.cachedAt[cl] = -1
+				st.pageSet.Add(st.book.Members(cl))
+			} else {
+				keep = append(keep, cl)
 			}
+		}
+		if len(keep) < len(st.live) {
+			st.live = keep
+			st.pages = st.pageSet.AppendTo(st.pages[:0])
+			st.ledger.EvictPages(st.pages)
 		}
 	}
 }

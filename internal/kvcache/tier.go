@@ -2,6 +2,8 @@ package kvcache
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -89,7 +91,7 @@ type Ledger struct {
 	store     *Store
 	quantBits int
 
-	scratch      []int // page-dedup scratch reused across Fetch calls
+	scratch      []int // page set scratch reused across Fetch/Evict calls
 	fetchScratch []int // page set scratch for inline runtime fetches (compute-thread-only)
 
 	// xferExposedSec / xferHiddenSec split this ledger's modeled transfer
@@ -258,24 +260,38 @@ func (l *Ledger) Offload(from, to int) {
 	}
 }
 
-// PagesOf appends to dst the deduplicated, ascending page indices covering
-// the given token positions and returns it. It is how the transfer runtime
-// turns a selector's position set into a page-granular request.
+// PagesOf returns, in dst[:0], the pages covering the given token positions.
+// It is the one place the page-set rule lives, for Fetch and for the transfer
+// runtime alike: ascending and de-duplicated — except that a token-granular
+// ledger (PageTokens() == 1) keeps every position as given, because its Fetch
+// counts positions individually (distinct by the selectors' contract).
+// Ascending input, which is what selectors hand over, costs one pass and one
+// division per page; only a caller whose positions step backwards pays for a
+// sort.
 func (l *Ledger) PagesOf(positions []int, dst []int) []int {
 	dst = dst[:0]
+	P := l.pageTokens
+	if P == 1 {
+		return append(dst, positions...)
+	}
+	ascending := true
+	lo, hi := 0, 0 // token range of the page appended last
 	for _, p := range positions {
-		dst = append(dst, l.pageOf(p))
+		if lo <= p && p < hi {
+			continue
+		}
+		pg := p / P
+		if len(dst) > 0 && pg < dst[len(dst)-1] {
+			ascending = false
+		}
+		dst = append(dst, pg)
+		lo, hi = pg*P, (pg+1)*P
+	}
+	if ascending {
+		return dst
 	}
 	sort.Ints(dst)
-	out := dst[:0]
-	last := -1
-	for _, pg := range dst {
-		if pg != last {
-			out = append(out, pg)
-			last = pg
-		}
-	}
-	return out
+	return slices.Compact(dst)
 }
 
 // Fetch requests the given token positions for attention. Every page holding
@@ -286,39 +302,16 @@ func (l *Ledger) PagesOf(positions []int, dst []int) []int {
 func (l *Ledger) Fetch(positions []int) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.scratch = l.pagesOfLocked(positions, l.scratch)
+	l.scratch = l.PagesOf(positions, l.scratch)
 	return l.fetchPagesLocked(l.scratch)
 }
 
 // FetchPages is Fetch over pre-computed page indices (deduplicated by the
-// caller, e.g. via PagesOf).
+// caller, e.g. via PagesOf or a PageSet).
 func (l *Ledger) FetchPages(pages []int) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.fetchPagesLocked(pages)
-}
-
-func (l *Ledger) pagesOfLocked(positions []int, dst []int) []int {
-	dst = dst[:0]
-	if l.pageTokens == 1 {
-		// Token-granular: one page per position; Fetch semantics count every
-		// position individually, so no dedup (positions are distinct by
-		// contract of the selector index sets).
-		return append(dst, positions...)
-	}
-	for _, p := range positions {
-		dst = append(dst, l.pageOf(p))
-	}
-	sort.Ints(dst)
-	out := dst[:0]
-	last := -1
-	for _, pg := range dst {
-		if pg != last {
-			out = append(out, pg)
-			last = pg
-		}
-	}
-	return out
 }
 
 func (l *Ledger) fetchPagesLocked(pages []int) int {
@@ -451,8 +444,18 @@ func (l *Ledger) evictLRU() bool {
 func (l *Ledger) Evict(positions []int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for _, p := range positions {
-		l.demote(l.pageOf(p))
+	l.scratch = l.PagesOf(positions, l.scratch)
+	for _, pg := range l.scratch {
+		l.demote(pg)
+	}
+}
+
+// EvictPages is Evict over pre-computed page indices (e.g. a PageSet's).
+func (l *Ledger) EvictPages(pages []int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, pg := range pages {
+		l.demote(pg)
 	}
 }
 
@@ -526,4 +529,56 @@ func (l *Ledger) demote(pg int) {
 	if l.store != nil && pg < l.store.NumPages() {
 		l.store.QuantizePage(pg, l.quantBits)
 	}
+}
+
+// PageSet accumulates the pages covering token positions added in any order
+// — a selector walking cluster member lists — and yields them ascending and
+// de-duplicated without sorting: one bit per page. A set over 1-token pages
+// (NewPageSet(1)) is a plain position set, the same convention as NewLedger.
+// Not safe for concurrent use.
+type PageSet struct {
+	pageTokens int
+	shift      int // log2(pageTokens) when it is a power of two, else -1 (a divide per member is a third of Add's time)
+	words      []uint64
+}
+
+// NewPageSet returns an empty set over pages of the given token count.
+func NewPageSet(pageTokens int) *PageSet {
+	if pageTokens <= 0 {
+		panic("kvcache: non-positive page set page size")
+	}
+	ps := &PageSet{pageTokens: pageTokens, shift: -1}
+	if pageTokens&(pageTokens-1) == 0 {
+		ps.shift = bits.TrailingZeros(uint(pageTokens))
+	}
+	return ps
+}
+
+// Add inserts the page of every given (non-negative) token position.
+func (ps *PageSet) Add(positions []int) {
+	for _, p := range positions {
+		var pg int
+		if ps.shift >= 0 {
+			pg = p >> uint(ps.shift)
+		} else {
+			pg = p / ps.pageTokens
+		}
+		w := pg >> 6
+		if w >= len(ps.words) {
+			ps.words = append(ps.words, make([]uint64, w+1-len(ps.words))...)
+		}
+		ps.words[w] |= 1 << (pg & 63)
+	}
+}
+
+// AppendTo appends the set's pages to dst in ascending order and empties the
+// set, keeping its storage for the next round.
+func (ps *PageSet) AppendTo(dst []int) []int {
+	for w, word := range ps.words {
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, w<<6+bits.TrailingZeros64(word))
+		}
+		ps.words[w] = 0
+	}
+	return dst
 }

@@ -124,30 +124,33 @@ func (rt *TransferRuntime) Close() {
 	<-rt.exited
 }
 
-// Fetch schedules an exact fetch of the pages covering positions in l,
-// pinning them for l's current epoch. The caller must Wait the returned
-// Transfer before reading the fetched KV (attention blocks only if the
-// transfer hasn't landed). Fetches are serviced inline on the caller: the
-// very next statement waits them anyway, so a background hand-off would buy
-// nothing but wakeup latency — the modeled channel accounting (FIFO deadline
-// against chanFree) is identical either way. Being inline, the transfer
-// needs no ready channel and reuses the ledger's page scratch: the hot
-// decode path allocates nothing here.
-func (rt *TransferRuntime) Fetch(l *Ledger, positions []int) *Transfer {
+// Fetch performs an exact fetch of the pages covering positions in l, pinning
+// them for l's current epoch, and returns how many pages it moved. The caller
+// reads the fetched KV next, so the fetch is serviced and waited inline — a
+// background hand-off would buy nothing but wakeup latency, and the modeled
+// channel accounting (FIFO deadline against chanFree, exposed time at the
+// wait) is identical either way. Being inline, the transfer lives on the
+// caller's stack, needs no ready channel and reuses the ledger's page scratch:
+// the hot decode path allocates nothing here. Ascending positions (what
+// selectors pass) make the page set a single pass, see Ledger.PagesOf.
+func (rt *TransferRuntime) Fetch(l *Ledger, positions []int) int {
 	l.setSink(&rt.pf, rt.rec)
-	t := &Transfer{rt: rt, ledger: l, pages: l.pagesForFetch(positions)}
-	rt.service([]*Transfer{t})
-	return t
+	t := Transfer{rt: rt, ledger: l, pages: l.pagesForFetch(positions)}
+	rt.serviceOne(&t)
+	t.Wait()
+	return t.moved
 }
 
-// Prefetch enqueues a speculative promotion of the pages covering positions
-// (layer-ahead prefetch). Prefetched pages are unpinned hints: capacity
-// pressure may re-evict them, and a wrong prediction costs only channel
-// time. The returned Transfer should be waited before the layer's exact
-// Select runs, so residency the selector observes is deterministic.
-func (rt *TransferRuntime) Prefetch(l *Ledger, positions []int) *Transfer {
+// PrefetchPages enqueues a speculative promotion of the given pages of l
+// (ascending, de-duplicated — a PageSet's output; layer-ahead prefetch).
+// Prefetched pages are unpinned hints: capacity pressure may re-evict them,
+// and a wrong prediction costs only channel time. The returned Transfer
+// should be waited before the layer's exact Select runs, so residency the
+// selector observes is deterministic; pages is read by the background worker
+// and must not be modified until then.
+func (rt *TransferRuntime) PrefetchPages(l *Ledger, pages []int) *Transfer {
 	l.setSink(&rt.pf, rt.rec)
-	t := &Transfer{rt: rt, ledger: l, pages: l.PagesOf(positions, nil), prefetch: true, ready: make(chan struct{})}
+	t := &Transfer{rt: rt, ledger: l, pages: pages, prefetch: true, ready: make(chan struct{})}
 	if rt.rec.Enabled() {
 		rt.rec.Emit(obs.Event{Type: obs.EvPrefetchIssue, N: int64(len(t.pages))})
 	}
@@ -204,15 +207,16 @@ func (rt *TransferRuntime) enqueue(t *Transfer) {
 		}
 		rt.mu.Unlock()
 	}
-	rt.service([]*Transfer{t})
+	rt.serviceOne(t)
 }
 
 // worker drains the queue in arrival order, servicing whatever batch has
 // accumulated since the last pass in one go.
 func (rt *TransferRuntime) worker() {
 	defer close(rt.exited)
+	var batch []*Transfer // reused across passes: a lone prefetch costs no slice
 	for t := range rt.reqs {
-		batch := []*Transfer{t}
+		batch = append(batch[:0], t)
 	drain:
 		for {
 			select {
@@ -226,6 +230,19 @@ func (rt *TransferRuntime) worker() {
 			}
 		}
 		rt.service(batch)
+		clear(batch) // drop the references: waited transfers must be collectable
+	}
+}
+
+// apply performs the transfer's ledger work (none for accounting-only ones).
+func (t *Transfer) apply() {
+	switch {
+	case t.acctOnly > 0:
+		t.moved = t.acctOnly
+	case t.prefetch:
+		t.moved = t.ledger.PrefetchPages(t.pages)
+	default:
+		t.moved = t.ledger.FetchPages(t.pages)
 	}
 }
 
@@ -234,63 +251,74 @@ func (rt *TransferRuntime) worker() {
 // serially in FIFO order so the modeled link stays a single serialized
 // resource.
 func (rt *TransferRuntime) service(batch []*Transfer) {
-	apply := func(t *Transfer) {
-		switch {
-		case t.acctOnly > 0:
-			t.moved = t.acctOnly
-		case t.prefetch:
-			t.moved = t.ledger.PrefetchPages(t.pages)
-		default:
-			t.moved = t.ledger.FetchPages(t.pages)
+	if p := parallel.Default(); p.RunsInline(len(batch), 1) {
+		for _, t := range batch {
+			t.apply()
 		}
-	}
-	if len(batch) == 1 {
-		apply(batch[0])
 	} else {
-		parallel.Default().For(len(batch), 1, func(lo, hi int) {
+		p.For(len(batch), 1, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				apply(batch[i])
+				batch[i].apply()
 			}
 		})
 	}
 	now := time.Now()
 	rt.mu.Lock()
 	for _, t := range batch {
-		dur := float64(t.moved) * rt.ch.SecPerPage
-		if dur < 0 {
-			dur = 0
-		}
-		start := now
-		if rt.chanFree.After(start) {
-			start = rt.chanFree
-		}
-		t.modeled = dur
-		t.deadline = start.Add(time.Duration(dur * float64(time.Second)))
-		rt.chanFree = t.deadline
-		startSec := rt.busySec // channel-busy offset this transfer starts at
-		rt.transfers++
-		rt.pages += int64(t.moved)
-		rt.busySec += dur
-		if rt.rec.Enabled() {
-			var kind int64
-			switch {
-			case t.acctOnly > 0:
-				kind = 2
-			case t.prefetch:
-				kind = 1
-			}
-			seq := uint64(rt.transfers)
-			rt.rec.Emit(obs.Event{Type: obs.EvTransferStart,
-				Req: seq, N: int64(t.moved), Sec: startSec, Aux: kind})
-			rt.rec.Emit(obs.Event{Type: obs.EvTransferComplete,
-				Req: seq, N: int64(t.moved), Sec: startSec, Dur: dur, Aux: kind})
-		}
+		rt.account(t, now)
 	}
 	rt.mu.Unlock()
 	for _, t := range batch {
 		if t.ready != nil {
 			close(t.ready)
 		}
+	}
+}
+
+// serviceOne is service for a single transfer on the caller's goroutine (exact
+// fetches, and enqueue's fallback); it does not retain t.
+func (rt *TransferRuntime) serviceOne(t *Transfer) {
+	t.apply()
+	now := time.Now()
+	rt.mu.Lock()
+	rt.account(t, now)
+	rt.mu.Unlock()
+	if t.ready != nil {
+		close(t.ready)
+	}
+}
+
+// account books t's modeled time on the channel clock, FIFO behind whatever
+// the link is still busy with at now. Caller holds rt.mu.
+func (rt *TransferRuntime) account(t *Transfer, now time.Time) {
+	dur := float64(t.moved) * rt.ch.SecPerPage
+	if dur < 0 {
+		dur = 0
+	}
+	start := now
+	if rt.chanFree.After(start) {
+		start = rt.chanFree
+	}
+	t.modeled = dur
+	t.deadline = start.Add(time.Duration(dur * float64(time.Second)))
+	rt.chanFree = t.deadline
+	startSec := rt.busySec // channel-busy offset this transfer starts at
+	rt.transfers++
+	rt.pages += int64(t.moved)
+	rt.busySec += dur
+	if rt.rec.Enabled() {
+		var kind int64
+		switch {
+		case t.acctOnly > 0:
+			kind = 2
+		case t.prefetch:
+			kind = 1
+		}
+		seq := uint64(rt.transfers)
+		rt.rec.Emit(obs.Event{Type: obs.EvTransferStart,
+			Req: seq, N: int64(t.moved), Sec: startSec, Aux: kind})
+		rt.rec.Emit(obs.Event{Type: obs.EvTransferComplete,
+			Req: seq, N: int64(t.moved), Sec: startSec, Dur: dur, Aux: kind})
 	}
 }
 
@@ -320,13 +348,4 @@ func (t *Transfer) Wait() {
 		// of the modeled time hid behind compute (DESIGN.md §14).
 		t.ledger.addStall(exposed, t.modeled)
 	}
-}
-
-// Pages returns how many pages the serviced transfer actually moved (valid
-// after Wait).
-func (t *Transfer) Pages() int {
-	if t == nil {
-		return 0
-	}
-	return t.moved
 }

@@ -49,7 +49,7 @@ func TestOffloadRejectsInvalidInterval(t *testing.T) {
 
 // TestTransferRuntimeFetchPromotes: a fetch promotes the pages covering the
 // requested positions, counts transfers on the ledger and channel time on the
-// runtime, and Wait makes the result visible.
+// runtime, and returns with the result visible.
 func TestTransferRuntimeFetchPromotes(t *testing.T) {
 	rt := NewTransferRuntime(Channel{SecPerPage: 1e-6})
 	defer rt.Close()
@@ -57,10 +57,8 @@ func TestTransferRuntimeFetchPromotes(t *testing.T) {
 	l.Extend(32, TierDevice)
 	l.OffloadAll()
 
-	tr := rt.Fetch(l, []int{0, 1, 9, 30})
-	tr.Wait()
-	if tr.Pages() != 3 {
-		t.Fatalf("moved %d pages, want 3 (pages 0, 2, 7)", tr.Pages())
+	if moved := rt.Fetch(l, []int{0, 1, 9, 30}); moved != 3 {
+		t.Fatalf("moved %d pages, want 3 (pages 0, 2, 7)", moved)
 	}
 	for _, p := range []int{0, 9, 30} {
 		if l.TierOf(p) != TierDevice {
@@ -93,8 +91,8 @@ func TestTransferRuntimeOverlapHidesTime(t *testing.T) {
 	l.Extend(64, TierDevice)
 	l.OffloadAll()
 
-	tr := rt.Prefetch(l, []int{0, 4, 8, 12}) // 4 pages × 2ms = 8ms modeled
-	time.Sleep(40 * time.Millisecond)        // "compute"
+	tr := rt.PrefetchPages(l, []int{0, 1, 2, 3}) // 4 pages × 2ms = 8ms modeled
+	time.Sleep(40 * time.Millisecond)            // "compute"
 	tr.Wait()
 	o := rt.Stats()
 	if o.BusySec < 7e-3 {
@@ -145,8 +143,8 @@ func TestPrefetchNeverEvictsPinned(t *testing.T) {
 				return
 			default:
 			}
-			cold := []int{(i % (pages - 4) * pageTokens) + 4*pageTokens}
-			rt.Prefetch(l, cold).Wait()
+			cold := []int{i%(pages-4) + 4}
+			rt.PrefetchPages(l, cold).Wait()
 			i++
 		}
 	}()
