@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-seq test-xfer-race test-fleet test-trace test-kernels test-batch benchmark-check vet race bench bench-smoke bench-json bench-compare serve clean
+.PHONY: build test test-seq test-xfer-race test-fleet test-trace test-kernels test-purego build-arm64 fuzz-kernels test-batch benchmark-check vet race bench bench-smoke bench-json bench-compare serve clean
 
 # Experiments with committed BENCH_<exp>.json baselines at the repo root —
 # the perf trajectory the compare gate tracks (DESIGN.md §14).
@@ -63,12 +63,27 @@ bench-compare:
 	$(GO) run ./cmd/clusterkv-bench -exp $(BENCH_TRACKED) -json bench-out -compare .
 
 # Kernel conformance lane: the blocked/packed/fused/quantized decode kernel
-# suites at GOMAXPROCS=1 and at GOMAXPROCS=2 with the race detector, locking
-# the bit-identity and bounded-ULP contracts of DESIGN.md §12 independently
-# of the scheduler.
+# suites and the vector ≡ scalar suite (Vec: AVX2 kernels against the Go
+# loops, the exp pin, the fuzz seed corpus) at GOMAXPROCS=1 and at
+# GOMAXPROCS=2 with the race detector, locking the bit-identity and
+# bounded-ULP contracts of DESIGN.md §12 independently of the scheduler.
 test-kernels:
-	GOMAXPROCS=1 $(GO) test -count=1 -run 'Blocked|DotRows|AddScaledRows|PackedMat|Fused|Quant|ComputeQuant|DecodeSteady' ./internal/tensor/ ./internal/attention/ ./internal/kvcache/ ./internal/model/
-	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'Blocked|DotRows|AddScaledRows|PackedMat|Fused|Quant|ComputeQuant|DecodeSteady' ./internal/tensor/ ./internal/attention/ ./internal/kvcache/ ./internal/model/
+	GOMAXPROCS=1 $(GO) test -count=1 -run 'Blocked|DotRows|AddScaledRows|PackedMat|Fused|Quant|ComputeQuant|DecodeSteady|Vec' ./internal/tensor/ ./internal/attention/ ./internal/kvcache/ ./internal/model/
+	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'Blocked|DotRows|AddScaledRows|PackedMat|Fused|Quant|ComputeQuant|DecodeSteady|Vec' ./internal/tensor/ ./internal/attention/ ./internal/kvcache/ ./internal/model/
+
+# Generic-path lanes: the scalar Go kernels are what every target but amd64
+# runs, so the packages that sit on them are tested with the vector path
+# compiled out (purego) and the whole module is cross-built for arm64.
+test-purego:
+	$(GO) test -count=1 -tags purego ./internal/tensor ./internal/attention ./internal/model ./internal/cluster
+
+build-arm64:
+	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/tensor
+
+# Ten seconds of native fuzzing of the vector kernels against the scalar
+# loops, starting from the seed corpus in the test.
+fuzz-kernels:
+	$(GO) test -run=NONE -fuzz=FuzzVecKernels -fuzztime=10s ./internal/tensor
 
 # Batched-decode conformance lane: the cross-stream batched GEMM kernels, the
 # BatchDecoder ≡ Sequence.DecodeInto suites and the engine's cohort-of-8 ≡

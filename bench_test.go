@@ -5,10 +5,14 @@ package clusterkv_test
 
 import (
 	"runtime"
+	"sort"
 	"testing"
 
 	"clusterkv"
+	"clusterkv/internal/attention"
 	"clusterkv/internal/bench"
+	"clusterkv/internal/kvcache"
+	"clusterkv/internal/rng"
 )
 
 func benchOptions() bench.Options {
@@ -490,6 +494,54 @@ func BenchmarkClusterKVDecodeSteadyAllocs(b *testing.B) {
 		rt := clusterkv.NewTransferRuntime(clusterkv.TransferChannel{SecPerPage: 2e-6})
 		defer rt.Close()
 		run(b, rt, 2*prefetches)
+	})
+}
+
+// attnBench times fn over one (layer, head) store of n random tokens at the
+// evaluation model's head dim and reports ns per attended token; fn receives
+// a query, an output buffer and budget scattered positions in ascending order.
+func attnBench(b *testing.B, n, budget int, fn func(sc *attention.Scratch, out, q []float32, st *kvcache.Store, idx []int)) {
+	d := clusterkv.DefaultModelConfig().HeadDim
+	r := rng.New(1)
+	st := kvcache.NewStore(d)
+	defer st.Free()
+	k, v := make([]float32, d), make([]float32, d)
+	for i := 0; i < n; i++ {
+		for j := range k {
+			k[j], v[j] = r.NormFloat32(), r.NormFloat32()
+		}
+		st.Append(k, v)
+	}
+	idx := r.Perm(n)[:budget]
+	sort.Ints(idx)
+	q, out := make([]float32, d), make([]float32, d)
+	for j := range q {
+		q[j] = r.NormFloat32()
+	}
+	var sc attention.Scratch
+	fn(&sc, out, q, st, idx) // grow the scratch
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fn(&sc, out, q, st, idx)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(budget), "ns/token")
+}
+
+// BenchmarkAttnFullN4k measures full attention of one query over 4096
+// tokens — the QKᵀ, softmax and weighted-sum kernels back to back (the inner
+// loop of a 4k prefill and of a FullKV decode step).
+func BenchmarkAttnFullN4k(b *testing.B) {
+	attnBench(b, 4096, 4096, func(sc *attention.Scratch, out, q []float32, st *kvcache.Store, _ []int) {
+		sc.FullN(out, q, st, 4096)
+	})
+}
+
+// BenchmarkAttnSparse1kOf4k measures sparse attention over 1024 positions
+// scattered through 4096 (25 % density: about 16 isolated rows per 64-token
+// page) — the shape of a longctx_decode ClusterKV step.
+func BenchmarkAttnSparse1kOf4k(b *testing.B) {
+	attnBench(b, 4096, 1024, func(sc *attention.Scratch, out, q []float32, st *kvcache.Store, idx []int) {
+		sc.Sparse(out, q, st, idx)
 	})
 }
 

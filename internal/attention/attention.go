@@ -6,11 +6,12 @@
 // All routines operate on a single (layer, head) kvcache.Store; batching
 // across heads is done by callers. The gather paths are *fused* with the
 // score and weighted-sum loops (DESIGN.md §12): selected tokens are walked as
-// page runs — maximal stretches of consecutive positions inside one page — so
-// each run is one blocked kernel call over contiguous page rows, with no
-// intermediate gathered copy. Per-row arithmetic order matches a contiguous
-// layout exactly, so exact-path outputs are bit-identical to attention over a
-// flat copy of the rows (Store.ReadKeys/ReadValues) at any worker count.
+// page groups — maximal stretches of the index list that stay inside one
+// page — and each group is one kernel call that reads the listed rows from
+// the page in place, with no intermediate gathered copy. Per-row arithmetic
+// order matches a contiguous layout exactly, so exact-path outputs are
+// bit-identical to attention over a flat copy of the rows
+// (Store.ReadKeys/ReadValues) at any worker count.
 //
 // Stores opted into compute quantization (Store.SetComputeQuant) dispatch per
 // page run to int8 kernels that read quant.Tensor codes directly — see
@@ -118,33 +119,71 @@ func (sc *Scratch) FullN(out, q []float32, s *kvcache.Store, n int) {
 }
 
 // Sparse computes out = softmax(q·K_Sᵀ/√d)·V_S over the tokens listed in
-// idx, fusing the gather with the kernels: maximal runs of consecutive
-// positions within one page (selectors emit sorted indices, so cluster- and
-// page-contiguous selections form long runs) become single blocked calls over
-// the page's contiguous rows; isolated indices degrade to one-row runs.
-// idx order is preserved — scores and accumulation follow idx exactly as the
-// unfused per-token loop, so exact-path outputs are bit-identical to it.
+// idx, fusing the gather with the kernels: each maximal stretch of idx that
+// stays inside one page goes to the row-list kernels (tensor.DotRowsAt,
+// AddScaledRowsAt) as one group, which read the listed rows from the page in
+// place — a scattered selection costs what a contiguous one does, with no
+// gathered copy. idx order is preserved — scores and accumulation follow idx
+// exactly as the unfused per-token loop, so exact-path outputs are
+// bit-identical to it. A position past the page's valid rows panics.
 func (sc *Scratch) Sparse(out, q []float32, s *kvcache.Store, idx []int) {
+	if s.ComputeQuantBits() > 0 {
+		sc.sparseQuant(out, q, s, idx)
+		return
+	}
 	m := len(idx)
 	d := s.HeadDim()
 	P := s.PageTokens()
 	scores := sc.Scores(m)
 	inv := float32(1 / math.Sqrt(float64(d)))
-	bits := s.ComputeQuantBits()
+	for j := 0; j < m; {
+		p := idx[j] / P
+		e := groupEnd(idx, j, p*P, P)
+		tensor.DotRowsAt(scores[j:e], q, s.KeyPage(p), idx[j:e], p*P, d, inv)
+		j = e
+	}
+	tensor.Softmax(scores)
+	tensor.Fill(out, 0)
+	for j := 0; j < m; {
+		p := idx[j] / P
+		e := groupEnd(idx, j, p*P, P)
+		tensor.AddScaledRowsAt(out, scores[j:e], s.ValuePage(p), idx[j:e], p*P, d)
+		j = e
+	}
+}
+
+// groupEnd extends a page group: the longest stretch idx[j..e) whose
+// positions all lie in the page [start, start+P), in any order.
+func groupEnd(idx []int, j, start, P int) int {
+	e := j + 1
+	for e < len(idx) && uint(idx[e]-start) < uint(P) {
+		e++
+	}
+	return e
+}
+
+// sparseQuant is Sparse on a store opted into compute quantization: the int8
+// kernels read one run of consecutive positions at a time, so selected tokens
+// are walked as page runs — maximal stretches of consecutive positions inside
+// one page; isolated indices degrade to one-row runs.
+func (sc *Scratch) sparseQuant(out, q []float32, s *kvcache.Store, idx []int) {
+	m := len(idx)
+	d := s.HeadDim()
+	P := s.PageTokens()
+	scores := sc.Scores(m)
+	inv := float32(1 / math.Sqrt(float64(d)))
 	for j := 0; j < m; {
 		i0 := idx[j]
 		p := i0 / P
 		e := runEnd(idx, j, (p+1)*P)
 		from := i0 - p*P
-		if bits > 0 {
-			if qk, _ := s.PageQuant(p); qk != nil {
-				dotQuantK(scores[j:e], q, qk, from, inv, sc.foldBuf(d))
-				sc.QuantRuns++
-				j = e
-				continue
-			}
-			sc.FloatRuns++
+		if qk, _ := s.PageQuant(p); qk != nil {
+			dotQuantK(scores[j:e], q, qk, from, inv, sc.foldBuf(d))
+			sc.QuantRuns++
+			j = e
+			continue
 		}
+		sc.FloatRuns++
 		keys := s.KeyPage(p)
 		tensor.DotRows(scores[j:e], q, keys[from*d:(from+e-j)*d], d, inv)
 		j = e
@@ -156,12 +195,10 @@ func (sc *Scratch) Sparse(out, q []float32, s *kvcache.Store, idx []int) {
 		p := i0 / P
 		e := runEnd(idx, j, (p+1)*P)
 		from := i0 - p*P
-		if bits > 0 {
-			if _, qv := s.PageQuant(p); qv != nil {
-				addQuantV(out, scores[j:e], qv, from, sc.foldBuf(e-j))
-				j = e
-				continue
-			}
+		if _, qv := s.PageQuant(p); qv != nil {
+			addQuantV(out, scores[j:e], qv, from, sc.foldBuf(e-j))
+			j = e
+			continue
 		}
 		vals := s.ValuePage(p)
 		tensor.AddScaledRows(out, scores[j:e], vals[from*d:(from+e-j)*d], d)

@@ -139,7 +139,7 @@ func RunKernels(o Options) *Report {
 		fmt.Sprintf("gather: %d-token store, head dim %d, %d-token clustered selection; fused and unfused outputs are bit-identical (conformance suite)", n, d, len(idx)),
 		fmt.Sprintf("lmhead-gemv: %dx%d (VocabSize x DModel), serial pool — the per-round decode projection", cfg.VocabSize, cfg.DModel),
 		"int8-attn: full attention over 8-bit compute-quantized pages vs the float path over the decoded contents; divergence is norm-relative and bounded by the ULP contract",
-		"int8 trades compute for footprint on this scalar CPU target: the byte->float convert in the MAC costs ~20% throughput, while the KV compute format shrinks 4x (admission capacity + modeled offload bandwidth); on bandwidth-bound hardware the ratio flips",
+		"int8 trades compute for footprint: its kernels are scalar Go (the byte->float convert sits in the MAC) while the float path runs the AVX2 kernels where the CPU has them, so int8 attention reads well below 1x there, while the KV compute format shrinks 4x (admission capacity + modeled offload bandwidth); on bandwidth-bound hardware the ratio flips",
 		fmt.Sprintf("decode-e2e: %d-token prefill, %d decode steps, full attention; allocs/round counts heap objects (page-boundary rounds legitimately allocate fresh pages)", promptLen, steps),
 	)
 	return rep

@@ -111,9 +111,8 @@ func (b *Book) ScoreClusters(dst, q []float32) int64 {
 }
 
 func (b *Book) scoreRange(dst, q []float32, lo, hi int) {
-	for j := lo; j < hi; j++ {
-		dst[j] = tensor.Dot(q, b.Centroid(j))
-	}
+	// Each dst[j] is tensor.Dot(q, Centroid(j)) to the bit.
+	tensor.DotRows(dst[lo:hi], q, b.centroids[lo*b.d:hi*b.d], b.d, 1)
 }
 
 // TopScratch is the reusable working memory of SelectTopClusters; the zero

@@ -179,14 +179,21 @@ func KMeans(keys []float32, d, c int, cfg Config) *Result {
 		var changed atomic.Int64
 		pool.For(n, assignGrain, func(lo, hi int) {
 			blockChanged := 0
+			// Cosine and inner-product assignment score a key against every
+			// centroid with one DotRows (each dots[j] is tensor.Dot(ki,
+			// centroid j) to the bit), then take the arg-best.
+			var dots []float32
+			if cfg.Metric != L2 {
+				dots = make([]float32, c)
+			}
 			for i := lo; i < hi; i++ {
 				ki := key(i)
 				best, bestScore := 0, float32(math.Inf(-1))
 				switch cfg.Metric {
 				case Cosine:
 					kn := keyNorms[i]
-					for j := 0; j < c; j++ {
-						dot := tensor.Dot(ki, cents.Row(j))
+					tensor.DotRows(dots, ki, cents.Data, d, 1)
+					for j, dot := range dots {
 						den := kn * centNorm[j]
 						var s float32
 						if den > 0 {
@@ -205,8 +212,8 @@ func KMeans(keys []float32, d, c int, cfg Config) *Result {
 						}
 					}
 				case InnerProduct:
-					for j := 0; j < c; j++ {
-						s := tensor.Dot(ki, cents.Row(j))
+					tensor.DotRows(dots, ki, cents.Data, d, 1)
+					for j, s := range dots {
 						if s > bestScore {
 							bestScore, best = s, j
 						}

@@ -37,7 +37,8 @@ func MatTMatOn(p *parallel.Pool, dst, m, x *Mat) {
 	p.For(m.Cols, kernelGrain(m.Rows*x.Rows), func(lo, hi int) { matTMatBand(dst, m, x, lo, hi) })
 }
 
-func matTMatBand(dst, m, x *Mat, lo, hi int) {
+// matTMatBandGo is the scalar MatTMat column band (see dotRowsGo).
+func matTMatBandGo(dst, m, x *Mat, lo, hi int) {
 	for s := 0; s < x.Rows; s++ {
 		Fill(dst.Data[s*dst.Cols+lo:s*dst.Cols+hi], 0)
 	}
@@ -88,7 +89,9 @@ func (pm *PackedMat) MatMulRowsOn(p *parallel.Pool, dsts [][]float32, x *Mat) {
 	p.For(np, kernelGrain(stride*x.Rows), func(lo, hi int) { pm.panelBandRows(dsts, x, lo, hi) })
 }
 
-func (pm *PackedMat) panelBandRows(dsts [][]float32, x *Mat, lo, hi int) {
+// panelBandRowsGo is the scalar MatMulRows over panels [lo, hi) (see
+// dotRowsGo).
+func (pm *PackedMat) panelBandRowsGo(dsts [][]float32, x *Mat, lo, hi int) {
 	stride := pm.Cols * packRows
 	for pi := lo; pi < hi; pi++ {
 		panel := pm.panels[pi*stride : (pi+1)*stride]

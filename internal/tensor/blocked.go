@@ -9,7 +9,9 @@ import "clusterkv/internal/parallel"
 // Every kernel here preserves the *per-row* reduction order of the naive
 // serial loop (channels ascending, one accumulator per row), so results are
 // bit-identical to the unblocked path — the blocking only interleaves rows,
-// never reassociates within one.
+// never reassociates within one. The vector path (vec_amd64.go) applies the
+// same rule with eight chains per register; the loops below are what it is
+// tested against and what every other build runs.
 
 // DotRows computes dst[i] = scale * <x, rows[i*d : (i+1)*d]> for
 // i in [0, len(dst)), four rows per pass. rows must hold at least
@@ -20,10 +22,16 @@ func DotRows(dst, x, rows []float32, d int, scale float32) {
 	if len(x) != d {
 		panic("tensor: DotRows x length mismatch")
 	}
-	m := len(dst)
-	if len(rows) < m*d {
+	if len(rows) < len(dst)*d {
 		panic("tensor: DotRows rows too short")
 	}
+	dotRows(dst, x, rows, d, scale)
+}
+
+// dotRowsGo is the scalar DotRows loop: the kernel of every build without the
+// vector path and the oracle the vector path is tested against.
+func dotRowsGo(dst, x, rows []float32, d int, scale float32) {
+	m := len(dst)
 	i := 0
 	for ; i+4 <= m; i += 4 {
 		r0 := rows[i*d : i*d+d]
@@ -52,6 +60,43 @@ func DotRows(dst, x, rows []float32, d int, scale float32) {
 	}
 }
 
+// DotRowsAt is DotRows over a row list: dst[i] = scale * <x, row idx[i]-base
+// of rows>, rows holding d-channel rows back to back (a KV page whose first
+// row is position base). idx may be in any order and repeat rows. Each dst[i]
+// is bit-identical to the DotRows result for that row, so a scattered
+// selection costs what a contiguous one does. It panics if an index falls
+// outside rows.
+func DotRowsAt(dst, x, rows []float32, idx []int, base, d int, scale float32) {
+	if len(x) != d || len(dst) != len(idx) {
+		panic("tensor: DotRowsAt length mismatch")
+	}
+	checkRowIndex(idx, base, len(rows)/d)
+	dotRowsAt(dst, x, rows, idx, base, d, scale)
+}
+
+// dotRowsAtGo is the scalar DotRowsAt loop (see dotRowsGo).
+func dotRowsAtGo(dst, x, rows []float32, idx []int, base, d int, scale float32) {
+	for i, ix := range idx {
+		row := rows[(ix-base)*d : (ix-base)*d+d]
+		var s float32
+		for j, xj := range x {
+			s += xj * row[j]
+		}
+		dst[i] = s * scale
+	}
+}
+
+// checkRowIndex panics unless every idx[i]-base names one of n rows. The
+// vector kernels take row addresses from the list unchecked, so the check is
+// made here, once, in Go.
+func checkRowIndex(idx []int, base, n int) {
+	for _, ix := range idx {
+		if uint(ix-base) >= uint(n) {
+			panic("tensor: row index out of range")
+		}
+	}
+}
+
 // AddScaledRows computes out[j] += Σ_i w[i] * rows[i*d + j] — the weighted
 // row sum of attention's value accumulation — four rows per pass. Each
 // out[j] accumulates rows in ascending order exactly as the serial loop
@@ -61,14 +106,22 @@ func DotRows(dst, x, rows []float32, d int, scale float32) {
 // skipped; individual zero weights contribute an exact ±0 add, which cannot
 // change out[j] for finite inputs (partial sums are never -0 under
 // round-to-nearest), matching the serial loop's per-row skip bit-for-bit.
+// The skip is an optimisation of the scalar loop, not a semantic: the vector
+// kernel skips nothing, so a zero weight on a row holding NaN or ±Inf yields
+// NaN there and nothing here — finite rows are the contract.
 func AddScaledRows(out, w, rows []float32, d int) {
 	if len(out) != d {
 		panic("tensor: AddScaledRows out length mismatch")
 	}
-	m := len(w)
-	if len(rows) < m*d {
+	if len(rows) < len(w)*d {
 		panic("tensor: AddScaledRows rows too short")
 	}
+	addScaledRows(out, w, rows, d)
+}
+
+// addScaledRowsGo is the scalar AddScaledRows loop (see dotRowsGo).
+func addScaledRowsGo(out, w, rows []float32, d int) {
+	m := len(w)
 	i := 0
 	for ; i+4 <= m; i += 4 {
 		w0, w1, w2, w3 := w[i], w[i+1], w[i+2], w[i+3]
@@ -94,6 +147,31 @@ func AddScaledRows(out, w, rows []float32, d int) {
 			continue
 		}
 		row := rows[i*d : i*d+d]
+		for j := range out {
+			out[j] += wi * row[j]
+		}
+	}
+}
+
+// AddScaledRowsAt is AddScaledRows over a row list (see DotRowsAt):
+// out[j] += Σ_i w[i] * (row idx[i]-base of rows)[j], rows taken in list
+// order, so the result is bit-identical to AddScaledRows over a gathered
+// copy of the listed rows.
+func AddScaledRowsAt(out, w, rows []float32, idx []int, base, d int) {
+	if len(out) != d || len(w) != len(idx) {
+		panic("tensor: AddScaledRowsAt length mismatch")
+	}
+	checkRowIndex(idx, base, len(rows)/d)
+	addScaledRowsAt(out, w, rows, idx, base, d)
+}
+
+// addScaledRowsAtGo is the scalar AddScaledRowsAt loop (see dotRowsGo).
+func addScaledRowsAtGo(out, w, rows []float32, idx []int, base, d int) {
+	for i, wi := range w {
+		if wi == 0 {
+			continue
+		}
+		row := rows[(idx[i]-base)*d : (idx[i]-base)*d+d]
 		for j := range out {
 			out[j] += wi * row[j]
 		}
@@ -154,7 +232,9 @@ func (pm *PackedMat) MatVecOn(p *parallel.Pool, dst, x []float32) {
 	p.For(np, kernelGrain(stride), func(lo, hi int) { pm.panelBand(dst, x, lo, hi) })
 }
 
-func (pm *PackedMat) panelBand(dst, x []float32, lo, hi int) {
+// panelBandGo is the scalar PackedMat GEMV over panels [lo, hi) (see
+// dotRowsGo).
+func (pm *PackedMat) panelBandGo(dst, x []float32, lo, hi int) {
 	stride := pm.Cols * packRows
 	for pi := lo; pi < hi; pi++ {
 		panel := pm.panels[pi*stride : (pi+1)*stride]

@@ -201,6 +201,12 @@ func TestMatTVecZeroRowsClearsDst(t *testing.T) {
 	}
 }
 
+// TestVecPath reports which kernels this build and CPU run: the AVX2 path
+// (vec_amd64.s) or the Go loops.
+func TestVecPath(t *testing.T) {
+	t.Logf("tensor kernels: useVec=%v", useVec)
+}
+
 func sprintShape(op string, m, k, n, width int) string {
 	return op + " " + itoa(m) + "x" + itoa(k) + "x" + itoa(n) + " width=" + itoa(width)
 }

@@ -88,7 +88,10 @@ func matVecBand(dst []float32, m *Mat, x []float32, lo, hi int) {
 // MatTVec computes dst = mᵀ · x (x has Rows entries, dst has Cols entries).
 // The parallel split is over output *columns*: each dst[j] accumulates over
 // rows in ascending order exactly as the serial loop does (including the
-// x[i] == 0 skip), so results are bit-identical at any width.
+// x[i] == 0 skip), so results are bit-identical at any width. The skip is an
+// optimisation of the scalar loop, not a semantic: the vector kernel adds the
+// exact zero instead, which differs only when the skipped row of m holds a
+// NaN or ±Inf — finite weights are the contract.
 func MatTVec(dst []float32, m *Mat, x []float32) {
 	MatTVecOn(parallel.Default(), dst, m, x)
 }
@@ -106,7 +109,8 @@ func MatTVecOn(p *parallel.Pool, dst []float32, m *Mat, x []float32) {
 	p.For(m.Cols, kernelGrain(m.Rows), func(lo, hi int) { matTVecBand(dst, m, x, lo, hi) })
 }
 
-func matTVecBand(dst []float32, m *Mat, x []float32, lo, hi int) {
+// matTVecBandGo is the scalar MatTVec column band (see dotRowsGo).
+func matTVecBandGo(dst []float32, m *Mat, x []float32, lo, hi int) {
 	band := dst[lo:hi]
 	Fill(band, 0)
 	for i := 0; i < m.Rows; i++ {
@@ -134,22 +138,26 @@ func MatMulOn(p *parallel.Pool, c, a, b *Mat) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
 		panic("tensor: MatMul dimension mismatch")
 	}
-	p.For(a.Rows, kernelGrain(a.Cols*b.Cols), func(lo, hi int) {
-		Fill(c.Data[lo*c.Cols:hi*c.Cols], 0)
-		for i := lo; i < hi; i++ {
-			arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-			crow := c.Data[i*c.Cols : (i+1)*c.Cols]
-			for k, av := range arow {
-				if av == 0 {
-					continue
-				}
-				brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-				for j, bv := range brow {
-					crow[j] += av * bv
-				}
+	p.For(a.Rows, kernelGrain(a.Cols*b.Cols), func(lo, hi int) { matMulBand(c, a, b, lo, hi) })
+}
+
+// matMulBandGo is the scalar MatMul over output rows [lo, hi) (see
+// dotRowsGo).
+func matMulBandGo(c, a, b *Mat, lo, hi int) {
+	Fill(c.Data[lo*c.Cols:hi*c.Cols], 0)
+	for i := lo; i < hi; i++ {
+		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
+		crow := c.Data[i*c.Cols : (i+1)*c.Cols]
+		for k, av := range arow {
+			if av == 0 {
+				continue
+			}
+			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
+			for j, bv := range brow {
+				crow[j] += av * bv
 			}
 		}
-	})
+	}
 }
 
 // MatMulT computes c = a · bᵀ. Shapes: a is M×K, b is N×K, c is M×N.

@@ -7,9 +7,21 @@
 //   - Functions never retain argument slices unless documented.
 //
 // The package is deliberately small: only the operations actually needed by
-// the repository are implemented, each with a straightforward, allocation
-// conscious loop. There is no SIMD; loops are written so the compiler can
-// vectorize the hot paths (no bounds-check-defeating indirection).
+// the repository are implemented, each as a straightforward, allocation
+// conscious scalar loop. The Go compiler does not vectorize those loops, so
+// on amd64 with AVX2 and FMA the hot ones (DotRows, AddScaledRows and their
+// row-list forms, Softmax, the GEMV/GEMM bands and the packed LM head) run
+// assembly kernels instead — vec_amd64.s, chosen once at init by CPUID; every
+// other target, GOAMD64=v3 and the purego build tag run the Go loops. The one
+// contract of both paths (DESIGN.md §12):
+//
+//   - Vector lanes hold *independent* reduction chains (eight rows' dot
+//     products, eight output channels), never pieces of one chain, and
+//     float32 products and sums are separate operations, never fused.
+//   - So each chain performs the scalar loop's operations in the scalar
+//     loop's order, and for finite inputs every result is bit-identical to
+//     the Go loop at any width, blocking or path. Softmax with a NaN or ±Inf
+//     input always takes the scalar loop.
 package tensor
 
 import "math"
@@ -142,6 +154,11 @@ func Softmax(x []float32) {
 	if len(x) == 0 {
 		return
 	}
+	softmax(x)
+}
+
+// softmaxGo is the scalar Softmax loop over a non-empty x (see dotRowsGo).
+func softmaxGo(x []float32) {
 	maxv := x[0]
 	for _, v := range x[1:] {
 		if v > maxv {
