@@ -340,15 +340,29 @@ func BenchmarkForkDivergence(b *testing.B) {
 // ClusterKV request: fork a cached 2-segment document, prefill a 32-token
 // question, run OnPrefill. The first fork (untimed) clusters the document's
 // segments and publishes them on the shared pages; every timed hit must adopt
-// them — a hit that runs K-means over a complete segment fails the benchmark
-// (and with it `make bench-smoke`).
+// them — a hit that runs K-means over a piece of the document fails the
+// benchmark (and with it `make bench-smoke`).
 func BenchmarkPrefixHitOnPrefill(b *testing.B) {
-	m := clusterkv.NewModel(clusterkv.DefaultModelConfig())
+	cfg := clusterkv.DefaultConfig()
+	cfg.SegmentTokens = 512
+	benchPrefixHit(b, cfg)
+}
+
+// BenchmarkPrefixHitOnPrefill1k is the same hit under the default
+// configuration, where the 1024-token document is shorter than one segment:
+// its piece [16, 1024) ends on the sub-cut and is adopted like a segment, so
+// a hit clusters the 32 question keys of each selecting plane and nothing
+// else.
+func BenchmarkPrefixHitOnPrefill1k(b *testing.B) {
+	benchPrefixHit(b, clusterkv.DefaultConfig())
+}
+
+func benchPrefixHit(b *testing.B, cfg clusterkv.Config) {
+	mc := clusterkv.DefaultModelConfig()
+	m := clusterkv.NewModel(mc)
 	arena := clusterkv.NewKVArena(clusterkv.DefaultKVPageTokens, nil)
 	doc := clusterkv.Doc(clusterkv.DefaultDocConfig(), 1024)
 	question := clusterkv.Doc(clusterkv.DefaultDocConfig(), 32)
-	cfg := clusterkv.DefaultConfig()
-	cfg.SegmentTokens = 512
 
 	base := m.NewSequenceIn(arena, nil, 0)
 	base.Prefill(doc, nil)
@@ -362,18 +376,23 @@ func BenchmarkPrefixHitOnPrefill(b *testing.B) {
 		return sel.Stats()
 	}
 	if st := hit(); st.MetaSegsBuilt == 0 {
-		b.Fatal("the first request over the snapshot built no segment")
+		b.Fatal("the first request over the snapshot built no piece of the document")
 	}
 
 	b.ResetTimer()
+	var st clusterkv.SelStats
 	for i := 0; i < b.N; i++ {
-		if st := hit(); st.MetaSegsBuilt > 0 || st.MetaSegsAdopted == 0 {
-			b.Fatalf("prefix hit built %d segments and adopted %d", st.MetaSegsBuilt, st.MetaSegsAdopted)
+		if st = hit(); st.MetaSegsBuilt > 0 || st.MetaSegsAdopted == 0 {
+			b.Fatalf("prefix hit built %d pieces and adopted %d", st.MetaSegsBuilt, st.MetaSegsAdopted)
 		}
 	}
 	b.StopTimer()
 	snap.Release()
+	if want := int64(len(question) * (mc.NLayers - cfg.BypassLayers) * mc.NKVHeads); st.MetaKeysBuilt != want {
+		b.Fatalf("prefix hit clustered %d keys, want the question's %d", st.MetaKeysBuilt, want)
+	}
 	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/hit")
+	b.ReportMetric(float64(st.MetaKeysBuilt), "keys-clustered/hit")
 }
 
 // BenchmarkDecodeSteadyAllocs asserts the steady-state decode allocation

@@ -94,11 +94,15 @@ type SelStats struct {
 	MetaOps int64
 	// ClustersSelected counts selected clusters/pages across steps.
 	ClustersSelected int64
-	// MetaSegsAdopted counts complete prefill segments whose metadata was
+	// MetaSegsAdopted counts prefill pieces ending on a cut whose metadata was
 	// taken from a shared KV page's sidecar instead of being rebuilt;
 	// MetaSegsBuilt counts those this selector had to build itself. A prefix
 	// cache hit whose prefix was clustered before reads (k, 0).
 	MetaSegsAdopted, MetaSegsBuilt int64
+	// MetaKeysAdopted and MetaKeysBuilt count the prefill keys whose
+	// metadata was adopted from a sidecar / computed here (every piece, the
+	// private one past the last cut included): how much of a hit was free.
+	MetaKeysAdopted, MetaKeysBuilt int64
 }
 
 // Add accumulates other into s.
@@ -113,6 +117,8 @@ func (s *SelStats) Add(other SelStats) {
 	s.ClustersSelected += other.ClustersSelected
 	s.MetaSegsAdopted += other.MetaSegsAdopted
 	s.MetaSegsBuilt += other.MetaSegsBuilt
+	s.MetaKeysAdopted += other.MetaKeysAdopted
+	s.MetaKeysBuilt += other.MetaKeysBuilt
 }
 
 // HitRate returns the device-cache hit rate TokensHit/(TokensHit+TokensLoaded),

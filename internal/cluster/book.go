@@ -74,19 +74,67 @@ func (b *Book) Members(j int) []int {
 func (b *Book) TotalTokens() int { return b.clusteredUpTo - b.start }
 
 // AddBatch appends a clustering result covering the keys at absolute
-// positions [b.ClusteredUpTo(), b.ClusteredUpTo()+len(res.Labels)). The
-// result's local indices are offset to absolute positions.
+// positions [b.ClusteredUpTo(), b.ClusteredUpTo()+len(res.SortedIndices)).
+// The result's local indices are offset to absolute positions.
 func (b *Book) AddBatch(res *Result) {
-	offset := b.clusteredUpTo
-	for j := 0; j < res.NumClusters(); j++ {
-		b.centroids = append(b.centroids, res.Centroids.Row(j)...)
-		b.sizes = append(b.sizes, res.Sizes[j])
-		for _, local := range res.Members(j) {
-			b.members = append(b.members, offset+local)
-		}
-		b.prefix = append(b.prefix, len(b.members))
+	appendClusters(b, res.Centroids.Data[:res.NumClusters()*b.d], res.PrefixSum, res.SortedIndices)
+}
+
+// Packed is a clustering result reduced to what a Book appends from it, in
+// 32-bit words: the form that is published on KV pages (about 4 bytes per
+// clustered key plus the centroids; a Result's labels, sizes and 64-bit
+// indices are about 16).
+type Packed struct {
+	// Centroids is the c×d centroid matrix, row-major.
+	Centroids []float32
+	// Prefix and Members are Result.PrefixSum and Result.SortedIndices:
+	// cluster j owns Members[Prefix[j]:Prefix[j+1]], indices local to the
+	// clustered slice.
+	Prefix, Members []int32
+}
+
+// Pack returns r in packed form. Centroids aliases r's; the rest is copied.
+func (r *Result) Pack() *Packed {
+	c := r.NumClusters()
+	p := &Packed{
+		Centroids: r.Centroids.Data[:c*r.Centroids.Cols],
+		Prefix:    make([]int32, c+1),
+		Members:   make([]int32, len(r.SortedIndices)),
 	}
-	b.clusteredUpTo += len(res.Labels)
+	for j, v := range r.PrefixSum[:c+1] {
+		p.Prefix[j] = int32(v)
+	}
+	for i, v := range r.SortedIndices {
+		p.Members[i] = int32(v)
+	}
+	return p
+}
+
+// Bytes returns the size of p's arrays.
+func (p *Packed) Bytes() int64 {
+	return 4 * int64(len(p.Centroids)+len(p.Prefix)+len(p.Members))
+}
+
+// AddPacked is AddBatch for a packed result; p is only read.
+func (b *Book) AddPacked(p *Packed) {
+	appendClusters(b, p.Centroids, p.Prefix, p.Members)
+}
+
+// appendClusters appends len(prefix)-1 clusters whose members — indices local
+// to the keys at [b.clusteredUpTo, b.clusteredUpTo+len(members)) — are
+// members[prefix[j]:prefix[j+1]].
+func appendClusters[T int | int32](b *Book, centroids []float32, prefix, members []T) {
+	b.centroids = append(b.centroids, centroids...)
+	base := len(b.members)
+	for j := 1; j < len(prefix); j++ {
+		b.sizes = append(b.sizes, int(prefix[j]-prefix[j-1]))
+		b.prefix = append(b.prefix, base+int(prefix[j]))
+	}
+	b.members = slices.Grow(b.members, len(members))
+	for _, local := range members {
+		b.members = append(b.members, b.clusteredUpTo+int(local))
+	}
+	b.clusteredUpTo += len(members)
 }
 
 // ScoreClusters writes q·µ_j into dst for every global cluster j (inner

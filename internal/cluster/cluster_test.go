@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -359,5 +360,53 @@ func TestMetricString(t *testing.T) {
 	}
 	if Metric(99).String() != "Metric(99)" {
 		t.Fatal("unknown metric string")
+	}
+}
+
+// TestBookAddPackedMatchesAddBatch: appending Pack() of a result leaves the
+// book AddBatch leaves, and both hold what the Result says — over several
+// batches per book, with c ≥ n (every key its own cluster) included.
+func TestBookAddPackedMatchesAddBatch(t *testing.T) {
+	r := rng.New(11)
+	for trial := 0; trial < 60; trial++ {
+		d := 1 + r.Intn(6)
+		start := r.Intn(20)
+		plain, packed := NewBook(d, start), NewBook(d, start)
+		offset, clusters := start, 0
+		for batch := 0; batch < 1+r.Intn(3); batch++ {
+			n := 1 + r.Intn(60)
+			c := 1 + r.Intn(n+3) // up to n+3: c ≥ n gives single-member clusters
+			keys, _ := randKeys(r.Uint64(), n, d, 3)
+			res := KMeans(keys, d, c, Config{Seed: r.Uint64(), Metric: Metric(r.Intn(3))})
+			p := res.Pack()
+			if want := 4 * int64(res.NumClusters()*d+res.NumClusters()+1+n); p.Bytes() != want {
+				t.Fatalf("trial %d: packed %d bytes, want %d", trial, p.Bytes(), want)
+			}
+			plain.AddBatch(res)
+			packed.AddPacked(p)
+			for j := 0; j < res.NumClusters(); j++ {
+				g := clusters + j
+				if !slices.Equal(packed.Centroid(g), res.Centroids.Row(j)) || packed.Size(g) != res.Sizes[j] {
+					t.Fatalf("trial %d cluster %d: centroid or size differs from the result", trial, g)
+				}
+				want := slices.Clone(res.Members(j))
+				for i := range want {
+					want[i] += offset
+				}
+				if !slices.Equal(packed.Members(g), want) || !slices.Equal(plain.Members(g), want) {
+					t.Fatalf("trial %d cluster %d: members %v / %v, want %v", trial, g, packed.Members(g), plain.Members(g), want)
+				}
+			}
+			offset += n
+			clusters += res.NumClusters()
+		}
+		if packed.ClusteredUpTo() != offset || plain.ClusteredUpTo() != offset ||
+			packed.NumClusters() != clusters || plain.NumClusters() != clusters {
+			t.Fatalf("trial %d: packed %d clusters up to %d, plain %d up to %d, want %d up to %d", trial,
+				packed.NumClusters(), packed.ClusteredUpTo(), plain.NumClusters(), plain.ClusteredUpTo(), clusters, offset)
+		}
+		if !slices.Equal(packed.Centroids(), plain.Centroids()) {
+			t.Fatalf("trial %d: centroid storage differs", trial)
+		}
 	}
 }

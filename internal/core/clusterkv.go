@@ -2,10 +2,10 @@
 // recallable KV-cache compression at the granularity of semantic clusters.
 //
 // Per (layer, head) it maintains a cluster.Book built from the prefill keys
-// (§III-B) — clustered in position-fixed segments of Config.SegmentTokens
-// whose results are published on the shared KV pages, so a sequence forked
-// from a cached prefix adopts the clusters its ancestor built instead of
-// rebuilding them — extends it every DecodeWindow steps with clusters over the
+// (§III-B) — clustered in position-fixed pieces (Config.SegmentTokens) whose
+// results are published on the shared KV pages, so a sequence forked from a
+// cached prefix adopts the clusters its ancestor built instead of rebuilding
+// them — extends it every DecodeWindow steps with clusters over the
 // newly generated keys, scores clusters against the query with inner products,
 // selects top clusters under the token budget with last-cluster trimming
 // (§III-C, §IV-C), and serves K/V through a cluster-granularity device cache
@@ -38,12 +38,14 @@ type Config struct {
 	// several segments each gets its share, C0Override·segLen/clusteredLen.
 	C0Override int
 	// SegmentTokens is S: prefill clustering cuts [SinkTokens, n) at absolute
-	// multiples of S and clusters every piece on its own, so a piece's
-	// clusters depend only on positions and on that piece's keys. A complete
-	// segment's result is published on its last KV page and adopted by every
-	// sequence sharing that page (a prefix-cache hit re-clusters nothing);
-	// the remainder past the last multiple is clustered privately. 0 is one
-	// segment over the whole prefill — the paper's literal C0 = L/80 rule;
+	// multiples of S, cuts the remainder past the last multiple once more at
+	// the largest multiple of Q ≤ n (Q = S/16 rounded up to whole KV pages)
+	// and clusters every piece on its own, so a piece's clusters depend only
+	// on positions and on that piece's keys. The result of a piece that ends
+	// on a cut is published on its last KV page and adopted by every sequence
+	// sharing that page (a prefix-cache hit re-clusters fewer than Q keys of
+	// the prefix); the piece past the last cut is clustered privately. 0 is
+	// one piece over the whole prefill — the paper's literal C0 = L/80 rule;
 	// NewConfig's 4096 is the one non-paper default (DESIGN.md §2). Keep it a
 	// multiple of the KV page size or few segments will end on a full page.
 	SegmentTokens int
@@ -83,8 +85,8 @@ type Config struct {
 	// budget, not page capacity, limits the working set).
 	DeviceCachePages int
 	// PrefillClusterer, when non-nil, replaces the built-in K-means call for
-	// prefill clustering; it is called once per segment. keys holds the keys
-	// of the segment starting at absolute position from (row-major), d the
+	// prefill clustering; it is called once per piece. keys holds the keys
+	// of the piece starting at absolute position from (row-major), d the
 	// key dimension and c the requested cluster count; the returned Result
 	// must use indices local to keys. Harnesses use this to memoise
 	// clustering across budget sweeps; tests use it to inject degenerate
@@ -219,10 +221,10 @@ func (c *ClusterKV) state(layer, head int) *headState {
 }
 
 // OnPrefill implements attention.Selector: cluster the prefill keys beyond
-// the sink prefix, one segment at a time. Segment boundaries are absolute
-// multiples of SegmentTokens, so the book of an n-token store is a function
-// of n, the configuration and the keys only — the same whether its complete
-// segments were computed here or adopted from the pages.
+// the sink prefix, one piece at a time. The cuts between pieces (nextCut)
+// depend on n, SegmentTokens and the page size only, so the book of an
+// n-token store is a function of n, the configuration and the keys — the same
+// whether its pieces were computed here or adopted from the pages.
 func (c *ClusterKV) OnPrefill(layer, head int, s *kvcache.Store) {
 	st := c.state(layer, head)
 	n := s.Len()
@@ -250,14 +252,11 @@ func (c *ClusterKV) OnPrefill(layer, head int, s *kvcache.Store) {
 	if sinks == n {
 		return
 	}
+	S := c.cfg.SegmentTokens
+	Q := subCutTokens(S, s.PageTokens())
 	for from := sinks; from < n; {
-		to, complete := n, false
-		if S := c.cfg.SegmentTokens; S > 0 {
-			if b := (from/S + 1) * S; b <= n {
-				to, complete = b, true
-			}
-		}
-		st.book.AddBatch(c.clusterSegment(layer, head, s, from, to, complete, n-sinks))
+		to, onCut := nextCut(from, n, S, Q)
+		c.clusterPiece(st.book, layer, head, s, from, to, onCut, n-sinks)
 		from = to
 	}
 	// Post-prefill offload (Fig. 5): everything beyond the sinks moves to
@@ -265,45 +264,80 @@ func (c *ClusterKV) OnPrefill(layer, head int, s *kvcache.Store) {
 	st.ledger.Offload(sinks, n)
 }
 
-// segKey is everything a segment's clustering depends on besides the key
-// rows themselves; a published result is adopted only under an equal key.
+// subCutTokens is Q, the grid of the one extra cut in the remainder past the
+// last multiple of S: S/16 rounded up to whole KV pages, so a piece that ends
+// on it ends on a full page.
+func subCutTokens(S, pageTokens int) int {
+	return (S + 16*pageTokens - 1) / (16 * pageTokens) * pageTokens
+}
+
+// nextCut returns the end of the prefill piece that starts at from in an
+// n-key store, and whether that end is a cut: the next multiple of S while
+// one is ≤ n, then — once, in the remainder — the largest multiple of Q ≤ n.
+// The piece past the last cut ends at n. S = 0 is one piece.
+func nextCut(from, n, S, Q int) (to int, onCut bool) {
+	if S <= 0 {
+		return n, false
+	}
+	if b := (from/S + 1) * S; b <= n {
+		return b, true
+	}
+	if q := n / Q * Q; q > from {
+		return q, true
+	}
+	return n, false
+}
+
+// segKey is everything a piece's clustering depends on besides the key rows
+// themselves; a published result is adopted only under an equal key.
 type segKey struct {
 	from, to, c int
 	km          cluster.Config
 }
 
-// segMeta is the page sidecar: one segment's clustering, immutable once
-// published (Book.AddBatch copies out of it).
+// segMeta is the page sidecar: one piece's clustering in packed form,
+// immutable once published (Book.AddPacked copies out of it; Pack's aliasing
+// of the centroids is safe because the Result is dropped after publication).
 type segMeta struct {
 	key segKey
-	res *cluster.Result
+	res *cluster.Packed
 }
 
-// clusterSegment returns the clustering of keys [from, to). A complete
-// segment is looked up on, and after a miss published to, its last KV page.
-func (c *ClusterKV) clusterSegment(layer, head int, s *kvcache.Store, from, to int, complete bool, clusteredLen int) *cluster.Result {
+// clusterPiece appends the clustering of keys [from, to) to book. A piece
+// that ends on a cut is looked up on, and after a miss published to, its last
+// KV page.
+func (c *ClusterKV) clusterPiece(book *cluster.Book, layer, head int, s *kvcache.Store, from, to int, onCut bool, clusteredLen int) {
 	d := s.HeadDim()
 	cnt := c.segmentClusterCount(to-from, clusteredLen)
-	seg := 0
-	if c.cfg.SegmentTokens > 0 {
-		seg = from / c.cfg.SegmentTokens
+	// A piece that starts at the sinks or at a multiple of S is seeded from
+	// its S-window's index alone (window 0: the seed of the unsegmented
+	// rule), so a prompt the sub-cut leaves whole clusters as it did without
+	// one. The piece that starts at the sub-cut shares its window with the
+	// piece before it and mixes its start in.
+	seed := c.cfg.Seed ^ mix(uint64(layer), uint64(head))
+	if S := c.cfg.SegmentTokens; S > 0 {
+		seed ^= uint64(from/S) * 0x9e3779b97f4a7c15
+		if from != book.Start() && from%S != 0 {
+			seed ^= mix(uint64(from), 0)
+		}
 	}
 	key := segKey{from: from, to: to, c: cnt, km: cluster.Config{
 		Metric:   c.cfg.Metric,
 		MaxIters: c.cfg.KMeansIters,
 		Init:     c.cfg.Init,
-		// Segment 0 keeps the seed of the unsegmented rule, so a prompt
-		// shorter than one segment clusters exactly as it always has.
-		Seed: c.cfg.Seed ^ mix(uint64(layer), uint64(head)) ^ uint64(seg)*0x9e3779b97f4a7c15,
+		Seed:     seed,
 	}}
+	keysN := int64(to - from)
 	// A hook's result is not a function of key and rows: it bypasses the pages.
 	hook := c.cfg.PrefillClusterer
-	shared := complete && hook == nil
+	shared := onCut && hook == nil
 	lastPage := (to - 1) / s.PageTokens()
 	if shared {
 		if m, ok := s.PageMeta(lastPage).(*segMeta); ok && m.key == key {
 			c.stats.MetaSegsAdopted++
-			return m.res
+			c.stats.MetaKeysAdopted += keysN
+			book.AddPacked(m.res)
+			return
 		}
 	}
 	// Non-retaining read: the key matrix lives only for this clustering
@@ -316,19 +350,19 @@ func (c *ClusterKV) clusterSegment(layer, head int, s *kvcache.Store, from, to i
 		res = cluster.KMeans(keys, d, cnt, key.km)
 	}
 	c.stats.MetaOps += res.AssignOps
-	if complete {
+	c.stats.MetaKeysBuilt += keysN
+	if onCut {
 		c.stats.MetaSegsBuilt++
 	}
+	book.AddBatch(res)
 	if shared {
-		bytes := 4*len(res.Centroids.Data) +
-			8*(len(res.Labels)+len(res.SortedIndices)+len(res.Sizes)+len(res.PrefixSum))
-		s.SetPageMeta(lastPage, &segMeta{key: key, res: res}, int64(bytes))
+		packed := res.Pack()
+		s.SetPageMeta(lastPage, &segMeta{key: key, res: packed}, packed.Bytes())
 	}
-	return res
 }
 
 // segmentClusterCount is the paper's C0 = L/ClusterRatio rule applied to one
-// segment of segLen of the prefill's clusteredLen clustered keys.
+// piece of segLen of the prefill's clusteredLen clustered keys.
 func (c *ClusterKV) segmentClusterCount(segLen, clusteredLen int) int {
 	if c.cfg.C0Override > 0 {
 		return max(1, c.cfg.C0Override*segLen/clusteredLen)

@@ -221,6 +221,7 @@ func TestCacheR2OutlivesOneStep(t *testing.T) {
 
 func TestC0Override(t *testing.T) {
 	cfg := traceConfig()
+	cfg.SegmentTokens = 0 // one piece, as in the Fig. 11b ablation
 	cfg.C0Override = 7
 	sel, _ := prepared(t, cfg, 1000)
 	if got := sel.Book(0, 0).NumClusters(); got != 7 {
@@ -230,7 +231,7 @@ func TestC0Override(t *testing.T) {
 
 func TestClusterRatioDefault(t *testing.T) {
 	sel, _ := prepared(t, traceConfig(), 1000)
-	want := (1000 - 16) / 80
+	want := (768-16)/80 + max((1000-768)/80, 4) // pieces [16, 768) and [768, 1000)
 	if got := sel.Book(0, 0).NumClusters(); got != want {
 		t.Fatalf("C0 = %d, want %d", got, want)
 	}
@@ -244,19 +245,19 @@ func TestPrefillClustererHook(t *testing.T) {
 		return cluster.KMeans(keys, d, c, cluster.Config{Seed: 42})
 	}
 	prepared(t, cfg, 500)
-	if !slices.Equal(froms, []int{16}) || !slices.Equal(lens, []int{484}) {
-		t.Fatalf("one segment: hook saw starts %v lengths %v", froms, lens)
+	if !slices.Equal(froms, []int{16, 256}) || !slices.Equal(lens, []int{240, 244}) {
+		t.Fatalf("default S: hook saw starts %v lengths %v", froms, lens)
 	}
 
-	// One call per segment, each with its absolute start; nothing a hook
+	// One call per piece, each with its absolute start; nothing a hook
 	// returns reaches the pages, and nothing on the pages replaces a hook.
 	froms, lens = nil, nil
 	cfg.SegmentTokens = 256
 	sel, s := prepared(t, cfg, 600)
-	if !slices.Equal(froms, []int{16, 256, 512}) || !slices.Equal(lens, []int{240, 256, 88}) {
-		t.Fatalf("three segments: hook saw starts %v lengths %v", froms, lens)
+	if !slices.Equal(froms, []int{16, 256, 512, 576}) || !slices.Equal(lens, []int{240, 256, 64, 24}) {
+		t.Fatalf("four pieces: hook saw starts %v lengths %v", froms, lens)
 	}
-	if st := sel.Stats(); st.MetaSegsBuilt != 2 || st.MetaSegsAdopted != 0 {
+	if st := sel.Stats(); st.MetaSegsBuilt != 3 || st.MetaSegsAdopted != 0 {
 		t.Fatalf("hooked prefill: built %d adopted %d", st.MetaSegsBuilt, st.MetaSegsAdopted)
 	}
 	for p := 0; p < s.NumPages(); p++ {
@@ -269,7 +270,7 @@ func TestPrefillClustererHook(t *testing.T) {
 	froms = nil
 	sel.Reset(1, 1, 8)
 	sel.OnPrefill(0, 0, s)
-	if len(froms) != 3 || sel.Stats().MetaSegsAdopted != 0 {
+	if len(froms) != 4 || sel.Stats().MetaSegsAdopted != 0 {
 		t.Fatalf("hooked selector adopted published segments: %d hook calls", len(froms))
 	}
 }

@@ -1393,6 +1393,8 @@ func (e *Engine) retire(t *task, round int64, err error) {
 			st := sel.Stats()
 			e.mx.metaAdopted.Add(st.MetaSegsAdopted)
 			e.mx.metaBuilt.Add(st.MetaSegsBuilt)
+			e.mx.metaKeysAdopted.Add(st.MetaKeysAdopted)
+			e.mx.metaKeysBuilt.Add(st.MetaKeysBuilt)
 		}
 		t.seq.Release()
 		t.seq = nil

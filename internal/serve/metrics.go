@@ -99,10 +99,12 @@ type Metrics struct {
 	// Both stay zero on the exact path.
 	KVQuantRuns, KVFloatRuns int64
 	// Selector-metadata sharing, harvested from retired sequences' selectors
-	// (attention.SelStats): complete prefill segments whose clustering was
-	// adopted from a shared KV page vs built by the request itself. A prefix
-	// hit over an already clustered prefix adopts everything and builds none.
+	// (attention.SelStats): prefill pieces whose clustering was adopted from
+	// a shared KV page vs built by the request itself, and the prefill keys
+	// on either side — a prefix hit over an already clustered prefix builds
+	// only the keys past the prefix's last cut.
 	MetaSegsAdopted, MetaSegsBuilt int64
+	MetaKeysAdopted, MetaKeysBuilt int64
 	// Transfer is the async transfer runtime's overlap telemetry: modeled
 	// channel-busy time vs the portion compute actually waited out, plus
 	// layer-ahead prefetch page counters.
@@ -145,9 +147,10 @@ func (m Metrics) String() string {
 		fmt.Fprintf(&b, "kv quant: %d int8 page runs, %d f32 page runs (%.0f%% quantized)\n",
 			m.KVQuantRuns, m.KVFloatRuns, float64(m.KVQuantRuns)/float64(total)*100)
 	}
-	if m.MetaSegsAdopted+m.MetaSegsBuilt > 0 {
-		fmt.Fprintf(&b, "meta segments: %d adopted from shared pages, %d built\n",
-			m.MetaSegsAdopted, m.MetaSegsBuilt)
+	if keys := m.MetaKeysAdopted + m.MetaKeysBuilt; keys > 0 {
+		fmt.Fprintf(&b, "meta segments: %d adopted from shared pages, %d built; keys %d adopted, %d clustered (%.0f%% adopted)\n",
+			m.MetaSegsAdopted, m.MetaSegsBuilt, m.MetaKeysAdopted, m.MetaKeysBuilt,
+			float64(m.MetaKeysAdopted)/float64(keys)*100)
 	}
 	if m.Transfer.Transfers > 0 {
 		fmt.Fprintf(&b, "transfers: %d moves, %d pages, busy %.1fms, exposed %.1fms, hidden %.1fms (%.0f%%)\n",
@@ -196,6 +199,8 @@ func (m Metrics) FillRegistry(reg *obs.Registry, labels ...obs.Label) {
 	cnt("clusterkv_serve_kv_f32_runs_total", m.KVFloatRuns)
 	cnt("clusterkv_serve_meta_segments_adopted_total", m.MetaSegsAdopted)
 	cnt("clusterkv_serve_meta_segments_built_total", m.MetaSegsBuilt)
+	cnt("clusterkv_serve_meta_keys_adopted_total", m.MetaKeysAdopted)
+	cnt("clusterkv_serve_meta_keys_built_total", m.MetaKeysBuilt)
 	gauge("clusterkv_serve_kv_used_slots", float64(m.KVUsed))
 	gauge("clusterkv_serve_kv_peak_slots", float64(m.KVPeak))
 	gauge("clusterkv_serve_kv_capacity_slots", float64(m.KVCapacity))
@@ -240,8 +245,9 @@ type engineMetrics struct {
 	// quantized-decode run counters, harvested from each sequence's
 	// attention scratch at retirement (step workers run concurrently).
 	quantRuns, floatRuns atomic.Int64
-	// selector-metadata segment counters, harvested the same way.
-	metaAdopted, metaBuilt atomic.Int64
+	// selector-metadata piece and key counters, harvested the same way.
+	metaAdopted, metaBuilt         atomic.Int64
+	metaKeysAdopted, metaKeysBuilt atomic.Int64
 	// curQueued/curActive are the last round barrier's scheduler gauges,
 	// exposed to routers through Engine.Occupancy (zeroed while idle).
 	curQueued, curActive atomic.Int64
@@ -391,6 +397,8 @@ func (e *Engine) Metrics() Metrics {
 		KVFloatRuns:          x.floatRuns.Load(),
 		MetaSegsAdopted:      x.metaAdopted.Load(),
 		MetaSegsBuilt:        x.metaBuilt.Load(),
+		MetaKeysAdopted:      x.metaKeysAdopted.Load(),
+		MetaKeysBuilt:        x.metaKeysBuilt.Load(),
 		Transfer:             e.rt.Stats(),
 		TTFT:                 summarize(&x.ttft),
 		TokenLatency:         summarize(&x.tokenLat),

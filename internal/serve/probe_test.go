@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"clusterkv/internal/attention"
 )
 
 // TestTrySubmitBackpressure: with a single-slot intake queue and the lone
@@ -146,32 +148,33 @@ func TestPrefixResidentTracksEviction(t *testing.T) {
 }
 
 // TestOccupancyProbe: gauges reflect a running engine and return to idle
-// zeros (with zero live pages) once everything drains.
+// zeros (with zero live pages) once everything drains. The first request's
+// selector factory blocks inside its prefill round until the gauge has been
+// sampled, so the busy snapshot does not depend on how fast requests finish.
 func TestOccupancyProbe(t *testing.T) {
 	m := testModel()
 	e := NewEngine(m, Config{Workers: 1, MaxBatch: 2, QueueCap: 8, Seed: 1})
 	if occ := e.Occupancy(); occ.IntakeCap != 8 {
 		t.Fatalf("IntakeCap = %d, want 8", occ.IntakeCap)
 	}
+	entered, release := make(chan struct{}), make(chan struct{})
 	var tickets []*Ticket
 	for i := 0; i < 5; i++ {
-		tickets = append(tickets, e.Submit(Request{
-			Prompt: testDoc(uint64(i), 256), MaxNewTokens: 8,
-		}))
-	}
-	sawLoad := false
-	deadline := time.Now().Add(30 * time.Second)
-	for !sawLoad && time.Now().Before(deadline) {
-		occ := e.Occupancy()
-		if occ.Active > 0 {
-			if occ.Active > 2 {
-				t.Fatalf("Active = %d exceeds MaxBatch 2", occ.Active)
+		req := Request{Prompt: testDoc(uint64(i), 256), MaxNewTokens: 8}
+		if i == 0 {
+			req.NewSelector = func() attention.Selector {
+				close(entered)
+				<-release
+				return nil
 			}
-			sawLoad = true
 		}
+		tickets = append(tickets, e.Submit(req))
 	}
-	if !sawLoad {
-		t.Fatal("never observed a busy occupancy snapshot")
+	<-entered
+	occ := e.Occupancy()
+	close(release)
+	if occ.Active < 1 || occ.Active > 2 {
+		t.Fatalf("Active = %d while a request is held in its prefill round, want 1..2 (MaxBatch 2)", occ.Active)
 	}
 	for _, tk := range tickets {
 		if resp := tk.Wait(); resp.Err != nil {
@@ -179,7 +182,7 @@ func TestOccupancyProbe(t *testing.T) {
 		}
 	}
 	e.Close()
-	occ := e.Occupancy()
+	occ = e.Occupancy()
 	if occ.Queued != 0 || occ.Active != 0 || occ.IntakeBacklog != 0 {
 		t.Fatalf("drained engine occupancy not idle: %+v", occ)
 	}

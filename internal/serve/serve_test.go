@@ -115,15 +115,15 @@ func TestEngineMatchesSerialDecode(t *testing.T) {
 	cases := []struct {
 		name string
 		reqs []Request
-		// segs is the number of complete segments of the shared document (the
-		// first request builds them, every later one adopts them); -1 skips
-		// the exact count.
+		// segs is the number of pieces of the shared document that end on a
+		// cut (the first request builds them, every later one adopts them);
+		// -1 skips the exact count.
 		segs int64
 	}{
 		{"doc192", qaRequests(6, 192, 16, 12, clusterSel), 0},
 		{"S256/on-boundary", qaRequests(4, 512, 16, 8, segSel(256)), 2},
-		{"S256/page-before", qaRequests(4, 448, 16, 8, segSel(256)), 1},
-		{"S256/page-after", qaRequests(4, 576, 16, 8, segSel(256)), 2},
+		{"S256/page-before", qaRequests(4, 448, 16, 8, segSel(256)), 2},
+		{"S256/page-after", qaRequests(4, 576, 16, 8, segSel(256)), 3},
 		{"S256/chat", chat(segSel(256)), -1},
 		{"S0/on-boundary", qaRequests(4, 512, 16, 8, segSel(0)), 0},
 		{"S0/chat", chat(segSel(0)), 0},
@@ -156,6 +156,52 @@ func TestEngineMatchesSerialDecode(t *testing.T) {
 				}
 			case mx.MetaSegsAdopted == 0:
 				t.Fatal("no turn adopted a segment of its ancestor")
+			}
+		})
+	}
+}
+
+// TestEngineAdoptsSubCutPieces: under the default SegmentTokens a prefix
+// shorter than one segment is still clustered once. Eight questions over one
+// 1024-token document build its piece [16, 1024) once per plane and adopt it
+// seven times; every turn of a nested chat load after the first adopts the
+// system prompt's piece from its ancestors' pages; and a prefix that ends
+// before the cut (960 + 80 tokens: the cut at 1024 lies in the suffix) adopts
+// nothing. All three emit serial decode's tokens.
+func TestEngineAdoptsSubCutPieces(t *testing.T) {
+	m := testModel()
+	planes := int64(m.Config().NLayers * m.Config().NKVHeads) // clusterSel bypasses no layer
+	cc := workload.DefaultConversationConfig()
+	cc.Doc.VocabSize, cc.Doc.NTopics, cc.Doc.Seed = 128, 8, 41
+	cc.Sessions, cc.Turns, cc.SystemLen, cc.UserLen, cc.ReplyLen, cc.MaxNewTokens = 2, 4, 256, 32, 32, 6
+	for _, tc := range []struct {
+		name string
+		reqs []Request
+		// Per plane: pieces built on a cut, keys adopted, keys clustered.
+		built, keysAdopted, keysBuilt int64
+	}{
+		{"doc1024", qaRequests(8, 1024, 32, 8, clusterSel), 1, 7 * 1008, 1008 + 8*32},
+		// Prompts of 288..480 tokens: all cut at 256, the 240-key piece is
+		// built by the first turn served and adopted by the other seven.
+		{"chat", nestedRequests(workload.ConversationLoad(cc)), 1, 7 * 240, 240 + 2*(32+96+160+224)},
+		{"cut-in-suffix", qaRequests(4, 960, 80, 8, clusterSel), 4, 0, 4 * 1024},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine(m, Config{Workers: 4, MaxBatch: 4, Seed: 9})
+			resps := e.Run(tc.reqs)
+			mx := e.Metrics()
+			e.Close()
+			for i, r := range resps {
+				if r.Err != nil {
+					t.Fatalf("request %d failed: %v", i, r.Err)
+				}
+				if want := serialDecode(t, m, tc.reqs[i]); !slices.Equal(r.Tokens, want) {
+					t.Fatalf("request %d diverges from serial decode: %v vs %v", i, r.Tokens, want)
+				}
+			}
+			if mx.MetaSegsBuilt != planes*tc.built || mx.MetaKeysAdopted != planes*tc.keysAdopted || mx.MetaKeysBuilt != planes*tc.keysBuilt {
+				t.Fatalf("pieces built %d, keys adopted %d built %d; want %d, %d, %d", mx.MetaSegsBuilt,
+					mx.MetaKeysAdopted, mx.MetaKeysBuilt, planes*tc.built, planes*tc.keysAdopted, planes*tc.keysBuilt)
 			}
 		})
 	}
