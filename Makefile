@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-seq test-xfer-race test-fleet test-trace test-kernels test-purego build-arm64 fuzz-kernels test-batch benchmark-check vet race bench bench-smoke bench-json bench-compare serve clean
+.PHONY: build test test-seq test-xfer-race test-fleet test-trace test-kernels test-purego build-arm64 fuzz-kernels test-batch test-pool benchmark-check vet race bench bench-smoke bench-json bench-compare serve clean
 
 # Experiments with committed BENCH_<exp>.json baselines at the repo root —
 # the perf trajectory the compare gate tracks (DESIGN.md §14).
@@ -93,6 +93,18 @@ fuzz-kernels:
 test-batch:
 	GOMAXPROCS=1 $(GO) test -count=1 -run 'MatTMat|MatMulRows|BatchDecode' ./internal/tensor/ ./internal/model/ ./internal/serve/
 	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'MatTMat|MatMulRows|BatchDecode' ./internal/tensor/ ./internal/model/ ./internal/serve/
+
+# Pool lane: the spin paths of internal/parallel (hot helper, caller's wait,
+# park after the window) are schedule-sensitive, so the pool suite and the
+# model suites that sit on it — two-phase decode attention ≡ the serial head
+# loop, prefill conformance, cohort ≡ solo — run under the race detector at
+# GOMAXPROCS 1 (every spin must yield), 2 and 4, three times each
+# (DESIGN.md §6, §13).
+test-pool:
+	for p in 1 2 4; do \
+		GOMAXPROCS=$$p $(GO) test -race -count=3 ./internal/parallel/ || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -race -count=3 -run 'TwoPhase|Conformance|BatchDecode' ./internal/model/ || exit 1; \
+	done
 
 # Nested benchmark module (benchmark/, driven by BENCHMARK.json): it compiles
 # against this module's API but sits outside `go test ./...`, so vet and test

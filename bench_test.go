@@ -4,6 +4,7 @@
 package clusterkv_test
 
 import (
+	"fmt"
 	"runtime"
 	"sort"
 	"testing"
@@ -403,10 +404,23 @@ func benchPrefixHit(b *testing.B, cfg clusterkv.Config) {
 // (layer, kvHead) plane every PageTokens steps); the measured window is
 // placed to avoid them. Runs in `make bench-smoke`, so a regression that
 // reintroduces per-round allocations fails CI rather than silently eroding
-// decode tok/s.
+// decode tok/s. The contract holds at the pool width the engine runs at, not
+// only inline: w2 fans the attention phase and the LM head out.
 func BenchmarkDecodeSteadyAllocs(b *testing.B) {
-	clusterkv.SetIntraOpWorkers(1)
+	atWidths(b, benchDecodeSteadyAllocs)
+}
+
+// atWidths runs fn as sub-benchmarks w1 and w2 with the intra-op pool at that
+// width.
+func atWidths(b *testing.B, fn func(b *testing.B)) {
 	defer clusterkv.SetIntraOpWorkers(runtime.GOMAXPROCS(0))
+	for _, w := range []int{1, 2} {
+		clusterkv.SetIntraOpWorkers(w)
+		b.Run(fmt.Sprintf("w%d", w), fn)
+	}
+}
+
+func benchDecodeSteadyAllocs(b *testing.B) {
 	m := clusterkv.NewModel(clusterkv.DefaultModelConfig())
 	doc := clusterkv.Doc(clusterkv.DefaultDocConfig(), 1024)
 	seq := m.NewSequence(nil, 0)
@@ -436,8 +450,10 @@ func BenchmarkDecodeSteadyAllocs(b *testing.B) {
 // allocates nothing. Prompt lengths are page-aligned so the next
 // page-boundary allocation falls outside the measured window.
 func BenchmarkBatchDecodeSteadyAllocs(b *testing.B) {
-	clusterkv.SetIntraOpWorkers(1)
-	defer clusterkv.SetIntraOpWorkers(runtime.GOMAXPROCS(0))
+	atWidths(b, benchBatchDecodeSteadyAllocs)
+}
+
+func benchBatchDecodeSteadyAllocs(b *testing.B) {
 	m := clusterkv.NewModel(clusterkv.DefaultModelConfig())
 	const streams = 4
 	bd := m.NewBatchDecoder()
@@ -475,8 +491,10 @@ func BenchmarkBatchDecodeSteadyAllocs(b *testing.B) {
 // objects per selecting (layer, head) per step. The measured window sits
 // inside one KV page and one DecodeWindow, like BenchmarkDecodeSteadyAllocs.
 func BenchmarkClusterKVDecodeSteadyAllocs(b *testing.B) {
-	clusterkv.SetIntraOpWorkers(1)
-	defer clusterkv.SetIntraOpWorkers(runtime.GOMAXPROCS(0))
+	atWidths(b, benchClusterKVDecodeSteadyAllocs)
+}
+
+func benchClusterKVDecodeSteadyAllocs(b *testing.B) {
 	m := clusterkv.NewModel(clusterkv.DefaultModelConfig())
 	const ctx, budget = 4096, 1024
 	doc := clusterkv.Doc(clusterkv.DefaultDocConfig(), ctx)

@@ -8,10 +8,9 @@
 // for a bound quantized host tier) and charges modeled channel time. What
 // the runtime adds over the synchronous Ledger calls is *when* that happens:
 // requests are enqueued while compute proceeds, a background worker applies
-// them (fanning batches out on the shared intra-op pool), and Wait exposes
-// only the modeled time that did not fit behind compute. Transfers change
-// when data moves, never what attention reads — token streams are identical
-// with the runtime on or off.
+// them, and Wait exposes only the modeled time that did not fit behind
+// compute. Transfers change when data moves, never what attention reads —
+// token streams are identical with the runtime on or off.
 package kvcache
 
 import (
@@ -21,7 +20,6 @@ import (
 
 	"clusterkv/internal/metrics"
 	"clusterkv/internal/obs"
-	"clusterkv/internal/parallel"
 )
 
 // Channel models the simulated host↔device link transfers are scheduled on.
@@ -246,21 +244,13 @@ func (t *Transfer) apply() {
 	}
 }
 
-// service applies a batch: ledger promotions fan out on the shared intra-op
-// pool (disjoint ledgers, per-ledger locks), then channel time is accounted
-// serially in FIFO order so the modeled link stays a single serialized
-// resource.
+// service applies a batch, then accounts channel time in FIFO order so the
+// modeled link stays a single serialized resource. The promotions are ledger
+// bookkeeping, microseconds each — far below the pool's fan-out grain — so
+// they run here rather than take the compute goroutine's helper.
 func (rt *TransferRuntime) service(batch []*Transfer) {
-	if p := parallel.Default(); p.RunsInline(len(batch), 1) {
-		for _, t := range batch {
-			t.apply()
-		}
-	} else {
-		p.For(len(batch), 1, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				batch[i].apply()
-			}
-		})
+	for _, t := range batch {
+		t.apply()
 	}
 	now := time.Now()
 	rt.mu.Lock()

@@ -10,14 +10,14 @@ import (
 // activation matrix and every weight-matrix product of the layer — QKV, the
 // output projection, the SwiGLU block and the LM head — is issued as ONE
 // batched GEMM across the cohort instead of S per-stream GEMVs, so each
-// weight matrix streams from memory once per round. Attention, rope, KV
-// append, selection and quantization stay per-stream in between the GEMM
-// phases, because KV state is per-sequence; that phase fans the cohort out
-// over the shared pool, each stream on its own attention scratch.
+// weight matrix streams from memory once per round. Rope, KV append and
+// quantization stay per-stream in between the GEMM phases, because KV state
+// is per-sequence; attention is layerAttn over the cohort — selection per
+// stream, then every (stream, head) pair fanned out over the shared pool.
 //
 // Determinism contract: every batched kernel keeps the per-row reduction
-// order of the GEMV it replaces, and the per-stream phase runs identical
-// code to Sequence.DecodeInto, so the tokens a cohort produces are
+// order of the GEMV it replaces, and the attention phase is the very code
+// Sequence.DecodeInto runs, so the tokens a cohort produces are
 // bit-identical to stepping each sequence alone — at any cohort size and
 // any pool width (locked by the conformance suites).
 //
@@ -34,6 +34,8 @@ type BatchDecoder struct {
 	k, v      tensor.Mat // S×(NKVHeads·HeadDim)
 	attnOut   tensor.Mat // S×(NHeads·HeadDim)
 	gate, up  tensor.Mat // S×FFNDim
+	// attn is the live cohort's attention phase over q and attnOut.
+	attn layerAttn
 }
 
 // NewBatchDecoder returns an empty batch decoder for the model; scratch grows
@@ -97,6 +99,7 @@ func (bd *BatchDecoder) DecodeInto(seqs []*Sequence, tokens []int, logits [][]fl
 		}
 	}
 	bd.grow(S)
+	bd.attn = layerAttn{seqs: seqs, q: bd.q.Data, out: bd.attnOut.Data}
 	pool := parallel.Default()
 	// Grow the rope table up front so the fanned-out attention phase only
 	// reads it (same discipline as Prefill).
@@ -144,14 +147,10 @@ func (bd *BatchDecoder) DecodeInto(seqs []*Sequence, tokens []int, logits [][]fl
 				}
 			}
 		}
-		// Attention phase, one stream per parallel index: each stream selects
-		// and attends over its own KV on its own scratch (QuantRuns/FloatRuns
-		// telemetry stays per-sequence), writing a disjoint attnOut row.
-		if pool.RunsInline(S, 1) {
-			bd.attnBand(seqs, l, 0, S)
-		} else {
-			pool.For(S, 1, func(lo, hi int) { bd.attnBand(seqs, l, lo, hi) })
-		}
+		// Attention, the same two phases as a lone stream's (layerAttn):
+		// selection per stream, then every (stream, head) pair on its own
+		// scratch, each writing a disjoint slice of its attnOut row.
+		bd.attn.run(pool, l)
 		tensor.MatTMatOn(pool, &bd.normed, lw.wo, &bd.attnOut)
 		for i := range seqs {
 			tensor.Add(bd.x.Row(i), bd.x.Row(i), bd.normed.Row(i))
@@ -188,37 +187,5 @@ func (bd *BatchDecoder) DecodeInto(seqs []*Sequence, tokens []int, logits [][]fl
 		rmsNorm(bd.normed.Row(i), bd.x.Row(i), w.finalNorm)
 	}
 	w.embedP.MatMulRowsOn(pool, logits, &bd.normed)
-}
-
-// attnBand runs the per-stream attention phase of layer l for cohort members
-// [lo, hi): probe, selection, full/sparse attention — identical code to the
-// per-stream decode path, on each sequence's own scratch.
-func (bd *BatchDecoder) attnBand(seqs []*Sequence, l, lo, hi int) {
-	cfg := bd.m.cfg
-	group := cfg.GroupSize()
-	for i := lo; i < hi; i++ {
-		s := seqs[i]
-		q := bd.q.Row(i)
-		out := bd.attnOut.Row(i)
-		for hh := 0; hh < cfg.NHeads; hh++ {
-			kv := hh / group
-			st := s.Store(l, kv)
-			qh := q[hh*cfg.HeadDim : (hh+1)*cfg.HeadDim]
-			if s.Probe != nil {
-				ws := s.attn.Scores(st.Len())
-				s.attn.Weights(ws, qh, st)
-				s.Probe(l, hh, ws)
-			}
-			var idx []int
-			if s.sel != nil {
-				idx = s.sel.Select(l, kv, qh, st, s.budget)
-			}
-			if idx == nil {
-				s.attn.Full(s.headOut, qh, st)
-			} else {
-				s.attn.Sparse(s.headOut, qh, st, idx)
-			}
-			copy(out[hh*cfg.HeadDim:(hh+1)*cfg.HeadDim], s.headOut)
-		}
-	}
+	bd.attn.seqs = nil // the cohort slice is the caller's to reuse
 }

@@ -138,13 +138,21 @@ type Sequence struct {
 	qbuf    []float32
 	kbuf    []float32
 	vbuf    []float32
-	headOut []float32
 	attnOut []float32
 	ffnGate []float32
 	ffnUp   []float32
-	// attn is the reusable attention scratch (scores + quant fold buffers);
-	// its geometric growth keeps steady-state decode rounds allocation-free.
-	attn attention.Scratch
+	// attn holds one reusable attention scratch (scores + quant fold buffers)
+	// per query head, so a layer's heads can attend concurrently; geometric
+	// growth keeps steady-state decode rounds allocation-free.
+	attn []attention.Scratch
+	// picks is the selection phase's hand-off to the attention phase, one per
+	// query head; attended is the layer's total of tokens they name.
+	picks    []headPick
+	attended int
+	// solo is the sequence as a cohort of one: DecodeInto's layerAttn over
+	// qbuf and attnOut.
+	solo layerAttn
+	self [1]*Sequence
 	// kvBits, when non-zero, enables the int8 KV decode path: full pages are
 	// compute-quantized after each append and the attention kernels read the
 	// codes directly (bounded-ULP contract, DESIGN.md §12).
@@ -179,10 +187,13 @@ func (m *Model) NewSequenceIn(a *kvcache.Arena, sel attention.Selector, budget i
 	s.qbuf = make([]float32, cfg.NHeads*cfg.HeadDim)
 	s.kbuf = make([]float32, cfg.NKVHeads*cfg.HeadDim)
 	s.vbuf = make([]float32, cfg.NKVHeads*cfg.HeadDim)
-	s.headOut = make([]float32, cfg.HeadDim)
 	s.attnOut = make([]float32, cfg.NHeads*cfg.HeadDim)
 	s.ffnGate = make([]float32, cfg.FFNDim)
 	s.ffnUp = make([]float32, cfg.FFNDim)
+	s.attn = make([]attention.Scratch, cfg.NHeads)
+	s.picks = make([]headPick, cfg.NHeads)
+	s.self[0] = s
+	s.solo = layerAttn{seqs: s.self[:], q: s.qbuf, out: s.attnOut}
 	return s
 }
 
@@ -228,7 +239,11 @@ func (s *Sequence) SetKVQuantDecode(bits int) {
 // to the int8 and float32 paths while compute quantization was enabled —
 // the coverage signal behind the serve engine's quantized-decode metrics.
 func (s *Sequence) KVQuantRuns() (quantRuns, floatRuns int64) {
-	return s.attn.QuantRuns, s.attn.FloatRuns
+	for i := range s.attn {
+		quantRuns += s.attn[i].QuantRuns
+		floatRuns += s.attn[i].FloatRuns
+	}
+	return quantRuns, floatRuns
 }
 
 // Selector returns the attached selection policy (may be nil).
@@ -456,7 +471,7 @@ func (s *Sequence) DecodeInto(token int, logits []float32) {
 	}
 	copy(s.hidden, w.embed.Row(token))
 	pos := s.pos
-	group := cfg.GroupSize()
+	pool := parallel.Default()
 
 	for l := 0; l < cfg.NLayers; l++ {
 		if s.la != nil {
@@ -488,26 +503,7 @@ func (s *Sequence) DecodeInto(token int, logits []float32) {
 				st.QuantizeFullPages()
 			}
 		}
-		for hh := 0; hh < cfg.NHeads; hh++ {
-			kv := hh / group
-			st := s.Store(l, kv)
-			qh := s.qbuf[hh*cfg.HeadDim : (hh+1)*cfg.HeadDim]
-			if s.Probe != nil {
-				ws := s.attn.Scores(st.Len())
-				s.attn.Weights(ws, qh, st)
-				s.Probe(l, hh, ws)
-			}
-			var idx []int
-			if s.sel != nil {
-				idx = s.sel.Select(l, kv, qh, st, s.budget)
-			}
-			if idx == nil {
-				s.attn.Full(s.headOut, qh, st)
-			} else {
-				s.attn.Sparse(s.headOut, qh, st, idx)
-			}
-			copy(s.attnOut[hh*cfg.HeadDim:(hh+1)*cfg.HeadDim], s.headOut)
-		}
+		s.solo.run(pool, l)
 		addProjected(s.hidden, lw.wo, s.attnOut, s.normed)
 		s.ffn(s.hidden, lw)
 		if s.la != nil {
@@ -521,4 +517,109 @@ func (s *Sequence) DecodeInto(token int, logits []float32) {
 
 	rmsNorm(s.normed, s.hidden, w.finalNorm)
 	w.embedP.MatVec(logits, s.normed)
+}
+
+// headPick is what the selection phase of a decode layer hands the attention
+// phase for one query head.
+type headPick struct {
+	// idx is the sequence's own copy of the selector's list: a Selector's
+	// return is valid only until the next Select on its (layer, kv head), and
+	// under GQA every head of a group selects before any of them attends.
+	idx []int
+	// full records a nil return — attend over the whole store — which an
+	// empty list must stay distinct from.
+	full bool
+}
+
+// layerAttn is the decode attention of one layer for a cohort of sequences:
+// the one copy of the select/attend code, behind Sequence.DecodeInto (a
+// cohort of one) and BatchDecoder alike. It runs in two phases on the shared
+// pool (DESIGN.md §13). Selection fans out over streams and walks each
+// stream's heads serially in head order, so a Selector sees the call sequence
+// of a serial decode and needs no locking. Attention then fans out over
+// (stream, head) pairs, each on the head's own attention.Scratch, writing its
+// disjoint slice of out. Heads are independent, so the second phase only
+// re-orders work and outputs are bit-identical at any pool width. It is a
+// parallel.Body so that neither dispatch allocates.
+type layerAttn struct {
+	seqs   []*Sequence
+	q, out []float32 // stream i's query heads / attention output at row i
+	layer  int
+	attend bool // the phase Run executes
+}
+
+// run executes both phases of one layer; q must hold the rotated queries.
+func (a *layerAttn) run(pool *parallel.Pool, layer int) {
+	a.layer, a.attend = layer, false
+	pool.Do(len(a.seqs), 1, a)
+	cfg := a.seqs[0].m.cfg
+	keys := 0
+	for _, s := range a.seqs {
+		keys += s.attended
+	}
+	n := len(a.seqs) * cfg.NHeads
+	a.attend = true
+	pool.Do(n, parallel.Grain(2*cfg.HeadDim*keys/n), a)
+}
+
+// Run implements parallel.Body over streams (selection) or (stream, head)
+// pairs (attention).
+func (a *layerAttn) Run(lo, hi int) {
+	cfg := a.seqs[0].m.cfg
+	row := cfg.NHeads * cfg.HeadDim
+	if !a.attend {
+		for i := lo; i < hi; i++ {
+			a.seqs[i].selectHeads(a.layer, a.q[i*row:(i+1)*row])
+		}
+		return
+	}
+	for i := lo; i < hi; i++ {
+		si, hh := i/cfg.NHeads, i%cfg.NHeads
+		a.seqs[si].attendHead(a.layer, hh, a.q[si*row:(si+1)*row], a.out[si*row:(si+1)*row])
+	}
+}
+
+// selectHeads is the selection phase for one stream: probe and Select for
+// every query head in head order, each returned list copied into the head's
+// pick.
+func (s *Sequence) selectHeads(l int, q []float32) {
+	cfg := s.m.cfg
+	group, d := cfg.GroupSize(), cfg.HeadDim
+	s.attended = 0
+	for hh := range s.picks {
+		kv := hh / group
+		st := s.Store(l, kv)
+		qh := q[hh*d : (hh+1)*d]
+		if s.Probe != nil {
+			ws := s.attn[hh].Scores(st.Len())
+			s.attn[hh].Weights(ws, qh, st)
+			s.Probe(l, hh, ws)
+		}
+		var idx []int
+		if s.sel != nil {
+			idx = s.sel.Select(l, kv, qh, st, s.budget)
+		}
+		pk := &s.picks[hh]
+		pk.full = idx == nil
+		pk.idx = append(pk.idx[:0], idx...)
+		if pk.full {
+			s.attended += st.Len()
+		} else {
+			s.attended += len(idx)
+		}
+	}
+}
+
+// attendHead is the attention phase for one query head: full or sparse
+// attention as its pick says, written straight into the head's slice of out.
+func (s *Sequence) attendHead(l, hh int, q, out []float32) {
+	cfg := s.m.cfg
+	d := cfg.HeadDim
+	st := s.Store(l, hh/cfg.GroupSize())
+	qh, oh := q[hh*d:(hh+1)*d], out[hh*d:(hh+1)*d]
+	if pk := &s.picks[hh]; pk.full {
+		s.attn[hh].Full(oh, qh, st)
+	} else {
+		s.attn[hh].Sparse(oh, qh, st, pk.idx)
+	}
 }

@@ -1,8 +1,8 @@
 // Package parallel provides the shared intra-op worker pool behind every
 // data-parallel kernel in the repository: blocked matrix kernels in
-// internal/tensor, row/head-parallel prefill attention in internal/model,
-// K-means assignment in internal/cluster and the serve engine's per-round
-// step fan-out.
+// internal/tensor, position-parallel prefill and head-parallel decode
+// attention in internal/model, K-means assignment in internal/cluster and the
+// serve engine's per-round step fan-out.
 //
 // Determinism contract: For splits [0, n) into blocks at *fixed* split
 // points computed only from (n, grain, pool width) — never from runtime
@@ -19,13 +19,16 @@
 // blocks, and idle pool helpers join in; a nested For (a parallel kernel
 // invoked from inside a pool worker) finds no idle helpers and simply runs
 // inline, so total concurrency stays bounded by the pool width no matter
-// how many engine goroutines issue kernels at once.
+// how many engine goroutines issue kernels at once. Executors busy-poll for a
+// short bounded window (hotWindow) before they block, yielding their P every
+// few microseconds; past the window an idle pool costs nothing.
 package parallel
 
 import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // blocksPerWorker oversubscribes block count relative to pool width so the
@@ -34,25 +37,60 @@ import (
 // function of (n, grain, width).
 const blocksPerWorker = 4
 
+// hotWindow bounds how long an executor busy-polls before it blocks (recvHot):
+// a helper polls the job queue this long after finishing a job, and a caller
+// polls its job's completion this long after running out of blocks. A parked goroutine
+// takes ≈ 100 µs to wake on the boxes this runs on — longer than most blocks
+// of a decode step — so a For issued within the window of the previous one
+// (every layer of a decode round is) must find the helper still running.
+// Chosen from BenchmarkPoolFanout (EXPERIMENTS.md has the sweep).
+const hotWindow = 200 * time.Microsecond
+
+// spinPolls is the number of polls between two looks at the clock; each look
+// is followed by a runtime.Gosched, so a spinning executor never keeps a
+// runnable goroutine (an engine loop on an oversubscribed box) off its P for
+// longer than a few microseconds.
+const spinPolls = 256
+
+// Body is a For loop body that lives in caller-owned memory. Pool.Do stores
+// only the interface value, so a hot path that keeps its Body in a long-lived
+// struct dispatches without allocating — a closure handed to For is forced
+// onto the heap on every call.
+type Body interface {
+	// Run executes the half-open index range [lo, hi).
+	Run(lo, hi int)
+}
+
+type funcBody func(lo, hi int)
+
+func (f funcBody) Run(lo, hi int) { f(lo, hi) }
+
 // Pool is a fixed-width intra-op worker pool. The zero value is not usable;
 // use NewPool. A nil *Pool is valid and runs everything inline.
 type Pool struct {
-	width     int
+	width int
+	// jobs carries offers to the helpers. Capacity width: at most width-1
+	// copies of any one job are offered, and Close adds width-1 sentinels.
 	jobs      chan *job
 	closeOnce sync.Once
 }
 
-// job is one For invocation: fixed block boundaries plus a dynamic
-// next-block cursor shared by the caller and any helpers that join.
+// job is one Do invocation: fixed block boundaries plus a dynamic next-block
+// cursor shared by the caller and any helpers that join. Jobs are recycled
+// through jobPool once the caller and every offered copy have let go.
 type job struct {
-	fn      func(lo, hi int)
+	body    Body
 	n       int
 	nblocks int
-	next    atomic.Int64
-	wg      sync.WaitGroup
+	next    atomic.Int64  // next unclaimed block
+	left    atomic.Int64  // blocks not yet finished
+	done    chan struct{} // receives one token when left reaches zero
+	refs    atomic.Int32  // caller + copies in flight; zero recycles the job
 	panicMu sync.Mutex
 	panicV  any
 }
+
+var jobPool = sync.Pool{New: func() any { return &job{done: make(chan struct{}, 1)} }}
 
 // NewPool returns a pool that runs For callbacks on up to width concurrent
 // executors (the caller plus width-1 persistent helper goroutines).
@@ -67,18 +105,39 @@ func NewPool(width int) *Pool {
 	if width > 1 {
 		p.jobs = make(chan *job, width)
 		for i := 0; i < width-1; i++ {
-			go func(jobs <-chan *job) {
-				for {
-					j := <-jobs
-					if j == nil {
-						return // Close sentinel
-					}
-					j.runBlocks()
-				}
-			}(p.jobs)
+			go p.help()
 		}
 	}
 	return p
+}
+
+// help is a helper goroutine's life: parked until the first offer, then hot
+// for hotWindow after every job, until Close's sentinel arrives.
+func (p *Pool) help() {
+	for j := <-p.jobs; j != nil; j = recvHot(p.jobs) {
+		j.runBlocks()
+		j.release()
+	}
+}
+
+// recvHot receives from ch the way every executor of the pool waits: it
+// polls for hotWindow, yielding its P every spinPolls polls, and then blocks,
+// so an idle pool burns no CPU once the window has passed.
+func recvHot[T any](ch <-chan T) T {
+	start := time.Now()
+	for i := 1; ; i++ {
+		select {
+		case v := <-ch:
+			return v
+		default:
+		}
+		if i%spinPolls == 0 {
+			if time.Since(start) > hotWindow {
+				return <-ch
+			}
+			runtime.Gosched()
+		}
+	}
 }
 
 // blocks returns the number of partition blocks For would use for (n, grain).
@@ -98,11 +157,8 @@ func (p *Pool) blocks(n, grain int) int {
 
 // RunsInline reports whether For(n, grain, fn) would execute fn entirely on
 // the calling goroutine (no job dispatch). Hot single-token kernels branch on
-// it to call their loop body directly instead of constructing a closure —
-// For's parallel path stores fn in a job, which forces every closure passed
-// to it onto the heap, and that per-call allocation is what the steady-state
-// zero-alloc decode contract (DESIGN.md §12) forbids. Must mirror For's
-// dispatch branch exactly.
+// it to call their loop body directly, skipping even the Body set-up. Must
+// mirror Do's dispatch branch exactly.
 func (p *Pool) RunsInline(n, grain int) bool {
 	return p == nil || p.width <= 1 || n <= 0 || p.blocks(n, grain) <= 1
 }
@@ -139,31 +195,54 @@ func (p *Pool) Close() {
 // [lo, hi) range; together the ranges tile [0, n) exactly. A panic in fn is
 // re-raised on the caller's goroutine after all blocks settle.
 func (p *Pool) For(n, grain int, fn func(lo, hi int)) {
+	p.Do(n, grain, funcBody(fn))
+}
+
+// Do is For over a Body: the same partition, the same guarantees, and no
+// allocation in steady state.
+func (p *Pool) Do(n, grain int, body Body) {
 	if n <= 0 {
 		return
 	}
 	nb := p.blocks(n, grain)
 	if p == nil || p.width <= 1 || nb <= 1 {
-		fn(0, n)
+		body.Run(0, n)
 		return
 	}
-	j := &job{fn: fn, n: n, nblocks: nb}
-	j.wg.Add(nb)
-	// Offer the job to up to nb-1 idle helpers without blocking: a helper
-	// that is busy (or a nested For from inside a helper) just means fewer
-	// hands, never a stall — the caller executes blocks regardless.
+	j := jobPool.Get().(*job)
+	j.body, j.n, j.nblocks = body, n, nb
+	j.next.Store(0)
+	j.left.Store(int64(nb))
+	// Offer one copy per helper that could get a block, without blocking: a
+	// busy helper (or a nested For from inside one) just means fewer hands,
+	// never a stall — the caller executes blocks regardless.
+	j.refs.Store(1)
 offer:
-	for i := 0; i < nb-1; i++ {
+	for i := min(nb, p.width) - 1; i > 0; i-- {
+		j.refs.Add(1)
 		select {
 		case p.jobs <- j:
 		default:
-			break offer // no idle helper; the caller picks up the slack
+			j.refs.Add(-1) // queue full: the caller picks up the slack
+			break offer
 		}
 	}
 	j.runBlocks()
-	j.wg.Wait()
-	if j.panicV != nil {
-		panic(j.panicV)
+	recvHot(j.done) // the helper's last block usually ends within microseconds of the caller's
+	panicV := j.panicV
+	j.release()
+	if panicV != nil {
+		panic(panicV)
+	}
+}
+
+// release drops one reference; the last one recycles the job. A copy still
+// sitting in the queue keeps the job out of the free list until a helper
+// drains it, so a recycled job is never aliased.
+func (j *job) release() {
+	if j.refs.Add(-1) == 0 {
+		j.body, j.panicV = nil, nil
+		jobPool.Put(j)
 	}
 }
 
@@ -179,11 +258,10 @@ func (j *job) runBlocks() {
 }
 
 // runOne executes block b, recording a panic's raw value so the pool's
-// helper goroutines never crash the process; For re-raises it on the
+// helper goroutines never crash the process; Do re-raises it on the
 // caller, preserving the value so failure behavior is identical to the
 // inline (single-block) path at any pool width.
 func (j *job) runOne(b int) {
-	defer j.wg.Done()
 	defer func() {
 		if r := recover(); r != nil {
 			j.panicMu.Lock()
@@ -192,11 +270,14 @@ func (j *job) runOne(b int) {
 			}
 			j.panicMu.Unlock()
 		}
+		if j.left.Add(-1) == 0 {
+			j.done <- struct{}{}
+		}
 	}()
 	lo := b * j.n / j.nblocks
 	hi := (b + 1) * j.n / j.nblocks
 	if lo < hi {
-		j.fn(lo, hi)
+		j.body.Run(lo, hi)
 	}
 }
 
@@ -212,8 +293,8 @@ func init() {
 func Default() *Pool { return defaultPool.Load() }
 
 // grainBlockOps is the target inner-loop operation count per parallel
-// block: below it, fan-out overhead (job allocation, channel offers, the
-// barrier) is not worth paying.
+// block: below it, fan-out overhead (channel offers, the barrier, a wake if
+// the helper has parked) is not worth paying.
 const grainBlockOps = 8192
 
 // Grain converts a kernel's per-index cost into the For grain that keeps

@@ -1,9 +1,12 @@
 package parallel
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestForTilesRange asserts that For covers [0, n) exactly once for a grid
@@ -202,4 +205,152 @@ func TestSetDefault(t *testing.T) {
 		t.Fatal("second SetDefault did not return the test pool")
 	}
 	p.Close()
+}
+
+// meet blocks until two executors are inside the same For: proof that a
+// helper took the offer.
+func meet(t *testing.T, inside *atomic.Int32) {
+	inside.Add(1)
+	for deadline := time.Now().Add(10 * time.Second); inside.Load() < 2; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Error("no helper joined the For")
+			return
+		}
+	}
+}
+
+// TestForLeavesQueueEmpty locks the offer count: a For sends one copy of its
+// job per helper that can get a block, never one per block. With both
+// executors of a 2-wide pool inside the For the queue must already be empty —
+// 8 blocks used to leave two more copies behind, which woke the helper for a
+// finished job and would alias a recycled one — and it is empty on return.
+func TestForLeavesQueueEmpty(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	for round := 0; round < 20; round++ {
+		var inside, blocks atomic.Int32
+		p.For(8, 1, func(lo, hi int) {
+			blocks.Add(int32(hi - lo))
+			meet(t, &inside)
+			if n := len(p.jobs); n != 0 {
+				t.Errorf("round %d: %d surplus offers queued while both executors run", round, n)
+			}
+		})
+		if blocks.Load() != 8 {
+			t.Fatalf("round %d: ran %d of 8 blocks", round, blocks.Load())
+		}
+		if n := len(p.jobs); n != 0 {
+			t.Fatalf("round %d: %d stale offers in the queue after For returned", round, n)
+		}
+	}
+}
+
+// TestForAfterWindowFindsParkedHelper: past the hot window the helper is
+// blocked on the queue, and a For issued then still wakes it and completes.
+func TestForAfterWindowFindsParkedHelper(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	for round := 0; round < 3; round++ {
+		var inside atomic.Int32
+		p.For(2, 1, func(lo, hi int) { meet(t, &inside) })
+		time.Sleep(20 * hotWindow)
+	}
+}
+
+// TestCloseDuringSpin closes a pool whose helpers are inside their hot
+// window: they must see the sentinel from the poll loop and exit, and a For
+// on the closed pool must still complete on the caller.
+func TestCloseDuringSpin(t *testing.T) {
+	before := runtime.NumGoroutine()
+	p := NewPool(4)
+	var ran atomic.Int64
+	p.For(64, 1, func(lo, hi int) { ran.Add(int64(hi - lo)) })
+	p.Close() // within microseconds of the For: the helpers are polling
+	p.For(64, 1, func(lo, hi int) { ran.Add(int64(hi - lo)) })
+	if ran.Load() != 128 {
+		t.Fatalf("covered %d indices, want 128", ran.Load())
+	}
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d helper goroutines still alive after Close", runtime.NumGoroutine()-before)
+		}
+	}
+}
+
+// TestOversubscribedCallers is the fleet's shape: three goroutines issuing
+// Fors at one 2-wide pool on two Ps, so callers outnumber both the helpers and
+// the processors and every spin loop has to yield. Run with -race.
+func TestOversubscribedCallers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	p := NewPool(2)
+	defer p.Close()
+	iters := 300
+	if testing.Short() {
+		iters = 60
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			out := make([]int, 64)
+			for it := 0; it < iters; it++ {
+				p.For(len(out), 8, func(lo, hi int) {
+					for i := lo; i < hi; i++ {
+						out[i] = g*1000 + it + i
+					}
+				})
+				for i := range out {
+					if out[i] != g*1000+it+i {
+						t.Errorf("caller %d round %d: index %d holds %d", g, it, i, out[i])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// burn keeps the calling goroutine's core busy for d.
+func burn(d time.Duration) {
+	for start := time.Now(); time.Since(start) < d; {
+	}
+}
+
+// BenchmarkPoolFanout puts the helper's wake latency in the tree: one For
+// over 4 blocks of {10, 25, 50, 100} µs followed by 100 µs of serial work —
+// the shape of a decode layer's attention phase — on a 2-wide pool, with a
+// serial twin (a nil pool) beside each. Ideal pool2 ns/op is 2 blocks + the
+// gap: 120 / 150 / 200 / 300 µs. Run at GOMAXPROCS=2 (-cpu 2). The pool is
+// shared and warmed for 300 ms first: the kernel starts a new thread on its
+// parent's core and takes about that long to move it to the idle one.
+func BenchmarkPoolFanout(b *testing.B) {
+	const gap = 100 * time.Microsecond
+	fanout := func(p *Pool, block time.Duration) {
+		p.For(4, 1, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				burn(block)
+			}
+		})
+		burn(gap)
+	}
+	p := NewPool(2)
+	defer p.Close()
+	for start := time.Now(); time.Since(start) < 300*time.Millisecond; {
+		fanout(p, 10*time.Microsecond)
+	}
+	for _, us := range []int{10, 25, 50, 100} {
+		block := time.Duration(us) * time.Microsecond
+		for _, c := range []struct {
+			name string
+			pool *Pool
+		}{{"serial", nil}, {"pool2", p}} {
+			b.Run(fmt.Sprintf("4x%dus/%s", us, c.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					fanout(c.pool, block)
+				}
+			})
+		}
+	}
 }

@@ -28,13 +28,7 @@ func MatTMatOn(p *parallel.Pool, dst, m, x *Mat) {
 	if x.Cols != m.Rows || dst.Rows != x.Rows || dst.Cols != m.Cols {
 		panic("tensor: MatTMat dimension mismatch")
 	}
-	// Closure-free serial fast path (see MatVecOn): batched decode rounds
-	// must not allocate at pool width 1.
-	if p.RunsInline(m.Cols, kernelGrain(m.Rows*x.Rows)) {
-		matTMatBand(dst, m, x, 0, m.Cols)
-		return
-	}
-	p.For(m.Cols, kernelGrain(m.Rows*x.Rows), func(lo, hi int) { matTMatBand(dst, m, x, lo, hi) })
+	bandCall{kernel: bandMatTMat, dstM: dst, m: m, xM: x}.on(p, m.Cols, kernelGrain(m.Rows*x.Rows))
 }
 
 // matTMatBandGo is the scalar MatTMat column band (see dotRowsGo).
@@ -81,12 +75,7 @@ func (pm *PackedMat) MatMulRowsOn(p *parallel.Pool, dsts [][]float32, x *Mat) {
 	}
 	np := (pm.Rows + packRows - 1) / packRows
 	stride := pm.Cols * packRows
-	// Closure-free serial fast path (see PackedMat.MatVecOn).
-	if p.RunsInline(np, kernelGrain(stride*x.Rows)) {
-		pm.panelBandRows(dsts, x, 0, np)
-		return
-	}
-	p.For(np, kernelGrain(stride*x.Rows), func(lo, hi int) { pm.panelBandRows(dsts, x, lo, hi) })
+	bandCall{kernel: bandPanelRows, pm: pm, dsts: dsts, xM: x}.on(p, np, kernelGrain(stride*x.Rows))
 }
 
 // panelBandRowsGo is the scalar MatMulRows over panels [lo, hi) (see

@@ -223,13 +223,7 @@ func (pm *PackedMat) MatVecOn(p *parallel.Pool, dst, x []float32) {
 	}
 	np := (pm.Rows + packRows - 1) / packRows
 	stride := pm.Cols * packRows
-	// Closure-free serial fast path (see MatVecOn in mat.go): the decode
-	// LM-head projection runs every round and must not allocate.
-	if p.RunsInline(np, kernelGrain(stride)) {
-		pm.panelBand(dst, x, 0, np)
-		return
-	}
-	p.For(np, kernelGrain(stride), func(lo, hi int) { pm.panelBand(dst, x, lo, hi) })
+	bandCall{kernel: bandPanel, pm: pm, dst: dst, x: x}.on(p, np, kernelGrain(stride))
 }
 
 // panelBandGo is the scalar PackedMat GEMV over panels [lo, hi) (see

@@ -65,13 +65,7 @@ func MatVecOn(p *parallel.Pool, dst []float32, m *Mat, x []float32) {
 	if len(x) != m.Cols || len(dst) != m.Rows {
 		panic("tensor: MatVec dimension mismatch")
 	}
-	// Closure-free serial fast path: decode-round GEMVs must not allocate
-	// (DESIGN.md §12), and a closure passed to For is forced onto the heap.
-	if p.RunsInline(m.Rows, kernelGrain(m.Cols)) {
-		matVecBand(dst, m, x, 0, m.Rows)
-		return
-	}
-	p.For(m.Rows, kernelGrain(m.Cols), func(lo, hi int) { matVecBand(dst, m, x, lo, hi) })
+	bandCall{kernel: bandMatVec, dst: dst, m: m, x: x}.on(p, m.Rows, kernelGrain(m.Cols))
 }
 
 func matVecBand(dst []float32, m *Mat, x []float32, lo, hi int) {
@@ -101,12 +95,7 @@ func MatTVecOn(p *parallel.Pool, dst []float32, m *Mat, x []float32) {
 	if len(x) != m.Rows || len(dst) != m.Cols {
 		panic("tensor: MatTVec dimension mismatch")
 	}
-	// Closure-free serial fast path (see MatVecOn).
-	if p.RunsInline(m.Cols, kernelGrain(m.Rows)) {
-		matTVecBand(dst, m, x, 0, m.Cols)
-		return
-	}
-	p.For(m.Cols, kernelGrain(m.Rows), func(lo, hi int) { matTVecBand(dst, m, x, lo, hi) })
+	bandCall{kernel: bandMatTVec, dst: dst, m: m, x: x}.on(p, m.Cols, kernelGrain(m.Rows))
 }
 
 // matTVecBandGo is the scalar MatTVec column band (see dotRowsGo).
