@@ -18,16 +18,19 @@ test: vet
 	$(GO) test -race ./...
 
 # Serial-schedule lane: the whole suite at GOMAXPROCS=1, locking the
-# determinism contract's width-independent outputs (DESIGN.md §6).
+# determinism contract's width-independent outputs (DESIGN.md §6) — the
+# transfer telemetry's among them (serve.TestTransferTelemetryDeterministic).
 test-seq:
 	GOMAXPROCS=1 $(GO) test ./...
 
-# Async transfer-runtime race lane: the serve engine and the kvcache/core
+# Transfer-runtime race lane: the serve engine and the kvcache/core
 # transfer-path packages under the race detector at GOMAXPROCS=2, the
-# narrowest schedule that still interleaves the background transfer worker
-# with compute threads (DESIGN.md §8).
+# narrowest schedule that still interleaves the streams of a round on the
+# engine's one runtime (DESIGN.md §8); then the telemetry determinism test
+# four more times, since a schedule-dependent total shows up only sometimes.
 test-xfer-race:
 	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/serve/ ./internal/kvcache/ ./internal/core/
+	GOMAXPROCS=2 $(GO) test -race -count=4 -run 'TestTransferTelemetryDeterministic' ./internal/serve/
 
 # Fleet determinism lane: the multi-replica router suite at the serial
 # schedule and at GOMAXPROCS=2 (race-enabled), locking identical placements,

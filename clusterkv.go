@@ -180,24 +180,25 @@ func NewTieredKVAccountant(deviceCap, hostCap int64) *KVAccountant {
 	return kvcache.NewTieredAccountant(deviceCap, hostCap)
 }
 
-// TransferRuntime is the asynchronous tiered-KV transfer runtime: a
-// background executor servicing page-granular fetch/offload requests against
-// a modeled PCIe channel, returning futures attention waits on only if the
-// transfer hasn't landed. Engines create one per instance; selectors that
-// implement the RuntimeAware extension route their simulated KV movement
-// through it and gain layer-ahead prefetch.
+// TransferRuntime is the tiered-KV transfer accountant: page-granular
+// fetches, prefetches and offloads applied in program order and charged to
+// one modeled PCIe channel, against a modeled compute clock (no goroutine,
+// no wall-clock reads). Engines create one per instance; selectors that
+// implement the RuntimeAware extension charge their simulated KV movement
+// to it and gain layer-ahead prefetch.
 type TransferRuntime = kvcache.TransferRuntime
 
-// TransferChannel models the simulated host↔device link (seconds per page).
+// TransferChannel models the simulated host↔device link (seconds per page)
+// and the compute window one layer gives a prefetch to hide behind.
 type TransferChannel = kvcache.Channel
 
 // TransferOverlap is the runtime's copy/compute overlap telemetry: modeled
-// channel-busy seconds versus the portion compute actually waited out, plus
+// channel-busy seconds versus the portion exposed to compute, plus
 // layer-ahead prefetch counters.
 type TransferOverlap = metrics.Overlap
 
-// NewTransferRuntime builds a transfer runtime on the given channel and
-// starts its background worker; callers must Close it.
+// NewTransferRuntime builds a transfer runtime on the given channel. A
+// caller driving a selector by hand calls Advance once per decode step.
 func NewTransferRuntime(ch TransferChannel) *TransferRuntime {
 	return kvcache.NewTransferRuntime(ch)
 }

@@ -214,7 +214,7 @@ func main() {
 		cfg.Attribution = *attrOn
 		eng := clusterkv.NewEngine(m, cfg)
 		resps := dispatch(eng, reqs, load, *rate)
-		eng.Close() // drain (incl. the transfer worker) before the snapshot
+		eng.Close() // drain before the snapshot
 		mx := eng.Metrics()
 		arenaPeak := eng.Arena().PeakPages()
 		var attrSnap *clusterkv.AttributionSnapshot

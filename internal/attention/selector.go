@@ -39,11 +39,10 @@ type Selector interface {
 
 // LayerAware is an optional Selector extension: the model's forward loops
 // (Prefill and Decode) bracket every layer's computation with
-// BeforeLayer/AfterLayer, so a selector can overlap work with compute —
-// layer-ahead prefetch issues speculative KV transfers in AfterLayer(l) and
-// drains them in BeforeLayer(l+1), hiding transfer time behind the layer in
-// between. Hooks run on the compute goroutine; implementations must tolerate
-// being called before any prefill (no metadata yet).
+// BeforeLayer/AfterLayer, so a selector can act between layers — layer-ahead
+// prefetch issues the speculative KV transfers for layer l+1 no later than
+// AfterLayer(l). Hooks run on the compute goroutine; implementations must
+// tolerate being called before any prefill (no metadata yet).
 type LayerAware interface {
 	// BeforeLayer runs just before layer's attention/FFN computation.
 	BeforeLayer(layer int)
@@ -51,8 +50,8 @@ type LayerAware interface {
 	AfterLayer(layer int)
 }
 
-// RuntimeAware is an optional Selector extension: selectors that route their
-// simulated KV movement through an asynchronous transfer runtime accept it
+// RuntimeAware is an optional Selector extension: selectors that charge their
+// simulated KV movement to a transfer runtime's modeled channel accept it
 // here. The serving engine hands every RuntimeAware selector its engine-wide
 // runtime before the request's first prefill.
 type RuntimeAware interface {
@@ -63,8 +62,8 @@ type RuntimeAware interface {
 // account per-request transfer stalls report them here, summed across
 // layers and heads — modeled channel seconds that blocked compute (exposed)
 // vs seconds hidden behind it. The serving engine harvests the pair at
-// retirement into the request's attribution breakdown (DESIGN.md §14).
-// Wall-clock dependent telemetry: excluded from determinism fingerprints.
+// retirement into the request's attribution breakdown (DESIGN.md §14). Both
+// are on the modeled clock (DESIGN.md §8).
 type StallReporter interface {
 	TransferStalls() (exposedSec, hiddenSec float64)
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -183,6 +184,31 @@ func TestRunTab1Small(t *testing.T) {
 	}
 }
 
+// TestInfiniGenRowRepeats: one dataset's InfiniGen row of Fig. 9, built from
+// scratch twice, scores the same. InfiniGen seeds its speculation noise from
+// the query bits, so this row is the one that moved when a task's queries
+// were not reproducible.
+func TestInfiniGenRowRepeats(t *testing.T) {
+	spec := workload.LongBenchTasks(1024)[0]
+	row := func() []float64 {
+		task := workload.BuildTask(spec, 1)
+		var scores []float64
+		for _, ms := range NewMemo().TraceMethods(task.Trace) {
+			if ms.Name != "InfiniGen" {
+				continue
+			}
+			for _, b := range Budgets[:2] {
+				scores = append(scores, taskScore(spec, RunTrace(task.Trace, ms.New(), b)))
+			}
+		}
+		return scores
+	}
+	a, b := row(), row()
+	if len(a) != 2 || !slices.Equal(a, b) {
+		t.Fatalf("InfiniGen scores differ between two runs of %s: %v vs %v", spec.Name, a, b)
+	}
+}
+
 func TestRunCacheSmall(t *testing.T) {
 	rep := RunCache(smallOptions())
 	if len(rep.Rows) != 4 {
@@ -202,9 +228,8 @@ func TestRunOverlapSmall(t *testing.T) {
 
 // TestRunXferOverlapSmall: the transfer-overlap experiment serves a load
 // whose footprint exceeds the device budget and hides a real share of its
-// modeled transfer time behind compute. The hidden-fraction floor is set well
-// under the default-scale result (≈50%) because wall-clock windows shrink on
-// loaded CI machines.
+// modeled transfer time behind modeled compute (≈ 90 % at this scale; what
+// stays exposed is the exact fetches the prefetch mispredicted).
 func TestRunXferOverlapSmall(t *testing.T) {
 	rep := RunXferOverlap(smallOptions())
 	if len(rep.Rows) != 1 {
@@ -218,7 +243,7 @@ func TestRunXferOverlapSmall(t *testing.T) {
 	if _, err := fmt.Sscanf(row[5], "%f%%", &hidden); err != nil {
 		t.Fatalf("parse hidden%% %q: %v", row[5], err)
 	}
-	if hidden < 15 {
+	if hidden < 50 {
 		t.Fatalf("hid only %.0f%% of transfer time", hidden)
 	}
 }

@@ -12,10 +12,11 @@ import (
 // Snapshot comparison: the perf-regression trajectory gate. Compare diffs
 // two BENCH_<exp>.json snapshots of the same experiment and classifies every
 // metric delta. Deterministic model-derived metrics (modeled latencies,
-// token/page/slot counts, hit fractions, boolean identity checks) are
-// *gated*: an adverse change beyond the threshold fails the comparison.
-// Wall-clock-derived metrics (throughput, speedups, allocation counts,
-// overlap timings) vary run-to-run on shared CI hardware, so they only warn.
+// transfer-overlap timings on the modeled channel, token/page/slot counts,
+// hit fractions, boolean identity checks) are *gated*: an adverse change
+// beyond the threshold fails the comparison. Wall-clock-derived metrics
+// (throughput, speedups, allocation counts) vary run-to-run on shared CI
+// hardware, so they only warn.
 
 // DefaultRegressPct is the default per-metric regression threshold (relative
 // adverse change) beyond which a gated metric fails.
@@ -84,14 +85,12 @@ func classify(name, unit string) metricClass {
 	case unit == "tok/s" || unit == "x" || unit == "objects":
 		// Throughput, speedups and allocation rates are measured.
 		return metricClass{higherBetter: unit != "objects"}
-	case strings.HasPrefix(name, "async.") ||
-		containsAny(name, "exposed", "hidden", "busy", "prefetch_hit"):
-		// Overlap telemetry rides the async runtime's wall-clock behavior.
-		return metricClass{higherBetter: containsAny(name, "hidden", "prefetch_hit")}
 	case unit == "ms":
-		// Modeled latencies gate; measured milliseconds only warn. Credit/
-		// savings timings invert: more time saved is better.
-		return metricClass{gated: strings.Contains(name, "model_"),
+		// Modeled latencies and the transfer runtime's channel timings
+		// (async.*: modeled link against modeled compute) gate; measured
+		// milliseconds only warn. Credit/savings timings invert: more time
+		// saved is better.
+		return metricClass{gated: containsAny(name, "model_", "async."),
 			higherBetter: containsAny(name, "saved", "credit")}
 	case unit == "frac":
 		return metricClass{gated: true,

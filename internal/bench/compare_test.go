@@ -79,13 +79,13 @@ func TestComparePerturbedFails(t *testing.T) {
 func TestCompareWallClockOnlyWarns(t *testing.T) {
 	base := snapWith(
 		Metric{Name: "solo_tok_s", Value: 200, Unit: "tok/s"},
-		Metric{Name: "async.exposed_ms", Value: 4.0, Unit: "ms"},
-		Metric{Name: "prefetch_hit_rate", Value: 0.9, Unit: "frac"},
+		Metric{Name: "async.tok_per_sec", Value: 1000, Unit: "tok/s"},
+		Metric{Name: "round_ms", Value: 4.0, Unit: "ms"},
 	)
 	cur := snapWith(
-		Metric{Name: "solo_tok_s", Value: 160, Unit: "tok/s"},    // -20% throughput
-		Metric{Name: "async.exposed_ms", Value: 6.0, Unit: "ms"}, // +50% exposed stall
-		Metric{Name: "prefetch_hit_rate", Value: 0.5, Unit: "frac"},
+		Metric{Name: "solo_tok_s", Value: 160, Unit: "tok/s"},        // -20% throughput
+		Metric{Name: "async.tok_per_sec", Value: 700, Unit: "tok/s"}, // divides by wall seconds
+		Metric{Name: "round_ms", Value: 6.0, Unit: "ms"},             // +50% measured time
 	)
 	res, err := Compare(base, cur, 0.10)
 	if err != nil {
@@ -108,30 +108,43 @@ func TestCompareDirections(t *testing.T) {
 		Metric{Name: "kv_peak", Value: 1000, Unit: "slots"},
 		Metric{Name: "balance", Value: 1.0},
 		Metric{Name: "max_divergence_relnorm", Value: 1e-6, Unit: "frac"},
+		// The transfer runtime's telemetry is on the modeled clock: it gates.
+		Metric{Name: "async.busy_ms", Value: 6.0, Unit: "ms"},
+		Metric{Name: "async.exposed_ms", Value: 0.4, Unit: "ms"},
+		Metric{Name: "async.hidden_frac", Value: 0.9, Unit: "frac"},
+		Metric{Name: "async.prefetch_hit_rate", Value: 0.8, Unit: "frac"},
 	)
 	cur := snapWith(
 		Metric{Name: "saved_prefill_tokens", Value: 1500, Unit: "tokens"}, // better
 		Metric{Name: "kv_peak", Value: 1500, Unit: "slots"},               // worse
 		Metric{Name: "balance", Value: 2.0},                               // worse
 		Metric{Name: "max_divergence_relnorm", Value: 1e-7, Unit: "frac"}, // better
+		Metric{Name: "async.busy_ms", Value: 4.0, Unit: "ms"},             // better
+		Metric{Name: "async.exposed_ms", Value: 0.6, Unit: "ms"},          // worse
+		Metric{Name: "async.hidden_frac", Value: 0.7, Unit: "frac"},       // worse
+		Metric{Name: "async.prefetch_hit_rate", Value: 0.95, Unit: "frac"},
 	)
 	res, err := Compare(base, cur, 0.10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := map[string]string{
-		"saved_prefill_tokens":   StatusImproved,
-		"kv_peak":                StatusFail,
-		"balance":                StatusFail,
-		"max_divergence_relnorm": StatusImproved,
+		"saved_prefill_tokens":    StatusImproved,
+		"kv_peak":                 StatusFail,
+		"balance":                 StatusFail,
+		"max_divergence_relnorm":  StatusImproved,
+		"async.busy_ms":           StatusImproved,
+		"async.exposed_ms":        StatusFail,
+		"async.hidden_frac":       StatusFail,
+		"async.prefetch_hit_rate": StatusImproved,
 	}
 	for _, d := range res.Deltas {
 		if d.Status != want[d.Name] {
 			t.Fatalf("metric %s: status %s, want %s", d.Name, d.Status, want[d.Name])
 		}
 	}
-	if res.Fails != 2 {
-		t.Fatalf("got %d fails, want 2", res.Fails)
+	if res.Fails != 4 {
+		t.Fatalf("got %d fails, want 4", res.Fails)
 	}
 }
 

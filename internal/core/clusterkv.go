@@ -130,9 +130,7 @@ type headState struct {
 	top    cluster.TopScratch
 	// posSet turns the selected clusters' members into the ascending
 	// clustered part of I_T; pageSet collects the pages under cluster members
-	// for prefetch and eviction, and pages holds its output — read by the
-	// transfer worker while a prefetch is in flight, so it is rewritten only
-	// after pending has been waited.
+	// for prefetch and eviction, and pages holds its output.
 	posSet  *kvcache.PageSet
 	pageSet *kvcache.PageSet
 	pages   []int
@@ -144,9 +142,6 @@ type headState struct {
 	// prediction input for layer-ahead prefetch (the next layer's clusters
 	// are scored against the current layer's query).
 	lastQ []float32
-	// pending is the in-flight prefetch targeting this head's ledger; it is
-	// drained (waited) in BeforeLayer before the head's own Select runs.
-	pending *kvcache.Transfer
 	// prefetchStep is the step a layer-ahead prefetch was last issued FOR
 	// this head, so each (step, head) predicts at most once (Select fires
 	// per query head, and AfterLayer backstops layers Select skipped).
@@ -163,9 +158,9 @@ type ClusterKV struct {
 	states []*headState // layer*heads + head
 	stats  attention.SelStats
 
-	// rt, when set, routes simulated KV movement through the engine-wide
-	// async transfer runtime and enables layer-ahead prefetch via the
-	// BeforeLayer/AfterLayer hooks. nil keeps the synchronous Ledger path.
+	// rt, when set, charges simulated KV movement to the engine-wide modeled
+	// channel and enables layer-ahead prefetch. nil moves residency on the
+	// ledgers alone.
 	rt *kvcache.TransferRuntime
 	// lastBudget is the device token budget observed on the latest Select,
 	// reused to size prefetch predictions for the next layer.
@@ -482,19 +477,11 @@ func (c *ClusterKV) Select(layer, head int, q []float32, s *kvcache.Store, budge
 
 	// Ledger keeps page-granular residency (the cache retains whole
 	// clusters; fetching every selected position promotes the pages they
-	// live on). With a transfer runtime attached, the fetch is scheduled on
-	// the modeled channel and waited immediately — pages the layer-ahead
-	// prefetch already landed cost nothing here; only mispredicted (or
-	// first-touch) pages expose transfer time.
+	// live on). With a transfer runtime attached, the fetch is charged to the
+	// modeled channel — pages the layer-ahead prefetch already landed cost
+	// nothing here; only mispredicted (or first-touch) pages expose transfer
+	// time.
 	if c.rt != nil {
-		// Drain this head's layer-ahead prefetch first (issued during the
-		// previous layer; by now it has had that layer's tail plus this
-		// layer's projections to land), then fetch exactly what selection
-		// chose — pages the prefetch predicted right cost nothing here.
-		if st.pending != nil {
-			st.pending.Wait()
-			st.pending = nil
-		}
 		c.rt.Fetch(st.ledger, clustered)
 		// Layer-ahead prefetch launches here, mid-attention: the predicted
 		// next-layer clusters transfer while this layer's remaining heads,
@@ -519,27 +506,9 @@ func (st *headState) scoreBuf() []float32 {
 	return st.scores[:cn]
 }
 
-// BeforeLayer implements attention.LayerAware: drain straggler prefetches
-// targeting *other* layers (issued for a layer whose Select then never ran —
-// full-attention steps), so no transfer ever outlives the layer sweep that
-// issued it out of order. The current layer's own prefetch is deliberately
-// left in flight: it keeps transferring through this layer's QKV
-// projections and is drained lazily by Select just before the exact fetch —
-// attention waits only if the transfer still hasn't landed by then.
-func (c *ClusterKV) BeforeLayer(layer int) {
-	if c.rt == nil || c.states == nil {
-		return
-	}
-	for l := 0; l < layer; l++ {
-		for h := 0; h < c.heads; h++ {
-			st := c.state(l, h)
-			if st.pending != nil {
-				st.pending.Wait()
-				st.pending = nil
-			}
-		}
-	}
-}
+// BeforeLayer implements attention.LayerAware. A prefetch is applied to its
+// ledger when it is issued, so there is nothing to wait for.
+func (c *ClusterKV) BeforeLayer(layer int) {}
 
 // AfterLayer implements attention.LayerAware: the backstop issue point for
 // layer-ahead prefetch. Layers whose Select ran have already predicted the
@@ -561,12 +530,11 @@ func (c *ClusterKV) AfterLayer(layer int) {
 // issuePrefetch runs the layer-ahead prediction for (next, head) at most
 // once per decode step: score layer next's centroid book against q — the
 // *current* layer's query; cross-layer query similarity makes it a good
-// proxy — take the predicted top clusters under the budget, and enqueue
-// their pages on the async channel. The transfer proceeds while the rest of
-// the current layer's attention/FFN and the next layer's projections
-// compute; BeforeLayer(next) waits out whatever is left. A misprediction
-// costs only modeled channel time: prefetched pages are unpinned hints that
-// capacity pressure may re-evict, never a correctness hazard.
+// proxy — take the predicted top clusters under the budget, and prefetch
+// their pages on the modeled channel, in the current layer's window. A
+// misprediction costs only modeled channel time: prefetched pages are
+// unpinned hints that capacity pressure may re-evict, never a correctness
+// hazard.
 func (c *ClusterKV) issuePrefetch(next, head int, q []float32, budget int) {
 	if c.rt == nil || next >= c.layers || next < c.cfg.BypassLayers || budget <= 0 {
 		return
@@ -602,11 +570,8 @@ func (c *ClusterKV) issuePrefetch(next, head int, q []float32, budget int) {
 	for i := range clusters {
 		st.pageSet.Add(st.book.PickMembers(clusters, lastTake, i))
 	}
-	if st.pending != nil {
-		st.pending.Wait() // never stack prefetches on one head
-	}
 	st.pages = st.pageSet.AppendTo(st.pages[:0])
-	st.pending = c.rt.PrefetchPages(st.ledger, st.pages)
+	c.rt.PrefetchPages(st.ledger, next-1, st.pages)
 }
 
 // EndStep implements attention.Selector: advance the step counter and evict
@@ -616,13 +581,6 @@ func (c *ClusterKV) EndStep() {
 	c.step++
 	c.stats.Steps++
 	for _, st := range c.states {
-		// Catch-all drain: a prefetch whose target layer never selected
-		// (e.g. the budget covered the whole context) must settle before
-		// this step's evictions, so residency stays deterministic.
-		if st.pending != nil {
-			st.pending.Wait()
-			st.pending = nil
-		}
 		if st.ledger != nil {
 			// Pins taken by this step's fetches expire; prefetch/capacity
 			// eviction may displace them from the next step on.

@@ -19,9 +19,8 @@ import (
 // recall cache with one Evict per evicted cluster, and position lists (in
 // cluster order) handed to the ledger. It owns its ledgers, caches and
 // counters; books and the decode tail are the live selector's — building
-// them is not what changed. Prefetches are applied synchronously at their
-// issue point, which is what the async runtime amounts to once every
-// transfer is waited before the ledger is next read (the harness does that).
+// them is not what changed. Prefetches are applied at their issue point, as
+// the transfer runtime applies them.
 type oracleKV struct {
 	live   *ClusterKV
 	async  bool
@@ -209,15 +208,6 @@ func (o *oracleKV) endStep() {
 	}
 }
 
-// settle waits every in-flight prefetch of the live selector without
-// consuming it (Wait is idempotent), so the ledgers are quiescent and the
-// async path is as deterministic as the oracle's synchronous one.
-func settle(c *ClusterKV) {
-	for _, st := range c.states {
-		st.pending.Wait()
-	}
-}
-
 // ledgerState flattens everything a ledger exposes.
 func ledgerState(l *kvcache.Ledger) string {
 	h2d, hits := l.Counters()
@@ -286,9 +276,7 @@ func TestSelectMatchesSortOracle(t *testing.T) {
 					v.mutate(&cfg)
 					sel := New(cfg)
 					if async {
-						rt := kvcache.NewTransferRuntime(kvcache.Channel{SecPerPage: 1e-7})
-						defer rt.Close()
-						sel.SetTransferRuntime(rt)
+						sel.SetTransferRuntime(kvcache.NewTransferRuntime(kvcache.Channel{SecPerPage: 1e-7}))
 					}
 					sel.Reset(layers, heads, d)
 					orc := newOracle(sel, async)
@@ -311,7 +299,6 @@ func TestSelectMatchesSortOracle(t *testing.T) {
 								}
 								s := stores[l*heads+h]
 								s.Append(k, val)
-								settle(sel)
 								before := sel.state(l, h).pendingFrom
 								sel.OnAppend(l, h, s)
 								orc.onAppend(l, h, s, before)
@@ -320,14 +307,12 @@ func TestSelectMatchesSortOracle(t *testing.T) {
 								q := randQuery(uint64(step/3)*31+uint64(l)*17+uint64(h)+5, d)
 								s := stores[l*heads+h]
 								got := sel.Select(l, h, q, s, budget)
-								settle(sel)
 								want := orc.selectIdx(l, h, q, s, budget)
 								if !slices.Equal(got, want) {
 									t.Fatalf("step %d layer %d head %d: I_T differs\n got %v\nwant %v", step, l, h, got, want)
 								}
 							}
 							sel.AfterLayer(l)
-							settle(sel)
 							orc.afterLayer(l)
 						}
 						sel.EndStep()

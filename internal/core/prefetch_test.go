@@ -10,7 +10,7 @@ import (
 // drivePrefetch runs a multi-layer decode harness over identical stores,
 // queries and appends, invoking the model's layer-hook call sequence
 // (BeforeLayer → OnAppend/Select per head → AfterLayer → EndStep), and
-// returns every Select result. rt may be nil (synchronous ledger path).
+// returns every Select result. rt may be nil (ledgers alone, no channel).
 func drivePrefetch(cfg Config, rt *kvcache.TransferRuntime, layers, heads, n, d, steps, budget int) [][]int {
 	sel := New(cfg)
 	if rt != nil {
@@ -47,6 +47,9 @@ func drivePrefetch(cfg Config, rt *kvcache.TransferRuntime, layers, heads, n, d,
 			sel.AfterLayer(l)
 		}
 		sel.EndStep()
+		if rt != nil {
+			rt.Advance()
+		}
 	}
 	return out
 }
@@ -69,8 +72,8 @@ func positionsEqual(a, b [][]int) (int, bool) {
 }
 
 // TestPrefetchDoesNotChangeSelection is the determinism lock at selector
-// level: layer-ahead prefetch through the async runtime must produce exactly
-// the positions the plain synchronous ledger path (no runtime) selects.
+// level: layer-ahead prefetch through the transfer runtime must produce
+// exactly the positions the plain ledger path (no runtime) selects.
 // Transfers change when residency moves, never what attention reads.
 func TestPrefetchDoesNotChangeSelection(t *testing.T) {
 	const (
@@ -83,9 +86,8 @@ func TestPrefetchDoesNotChangeSelection(t *testing.T) {
 
 	rt := kvcache.NewTransferRuntime(kvcache.Channel{SecPerPage: 5e-6})
 	got := drivePrefetch(cfg, rt, layers, heads, n, d, steps, budget)
-	rt.Close()
 	if i, ok := positionsEqual(base, got); !ok {
-		t.Fatalf("async runtime changed selection at call %d", i)
+		t.Fatalf("transfer runtime changed selection at call %d", i)
 	}
 }
 
@@ -95,7 +97,6 @@ func TestPrefetchDoesNotChangeSelection(t *testing.T) {
 func TestPrefetchIssuesAndHits(t *testing.T) {
 	cfg := traceConfig()
 	rt := kvcache.NewTransferRuntime(kvcache.Channel{SecPerPage: 5e-6})
-	defer rt.Close()
 	drivePrefetch(cfg, rt, 3, 2, 600, 8, 24, 128)
 	o := rt.Stats()
 	if o.PrefetchedPages == 0 {
@@ -109,13 +110,12 @@ func TestPrefetchIssuesAndHits(t *testing.T) {
 	}
 }
 
-// TestPrefetchMispredictionUnderCap runs the full selector with an async
+// TestPrefetchMispredictionUnderCap runs the full selector with a transfer
 // runtime and a deliberately tiny device cap, so every prefetch and fetch
-// forces LRU capacity eviction (run under -race to exercise the background
-// worker against the compute-side calls; the pin-vs-prefetch eviction race
-// itself is locked by kvcache.TestPrefetchNeverEvictsPinned). Selection must
-// still match the synchronous, uncapped baseline exactly — residency
-// pressure may cost transfers, never correctness.
+// forces LRU capacity eviction (the pin-vs-prefetch eviction rule itself is
+// locked by kvcache.TestPrefetchNeverEvictsPinned). Selection must still
+// match the uncapped, runtime-free baseline exactly — residency pressure may
+// cost transfers, never correctness.
 func TestPrefetchMispredictionUnderCap(t *testing.T) {
 	const (
 		layers, heads = 3, 2
@@ -127,10 +127,9 @@ func TestPrefetchMispredictionUnderCap(t *testing.T) {
 	capped := traceConfig()
 	capped.DeviceCachePages = 2 // far below the ~10 pages a 600-token context needs
 	rt := kvcache.NewTransferRuntime(kvcache.Channel{SecPerPage: 5e-6})
-	defer rt.Close()
 	got := drivePrefetch(capped, rt, layers, heads, n, d, steps, budget)
 	if i, ok := positionsEqual(base, got); !ok {
-		t.Fatalf("capped async run changed selection at call %d", i)
+		t.Fatalf("capped run changed selection at call %d", i)
 	}
 	o := rt.Stats()
 	if o.PrefetchedPages+o.PrefetchDropped == 0 {

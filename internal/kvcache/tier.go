@@ -5,9 +5,6 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-	"sync"
-
-	"clusterkv/internal/obs"
 )
 
 // Tier identifies where the simulated copy of a KV page resides.
@@ -38,21 +35,16 @@ const (
 //     page's device memory takes its co-located tokens with it — exactly the
 //     granularity cost block-based cache management pays.
 //
-// Concurrency: a Ledger is safe for concurrent use. The async transfer
-// runtime (TransferRuntime) promotes prefetched pages from a background
-// executor while the compute thread extends, fetches and evicts, so every
-// method takes the ledger lock. Pages promoted by a compute-side Fetch are
-// *pinned* for the current epoch (one decode step, advanced by EndEpoch):
-// capacity eviction — triggered when SetDeviceCap is set and a promotion
-// needs room — never evicts a pinned page, so a mispredicted prefetch can
-// never displace KV a concurrent Select just fetched for attention.
+// Pages promoted by an exact Fetch are *pinned* for the current epoch (one
+// decode step, advanced by EndEpoch): capacity eviction — triggered when
+// SetDeviceCap is set and a promotion needs room — never evicts a pinned page,
+// so a mispredicted prefetch can never displace KV a Select of the same step
+// fetched for attention.
 //
-// The exported counter fields (HostToDevice, DeviceHits) are mutated under
-// the lock; read them directly only from quiescent single-threaded code
-// (tests, trace harnesses) and through Counters() when a runtime may be
-// servicing this ledger concurrently.
+// Not safe for concurrent use: a ledger belongs to one sequence, and every
+// transfer on it — a TransferRuntime's prefetches included — is applied by the
+// goroutine stepping that sequence.
 type Ledger struct {
-	mu         sync.Mutex
 	pageTokens int
 	tiers      []Tier // one entry per page
 	n          int    // registered tokens
@@ -71,15 +63,12 @@ type Ledger struct {
 	clock    int64
 
 	// prefetched marks pages promoted speculatively and not yet consumed by
-	// an exact fetch; the per-ledger prefetch counters feed TransferRuntime
-	// stats and tests. sink, when attached by a runtime, receives the same
-	// increments aggregated runtime-wide.
+	// an exact fetch; a TransferRuntime aggregates the per-ledger prefetch
+	// counters engine-wide.
 	prefetched      []bool
 	prefetchedPages int64
 	prefetchHits    int64
 	prefetchDropped int64
-	sink            *xferCounters
-	rec             obs.Recorder
 
 	// devCap caps device-resident pages (0 = unlimited); devPages is the
 	// current device-resident page count.
@@ -91,15 +80,13 @@ type Ledger struct {
 	store     *Store
 	quantBits int
 
-	scratch      []int // page set scratch reused across Fetch/Evict calls
-	fetchScratch []int // page set scratch for inline runtime fetches (compute-thread-only)
+	scratch []int // page set scratch reused across Fetch/Evict calls
 
-	// xferExposedSec / xferHiddenSec split this ledger's modeled transfer
-	// time into the portion that blocked compute (exposed at Wait) and the
-	// portion that fit behind it. Wall-clock dependent — attribution
-	// telemetry (DESIGN.md §14), excluded from determinism fingerprints.
-	xferExposedSec float64
-	xferHiddenSec  float64
+	// xferExposed / xferHidden split this ledger's modeled transfer time, in
+	// channel ticks, into the portion that blocked compute and the portion
+	// that fit behind it (attribution telemetry, DESIGN.md §14).
+	xferExposed int64
+	xferHidden  int64
 }
 
 // NewLedger returns a token-granular ledger (page size 1), the exact
@@ -118,49 +105,29 @@ func NewLedgerPaged(pageTokens int) *Ledger {
 // PageTokens returns the residency granularity in tokens.
 func (l *Ledger) PageTokens() int { return l.pageTokens }
 
-// addStall attributes one waited transfer's modeled time to this ledger:
-// exposedSec blocked compute, the rest hid behind it. Called by the
-// transfer runtime at Wait (async) or service (sync).
-func (l *Ledger) addStall(exposedSec, modeledSec float64) {
-	l.mu.Lock()
-	l.xferExposedSec += exposedSec
-	if h := modeledSec - exposedSec; h > 0 {
-		l.xferHiddenSec += h
-	}
-	l.mu.Unlock()
+// addStall attributes one transfer's modeled ticks to this ledger: exposed
+// blocked compute, the rest hid behind it. Called by the transfer runtime.
+func (l *Ledger) addStall(exposed, modeled int64) {
+	l.xferExposed += exposed
+	l.xferHidden += modeled - exposed
 }
 
 // TransferStalls returns the ledger's accumulated exposed/hidden modeled
-// transfer time (see addStall). Wall-clock dependent telemetry.
+// transfer time in seconds (see addStall).
 func (l *Ledger) TransferStalls() (exposedSec, hiddenSec float64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.xferExposedSec, l.xferHiddenSec
+	return float64(l.xferExposed) / ticksPerSec, float64(l.xferHidden) / ticksPerSec
 }
 
 // Bind attaches a store so host-tier transitions quantize its pages at the
 // given bit width (2–8) and fetches restore (dequantize) them — the
 // simulated "quantized host tier" extension, off unless a selector or
 // experiment opts in. The store's page size must match the ledger's.
-//
-// A bound store pins transfer servicing to the caller's goroutine: the async
-// runtime services bound ledgers inline (see TransferRuntime), because store
-// page tables are not synchronised against the background executor.
 func (l *Ledger) Bind(s *Store, quantBits int) {
 	if s != nil && s.PageTokens() != l.pageTokens {
 		panic("kvcache: Bind page-size mismatch")
 	}
-	l.mu.Lock()
 	l.store = s
 	l.quantBits = quantBits
-	l.mu.Unlock()
-}
-
-// Bound reports whether a store is bound (quantized host tier active).
-func (l *Ledger) Bound() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.store != nil
 }
 
 // SetDeviceCap bounds the number of device-resident pages (0 = unlimited).
@@ -170,9 +137,7 @@ func (l *Ledger) Bound() bool {
 // cap when nothing is evictable — attention must be able to read what it
 // selected — while prefetches are dropped instead.
 func (l *Ledger) SetDeviceCap(pages int) {
-	l.mu.Lock()
 	l.devCap = pages
-	l.mu.Unlock()
 }
 
 // pageOf returns the page index of token position p.
@@ -180,8 +145,6 @@ func (l *Ledger) pageOf(p int) int { return p / l.pageTokens }
 
 // NumPages returns the number of residency pages covering the tokens.
 func (l *Ledger) NumPages() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return len(l.tiers)
 }
 
@@ -194,8 +157,6 @@ func (l *Ledger) Extend(n int, t Tier) {
 	if n < 0 {
 		panic("kvcache: Extend with negative count")
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	prev := l.n
 	l.n += n
 	if n > 0 && prev%l.pageTokens != 0 && t == TierDevice {
@@ -221,16 +182,12 @@ func (l *Ledger) Extend(n int, t Tier) {
 
 // Len returns the number of registered tokens.
 func (l *Ledger) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return l.n
 }
 
 // OffloadAll marks every page host-resident (the post-prefill offload of
 // Fig. 5, and the periodic decode-time offload every m steps).
 func (l *Ledger) OffloadAll() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	for i := range l.tiers {
 		l.demote(i)
 	}
@@ -242,8 +199,6 @@ func (l *Ledger) OffloadAll() {
 // out-of-range interval is a caller bug and panics rather than being
 // silently clamped.
 func (l *Ledger) Offload(from, to int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if from < 0 || to > l.n || from > to {
 		panic(fmt.Sprintf("kvcache: Offload[%d, %d) invalid for ledger of %d tokens (need 0 <= from <= to <= len)", from, to, l.n))
 	}
@@ -297,24 +252,16 @@ func (l *Ledger) PagesOf(positions []int, dst []int) []int {
 // Fetch requests the given token positions for attention. Every page holding
 // a requested position is promoted exactly once: host pages count as
 // transfers, device pages as hits. Fetched pages are pinned for the current
-// epoch, so concurrent capacity eviction (a mispredicted prefetch making
-// room) can never displace them. It returns the number of pages transferred.
+// epoch, so capacity eviction (a mispredicted prefetch making room) can never
+// displace them. It returns the number of pages transferred.
 func (l *Ledger) Fetch(positions []int) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.scratch = l.PagesOf(positions, l.scratch)
-	return l.fetchPagesLocked(l.scratch)
+	return l.FetchPages(l.scratch)
 }
 
 // FetchPages is Fetch over pre-computed page indices (deduplicated by the
 // caller, e.g. via PagesOf or a PageSet).
 func (l *Ledger) FetchPages(pages []int) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.fetchPagesLocked(pages)
-}
-
-func (l *Ledger) fetchPagesLocked(pages []int) int {
 	// Pre-pin the whole batch: capacity eviction triggered by promoting one
 	// page of this fetch must never pick a later page of the same fetch as
 	// its LRU victim (it would be counted resident, evicted, then
@@ -328,9 +275,6 @@ func (l *Ledger) fetchPagesLocked(pages []int) int {
 			l.prefetched[pg] = false
 			if l.tiers[pg] == TierDevice {
 				l.prefetchHits++
-				if l.sink != nil {
-					l.sink.hits.Add(1)
-				}
 			}
 		}
 		if l.tiers[pg] == TierHost {
@@ -353,59 +297,24 @@ func (l *Ledger) fetchPagesLocked(pages []int) int {
 // with no evictable room the page is dropped (counted, not forced) — a
 // prefetch is a hint, never an obligation. Returns pages transferred.
 func (l *Ledger) PrefetchPages(pages []int) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	moved, dropped := 0, 0
+	moved := 0
 	for _, pg := range pages {
 		if pg < 0 || pg >= len(l.tiers) || l.tiers[pg] == TierDevice {
 			continue
 		}
 		if l.devCap > 0 && l.devPages >= l.devCap && !l.evictLRU() {
 			l.prefetchDropped++
-			if l.sink != nil {
-				l.sink.dropped.Add(1)
-			}
-			dropped++
 			continue
 		}
 		l.promote(pg)
 		l.prefetched[pg] = true
 		l.prefetchedPages++
-		if l.sink != nil {
-			l.sink.issued.Add(1)
-		}
 		l.HostToDevice++
 		moved++
 		l.lastUse[pg] = l.clock
 		l.clock++
 	}
-	if l.rec.Enabled() {
-		if moved > 0 {
-			l.rec.Emit(obs.Event{Type: obs.EvPrefetchLand, N: int64(moved)})
-		}
-		if dropped > 0 {
-			l.rec.Emit(obs.Event{Type: obs.EvPrefetchDrop, N: int64(dropped)})
-		}
-	}
 	return moved
-}
-
-// setSink attaches the runtime-wide prefetch telemetry sink and trace
-// recorder.
-func (l *Ledger) setSink(s *xferCounters, rec obs.Recorder) {
-	l.mu.Lock()
-	l.sink = s
-	l.rec = rec
-	l.mu.Unlock()
-}
-
-// pagesForFetch computes the page set of a fetch into a reusable scratch.
-// It is owned by the sequence's compute goroutine — the only issuer of
-// exact fetches, which are serviced inline before the next call — and must
-// not be used for async requests, whose page slices outlive the call.
-func (l *Ledger) pagesForFetch(positions []int) []int {
-	l.fetchScratch = l.PagesOf(positions, l.fetchScratch)
-	return l.fetchScratch
 }
 
 // makeRoom evicts LRU unpinned pages until the device cap admits one more
@@ -442,8 +351,6 @@ func (l *Ledger) evictLRU() bool {
 // without counting a transfer (device memory reclaimed; the host copy was
 // never deleted).
 func (l *Ledger) Evict(positions []int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.scratch = l.PagesOf(positions, l.scratch)
 	for _, pg := range l.scratch {
 		l.demote(pg)
@@ -452,8 +359,6 @@ func (l *Ledger) Evict(positions []int) {
 
 // EvictPages is Evict over pre-computed page indices (e.g. a PageSet's).
 func (l *Ledger) EvictPages(pages []int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	for _, pg := range pages {
 		l.demote(pg)
 	}
@@ -462,30 +367,21 @@ func (l *Ledger) EvictPages(pages []int) {
 // EndEpoch advances the pin epoch: pages pinned by this epoch's fetches
 // become evictable again. Selectors call it once per decode step.
 func (l *Ledger) EndEpoch() {
-	l.mu.Lock()
 	l.epoch++
-	l.mu.Unlock()
 }
 
 // TierOf reports the current tier of token p (the tier of its page).
 func (l *Ledger) TierOf(p int) Tier {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return l.tiers[l.pageOf(p)]
 }
 
 // DevicePages returns the number of device-resident pages.
 func (l *Ledger) DevicePages() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return l.devPages
 }
 
-// Counters returns the transfer counters under the lock — the concurrent-
-// safe way to read HostToDevice/DeviceHits while a runtime is attached.
+// Counters returns the transfer counters HostToDevice and DeviceHits.
 func (l *Ledger) Counters() (hostToDevice, deviceHits int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return l.HostToDevice, l.DeviceHits
 }
 
@@ -493,15 +389,11 @@ func (l *Ledger) Counters() (hostToDevice, deviceHits int64) {
 // later fetch while device-resident, prefetch pages dropped for lack of
 // evictable room).
 func (l *Ledger) PrefetchCounters() (issued, hits, dropped int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return l.prefetchedPages, l.prefetchHits, l.prefetchDropped
 }
 
 // ResetCounters zeroes the transfer counters, keeping residency state.
 func (l *Ledger) ResetCounters() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.HostToDevice = 0
 	l.DeviceHits = 0
 	l.prefetchedPages = 0

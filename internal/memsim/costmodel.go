@@ -8,13 +8,14 @@ package memsim
 // decode and PCIe page movement carry their paper-scale relative weights
 // instead of the toy model's.
 //
-// Two layers share it: the fleet router prices placements and reconstructs
-// modeled TTFT/TBT from round schedules, and the serve engine's attribution
+// Three users share it: the fleet router prices placements and reconstructs
+// modeled TTFT/TBT from round schedules, the serve engine's attribution
 // clock (DESIGN.md §14) prices every round's prefill/decode/tiering work to
-// split each request's modeled wall time into phases. Both uses are pure
-// functions of deterministic state — token counts, page counts, scheduler
-// rounds — so modeled latencies reproduce run-to-run even though wall clock
-// does not.
+// split each request's modeled wall time into phases, and the engine's
+// transfer runtime (DESIGN.md §8) takes its link cost and the compute window
+// a prefetch hides behind from it. All are pure functions of deterministic
+// state — token counts, page counts, scheduler rounds — so modeled latencies
+// reproduce run-to-run even though wall clock does not.
 type LatencyModel struct {
 	// PrefillSecPerTok is the modeled compute time to prefill one token:
 	// 2 FLOPs per weight through the dense pipeline.
@@ -24,6 +25,9 @@ type LatencyModel struct {
 	// launch overhead. Continuous batching is what makes this per-round, not
 	// per-stream.
 	DecodeSecPerTok float64
+	// LayerSec is one layer's share of a decode step — the compute a
+	// layer-ahead KV prefetch overlaps with.
+	LayerSec float64
 	// SecPerPlanePage is the modeled PCIe time to move one (layer, head) KV
 	// page (Hardware.SecPerKVPage), and PagePlanes the (layer, head) plane
 	// count a token's KV spans on the modeled shape.
@@ -35,9 +39,11 @@ type LatencyModel struct {
 
 // NewLatencyModel derives the model from the hardware and the modeled shape.
 func NewLatencyModel(hw Hardware, shape ModelShape, pageTokens int) LatencyModel {
+	decode := shape.WeightBytes()/hw.HBMBandwidth + hw.LaunchOverhead
 	return LatencyModel{
 		PrefillSecPerTok: 2 * float64(shape.Params) / hw.ComputeFLOPS,
-		DecodeSecPerTok:  shape.WeightBytes()/hw.HBMBandwidth + hw.LaunchOverhead,
+		DecodeSecPerTok:  decode,
+		LayerSec:         decode / float64(shape.NLayers),
 		SecPerPlanePage:  hw.SecPerKVPage(shape.HeadDim, pageTokens),
 		PagePlanes:       int64(shape.NLayers * shape.NKVHeads),
 		PageTokens:       pageTokens,

@@ -104,8 +104,8 @@ func GLM49B() ModelShape {
 
 // SecPerKVPage returns the modeled PCIe seconds to move one (layer, head) KV
 // page of pageTokens tokens — K and V rows of headDim fp16 channels. It is
-// the per-page cost the async transfer runtime (kvcache.TransferRuntime)
-// charges its channel with.
+// the per-page cost the transfer runtime (kvcache.TransferRuntime) charges
+// its channel with.
 func (hw Hardware) SecPerKVPage(headDim, pageTokens int) float64 {
 	return float64(2*pageTokens*headDim*bytesPerScalar) / hw.PCIeBandwidth
 }

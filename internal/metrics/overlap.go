@@ -1,10 +1,10 @@
 package metrics
 
-// Overlap summarises the copy/compute overlap achieved by an asynchronous
-// transfer runtime (kvcache.TransferRuntime): how much modeled channel time
-// was spent moving KV pages, and how much of it a compute thread actually
-// had to wait out. BusySec − ExposedSec is the transfer time hidden behind
-// compute — the quantity the overlap experiment optimises.
+// Overlap summarises the copy/compute overlap on the transfer runtime's
+// modeled channel (kvcache.TransferRuntime): how much modeled channel time
+// was spent moving KV pages, and how much of it did not fit behind modeled
+// compute. BusySec − ExposedSec is the transfer time hidden behind compute —
+// the quantity the overlap experiment optimises.
 type Overlap struct {
 	// Transfers is the number of serviced transfer requests (fetches,
 	// prefetches and accounting-only offloads).
@@ -13,8 +13,8 @@ type Overlap struct {
 	Pages int64
 	// BusySec is the total modeled channel-busy time in seconds.
 	BusySec float64
-	// ExposedSec is the portion of BusySec a waiter was actually blocked on
-	// (per transfer, clamped to its own modeled duration).
+	// ExposedSec is the portion of BusySec compute was blocked on (per
+	// transfer, clamped to its own modeled duration).
 	ExposedSec float64
 	// PrefetchedPages counts pages promoted speculatively by layer-ahead
 	// prefetch; PrefetchHits counts those later requested by an exact fetch

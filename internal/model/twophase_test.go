@@ -159,7 +159,7 @@ func twoPhaseCases() []twoPhaseCase {
 			sel.SetTransferRuntime(rt)
 			s := m.NewSequence(sel, twoPhaseBudget)
 			s.Prefill(twoPhaseTokens(m, 41, twoPhasePrompt), nil)
-			return s, rt.Close
+			return s, nil
 		}},
 		{"quest", DefaultConfig(), with(quest, nil)},
 		{"infinigen", DefaultConfig(), with(infinigen, nil)},

@@ -16,9 +16,11 @@ import (
 // per-phase critical-path view an operator reads: totals, wall fractions,
 // quantiles and the top-K slowest requests. Phases are priced by
 // memsim.LatencyModel from deterministic counts (tokens, pages, rounds), so
-// a request's breakdown reproduces run-to-run; the only measured fields are
-// the transfer-stall pair (XferExposedSec/XferHiddenSec), which — like the
-// overlap counters of DESIGN.md §8 — are telemetry excluded from the
+// a request's breakdown reproduces run-to-run. The transfer-stall pair
+// (XferExposedSec/XferHiddenSec) is on the modeled channel clock of
+// DESIGN.md §8: its sum over requests repeats exactly, but how an
+// overflowing layer window's exposed time splits between the requests of one
+// round follows their arrival order, so the pair stays out of the
 // determinism fingerprint.
 
 // Phase enumerates the slices a request's modeled wall time is tiled into.
@@ -90,10 +92,12 @@ type Breakdown struct {
 	// DecodeRounds counts resident decode rounds; BatchedRounds how many of
 	// them ran as a batched cohort (DESIGN.md §13).
 	DecodeRounds, BatchedRounds int64
-	// XferExposedSec and XferHiddenSec are the request's measured transfer
-	// stalls: modeled channel time that blocked compute vs modeled channel
-	// time hidden behind it (DESIGN.md §8). Wall-clock dependent — telemetry
-	// only, excluded from determinism fingerprints and the span stream.
+	// XferExposedSec and XferHiddenSec are the request's transfer stalls:
+	// modeled channel time that blocked modeled compute vs modeled channel
+	// time hidden behind it (DESIGN.md §8). Telemetry only: a request's share
+	// of a window several requests overflowed together depends on arrival
+	// order, so it is excluded from determinism fingerprints and the span
+	// stream.
 	XferExposedSec, XferHiddenSec float64
 	// SLOMarginSec is min(SLO − modeled) over the configured SLOs, stamped
 	// by the fleet router (HasSLO reports whether it was).

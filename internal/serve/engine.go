@@ -53,10 +53,6 @@ type Config struct {
 	// the engine serve loads whose total KV footprint exceeds the device
 	// budget. 0 keeps single-tier admission.
 	HostBudget int64
-	// XferSecPerPage overrides the modeled seconds to move one (layer, head)
-	// KV page on the transfer channel. 0 derives it from the paper GPU's
-	// PCIe bandwidth (memsim.AdaRTX6000) and the model's page byte size.
-	XferSecPerPage float64
 	// PageTokens sets the engine arena's page size in tokens
 	// (default kvcache.DefaultPageTokens).
 	PageTokens int
@@ -89,8 +85,9 @@ type Config struct {
 	// scheduling: on/off runs are token-, round- and fingerprint-identical
 	// (locked by the determinism suites).
 	Attribution bool
-	// ModelHardware and ModelShape parameterise the attribution clock's
-	// latency model; zero values mean the paper GPU (memsim.AdaRTX6000)
+	// ModelHardware and ModelShape parameterise the latency model behind the
+	// attribution clock and the transfer channel (link cost per page, compute
+	// window per layer); zero values mean the paper GPU (memsim.AdaRTX6000)
 	// serving memsim.Llama31_8B, matching the fleet router's defaults.
 	ModelHardware memsim.Hardware
 	ModelShape    memsim.ModelShape
@@ -121,8 +118,9 @@ type Engine struct {
 	// accountant runs in raw slots (tokens × planes) and the engine reports
 	// per-head units by dividing back out.
 	planes int64
-	// rt is the engine-wide async transfer runtime: every RuntimeAware
-	// selector's simulated KV movement shares this one modeled PCIe channel.
+	// rt is the engine-wide transfer runtime: every RuntimeAware selector's
+	// simulated KV movement shares this one modeled PCIe channel, whose clock
+	// the scheduler advances at each round barrier.
 	rt *kvcache.TransferRuntime
 
 	// cache is the scheduler-owned radix prefix cache; cacheSeq numbers
@@ -275,22 +273,19 @@ func NewEngine(m *model.Model, cfg Config) *Engine {
 	}
 	e.acct = kvcache.NewTieredAccountant(capacity, hostCap)
 	e.arena = kvcache.NewArena(cfg.PageTokens, e.acct)
-	secPerPage := cfg.XferSecPerPage
-	if secPerPage <= 0 {
-		secPerPage = memsim.AdaRTX6000().SecPerKVPage(mc.HeadDim, cfg.PageTokens)
+	hw, shape := cfg.ModelHardware, cfg.ModelShape
+	if hw.Name == "" {
+		hw = memsim.AdaRTX6000()
 	}
-	e.rt = kvcache.NewTransferRuntime(kvcache.Channel{SecPerPage: secPerPage})
+	if shape.Name == "" {
+		shape = memsim.Llama31_8B()
+	}
+	lm := memsim.NewLatencyModel(hw, shape, cfg.PageTokens)
+	e.rt = kvcache.NewTransferRuntime(kvcache.Channel{SecPerPage: lm.SecPerPlanePage, LayerSec: lm.LayerSec})
 	e.rec = cfg.Trace
 	e.rt.SetTrace(cfg.Trace) // before loop starts: the runtime reads it unlocked
 	if cfg.Attribution {
-		hw, shape := cfg.ModelHardware, cfg.ModelShape
-		if hw.Name == "" {
-			hw = memsim.AdaRTX6000()
-		}
-		if shape.Name == "" {
-			shape = memsim.Llama31_8B()
-		}
-		e.attr = newAttrTracker(memsim.NewLatencyModel(hw, shape, cfg.PageTokens))
+		e.attr = newAttrTracker(lm)
 	}
 	go e.loop()
 	return e
@@ -306,7 +301,7 @@ func (e *Engine) Attribution() *obs.Attribution {
 	return e.attr.sink
 }
 
-// TransferRuntime exposes the engine's async transfer runtime (read-only use
+// TransferRuntime exposes the engine's transfer runtime (read-only use
 // intended: overlap gauges for tests and experiments).
 func (e *Engine) TransferRuntime() *kvcache.TransferRuntime { return e.rt }
 
@@ -560,7 +555,6 @@ func (e *Engine) closeIntake() {
 // retires finished streams so the next round can admit replacements.
 func (e *Engine) loop() {
 	defer close(e.done)
-	defer e.rt.Close()
 	var (
 		pending []*task
 		active  []*task
@@ -642,6 +636,9 @@ func (e *Engine) loop() {
 		}
 
 		e.runRound(active, round)
+		// The round barrier on the channel clock: the spill traffic booked
+		// below leads the next round's link timeline.
+		e.rt.Advance()
 		// Two-tier residency: spill cold pages host-ward before sampling, so
 		// the device gauge reflects the post-round steady state the budget
 		// promises. Spill decisions depend only on round-deterministic state
@@ -1248,9 +1245,9 @@ func (e *Engine) prefillStep(t *task) {
 	if r.NewSelector != nil {
 		sel = r.NewSelector()
 		if ra, ok := sel.(attention.RuntimeAware); ok {
-			// Route the selector's simulated KV movement through the
-			// engine-wide async channel (layer-ahead prefetch and overlap
-			// accounting come with it).
+			// Charge the selector's simulated KV movement to the engine-wide
+			// modeled channel (layer-ahead prefetch and overlap accounting
+			// come with it).
 			ra.SetTransferRuntime(e.rt)
 		}
 	}

@@ -105,9 +105,9 @@ type Metrics struct {
 	// only the keys past the prefix's last cut.
 	MetaSegsAdopted, MetaSegsBuilt int64
 	MetaKeysAdopted, MetaKeysBuilt int64
-	// Transfer is the async transfer runtime's overlap telemetry: modeled
-	// channel-busy time vs the portion compute actually waited out, plus
-	// layer-ahead prefetch page counters.
+	// Transfer is the transfer runtime's overlap telemetry: modeled
+	// channel-busy time vs the portion exposed to the modeled compute clock,
+	// plus layer-ahead prefetch page counters. Deterministic per seed.
 	Transfer metrics.Overlap
 	// Latency distributions.
 	TTFT, TokenLatency, QueueWait LatencyStats

@@ -115,7 +115,8 @@ type Response struct {
 	// Breakdown is the request's latency attribution span tree on the
 	// modeled attribution clock (DESIGN.md §14) — nil unless
 	// Config.Attribution is set. Its phase tiling is deterministic; the
-	// XferExposedSec/XferHiddenSec pair is wall-clock-dependent telemetry.
+	// XferExposedSec/XferHiddenSec pair is this request's share of the
+	// engine's modeled transfer time (see obs.Breakdown).
 	Breakdown *obs.Breakdown
 }
 

@@ -3,6 +3,9 @@ package serve
 import (
 	"errors"
 	"testing"
+
+	"clusterkv/internal/memsim"
+	"clusterkv/internal/metrics"
 )
 
 // tierLoad builds a shared-document QA load whose prefill alone dwarfs the
@@ -97,13 +100,13 @@ func TestEngineTwoTierStillRefusesBeyondTotal(t *testing.T) {
 	}
 }
 
-// TestEngineTransferTelemetry: a ClusterKV load on the default async runtime
-// records channel activity and layer-ahead prefetch traffic in Metrics.
+// TestEngineTransferTelemetry: a ClusterKV load on the engine's transfer
+// runtime records channel activity and layer-ahead prefetch traffic in Metrics.
 func TestEngineTransferTelemetry(t *testing.T) {
 	m := testModel()
-	eng := NewEngine(m, Config{Workers: 2, MaxBatch: 3, Seed: 5, XferSecPerPage: 2e-6})
+	eng := NewEngine(m, Config{Workers: 2, MaxBatch: 3, Seed: 5})
 	resps := eng.Run(qaRequests(4, 192, 16, 8, clusterSel))
-	eng.Close() // drain the transfer worker before reading telemetry
+	eng.Close()
 	mx := eng.Metrics()
 	for i, r := range resps {
 		if r.Err != nil {
@@ -119,5 +122,46 @@ func TestEngineTransferTelemetry(t *testing.T) {
 	}
 	if tr.ExposedSec > tr.BusySec+1e-9 {
 		t.Fatalf("exposed %.6fs exceeds busy %.6fs", tr.ExposedSec, tr.BusySec)
+	}
+}
+
+// TestTransferTelemetryDeterministic: the transfer telemetry is a function of
+// the load, not of the schedule. A multi-stream two-tier load — first tokens
+// riding fanned-out prefill rounds, batched cohorts selecting concurrently,
+// spills at the barriers — on a link slow enough that layer windows overflow
+// gives the same Metrics().Transfer every run, ExposedSec included.
+func TestTransferTelemetryDeterministic(t *testing.T) {
+	reqs := loadRequests(t)
+	slow := memsim.AdaRTX6000()
+	slow.PCIeBandwidth /= 100 // five pages fill one layer window
+	run := func() metrics.Overlap {
+		eng := NewEngine(testModel(), Config{
+			Workers: 2, MaxBatch: 4, Seed: 7,
+			KVBudget: 512, HostBudget: 4096, ModelHardware: slow,
+		})
+		for i, r := range eng.Run(reqs) {
+			if r.Err != nil {
+				t.Fatalf("request %d: %v", i, r.Err)
+			}
+		}
+		eng.Close()
+		mx := eng.Metrics()
+		if mx.KVSpilled == 0 {
+			t.Fatal("the load must spill: tighten KVBudget")
+		}
+		return mx.Transfer
+	}
+	want := run()
+	if want.PrefetchedPages == 0 || want.ExposedSec == 0 {
+		t.Fatalf("load exercised no prefetch or no exposure: %+v", want)
+	}
+	if want.HiddenSec() == 0 {
+		t.Fatalf("nothing hidden: every window overflowed, slow the link less: %+v", want)
+	}
+	t.Logf("transfer telemetry: %+v", want)
+	for i := 0; i < 3; i++ {
+		if got := run(); got != want {
+			t.Fatalf("run %d: transfer telemetry %+v, want %+v", i+2, got, want)
+		}
 	}
 }

@@ -69,27 +69,16 @@ func TestEngineDeterminismWithTraceEnabled(t *testing.T) {
 	}
 }
 
-// TestEngineTraceRepeatsExactly locks trace-stream reproducibility for the
-// round-scoped scheduler events: two traced runs of the same load produce the
-// same round-clock event sequence. (Transfer and prefetch events ride the
-// async runtime, whose batching and land/drop split vary with background-
-// worker interleaving, so they are excluded; the schedule itself is already
-// locked above.)
+// TestEngineTraceRepeatsExactly locks trace-stream reproducibility: two
+// traced runs of the same load at one worker produce the same event sequence,
+// transfer and prefetch events included — the transfer runtime applies every
+// transfer in program order on the modeled clock.
 func TestEngineTraceRepeatsExactly(t *testing.T) {
 	reqs := loadRequests(t)
 	run := func() []obs.Event {
 		tracer := obs.NewTracer(0)
 		runEngineAt(t, 1, 1, reqs, func(c *Config) { c.Trace = tracer.Recorder(0) })
-		var sched []obs.Event
-		for _, ev := range tracer.Events() {
-			switch ev.Type {
-			case obs.EvTransferStart, obs.EvTransferComplete,
-				obs.EvPrefetchIssue, obs.EvPrefetchLand, obs.EvPrefetchDrop:
-			default:
-				sched = append(sched, ev)
-			}
-		}
-		return sched
+		return tracer.Events()
 	}
 	a, b := run(), run()
 	if len(a) != len(b) {
@@ -119,23 +108,22 @@ func TestLatencyStatsEmptyDistribution(t *testing.T) {
 	}
 }
 
-// TestTransferOverlapCountersConcurrentRounds runs the two-tier async engine
-// at full parallelism and checks the Overlap telemetry invariants that must
-// hold under any interleaving of the background transfer worker with
-// concurrent engine workers (run under -race in the transfer lane).
+// TestTransferOverlapCountersConcurrentRounds runs the two-tier engine at
+// full parallelism and checks the Overlap telemetry invariants that must hold
+// under any interleaving of the streams of a round on the shared runtime (run
+// under -race in the transfer lane).
 func TestTransferOverlapCountersConcurrentRounds(t *testing.T) {
 	reqs := loadRequests(t)
 	fp := runEngineAt(t, runtime.NumCPU(), runtime.NumCPU(), reqs, func(c *Config) {
 		c.KVBudget = 512
 		c.HostBudget = 4096
-		c.XferSecPerPage = 1e-6
 	})
 	if fp.completed != uint64(len(reqs)) {
 		t.Fatalf("%d completed, want %d", fp.completed, len(reqs))
 	}
 	eng := NewEngine(testModel(), Config{
 		Workers: runtime.NumCPU(), MaxBatch: 4, Seed: 7,
-		KVBudget: 512, HostBudget: 4096, XferSecPerPage: 1e-6,
+		KVBudget: 512, HostBudget: 4096,
 	})
 	eng.Run(reqs)
 	eng.Close()

@@ -13,7 +13,9 @@
 package workload
 
 import (
+	"maps"
 	"math"
+	"slices"
 
 	"clusterkv/internal/rng"
 	"clusterkv/internal/tensor"
@@ -250,12 +252,15 @@ func (t *Trace) AddStep(mix QueryMix, genTopic int, relevant []int, stepSeed uin
 	cfg := t.Cfg
 	sr := rng.New(cfg.Seed ^ (stepSeed+1)*0x9e3779b97f4a7c15)
 	st := Step{Relevant: relevant}
+	// Ascending topics, not map order: float32 sums depend on the order of
+	// their terms, and a query must have the same bits in every build.
+	topics := slices.Sorted(maps.Keys(mix.TopicWeights))
 	for h := 0; h < cfg.Heads; h++ {
 		q := make([]float32, cfg.D)
-		for topic, w := range mix.TopicWeights {
+		for _, topic := range topics {
 			// Pull toward the *key* direction of the topic so that q·k is
 			// large for that topic's tokens.
-			tensor.Axpy(w*mix.Gain, t.topicDirs[h].Row(topic), q)
+			tensor.Axpy(mix.TopicWeights[topic]*mix.Gain, t.topicDirs[h].Row(topic), q)
 		}
 		// Sink component so sinks absorb baseline attention.
 		tensor.Axpy(0.6, t.sinkDirs[h], q)

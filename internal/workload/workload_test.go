@@ -223,14 +223,28 @@ func TestBuildTaskNeedles(t *testing.T) {
 	}
 }
 
+// TestBuildTaskDeterminism: two builds of one task in one process agree bit
+// for bit — the prefill keys, and every decode step's queries, which sum
+// several topic directions in float32 (map order used to pick the order of
+// that sum, and InfiniGen seeds its noise from the query bits).
 func TestBuildTaskDeterminism(t *testing.T) {
-	spec := LongBenchTasks(2048)[2]
-	a := BuildTask(spec, 9)
-	b := BuildTask(spec, 9)
-	for h := range a.Trace.Keys {
-		for i := range a.Trace.Keys[h].Data {
-			if a.Trace.Keys[h].Data[i] != b.Trace.Keys[h].Data[i] {
-				t.Fatal("BuildTask not deterministic")
+	for _, spec := range LongBenchTasks(2048) {
+		a := BuildTask(spec, 9)
+		b := BuildTask(spec, 9)
+		for h := range a.Trace.Keys {
+			for i := range a.Trace.Keys[h].Data {
+				if a.Trace.Keys[h].Data[i] != b.Trace.Keys[h].Data[i] {
+					t.Fatalf("%s: BuildTask keys not deterministic", spec.Name)
+				}
+			}
+		}
+		for s := range a.Trace.Steps {
+			for h, q := range a.Trace.Steps[s].Queries {
+				for j := range q {
+					if math.Float32bits(q[j]) != math.Float32bits(b.Trace.Steps[s].Queries[h][j]) {
+						t.Fatalf("%s: step %d head %d query channel %d differs between two builds", spec.Name, s, h, j)
+					}
+				}
 			}
 		}
 	}
