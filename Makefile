@@ -88,21 +88,22 @@ build-arm64:
 fuzz-kernels:
 	$(GO) test -run=NONE -fuzz=FuzzVecKernels -fuzztime=10s ./internal/tensor
 
-# Batched-decode conformance lane: the cross-stream batched GEMM kernels, the
-# BatchDecoder ≡ Sequence.DecodeInto suites and the engine's cohort-of-8 ≡
-# cohort-of-1 ≡ serial-decode suites at GOMAXPROCS=1 and at GOMAXPROCS=2 with
-# the race detector, locking that a decode cohort emits each stream's serial
-# tokens at any cohort size and pool width (DESIGN.md §13).
+# Decode-cohort conformance lane: the cross-stream batched GEMM kernels, the
+# BatchDecoder suites (the one executor at cohort size 1 against sizes 2..8;
+# its comparison with the tests' per-stream serial oracle is in test-pool) and
+# the engine's cohort-of-8 ≡ cohort-of-1 ≡ serial-decode suites at
+# GOMAXPROCS=1 and at GOMAXPROCS=2 with the race detector, locking that a
+# stream's tokens do not depend on who shares its cohort (DESIGN.md §13).
 test-batch:
 	GOMAXPROCS=1 $(GO) test -count=1 -run 'MatTMat|MatMulRows|BatchDecode' ./internal/tensor/ ./internal/model/ ./internal/serve/
 	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'MatTMat|MatMulRows|BatchDecode' ./internal/tensor/ ./internal/model/ ./internal/serve/
 
 # Pool lane: the spin paths of internal/parallel (hot helper, caller's wait,
 # park after the window) are schedule-sensitive, so the pool suite and the
-# model suites that sit on it — two-phase decode attention ≡ the serial head
-# loop, prefill conformance, cohort ≡ solo — run under the race detector at
-# GOMAXPROCS 1 (every spin must yield), 2 and 4, three times each
-# (DESIGN.md §6, §13).
+# model suites that sit on it — the decode step ≡ the per-stream serial
+# oracle, prefill conformance, cohort of one ≡ cohort of eight — run under
+# the race detector at GOMAXPROCS 1 (every spin must yield), 2 and 4, three
+# times each (DESIGN.md §6, §13).
 test-pool:
 	for p in 1 2 4; do \
 		GOMAXPROCS=$$p $(GO) test -race -count=3 ./internal/parallel/ || exit 1; \

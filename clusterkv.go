@@ -135,11 +135,11 @@ type Sequence = model.Sequence
 // substrate of the serving engine's prefix cache.
 type Snapshot = model.Snapshot
 
-// BatchDecoder steps many decoding sequences in lock-step, amortizing every
-// weight matrix over the cohort with one blocked GEMM per matrix per layer
-// instead of one GEMV per stream. Logits are bit-identical to stepping each
-// sequence alone through Sequence.DecodeInto at any cohort size and pool
-// width (DESIGN.md §13); build one per serving loop with
+// BatchDecoder is the decode step: it advances a cohort of sequences in
+// lock-step, amortizing every weight matrix over the cohort with one blocked
+// GEMM per matrix per layer. Sequence.DecodeInto is the same step over a
+// cohort of one, and a stream's logits are bit-identical at any cohort size
+// and pool width (DESIGN.md §13); build one per serving loop with
 // Model.NewBatchDecoder.
 type BatchDecoder = model.BatchDecoder
 

@@ -31,12 +31,14 @@ func batchModelConfig() model.Config {
 }
 
 // RunDecodeBatch measures aggregate decode throughput at 1/2/4/8 concurrent
-// streams, per-stream (one Sequence.DecodeInto per stream per round) versus
-// batched (one BatchDecoder.DecodeInto per round), and asserts in-bench that
-// the two paths emit bit-identical greedy token streams — the determinism
-// contract the serving engine relies on to batch any cohort of two or more.
-// Also reported: heap allocations per batched round in steady state (the
-// zero-alloc decode contract, DESIGN.md §12, extended to cohorts).
+// streams, per-stream (S cohorts of one: one Sequence.DecodeInto per stream
+// per round) versus batched (one cohort of S: one BatchDecoder.DecodeInto per
+// round) — the same executor at two cohort shapes, so the 1-stream row is the
+// experiment's A/A row and reads the timer's own spread. It asserts in-bench
+// that both shapes emit bit-identical greedy token streams — the determinism
+// contract that lets the serving engine put whoever is decoding into one
+// cohort. Also reported: heap allocations per batched round in steady state
+// (the zero-alloc decode contract, DESIGN.md §12, extended to cohorts).
 func RunDecodeBatch(o Options) *Report {
 	o = o.withDefaults()
 	cfg := batchModelConfig()
@@ -174,8 +176,12 @@ func RunDecodeBatch(o Options) *Report {
 		if S == 8 {
 			speed8 = speedup
 		}
+		label := fmt.Sprintf("%d", S)
+		if S == 1 {
+			label = "1 (A/A)"
+		}
 		rep.Rows = append(rep.Rows, []string{
-			fmt.Sprintf("%d", S),
+			label,
 			fmt.Sprintf("%.1f", soloTokS),
 			fmt.Sprintf("%.1f", batTokS),
 			f2(speedup),
@@ -192,7 +198,8 @@ func RunDecodeBatch(o Options) *Report {
 		fmt.Sprintf("model: %d layers, d_model %d, vocab %d (~%d MB of weights) — large enough that single-stream decode is weight-bandwidth bound",
 			cfg.NLayers, cfg.DModel, cfg.VocabSize, weightMB(cfg)),
 		fmt.Sprintf("per cohort: 256..%d-token prompts, full attention, %d warm rounds, then %d alternating solo/batched chunks of %d rounds each; tok/s is aggregate across streams from the fastest chunk (min-of-trials discards scheduler/steal-time noise)", 256+64*7, warm, trials, chunk),
-		"both paths emit bit-identical greedy token streams (asserted in-bench; conformance-locked in internal/model)",
+		"per-stream = S cohorts of one, batched = one cohort of S, through the one decode executor; at 1 stream both sides run the same code (A/A: the ratio is the timer's spread)",
+		"both shapes emit bit-identical greedy token streams (asserted in-bench; conformance-locked in internal/model)",
 		fmt.Sprintf("speedup at 8 streams: %.2fx — one blocked GEMM per matrix streams each weight panel once per round instead of once per stream", speed8),
 	)
 	return rep

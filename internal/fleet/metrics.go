@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"clusterkv/internal/metrics"
 	"clusterkv/internal/obs"
 	"clusterkv/internal/serve"
 )
@@ -87,17 +86,6 @@ func (s Summary) PrefixHitRate() float64 {
 	return float64(s.PrefixHits) / float64(tot)
 }
 
-// latStats condenses a metrics.Summary into the serve reporting shape.
-func latStats(s *metrics.Summary) serve.LatencyStats {
-	return serve.LatencyStats{
-		N:    s.N(),
-		Mean: s.Mean(),
-		P50:  s.Quantile(0.5),
-		P95:  s.Quantile(0.95),
-		Max:  s.Max(),
-	}
-}
-
 // Summary returns a snapshot of the fleet's aggregate state.
 func (r *Router) Summary() Summary {
 	r.mu.Lock()
@@ -108,8 +96,8 @@ func (r *Router) Summary() Summary {
 		Rerouted:           r.rerouted,
 		SavedPrefillTokens: r.savedPrefillTokens,
 		SavedPrefillPages:  r.savedPrefillPages,
-		ModelTTFT:          latStats(&r.modelTTFT),
-		ModelTBT:           latStats(&r.modelTBT),
+		ModelTTFT:          serve.Summarize(&r.modelTTFT),
+		ModelTBT:           serve.Summarize(&r.modelTBT),
 		SLOTTFT:            r.cfg.SLOTTFT,
 		SLOTBT:             r.cfg.SLOTBT,
 		SLOAttainment:      1,
@@ -181,25 +169,8 @@ func (r *Router) FillRegistry(reg *obs.Registry, labels ...obs.Label) {
 	gauge("clusterkv_fleet_prefix_hit_rate", s.PrefixHitRate())
 	gauge("clusterkv_fleet_balance", s.Balance)
 	gauge("clusterkv_fleet_slo_attainment", s.SLOAttainment)
-	fill := func(l serve.LatencyStats, name, stat string) {
-		ls := append(append([]obs.Label(nil), labels...), obs.L("stat", stat))
-		switch stat {
-		case "count":
-			reg.Gauge(name, ls...).Set(float64(l.N))
-		case "mean":
-			reg.Gauge(name, ls...).Set(l.Mean)
-		case "p50":
-			reg.Gauge(name, ls...).Set(l.P50)
-		case "p95":
-			reg.Gauge(name, ls...).Set(l.P95)
-		case "max":
-			reg.Gauge(name, ls...).Set(l.Max)
-		}
-	}
-	for _, stat := range []string{"count", "mean", "p50", "p95", "max"} {
-		fill(s.ModelTTFT, "clusterkv_fleet_model_ttft_seconds", stat)
-		fill(s.ModelTBT, "clusterkv_fleet_model_tbt_seconds", stat)
-	}
+	s.ModelTTFT.Fill(reg, "clusterkv_fleet_model_ttft_seconds", labels)
+	s.ModelTBT.Fill(reg, "clusterkv_fleet_model_tbt_seconds", labels)
 	for i, e := range r.engines {
 		rl := append(append([]obs.Label(nil), labels...), obs.L("replica", fmt.Sprint(i)))
 		e.FillRegistry(reg, rl...)

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -93,5 +94,46 @@ func TestSummaryEmptyDistributions(t *testing.T) {
 	}
 	if s.Balance != 0 || s.PrefixHitRate() != 0 {
 		t.Fatalf("empty summary balance=%v hit rate=%v, want zeros", s.Balance, s.PrefixHitRate())
+	}
+}
+
+// TestModelLatencyExposition pins the text exposition of the fleet's modeled
+// latency summaries — written by serve.LatencyStats.Fill, as the replicas' own
+// summaries are — to the bytes the router's former private rendering of them
+// produced for this load.
+func TestModelLatencyExposition(t *testing.T) {
+	const want = `# TYPE clusterkv_fleet_model_tbt_seconds gauge
+clusterkv_fleet_model_tbt_seconds{fleet="a",stat="count"} 8
+clusterkv_fleet_model_tbt_seconds{fleet="a",stat="max"} 0.02150921467297565
+clusterkv_fleet_model_tbt_seconds{fleet="a",stat="mean"} 0.020363333080008615
+clusterkv_fleet_model_tbt_seconds{fleet="a",stat="p50"} 0.019981372549019605
+clusterkv_fleet_model_tbt_seconds{fleet="a",stat="p95"} 0.02150921467297565
+# TYPE clusterkv_fleet_model_ttft_seconds gauge
+clusterkv_fleet_model_ttft_seconds{fleet="a",stat="count"} 8
+clusterkv_fleet_model_ttft_seconds{fleet="a",stat="max"} 0.07467635094946778
+clusterkv_fleet_model_ttft_seconds{fleet="a",stat="mean"} 0.06815316568825684
+clusterkv_fleet_model_ttft_seconds{fleet="a",stat="p50"} 0.07467635094946778
+clusterkv_fleet_model_ttft_seconds{fleet="a",stat="p95"} 0.07467635094946778
+`
+	r := NewRouter(testModel(), Config{
+		Replicas: 2, Policy: PolicyAffinity, Seed: 7,
+		Engine: serve.Config{Workers: 2, MaxBatch: 4, KVBudget: 2048, Seed: 7},
+	})
+	r.Run(fleetLoad(2, 8))
+	reg := obs.NewRegistry()
+	r.FillRegistry(reg, obs.L("fleet", "a"))
+	r.Close()
+	var buf bytes.Buffer
+	if err := reg.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, line := range strings.SplitAfter(buf.String(), "\n") {
+		if strings.Contains(line, "clusterkv_fleet_model_t") {
+			got.WriteString(line)
+		}
+	}
+	if got.String() != want {
+		t.Fatalf("modeled latency exposition changed:\n%s\nwant:\n%s", got.String(), want)
 	}
 }

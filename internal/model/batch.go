@@ -5,30 +5,32 @@ import (
 	"clusterkv/internal/tensor"
 )
 
-// BatchDecoder runs one decode step for a cohort of sequences in lock-step
-// layer phases (DESIGN.md §13): the cohort's hidden states form an [S×DModel]
-// activation matrix and every weight-matrix product of the layer — QKV, the
-// output projection, the SwiGLU block and the LM head — is issued as ONE
-// batched GEMM across the cohort instead of S per-stream GEMVs, so each
-// weight matrix streams from memory once per round. Rope, KV append and
-// quantization stay per-stream in between the GEMM phases, because KV state
-// is per-sequence; attention is layerAttn over the cohort — selection per
-// stream, then every (stream, head) pair fanned out over the shared pool.
+// BatchDecoder is the decode step — the only one: a lone stream is a cohort
+// of one (Sequence.DecodeInto runs its own decoder over itself). A cohort of
+// sequences advances in lock-step layer phases (DESIGN.md §13): its hidden
+// states form an [S×DModel] activation matrix and every weight-matrix product
+// of the layer — QKV, the output projection, the SwiGLU block and the LM head
+// — is issued as ONE batched GEMM across the cohort, so each weight matrix
+// streams from memory once per round. Rope, KV append and quantization stay
+// per-stream in between the GEMM phases, because KV state is per-sequence;
+// attention is layerAttn over the cohort — selection per stream, then every
+// (stream, head) pair fanned out over the shared pool.
 //
-// Determinism contract: every batched kernel keeps the per-row reduction
-// order of the GEMV it replaces, and the attention phase is the very code
-// Sequence.DecodeInto runs, so the tokens a cohort produces are
-// bit-identical to stepping each sequence alone — at any cohort size and
-// any pool width (locked by the conformance suites).
+// Determinism contract: every batched kernel keeps, per row, the reduction
+// order of a serial GEMV, and streams share nothing but read-only weights, so
+// the tokens a stream produces are bit-identical at any cohort size and any
+// pool width — locked against the tests' serial oracle (per-stream GEMVs and
+// a serial head loop, twophase_test.go) and across cohort sizes by the
+// conformance suites.
 //
 // A BatchDecoder holds reusable scratch sized to the largest cohort seen; it
 // is not safe for concurrent use. Sequences may enter and leave the cohort
 // freely between calls (the serving engine's continuous batching does).
 type BatchDecoder struct {
-	m    *Model
-	maxS int
+	m *Model
 	// Cohort-wide scratch matrices; Rows is set to the live cohort size each
-	// call, Data stays at maxS capacity so steady-state calls allocate nothing.
+	// call, Data keeps the capacity of the largest cohort seen, so
+	// steady-state calls allocate nothing.
 	x, normed tensor.Mat // S×DModel
 	q         tensor.Mat // S×(NHeads·HeadDim)
 	k, v      tensor.Mat // S×(NKVHeads·HeadDim)
@@ -64,18 +66,15 @@ func (bd *BatchDecoder) grow(S int) {
 	size(&bd.attnOut, cfg.NHeads*cfg.HeadDim)
 	size(&bd.gate, cfg.FFNDim)
 	size(&bd.up, cfg.FFNDim)
-	if S > bd.maxS {
-		bd.maxS = S
-	}
 }
 
 // DecodeInto advances every sequence in the cohort by one token: seqs[i]
 // processes tokens[i] and its next-token logits land in logits[i] (each of
 // length VocabSize). All sequences must belong to this decoder's model; each
-// logits[i] is bit-identical to what seqs[i].DecodeInto(tokens[i], ...)
-// alone would produce. A panic (e.g. arena exhaustion mid-append) may leave
-// cohort members at different positions; callers treat the whole cohort as
-// failed, as the serving engine does.
+// logits[i] is bit-identical to what seqs[i] stepping in any other cohort,
+// or alone, would produce. A panic (e.g. arena exhaustion mid-append) may
+// leave cohort members at different positions; callers treat the whole
+// cohort as failed, as the serving engine does.
 func (bd *BatchDecoder) DecodeInto(seqs []*Sequence, tokens []int, logits [][]float32) {
 	S := len(seqs)
 	if S == 0 {
@@ -143,13 +142,15 @@ func (bd *BatchDecoder) DecodeInto(seqs []*Sequence, tokens []int, logits [][]fl
 					s.sel.OnAppend(l, kv, st)
 				}
 				if s.kvBits > 0 {
+					// After the selector saw the exact rows: convert any page
+					// the append just completed to the compute-quantized form.
 					st.QuantizeFullPages()
 				}
 			}
 		}
-		// Attention, the same two phases as a lone stream's (layerAttn):
-		// selection per stream, then every (stream, head) pair on its own
-		// scratch, each writing a disjoint slice of its attnOut row.
+		// Attention in two phases (layerAttn): selection per stream, then
+		// every (stream, head) pair on its own scratch, each writing a
+		// disjoint slice of its attnOut row.
 		bd.attn.run(pool, l)
 		tensor.MatTMatOn(pool, &bd.normed, lw.wo, &bd.attnOut)
 		for i := range seqs {

@@ -132,15 +132,6 @@ type Sequence struct {
 	// weight computation per head.
 	Probe func(layer, head int, weights []float32)
 
-	// scratch buffers
-	hidden  []float32
-	normed  []float32
-	qbuf    []float32
-	kbuf    []float32
-	vbuf    []float32
-	attnOut []float32
-	ffnGate []float32
-	ffnUp   []float32
 	// attn holds one reusable attention scratch (scores + quant fold buffers)
 	// per query head, so a layer's heads can attend concurrently; geometric
 	// growth keeps steady-state decode rounds allocation-free.
@@ -149,10 +140,14 @@ type Sequence struct {
 	// query head; attended is the layer's total of tokens they name.
 	picks    []headPick
 	attended int
-	// solo is the sequence as a cohort of one: DecodeInto's layerAttn over
-	// qbuf and attnOut.
-	solo layerAttn
+	// bd is the sequence's own decoder, created by the first DecodeInto: the
+	// sequence steps as the cohort of one held in self, tok and lg. Sequences
+	// that only prefill (prefix builders) or only ever step inside someone
+	// else's cohort never allocate decode scratch.
+	bd   *BatchDecoder
 	self [1]*Sequence
+	tok  [1]int
+	lg   [1][]float32
 	// kvBits, when non-zero, enables the int8 KV decode path: full pages are
 	// compute-quantized after each append and the attention kernels read the
 	// codes directly (bounded-ULP contract, DESIGN.md §12).
@@ -182,18 +177,9 @@ func (m *Model) NewSequenceIn(a *kvcache.Arena, sel attention.Selector, budget i
 		sel.Reset(cfg.NLayers, cfg.NKVHeads, cfg.HeadDim)
 		s.la, _ = sel.(attention.LayerAware)
 	}
-	s.hidden = make([]float32, cfg.DModel)
-	s.normed = make([]float32, cfg.DModel)
-	s.qbuf = make([]float32, cfg.NHeads*cfg.HeadDim)
-	s.kbuf = make([]float32, cfg.NKVHeads*cfg.HeadDim)
-	s.vbuf = make([]float32, cfg.NKVHeads*cfg.HeadDim)
-	s.attnOut = make([]float32, cfg.NHeads*cfg.HeadDim)
-	s.ffnGate = make([]float32, cfg.FFNDim)
-	s.ffnUp = make([]float32, cfg.FFNDim)
 	s.attn = make([]attention.Scratch, cfg.NHeads)
 	s.picks = make([]headPick, cfg.NHeads)
 	s.self[0] = s
-	s.solo = layerAttn{seqs: s.self[:], q: s.qbuf, out: s.attnOut}
 	return s
 }
 
@@ -431,12 +417,6 @@ func addProjected(h []float32, wo *tensor.Mat, attnOut, scratch []float32) {
 	tensor.Add(h, h, scratch)
 }
 
-// ffn applies the SwiGLU block with residual connection to h in place,
-// using the sequence's decode scratch.
-func (s *Sequence) ffn(h []float32, lw *layerWeights) {
-	ffnBlock(h, lw, s.normed, s.ffnGate, s.ffnUp)
-}
-
 // ffnBlock is the SwiGLU block over caller-provided scratch (normed: DModel,
 // gate/up: FFNDim), so parallel prefill positions can run it concurrently.
 func ffnBlock(h []float32, lw *layerWeights, normed, gate, up []float32) {
@@ -462,61 +442,17 @@ func (s *Sequence) Decode(token int) []float32 {
 
 // DecodeInto is Decode writing the next-token logits into a caller-provided
 // buffer of length VocabSize, avoiding the per-token allocation on hot
-// serving paths.
+// serving paths. The step itself is BatchDecoder.DecodeInto over a cohort of
+// one — there is no other decode body.
 func (s *Sequence) DecodeInto(token int, logits []float32) {
-	cfg := s.m.cfg
-	w := s.m.w
-	if len(logits) != cfg.VocabSize {
+	if len(logits) != s.m.cfg.VocabSize {
 		panic("model: DecodeInto logits buffer has wrong size")
 	}
-	copy(s.hidden, w.embed.Row(token))
-	pos := s.pos
-	pool := parallel.Default()
-
-	for l := 0; l < cfg.NLayers; l++ {
-		if s.la != nil {
-			s.la.BeforeLayer(l)
-		}
-		lw := &w.layers[l]
-		rmsNorm(s.normed, s.hidden, lw.attnNorm)
-		tensor.MatTVec(s.qbuf, lw.wq, s.normed)
-		tensor.MatTVec(s.kbuf, lw.wk, s.normed)
-		tensor.MatTVec(s.vbuf, lw.wv, s.normed)
-		for hh := 0; hh < cfg.NHeads; hh++ {
-			qh := s.qbuf[hh*cfg.HeadDim : (hh+1)*cfg.HeadDim]
-			s.m.applyRope(qh, pos)
-			s.m.shapeQuery(qh)
-		}
-		for kv := 0; kv < cfg.NKVHeads; kv++ {
-			kh := s.kbuf[kv*cfg.HeadDim : (kv+1)*cfg.HeadDim]
-			s.m.applyRope(kh, pos)
-			s.m.shapeKey(kh, pos)
-			vh := s.vbuf[kv*cfg.HeadDim : (kv+1)*cfg.HeadDim]
-			st := s.Store(l, kv)
-			st.Append(kh, vh)
-			if s.sel != nil {
-				s.sel.OnAppend(l, kv, st)
-			}
-			if s.kvBits > 0 {
-				// After the selector saw the exact rows: convert any page the
-				// append just completed to the compute-quantized form.
-				st.QuantizeFullPages()
-			}
-		}
-		s.solo.run(pool, l)
-		addProjected(s.hidden, lw.wo, s.attnOut, s.normed)
-		s.ffn(s.hidden, lw)
-		if s.la != nil {
-			s.la.AfterLayer(l)
-		}
+	if s.bd == nil {
+		s.bd = s.m.NewBatchDecoder()
 	}
-	if s.sel != nil {
-		s.sel.EndStep()
-	}
-	s.pos++
-
-	rmsNorm(s.normed, s.hidden, w.finalNorm)
-	w.embedP.MatVec(logits, s.normed)
+	s.tok[0], s.lg[0] = token, logits
+	s.bd.DecodeInto(s.self[:], s.tok[:], s.lg[:])
 }
 
 // headPick is what the selection phase of a decode layer hands the attention
@@ -531,16 +467,15 @@ type headPick struct {
 	full bool
 }
 
-// layerAttn is the decode attention of one layer for a cohort of sequences:
-// the one copy of the select/attend code, behind Sequence.DecodeInto (a
-// cohort of one) and BatchDecoder alike. It runs in two phases on the shared
-// pool (DESIGN.md §13). Selection fans out over streams and walks each
-// stream's heads serially in head order, so a Selector sees the call sequence
-// of a serial decode and needs no locking. Attention then fans out over
-// (stream, head) pairs, each on the head's own attention.Scratch, writing its
-// disjoint slice of out. Heads are independent, so the second phase only
-// re-orders work and outputs are bit-identical at any pool width. It is a
-// parallel.Body so that neither dispatch allocates.
+// layerAttn is the decode attention of one layer for BatchDecoder's cohort.
+// It runs in two phases on the shared pool (DESIGN.md §13). Selection fans
+// out over streams and walks each stream's heads serially in head order, so a
+// Selector sees the call sequence of a serial decode and needs no locking.
+// Attention then fans out over (stream, head) pairs, each on the head's own
+// attention.Scratch, writing its disjoint slice of out. Heads are
+// independent, so the second phase only re-orders work and outputs are
+// bit-identical at any pool width. It is a parallel.Body so that neither
+// dispatch allocates.
 type layerAttn struct {
 	seqs   []*Sequence
 	q, out []float32 // stream i's query heads / attention output at row i

@@ -14,31 +14,45 @@ import (
 	"clusterkv/internal/tensor"
 )
 
-// Two-phase decode attention ≡ the serial head loop it replaced. The oracle
-// below is Sequence.DecodeInto as it stood before layerAttn: every head of a
-// layer probes, selects and attends in turn, on ONE scratch, reading the
+// The decode step ≡ the per-stream serial step it replaced. The oracle below
+// is Sequence.DecodeInto as it stood before layerAttn and before it became
+// BatchDecoder's cohort of one: one GEMV per weight matrix, and every head of
+// a layer probes, selects and attends in turn, on ONE scratch, reading the
 // selector's list in place. The suites lock that selecting all heads first and
 // attending them concurrently afterwards changes no logit bit, no selection
 // counter and no probe value — at every pool width, for every selector family,
 // under GQA (where two query heads select on one kv head before either
 // attends) and through BatchDecoder.
 
-// serialOracle steps a sequence with the old per-head loop.
+// serialOracle steps a sequence with the old per-stream step — serial GEMVs
+// and the per-head loop — on scratch of its own: nothing below is shared with
+// BatchDecoder, the one decode body the non-test code has.
 type serialOracle struct {
 	s       *Sequence
 	attn    attention.Scratch
 	headOut []float32
+
+	hidden, normed []float32 // DModel
+	qbuf, attnOut  []float32 // NHeads·HeadDim
+	kbuf, vbuf     []float32 // NKVHeads·HeadDim
+	ffnGate, ffnUp []float32 // FFNDim
 }
 
 func newSerialOracle(s *Sequence) *serialOracle {
-	return &serialOracle{s: s, headOut: make([]float32, s.m.cfg.HeadDim)}
+	cfg := s.m.cfg
+	f := func(n int) []float32 { return make([]float32, n) }
+	return &serialOracle{s: s, headOut: f(cfg.HeadDim),
+		hidden: f(cfg.DModel), normed: f(cfg.DModel),
+		qbuf: f(cfg.NHeads * cfg.HeadDim), attnOut: f(cfg.NHeads * cfg.HeadDim),
+		kbuf: f(cfg.NKVHeads * cfg.HeadDim), vbuf: f(cfg.NKVHeads * cfg.HeadDim),
+		ffnGate: f(cfg.FFNDim), ffnUp: f(cfg.FFNDim)}
 }
 
 func (o *serialOracle) decodeInto(token int, logits []float32) {
 	s := o.s
 	cfg := s.m.cfg
 	w := s.m.w
-	copy(s.hidden, w.embed.Row(token))
+	copy(o.hidden, w.embed.Row(token))
 	pos := s.pos
 	group := cfg.GroupSize()
 	for l := 0; l < cfg.NLayers; l++ {
@@ -46,21 +60,21 @@ func (o *serialOracle) decodeInto(token int, logits []float32) {
 			s.la.BeforeLayer(l)
 		}
 		lw := &w.layers[l]
-		rmsNorm(s.normed, s.hidden, lw.attnNorm)
-		tensor.MatTVecOn(nil, s.qbuf, lw.wq, s.normed)
-		tensor.MatTVecOn(nil, s.kbuf, lw.wk, s.normed)
-		tensor.MatTVecOn(nil, s.vbuf, lw.wv, s.normed)
+		rmsNorm(o.normed, o.hidden, lw.attnNorm)
+		tensor.MatTVecOn(nil, o.qbuf, lw.wq, o.normed)
+		tensor.MatTVecOn(nil, o.kbuf, lw.wk, o.normed)
+		tensor.MatTVecOn(nil, o.vbuf, lw.wv, o.normed)
 		for hh := 0; hh < cfg.NHeads; hh++ {
-			qh := s.qbuf[hh*cfg.HeadDim : (hh+1)*cfg.HeadDim]
+			qh := o.qbuf[hh*cfg.HeadDim : (hh+1)*cfg.HeadDim]
 			s.m.applyRope(qh, pos)
 			s.m.shapeQuery(qh)
 		}
 		for kv := 0; kv < cfg.NKVHeads; kv++ {
-			kh := s.kbuf[kv*cfg.HeadDim : (kv+1)*cfg.HeadDim]
+			kh := o.kbuf[kv*cfg.HeadDim : (kv+1)*cfg.HeadDim]
 			s.m.applyRope(kh, pos)
 			s.m.shapeKey(kh, pos)
 			st := s.Store(l, kv)
-			st.Append(kh, s.vbuf[kv*cfg.HeadDim:(kv+1)*cfg.HeadDim])
+			st.Append(kh, o.vbuf[kv*cfg.HeadDim:(kv+1)*cfg.HeadDim])
 			if s.sel != nil {
 				s.sel.OnAppend(l, kv, st)
 			}
@@ -71,7 +85,7 @@ func (o *serialOracle) decodeInto(token int, logits []float32) {
 		for hh := 0; hh < cfg.NHeads; hh++ {
 			kv := hh / group
 			st := s.Store(l, kv)
-			qh := s.qbuf[hh*cfg.HeadDim : (hh+1)*cfg.HeadDim]
+			qh := o.qbuf[hh*cfg.HeadDim : (hh+1)*cfg.HeadDim]
 			if s.Probe != nil {
 				ws := o.attn.Scores(st.Len())
 				o.attn.Weights(ws, qh, st)
@@ -86,10 +100,10 @@ func (o *serialOracle) decodeInto(token int, logits []float32) {
 			} else {
 				o.attn.Sparse(o.headOut, qh, st, idx)
 			}
-			copy(s.attnOut[hh*cfg.HeadDim:(hh+1)*cfg.HeadDim], o.headOut)
+			copy(o.attnOut[hh*cfg.HeadDim:(hh+1)*cfg.HeadDim], o.headOut)
 		}
-		addProjected(s.hidden, lw.wo, s.attnOut, s.normed)
-		s.ffn(s.hidden, lw)
+		addProjected(o.hidden, lw.wo, o.attnOut, o.normed)
+		ffnBlock(o.hidden, lw, o.normed, o.ffnGate, o.ffnUp)
 		if s.la != nil {
 			s.la.AfterLayer(l)
 		}
@@ -98,8 +112,8 @@ func (o *serialOracle) decodeInto(token int, logits []float32) {
 		s.sel.EndStep()
 	}
 	s.pos++
-	rmsNorm(s.normed, s.hidden, w.finalNorm)
-	w.embedP.MatVecOn(nil, logits, s.normed)
+	rmsNorm(o.normed, o.hidden, w.finalNorm)
+	w.embedP.MatVecOn(nil, logits, o.normed)
 }
 
 // selectionCounters is the part of SelStats a decode step's selections set.
@@ -315,6 +329,36 @@ func TestTwoPhaseBatchMatchesSerialOracle(t *testing.T) {
 					func(toks []int, lgs [][]float32) { bd.DecodeInto(got, toks, lgs) })
 			})
 		}
+	}
+}
+
+// TestTwoPhaseInterleavedDecodersMatchSerialOracle steps the same sequences
+// alternately through their own DecodeInto and through an external
+// BatchDecoder — what the serving engine does: the first token rides the
+// prefill round on the sequence's decoder, the rest run in the engine's
+// cohort. A step leaves nothing behind in the decoder that ran it.
+func TestTwoPhaseInterleavedDecodersMatchSerialOracle(t *testing.T) {
+	for _, width := range []int{1, 2} {
+		withPoolWidth(t, width, func() {
+			m := New(DefaultConfig())
+			want, _ := batchCohort(m, 3, 0)
+			got, _ := batchCohort(m, 3, 0)
+			defer releaseAll(want)
+			defer releaseAll(got)
+			bd := m.NewBatchDecoder()
+			step := 0
+			compareWithOracle(t, fmt.Sprintf("interleaved width %d", width), want, got,
+				func(toks []int, lgs [][]float32) {
+					if step%2 == 0 {
+						for i, s := range got {
+							s.DecodeInto(toks[i], lgs[i])
+						}
+					} else {
+						bd.DecodeInto(got, toks, lgs)
+					}
+					step++
+				})
+		})
 	}
 }
 

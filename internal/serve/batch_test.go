@@ -9,13 +9,12 @@ import (
 	"clusterkv/internal/workload"
 )
 
-// Serve-level lock for cross-stream batched decode: running a round's decode
-// streams as one lock-step cohort must not change a single token — the batched
-// GEMM path is bit-identical to per-stream GEMVs (internal/model conformance
-// suite), so the only thing batching may change is wall-clock speed. The
-// executor is chosen by the observable cohort size, so the per-stream side of
-// each comparison is the same load on a MaxBatch: 1 engine (the cohort never
-// reaches two, every step runs per-stream) against MaxBatch: 8.
+// Serve-level lock for cross-stream batched decode: the tokens a stream emits
+// must not depend on how many streams share its round's cohort. Every decode
+// step runs through the one executor (model.BatchDecoder; its per-stream
+// serial reference is internal/model's test oracle), so the comparison here
+// is the same load on a MaxBatch: 1 engine — every cohort is one stream —
+// against MaxBatch: 8, plus one-at-a-time serial decode.
 
 func maxBatch(n int) func(*Config) { return func(c *Config) { c.MaxBatch = n } }
 
@@ -34,7 +33,7 @@ func sameOutputs(a, b engineRunFingerprint) string {
 }
 
 // perStreamVsBatched runs reqs at MaxBatch 1 and MaxBatch 8 and requires equal
-// outputs, checking that each engine really took the path it stands for.
+// outputs, checking that each engine really formed the cohorts it stands for.
 func perStreamVsBatched(t *testing.T, procs, workers int, reqs []Request) (solo, batched engineRunFingerprint) {
 	t.Helper()
 	solo = runEngineAt(t, procs, workers, reqs, maxBatch(1))

@@ -157,9 +157,9 @@ type Engine struct {
 	// nil when attribution is off. Touched only on the loop goroutine.
 	attr *attrTracker
 
-	// bd is the cross-stream batched decoder (DESIGN.md §13), created
-	// lazily on the loop goroutine; the cohort slices are scheduler-owned
-	// scratch reused across rounds so steady-state rounds allocate nothing.
+	// bd is the decode executor (DESIGN.md §13), used only on the loop
+	// goroutine; the cohort slices are scheduler-owned scratch reused across
+	// rounds so steady-state rounds allocate nothing.
 	bd        *model.BatchDecoder
 	cohort    []*task
 	prefills  []*task
@@ -260,6 +260,7 @@ func NewEngine(m *model.Model, cfg Config) *Engine {
 		intake:   make(chan []*task, cfg.QueueCap),
 		resident: make(map[uint64]int),
 		done:     make(chan struct{}),
+		bd:       m.NewBatchDecoder(),
 	}
 	capacity := cfg.KVBudget
 	if capacity > 0 {
@@ -606,10 +607,12 @@ func (e *Engine) loop() {
 		}
 		// Admission: FIFO with head-of-line blocking, so a burst of small
 		// requests cannot starve a large one forever.
+		var headCost int64 // what a blocked head asked the accountant for
 		for len(pending) > 0 && len(active) < e.cfg.MaxBatch {
 			t := pending[0]
-			st := e.admit(t, round)
+			st, cost := e.admit(t, round)
 			if st == admitWait {
+				headCost = cost
 				if e.attr != nil && t.holRound == 0 {
 					t.holRound = round
 				}
@@ -621,18 +624,25 @@ func (e *Engine) loop() {
 			}
 			active = append(active, t)
 		}
+		if len(active) == 0 && len(pending) > 0 {
+			// The head waits on a retirement or a finished prefix build, and
+			// nothing is active to deliver either: intake only queues behind
+			// it, idle prefixes were already evicted for it. With correct
+			// accounting only a hold taken through Accountant() (or a cached
+			// prefix the request itself pins) gets here; fail the head rather
+			// than retry a state that cannot change. The round never began.
+			t := pending[0]
+			pending = pending[1:]
+			e.retire(t, round, fmt.Errorf("%w: admission stalled with nothing active: cost %d slots, kv used %d of %d, %d cached prefixes",
+				ErrInternal, headCost, e.acct.Used(), e.acct.TotalCapacity(), len(e.cache.entries(nil))))
+			round--
+			continue
+		}
 		e.mx.observeRound(len(pending), len(active))
 		e.rec.Emit(obs.Event{Type: obs.EvRoundBegin, Round: round,
 			N: int64(len(active)), Aux: int64(len(pending))})
 		if len(active) == 0 {
-			// Nothing runnable this round. With correct accounting this is
-			// unreachable while requests are pending (retirement or prefix
-			// eviction always frees room eventually); yield briefly rather
-			// than spin in case a queued head is waiting on intake churn.
-			if len(pending) > 0 {
-				time.Sleep(time.Millisecond)
-			}
-			continue
+			continue // every request of the round failed admission
 		}
 
 		e.runRound(active, round)
@@ -701,8 +711,9 @@ const (
 // admit tries to activate the pending head. It resolves the request against
 // the prefix cache (exact hit, partial radix reuse, or a new builder entry),
 // takes the provisional admission hold, and wires the task to its prefix
-// entry.
-func (e *Engine) admit(t *task, round int64) admitStatus {
+// entry. The second result is the hold it asked for, in raw slots (0 when it
+// waited on a prefix build before estimating).
+func (e *Engine) admit(t *task, round int64) (admitStatus, int64) {
 	r := &t.req
 	share := r.SharedPrefixLen > 0
 	var (
@@ -714,7 +725,7 @@ func (e *Engine) admit(t *task, round int64) admitStatus {
 		if lk.wait {
 			// Someone is building this prefix (or a deeper reusable ancestor)
 			// right now; wait a round rather than duplicating the prefill.
-			return admitWait
+			return admitWait, 0
 		}
 		if lk.exact != nil {
 			entry = lk.exact
@@ -763,9 +774,9 @@ func (e *Engine) admit(t *task, round int64) admitStatus {
 			e.rec.Emit(obs.Event{Type: obs.EvRefuse, Round: round,
 				Req: t.id, N: e.kvUnits(cost)})
 			e.retire(t, round, ErrTooLarge)
-			return admitFailed
+			return admitFailed, cost
 		}
-		return admitWait // budget busy; retirement will free room
+		return admitWait, cost // budget busy; retirement will free room
 	}
 	t.reserved = cost
 	if builds {
@@ -806,7 +817,7 @@ func (e *Engine) admit(t *task, round int64) admitStatus {
 		e.rec.Emit(obs.Event{Type: obs.EvAdmit, Round: round,
 			Req: t.id, N: e.kvUnits(cost), Aux: disp})
 	}
-	return admitOK
+	return admitOK, cost
 }
 
 // pageEstimate is the admission gate: the raw slots (tokens × planes,
@@ -888,94 +899,78 @@ func (e *Engine) releaseEntry(p *prefixEntry) {
 	}
 }
 
-// stepAll is the task-parallel round executor: inline when Workers <= 1,
-// otherwise fanned out onto the shared parallel pool and barriered.
+// stepAll runs the round's prefill steps: inline when Workers <= 1, otherwise
+// fanned out onto the shared parallel pool and barriered.
 func (e *Engine) stepAll(tasks []*task) {
 	if e.cfg.Workers <= 1 {
 		for _, t := range tasks {
-			e.step(t)
+			e.prefillStep(t)
 		}
 		return
 	}
 	// Floor-grain yields between Workers and 2×Workers-1 blocks, so the
-	// pool's dynamic block counter can rebalance a heavy prefill step away
-	// from the decodes sharing its block; actual concurrency is further
-	// bounded by the shared pool width. e.step recovers panics itself, so
-	// fn never panics into the pool.
+	// pool's dynamic block counter can rebalance a long prefill away from the
+	// short ones sharing its block; actual concurrency is further bounded by
+	// the shared pool width. prefillStep recovers panics itself, so fn
+	// never panics into the pool.
 	grain := len(tasks) / e.cfg.Workers
 	if grain < 1 {
 		grain = 1
 	}
 	parallel.Default().For(len(tasks), grain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			e.step(tasks[i])
+			e.prefillStep(tasks[i])
 		}
 	})
 }
 
-// runRound executes one step for every active task. It partitions the round
-// into prefill steps and a decode cohort: with ≥2 decoding streams the round
-// splits into lock-step phases — prefill steps run with the usual
-// task-parallel fan-out, then the cohort advances one token through the
+// runRound executes one step for every active task, in two lock-step phases:
+// tasks not yet prefilled run their prefill step (prefill plus the first
+// token, per stream) with the task-parallel fan-out; then every prefilled
+// task — a lone stream is a cohort of one — advances one token through the
 // batched decoder (one GEMM per weight matrix across the cohort, DESIGN.md
-// §13); with fewer, every task steps independently via stepAll, so
-// single-stream rounds keep the per-stream path with zero overhead. Both
-// shapes produce bit-identical tokens: steps are independent (each task owns
-// its sequence) and the batched kernels preserve per-stream reduction order,
-// so execution order within a round never affects outputs. Solo/batched
-// stream counts feed the decode-batch metrics; prefill steps (whose first
-// token rides the prefill round per-stream) are counted in neither.
+// §13). Tokens do not depend on the partition: each task owns its sequence
+// and the batched kernels keep per-stream reduction order. A cohort of one
+// counts as a solo stream; the batch counters, EvBatchRound and attribution's
+// batched rounds mean "decoded beside another stream" and need two. Prefill
+// steps are counted in neither.
 func (e *Engine) runRound(active []*task, round int64) {
 	cohort, prefills := e.cohort[:0], e.prefills[:0]
-	for _, t := range active {
-		if t.prefilled {
-			cohort = append(cohort, t)
-		} else {
-			prefills = append(prefills, t)
-		}
-	}
-	e.cohort, e.prefills = cohort, prefills
-	defer func() {
-		for i := range cohort {
-			cohort[i] = nil
-		}
-		for i := range prefills {
-			prefills[i] = nil
-		}
-	}()
-	if len(cohort) < 2 {
-		e.mx.observeBatch(0, len(cohort))
-		e.stepAll(active)
-		return
-	}
-	if len(prefills) > 0 {
-		e.stepAll(prefills)
-	}
-	if e.bd == nil {
-		e.bd = e.m.NewBatchDecoder()
-	}
 	seqs, toks, lgs := e.cohortSeq[:0], e.cohortTok[:0], e.cohortLg[:0]
-	for _, t := range cohort {
+	for _, t := range active {
+		if !t.prefilled {
+			prefills = append(prefills, t)
+			continue
+		}
+		cohort = append(cohort, t)
 		seqs = append(seqs, t.seq)
 		toks = append(toks, t.lastTok)
 		lgs = append(lgs, t.logits)
 	}
+	e.cohort, e.prefills = cohort, prefills
 	e.cohortSeq, e.cohortTok, e.cohortLg = seqs, toks, lgs
-	if e.attr != nil {
-		for _, t := range cohort {
-			t.batchedRounds++
+	if len(prefills) > 0 {
+		e.stepAll(prefills)
+	}
+	if len(cohort) > 1 {
+		if e.attr != nil {
+			for _, t := range cohort {
+				t.batchedRounds++
+			}
 		}
+		e.rec.Emit(obs.Event{Type: obs.EvBatchRound, Round: round,
+			N: int64(len(cohort)), Aux: int64(len(prefills))})
 	}
-	e.rec.Emit(obs.Event{Type: obs.EvBatchRound, Round: round,
-		N: int64(len(cohort)), Aux: int64(len(prefills))})
-	e.batchDecodeCohort(cohort, seqs, toks, lgs)
-	e.mx.observeBatch(len(cohort), 0)
-	// Drop the sequence/logits references so retired tasks aren't pinned by
-	// engine scratch until the next batched round.
-	for i := range seqs {
-		seqs[i] = nil
-		lgs[i] = nil
+	if len(cohort) > 0 {
+		e.batchDecodeCohort(cohort, seqs, toks, lgs)
+		e.mx.observeBatch(len(cohort))
 	}
+	// Drop the references, so retired tasks aren't pinned by engine scratch
+	// until the next round (both executors recover their own panics).
+	clear(cohort)
+	clear(prefills)
+	clear(seqs)
+	clear(lgs)
 }
 
 // batchDecodeCohort advances every cohort member one token through the
@@ -1219,20 +1214,12 @@ func failOnPanic(tasks ...*task) {
 	}
 }
 
-// step advances one task by one unit of work: its prefill plus first token
-// on the first round after admission, one decoded token afterwards.
-func (e *Engine) step(t *task) {
-	defer failOnPanic(t)
-	if !t.prefilled {
-		e.prefillStep(t)
-		return
-	}
-	start := time.Now()
-	t.decodeOne()
-	t.tokenLat = append(t.tokenLat, time.Since(start).Seconds())
-}
-
+// prefillStep is a task's first unit of work after admission: its prefill
+// (over whatever the prefix cache does not already hold) plus the first
+// generated token, which rides the prefill round on the sequence's own
+// decoder. Every later token comes from the round's cohort (runRound).
 func (e *Engine) prefillStep(t *task) {
+	defer failOnPanic(t)
 	if t.reserved > 0 {
 		// Swap the admission hold for the real page charges the allocations
 		// below make. Admission only runs between rounds, so nothing races
@@ -1311,6 +1298,7 @@ func (e *Engine) prefillStep(t *task) {
 	t.resp.TTFT = time.Since(t.submitted)
 }
 
+// decodeOne generates the first token, from re-feeding the last prompt token.
 func (t *task) decodeOne() {
 	t.seq.DecodeInto(t.lastTok, t.logits)
 	t.lastTok = t.sample()

@@ -18,7 +18,8 @@ type LatencyStats struct {
 	Mean, P50, P95, Max float64
 }
 
-func summarize(s *metrics.Summary) LatencyStats {
+// Summarize condenses a metrics.Summary into the reporting shape.
+func Summarize(s *metrics.Summary) LatencyStats {
 	return LatencyStats{
 		N:    s.N(),
 		Mean: s.Mean(),
@@ -38,9 +39,9 @@ func (l LatencyStats) String() string {
 		l.N, l.Mean*1e3, l.P50*1e3, l.P95*1e3, l.Max*1e3)
 }
 
-// fill publishes the distribution into reg as one gauge per statistic,
+// Fill publishes the distribution into reg as one gauge per statistic,
 // discriminated by a stat label.
-func (l LatencyStats) fill(reg *obs.Registry, name string, labels []obs.Label) {
+func (l LatencyStats) Fill(reg *obs.Registry, name string, labels []obs.Label) {
 	with := func(stat string) []obs.Label {
 		return append(append([]obs.Label(nil), labels...), obs.L("stat", stat))
 	}
@@ -87,9 +88,10 @@ type Metrics struct {
 	// Batched-decode telemetry. BatchRounds counts rounds that ran a
 	// ≥2-stream decode cohort through the batched decoder;
 	// DecodeStreamsBatched sums cohort sizes over those rounds, while
-	// DecodeStreamsSolo counts decode steps that ran per-stream (a cohort of
-	// one — prefill steps count in neither). CohortSize is the cohort-size
-	// distribution over batched rounds, in streams.
+	// DecodeStreamsSolo counts rounds whose cohort was a single stream
+	// (first tokens ride their prefill step and count in neither).
+	// CohortSize is the cohort-size distribution over batched rounds, in
+	// streams.
 	BatchRounds                             int64
 	DecodeStreamsBatched, DecodeStreamsSolo int64
 	CohortSize                              LatencyStats
@@ -220,10 +222,10 @@ func (m Metrics) FillRegistry(reg *obs.Registry, labels ...obs.Label) {
 	cnt("clusterkv_xfer_prefetched_pages_total", m.Transfer.PrefetchedPages)
 	cnt("clusterkv_xfer_prefetch_hits_total", m.Transfer.PrefetchHits)
 	cnt("clusterkv_xfer_prefetch_dropped_total", m.Transfer.PrefetchDropped)
-	m.CohortSize.fill(reg, "clusterkv_serve_decode_cohort_streams", labels)
-	m.TTFT.fill(reg, "clusterkv_serve_ttft_seconds", labels)
-	m.TokenLatency.fill(reg, "clusterkv_serve_token_latency_seconds", labels)
-	m.QueueWait.fill(reg, "clusterkv_serve_queue_wait_seconds", labels)
+	m.CohortSize.Fill(reg, "clusterkv_serve_decode_cohort_streams", labels)
+	m.TTFT.Fill(reg, "clusterkv_serve_ttft_seconds", labels)
+	m.TokenLatency.Fill(reg, "clusterkv_serve_token_latency_seconds", labels)
+	m.QueueWait.Fill(reg, "clusterkv_serve_queue_wait_seconds", labels)
 }
 
 // FillRegistry publishes the engine's current Metrics snapshot plus the live
@@ -297,18 +299,18 @@ func (x *engineMetrics) observeRound(queued, active int) {
 	x.batchOcc.Add(float64(active))
 }
 
-// observeBatch records one round's decode-batching outcome: cohort is the
-// batched cohort size (0 or 1 when the round fell back to per-stream, in
-// which case that lone decode counts as solo).
-func (x *engineMetrics) observeBatch(cohort, solo int) {
+// observeBatch records one round's non-empty decode cohort: two or more
+// streams are a batched round, a lone stream counts as solo.
+func (x *engineMetrics) observeBatch(cohort int) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if cohort > 1 {
 		x.batchRounds++
 		x.batchedStreams += int64(cohort)
 		x.cohortSizes.Add(float64(cohort))
+	} else {
+		x.soloStreams++
 	}
-	x.soloStreams += int64(solo)
 }
 
 // observeRejected counts a request failed at validation, before it ever
@@ -383,7 +385,7 @@ func (e *Engine) Metrics() Metrics {
 		BatchRounds:          x.batchRounds,
 		DecodeStreamsBatched: x.batchedStreams,
 		DecodeStreamsSolo:    x.soloStreams,
-		CohortSize:           summarize(&x.cohortSizes),
+		CohortSize:           Summarize(&x.cohortSizes),
 		KVUsed:               e.kvUnits(e.acct.Used()),
 		KVPeak:               e.kvUnits(x.kvPeak),
 		KVCapacity:           e.kvUnits(e.acct.Capacity()),
@@ -400,9 +402,9 @@ func (e *Engine) Metrics() Metrics {
 		MetaKeysAdopted:      x.metaKeysAdopted.Load(),
 		MetaKeysBuilt:        x.metaKeysBuilt.Load(),
 		Transfer:             e.rt.Stats(),
-		TTFT:                 summarize(&x.ttft),
-		TokenLatency:         summarize(&x.tokenLat),
-		QueueWait:            summarize(&x.qwait),
+		TTFT:                 Summarize(&x.ttft),
+		TokenLatency:         Summarize(&x.tokenLat),
+		QueueWait:            Summarize(&x.qwait),
 		MeanQueueDepth:       x.queueDepth.Mean(),
 		MeanBatchOccupancy:   x.batchOcc.Mean(),
 	}
