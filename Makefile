@@ -66,13 +66,14 @@ bench-compare:
 	$(GO) run ./cmd/clusterkv-bench -exp $(BENCH_TRACKED) -json bench-out -compare .
 
 # Kernel conformance lane: the blocked/packed/fused/quantized decode kernel
-# suites and the vector ≡ scalar suite (Vec: AVX2 kernels against the Go
+# suites, the prefill query block against per-query attention (FullBlock) and
+# the vector ≡ scalar suite (Vec: AVX2 kernels against the Go
 # loops, the exp pin, the fuzz seed corpus) at GOMAXPROCS=1 and at
 # GOMAXPROCS=2 with the race detector, locking the bit-identity and
 # bounded-ULP contracts of DESIGN.md §12 independently of the scheduler.
 test-kernels:
-	GOMAXPROCS=1 $(GO) test -count=1 -run 'Blocked|DotRows|AddScaledRows|PackedMat|Fused|Quant|ComputeQuant|DecodeSteady|Vec' ./internal/tensor/ ./internal/attention/ ./internal/kvcache/ ./internal/model/
-	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'Blocked|DotRows|AddScaledRows|PackedMat|Fused|Quant|ComputeQuant|DecodeSteady|Vec' ./internal/tensor/ ./internal/attention/ ./internal/kvcache/ ./internal/model/
+	GOMAXPROCS=1 $(GO) test -count=1 -run 'Blocked|DotRows|AddScaledRows|PackedMat|Fused|Quant|ComputeQuant|DecodeSteady|Vec|FullBlock' ./internal/tensor/ ./internal/attention/ ./internal/kvcache/ ./internal/model/
+	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'Blocked|DotRows|AddScaledRows|PackedMat|Fused|Quant|ComputeQuant|DecodeSteady|Vec|FullBlock' ./internal/tensor/ ./internal/attention/ ./internal/kvcache/ ./internal/model/
 
 # Generic-path lanes: the scalar Go kernels are what every target but amd64
 # runs, so the packages that sit on them are tested with the vector path
@@ -101,13 +102,14 @@ test-batch:
 # Pool lane: the spin paths of internal/parallel (hot helper, caller's wait,
 # park after the window) are schedule-sensitive, so the pool suite and the
 # model suites that sit on it — the decode step ≡ the per-stream serial
-# oracle, prefill conformance, cohort of one ≡ cohort of eight — run under
+# oracle, prefill conformance (cold ≡ prefix hit ≡ that oracle), cohort of one
+# ≡ cohort of eight — run under
 # the race detector at GOMAXPROCS 1 (every spin must yield), 2 and 4, three
 # times each (DESIGN.md §6, §13).
 test-pool:
 	for p in 1 2 4; do \
 		GOMAXPROCS=$$p $(GO) test -race -count=3 ./internal/parallel/ || exit 1; \
-		GOMAXPROCS=$$p $(GO) test -race -count=3 -run 'TwoPhase|Conformance|BatchDecode' ./internal/model/ || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -race -count=3 -run 'TwoPhase|Conformance|BatchDecode|PrefillHit' ./internal/model/ || exit 1; \
 	done
 
 # Nested benchmark module (benchmark/, driven by BENCHMARK.json): it compiles

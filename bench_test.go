@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sort"
 	"testing"
+	"time"
 
 	"clusterkv"
 	"clusterkv/internal/attention"
@@ -394,6 +395,35 @@ func benchPrefixHit(b *testing.B, cfg clusterkv.Config) {
 	}
 	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/hit")
 	b.ReportMetric(float64(st.MetaKeysBuilt), "keys-clustered/hit")
+}
+
+// BenchmarkPrefillHit4k32 is longctx_decode's time to first token in situ: a
+// 32-token question prefilled on a fork of a cached 4096-token document, full
+// attention, at pool widths 1 and 2. Between iterations the caller sleeps past
+// the pool's hot window, so every hit starts with the helper parked, as a
+// request that arrives at an idle engine does — the warm, resident case
+// (BenchmarkPoolFanout, BenchmarkFullResident) is what a served hit never sees.
+func BenchmarkPrefillHit4k32(b *testing.B) {
+	m := clusterkv.NewModel(clusterkv.DefaultModelConfig())
+	arena := clusterkv.NewKVArena(clusterkv.DefaultKVPageTokens, nil)
+	base := m.NewSequenceIn(arena, nil, 0)
+	base.Prefill(clusterkv.Doc(clusterkv.DefaultDocConfig(), 4096), nil)
+	snap := base.Snapshot()
+	base.Release()
+	defer snap.Release()
+	question := clusterkv.Doc(clusterkv.DefaultDocConfig(), 32)
+	atWidths(b, func(b *testing.B) {
+		var timed time.Duration
+		for i := 0; i < b.N; i++ {
+			seq := m.NewSequenceFrom(snap, nil, 0)
+			time.Sleep(5 * time.Millisecond)
+			start := time.Now()
+			seq.Prefill(question, nil)
+			timed += time.Since(start)
+			seq.Release()
+		}
+		b.ReportMetric(timed.Seconds()*1e3/float64(b.N), "ms/hit")
+	})
 }
 
 // BenchmarkDecodeSteadyAllocs asserts the steady-state decode allocation

@@ -118,6 +118,48 @@ func (sc *Scratch) FullN(out, q []float32, s *kvcache.Store, n int) {
 	}
 }
 
+// FullBlock is FullN for nq consecutive prefill positions at once: query j —
+// q[j·stride:][:d] — attends the first n0+j tokens and writes out[j·stride:][:d].
+// Pages are the outer loop and the block's queries the inner one, in the score
+// pass and again in the weighted-sum pass, so a page is fetched once per block
+// instead of once per query while every query's DotRows, Softmax and
+// AddScaledRows calls are FullN's, in FullN's order: bit-identical to nq FullN
+// calls. A compute-quantized store takes exactly those calls.
+func (sc *Scratch) FullBlock(out, q []float32, stride int, s *kvcache.Store, n0, nq int) {
+	d := s.HeadDim()
+	if s.ComputeQuantBits() > 0 {
+		for j := 0; j < nq; j++ {
+			sc.FullN(out[j*stride:j*stride+d], q[j*stride:j*stride+d], s, n0+j)
+		}
+		return
+	}
+	span := n0 + nq - 1 // tokens the last query sees; row j of scores uses n0+j of them
+	scores := sc.Scores(nq * span)
+	inv := float32(1 / math.Sqrt(float64(d)))
+	for p, i := 0, 0; i < span; p++ {
+		keys, pageRows := s.KeyPage(p), s.PageRows(p)
+		for j := 0; j < nq; j++ {
+			if rows := min(pageRows, n0+j-i); rows > 0 {
+				tensor.DotRows(scores[j*span+i:j*span+i+rows], q[j*stride:j*stride+d], keys, d, inv)
+			}
+		}
+		i += pageRows
+	}
+	for j := 0; j < nq; j++ {
+		tensor.Softmax(scores[j*span : j*span+n0+j])
+		tensor.Fill(out[j*stride:j*stride+d], 0)
+	}
+	for p, i := 0, 0; i < span; p++ {
+		vals, pageRows := s.ValuePage(p), s.PageRows(p)
+		for j := 0; j < nq; j++ {
+			if rows := min(pageRows, n0+j-i); rows > 0 {
+				tensor.AddScaledRows(out[j*stride:j*stride+d], scores[j*span+i:j*span+i+rows], vals, d)
+			}
+		}
+		i += pageRows
+	}
+}
+
 // Sparse computes out = softmax(q·K_Sᵀ/√d)·V_S over the tokens listed in
 // idx, fusing the gather with the kernels: each maximal stretch of idx that
 // stays inside one page goes to the row-list kernels (tensor.DotRowsAt,

@@ -235,12 +235,18 @@ func (s *Sequence) KVQuantRuns() (quantRuns, floatRuns int64) {
 // Selector returns the attached selection policy (may be nil).
 func (s *Sequence) Selector() attention.Selector { return s.sel }
 
+// prefillQueryBlock is how many consecutive positions of a prefill attend
+// together (attention.Scratch.FullBlock), each KV page fetched once for all of
+// them. 8 of {4, 8, 16} on BenchmarkPrefill4kWorkers2: 16 adds under 4 % and
+// doubles the score scratch (EXPERIMENTS.md has the sweep).
+const prefillQueryBlock = 8
+
 // prefillScratch is the per-executor scratch of the position-parallel
-// attention + FFN phase. Each parallel block allocates its own, so no float
-// buffer is ever shared between concurrent positions.
+// attention + FFN phase. A block of the phase takes one from the prefill's
+// free list and puts it back, so no float buffer is ever shared between
+// concurrent positions and a prefill makes at most pool-width of them.
 type prefillScratch struct {
-	headOut []float32
-	attnOut []float32
+	attnOut []float32 // prefillQueryBlock rows of NHeads*HeadDim
 	normed  []float32
 	ffnGate []float32
 	ffnUp   []float32
@@ -249,8 +255,7 @@ type prefillScratch struct {
 
 func newPrefillScratch(cfg Config) *prefillScratch {
 	return &prefillScratch{
-		headOut: make([]float32, cfg.HeadDim),
-		attnOut: make([]float32, cfg.NHeads*cfg.HeadDim),
+		attnOut: make([]float32, prefillQueryBlock*cfg.NHeads*cfg.HeadDim),
 		normed:  make([]float32, cfg.DModel),
 		ffnGate: make([]float32, cfg.FFNDim),
 		ffnUp:   make([]float32, cfg.FFNDim),
@@ -293,6 +298,10 @@ func (s *Sequence) Prefill(tokens []int, wantLogits []float32) []float32 {
 			copy(hs[i*cfg.DModel:(i+1)*cfg.DModel], w.embed.Row(tokens[i]))
 		}
 	})
+
+	// Free list of the attention phase's scratch: executors never outnumber
+	// the pool width, so neither do the scratches made, and a put never blocks.
+	scratch := make(chan *prefillScratch, pool.Width())
 
 	normAll := tensor.NewMat(n, cfg.DModel)
 	qall := tensor.NewMat(n, qdim)
@@ -344,22 +353,29 @@ func (s *Sequence) Prefill(tokens []int, wantLogits []float32) []float32 {
 		}
 		// Causal attention + FFN, position-parallel. Blocks are fine-grained
 		// (grain 4) so the dynamic scheduler balances the causal skew — late
-		// positions attend over longer prefixes than early ones.
+		// positions attend over longer prefixes than early ones — and a helper
+		// that wakes late; inside one, positions attend a query block at a time.
 		group := cfg.GroupSize()
 		pool.For(n, 4, func(lo, hi int) {
-			sc := newPrefillScratch(cfg)
-			for i := lo; i < hi; i++ {
-				h := hs[i*cfg.DModel : (i+1)*cfg.DModel]
-				q := qall.Row(i)
-				for hh := 0; hh < cfg.NHeads; hh++ {
-					kv := hh / group
-					st := s.Store(l, kv)
-					sc.attn.FullN(sc.headOut, q[hh*cfg.HeadDim:(hh+1)*cfg.HeadDim], st, s.pos+i+1)
-					copy(sc.attnOut[hh*cfg.HeadDim:(hh+1)*cfg.HeadDim], sc.headOut)
-				}
-				addProjected(h, lw.wo, sc.attnOut, sc.normed)
-				ffnBlock(h, lw, sc.normed, sc.ffnGate, sc.ffnUp)
+			var sc *prefillScratch
+			select {
+			case sc = <-scratch:
+			default:
+				sc = newPrefillScratch(cfg)
 			}
+			for i0 := lo; i0 < hi; i0 += prefillQueryBlock {
+				nq := min(prefillQueryBlock, hi-i0)
+				for hh := 0; hh < cfg.NHeads; hh++ {
+					off := hh * cfg.HeadDim
+					sc.attn.FullBlock(sc.attnOut[off:], qall.Data[i0*qdim+off:], qdim, s.Store(l, hh/group), s.pos+i0+1, nq)
+				}
+				for i := i0; i < i0+nq; i++ {
+					h := hs[i*cfg.DModel : (i+1)*cfg.DModel]
+					addProjected(h, lw.wo, sc.attnOut[(i-i0)*qdim:(i-i0+1)*qdim], sc.normed)
+					ffnBlock(h, lw, sc.normed, sc.ffnGate, sc.ffnUp)
+				}
+			}
+			scratch <- sc
 		})
 		if s.la != nil {
 			s.la.AfterLayer(l)

@@ -8,11 +8,14 @@
 // points computed only from (n, grain, pool width) — never from runtime
 // load — and every kernel built on it writes a disjoint output range per
 // index with the per-element arithmetic order unchanged from the serial
-// loop. Blocks are *assigned* to executors dynamically (an atomic next-block
-// counter, so skewed work such as causal attention load-balances), but
-// because outputs are disjoint and each element's reduction stays serial,
-// results are bit-identical to the serial path at any worker count,
-// including 1. No atomics ever touch float data.
+// loop. Blocks are *assigned* to executors dynamically: a Do publishes its job
+// in one of a fixed number of slots, and every executor — the caller, and any
+// helper whenever it arrives — claims blocks by compare-and-swap from whichever
+// slot has some left, so skewed work such as causal attention load-balances, a
+// helper that wakes late joins the job that is running now, and a finished job
+// occupies nothing. Because outputs are disjoint and each element's reduction
+// stays serial, results are bit-identical to the serial path at any worker
+// count, including 1. No atomics ever touch float data.
 //
 // Oversubscription contract: one process-wide Default pool is sized to
 // GOMAXPROCS. Callers of For always participate in executing their own
@@ -37,9 +40,14 @@ import (
 // function of (n, grain, width).
 const blocksPerWorker = 4
 
-// hotWindow bounds how long an executor busy-polls before it blocks (recvHot):
-// a helper polls the job queue this long after finishing a job, and a caller
-// polls its job's completion this long after running out of blocks. A parked goroutine
+// slotsPerWorker sizes the slot table: each of width executors can hold one
+// For and one nested inside it; callers beyond that have no idle executor to
+// share with anyway.
+const slotsPerWorker = 2
+
+// hotWindow bounds how long an executor busy-polls before it blocks (spinHot):
+// a helper polls the slots this long after finishing a block, and a caller its
+// job's completion this long after running out of blocks. A parked goroutine
 // takes ≈ 100 µs to wake on the boxes this runs on — longer than most blocks
 // of a decode step — so a For issued within the window of the previous one
 // (every layer of a decode round is) must find the helper still running.
@@ -69,41 +77,49 @@ func (f funcBody) Run(lo, hi int) { f(lo, hi) }
 // use NewPool. A nil *Pool is valid and runs everything inline.
 type Pool struct {
 	width int
-	// jobs carries offers to the helpers. Capacity width: at most width-1
-	// copies of any one job are offered, and Close adds width-1 sentinels.
-	jobs      chan *job
+	slots []slot
+	// parked counts helpers announced as about to block on bell. Only a Do
+	// that took an announcement back (unpark) rings, so width-1 tokens fit.
+	parked    atomic.Int32
+	bell      chan struct{}
+	stop      chan struct{} // closed by Close
 	closeOnce sync.Once
 }
 
-// job is one Do invocation: fixed block boundaries plus a dynamic next-block
-// cursor shared by the caller and any helpers that join. Jobs are recycled
-// through jobPool once the caller and every offered copy have let go.
-type job struct {
-	body    Body
-	n       int
-	nblocks int
-	next    atomic.Int64  // next unclaimed block
-	left    atomic.Int64  // blocks not yet finished
-	done    chan struct{} // receives one token when left reaches zero
-	refs    atomic.Int32  // caller + copies in flight; zero recycles the job
-	panicMu sync.Mutex
-	panicV  any
+// slot holds one Do while it runs. The caller owns body and n from setting busy
+// to clearing it; an executor reads them only between claiming a block and
+// finishing it.
+type slot struct {
+	// word packs (generation, block count, next unclaimed block) as 32|16|16
+	// bits; the generation fails a claim computed against a finished job. It
+	// has a cache line to itself: hot helpers poll it, and each of a Do's
+	// set-up writes beside it cost a decode step's dispatch a line transfer.
+	word   atomic.Uint64
+	_      [56]byte
+	busy   atomic.Bool
+	left   atomic.Int32  // blocks not yet finished
+	done   chan struct{} // receives one token when left reaches zero
+	body   Body
+	n      int
+	panicV atomic.Pointer[any] // the first panic of a block
+	_      [16]byte            // the next slot's word starts a line too
 }
 
-var jobPool = sync.Pool{New: func() any { return &job{done: make(chan struct{}, 1)} }}
+const blockBits, blockMask = 16, 1<<16 - 1
 
 // NewPool returns a pool that runs For callbacks on up to width concurrent
-// executors (the caller plus width-1 persistent helper goroutines).
-// width <= 1 yields a fully inline pool with no goroutines. A For that
-// overlaps or follows Close still completes correctly — the caller executes
-// any blocks the retiring helpers don't.
+// executors (the caller plus width-1 persistent helper goroutines); width <= 1
+// yields a fully inline pool with no goroutines.
 func NewPool(width int) *Pool {
-	if width < 1 {
-		width = 1
-	}
+	width = min(max(width, 1), blockMask/blocksPerWorker) // a block count fits its field
 	p := &Pool{width: width}
 	if width > 1 {
-		p.jobs = make(chan *job, width)
+		p.slots = make([]slot, slotsPerWorker*width)
+		for i := range p.slots {
+			p.slots[i].done = make(chan struct{}, 1)
+		}
+		p.bell = make(chan struct{}, width-1)
+		p.stop = make(chan struct{})
 		for i := 0; i < width-1; i++ {
 			go p.help()
 		}
@@ -111,54 +127,77 @@ func NewPool(width int) *Pool {
 	return p
 }
 
-// help is a helper goroutine's life: parked until the first offer, then hot
-// for hotWindow after every job, until Close's sentinel arrives.
+// help is a helper goroutine's life: it runs blocks of any slot that has some,
+// stays hot for hotWindow after the last one, then parks until a Do rings.
 func (p *Pool) help() {
-	for j := <-p.jobs; j != nil; j = recvHot(p.jobs) {
-		j.runBlocks()
-		j.release()
+	for {
+		for p.spinHot(p.work) {
+		}
+		// Announce, then look once more: a Do that published before seeing the
+		// announcement is found here, one that published after rings the bell
+		// (a token owed to this helper if its announcement is already taken).
+		p.parked.Add(1)
+		if p.work() && p.unpark() {
+			continue
+		}
+		select {
+		case <-p.bell:
+		case <-p.stop:
+			return
+		}
 	}
 }
 
-// recvHot receives from ch the way every executor of the pool waits: it
-// polls for hotWindow, yielding its P every spinPolls polls, and then blocks,
-// so an idle pool burns no CPU once the window has passed.
-func recvHot[T any](ch <-chan T) T {
+// spinHot polls cond the way every executor of the pool waits: for hotWindow
+// (on a closed pool, not at all), yielding its P every spinPolls polls. On
+// false the caller blocks, so an idle pool burns no CPU past the window.
+func (p *Pool) spinHot(cond func() bool) bool {
 	start := time.Now()
 	for i := 1; ; i++ {
-		select {
-		case v := <-ch:
-			return v
-		default:
+		if cond() {
+			return true
 		}
 		if i%spinPolls == 0 {
+			select {
+			case <-p.stop:
+				return false
+			default:
+			}
 			if time.Since(start) > hotWindow {
-				return <-ch
+				return false
 			}
 			runtime.Gosched()
 		}
 	}
 }
 
-// blocks returns the number of partition blocks For would use for (n, grain).
+// work runs the unclaimed blocks of every slot and reports whether it ran any.
+func (p *Pool) work() (ran bool) {
+	for i := range p.slots {
+		ran = p.slots[i].work() || ran
+	}
+	return ran
+}
+
+// unpark takes back one parking announcement, if there is one: a Do does it
+// for each helper it then rings, a helper whose last look found work for itself.
+func (p *Pool) unpark() bool {
+	n := p.parked.Load()
+	for n > 0 && !p.parked.CompareAndSwap(n, n-1) {
+		n = p.parked.Load()
+	}
+	return n > 0
+}
+
+// blocks returns the number of partition blocks For would use for (n, grain):
+// n/grain floored, so every even-split block holds >= grain indices.
 func (p *Pool) blocks(n, grain int) int {
-	if grain < 1 {
-		grain = 1
-	}
-	nb := n / grain // floor: every even-split block then holds >= grain indices
-	if nb < 1 {
-		nb = 1
-	}
-	if max := p.Width() * blocksPerWorker; nb > max {
-		nb = max
-	}
-	return nb
+	return min(max(n/max(grain, 1), 1), p.Width()*blocksPerWorker)
 }
 
 // RunsInline reports whether For(n, grain, fn) would execute fn entirely on
 // the calling goroutine (no job dispatch). Hot single-token kernels branch on
-// it to call their loop body directly, skipping even the Body set-up. Must
-// mirror Do's dispatch branch exactly.
+// it to call their loop body directly. Must mirror Do's dispatch branch exactly.
 func (p *Pool) RunsInline(n, grain int) bool {
 	return p == nil || p.width <= 1 || n <= 0 || p.blocks(n, grain) <= 1
 }
@@ -171,20 +210,14 @@ func (p *Pool) Width() int {
 	return p.width
 }
 
-// Close releases the helper goroutines by sending them exit sentinels; the
-// jobs channel itself is never closed, so a For racing Close (or issued
-// after it) can still offer jobs safely — it simply gets no helpers and the
-// caller runs every block inline. Closing a width-1 or nil pool is a no-op;
-// Close is idempotent.
+// Close retires the helper goroutines, spinning or parked. The slots stay, so
+// a For racing Close (or issued after it) simply gets no helpers and the caller
+// runs every block. Closing a width-1 or nil pool is a no-op; Close is idempotent.
 func (p *Pool) Close() {
-	if p == nil || p.jobs == nil {
+	if p == nil || p.stop == nil {
 		return
 	}
-	p.closeOnce.Do(func() {
-		for i := 0; i < p.width-1; i++ {
-			p.jobs <- nil
-		}
-	})
+	p.closeOnce.Do(func() { close(p.stop) })
 }
 
 // For runs fn over the half-open blocks of a fixed partition of [0, n) and
@@ -198,8 +231,7 @@ func (p *Pool) For(n, grain int, fn func(lo, hi int)) {
 	p.Do(n, grain, funcBody(fn))
 }
 
-// Do is For over a Body: the same partition, the same guarantees, and no
-// allocation in steady state.
+// Do is For over a Body: the same partition and guarantees, and no allocation.
 func (p *Pool) Do(n, grain int, body Body) {
 	if n <= 0 {
 		return
@@ -209,75 +241,76 @@ func (p *Pool) Do(n, grain int, body Body) {
 		body.Run(0, n)
 		return
 	}
-	j := jobPool.Get().(*job)
-	j.body, j.n, j.nblocks = body, n, nb
-	j.next.Store(0)
-	j.left.Store(int64(nb))
-	// Offer one copy per helper that could get a block, without blocking: a
-	// busy helper (or a nested For from inside one) just means fewer hands,
-	// never a stall — the caller executes blocks regardless.
-	j.refs.Store(1)
-offer:
-	for i := min(nb, p.width) - 1; i > 0; i-- {
-		j.refs.Add(1)
-		select {
-		case p.jobs <- j:
-		default:
-			j.refs.Add(-1) // queue full: the caller picks up the slack
-			break offer
+	s := p.claimSlot()
+	if s == nil {
+		// More callers than slots, so no idle executor either: the caller
+		// runs its blocks alone, at the same split points.
+		for b := 0; b < nb; b++ {
+			body.Run(b*n/nb, (b+1)*n/nb)
 		}
+		return
 	}
-	j.runBlocks()
-	recvHot(j.done) // the helper's last block usually ends within microseconds of the caller's
-	panicV := j.panicV
-	j.release()
+	s.body, s.n = body, n
+	s.left.Store(int32(nb))
+	s.word.Store((s.word.Load()>>(2*blockBits)+1)<<(2*blockBits) | uint64(nb)<<blockBits)
+	// Ring one parked helper per block a helper could get; the caller runs
+	// blocks regardless, so busy helpers mean fewer hands, never a stall.
+	for i := min(nb, p.width) - 1; i > 0 && p.unpark(); i-- {
+		p.bell <- struct{}{}
+	}
+	s.work()
+	// The helper's last block usually ends within microseconds of the caller's.
+	p.spinHot(func() bool { return len(s.done) > 0 })
+	<-s.done
+	panicV := s.panicV.Swap(nil)
+	s.body = nil
+	s.busy.Store(false)
 	if panicV != nil {
-		panic(panicV)
+		panic(*panicV)
 	}
 }
 
-// release drops one reference; the last one recycles the job. A copy still
-// sitting in the queue keeps the job out of the free list until a helper
-// drains it, so a recycled job is never aliased.
-func (j *job) release() {
-	if j.refs.Add(-1) == 0 {
-		j.body, j.panicV = nil, nil
-		jobPool.Put(j)
-	}
-}
-
-// runBlocks claims blocks off the job until none remain.
-func (j *job) runBlocks() {
-	for {
-		b := int(j.next.Add(1)) - 1
-		if b >= j.nblocks {
-			return
+// claimSlot makes the caller the owner of a free slot, if there is one.
+func (p *Pool) claimSlot() *slot {
+	for i := range p.slots {
+		if s := &p.slots[i]; !s.busy.Load() && s.busy.CompareAndSwap(false, true) {
+			return s
 		}
-		j.runOne(b)
+	}
+	return nil
+}
+
+// work claims blocks of the slot's job until none remain and reports whether
+// it ran any: the one claim loop, the caller's and the helpers' alike.
+func (s *slot) work() (ran bool) {
+	for {
+		w := s.word.Load()
+		b, nb := int(w&blockMask), int(w>>blockBits&blockMask)
+		if b >= nb {
+			return ran
+		}
+		if s.word.CompareAndSwap(w, w+1) {
+			s.runOne(b, nb)
+			ran = true
+		}
 	}
 }
 
-// runOne executes block b, recording a panic's raw value so the pool's
-// helper goroutines never crash the process; Do re-raises it on the
-// caller, preserving the value so failure behavior is identical to the
-// inline (single-block) path at any pool width.
-func (j *job) runOne(b int) {
+// runOne executes block b of nb, recording a panic's raw value so the pool's
+// helper goroutines never crash the process; Do re-raises it on the caller, so
+// failure behavior is identical to the inline path at any pool width.
+func (s *slot) runOne(b, nb int) {
 	defer func() {
 		if r := recover(); r != nil {
-			j.panicMu.Lock()
-			if j.panicV == nil {
-				j.panicV = r
-			}
-			j.panicMu.Unlock()
+			v := r // the copy escapes, and only when a block panics
+			s.panicV.CompareAndSwap(nil, &v)
 		}
-		if j.left.Add(-1) == 0 {
-			j.done <- struct{}{}
+		if s.left.Add(-1) == 0 {
+			s.done <- struct{}{}
 		}
 	}()
-	lo := b * j.n / j.nblocks
-	hi := (b + 1) * j.n / j.nblocks
-	if lo < hi {
-		j.body.Run(lo, hi)
+	if lo, hi := b*s.n/nb, (b+1)*s.n/nb; lo < hi {
+		s.body.Run(lo, hi)
 	}
 }
 
@@ -293,8 +326,8 @@ func init() {
 func Default() *Pool { return defaultPool.Load() }
 
 // grainBlockOps is the target inner-loop operation count per parallel
-// block: below it, fan-out overhead (channel offers, the barrier, a wake if
-// the helper has parked) is not worth paying.
+// block: below it, fan-out overhead (publishing the job, the barrier, a wake
+// if the helper has parked) is not worth paying.
 const grainBlockOps = 8192
 
 // Grain converts a kernel's per-index cost into the For grain that keeps

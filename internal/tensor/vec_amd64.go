@@ -47,15 +47,33 @@ func expSumAVX2(x *float32, n int, max, sum float32) float32
 const vecBlock = 8192
 
 func dotRows(dst, x, rows []float32, d int, scale float32) {
-	m8 := len(dst) &^ 7
-	if !useVec || m8 == 0 || d == 0 || d%4 != 0 {
+	m := len(dst)
+	if !useVec || m == 0 || d == 0 || d%4 != 0 {
 		dotRowsGo(dst, x, rows, d, scale)
 		return
 	}
-	dotRowsAVX2(&dst[0], &x[0], &rows[0], m8, d, scale)
-	if m8 < len(dst) {
-		dotRowsGo(dst[m8:], x, rows[m8*d:], d, scale)
+	m8 := m &^ 7
+	if m8 > 0 {
+		dotRowsAVX2(&dst[0], &x[0], &rows[0], m8, d, scale)
 	}
+	if m8 < m {
+		// K-means scoring a key against fewer than 8 centroids is nothing but
+		// this tail.
+		var pad [8]int
+		for i := range pad {
+			pad[i] = min(m8+i, m-1)
+		}
+		dotRowsTail(dst[m8:], x, rows, &pad, 0, d, scale)
+	}
+}
+
+// dotRowsTail scores the len(dst) < 8 rows that lead pad. A tail still fills
+// the lanes: the caller pads the list by repeating its last row, and the
+// padded results are dropped.
+func dotRowsTail(dst, x, rows []float32, pad *[8]int, base, d int, scale float32) {
+	var res [8]float32
+	dotRowsIdxAVX2(&res[0], &x[0], &rows[0], &pad[0], len(pad), base, d, scale)
+	copy(dst, res[:len(dst)])
 }
 
 func dotRowsAt(dst, x, rows []float32, idx []int, base, d int, scale float32) {
@@ -69,16 +87,11 @@ func dotRowsAt(dst, x, rows []float32, idx []int, base, d int, scale float32) {
 		dotRowsIdxAVX2(&dst[0], &x[0], &rows[0], &idx[0], m8, base, d, scale)
 	}
 	if m8 < m {
-		// A tail of fewer than 8 rows still fills the lanes: pad the list by
-		// repeating its last row and drop the padded results.
 		var pad [8]int
-		var res [8]float32
-		t := copy(pad[:], idx[m8:])
-		for i := t; i < len(pad); i++ {
+		for i := copy(pad[:], idx[m8:]); i < len(pad); i++ {
 			pad[i] = idx[m-1]
 		}
-		dotRowsIdxAVX2(&res[0], &x[0], &rows[0], &pad[0], len(pad), base, d, scale)
-		copy(dst[m8:], res[:t])
+		dotRowsTail(dst[m8:], x, rows, &pad, base, d, scale)
 	}
 }
 

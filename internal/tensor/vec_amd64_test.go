@@ -17,7 +17,7 @@ import (
 
 var (
 	vecDims = []int{4, 8, 16, 24, 32, 64, 128}
-	vecRows = []int{0, 1, 3, 7, 8, 9, 15, 16, 17, 64, 100}
+	vecRows = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 64, 100}
 )
 
 func needVec(t testing.TB) {
@@ -316,6 +316,9 @@ func FuzzVecKernels(f *testing.F) {
 	}
 	f.Add(seed, uint8(4), uint8(9))
 	f.Add(seed[:4*16*3], uint8(2), uint8(1))
+	for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 9, 15} { // row counts that end in a padded tail, at d = 4
+		f.Add(seed[:16*(m+1)], uint8(0), uint8(m))
+	}
 	f.Add([]byte{0, 0, 0x80, 0x7f, 0, 0, 0xc0, 0x7f, 0, 0, 0x80, 0xff, 1, 2, 3, 4, 5, 6, 7, 8,
 		9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32}, uint8(1), uint8(3))
 	f.Fuzz(func(t *testing.T, data []byte, d4, pick uint8) {
