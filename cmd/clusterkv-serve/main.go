@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -28,29 +29,28 @@ type methodSpec struct {
 	sel  func() clusterkv.Selector // nil factory = full attention
 }
 
-func methods(which string) []methodSpec {
+// methods resolves -method: "all", or a comma-separated list of method names
+// (case-insensitive). The first name that matches no method is an error, so a
+// typo never silently drops a method from the comparison.
+func methods(which string) ([]methodSpec, error) {
 	all := []methodSpec{
 		{"ClusterKV", func() clusterkv.Selector { return clusterkv.New(clusterkv.DefaultConfig()) }},
 		{"Quest", func() clusterkv.Selector { return clusterkv.NewQuest(clusterkv.DefaultQuestConfig()) }},
 		{"FullKV", nil},
 	}
-	if which == "all" {
-		return all
+	if strings.TrimSpace(strings.ToLower(which)) == "all" {
+		return all, nil
 	}
 	var out []methodSpec
 	for _, w := range strings.Split(which, ",") {
 		w = strings.TrimSpace(strings.ToLower(w))
-		for _, m := range all {
-			if strings.ToLower(m.name) == w {
-				out = append(out, m)
-			}
+		i := slices.IndexFunc(all, func(m methodSpec) bool { return strings.ToLower(m.name) == w })
+		if i < 0 {
+			return nil, fmt.Errorf("unknown -method %q (clusterkv, quest, fullkv, or all alone)", w)
 		}
+		out = append(out, all[i])
 	}
-	if len(out) == 0 {
-		fmt.Fprintf(os.Stderr, "unknown -method %q (clusterkv, quest, fullkv, all)\n", which)
-		os.Exit(2)
-	}
-	return out
+	return out, nil
 }
 
 func main() {
@@ -66,7 +66,6 @@ func main() {
 		budget    = flag.Int("budget", 256, "per-head KV budget for compressed methods")
 		kvBudget  = flag.Int64("kvbudget", 0, "device KV budget in per-head token slots (0 = unlimited), metered in exact arena pages")
 		hostBud   = flag.Int64("hostbudget", 0, "host-tier KV budget in per-head token slots (0 = single-tier); with -kvbudget set, admission gates on device+host and cold pages spill host-ward between rounds")
-		decodeKVQ = flag.Int("decodekvbits", 0, "int8-style quantized KV decode bit width (2..8, 0 = exact float path); quantized runs are deterministic per seed but not token-identical to serial, so -verify is disabled")
 		rate      = flag.Float64("rate", 0, "open-loop arrival rate in req/s (0 = closed loop)")
 		attrOn    = flag.Bool("attr", false, "per-request latency attribution: per-phase breakdown table on the modeled clock (DESIGN.md §14); adds a span lane per request to -trace and clusterkv_attr_* series to -metrics")
 		seed      = flag.Uint64("seed", 1, "master seed")
@@ -81,12 +80,10 @@ func main() {
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
 	flag.Parse()
-
-	if *decodeKVQ != 0 && *verifyOut {
-		// The quantized decode path trades token identity with the exact
-		// serial baseline for compute density (bounded-ULP contract).
-		fmt.Println("note: -decodekvbits disables -verify (quantized decode is not token-identical to the serial float baseline)")
-		*verifyOut = false
+	specs, err := methods(*method)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 
 	if *intraOp > 0 {
@@ -186,7 +183,7 @@ func main() {
 	}
 	var rows []row
 
-	for mi, spec := range methods(*method) {
+	for mi, spec := range specs {
 		reqs := buildRequests(load, spec, *budget)
 
 		var serialSecs float64
@@ -208,7 +205,6 @@ func main() {
 		}
 		cfg.KVBudget = *kvBudget
 		cfg.HostBudget = *hostBud
-		cfg.DecodeKVBits = *decodeKVQ
 		cfg.Seed = *seed
 		cfg.Trace = tracer.Recorder(mi) // nil tracer -> disabled recorder
 		cfg.Attribution = *attrOn
@@ -282,9 +278,8 @@ func main() {
 				mx.KVHostUsed, mx.KVHostPeak, mx.KVHostCapacity, mx.KVSpilled, mx.KVDevicePeak, mx.KVCapacity)
 		}
 		if tr := mx.Transfer; tr.PrefetchedPages > 0 {
-			fmt.Printf("prefetch: %.0f%% hit rate (%d of %d pages claimed by fetches, %d dropped), %.0f%% of transfer time hidden\n",
-				tr.PrefetchHitRate()*100, tr.PrefetchHits, tr.PrefetchedPages, tr.PrefetchDropped,
-				tr.HiddenFrac()*100)
+			fmt.Printf("prefetch: %.0f%% hit rate (%d of %d pages claimed by fetches), %.0f%% of transfer time hidden\n",
+				tr.PrefetchHitRate()*100, tr.PrefetchHits, tr.PrefetchedPages, tr.HiddenFrac()*100)
 		}
 		if serialSecs > 0 {
 			fmt.Printf("serial baseline: %.1f tok/s (one request at a time, full per-request prefill)\n", r.serialTokS)

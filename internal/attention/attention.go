@@ -12,11 +12,6 @@
 // order matches a contiguous layout exactly, so exact-path outputs are
 // bit-identical to attention over a flat copy of the rows
 // (Store.ReadKeys/ReadValues) at any worker count.
-//
-// Stores opted into compute quantization (Store.SetComputeQuant) dispatch per
-// page run to int8 kernels that read quant.Tensor codes directly — see
-// quantized.go for the folded-zero-point algebra and the bounded-ULP
-// contract.
 package attention
 
 import (
@@ -32,13 +27,6 @@ import (
 // safe for concurrent use; give each goroutine its own.
 type Scratch struct {
 	scores []float32
-	fold   []float32 // folded quant coefficients (see quantized.go)
-
-	// QuantRuns and FloatRuns count page runs dispatched to the int8 and
-	// float32 kernels while compute quantization was enabled on the store —
-	// the serve metrics source for quantized-decode coverage. Runs on stores
-	// with the exact path (ComputeQuantBits == 0) are not counted.
-	QuantRuns, FloatRuns int64
 }
 
 // Scores returns the score buffer sized to n, growing capacity geometrically
@@ -47,11 +35,6 @@ type Scratch struct {
 func (sc *Scratch) Scores(n int) []float32 {
 	sc.scores = growF32(sc.scores, n)
 	return sc.scores
-}
-
-func (sc *Scratch) foldBuf(n int) []float32 {
-	sc.fold = growF32(sc.fold, n)
-	return sc.fold
 }
 
 func growF32(buf []float32, n int) []float32 {
@@ -81,20 +64,10 @@ func (sc *Scratch) FullN(out, q []float32, s *kvcache.Store, n int) {
 	d := s.HeadDim()
 	scores := sc.Scores(n)
 	inv := float32(1 / math.Sqrt(float64(d)))
-	bits := s.ComputeQuantBits()
 	for p, i := 0, 0; i < n; p++ {
 		rows := s.PageRows(p)
 		if rows > n-i {
 			rows = n - i
-		}
-		if bits > 0 {
-			if qk, _ := s.PageQuant(p); qk != nil {
-				dotQuantK(scores[i:i+rows], q, qk, 0, inv, sc.foldBuf(d))
-				sc.QuantRuns++
-				i += rows
-				continue
-			}
-			sc.FloatRuns++
 		}
 		tensor.DotRows(scores[i:i+rows], q, s.KeyPage(p), d, inv)
 		i += rows
@@ -105,13 +78,6 @@ func (sc *Scratch) FullN(out, q []float32, s *kvcache.Store, n int) {
 		rows := s.PageRows(p)
 		if rows > n-i {
 			rows = n - i
-		}
-		if bits > 0 {
-			if _, qv := s.PageQuant(p); qv != nil {
-				addQuantV(out, scores[i:i+rows], qv, 0, sc.foldBuf(rows))
-				i += rows
-				continue
-			}
 		}
 		tensor.AddScaledRows(out, scores[i:i+rows], s.ValuePage(p), d)
 		i += rows
@@ -124,15 +90,9 @@ func (sc *Scratch) FullN(out, q []float32, s *kvcache.Store, n int) {
 // pass and again in the weighted-sum pass, so a page is fetched once per block
 // instead of once per query while every query's DotRows, Softmax and
 // AddScaledRows calls are FullN's, in FullN's order: bit-identical to nq FullN
-// calls. A compute-quantized store takes exactly those calls.
+// calls.
 func (sc *Scratch) FullBlock(out, q []float32, stride int, s *kvcache.Store, n0, nq int) {
 	d := s.HeadDim()
-	if s.ComputeQuantBits() > 0 {
-		for j := 0; j < nq; j++ {
-			sc.FullN(out[j*stride:j*stride+d], q[j*stride:j*stride+d], s, n0+j)
-		}
-		return
-	}
 	span := n0 + nq - 1 // tokens the last query sees; row j of scores uses n0+j of them
 	scores := sc.Scores(nq * span)
 	inv := float32(1 / math.Sqrt(float64(d)))
@@ -166,13 +126,9 @@ func (sc *Scratch) FullBlock(out, q []float32, stride int, s *kvcache.Store, n0,
 // AddScaledRowsAt) as one group, which read the listed rows from the page in
 // place — a scattered selection costs what a contiguous one does, with no
 // gathered copy. idx order is preserved — scores and accumulation follow idx
-// exactly as the unfused per-token loop, so exact-path outputs are
-// bit-identical to it. A position past the page's valid rows panics.
+// exactly as the unfused per-token loop, so outputs are bit-identical to it.
+// A position past the page's valid rows panics.
 func (sc *Scratch) Sparse(out, q []float32, s *kvcache.Store, idx []int) {
-	if s.ComputeQuantBits() > 0 {
-		sc.sparseQuant(out, q, s, idx)
-		return
-	}
 	m := len(idx)
 	d := s.HeadDim()
 	P := s.PageTokens()
@@ -204,79 +160,15 @@ func groupEnd(idx []int, j, start, P int) int {
 	return e
 }
 
-// sparseQuant is Sparse on a store opted into compute quantization: the int8
-// kernels read one run of consecutive positions at a time, so selected tokens
-// are walked as page runs — maximal stretches of consecutive positions inside
-// one page; isolated indices degrade to one-row runs.
-func (sc *Scratch) sparseQuant(out, q []float32, s *kvcache.Store, idx []int) {
-	m := len(idx)
-	d := s.HeadDim()
-	P := s.PageTokens()
-	scores := sc.Scores(m)
-	inv := float32(1 / math.Sqrt(float64(d)))
-	for j := 0; j < m; {
-		i0 := idx[j]
-		p := i0 / P
-		e := runEnd(idx, j, (p+1)*P)
-		from := i0 - p*P
-		if qk, _ := s.PageQuant(p); qk != nil {
-			dotQuantK(scores[j:e], q, qk, from, inv, sc.foldBuf(d))
-			sc.QuantRuns++
-			j = e
-			continue
-		}
-		sc.FloatRuns++
-		keys := s.KeyPage(p)
-		tensor.DotRows(scores[j:e], q, keys[from*d:(from+e-j)*d], d, inv)
-		j = e
-	}
-	tensor.Softmax(scores)
-	tensor.Fill(out, 0)
-	for j := 0; j < m; {
-		i0 := idx[j]
-		p := i0 / P
-		e := runEnd(idx, j, (p+1)*P)
-		from := i0 - p*P
-		if _, qv := s.PageQuant(p); qv != nil {
-			addQuantV(out, scores[j:e], qv, from, sc.foldBuf(e-j))
-			j = e
-			continue
-		}
-		vals := s.ValuePage(p)
-		tensor.AddScaledRows(out, scores[j:e], vals[from*d:(from+e-j)*d], d)
-		j = e
-	}
-}
-
-// runEnd extends a page run: the longest stretch idx[j..e) of consecutive
-// positions that stays below pageEnd. Works for any idx order — non-adjacent
-// or descending neighbours simply end the run.
-func runEnd(idx []int, j, pageEnd int) int {
-	e := j + 1
-	for e < len(idx) && idx[e] == idx[e-1]+1 && idx[e] < pageEnd {
-		e++
-	}
-	return e
-}
-
 // Weights writes the scaled raw attention logits q·k_i/√d for every token i
-// into dst (length must be ≥ s.Len()), reusing the scratch's fold buffer for
-// quantized pages. No softmax is applied; these are the "attention weights"
-// the paper's selection methods rank by (q·Kᵀ, §III-A).
+// into dst (length must be ≥ s.Len()). No softmax is applied; these are the
+// "attention weights" the paper's selection methods rank by (q·Kᵀ, §III-A).
 func (sc *Scratch) Weights(dst, q []float32, s *kvcache.Store) {
 	d := s.HeadDim()
 	inv := float32(1 / math.Sqrt(float64(d)))
 	n := s.Len()
-	bits := s.ComputeQuantBits()
 	for p, i := 0, 0; i < n; p++ {
 		rows := s.PageRows(p)
-		if bits > 0 {
-			if qk, _ := s.PageQuant(p); qk != nil {
-				dotQuantK(dst[i:i+rows], q, qk, 0, inv, sc.foldBuf(d))
-				i += rows
-				continue
-			}
-		}
 		tensor.DotRows(dst[i:i+rows], q, s.KeyPage(p), d, inv)
 		i += rows
 	}

@@ -6,7 +6,6 @@ package attention_test
 // replaces — FullN is the oracle.
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -17,8 +16,8 @@ import (
 
 // blockVsFullN runs one block of nq queries at n0 both ways, the queries and
 // outputs laid out at a row stride wider than the head dim (a head's slice of
-// a prefill's query matrix), and returns the two scratches for their counters.
-func blockVsFullN(t *testing.T, ctx string, s *kvcache.Store, n0, nq int) (block, perQuery *attention.Scratch) {
+// a prefill's query matrix).
+func blockVsFullN(t *testing.T, ctx string, s *kvcache.Store, n0, nq int) {
 	t.Helper()
 	d := s.HeadDim()
 	stride := 3*d + 5
@@ -32,7 +31,7 @@ func blockVsFullN(t *testing.T, ctx string, s *kvcache.Store, n0, nq int) (block
 	for i := range got {
 		got[i] = poison
 	}
-	block, perQuery = new(attention.Scratch), new(attention.Scratch)
+	var block, perQuery attention.Scratch
 	block.FullBlock(got, q, stride, s, n0, nq)
 	want := make([]float32, d)
 	for j := 0; j < nq; j++ {
@@ -48,7 +47,6 @@ func blockVsFullN(t *testing.T, ctx string, s *kvcache.Store, n0, nq int) (block
 			}
 		}
 	}
-	return block, perQuery
 }
 
 func TestFullBlockMatchesFullN(t *testing.T) {
@@ -71,24 +69,6 @@ func TestFullBlockMatchesFullN(t *testing.T) {
 				fork.Append(tail.Key(i), tail.Value(i))
 			}
 			blockVsFullN(t, "fork", fork, n0, nq)
-		}
-	}
-}
-
-// TestFullBlockQuantFallsBackPerQuery: a compute-quantized store takes the
-// per-query path, so outputs and the int8/float32 run counters equal those of
-// nq FullN calls.
-func TestFullBlockQuantFallsBackPerQuery(t *testing.T) {
-	const d = 16
-	P := kvcache.DefaultPageTokens
-	for _, n0 := range []int{P - 1, P + 1, 3*P + 5} {
-		for _, nq := range []int{1, 7, 8} {
-			s := quantStore(uint64(n0), n0+nq-1, d, 8)
-			block, perQuery := blockVsFullN(t, "quant", s, n0, nq)
-			got := fmt.Sprint(block.QuantRuns, block.FloatRuns)
-			if want := fmt.Sprint(perQuery.QuantRuns, perQuery.FloatRuns); got != want || block.QuantRuns == 0 && n0 > P {
-				t.Fatalf("n0=%d nq=%d: quant/float runs %s, per query %s", n0, nq, got, want)
-			}
 		}
 	}
 }

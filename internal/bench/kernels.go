@@ -22,19 +22,17 @@ import (
 //     (bit-identical outputs, conformance-locked; here only the speed);
 //   - the 4-row packed-panel GEMV vs the row-major loop at the decode
 //     LM-head shape;
-//   - dequantize-free int8 attention over compute-quantized pages vs the
-//     float path over identical contents (bounded-ULP, reported);
-//   - end-to-end decode tok/s at f32 and int8 KV, plus steady-state heap
-//     allocations per decode round.
+//   - end-to-end decode tok/s, plus steady-state heap allocations per
+//     decode round.
 //
 // Timings are wall-clock measurements and vary across machines; the
-// speedup ratios and the allocation/divergence numbers are the headline
-// metrics the trajectory tracks.
+// speedup ratios and the allocation numbers are the headline metrics the
+// trajectory tracks.
 func RunKernels(o Options) *Report {
 	o = o.withDefaults()
 	rep := &Report{
 		ID:      "kernels",
-		Title:   "cache-conscious decode kernels: fused gather, packed GEMV, int8 KV attention",
+		Title:   "cache-conscious decode kernels: fused gather, packed GEMV",
 		Headers: []string{"section", "variant", "ns/op", "speedup"},
 	}
 
@@ -73,28 +71,6 @@ func RunKernels(o Options) *Report {
 	addSpeedup(rep, "lmhead-gemv", "packed 4-row", packed, rowMajor)
 	rep.AddMetric("gemv.packed_speedup", rowMajor/packed, "x")
 
-	// --- int8 attention vs f32 attention over identical contents ---------
-	qst := st.Clone()
-	qst.SetComputeQuant(8)
-	qst.QuantizeFullPages()
-	ref := qst.Clone() // decodes the quantized pages into exact floats
-	want := make([]float32, d)
-	f32t := timeIt(400, func() { sc.Full(want, q, ref) })
-	i8t := timeIt(400, func() { sc.Full(out, q, qst) })
-	addSpeedup(rep, "int8-attn", "f32 pages", f32t, f32t)
-	addSpeedup(rep, "int8-attn", "int8 pages", i8t, f32t)
-	rep.AddMetric("int8.attn_speedup", f32t/i8t, "x")
-	var norm, maxDiff float64
-	for j := range want {
-		if a := math.Abs(float64(want[j])); a > norm {
-			norm = a
-		}
-		if df := math.Abs(float64(out[j] - want[j])); df > maxDiff {
-			maxDiff = df
-		}
-	}
-	rep.AddMetric("int8.max_divergence_relnorm", maxDiff/norm, "frac")
-
 	// --- end-to-end decode tok/s and allocations per round ---------------
 	m := model.New(cfg)
 	dc := workload.DefaultDocConfig()
@@ -105,10 +81,9 @@ func RunKernels(o Options) *Report {
 	}
 	doc := workload.Doc(dc, promptLen)
 	const steps = 128
-	decode := func(bits int) (toks float64, allocsPerRound float64) {
+	decode := func() (toks float64, allocsPerRound float64) {
 		seq := m.NewSequence(nil, 0)
 		defer seq.Release()
-		seq.SetKVQuantDecode(bits)
 		seq.Prefill(doc, nil)
 		buf := make([]float32, cfg.VocabSize)
 		tok := doc[0]
@@ -125,21 +100,15 @@ func RunKernels(o Options) *Report {
 		runtime.ReadMemStats(&ms1)
 		return steps / el, float64(ms1.Mallocs-ms0.Mallocs) / steps
 	}
-	f32Tok, f32Allocs := decode(0)
-	i8Tok, i8Allocs := decode(8)
+	f32Tok, f32Allocs := decode()
 	rep.Rows = append(rep.Rows,
-		[]string{"decode-e2e", "f32 KV", fmt.Sprintf("%.1f tok/s", f32Tok), "1.00"},
-		[]string{"decode-e2e", "int8 KV", fmt.Sprintf("%.1f tok/s", i8Tok), f2(i8Tok / f32Tok)})
+		[]string{"decode-e2e", "f32 KV", fmt.Sprintf("%.1f tok/s", f32Tok), "1.00"})
 	rep.AddMetric("decode.f32_tok_s", f32Tok, "tok/s")
-	rep.AddMetric("decode.int8_tok_s", i8Tok, "tok/s")
 	rep.AddMetric("decode.f32_allocs_per_round", f32Allocs, "objects")
-	rep.AddMetric("decode.int8_allocs_per_round", i8Allocs, "objects")
 
 	rep.Notes = append(rep.Notes,
 		fmt.Sprintf("gather: %d-token store, head dim %d, %d-token clustered selection; fused and unfused outputs are bit-identical (conformance suite)", n, d, len(idx)),
 		fmt.Sprintf("lmhead-gemv: %dx%d (VocabSize x DModel), serial pool — the per-round decode projection", cfg.VocabSize, cfg.DModel),
-		"int8-attn: full attention over 8-bit compute-quantized pages vs the float path over the decoded contents; divergence is norm-relative and bounded by the ULP contract",
-		"int8 trades compute for footprint: its kernels are scalar Go (the byte->float convert sits in the MAC) while the float path runs the AVX2 kernels where the CPU has them, so int8 attention reads well below 1x there, while the KV compute format shrinks 4x (admission capacity + modeled offload bandwidth); on bandwidth-bound hardware the ratio flips",
 		fmt.Sprintf("decode-e2e: %d-token prefill, %d decode steps, full attention; allocs/round counts heap objects (page-boundary rounds legitimately allocate fresh pages)", promptLen, steps),
 	)
 	return rep

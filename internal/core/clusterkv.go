@@ -72,18 +72,6 @@ type Config struct {
 	KMeansIters int
 	// Seed makes clustering deterministic.
 	Seed uint64
-	// HostQuantBits, when 2–8, stores host-tier KV pages KIVI-quantized at
-	// that width, dequantizing on fetch (an extension beyond the paper:
-	// quantized offload under cluster-granularity recall). Off (0) by
-	// default — enabling it makes decoding lossy, so token streams are no
-	// longer bit-identical to the fp32 run.
-	HostQuantBits int
-	// DeviceCachePages, when > 0, caps the simulated device-resident pages
-	// per (layer, head) ledger: promotions past the cap evict the LRU
-	// unpinned page, and prefetches that find no evictable room are dropped.
-	// 0 leaves device residency unbounded (the paper's setting — the token
-	// budget, not page capacity, limits the working set).
-	DeviceCachePages int
 	// PrefillClusterer, when non-nil, replaces the built-in K-means call for
 	// prefill clustering; it is called once per piece. keys holds the keys
 	// of the piece starting at absolute position from (row-major), d the
@@ -233,12 +221,6 @@ func (c *ClusterKV) OnPrefill(layer, head int, s *kvcache.Store) {
 	st.ledger = kvcache.NewLedgerPaged(s.PageTokens())
 	st.posSet = kvcache.NewPageSet(1)
 	st.pageSet = kvcache.NewPageSet(s.PageTokens())
-	if c.cfg.HostQuantBits > 0 {
-		st.ledger.Bind(s, c.cfg.HostQuantBits)
-	}
-	if c.cfg.DeviceCachePages > 0 {
-		st.ledger.SetDeviceCap(c.cfg.DeviceCachePages)
-	}
 	st.ledger.Extend(n, kvcache.TierDevice)
 	st.pendingFrom = n
 	if layer < c.cfg.BypassLayers {
@@ -532,9 +514,7 @@ func (c *ClusterKV) AfterLayer(layer int) {
 // *current* layer's query; cross-layer query similarity makes it a good
 // proxy — take the predicted top clusters under the budget, and prefetch
 // their pages on the modeled channel, in the current layer's window. A
-// misprediction costs only modeled channel time: prefetched pages are
-// unpinned hints that capacity pressure may re-evict, never a correctness
-// hazard.
+// misprediction costs only modeled channel time, never a correctness hazard.
 func (c *ClusterKV) issuePrefetch(next, head int, q []float32, budget int) {
 	if c.rt == nil || next >= c.layers || next < c.cfg.BypassLayers || budget <= 0 {
 		return
@@ -580,13 +560,6 @@ func (c *ClusterKV) issuePrefetch(next, head int, q []float32, budget int) {
 func (c *ClusterKV) EndStep() {
 	c.step++
 	c.stats.Steps++
-	for _, st := range c.states {
-		if st.ledger != nil {
-			// Pins taken by this step's fetches expire; prefetch/capacity
-			// eviction may displace them from the next step on.
-			st.ledger.EndEpoch()
-		}
-	}
 	if c.cfg.CacheR < 0 {
 		return // negative R: infinite cache (ablation)
 	}

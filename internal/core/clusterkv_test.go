@@ -350,85 +350,3 @@ func TestNewDefaultsFilled(t *testing.T) {
 		t.Fatalf("zero-config defaults: %+v", cfg)
 	}
 }
-
-// TestHostQuantFlagQuantizesOffloadedPages: with the off-by-default
-// HostQuantBits set, the post-prefill offload stores full host pages
-// quantized; selection still works and fetching restores float storage. With
-// the flag off (every other test in this file), pages never quantize.
-func TestHostQuantFlagQuantizesOffloadedPages(t *testing.T) {
-	cfg := traceConfig()
-	cfg.HostQuantBits = 8
-	sel, s := prepared(t, cfg, 500)
-
-	quantized := 0
-	for p := 0; p < s.NumPages(); p++ {
-		if s.PageQuantized(p) {
-			quantized++
-		}
-	}
-	// Page 0 holds the device-resident sinks; the partial tail page stays
-	// fp32; everything in between was offloaded and quantized.
-	if quantized == 0 {
-		t.Fatal("no page quantized after post-prefill offload")
-	}
-	if s.PageQuantized(0) {
-		t.Fatal("sink page (device tier) quantized")
-	}
-
-	idx := sel.Select(0, 0, randQuery(3, 8), s, 128)
-	if len(idx) == 0 {
-		t.Fatal("selection over quantized host pages returned nothing")
-	}
-	led := sel.Ledger(0, 0)
-	led.Fetch(idx)
-	for _, p := range idx {
-		pg := p / s.PageTokens()
-		if led.TierOf(p) == kvcache.TierDevice && s.PageQuantized(pg) {
-			t.Fatalf("device-resident page %d still quantized after fetch", pg)
-		}
-	}
-}
-
-// TestHostQuantSurvivesDecodeWindow: the decode-window clustering reads the
-// pending tail through Store.ReadKeys; that metadata read must not restore
-// the already-quantized host pages (regression: the flat key view used to
-// dequantize every page as a side effect).
-func TestHostQuantSurvivesDecodeWindow(t *testing.T) {
-	cfg := traceConfig()
-	cfg.HostQuantBits = 8
-	cfg.DecodeWindow = 24
-	sel, s := prepared(t, cfg, 300)
-
-	quantizedBefore := 0
-	for p := 0; p < s.NumPages(); p++ {
-		if s.PageQuantized(p) {
-			quantizedBefore++
-		}
-	}
-	if quantizedBefore == 0 {
-		t.Fatal("prefill offload quantized nothing")
-	}
-	// Drive one full decode window (appends trigger tail clustering, which
-	// reads the tail keys) without any Select fetches.
-	r := rng.New(9)
-	k := make([]float32, 8)
-	v := make([]float32, 8)
-	for i := 0; i < cfg.DecodeWindow; i++ {
-		for j := range k {
-			k[j] = r.NormFloat32()
-			v[j] = r.NormFloat32()
-		}
-		s.Append(k, v)
-		sel.OnAppend(0, 0, s)
-		sel.EndStep()
-	}
-	quantizedAfter := 0
-	for p := 0; p < s.NumPages(); p++ {
-		if s.PageQuantized(p) {
-			quantizedAfter++
-		}
-	}
-	if quantizedAfter < quantizedBefore {
-		t.Fatalf("decode window restored quantized pages: %d -> %d", quantizedBefore, quantizedAfter)
-	}
-}

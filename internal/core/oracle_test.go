@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"sort"
@@ -55,9 +56,6 @@ func (o *oracleKV) onPrefill(layer, head int, s *kvcache.Store) {
 	oh, st := o.head(layer, head)
 	cfg := o.live.cfg
 	oh.ledger = kvcache.NewLedgerPaged(s.PageTokens())
-	if cfg.DeviceCachePages > 0 {
-		oh.ledger.SetDeviceCap(cfg.DeviceCachePages)
-	}
 	n := s.Len()
 	oh.ledger.Extend(n, kvcache.TierDevice)
 	if sinks := st.book.Start(); layer >= cfg.BypassLayers && sinks < n {
@@ -190,11 +188,6 @@ func (o *oracleKV) issuePrefetch(next, head int, q []float32, budget int) {
 func (o *oracleKV) endStep() {
 	o.step++
 	o.stats.Steps++
-	for _, oh := range o.states {
-		if oh.ledger != nil {
-			oh.ledger.EndEpoch()
-		}
-	}
 	if o.live.cfg.CacheR < 0 {
 		return
 	}
@@ -211,12 +204,13 @@ func (o *oracleKV) endStep() {
 // ledgerState flattens everything a ledger exposes.
 func ledgerState(l *kvcache.Ledger) string {
 	h2d, hits := l.Counters()
-	issued, pfHits, dropped := l.PrefetchCounters()
+	issued, pfHits := l.PrefetchCounters()
 	tiers := make([]byte, 0, l.NumPages())
 	for p := 0; p < l.Len(); p += l.PageTokens() {
 		tiers = append(tiers, '0'+byte(l.TierOf(p)))
 	}
-	return fmt.Sprintf("h2d=%d hits=%d pf=%d/%d/%d dev=%d tiers=%s", h2d, hits, issued, pfHits, dropped, l.DevicePages(), tiers)
+	dev := bytes.Count(tiers, []byte{'0' + byte(kvcache.TierDevice)})
+	return fmt.Sprintf("h2d=%d hits=%d pf=%d/%d dev=%d tiers=%s", h2d, hits, issued, pfHits, dev, tiers)
 }
 
 // shuffledClusterer clusters with K-means, then scrambles every cluster's
@@ -250,12 +244,10 @@ func TestSelectMatchesSortOracle(t *testing.T) {
 		{"R1", func(c *Config) {}},
 		{"R0", func(c *Config) { c.CacheR = 0 }},
 		{"Rinf", func(c *Config) { c.CacheR = -1 }},
-		{"R2-cap6", func(c *Config) { c.CacheR = 2; c.DeviceCachePages = 6 }},
-		{"cap3", func(c *Config) { c.DeviceCachePages = 3 }},
+		{"R2", func(c *Config) { c.CacheR = 2 }},
 		{"shuffled-members", func(c *Config) { c.PrefillClusterer = shuffledClusterer }},
-		{"shuffled-cap4-segments", func(c *Config) {
+		{"shuffled-segments", func(c *Config) {
 			c.PrefillClusterer = shuffledClusterer
-			c.DeviceCachePages = 4
 			c.SegmentTokens = 256
 		}},
 	}

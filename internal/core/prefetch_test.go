@@ -109,34 +109,3 @@ func TestPrefetchIssuesAndHits(t *testing.T) {
 		t.Fatalf("runtime saw no transfers: %+v", o)
 	}
 }
-
-// TestPrefetchMispredictionUnderCap runs the full selector with a transfer
-// runtime and a deliberately tiny device cap, so every prefetch and fetch
-// forces LRU capacity eviction (the pin-vs-prefetch eviction rule itself is
-// locked by kvcache.TestPrefetchNeverEvictsPinned). Selection must still
-// match the uncapped, runtime-free baseline exactly — residency pressure may
-// cost transfers, never correctness.
-func TestPrefetchMispredictionUnderCap(t *testing.T) {
-	const (
-		layers, heads = 3, 2
-		n, d          = 600, 8
-		steps, budget = 24, 128
-	)
-	base := drivePrefetch(traceConfig(), nil, layers, heads, n, d, steps, budget)
-
-	capped := traceConfig()
-	capped.DeviceCachePages = 2 // far below the ~10 pages a 600-token context needs
-	rt := kvcache.NewTransferRuntime(kvcache.Channel{SecPerPage: 5e-6})
-	got := drivePrefetch(capped, rt, layers, heads, n, d, steps, budget)
-	if i, ok := positionsEqual(base, got); !ok {
-		t.Fatalf("capped run changed selection at call %d", i)
-	}
-	o := rt.Stats()
-	if o.PrefetchedPages+o.PrefetchDropped == 0 {
-		t.Fatal("capped run issued no prefetch attempts")
-	}
-	if o.Pages <= int64(o.PrefetchedPages) {
-		t.Fatalf("capacity eviction under a 2-page cap should force extra refetches: %d pages moved, %d prefetched",
-			o.Pages, o.PrefetchedPages)
-	}
-}

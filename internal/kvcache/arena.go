@@ -3,8 +3,6 @@ package kvcache
 import (
 	"sync"
 	"sync/atomic"
-
-	"clusterkv/internal/quant"
 )
 
 // DefaultPageTokens is the arena page size in tokens. 64 tokens balances
@@ -27,19 +25,11 @@ type page struct {
 	keys []float32
 	vals []float32
 
-	// Host-quantized form (optional, see Arena.SetHostQuant). While qk/qv are
-	// non-nil the float storage is dropped; any read restores it first. muQ
-	// serialises the quantize/restore transitions; quantized is the lock-free
-	// fast-path flag.
-	muQ       sync.Mutex
-	quantized atomic.Bool
-	qk, qv    *quant.Tensor
-
 	// meta is the page's sidecar (Store.PageMeta): an immutable value a
 	// selector derived from the rows of this page and of the pages before it
 	// in the publishing store, shared with every store that shares the page.
 	// Set once by CAS from nil on a full page; cleared wherever the page's
-	// rows can change (Arena.clearMeta has the three sites).
+	// rows can change (Arena.clearMeta has the two sites).
 	meta atomic.Pointer[pageMeta]
 }
 
@@ -119,11 +109,11 @@ func (a *Arena) Allocs() int64 {
 // is observed.
 func (a *Arena) MetaBytes() int64 { return a.metaBytes.Load() }
 
-// clearMeta drops pg's sidecar. It is called at the only three points where
-// a page's rows can change under a sidecar: recycling (release), a sole
-// owner's in-place append after Truncate (Store.writableTail), and lossy
-// quantization (Store.QuantizePage). Each runs with the caller holding the
-// only reference, so no reader of the sidecar can be looking at the page.
+// clearMeta drops pg's sidecar. It is called at the only two points where a
+// page's rows can change under a sidecar: recycling (release) and a sole
+// owner's in-place append after Truncate (Store.writableTail). Both run with
+// the caller holding the only reference, so no reader of the sidecar can be
+// looking at the page.
 func (a *Arena) clearMeta(pg *page) {
 	if pg.meta.Load() == nil {
 		return // the common case, on every decode append: no read-modify-write
@@ -188,9 +178,7 @@ func (a *Arena) release(pg *page, headDim int) {
 	if left < 0 {
 		panic("kvcache: page over-released")
 	}
-	// Restore float storage before recycling so a reused page never leaks a
-	// stale quantized form, and drop the sidecar with the rows it described.
-	pg.restore(a.pageTokens, headDim)
+	// Drop the sidecar with the rows it described.
 	a.clearMeta(pg)
 	a.mu.Lock()
 	a.free[headDim] = append(a.free[headDim], pg)
@@ -202,76 +190,13 @@ func (a *Arena) release(pg *page, headDim int) {
 	}
 }
 
-// quantize drops the page's float storage for a KIVI-style quantized form:
-// keys per-channel, values per-token (see internal/quant). rows is the number
-// of valid rows. No-op (false) while the page is shared or already quantized.
-func (pg *page) quantize(bits, rows, headDim int) bool {
-	if bits == 0 || rows == 0 || pg.refs.Load() != 1 {
-		return false
-	}
-	pg.muQ.Lock()
-	defer pg.muQ.Unlock()
-	if pg.quantized.Load() {
-		return false
-	}
-	pg.qk = quant.Quantize(pg.keys[:rows*headDim], rows, headDim, bits, quant.PerChannel)
-	pg.qv = quant.Quantize(pg.vals[:rows*headDim], rows, headDim, bits, quant.PerToken)
-	pg.keys, pg.vals = nil, nil
-	pg.quantized.Store(true)
-	return true
-}
-
 // readRows copies rows [from, from+n) into dstK and/or dstV (either may be
-// nil to skip that side) without changing the page's storage form: a
-// quantized page is decoded on the fly, preserving its simulated
-// host-quantized residency. Metadata reads (selector clustering over
-// Store.ReadKeys/Keys, conformance references) go through here — they are
-// measurements, not fetches.
+// nil to skip that side).
 func (pg *page) readRows(dstK, dstV []float32, from, n, headDim int) {
-	if pg.quantized.Load() {
-		pg.muQ.Lock()
-		defer pg.muQ.Unlock()
-		if pg.quantized.Load() {
-			for r := 0; r < n; r++ {
-				if dstK != nil {
-					pg.qk.Row(from+r, dstK[r*headDim:(r+1)*headDim])
-				}
-				if dstV != nil {
-					pg.qv.Row(from+r, dstV[r*headDim:(r+1)*headDim])
-				}
-			}
-			return
-		}
-	}
 	if dstK != nil {
 		copy(dstK, pg.keys[from*headDim:(from+n)*headDim])
 	}
 	if dstV != nil {
 		copy(dstV, pg.vals[from*headDim:(from+n)*headDim])
 	}
-}
-
-// restore rebuilds float storage from the quantized form (the dequantize-on-
-// fetch of a host→device transfer). Safe to call concurrently; the float
-// buffers are fully written before the quantized flag clears, so lock-free
-// readers that observe quantized == false see complete rows.
-func (pg *page) restore(pageTokens, headDim int) {
-	if !pg.quantized.Load() {
-		return
-	}
-	pg.muQ.Lock()
-	defer pg.muQ.Unlock()
-	if !pg.quantized.Load() {
-		return
-	}
-	// Same packed single-slab layout as Arena.alloc.
-	n := pageTokens * headDim
-	slab := make([]float32, 2*n)
-	keys := slab[:n:n]
-	vals := slab[n:]
-	pg.qk.Dequantize(keys[:pg.qk.N*pg.qk.D])
-	pg.qv.Dequantize(vals[:pg.qv.N*pg.qv.D])
-	pg.keys, pg.vals = keys, vals
-	pg.qk, pg.qv = nil, nil
-	pg.quantized.Store(false)
 }

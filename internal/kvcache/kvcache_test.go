@@ -36,20 +36,6 @@ func TestStoreAppendBatch(t *testing.T) {
 	}
 }
 
-func TestStoreClone(t *testing.T) {
-	s := NewStore(1)
-	s.Append([]float32{1}, []float32{2})
-	c := s.Clone()
-	c.Append([]float32{9}, []float32{9})
-	if s.Len() != 1 {
-		t.Fatal("Clone shares length")
-	}
-	c.Key(0)[0] = 42
-	if s.Key(0)[0] != 1 {
-		t.Fatal("Clone shares storage")
-	}
-}
-
 func TestStoreTruncate(t *testing.T) {
 	s := NewStore(1)
 	for i := 0; i < 5; i++ {

@@ -271,8 +271,7 @@ func TestStoreFlatViewMatchesPages(t *testing.T) {
 }
 
 // TestReadKeysRangedCopy: the non-retaining selector read matches per-token
-// access across page boundaries, reuses caller scratch, and decodes
-// quantized pages without restoring them.
+// access across page boundaries and reuses caller scratch.
 func TestReadKeysRangedCopy(t *testing.T) {
 	a := NewArena(8, nil)
 	s := NewStoreIn(a, 3)
@@ -296,17 +295,6 @@ func TestReadKeysRangedCopy(t *testing.T) {
 	out := s.ReadKeys(2, 12, buf)
 	if &out[0] != &buf[:1][0] {
 		t.Fatal("ReadKeys reallocated despite sufficient scratch")
-	}
-	// Quantized pages decode without restoring.
-	s.QuantizePage(0, 8)
-	got := s.ReadKeys(0, 8, nil)
-	if !s.PageQuantized(0) {
-		t.Fatal("ReadKeys restored a quantized page")
-	}
-	for i := 0; i < 8; i++ {
-		if diff := math.Abs(float64(got[i*3] - float32(i*10))); diff > 1.0 {
-			t.Fatalf("decoded row %d off by %.3f", i, diff)
-		}
 	}
 	// Out-of-range panics.
 	defer func() {
@@ -393,162 +381,6 @@ func TestLedgerPagedOffloadBoundaries(t *testing.T) {
 	l.Extend(1, TierDevice)
 	if l.TierOf(10) != TierDevice || l.TierOf(9) != TierDevice {
 		t.Fatal("boundary page with fresh device rows stayed host")
-	}
-}
-
-// TestStoreHostQuantRoundTrip: the off-by-default quantized host tier. With
-// a bound ledger at quant bits, offloaded full pages drop to codes and any
-// read (fetch) restores approximate values; without the flag, reads are
-// bit-identical forever.
-func TestStoreHostQuantRoundTrip(t *testing.T) {
-	a := NewArena(8, nil)
-	s := NewStoreIn(a, 4)
-	fillN(s, 0, 20)
-	orig := append([]float32(nil), s.ReadKeys(0, s.Len(), nil)...)
-
-	l := NewLedgerPaged(8)
-	l.Bind(s, 8)
-	l.Extend(20, TierDevice)
-	l.Offload(0, 20) // pages 0,1 full -> quantized; partial tail page stays fp32
-
-	if !s.PageQuantized(0) || !s.PageQuantized(1) {
-		t.Fatal("offloaded full pages not quantized")
-	}
-	if s.PageQuantized(2) {
-		t.Fatal("partial tail page quantized")
-	}
-
-	// Fetch restores: values are close but (in general) not identical.
-	l.Fetch([]int{0})
-	if s.PageQuantized(0) {
-		t.Fatal("fetch did not restore page 0")
-	}
-	// Direct reads on a still-quantized page restore on demand.
-	_ = s.Key(9)
-	if s.PageQuantized(1) {
-		t.Fatal("read did not restore page 1")
-	}
-	got := s.ReadKeys(0, s.Len(), nil)
-	for i := range orig {
-		if diff := math.Abs(float64(orig[i] - got[i])); diff > 1.0 {
-			t.Fatalf("8-bit round trip error %.3f at %d (orig %.1f got %.1f)", diff, i, orig[i], got[i])
-		}
-	}
-
-	// A shared page must not quantize (siblings keep exact reads).
-	s2 := NewStoreIn(a, 4)
-	fillN(s2, 0, 8)
-	f := s2.Fork()
-	l2 := NewLedgerPaged(8)
-	l2.Bind(s2, 4)
-	l2.Extend(8, TierDevice)
-	l2.Offload(0, 8)
-	if s2.PageQuantized(0) {
-		t.Fatal("shared page quantized under a sibling's feet")
-	}
-	f.Free()
-
-	// Flag off: residency moves never touch the floats.
-	s3 := NewStoreIn(a, 4)
-	fillN(s3, 0, 16)
-	before := append([]float32(nil), s3.ReadKeys(0, s3.Len(), nil)...)
-	l3 := NewLedgerPaged(8)
-	l3.Bind(s3, 0)
-	l3.Extend(16, TierDevice)
-	l3.Offload(0, 16)
-	l3.Fetch([]int{0, 8})
-	after := s3.ReadKeys(0, s3.Len(), nil)
-	for i := range before {
-		if math.Float32bits(before[i]) != math.Float32bits(after[i]) {
-			t.Fatalf("flag-off residency changed bits at %d", i)
-		}
-	}
-}
-
-// TestFlatViewDoesNotRestoreQuantizedPages: building selector metadata over
-// ReadKeys/ReadValues (the flat copy) must not undo the simulated quantized
-// host tier — only Key/KeyPage fetches restore. Regression for the decode
-// window silently dequantizing every host page.
-func TestFlatViewDoesNotRestoreQuantizedPages(t *testing.T) {
-	a := NewArena(8, nil)
-	s := NewStoreIn(a, 2)
-	fillN(s, 0, 20)
-	s.QuantizePage(0, 8)
-	s.QuantizePage(1, 8)
-
-	ks := s.ReadKeys(0, s.Len(), nil)
-	vs := s.ReadValues(0, s.Len(), nil)
-	if !s.PageQuantized(0) || !s.PageQuantized(1) {
-		t.Fatal("flat view restored quantized pages")
-	}
-	// The view holds the decoded (lossy) values a reader would see.
-	for i := 0; i < 16; i++ {
-		if diff := math.Abs(float64(ks[i*2] - float32(i*10))); diff > 1.0 {
-			t.Fatalf("decoded key row %d off by %.3f", i, diff)
-		}
-		if diff := math.Abs(float64(vs[i*2] + float32(i*10))); diff > 1.0 {
-			t.Fatalf("decoded val row %d off by %.3f", i, diff)
-		}
-	}
-	// COW from a shared quantized page keeps the source quantized for the
-	// sibling (the copy decodes without restoring).
-	f := s.Fork()
-	f.Truncate(4)
-	f.Append([]float32{1, 1}, []float32{2, 2})
-	if !s.PageQuantized(0) {
-		t.Fatal("sibling's COW restored the shared quantized page")
-	}
-	// Clone reads without restoring either.
-	c := s.Clone()
-	if !s.PageQuantized(1) {
-		t.Fatal("Clone restored the source's quantized page")
-	}
-	if c.PageQuantized(1) {
-		t.Fatal("Clone produced a quantized copy")
-	}
-	f.Free()
-	c.Free()
-}
-
-// TestQuantizedPageCOW: appending over a fork whose shared tail was... can't
-// happen (shared pages never quantize), but a fork taken *after* a page
-// quantized must COW from the dequantized rows, and an exclusively owned
-// quantized tail must restore before accepting appends.
-func TestQuantizedPageCOW(t *testing.T) {
-	a := NewArena(8, nil)
-	s := NewStoreIn(a, 2)
-	fillN(s, 0, 8) // one full page
-	s.QuantizePage(0, 8)
-	if !s.PageQuantized(0) {
-		t.Fatal("explicit quantize failed")
-	}
-
-	f := s.Fork() // shares the quantized page
-	fillN(f, 8, 1)
-	if f.NumPages() != 2 || f.Len() != 9 {
-		t.Fatalf("fork shape: %d pages, %d tokens", f.NumPages(), f.Len())
-	}
-
-	// Truncate into the quantized shared page, then append: COW must
-	// dequantize-copy, leaving s's page intact.
-	f.Truncate(4)
-	f.Append([]float32{7, 7}, []float32{8, 8})
-	if f.Key(4)[0] != 7 {
-		t.Fatalf("append over quantized COW lost: %v", f.Key(4))
-	}
-	for i := 0; i < 4; i++ {
-		k := f.Key(i)
-		if math.Abs(float64(k[0]-float32(i*10))) > 1.0 {
-			t.Fatalf("COW from quantized page lost row %d: %v", i, k)
-		}
-	}
-	f.Free()
-
-	// Exclusive quantized tail: truncate + append restores in place.
-	s.Truncate(6)
-	s.Append([]float32{5, 5}, []float32{6, 6})
-	if s.Key(6)[0] != 5 {
-		t.Fatalf("append on quantized exclusive tail: %v", s.Key(6))
 	}
 }
 

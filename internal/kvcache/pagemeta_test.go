@@ -38,19 +38,10 @@ func TestPageMetaInvalidationOracle(t *testing.T) {
 			}
 			return x
 		}
-		resync := func(i int) { // after a lossy quantize: the model follows the store
-			s := stores[i]
-			ks, vs := s.ReadKeys(0, s.Len(), nil), s.ReadValues(0, s.Len(), nil)
-			model[i] = model[i][:0]
-			for p := 0; p < s.Len(); p++ {
-				model[i] = append(model[i], ks[p*d:(p+1)*d]...)
-				model[i] = append(model[i], vs[p*d:(p+1)*d]...)
-			}
-		}
 		for op := 0; op < 400; op++ {
 			i := r.Intn(nStores)
 			s := stores[i]
-			switch r.Intn(8) {
+			switch r.Intn(7) {
 			case 0, 1:
 				x := row()
 				s.Append(x[:d], x[d:])
@@ -81,11 +72,6 @@ func TestPageMetaInvalidationOracle(t *testing.T) {
 					model[i] = model[i][:0]
 				}
 			case 6:
-				if s.NumPages() > 0 {
-					s.QuantizePage(r.Intn(s.NumPages()), 8)
-					resync(i)
-				}
-			case 7:
 				if s.NumPages() > 0 {
 					p := r.Intn(s.NumPages())
 					s.SetPageMeta(p, pageRows(a, s.pages[p], d), 1)
@@ -197,22 +183,5 @@ func TestRecycledPageHasNilMeta(t *testing.T) {
 	}
 	if n.PageMeta(0) != nil {
 		t.Fatal("recycled page came back with a sidecar")
-	}
-}
-
-func TestQuantizePageDropsMeta(t *testing.T) {
-	a := NewArena(8, nil)
-	s := NewStoreIn(a, 2)
-	fillN(s, 0, 8)
-	s.SetPageMeta(0, "x", 1)
-	f := s.Fork()
-	s.QuantizePage(0, 8) // shared: no-op, rows and sidecar stay
-	if s.PageMeta(0) == nil {
-		t.Fatal("a refused quantize dropped the sidecar")
-	}
-	f.Free()
-	s.QuantizePage(0, 8)
-	if !s.PageQuantized(0) || s.PageMeta(0) != nil {
-		t.Fatalf("quantized %v, sidecar %v", s.PageQuantized(0), s.PageMeta(0))
 	}
 }

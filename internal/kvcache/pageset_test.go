@@ -109,9 +109,6 @@ func TestEvictPagesMatchesEvict(t *testing.T) {
 			a.Fetch(back)
 			b.Fetch(back)
 		}
-		if a.DevicePages() != b.DevicePages() {
-			t.Fatalf("P=%d: device pages %d vs %d", P, a.DevicePages(), b.DevicePages())
-		}
 		for p := 0; p < 5000; p++ {
 			if a.TierOf(p) != b.TierOf(p) {
 				t.Fatalf("P=%d: position %d tier differs", P, p)

@@ -17,11 +17,7 @@
 // covered by those N tokens — never the divergent tail's ancestors.
 package kvcache
 
-import (
-	"fmt"
-
-	"clusterkv/internal/quant"
-)
+import "fmt"
 
 // Store holds the K and V vectors of a single (layer, head) pair as a page
 // table over its arena. Vectors are appended in token order; index == token
@@ -31,17 +27,6 @@ type Store struct {
 	arena   *Arena
 	pages   []*page
 	n       int
-
-	// computeBits, when non-zero, promotes KIVI quantization from storage
-	// format to *compute* format (DESIGN.md §12): QuantizeFullPages converts
-	// full pages in place and attention kernels read the codes directly via
-	// PageQuant instead of restoring floats. Zero (the default) keeps the
-	// exact bit-identical decode path. qmark is the page index below which
-	// pages have already been offered for compute quantization; pages skipped
-	// there (shared with a fork at the time) stay float32 permanently — the
-	// kernels dispatch per page, so mixed stores are fine.
-	computeBits int
-	qmark       int
 }
 
 // NewStore returns an empty store for vectors of the given head dimension,
@@ -123,50 +108,33 @@ func (s *Store) SetPageMeta(p int, m any, bytes int64) bool {
 }
 
 // KeyPage returns the packed key rows of page p (PageRows(p)×HeadDim,
-// row-major, aliasing page storage). A host-quantized page is restored
-// (dequantized) first.
+// row-major, aliasing page storage).
 func (s *Store) KeyPage(p int) []float32 {
-	pg := s.pages[p]
-	if pg.quantized.Load() {
-		pg.restore(s.arena.pageTokens, s.headDim)
-	}
-	return pg.keys[:s.PageRows(p)*s.headDim]
+	return s.pages[p].keys[:s.PageRows(p)*s.headDim]
 }
 
 // ValuePage returns the packed value rows of page p (see KeyPage).
 func (s *Store) ValuePage(p int) []float32 {
-	pg := s.pages[p]
-	if pg.quantized.Load() {
-		pg.restore(s.arena.pageTokens, s.headDim)
-	}
-	return pg.vals[:s.PageRows(p)*s.headDim]
+	return s.pages[p].vals[:s.PageRows(p)*s.headDim]
 }
 
 // Key returns the key vector of token i (aliasing page storage).
 func (s *Store) Key(i int) []float32 {
 	P := s.arena.pageTokens
-	pg := s.pages[i/P]
-	if pg.quantized.Load() {
-		pg.restore(P, s.headDim)
-	}
 	off := (i % P) * s.headDim
-	return pg.keys[off : off+s.headDim]
+	return s.pages[i/P].keys[off : off+s.headDim]
 }
 
 // Value returns the value vector of token i (aliasing page storage).
 func (s *Store) Value(i int) []float32 {
 	P := s.arena.pageTokens
-	pg := s.pages[i/P]
-	if pg.quantized.Load() {
-		pg.restore(P, s.headDim)
-	}
 	off := (i % P) * s.headDim
-	return pg.vals[off : off+s.headDim]
+	return s.pages[i/P].vals[off : off+s.headDim]
 }
 
 // writableTail returns the tail page with room for one more row, allocating a
-// fresh page at a page boundary and copy-on-writing a shared (or quantized)
-// tail so the write can never be observed through a fork or snapshot.
+// fresh page at a page boundary and copy-on-writing a shared tail so the
+// write can never be observed through a fork or snapshot.
 func (s *Store) writableTail() *page {
 	P := s.arena.pageTokens
 	if s.n == len(s.pages)*P {
@@ -176,17 +144,15 @@ func (s *Store) writableTail() *page {
 	}
 	last := len(s.pages) - 1
 	pg := s.pages[last]
-	if pg.refs.Load() == 1 && !pg.quantized.Load() {
+	if pg.refs.Load() == 1 {
 		// In-place write. A partial tail carries a sidecar only when this
 		// sole owner truncated into a page that was full when it was
 		// published; the rows are about to change under it.
 		s.arena.clearMeta(pg)
 		return pg
 	}
-	// COW: the tail page is shared with a fork/snapshot (or holds only a
-	// quantized form). Copy the rows this store still uses into a private
-	// page — decoding without restoring, so a shared quantized source keeps
-	// its form for its other holders — and drop our reference.
+	// COW: the tail page is shared with a fork/snapshot. Copy the rows this
+	// store still uses into a private page and drop our reference.
 	used := s.n - last*P
 	np := s.arena.alloc(s.headDim)
 	if used > 0 {
@@ -238,10 +204,9 @@ func (s *Store) AppendBatch(ks, vs []float32) int {
 
 // ReadKeys copies the key rows of tokens [from, to) into dst (grown as
 // needed; pass nil to allocate) and returns it, packed row-major. It is the
-// non-retaining metadata read: nothing is cached on the store and
-// host-quantized pages are decoded without being restored — metadata reads
-// are measurements, not fetches. Selectors that need a contiguous key matrix
-// (clustering, SVD) use this with their own short-lived buffers.
+// non-retaining metadata read: nothing is cached on the store. Selectors that
+// need a contiguous key matrix (clustering, SVD) use this with their own
+// short-lived buffers.
 func (s *Store) ReadKeys(from, to int, dst []float32) []float32 {
 	return s.readRange(from, to, dst, true)
 }
@@ -275,21 +240,6 @@ func (s *Store) readRange(from, to int, dst []float32, keys bool) []float32 {
 		i += rows
 	}
 	return dst
-}
-
-// Clone returns a deep copy of the store with freshly allocated, exclusively
-// owned pages. Used to snapshot the post-prefill state so several compression
-// methods can decode from identical caches.
-func (s *Store) Clone() *Store {
-	out := NewStoreIn(s.arena, s.headDim)
-	for p := range s.pages {
-		rows := s.PageRows(p)
-		np := s.arena.alloc(s.headDim)
-		s.pages[p].readRows(np.keys[:rows*s.headDim], np.vals[:rows*s.headDim], 0, rows, s.headDim)
-		out.pages = append(out.pages, np)
-		out.n += rows
-	}
-	return out
 }
 
 // Fork returns a store that shares s's current pages without copying, by
@@ -328,9 +278,6 @@ func (s *Store) Truncate(n int) {
 	}
 	s.pages = s.pages[:keep]
 	s.n = n
-	if full := n / P; s.qmark > full {
-		s.qmark = full
-	}
 }
 
 // Free releases every page reference held by the store, returning pages whose
@@ -342,87 +289,4 @@ func (s *Store) Free() {
 	}
 	s.pages = s.pages[:0]
 	s.n = 0
-	s.qmark = 0
-}
-
-// QuantizePage converts page p to a KIVI-style quantized form at the given
-// bit width (keys per-channel, values per-token; see internal/quant) — the
-// simulated host copy of an offloaded page. It is a no-op when bits is 0,
-// the page is shared (siblings keep exact float reads), or p is the
-// partially filled tail. Quantization is lossy: any later read restores
-// (dequantizes) the page, so opting in trades bit-identical token streams
-// for the smaller simulated host footprint.
-func (s *Store) QuantizePage(p, bits int) {
-	if bits == 0 {
-		return
-	}
-	if bits < 2 || bits > 8 {
-		panic("kvcache: QuantizePage bits must be 0 or 2..8")
-	}
-	rows := s.PageRows(p)
-	if rows < s.arena.pageTokens {
-		return // tail still being written
-	}
-	if pg := s.pages[p]; pg.quantize(bits, rows, s.headDim) {
-		s.arena.clearMeta(pg) // lossy: the rows no longer read as published
-	}
-}
-
-// PageQuantized reports whether page p currently holds only the quantized
-// form.
-func (s *Store) PageQuantized(p int) bool { return s.pages[p].quantized.Load() }
-
-// SetComputeQuant opts the store into the quantized *decode compute* path:
-// after each decode-step append the model calls QuantizeFullPages, and the
-// attention kernels compute scores and weighted sums directly over the int8
-// codes (dequantize-free inner loops) for every page holding a quantized
-// form. bits 0 disables (the default, exact path). The quantized path is
-// deterministic per seed but not bit-identical to float32 — it carries the
-// bounded-ULP contract documented in DESIGN.md §12.
-func (s *Store) SetComputeQuant(bits int) {
-	if bits != 0 && (bits < 2 || bits > 8) {
-		panic("kvcache: SetComputeQuant bits must be 0 or 2..8")
-	}
-	s.computeBits = bits
-}
-
-// ComputeQuantBits returns the compute-quantization width (0 = exact path).
-func (s *Store) ComputeQuantBits() int { return s.computeBits }
-
-// QuantizeFullPages converts every not-yet-offered full page to the compute
-// quantized form at the configured width. Each page is offered exactly once
-// (watermarked by qmark): a page shared with a fork or snapshot at offer time
-// is skipped and stays float32 for its lifetime, keeping shared prefixes
-// exact for their other readers. No-op unless SetComputeQuant enabled the
-// path.
-func (s *Store) QuantizeFullPages() {
-	if s.computeBits == 0 {
-		return
-	}
-	full := s.n / s.arena.pageTokens
-	for p := s.qmark; p < full; p++ {
-		s.QuantizePage(p, s.computeBits)
-	}
-	if full > s.qmark {
-		s.qmark = full
-	}
-}
-
-// PageQuant returns page p's quantized tensors (keys per-channel, values
-// per-token) when the page currently holds a quantized form, else (nil, nil).
-// Unlike KeyPage/ValuePage this never restores: it is the read side of the
-// quantized compute path. The returned tensors are immutable snapshots — a
-// concurrent restore builds new float storage and drops the page's pointers,
-// but never mutates the tensors themselves.
-func (s *Store) PageQuant(p int) (qk, qv *quant.Tensor) {
-	pg := s.pages[p]
-	if !pg.quantized.Load() {
-		return nil, nil
-	}
-	pg.muQ.Lock()
-	defer pg.muQ.Unlock()
-	if !pg.quantized.Load() {
-		return nil, nil
-	}
-	return pg.qk, pg.qv
 }

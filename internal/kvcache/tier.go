@@ -35,11 +35,8 @@ const (
 //     page's device memory takes its co-located tokens with it — exactly the
 //     granularity cost block-based cache management pays.
 //
-// Pages promoted by an exact Fetch are *pinned* for the current epoch (one
-// decode step, advanced by EndEpoch): capacity eviction — triggered when
-// SetDeviceCap is set and a promotion needs room — never evicts a pinned page,
-// so a mispredicted prefetch can never displace KV a Select of the same step
-// fetched for attention.
+// Device residency is unbounded, as in the paper: the token budget, not a page
+// capacity, bounds what a step fetches.
 //
 // Not safe for concurrent use: a ledger belongs to one sequence, and every
 // transfer on it — a TransferRuntime's prefetches included — is applied by the
@@ -54,31 +51,12 @@ type Ledger struct {
 	// requested (cache hits).
 	DeviceHits int64
 
-	// lastUse is the per-page LRU stamp (bumped on fetch/prefetch/pin);
-	// pinEpoch marks the epoch a page was last pinned by a compute-side
-	// Fetch. A page is pinned while pinEpoch == epoch.
-	lastUse  []int64
-	pinEpoch []int64
-	epoch    int64
-	clock    int64
-
 	// prefetched marks pages promoted speculatively and not yet consumed by
 	// an exact fetch; a TransferRuntime aggregates the per-ledger prefetch
 	// counters engine-wide.
 	prefetched      []bool
 	prefetchedPages int64
 	prefetchHits    int64
-	prefetchDropped int64
-
-	// devCap caps device-resident pages (0 = unlimited); devPages is the
-	// current device-resident page count.
-	devCap   int
-	devPages int
-
-	// store, when bound, receives page-granular quantize/restore calls as
-	// residency changes: host-tier pages are stored quantized at quantBits.
-	store     *Store
-	quantBits int
 
 	scratch []int // page set scratch reused across Fetch/Evict calls
 
@@ -99,7 +77,7 @@ func NewLedgerPaged(pageTokens int) *Ledger {
 	if pageTokens <= 0 {
 		panic("kvcache: non-positive ledger page size")
 	}
-	return &Ledger{pageTokens: pageTokens, epoch: 1}
+	return &Ledger{pageTokens: pageTokens}
 }
 
 // PageTokens returns the residency granularity in tokens.
@@ -116,28 +94,6 @@ func (l *Ledger) addStall(exposed, modeled int64) {
 // transfer time in seconds (see addStall).
 func (l *Ledger) TransferStalls() (exposedSec, hiddenSec float64) {
 	return float64(l.xferExposed) / ticksPerSec, float64(l.xferHidden) / ticksPerSec
-}
-
-// Bind attaches a store so host-tier transitions quantize its pages at the
-// given bit width (2–8) and fetches restore (dequantize) them — the
-// simulated "quantized host tier" extension, off unless a selector or
-// experiment opts in. The store's page size must match the ledger's.
-func (l *Ledger) Bind(s *Store, quantBits int) {
-	if s != nil && s.PageTokens() != l.pageTokens {
-		panic("kvcache: Bind page-size mismatch")
-	}
-	l.store = s
-	l.quantBits = quantBits
-}
-
-// SetDeviceCap bounds the number of device-resident pages (0 = unlimited).
-// When a promotion would exceed the cap, the least-recently-used unpinned
-// device page is evicted to make room; pinned pages are never displaced.
-// Fresh tokens (Extend) and exact fetches may still push the count past the
-// cap when nothing is evictable — attention must be able to read what it
-// selected — while prefetches are dropped instead.
-func (l *Ledger) SetDeviceCap(pages int) {
-	l.devCap = pages
 }
 
 // pageOf returns the page index of token position p.
@@ -161,22 +117,12 @@ func (l *Ledger) Extend(n int, t Tier) {
 	l.n += n
 	if n > 0 && prev%l.pageTokens != 0 && t == TierDevice {
 		// The boundary page was partially filled and gains fresh device rows.
-		last := len(l.tiers) - 1
-		if l.tiers[last] == TierHost {
-			l.tiers[last] = TierDevice
-			l.devPages++
-		}
+		l.tiers[len(l.tiers)-1] = TierDevice
 	}
 	want := (l.n + l.pageTokens - 1) / l.pageTokens
 	for len(l.tiers) < want {
 		l.tiers = append(l.tiers, t)
-		l.lastUse = append(l.lastUse, l.clock)
-		l.pinEpoch = append(l.pinEpoch, 0)
 		l.prefetched = append(l.prefetched, false)
-		l.clock++
-		if t == TierDevice {
-			l.devPages++
-		}
 	}
 }
 
@@ -251,9 +197,7 @@ func (l *Ledger) PagesOf(positions []int, dst []int) []int {
 
 // Fetch requests the given token positions for attention. Every page holding
 // a requested position is promoted exactly once: host pages count as
-// transfers, device pages as hits. Fetched pages are pinned for the current
-// epoch, so capacity eviction (a mispredicted prefetch making room) can never
-// displace them. It returns the number of pages transferred.
+// transfers, device pages as hits. It returns the number of pages transferred.
 func (l *Ledger) Fetch(positions []int) int {
 	l.scratch = l.PagesOf(positions, l.scratch)
 	return l.FetchPages(l.scratch)
@@ -262,13 +206,6 @@ func (l *Ledger) Fetch(positions []int) int {
 // FetchPages is Fetch over pre-computed page indices (deduplicated by the
 // caller, e.g. via PagesOf or a PageSet).
 func (l *Ledger) FetchPages(pages []int) int {
-	// Pre-pin the whole batch: capacity eviction triggered by promoting one
-	// page of this fetch must never pick a later page of the same fetch as
-	// its LRU victim (it would be counted resident, evicted, then
-	// re-transferred within a single call).
-	for _, pg := range pages {
-		l.pinEpoch[pg] = l.epoch
-	}
 	moved := 0
 	for _, pg := range pages {
 		if l.prefetched[pg] {
@@ -278,73 +215,32 @@ func (l *Ledger) FetchPages(pages []int) int {
 			}
 		}
 		if l.tiers[pg] == TierHost {
-			l.makeRoom()
-			l.promote(pg)
+			l.tiers[pg] = TierDevice
 			l.HostToDevice++
 			moved++
 		} else {
 			l.DeviceHits++
 		}
-		l.lastUse[pg] = l.clock
-		l.clock++
 	}
 	return moved
 }
 
 // PrefetchPages speculatively promotes the given pages (deduplicated,
-// ascending). Unlike Fetch it does not pin: a prefetched page is fair game
-// for capacity eviction until an exact fetch claims it. Under a device cap
-// with no evictable room the page is dropped (counted, not forced) — a
-// prefetch is a hint, never an obligation. Returns pages transferred.
+// ascending); a prefetched page counts as a prefetch hit when a later exact
+// fetch finds it still device-resident. Returns pages transferred.
 func (l *Ledger) PrefetchPages(pages []int) int {
 	moved := 0
 	for _, pg := range pages {
 		if pg < 0 || pg >= len(l.tiers) || l.tiers[pg] == TierDevice {
 			continue
 		}
-		if l.devCap > 0 && l.devPages >= l.devCap && !l.evictLRU() {
-			l.prefetchDropped++
-			continue
-		}
-		l.promote(pg)
+		l.tiers[pg] = TierDevice
 		l.prefetched[pg] = true
 		l.prefetchedPages++
 		l.HostToDevice++
 		moved++
-		l.lastUse[pg] = l.clock
-		l.clock++
 	}
 	return moved
-}
-
-// makeRoom evicts LRU unpinned pages until the device cap admits one more
-// page. Exact fetches proceed even when nothing is evictable (attention must
-// read what it selected); the overflow shows up in DevicePages.
-func (l *Ledger) makeRoom() {
-	for l.devCap > 0 && l.devPages >= l.devCap {
-		if !l.evictLRU() {
-			return
-		}
-	}
-}
-
-// evictLRU demotes the least-recently-used unpinned device page, reporting
-// whether one was found. Pinned pages (fetched this epoch) are never chosen.
-func (l *Ledger) evictLRU() bool {
-	victim := -1
-	for pg := range l.tiers {
-		if l.tiers[pg] != TierDevice || l.pinEpoch[pg] == l.epoch {
-			continue
-		}
-		if victim < 0 || l.lastUse[pg] < l.lastUse[victim] {
-			victim = pg
-		}
-	}
-	if victim < 0 {
-		return false
-	}
-	l.demote(victim)
-	return true
 }
 
 // Evict marks every page containing one of the positions host-resident
@@ -364,20 +260,9 @@ func (l *Ledger) EvictPages(pages []int) {
 	}
 }
 
-// EndEpoch advances the pin epoch: pages pinned by this epoch's fetches
-// become evictable again. Selectors call it once per decode step.
-func (l *Ledger) EndEpoch() {
-	l.epoch++
-}
-
 // TierOf reports the current tier of token p (the tier of its page).
 func (l *Ledger) TierOf(p int) Tier {
 	return l.tiers[l.pageOf(p)]
-}
-
-// DevicePages returns the number of device-resident pages.
-func (l *Ledger) DevicePages() int {
-	return l.devPages
 }
 
 // Counters returns the transfer counters HostToDevice and DeviceHits.
@@ -386,10 +271,9 @@ func (l *Ledger) Counters() (hostToDevice, deviceHits int64) {
 }
 
 // PrefetchCounters returns (pages prefetched, prefetched pages consumed by a
-// later fetch while device-resident, prefetch pages dropped for lack of
-// evictable room).
-func (l *Ledger) PrefetchCounters() (issued, hits, dropped int64) {
-	return l.prefetchedPages, l.prefetchHits, l.prefetchDropped
+// later fetch while device-resident).
+func (l *Ledger) PrefetchCounters() (issued, hits int64) {
+	return l.prefetchedPages, l.prefetchHits
 }
 
 // ResetCounters zeroes the transfer counters, keeping residency state.
@@ -398,29 +282,11 @@ func (l *Ledger) ResetCounters() {
 	l.DeviceHits = 0
 	l.prefetchedPages = 0
 	l.prefetchHits = 0
-	l.prefetchDropped = 0
-}
-
-func (l *Ledger) promote(pg int) {
-	if l.tiers[pg] == TierHost {
-		l.devPages++
-	}
-	l.tiers[pg] = TierDevice
-	if l.store != nil && pg < l.store.NumPages() && l.store.PageQuantized(pg) {
-		// Dequantize-on-fetch: touching the page restores float storage.
-		_ = l.store.KeyPage(pg)
-	}
 }
 
 func (l *Ledger) demote(pg int) {
-	if l.tiers[pg] == TierDevice {
-		l.devPages--
-	}
 	l.tiers[pg] = TierHost
 	l.prefetched[pg] = false
-	if l.store != nil && pg < l.store.NumPages() {
-		l.store.QuantizePage(pg, l.quantBits)
-	}
 }
 
 // PageSet accumulates the pages covering token positions added in any order

@@ -1,11 +1,10 @@
 // Tiered-KV transfer accounting on one modeled host↔device channel.
 //
 // The data plane of this reproduction always lives in process memory, so a
-// "transfer" moves simulated residency (Ledger tiers, plus dequantization for
-// a bound quantized host tier) and charges modeled link time. The compute a
-// transfer overlaps with is modeled too, on the same clock (see
-// TransferRuntime). Nothing here reads the wall clock, and every transfer is
-// applied on the caller's goroutine in program order, so the telemetry is a
+// "transfer" moves simulated residency (Ledger tiers) and charges modeled link
+// time. The compute a transfer overlaps with is modeled too, on the same clock
+// (see TransferRuntime). Nothing here reads the wall clock, and every transfer
+// is applied on the caller's goroutine in program order, so the telemetry is a
 // function of (seed, hardware, shape) alone. Transfers change when data moves,
 // never what attention reads — token streams are identical with the runtime
 // on or off.
@@ -78,10 +77,9 @@ type TransferRuntime struct {
 	exposed   int64 // ticks
 	pfIssued  int64
 	pfHits    int64
-	pfDropped int64
 
 	// rec, when enabled via SetTrace, receives transfer start/complete and
-	// prefetch issue/land/drop events. Written once before any traffic (see
+	// prefetch issue/land events. Written once before any traffic (see
 	// SetTrace), so the unlocked Enabled checks are race-free.
 	rec obs.Recorder
 }
@@ -93,7 +91,7 @@ func NewTransferRuntime(ch Channel) *TransferRuntime {
 
 // SetTrace attaches a trace recorder emitting transfer and prefetch events
 // (obs.EvTransferStart/Complete at the channel-busy offset, prefetch
-// issue/land/drop). It must be called before any transfer traffic — the
+// issue/land). It must be called before any transfer traffic — the
 // engine wires it during construction.
 func (rt *TransferRuntime) SetTrace(rec obs.Recorder) { rt.rec = rec }
 
@@ -107,11 +105,10 @@ func (rt *TransferRuntime) Advance() {
 	rt.mu.Unlock()
 }
 
-// Fetch performs an exact fetch of the pages covering positions in l, pinning
-// them for l's current epoch, and returns how many pages it moved. The caller
-// reads the fetched KV next, so all of the modeled time is exposed. Ascending
-// positions (what selectors pass) make the page set a single pass, see
-// Ledger.PagesOf.
+// Fetch performs an exact fetch of the pages covering positions in l and
+// returns how many pages it moved. The caller reads the fetched KV next, so all
+// of the modeled time is exposed. Ascending positions (what selectors pass)
+// make the page set a single pass, see Ledger.PagesOf.
 func (rt *TransferRuntime) Fetch(l *Ledger, positions []int) int {
 	hits := l.prefetchHits
 	moved := l.Fetch(positions)
@@ -126,20 +123,14 @@ func (rt *TransferRuntime) Fetch(l *Ledger, positions []int) int {
 
 // PrefetchPages speculatively promotes the given pages of l (ascending,
 // de-duplicated — a PageSet's output) during layer's window, for the layer
-// after it, and returns how many pages it moved. Prefetched pages are
-// unpinned hints: capacity pressure may re-evict them, and a wrong prediction
-// costs only channel time.
+// after it, and returns how many pages it moved. A wrong prediction costs
+// only channel time.
 func (rt *TransferRuntime) PrefetchPages(l *Ledger, layer int, pages []int) int {
-	dropped := l.prefetchDropped
 	moved := l.PrefetchPages(pages)
-	dropped = l.prefetchDropped - dropped
 	if rt.rec.Enabled() {
 		rt.rec.Emit(obs.Event{Type: obs.EvPrefetchIssue, N: int64(len(pages))})
 		if moved > 0 {
 			rt.rec.Emit(obs.Event{Type: obs.EvPrefetchLand, N: int64(moved)})
-		}
-		if dropped > 0 {
-			rt.rec.Emit(obs.Event{Type: obs.EvPrefetchDrop, N: dropped})
 		}
 	}
 	dur := int64(moved) * rt.pageTicks
@@ -151,7 +142,6 @@ func (rt *TransferRuntime) PrefetchPages(l *Ledger, layer int, pages []int) int 
 	rt.load[layer] += dur
 	exposed := min(max(end-int64(layer+1)*rt.layerTicks, 0), dur)
 	rt.pfIssued += int64(moved)
-	rt.pfDropped += dropped
 	rt.book(kindPrefetch, moved, dur, exposed)
 	rt.mu.Unlock()
 	l.addStall(exposed, dur)
@@ -201,6 +191,5 @@ func (rt *TransferRuntime) Stats() metrics.Overlap {
 		ExposedSec:      float64(rt.exposed) / ticksPerSec,
 		PrefetchedPages: rt.pfIssued,
 		PrefetchHits:    rt.pfHits,
-		PrefetchDropped: rt.pfDropped,
 	}
 }

@@ -141,7 +141,7 @@ func TestTransferRuntimeOverlapHidesTime(t *testing.T) {
 	rt.PrefetchPages(l, 0, []int{17, 18, 19, 20, 21})
 	check("fresh round", 29, 58, 12)
 
-	if issued, _, _ := l.PrefetchCounters(); issued != 20 {
+	if issued, _ := l.PrefetchCounters(); issued != 20 {
 		t.Fatalf("prefetched pages = %d, want 20", issued)
 	}
 	if e, h := l.TransferStalls(); e != onClock(12*ms) || h != onClock(32*ms) {
@@ -195,52 +195,6 @@ func TestTransferTotalsIgnoreIssueOrder(t *testing.T) {
 	}
 }
 
-// TestPrefetchNeverEvictsPinned is the misprediction-safety lock: a fetch
-// pins a working set, then a prefetcher floods the ledger with wrong-cluster
-// pages under a tight device cap, interleaved in program order the way a
-// decode step interleaves them. Capacity eviction triggered by the prefetches
-// must displace only unpinned pages — after every burst, the just-fetched
-// working set is still device-resident.
-func TestPrefetchNeverEvictsPinned(t *testing.T) {
-	const (
-		pageTokens = 4
-		pages      = 64
-		devCap     = 8
-		rounds     = 200
-	)
-	l := NewLedgerPaged(pageTokens)
-	l.Extend(pages*pageTokens, TierDevice)
-	l.OffloadAll()
-	l.SetDeviceCap(devCap)
-	rt := NewTransferRuntime(Channel{})
-
-	// Hot working set: pages 0..3 (positions 0, 4, 8, 12).
-	hot := []int{0, 4, 8, 12}
-	cold := 4
-	for r := 0; r < rounds; r++ {
-		rt.Fetch(l, hot) // pins for the current epoch
-		// Wrong-cluster prefetches: more cold pages than the cap has room
-		// for, forcing capacity eviction pressure against the pins.
-		for i := 0; i < devCap; i++ {
-			rt.PrefetchPages(l, 0, []int{cold%(pages-4) + 4})
-			cold++
-			for _, p := range hot {
-				if l.TierOf(p) != TierDevice {
-					t.Fatalf("round %d: pinned position %d was evicted by a prefetch", r, p)
-				}
-			}
-		}
-		if dp := l.DevicePages(); dp > devCap {
-			t.Fatalf("round %d: device pages %d exceed cap %d", r, dp, devCap)
-		}
-		l.EndEpoch()
-		rt.Advance()
-	}
-	if o := rt.Stats(); o.PrefetchedPages == 0 || o.BusySec != 0 {
-		t.Fatalf("free channel: %+v", o)
-	}
-}
-
 // TestPrefetchThenExtendTailPage is the case that raced when prefetches were
 // applied by a background worker: the layer-ahead prefetch for layer l+1
 // names the half-filled tail page, then layer l+1 appends a token (Extend
@@ -271,42 +225,6 @@ func TestPrefetchThenExtendTailPage(t *testing.T) {
 	}
 }
 
-// TestLedgerDeviceCapEvictsLRU: with a device cap, promotion evicts the
-// least-recently-used unpinned page, and prefetches finding no evictable
-// room are dropped rather than forced.
-func TestLedgerDeviceCapEvictsLRU(t *testing.T) {
-	l := NewLedgerPaged(1)
-	l.Extend(8, TierDevice)
-	l.OffloadAll()
-	l.SetDeviceCap(2)
-
-	l.Fetch([]int{0}) // device: {0}, pinned
-	l.Fetch([]int{1}) // device: {0, 1}, both pinned
-	l.EndEpoch()      // pins expire
-	l.Fetch([]int{2}) // cap 2: evict LRU (page 0) -> device {1, 2}
-	if l.TierOf(0) != TierHost {
-		t.Fatal("LRU page 0 not evicted")
-	}
-	if l.TierOf(1) != TierDevice || l.TierOf(2) != TierDevice {
-		t.Fatal("wrong eviction victim")
-	}
-
-	// All device pages pinned this epoch: prefetch must drop, not evict.
-	l.Fetch([]int{1})
-	if moved := l.PrefetchPages([]int{5}); moved != 0 {
-		t.Fatalf("prefetch promoted %d pages past a fully pinned cap", moved)
-	}
-	if _, _, dropped := l.PrefetchCounters(); dropped != 1 {
-		t.Fatalf("dropped counter = %d, want 1", dropped)
-	}
-	// Exact fetches always proceed (attention must read what it selected),
-	// even when that means transiently exceeding the cap.
-	l.Fetch([]int{6})
-	if l.TierOf(6) != TierDevice {
-		t.Fatal("exact fetch blocked by pinned cap")
-	}
-}
-
 // TestPrefetchHitAccounting: pages promoted speculatively and then claimed
 // by an exact fetch count as prefetch hits exactly once.
 func TestPrefetchHitAccounting(t *testing.T) {
@@ -317,12 +235,12 @@ func TestPrefetchHitAccounting(t *testing.T) {
 		t.Fatalf("prefetch moved %d, want 2", moved)
 	}
 	l.Fetch([]int{0, 2, 5, 17}) // pages 0, 1 prefetched; page 4 cold
-	issued, hits, dropped := l.PrefetchCounters()
-	if issued != 2 || hits != 2 || dropped != 0 {
-		t.Fatalf("prefetch counters issued=%d hits=%d dropped=%d, want 2/2/0", issued, hits, dropped)
+	issued, hits := l.PrefetchCounters()
+	if issued != 2 || hits != 2 {
+		t.Fatalf("prefetch counters issued=%d hits=%d, want 2/2", issued, hits)
 	}
 	l.Fetch([]int{0}) // already consumed: no double hit
-	if _, hits, _ = l.PrefetchCounters(); hits != 2 {
+	if _, hits = l.PrefetchCounters(); hits != 2 {
 		t.Fatalf("hit double-counted: %d", hits)
 	}
 	h2d, devHits := l.Counters()

@@ -18,11 +18,9 @@ type Overlap struct {
 	ExposedSec float64
 	// PrefetchedPages counts pages promoted speculatively by layer-ahead
 	// prefetch; PrefetchHits counts those later requested by an exact fetch
-	// while still device-resident; PrefetchDropped counts prefetch pages
-	// skipped because no unpinned device page could be evicted for them.
+	// while still device-resident.
 	PrefetchedPages int64
 	PrefetchHits    int64
-	PrefetchDropped int64
 }
 
 // Add accumulates other into o.
@@ -33,7 +31,6 @@ func (o *Overlap) Add(other Overlap) {
 	o.ExposedSec += other.ExposedSec
 	o.PrefetchedPages += other.PrefetchedPages
 	o.PrefetchHits += other.PrefetchHits
-	o.PrefetchDropped += other.PrefetchDropped
 }
 
 // HiddenSec returns the transfer time overlapped with compute.

@@ -11,10 +11,10 @@ import (
 // states form an [S×DModel] activation matrix and every weight-matrix product
 // of the layer — QKV, the output projection, the SwiGLU block and the LM head
 // — is issued as ONE batched GEMM across the cohort, so each weight matrix
-// streams from memory once per round. Rope, KV append and quantization stay
-// per-stream in between the GEMM phases, because KV state is per-sequence;
-// attention is layerAttn over the cohort — selection per stream, then every
-// (stream, head) pair fanned out over the shared pool.
+// streams from memory once per round. Rope and KV append stay per-stream in
+// between the GEMM phases, because KV state is per-sequence; attention is
+// layerAttn over the cohort — selection per stream, then every (stream, head)
+// pair fanned out over the shared pool.
 //
 // Determinism contract: every batched kernel keeps, per row, the reduction
 // order of a serial GEMV, and streams share nothing but read-only weights, so
@@ -120,9 +120,9 @@ func (bd *BatchDecoder) DecodeInto(seqs []*Sequence, tokens []int, logits [][]fl
 		tensor.MatTMatOn(pool, &bd.q, lw.wq, &bd.normed)
 		tensor.MatTMatOn(pool, &bd.k, lw.wk, &bd.normed)
 		tensor.MatTMatOn(pool, &bd.v, lw.wv, &bd.normed)
-		// Per-stream rope, sink shaping, KV append, selector notification and
-		// page quantization, serial in cohort order: appends mutate the
-		// per-sequence stores and must keep store order = position order.
+		// Per-stream rope, sink shaping, KV append and selector notification,
+		// serial in cohort order: appends mutate the per-sequence stores and
+		// must keep store order = position order.
 		for i, s := range seqs {
 			pos := s.pos
 			q := bd.q.Row(i)
@@ -140,11 +140,6 @@ func (bd *BatchDecoder) DecodeInto(seqs []*Sequence, tokens []int, logits [][]fl
 				st.Append(kh, v[kv*cfg.HeadDim:(kv+1)*cfg.HeadDim])
 				if s.sel != nil {
 					s.sel.OnAppend(l, kv, st)
-				}
-				if s.kvBits > 0 {
-					// After the selector saw the exact rows: convert any page
-					// the append just completed to the compute-quantized form.
-					st.QuantizeFullPages()
 				}
 			}
 		}

@@ -13,8 +13,7 @@ import (
 // Batched-decode conformance: a cohort stepped through BatchDecoder.DecodeInto
 // must produce logits bit-identical to stepping every member alone through
 // Sequence.DecodeInto — at every cohort size, every pool width, with
-// selectors attached, over CoW-forked shared prefixes and under int8 KV
-// decode. This is the contract that lets the serving engine pick the
+// selectors attached and over CoW-forked shared prefixes. This is the contract that lets the serving engine pick the
 // executor by cohort size without changing a single token.
 
 const batchBudget = 64
@@ -23,7 +22,7 @@ const batchBudget = 64
 // mix of ClusterKV selectors and full attention), returning the sequences and
 // each member's last prompt token. Deterministic: two calls build cohorts in
 // identical states.
-func batchCohort(m *Model, S int, bits int) ([]*Sequence, []int) {
+func batchCohort(m *Model, S int) ([]*Sequence, []int) {
 	vocab := m.Config().VocabSize
 	seqs := make([]*Sequence, S)
 	toks := make([]int, S)
@@ -33,7 +32,6 @@ func batchCohort(m *Model, S int, bits int) ([]*Sequence, []int) {
 			sel = core.New(core.NewConfig())
 		}
 		s := m.NewSequence(sel, batchBudget)
-		s.SetKVQuantDecode(bits)
 		r := rng.New(uint64(1000 + i))
 		prompt := make([]int, 80+16*i)
 		for j := range prompt {
@@ -131,26 +129,13 @@ func TestBatchDecodeConformance(t *testing.T) {
 		for _, S := range []int{1, 2, 3, 8} {
 			withPoolWidth(t, width, func() {
 				m := New(DefaultConfig())
-				solo, soloTok := batchCohort(m, S, 0)
-				batched, batchTok := batchCohort(m, S, 0)
+				solo, soloTok := batchCohort(m, S)
+				batched, batchTok := batchCohort(m, S)
 				defer releaseAll(solo)
 				defer releaseAll(batched)
 				runBatchComparison(t, m, solo, batched, soloTok, batchTok, 6)
 			})
 		}
-	}
-}
-
-func TestBatchDecodeConformanceQuantized(t *testing.T) {
-	for _, width := range []int{1, 2} {
-		withPoolWidth(t, width, func() {
-			m := New(DefaultConfig())
-			solo, soloTok := batchCohort(m, 3, 8)
-			batched, batchTok := batchCohort(m, 3, 8)
-			defer releaseAll(solo)
-			defer releaseAll(batched)
-			runBatchComparison(t, m, solo, batched, soloTok, batchTok, 6)
-		})
 	}
 }
 
@@ -184,8 +169,8 @@ func TestBatchDecodeConformanceForkedPrefix(t *testing.T) {
 func TestBatchDecodeFluidCohort(t *testing.T) {
 	withPoolWidth(t, 2, func() {
 		m := New(DefaultConfig())
-		solo, soloTok := batchCohort(m, 5, 0)
-		batched, batchTok := batchCohort(m, 5, 0)
+		solo, soloTok := batchCohort(m, 5)
+		batched, batchTok := batchCohort(m, 5)
 		defer releaseAll(solo)
 		defer releaseAll(batched)
 		// Rounds over shifting sub-cohorts: indices into the full set.

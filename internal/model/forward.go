@@ -132,9 +132,9 @@ type Sequence struct {
 	// weight computation per head.
 	Probe func(layer, head int, weights []float32)
 
-	// attn holds one reusable attention scratch (scores + quant fold buffers)
-	// per query head, so a layer's heads can attend concurrently; geometric
-	// growth keeps steady-state decode rounds allocation-free.
+	// attn holds one reusable attention scratch (a score buffer) per query
+	// head, so a layer's heads can attend concurrently; geometric growth keeps
+	// steady-state decode rounds allocation-free.
 	attn []attention.Scratch
 	// picks is the selection phase's hand-off to the attention phase, one per
 	// query head; attended is the layer's total of tokens they name.
@@ -148,10 +148,6 @@ type Sequence struct {
 	self [1]*Sequence
 	tok  [1]int
 	lg   [1][]float32
-	// kvBits, when non-zero, enables the int8 KV decode path: full pages are
-	// compute-quantized after each append and the attention kernels read the
-	// codes directly (bounded-ULP contract, DESIGN.md §12).
-	kvBits int
 }
 
 // NewSequence creates an empty sequence bound to a selection policy.
@@ -200,37 +196,6 @@ func (s *Sequence) Release() {
 
 // Len returns the number of processed tokens.
 func (s *Sequence) Len() int { return s.pos }
-
-// SetKVQuantDecode opts the sequence into the int8 KV decode path: every
-// store compute-quantizes its full pages (KIVI layout, see internal/quant)
-// and attention reads the codes directly via dequantize-free kernels. bits 0
-// restores the exact path for future pages (already-quantized pages keep
-// their form). Pages shared with a snapshot or fork at quantization time stay
-// float32 — the kernels dispatch per page. Outputs under the quantized path
-// are deterministic per seed but carry a bounded-ULP (not bit-identity)
-// contract.
-func (s *Sequence) SetKVQuantDecode(bits int) {
-	s.kvBits = bits
-	for _, st := range s.stores {
-		st.SetComputeQuant(bits)
-	}
-	if bits > 0 {
-		for _, st := range s.stores {
-			st.QuantizeFullPages()
-		}
-	}
-}
-
-// KVQuantRuns returns the page-run counts the attention kernels dispatched
-// to the int8 and float32 paths while compute quantization was enabled —
-// the coverage signal behind the serve engine's quantized-decode metrics.
-func (s *Sequence) KVQuantRuns() (quantRuns, floatRuns int64) {
-	for i := range s.attn {
-		quantRuns += s.attn[i].QuantRuns
-		floatRuns += s.attn[i].FloatRuns
-	}
-	return quantRuns, floatRuns
-}
 
 // Selector returns the attached selection policy (may be nil).
 func (s *Sequence) Selector() attention.Selector { return s.sel }
@@ -383,18 +348,12 @@ func (s *Sequence) Prefill(tokens []int, wantLogits []float32) []float32 {
 	}
 	s.pos += n
 
-	// Notify the selector that prefill KV is complete (metadata is built over
-	// exact float rows; compute quantization, if enabled, happens after).
+	// Notify the selector that prefill KV is complete.
 	if s.sel != nil {
 		for l := 0; l < cfg.NLayers; l++ {
 			for kv := 0; kv < cfg.NKVHeads; kv++ {
 				s.sel.OnPrefill(l, kv, s.Store(l, kv))
 			}
-		}
-	}
-	if s.kvBits > 0 {
-		for _, st := range s.stores {
-			st.QuantizeFullPages()
 		}
 	}
 

@@ -76,24 +76,6 @@ func (snap *Snapshot) Prefix(n int) *Snapshot {
 	return out
 }
 
-// QuantizeCompute converts the snapshot's full, exclusively held pages to the
-// KIVI compute-quantized form (keys per-channel, values per-token) at the
-// given bit width. Serving engines call it once when publishing a prefix
-// cache entry under quantized decode: at publish time the builder has
-// released its references, so the pages are exclusively held and convert;
-// every later fork then shares the already-quantized pages. Pages still
-// shared at call time (e.g. a radix ancestor's) stay float32 — descendant
-// kernels dispatch per page. Idempotent.
-func (snap *Snapshot) QuantizeCompute(bits int) {
-	if bits == 0 {
-		return
-	}
-	for _, st := range snap.stores {
-		st.SetComputeQuant(bits)
-		st.QuantizeFullPages()
-	}
-}
-
 // NewSequenceFrom creates a sequence that continues from a snapshot taken on
 // a sequence of this model. The new sequence shares the snapshot's KV prefix
 // zero-copy and appends independently. The selector is Reset but has seen

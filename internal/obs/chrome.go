@@ -238,9 +238,6 @@ func writeChromeTrace(w io.Writer, events []Event, dropped uint64) error {
 		case EvPrefetchLand:
 			out = append(out, instant(ev, lanePrefetch, "prefetch-land",
 				map[string]any{"pages": ev.N}))
-		case EvPrefetchDrop:
-			out = append(out, instant(ev, lanePrefetch, "prefetch-drop",
-				map[string]any{"pages": ev.N}))
 		case EvTransferComplete:
 			kind := "fetch"
 			switch ev.Aux {

@@ -54,11 +54,9 @@ const (
 	EvPagePromote
 	// EvPrefetchIssue records a layer-ahead prefetch request of N pages.
 	// EvPrefetchLand records N pages actually promoted by one serviced
-	// prefetch; EvPrefetchDrop records N pages dropped for lack of evictable
-	// device room.
+	// prefetch.
 	EvPrefetchIssue
 	EvPrefetchLand
-	EvPrefetchDrop
 	// EvTransferStart / EvTransferComplete bracket one serviced transfer on
 	// the modeled channel clock: Req = transfer sequence number, N = pages,
 	// Sec = modeled channel-busy offset at start (seconds), Dur = modeled
@@ -111,8 +109,6 @@ func (t EventType) String() string {
 		return "prefetch-issue"
 	case EvPrefetchLand:
 		return "prefetch-land"
-	case EvPrefetchDrop:
-		return "prefetch-drop"
 	case EvTransferStart:
 		return "transfer-start"
 	case EvTransferComplete:

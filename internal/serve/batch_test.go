@@ -86,28 +86,6 @@ func TestBatchDecodeMatchesPerStream(t *testing.T) {
 	})
 }
 
-// TestBatchDecodeMatchesPerStreamQuantized covers the batched path's
-// per-stream quantized append and dequantizing attention end to end. Which
-// prefix pages convert to int8 depends on what is shared at publish time, so
-// int8 tokens are per-seed repeatable rather than batch-width invariant: the
-// batched ≡ per-stream half is model.TestBatchDecodeConformanceQuantized, and
-// this locks that the int8 cohort-of-8 engine fingerprints identically across
-// schedules.
-func TestBatchDecodeMatchesPerStreamQuantized(t *testing.T) {
-	reqs := loadRequests(t)
-	int8KV := func(c *Config) { c.DecodeKVBits = 8 }
-	base := runEngineAt(t, 1, 1, reqs, int8KV, maxBatch(8))
-	if base.batchRounds == 0 {
-		t.Fatalf("int8-KV MaxBatch=8 engine never formed a decode cohort")
-	}
-	for _, procs := range []int{1, 2} {
-		got := runEngineAt(t, procs, procs, reqs, int8KV, maxBatch(8))
-		if d := base.diff(got); d != "" {
-			t.Fatalf("gomaxprocs=%d: batched int8-KV run not repeatable: %s", procs, d)
-		}
-	}
-}
-
 // TestBatchDecodeMatchesPerStreamNested runs the equality over the nested
 // multi-turn conversation load, where cohort members carry radix
 // partially-reused CoW pages and admissions/retirements reshape the cohort

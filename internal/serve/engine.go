@@ -56,16 +56,6 @@ type Config struct {
 	// PageTokens sets the engine arena's page size in tokens
 	// (default kvcache.DefaultPageTokens).
 	PageTokens int
-	// DecodeKVBits, when 2..8, turns on the quantized KV decode path
-	// (DESIGN.md §12): published prefix-cache snapshots are converted once to
-	// the KIVI compute format (keys per-channel, values per-token) while
-	// exclusively held, and every sequence compute-quantizes its own full
-	// pages as it prefills/decodes, with attention running dequantize-free
-	// int8 kernels over quantized pages. Pages shared at conversion time
-	// (radix ancestors) stay float32; kernels dispatch per page. Token
-	// streams stay deterministic per seed but are NOT bit-identical to the
-	// exact path — the bounded-ULP contract. 0 (default) keeps exact decode.
-	DecodeKVBits int
 	// Seed drives sampling and any tie-breaking, making runs reproducible.
 	Seed uint64
 	// Trace, when enabled (obs.Tracer.Recorder), receives the engine's
@@ -246,9 +236,6 @@ func NewEngine(m *model.Model, cfg Config) *Engine {
 	}
 	if cfg.PageTokens <= 0 {
 		cfg.PageTokens = kvcache.DefaultPageTokens
-	}
-	if cfg.DecodeKVBits != 0 && (cfg.DecodeKVBits < 2 || cfg.DecodeKVBits > 8) {
-		panic("serve: DecodeKVBits must be 0 or 2..8")
 	}
 	mc := m.Config()
 	planes := int64(mc.NLayers * mc.NKVHeads)
@@ -1272,20 +1259,12 @@ func (e *Engine) prefillStep(t *task) {
 				t.prefillN += len(t.entry.tokens)
 			}
 		}
-		if e.cfg.DecodeKVBits > 0 && t.builder && t.entry.snap != nil {
-			// Publish-time conversion: the builder released its references
-			// above, so the entry's fresh pages are exclusively held here and
-			// convert; pages still shared with a radix ancestor stay float32.
-			t.entry.snap.QuantizeCompute(e.cfg.DecodeKVBits)
-		}
 		t.seq = e.m.NewSequenceFrom(t.entry.snap, sel, r.Budget)
-		t.seq.SetKVQuantDecode(e.cfg.DecodeKVBits)
 		suffix := r.Prompt[r.SharedPrefixLen:]
 		t.seq.Prefill(suffix, nil)
 		t.prefillN += len(suffix)
 	} else {
 		t.seq = e.m.NewSequenceIn(e.arena, sel, r.Budget)
-		t.seq.SetKVQuantDecode(e.cfg.DecodeKVBits)
 		t.seq.Prefill(r.Prompt, nil)
 		t.prefillN += len(r.Prompt)
 	}
@@ -1369,11 +1348,6 @@ func (e *Engine) retire(t *task, round int64, err error) {
 	// headroom appears.
 	t.spilled = 0
 	if t.seq != nil {
-		if e.cfg.DecodeKVBits > 0 {
-			qr, fr := t.seq.KVQuantRuns()
-			e.mx.quantRuns.Add(qr)
-			e.mx.floatRuns.Add(fr)
-		}
 		if sel := t.seq.Selector(); sel != nil {
 			st := sel.Stats()
 			e.mx.metaAdopted.Add(st.MetaSegsAdopted)

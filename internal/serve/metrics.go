@@ -95,11 +95,6 @@ type Metrics struct {
 	BatchRounds                             int64
 	DecodeStreamsBatched, DecodeStreamsSolo int64
 	CohortSize                              LatencyStats
-	// Quantized-decode telemetry (Config.DecodeKVBits): page runs the
-	// attention kernels of retired sequences dispatched to the int8 path vs
-	// the float32 fallback (pages shared at conversion time, decode tails).
-	// Both stay zero on the exact path.
-	KVQuantRuns, KVFloatRuns int64
 	// Selector-metadata sharing, harvested from retired sequences' selectors
 	// (attention.SelStats): prefill pieces whose clustering was adopted from
 	// a shared KV page vs built by the request itself, and the prefill keys
@@ -145,10 +140,6 @@ func (m Metrics) String() string {
 			m.BatchRounds, m.DecodeStreamsBatched, m.DecodeStreamsSolo,
 			m.CohortSize.Mean, m.CohortSize.P50, m.CohortSize.Max)
 	}
-	if total := m.KVQuantRuns + m.KVFloatRuns; total > 0 {
-		fmt.Fprintf(&b, "kv quant: %d int8 page runs, %d f32 page runs (%.0f%% quantized)\n",
-			m.KVQuantRuns, m.KVFloatRuns, float64(m.KVQuantRuns)/float64(total)*100)
-	}
 	if keys := m.MetaKeysAdopted + m.MetaKeysBuilt; keys > 0 {
 		fmt.Fprintf(&b, "meta segments: %d adopted from shared pages, %d built; keys %d adopted, %d clustered (%.0f%% adopted)\n",
 			m.MetaSegsAdopted, m.MetaSegsBuilt, m.MetaKeysAdopted, m.MetaKeysBuilt,
@@ -160,9 +151,9 @@ func (m Metrics) String() string {
 			m.Transfer.BusySec*1e3, m.Transfer.ExposedSec*1e3,
 			m.Transfer.HiddenSec()*1e3, m.Transfer.HiddenFrac()*100)
 		if m.Transfer.PrefetchedPages > 0 {
-			fmt.Fprintf(&b, "prefetch:  %d pages issued, %d hit (%.0f%% hit rate), %d dropped\n",
+			fmt.Fprintf(&b, "prefetch:  %d pages issued, %d hit (%.0f%% hit rate)\n",
 				m.Transfer.PrefetchedPages, m.Transfer.PrefetchHits,
-				m.Transfer.PrefetchHitRate()*100, m.Transfer.PrefetchDropped)
+				m.Transfer.PrefetchHitRate()*100)
 		}
 	}
 	fmt.Fprintf(&b, "scheduler: %d rounds, mean queue depth %.2f, mean batch %.2f\n",
@@ -197,8 +188,6 @@ func (m Metrics) FillRegistry(reg *obs.Registry, labels ...obs.Label) {
 	cnt("clusterkv_serve_decode_batch_rounds_total", m.BatchRounds)
 	cnt("clusterkv_serve_decode_batched_streams_total", m.DecodeStreamsBatched)
 	cnt("clusterkv_serve_decode_solo_streams_total", m.DecodeStreamsSolo)
-	cnt("clusterkv_serve_kv_quant_runs_total", m.KVQuantRuns)
-	cnt("clusterkv_serve_kv_f32_runs_total", m.KVFloatRuns)
 	cnt("clusterkv_serve_meta_segments_adopted_total", m.MetaSegsAdopted)
 	cnt("clusterkv_serve_meta_segments_built_total", m.MetaSegsBuilt)
 	cnt("clusterkv_serve_meta_keys_adopted_total", m.MetaKeysAdopted)
@@ -221,7 +210,6 @@ func (m Metrics) FillRegistry(reg *obs.Registry, labels ...obs.Label) {
 	gauge("clusterkv_xfer_hidden_frac", m.Transfer.HiddenFrac())
 	cnt("clusterkv_xfer_prefetched_pages_total", m.Transfer.PrefetchedPages)
 	cnt("clusterkv_xfer_prefetch_hits_total", m.Transfer.PrefetchHits)
-	cnt("clusterkv_xfer_prefetch_dropped_total", m.Transfer.PrefetchDropped)
 	m.CohortSize.Fill(reg, "clusterkv_serve_decode_cohort_streams", labels)
 	m.TTFT.Fill(reg, "clusterkv_serve_ttft_seconds", labels)
 	m.TokenLatency.Fill(reg, "clusterkv_serve_token_latency_seconds", labels)
@@ -244,10 +232,8 @@ type engineMetrics struct {
 	submitted     atomic.Uint64
 	prefixEvicted atomic.Uint64
 	spilled       atomic.Int64
-	// quantized-decode run counters, harvested from each sequence's
-	// attention scratch at retirement (step workers run concurrently).
-	quantRuns, floatRuns atomic.Int64
-	// selector-metadata piece and key counters, harvested the same way.
+	// selector-metadata piece and key counters, harvested from each
+	// sequence's selector at retirement.
 	metaAdopted, metaBuilt         atomic.Int64
 	metaKeysAdopted, metaKeysBuilt atomic.Int64
 	// curQueued/curActive are the last round barrier's scheduler gauges,
@@ -395,8 +381,6 @@ func (e *Engine) Metrics() Metrics {
 		KVHostPeak:           e.kvUnits(x.hostPeak),
 		KVHostCapacity:       e.kvUnits(e.acct.HostCapacity()),
 		KVSpilled:            e.kvUnits(x.spilled.Load()),
-		KVQuantRuns:          x.quantRuns.Load(),
-		KVFloatRuns:          x.floatRuns.Load(),
 		MetaSegsAdopted:      x.metaAdopted.Load(),
 		MetaSegsBuilt:        x.metaBuilt.Load(),
 		MetaKeysAdopted:      x.metaKeysAdopted.Load(),

@@ -34,6 +34,7 @@ package serve
 
 import (
 	"errors"
+	"math"
 	"time"
 
 	"clusterkv/internal/attention"
@@ -79,6 +80,7 @@ type Request struct {
 	// Quest, ...). nil requests full attention.
 	NewSelector func() attention.Selector
 	// Temperature > 0 enables seeded softmax sampling; 0 decodes greedily.
+	// A negative, NaN or infinite temperature is rejected with ErrBadRequest.
 	Temperature float64
 }
 
@@ -148,6 +150,8 @@ func (r *Request) validate() error {
 	case r.MaxNewTokens <= 0:
 		return ErrBadRequest
 	case r.SharedPrefixLen < 0 || r.SharedPrefixLen >= len(r.Prompt):
+		return ErrBadRequest
+	case r.Temperature < 0 || math.IsNaN(r.Temperature) || math.IsInf(r.Temperature, 0):
 		return ErrBadRequest
 	}
 	return nil

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
 	"slices"
 	"testing"
 	"time"
@@ -344,6 +345,9 @@ func TestBadRequests(t *testing.T) {
 		{Prompt: []int{1, 2}, MaxNewTokens: 0},
 		{Prompt: []int{1, 2}, MaxNewTokens: 4, SharedPrefixLen: 2},
 		{Prompt: []int{1, 2}, MaxNewTokens: 4, SharedPrefixLen: -1},
+		{Prompt: []int{1, 2}, MaxNewTokens: 4, Temperature: -0.5},
+		{Prompt: []int{1, 2}, MaxNewTokens: 4, Temperature: math.NaN()},
+		{Prompt: []int{1, 2}, MaxNewTokens: 4, Temperature: math.Inf(1)},
 	}
 	for i, req := range cases {
 		if resp := e.Submit(req).Wait(); !errors.Is(resp.Err, ErrBadRequest) {
