@@ -66,14 +66,16 @@ bench-compare:
 	$(GO) run ./cmd/clusterkv-bench -exp $(BENCH_TRACKED) -json bench-out -compare .
 
 # Kernel conformance lane: the blocked/packed/fused decode kernel suites, the
-# prefill query block against per-query attention (FullBlock) and the vector
-# ≡ scalar suite (Vec: AVX2 kernels against the Go loops, the exp pin, the
-# fuzz seed corpus) at GOMAXPROCS=1 and at GOMAXPROCS=2 with the race
-# detector, locking the bit-identity contract of DESIGN.md §12 independently
-# of the scheduler.
+# query-block kernels against per-query calls (DotRowsBlock,
+# AddScaledRowsBlock), the prefill query block against per-query attention
+# (FullBlock) and the vector ≡ scalar suite (Vec: AVX2 kernels against the Go
+# loops, the exp pin and softmax on the AVX2 and the AVX-512 exp, the fuzz
+# seed corpus) at GOMAXPROCS=1 and at GOMAXPROCS=2 with the race detector,
+# locking the bit-identity contract of DESIGN.md §12 independently of the
+# scheduler.
 test-kernels:
-	GOMAXPROCS=1 $(GO) test -count=1 -run 'Blocked|DotRows|AddScaledRows|PackedMat|Fused|DecodeSteady|Vec|FullBlock' ./internal/tensor/ ./internal/attention/ ./internal/kvcache/ ./internal/model/
-	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'Blocked|DotRows|AddScaledRows|PackedMat|Fused|DecodeSteady|Vec|FullBlock' ./internal/tensor/ ./internal/attention/ ./internal/kvcache/ ./internal/model/
+	GOMAXPROCS=1 $(GO) test -count=1 -run 'Block|DotRows|AddScaledRows|PackedMat|Fused|DecodeSteady|Vec' ./internal/tensor/ ./internal/attention/ ./internal/kvcache/ ./internal/model/
+	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'Block|DotRows|AddScaledRows|PackedMat|Fused|DecodeSteady|Vec' ./internal/tensor/ ./internal/attention/ ./internal/kvcache/ ./internal/model/
 
 # Generic-path lanes: the scalar Go kernels are what every target but amd64
 # runs, so the packages that sit on them are tested with the vector path

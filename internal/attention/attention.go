@@ -86,11 +86,13 @@ func (sc *Scratch) FullN(out, q []float32, s *kvcache.Store, n int) {
 
 // FullBlock is FullN for nq consecutive prefill positions at once: query j —
 // q[j·stride:][:d] — attends the first n0+j tokens and writes out[j·stride:][:d].
-// Pages are the outer loop and the block's queries the inner one, in the score
-// pass and again in the weighted-sum pass, so a page is fetched once per block
-// instead of once per query while every query's DotRows, Softmax and
-// AddScaledRows calls are FullN's, in FullN's order: bit-identical to nq FullN
-// calls.
+// Pages are the outer loop, in the score pass and again in the weighted-sum
+// pass, so a page is fetched once per block instead of once per query. A page
+// every query sees whole is one DotRowsBlock and one AddScaledRowsBlock call
+// for the block; the causal diagonal page, where the queries' row counts
+// differ, is one DotRows and one AddScaledRows call per query. Each query's
+// scores, softmax and sums are therefore FullN's, in FullN's order:
+// bit-identical to nq FullN calls.
 func (sc *Scratch) FullBlock(out, q []float32, stride int, s *kvcache.Store, n0, nq int) {
 	d := s.HeadDim()
 	span := n0 + nq - 1 // tokens the last query sees; row j of scores uses n0+j of them
@@ -98,9 +100,13 @@ func (sc *Scratch) FullBlock(out, q []float32, stride int, s *kvcache.Store, n0,
 	inv := float32(1 / math.Sqrt(float64(d)))
 	for p, i := 0, 0; i < span; p++ {
 		keys, pageRows := s.KeyPage(p), s.PageRows(p)
-		for j := 0; j < nq; j++ {
-			if rows := min(pageRows, n0+j-i); rows > 0 {
-				tensor.DotRows(scores[j*span+i:j*span+i+rows], q[j*stride:j*stride+d], keys, d, inv)
+		if i+pageRows <= n0 {
+			tensor.DotRowsBlock(scores[i:], span, q, stride, nq, keys, pageRows, d, inv)
+		} else {
+			for j := 0; j < nq; j++ {
+				if rows := min(pageRows, n0+j-i); rows > 0 {
+					tensor.DotRows(scores[j*span+i:j*span+i+rows], q[j*stride:j*stride+d], keys, d, inv)
+				}
 			}
 		}
 		i += pageRows
@@ -111,9 +117,13 @@ func (sc *Scratch) FullBlock(out, q []float32, stride int, s *kvcache.Store, n0,
 	}
 	for p, i := 0, 0; i < span; p++ {
 		vals, pageRows := s.ValuePage(p), s.PageRows(p)
-		for j := 0; j < nq; j++ {
-			if rows := min(pageRows, n0+j-i); rows > 0 {
-				tensor.AddScaledRows(out[j*stride:j*stride+d], scores[j*span+i:j*span+i+rows], vals, d)
+		if i+pageRows <= n0 {
+			tensor.AddScaledRowsBlock(out, stride, scores[i:], span, nq, vals, pageRows, d)
+		} else {
+			for j := 0; j < nq; j++ {
+				if rows := min(pageRows, n0+j-i); rows > 0 {
+					tensor.AddScaledRows(out[j*stride:j*stride+d], scores[j*span+i:j*span+i+rows], vals, d)
+				}
 			}
 		}
 		i += pageRows

@@ -73,20 +73,32 @@ func TestFullBlockMatchesFullN(t *testing.T) {
 	}
 }
 
-// fullBench times Full over a 4224-token context of head dim 16 — one
-// (layer, head) of longctx_decode — walking `stores` stores in turn.
-func fullBench(b *testing.B, stores int) {
+// fullBench times attention over a 4224-token context of head dim 16 — one
+// (layer, head) of longctx_decode — walking `stores` stores in turn: Full when
+// nq is 0, else FullBlock for the nq queries that end the context, the block
+// shape of a prefix hit's prefill, reported per query.
+func fullBench(b *testing.B, stores, nq int) {
 	const n, d = 4224, 16
 	sts := make([]*kvcache.Store, stores)
 	for i := range sts {
 		sts[i] = conformanceStore(uint64(i+1), n, d)
 	}
-	q := conformanceQuery(9, d)
-	out := make([]float32, d)
+	var q []float32
+	for j := 0; j < max(nq, 1); j++ {
+		q = append(q, conformanceQuery(uint64(9+j), d)...)
+	}
+	out := make([]float32, len(q))
 	var sc attention.Scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sc.Full(out, q, sts[i%stores])
+		if nq == 0 {
+			sc.Full(out, q, sts[i%stores])
+		} else {
+			sc.FullBlock(out, q, d, sts[i%stores], n-nq+1, nq)
+		}
+	}
+	if nq > 0 {
+		b.ReportMetric(b.Elapsed().Seconds()*1e6/float64(b.N*nq), "us/query")
 	}
 }
 
@@ -95,6 +107,15 @@ func fullBench(b *testing.B, stores int) {
 // stores of a 4096-token sequence are 8.6 MB against 2 MB of L2, so by the time
 // a store's turn comes round again its pages have left the cache. The pair is
 // the in-situ reference for attention.full_us_l8192, which measures the first.
-func BenchmarkFullResident(b *testing.B) { fullBench(b, 1) }
+func BenchmarkFullResident(b *testing.B) { fullBench(b, 1, 0) }
 
-func BenchmarkFullStreaming16(b *testing.B) { fullBench(b, 16) }
+func BenchmarkFullStreaming16(b *testing.B) { fullBench(b, 16, 0) }
+
+// BenchmarkFullBlock1, 4 and 8 are one query block of a prefill over a
+// resident store: 1 is FullN's per-query kernels, 4 a prefix hit's pool block
+// at width 2, 8 prefillQueryBlock.
+func BenchmarkFullBlock1(b *testing.B) { fullBench(b, 1, 1) }
+
+func BenchmarkFullBlock4(b *testing.B) { fullBench(b, 1, 4) }
+
+func BenchmarkFullBlock8(b *testing.B) { fullBench(b, 1, 8) }

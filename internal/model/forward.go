@@ -202,8 +202,9 @@ func (s *Sequence) Selector() attention.Selector { return s.sel }
 
 // prefillQueryBlock is how many consecutive positions of a prefill attend
 // together (attention.Scratch.FullBlock), each KV page fetched once for all of
-// them. 8 of {4, 8, 16} on BenchmarkPrefill4kWorkers2: 16 adds under 4 % and
-// doubles the score scratch (EXPERIMENTS.md has the sweep).
+// them. 8 of {4, 8, 16} on BenchmarkPrefill4kWorkers2: with the multi-query
+// kernels 16 adds 3–7 % over 8 and doubles the score scratch (EXPERIMENTS.md
+// has the sweep).
 const prefillQueryBlock = 8
 
 // prefillScratch is the per-executor scratch of the position-parallel

@@ -99,3 +99,96 @@ func TestPackedMatVecBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// blockShape is one query block over one page of rows: nq queries of width d
+// at row stride xStride (wider than d where they are one head's slice of a
+// query matrix, as under GQA), m rows of a page that holds 64, and outputs at
+// row stride outStride.
+type blockShape struct{ d, nq, m, xStride, outStride int }
+
+func blockShapes() []blockShape {
+	var shapes []blockShape
+	for _, d := range []int{4, 7, 8, 12, 16, 32, 64, 128} {
+		for _, nq := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 13} {
+			for _, m := range []int{1, 7, 15, 16, 24, 37, 64} {
+				shapes = append(shapes,
+					blockShape{d, nq, m, d, m},
+					blockShape{d, nq, m, 4*d + 3, m + 11})
+			}
+		}
+	}
+	return shapes
+}
+
+// poisoned returns n values with NaN in every position a block call must not
+// write: each output row past its first width elements.
+func poisoned(r *rng.RNG, n, stride, width int) []float32 {
+	out := randSlice(r, n)
+	for i := range out {
+		if i%stride >= width {
+			out[i] = float32(math.NaN())
+		}
+	}
+	return out
+}
+
+func expectBlockBits(t *testing.T, what string, sh blockShape, j int, got, want []float32) {
+	t.Helper()
+	for c := range want {
+		if math.Float32bits(got[c]) != math.Float32bits(want[c]) {
+			t.Fatalf("%s %+v: query %d element %d = %v, per-query call gives %v", what, sh, j, c, got[c], want[c])
+		}
+	}
+}
+
+func TestDotRowsBlockMatchesPerQuery(t *testing.T) {
+	for _, sh := range blockShapes() {
+		r := rng.New(uint64(sh.d*1e4 + sh.nq*100 + sh.m))
+		page := randSlice(r, 64*sh.d) // a partial page holds m of its 64 rows
+		rows := page[:sh.m*sh.d]
+		xs := randSlice(r, (sh.nq-1)*sh.xStride+sh.d)
+		dst := poisoned(r, sh.nq*sh.outStride, sh.outStride, sh.m)
+		tensor.DotRowsBlock(dst, sh.outStride, xs, sh.xStride, sh.nq, rows, sh.m, sh.d, 0.25)
+		want := make([]float32, sh.m)
+		for j := 0; j < sh.nq; j++ {
+			tensor.DotRows(want, xs[j*sh.xStride:j*sh.xStride+sh.d], rows, sh.d, 0.25)
+			expectBlockBits(t, "DotRowsBlock", sh, j, dst[j*sh.outStride:], want)
+			for c := sh.m; c < sh.outStride; c++ {
+				if v := dst[j*sh.outStride+c]; v == v {
+					t.Fatalf("DotRowsBlock %+v: query %d wrote past its %d scores", sh, j, sh.m)
+				}
+			}
+		}
+	}
+}
+
+func TestAddScaledRowsBlockMatchesPerQuery(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	for _, sh := range blockShapes() {
+		r := rng.New(uint64(sh.d*1e4 + sh.nq*100 + sh.m + 7))
+		page := randSlice(r, 64*sh.d)
+		rows := page[:sh.m*sh.d]
+		// Weights are a score matrix (row stride outStride ≥ m) with the exact
+		// zeros of softmax underflow and a -0 among them.
+		w := randSlice(r, (sh.nq-1)*sh.outStride+sh.m)
+		for i := 0; i < len(w); i += 3 {
+			w[i] = 0
+		}
+		for i := 1; i < len(w); i += 7 {
+			w[i] = negZero
+		}
+		out := poisoned(r, sh.nq*sh.xStride, sh.xStride, sh.d)
+		before := append([]float32(nil), out...)
+		tensor.AddScaledRowsBlock(out, sh.xStride, w, sh.outStride, sh.nq, rows, sh.m, sh.d)
+		for j := 0; j < sh.nq; j++ {
+			want := append([]float32(nil), before[j*sh.xStride:j*sh.xStride+sh.d]...)
+			tensor.AddScaledRows(want, w[j*sh.outStride:j*sh.outStride+sh.m], rows, sh.d)
+			expectBlockBits(t, "AddScaledRowsBlock", sh, j, out[j*sh.xStride:], want)
+			for c := sh.d; c < sh.xStride && j*sh.xStride+c < len(out); c++ {
+				if v := out[j*sh.xStride+c]; v == v {
+					t.Fatalf("AddScaledRowsBlock %+v: query %d wrote past its %d channels", sh, j, sh.d)
+				}
+			}
+		}
+	}
+}

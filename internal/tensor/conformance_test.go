@@ -204,7 +204,7 @@ func TestMatTVecZeroRowsClearsDst(t *testing.T) {
 // TestVecPath reports which kernels this build and CPU run: the AVX2 path
 // (vec_amd64.s) or the Go loops.
 func TestVecPath(t *testing.T) {
-	t.Logf("tensor kernels: useVec=%v", useVec)
+	t.Logf("tensor kernels: useVec=%v useExp8=%v", useVec, useExp8)
 }
 
 func sprintShape(op string, m, k, n, width int) string {

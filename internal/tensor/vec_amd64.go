@@ -41,6 +41,31 @@ func scaleAVX2(x *float32, n int, a float32)
 //go:noescape
 func expSumAVX2(x *float32, n int, max, sum float32) float32
 
+// useExp8 picks the 8-lane exp kernel for Softmax: AVX-512F with OS-saved
+// ZMM state, on top of useVec. Tests turn it off to check the AVX2 kernel on
+// the same machine.
+var useExp8 = useVec && cpuHasAVX512()
+
+func cpuHasAVX512() bool
+
+//go:noescape
+func expSumAVX512(x *float32, n int, max, sum float32) float32
+
+//go:noescape
+func dotRowsBlockAVX2(dsts, xs **float32, nq int, rows *float32, m, d int, scale float32)
+
+//go:noescape
+func axpyRowsBlockAVX2(outs, ws **float32, nq int, rows *float32, m, n, stride int)
+
+// blockQueries is how many queries one call of a block kernel takes, through
+// pointer lists padded to a multiple of four by repeating the last query: a
+// repeat computes the same bits into the same place.
+const blockQueries = 8
+
+// blockDotMaxDim is the widest row dotRowsBlockAVX2 takes: sixteen
+// transposed rows of 64 channels fill its 4 KB frame.
+const blockDotMaxDim = 64
+
 // vecBlock is the weight footprint, in float32s (32 KB), of one row block of
 // the batched kernels: a block is applied to every stream while it is
 // cache-resident, so the weights stream from memory once per round.
@@ -100,8 +125,7 @@ func dotRowsAt(dst, x, rows []float32, idx []int, base, d int, scale float32) {
 // Needs useVec and len(w) > 0. The zero-weight skip of the scalar loops is
 // not reproduced: for finite rows a zero weight adds an exact zero.
 func axpyRows(out, w, rows []float32, idx []int, base, stride int) {
-	n := len(out)
-	n8 := n &^ 7
+	n8 := len(out) &^ 7
 	if n8 > 0 {
 		if idx == nil {
 			axpyRowsAVX2(&out[0], n8, &w[0], len(w), &rows[0], stride)
@@ -109,10 +133,16 @@ func axpyRows(out, w, rows []float32, idx []int, base, stride int) {
 			axpyRowsIdxAVX2(&out[0], n8, &w[0], &idx[0], len(w), base, &rows[0], stride)
 		}
 	}
-	if n8 == n {
+	axpyTail(out, w, rows, idx, base, stride, n8)
+}
+
+// axpyTail is axpyRows' scalar loop over the channels [from, len(out)).
+func axpyTail(out, w, rows []float32, idx []int, base, stride, from int) {
+	n := len(out)
+	if from == n {
 		return
 	}
-	tail := out[n8:]
+	tail := out[from:]
 	for i, wi := range w {
 		if wi == 0 {
 			continue
@@ -121,10 +151,50 @@ func axpyRows(out, w, rows []float32, idx []int, base, stride int) {
 		if idx != nil {
 			r = idx[i] - base
 		}
-		row := rows[r*stride+n8 : r*stride+n]
+		row := rows[r*stride+from : r*stride+n]
 		for j, v := range row {
 			tail[j] += wi * v
 		}
+	}
+}
+
+func dotRowsBlock(dst []float32, dstStride int, xs []float32, xStride, nq int, rows []float32, m, d int, scale float32) {
+	m16 := m &^ 15
+	if !useVec || nq < 2 || m16 == 0 || d%4 != 0 || d > blockDotMaxDim {
+		dotRowsBlockLoop(dst, dstStride, xs, xStride, nq, rows, m, d, scale)
+		return
+	}
+	var dp, xp [blockQueries]*float32
+	for j0 := 0; j0 < nq; j0 += blockQueries {
+		k := min(blockQueries, nq-j0)
+		for t := range dp {
+			j := j0 + min(t, k-1)
+			dp[t], xp[t] = &dst[j*dstStride], &xs[j*xStride]
+		}
+		dotRowsBlockAVX2(&dp[0], &xp[0], (k+3)&^3, &rows[0], m16, d, scale)
+	}
+	if m16 < m {
+		dotRowsBlockLoop(dst[m16:], dstStride, xs, xStride, nq, rows[m16*d:], m-m16, d, scale)
+	}
+}
+
+func addScaledRowsBlock(out []float32, outStride int, w []float32, wStride, nq int, rows []float32, m, d int) {
+	if !useVec || nq < 2 || d < 8 {
+		addScaledRowsBlockLoop(out, outStride, w, wStride, nq, rows, m, d)
+		return
+	}
+	d8 := d &^ 7
+	var op, wp [blockQueries]*float32
+	for j0 := 0; j0 < nq; j0 += blockQueries {
+		k := min(blockQueries, nq-j0)
+		for t := range op {
+			j := j0 + min(t, k-1)
+			op[t], wp[t] = &out[j*outStride], &w[j*wStride]
+		}
+		axpyRowsBlockAVX2(&op[0], &wp[0], (k+3)&^3, &rows[0], m, d8, d)
+	}
+	for j := 0; d8 < d && j < nq; j++ {
+		axpyTail(out[j*outStride:j*outStride+d], w[j*wStride:j*wStride+m], rows, nil, 0, d, d8)
 	}
 }
 
@@ -232,7 +302,15 @@ func softmax(x []float32) {
 		return
 	}
 	n4 := n &^ 3
-	sum := expSumAVX2(&x[0], n4, maxv, 0)
+	var sum float32
+	wide := 0 // elements the 8-lane kernel took
+	if useExp8 {
+		wide = n &^ 7
+		sum = expSumAVX512(&x[0], wide, maxv, 0)
+	}
+	if wide < n4 {
+		sum = expSumAVX2(&x[wide], n4-wide, maxv, sum)
+	}
 	for i := n4; i < n; i++ {
 		e := float32(math.Exp(float64(x[i] - maxv)))
 		x[i] = e

@@ -43,13 +43,12 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
-// DOT8CHUNK adds one 4-channel chunk (byte offset AX) of the eight rows at
-// R8..R15 into the eight dot products of Y0, x at SI. Lanes are rows: the
-// chunk is loaded as (row k | row k+4), transposed inside the 128-bit lanes
-// (unpack gives a0 b0 a1 b1 / a2 b2 a3 b3, the shuffles one channel of rows
-// 0-3 | 4-7 each), and the four channels are added in ascending order, so
-// every lane runs its row's scalar loop. Clobbers Y1-Y9.
-#define DOT8CHUNK \
+// TRANS8CHUNK transposes one 4-channel chunk (byte offset AX) of the eight
+// rows at R8..R15 into Y1..Y4, one channel each with the rows in the lanes:
+// the chunk is loaded as (row k | row k+4) and transposed inside the 128-bit
+// lanes (unpack gives a0 b0 a1 b1 / a2 b2 a3 b3, the shuffles one channel of
+// rows 0-3 | 4-7 each). Clobbers Y5-Y8.
+#define TRANS8CHUNK \
 	VMOVUPS     (R8)(AX*1), X1; \
 	VINSERTF128 $1, (R12)(AX*1), Y1, Y1; \
 	VMOVUPS     (R9)(AX*1), X2; \
@@ -65,7 +64,14 @@ no:
 	VSHUFPS     $0x44, Y7, Y5, Y1; \
 	VSHUFPS     $0xEE, Y7, Y5, Y2; \
 	VSHUFPS     $0x44, Y8, Y6, Y3; \
-	VSHUFPS     $0xEE, Y8, Y6, Y4; \
+	VSHUFPS     $0xEE, Y8, Y6, Y4
+
+// DOT8CHUNK adds one 4-channel chunk (byte offset AX) of the eight rows at
+// R8..R15 into the eight dot products of Y0, x at SI. Lanes are rows, and the
+// four channels are added in ascending order, so every lane runs its row's
+// scalar loop. Clobbers Y1-Y9.
+#define DOT8CHUNK \
+	TRANS8CHUNK; \
 	VBROADCASTSS (SI)(AX*1), Y9; \
 	VMULPS      Y1, Y9, Y1; \
 	VADDPS      Y1, Y0, Y0; \
@@ -79,6 +85,16 @@ no:
 	VMULPS      Y4, Y9, Y4; \
 	VADDPS      Y4, Y0, Y0
 
+// ROWS8 points R9..R15 at the seven rows after R8, CX bytes apart.
+#define ROWS8 \
+	LEAQ (R8)(CX*1), R9; \
+	LEAQ (R9)(CX*1), R10; \
+	LEAQ (R10)(CX*1), R11; \
+	LEAQ (R11)(CX*1), R12; \
+	LEAQ (R12)(CX*1), R13; \
+	LEAQ (R13)(CX*1), R14; \
+	LEAQ (R14)(CX*1), R15
+
 // func dotRowsAVX2(dst, x, rows *float32, m, d int, scale float32)
 //
 // dst[r] = scale·<x, rows[r·d : (r+1)·d]> for r in [0, m); m%8 == 0, m > 0.
@@ -91,13 +107,7 @@ TEXT ·dotRowsAVX2(SB), NOSPLIT, $0-44
 	SHLQ $2, CX
 	VBROADCASTSS scale+40(FP), Y10
 group:
-	LEAQ (R8)(CX*1), R9
-	LEAQ (R9)(CX*1), R10
-	LEAQ (R10)(CX*1), R11
-	LEAQ (R11)(CX*1), R12
-	LEAQ (R12)(CX*1), R13
-	LEAQ (R13)(CX*1), R14
-	LEAQ (R14)(CX*1), R15
+	ROWS8
 	VXORPS Y0, Y0, Y0
 	XORQ   AX, AX
 chunk:
@@ -156,6 +166,125 @@ chunk:
 	ADDQ    $64, DX
 	SUBQ    $8, BX
 	JGT     group
+	VZEROUPPER
+	RET
+
+// TRANS8STORE transposes the eight rows at R8 (ROWS8 sets the rest) into the
+// frame at BX, channel c at 64·c(BX); loop names the macro's label. Clobbers
+// AX, BX, Y1-Y8.
+#define TRANS8STORE(loop) \
+	ROWS8; \
+	XORQ AX, AX; \
+loop: \
+	TRANS8CHUNK; \
+	VMOVUPS Y1, (BX); \
+	VMOVUPS Y2, 64(BX); \
+	VMOVUPS Y3, 128(BX); \
+	VMOVUPS Y4, 192(BX); \
+	ADDQ $256, BX; \
+	ADDQ $16, AX; \
+	CMPQ AX, CX; \
+	JLT  loop
+
+// SCORE1 adds channel AX + xoff of the four queries at R8..R11 times the
+// transposed channel at BX + toff (rows 0-7 | 8-15) into Y8..Y11 | Y12..Y15.
+#define SCORE1(xoff, toff) \
+	VMOVUPS      (toff)(BX), Y0; \
+	VMOVUPS      (toff+32)(BX), Y1; \
+	VBROADCASTSS (xoff)(R8)(AX*1), Y2; \
+	VMULPS       Y0, Y2, Y3; \
+	VADDPS       Y3, Y8, Y8; \
+	VMULPS       Y1, Y2, Y2; \
+	VADDPS       Y2, Y12, Y12; \
+	VBROADCASTSS (xoff)(R9)(AX*1), Y2; \
+	VMULPS       Y0, Y2, Y3; \
+	VADDPS       Y3, Y9, Y9; \
+	VMULPS       Y1, Y2, Y2; \
+	VADDPS       Y2, Y13, Y13; \
+	VBROADCASTSS (xoff)(R10)(AX*1), Y2; \
+	VMULPS       Y0, Y2, Y3; \
+	VADDPS       Y3, Y10, Y10; \
+	VMULPS       Y1, Y2, Y2; \
+	VADDPS       Y2, Y14, Y14; \
+	VBROADCASTSS (xoff)(R11)(AX*1), Y2; \
+	VMULPS       Y0, Y2, Y3; \
+	VADDPS       Y3, Y11, Y11; \
+	VMULPS       Y1, Y2, Y2; \
+	VADDPS       Y2, Y15, Y15
+
+// STORE2 scales and stores query k's sixteen scores, Y(lo) | Y(hi), at byte
+// offset DI of dsts[j+k]; SI is dsts, R12 is 8·j, Y0 the scale.
+#define STORE2(k, lo, hi) \
+	MOVQ    (k*8)(SI)(R12*1), R14; \
+	VMULPS  Y0, lo, lo; \
+	VMULPS  Y0, hi, hi; \
+	VMOVUPS lo, (R14)(DI*1); \
+	VMOVUPS hi, 32(R14)(DI*1)
+
+// func dotRowsBlockAVX2(dsts, xs **float32, nq int, rows *float32, m, d int, scale float32)
+//
+// dsts[j][r] = scale·<xs[j], rows[r·d : (r+1)·d]> for j in [0, nq) and r in
+// [0, m); nq%4 == 0, nq > 0, m%16 == 0, m > 0, d%4 == 0, 0 < d ≤ 64. Sixteen
+// rows at a time are transposed once, into the frame (channel c of rows 0-7
+// | 8-15 at 64·c | 64·c+32), and every query is then scored against them
+// with broadcasts, VMULPS and VADDPS alone: four queries by two 8-row groups
+// are eight independent chains, each adding its channels in ascending order
+// as dotRowsAVX2's lanes do.
+TEXT ·dotRowsBlockAVX2(SB), $4096-52
+	MOVQ rows+24(FP), R8
+	MOVQ d+40(FP), CX
+	SHLQ $2, CX
+	XORQ DI, DI // byte offset of the sixteen rows in every dst
+rows16:
+	LEAQ (SP), BX
+	TRANS8STORE(trans0)
+	LEAQ (R15)(CX*1), R8
+	LEAQ 32(SP), BX
+	TRANS8STORE(trans1)
+	LEAQ (R15)(CX*1), R13 // the next sixteen rows
+	XORQ R12, R12
+batch:
+	MOVQ xs+8(FP), SI
+	MOVQ (SI)(R12*1), R8
+	MOVQ 8(SI)(R12*1), R9
+	MOVQ 16(SI)(R12*1), R10
+	MOVQ 24(SI)(R12*1), R11
+	VXORPS Y8, Y8, Y8
+	VXORPS Y9, Y9, Y9
+	VXORPS Y10, Y10, Y10
+	VXORPS Y11, Y11, Y11
+	VXORPS Y12, Y12, Y12
+	VXORPS Y13, Y13, Y13
+	VXORPS Y14, Y14, Y14
+	VXORPS Y15, Y15, Y15
+	LEAQ (SP), BX
+	XORQ AX, AX
+chan:
+	SCORE1(0, 0)
+	SCORE1(4, 64)
+	SCORE1(8, 128)
+	SCORE1(12, 192)
+	ADDQ $256, BX
+	ADDQ $16, AX
+	CMPQ AX, CX
+	JLT  chan
+	VBROADCASTSS scale+48(FP), Y0
+	MOVQ dsts+0(FP), SI
+	STORE2(0, Y8, Y12)
+	STORE2(1, Y9, Y13)
+	STORE2(2, Y10, Y14)
+	STORE2(3, Y11, Y15)
+	ADDQ $32, R12
+	MOVQ nq+16(FP), R14
+	SHLQ $3, R14
+	CMPQ R12, R14
+	JLT  batch
+	MOVQ R13, R8
+	ADDQ $64, DI
+	MOVQ m+32(FP), R14
+	SHLQ $2, R14
+	CMPQ DI, R14
+	JLT  rows16
 	VZEROUPPER
 	RET
 
@@ -279,6 +408,137 @@ TEXT ·axpyRowsIdxAVX2(SB), NOSPLIT, $0-64
 	MOVQ stride+56(FP), R8
 	SHLQ $2, R8
 	AXPYROWS(ROWIDX)
+
+// AXPYQ adds w[i]·(Y0 | Y1), w at wreg and i in AX, into one query's
+// accumulators lo | hi; AXPYQ1 is its 8-channel half.
+#define AXPYQ(wreg, lo, hi) \
+	VBROADCASTSS (wreg)(AX*4), Y2; \
+	VMULPS       Y0, Y2, Y3; \
+	VADDPS       Y3, lo, lo; \
+	VMULPS       Y1, Y2, Y2; \
+	VADDPS       Y2, hi, hi
+
+#define AXPYQ1(wreg, acc) \
+	VBROADCASTSS (wreg)(AX*4), Y2; \
+	VMULPS       Y0, Y2, Y2; \
+	VADDPS       Y2, acc, acc
+
+// LOADQ and STOREQ move query k's 8-channel accumulator (LOADQ2 and STOREQ2
+// its 16-channel pair) from and to channel byte offset CX of outs[j+k]; SI is
+// outs, DI is 8·j.
+#define LOADQ(k, reg) \
+	MOVQ    (k*8)(SI)(DI*1), R12; \
+	VMOVUPS (R12)(CX*1), reg
+
+#define LOADQ2(k, lo, hi) \
+	MOVQ    (k*8)(SI)(DI*1), R12; \
+	VMOVUPS (R12)(CX*1), lo; \
+	VMOVUPS 32(R12)(CX*1), hi
+
+#define STOREQ(k, reg) \
+	MOVQ    (k*8)(SI)(DI*1), R12; \
+	VMOVUPS reg, (R12)(CX*1)
+
+#define STOREQ2(k, lo, hi) \
+	MOVQ    (k*8)(SI)(DI*1), R12; \
+	VMOVUPS lo, (R12)(CX*1); \
+	VMOVUPS hi, 32(R12)(CX*1)
+
+// func axpyRowsBlockAVX2(outs, ws **float32, nq int, rows *float32, m, n, stride int)
+//
+// outs[j][c] += Σ_i ws[j][i]·rows[i·stride + c] for j in [0, nq) and c in
+// [0, n), rows i ascending; nq%4 == 0, nq > 0, n%8 == 0, n > 0, m > 0. Four
+// queries at a time hold a 16-channel block each (an 8-channel one for the
+// last block of an odd n/8) in registers while the rows stream past, so a row
+// is loaded once for four outputs and every out[c] adds its products in row
+// order, as axpyRowsAVX2's lanes do.
+TEXT ·axpyRowsBlockAVX2(SB), NOSPLIT, $0-56
+	// WPTRS points R8..R11 at ws[j..j+3], DI being 8·j.
+#define WPTRS \
+	MOVQ ws+8(FP), SI; \
+	MOVQ (SI)(DI*1), R8; \
+	MOVQ 8(SI)(DI*1), R9; \
+	MOVQ 16(SI)(DI*1), R10; \
+	MOVQ 24(SI)(DI*1), R11
+
+	MOVQ m+32(FP), R14
+	MOVQ n+40(FP), R15
+	SHLQ $2, R15
+	MOVQ stride+48(FP), DX
+	SHLQ $2, DX
+	MOVQ nq+16(FP), R13
+	SHLQ $3, R13
+	XORQ CX, CX // channel byte offset of the block
+c16:
+	MOVQ R15, BX
+	SUBQ CX, BX
+	CMPQ BX, $64
+	JLT  c8
+	XORQ DI, DI
+b16:
+	WPTRS
+	MOVQ outs+0(FP), SI
+	LOADQ2(0, Y8, Y9)
+	LOADQ2(1, Y10, Y11)
+	LOADQ2(2, Y12, Y13)
+	LOADQ2(3, Y14, Y15)
+	MOVQ rows+24(FP), BX
+	ADDQ CX, BX
+	XORQ AX, AX
+r16:
+	VMOVUPS (BX), Y0
+	VMOVUPS 32(BX), Y1
+	AXPYQ(R8, Y8, Y9)
+	AXPYQ(R9, Y10, Y11)
+	AXPYQ(R10, Y12, Y13)
+	AXPYQ(R11, Y14, Y15)
+	ADDQ DX, BX
+	INCQ AX
+	CMPQ AX, R14
+	JLT  r16
+	STOREQ2(0, Y8, Y9)
+	STOREQ2(1, Y10, Y11)
+	STOREQ2(2, Y12, Y13)
+	STOREQ2(3, Y14, Y15)
+	ADDQ $32, DI
+	CMPQ DI, R13
+	JLT  b16
+	ADDQ $64, CX
+	JMP  c16
+c8:
+	CMPQ BX, $32
+	JLT  done
+	XORQ DI, DI
+b8:
+	WPTRS
+	MOVQ outs+0(FP), SI
+	LOADQ(0, Y8)
+	LOADQ(1, Y9)
+	LOADQ(2, Y10)
+	LOADQ(3, Y11)
+	MOVQ rows+24(FP), BX
+	ADDQ CX, BX
+	XORQ AX, AX
+r8:
+	VMOVUPS (BX), Y0
+	AXPYQ1(R8, Y8)
+	AXPYQ1(R9, Y9)
+	AXPYQ1(R10, Y10)
+	AXPYQ1(R11, Y11)
+	ADDQ DX, BX
+	INCQ AX
+	CMPQ AX, R14
+	JLT  r8
+	STOREQ(0, Y8)
+	STOREQ(1, Y9)
+	STOREQ(2, Y10)
+	STOREQ(3, Y11)
+	ADDQ $32, DI
+	CMPQ DI, R13
+	JLT  b8
+done:
+	VZEROUPPER
+	RET
 
 // func panelDotAVX2(dst, x, panels *float32, np, cols int)
 //
@@ -509,6 +769,104 @@ block:
 	VADDSS    X1, X5, X5
 	ADDQ      $16, SI
 	SUBQ      $4, CX
+	JGT       block
+	VMOVSS    X5, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// func cpuHasAVX512() bool
+//
+// AVX-512F ∧ OS-saved opmask and ZMM state. Called only where cpuHasAVX2FMA
+// holds, which has checked for CPUID leaf 7 and OSXSAVE.
+TEXT ·cpuHasAVX512(SB), NOSPLIT, $0-1
+	MOVL $7, AX
+	MOVL $0, CX
+	CPUID
+	BTL  $16, BX // AVX512F
+	JCC  no
+	MOVL $0, CX
+	XGETBV
+	ANDL $0xe6, AX // XMM, YMM, opmask, upper ZMM0-15, ZMM16-31
+	CMPL AX, $0xe6
+	JNE  no
+	MOVB $1, ret+0(FP)
+	RET
+no:
+	MOVB $0, ret+0(FP)
+	RET
+
+// func expSumAVX512(x *float32, n int, max, sum float32) float32
+//
+// expSumAVX2 on eight float64 lanes: the same instruction sequence per lane,
+// with the constants and Horner coefficients in Z7-Z21. n%8 == 0, n > 0. The
+// -104 clamp is the zeroing mask K1 of the final conversion. The float32 sum
+// is still carried serially, in lane order, by scalar adds that read the
+// stored block back: the serial chain is this kernel's floor, and lane
+// shuffles feeding it would compete with the 512-bit arithmetic for a port.
+TEXT ·expSumAVX512(SB), NOSPLIT, $0-28
+	MOVQ x+0(FP), SI
+	MOVQ n+8(FP), CX
+	VBROADCASTSS max+16(FP), Y6
+	VMOVSS sum+20(FP), X5
+	VBROADCASTSD expk<>+0(SB), Z15
+	VBROADCASTSD expk<>+8(SB), Z14
+	VBROADCASTSD expk<>+16(SB), Z13
+	VBROADCASTSD expk<>+24(SB), Z12
+	VBROADCASTSD expk<>+32(SB), Z11
+	VBROADCASTSD expk<>+40(SB), Z10
+	VBROADCASTSD expk<>+48(SB), Z9
+	VBROADCASTSD expk<>+56(SB), Z8
+	VPBROADCASTQ expk<>+64(SB), Z7
+	VBROADCASTSD exph<>+0(SB), Z16
+	VBROADCASTSD exph<>+32(SB), Z17
+	VBROADCASTSD exph<>+64(SB), Z18
+	VBROADCASTSD exph<>+96(SB), Z19
+	VBROADCASTSD exph<>+128(SB), Z20
+	VBROADCASTSD exph<>+160(SB), Z21
+block:
+	VMOVUPS   (SI), Y0
+	VSUBPS    Y6, Y0, Y0
+	VCVTPS2PD Y0, Z0
+	VCMPPD    $0x15, Z8, Z0, K1 // not x < -104
+	VMULPD    Z15, Z0, Z1
+	VCVTPD2DQ Z1, Y2 // k = round(x·log2e)
+	VCVTDQ2PD Y2, Z1
+	VFNMADD231PD Z14, Z1, Z0 // x -= k·LN2U
+	VFNMADD231PD Z13, Z1, Z0 // x -= k·LN2L
+	VMULPD    Z12, Z0, Z0
+	VMOVAPD   Z11, Z1
+	VFMADD213PD Z16, Z0, Z1
+	VFMADD213PD Z17, Z0, Z1
+	VFMADD213PD Z18, Z0, Z1
+	VFMADD213PD Z19, Z0, Z1
+	VFMADD213PD Z20, Z0, Z1
+	VFMADD213PD Z21, Z0, Z1
+	VFMADD213PD Z10, Z0, Z1
+	VMULPD    Z1, Z0, Z0
+	VADDPD    Z9, Z0, Z1
+	VMULPD    Z1, Z0, Z0
+	VADDPD    Z9, Z0, Z1
+	VMULPD    Z1, Z0, Z0
+	VADDPD    Z9, Z0, Z1
+	VMULPD    Z1, Z0, Z0
+	VADDPD    Z9, Z0, Z1
+	VFMADD213PD Z10, Z1, Z0
+	VPMOVSXDQ Y2, Z4
+	VPADDQ    Z7, Z4, Z4
+	VPSLLQ    $52, Z4, Z4 // 2^k
+	VMULPD    Z4, Z0, Z0
+	VCVTPD2PS.Z Z0, K1, Y0
+	VMOVUPS   Y0, (SI)
+	VADDSS    (SI), X5, X5
+	VADDSS    4(SI), X5, X5
+	VADDSS    8(SI), X5, X5
+	VADDSS    12(SI), X5, X5
+	VADDSS    16(SI), X5, X5
+	VADDSS    20(SI), X5, X5
+	VADDSS    24(SI), X5, X5
+	VADDSS    28(SI), X5, X5
+	ADDQ      $32, SI
+	SUBQ      $8, CX
 	JGT       block
 	VMOVSS    X5, ret+24(FP)
 	VZEROUPPER

@@ -27,6 +27,31 @@ func needVec(t testing.TB) {
 	}
 }
 
+// expKernel is one exp kernel of Softmax, with the useExp8 setting that
+// dispatches to it.
+type expKernel struct {
+	name string
+	wide bool
+	fn   func(x *float32, n int, max, sum float32) float32
+}
+
+// expKernels are the exp kernels this CPU runs: the AVX2 one always, the
+// 8-lane one where init's CPUID check chose it.
+var expKernels = func() []expKernel {
+	ks := []expKernel{{"avx2", false, expSumAVX2}}
+	if useExp8 {
+		ks = append(ks, expKernel{"avx512", true, expSumAVX512})
+	}
+	return ks
+}()
+
+// withExp runs fn with Softmax dispatching to k's exp kernel.
+func withExp(k expKernel, fn func()) {
+	defer func(saved bool) { useExp8 = saved }(useExp8)
+	useExp8 = k.wide
+	fn()
+}
+
 // oddSlice returns n random values at an odd element offset of a larger
 // allocation, so kernels see pointers that are not 16- or 32-byte aligned,
 // with a poisoned guard element on both sides.
@@ -217,36 +242,42 @@ func TestVecMatKernels(t *testing.T) {
 	}
 }
 
+// TestVecSoftmax runs on every exp kernel: lengths 12 and 13 leave the
+// 8-lane kernel a 4-element block for the AVX2 one.
 func TestVecSoftmax(t *testing.T) {
 	needVec(t)
 	inf := float32(math.Inf(1))
 	nan := float32(math.NaN())
-	for _, n := range []int{1, 7, 8, 9, 11, 12, 13, 64, 100, 1023, 4096} {
-		for _, spread := range []float32{1, 10, 40, 200, 1e6, 3e38} {
-			r := rng.New(uint64(n) + uint64(spread))
-			x := oddSlice(r, n)
-			for i := range x {
-				x[i] *= spread
-			}
-			for _, special := range [][]float32{nil, {0, float32(math.Copysign(0, -1))}, {nan}, {inf}, {-inf}, {-inf, nan, inf}} {
-				got := append([]float32(nil), x...)
-				for i, v := range special {
-					got[(i*5+n/2)%n] = v
+	for _, k := range expKernels {
+		withExp(k, func() {
+			for _, n := range []int{1, 7, 8, 9, 11, 12, 13, 64, 100, 1023, 4096, 4228} {
+				for _, spread := range []float32{1, 10, 40, 200, 1e6, 3e38} {
+					r := rng.New(uint64(n) + uint64(spread))
+					x := oddSlice(r, n)
+					for i := range x {
+						x[i] *= spread
+					}
+					for _, special := range [][]float32{nil, {0, float32(math.Copysign(0, -1))}, {nan}, {inf}, {-inf}, {-inf, nan, inf}} {
+						got := append([]float32(nil), x...)
+						for i, v := range special {
+							got[(i*5+n/2)%n] = v
+						}
+						want := append([]float32(nil), got...)
+						softmax(got)
+						softmaxGo(want)
+						expectBitsEqual(t, k.name+" "+sprintShape("softmax", n, int(spread), len(special), 0), got, want)
+					}
 				}
-				want := append([]float32(nil), got...)
-				softmax(got)
-				softmaxGo(want)
-				expectBitsEqual(t, sprintShape("softmax", n, int(spread), len(special), 0), got, want)
 			}
-		}
+		})
 	}
 }
 
-// TestVecExpPin pins expSumAVX2 to float32(math.Exp(float64(x))) over the
-// whole input range of a softmax, [-105, 0] (below -104 both are +0): every
-// 37th float32 with -short, every one without. It is the test that fails if a
-// Go release changes math.archExp, whose instruction sequence the kernel
-// replicates.
+// TestVecExpPin pins every exp kernel (expSumAVX2, and expSumAVX512 where the
+// CPU has it) to float32(math.Exp(float64(x))) over the whole input range of
+// a softmax, [-105, 0] (below -104 both are +0): every 37th float32 with
+// -short, every one without. It is the test that fails if a Go release
+// changes math.archExp, whose instruction sequence the kernels replicate.
 func TestVecExpPin(t *testing.T) {
 	needVec(t)
 	step := uint32(1)
@@ -254,20 +285,23 @@ func TestVecExpPin(t *testing.T) {
 		step = 37
 	}
 	lo, hi := math.Float32bits(float32(math.Copysign(0, -1))), math.Float32bits(-105)
-	// Four bit-pattern ranges checked as parallel subtests.
+	// Four bit-pattern ranges checked as parallel subtests, each on every
+	// kernel.
 	const parts = 4
 	span := (hi - lo + parts) / parts
 	for p := uint32(0); p < parts; p++ {
 		from, to := lo+p*span, min(lo+(p+1)*span-1, hi)
 		t.Run(itoa(int(p)), func(t *testing.T) {
 			t.Parallel()
-			expPinRange(t, from, to, step)
+			for _, k := range expKernels {
+				expPinRange(t, k, from, to, step)
+			}
 		})
 	}
 }
 
 // expPinRange checks every step-th float32 bit pattern in [from, to].
-func expPinRange(t *testing.T, from, to, step uint32) {
+func expPinRange(t *testing.T, k expKernel, from, to, step uint32) {
 	const block = 4096
 	in := make([]float32, block)
 	out := make([]float32, block)
@@ -277,50 +311,53 @@ func expPinRange(t *testing.T, from, to, step uint32) {
 		for ; n < block && b <= to; n, b = n+1, b+step {
 			in[n] = math.Float32frombits(b)
 		}
-		for ; n%4 != 0; n++ { // the kernel takes whole blocks of four
+		for ; n%8 != 0; n++ { // the kernels take whole blocks of four or eight
 			in[n] = 0
 		}
 		copy(out, in[:n])
-		sum := expSumAVX2(&out[0], n, 0, 0)
+		sum := k.fn(&out[0], n, 0, 0)
 		var want float32
 		for i, x := range in[:n] {
 			e := float32(math.Exp(float64(x)))
 			want += e
 			if math.Float32bits(out[i]) != math.Float32bits(e) {
 				if bad++; bad <= 10 {
-					t.Errorf("exp(%g [%08x]) = %g [%08x], math.Exp gives %g [%08x]",
-						x, math.Float32bits(x), out[i], math.Float32bits(out[i]), e, math.Float32bits(e))
+					t.Errorf("%s: exp(%g [%08x]) = %g [%08x], math.Exp gives %g [%08x]",
+						k.name, x, math.Float32bits(x), out[i], math.Float32bits(out[i]), e, math.Float32bits(e))
 				}
 			}
 		}
 		if math.Float32bits(sum) != math.Float32bits(want) {
-			t.Fatalf("serial sum diverges: %g vs %g", sum, want)
+			t.Fatalf("%s: serial sum diverges: %g vs %g", k.name, sum, want)
 		}
 		checked += n
 	}
 	if bad > 0 {
-		t.Fatalf("%d of %d values differ from math.Exp", bad, checked)
+		t.Fatalf("%s: %d of %d values differ from math.Exp", k.name, bad, checked)
 	}
-	t.Logf("%d values identical to float32(math.Exp)", checked)
+	t.Logf("%s: %d values identical to float32(math.Exp)", k.name, checked)
 }
 
 // FuzzVecKernels decodes the input into finite float32 rows and checks the
-// dot, axpy and softmax dispatchers against their scalar loops at a fuzzed
-// width, row count and index list; the raw values, non-finite ones included,
-// go through softmax.
+// dot, axpy and softmax dispatchers, and the query-block dot and axpy, against
+// their scalar loops at a fuzzed width, row count, index list and query count;
+// the raw values, non-finite ones included, go through softmax on every exp
+// kernel.
 func FuzzVecKernels(f *testing.F) {
-	seed := make([]byte, 4*16*20)
+	seed := make([]byte, 4*16*70)
 	r := rng.New(1)
 	for i := 0; i < len(seed); i += 4 {
 		binary.LittleEndian.PutUint32(seed[i:], math.Float32bits(r.NormFloat32()))
 	}
-	f.Add(seed, uint8(4), uint8(9))
+	f.Add(seed[:4*16*20], uint8(4), uint8(9))
 	f.Add(seed[:4*16*3], uint8(2), uint8(1))
 	for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 9, 15} { // row counts that end in a padded tail, at d = 4
 		f.Add(seed[:16*(m+1)], uint8(0), uint8(m))
 	}
 	f.Add([]byte{0, 0, 0x80, 0x7f, 0, 0, 0xc0, 0x7f, 0, 0, 0x80, 0xff, 1, 2, 3, 4, 5, 6, 7, 8,
 		9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32}, uint8(1), uint8(3))
+	f.Add(seed[:4*16*20], uint8(3), uint8(3)) // d = 16, 19 rows: one block of 16 and a tail, 4 queries
+	f.Add(seed, uint8(3), uint8(7))           // d = 16, a whole 64-row page and 8 queries
 	f.Fuzz(func(t *testing.T, data []byte, d4, pick uint8) {
 		raw := make([]float32, len(data)/4)
 		for i := range raw {
@@ -329,10 +366,12 @@ func FuzzVecKernels(f *testing.F) {
 		if len(raw) == 0 {
 			return
 		}
-		sm, smWant := append([]float32(nil), raw...), append([]float32(nil), raw...)
-		softmax(sm)
-		softmaxGo(smWant)
-		expectBitsEqual(t, "softmax", sm, smWant)
+		for _, k := range expKernels {
+			sm, smWant := append([]float32(nil), raw...), append([]float32(nil), raw...)
+			withExp(k, func() { softmax(sm) })
+			softmaxGo(smWant)
+			expectBitsEqual(t, k.name+" softmax", sm, smWant)
+		}
 
 		// The row kernels' contract is finite inputs with finite partial
 		// sums: clamp every value to ±1e6 (NaN becomes 0).
@@ -369,6 +408,21 @@ func FuzzVecKernels(f *testing.F) {
 		AddScaledRowsAt(got, w, rows, idx, 7, d)
 		addScaledRowsAtGo(want, w, rows, idx, 7, d)
 		expectBitsEqual(t, "addScaledRowsAt", got, want)
+
+		// A block of the first nq rows as queries, sharing one weight row.
+		nq := min(1+int(pick)%8, m)
+		got, want = make([]float32, nq*m), make([]float32, nq*m)
+		dotRowsBlock(got, m, rows, d, nq, rows, m, d, 0.5)
+		for j := 0; j < nq; j++ {
+			dotRowsGo(want[j*m:(j+1)*m], rows[j*d:(j+1)*d], rows, d, 0.5)
+		}
+		expectBitsEqual(t, "dotRowsBlock", got, want)
+		got, want = make([]float32, nq*d), make([]float32, nq*d)
+		addScaledRowsBlock(got, d, w, 0, nq, rows, m, d)
+		for j := 0; j < nq; j++ {
+			addScaledRowsGo(want[j*d:(j+1)*d], w, rows, d)
+		}
+		expectBitsEqual(t, "addScaledRowsBlock", got, want)
 	})
 }
 
@@ -397,5 +451,61 @@ func BenchmarkVecKernels(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkVecBlockKernels times one page walk of a query block against the
+// same queries one at a time, 4096 keys at head dim 16 in 64-row pages, in ns
+// per query, and the softmax over 4224 scores on each exp kernel.
+func BenchmarkVecBlockKernels(b *testing.B) {
+	const n, d, page = 4096, 16, 64
+	r := rng.New(3)
+	rows := randMat(r, n, d, 0).Data
+	for _, nq := range []int{4, 8} {
+		xs, w := randMat(r, nq, d, 0).Data, randMat(r, nq, n, 0).Data
+		dst, out := make([]float32, nq*n), make([]float32, nq*d)
+		for _, k := range []struct {
+			name string
+			fn   func()
+		}{
+			{"dot/block", func() {
+				for p := 0; p < n; p += page {
+					dotRowsBlock(dst[p:], n, xs, d, nq, rows[p*d:], page, d, 0.25)
+				}
+			}},
+			{"dot/perquery", func() {
+				for p := 0; p < n; p += page {
+					dotRowsBlockLoop(dst[p:], n, xs, d, nq, rows[p*d:], page, d, 0.25)
+				}
+			}},
+			{"axpy/block", func() {
+				for p := 0; p < n; p += page {
+					addScaledRowsBlock(out, d, w[p:], n, nq, rows[p*d:], page, d)
+				}
+			}},
+			{"axpy/perquery", func() {
+				for p := 0; p < n; p += page {
+					addScaledRowsBlockLoop(out, d, w[p:], n, nq, rows[p*d:], page, d)
+				}
+			}},
+		} {
+			b.Run(k.name+itoa(nq), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					k.fn()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nq), "ns/query")
+			})
+		}
+	}
+	src, sm := randMat(r, 1, n+128, 0).Data, make([]float32, n+128)
+	for _, k := range expKernels {
+		b.Run("softmax/"+k.name, func(b *testing.B) {
+			withExp(k, func() {
+				for i := 0; i < b.N; i++ {
+					copy(sm, src)
+					softmax(sm)
+				}
+			})
+		})
 	}
 }

@@ -5,7 +5,7 @@ package tensor
 // Builds without the vector path (every target but amd64, GOAMD64=v3, and
 // the purego tag): each kernel is its scalar Go loop.
 
-const useVec = false
+const useVec, useExp8 = false, false
 
 func dotRows(dst, x, rows []float32, d int, scale float32) {
 	dotRowsGo(dst, x, rows, d, scale)
@@ -21,6 +21,14 @@ func addScaledRows(out, w, rows []float32, d int) {
 
 func addScaledRowsAt(out, w, rows []float32, idx []int, base, d int) {
 	addScaledRowsAtGo(out, w, rows, idx, base, d)
+}
+
+func dotRowsBlock(dst []float32, dstStride int, xs []float32, xStride, nq int, rows []float32, m, d int, scale float32) {
+	dotRowsBlockLoop(dst, dstStride, xs, xStride, nq, rows, m, d, scale)
+}
+
+func addScaledRowsBlock(out []float32, outStride int, w []float32, wStride, nq int, rows []float32, m, d int) {
+	addScaledRowsBlockLoop(out, outStride, w, wStride, nq, rows, m, d)
 }
 
 func matTVecBand(dst []float32, m *Mat, x []float32, lo, hi int) {
