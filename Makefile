@@ -4,7 +4,7 @@ GO ?= go
 
 # Experiments with committed BENCH_<exp>.json baselines at the repo root —
 # the perf trajectory the compare gate tracks (DESIGN.md §14).
-BENCH_TRACKED = fleet,pagedkv,overlap,radix,kernels,decodebatch
+BENCH_TRACKED = fleet,pagedkv,overlap,radix
 
 build:
 	$(GO) build ./...
@@ -52,16 +52,16 @@ test-trace:
 
 # Machine-readable bench trajectory: refresh the committed BENCH_<exp>.json
 # baselines at the repo root (typed metrics + options + seed + commit) for the
-# experiments with headline numbers worth diffing across commits. Quick scale
-# — not a measurement run. Run this (and commit the diff) whenever a change
-# intentionally moves a gated metric.
+# tracked experiments, whose every metric is a pure function of (options,
+# seed). Quick scale — not a measurement run. Run this (and commit the diff)
+# whenever a change intentionally moves a tracked metric.
 bench-json:
 	$(GO) run ./cmd/clusterkv-bench -exp $(BENCH_TRACKED) -json .
 
-# Perf-regression trajectory gate: re-run the tracked experiments, diff every
-# deterministic metric against the committed repo-root baselines, and fail on
-# an adverse change beyond the threshold (wall-clock metrics only warn —
-# DESIGN.md §14). Fresh snapshots land in bench-out/ as a CI artifact.
+# Trajectory gate: re-run the tracked experiments and diff every metric
+# against the committed repo-root baselines; any change to a tracked metric,
+# or a missing one, fails (DESIGN.md §14). Fresh snapshots land in bench-out/
+# as a CI artifact.
 bench-compare:
 	$(GO) run ./cmd/clusterkv-bench -exp $(BENCH_TRACKED) -json bench-out -compare .
 

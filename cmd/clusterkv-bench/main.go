@@ -22,14 +22,13 @@ import (
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment id (fig3a, fig3b, fig9, tab1, fig10, fig11a, fig11b, fig12, fig13a, fig13b, cache, overlap, ablations, parprefill, pagedkv, fleet, all)")
+		exp        = flag.String("exp", "all", "comma-separated experiment ids ("+strings.Join(bench.RegistryOrder(), ", ")+") or all")
 		ctx        = flag.Int("ctx", 8192, "max context length for trace experiments")
 		modelCtx   = flag.Int("modelctx", 4096, "max context length for transformer-engine experiments")
 		seed       = flag.Uint64("seed", 1, "master seed")
 		markdown   = flag.Bool("markdown", false, "emit markdown tables")
 		jsonDir    = flag.String("json", "", "also write a schema-versioned BENCH_<exp>.json snapshot per experiment into this directory")
-		compareDir = flag.String("compare", "", "diff each experiment against the baseline BENCH_<exp>.json in this directory and exit nonzero when a deterministic metric regresses")
-		regressPct = flag.Float64("regress-pct", bench.DefaultRegressPct, "relative adverse change on a gated metric that fails -compare")
+		compareDir = flag.String("compare", "", "diff each experiment against the baseline BENCH_<exp>.json in this directory and exit nonzero when a tracked metric changes or is missing")
 	)
 	flag.Parse()
 
@@ -49,7 +48,7 @@ func main() {
 			ids = append(ids, strings.TrimSpace(id))
 		}
 	}
-	regressed := false
+	gateFailed := false
 	for _, id := range ids {
 		run, ok := runners[id]
 		if !ok {
@@ -84,7 +83,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "baseline %s: %v\n", basePath, err)
 				os.Exit(1)
 			default:
-				res, err := bench.Compare(baseline, bench.NewSnapshot(id, commit, opt, reports), *regressPct)
+				res, err := bench.Compare(baseline, bench.NewSnapshot(id, commit, opt, reports))
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "compare %s: %v\n", id, err)
 					os.Exit(1)
@@ -92,14 +91,14 @@ func main() {
 				res.WriteTable(os.Stdout)
 				fmt.Println()
 				if !res.OK() {
-					regressed = true
+					gateFailed = true
 				}
 			}
 		}
 		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", id, time.Since(start).Round(time.Millisecond))
 	}
-	if regressed {
-		fmt.Fprintln(os.Stderr, "bench compare: deterministic metric regression detected")
+	if gateFailed {
+		fmt.Fprintln(os.Stderr, "bench compare: a tracked metric changed or is missing")
 		os.Exit(1)
 	}
 }

@@ -240,8 +240,8 @@ func TestRunXferOverlapSmall(t *testing.T) {
 		t.Fatalf("served %s, want 8/8 (beyond-device load must be served)", row[0])
 	}
 	var hidden float64
-	if _, err := fmt.Sscanf(row[5], "%f%%", &hidden); err != nil {
-		t.Fatalf("parse hidden%% %q: %v", row[5], err)
+	if _, err := fmt.Sscanf(row[4], "%f%%", &hidden); err != nil {
+		t.Fatalf("parse hidden%% %q: %v", row[4], err)
 	}
 	if hidden < 50 {
 		t.Fatalf("hid only %.0f%% of transfer time", hidden)

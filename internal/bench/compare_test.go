@@ -2,6 +2,9 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -22,14 +25,14 @@ func TestCompareCleanPasses(t *testing.T) {
 		Metric{Name: "affinity.model_ttft_p50", Value: 92.0, Unit: "ms"},
 		Metric{Name: "affinity.prefix_hit_rate", Value: 0.75, Unit: "frac"},
 		Metric{Name: "affinity.prefill_tokens", Value: 1280, Unit: "tokens"},
-		Metric{Name: "decodebatch.identical", Value: 1, Unit: "bool"},
-		Metric{Name: "solo_tok_s", Value: 200, Unit: "tok/s"},
+		Metric{Name: "affinity.token_identical", Value: 1, Unit: "bool"},
+		Metric{Name: "affinity.balance", Value: 1.25},
 	)
-	res, err := Compare(s, s, 0)
+	res, err := Compare(s, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.OK() || res.Fails != 0 || res.Warns != 0 {
+	if !res.OK() || res.Fails != 0 {
 		t.Fatalf("self-compare not clean: %+v", res)
 	}
 	for _, d := range res.Deltas {
@@ -39,9 +42,9 @@ func TestCompareCleanPasses(t *testing.T) {
 	}
 }
 
-// TestComparePerturbedFails is the acceptance lock: an artificially injected
-// 20% regression on a gated modeled metric must fail the comparison, and the
-// rendered table must say so.
+// TestComparePerturbedFails is the acceptance lock: an injected 20%
+// regression on a modeled metric fails the comparison, and the rendered
+// table says so.
 func TestComparePerturbedFails(t *testing.T) {
 	base := snapWith(
 		Metric{Name: "affinity.model_ttft_p50", Value: 100, Unit: "ms"},
@@ -51,7 +54,7 @@ func TestComparePerturbedFails(t *testing.T) {
 		Metric{Name: "affinity.model_ttft_p50", Value: 120, Unit: "ms"}, // +20% modeled latency
 		Metric{Name: "affinity.prefill_tokens", Value: 1000, Unit: "tokens"},
 	)
-	res, err := Compare(base, cur, 0.10)
+	res, err := Compare(base, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,102 +67,58 @@ func TestComparePerturbedFails(t *testing.T) {
 	if !strings.Contains(out, "FAIL") || !strings.Contains(out, "model_ttft_p50") {
 		t.Fatalf("table does not surface the failure:\n%s", out)
 	}
-	// The same perturbation inside the threshold passes.
-	res, err = Compare(base, cur, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.OK() {
-		t.Fatalf("20%% change beyond a 25%% threshold still failed: %+v", res)
-	}
 }
 
-// TestCompareWallClockOnlyWarns locks the measured/deterministic split: a
-// throughput drop can never fail the build, only warn.
-func TestCompareWallClockOnlyWarns(t *testing.T) {
-	base := snapWith(
-		Metric{Name: "solo_tok_s", Value: 200, Unit: "tok/s"},
-		Metric{Name: "async.tok_per_sec", Value: 1000, Unit: "tok/s"},
-		Metric{Name: "round_ms", Value: 4.0, Unit: "ms"},
-	)
-	cur := snapWith(
-		Metric{Name: "solo_tok_s", Value: 160, Unit: "tok/s"},        // -20% throughput
-		Metric{Name: "async.tok_per_sec", Value: 700, Unit: "tok/s"}, // divides by wall seconds
-		Metric{Name: "round_ms", Value: 6.0, Unit: "ms"},             // +50% measured time
-	)
-	res, err := Compare(base, cur, 0.10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.OK() {
-		t.Fatalf("wall-clock metrics failed the gate: %+v", res)
-	}
-	if res.Warns != 3 {
-		t.Fatalf("got %d warnings, want 3: %+v", res.Warns, res.Deltas)
-	}
-}
-
-// TestCompareDirections locks the per-family direction heuristics: a gated
-// higher-is-better metric fails on a drop and improves on a rise, and
-// vice versa for lower-is-better families.
-func TestCompareDirections(t *testing.T) {
-	base := snapWith(
-		Metric{Name: "saved_prefill_tokens", Value: 1000, Unit: "tokens"},
-		Metric{Name: "kv_peak", Value: 1000, Unit: "slots"},
-		Metric{Name: "balance", Value: 1.0},
-		Metric{Name: "max_divergence_relnorm", Value: 1e-6, Unit: "frac"},
-		// The transfer runtime's telemetry is on the modeled clock: it gates.
-		Metric{Name: "async.busy_ms", Value: 6.0, Unit: "ms"},
-		Metric{Name: "async.exposed_ms", Value: 0.4, Unit: "ms"},
-		Metric{Name: "async.hidden_frac", Value: 0.9, Unit: "frac"},
-		Metric{Name: "async.prefetch_hit_rate", Value: 0.8, Unit: "frac"},
-	)
-	cur := snapWith(
-		Metric{Name: "saved_prefill_tokens", Value: 1500, Unit: "tokens"}, // better
-		Metric{Name: "kv_peak", Value: 1500, Unit: "slots"},               // worse
-		Metric{Name: "balance", Value: 2.0},                               // worse
-		Metric{Name: "max_divergence_relnorm", Value: 1e-7, Unit: "frac"}, // better
-		Metric{Name: "async.busy_ms", Value: 4.0, Unit: "ms"},             // better
-		Metric{Name: "async.exposed_ms", Value: 0.6, Unit: "ms"},          // worse
-		Metric{Name: "async.hidden_frac", Value: 0.7, Unit: "frac"},       // worse
-		Metric{Name: "async.prefetch_hit_rate", Value: 0.95, Unit: "frac"},
-	)
-	res, err := Compare(base, cur, 0.10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]string{
-		"saved_prefill_tokens":    StatusImproved,
-		"kv_peak":                 StatusFail,
-		"balance":                 StatusFail,
-		"max_divergence_relnorm":  StatusImproved,
-		"async.busy_ms":           StatusImproved,
-		"async.exposed_ms":        StatusFail,
-		"async.hidden_frac":       StatusFail,
-		"async.prefetch_hit_rate": StatusImproved,
-	}
-	for _, d := range res.Deltas {
-		if d.Status != want[d.Name] {
-			t.Fatalf("metric %s: status %s, want %s", d.Name, d.Status, want[d.Name])
+// assertMovesFail runs the gate's one rule over a table: each metric moved
+// by a single ulp, up and down, fails, and the table prints the moved value
+// apart from the baseline.
+func assertMovesFail(t *testing.T, metrics ...Metric) {
+	t.Helper()
+	for _, m := range metrics {
+		for _, dir := range []float64{math.Inf(1), math.Inf(-1)} {
+			moved := m
+			moved.Value = math.Nextafter(m.Value, dir)
+			t.Run(fmt.Sprintf("%s/%v", m.Unit, dir), func(t *testing.T) {
+				res, err := Compare(snapWith(m), snapWith(moved))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.OK() || res.Fails != 1 || res.Deltas[0].Status != StatusFail {
+					t.Fatalf("%v -> %v passed the gate: %+v", m.Value, moved.Value, res)
+				}
+				var buf bytes.Buffer
+				res.WriteTable(&buf)
+				if !strings.Contains(buf.String(), fmt.Sprint(moved.Value)) {
+					t.Fatalf("table hides the moved value %v:\n%s", moved.Value, buf.String())
+				}
+			})
 		}
 	}
-	if res.Fails != 4 {
-		t.Fatalf("got %d fails, want 4", res.Fails)
-	}
 }
 
-// TestCompareBoolZeroTolerance locks identity metrics: any flip fails even
-// inside the relative threshold.
+// TestCompareDirections locks that the gate has no direction: whatever the
+// unit, a tracked metric moved by a single ulp up or down fails.
+func TestCompareDirections(t *testing.T) {
+	assertMovesFail(t,
+		Metric{Name: "affinity.prefill_tokens", Value: 1280, Unit: "tokens"},
+		Metric{Name: "affinity.model_ttft_p50", Value: 92.5, Unit: "ms"},
+		Metric{Name: "affinity.prefix_hit_rate", Value: 0.75, Unit: "frac"},
+	)
+}
+
+// TestCompareBoolZeroTolerance locks identity metrics: a flip fails, and so
+// does a one-ulp move either way.
 func TestCompareBoolZeroTolerance(t *testing.T) {
 	base := snapWith(Metric{Name: "token_identical", Value: 1, Unit: "bool"})
 	cur := snapWith(Metric{Name: "token_identical", Value: 0, Unit: "bool"})
-	res, err := Compare(base, cur, 5.0) // absurdly loose threshold
+	res, err := Compare(base, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.OK() {
+	if res.OK() || res.Fails != 1 {
 		t.Fatalf("boolean flip passed the gate: %+v", res)
 	}
+	assertMovesFail(t, Metric{Name: "affinity.token_identical", Value: 1, Unit: "bool"})
 }
 
 // TestCompareMissingAndNew locks schema drift handling: a tracked metric
@@ -168,7 +127,7 @@ func TestCompareBoolZeroTolerance(t *testing.T) {
 func TestCompareMissingAndNew(t *testing.T) {
 	base := snapWith(Metric{Name: "prefill_tokens", Value: 100, Unit: "tokens"})
 	cur := snapWith(Metric{Name: "saved_prefill_tokens", Value: 50, Unit: "tokens"})
-	res, err := Compare(base, cur, 0)
+	res, err := Compare(base, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,33 +148,41 @@ func TestCompareExperimentMismatch(t *testing.T) {
 	a := snapWith()
 	b := snapWith()
 	b.Experiment = "radix"
-	if _, err := Compare(a, b, 0); err == nil {
+	if _, err := Compare(a, b); err == nil {
 		t.Fatal("cross-experiment compare did not error")
 	}
 }
 
-// TestCompareAgainstCommittedBaselines replays every committed repo-root
-// baseline against itself through the file reader, so the CI lane's inputs
-// stay parseable and self-consistent.
+// TestCompareRoundTripThroughDisk replays every committed repo-root baseline
+// against itself through the file reader, so the gate's inputs stay
+// parseable and self-consistent, and each names a registered experiment: a
+// baseline left behind by a deleted experiment fails here.
 func TestCompareRoundTripThroughDisk(t *testing.T) {
-	dir := t.TempDir()
-	s := snapWith(
-		Metric{Name: "affinity.model_ttft_p50", Value: 92.0, Unit: "ms"},
-		Metric{Name: "decodebatch.identical", Value: 1, Unit: "bool"},
-	)
-	path, err := WriteSnapshot(dir, s)
+	paths, err := filepath.Glob("../../BENCH_*.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSnapshot(path)
-	if err != nil {
-		t.Fatal(err)
+	if len(paths) == 0 {
+		t.Fatal("no committed BENCH_*.json baselines found at the repo root")
 	}
-	res, err := Compare(got, s, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.OK() {
-		t.Fatalf("disk round-trip is not clean: %+v", res)
+	reg := Registry()
+	for _, path := range paths {
+		s, err := ReadSnapshot(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := reg[s.Experiment]; !ok {
+			t.Fatalf("%s: experiment %q is not in the registry", path, s.Experiment)
+		}
+		if want := fmt.Sprintf("BENCH_%s.json", s.Experiment); filepath.Base(path) != want {
+			t.Fatalf("%s holds experiment %q, want file name %s", path, s.Experiment, want)
+		}
+		res, err := Compare(s, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.OK() {
+			t.Fatalf("%s does not compare clean against itself: %+v", path, res)
+		}
 	}
 }

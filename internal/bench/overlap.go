@@ -51,8 +51,8 @@ func RunOverlap(opt Options) *Report {
 // machine (the engine's memsim.LatencyModel), so busy, exposed, hidden and
 // the prefetch hit rate are pure functions of the seed; the hidden fraction
 // is the share of channel-busy time that never reached the critical path (a
-// blocking channel would expose all of it). Only tok/s, which folds the
-// exposed transfer time into the measured compute time, is a wall number.
+// blocking channel would expose all of it). Nothing here reads the wall
+// clock.
 //
 // The engine runs two-tier admission with a device budget deliberately
 // smaller than one request's prefill footprint: before the host tier, this
@@ -117,7 +117,7 @@ func RunXferOverlap(o Options) *Report {
 	rep := &Report{
 		ID:    "overlap",
 		Title: "transfer runtime: overlapped fetches, longdoc QA serve load",
-		Headers: []string{"served", "tok/s", "busy(ms)", "exposed(ms)",
+		Headers: []string{"served", "busy(ms)", "exposed(ms)",
 			"hidden(ms)", "hidden%", "prefetch hit%", "dev peak", "host peak"},
 	}
 
@@ -134,15 +134,8 @@ func RunXferOverlap(o Options) *Report {
 	eng.Close()
 	mx := eng.Metrics()
 	tr := mx.Transfer
-	// Modeled throughput: generated tokens over compute time plus the
-	// transfer time that compute could not hide.
-	tokS := 0.0
-	if denom := mx.Elapsed.Seconds() + tr.ExposedSec; denom > 0 {
-		tokS = float64(mx.TokensGenerated) / denom
-	}
 	rep.Rows = append(rep.Rows, []string{
 		fmt.Sprintf("%d/%d", served, nReqs),
-		f1(tokS),
 		f1(tr.BusySec * 1e3),
 		f1(tr.ExposedSec * 1e3),
 		f1(tr.HiddenSec() * 1e3),
@@ -151,7 +144,6 @@ func RunXferOverlap(o Options) *Report {
 		fmt.Sprintf("%d/%d", mx.KVDevicePeak, mx.KVCapacity),
 		fmt.Sprintf("%d/%d", mx.KVHostPeak, mx.KVHostCapacity),
 	})
-	rep.AddMetric("async.tok_per_sec", tokS, "tok/s")
 	rep.AddMetric("async.busy_ms", tr.BusySec*1e3, "ms")
 	rep.AddMetric("async.exposed_ms", tr.ExposedSec*1e3, "ms")
 	rep.AddMetric("async.hidden_frac", tr.HiddenFrac(), "frac")
@@ -160,7 +152,7 @@ func RunXferOverlap(o Options) *Report {
 	rep.Notes = append(rep.Notes,
 		fmt.Sprintf("load: %d requests, %d docs x %d tokens, %d-token questions, %d new tokens, budget %d",
 			nReqs, lc.NDocs, docLen, qLen, maxNew, budget),
-		"modeled machine: Llama-3.1-8B on the paper GPU — PCIe cost per (layer,head) KV page, one layer of a decode step as the window a prefetch hides behind; tok/s = tokens / (compute + exposed transfer time)",
+		"modeled machine: Llama-3.1-8B on the paper GPU — PCIe cost per (layer,head) KV page, one layer of a decode step as the window a prefetch hides behind",
 		fmt.Sprintf("two-tier admission: device budget %d slots/head < one prefill footprint -> refused outright before the host tier; served with cold-page spilling now", devBudget),
 		"layer-ahead cluster prefetch is issued mid-Select of layer l and due when layer l+1 starts; hidden% is transfer time that overlapped with modeled compute")
 	return rep

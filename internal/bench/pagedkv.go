@@ -68,7 +68,7 @@ func RunPagedKV(o Options) *Report {
 		ID:    "pagedkv",
 		Title: "exact paged-COW admission vs an up-front worst-case reservation, shared-doc QA load",
 		Headers: []string{"KVBudget", "policy", "admitted", "refused",
-			"KV high-water", "mean batch", "rounds", "tok/s"},
+			"KV high-water", "mean batch", "rounds"},
 	}
 
 	for _, budget := range []int64{tight, generous} {
@@ -89,7 +89,7 @@ func RunPagedKV(o Options) *Report {
 		rep.Rows = append(rep.Rows, []string{
 			fmt.Sprintf("%d", budget), "worst-case reserve (arithmetic)",
 			fmt.Sprintf("%d/%d", len(reqs)-worstRefused, len(reqs)),
-			fmt.Sprintf("%d", worstRefused), "-", "-", "-", "-",
+			fmt.Sprintf("%d", worstRefused), "-", "-", "-",
 		})
 		rep.AddMetric(key+"worstcase.admitted", float64(len(reqs)-worstRefused), "count")
 		rep.AddMetric(key+"worstcase.refused", float64(worstRefused), "count")
@@ -115,7 +115,6 @@ func RunPagedKV(o Options) *Report {
 			fmt.Sprintf("%d", mx.KVPeak),
 			f2(mx.MeanBatchOccupancy),
 			fmt.Sprintf("%d", mx.Rounds),
-			f1(mx.Throughput()),
 		})
 		rep.AddMetric(key+"exact.admitted", float64(admitted), "count")
 		rep.AddMetric(key+"exact.refused", float64(refused), "count")

@@ -27,9 +27,6 @@ func Registry() map[string]Runner {
 			return []*Report{RunOverlap(o), RunXferOverlap(o)}
 		},
 		"ablations": func(o Options) []*Report { return RunAblations(o) },
-		"parprefill": func(o Options) []*Report {
-			return []*Report{RunParPrefill(o)}
-		},
 		"pagedkv": func(o Options) []*Report {
 			return []*Report{RunPagedKV(o)}
 		},
@@ -39,12 +36,6 @@ func Registry() map[string]Runner {
 		"radix": func(o Options) []*Report {
 			return []*Report{RunRadix(o)}
 		},
-		"kernels": func(o Options) []*Report {
-			return []*Report{RunKernels(o)}
-		},
-		"decodebatch": func(o Options) []*Report {
-			return []*Report{RunDecodeBatch(o)}
-		},
 	}
 }
 
@@ -53,7 +44,6 @@ func RegistryOrder() []string {
 	return []string{
 		"fig3a", "fig3b", "fig9", "tab1", "fig10",
 		"fig11a", "fig11b", "fig12", "fig13a", "fig13b",
-		"cache", "overlap", "ablations", "parprefill", "pagedkv", "fleet",
-		"radix", "kernels", "decodebatch",
+		"cache", "overlap", "ablations", "pagedkv", "fleet", "radix",
 	}
 }

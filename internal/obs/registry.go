@@ -9,16 +9,15 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"clusterkv/internal/metrics"
 )
 
-// The metrics registry: one namespace of labeled counters, gauges and
-// histograms that every subsystem's snapshot exports into, with a
-// Prometheus-style text exposition. serve.Metrics, fleet.Summary and the
-// arena gauges publish into a Registry via their FillRegistry methods, so
-// one scrape (or one dump at exit) sees the whole stack under consistent
-// names — the cmd drivers expose it behind -metrics / -metrics-addr.
+// The metrics registry: one namespace of labeled counters and gauges that
+// every subsystem's snapshot exports into, with a Prometheus-style text
+// exposition. serve.Metrics, fleet.Summary and the arena gauges publish into
+// a Registry via their FillRegistry methods, so one scrape (or one dump at
+// exit) sees the whole stack under consistent names — the cmd binaries
+// expose it behind -metrics / -metrics-addr. A distribution is published as gauges
+// labeled by statistic (serve.LatencyStats.Fill).
 
 // Label is one name=value dimension of an instrument.
 type Label struct {
@@ -68,38 +67,11 @@ func (g *Gauge) Set(v float64) { g.bits.Store(floatBits(v)) }
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return bitsFloat(g.bits.Load()) }
 
-// Histogram accumulates a sample distribution (metrics.Summary under a
-// mutex) and exposes it as a Prometheus summary: quantiles, sum, count.
-type Histogram struct {
-	mu sync.Mutex
-	s  metrics.Summary
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	h.mu.Lock()
-	h.s.Add(v)
-	h.mu.Unlock()
-}
-
-// Snapshot returns (n, sum, q50, q95, max).
-func (h *Histogram) Snapshot() (n int, sum, q50, q95, max float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	n = h.s.N()
-	sum = h.s.Mean() * float64(n)
-	q50 = h.s.Quantile(0.5)
-	q95 = h.s.Quantile(0.95)
-	max = h.s.Max()
-	return
-}
-
 type instrumentKind uint8
 
 const (
 	kindCounter instrumentKind = iota
 	kindGauge
-	kindHistogram
 )
 
 type instrument struct {
@@ -108,7 +80,6 @@ type instrument struct {
 	kind   instrumentKind
 	c      *Counter
 	g      *Gauge
-	h      *Histogram
 }
 
 // Registry holds labeled instruments. Getting an instrument is idempotent:
@@ -159,8 +130,6 @@ func (r *Registry) get(name string, kind instrumentKind, labels []Label) *instru
 		in.c = &Counter{}
 	case kindGauge:
 		in.g = &Gauge{}
-	case kindHistogram:
-		in.h = &Histogram{}
 	}
 	r.byKey[key] = in
 	return in
@@ -177,14 +146,8 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	return r.get(name, kindGauge, labels).g
 }
 
-// Histogram returns the histogram registered under (name, labels).
-func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
-	return r.get(name, kindHistogram, labels).h
-}
-
 // WriteText writes the registry in the Prometheus text exposition format,
-// deterministically ordered by (name, labels). Histograms expose as
-// summaries (quantile series plus _sum and _count).
+// deterministically ordered by (name, labels).
 func (r *Registry) WriteText(w io.Writer) error {
 	r.mu.Lock()
 	ins := make([]*instrument, 0, len(r.byKey))
@@ -202,11 +165,8 @@ func (r *Registry) WriteText(w io.Writer) error {
 	for _, in := range ins {
 		if in.name != lastTyped {
 			kind := "counter"
-			switch in.kind {
-			case kindGauge:
+			if in.kind == kindGauge {
 				kind = "gauge"
-			case kindHistogram:
-				kind = "summary"
 			}
 			if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", in.name, kind); err != nil {
 				return err
@@ -219,24 +179,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 			_, err = fmt.Fprintf(w, "%s%s %d\n", in.name, in.labels, in.c.Value())
 		case kindGauge:
 			_, err = fmt.Fprintf(w, "%s%s %g\n", in.name, in.labels, in.g.Value())
-		case kindHistogram:
-			n, sum, q50, q95, max := in.h.Snapshot()
-			for _, q := range []struct {
-				q string
-				v float64
-			}{{"0.5", q50}, {"0.95", q95}, {"1", max}} {
-				ql := in.labels
-				if ql == "" {
-					ql = fmt.Sprintf("{quantile=%q}", q.q)
-				} else {
-					ql = ql[:len(ql)-1] + fmt.Sprintf(",quantile=%q}", q.q)
-				}
-				if _, err = fmt.Fprintf(w, "%s%s %g\n", in.name, ql, q.v); err != nil {
-					return err
-				}
-			}
-			_, err = fmt.Fprintf(w, "%s_sum%s %g\n%s_count%s %d\n",
-				in.name, in.labels, sum, in.name, in.labels, n)
 		}
 		if err != nil {
 			return err

@@ -35,20 +35,6 @@ func TestGaugeRoundTrips(t *testing.T) {
 	}
 }
 
-func TestHistogramSnapshot(t *testing.T) {
-	var h Histogram
-	for _, v := range []float64{1, 2, 3, 4} {
-		h.Observe(v)
-	}
-	n, sum, q50, _, max := h.Snapshot()
-	if n != 4 || sum != 10 || max != 4 {
-		t.Fatalf("n=%d sum=%v max=%v, want 4/10/4", n, sum, max)
-	}
-	if q50 != 2.5 {
-		t.Fatalf("q50 = %v, want 2.5 (interpolated median)", q50)
-	}
-}
-
 func TestRegistryIdempotentGetters(t *testing.T) {
 	reg := NewRegistry()
 	a := reg.Counter("x_total", L("m", "a"))
@@ -74,9 +60,6 @@ func TestWriteTextDeterministicAndSorted(t *testing.T) {
 			reg.Counter("b_total", L("m", name)).Set(1)
 		}
 		reg.Gauge("a_gauge").Set(2.5)
-		h := reg.Histogram("c_seconds")
-		h.Observe(1)
-		h.Observe(3)
 		var buf bytes.Buffer
 		if err := reg.WriteText(&buf); err != nil {
 			t.Fatalf("WriteText: %v", err)
@@ -89,7 +72,7 @@ func TestWriteTextDeterministicAndSorted(t *testing.T) {
 		t.Fatalf("exposition depends on registration order:\n%s\nvs\n%s", x, y)
 	}
 
-	// Names sorted, one TYPE line each, histogram exposed as a summary.
+	// Names sorted, one TYPE line each.
 	wantOrder := []string{
 		"# TYPE a_gauge gauge",
 		"a_gauge 2.5",
@@ -97,12 +80,6 @@ func TestWriteTextDeterministicAndSorted(t *testing.T) {
 		`b_total{m="p"} 1`,
 		`b_total{m="q"} 1`,
 		`b_total{m="r"} 1`,
-		"# TYPE c_seconds summary",
-		`c_seconds{quantile="0.5"} 2`,
-		`c_seconds{quantile="0.95"}`,
-		`c_seconds{quantile="1"} 3`,
-		"c_seconds_sum 4",
-		"c_seconds_count 2",
 	}
 	lines := strings.Split(strings.TrimSpace(x), "\n")
 	if len(lines) != len(wantOrder) {
