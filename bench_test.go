@@ -97,9 +97,9 @@ func BenchmarkOverlapPipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetRouting runs the fleet-routing policy comparison (affinity
-// vs round-robin vs least-loaded over 4 engine replicas) at reduced scale,
-// reporting the affinity policy's prefill-pages-saved advantage as a metric.
+// BenchmarkFleetRouting runs the fleet-routing experiment (prefix-affinity
+// placement over 4 engine replicas, plus the SLO scaling section) at reduced
+// scale.
 func BenchmarkFleetRouting(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		bench.RunFleet(benchOptions())

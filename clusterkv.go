@@ -250,27 +250,9 @@ func DefaultEngineConfig() EngineConfig { return serve.DefaultConfig() }
 // it reproduces Engine.Run token-for-token (DESIGN.md §9).
 type FleetRouter = fleet.Router
 
-// FleetConfig holds the fleet tunables (replica count, policy, per-replica
-// engine config, modeled SLOs).
+// FleetConfig holds the fleet tunables (replica count, per-replica engine
+// config, modeled SLOs).
 type FleetConfig = fleet.Config
-
-// FleetPolicy selects the routing policy.
-type FleetPolicy = fleet.Policy
-
-// Fleet routing policies.
-const (
-	// FleetAffinity routes by shared-prefix residency with a least-loaded,
-	// consistent-hash-tiebroken fallback (the default).
-	FleetAffinity = fleet.PolicyAffinity
-	// FleetRoundRobin is the cache-oblivious round-robin baseline.
-	FleetRoundRobin = fleet.PolicyRoundRobin
-	// FleetLeastLoaded balances KV pages and queue depth, ignoring caches.
-	FleetLeastLoaded = fleet.PolicyLeastLoaded
-)
-
-// ParseFleetPolicy parses a policy flag value ("affinity", "rr",
-// "leastloaded").
-func ParseFleetPolicy(s string) (FleetPolicy, error) { return fleet.ParsePolicy(s) }
 
 // FleetResponse is the outcome of one routed request: the engine response
 // plus the serving replica and modeled TTFT/TBT.
@@ -300,10 +282,6 @@ type Arrival = workload.Arrival
 func PoissonArrivals(seed uint64, n int, rate float64) []Arrival {
 	return workload.PoissonArrivals(seed, n, rate)
 }
-
-// Arrivals materialises a load's embedded interarrival gaps as absolute
-// submission times.
-func Arrivals(load []QARequest) []Arrival { return workload.Arrivals(load) }
 
 // ---- Observability ----------------------------------------------------------
 

@@ -1,9 +1,8 @@
 // Command clusterkv-fleet drives the multi-replica fleet router with a
-// synthetic shared-document QA load and prints a routing/load report per
-// policy, mirroring clusterkv-serve's table at fleet granularity.
+// synthetic shared-document QA load and prints its routing/load report,
+// mirroring clusterkv-serve's table at fleet granularity.
 //
-//	clusterkv-fleet                              # 4 replicas, affinity routing
-//	clusterkv-fleet -policy all                  # compare affinity vs rr vs leastloaded
+//	clusterkv-fleet                              # 4 replicas, prefix-affinity routing
 //	clusterkv-fleet -replicas 8 -requests 64
 //	clusterkv-fleet -slo-ttft 150 -shed          # SLO-aware shedding (modeled ms)
 //	clusterkv-fleet -rate 8                      # open-loop Poisson arrivals (streaming path)
@@ -25,7 +24,6 @@ import (
 func main() {
 	var (
 		replicas  = flag.Int("replicas", 4, "engine replicas behind the router")
-		policy    = flag.String("policy", "affinity", "routing policy (affinity, rr, leastloaded, all)")
 		sloTTFT   = flag.Float64("slo-ttft", 0, "modeled TTFT SLO in milliseconds (0 = none)")
 		sloTBT    = flag.Float64("slo-tbt", 0, "modeled TBT SLO in milliseconds (0 = none)")
 		shed      = flag.Bool("shed", false, "shed requests predicted to miss -slo-ttft on every replica")
@@ -41,10 +39,10 @@ func main() {
 		method    = flag.String("method", "clusterkv", "compression method (clusterkv, quest, fullkv)")
 		loadKind  = flag.String("load", "qa", "workload shape: qa (shared-doc questions), chat (multi-turn sessions), agentic (re-entry loops), rag (templated retrieval); non-qa loads ignore -requests/-docs/-doclen/-qlen")
 		rate      = flag.Float64("rate", 0, "open-loop arrival rate in req/s (0 = deterministic closed-loop Run)")
-		attr      = flag.Bool("attr", false, "per-request latency attribution: per-phase breakdown table per policy on the modeled clock (DESIGN.md §14); adds a span lane per request to -trace and clusterkv_attr_* series to -metrics")
+		attr      = flag.Bool("attr", false, "per-request latency attribution: per-phase breakdown table on the modeled clock (DESIGN.md §14); adds a span lane per request to -trace and clusterkv_attr_* series to -metrics")
 		seed      = flag.Uint64("seed", 1, "master seed")
-		traceOut  = flag.String("trace", "", "write a Chrome trace_event JSON timeline (router lane + one lane per replica; with -policy all, the file holds the last policy's run)")
-		metricsTo = flag.String("metrics", "", "write text metrics exposition to this file after the run (\"-\" = stdout); one series set per policy, labeled policy=<name>")
+		traceOut  = flag.String("trace", "", "write a Chrome trace_event JSON timeline (router lane + one lane per replica)")
+		metricsTo = flag.String("metrics", "", "write text metrics exposition to this file after the run (\"-\" = stdout)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
@@ -81,20 +79,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	var policies []clusterkv.FleetPolicy
-	if strings.ToLower(*policy) == "all" {
-		policies = []clusterkv.FleetPolicy{
-			clusterkv.FleetAffinity, clusterkv.FleetRoundRobin, clusterkv.FleetLeastLoaded,
-		}
-	} else {
-		p, err := clusterkv.ParseFleetPolicy(*policy)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		policies = []clusterkv.FleetPolicy{p}
-	}
-
 	var load []clusterkv.QARequest
 	var loadDesc string
 	switch strings.ToLower(*loadKind) {
@@ -106,7 +90,6 @@ func main() {
 		lc.NRequests = *requests
 		lc.QuestionLen = *qLen
 		lc.MaxNewTokens = *newTok
-		lc.RatePerSec = *rate
 		load = clusterkv.NewLoad(lc)
 		loadDesc = fmt.Sprintf("%d requests over %d shared docs (%d+%d prompt tokens, %d generated each)",
 			*requests, *docs, *docLen, *qLen, *newTok)
@@ -161,69 +144,40 @@ func main() {
 	fmt.Printf("fleet: %d replicas, %d streams/replica, kv budget %v\n\n",
 		*replicas, *streams, budgetStr(*kvBudget))
 
-	type row struct {
-		policy  string
-		sum     clusterkv.FleetSummary
-		elapsed time.Duration
+	ecfg := clusterkv.DefaultEngineConfig()
+	ecfg.MaxBatch = *streams
+	if *workers > 0 {
+		ecfg.Workers = *workers
 	}
-	var rows []row
-
-	for _, p := range policies {
-		ecfg := clusterkv.DefaultEngineConfig()
-		ecfg.MaxBatch = *streams
-		if *workers > 0 {
-			ecfg.Workers = *workers
+	ecfg.KVBudget = *kvBudget
+	ecfg.Seed = *seed
+	ecfg.Attribution = *attr
+	router := clusterkv.NewFleetRouter(m, clusterkv.FleetConfig{
+		Replicas: *replicas,
+		Engine:   ecfg,
+		SLOTTFT:  *sloTTFT / 1e3,
+		SLOTBT:   *sloTBT / 1e3,
+		Shed:     *shed,
+		Seed:     *seed,
+		Trace:    tracer,
+	})
+	if *rate > 0 {
+		arrivals := clusterkv.PoissonArrivals(*seed, len(reqs), *rate)
+		tickets := make([]*clusterkv.FleetTicket, len(reqs))
+		for i, req := range reqs {
+			time.Sleep(time.Duration(arrivals[i].Gap * float64(time.Second)))
+			tickets[i] = router.Submit(req)
 		}
-		ecfg.KVBudget = *kvBudget
-		ecfg.Seed = *seed
-		if tracer != nil {
-			// One policy per trace file: keep only the final policy's events
-			// so replica lanes don't interleave across runs.
-			tracer.Reset()
+		for _, tk := range tickets {
+			tk.Wait()
 		}
-		router := clusterkv.NewFleetRouter(m, clusterkv.FleetConfig{
-			Replicas:    *replicas,
-			Policy:      p,
-			Engine:      ecfg,
-			SLOTTFT:     *sloTTFT / 1e3,
-			SLOTBT:      *sloTBT / 1e3,
-			Shed:        *shed,
-			Seed:        *seed,
-			Trace:       tracer,
-			Attribution: *attr,
-		})
-		start := time.Now()
-		if *rate > 0 {
-			tickets := make([]*clusterkv.FleetTicket, len(reqs))
-			for i, req := range reqs {
-				time.Sleep(time.Duration(load[i].Gap * float64(time.Second)))
-				tickets[i] = router.Submit(req)
-			}
-			for _, tk := range tickets {
-				tk.Wait()
-			}
-		} else {
-			router.Run(reqs)
-		}
-		elapsed := time.Since(start)
-		router.Close()
-		sum := router.Summary()
-		if reg != nil {
-			router.FillRegistry(reg, clusterkv.ML("policy", p.String()))
-		}
-		fmt.Printf("== policy %s ==\n%s\n", p, sum)
-		rows = append(rows, row{p.String(), sum, elapsed})
+	} else {
+		router.Run(reqs)
 	}
-
-	fmt.Printf("%-12s %9s %9s %13s %12s %10s %10s %9s %8s %5s %9s\n",
-		"policy", "completed", "pfx hit%", "prefill toks", "pages saved",
-		"ttft p50", "ttft p95", "tbt p50", "balance", "shed", "slo att")
-	for _, r := range rows {
-		s := r.sum
-		fmt.Printf("%-12s %9d %8.0f%% %13d %12d %8.1fms %8.1fms %7.2fms %8.2f %5d %8.0f%%\n",
-			r.policy, s.Completed, s.PrefixHitRate()*100, s.PrefillTokens, s.SavedPrefillPages,
-			s.ModelTTFT.P50*1e3, s.ModelTTFT.P95*1e3, s.ModelTBT.P50*1e3,
-			s.Balance, s.Shed, s.SLOAttainment*100)
+	router.Close()
+	fmt.Print(router.Summary())
+	if reg != nil {
+		router.FillRegistry(reg)
 	}
 
 	if tracer != nil {

@@ -118,7 +118,6 @@ func main() {
 		lc.NRequests = *requests
 		lc.QuestionLen = *qLen
 		lc.MaxNewTokens = *newTok
-		lc.RatePerSec = *rate
 		load = clusterkv.NewLoad(lc)
 		loadDesc = fmt.Sprintf("%d requests over %d shared docs (%d+%d prompt tokens, %d generated each)",
 			*requests, *docs, *docLen, *qLen, *newTok)
@@ -209,7 +208,7 @@ func main() {
 		cfg.Trace = tracer.Recorder(mi) // nil tracer -> disabled recorder
 		cfg.Attribution = *attrOn
 		eng := clusterkv.NewEngine(m, cfg)
-		resps := dispatch(eng, reqs, load, *rate)
+		resps := dispatch(eng, reqs, *rate, *seed)
 		eng.Close() // drain before the snapshot
 		mx := eng.Metrics()
 		arenaPeak := eng.Arena().PeakPages()
@@ -414,15 +413,15 @@ func runSerial(m *clusterkv.Model, reqs []clusterkv.ServeRequest) [][]int {
 }
 
 // dispatch submits the load: closed-loop as one deterministic batch,
-// open-loop with Poisson gaps between Submits.
-func dispatch(eng *clusterkv.Engine, reqs []clusterkv.ServeRequest, load []clusterkv.QARequest, rate float64) []clusterkv.ServeResponse {
+// open-loop with seeded Poisson gaps between Submits.
+func dispatch(eng *clusterkv.Engine, reqs []clusterkv.ServeRequest, rate float64, seed uint64) []clusterkv.ServeResponse {
 	if rate <= 0 {
 		return eng.Run(reqs)
 	}
 	tickets := make([]*clusterkv.ServeTicket, len(reqs))
-	for i, req := range reqs {
-		time.Sleep(time.Duration(load[i].Gap * float64(time.Second)))
-		tickets[i] = eng.Submit(req)
+	for i, a := range clusterkv.PoissonArrivals(seed, len(reqs), rate) {
+		time.Sleep(time.Duration(a.Gap * float64(time.Second)))
+		tickets[i] = eng.Submit(reqs[i])
 	}
 	out := make([]clusterkv.ServeResponse, len(tickets))
 	for i, tk := range tickets {

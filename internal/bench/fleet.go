@@ -9,15 +9,14 @@ import (
 	"clusterkv/internal/workload"
 )
 
-// RunFleet compares fleet routing policies on the shared-document QA load:
-// prefix-affinity placement against round-robin and least-loaded baselines,
-// all over identical 4-replica fleets of the serving engine. Affinity routes
-// every question about a document to the replica whose prefix cache already
-// holds its prefill, so each document is prefilled once fleet-wide; the
-// cache-oblivious baselines scatter the same questions and re-prefill the
-// document on (almost) every replica they touch. The report quantifies the
-// difference as prefill pages saved and modeled TTFT (round timing costed on
-// the paper's GPU serving Llama-3.1-8B — DESIGN.md §4/§9).
+// RunFleet runs prefix-affinity fleet routing on the shared-document QA load
+// over a 4-replica fleet of the serving engine. Affinity routes every
+// question about a document to the replica whose prefix cache already holds
+// its prefill, so each document is prefilled once fleet-wide. The report
+// quantifies that as prefill pages saved and modeled TTFT (round timing
+// costed on the paper's GPU serving Llama-3.1-8B — DESIGN.md §4/§9); the
+// cache-oblivious round-robin and least-loaded rows it was once compared
+// against are recorded in EXPERIMENTS.md.
 //
 // A second section scales replica count under a modeled TTFT SLO with
 // shedding enabled, showing SLO attainment become a capacity planning
@@ -58,20 +57,18 @@ func RunFleet(o Options) *Report {
 
 	rep := &Report{
 		ID:    "fleet",
-		Title: "prefix-affinity fleet routing vs cache-oblivious baselines, shared-doc QA load",
+		Title: "prefix-affinity fleet routing, shared-doc QA load",
 		Headers: []string{"policy", "replicas", "pfx hit%", "prefill toks",
 			"pages saved", "ttft p50", "ttft p95", "tbt p50", "balance", "shed"},
 	}
 
-	run := func(policy fleet.Policy, replicas int, sloTTFT float64, shed bool) fleet.Summary {
+	run := func(replicas int, sloTTFT float64, shed bool) fleet.Summary {
 		r := fleet.NewRouter(m, fleet.Config{
-			Replicas:    replicas,
-			Policy:      policy,
-			Engine:      serve.Config{Workers: 2, MaxBatch: 4, Seed: o.Seed},
-			SLOTTFT:     sloTTFT,
-			Shed:        shed,
-			Seed:        o.Seed,
-			Attribution: true,
+			Replicas: replicas,
+			Engine:   serve.Config{Workers: 2, MaxBatch: 4, Seed: o.Seed, Attribution: true},
+			SLOTTFT:  sloTTFT,
+			Shed:     shed,
+			Seed:     o.Seed,
 		})
 		r.Run(reqs)
 		sum := r.Summary()
@@ -79,38 +76,27 @@ func RunFleet(o Options) *Report {
 		return sum
 	}
 
-	row := func(sum fleet.Summary) []string {
-		return []string{
-			sum.Policy.String(),
-			fmt.Sprintf("%d", sum.Replicas),
-			fmt.Sprintf("%.0f%%", sum.PrefixHitRate()*100),
-			fmt.Sprintf("%d", sum.PrefillTokens),
-			fmt.Sprintf("%d", sum.SavedPrefillPages),
-			fmt.Sprintf("%.1fms", sum.ModelTTFT.P50*1e3),
-			fmt.Sprintf("%.1fms", sum.ModelTTFT.P95*1e3),
-			fmt.Sprintf("%.1fms", sum.ModelTBT.P50*1e3),
-			f2(sum.Balance),
-			fmt.Sprintf("%d", sum.Shed),
-		}
-	}
+	affinity := run(replicas, 0, false)
+	rep.Rows = append(rep.Rows, []string{
+		"affinity",
+		fmt.Sprintf("%d", affinity.Replicas),
+		fmt.Sprintf("%.0f%%", affinity.PrefixHitRate()*100),
+		fmt.Sprintf("%d", affinity.PrefillTokens),
+		fmt.Sprintf("%d", affinity.SavedPrefillPages),
+		fmt.Sprintf("%.1fms", affinity.ModelTTFT.P50*1e3),
+		fmt.Sprintf("%.1fms", affinity.ModelTTFT.P95*1e3),
+		fmt.Sprintf("%.1fms", affinity.ModelTBT.P50*1e3),
+		f2(affinity.Balance),
+		fmt.Sprintf("%d", affinity.Shed),
+	})
+	rep.AddMetric("affinity.prefix_hit_rate", affinity.PrefixHitRate(), "frac")
+	rep.AddMetric("affinity.prefill_tokens", float64(affinity.PrefillTokens), "tokens")
+	rep.AddMetric("affinity.saved_prefill_pages", float64(affinity.SavedPrefillPages), "pages")
+	rep.AddMetric("affinity.model_ttft_p50", affinity.ModelTTFT.P50*1e3, "ms")
+	rep.AddMetric("affinity.model_ttft_p95", affinity.ModelTTFT.P95*1e3, "ms")
+	rep.AddMetric("affinity.balance", affinity.Balance, "")
 
-	var affinity fleet.Summary
-	for _, policy := range []fleet.Policy{fleet.PolicyAffinity, fleet.PolicyRoundRobin, fleet.PolicyLeastLoaded} {
-		sum := run(policy, replicas, 0, false)
-		if policy == fleet.PolicyAffinity {
-			affinity = sum
-		}
-		rep.Rows = append(rep.Rows, row(sum))
-		p := policy.String()
-		rep.AddMetric(p+".prefix_hit_rate", sum.PrefixHitRate(), "frac")
-		rep.AddMetric(p+".prefill_tokens", float64(sum.PrefillTokens), "tokens")
-		rep.AddMetric(p+".saved_prefill_pages", float64(sum.SavedPrefillPages), "pages")
-		rep.AddMetric(p+".model_ttft_p50", sum.ModelTTFT.P50*1e3, "ms")
-		rep.AddMetric(p+".model_ttft_p95", sum.ModelTTFT.P95*1e3, "ms")
-		rep.AddMetric(p+".balance", sum.Balance, "")
-	}
-
-	// Per-phase latency attribution for the affinity fleet (DESIGN.md §14):
+	// Per-phase latency attribution for the fleet (DESIGN.md §14):
 	// where the modeled wall time actually went, request-weighted. The phase
 	// totals are deterministic per seed, so they gate the trajectory.
 	if s := affinity.Attribution; s != nil {
@@ -118,7 +104,7 @@ func RunFleet(o Options) *Report {
 		for _, ps := range s.Phases {
 			rep.AddMetric("attr.model_"+ps.Phase+"_ms", ps.TotalSec*1e3, "ms")
 			rep.Notes = append(rep.Notes, fmt.Sprintf(
-				"attribution (affinity): %-12s %8.2fms  %5.1f%% of wall  (p95 %.2fms)",
+				"attribution: %-12s %8.2fms  %5.1f%% of wall  (p95 %.2fms)",
 				ps.Phase, ps.TotalSec*1e3, ps.FracWall*100, ps.P95*1e3))
 		}
 		rep.AddMetric("attr.prefix_credit_saved_ms", s.PrefixCreditSec*1e3, "ms")
@@ -132,7 +118,7 @@ func RunFleet(o Options) *Report {
 	}
 	var sloRows []sloRow
 	for _, n := range []int{1, 2, 4} {
-		sloRows = append(sloRows, sloRow{n, run(fleet.PolicyAffinity, n, sloTTFT, true)})
+		sloRows = append(sloRows, sloRow{n, run(n, sloTTFT, true)})
 	}
 
 	rep.Notes = append(rep.Notes,
@@ -141,10 +127,11 @@ func RunFleet(o Options) *Report {
 		"modeled latencies cost the real token/page/round counts as Llama-3.1-8B on the paper GPU (memsim); deterministic per seed",
 		fmt.Sprintf("affinity prefilled %d tokens (each doc once fleet-wide); pages saved = prefill pages avoided vs full per-request prefill",
 			affinity.PrefillTokens),
+		"cache-oblivious baselines (round-robin, least-loaded): recorded rows in EXPERIMENTS.md",
 	)
 	for _, sr := range sloRows {
 		rep.Notes = append(rep.Notes, fmt.Sprintf(
-			"slo %dms, affinity, %d replica(s): %.0f%% attainment, %d shed, %d rerouted",
+			"slo %dms, %d replica(s): %.0f%% attainment, %d shed, %d rerouted",
 			int(sloTTFT*1e3), sr.replicas, sr.sum.SLOAttainment*100, sr.sum.Shed, sr.sum.Rerouted))
 		pre := fmt.Sprintf("slo.replicas_%d.", sr.replicas)
 		rep.AddMetric(pre+"attainment", sr.sum.SLOAttainment, "frac")

@@ -129,8 +129,8 @@ func TestFleetSnapshotSchemaValid(t *testing.T) {
 		names[m.Name] = true
 	}
 	for _, want := range []string{
-		"affinity.prefix_hit_rate", "rr.prefix_hit_rate",
-		"affinity.saved_prefill_pages", "slo.replicas_4.attainment",
+		"affinity.prefix_hit_rate", "affinity.saved_prefill_pages",
+		"attr.model_wall_ms", "slo.replicas_4.attainment",
 	} {
 		if !names[want] {
 			t.Fatalf("fleet snapshot missing headline metric %q (has %v)", want, names)

@@ -15,7 +15,7 @@ import (
 func TestTraceFleetAttributionFingerprintNeutral(t *testing.T) {
 	m := testModel()
 	reqs := fleetLoad(3, 12)
-	attrOn := func(c *Config) { c.Attribution = true }
+	attrOn := func(c *Config) { c.Engine.Attribution = true }
 	slo := func(c *Config) { c.SLOTTFT = 0.15; c.Shed = true }
 
 	cases := []struct {
@@ -47,13 +47,13 @@ func TestTraceFleetAttributionFingerprintNeutral(t *testing.T) {
 func TestTraceFleetAttributionSummary(t *testing.T) {
 	m := testModel()
 	reqs := fleetLoad(3, 12)
+	ecfg := DefaultConfig().Engine
+	ecfg.Attribution = true
 	r := NewRouter(m, Config{
-		Replicas:    2,
-		Policy:      PolicyAffinity,
-		Engine:      DefaultConfig().Engine,
-		Seed:        7,
-		SLOTTFT:     0.5, // loose: judged but nothing shed
-		Attribution: true,
+		Replicas: 2,
+		Engine:   ecfg,
+		Seed:     7,
+		SLOTTFT:  0.5, // loose: judged but nothing shed
 	})
 	out := r.Run(reqs)
 	sum := r.Summary()
@@ -90,7 +90,7 @@ func TestTraceFleetAttributionSummary(t *testing.T) {
 
 	s := sum.Attribution
 	if s == nil {
-		t.Fatal("Summary.Attribution is nil with Config.Attribution set")
+		t.Fatal("Summary.Attribution is nil with Config.Engine.Attribution set")
 	}
 	if s.Requests != served {
 		t.Fatalf("merged aggregator saw %d requests, want %d", s.Requests, served)
@@ -117,12 +117,10 @@ func TestTraceFleetAttributionSummary(t *testing.T) {
 func TestTraceFleetAttributionRepeats(t *testing.T) {
 	m := testModel()
 	reqs := fleetLoad(3, 12)
+	ecfg := DefaultConfig().Engine
+	ecfg.Attribution = true
 	run := func() ([]Response, string) {
-		r := NewRouter(m, Config{
-			Replicas: 2, Policy: PolicyAffinity,
-			Engine: DefaultConfig().Engine, Seed: 7,
-			Attribution: true,
-		})
+		r := NewRouter(m, Config{Replicas: 2, Engine: ecfg, Seed: 7})
 		out := r.Run(reqs)
 		snap := r.Summary().Attribution.String()
 		r.Close()

@@ -168,7 +168,6 @@ func runFleet(t *testing.T, m *model.Model, replicas int, reqs []serve.Request, 
 	t.Helper()
 	cfg := Config{
 		Replicas: replicas,
-		Policy:   PolicyAffinity,
 		Engine:   serve.Config{Workers: 2, MaxBatch: 4, KVBudget: 2048, Seed: 7},
 		Seed:     7,
 	}
@@ -212,24 +211,21 @@ func runFleet(t *testing.T, m *model.Model, replicas int, reqs []serve.Request, 
 }
 
 // TestRouterDeterminismAcrossReplicaCounts is the fleet determinism lock:
-// at every replica count in {1, 2, 4} and for every policy, two runs of the
-// same seeded load on fresh routers must produce identical placements, token
-// streams, round schedules, modeled latencies and summary counters.
+// at every replica count in {1, 2, 4}, two runs of the same seeded load on
+// fresh routers must produce identical placements, token streams, round
+// schedules, modeled latencies and summary counters.
 func TestRouterDeterminismAcrossReplicaCounts(t *testing.T) {
 	m := testModel()
 	reqs := fleetLoad(3, 12)
 	for _, replicas := range []int{1, 2, 4} {
-		for _, policy := range []Policy{PolicyAffinity, PolicyRoundRobin, PolicyLeastLoaded} {
-			mutate := func(c *Config) { c.Policy = policy }
-			a := runFleet(t, m, replicas, reqs, mutate)
-			if a.completed != uint64(len(reqs)) || a.failed != 0 {
-				t.Fatalf("replicas=%d policy=%s: %d completed, %d failed, want %d/0",
-					replicas, policy, a.completed, a.failed, len(reqs))
-			}
-			b := runFleet(t, m, replicas, reqs, mutate)
-			if d := a.diff(b); d != "" {
-				t.Fatalf("replicas=%d policy=%s: runs differ: %s", replicas, policy, d)
-			}
+		a := runFleet(t, m, replicas, reqs)
+		if a.completed != uint64(len(reqs)) || a.failed != 0 {
+			t.Fatalf("replicas=%d: %d completed, %d failed, want %d/0",
+				replicas, a.completed, a.failed, len(reqs))
+		}
+		b := runFleet(t, m, replicas, reqs)
+		if d := a.diff(b); d != "" {
+			t.Fatalf("replicas=%d: runs differ: %s", replicas, d)
 		}
 	}
 }
@@ -259,7 +255,7 @@ func TestRouterDeterminismWithSLO(t *testing.T) {
 
 // TestSingleReplicaMatchesEngineRun: a 1-replica fleet is exactly the engine.
 // Router.Run must reproduce Engine.Run token-for-token, with identical round
-// schedules and prefix-cache behaviour, for every policy.
+// schedules and prefix-cache behaviour.
 func TestSingleReplicaMatchesEngineRun(t *testing.T) {
 	m := testModel()
 	reqs := fleetLoad(2, 10)
@@ -269,35 +265,30 @@ func TestSingleReplicaMatchesEngineRun(t *testing.T) {
 	want := eng.Run(reqs)
 	eng.Close()
 
-	for _, policy := range []Policy{PolicyAffinity, PolicyRoundRobin, PolicyLeastLoaded} {
-		r := NewRouter(m, Config{Replicas: 1, Policy: policy, Engine: ecfg, Seed: 7})
-		got := r.Run(reqs)
-		r.Close()
-		for i := range want {
-			if got[i].Replica != 0 {
-				t.Fatalf("policy %s: request %d on replica %d, want 0", policy, i, got[i].Replica)
+	r := NewRouter(m, Config{Replicas: 1, Engine: ecfg, Seed: 7})
+	got := r.Run(reqs)
+	r.Close()
+	for i := range want {
+		if got[i].Replica != 0 {
+			t.Fatalf("request %d on replica %d, want 0", i, got[i].Replica)
+		}
+		if (want[i].Err == nil) != (got[i].Err == nil) {
+			t.Fatalf("request %d err %v vs engine %v", i, got[i].Err, want[i].Err)
+		}
+		if len(got[i].Tokens) != len(want[i].Tokens) {
+			t.Fatalf("request %d has %d tokens, engine %d", i, len(got[i].Tokens), len(want[i].Tokens))
+		}
+		for j := range want[i].Tokens {
+			if got[i].Tokens[j] != want[i].Tokens[j] {
+				t.Fatalf("request %d token %d: %d vs engine %d", i, j, got[i].Tokens[j], want[i].Tokens[j])
 			}
-			if (want[i].Err == nil) != (got[i].Err == nil) {
-				t.Fatalf("policy %s: request %d err %v vs engine %v", policy, i, got[i].Err, want[i].Err)
-			}
-			if len(got[i].Tokens) != len(want[i].Tokens) {
-				t.Fatalf("policy %s: request %d has %d tokens, engine %d",
-					policy, i, len(got[i].Tokens), len(want[i].Tokens))
-			}
-			for j := range want[i].Tokens {
-				if got[i].Tokens[j] != want[i].Tokens[j] {
-					t.Fatalf("policy %s: request %d token %d: %d vs engine %d",
-						policy, i, j, got[i].Tokens[j], want[i].Tokens[j])
-				}
-			}
-			if got[i].AdmitRound != want[i].AdmitRound || got[i].DoneRound != want[i].DoneRound {
-				t.Fatalf("policy %s: request %d rounds (%d,%d) vs engine (%d,%d)",
-					policy, i, got[i].AdmitRound, got[i].DoneRound, want[i].AdmitRound, want[i].DoneRound)
-			}
-			if got[i].PrefixHit != want[i].PrefixHit {
-				t.Fatalf("policy %s: request %d prefix hit %v vs engine %v",
-					policy, i, got[i].PrefixHit, want[i].PrefixHit)
-			}
+		}
+		if got[i].AdmitRound != want[i].AdmitRound || got[i].DoneRound != want[i].DoneRound {
+			t.Fatalf("request %d rounds (%d,%d) vs engine (%d,%d)",
+				i, got[i].AdmitRound, got[i].DoneRound, want[i].AdmitRound, want[i].DoneRound)
+		}
+		if got[i].PrefixHit != want[i].PrefixHit {
+			t.Fatalf("request %d prefix hit %v vs engine %v", i, got[i].PrefixHit, want[i].PrefixHit)
 		}
 	}
 }

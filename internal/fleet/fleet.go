@@ -4,23 +4,18 @@
 // that a single engine cannot: a request whose shared document prefix is
 // already cached on replica A is a near-free prefill there and a full
 // re-prefill anywhere else, so *where* a request lands decides its TTFT. The
-// router implements three policies —
-//
-//   - affinity (default): route to the replica whose prefix cache holds the
-//     longest resident prefix of the request's shared prefix — probed at
-//     every page-aligned depth, so nested-prefix traffic (multi-turn chat,
-//     agentic re-entry, templated RAG) follows the replica holding the
-//     deepest cached ancestor, not just exact hash matches; fall back to
-//     least-loaded (KV pages, then queue depth) with consistent hashing as
-//     the deterministic tiebreaker;
-//   - round-robin: the classic cache-oblivious baseline;
-//   - least-loaded: pure load balancing, still cache-oblivious;
-//
-// — plus per-replica admission backpressure (streaming submissions probe
-// replicas with serve.Engine.TrySubmit and fail over instead of blocking on a
-// saturated intake) and SLO-aware scheduling: every placement carries a
-// modeled TTFT (replica backlog + marginal prefill + first token, with page
-// transfer costs from memsim), and requests predicted to miss a configured
+// router has one placement rule, prefix affinity: route to the replica whose
+// prefix cache holds the longest resident prefix of the request's shared
+// prefix — probed at every page-aligned depth, so nested-prefix traffic
+// (multi-turn chat, agentic re-entry, templated RAG) follows the replica
+// holding the deepest cached ancestor, not just exact hash matches — and fall
+// back to least-loaded (KV pages, then queue depth) with consistent hashing as
+// the deterministic tiebreaker for unshared or not yet placed prefixes. On
+// top of it sit per-replica admission backpressure (streaming submissions
+// probe replicas with serve.Engine.TrySubmit and fail over instead of
+// blocking on a saturated intake) and SLO-aware scheduling: every placement
+// carries a modeled TTFT (replica backlog + marginal prefill + first token,
+// priced on serve.CostModel), and requests predicted to miss a configured
 // TTFT SLO are re-routed to the best replica or, optionally, shed.
 //
 // Determinism: Router.Run places requests from router-owned ledgers only
@@ -34,9 +29,7 @@ package fleet
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
-	"strings"
 	"sync"
 
 	"clusterkv/internal/kvcache"
@@ -51,58 +44,19 @@ import (
 // best replica's modeled TTFT missed the configured SLO (Config.Shed).
 var ErrSLOShed = errors.New("fleet: request shed (modeled TTFT misses SLO on every replica)")
 
-// Policy selects the routing policy.
-type Policy int
-
-const (
-	// PolicyAffinity routes by shared-prefix residency, falling back to
-	// least-loaded with a consistent-hash tiebreak. The default.
-	PolicyAffinity Policy = iota
-	// PolicyRoundRobin ignores both cache state and load.
-	PolicyRoundRobin
-	// PolicyLeastLoaded balances KV pages and queue depth, ignoring caches.
-	PolicyLeastLoaded
-)
-
-// String returns the flag spelling of the policy.
-func (p Policy) String() string {
-	switch p {
-	case PolicyRoundRobin:
-		return "rr"
-	case PolicyLeastLoaded:
-		return "leastloaded"
-	default:
-		return "affinity"
-	}
-}
-
-// ParsePolicy parses a policy flag value ("affinity", "rr", "leastloaded").
-func ParsePolicy(s string) (Policy, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "affinity":
-		return PolicyAffinity, nil
-	case "rr", "roundrobin", "round-robin":
-		return PolicyRoundRobin, nil
-	case "leastloaded", "least-loaded", "ll":
-		return PolicyLeastLoaded, nil
-	}
-	return 0, fmt.Errorf("fleet: unknown policy %q (affinity, rr, leastloaded)", s)
-}
-
 // Config holds the fleet tunables.
 type Config struct {
 	// Replicas is the engine count. Values <= 0 mean 1.
 	Replicas int
-	// Policy is the routing policy (PolicyAffinity by default).
-	Policy Policy
 	// Engine is the per-replica engine configuration. Replica 0 uses
 	// Engine.Seed exactly (the 1-replica equivalence contract); replica i>0
-	// derives an independent seed from it.
+	// derives an independent seed from it. With Engine.Attribution set, Run
+	// also merges every served request's latency breakdown — replica label and
+	// modeled SLO margin stamped in — into Summary.Attribution (DESIGN.md §14).
 	Engine serve.Config
 	// SLOTTFT, when > 0, is the modeled time-to-first-token SLO in seconds:
 	// placements predicted to miss it are re-routed to the best replica
-	// (affinity policy) and, with Shed set, shed with ErrSLOShed when no
-	// replica can make it.
+	// and, with Shed set, shed with ErrSLOShed when no replica can make it.
 	SLOTTFT float64
 	// SLOTBT, when > 0, is the modeled time-between-tokens SLO in seconds.
 	// It is evaluated on the post-run round schedule (SLO attainment and
@@ -110,13 +64,6 @@ type Config struct {
 	SLOTBT float64
 	// Shed enables dropping requests predicted to miss SLOTTFT everywhere.
 	Shed bool
-	// Hardware parameterises the modeled latencies; the zero value means the
-	// paper GPU (memsim.AdaRTX6000).
-	Hardware memsim.Hardware
-	// Shape is the model the latency model pretends the fleet serves (the
-	// memsim idiom: real algorithm counts, paper-scale costs). The zero
-	// value means memsim.Llama31_8B.
-	Shape memsim.ModelShape
 	// Seed salts the consistent-hash tiebreaker (placement stays
 	// deterministic per seed).
 	Seed uint64
@@ -126,18 +73,12 @@ type Config struct {
 	// Tracing never changes placement or scheduling — the traced-vs-untraced
 	// fleet determinism suite locks this.
 	Trace *obs.Tracer
-	// Attribution enables per-request latency attribution (DESIGN.md §14) on
-	// every replica engine and aggregates Run workloads' breakdowns — with
-	// replica labels and modeled SLO margins stamped in — into
-	// Summary.Attribution. Deterministic per seed and fingerprint-neutral,
-	// like tracing.
-	Attribution bool
 }
 
 // DefaultConfig returns a 2-replica affinity-routing fleet over default
 // engines.
 func DefaultConfig() Config {
-	return Config{Replicas: 2, Policy: PolicyAffinity, Engine: serve.DefaultConfig(), Seed: 1}
+	return Config{Replicas: 2, Engine: serve.DefaultConfig(), Seed: 1}
 }
 
 // Response is the outcome of one routed request.
@@ -196,11 +137,12 @@ type Router struct {
 	m       *model.Model
 	cfg     Config
 	engines []*serve.Engine
-	lm      latencyModel
+	// lm prices placements and Run's modeled latencies: the engines' own
+	// serve.CostModel, so fleet latencies and per-request phase breakdowns
+	// agree on what tokens and pages cost.
+	lm memsim.LatencyModel
 
-	pageTokens int
-	planes     int64
-	maxBatch   int
+	planes int64
 
 	mu sync.Mutex
 	// Placement ledgers: the router's own deterministic model of each
@@ -218,7 +160,6 @@ type Router struct {
 	assignedPages []int64   // modeled KV pages routed per replica (prefix counted once)
 	backlogSec    []float64 // modeled seconds of work routed since the last rebase
 	routedReqs    []int64   // cumulative per-replica placements (Summary)
-	rrNext        uint64
 
 	// Fleet accumulators.
 	shed, rerouted       int64
@@ -229,7 +170,7 @@ type Router struct {
 	// attr merges every served Run request's latency breakdown (replica and
 	// SLO margin stamped in) in submission order — deterministic because
 	// observe folds the indexed out slice, never goroutine completion order.
-	// nil unless Config.Attribution.
+	// nil unless Config.Engine.Attribution.
 	attr *obs.Attribution
 
 	// rec is the router's own trace lane (-1); placeSeq numbers streaming
@@ -249,30 +190,21 @@ func NewRouter(m *model.Model, cfg Config) *Router {
 	if cfg.Engine.MaxBatch <= 0 {
 		cfg.Engine.MaxBatch = serve.DefaultConfig().MaxBatch
 	}
-	if cfg.Hardware.Name == "" {
-		cfg.Hardware = memsim.AdaRTX6000()
-	}
-	if cfg.Shape.Name == "" {
-		cfg.Shape = memsim.Llama31_8B()
-	}
-	pageTokens := cfg.Engine.PageTokens
-	if pageTokens <= 0 {
-		pageTokens = kvcache.DefaultPageTokens
+	if cfg.Engine.PageTokens <= 0 {
+		cfg.Engine.PageTokens = kvcache.DefaultPageTokens
 	}
 	mc := m.Config()
 	r := &Router{
 		m:          m,
 		cfg:        cfg,
-		lm:         newLatencyModel(cfg.Hardware, cfg.Shape, pageTokens),
-		pageTokens: pageTokens,
+		lm:         serve.CostModel(cfg.Engine.PageTokens),
 		planes:     int64(mc.NLayers * mc.NKVHeads),
-		maxBatch:   cfg.Engine.MaxBatch,
 		prefixHome: make(map[uint64]int),
 		charged:    make(map[prefixOn]int64),
 		chainOn:    make(map[prefixOn]struct{}),
 	}
 	r.rec = cfg.Trace.Recorder(-1) // nil-safe: disabled on a nil tracer
-	if cfg.Attribution {
+	if cfg.Engine.Attribution {
 		r.attr = obs.NewAttribution()
 	}
 	r.engines = make([]*serve.Engine, cfg.Replicas)
@@ -286,9 +218,6 @@ func NewRouter(m *model.Model, cfg Config) *Router {
 		// 1-replica ≡ Engine.Run contract; others get independent streams.
 		ecfg.Seed = cfg.Engine.Seed ^ (uint64(i) * 0x9e3779b97f4a7c15)
 		ecfg.Trace = cfg.Trace.Recorder(i)
-		ecfg.Attribution = cfg.Attribution
-		ecfg.ModelHardware = cfg.Hardware
-		ecfg.ModelShape = cfg.Shape
 		r.engines[i] = serve.NewEngine(m, ecfg)
 	}
 	return r
@@ -377,10 +306,11 @@ type chainLink struct {
 // replica holding the deepest cached ancestor.
 func (r *Router) prefixChain(req *serve.Request) []chainLink {
 	prefix := req.Prompt[:req.SharedPrefixLen]
-	hashes := serve.AlignedPrefixKeys(prefix, r.pageTokens)
+	pageTokens := r.cfg.Engine.PageTokens
+	hashes := serve.AlignedPrefixKeys(prefix, pageTokens)
 	links := make([]chainLink, len(hashes))
 	for i, hh := range hashes {
-		d := (i + 1) * r.pageTokens
+		d := (i + 1) * pageTokens
 		if d > len(prefix) {
 			d = len(prefix)
 		}
@@ -406,7 +336,7 @@ func (r *Router) marginal(req *serve.Request, rep int, chain []chainLink) int {
 // continuously batched rounds.
 func (r *Router) reqSec(req *serve.Request, margToks int) float64 {
 	return r.lm.PrefillSec(margToks) +
-		r.lm.DecodeSecPerTok*float64(req.MaxNewTokens)/float64(r.maxBatch)
+		r.lm.DecodeSecPerTok*float64(req.MaxNewTokens)/float64(r.cfg.Engine.MaxBatch)
 }
 
 // predictTTFT models time-to-first-token on rep: everything already routed
@@ -458,33 +388,23 @@ func (r *Router) place(req *serve.Request) placement {
 	if shared {
 		chain = r.prefixChain(req)
 	}
-	var rep int
-	switch r.cfg.Policy {
-	case PolicyRoundRobin:
-		rep = int(r.rrNext % uint64(len(r.engines)))
-		r.rrNext++
-	case PolicyLeastLoaded:
+	// Longest-prefix affinity: walk the chain deepest-first, so an exact
+	// prefix home wins over a shallower ancestor's home.
+	rep := -1
+	for i := len(chain) - 1; i >= 0; i-- {
+		if home, ok := r.prefixHome[chain[i].hash]; ok {
+			rep = home
+			break
+		}
+	}
+	if rep < 0 {
 		rep = r.leastLoaded(h)
-	default: // affinity
-		rep = -1
-		// Longest-prefix affinity: walk the chain deepest-first, so an exact
-		// prefix home wins over a shallower ancestor's home.
-		for i := len(chain) - 1; i >= 0; i-- {
-			if home, ok := r.prefixHome[chain[i].hash]; ok {
-				rep = home
-				break
-			}
-		}
-		if rep < 0 {
-			rep = r.leastLoaded(h)
-		}
 	}
 	margToks := r.marginal(req, rep, chain)
 	pred := r.predictTTFT(req, rep, margToks)
 	rerouted := false
 	if slo := r.cfg.SLOTTFT; slo > 0 && pred > slo {
-		// Find the best-predicted replica regardless of policy: shedding is
-		// judged against it, so a request is shed only when *every* replica's
+		// Find the best-predicted replica: shedding is judged against it, so a request is shed only when *every* replica's
 		// modeled TTFT misses the SLO (the ErrSLOShed contract). Strictly
 		// better only, so ties deterministically keep the original choice.
 		best, bestPred, bestMarg := rep, pred, margToks
@@ -500,11 +420,9 @@ func (r *Router) place(req *serve.Request) placement {
 		if bestPred > slo && r.cfg.Shed {
 			return placement{replica: -1, shed: true, hash: h, shared: shared, predTTFT: bestPred}
 		}
-		if r.cfg.Policy == PolicyAffinity && best != rep {
-			// Affinity re-routes: losing the cached prefix costs a
-			// re-prefill, but a long backlog on the home replica can cost
-			// more. The oblivious baselines keep their placement (the miss
-			// is recorded, not rescued).
+		if best != rep {
+			// Re-route: losing the cached prefix costs a re-prefill, but a
+			// long backlog on the home replica can cost more.
 			rep, pred, margToks = best, bestPred, bestMarg
 			rerouted = true
 		}
@@ -521,7 +439,7 @@ func (r *Router) place(req *serve.Request) placement {
 func (r *Router) commit(req *serve.Request, rep int, chain []chainLink, margToks int) {
 	r.assignedReqs[rep]++
 	r.routedReqs[rep]++
-	r.assignedPages[rep] += pagesFor(margToks+req.MaxNewTokens, r.pageTokens) * r.planes
+	r.assignedPages[rep] += r.lm.PagesFor(margToks+req.MaxNewTokens) * r.planes
 	r.backlogSec[rep] += r.reqSec(req, margToks)
 	if len(chain) == 0 {
 		return
@@ -532,8 +450,7 @@ func (r *Router) commit(req *serve.Request, rep int, chain []chainLink, margToks
 		if depth > req.SharedPrefixLen {
 			depth = req.SharedPrefixLen
 		}
-		r.charged[key] = (pagesFor(req.SharedPrefixLen, r.pageTokens) -
-			pagesFor(depth, r.pageTokens)) * r.planes
+		r.charged[key] = (r.lm.PagesFor(req.SharedPrefixLen) - r.lm.PagesFor(depth)) * r.planes
 	}
 	for _, link := range chain {
 		r.chainOn[prefixOn{link.hash, rep}] = struct{}{}
@@ -713,7 +630,7 @@ func (r *Router) observe(reqs []serve.Request, out []Response) {
 		naive := int64(len(reqs[i].Prompt))
 		marg := naive - int64(out[i].PrefixReusedTokens)
 		r.savedPrefillTokens += naive - marg
-		r.savedPrefillPages += (pagesFor(int(naive), r.pageTokens) - pagesFor(int(marg), r.pageTokens)) * r.planes
+		r.savedPrefillPages += (r.lm.PagesFor(int(naive)) - r.lm.PagesFor(int(marg))) * r.planes
 		r.modelTTFT.Add(out[i].ModelTTFT)
 		if len(out[i].Tokens) > 1 {
 			r.modelTBT.Add(out[i].ModelTBT)
@@ -733,7 +650,7 @@ func (r *Router) observe(reqs []serve.Request, out []Response) {
 // ---- Streaming --------------------------------------------------------------
 
 // Submit routes one request immediately using live replica state — prefix
-// residency probes (Engine.PrefixResident), occupancy gauges, and
+// residency probes (Engine.ResidentPrefixLen), occupancy gauges, and
 // non-blocking TrySubmit with failover, so a saturated replica never blocks
 // the router. When every intake is full, Submit falls back to a blocking
 // Submit on the chosen replica (backpressure reaches the caller, requests
@@ -760,7 +677,7 @@ func (r *Router) Submit(req serve.Request) *Ticket {
 	for i, e := range r.engines {
 		occ := e.Occupancy()
 		resDepth := 0
-		if shared && r.cfg.Policy == PolicyAffinity {
+		if shared {
 			resDepth = e.ResidentPrefixLen(req.Prompt[:req.SharedPrefixLen])
 		}
 		cands[i] = cand{
@@ -791,20 +708,6 @@ func (r *Router) Submit(req serve.Request) *Ticket {
 			}
 		}
 		cands[i], cands[best] = cands[best], cands[i]
-	}
-	if r.cfg.Policy == PolicyRoundRobin {
-		r.mu.Lock()
-		rep := int(r.rrNext % uint64(len(r.engines)))
-		r.rrNext++
-		r.mu.Unlock()
-		// Round-robin ignores state: put the assigned replica first, keep
-		// the rest as failover order.
-		for i := range cands {
-			if cands[i].rep == rep {
-				cands[0], cands[i] = cands[i], cands[0]
-				break
-			}
-		}
 	}
 
 	// Live prediction per candidate: each one's own modeled cost plus its

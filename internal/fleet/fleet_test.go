@@ -8,100 +8,74 @@ import (
 	"clusterkv/internal/serve"
 )
 
-func TestParsePolicy(t *testing.T) {
-	cases := map[string]Policy{
-		"affinity":    PolicyAffinity,
-		"rr":          PolicyRoundRobin,
-		"RoundRobin":  PolicyRoundRobin,
-		"leastloaded": PolicyLeastLoaded,
-		" ll ":        PolicyLeastLoaded,
-	}
-	for s, want := range cases {
-		got, err := ParsePolicy(s)
-		if err != nil || got != want {
-			t.Fatalf("ParsePolicy(%q) = %v, %v; want %v", s, got, err, want)
-		}
-		if rt, err := ParsePolicy(got.String()); err != nil || rt != want {
-			t.Fatalf("policy %v does not round-trip through String(): %v, %v", want, rt, err)
-		}
-	}
-	if _, err := ParsePolicy("bogus"); err == nil {
-		t.Fatal("ParsePolicy accepted garbage")
-	}
-}
-
 // TestAffinityKeepsDocumentsTogether: with as many replicas as shared
-// documents, affinity routing prefills each document exactly once
-// fleet-wide (misses == docs), keeps every same-document request on one
-// replica, and beats round-robin on prefill work saved.
+// documents, affinity routing gives each document its own replica and keeps
+// every request about it there, so each document is prefilled exactly once
+// fleet-wide: one miss per document, every other request a full hit that
+// prefills only its question.
 func TestAffinityKeepsDocumentsTogether(t *testing.T) {
 	m := testModel()
 	const nDocs, nReqs = 4, 16
 	reqs := fleetLoad(nDocs, nReqs)
+	r := NewRouter(m, Config{
+		Replicas: nDocs,
+		Engine:   serve.Config{Workers: 2, MaxBatch: 4, Seed: 7},
+		Seed:     7,
+	})
+	resps := r.Run(reqs)
+	sum := r.Summary()
+	r.Close()
 
-	run := func(policy Policy) (Summary, []Response) {
-		r := NewRouter(m, Config{
-			Replicas: nDocs,
-			Policy:   policy,
-			Engine:   serve.Config{Workers: 2, MaxBatch: 4, Seed: 7},
-			Seed:     7,
-		})
-		resps := r.Run(reqs)
-		sum := r.Summary()
-		r.Close()
-		for i, resp := range resps {
-			if resp.Err != nil {
-				t.Fatalf("policy %s request %d: %v", policy, i, resp.Err)
-			}
-		}
-		return sum, resps
-	}
-
-	aff, affResps := run(PolicyAffinity)
-	rr, _ := run(PolicyRoundRobin)
-
-	if aff.PrefixMisses != nDocs {
-		t.Fatalf("affinity prefilled %d documents, want exactly %d", aff.PrefixMisses, nDocs)
-	}
-	// Same document => same replica under affinity.
+	docLen := reqs[0].SharedPrefixLen
+	var promptToks int64
 	docReplica := map[uint64]int{}
-	for i, resp := range affResps {
+	for i, resp := range resps {
+		if resp.Err != nil {
+			t.Fatalf("request %d: %v", i, resp.Err)
+		}
+		promptToks += int64(len(reqs[i].Prompt))
 		h := serve.PrefixKey(reqs[i].Prompt[:reqs[i].SharedPrefixLen])
 		if rep, ok := docReplica[h]; ok {
 			if rep != resp.Replica {
-				t.Fatalf("document split across replicas %d and %d under affinity", rep, resp.Replica)
+				t.Fatalf("document split across replicas %d and %d", rep, resp.Replica)
 			}
 		} else {
 			docReplica[h] = resp.Replica
 		}
 	}
-	if aff.SavedPrefillTokens <= rr.SavedPrefillTokens {
-		t.Fatalf("affinity saved %d prefill tokens, round-robin %d; affinity should win",
-			aff.SavedPrefillTokens, rr.SavedPrefillTokens)
+	if len(docReplica) != nDocs {
+		t.Fatalf("load touched %d documents, want %d", len(docReplica), nDocs)
 	}
-	if aff.SavedPrefillPages <= rr.SavedPrefillPages {
-		t.Fatalf("affinity saved %d prefill pages, round-robin %d; affinity should win",
-			aff.SavedPrefillPages, rr.SavedPrefillPages)
+	hits := int64(nReqs - nDocs)
+	if sum.PrefixMisses != nDocs || sum.PrefixHits != uint64(hits) || sum.PrefixPartialHits != 0 {
+		t.Fatalf("prefix cache: %d misses (%d partial), %d hits; want %d, 0, %d",
+			sum.PrefixMisses, sum.PrefixPartialHits, sum.PrefixHits, nDocs, hits)
 	}
-	if aff.PrefillTokens >= rr.PrefillTokens {
-		t.Fatalf("affinity prefilled %d tokens, round-robin %d; affinity should prefill less",
-			aff.PrefillTokens, rr.PrefillTokens)
+	if want := hits * int64(docLen); sum.SavedPrefillTokens != want || sum.PrefixReusedTokens != want {
+		t.Fatalf("saved %d / reused %d prefill tokens, want %d", sum.SavedPrefillTokens, sum.PrefixReusedTokens, want)
 	}
-	if aff.ModelTTFT.P50 >= rr.ModelTTFT.P50 {
-		t.Fatalf("affinity modeled TTFT p50 %.3gms not better than round-robin %.3gms",
-			aff.ModelTTFT.P50*1e3, rr.ModelTTFT.P50*1e3)
+	if want := promptToks - hits*int64(docLen); sum.PrefillTokens != want {
+		t.Fatalf("prefilled %d tokens, want %d (each document once)", sum.PrefillTokens, want)
+	}
+	for i, rs := range sum.PerReplica {
+		if rs.PrefixMisses != 1 {
+			t.Fatalf("replica %d prefilled %d documents, want 1", i, rs.PrefixMisses)
+		}
 	}
 }
 
-// TestLeastLoadedBalances: the cache-oblivious least-loaded policy spreads a
+// TestLeastLoadedBalances: requests without a shared prefix have no home, so
+// affinity places every one by the least-loaded fallback, which spreads a
 // uniform load evenly (balance == 1 for a request count divisible by the
 // fleet size).
 func TestLeastLoadedBalances(t *testing.T) {
 	m := testModel()
 	reqs := fleetLoad(2, 12)
+	for i := range reqs {
+		reqs[i].SharedPrefixLen = 0
+	}
 	r := NewRouter(m, Config{
 		Replicas: 4,
-		Policy:   PolicyLeastLoaded,
 		Engine:   serve.Config{Workers: 1, MaxBatch: 4, Seed: 3},
 		Seed:     3,
 	})

@@ -8,26 +8,15 @@ import (
 	"clusterkv/internal/serve"
 )
 
-// ReplicaStats condenses one replica's contribution to a fleet run.
+// ReplicaStats condenses one replica's contribution to a fleet run: the
+// replica engine's own Metrics snapshot plus what only the router and the
+// arena know.
 type ReplicaStats struct {
 	// Routed is the number of requests the router placed on this replica.
 	Routed int64
-	// Completed/Failed are the replica engine's terminal counters.
-	Completed, Failed uint64
-	// PrefixHits/PrefixMisses are the replica's prefix-cache counters;
-	// PrefixPartialHits counts misses that still reused a cached ancestor's
-	// pages (radix cache), and PrefixReusedTokens the prompt tokens whose
-	// prefill the replica skipped via either form of reuse.
-	PrefixHits, PrefixMisses uint64
-	PrefixPartialHits        uint64
-	PrefixReusedTokens       int64
-	// PrefillTokens/TokensGenerated are the replica's token counters.
-	PrefillTokens, TokensGenerated int64
-	// Rounds is the replica's scheduler round count.
-	Rounds int64
-	// KVPeak is the replica's KV high-water mark in per-head token slots;
-	// ArenaPeakPages its peak live page count.
-	KVPeak, ArenaPeakPages int64
+	// ArenaPeakPages is the replica arena's peak live page count.
+	ArenaPeakPages int64
+	serve.Metrics
 }
 
 // Summary is a point-in-time snapshot of fleet-wide routing and serving
@@ -35,7 +24,6 @@ type ReplicaStats struct {
 // deterministic for a fixed (load, config, seed).
 type Summary struct {
 	Replicas int
-	Policy   Policy
 
 	// Routing counters. Routed counts placements on engines; Shed counts
 	// requests refused by SLO shedding (never submitted); Rerouted counts
@@ -72,7 +60,7 @@ type Summary struct {
 
 	// Attribution is the merged per-phase latency attribution across every
 	// request served by Run, replica-labeled and SLO-margin-stamped
-	// (DESIGN.md §14). nil unless Config.Attribution.
+	// (DESIGN.md §14). nil unless Config.Engine.Attribution.
 	Attribution *obs.AttributionSnapshot
 }
 
@@ -91,7 +79,6 @@ func (r *Router) Summary() Summary {
 	r.mu.Lock()
 	s := Summary{
 		Replicas:           len(r.engines),
-		Policy:             r.cfg.Policy,
 		Shed:               r.shed,
 		Rerouted:           r.rerouted,
 		SavedPrefillTokens: r.savedPrefillTokens,
@@ -115,21 +102,7 @@ func (r *Router) Summary() Summary {
 
 	var maxRouted int64
 	for i, e := range r.engines {
-		mx := e.Metrics()
-		rs := ReplicaStats{
-			Routed:             routed[i],
-			Completed:          mx.Completed,
-			Failed:             mx.Failed,
-			PrefixHits:         mx.PrefixHits,
-			PrefixMisses:       mx.PrefixMisses,
-			PrefixPartialHits:  mx.PrefixPartialHits,
-			PrefixReusedTokens: mx.PrefixReusedTokens,
-			PrefillTokens:      mx.PrefillTokens,
-			TokensGenerated:    mx.TokensGenerated,
-			Rounds:             mx.Rounds,
-			KVPeak:             mx.KVPeak,
-			ArenaPeakPages:     e.Arena().PeakPages(),
-		}
+		rs := ReplicaStats{Routed: routed[i], ArenaPeakPages: e.Arena().PeakPages(), Metrics: e.Metrics()}
 		s.PerReplica = append(s.PerReplica, rs)
 		s.Routed += rs.Routed
 		s.Completed += rs.Completed
@@ -185,7 +158,7 @@ func (r *Router) FillRegistry(reg *obs.Registry, labels ...obs.Label) {
 // row per replica.
 func (s Summary) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "fleet: %d replicas, policy %s\n", s.Replicas, s.Policy)
+	fmt.Fprintf(&b, "fleet: %d replicas\n", s.Replicas)
 	fmt.Fprintf(&b, "routing: %d routed, %d shed, %d rerouted, balance %.2f (1 = even)\n",
 		s.Routed, s.Shed, s.Rerouted, s.Balance)
 	fmt.Fprintf(&b, "requests: %d completed, %d failed\n", s.Completed, s.Failed)

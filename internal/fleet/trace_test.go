@@ -116,7 +116,7 @@ clusterkv_fleet_model_ttft_seconds{fleet="a",stat="p50"} 0.07467635094946778
 clusterkv_fleet_model_ttft_seconds{fleet="a",stat="p95"} 0.07467635094946778
 `
 	r := NewRouter(testModel(), Config{
-		Replicas: 2, Policy: PolicyAffinity, Seed: 7,
+		Replicas: 2, Seed: 7,
 		Engine: serve.Config{Workers: 2, MaxBatch: 4, KVBudget: 2048, Seed: 7},
 	})
 	r.Run(fleetLoad(2, 8))

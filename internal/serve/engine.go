@@ -75,12 +75,6 @@ type Config struct {
 	// scheduling: on/off runs are token-, round- and fingerprint-identical
 	// (locked by the determinism suites).
 	Attribution bool
-	// ModelHardware and ModelShape parameterise the latency model behind the
-	// attribution clock and the transfer channel (link cost per page, compute
-	// window per layer); zero values mean the paper GPU (memsim.AdaRTX6000)
-	// serving memsim.Llama31_8B, matching the fleet router's defaults.
-	ModelHardware memsim.Hardware
-	ModelShape    memsim.ModelShape
 }
 
 // DefaultConfig returns the default engine configuration.
@@ -92,6 +86,16 @@ func DefaultConfig() Config {
 		KVBudget: 0,
 		Seed:     1,
 	}
+}
+
+// CostModel is the serving cost model every modeled latency is priced on: the
+// engine's real token, page and round counts costed as memsim.Llama31_8B on
+// the paper GPU (memsim.AdaRTX6000), with pageTokens-token KV pages. The
+// engine's transfer channel (link cost per page, compute window per layer)
+// and attribution clock and the fleet router's placement and latency model
+// all take it from here, so every modeled latency is on one clock.
+func CostModel(pageTokens int) memsim.LatencyModel {
+	return memsim.NewLatencyModel(memsim.AdaRTX6000(), memsim.Llama31_8B(), pageTokens)
 }
 
 // Engine is a continuous-batching serving engine over one Model. All methods
@@ -126,8 +130,8 @@ type Engine struct {
 	// published). Every entry registers its whole page-aligned prefix chain,
 	// so routers can probe nested depths. Refcounts keep a hash resident while any registrant lives (two entries
 	// legitimately share their common chain prefix). Maintained by the
-	// scheduler at entry creation/release; PrefixResident and
-	// ResidentPrefixLen read it lock-cheaply from any goroutine.
+	// scheduler at entry creation/release; ResidentPrefixLen reads it
+	// lock-cheaply from any goroutine.
 	resMu    sync.RWMutex
 	resident map[uint64]int
 
@@ -224,7 +228,11 @@ type prefixEntry struct {
 }
 
 // NewEngine starts an engine. Callers must Close (or Shutdown) it.
-func NewEngine(m *model.Model, cfg Config) *Engine {
+func NewEngine(m *model.Model, cfg Config) *Engine { return newEngine(m, cfg, CostModel) }
+
+// newEngine is NewEngine with the cost model as a parameter: the seam a test
+// prices a slower link through.
+func newEngine(m *model.Model, cfg Config, cost func(pageTokens int) memsim.LatencyModel) *Engine {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
@@ -261,14 +269,7 @@ func NewEngine(m *model.Model, cfg Config) *Engine {
 	}
 	e.acct = kvcache.NewTieredAccountant(capacity, hostCap)
 	e.arena = kvcache.NewArena(cfg.PageTokens, e.acct)
-	hw, shape := cfg.ModelHardware, cfg.ModelShape
-	if hw.Name == "" {
-		hw = memsim.AdaRTX6000()
-	}
-	if shape.Name == "" {
-		shape = memsim.Llama31_8B()
-	}
-	lm := memsim.NewLatencyModel(hw, shape, cfg.PageTokens)
+	lm := cost(cfg.PageTokens)
 	e.rt = kvcache.NewTransferRuntime(kvcache.Channel{SecPerPage: lm.SecPerPlanePage, LayerSec: lm.LayerSec})
 	e.rec = cfg.Trace
 	e.rt.SetTrace(cfg.Trace) // before loop starts: the runtime reads it unlocked
@@ -352,24 +353,13 @@ func (e *Engine) TrySubmit(req Request) (*Ticket, bool) {
 	return tk, true
 }
 
-// PrefixResident reports whether the engine's prefix cache currently holds
-// KV state for the given content hash (see PrefixKey) — building or
-// published. The hash of any page-aligned prefix of a cached entry answers
-// true, not just whole-entry hashes. Routers use it to
-// place shared-prefix requests on the replica that already paid the prefill.
-// The answer is advisory: the scheduler may evict the entry between the
-// probe and admission, in which case the request simply rebuilds it.
-func (e *Engine) PrefixResident(hash uint64) bool {
-	e.resMu.RLock()
-	defer e.resMu.RUnlock()
-	return e.resident[hash] > 0
-}
-
 // ResidentPrefixLen reports the deepest prefix of tokens — probed at every
 // page boundary plus the whole slice — whose content hash is resident in the
-// engine's prefix cache, 0 when nothing matches. It is the router-side probe
-// behind longest-prefix affinity: nested-prefix requests go to the replica
-// holding the deepest match. Advisory, like PrefixResident.
+// engine's prefix cache (building or published), 0 when nothing matches. It
+// is the router-side probe behind longest-prefix affinity: nested-prefix
+// requests go to the replica holding the deepest match. The answer is
+// advisory: the scheduler may evict the entry between the probe and
+// admission, in which case the request simply rebuilds it.
 func (e *Engine) ResidentPrefixLen(tokens []int) int {
 	P := e.cfg.PageTokens
 	keys := alignedPrefixKeys(tokens, P)

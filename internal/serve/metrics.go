@@ -240,22 +240,17 @@ type engineMetrics struct {
 	// exposed to routers through Engine.Occupancy (zeroed while idle).
 	curQueued, curActive atomic.Int64
 
-	mu                       sync.Mutex
-	completed, failed        uint64
-	prefixHits, prefixMisses uint64
-	prefixPartial            uint64
-	prefixReused             int64
-	tokensOut, prefillTokens int64
-	rounds                   int64
-	// batched-decode counters, scheduler-only writes.
-	batchRounds                 int64
-	batchedStreams, soloStreams int64
-	cohortSizes                 metrics.Summary
-	kvPeak                      int64
-	devPeak, hostPeak           int64
-	queueDepth, batchOcc        metrics.Summary
-	ttft, tokenLat, qwait       metrics.Summary
-	firstAdmit, lastDone        time.Time
+	mu sync.Mutex
+	// c holds the mutex-guarded counters under their Metrics names;
+	// Engine.Metrics copies it and fills in the derived fields.
+	c Metrics
+	// kvPeak, devPeak and hostPeak are round-barrier high-water marks in raw
+	// accountant slots (Metrics reports them per head).
+	kvPeak, devPeak, hostPeak int64
+	cohortSizes               metrics.Summary
+	queueDepth, batchOcc      metrics.Summary
+	ttft, tokenLat, qwait     metrics.Summary
+	firstAdmit, lastDone      time.Time
 }
 
 // observeKV records the accountant gauges sampled at a round barrier (after
@@ -280,7 +275,7 @@ func (x *engineMetrics) observeRound(queued, active int) {
 	x.curActive.Store(int64(active))
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	x.rounds++
+	x.c.Rounds++
 	x.queueDepth.Add(float64(queued))
 	x.batchOcc.Add(float64(active))
 }
@@ -291,11 +286,11 @@ func (x *engineMetrics) observeBatch(cohort int) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if cohort > 1 {
-		x.batchRounds++
-		x.batchedStreams += int64(cohort)
+		x.c.BatchRounds++
+		x.c.DecodeStreamsBatched += int64(cohort)
 		x.cohortSizes.Add(float64(cohort))
 	} else {
-		x.soloStreams++
+		x.c.DecodeStreamsSolo++
 	}
 }
 
@@ -304,7 +299,7 @@ func (x *engineMetrics) observeBatch(cohort int) {
 func (x *engineMetrics) observeRejected() {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	x.failed++
+	x.c.Failed++
 }
 
 func (x *engineMetrics) observeAdmit(t *task) {
@@ -316,14 +311,14 @@ func (x *engineMetrics) observeAdmit(t *task) {
 	x.qwait.Add(t.resp.QueueWait.Seconds())
 	if t.entry != nil {
 		if t.builder {
-			x.prefixMisses++
+			x.c.PrefixMisses++
 			if t.reuse > 0 {
-				x.prefixPartial++
+				x.c.PrefixPartialHits++
 			}
 		} else {
-			x.prefixHits++
+			x.c.PrefixHits++
 		}
-		x.prefixReused += int64(t.resp.PrefixReusedTokens)
+		x.c.PrefixReusedTokens += int64(t.resp.PrefixReusedTokens)
 	}
 }
 
@@ -331,12 +326,12 @@ func (x *engineMetrics) observeRetire(t *task, err error) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if err != nil {
-		x.failed++
+		x.c.Failed++
 	} else {
-		x.completed++
+		x.c.Completed++
 	}
-	x.tokensOut += int64(len(t.resp.Tokens))
-	x.prefillTokens += int64(t.prefillN)
+	x.c.TokensGenerated += int64(len(t.resp.Tokens))
+	x.c.PrefillTokens += int64(t.prefillN)
 	if t.prefilled {
 		x.ttft.Add(t.resp.TTFT.Seconds())
 	}
@@ -351,45 +346,31 @@ func (e *Engine) Metrics() Metrics {
 	x := &e.mx
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	var elapsed time.Duration
+	m := x.c
 	if !x.firstAdmit.IsZero() && x.lastDone.After(x.firstAdmit) {
-		elapsed = x.lastDone.Sub(x.firstAdmit)
+		m.Elapsed = x.lastDone.Sub(x.firstAdmit)
 	}
-	return Metrics{
-		Submitted:            x.submitted.Load(),
-		Completed:            x.completed,
-		Failed:               x.failed,
-		PrefixHits:           x.prefixHits,
-		PrefixMisses:         x.prefixMisses,
-		PrefixEvicted:        x.prefixEvicted.Load(),
-		PrefixPartialHits:    x.prefixPartial,
-		PrefixReusedTokens:   x.prefixReused,
-		TokensGenerated:      x.tokensOut,
-		PrefillTokens:        x.prefillTokens,
-		Rounds:               x.rounds,
-		Elapsed:              elapsed,
-		BatchRounds:          x.batchRounds,
-		DecodeStreamsBatched: x.batchedStreams,
-		DecodeStreamsSolo:    x.soloStreams,
-		CohortSize:           Summarize(&x.cohortSizes),
-		KVUsed:               e.kvUnits(e.acct.Used()),
-		KVPeak:               e.kvUnits(x.kvPeak),
-		KVCapacity:           e.kvUnits(e.acct.Capacity()),
-		KVDeviceUsed:         e.kvUnits(e.acct.DeviceUsed()),
-		KVDevicePeak:         e.kvUnits(x.devPeak),
-		KVHostUsed:           e.kvUnits(e.acct.HostUsed()),
-		KVHostPeak:           e.kvUnits(x.hostPeak),
-		KVHostCapacity:       e.kvUnits(e.acct.HostCapacity()),
-		KVSpilled:            e.kvUnits(x.spilled.Load()),
-		MetaSegsAdopted:      x.metaAdopted.Load(),
-		MetaSegsBuilt:        x.metaBuilt.Load(),
-		MetaKeysAdopted:      x.metaKeysAdopted.Load(),
-		MetaKeysBuilt:        x.metaKeysBuilt.Load(),
-		Transfer:             e.rt.Stats(),
-		TTFT:                 Summarize(&x.ttft),
-		TokenLatency:         Summarize(&x.tokenLat),
-		QueueWait:            Summarize(&x.qwait),
-		MeanQueueDepth:       x.queueDepth.Mean(),
-		MeanBatchOccupancy:   x.batchOcc.Mean(),
-	}
+	m.Submitted = x.submitted.Load()
+	m.PrefixEvicted = x.prefixEvicted.Load()
+	m.CohortSize = Summarize(&x.cohortSizes)
+	m.KVUsed = e.kvUnits(e.acct.Used())
+	m.KVPeak = e.kvUnits(x.kvPeak)
+	m.KVCapacity = e.kvUnits(e.acct.Capacity())
+	m.KVDeviceUsed = e.kvUnits(e.acct.DeviceUsed())
+	m.KVDevicePeak = e.kvUnits(x.devPeak)
+	m.KVHostUsed = e.kvUnits(e.acct.HostUsed())
+	m.KVHostPeak = e.kvUnits(x.hostPeak)
+	m.KVHostCapacity = e.kvUnits(e.acct.HostCapacity())
+	m.KVSpilled = e.kvUnits(x.spilled.Load())
+	m.MetaSegsAdopted = x.metaAdopted.Load()
+	m.MetaSegsBuilt = x.metaBuilt.Load()
+	m.MetaKeysAdopted = x.metaKeysAdopted.Load()
+	m.MetaKeysBuilt = x.metaKeysBuilt.Load()
+	m.Transfer = e.rt.Stats()
+	m.TTFT = Summarize(&x.ttft)
+	m.TokenLatency = Summarize(&x.tokenLat)
+	m.QueueWait = Summarize(&x.qwait)
+	m.MeanQueueDepth = x.queueDepth.Mean()
+	m.MeanBatchOccupancy = x.batchOcc.Mean()
+	return m
 }

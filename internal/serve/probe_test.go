@@ -86,9 +86,9 @@ func TestTrySubmitClosedAndInvalid(t *testing.T) {
 	}
 }
 
-// TestPrefixResidentProbe: after serving a shared-prefix load, the content
-// hash of the shared document answers true (the entry stays cached while the
-// engine lives), a foreign hash answers false, and Close empties the index.
+// TestPrefixResidentProbe: after serving a shared-prefix load, the whole
+// shared document probes resident (the entry stays cached while the engine
+// lives), a foreign document probes 0, and Close empties the index.
 func TestPrefixResidentProbe(t *testing.T) {
 	m := testModel()
 	const docLen = 128
@@ -100,15 +100,15 @@ func TestPrefixResidentProbe(t *testing.T) {
 		}
 	}
 	doc := reqs[0].Prompt[:docLen]
-	if !e.PrefixResident(PrefixKey(doc)) {
-		t.Fatal("served shared prefix not reported resident")
+	if n := e.ResidentPrefixLen(doc); n != len(doc) {
+		t.Fatalf("served shared prefix probes %d resident tokens, want %d", n, len(doc))
 	}
-	if e.PrefixResident(PrefixKey(testDoc(77, docLen))) {
-		t.Fatal("never-served prefix reported resident")
+	if n := e.ResidentPrefixLen(testDoc(77, docLen)); n != 0 {
+		t.Fatalf("never-served prefix probes %d resident tokens", n)
 	}
 	e.Close()
-	if e.PrefixResident(PrefixKey(doc)) {
-		t.Fatal("prefix still reported resident after Close released the cache")
+	if n := e.ResidentPrefixLen(doc); n != 0 {
+		t.Fatalf("prefix still probes %d resident tokens after Close released the cache", n)
 	}
 }
 
@@ -130,17 +130,17 @@ func TestPrefixResidentTracksEviction(t *testing.T) {
 	if resp := e.Submit(mk(docA, 31)).Wait(); resp.Err != nil {
 		t.Fatalf("docA request: %v", resp.Err)
 	}
-	if !e.PrefixResident(PrefixKey(docA)) {
+	if e.ResidentPrefixLen(docA) != len(docA) {
 		t.Fatal("docA not resident after serving")
 	}
 	if resp := e.Submit(mk(docB, 32)).Wait(); resp.Err != nil {
 		t.Fatalf("docB request: %v", resp.Err)
 	}
-	if !e.PrefixResident(PrefixKey(docB)) {
+	if e.ResidentPrefixLen(docB) != len(docB) {
 		t.Fatal("docB not resident after serving")
 	}
-	if e.PrefixResident(PrefixKey(docA)) {
-		t.Fatal("evicted docA still reported resident")
+	if n := e.ResidentPrefixLen(docA); n != 0 {
+		t.Fatalf("evicted docA still probes %d resident tokens", n)
 	}
 	if e.Metrics().PrefixEvicted == 0 {
 		t.Fatal("no eviction happened; budget not tight enough to exercise the index")

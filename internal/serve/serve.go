@@ -158,9 +158,9 @@ func (r *Request) validate() error {
 }
 
 // PrefixKey content-addresses a shared prefix: the same hash the engine's
-// prefix-residency index is keyed by. Routers compute it over
-// Prompt[:SharedPrefixLen] and probe Engine.PrefixResident to find the
-// replica that already holds the prefill.
+// prefix-residency index is keyed by, and the last of AlignedPrefixKeys.
+// Routers key placement by it over Prompt[:SharedPrefixLen]; to find the
+// replica that already holds the prefill they probe Engine.ResidentPrefixLen.
 func PrefixKey(tokens []int) uint64 { return prefixKey(tokens) }
 
 // AlignedPrefixKeys returns the content hash of every page-aligned prefix of

@@ -135,9 +135,11 @@ func TestTransferTelemetryDeterministic(t *testing.T) {
 	slow := memsim.AdaRTX6000()
 	slow.PCIeBandwidth /= 100 // five pages fill one layer window
 	run := func() metrics.Overlap {
-		eng := NewEngine(testModel(), Config{
+		eng := newEngine(testModel(), Config{
 			Workers: 2, MaxBatch: 4, Seed: 7,
-			KVBudget: 512, HostBudget: 4096, ModelHardware: slow,
+			KVBudget: 512, HostBudget: 4096,
+		}, func(pageTokens int) memsim.LatencyModel {
+			return memsim.NewLatencyModel(slow, memsim.Llama31_8B(), pageTokens)
 		})
 		for i, r := range eng.Run(reqs) {
 			if r.Err != nil {

@@ -46,17 +46,3 @@ func PoissonArrivals(seed uint64, n int, rate float64) []Arrival {
 	}
 	return out
 }
-
-// Arrivals materialises the arrival process already embedded in a load's
-// per-request Gaps (NewLoad with RatePerSec > 0) as absolute submission
-// times, preserving the load's task order: Arrivals(load)[i] replays
-// load[i].
-func Arrivals(load []QARequest) []Arrival {
-	out := make([]Arrival, len(load))
-	t := 0.0
-	for i, q := range load {
-		t += q.Gap
-		out[i] = Arrival{Index: i, At: t, Gap: q.Gap}
-	}
-	return out
-}

@@ -65,51 +65,3 @@ func TestPoissonArrivalsShape(t *testing.T) {
 		}
 	}
 }
-
-// TestArrivalsReplayPreservesTaskOrder is the open-loop replay property test:
-// across many seeds, materialising a Poisson load's embedded gaps yields one
-// arrival per task, in the load's task order, at non-decreasing times that
-// are exactly the cumulative gaps — so replaying the trace submits tasks in
-// the same order the load defined, regardless of seed.
-func TestArrivalsReplayPreservesTaskOrder(t *testing.T) {
-	for seed := uint64(1); seed <= 25; seed++ {
-		lc := LoadConfig{
-			Doc:          DefaultDocConfig(),
-			NDocs:        3,
-			DocLen:       64,
-			NRequests:    40,
-			QuestionLen:  8,
-			MaxNewTokens: 4,
-			RatePerSec:   16,
-		}
-		lc.Doc.Seed = seed
-		load := NewLoad(lc)
-		as := Arrivals(load)
-		if len(as) != len(load) {
-			t.Fatalf("seed %d: %d arrivals for %d tasks", seed, len(as), len(load))
-		}
-		prev := 0.0
-		for i, a := range as {
-			if a.Index != i {
-				t.Fatalf("seed %d: arrival %d replays task %d (order broken)", seed, i, a.Index)
-			}
-			if a.Gap != load[i].Gap {
-				t.Fatalf("seed %d: arrival %d gap %v != load gap %v", seed, i, a.Gap, load[i].Gap)
-			}
-			if a.At < prev {
-				t.Fatalf("seed %d: arrival %d at %v before previous %v", seed, i, a.At, prev)
-			}
-			if math.Abs(a.At-(prev+a.Gap)) > 1e-12 {
-				t.Fatalf("seed %d: arrival %d At is not cumulative", seed, i)
-			}
-			prev = a.At
-		}
-		// Replaying the same seed reproduces the same arrival trace.
-		again := Arrivals(NewLoad(lc))
-		for i := range as {
-			if as[i] != again[i] {
-				t.Fatalf("seed %d: replay %d differs: %+v vs %+v", seed, i, as[i], again[i])
-			}
-		}
-	}
-}

@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"math"
-
-	"clusterkv/internal/rng"
-)
+import "clusterkv/internal/rng"
 
 // QARequest is one request of a synthetic serving load: a question suffix
 // appended to a (possibly shared) document prefix — the multi-question
@@ -19,9 +15,6 @@ type QARequest struct {
 	SharedPrefixLen int
 	// MaxNewTokens is the answer length to generate.
 	MaxNewTokens int
-	// Gap is the open-loop interarrival delay in seconds between the
-	// previous request's submission and this one (0 for closed-loop loads).
-	Gap float64
 }
 
 // LoadConfig shapes a synthetic serving load.
@@ -38,9 +31,6 @@ type LoadConfig struct {
 	QuestionLen int
 	// MaxNewTokens is the per-request answer length.
 	MaxNewTokens int
-	// RatePerSec, when > 0, draws exponential (Poisson-process) interarrival
-	// gaps with this mean rate; <= 0 produces a closed-loop load (all gaps 0).
-	RatePerSec float64
 }
 
 // DefaultLoadConfig returns a small 8-tenant QA load over two shared
@@ -58,8 +48,10 @@ func DefaultLoadConfig() LoadConfig {
 
 // NewLoad materialises a deterministic request sequence: documents are
 // generated once per Doc index, questions and document assignment per
-// request, and gaps from a seeded Poisson process. Identical configs yield
-// identical loads.
+// request. Identical configs yield identical loads. A load carries no
+// arrival times: an open-loop run draws them with PoissonArrivals, whose
+// stream is independent of the load's, so the rate never changes which
+// document a request asks about.
 func NewLoad(cfg LoadConfig) []QARequest {
 	if cfg.NDocs <= 0 || cfg.DocLen <= 0 || cfg.NRequests <= 0 || cfg.QuestionLen <= 0 {
 		panic("workload: NewLoad with non-positive shape")
@@ -80,16 +72,11 @@ func NewLoad(cfg LoadConfig) []QARequest {
 		prompt := make([]int, 0, cfg.DocLen+cfg.QuestionLen)
 		prompt = append(prompt, docs[d]...)
 		prompt = append(prompt, question...)
-		gap := 0.0
-		if cfg.RatePerSec > 0 {
-			gap = -math.Log(1-r.Float64()) / cfg.RatePerSec
-		}
 		out[i] = QARequest{
 			Doc:             d,
 			Prompt:          prompt,
 			SharedPrefixLen: cfg.DocLen,
 			MaxNewTokens:    cfg.MaxNewTokens,
-			Gap:             gap,
 		}
 	}
 	return out

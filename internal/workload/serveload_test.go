@@ -7,7 +7,6 @@ func TestNewLoadDeterministicAndShaped(t *testing.T) {
 	cfg.DocLen = 64
 	cfg.QuestionLen = 8
 	cfg.NRequests = 12
-	cfg.RatePerSec = 50
 
 	a := NewLoad(cfg)
 	b := NewLoad(cfg)
@@ -21,9 +20,6 @@ func TestNewLoadDeterministicAndShaped(t *testing.T) {
 		}
 		if r.SharedPrefixLen != cfg.DocLen {
 			t.Fatalf("request %d prefix length %d", i, r.SharedPrefixLen)
-		}
-		if r.Gap < 0 {
-			t.Fatalf("request %d negative gap", i)
 		}
 		if r.Doc < 0 || r.Doc >= cfg.NDocs {
 			t.Fatalf("request %d doc index %d", i, r.Doc)
@@ -40,7 +36,7 @@ func TestNewLoadDeterministicAndShaped(t *testing.T) {
 			docs[r.Doc] = prefix
 		}
 		// Determinism.
-		if len(b[i].Prompt) != len(r.Prompt) || b[i].Gap != r.Gap || b[i].Doc != r.Doc {
+		if len(b[i].Prompt) != len(r.Prompt) || b[i].Doc != r.Doc {
 			t.Fatalf("request %d not deterministic", i)
 		}
 		for j := range r.Prompt {
@@ -51,18 +47,6 @@ func TestNewLoadDeterministicAndShaped(t *testing.T) {
 	}
 	if len(docs) < 2 {
 		t.Fatal("load never used the second document")
-	}
-}
-
-func TestNewLoadClosedLoopHasZeroGaps(t *testing.T) {
-	cfg := DefaultLoadConfig()
-	cfg.DocLen = 32
-	cfg.QuestionLen = 4
-	cfg.NRequests = 4
-	for _, r := range NewLoad(cfg) {
-		if r.Gap != 0 {
-			t.Fatal("closed-loop load produced gaps")
-		}
 	}
 }
 
