@@ -325,9 +325,9 @@ func WriteChromeTraceFrom(w io.Writer, t *Tracer) error {
 }
 
 // Attribution aggregates per-request latency breakdowns into per-phase
-// totals, quantiles and a top-K slowest list (DESIGN.md §14). Engines expose
-// theirs via Engine.Attribution when EngineConfig.Attribution is set; fleets
-// merge replica breakdowns into FleetSummary.Attribution.
+// totals, quantiles and a top-K slowest list (DESIGN.md §14). Every engine
+// keeps one on its modeled round clock (Engine.Attribution); fleets merge
+// replica breakdowns into FleetSummary.Attribution.
 type Attribution = obs.Attribution
 
 // AttributionSnapshot is a point-in-time copy of an Attribution aggregate,
@@ -338,7 +338,7 @@ type AttributionSnapshot = obs.AttributionSnapshot
 // LatencyBreakdown is one request's span tree on the modeled clock: its
 // queue/admission/prefill/decode/interference/tiering phases tile the
 // request's modeled wall time exactly, with transfer-overlap and SLO-margin
-// telemetry alongside. Served responses carry one when attribution is on.
+// telemetry alongside. Every served response carries one.
 type LatencyBreakdown = obs.Breakdown
 
 // LatencyPhase discriminates attribution phases (queue, admit, prefill,

@@ -39,7 +39,7 @@ func main() {
 		method    = flag.String("method", "clusterkv", "compression method (clusterkv, quest, fullkv)")
 		loadKind  = flag.String("load", "qa", "workload shape: qa (shared-doc questions), chat (multi-turn sessions), agentic (re-entry loops), rag (templated retrieval); non-qa loads ignore -requests/-docs/-doclen/-qlen")
 		rate      = flag.Float64("rate", 0, "open-loop arrival rate in req/s (0 = deterministic closed-loop Run)")
-		attr      = flag.Bool("attr", false, "per-request latency attribution: per-phase breakdown table on the modeled clock (DESIGN.md §14); adds a span lane per request to -trace and clusterkv_attr_* series to -metrics")
+		attr      = flag.Bool("attr", false, "print the per-request latency attribution table: per-phase breakdown on the modeled clock (DESIGN.md §14); -trace carries its span lanes and -metrics its clusterkv_attr_* series either way")
 		seed      = flag.Uint64("seed", 1, "master seed")
 		traceOut  = flag.String("trace", "", "write a Chrome trace_event JSON timeline (router lane + one lane per replica)")
 		metricsTo = flag.String("metrics", "", "write text metrics exposition to this file after the run (\"-\" = stdout)")
@@ -151,7 +151,6 @@ func main() {
 	}
 	ecfg.KVBudget = *kvBudget
 	ecfg.Seed = *seed
-	ecfg.Attribution = *attr
 	router := clusterkv.NewFleetRouter(m, clusterkv.FleetConfig{
 		Replicas: *replicas,
 		Engine:   ecfg,
@@ -175,7 +174,11 @@ func main() {
 		router.Run(reqs)
 	}
 	router.Close()
-	fmt.Print(router.Summary())
+	sum := router.Summary()
+	fmt.Print(sum)
+	if *attr {
+		fmt.Print(sum.Attribution)
+	}
 	if reg != nil {
 		router.FillRegistry(reg)
 	}

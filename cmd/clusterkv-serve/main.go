@@ -67,7 +67,7 @@ func main() {
 		kvBudget  = flag.Int64("kvbudget", 0, "device KV budget in per-head token slots (0 = unlimited), metered in exact arena pages")
 		hostBud   = flag.Int64("hostbudget", 0, "host-tier KV budget in per-head token slots (0 = single-tier); with -kvbudget set, admission gates on device+host and cold pages spill host-ward between rounds")
 		rate      = flag.Float64("rate", 0, "open-loop arrival rate in req/s (0 = closed loop)")
-		attrOn    = flag.Bool("attr", false, "per-request latency attribution: per-phase breakdown table on the modeled clock (DESIGN.md §14); adds a span lane per request to -trace and clusterkv_attr_* series to -metrics")
+		attrOn    = flag.Bool("attr", false, "print the per-request latency attribution table: per-phase breakdown on the modeled clock (DESIGN.md §14); -trace carries its span lanes and -metrics its clusterkv_attr_* series either way")
 		seed      = flag.Uint64("seed", 1, "master seed")
 		method    = flag.String("method", "all", "methods to serve (clusterkv, quest, fullkv, all)")
 		loadKind  = flag.String("load", "qa", "workload shape: qa (shared-doc questions), chat (multi-turn sessions), agentic (re-entry loops), rag (templated retrieval); non-qa loads ignore -requests/-docs/-doclen/-qlen")
@@ -206,23 +206,16 @@ func main() {
 		cfg.HostBudget = *hostBud
 		cfg.Seed = *seed
 		cfg.Trace = tracer.Recorder(mi) // nil tracer -> disabled recorder
-		cfg.Attribution = *attrOn
 		eng := clusterkv.NewEngine(m, cfg)
 		resps := dispatch(eng, reqs, *rate, *seed)
 		eng.Close() // drain before the snapshot
 		mx := eng.Metrics()
 		arenaPeak := eng.Arena().PeakPages()
-		var attrSnap *clusterkv.AttributionSnapshot
-		if a := eng.Attribution(); a != nil {
-			s := a.Snapshot()
-			attrSnap = &s
-		}
+		attrSnap := eng.Attribution().Snapshot()
 		if reg != nil {
 			ml := clusterkv.ML("method", strings.ToLower(spec.name))
 			eng.FillRegistry(reg, ml)
-			if attrSnap != nil {
-				attrSnap.FillRegistry(reg, ml)
-			}
+			attrSnap.FillRegistry(reg, ml)
 		}
 
 		failed, compared := 0, 0
@@ -284,7 +277,7 @@ func main() {
 			fmt.Printf("serial baseline: %.1f tok/s (one request at a time, full per-request prefill)\n", r.serialTokS)
 			fmt.Printf("engine speedup:  %.2fx aggregate tokens/sec over serial decode\n", r.speedup)
 		}
-		if attrSnap != nil {
+		if *attrOn {
 			attrSnap.WriteTable(os.Stdout)
 		}
 		fmt.Println()

@@ -65,7 +65,7 @@ func RunFleet(o Options) *Report {
 	run := func(replicas int, sloTTFT float64, shed bool) fleet.Summary {
 		r := fleet.NewRouter(m, fleet.Config{
 			Replicas: replicas,
-			Engine:   serve.Config{Workers: 2, MaxBatch: 4, Seed: o.Seed, Attribution: true},
+			Engine:   serve.Config{Workers: 2, MaxBatch: 4, Seed: o.Seed},
 			SLOTTFT:  sloTTFT,
 			Shed:     shed,
 			Seed:     o.Seed,
@@ -99,16 +99,15 @@ func RunFleet(o Options) *Report {
 	// Per-phase latency attribution for the fleet (DESIGN.md §14):
 	// where the modeled wall time actually went, request-weighted. The phase
 	// totals are deterministic per seed, so they gate the trajectory.
-	if s := affinity.Attribution; s != nil {
-		rep.AddMetric("attr.model_wall_ms", s.WallSec*1e3, "ms")
-		for _, ps := range s.Phases {
-			rep.AddMetric("attr.model_"+ps.Phase+"_ms", ps.TotalSec*1e3, "ms")
-			rep.Notes = append(rep.Notes, fmt.Sprintf(
-				"attribution: %-12s %8.2fms  %5.1f%% of wall  (p95 %.2fms)",
-				ps.Phase, ps.TotalSec*1e3, ps.FracWall*100, ps.P95*1e3))
-		}
-		rep.AddMetric("attr.prefix_credit_saved_ms", s.PrefixCreditSec*1e3, "ms")
+	s := affinity.Attribution
+	rep.AddMetric("attr.model_wall_ms", s.WallSec*1e3, "ms")
+	for _, ps := range s.Phases {
+		rep.AddMetric("attr.model_"+ps.Phase+"_ms", ps.TotalSec*1e3, "ms")
+		rep.Notes = append(rep.Notes, fmt.Sprintf(
+			"attribution: %-12s %8.2fms  %5.1f%% of wall  (p95 %.2fms)",
+			ps.Phase, ps.TotalSec*1e3, ps.FracWall*100, ps.P95*1e3))
 	}
+	rep.AddMetric("attr.prefix_credit_saved_ms", s.PrefixCreditSec*1e3, "ms")
 
 	// SLO section: scale the fleet under a TTFT SLO with shedding.
 	const sloTTFT = 0.15

@@ -7,39 +7,6 @@ import (
 	"clusterkv/internal/obs"
 )
 
-// TestTraceFleetAttributionFingerprintNeutral extends the attribution
-// tentpole's headline lock to the fleet: enabling attribution on every
-// replica must not perturb placements, token streams, rounds, modeled
-// latencies or summary counters — including under SLO-driven rerouting and
-// shedding.
-func TestTraceFleetAttributionFingerprintNeutral(t *testing.T) {
-	m := testModel()
-	reqs := fleetLoad(3, 12)
-	attrOn := func(c *Config) { c.Engine.Attribution = true }
-	slo := func(c *Config) { c.SLOTTFT = 0.15; c.Shed = true }
-
-	cases := []struct {
-		name     string
-		replicas int
-		mutate   []func(*Config)
-	}{
-		{"1-replica", 1, nil},
-		{"2-replicas", 2, nil},
-		{"4-replicas", 4, nil},
-		{"2-replicas/slo-shed", 2, []func(*Config){slo}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			base := runFleet(t, m, tc.replicas, reqs, tc.mutate...)
-			withAttr := append(append([]func(*Config){}, tc.mutate...), attrOn)
-			got := runFleet(t, m, tc.replicas, reqs, withAttr...)
-			if d := base.diff(got); d != "" {
-				t.Fatalf("attribution-on fleet run differs: %s", d)
-			}
-		})
-	}
-}
-
 // TestTraceFleetAttributionSummary locks the merged fleet view: every served
 // request's breakdown is replica-stamped and SLO-margin-stamped, the merged
 // aggregator counts exactly the served requests, and SLOMargin agrees with
@@ -48,7 +15,6 @@ func TestTraceFleetAttributionSummary(t *testing.T) {
 	m := testModel()
 	reqs := fleetLoad(3, 12)
 	ecfg := DefaultConfig().Engine
-	ecfg.Attribution = true
 	r := NewRouter(m, Config{
 		Replicas: 2,
 		Engine:   ecfg,
@@ -89,9 +55,6 @@ func TestTraceFleetAttributionSummary(t *testing.T) {
 	}
 
 	s := sum.Attribution
-	if s == nil {
-		t.Fatal("Summary.Attribution is nil with Config.Engine.Attribution set")
-	}
 	if s.Requests != served {
 		t.Fatalf("merged aggregator saw %d requests, want %d", s.Requests, served)
 	}
@@ -118,7 +81,6 @@ func TestTraceFleetAttributionRepeats(t *testing.T) {
 	m := testModel()
 	reqs := fleetLoad(3, 12)
 	ecfg := DefaultConfig().Engine
-	ecfg.Attribution = true
 	run := func() ([]Response, string) {
 		r := NewRouter(m, Config{Replicas: 2, Engine: ecfg, Seed: 7})
 		out := r.Run(reqs)

@@ -163,9 +163,9 @@ func (a fleetFingerprint) diff(b fleetFingerprint) string {
 	return ""
 }
 
-// runFleet runs the load on a fresh router and fingerprints the outcome.
-func runFleet(t *testing.T, m *model.Model, replicas int, reqs []serve.Request, mutate ...func(*Config)) fleetFingerprint {
-	t.Helper()
+// runRouter runs the load on a fresh router in the determinism suites'
+// configuration, adjusted by the mutators.
+func runRouter(m *model.Model, replicas int, reqs []serve.Request, mutate ...func(*Config)) ([]Response, Summary) {
 	cfg := Config{
 		Replicas: replicas,
 		Engine:   serve.Config{Workers: 2, MaxBatch: 4, KVBudget: 2048, Seed: 7},
@@ -178,6 +178,13 @@ func runFleet(t *testing.T, m *model.Model, replicas int, reqs []serve.Request, 
 	resps := r.Run(reqs)
 	sum := r.Summary()
 	r.Close()
+	return resps, sum
+}
+
+// runFleet runs the load on a fresh router and fingerprints the outcome.
+func runFleet(t *testing.T, m *model.Model, replicas int, reqs []serve.Request, mutate ...func(*Config)) fleetFingerprint {
+	t.Helper()
+	resps, sum := runRouter(m, replicas, reqs, mutate...)
 
 	fp := fleetFingerprint{}
 	for _, resp := range resps {

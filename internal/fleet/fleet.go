@@ -20,10 +20,10 @@
 //
 // Determinism: Router.Run places requests from router-owned ledgers only
 // (never wall clock or live gauges), each replica's engine is itself
-// deterministic, and modeled TTFT/TBT are computed from round schedules and
-// token/page counts — so a fixed (load, config, seed) reproduces placements,
-// token streams and fleet metrics exactly, at any GOMAXPROCS. With one
-// replica, Router.Run degenerates to Engine.Run token-for-token.
+// deterministic, and modeled TTFT/TBT are read off each engine's modeled
+// round clock — so a fixed (load, config, seed) reproduces placements, token
+// streams and fleet metrics exactly, at any GOMAXPROCS. With one replica,
+// Router.Run degenerates to Engine.Run token-for-token.
 package fleet
 
 import (
@@ -50,16 +50,14 @@ type Config struct {
 	Replicas int
 	// Engine is the per-replica engine configuration. Replica 0 uses
 	// Engine.Seed exactly (the 1-replica equivalence contract); replica i>0
-	// derives an independent seed from it. With Engine.Attribution set, Run
-	// also merges every served request's latency breakdown — replica label and
-	// modeled SLO margin stamped in — into Summary.Attribution (DESIGN.md §14).
+	// derives an independent seed from it.
 	Engine serve.Config
 	// SLOTTFT, when > 0, is the modeled time-to-first-token SLO in seconds:
 	// placements predicted to miss it are re-routed to the best replica
 	// and, with Shed set, shed with ErrSLOShed when no replica can make it.
 	SLOTTFT float64
 	// SLOTBT, when > 0, is the modeled time-between-tokens SLO in seconds.
-	// It is evaluated on the post-run round schedule (SLO attainment and
+	// It is judged on served responses' ModelTBT (SLO attainment and
 	// Response.SLOMiss); it does not gate placement.
 	SLOTBT float64
 	// Shed enables dropping requests predicted to miss SLOTTFT everywhere.
@@ -81,17 +79,14 @@ func DefaultConfig() Config {
 	return Config{Replicas: 2, Engine: serve.DefaultConfig(), Seed: 1}
 }
 
-// Response is the outcome of one routed request.
+// Response is the outcome of one routed request. Its ModelTTFT/ModelTBT are
+// the serving replica's modeled round clock (serve.Response); a shed request
+// has none.
 type Response struct {
 	serve.Response
 	// Replica is the index of the replica that served the request (-1 when
 	// the router shed it).
 	Replica int
-	// ModelTTFT and ModelTBT are the request's modeled time-to-first-token
-	// and time-between-tokens in seconds: for Run, reconstructed from the
-	// serving replica's actual round schedule plus memsim transfer costs;
-	// for streaming Submits, the placement-time prediction.
-	ModelTTFT, ModelTBT float64
 	// SLOMiss reports whether a configured SLO was missed by the modeled
 	// latencies (always true for shed requests).
 	SLOMiss bool
@@ -105,23 +100,26 @@ type Response struct {
 type Ticket struct {
 	// Replica is the replica the request was placed on (-1 when shed).
 	Replica int
-	// PredTTFT is the placement-time modeled TTFT in seconds.
-	PredTTFT float64
-	tk       *serve.Ticket
-	predTBT  float64
-	sloMiss  bool
-	shed     *Response
+	// PredTTFT is the placement-time modeled TTFT prediction in seconds.
+	PredTTFT  float64
+	r         *Router
+	tk        *serve.Ticket
+	promptLen int
+	shed      *Response
 }
 
-// Wait blocks until the request completes and returns its Response. Call it
-// once per ticket.
+// Wait blocks until the request completes and returns its Response, folded
+// into the fleet's Summary as Run folds its responses. Call it once per
+// ticket.
 func (t *Ticket) Wait() Response {
 	if t.shed != nil {
 		return *t.shed
 	}
-	resp := t.tk.Wait()
-	return Response{Response: resp, Replica: t.Replica,
-		ModelTTFT: t.PredTTFT, ModelTBT: t.predTBT, SLOMiss: t.sloMiss}
+	out := Response{Response: t.tk.Wait(), Replica: t.Replica}
+	t.r.mu.Lock()
+	t.r.observeLocked(t.promptLen, &out)
+	t.r.mu.Unlock()
+	return out
 }
 
 // prefixOn keys the "prefix charged on replica" ledger.
@@ -137,9 +135,9 @@ type Router struct {
 	m       *model.Model
 	cfg     Config
 	engines []*serve.Engine
-	// lm prices placements and Run's modeled latencies: the engines' own
-	// serve.CostModel, so fleet latencies and per-request phase breakdowns
-	// agree on what tokens and pages cost.
+	// lm prices placements and the prefill pages saved: the engines' own
+	// serve.CostModel, so placement predictions and the engines' modeled
+	// clocks agree on what tokens and pages cost.
 	lm memsim.LatencyModel
 
 	planes int64
@@ -167,10 +165,10 @@ type Router struct {
 	savedPrefillPages    int64
 	sloMissed, sloJudged int64
 	modelTTFT, modelTBT  metrics.Summary
-	// attr merges every served Run request's latency breakdown (replica and
-	// SLO margin stamped in) in submission order — deterministic because
-	// observe folds the indexed out slice, never goroutine completion order.
-	// nil unless Config.Engine.Attribution.
+	// attr merges every served request's latency breakdown (replica and SLO
+	// margin stamped in). Run folds in submission order — deterministic
+	// because it walks the indexed out slice, never goroutine completion
+	// order; streaming tickets fold in Wait order.
 	attr *obs.Attribution
 
 	// rec is the router's own trace lane (-1); placeSeq numbers streaming
@@ -202,11 +200,9 @@ func NewRouter(m *model.Model, cfg Config) *Router {
 		prefixHome: make(map[uint64]int),
 		charged:    make(map[prefixOn]int64),
 		chainOn:    make(map[prefixOn]struct{}),
+		attr:       obs.NewAttribution(),
 	}
 	r.rec = cfg.Trace.Recorder(-1) // nil-safe: disabled on a nil tracer
-	if cfg.Engine.Attribution {
-		r.attr = obs.NewAttribution()
-	}
 	r.engines = make([]*serve.Engine, cfg.Replicas)
 	r.assignedReqs = make([]int64, cfg.Replicas)
 	r.assignedPages = make([]int64, cfg.Replicas)
@@ -480,8 +476,8 @@ func (r *Router) rebaseLocked() {
 // ---- Deterministic batch ----------------------------------------------------
 
 // Run places the whole request set deterministically, runs every replica's
-// sub-batch concurrently, and returns responses in submission order with
-// modeled TTFT/TBT reconstructed from each replica's round schedule. Given
+// sub-batch concurrently, and returns responses in submission order, judged
+// against the SLOs on their replicas' modeled clocks. Given
 // identical requests, config and seed, Run reproduces placements, token
 // streams and fleet metrics on every call (run it on a fresh router for
 // identical request ids and rounds). With one replica it is exactly
@@ -502,7 +498,7 @@ func (r *Router) Run(reqs []serve.Request) []Response {
 			r.sloMissed++
 			out[i] = Response{
 				Response: serve.Response{Err: ErrSLOShed},
-				Replica:  -1, ModelTTFT: p.predTTFT, SLOMiss: true,
+				Replica:  -1, SLOMiss: true,
 			}
 			r.rec.Emit(obs.Event{Type: obs.EvFleetShed, Req: uint64(i),
 				N: -1, Sec: p.predTTFT})
@@ -539,112 +535,51 @@ func (r *Router) Run(reqs []serve.Request) []Response {
 	}
 	wg.Wait()
 
-	r.modelLatencies(reqs, out, perRep)
-	r.observe(reqs, out)
+	r.mu.Lock()
+	for i := range out {
+		r.observeLocked(len(reqs[i].Prompt), &out[i])
+	}
+	r.mu.Unlock()
 	return out
 }
 
-// modelLatencies reconstructs modeled TTFT/TBT for every served request from
-// its replica's actual round schedule: round t costs one batched decode step
-// plus the prefill compute and page movement of requests admitted at t. All
-// inputs (rounds, token counts, page counts) are deterministic, so the
-// modeled latencies are too.
-func (r *Router) modelLatencies(reqs []serve.Request, out []Response, perRep [][]int) {
+// observeLocked judges one completed response against the configured SLOs on
+// its modeled latencies, stamps the verdict's margin and the replica into its
+// breakdown, and folds it into the fleet accumulators. Shed and failed
+// responses are skipped (shedding was counted at placement). Caller holds
+// r.mu.
+func (r *Router) observeLocked(promptLen int, resp *Response) {
+	if resp.Replica < 0 || resp.Err != nil {
+		return
+	}
 	hasSLO := r.cfg.SLOTTFT > 0 || r.cfg.SLOTBT > 0
-	for rep, idxs := range perRep {
-		if len(idxs) == 0 {
-			continue
+	if hasSLO {
+		margin := math.Inf(1)
+		if r.cfg.SLOTTFT > 0 {
+			margin = r.cfg.SLOTTFT - resp.ModelTTFT
 		}
-		base, maxRound := int64(-1), int64(0)
-		for _, i := range idxs {
-			if out[i].Err != nil {
-				continue
-			}
-			if base < 0 || out[i].AdmitRound-1 < base {
-				base = out[i].AdmitRound - 1
-			}
-			if out[i].DoneRound > maxRound {
-				maxRound = out[i].DoneRound
-			}
+		if r.cfg.SLOTBT > 0 {
+			margin = min(margin, r.cfg.SLOTBT-resp.ModelTBT)
 		}
-		if base < 0 {
-			continue // nothing served on this replica
-		}
-		// Per-round prefill work: marginal tokens (past whatever depth the
-		// prefix cache actually served, whole-prefix hit or partial radix
-		// reuse) of requests admitted that round.
-		prefillAt := make(map[int64]int64, len(idxs))
-		for _, i := range idxs {
-			if out[i].Err != nil {
-				continue
-			}
-			marg := int64(len(reqs[i].Prompt) - out[i].PrefixReusedTokens)
-			prefillAt[out[i].AdmitRound] += marg
-		}
-		// Cumulative modeled clock across rounds base+1..maxRound.
-		T := make([]float64, maxRound-base+1)
-		for t := base + 1; t <= maxRound; t++ {
-			T[t-base] = T[t-base-1] + r.lm.DecodeSecPerTok +
-				r.lm.PrefillSec(int(prefillAt[t]))
-		}
-		for _, i := range idxs {
-			if out[i].Err != nil {
-				continue
-			}
-			ttft := T[out[i].AdmitRound-base]
-			out[i].ModelTTFT = ttft
-			if n := len(out[i].Tokens); n > 1 {
-				out[i].ModelTBT = (T[out[i].DoneRound-base] - ttft) / float64(n-1)
-			}
-			out[i].SLOMiss = (r.cfg.SLOTTFT > 0 && out[i].ModelTTFT > r.cfg.SLOTTFT) ||
-				(r.cfg.SLOTBT > 0 && out[i].ModelTBT > r.cfg.SLOTBT)
-			if hasSLO {
-				margin := math.Inf(1)
-				if r.cfg.SLOTTFT > 0 {
-					margin = r.cfg.SLOTTFT - out[i].ModelTTFT
-				}
-				if r.cfg.SLOTBT > 0 {
-					if m := r.cfg.SLOTBT - out[i].ModelTBT; m < margin {
-						margin = m
-					}
-				}
-				out[i].SLOMargin = margin
-			}
-			if bd := out[i].Breakdown; bd != nil {
-				bd.Replica = rep
-				bd.SLOMarginSec = out[i].SLOMargin
-				bd.HasSLO = hasSLO
-			}
+		resp.SLOMargin = margin
+		resp.SLOMiss = margin < 0
+		r.sloJudged++
+		if resp.SLOMiss {
+			r.sloMissed++
 		}
 	}
-}
-
-// observe folds a completed Run into the fleet accumulators.
-func (r *Router) observe(reqs []serve.Request, out []Response) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := range out {
-		if out[i].Replica < 0 || out[i].Err != nil {
-			continue
-		}
-		naive := int64(len(reqs[i].Prompt))
-		marg := naive - int64(out[i].PrefixReusedTokens)
-		r.savedPrefillTokens += naive - marg
-		r.savedPrefillPages += (r.lm.PagesFor(int(naive)) - r.lm.PagesFor(int(marg))) * r.planes
-		r.modelTTFT.Add(out[i].ModelTTFT)
-		if len(out[i].Tokens) > 1 {
-			r.modelTBT.Add(out[i].ModelTBT)
-		}
-		if r.cfg.SLOTTFT > 0 || r.cfg.SLOTBT > 0 {
-			r.sloJudged++
-			if out[i].SLOMiss {
-				r.sloMissed++
-			}
-		}
-		if r.attr != nil && out[i].Breakdown != nil {
-			r.attr.Observe(*out[i].Breakdown)
-		}
+	reused := resp.PrefixReusedTokens
+	r.savedPrefillTokens += int64(reused)
+	r.savedPrefillPages += (r.lm.PagesFor(promptLen) - r.lm.PagesFor(promptLen-reused)) * r.planes
+	r.modelTTFT.Add(resp.ModelTTFT)
+	if len(resp.Tokens) > 1 {
+		r.modelTBT.Add(resp.ModelTBT)
 	}
+	bd := resp.Breakdown
+	bd.Replica = resp.Replica
+	bd.SLOMarginSec = resp.SLOMargin
+	bd.HasSLO = hasSLO
+	r.attr.Observe(*bd)
 }
 
 // ---- Streaming --------------------------------------------------------------
@@ -727,7 +662,6 @@ func (r *Router) Submit(req serve.Request) *Ticket {
 			minPred = preds[i]
 		}
 	}
-	predTBT := r.lm.DecodeSecPerTok // modeled per-round token interval
 	if r.cfg.SLOTTFT > 0 && r.cfg.Shed && minPred > r.cfg.SLOTTFT {
 		r.shed++
 		r.sloJudged++
@@ -738,7 +672,7 @@ func (r *Router) Submit(req serve.Request) *Ticket {
 		r.mu.Unlock()
 		return &Ticket{Replica: -1, PredTTFT: minPred, shed: &Response{
 			Response: serve.Response{Err: ErrSLOShed},
-			Replica:  -1, ModelTTFT: minPred, ModelTBT: predTBT, SLOMiss: true,
+			Replica:  -1, SLOMiss: true,
 		}}
 	}
 	r.mu.Unlock()
@@ -753,22 +687,12 @@ func (r *Router) Submit(req serve.Request) *Ticket {
 			marg = live
 		}
 		r.commit(&req, c.rep, chain, marg)
-		sloMiss := (r.cfg.SLOTTFT > 0 && preds[i] > r.cfg.SLOTTFT) ||
-			(r.cfg.SLOTBT > 0 && predTBT > r.cfg.SLOTBT)
-		if r.cfg.SLOTTFT > 0 || r.cfg.SLOTBT > 0 {
-			r.sloJudged++
-			if sloMiss {
-				r.sloMissed++
-			}
-		}
-		r.modelTTFT.Add(preds[i])
-		r.modelTBT.Add(predTBT)
 		seq := r.placeSeq
 		r.placeSeq++
 		r.rec.Emit(obs.Event{Type: obs.EvFleetPlace, Req: seq,
 			N: int64(c.rep), Aux: int64(marg), Sec: preds[i]})
 		r.mu.Unlock()
-		return &Ticket{Replica: c.rep, PredTTFT: preds[i], predTBT: predTBT, sloMiss: sloMiss, tk: tk}
+		return &Ticket{Replica: c.rep, PredTTFT: preds[i], r: r, tk: tk, promptLen: len(req.Prompt)}
 	}
 	for i, c := range cands {
 		if tk, ok := r.engines[c.rep].TrySubmit(req); ok {

@@ -59,9 +59,9 @@ type Summary struct {
 	PerReplica []ReplicaStats
 
 	// Attribution is the merged per-phase latency attribution across every
-	// request served by Run, replica-labeled and SLO-margin-stamped
-	// (DESIGN.md §14). nil unless Config.Engine.Attribution.
-	Attribution *obs.AttributionSnapshot
+	// served request, replica-labeled and SLO-margin-stamped (DESIGN.md §14).
+	// String leaves its table out; render it with Attribution.String.
+	Attribution obs.AttributionSnapshot
 }
 
 // PrefixHitRate returns hits/(hits+misses) across the fleet (0 when no
@@ -93,12 +93,8 @@ func (r *Router) Summary() Summary {
 		s.SLOAttainment = 1 - float64(r.sloMissed)/float64(r.sloJudged)
 	}
 	routed := append([]int64(nil), r.routedReqs...)
-	attr := r.attr
 	r.mu.Unlock()
-	if attr != nil {
-		snap := attr.Snapshot()
-		s.Attribution = &snap
-	}
+	s.Attribution = r.attr.Snapshot()
 
 	var maxRouted int64
 	for i, e := range r.engines {
@@ -149,9 +145,7 @@ func (r *Router) FillRegistry(reg *obs.Registry, labels ...obs.Label) {
 		e.FillRegistry(reg, rl...)
 		reg.Counter("clusterkv_fleet_replica_routed_total", rl...).Set(s.PerReplica[i].Routed)
 	}
-	if s.Attribution != nil {
-		s.Attribution.FillRegistry(reg, labels...)
-	}
+	s.Attribution.FillRegistry(reg, labels...)
 }
 
 // String formats the snapshot as a small report: fleet aggregates plus one
@@ -178,9 +172,6 @@ func (s Summary) String() string {
 		fmt.Fprintf(&b, "%-8d %7d %9d %7d %8d %8d %8d %7d %8d %9d\n",
 			i, rs.Routed, rs.Completed, rs.Failed, rs.PrefixHits, rs.PrefixMisses,
 			rs.PrefillTokens, rs.TokensGenerated, rs.Rounds, rs.KVPeak)
-	}
-	if s.Attribution != nil {
-		b.WriteString(s.Attribution.String())
 	}
 	return b.String()
 }

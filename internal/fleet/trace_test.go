@@ -99,21 +99,21 @@ func TestSummaryEmptyDistributions(t *testing.T) {
 
 // TestModelLatencyExposition pins the text exposition of the fleet's modeled
 // latency summaries — written by serve.LatencyStats.Fill, as the replicas' own
-// summaries are — to the bytes the router's former private rendering of them
-// produced for this load.
+// summaries are — to the bytes this load produces on the replicas' modeled
+// round clocks.
 func TestModelLatencyExposition(t *testing.T) {
 	const want = `# TYPE clusterkv_fleet_model_tbt_seconds gauge
 clusterkv_fleet_model_tbt_seconds{fleet="a",stat="count"} 8
-clusterkv_fleet_model_tbt_seconds{fleet="a",stat="max"} 0.02150921467297565
-clusterkv_fleet_model_tbt_seconds{fleet="a",stat="mean"} 0.020363333080008615
-clusterkv_fleet_model_tbt_seconds{fleet="a",stat="p50"} 0.019981372549019605
-clusterkv_fleet_model_tbt_seconds{fleet="a",stat="p95"} 0.02150921467297565
+clusterkv_fleet_model_tbt_seconds{fleet="a",stat="max"} 0.021676986832975653
+clusterkv_fleet_model_tbt_seconds{fleet="a",stat="mean"} 0.020405276120008618
+clusterkv_fleet_model_tbt_seconds{fleet="a",stat="p50"} 0.01998137254901961
+clusterkv_fleet_model_tbt_seconds{fleet="a",stat="p95"} 0.021676986832975653
 # TYPE clusterkv_fleet_model_ttft_seconds gauge
 clusterkv_fleet_model_ttft_seconds{fleet="a",stat="count"} 8
-clusterkv_fleet_model_ttft_seconds{fleet="a",stat="max"} 0.07467635094946778
-clusterkv_fleet_model_ttft_seconds{fleet="a",stat="mean"} 0.06815316568825684
-clusterkv_fleet_model_ttft_seconds{fleet="a",stat="p50"} 0.07467635094946778
-clusterkv_fleet_model_ttft_seconds{fleet="a",stat="p95"} 0.07467635094946778
+clusterkv_fleet_model_ttft_seconds{fleet="a",stat="max"} 0.07534743958946778
+clusterkv_fleet_model_ttft_seconds{fleet="a",stat="mean"} 0.06865648216825683
+clusterkv_fleet_model_ttft_seconds{fleet="a",stat="p50"} 0.07534743958946778
+clusterkv_fleet_model_ttft_seconds{fleet="a",stat="p95"} 0.07534743958946778
 `
 	r := NewRouter(testModel(), Config{
 		Replicas: 2, Seed: 7,

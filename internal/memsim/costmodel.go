@@ -8,10 +8,10 @@ package memsim
 // decode and PCIe page movement carry their paper-scale relative weights
 // instead of the toy model's.
 //
-// Three users share it: the fleet router prices placements and reconstructs
-// modeled TTFT/TBT from round schedules, the serve engine's attribution
-// clock (DESIGN.md §14) prices every round's prefill/decode/tiering work to
-// split each request's modeled wall time into phases, and the engine's
+// Three users share it: the fleet router prices placement predictions, the
+// serve engine's modeled round clock (DESIGN.md §14) prices every round's
+// prefill/decode/tiering work — every request's ModelTTFT/ModelTBT and phase
+// breakdown are read off it — and the engine's
 // transfer runtime (DESIGN.md §8) takes its link cost and the compute window
 // a prefetch hides behind from it. All are pure functions of deterministic
 // state — token counts, page counts, scheduler rounds — so modeled latencies
@@ -66,7 +66,7 @@ func (lm LatencyModel) PagesFor(n int) int64 {
 }
 
 // TierSec models the channel time of moving rawSlots token slots (summed
-// across planes) between tiers, page-rounded — the cost the attribution clock
+// across planes) between tiers, page-rounded — the cost the modeled round clock
 // charges a round's spill/promote traffic with.
 func (lm LatencyModel) TierSec(rawSlots int64) float64 {
 	if rawSlots <= 0 {

@@ -74,7 +74,7 @@ const (
 	// cohort (DESIGN.md §13): N = cohort size (decoding streams),
 	// Aux = prefill steps running per-stream alongside it.
 	EvBatchRound
-	// EvSpan records one attribution span on the modeled attribution clock
+	// EvSpan records one attribution span on the engine's modeled round clock
 	// (DESIGN.md §14): Req = request id, Round = retire round, N = phase
 	// index (-1 for the request's parent span), Sec = span begin (modeled
 	// seconds), Dur = span duration, Aux = decode rounds (parent) / batched

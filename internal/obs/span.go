@@ -11,7 +11,7 @@ import (
 )
 
 // Span attribution (DESIGN.md §14): every retired request carries a
-// Breakdown — its modeled wall time on the engine's attribution clock, tiled
+// Breakdown — its modeled wall time on the engine's modeled round clock, tiled
 // exactly into phases — and an Attribution aggregates breakdowns into the
 // per-phase critical-path view an operator reads: totals, wall fractions,
 // quantiles and the top-K slowest requests. Phases are priced by
@@ -106,7 +106,7 @@ type Breakdown struct {
 }
 
 // Wall returns the request's modeled wall time: the sum of all phases,
-// which by construction equals the attribution clock's span from SeenRound
+// which by construction equals the round clock's span from SeenRound
 // to DoneRound.
 func (b *Breakdown) Wall() float64 {
 	var w float64
@@ -350,7 +350,7 @@ func (s AttributionSnapshot) String() string {
 // (the request's modeled wall) followed by its nonzero phase children in
 // phase order. Event fields: Req = request id, Round = retire round,
 // N = phase index (-1 for the parent), Aux = decode rounds (parent) /
-// batched rounds (decode child), Sec = span begin on the attribution clock
+// batched rounds (decode child), Sec = span begin on the round clock
 // (seconds), Dur = span duration. Emission order and content are
 // deterministic, so the EvSpan sub-stream reproduces per seed.
 func EmitSpans(r Recorder, b *Breakdown, clockBegin float64) {

@@ -6,48 +6,62 @@ import (
 	"clusterkv/internal/obs"
 )
 
-// attrTracker is the engine's attribution clock (DESIGN.md §14): at every
+// attrTracker is the engine's modeled round clock (DESIGN.md §14), the one
+// clock every modeled latency of a served request is read from: at every
 // round barrier it prices the finished round with the shared
 // memsim.LatencyModel — one batched decode step, the round's admitted
-// prefills, and the tiering pass's spill/promote channel time — and keeps
-// prefix sums so a retiring request's modeled wall time tiles exactly into
-// phases. Everything here is a pure function of round-deterministic counts,
-// touched only on the scheduler goroutine, and never read back by a
-// scheduling decision — attribution on/off runs are fingerprint-identical.
+// prefills, and the tiering pass's spill/promote channel time. It keeps only
+// running totals; each task stamps the totals it needs as it passes the
+// scheduler (seen, head-of-line blocked, admitted, first token), so a
+// retiring request's modeled wall time tiles exactly into phases and its
+// ModelTTFT/ModelTBT are differences of its stamps. Everything here is a pure
+// function of round-deterministic counts, touched only on the scheduler
+// goroutine, and never read back by a scheduling decision.
 type attrTracker struct {
 	lm   memsim.LatencyModel
 	sink *obs.Attribution
 
-	// clock[r] is cumulative modeled seconds through round r (clock[0] = 0);
-	// prefillCum and tierCum are the matching per-phase prefix sums. Rounds
-	// the scheduler skipped (nothing runnable) cost zero.
-	clock      []float64
-	prefillCum []float64
-	tierCum    []float64
+	// clock is cumulative modeled seconds through the last priced round;
+	// prefill and tier are its prefill and tiering shares. Rounds the
+	// scheduler skipped (nothing runnable) cost zero, so before a round's
+	// barrier the totals are the clock before that round.
+	clock, prefill, tier float64
 
 	// curTierSlots accumulates the in-progress round's spill/promote raw
 	// slots, priced at the round barrier.
 	curTierSlots int64
 }
 
+// clockStamp is the clock's running totals at one instant.
+type clockStamp struct{ clock, prefill, tier float64 }
+
 func newAttrTracker(lm memsim.LatencyModel) *attrTracker {
-	return &attrTracker{
-		lm:         lm,
-		sink:       obs.NewAttribution(),
-		clock:      []float64{0},
-		prefillCum: []float64{0},
-		tierCum:    []float64{0},
-	}
+	return &attrTracker{lm: lm, sink: obs.NewAttribution()}
 }
 
 // markSeen stamps the round each pending request first reached the
-// scheduler; its queue phase starts on that round's clock.
+// scheduler; its queue phase starts on the clock before that round.
 func (a *attrTracker) markSeen(pending []*task, round int64) {
 	for _, t := range pending {
 		if t.seenRound == 0 {
 			t.seenRound = round
+			t.clkSeen = a.clock
 		}
 	}
+}
+
+// markBlocked stamps the clock when a request first blocks at the head of
+// the admission queue; its admit phase starts there.
+func (a *attrTracker) markBlocked(t *task) {
+	if !t.blocked {
+		t.blocked = true
+		t.clkHol = a.clock
+	}
+}
+
+// markAdmitted stamps the totals before the admission round is priced.
+func (a *attrTracker) markAdmitted(t *task) {
+	t.clkAdmit = clockStamp{a.clock, a.prefill, a.tier}
 }
 
 // addTierSlots charges the in-progress round's tiering pass with n raw
@@ -58,21 +72,12 @@ func (a *attrTracker) addTierSlots(n int64) {
 	}
 }
 
-// extendTo appends zero-cost entries for rounds the scheduler skipped, so
-// every round index up to `round` has a clock value.
-func (a *attrTracker) extendTo(round int64) {
-	for int64(len(a.clock)) <= round {
-		a.clock = append(a.clock, a.clock[len(a.clock)-1])
-		a.prefillCum = append(a.prefillCum, a.prefillCum[len(a.prefillCum)-1])
-		a.tierCum = append(a.tierCum, a.tierCum[len(a.tierCum)-1])
-	}
-}
-
 // endRound prices the finished round at the barrier: the round's shared
 // batched decode step, the own-prefill of every task admitted this round
 // (stamped onto the task for its later breakdown), and the tiering pass.
+// Tasks admitted this round produced their first token in it, so they stamp
+// the clock after it.
 func (a *attrTracker) endRound(active []*task, round int64) {
-	a.extendTo(round - 1)
 	var prefill float64
 	for _, t := range active {
 		if t.resp.AdmitRound == round {
@@ -82,77 +87,62 @@ func (a *attrTracker) endRound(active []*task, round int64) {
 	}
 	tier := a.lm.TierSec(a.curTierSlots)
 	a.curTierSlots = 0
-	cost := a.lm.DecodeSecPerTok + prefill + tier
-	a.clock = append(a.clock, a.clock[round-1]+cost)
-	a.prefillCum = append(a.prefillCum, a.prefillCum[round-1]+prefill)
-	a.tierCum = append(a.tierCum, a.tierCum[round-1]+tier)
-}
-
-func at(xs []float64, r int64) float64 {
-	if r < 0 {
-		r = 0
+	a.clock += a.lm.DecodeSecPerTok + prefill + tier
+	a.prefill += prefill
+	a.tier += tier
+	for _, t := range active {
+		if t.resp.AdmitRound == round {
+			t.clkFirst = a.clock
+		}
 	}
-	if r >= int64(len(xs)) {
-		r = int64(len(xs)) - 1
-	}
-	return xs[r]
 }
-
-// clockAt returns the attribution clock after round r (clamped to the last
-// priced round — a refusal retires mid-round, before its round is priced).
-func (a *attrTracker) clockAt(r int64) float64 { return at(a.clock, r) }
 
 // finish tiles the retiring task's modeled wall time — clock(DoneRound) −
-// clock(SeenRound−1) — into phases. For an admitted task the tiling is
-// exact by construction: queue and admit cover the rounds before admission,
-// and every resident round's cost splits into its shared decode step, the
-// task's own prefill, co-scheduled prefill (interference) and tiering.
-func (a *attrTracker) finish(t *task, round int64, replica int) *obs.Breakdown {
-	seen := t.seenRound
-	if seen <= 0 {
-		seen = round
-	}
+// clock(SeenRound−1) — into phases and stamps the response's ModelTTFT
+// (clock(AdmitRound) − clock(SeenRound−1)) and ModelTBT. An admitted task
+// retires after its last round was priced; a refused one before the round
+// it was refused in was, so in both cases the running totals are the end of
+// its span. For an admitted task the tiling is exact by construction: queue
+// and admit cover the rounds before admission, and every resident round's
+// cost splits into its shared decode step, the task's own prefill,
+// co-scheduled prefill (interference) and tiering.
+func (a *attrTracker) finish(t *task, round int64) *obs.Breakdown {
+	admit, begin := t.resp.AdmitRound, t.clkSeen
 	b := &obs.Breakdown{
-		Req: t.id, Replica: replica,
-		SeenRound: seen, AdmitRound: t.resp.AdmitRound, DoneRound: round,
+		Req: t.id, Replica: -1,
+		SeenRound: t.seenRound, AdmitRound: admit, DoneRound: round,
 	}
-	begin := a.clockAt(seen - 1)
-	admit := t.resp.AdmitRound
-	hol := t.holRound
+	// waited is where waiting ended: admission, or the refusal now. A
+	// request never admitted (refused as too large) spends its whole span
+	// queueing and retrying admission at the head of the line.
+	waited := a.clock
 	if admit > 0 {
-		if hol <= 0 || hol > admit {
-			hol = admit
-		}
-		b.Phases[obs.PhaseQueue] = a.clockAt(hol-1) - begin
-		b.Phases[obs.PhaseAdmit] = a.clockAt(admit-1) - a.clockAt(hol-1)
+		waited = t.clkAdmit.clock
+	}
+	hol := t.clkHol
+	if !t.blocked {
+		hol = waited
+	}
+	b.Phases[obs.PhaseQueue] = hol - begin
+	b.Phases[obs.PhaseAdmit] = waited - hol
+	if admit > 0 {
 		b.Phases[obs.PhasePrefill] = t.attrOwnPrefill
 		b.Phases[obs.PhaseDecode] = float64(round-admit+1) * a.lm.DecodeSecPerTok
-		interf := (at(a.prefillCum, round) - at(a.prefillCum, admit-1)) - t.attrOwnPrefill
+		interf := (a.prefill - t.clkAdmit.prefill) - t.attrOwnPrefill
 		if interf < 0 {
 			interf = 0
 		}
 		b.Phases[obs.PhaseInterference] = interf
-		b.Phases[obs.PhaseTiering] = at(a.tierCum, round) - at(a.tierCum, admit-1)
+		b.Phases[obs.PhaseTiering] = a.tier - t.clkAdmit.tier
 		b.DecodeRounds = round - admit + 1
 		b.BatchedRounds = t.batchedRounds
 		if reused := t.resp.PrefixReusedTokens; reused > 0 {
 			b.PrefixCreditSec = a.lm.PrefillSec(t.prefillN+reused) - a.lm.PrefillSec(t.prefillN)
 		}
-	} else {
-		// Never admitted (refused as too large): the whole span is queueing
-		// plus head-of-line admission retries, measured through the last
-		// fully priced round.
-		h := hol
-		if h <= 0 {
-			h = round
+		t.resp.ModelTTFT = t.clkFirst - begin
+		if n := len(t.resp.Tokens); n > 1 {
+			t.resp.ModelTBT = (a.clock - t.clkFirst) / float64(n-1)
 		}
-		end := a.clockAt(round - 1)
-		hv := a.clockAt(h - 1)
-		if hv > end {
-			hv = end
-		}
-		b.Phases[obs.PhaseQueue] = hv - begin
-		b.Phases[obs.PhaseAdmit] = end - hv
 	}
 	if t.seq != nil {
 		if sr, ok := t.seq.Selector().(attention.StallReporter); ok {

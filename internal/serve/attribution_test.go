@@ -8,15 +8,14 @@ import (
 	"clusterkv/internal/obs"
 )
 
-// TestTraceAttributionFingerprintNeutral is the tentpole's headline lock:
-// enabling per-request latency attribution must not perturb the engine's
-// deterministic schedule — token streams, rounds and counters are identical
-// with attribution on and off, serially, in parallel, and under two-tier
-// spill pressure.
+// TestTraceAttributionFingerprintNeutral locks that emitting the attribution
+// span stream does not perturb the engine's deterministic schedule: a traced
+// run, which emits one span tree per request, has the untraced run's token
+// streams, rounds, modeled latencies and counters, serially, in parallel,
+// and under two-tier spill pressure.
 func TestTraceAttributionFingerprintNeutral(t *testing.T) {
 	reqs := loadRequests(t)
 	twoTier := func(c *Config) { c.KVBudget = 512; c.HostBudget = 4096 }
-	attrOn := func(c *Config) { c.Attribution = true }
 
 	cases := []struct {
 		name           string
@@ -32,10 +31,21 @@ func TestTraceAttributionFingerprintNeutral(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			base := runEngineAt(t, tc.procs, tc.workers, reqs, tc.mutate...)
-			withAttr := append(append([]func(*Config){}, tc.mutate...), attrOn)
-			got := runEngineAt(t, tc.procs, tc.workers, reqs, withAttr...)
+			tracer := obs.NewTracer(0)
+			withTrace := append(append([]func(*Config){}, tc.mutate...),
+				func(c *Config) { c.Trace = tracer.Recorder(0) })
+			got := runEngineAt(t, tc.procs, tc.workers, reqs, withTrace...)
 			if d := base.diff(got); d != "" {
-				t.Fatalf("attribution-on run differs from attribution-off: %s", d)
+				t.Fatalf("traced run differs from untraced: %s", d)
+			}
+			parents := 0
+			for _, ev := range tracer.Events() {
+				if ev.Type == obs.EvSpan && ev.N < 0 {
+					parents++
+				}
+			}
+			if parents != len(reqs) {
+				t.Fatalf("traced run emitted %d request spans, want %d", parents, len(reqs))
 			}
 		})
 	}
@@ -51,14 +61,11 @@ func TestTraceAttributionTilingExact(t *testing.T) {
 	tracer := obs.NewTracer(0)
 	eng := NewEngine(testModel(), Config{
 		Workers: 1, MaxBatch: 4, KVBudget: 2048, Seed: 7,
-		Attribution: true, Trace: tracer.Recorder(0),
+		Trace: tracer.Recorder(0),
 	})
 	resps := eng.Run(reqs)
 	attr := eng.Attribution()
 	eng.Close()
-	if attr == nil {
-		t.Fatal("Attribution() is nil with Config.Attribution set")
-	}
 
 	var wallSum float64
 	byReq := map[uint64]*Response{}
@@ -143,10 +150,7 @@ func TestTraceAttributionSpanStreamRepeats(t *testing.T) {
 	for _, procs := range []int{1, 2} {
 		run := func() []obs.Event {
 			tracer := obs.NewTracer(0)
-			runEngineAt(t, procs, procs, reqs, func(c *Config) {
-				c.Attribution = true
-				c.Trace = tracer.Recorder(0)
-			})
+			runEngineAt(t, procs, procs, reqs, func(c *Config) { c.Trace = tracer.Recorder(0) })
 			var spans []obs.Event
 			for _, ev := range tracer.Events() {
 				if ev.Type == obs.EvSpan {
@@ -170,15 +174,14 @@ func TestTraceAttributionSpanStreamRepeats(t *testing.T) {
 	}
 }
 
-// TestTraceAttributionTieringCharged drives the two-tier spill path with
-// attribution on and checks the tiering phase actually gets charged, and
+// TestTraceAttributionTieringCharged drives the two-tier spill path and
+// checks the tiering phase actually gets charged, and
 // that the prefix cache's reuse shows up as prefill credit.
 func TestTraceAttributionTieringCharged(t *testing.T) {
 	reqs := loadRequests(t)
 	eng := NewEngine(testModel(), Config{
 		Workers: 1, MaxBatch: 4, Seed: 7,
 		KVBudget: 512, HostBudget: 4096,
-		Attribution: true,
 	})
 	resps := eng.Run(reqs)
 	attr := eng.Attribution()

@@ -18,6 +18,8 @@ type engineRunFingerprint struct {
 	doneRound  []int64
 	prefixHit  []bool
 	errs       []string
+	modelTTFT  []float64
+	modelTBT   []float64
 
 	submitted, completed, failed            uint64
 	prefixHits, prefixMisses, prefixEvicted uint64
@@ -85,6 +87,8 @@ func runEngineAt(t *testing.T, procs, engineWorkers int, reqs []Request, mutate 
 		fp.admitRound = append(fp.admitRound, r.AdmitRound)
 		fp.doneRound = append(fp.doneRound, r.DoneRound)
 		fp.prefixHit = append(fp.prefixHit, r.PrefixHit)
+		fp.modelTTFT = append(fp.modelTTFT, r.ModelTTFT)
+		fp.modelTBT = append(fp.modelTBT, r.ModelTBT)
 		if r.Err != nil {
 			fp.errs = append(fp.errs, r.Err.Error())
 		} else {
@@ -123,6 +127,10 @@ func (a engineRunFingerprint) diff(b engineRunFingerprint) string {
 		}
 		if a.errs[i] != b.errs[i] {
 			return fmt.Sprintf("request %d: err %q vs %q", i, a.errs[i], b.errs[i])
+		}
+		if a.modelTTFT[i] != b.modelTTFT[i] || a.modelTBT[i] != b.modelTBT[i] {
+			return fmt.Sprintf("request %d: modeled ttft/tbt (%v,%v) vs (%v,%v)",
+				i, a.modelTTFT[i], a.modelTBT[i], b.modelTTFT[i], b.modelTBT[i])
 		}
 	}
 	type counters struct {

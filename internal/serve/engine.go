@@ -66,15 +66,6 @@ type Config struct {
 	// never changes scheduling: traced and untraced runs produce identical
 	// tokens, rounds and metrics (locked by the determinism suites).
 	Trace obs.Recorder
-	// Attribution enables per-request latency attribution (DESIGN.md §14):
-	// every retired request carries a Response.Breakdown tiling its modeled
-	// wall time into queue / admit / prefill / decode / interference /
-	// tiering phases on the attribution clock, the engine aggregates them
-	// into Engine.Attribution(), and — with Trace enabled — emits the
-	// deterministic EvSpan stream. Attribution never feeds back into
-	// scheduling: on/off runs are token-, round- and fingerprint-identical
-	// (locked by the determinism suites).
-	Attribution bool
 }
 
 // DefaultConfig returns the default engine configuration.
@@ -92,8 +83,8 @@ func DefaultConfig() Config {
 // engine's real token, page and round counts costed as memsim.Llama31_8B on
 // the paper GPU (memsim.AdaRTX6000), with pageTokens-token KV pages. The
 // engine's transfer channel (link cost per page, compute window per layer)
-// and attribution clock and the fleet router's placement and latency model
-// all take it from here, so every modeled latency is on one clock.
+// and modeled round clock and the fleet router's placement prediction all
+// take it from here.
 func CostModel(pageTokens int) memsim.LatencyModel {
 	return memsim.NewLatencyModel(memsim.AdaRTX6000(), memsim.Llama31_8B(), pageTokens)
 }
@@ -147,8 +138,8 @@ type Engine struct {
 	// on the loop goroutine; the transfer runtime carries its own copy.
 	rec obs.Recorder
 
-	// attr is the attribution clock (Config.Attribution, DESIGN.md §14);
-	// nil when attribution is off. Touched only on the loop goroutine.
+	// attr is the modeled round clock (DESIGN.md §14). Touched only on the
+	// loop goroutine.
 	attr *attrTracker
 
 	// bd is the decode executor (DESIGN.md §13), used only on the loop
@@ -190,12 +181,18 @@ type task struct {
 	spilled   int64
 	coldRound int64
 
-	// attribution state (Config.Attribution; scheduler-owned): the round the
-	// request was first seen, the round it first blocked at the head of the
-	// admission queue, how many of its resident rounds decoded as a batched
-	// cohort, and its own prefill cost priced at the admit-round barrier.
+	// modeled-clock state (scheduler-owned): the round the request was first
+	// seen with the clock before it; whether it blocked at the head of the
+	// admission queue, with the clock when it first did; the clock's totals on
+	// admission and after its first token; how many of its resident rounds
+	// decoded as a batched cohort; and its own prefill cost priced at the
+	// admit-round barrier.
 	seenRound      int64
-	holRound       int64
+	clkSeen        float64
+	blocked        bool
+	clkHol         float64
+	clkAdmit       clockStamp
+	clkFirst       float64
 	batchedRounds  int64
 	attrOwnPrefill float64
 
@@ -273,22 +270,15 @@ func newEngine(m *model.Model, cfg Config, cost func(pageTokens int) memsim.Late
 	e.rt = kvcache.NewTransferRuntime(kvcache.Channel{SecPerPage: lm.SecPerPlanePage, LayerSec: lm.LayerSec})
 	e.rec = cfg.Trace
 	e.rt.SetTrace(cfg.Trace) // before loop starts: the runtime reads it unlocked
-	if cfg.Attribution {
-		e.attr = newAttrTracker(lm)
-	}
+	e.attr = newAttrTracker(lm)
 	go e.loop()
 	return e
 }
 
 // Attribution returns the engine's per-request latency attribution
-// aggregator (nil unless Config.Attribution is set). Safe to snapshot
-// concurrently; fully settled once the engine is closed.
-func (e *Engine) Attribution() *obs.Attribution {
-	if e.attr == nil {
-		return nil
-	}
-	return e.attr.sink
-}
+// aggregator. Safe to snapshot concurrently; fully settled once the engine is
+// closed.
+func (e *Engine) Attribution() *obs.Attribution { return e.attr.sink }
 
 // TransferRuntime exposes the engine's transfer runtime (read-only use
 // intended: overlap gauges for tests and experiments).
@@ -579,9 +569,7 @@ func (e *Engine) loop() {
 		}
 
 		round++
-		if e.attr != nil {
-			e.attr.markSeen(pending, round)
-		}
+		e.attr.markSeen(pending, round)
 		// Admission: FIFO with head-of-line blocking, so a burst of small
 		// requests cannot starve a large one forever.
 		var headCost int64 // what a blocked head asked the accountant for
@@ -590,15 +578,14 @@ func (e *Engine) loop() {
 			st, cost := e.admit(t, round)
 			if st == admitWait {
 				headCost = cost
-				if e.attr != nil && t.holRound == 0 {
-					t.holRound = round
-				}
+				e.attr.markBlocked(t)
 				break
 			}
 			pending = pending[1:]
 			if st == admitFailed {
 				continue
 			}
+			e.attr.markAdmitted(t)
 			active = append(active, t)
 		}
 		if len(active) == 0 && len(pending) > 0 {
@@ -639,11 +626,9 @@ func (e *Engine) loop() {
 		e.mx.observeKV(e.acct.Used(), e.acct.DeviceUsed(), e.acct.HostUsed())
 		e.rec.Emit(obs.Event{Type: obs.EvRoundEnd, Round: round,
 			N: e.kvUnits(e.acct.DeviceUsed()), Aux: e.kvUnits(e.acct.HostUsed())})
-		if e.attr != nil {
-			// Price the finished round on the attribution clock before any
-			// retirement below reads it.
-			e.attr.endRound(active, round)
-		}
+		// Price the finished round on the modeled clock before any
+		// retirement below reads it.
+		e.attr.endRound(active, round)
 
 		// Post-round: publish built prefixes, retire finished tasks. A
 		// builder that failed before its snapshot existed unpublishes the
@@ -930,10 +915,8 @@ func (e *Engine) runRound(active []*task, round int64) {
 		e.stepAll(prefills)
 	}
 	if len(cohort) > 1 {
-		if e.attr != nil {
-			for _, t := range cohort {
-				t.batchedRounds++
-			}
+		for _, t := range cohort {
+			t.batchedRounds++
 		}
 		e.rec.Emit(obs.Event{Type: obs.EvBatchRound, Round: round,
 			N: int64(len(cohort)), Aux: int64(len(prefills))})
@@ -1067,9 +1050,7 @@ func (e *Engine) spillCold(active []*task, round int64) {
 		e.rt.AccountPages(int((d + P - 1) / P))
 	}
 	if moved := spillStart - excess; moved > 0 {
-		if e.attr != nil {
-			e.attr.addTierSlots(moved)
-		}
+		e.attr.addTierSlots(moved)
 		e.rec.Emit(obs.Event{Type: obs.EvPageSpill, Round: round, N: e.kvUnits(moved)})
 	}
 }
@@ -1089,9 +1070,7 @@ func (e *Engine) promoteSpilled(active []*task, headroom, pageTokens, round int6
 	}
 	e.acct.MoveToDevice(promote)
 	e.rt.AccountPages(int((promote + pageTokens - 1) / pageTokens))
-	if e.attr != nil {
-		e.attr.addTierSlots(promote)
-	}
+	e.attr.addTierSlots(promote)
 	e.rec.Emit(obs.Event{Type: obs.EvPagePromote, Round: round, N: e.kvUnits(promote)})
 	// Shrink per-task claims newest-spill-first so future pressure can spill
 	// them again; cached-prefix claims (the coldest) unwind last, and any
@@ -1319,12 +1298,12 @@ func (t *task) sample() int {
 // admission hold the prefill never swapped out, the sequence's pages, and the
 // prefix entry reference.
 func (e *Engine) retire(t *task, round int64, err error) {
-	// Attribution breakdown first: the stall harvest reads the sequence's
-	// selector ledgers, which Release below tears down. Aborted tasks
-	// (round < 0) carry no modeled span.
+	// Modeled clock first: the breakdown's stall harvest reads the
+	// sequence's selector ledgers, which Release below tears down. Aborted
+	// tasks (round < 0) carry no modeled span.
 	var bd *obs.Breakdown
-	if e.attr != nil && round > 0 {
-		bd = e.attr.finish(t, round, -1)
+	if round > 0 {
+		bd = e.attr.finish(t, round)
 	}
 	if t.reserved > 0 {
 		e.acct.Release(t.reserved)
@@ -1364,7 +1343,7 @@ func (e *Engine) retire(t *task, round int64, err error) {
 	if bd != nil {
 		t.resp.Breakdown = bd
 		e.attr.sink.Observe(*bd)
-		obs.EmitSpans(e.rec, bd, e.attr.clockAt(bd.SeenRound-1))
+		obs.EmitSpans(e.rec, bd, t.clkSeen)
 	}
 	e.mx.observeRetire(t, err)
 	if e.rec.Enabled() {

@@ -114,11 +114,18 @@ type Response struct {
 	// retirement. They are wall-clock independent, so deterministic runs can
 	// assert identical scheduling across repeats.
 	AdmitRound, DoneRound int64
-	// Breakdown is the request's latency attribution span tree on the
-	// modeled attribution clock (DESIGN.md §14) — nil unless
-	// Config.Attribution is set. Its phase tiling is deterministic; the
-	// XferExposedSec/XferHiddenSec pair is this request's share of the
-	// engine's modeled transfer time (see obs.Breakdown).
+	// ModelTTFT and ModelTBT are the request's modeled time-to-first-token
+	// and time-between-tokens in seconds on the engine's modeled round clock
+	// (DESIGN.md §14): the clock from before the round the scheduler first
+	// saw the request to the end of its admission round, and the clock from
+	// there to retirement per later token. Deterministic; zero for a request
+	// never admitted (ModelTBT also for a single-token one).
+	ModelTTFT, ModelTBT float64
+	// Breakdown is the request's latency attribution span tree on the same
+	// clock, tiling its modeled wall time into phases; nil only for requests
+	// aborted by Shutdown or rejected at intake. Its phase tiling is
+	// deterministic; the XferExposedSec/XferHiddenSec pair is this request's
+	// share of the engine's modeled transfer time (see obs.Breakdown).
 	Breakdown *obs.Breakdown
 }
 
