@@ -18,7 +18,14 @@ import (
 	"strings"
 	"time"
 
-	"clusterkv"
+	"clusterkv/internal/attention"
+	"clusterkv/internal/baselines"
+	"clusterkv/internal/core"
+	"clusterkv/internal/fleet"
+	"clusterkv/internal/model"
+	"clusterkv/internal/obs"
+	"clusterkv/internal/serve"
+	"clusterkv/internal/workload"
 )
 
 func main() {
@@ -47,6 +54,10 @@ func main() {
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
 	flag.Parse()
+	if err := positive("replicas", "streams", "requests", "docs", "doclen", "qlen", "newtokens"); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	if *cpuProf != "" {
 		f := mustCreate(*cpuProf)
@@ -57,21 +68,21 @@ func main() {
 		defer f.Close()
 		defer pprof.StopCPUProfile()
 	}
-	var tracer *clusterkv.Tracer
+	var tracer *obs.Tracer
 	if *traceOut != "" {
-		tracer = clusterkv.NewTracer(0)
+		tracer = obs.NewTracer(0)
 	}
-	var reg *clusterkv.MetricsRegistry
+	var reg *obs.Registry
 	if *metricsTo != "" {
-		reg = clusterkv.NewMetricsRegistry()
+		reg = obs.NewRegistry()
 	}
 
-	var sel func() clusterkv.Selector
+	var sel func() attention.Selector
 	switch strings.ToLower(*method) {
 	case "clusterkv":
-		sel = func() clusterkv.Selector { return clusterkv.New(clusterkv.DefaultConfig()) }
+		sel = func() attention.Selector { return core.New(core.NewConfig()) }
 	case "quest":
-		sel = func() clusterkv.Selector { return clusterkv.NewQuest(clusterkv.DefaultQuestConfig()) }
+		sel = func() attention.Selector { return baselines.NewQuest(baselines.NewQuestConfig()) }
 	case "fullkv":
 		sel = nil
 	default:
@@ -79,48 +90,48 @@ func main() {
 		os.Exit(2)
 	}
 
-	var load []clusterkv.QARequest
+	var load []workload.QARequest
 	var loadDesc string
 	switch strings.ToLower(*loadKind) {
 	case "qa":
-		lc := clusterkv.DefaultLoadConfig()
+		lc := workload.DefaultLoadConfig()
 		lc.Doc.Seed = *seed
 		lc.NDocs = *docs
 		lc.DocLen = *docLen
 		lc.NRequests = *requests
 		lc.QuestionLen = *qLen
 		lc.MaxNewTokens = *newTok
-		load = clusterkv.NewLoad(lc)
+		load = workload.NewLoad(lc)
 		loadDesc = fmt.Sprintf("%d requests over %d shared docs (%d+%d prompt tokens, %d generated each)",
 			*requests, *docs, *docLen, *qLen, *newTok)
 	case "chat":
-		cc := clusterkv.DefaultConversationConfig()
+		cc := workload.DefaultConversationConfig()
 		cc.Doc.Seed = *seed
 		cc.MaxNewTokens = *newTok
-		load = clusterkv.ConversationLoad(cc)
+		load = workload.ConversationLoad(cc)
 		loadDesc = fmt.Sprintf("%d chat requests (%d sessions x %d turns, nested histories, %d generated each)",
 			len(load), cc.Sessions, cc.Turns, *newTok)
 	case "agentic":
-		ac := clusterkv.DefaultAgenticConfig()
+		ac := workload.DefaultAgenticConfig()
 		ac.Doc.Seed = *seed
 		ac.MaxNewTokens = *newTok
-		load = clusterkv.AgenticLoad(ac)
+		load = workload.AgenticLoad(ac)
 		loadDesc = fmt.Sprintf("%d agentic requests (%d agents x %d steps, re-entrant contexts, %d generated each)",
 			len(load), ac.Agents, ac.Steps, *newTok)
 	case "rag":
-		rc := clusterkv.DefaultRAGConfig()
+		rc := workload.DefaultRAGConfig()
 		rc.Doc.Seed = *seed
 		rc.MaxNewTokens = *newTok
-		load = clusterkv.RAGLoad(rc)
+		load = workload.RAGLoad(rc)
 		loadDesc = fmt.Sprintf("%d RAG requests (shared template, %d chunks each, %d generated each)",
 			len(load), rc.ChunksPerRequest, *newTok)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown -load %q (qa, chat, agentic, rag)\n", *loadKind)
 		os.Exit(2)
 	}
-	reqs := make([]clusterkv.ServeRequest, len(load))
+	reqs := make([]serve.Request, len(load))
 	for i, q := range load {
-		reqs[i] = clusterkv.ServeRequest{
+		reqs[i] = serve.Request{
 			Prompt:          q.Prompt,
 			SharedPrefixLen: q.SharedPrefixLen,
 			MaxNewTokens:    q.MaxNewTokens,
@@ -131,7 +142,7 @@ func main() {
 		}
 	}
 
-	m := clusterkv.NewModel(clusterkv.DefaultModelConfig())
+	m := model.New(model.DefaultConfig())
 	fmt.Printf("load: %s, method %s\n", loadDesc, *method)
 	if *rate > 0 {
 		fmt.Printf("arrivals: open-loop Poisson at %.2f req/s (live routing via TrySubmit)\n", *rate)
@@ -144,14 +155,14 @@ func main() {
 	fmt.Printf("fleet: %d replicas, %d streams/replica, kv budget %v\n\n",
 		*replicas, *streams, budgetStr(*kvBudget))
 
-	ecfg := clusterkv.DefaultEngineConfig()
+	ecfg := serve.DefaultConfig()
 	ecfg.MaxBatch = *streams
 	if *workers > 0 {
 		ecfg.Workers = *workers
 	}
 	ecfg.KVBudget = *kvBudget
 	ecfg.Seed = *seed
-	router := clusterkv.NewFleetRouter(m, clusterkv.FleetConfig{
+	router := fleet.NewRouter(m, fleet.Config{
 		Replicas: *replicas,
 		Engine:   ecfg,
 		SLOTTFT:  *sloTTFT / 1e3,
@@ -161,8 +172,8 @@ func main() {
 		Trace:    tracer,
 	})
 	if *rate > 0 {
-		arrivals := clusterkv.PoissonArrivals(*seed, len(reqs), *rate)
-		tickets := make([]*clusterkv.FleetTicket, len(reqs))
+		arrivals := workload.PoissonArrivals(*seed, len(reqs), *rate)
+		tickets := make([]*fleet.Ticket, len(reqs))
 		for i, req := range reqs {
 			time.Sleep(time.Duration(arrivals[i].Gap * float64(time.Second)))
 			tickets[i] = router.Submit(req)
@@ -188,7 +199,7 @@ func main() {
 			tracer.FillRegistry(reg)
 		}
 		f := mustCreate(*traceOut)
-		err := clusterkv.WriteChromeTraceFrom(f, tracer)
+		err := obs.WriteChromeTraceFrom(f, tracer)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
@@ -218,6 +229,17 @@ func main() {
 		}
 		f.Close()
 	}
+}
+
+// positive returns an error naming the first of the named int flags whose
+// value is below 1: no load or engine dimension can be zero or negative.
+func positive(names ...string) error {
+	for _, n := range names {
+		if v := flag.Lookup(n).Value.(flag.Getter).Get().(int); v < 1 {
+			return fmt.Errorf("-%s %d: must be at least 1", n, v)
+		}
+	}
+	return nil
 }
 
 func mustCreate(path string) *os.File {

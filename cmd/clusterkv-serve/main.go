@@ -21,12 +21,20 @@ import (
 	"strings"
 	"time"
 
-	"clusterkv"
+	"clusterkv/internal/attention"
+	"clusterkv/internal/baselines"
+	"clusterkv/internal/core"
+	"clusterkv/internal/kvcache"
+	"clusterkv/internal/model"
+	"clusterkv/internal/obs"
+	"clusterkv/internal/parallel"
+	"clusterkv/internal/serve"
+	"clusterkv/internal/workload"
 )
 
 type methodSpec struct {
 	name string
-	sel  func() clusterkv.Selector // nil factory = full attention
+	sel  func() attention.Selector // nil factory = full attention
 }
 
 // methods resolves -method: "all", or a comma-separated list of method names
@@ -34,8 +42,8 @@ type methodSpec struct {
 // typo never silently drops a method from the comparison.
 func methods(which string) ([]methodSpec, error) {
 	all := []methodSpec{
-		{"ClusterKV", func() clusterkv.Selector { return clusterkv.New(clusterkv.DefaultConfig()) }},
-		{"Quest", func() clusterkv.Selector { return clusterkv.NewQuest(clusterkv.DefaultQuestConfig()) }},
+		{"ClusterKV", func() attention.Selector { return core.New(core.NewConfig()) }},
+		{"Quest", func() attention.Selector { return baselines.NewQuest(baselines.NewQuestConfig()) }},
 		{"FullKV", nil},
 	}
 	if strings.TrimSpace(strings.ToLower(which)) == "all" {
@@ -51,6 +59,17 @@ func methods(which string) ([]methodSpec, error) {
 		out = append(out, all[i])
 	}
 	return out, nil
+}
+
+// positive returns an error naming the first of the named int flags whose
+// value is below 1: no load or engine dimension can be zero or negative.
+func positive(names ...string) error {
+	for _, n := range names {
+		if v := flag.Lookup(n).Value.(flag.Getter).Get().(int); v < 1 {
+			return fmt.Errorf("-%s %d: must be at least 1", n, v)
+		}
+	}
+	return nil
 }
 
 func main() {
@@ -81,13 +100,16 @@ func main() {
 	)
 	flag.Parse()
 	specs, err := methods(*method)
+	if err == nil {
+		err = positive("streams", "requests", "docs", "doclen", "qlen", "newtokens")
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
 	if *intraOp > 0 {
-		clusterkv.SetIntraOpWorkers(*intraOp)
+		parallel.SetDefaultWidth(*intraOp)
 	}
 	if *cpuProf != "" {
 		f := mustCreate(*cpuProf)
@@ -98,48 +120,48 @@ func main() {
 		defer f.Close()
 		defer pprof.StopCPUProfile()
 	}
-	var tracer *clusterkv.Tracer
+	var tracer *obs.Tracer
 	if *traceOut != "" {
-		tracer = clusterkv.NewTracer(0)
+		tracer = obs.NewTracer(0)
 	}
-	var reg *clusterkv.MetricsRegistry
+	var reg *obs.Registry
 	if *metricsTo != "" {
-		reg = clusterkv.NewMetricsRegistry()
+		reg = obs.NewRegistry()
 	}
 
-	var load []clusterkv.QARequest
+	var load []workload.QARequest
 	var loadDesc string
 	switch strings.ToLower(*loadKind) {
 	case "qa":
-		lc := clusterkv.DefaultLoadConfig()
+		lc := workload.DefaultLoadConfig()
 		lc.Doc.Seed = *seed
 		lc.NDocs = *docs
 		lc.DocLen = *docLen
 		lc.NRequests = *requests
 		lc.QuestionLen = *qLen
 		lc.MaxNewTokens = *newTok
-		load = clusterkv.NewLoad(lc)
+		load = workload.NewLoad(lc)
 		loadDesc = fmt.Sprintf("%d requests over %d shared docs (%d+%d prompt tokens, %d generated each)",
 			*requests, *docs, *docLen, *qLen, *newTok)
 	case "chat":
-		cc := clusterkv.DefaultConversationConfig()
+		cc := workload.DefaultConversationConfig()
 		cc.Doc.Seed = *seed
 		cc.MaxNewTokens = *newTok
-		load = clusterkv.ConversationLoad(cc)
+		load = workload.ConversationLoad(cc)
 		loadDesc = fmt.Sprintf("%d chat requests (%d sessions x %d turns, nested histories, %d generated each)",
 			len(load), cc.Sessions, cc.Turns, *newTok)
 	case "agentic":
-		ac := clusterkv.DefaultAgenticConfig()
+		ac := workload.DefaultAgenticConfig()
 		ac.Doc.Seed = *seed
 		ac.MaxNewTokens = *newTok
-		load = clusterkv.AgenticLoad(ac)
+		load = workload.AgenticLoad(ac)
 		loadDesc = fmt.Sprintf("%d agentic requests (%d agents x %d steps, re-entrant contexts, %d generated each)",
 			len(load), ac.Agents, ac.Steps, *newTok)
 	case "rag":
-		rc := clusterkv.DefaultRAGConfig()
+		rc := workload.DefaultRAGConfig()
 		rc.Doc.Seed = *seed
 		rc.MaxNewTokens = *newTok
-		load = clusterkv.RAGLoad(rc)
+		load = workload.RAGLoad(rc)
 		loadDesc = fmt.Sprintf("%d RAG requests (shared template, %d chunks each, %d generated each)",
 			len(load), rc.ChunksPerRequest, *newTok)
 	default:
@@ -153,14 +175,14 @@ func main() {
 		}
 	}
 
-	m := clusterkv.NewModel(clusterkv.DefaultModelConfig())
+	m := model.New(model.DefaultConfig())
 	fmt.Printf("load: %s\n", loadDesc)
 	if *rate > 0 {
 		fmt.Printf("arrivals: open-loop Poisson at %.2f req/s\n", *rate)
 	} else {
 		fmt.Printf("arrivals: closed loop (all requests queued up front)\n")
 	}
-	admission := fmt.Sprintf("exact pages (%d-token pages)", clusterkv.DefaultKVPageTokens)
+	admission := fmt.Sprintf("exact pages (%d-token pages)", kvcache.DefaultPageTokens)
 	if *hostBud > 0 && *kvBudget > 0 {
 		admission = fmt.Sprintf("two-tier exact pages (device %d + host %d slots/head)", *kvBudget, *hostBud)
 	}
@@ -169,7 +191,7 @@ func main() {
 		prefixCache = "off"
 	}
 	fmt.Printf("engine: %d streams, %d workers, intra-op pool %d, prefix cache %s, global KV budget %v, admission %s\n\n",
-		*streams, effWorkers(*workers), clusterkv.IntraOpPool().Width(), prefixCache, budgetStr(*kvBudget), admission)
+		*streams, effWorkers(*workers), parallel.Default().Width(), prefixCache, budgetStr(*kvBudget), admission)
 
 	type row struct {
 		name                   string
@@ -197,7 +219,7 @@ func main() {
 			}
 		}
 
-		cfg := clusterkv.DefaultEngineConfig()
+		cfg := serve.DefaultConfig()
 		cfg.MaxBatch = *streams
 		if *workers > 0 {
 			cfg.Workers = *workers
@@ -206,14 +228,14 @@ func main() {
 		cfg.HostBudget = *hostBud
 		cfg.Seed = *seed
 		cfg.Trace = tracer.Recorder(mi) // nil tracer -> disabled recorder
-		eng := clusterkv.NewEngine(m, cfg)
+		eng := serve.NewEngine(m, cfg)
 		resps := dispatch(eng, reqs, *rate, *seed)
 		eng.Close() // drain before the snapshot
 		mx := eng.Metrics()
 		arenaPeak := eng.Arena().PeakPages()
 		attrSnap := eng.Attribution().Snapshot()
 		if reg != nil {
-			ml := clusterkv.ML("method", strings.ToLower(spec.name))
+			ml := obs.L("method", strings.ToLower(spec.name))
 			eng.FillRegistry(reg, ml)
 			attrSnap.FillRegistry(reg, ml)
 		}
@@ -264,7 +286,7 @@ func main() {
 
 		fmt.Printf("== %s ==\n%s", spec.name, mx.String())
 		fmt.Printf("kv arena: peak %d live pages (%d tokens/page, shared prefix pages counted once)\n",
-			arenaPeak, clusterkv.DefaultKVPageTokens)
+			arenaPeak, kvcache.DefaultPageTokens)
 		if *hostBud > 0 {
 			fmt.Printf("host tier: %d slots resident (peak %d of %d), %d slots spilled, device peak %d of %d\n",
 				mx.KVHostUsed, mx.KVHostPeak, mx.KVHostCapacity, mx.KVSpilled, mx.KVDevicePeak, mx.KVCapacity)
@@ -325,9 +347,9 @@ func mustCreate(path string) *os.File {
 	return f
 }
 
-func writeTrace(path string, tracer *clusterkv.Tracer) {
+func writeTrace(path string, tracer *obs.Tracer) {
 	f := mustCreate(path)
-	err := clusterkv.WriteChromeTraceFrom(f, tracer)
+	err := obs.WriteChromeTraceFrom(f, tracer)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -339,7 +361,7 @@ func writeTrace(path string, tracer *clusterkv.Tracer) {
 		tracer.Len(), tracer.Dropped(), path)
 }
 
-func writeMetrics(path string, reg *clusterkv.MetricsRegistry) {
+func writeMetrics(path string, reg *obs.Registry) {
 	w := os.Stdout
 	if path != "-" {
 		w = mustCreate(path)
@@ -355,7 +377,7 @@ func effWorkers(w int) int {
 	if w > 0 {
 		return w
 	}
-	return clusterkv.DefaultEngineConfig().Workers
+	return serve.DefaultConfig().Workers
 }
 
 func budgetStr(b int64) string {
@@ -365,10 +387,10 @@ func budgetStr(b int64) string {
 	return fmt.Sprintf("%d slots", b)
 }
 
-func buildRequests(load []clusterkv.QARequest, spec methodSpec, budget int) []clusterkv.ServeRequest {
-	reqs := make([]clusterkv.ServeRequest, len(load))
+func buildRequests(load []workload.QARequest, spec methodSpec, budget int) []serve.Request {
+	reqs := make([]serve.Request, len(load))
 	for i, q := range load {
-		reqs[i] = clusterkv.ServeRequest{
+		reqs[i] = serve.Request{
 			Prompt:          q.Prompt,
 			SharedPrefixLen: q.SharedPrefixLen,
 			MaxNewTokens:    q.MaxNewTokens,
@@ -383,11 +405,11 @@ func buildRequests(load []clusterkv.QARequest, spec methodSpec, budget int) []cl
 
 // runSerial is the status-quo replayer: one request at a time through the
 // plain Sequence API, full prefill per request, greedy decode.
-func runSerial(m *clusterkv.Model, reqs []clusterkv.ServeRequest) [][]int {
+func runSerial(m *model.Model, reqs []serve.Request) [][]int {
 	out := make([][]int, len(reqs))
 	logits := make([]float32, m.Config().VocabSize)
 	for i, req := range reqs {
-		var sel clusterkv.Selector
+		var sel attention.Selector
 		if req.NewSelector != nil {
 			sel = req.NewSelector()
 		}
@@ -407,16 +429,16 @@ func runSerial(m *clusterkv.Model, reqs []clusterkv.ServeRequest) [][]int {
 
 // dispatch submits the load: closed-loop as one deterministic batch,
 // open-loop with seeded Poisson gaps between Submits.
-func dispatch(eng *clusterkv.Engine, reqs []clusterkv.ServeRequest, rate float64, seed uint64) []clusterkv.ServeResponse {
+func dispatch(eng *serve.Engine, reqs []serve.Request, rate float64, seed uint64) []serve.Response {
 	if rate <= 0 {
 		return eng.Run(reqs)
 	}
-	tickets := make([]*clusterkv.ServeTicket, len(reqs))
-	for i, a := range clusterkv.PoissonArrivals(seed, len(reqs), rate) {
+	tickets := make([]*serve.Ticket, len(reqs))
+	for i, a := range workload.PoissonArrivals(seed, len(reqs), rate) {
 		time.Sleep(time.Duration(a.Gap * float64(time.Second)))
 		tickets[i] = eng.Submit(reqs[i])
 	}
-	out := make([]clusterkv.ServeResponse, len(tickets))
+	out := make([]serve.Response, len(tickets))
 	for i, tk := range tickets {
 		out[i] = tk.Wait()
 	}

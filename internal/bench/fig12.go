@@ -5,7 +5,6 @@ import (
 
 	"clusterkv/internal/core"
 	"clusterkv/internal/memsim"
-	"clusterkv/internal/sched"
 )
 
 // Fig12Prompts and Fig12Decodes are the paper's Fig. 12 sweep points.
@@ -24,12 +23,47 @@ func clusterPrefillExposure(hw memsim.Hardware, m memsim.ModelShape, p int, iter
 	c0 := p / 80
 	opsPerLayer := int64(iters * float64(p) * float64(c0) * float64(m.HeadDim) * float64(m.NKVHeads))
 	clusterTime := hw.ClusterWork(opsPerLayer)
-	stages := sched.UniformLayers(m.NLayers, layerTime, 0, 0.15)
-	for i := bypass; i < m.NLayers; i++ {
-		stages[i].SideJob = clusterTime
+	stages := make([]pipeStage, m.NLayers)
+	for i := range stages {
+		stages[i] = pipeStage{compute: layerTime, readyFrac: 0.15}
+		if i >= bypass {
+			stages[i].sideJob = clusterTime
+		}
 	}
-	res := sched.Overlap(stages)
-	return res.Exposed, res.SideBusy, pre.Total
+	res := pipelineOverlap(stages)
+	return res.exposed, res.sideBusy, pre.Total
+}
+
+// pipeStage is one main-stream stage of the prefill pipeline (a transformer
+// layer): its duration in seconds, the side-stream job it spawns (clustering
+// of its keys; 0 for none), and the fraction of compute after which that
+// job's input is ready (keys exist after QKV + RoPE, early in the layer).
+type pipeStage struct{ compute, sideJob, readyFrac float64 }
+
+// pipeResult summarises a pipeline: the main stream's finish time, the side
+// stream's busy time, the makespan (side jobs that outlast the main stream
+// must finish too) and the latency side work adds, total − mainTotal.
+type pipeResult struct{ mainTotal, sideBusy, total, exposed float64 }
+
+// pipelineOverlap simulates the two-stream pipeline of asynchronous
+// clustering (paper Fig. 6). The main stream runs stages back to back; each
+// stage's side job becomes ready at stageStart + readyFrac·compute, and the
+// one side stream runs ready jobs in order.
+func pipelineOverlap(stages []pipeStage) pipeResult {
+	var mainT, sideT, busy float64
+	for _, st := range stages {
+		ready := mainT + st.readyFrac*st.compute
+		if st.sideJob > 0 {
+			if sideT < ready {
+				sideT = ready
+			}
+			sideT += st.sideJob
+		}
+		mainT += st.compute
+		busy += st.sideJob
+	}
+	total := max(mainT, sideT)
+	return pipeResult{mainTotal: mainT, sideBusy: busy, total: total, exposed: total - mainT}
 }
 
 // RunFig12 reproduces Fig. 12: end-to-end latency of ClusterKV under budgets
