@@ -5,13 +5,13 @@
 //
 // All routines operate on a single (layer, head) kvcache.Store; batching
 // across heads is done by callers. The gather paths are *fused* with the
-// score and weighted-sum loops (DESIGN.md §12): selected tokens are walked as
-// page groups — maximal stretches of the index list that stay inside one
-// page — and each group is one kernel call that reads the listed rows from
-// the page in place, with no intermediate gathered copy. Per-row arithmetic
-// order matches a contiguous layout exactly, so exact-path outputs are
-// bit-identical to attention over a flat copy of the rows
-// (Store.ReadKeys/ReadValues) at any worker count.
+// score and weighted-sum loops (DESIGN.md §12): a sparse call turns the index
+// list into a table of K and V row addresses, one page lookup per stretch of
+// the list that stays inside one page, and scores and sums the whole table in
+// one kernel call each, reading the rows from their pages in place with no
+// intermediate gathered copy. Per-row arithmetic order matches a contiguous
+// layout exactly, so exact-path outputs are bit-identical to attention over a
+// flat copy of the rows (Store.ReadKeys/ReadValues) at any worker count.
 package attention
 
 import (
@@ -27,17 +27,20 @@ import (
 // safe for concurrent use; give each goroutine its own.
 type Scratch struct {
 	scores []float32
+	// keys and vals are Sparse's row tables: the addresses of the selected
+	// K and V rows, in index-list order.
+	keys, vals []*float32
 }
 
 // Scores returns the score buffer sized to n, growing capacity geometrically
 // (never shrinking) so a decode loop whose context grows by one token per
 // step amortises to zero allocations.
 func (sc *Scratch) Scores(n int) []float32 {
-	sc.scores = growF32(sc.scores, n)
+	sc.scores = grow(sc.scores, n)
 	return sc.scores
 }
 
-func growF32(buf []float32, n int) []float32 {
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
 		c := 2 * cap(buf)
 		if c < n {
@@ -46,7 +49,7 @@ func growF32(buf []float32, n int) []float32 {
 		if c < 64 {
 			c = 64
 		}
-		buf = make([]float32, c)
+		buf = make([]T, c)
 	}
 	return buf[:n]
 }
@@ -131,43 +134,38 @@ func (sc *Scratch) FullBlock(out, q []float32, stride int, s *kvcache.Store, n0,
 }
 
 // Sparse computes out = softmax(q·K_Sᵀ/√d)·V_S over the tokens listed in
-// idx, fusing the gather with the kernels: each maximal stretch of idx that
-// stays inside one page goes to the row-list kernels (tensor.DotRowsAt,
-// AddScaledRowsAt) as one group, which read the listed rows from the page in
-// place — a scattered selection costs what a contiguous one does, with no
-// gathered copy. idx order is preserved — scores and accumulation follow idx
-// exactly as the unfused per-token loop, so outputs are bit-identical to it.
-// A position past the page's valid rows panics.
+// idx, fusing the gather with the kernels: it builds the table of the listed
+// K and V rows' addresses — one page lookup per stretch of idx that stays
+// inside one page — and hands the whole table to the row-list kernels
+// (tensor.DotRowsList, AddScaledRowsList), one call each, which read the rows
+// from their pages in place: a scattered selection costs what a contiguous
+// one does, with no gathered copy. idx order is preserved — scores and
+// accumulation follow idx exactly as the unfused per-token loop, so outputs
+// are bit-identical to it. A position past its page's valid rows panics.
 func (sc *Scratch) Sparse(out, q []float32, s *kvcache.Store, idx []int) {
 	m := len(idx)
 	d := s.HeadDim()
 	P := s.PageTokens()
 	scores := sc.Scores(m)
-	inv := float32(1 / math.Sqrt(float64(d)))
+	sc.keys, sc.vals = grow(sc.keys, m), grow(sc.vals, m)
+	keys, vals := sc.keys[:m], sc.vals[:m]
 	for j := 0; j < m; {
 		p := idx[j] / P
-		e := groupEnd(idx, j, p*P, P)
-		tensor.DotRowsAt(scores[j:e], q, s.KeyPage(p), idx[j:e], p*P, d, inv)
-		j = e
+		start := p * P
+		kp, vp := s.KeyPage(p), s.ValuePage(p)
+		for {
+			// PageRow checks the row against its page's valid rows.
+			r := idx[j] - start
+			keys[j], vals[j] = tensor.PageRow(kp, r, d), tensor.PageRow(vp, r, d)
+			if j++; j == m || uint(idx[j]-start) >= uint(P) {
+				break
+			}
+		}
 	}
+	tensor.DotRowsList(scores, q, keys, d, float32(1/math.Sqrt(float64(d))))
 	tensor.Softmax(scores)
 	tensor.Fill(out, 0)
-	for j := 0; j < m; {
-		p := idx[j] / P
-		e := groupEnd(idx, j, p*P, P)
-		tensor.AddScaledRowsAt(out, scores[j:e], s.ValuePage(p), idx[j:e], p*P, d)
-		j = e
-	}
-}
-
-// groupEnd extends a page group: the longest stretch idx[j..e) whose
-// positions all lie in the page [start, start+P), in any order.
-func groupEnd(idx []int, j, start, P int) int {
-	e := j + 1
-	for e < len(idx) && uint(idx[e]-start) < uint(P) {
-		e++
-	}
-	return e
+	tensor.AddScaledRowsList(out, scores, vals, d)
 }
 
 // Weights writes the scaled raw attention logits q·k_i/√d for every token i
@@ -189,7 +187,7 @@ func (sc *Scratch) Weights(dst, q []float32, s *kvcache.Store) {
 // (§V-B). scores is scratch of length ≥ s.Len().
 func TopTrue(q []float32, s *kvcache.Store, b int, scores []float32) []int {
 	n := s.Len()
-	scores = growF32(scores, n)
+	scores = grow(scores, n)
 	var sc Scratch
 	sc.Weights(scores, q, s)
 	return tensor.TopK(scores, b)

@@ -1,6 +1,6 @@
 package attention_test
 
-// Fused gather-attention conformance (DESIGN.md §12): the page-run fused
+// Fused gather-attention conformance (DESIGN.md §12): the fused
 // Sparse kernel must be bit-identical to the unfused per-token gather
 // (score each selected token via Key(i), softmax, accumulate via Value(i))
 // across page-straddling, sorted, unsorted and single-token selections.

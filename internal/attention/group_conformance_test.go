@@ -1,8 +1,9 @@
 package attention_test
 
-// Page-group conformance (DESIGN.md §12): Sparse hands each page's stretch of
-// the index list to the row-list kernels as one group. Scattered, duplicated
-// and shuffled selections — which never form a run of consecutive positions —
+// Row-table conformance (DESIGN.md §12): Sparse turns the whole index list
+// into K and V row tables, one page lookup per stretch of the list inside one
+// page, for one call of each row-list kernel. Scattered, duplicated and
+// shuffled selections — which never form a run of consecutive positions —
 // must stay bit-identical to the unfused per-token gather, and a position
 // past the store's last row must panic rather than read a stale page row.
 
@@ -43,15 +44,23 @@ func TestFusedSparsePageGroups(t *testing.T) {
 	}
 }
 
+// TestFusedSparsePastTailPanics feeds positions outside the store, inside the
+// tail page's unwritten rows and beyond it: the row table is checked row by
+// row against its page, so each panics rather than handing the kernels the
+// address of a stale page row.
 func TestFusedSparsePastTailPanics(t *testing.T) {
 	const d, n = 16, 100 // tail page holds rows 64..99
 	s := conformanceStore(1, n, d)
 	q := conformanceQuery(2, d)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("position 100 of a 100-token store did not panic")
-		}
-	}()
-	var sc attention.Scratch
-	sc.Sparse(make([]float32, d), q, s, []int{3, 70, 99, 100})
+	for _, bad := range []int{100, 127, 128, 1000, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("position %d of a 100-token store did not panic", bad)
+				}
+			}()
+			var sc attention.Scratch
+			sc.Sparse(make([]float32, d), q, s, []int{3, 70, 99, bad})
+		}()
+	}
 }

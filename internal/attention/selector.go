@@ -17,6 +17,10 @@ import "clusterkv/internal/kvcache"
 //
 // Select returns the positions whose K/V approximate full attention, or nil
 // to request full attention (e.g. on bypass layers or when budget ≥ length).
+//
+// Concurrency: one sequence drives a selector, one call at a time, in the
+// order above — unless the selector implements HeadParallel, in which case
+// the Selects of one layer's different KV heads may run concurrently.
 type Selector interface {
 	// Name returns the method name used in reports ("ClusterKV", "Quest", ...).
 	Name() string
@@ -56,6 +60,19 @@ type LayerAware interface {
 // runtime before the request's first prefill.
 type RuntimeAware interface {
 	SetTransferRuntime(rt *kvcache.TransferRuntime)
+}
+
+// HeadParallel is an optional Selector extension. A selector implementing it
+// keeps everything Select writes per KV head — Select(l, h) may touch the
+// state of KV head h at any layer, never another head's — so a decode step
+// may call Select for different KV heads of one layer from different
+// goroutines. The calls for one KV head still come in query-head order, and
+// every other method runs with no Select in flight. A wrapper that does not
+// implement it itself turns the selector back into a serial one, which is
+// what a wrapper with unlocked state of its own needs.
+type HeadParallel interface {
+	// HeadParallel is a marker; it is never called.
+	HeadParallel()
 }
 
 // StallReporter is an optional Selector extension: selectors whose ledgers

@@ -14,8 +14,12 @@
 // The compute-heavy stages — K-means assignment/update inside cluster.KMeans
 // and centroid scoring inside cluster.Book.ScoreClusters — run on the shared
 // intra-op pool (internal/parallel) with bit-identical-to-serial results, so
-// a selector behaves identically at any worker count; per-head selector
-// state itself is single-threaded (one sequence drives one selector).
+// a selector behaves identically at any worker count. One sequence drives
+// one selector, and everything Select writes is kept per KV head — the
+// (layer, head) states, a page bitmap per cluster and a counter shard per
+// head — so the decode step may run Select for different KV heads of one
+// layer concurrently (attention.HeadParallel); every other method runs with
+// no Select in flight.
 package core
 
 import (
@@ -113,12 +117,16 @@ type headState struct {
 	live     []int
 	// ledger tracks simulated residency and transfer counts.
 	ledger *kvcache.Ledger
+	// masks holds one page bitmap per cluster of book, built when the
+	// cluster enters it.
+	masks pageMasks
 	// scratch for cluster scores and the top-cluster pick.
 	scores []float32
 	top    cluster.TopScratch
 	// posSet turns the selected clusters' members into the ascending
-	// clustered part of I_T; pageSet collects the pages under cluster members
-	// for prefetch and eviction, and pages holds its output.
+	// clustered part of I_T; pageSet collects the pages of a fetch, a
+	// prefetch or an expiry from the clusters' masks, and pages holds its
+	// output.
 	posSet  *kvcache.PageSet
 	pageSet *kvcache.PageSet
 	pages   []int
@@ -136,6 +144,36 @@ type headState struct {
 	prefetchStep int64
 }
 
+// pageMasks holds a page bitmap per cluster of a book, made by
+// PageSet.AppendMask: cluster cl's starts at word lo[cl] of the page space
+// and is words[at[cl]:at[cl+1]]. A fetch, a prefetch or an expiry ORs whole
+// clusters' masks into a PageSet, giving the pages a walk over their members
+// would give.
+type pageMasks struct {
+	lo, at []int
+	words  []uint64
+}
+
+// syncMasks builds the page masks of the clusters the head's book gained
+// since the last call.
+func (st *headState) syncMasks() {
+	pm := &st.masks
+	if len(pm.at) == 0 {
+		pm.at = append(pm.at, 0)
+	}
+	for cl := len(pm.lo); cl < st.book.NumClusters(); cl++ {
+		var lo int
+		lo, pm.words = st.pageSet.AppendMask(pm.words, st.book.Members(cl))
+		pm.lo = append(pm.lo, lo)
+		pm.at = append(pm.at, len(pm.words))
+	}
+}
+
+// addTo inserts cluster cl's pages into ps.
+func (pm *pageMasks) addTo(ps *kvcache.PageSet, cl int) {
+	ps.AddMask(pm.lo[cl], pm.words[pm.at[cl]:pm.at[cl+1]])
+}
+
 // ClusterKV implements attention.Selector.
 type ClusterKV struct {
 	cfg    Config
@@ -144,14 +182,21 @@ type ClusterKV struct {
 	d      int
 	step   int64
 	states []*headState // layer*heads + head
-	stats  attention.SelStats
+	// shards[h] is what selection writes for KV head h outside its
+	// headStates, so Selects on different KV heads write disjoint memory.
+	shards []headShard
 
 	// rt, when set, charges simulated KV movement to the engine-wide modeled
 	// channel and enables layer-ahead prefetch. nil moves residency on the
 	// ledgers alone.
 	rt *kvcache.TransferRuntime
-	// lastBudget is the device token budget observed on the latest Select,
-	// reused to size prefetch predictions for the next layer.
+}
+
+// headShard holds one KV head's counters — Stats sums the shards — and the
+// budget its latest Select saw, which sizes the head's prefetch predictions
+// for the next layer.
+type headShard struct {
+	stats      attention.SelStats
 	lastBudget int
 }
 
@@ -159,6 +204,7 @@ var (
 	_ attention.Selector     = (*ClusterKV)(nil)
 	_ attention.LayerAware   = (*ClusterKV)(nil)
 	_ attention.RuntimeAware = (*ClusterKV)(nil)
+	_ attention.HeadParallel = (*ClusterKV)(nil)
 )
 
 // New returns a ClusterKV selector with the given configuration.
@@ -185,6 +231,11 @@ func (c *ClusterKV) Name() string { return "ClusterKV" }
 // through rt's modeled channel and AfterLayer issues layer-ahead prefetch.
 func (c *ClusterKV) SetTransferRuntime(rt *kvcache.TransferRuntime) { c.rt = rt }
 
+// HeadParallel implements attention.HeadParallel: Select writes only the
+// states and the shard of its KV head (the prefetch it issues for layer+1
+// included), and the transfer runtime it shares is locked.
+func (c *ClusterKV) HeadParallel() {}
+
 // Config returns the active configuration.
 func (c *ClusterKV) Config() Config { return c.cfg }
 
@@ -192,7 +243,7 @@ func (c *ClusterKV) Config() Config { return c.cfg }
 func (c *ClusterKV) Reset(layers, heads, headDim int) {
 	c.layers, c.heads, c.d = layers, heads, headDim
 	c.step = 0
-	c.stats = attention.SelStats{}
+	c.shards = make([]headShard, heads)
 	c.states = make([]*headState, layers*heads)
 	for i := range c.states {
 		c.states[i] = &headState{prefetchStep: -1}
@@ -218,6 +269,7 @@ func (c *ClusterKV) OnPrefill(layer, head int, s *kvcache.Store) {
 	// Residency is tracked at the store's page granularity: offload and
 	// fetch move whole arena pages, the unit memsim charges PCIe for.
 	st.book = cluster.NewBook(s.HeadDim(), sinks)
+	st.masks = pageMasks{}
 	st.ledger = kvcache.NewLedgerPaged(s.PageTokens())
 	st.posSet = kvcache.NewPageSet(1)
 	st.pageSet = kvcache.NewPageSet(s.PageTokens())
@@ -236,6 +288,7 @@ func (c *ClusterKV) OnPrefill(layer, head int, s *kvcache.Store) {
 		c.clusterPiece(st.book, layer, head, s, from, to, onCut, n-sinks)
 		from = to
 	}
+	st.syncMasks()
 	// Post-prefill offload (Fig. 5): everything beyond the sinks moves to
 	// host memory; sinks stay resident.
 	st.ledger.Offload(sinks, n)
@@ -309,10 +362,11 @@ func (c *ClusterKV) clusterPiece(book *cluster.Book, layer, head int, s *kvcache
 	hook := c.cfg.PrefillClusterer
 	shared := onCut && hook == nil
 	lastPage := (to - 1) / s.PageTokens()
+	stats := &c.shards[head].stats
 	if shared {
 		if m, ok := s.PageMeta(lastPage).(*segMeta); ok && m.key == key {
-			c.stats.MetaSegsAdopted++
-			c.stats.MetaKeysAdopted += keysN
+			stats.MetaSegsAdopted++
+			stats.MetaKeysAdopted += keysN
 			book.AddPacked(m.res)
 			return
 		}
@@ -326,10 +380,10 @@ func (c *ClusterKV) clusterPiece(book *cluster.Book, layer, head int, s *kvcache
 	} else {
 		res = cluster.KMeans(keys, d, cnt, key.km)
 	}
-	c.stats.MetaOps += res.AssignOps
-	c.stats.MetaKeysBuilt += keysN
+	stats.MetaOps += res.AssignOps
+	stats.MetaKeysBuilt += keysN
 	if onCut {
-		c.stats.MetaSegsBuilt++
+		stats.MetaSegsBuilt++
 	}
 	book.AddBatch(res)
 	if shared {
@@ -372,7 +426,8 @@ func (c *ClusterKV) OnAppend(layer, head int, s *kvcache.Store) {
 	// The Book requires batches to be contiguous from ClusteredUpTo; the
 	// pending tail starts exactly there by construction.
 	st.book.AddBatch(res)
-	c.stats.MetaOps += res.AssignOps
+	st.syncMasks()
+	c.shards[head].stats.MetaOps += res.AssignOps
 	st.ledger.Offload(st.pendingFrom, s.Len())
 	st.pendingFrom = s.Len()
 }
@@ -383,6 +438,7 @@ func (c *ClusterKV) OnAppend(layer, head int, s *kvcache.Store) {
 // decode tail, and account cache hits/misses at cluster granularity (§IV-D).
 func (c *ClusterKV) Select(layer, head int, q []float32, s *kvcache.Store, budget int) []int {
 	st := c.state(layer, head)
+	sh := &c.shards[head]
 	// Remember the query and budget even on bypass/full-attention paths:
 	// AfterLayer(layer) predicts layer+1's clusters from this query, and the
 	// first selecting layer's prefetch is predicted from the last bypass
@@ -393,7 +449,7 @@ func (c *ClusterKV) Select(layer, head int, q []float32, s *kvcache.Store, budge
 		}
 		st.lastQ = st.lastQ[:len(q)]
 		copy(st.lastQ, q)
-		c.lastBudget = budget
+		sh.lastBudget = budget
 	}
 	if layer < c.cfg.BypassLayers {
 		return nil
@@ -414,7 +470,7 @@ func (c *ClusterKV) Select(layer, head int, q []float32, s *kvcache.Store, budge
 
 	book := st.book
 	scores := st.scoreBuf()
-	c.stats.ScoreOps += book.ScoreClusters(scores, q)
+	sh.stats.ScoreOps += book.ScoreClusters(scores, q)
 	clusters, lastTake := book.SelectTopClusters(&st.top, scores, clusterBudget)
 	for len(st.cachedAt) < len(scores) {
 		st.cachedAt = append(st.cachedAt, -1) // clusters added since the last Select
@@ -431,9 +487,9 @@ func (c *ClusterKV) Select(layer, head int, q []float32, s *kvcache.Store, budge
 		st.posSet.Add(members)
 		taken += len(members)
 		if st.cachedAt[cl] >= 0 {
-			c.stats.TokensHit += int64(len(members))
+			sh.stats.TokensHit += int64(len(members))
 		} else {
-			c.stats.TokensLoaded += int64(len(members))
+			sh.stats.TokensLoaded += int64(len(members))
 			st.live = append(st.live, cl)
 		}
 		st.cachedAt[cl] = c.step
@@ -451,7 +507,6 @@ func (c *ClusterKV) Select(layer, head int, q []float32, s *kvcache.Store, budge
 		out = append(out, i)
 	}
 	out = st.posSet.AppendTo(out)
-	clustered := out[sinks:]
 	for i := st.pendingFrom; i < n; i++ {
 		out = append(out, i)
 	}
@@ -463,20 +518,36 @@ func (c *ClusterKV) Select(layer, head int, q []float32, s *kvcache.Store, budge
 	// modeled channel — pages the layer-ahead prefetch already landed cost
 	// nothing here; only mispredicted (or first-touch) pages expose transfer
 	// time.
+	pages := st.pickedPages(clusters, lastTake)
 	if c.rt != nil {
-		c.rt.Fetch(st.ledger, clustered)
+		c.rt.FetchPages(st.ledger, pages)
 		// Layer-ahead prefetch launches here, mid-attention: the predicted
 		// next-layer clusters transfer while this layer's remaining heads,
 		// output projection and FFN — and the next layer's QKV — compute.
 		c.issuePrefetch(layer+1, head, q, budget)
 	} else {
-		st.ledger.Fetch(clustered)
+		st.ledger.FetchPages(pages)
 	}
 
-	c.stats.SelectCalls++
-	c.stats.TokensSelected += int64(len(out))
-	c.stats.ClustersSelected += int64(len(clusters))
+	sh.stats.SelectCalls++
+	sh.stats.TokensSelected += int64(len(out))
+	sh.stats.ClustersSelected += int64(len(clusters))
 	return out
+}
+
+// pickedPages returns the pages under a SelectTopClusters pick, ascending:
+// whole clusters through their masks, a trimmed last one through the members
+// it contributes. The list is valid until the head's next use of pages.
+func (st *headState) pickedPages(clusters []int, lastTake int) []int {
+	for i, cl := range clusters {
+		if i == len(clusters)-1 && lastTake < st.book.Size(cl) {
+			st.pageSet.Add(st.book.Members(cl)[:lastTake])
+		} else {
+			st.masks.addTo(st.pageSet, cl)
+		}
+	}
+	st.pages = st.pageSet.AppendTo(st.pages[:0])
+	return st.pages
 }
 
 // scoreBuf returns the head's score scratch, one entry per cluster of its book.
@@ -504,7 +575,7 @@ func (c *ClusterKV) AfterLayer(layer int) {
 	}
 	for h := 0; h < c.heads; h++ {
 		if cur := c.state(layer, h); len(cur.lastQ) > 0 {
-			c.issuePrefetch(layer+1, h, cur.lastQ, c.lastBudget)
+			c.issuePrefetch(layer+1, h, cur.lastQ, c.shards[h].lastBudget)
 		}
 	}
 }
@@ -540,18 +611,14 @@ func (c *ClusterKV) issuePrefetch(next, head int, q []float32, budget int) {
 		return
 	}
 	scores := st.scoreBuf()
-	c.stats.ScoreOps += st.book.ScoreClusters(scores, q)
+	c.shards[head].stats.ScoreOps += st.book.ScoreClusters(scores, q)
 	clusters, lastTake := st.book.SelectTopClusters(&st.top, scores, clusterBudget)
 	if len(clusters) == 0 {
 		return
 	}
-	// Pages are marked straight from the predicted clusters' members; no
-	// position list is gathered for a prediction nobody attends over.
-	for i := range clusters {
-		st.pageSet.Add(st.book.PickMembers(clusters, lastTake, i))
-	}
-	st.pages = st.pageSet.AppendTo(st.pages[:0])
-	c.rt.PrefetchPages(st.ledger, next-1, st.pages)
+	// Pages come straight from the predicted clusters' masks; no position
+	// list is gathered for a prediction nobody attends over.
+	c.rt.PrefetchPages(st.ledger, next-1, st.pickedPages(clusters, lastTake))
 }
 
 // EndStep implements attention.Selector: advance the step counter and evict
@@ -559,7 +626,6 @@ func (c *ClusterKV) issuePrefetch(next, head int, q []float32, budget int) {
 // host residency.
 func (c *ClusterKV) EndStep() {
 	c.step++
-	c.stats.Steps++
 	if c.cfg.CacheR < 0 {
 		return // negative R: infinite cache (ablation)
 	}
@@ -571,7 +637,7 @@ func (c *ClusterKV) EndStep() {
 		for _, cl := range st.live {
 			if c.step-st.cachedAt[cl] > int64(c.cfg.CacheR) {
 				st.cachedAt[cl] = -1
-				st.pageSet.Add(st.book.Members(cl))
+				st.masks.addTo(st.pageSet, cl)
 			} else {
 				keep = append(keep, cl)
 			}
@@ -584,8 +650,15 @@ func (c *ClusterKV) EndStep() {
 	}
 }
 
-// Stats implements attention.Selector.
-func (c *ClusterKV) Stats() attention.SelStats { return c.stats }
+// Stats implements attention.Selector: the shards' counters summed, and the
+// step count.
+func (c *ClusterKV) Stats() attention.SelStats {
+	s := attention.SelStats{Steps: c.step}
+	for i := range c.shards {
+		s.Add(c.shards[i].stats)
+	}
+	return s
+}
 
 // Book exposes the cluster registry of one (layer, head) for analysis
 // tooling (fragmentation studies, examples). It returns nil before prefill.

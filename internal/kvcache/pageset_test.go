@@ -64,13 +64,15 @@ func TestPagesOfMatchesSortOracle(t *testing.T) {
 }
 
 // TestPageSetMatchesSortOracle: a PageSet fed positions in any order, across
-// several Add calls, drains to the same ascending de-duplicated pages, and is
-// empty afterwards.
+// several Add calls — or as the masks AppendMask makes of them, through
+// AddMask — drains to the same ascending de-duplicated pages, and is empty
+// afterwards.
 func TestPageSetMatchesSortOracle(t *testing.T) {
 	r := rng.New(6)
 	for _, P := range []int{1, 16, 48, 64} {
 		ps := NewPageSet(P)
 		var dst []int
+		var masks []uint64
 		for _, pos := range pageSetInputs(r) {
 			if len(pos) > 0 && slices.Max(pos) > 1<<20 {
 				continue // a bitmap is for positions of a real context
@@ -79,8 +81,19 @@ func TestPageSetMatchesSortOracle(t *testing.T) {
 			ps.Add(pos[:half])
 			ps.Add(pos[half:])
 			dst = ps.AppendTo(dst[:0])
-			if want := oraclePages(pos, P); !slices.Equal(dst, want) {
+			want := oraclePages(pos, P)
+			if !slices.Equal(dst, want) {
 				t.Fatalf("P=%d positions %v: pages %v, want %v", P, pos, dst, want)
+			}
+			// Two masks in one buffer, as a selector keeps one per cluster.
+			var lo1, lo2 int
+			lo1, masks = ps.AppendMask(masks[:0], pos[:half])
+			n1 := len(masks)
+			lo2, masks = ps.AppendMask(masks, pos[half:])
+			ps.AddMask(lo2, masks[n1:])
+			ps.AddMask(lo1, masks[:n1])
+			if dst = ps.AppendTo(dst[:0]); !slices.Equal(dst, want) {
+				t.Fatalf("P=%d positions %v: pages through masks %v, want %v", P, pos, dst, want)
 			}
 			if rest := ps.AppendTo(nil); len(rest) != 0 {
 				t.Fatalf("P=%d: set not empty after draining: %v", P, rest)

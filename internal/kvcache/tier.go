@@ -38,9 +38,9 @@ const (
 // Device residency is unbounded, as in the paper: the token budget, not a page
 // capacity, bounds what a step fetches.
 //
-// Not safe for concurrent use: a ledger belongs to one sequence, and every
-// transfer on it — a TransferRuntime's prefetches included — is applied by the
-// goroutine stepping that sequence.
+// Not safe for concurrent use: a ledger belongs to one (layer, head) of one
+// sequence, and every transfer on it — a TransferRuntime's prefetches
+// included — is applied by the goroutine selecting for that head.
 type Ledger struct {
 	pageTokens int
 	tiers      []Tier // one entry per page
@@ -161,14 +161,14 @@ func (l *Ledger) Offload(from, to int) {
 	}
 }
 
-// PagesOf returns, in dst[:0], the pages covering the given token positions.
-// It is the one place the page-set rule lives, for Fetch and for the transfer
-// runtime alike: ascending and de-duplicated — except that a token-granular
-// ledger (PageTokens() == 1) keeps every position as given, because its Fetch
-// counts positions individually (distinct by the selectors' contract).
-// Ascending input, which is what selectors hand over, costs one pass and one
-// division per page; only a caller whose positions step backwards pays for a
-// sort.
+// PagesOf returns, in dst[:0], the pages covering the given token positions:
+// ascending and de-duplicated — except that a token-granular ledger
+// (PageTokens() == 1) keeps every position as given, because its Fetch counts
+// positions individually (distinct by the selectors' contract). It is the
+// page-set rule of Fetch and Evict, the position-list forms that the tests
+// use as the oracle of a selector's PageSet masks. Ascending input costs one
+// pass and one division per page; only positions that step backwards pay for
+// a sort.
 func (l *Ledger) PagesOf(positions []int, dst []int) []int {
 	dst = dst[:0]
 	P := l.pageTokens
@@ -326,6 +326,63 @@ func (ps *PageSet) Add(positions []int) {
 			ps.words = append(ps.words, make([]uint64, w+1-len(ps.words))...)
 		}
 		ps.words[w] |= 1 << (pg & 63)
+	}
+}
+
+// AppendMask appends to dst the page bitmap of the given (non-negative)
+// token positions, in the set's page size, and returns the extended slice and
+// lo, the word the mask starts at: bit b of its i-th word is page
+// 64·(lo+i)+b, and the mask ends at the word of the last page. The set itself
+// is not changed. A selector builds one mask per cluster once, so that later
+// a whole cluster's pages go in with a few ORs (AddMask) instead of a walk
+// over its members.
+func (ps *PageSet) AppendMask(dst []uint64, positions []int) (lo int, _ []uint64) {
+	if len(positions) == 0 {
+		return 0, dst
+	}
+	first, last := positions[0], positions[0]
+	for _, p := range positions[1:] {
+		first, last = min(first, p), max(last, p)
+	}
+	// Pages are p>>sh, or p/div when the page size is not a power of two.
+	sh, div := uint(max(ps.shift, 0))&63, 0
+	if ps.shift < 0 {
+		div = ps.pageTokens
+	}
+	page := func(p int) int {
+		if div > 0 {
+			return p / div
+		}
+		return p >> sh
+	}
+	lo = page(first) >> 6
+	base, n := len(dst), page(last)>>6+1-lo
+	dst = slices.Grow(dst, n)[:base+n]
+	w := dst[base:]
+	clear(w)
+	// Member lists run mostly ascending: a word is accumulated in a register
+	// until a position leaves it.
+	cur, acc := 0, uint64(0)
+	for _, p := range positions {
+		pg := page(p)
+		if i := pg>>6 - lo; i != cur {
+			w[cur] |= acc
+			cur, acc = i, 0
+		}
+		acc |= 1 << (pg & 63)
+	}
+	w[cur] |= acc
+	return lo, dst
+}
+
+// AddMask inserts the pages of a mask made by AppendMask.
+func (ps *PageSet) AddMask(lo int, words []uint64) {
+	if hi := lo + len(words); hi > len(ps.words) {
+		ps.words = append(ps.words, make([]uint64, hi-len(ps.words))...)
+	}
+	dst := ps.words[lo : lo+len(words)]
+	for i, w := range words {
+		dst[i] |= w
 	}
 }
 

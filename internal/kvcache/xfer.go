@@ -105,13 +105,13 @@ func (rt *TransferRuntime) Advance() {
 	rt.mu.Unlock()
 }
 
-// Fetch performs an exact fetch of the pages covering positions in l and
-// returns how many pages it moved. The caller reads the fetched KV next, so all
-// of the modeled time is exposed. Ascending positions (what selectors pass)
-// make the page set a single pass, see Ledger.PagesOf.
-func (rt *TransferRuntime) Fetch(l *Ledger, positions []int) int {
+// FetchPages performs an exact fetch of the given pages of l (ascending,
+// de-duplicated — a PageSet's output or Ledger.PagesOf's) and returns how
+// many it moved. The caller reads the fetched KV next, so all of the modeled
+// time is exposed.
+func (rt *TransferRuntime) FetchPages(l *Ledger, pages []int) int {
 	hits := l.prefetchHits
-	moved := l.Fetch(positions)
+	moved := l.FetchPages(pages)
 	dur := int64(moved) * rt.pageTicks
 	rt.mu.Lock()
 	rt.pfHits += l.prefetchHits - hits

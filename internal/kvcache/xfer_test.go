@@ -57,7 +57,7 @@ func TestTransferRuntimeFetchPromotes(t *testing.T) {
 	l.Extend(32, TierDevice)
 	l.OffloadAll()
 
-	if moved := rt.Fetch(l, []int{0, 1, 9, 30}); moved != 3 {
+	if moved := rt.FetchPages(l, l.PagesOf([]int{0, 1, 9, 30}, nil)); moved != 3 {
 		t.Fatalf("moved %d pages, want 3 (pages 0, 2, 7)", moved)
 	}
 	for _, p := range []int{0, 9, 30} {
@@ -121,7 +121,7 @@ func TestTransferRuntimeOverlapHidesTime(t *testing.T) {
 	check("next window", 9, 18, 4)
 	// An exact fetch stalls compute and link alike: fully exposed, and the
 	// window it lands in keeps its room (2 + 2 pages = 8 ms fit in layer 2).
-	rt.Fetch(l, []int{36, 40}) // pages 9, 10
+	rt.FetchPages(l, []int{9, 10})
 	check("exact fetch", 11, 22, 8)
 	rt.PrefetchPages(l, 2, []int{11, 12})
 	check("after exact fetch", 13, 26, 8)
@@ -177,7 +177,7 @@ func TestTransferTotalsIgnoreIssueOrder(t *testing.T) {
 			}
 			next[c.stream] += c.pages
 			rt.PrefetchPages(ledgers[c.stream], c.layer, pages)
-			rt.Fetch(ledgers[c.stream], []int{4 * (63 - next[c.stream])})
+			rt.FetchPages(ledgers[c.stream], []int{63 - next[c.stream]})
 		}
 		return rt.Stats()
 	}
@@ -213,7 +213,7 @@ func TestPrefetchThenExtendTailPage(t *testing.T) {
 		t.Fatalf("prefetch moved %d pages, want 2 (tail page included)", moved)
 	}
 	l.Extend(1, TierDevice)
-	if moved := rt.Fetch(l, []int{8, 28, 30}); moved != 0 {
+	if moved := rt.FetchPages(l, l.PagesOf([]int{8, 28, 30}, nil)); moved != 0 {
 		t.Fatalf("exact fetch moved %d pages, want 0: both were prefetched", moved)
 	}
 	want := metrics.Overlap{Transfers: 2, Pages: 2, BusySec: 2e-6, PrefetchedPages: 2, PrefetchHits: 2}

@@ -13,8 +13,9 @@ import (
 // — is issued as ONE batched GEMM across the cohort, so each weight matrix
 // streams from memory once per round. Rope and KV append stay per-stream in
 // between the GEMM phases, because KV state is per-sequence; attention is
-// layerAttn over the cohort — selection per stream, then every (stream, head)
-// pair fanned out over the shared pool.
+// layerAttn over the cohort — selection per stream, or per (stream, KV head)
+// for a HeadParallel selector, then every (stream, head) pair fanned out over
+// the shared pool.
 //
 // Determinism contract: every batched kernel keeps, per row, the reduction
 // order of a serial GEMV, and streams share nothing but read-only weights, so
@@ -98,7 +99,7 @@ func (bd *BatchDecoder) DecodeInto(seqs []*Sequence, tokens []int, logits [][]fl
 		}
 	}
 	bd.grow(S)
-	bd.attn = layerAttn{seqs: seqs, q: bd.q.Data, out: bd.attnOut.Data}
+	bd.attn.plan(seqs, bd.q.Data, bd.attnOut.Data)
 	pool := parallel.Default()
 	// Grow the rope table up front so the fanned-out attention phase only
 	// reads it (same discipline as Prefill).
@@ -143,9 +144,9 @@ func (bd *BatchDecoder) DecodeInto(seqs []*Sequence, tokens []int, logits [][]fl
 				}
 			}
 		}
-		// Attention in two phases (layerAttn): selection per stream, then
-		// every (stream, head) pair on its own scratch, each writing a
-		// disjoint slice of its attnOut row.
+		// Attention in two phases (layerAttn): selection per stream or per
+		// (stream, KV head), then every (stream, head) pair on its own
+		// scratch, each writing a disjoint slice of its attnOut row.
 		bd.attn.run(pool, l)
 		tensor.MatTMatOn(pool, &bd.normed, lw.wo, &bd.attnOut)
 		for i := range seqs {

@@ -122,6 +122,7 @@ type Sequence struct {
 	m      *Model
 	sel    attention.Selector   // nil = always full attention
 	la     attention.LayerAware // sel's layer hooks, nil when not implemented
+	hp     bool                 // sel is attention.HeadParallel
 	budget int
 	stores []*kvcache.Store // layer*NKVHeads + kvHead
 	pos    int
@@ -137,9 +138,8 @@ type Sequence struct {
 	// steady-state decode rounds allocation-free.
 	attn []attention.Scratch
 	// picks is the selection phase's hand-off to the attention phase, one per
-	// query head; attended is the layer's total of tokens they name.
-	picks    []headPick
-	attended int
+	// query head.
+	picks []headPick
 	// bd is the sequence's own decoder, created by the first DecodeInto: the
 	// sequence steps as the cohort of one held in self, tok and lg. Sequences
 	// that only prefill (prefix builders) or only ever step inside someone
@@ -172,6 +172,7 @@ func (m *Model) NewSequenceIn(a *kvcache.Arena, sel attention.Selector, budget i
 	if sel != nil {
 		sel.Reset(cfg.NLayers, cfg.NKVHeads, cfg.HeadDim)
 		s.la, _ = sel.(attention.LayerAware)
+		_, s.hp = sel.(attention.HeadParallel)
 	}
 	s.attn = make([]attention.Scratch, cfg.NHeads)
 	s.picks = make([]headPick, cfg.NHeads)
@@ -441,15 +442,19 @@ type headPick struct {
 	// full records a nil return — attend over the whole store — which an
 	// empty list must stay distinct from.
 	full bool
+	// n is how many tokens the head attends over.
+	n int
 }
 
 // layerAttn is the decode attention of one layer for BatchDecoder's cohort.
 // It runs in two phases on the shared pool (DESIGN.md §13). Selection fans
-// out over streams and walks each stream's heads serially in head order, so a
+// out over units: a stream whose selector is attention.HeadParallel, and
+// which has no Probe, selects one KV head's group of query heads per unit;
+// any other stream walks all its heads in one unit, in head order, so its
 // Selector sees the call sequence of a serial decode and needs no locking.
 // Attention then fans out over (stream, head) pairs, each on the head's own
 // attention.Scratch, writing its disjoint slice of out. Heads are
-// independent, so the second phase only re-orders work and outputs are
+// independent, so both phases only re-order work and outputs are
 // bit-identical at any pool width. It is a parallel.Body so that neither
 // dispatch allocates.
 type layerAttn struct {
@@ -457,30 +462,54 @@ type layerAttn struct {
 	q, out []float32 // stream i's query heads / attention output at row i
 	layer  int
 	attend bool // the phase Run executes
+	// units lists the selection phase's work: stream seq's query heads
+	// [lo, hi).
+	units []selUnit
+}
+
+type selUnit struct{ seq, lo, hi int }
+
+// plan points the phases at a cohort and lists its selection units.
+func (a *layerAttn) plan(seqs []*Sequence, q, out []float32) {
+	a.seqs, a.q, a.out = seqs, q, out
+	cfg := seqs[0].m.cfg
+	group := cfg.GroupSize()
+	a.units = a.units[:0]
+	for i, s := range seqs {
+		if s.hp && s.Probe == nil {
+			for h := 0; h < cfg.NHeads; h += group {
+				a.units = append(a.units, selUnit{i, h, h + group})
+			}
+		} else {
+			a.units = append(a.units, selUnit{i, 0, cfg.NHeads})
+		}
+	}
 }
 
 // run executes both phases of one layer; q must hold the rotated queries.
 func (a *layerAttn) run(pool *parallel.Pool, layer int) {
 	a.layer, a.attend = layer, false
-	pool.Do(len(a.seqs), 1, a)
+	pool.Do(len(a.units), 1, a)
 	cfg := a.seqs[0].m.cfg
 	keys := 0
 	for _, s := range a.seqs {
-		keys += s.attended
+		for i := range s.picks {
+			keys += s.picks[i].n
+		}
 	}
 	n := len(a.seqs) * cfg.NHeads
 	a.attend = true
 	pool.Do(n, parallel.Grain(2*cfg.HeadDim*keys/n), a)
 }
 
-// Run implements parallel.Body over streams (selection) or (stream, head)
-// pairs (attention).
+// Run implements parallel.Body over selection units or (stream, head) pairs
+// (attention).
 func (a *layerAttn) Run(lo, hi int) {
 	cfg := a.seqs[0].m.cfg
 	row := cfg.NHeads * cfg.HeadDim
 	if !a.attend {
-		for i := lo; i < hi; i++ {
-			a.seqs[i].selectHeads(a.layer, a.q[i*row:(i+1)*row])
+		for _, u := range a.units[lo:hi] {
+			a.seqs[u.seq].selectHeads(a.layer, a.q[u.seq*row:(u.seq+1)*row], u.lo, u.hi)
 		}
 		return
 	}
@@ -490,14 +519,13 @@ func (a *layerAttn) Run(lo, hi int) {
 	}
 }
 
-// selectHeads is the selection phase for one stream: probe and Select for
-// every query head in head order, each returned list copied into the head's
-// pick.
-func (s *Sequence) selectHeads(l int, q []float32) {
+// selectHeads is the selection phase for query heads [lo, hi) of one stream:
+// probe and Select for every head in head order, each returned list copied
+// into the head's pick.
+func (s *Sequence) selectHeads(l int, q []float32, lo, hi int) {
 	cfg := s.m.cfg
 	group, d := cfg.GroupSize(), cfg.HeadDim
-	s.attended = 0
-	for hh := range s.picks {
+	for hh := lo; hh < hi; hh++ {
 		kv := hh / group
 		st := s.Store(l, kv)
 		qh := q[hh*d : (hh+1)*d]
@@ -514,9 +542,9 @@ func (s *Sequence) selectHeads(l int, q []float32) {
 		pk.full = idx == nil
 		pk.idx = append(pk.idx[:0], idx...)
 		if pk.full {
-			s.attended += st.Len()
+			pk.n = st.Len()
 		} else {
-			s.attended += len(idx)
+			pk.n = len(idx)
 		}
 	}
 }

@@ -449,3 +449,128 @@ func TestTwoPhaseAtBenchmarkShape(t *testing.T) {
 		})
 	}
 }
+
+// serialOnly wraps a ClusterKV the way a decorator without locks would: it
+// forwards the layer hooks but not attention.HeadParallel, so its stream
+// keeps the serial selection path.
+type serialOnly struct {
+	attention.Selector
+	attention.LayerAware
+}
+
+// headParallelCohort builds S ClusterKV streams with distinct prompts, all on
+// rt when it is non-nil. With mixed set, every third stream from the second
+// has a Probe and every third from the third is wrapped in serialOnly, so the
+// cohort fans out some streams per KV head and walks the others serially.
+func headParallelCohort(m *Model, S int, rt *kvcache.TransferRuntime, mixed bool) ([]*Sequence, []*core.ClusterKV) {
+	seqs, sels := make([]*Sequence, S), make([]*core.ClusterKV, S)
+	for i := range seqs {
+		ckv := core.New(core.NewConfig())
+		if rt != nil {
+			ckv.SetTransferRuntime(rt)
+		}
+		var sel attention.Selector = ckv
+		if mixed && i%3 == 2 {
+			sel = serialOnly{ckv, ckv}
+		}
+		s := m.NewSequence(sel, twoPhaseBudget)
+		s.Prefill(twoPhaseTokens(m, uint64(900+i), 200+24*i), nil)
+		if mixed && i%3 == 1 {
+			s.Probe = func(int, int, []float32) {}
+		}
+		seqs[i], sels[i] = s, ckv
+	}
+	return seqs, sels
+}
+
+// ledgerCounters lists every (layer, kv head) ledger's transfer and prefetch
+// counters.
+func ledgerCounters(c *core.ClusterKV, cfg Config) [][4]int64 {
+	var out [][4]int64
+	for l := 0; l < cfg.NLayers; l++ {
+		for kv := 0; kv < cfg.NKVHeads; kv++ {
+			h2d, hits := c.Ledger(l, kv).Counters()
+			issued, pfHits := c.Ledger(l, kv).PrefetchCounters()
+			out = append(out, [4]int64{h2d, hits, issued, pfHits})
+		}
+	}
+	return out
+}
+
+// TestTwoPhaseHeadParallelMatchesSerialOracle locks the selection fan-out
+// over (stream, KV head): ClusterKV is attention.HeadParallel, so its
+// streams select one KV group per unit of the pool, concurrently from pool
+// width 2 on. Against the serial oracle, which calls Select head by head,
+// every logit bit, every SelStats counter, the transfer runtime's totals and
+// every ledger's counters are equal — with and without a runtime, under MHA
+// and GQA 4/2, for cohorts of 1, 3 and 8, and for cohorts in which fanned-out
+// streams share the round with serial ones (a Probe, a wrapper).
+func TestTwoPhaseHeadParallelMatchesSerialOracle(t *testing.T) {
+	gqa := DefaultConfig()
+	gqa.NHeads, gqa.NKVHeads = 4, 2
+	mha, gqaModel := New(DefaultConfig()), New(gqa)
+	cases := []struct {
+		m       *Model
+		runtime bool
+		S       int
+		mixed   bool
+	}{
+		{mha, false, 1, false},
+		{mha, true, 1, false},
+		{gqaModel, true, 1, false},
+		{gqaModel, false, 3, false},
+		{mha, true, 3, true},
+		{gqaModel, true, 8, true},
+		{mha, false, 8, true},
+	}
+	for _, tc := range cases {
+		for _, width := range []int{1, 2, 3, 8} {
+			name := fmt.Sprintf("heads=%d/%d runtime=%v cohort=%d mixed=%v width=%d",
+				tc.m.cfg.NHeads, tc.m.cfg.NKVHeads, tc.runtime, tc.S, tc.mixed, width)
+			withPoolWidth(t, width, func() {
+				checkHeadParallel(t, name, tc.m, tc.S, tc.runtime, tc.mixed)
+			})
+		}
+	}
+}
+
+func checkHeadParallel(t *testing.T, name string, m *Model, S int, runtime, mixed bool) {
+	t.Helper()
+	var wantRT, gotRT *kvcache.TransferRuntime
+	if runtime {
+		ch := kvcache.Channel{SecPerPage: 2e-6, LayerSec: 5e-6}
+		wantRT, gotRT = kvcache.NewTransferRuntime(ch), kvcache.NewTransferRuntime(ch)
+	}
+	want, wantSels := headParallelCohort(m, S, wantRT, mixed)
+	got, gotSels := headParallelCohort(m, S, gotRT, mixed)
+	defer releaseAll(want)
+	defer releaseAll(got)
+	bd := m.NewBatchDecoder()
+	compareWithOracle(t, name, want, got, func(toks []int, lgs [][]float32) {
+		// The oracle has stepped every stream of this round: both runtimes
+		// start the next round's windows, as the engine does at its barrier.
+		if runtime {
+			wantRT.Advance()
+		}
+		bd.DecodeInto(got, toks, lgs)
+		if runtime {
+			gotRT.Advance()
+		}
+	})
+	for i := range got {
+		if g, w := gotSels[i].Stats(), wantSels[i].Stats(); g != w {
+			t.Fatalf("%s stream %d: SelStats %+v, oracle %+v", name, i, g, w)
+		}
+		if g, w := ledgerCounters(gotSels[i], m.cfg), ledgerCounters(wantSels[i], m.cfg); !reflect.DeepEqual(g, w) {
+			t.Fatalf("%s stream %d: ledger counters %v, oracle %v", name, i, g, w)
+		}
+	}
+	if runtime {
+		if g, w := gotRT.Stats(), wantRT.Stats(); g != w {
+			t.Fatalf("%s: transfer totals %+v, oracle %+v", name, g, w)
+		}
+		if gotRT.Stats().PrefetchedPages == 0 {
+			t.Fatalf("%s: no prefetch was issued", name)
+		}
+	}
+}

@@ -1,6 +1,10 @@
 package tensor
 
-import "clusterkv/internal/parallel"
+import (
+	"unsafe"
+
+	"clusterkv/internal/parallel"
+)
 
 // Blocked and packed GEMV kernels (DESIGN.md §12). The Go compiler does not
 // auto-vectorize, so the win available to a pure-Go GEMV is instruction-level
@@ -60,40 +64,29 @@ func dotRowsGo(dst, x, rows []float32, d int, scale float32) {
 	}
 }
 
-// DotRowsAt is DotRows over a row list: dst[i] = scale * <x, row idx[i]-base
-// of rows>, rows holding d-channel rows back to back (a KV page whose first
-// row is position base). idx may be in any order and repeat rows. Each dst[i]
-// is bit-identical to the DotRows result for that row, so a scattered
-// selection costs what a contiguous one does. It panics if an index falls
-// outside rows.
-func DotRowsAt(dst, x, rows []float32, idx []int, base, d int, scale float32) {
-	if len(x) != d || len(dst) != len(idx) {
-		panic("tensor: DotRowsAt length mismatch")
+// DotRowsList is DotRows over a row list: dst[i] = scale * <x, row i>, row
+// i being the d float32s that rows[i] points at — a KV row read in place in
+// its page. The list may be in any order and repeat rows. Each dst[i] is
+// bit-identical to the DotRows result for that row, so a scattered selection
+// costs what a contiguous one does. The kernels read the rows unchecked: the
+// caller guarantees that every rows[i] addresses d readable values
+// (PageRow checks each row against its page).
+func DotRowsList(dst, x []float32, rows []*float32, d int, scale float32) {
+	if len(x) != d || len(dst) != len(rows) {
+		panic("tensor: DotRowsList length mismatch")
 	}
-	checkRowIndex(idx, base, len(rows)/d)
-	dotRowsAt(dst, x, rows, idx, base, d, scale)
+	dotRowsList(dst, x, rows, d, scale)
 }
 
-// dotRowsAtGo is the scalar DotRowsAt loop (see dotRowsGo).
-func dotRowsAtGo(dst, x, rows []float32, idx []int, base, d int, scale float32) {
-	for i, ix := range idx {
-		row := rows[(ix-base)*d : (ix-base)*d+d]
+// dotRowsListGo is the scalar DotRowsList loop (see dotRowsGo).
+func dotRowsListGo(dst, x []float32, rows []*float32, d int, scale float32) {
+	for i, p := range rows {
+		row := unsafe.Slice(p, d)
 		var s float32
 		for j, xj := range x {
 			s += xj * row[j]
 		}
 		dst[i] = s * scale
-	}
-}
-
-// checkRowIndex panics unless every idx[i]-base names one of n rows. The
-// vector kernels take row addresses from the list unchecked, so the check is
-// made here, once, in Go.
-func checkRowIndex(idx []int, base, n int) {
-	for _, ix := range idx {
-		if uint(ix-base) >= uint(n) {
-			panic("tensor: row index out of range")
-		}
 	}
 }
 
@@ -153,27 +146,43 @@ func addScaledRowsGo(out, w, rows []float32, d int) {
 	}
 }
 
-// AddScaledRowsAt is AddScaledRows over a row list (see DotRowsAt):
-// out[j] += Σ_i w[i] * (row idx[i]-base of rows)[j], rows taken in list
-// order, so the result is bit-identical to AddScaledRows over a gathered
-// copy of the listed rows.
-func AddScaledRowsAt(out, w, rows []float32, idx []int, base, d int) {
-	if len(out) != d || len(w) != len(idx) {
-		panic("tensor: AddScaledRowsAt length mismatch")
-	}
-	checkRowIndex(idx, base, len(rows)/d)
-	addScaledRowsAt(out, w, rows, idx, base, d)
+// PageRow returns the address of row r of page, a page of d-float32 rows:
+// one entry of the row list DotRowsList and AddScaledRowsList read. The row's
+// last value is indexed first, so a row not wholly inside the page's length —
+// r negative or at or past the rows the page holds — panics rather than
+// handing the kernels an address past it; that one check covers the address
+// taken below.
+func PageRow(page []float32, r, d int) *float32 {
+	_ = page[r*d+d-1]
+	return (*float32)(unsafe.Add(unsafe.Pointer(unsafe.SliceData(page)), uintptr(r*d)*4))
 }
 
-// addScaledRowsAtGo is the scalar AddScaledRowsAt loop (see dotRowsGo).
-func addScaledRowsAtGo(out, w, rows []float32, idx []int, base, d int) {
+// AddScaledRowsList is AddScaledRows over a row list (see DotRowsList):
+// out[j] += Σ_i w[i] * (the row at rows[i])[j], rows taken in list order, so
+// the result is bit-identical to AddScaledRows over a gathered copy of the
+// listed rows.
+func AddScaledRowsList(out, w []float32, rows []*float32, d int) {
+	if len(out) != d || len(w) != len(rows) {
+		panic("tensor: AddScaledRowsList length mismatch")
+	}
+	addScaledRowsList(out, w, rows, d)
+}
+
+// addScaledRowsListGo is the scalar AddScaledRowsList loop over the channels
+// [from, len(out)) (see dotRowsGo); the vector path hands it the channel tail.
+func addScaledRowsListGo(out, w []float32, rows []*float32, from int) {
+	n := len(out)
+	if from == n {
+		return
+	}
+	tail := out[from:]
 	for i, wi := range w {
 		if wi == 0 {
 			continue
 		}
-		row := rows[(idx[i]-base)*d : (idx[i]-base)*d+d]
-		for j := range out {
-			out[j] += wi * row[j]
+		row := unsafe.Slice(rows[i], n)[from:]
+		for j, v := range row {
+			tail[j] += wi * v
 		}
 	}
 }

@@ -21,13 +21,13 @@ func cpuHasAVX2FMA() bool
 func dotRowsAVX2(dst, x, rows *float32, m, d int, scale float32)
 
 //go:noescape
-func dotRowsIdxAVX2(dst, x, rows *float32, idx *int, m, base, d int, scale float32)
+func dotRowsPtrAVX2(dst, x *float32, rows **float32, m, d int, scale float32)
 
 //go:noescape
 func axpyRowsAVX2(out *float32, n int, w *float32, m int, rows *float32, stride int)
 
 //go:noescape
-func axpyRowsIdxAVX2(out *float32, n int, w *float32, idx *int, m, base int, rows *float32, stride int)
+func axpyRowsPtrAVX2(out *float32, n int, w *float32, rows **float32, m int)
 
 //go:noescape
 func panelDotAVX2(dst, x, panels *float32, np, cols int)
@@ -84,60 +84,56 @@ func dotRows(dst, x, rows []float32, d int, scale float32) {
 	if m8 < m {
 		// K-means scoring a key against fewer than 8 centroids is nothing but
 		// this tail.
-		var pad [8]int
+		var pad [8]*float32
 		for i := range pad {
-			pad[i] = min(m8+i, m-1)
+			pad[i] = &rows[min(m8+i, m-1)*d]
 		}
-		dotRowsTail(dst[m8:], x, rows, &pad, 0, d, scale)
+		dotRowsTail(dst[m8:], x, &pad, d, scale)
 	}
 }
 
 // dotRowsTail scores the len(dst) < 8 rows that lead pad. A tail still fills
 // the lanes: the caller pads the list by repeating its last row, and the
 // padded results are dropped.
-func dotRowsTail(dst, x, rows []float32, pad *[8]int, base, d int, scale float32) {
+func dotRowsTail(dst, x []float32, pad *[8]*float32, d int, scale float32) {
 	var res [8]float32
-	dotRowsIdxAVX2(&res[0], &x[0], &rows[0], &pad[0], len(pad), base, d, scale)
+	dotRowsPtrAVX2(&res[0], &x[0], &pad[0], len(pad), d, scale)
 	copy(dst, res[:len(dst)])
 }
 
-func dotRowsAt(dst, x, rows []float32, idx []int, base, d int, scale float32) {
-	m := len(idx)
+func dotRowsList(dst, x []float32, rows []*float32, d int, scale float32) {
+	m := len(rows)
 	if !useVec || m == 0 || d == 0 || d%4 != 0 {
-		dotRowsAtGo(dst, x, rows, idx, base, d, scale)
+		dotRowsListGo(dst, x, rows, d, scale)
 		return
 	}
 	m8 := m &^ 7
 	if m8 > 0 {
-		dotRowsIdxAVX2(&dst[0], &x[0], &rows[0], &idx[0], m8, base, d, scale)
+		dotRowsPtrAVX2(&dst[0], &x[0], &rows[0], m8, d, scale)
 	}
 	if m8 < m {
-		var pad [8]int
-		for i := copy(pad[:], idx[m8:]); i < len(pad); i++ {
-			pad[i] = idx[m-1]
+		var pad [8]*float32
+		for i := copy(pad[:], rows[m8:]); i < len(pad); i++ {
+			pad[i] = rows[m-1]
 		}
-		dotRowsTail(dst[m8:], x, rows, &pad, base, d, scale)
+		dotRowsTail(dst[m8:], x, &pad, d, scale)
 	}
 }
 
 // axpyRows computes out[j] += Σ_i w[i]·row_i[j] for rows i ascending, row i
-// being rows[r·stride:] with r = i, or r = idx[i]-base when idx is non-nil.
-// Needs useVec and len(w) > 0. The zero-weight skip of the scalar loops is
-// not reproduced: for finite rows a zero weight adds an exact zero.
-func axpyRows(out, w, rows []float32, idx []int, base, stride int) {
+// being rows[i·stride:]. Needs useVec and len(w) > 0. The zero-weight skip of
+// the scalar loops is not reproduced: for finite rows a zero weight adds an
+// exact zero.
+func axpyRows(out, w, rows []float32, stride int) {
 	n8 := len(out) &^ 7
 	if n8 > 0 {
-		if idx == nil {
-			axpyRowsAVX2(&out[0], n8, &w[0], len(w), &rows[0], stride)
-		} else {
-			axpyRowsIdxAVX2(&out[0], n8, &w[0], &idx[0], len(w), base, &rows[0], stride)
-		}
+		axpyRowsAVX2(&out[0], n8, &w[0], len(w), &rows[0], stride)
 	}
-	axpyTail(out, w, rows, idx, base, stride, n8)
+	axpyTail(out, w, rows, stride, n8)
 }
 
 // axpyTail is axpyRows' scalar loop over the channels [from, len(out)).
-func axpyTail(out, w, rows []float32, idx []int, base, stride, from int) {
+func axpyTail(out, w, rows []float32, stride, from int) {
 	n := len(out)
 	if from == n {
 		return
@@ -147,11 +143,7 @@ func axpyTail(out, w, rows []float32, idx []int, base, stride, from int) {
 		if wi == 0 {
 			continue
 		}
-		r := i
-		if idx != nil {
-			r = idx[i] - base
-		}
-		row := rows[r*stride+from : r*stride+n]
+		row := rows[i*stride+from : i*stride+n]
 		for j, v := range row {
 			tail[j] += wi * v
 		}
@@ -194,7 +186,7 @@ func addScaledRowsBlock(out []float32, outStride int, w []float32, wStride, nq i
 		axpyRowsBlockAVX2(&op[0], &wp[0], (k+3)&^3, &rows[0], m, d8, d)
 	}
 	for j := 0; d8 < d && j < nq; j++ {
-		axpyTail(out[j*outStride:j*outStride+d], w[j*wStride:j*wStride+m], rows, nil, 0, d, d8)
+		axpyTail(out[j*outStride:j*outStride+d], w[j*wStride:j*wStride+m], rows, d, d8)
 	}
 }
 
@@ -203,15 +195,17 @@ func addScaledRows(out, w, rows []float32, d int) {
 		addScaledRowsGo(out, w, rows, d)
 		return
 	}
-	axpyRows(out, w, rows, nil, 0, d)
+	axpyRows(out, w, rows, d)
 }
 
-func addScaledRowsAt(out, w, rows []float32, idx []int, base, d int) {
+func addScaledRowsList(out, w []float32, rows []*float32, d int) {
 	if !useVec || len(w) == 0 || d < 8 {
-		addScaledRowsAtGo(out, w, rows, idx, base, d)
+		addScaledRowsListGo(out, w, rows, 0)
 		return
 	}
-	axpyRows(out, w, rows, idx, base, d)
+	n8 := d &^ 7
+	axpyRowsPtrAVX2(&out[0], n8, &w[0], &rows[0], len(w))
+	addScaledRowsListGo(out, w, rows, n8)
 }
 
 func matTVecBand(dst []float32, m *Mat, x []float32, lo, hi int) {
@@ -221,7 +215,7 @@ func matTVecBand(dst []float32, m *Mat, x []float32, lo, hi int) {
 	}
 	band := dst[lo:hi]
 	Fill(band, 0)
-	axpyRows(band, x, m.Data[lo:], nil, 0, m.Cols)
+	axpyRows(band, x, m.Data[lo:], m.Cols)
 }
 
 func matMulBand(c, a, b *Mat, lo, hi int) {
@@ -231,7 +225,7 @@ func matMulBand(c, a, b *Mat, lo, hi int) {
 	}
 	Fill(c.Data[lo*c.Cols:hi*c.Cols], 0)
 	for i := lo; i < hi; i++ {
-		axpyRows(c.Row(i), a.Row(i), b.Data, nil, 0, b.Cols)
+		axpyRows(c.Row(i), a.Row(i), b.Data, b.Cols)
 	}
 }
 
@@ -248,7 +242,7 @@ func matTMatBand(dst, m, x *Mat, lo, hi int) {
 		i1 := min(i0+blk, m.Rows)
 		for s := 0; s < x.Rows; s++ {
 			axpyRows(dst.Data[s*dst.Cols+lo:s*dst.Cols+hi], x.Data[s*x.Cols+i0:s*x.Cols+i1],
-				m.Data[i0*m.Cols+lo:], nil, 0, m.Cols)
+				m.Data[i0*m.Cols+lo:], m.Cols)
 		}
 	}
 }

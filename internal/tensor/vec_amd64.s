@@ -124,35 +124,27 @@ chunk:
 	VZEROUPPER
 	RET
 
-// func dotRowsIdxAVX2(dst, x, rows *float32, idx *int, m, base, d int, scale float32)
+// func dotRowsPtrAVX2(dst, x *float32, rows **float32, m, d int, scale float32)
 //
-// dst[i] = scale·<x, row idx[i]-base of rows> for i in [0, m); m%8 == 0,
-// m > 0. The caller has checked every index.
-TEXT ·dotRowsIdxAVX2(SB), NOSPLIT, $0-60
-	// ROWPTR sets reg to the address of row idx[k] - base: DX walks the index
-	// list, CX is the row size in bytes.
-#define ROWPTR(k, reg) \
-	MOVQ  (k*8)(DX), reg; \
-	SUBQ  base+40(FP), reg; \
-	IMULQ CX, reg; \
-	ADDQ  rows+16(FP), reg
-
+// dst[i] = scale·<x, the d values at rows[i]> for i in [0, m); m%8 == 0,
+// m > 0. The caller has checked every row.
+TEXT ·dotRowsPtrAVX2(SB), NOSPLIT, $0-44
 	MOVQ dst+0(FP), DI
 	MOVQ x+8(FP), SI
-	MOVQ idx+24(FP), DX
-	MOVQ m+32(FP), BX
-	MOVQ d+48(FP), CX
+	MOVQ rows+16(FP), DX
+	MOVQ m+24(FP), BX
+	MOVQ d+32(FP), CX
 	SHLQ $2, CX
-	VBROADCASTSS scale+56(FP), Y10
+	VBROADCASTSS scale+40(FP), Y10
 group:
-	ROWPTR(0, R8)
-	ROWPTR(1, R9)
-	ROWPTR(2, R10)
-	ROWPTR(3, R11)
-	ROWPTR(4, R12)
-	ROWPTR(5, R13)
-	ROWPTR(6, R14)
-	ROWPTR(7, R15)
+	MOVQ (DX), R8
+	MOVQ 8(DX), R9
+	MOVQ 16(DX), R10
+	MOVQ 24(DX), R11
+	MOVQ 32(DX), R12
+	MOVQ 40(DX), R13
+	MOVQ 48(DX), R14
+	MOVQ 56(DX), R15
 	VXORPS Y0, Y0, Y0
 	XORQ   AX, AX
 chunk:
@@ -293,19 +285,18 @@ chan:
 // every row streams past, so each out[j] adds its products in row order.
 // Register use: DI out, CX channels left (n%8 == 0), SI w, BX m (> 0),
 // DX rows (advanced with DI), R8 row stride in bytes, R9 current row,
-// AX row counter, R12 the next row of a sequential walk; the index variant
-// reads the row number from R10[AX], less R11. AXPYROWS is the whole loop
-// nest, the two kernels differing only in ROW, which sets R9 for row AX.
+// AX row counter, R12 the next row of a sequential walk; the pointer-list
+// variant loads row AX's address from R10[AX], DX being the channel offset
+// of the block. AXPYROWS is the whole loop nest, the two kernels differing
+// only in ROW, which sets R9 for row AX.
 
 #define ROWSEQ \
 	MOVQ R12, R9; \
 	ADDQ R8, R12
 
-#define ROWIDX \
-	MOVQ  (R10)(AX*8), R9; \
-	SUBQ  R11, R9; \
-	IMULQ R8, R9; \
-	ADDQ  DX, R9
+#define ROWPTR \
+	MOVQ (R10)(AX*8), R9; \
+	ADDQ DX, R9
 
 #define AXPYROWS(ROW) \
 c32: \
@@ -393,21 +384,17 @@ TEXT ·axpyRowsAVX2(SB), NOSPLIT, $0-48
 	SHLQ $2, R8
 	AXPYROWS(ROWSEQ)
 
-// func axpyRowsIdxAVX2(out *float32, n int, w *float32, idx *int, m, base int, rows *float32, stride int)
+// func axpyRowsPtrAVX2(out *float32, n int, w *float32, rows **float32, m int)
 //
-// Row i starts at rows[(idx[i]-base)·stride]. The caller has checked every
-// index.
-TEXT ·axpyRowsIdxAVX2(SB), NOSPLIT, $0-64
+// Row i starts at rows[i]. The caller has checked every row.
+TEXT ·axpyRowsPtrAVX2(SB), NOSPLIT, $0-40
 	MOVQ out+0(FP), DI
 	MOVQ n+8(FP), CX
 	MOVQ w+16(FP), SI
-	MOVQ idx+24(FP), R10
+	MOVQ rows+24(FP), R10
 	MOVQ m+32(FP), BX
-	MOVQ base+40(FP), R11
-	MOVQ rows+48(FP), DX
-	MOVQ stride+56(FP), R8
-	SHLQ $2, R8
-	AXPYROWS(ROWIDX)
+	XORQ DX, DX
+	AXPYROWS(ROWPTR)
 
 // AXPYQ adds w[i]·(Y0 | Y1), w at wreg and i in AX, into one query's
 // accumulators lo | hi; AXPYQ1 is its 8-channel half.

@@ -105,7 +105,17 @@ func indexLists(r *rng.RNG, n, base int) [][]int {
 	return [][]int{nil, asc, desc, dup, mixed, mixed[:1], mixed[:7], mixed[:9]}
 }
 
-func TestVecDotRowsAt(t *testing.T) {
+// rowPtrs is the row list of idx over a page of d-channel rows whose first
+// row is position base.
+func rowPtrs(rows []float32, idx []int, base, d int) []*float32 {
+	ptrs := make([]*float32, len(idx))
+	for i, ix := range idx {
+		ptrs[i] = PageRow(rows, ix-base, d)
+	}
+	return ptrs
+}
+
+func TestVecDotRowsList(t *testing.T) {
 	needVec(t)
 	const pageRows, base = 64, 640
 	for _, d := range vecDims {
@@ -116,9 +126,9 @@ func TestVecDotRowsAt(t *testing.T) {
 			rows := oddSlice(r, n*d)
 			for li, idx := range indexLists(r, n, base) {
 				got, want := oddSlice(r, len(idx)), make([]float32, len(idx))
-				DotRowsAt(got, x, rows, idx, base, d, 0.25)
-				dotRowsAtGo(want, x, rows, idx, base, d, 0.25)
-				expectBitsEqual(t, sprintShape("dotRowsAt", len(idx), d, li, n), got, want)
+				DotRowsList(got, x, rowPtrs(rows, idx, base, d), d, 0.25)
+				dotRowsListGo(want, x, rowPtrs(rows, idx, base, d), d, 0.25)
+				expectBitsEqual(t, sprintShape("dotRowsList", len(idx), d, li, n), got, want)
 			}
 		}
 	}
@@ -157,7 +167,7 @@ func TestVecAddScaledRows(t *testing.T) {
 	}
 }
 
-func TestVecAddScaledRowsAt(t *testing.T) {
+func TestVecAddScaledRowsList(t *testing.T) {
 	needVec(t)
 	const pageRows, base = 64, 128
 	for _, d := range append([]int{12}, vecDims...) {
@@ -170,32 +180,28 @@ func TestVecAddScaledRowsAt(t *testing.T) {
 					w[i] = 0
 				}
 				got, want := make([]float32, d), make([]float32, d)
-				AddScaledRowsAt(got, w, rows, idx, base, d)
-				addScaledRowsAtGo(want, w, rows, idx, base, d)
-				expectBitsEqual(t, sprintShape("addScaledRowsAt", len(idx), d, li, n), got, want)
+				AddScaledRowsList(got, w, rowPtrs(rows, idx, base, d), d)
+				addScaledRowsListGo(want, w, rowPtrs(rows, idx, base, d), 0)
+				expectBitsEqual(t, sprintShape("addScaledRowsList", len(idx), d, li, n), got, want)
 			}
 		}
 	}
 }
 
 func TestVecRowIndexOutOfPagePanics(t *testing.T) {
-	rows := make([]float32, 37*16)
-	x, out := make([]float32, 16), make([]float32, 16)
+	page := make([]float32, 37*16)
 	for _, bad := range []int{63, 100 + 37, 100 + 64, -1} {
 		idx := []int{100, 101, bad}
-		for name, call := range map[string]func(){
-			"DotRowsAt":       func() { DotRowsAt(make([]float32, 3), x, rows, idx, 100, 16, 1) },
-			"AddScaledRowsAt": func() { AddScaledRowsAt(out, make([]float32, 3), rows, idx, 100, 16) },
-		} {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Fatalf("%s: index %d outside the page's 37 rows did not panic", name, bad)
-					}
-				}()
-				call()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("PageRow: index %d outside the page's 37 rows did not panic", bad)
+				}
 			}()
-		}
+			for _, ix := range idx {
+				PageRow(page, ix-100, 16)
+			}
+		}()
 	}
 }
 
@@ -339,8 +345,9 @@ func expPinRange(t *testing.T, k expKernel, from, to, step uint32) {
 }
 
 // FuzzVecKernels decodes the input into finite float32 rows and checks the
-// dot, axpy and softmax dispatchers, and the query-block dot and axpy, against
-// their scalar loops at a fuzzed width, row count, index list and query count;
+// dot, axpy and softmax dispatchers, the row-list dot and axpy and the
+// query-block dot and axpy against their scalar loops at a fuzzed width, row
+// count, row list and query count;
 // the raw values, non-finite ones included, go through softmax on every exp
 // kernel.
 func FuzzVecKernels(f *testing.F) {
@@ -397,17 +404,18 @@ func FuzzVecKernels(f *testing.F) {
 		dotRows(got, x, rows, d, 0.5)
 		dotRowsGo(want, x, rows, d, 0.5)
 		expectBitsEqual(t, "dotRows", got, want)
-		DotRowsAt(got, x, rows, idx, 7, d, 0.5)
-		dotRowsAtGo(want, x, rows, idx, 7, d, 0.5)
-		expectBitsEqual(t, "dotRowsAt", got, want)
+		ptrs := rowPtrs(rows, idx, 7, d)
+		DotRowsList(got, x, ptrs, d, 0.5)
+		dotRowsListGo(want, x, ptrs, d, 0.5)
+		expectBitsEqual(t, "dotRowsList", got, want)
 
 		got, want = make([]float32, d), make([]float32, d)
 		addScaledRows(got, w, rows, d)
 		addScaledRowsGo(want, w, rows, d)
 		expectBitsEqual(t, "addScaledRows", got, want)
-		AddScaledRowsAt(got, w, rows, idx, 7, d)
-		addScaledRowsAtGo(want, w, rows, idx, 7, d)
-		expectBitsEqual(t, "addScaledRowsAt", got, want)
+		AddScaledRowsList(got, w, ptrs, d)
+		addScaledRowsListGo(want, w, ptrs, 0)
+		expectBitsEqual(t, "addScaledRowsList", got, want)
 
 		// A block of the first nq rows as queries, sharing one weight row.
 		nq := min(1+int(pick)%8, m)

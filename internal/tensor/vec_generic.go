@@ -11,16 +11,16 @@ func dotRows(dst, x, rows []float32, d int, scale float32) {
 	dotRowsGo(dst, x, rows, d, scale)
 }
 
-func dotRowsAt(dst, x, rows []float32, idx []int, base, d int, scale float32) {
-	dotRowsAtGo(dst, x, rows, idx, base, d, scale)
+func dotRowsList(dst, x []float32, rows []*float32, d int, scale float32) {
+	dotRowsListGo(dst, x, rows, d, scale)
 }
 
 func addScaledRows(out, w, rows []float32, d int) {
 	addScaledRowsGo(out, w, rows, d)
 }
 
-func addScaledRowsAt(out, w, rows []float32, idx []int, base, d int) {
-	addScaledRowsAtGo(out, w, rows, idx, base, d)
+func addScaledRowsList(out, w []float32, rows []*float32, d int) {
+	addScaledRowsListGo(out, w, rows, 0)
 }
 
 func dotRowsBlock(dst []float32, dstStride int, xs []float32, xStride, nq int, rows []float32, m, d int, scale float32) {
