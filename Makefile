@@ -68,14 +68,15 @@ bench-compare:
 # Kernel conformance lane: the blocked/packed/fused decode kernel suites, the
 # query-block kernels against per-query calls (DotRowsBlock,
 # AddScaledRowsBlock), the prefill query block against per-query attention
-# (FullBlock) and the vector ≡ scalar suite (Vec: AVX2 kernels against the Go
-# loops, the exp pin and softmax on the AVX2 and the AVX-512 exp, the fuzz
-# seed corpus) at GOMAXPROCS=1 and at GOMAXPROCS=2 with the race detector,
+# (FullBlock), the vector ≡ scalar suite (Vec: AVX2 kernels against the Go
+# loops, the exp pin, softmax and SiluMul on the AVX2 and the AVX-512 exp,
+# the arg-best, the fuzz seed corpus) and K-means against its key-major
+# oracle at GOMAXPROCS=1 and at GOMAXPROCS=2 with the race detector,
 # locking the bit-identity contract of DESIGN.md §12 independently of the
 # scheduler.
 test-kernels:
-	GOMAXPROCS=1 $(GO) test -count=1 -run 'Block|DotRows|AddScaledRows|PackedMat|Fused|DecodeSteady|Vec' ./internal/tensor/ ./internal/attention/ ./internal/kvcache/ ./internal/model/
-	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'Block|DotRows|AddScaledRows|PackedMat|Fused|DecodeSteady|Vec' ./internal/tensor/ ./internal/attention/ ./internal/kvcache/ ./internal/model/
+	GOMAXPROCS=1 $(GO) test -count=1 -run 'Block|DotRows|AddScaledRows|PackedMat|Fused|DecodeSteady|Vec|KMeans|ArgBest|Silu' ./internal/tensor/ ./internal/attention/ ./internal/kvcache/ ./internal/model/ ./internal/cluster/
+	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'Block|DotRows|AddScaledRows|PackedMat|Fused|DecodeSteady|Vec|KMeans|ArgBest|Silu' ./internal/tensor/ ./internal/attention/ ./internal/kvcache/ ./internal/model/ ./internal/cluster/
 
 # Generic-path lanes: the scalar Go kernels are what every target but amd64
 # runs, so the packages that sit on them are tested with the vector path

@@ -112,7 +112,7 @@ func RunAblations(opt Options) []*Report {
 			fmt.Sprint(run.Stats.MetaOps),
 		})
 	}
-	iRep.Notes = append(iRep.Notes, "k-means++ converges in fewer iterations (lower assignment ops) at equal quality.")
+	iRep.Notes = append(iRep.Notes, "Equal PrefillMetaOps: K-means from either seeding runs to the 16-iteration cap, so k-means++ saves no assignment passes; it only adds its O(n·c·d) seeding.")
 
 	// --- K-means iteration cap --------------------------------------------
 	kRep := &Report{

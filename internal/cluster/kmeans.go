@@ -55,8 +55,10 @@ const (
 	RandomInit Init = iota
 	// PlusPlusInit is k-means++ seeding: subsequent centroids are sampled
 	// proportionally to their distance from the chosen set. Slower to seed
-	// (O(n·c·d)) but converges in fewer iterations — an extension ablation
-	// beyond the paper.
+	// (O(n·c·d)), and no cheaper to iterate on the keys this repository
+	// clusters: runs from either seeding hit the iteration cap, so their
+	// AssignOps are equal (the ablation-kmeans-init report) — an extension
+	// ablation beyond the paper.
 	PlusPlusInit
 )
 
@@ -75,6 +77,10 @@ type Config struct {
 }
 
 const defaultMaxIters = 16
+
+// argBestGrain is the fewest keys an assignment block takes, so the vector
+// arg-best runs on whole lane groups rather than on per-block tails.
+const argBestGrain = 64
 
 // Result is the outcome of clustering n keys into c clusters, including the
 // Fig. 8 metadata. Token indices inside Result are *local* to the clustered
@@ -143,25 +149,99 @@ func KMeans(keys []float32, d, c int, cfg Config) *Result {
 
 	pool := parallel.Default()
 	// Shared fan-out policy: an assignment index costs c·d ops, a norm d.
-	assignGrain := parallel.Grain(c * d)
+	assignGrain := max(argBestGrain, parallel.Grain(c*d))
 
-	// Pre-normalised views for cosine assignment.
-	var keyNorms []float32
-	if cfg.Metric == Cosine {
+	// ones is the unit weight of every member in the update step and the
+	// unit norm that turns the cosine arg-best into the inner-product one
+	// (dot/1 is exact).
+	ones := make([]float32, n)
+	tensor.Fill(ones, 1)
+	var keyNorms, centNorm []float32
+	switch cfg.Metric {
+	case Cosine:
 		keyNorms = make([]float32, n)
 		pool.For(n, parallel.Grain(d), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				keyNorms[i] = tensor.Norm(key(i))
 			}
 		})
+		centNorm = make([]float32, c)
+	case InnerProduct:
+		keyNorms, centNorm = ones, ones[:c]
 	}
-	centNorm := make([]float32, c)
+	// Cosine and inner-product assignment scratch: the c×n score matrix
+	// (row j holds every key's dot product with centroid j) and the new
+	// labels.
+	var scores []float32
+	var next []int
+	if cfg.Metric != L2 {
+		scores = make([]float32, c*n)
+		next = make([]int, n)
+	}
 
 	// Scratch for the deterministic parallel update step: members of each
-	// cluster in ascending key order (rebuilt per iteration).
+	// cluster in ascending key order and their rows (rebuilt per iteration).
 	sortedIdx := make([]int, n)
+	members := make([]*float32, n)
 	prefix := make([]int, c+1)
 	cursor := make([]int, c)
+
+	// Assignment, key-parallel: each labels[i] is an independent arg-best
+	// over read-only centroids, so any split is bit-identical to serial.
+	// The changed counter is an integer (exact, order-free) accumulated once
+	// per block — no atomics ever touch float data.
+	var changed atomic.Int64
+	assign := func(lo, hi int) {
+		blockChanged := 0
+		if cfg.Metric == L2 {
+			for i := lo; i < hi; i++ {
+				ki := key(i)
+				best, bestScore := 0, float32(math.Inf(1))
+				for j := 0; j < c; j++ {
+					if s := tensor.SqDist(ki, cents.Row(j)); s < bestScore {
+						bestScore, best = s, j
+					}
+				}
+				if labels[i] != best {
+					labels[i] = best
+					blockChanged++
+				}
+			}
+		} else {
+			// Centroid-major: the block's keys scored against every
+			// centroid, the centroids being the queries of one
+			// DotRowsBlock (each score is tensor.Dot(k_i, c_j) to the bit,
+			// and a group of keys is transposed once per eight centroids),
+			// then the arg-best over eight keys per lane group.
+			tensor.DotRowsBlock(scores[lo:], n, cents.Data, d, c, keys[lo*d:hi*d], hi-lo, d, 1)
+			tensor.ArgBestCos(next[lo:hi], scores[lo:], n, keyNorms[lo:hi], centNorm)
+			for i := lo; i < hi; i++ {
+				if labels[i] != next[i] {
+					labels[i] = next[i]
+					blockChanged++
+				}
+			}
+		}
+		if blockChanged > 0 {
+			changed.Add(int64(blockChanged))
+		}
+	}
+	// Update step: centroid = mean of members (the custom-kernel step of
+	// paper §IV-B). Parallel over clusters: each centroid adds its members
+	// in ascending key order — the exact order of the serial
+	// accumulate-and-divide — so the update is bit-identical at any worker
+	// count.
+	update := func(lo, hi int) {
+		for j := lo; j < hi; j++ {
+			row := cents.Row(j)
+			tensor.Fill(row, 0)
+			tensor.AddScaledRowsList(row, ones[:sizes[j]], members[prefix[j]:prefix[j+1]], d)
+			if sizes[j] > 0 {
+				tensor.Scale(1/float32(sizes[j]), row)
+			}
+		}
+	}
+	updateGrain := parallel.Grain(d * (n/c + 1))
 
 	var assignOps int64
 	iters := 0
@@ -172,62 +252,8 @@ func KMeans(keys []float32, d, c int, cfg Config) *Result {
 				centNorm[j] = tensor.Norm(cents.Row(j))
 			}
 		}
-		// Assignment, key-parallel: each labels[i] is an independent argbest
-		// over read-only centroids, so any split is bit-identical to serial.
-		// The changed counter is an integer (exact, order-free) accumulated
-		// once per block — no atomics ever touch float data.
-		var changed atomic.Int64
-		pool.For(n, assignGrain, func(lo, hi int) {
-			blockChanged := 0
-			// Cosine and inner-product assignment score a key against every
-			// centroid with one DotRows (each dots[j] is tensor.Dot(ki,
-			// centroid j) to the bit), then take the arg-best.
-			var dots []float32
-			if cfg.Metric != L2 {
-				dots = make([]float32, c)
-			}
-			for i := lo; i < hi; i++ {
-				ki := key(i)
-				best, bestScore := 0, float32(math.Inf(-1))
-				switch cfg.Metric {
-				case Cosine:
-					kn := keyNorms[i]
-					tensor.DotRows(dots, ki, cents.Data, d, 1)
-					for j, dot := range dots {
-						den := kn * centNorm[j]
-						var s float32
-						if den > 0 {
-							s = dot / den
-						}
-						if s > bestScore {
-							bestScore, best = s, j
-						}
-					}
-				case L2:
-					bestScore = float32(math.Inf(1))
-					for j := 0; j < c; j++ {
-						s := tensor.SqDist(ki, cents.Row(j))
-						if s < bestScore {
-							bestScore, best = s, j
-						}
-					}
-				case InnerProduct:
-					tensor.DotRows(dots, ki, cents.Data, d, 1)
-					for j, s := range dots {
-						if s > bestScore {
-							bestScore, best = s, j
-						}
-					}
-				}
-				if labels[i] != best {
-					labels[i] = best
-					blockChanged++
-				}
-			}
-			if blockChanged > 0 {
-				changed.Add(int64(blockChanged))
-			}
-		})
+		changed.Store(0)
+		pool.For(n, assignGrain, assign)
 		for j := range sizes {
 			sizes[j] = 0
 		}
@@ -240,24 +266,12 @@ func KMeans(keys []float32, d, c int, cfg Config) *Result {
 		// centroid among clusters with >1 member (deterministic scan).
 		repairEmptyClusters(keys, d, cents, labels, sizes, cfg.Metric)
 
-		// Update step: centroid = mean of members (the custom-kernel step of
-		// paper §IV-B). Parallel over clusters: each centroid accumulates its
-		// members in ascending key order — the exact order of the serial
-		// accumulate-and-divide — so the update is bit-identical at any
-		// worker count. The member lists come from a serial counting sort.
+		// The member lists come from a serial counting sort.
 		sortByLabel(labels, sizes, prefix, cursor, sortedIdx)
-		pool.For(c, parallel.Grain(d*(n/c+1)), func(lo, hi int) {
-			for j := lo; j < hi; j++ {
-				row := cents.Row(j)
-				tensor.Fill(row, 0)
-				for _, i := range sortedIdx[prefix[j]:prefix[j+1]] {
-					tensor.Axpy(1, key(i), row)
-				}
-				if sizes[j] > 0 {
-					tensor.Scale(1/float32(sizes[j]), row)
-				}
-			}
-		})
+		for k, i := range sortedIdx {
+			members[k] = &keys[i*d]
+		}
+		pool.For(c, updateGrain, update)
 		if changed.Load() == 0 {
 			break
 		}

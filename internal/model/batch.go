@@ -159,10 +159,7 @@ func (bd *BatchDecoder) DecodeInto(seqs []*Sequence, tokens []int, logits [][]fl
 		tensor.MatTMatOn(pool, &bd.gate, lw.w1, &bd.normed)
 		tensor.MatTMatOn(pool, &bd.up, lw.w3, &bd.normed)
 		for i := range seqs {
-			g, u := bd.gate.Row(i), bd.up.Row(i)
-			for j := range g {
-				g[j] = silu(g[j]) * u[j]
-			}
+			tensor.SiluMul(bd.gate.Row(i), bd.up.Row(i))
 		}
 		tensor.MatTMatOn(pool, &bd.normed, lw.w2, &bd.gate)
 		for i := range seqs {

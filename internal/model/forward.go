@@ -112,10 +112,6 @@ func rmsNorm(dst, x, gain []float32) {
 	}
 }
 
-func silu(x float32) float32 {
-	return x / (1 + float32(math.Exp(float64(-x))))
-}
-
 // Sequence is one generation stream: its KV caches, its selection policy and
 // its position counter. Create with Model.NewSequence.
 type Sequence struct {
@@ -400,9 +396,7 @@ func ffnBlock(h []float32, lw *layerWeights, normed, gate, up []float32) {
 	rmsNorm(normed, h, lw.ffnNorm)
 	tensor.MatTVec(gate, lw.w1, normed)
 	tensor.MatTVec(up, lw.w3, normed)
-	for i := range gate {
-		gate[i] = silu(gate[i]) * up[i]
-	}
+	tensor.SiluMul(gate, up)
 	tensor.MatTVec(normed, lw.w2, gate)
 	tensor.Add(h, h, normed)
 }

@@ -385,3 +385,46 @@ func TestProjectRows(t *testing.T) {
 		t.Fatalf("ProjectRows got %v", p.At(0, 0))
 	}
 }
+
+func TestSiluMul(t *testing.T) {
+	g := []float32{0, 1, -1, 2, 100, -100}
+	u := []float32{3, 2, 2, 0.5, 1, 1}
+	SiluMul(g, u)
+	for i, want := range []float64{0, 2 / (1 + math.Exp(-1)), -2 / (1 + math.E), 2 / (1 + math.Exp(-2)) / 2, 100, 0} {
+		if !almostEq(float64(g[i]), want, 1e-6) {
+			t.Fatalf("SiluMul[%d] = %g, want %g", i, g[i], want)
+		}
+	}
+}
+
+func TestArgBestCosPicksFirstBest(t *testing.T) {
+	// Two keys, three centroids: scores (c×n, stride 2) normalised by norms.
+	dots := []float32{
+		1, -1,
+		4, 0, // centroid 1, norm 2: key 0 scores 2
+		2, 0, // centroid 2, norm 1: key 0 ties at 2 and loses to centroid 1
+	}
+	best := []int{9, 9}
+	ArgBestCos(best, dots, 2, []float32{1, 0}, []float32{1, 2, 1})
+	if best[0] != 1 || best[1] != 0 {
+		t.Fatalf("ArgBestCos = %v, want [1 0] (first maximum; a zero-norm key scores 0 everywhere)", best)
+	}
+}
+
+// BenchmarkSiluMul128 times the SwiGLU gate over FFNDim = 128 channels, the
+// dispatched kernel against the scalar loop.
+func BenchmarkSiluMul128(b *testing.B) {
+	r := rng.New(5)
+	src, u, g := randMat(r, 1, 128, 0).Data, randMat(r, 1, 128, 0).Data, make([]float32, 128)
+	for _, k := range []struct {
+		name string
+		fn   func(g, u []float32)
+	}{{"kernel", SiluMul}, {"scalar", siluMulGo}} {
+		b.Run(k.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(g, src)
+				k.fn(g, u)
+			}
+		})
+	}
+}

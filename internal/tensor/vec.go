@@ -10,10 +10,10 @@
 // the repository are implemented, each as a straightforward, allocation
 // conscious scalar loop. The Go compiler does not vectorize those loops, so
 // on amd64 with AVX2 and FMA the hot ones (DotRows, AddScaledRows and their
-// row-list forms, Softmax, the GEMV/GEMM bands and the packed LM head) run
-// assembly kernels instead — vec_amd64.s, chosen once at init by CPUID; every
-// other target, GOAMD64=v3 and the purego build tag run the Go loops. The one
-// contract of both paths (DESIGN.md §12):
+// row-list forms, Softmax, SiluMul, ArgBestCos, the GEMV/GEMM bands and the
+// packed LM head) run assembly kernels instead — vec_amd64.s, chosen once at
+// init by CPUID; every other target, GOAMD64=v3 and the purego build tag run
+// the Go loops. The one contract of both paths (DESIGN.md §12):
 //
 //   - Vector lanes hold *independent* reduction chains (eight rows' dot
 //     products, eight output channels), never pieces of one chain, and
@@ -21,7 +21,8 @@
 //   - So each chain performs the scalar loop's operations in the scalar
 //     loop's order, and for finite inputs every result is bit-identical to
 //     the Go loop at any width, blocking or path. Softmax with a NaN or ±Inf
-//     input always takes the scalar loop.
+//     input, and SiluMul with one or with a gate of magnitude 80 or more,
+//     always take the scalar loop.
 package tensor
 
 import "math"
@@ -174,6 +175,65 @@ func softmaxGo(x []float32) {
 	inv := 1 / sum
 	for i := range x {
 		x[i] *= inv
+	}
+}
+
+// SiluMul computes the gated product of a SwiGLU block in place:
+// g[i] = silu(g[i])·u[i], silu(x) = x/(1+e^-x) with e^-x evaluated as
+// float32(math.Exp(float64(-x))). It panics if lengths differ.
+func SiluMul(g, u []float32) {
+	if len(g) != len(u) {
+		panic("tensor: SiluMul length mismatch")
+	}
+	siluMul(g, u)
+}
+
+// siluMulGo is the scalar SiluMul loop (see dotRowsGo).
+func siluMulGo(g, u []float32) {
+	for i, x := range g {
+		g[i] = x / (1 + float32(math.Exp(float64(-x)))) * u[i]
+	}
+}
+
+// ArgBestCos is the assignment step of cosine K-means over a block of
+// precomputed dot products: for each key i in [0, len(best)), best[i] is the
+// first j in [0, len(cn)) that maximises
+//
+//	s(i, j) = dots[j·stride + i] / (kn[i]·cn[j]),  or 0 where kn[i]·cn[j] ≯ 0,
+//
+// kn and cn being the key and centroid norms; it is 0 when every score is
+// NaN or -Inf. With unit norms s is the dot product itself (x/1 is exact),
+// which is inner-product assignment. len(kn) must equal len(best), cn must
+// be non-empty, and stride ≥ len(best).
+func ArgBestCos(best []int, dots []float32, stride int, kn, cn []float32) {
+	n, c := len(best), len(cn)
+	if len(kn) != n || c == 0 || stride < n {
+		panic("tensor: ArgBestCos shape mismatch")
+	}
+	if n == 0 {
+		return
+	}
+	if len(dots) < (c-1)*stride+n {
+		panic("tensor: ArgBestCos dots too short")
+	}
+	argBestCos(best, dots, stride, kn, cn)
+}
+
+// argBestCosGo is the scalar ArgBestCos loop (see dotRowsGo).
+func argBestCosGo(best []int, dots []float32, stride int, kn, cn []float32) {
+	for i, k := range kn {
+		b, bs := 0, float32(math.Inf(-1))
+		for j, cj := range cn {
+			den := k * cj
+			var s float32
+			if den > 0 {
+				s = dots[j*stride+i] / den
+			}
+			if s > bs {
+				bs, b = s, j
+			}
+		}
+		best[i] = b
 	}
 }
 

@@ -52,6 +52,15 @@ func cpuHasAVX512() bool
 func expSumAVX512(x *float32, n int, max, sum float32) float32
 
 //go:noescape
+func siluMulAVX2(x, u *float32, n int)
+
+//go:noescape
+func siluMulAVX512(x, u *float32, n int)
+
+//go:noescape
+func argBestCosAVX2(best *int, dots *float32, stride int, kn, cn *float32, n, c int)
+
+//go:noescape
 func dotRowsBlockAVX2(dsts, xs **float32, nq int, rows *float32, m, d int, scale float32)
 
 //go:noescape
@@ -82,8 +91,6 @@ func dotRows(dst, x, rows []float32, d int, scale float32) {
 		dotRowsAVX2(&dst[0], &x[0], &rows[0], m8, d, scale)
 	}
 	if m8 < m {
-		// K-means scoring a key against fewer than 8 centroids is nothing but
-		// this tail.
 		var pad [8]*float32
 		for i := range pad {
 			pad[i] = &rows[min(m8+i, m-1)*d]
@@ -315,5 +322,48 @@ func softmax(x []float32) {
 	scaleAVX2(&x[0], n8, inv)
 	for i := n8; i < n; i++ {
 		x[i] *= inv
+	}
+}
+
+// siluVecLimit is the bit pattern of 80: below it in magnitude e^-x is a
+// normal float32 and 1+e^-x finite, so the exp kernels' range reduction
+// needs none of math.Exp's special cases.
+const siluVecLimit = 0x42a00000
+
+func siluMul(g, u []float32) {
+	n := len(g)
+	if !useVec || n < 8 {
+		siluMulGo(g, u)
+		return
+	}
+	if _, absBits := maxAbsAVX2(&g[0], n); absBits >= siluVecLimit {
+		siluMulGo(g, u) // a NaN, ±Inf or a saturated gate
+		return
+	}
+	n4 := n &^ 3
+	wide := 0
+	if useExp8 {
+		wide = n &^ 7
+		siluMulAVX512(&g[0], &u[0], wide)
+	}
+	if wide < n4 {
+		siluMulAVX2(&g[wide], &u[wide], n4-wide)
+	}
+	siluMulGo(g[n4:], u[n4:n])
+}
+
+func argBestCos(best []int, dots []float32, stride int, kn, cn []float32) {
+	n := len(best)
+	if !useVec || n < 8 {
+		argBestCosGo(best, dots, stride, kn, cn)
+		return
+	}
+	n8 := n &^ 7
+	argBestCosAVX2(&best[0], &dots[0], stride, &kn[0], &cn[0], n8, len(cn))
+	if n8 < n {
+		// The last eight keys again, overlapping the whole groups: every
+		// key's result depends on its own column alone.
+		o := n - 8
+		argBestCosAVX2(&best[o], &dots[o], stride, &kn[o], &cn[0], 8, len(cn))
 	}
 }

@@ -689,6 +689,99 @@ D4(128, $1.6666666666666666667e-1)
 D4(160, $0.5)
 GLOBL exph<>(SB), RODATA|NOPTR, $192
 
+// EXPPD4 replaces the four float64 lanes of Y0 by math.Exp of them, running
+// the instruction sequence of the FMA path of math.archExp step for step:
+// k = round(x·log2e) in X2, x -= k·LN2U and k·LN2L, the Horner polynomial on
+// x/16, four squarings, and the product with 2^k. It holds for arguments
+// whose 2^k is a normal float64 (|x| < 708). EXPK4 loads its constants into
+// Y7 and Y9-Y15; it clobbers Y1, Y2 and Y4.
+#define EXPK4 \
+	VBROADCASTSD expk<>+0(SB), Y15; \
+	VBROADCASTSD expk<>+8(SB), Y14; \
+	VBROADCASTSD expk<>+16(SB), Y13; \
+	VBROADCASTSD expk<>+24(SB), Y12; \
+	VBROADCASTSD expk<>+32(SB), Y11; \
+	VBROADCASTSD expk<>+40(SB), Y10; \
+	VBROADCASTSD expk<>+48(SB), Y9; \
+	VPBROADCASTQ expk<>+64(SB), Y7
+
+#define EXPPD4 \
+	VMULPD    Y15, Y0, Y1; \
+	VCVTPD2DQY Y1, X2; \
+	VCVTDQ2PD X2, Y1; \
+	VFNMADD231PD Y14, Y1, Y0; \
+	VFNMADD231PD Y13, Y1, Y0; \
+	VMULPD    Y12, Y0, Y0; \
+	VMOVAPD   Y11, Y1; \
+	VFMADD213PD exph<>+0(SB), Y0, Y1; \
+	VFMADD213PD exph<>+32(SB), Y0, Y1; \
+	VFMADD213PD exph<>+64(SB), Y0, Y1; \
+	VFMADD213PD exph<>+96(SB), Y0, Y1; \
+	VFMADD213PD exph<>+128(SB), Y0, Y1; \
+	VFMADD213PD exph<>+160(SB), Y0, Y1; \
+	VFMADD213PD Y10, Y0, Y1; \
+	VMULPD    Y1, Y0, Y0; \
+	VADDPD    Y9, Y0, Y1; \
+	VMULPD    Y1, Y0, Y0; \
+	VADDPD    Y9, Y0, Y1; \
+	VMULPD    Y1, Y0, Y0; \
+	VADDPD    Y9, Y0, Y1; \
+	VMULPD    Y1, Y0, Y0; \
+	VADDPD    Y9, Y0, Y1; \
+	VFMADD213PD Y10, Y1, Y0; \
+	VPMOVSXDQ X2, Y4; \
+	VPADDQ    Y7, Y4, Y4; \
+	VPSLLQ    $52, Y4, Y4; \
+	VMULPD    Y4, Y0, Y0
+
+// EXPPD8 is EXPPD4 on the eight float64 lanes of Z0, with k in Y2 and the
+// Horner coefficients in Z16-Z21; EXPK8 loads its constants into Z7 and
+// Z9-Z21.
+#define EXPK8 \
+	VBROADCASTSD expk<>+0(SB), Z15; \
+	VBROADCASTSD expk<>+8(SB), Z14; \
+	VBROADCASTSD expk<>+16(SB), Z13; \
+	VBROADCASTSD expk<>+24(SB), Z12; \
+	VBROADCASTSD expk<>+32(SB), Z11; \
+	VBROADCASTSD expk<>+40(SB), Z10; \
+	VBROADCASTSD expk<>+48(SB), Z9; \
+	VPBROADCASTQ expk<>+64(SB), Z7; \
+	VBROADCASTSD exph<>+0(SB), Z16; \
+	VBROADCASTSD exph<>+32(SB), Z17; \
+	VBROADCASTSD exph<>+64(SB), Z18; \
+	VBROADCASTSD exph<>+96(SB), Z19; \
+	VBROADCASTSD exph<>+128(SB), Z20; \
+	VBROADCASTSD exph<>+160(SB), Z21
+
+#define EXPPD8 \
+	VMULPD    Z15, Z0, Z1; \
+	VCVTPD2DQ Z1, Y2; \
+	VCVTDQ2PD Y2, Z1; \
+	VFNMADD231PD Z14, Z1, Z0; \
+	VFNMADD231PD Z13, Z1, Z0; \
+	VMULPD    Z12, Z0, Z0; \
+	VMOVAPD   Z11, Z1; \
+	VFMADD213PD Z16, Z0, Z1; \
+	VFMADD213PD Z17, Z0, Z1; \
+	VFMADD213PD Z18, Z0, Z1; \
+	VFMADD213PD Z19, Z0, Z1; \
+	VFMADD213PD Z20, Z0, Z1; \
+	VFMADD213PD Z21, Z0, Z1; \
+	VFMADD213PD Z10, Z0, Z1; \
+	VMULPD    Z1, Z0, Z0; \
+	VADDPD    Z9, Z0, Z1; \
+	VMULPD    Z1, Z0, Z0; \
+	VADDPD    Z9, Z0, Z1; \
+	VMULPD    Z1, Z0, Z0; \
+	VADDPD    Z9, Z0, Z1; \
+	VMULPD    Z1, Z0, Z0; \
+	VADDPD    Z9, Z0, Z1; \
+	VFMADD213PD Z10, Z1, Z0; \
+	VPMOVSXDQ Y2, Z4; \
+	VPADDQ    Z7, Z4, Z4; \
+	VPSLLQ    $52, Z4, Z4; \
+	VMULPD    Z4, Z0, Z0
+
 // func expSumAVX2(x *float32, n int, max, sum float32) float32
 //
 // For i ascending in [0, n): x[i] = float32(math.Exp(float64(x[i]-max))) and
@@ -703,47 +796,14 @@ TEXT ·expSumAVX2(SB), NOSPLIT, $0-28
 	MOVQ n+8(FP), CX
 	VBROADCASTSS max+16(FP), X6
 	VMOVSS sum+20(FP), X5
-	VBROADCASTSD expk<>+0(SB), Y15
-	VBROADCASTSD expk<>+8(SB), Y14
-	VBROADCASTSD expk<>+16(SB), Y13
-	VBROADCASTSD expk<>+24(SB), Y12
-	VBROADCASTSD expk<>+32(SB), Y11
-	VBROADCASTSD expk<>+40(SB), Y10
-	VBROADCASTSD expk<>+48(SB), Y9
+	EXPK4
 	VBROADCASTSD expk<>+56(SB), Y8
-	VPBROADCASTQ expk<>+64(SB), Y7
 block:
 	VMOVUPS   (SI), X0
 	VSUBPS    X6, X0, X0
 	VCVTPS2PD X0, Y0
 	VCMPPD    $0x11, Y8, Y0, Y3 // x < -104
-	VMULPD    Y15, Y0, Y1
-	VCVTPD2DQY Y1, X2 // k = round(x·log2e)
-	VCVTDQ2PD X2, Y1
-	VFNMADD231PD Y14, Y1, Y0 // x -= k·LN2U
-	VFNMADD231PD Y13, Y1, Y0 // x -= k·LN2L
-	VMULPD    Y12, Y0, Y0
-	VMOVAPD   Y11, Y1
-	VFMADD213PD exph<>+0(SB), Y0, Y1
-	VFMADD213PD exph<>+32(SB), Y0, Y1
-	VFMADD213PD exph<>+64(SB), Y0, Y1
-	VFMADD213PD exph<>+96(SB), Y0, Y1
-	VFMADD213PD exph<>+128(SB), Y0, Y1
-	VFMADD213PD exph<>+160(SB), Y0, Y1
-	VFMADD213PD Y10, Y0, Y1
-	VMULPD    Y1, Y0, Y0
-	VADDPD    Y9, Y0, Y1
-	VMULPD    Y1, Y0, Y0
-	VADDPD    Y9, Y0, Y1
-	VMULPD    Y1, Y0, Y0
-	VADDPD    Y9, Y0, Y1
-	VMULPD    Y1, Y0, Y0
-	VADDPD    Y9, Y0, Y1
-	VFMADD213PD Y10, Y1, Y0
-	VPMOVSXDQ X2, Y4
-	VPADDQ    Y7, Y4, Y4
-	VPSLLQ    $52, Y4, Y4 // 2^k
-	VMULPD    Y4, Y0, Y0
+	EXPPD4
 	VANDNPD   Y0, Y3, Y0
 	VCVTPD2PSY Y0, X0
 	VMOVUPS   X0, (SI)
@@ -795,53 +855,14 @@ TEXT ·expSumAVX512(SB), NOSPLIT, $0-28
 	MOVQ n+8(FP), CX
 	VBROADCASTSS max+16(FP), Y6
 	VMOVSS sum+20(FP), X5
-	VBROADCASTSD expk<>+0(SB), Z15
-	VBROADCASTSD expk<>+8(SB), Z14
-	VBROADCASTSD expk<>+16(SB), Z13
-	VBROADCASTSD expk<>+24(SB), Z12
-	VBROADCASTSD expk<>+32(SB), Z11
-	VBROADCASTSD expk<>+40(SB), Z10
-	VBROADCASTSD expk<>+48(SB), Z9
+	EXPK8
 	VBROADCASTSD expk<>+56(SB), Z8
-	VPBROADCASTQ expk<>+64(SB), Z7
-	VBROADCASTSD exph<>+0(SB), Z16
-	VBROADCASTSD exph<>+32(SB), Z17
-	VBROADCASTSD exph<>+64(SB), Z18
-	VBROADCASTSD exph<>+96(SB), Z19
-	VBROADCASTSD exph<>+128(SB), Z20
-	VBROADCASTSD exph<>+160(SB), Z21
 block:
 	VMOVUPS   (SI), Y0
 	VSUBPS    Y6, Y0, Y0
 	VCVTPS2PD Y0, Z0
 	VCMPPD    $0x15, Z8, Z0, K1 // not x < -104
-	VMULPD    Z15, Z0, Z1
-	VCVTPD2DQ Z1, Y2 // k = round(x·log2e)
-	VCVTDQ2PD Y2, Z1
-	VFNMADD231PD Z14, Z1, Z0 // x -= k·LN2U
-	VFNMADD231PD Z13, Z1, Z0 // x -= k·LN2L
-	VMULPD    Z12, Z0, Z0
-	VMOVAPD   Z11, Z1
-	VFMADD213PD Z16, Z0, Z1
-	VFMADD213PD Z17, Z0, Z1
-	VFMADD213PD Z18, Z0, Z1
-	VFMADD213PD Z19, Z0, Z1
-	VFMADD213PD Z20, Z0, Z1
-	VFMADD213PD Z21, Z0, Z1
-	VFMADD213PD Z10, Z0, Z1
-	VMULPD    Z1, Z0, Z0
-	VADDPD    Z9, Z0, Z1
-	VMULPD    Z1, Z0, Z0
-	VADDPD    Z9, Z0, Z1
-	VMULPD    Z1, Z0, Z0
-	VADDPD    Z9, Z0, Z1
-	VMULPD    Z1, Z0, Z0
-	VADDPD    Z9, Z0, Z1
-	VFMADD213PD Z10, Z1, Z0
-	VPMOVSXDQ Y2, Z4
-	VPADDQ    Z7, Z4, Z4
-	VPSLLQ    $52, Z4, Z4 // 2^k
-	VMULPD    Z4, Z0, Z0
+	EXPPD8
 	VCVTPD2PS.Z Z0, K1, Y0
 	VMOVUPS   Y0, (SI)
 	VADDSS    (SI), X5, X5
@@ -856,5 +877,124 @@ block:
 	SUBQ      $8, CX
 	JGT       block
 	VMOVSS    X5, ret+24(FP)
+	VZEROUPPER
+	RET
+
+DATA siluk<>+0(SB)/4, $0x80000000
+DATA siluk<>+4(SB)/4, $1.0
+GLOBL siluk<>(SB), RODATA|NOPTR, $8
+
+// func siluMulAVX2(x, u *float32, n int)
+//
+// For i in [0, n): x[i] = x[i] / (1 + float32(math.Exp(float64(-x[i])))) *
+// u[i]; n%4 == 0, n > 0, and every |x[i]| < 80. The exp runs on EXPPD4, so
+// it is math.Exp's float64 to the bit and needs no clamp in that range; the
+// float32 add, divide and multiply follow in the scalar loop's order.
+TEXT ·siluMulAVX2(SB), NOSPLIT, $0-24
+	MOVQ x+0(FP), SI
+	MOVQ u+8(FP), DI
+	MOVQ n+16(FP), CX
+	VBROADCASTSS siluk<>+0(SB), X5
+	VBROADCASTSS siluk<>+4(SB), X6
+	EXPK4
+block:
+	VMOVUPS   (SI), X3
+	VXORPS    X5, X3, X0 // -x
+	VCVTPS2PD X0, Y0
+	EXPPD4
+	VCVTPD2PSY Y0, X0
+	VADDPS    X6, X0, X0
+	VDIVPS    X0, X3, X3
+	VMULPS    (DI), X3, X3
+	VMOVUPS   X3, (SI)
+	ADDQ      $16, SI
+	ADDQ      $16, DI
+	SUBQ      $4, CX
+	JGT       block
+	VZEROUPPER
+	RET
+
+// func siluMulAVX512(x, u *float32, n int)
+//
+// siluMulAVX2 on eight lanes, the exp on EXPPD8; n%8 == 0, n > 0.
+TEXT ·siluMulAVX512(SB), NOSPLIT, $0-24
+	MOVQ x+0(FP), SI
+	MOVQ u+8(FP), DI
+	MOVQ n+16(FP), CX
+	VBROADCASTSS siluk<>+0(SB), Y5
+	VBROADCASTSS siluk<>+4(SB), Y6
+	EXPK8
+block:
+	VMOVUPS   (SI), Y3
+	VXORPS    Y5, Y3, Y0 // -x
+	VCVTPS2PD Y0, Z0
+	EXPPD8
+	VCVTPD2PS Z0, Y0
+	VADDPS    Y6, Y0, Y0
+	VDIVPS    Y0, Y3, Y3
+	VMULPS    (DI), Y3, Y3
+	VMOVUPS   Y3, (SI)
+	ADDQ      $32, SI
+	ADDQ      $32, DI
+	SUBQ      $8, CX
+	JGT       block
+	VZEROUPPER
+	RET
+
+DATA neginf<>+0(SB)/4, $0xff800000
+GLOBL neginf<>(SB), RODATA|NOPTR, $4
+
+// func argBestCosAVX2(best *int, dots *float32, stride int, kn, cn *float32, n, c int)
+//
+// ArgBestCos over keys [0, n), eight per lane group; n%8 == 0, n > 0, c > 0.
+// Each lane runs the scalar loop of its key: den = kn·cn[j], s = dot/den
+// masked to +0 where den > 0 fails (GT_OQ: false on NaN, as Go's >), then
+// best takes j where s > the best score so far (GT_OQ again, so the first
+// maximal j stays and a NaN score never wins). The lanes' int32 indices are
+// widened to int on the store.
+TEXT ·argBestCosAVX2(SB), NOSPLIT, $0-56
+	MOVQ best+0(FP), DI
+	MOVQ dots+8(FP), SI
+	MOVQ stride+16(FP), DX
+	SHLQ $2, DX
+	MOVQ kn+24(FP), R8
+	MOVQ cn+32(FP), R9
+	MOVQ n+40(FP), BX
+	MOVQ c+48(FP), CX
+	VBROADCASTSS neginf<>(SB), Y14
+	VXORPS   Y15, Y15, Y15
+	VPCMPEQD Y13, Y13, Y13 // int32 -1: j - (-1) steps the index
+group:
+	VMOVUPS (R8), Y0
+	VMOVAPS Y14, Y1 // best score
+	VPXOR   Y2, Y2, Y2 // best j
+	VPXOR   Y3, Y3, Y3 // j
+	MOVQ    SI, R10
+	XORQ    AX, AX
+cent:
+	VBROADCASTSS (R9)(AX*4), Y4
+	VMULPS    Y4, Y0, Y4
+	VMOVUPS   (R10), Y5
+	VDIVPS    Y4, Y5, Y5
+	VCMPPS    $0x1e, Y15, Y4, Y6 // den > 0
+	VANDPS    Y6, Y5, Y5
+	VCMPPS    $0x1e, Y1, Y5, Y7 // s > best
+	VBLENDVPS Y7, Y5, Y1, Y1
+	VBLENDVPS Y7, Y3, Y2, Y2
+	VPSUBD    Y13, Y3, Y3
+	ADDQ      DX, R10
+	INCQ      AX
+	CMPQ      AX, CX
+	JLT       cent
+	VPMOVSXDQ X2, Y8
+	VEXTRACTI128 $1, Y2, X9
+	VPMOVSXDQ X9, Y9
+	VMOVDQU   Y8, (DI)
+	VMOVDQU   Y9, 32(DI)
+	ADDQ      $64, DI
+	ADDQ      $32, SI
+	ADDQ      $32, R8
+	SUBQ      $8, BX
+	JGT       group
 	VZEROUPPER
 	RET

@@ -344,12 +344,164 @@ func expPinRange(t *testing.T, k expKernel, from, to, step uint32) {
 	t.Logf("%s: %d values identical to float32(math.Exp)", k.name, checked)
 }
 
+// argBestCosInputs fills a c×stride score block and the norms of n keys and
+// c centroids with the cases the arg-best must agree on: zero and negative
+// norms (den ≯ 0 scores 0), ±0, duplicated centroid rows (ties go to the
+// lowest j) and, with specials, NaN and ±Inf scores and norms.
+func argBestCosInputs(r *rng.RNG, n, c, stride int, specials bool) (dots, kn, cn []float32) {
+	dots = oddSlice(r, (c-1)*stride+n)
+	kn, cn = oddSlice(r, n), oddSlice(r, c)
+	for i := range kn {
+		kn[i] = float32(math.Abs(float64(kn[i])))
+	}
+	for j := range cn {
+		cn[j] = float32(math.Abs(float64(cn[j])))
+	}
+	negZero := float32(math.Copysign(0, -1))
+	for i := 0; i < n; i += 7 {
+		kn[i] = 0
+	}
+	for j := 1; j < c; j += 5 {
+		cn[j] = 0
+	}
+	for j := 2; j < c; j += 4 { // centroid j repeats centroid j-1
+		copy(dots[j*stride:j*stride+n], dots[(j-1)*stride:(j-1)*stride+n])
+		cn[j] = cn[j-1]
+	}
+	for i := 3; i < len(dots); i += 11 {
+		dots[i] = negZero
+	}
+	if !specials {
+		return
+	}
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	for i, v := range []float32{nan, inf, -inf, nan, negZero, -1} {
+		if k := i * 5; k < n {
+			kn[k] = v
+		}
+		if k := i*3 + 1; k < c {
+			cn[k] = v
+		}
+		if k := i*13 + 2; k < len(dots) {
+			dots[k] = v
+		}
+	}
+	return
+}
+
+// TestVecArgBestCos checks the vector arg-best against its scalar loop over
+// every key count mod 8, centroid counts around a lane group, padded row
+// strides, and unit norms (the inner-product form).
+func TestVecArgBestCos(t *testing.T) {
+	needVec(t)
+	ns := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 63, 64, 65, 100, 480}
+	for _, n := range ns {
+		for _, c := range []int{1, 2, 3, 4, 6, 7, 8, 9, 51} {
+			for _, stride := range []int{n, n + 5} {
+				for _, specials := range []bool{false, true} {
+					r := rng.New(uint64(n*1000+c*10+stride) ^ 77)
+					dots, kn, cn := argBestCosInputs(r, n, c, stride, specials)
+					name := sprintShape("argBestCos", n, c, stride, 0)
+					if specials {
+						name += " specials"
+					}
+					got, want := make([]int, n), make([]int, n)
+					for i := range got {
+						got[i] = -7
+					}
+					ArgBestCos(got, dots, stride, kn, cn)
+					argBestCosGo(want, dots, stride, kn, cn)
+					expectIntsEqual(t, name, got, want)
+
+					ones := make([]float32, max(n, c))
+					Fill(ones, 1)
+					ArgBestCos(got, dots, stride, ones[:n], ones[:c])
+					argBestCosGo(want, dots, stride, ones[:n], ones[:c])
+					expectIntsEqual(t, name+" unit norms", got, want)
+				}
+			}
+		}
+	}
+}
+
+func expectIntsEqual(t *testing.T, name string, got, want []int) {
+	t.Helper()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: element %d = %d, want %d", name, i, got[i], want[i])
+		}
+	}
+}
+
+// TestVecSiluMul checks SiluMul on every exp kernel (the AVX-512 one and,
+// with useExp8 off, the AVX2 one) against its scalar loop: every length mod
+// 8, ±0, gates just inside and just outside the |x| < 80 range the kernels
+// take, NaN and ±Inf in either operand, and a sweep of every 1009th float32
+// of the kernels' whole range (-80, 80).
+func TestVecSiluMul(t *testing.T) {
+	needVec(t)
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	below := math.Float32frombits(siluVecLimit - 1)
+	above := math.Float32frombits(siluVecLimit + 1)
+	specials := [][]float32{nil, {0, float32(math.Copysign(0, -1))}, {below, -below}, {80}, {-80},
+		{above, -above}, {nan}, {inf}, {-inf}, {-inf, nan, inf}}
+	for _, k := range expKernels {
+		withExp(k, func() {
+			for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 31, 64, 100, 128, 129} {
+				for _, spread := range []float32{1, 10, 40, 79} {
+					r := rng.New(uint64(n)*31 + uint64(spread))
+					g, u := oddSlice(r, n), oddSlice(r, n)
+					for i := range g {
+						g[i] = max(-below, min(below, g[i]*spread))
+					}
+					for si, special := range specials {
+						for _, inU := range []bool{false, true} {
+							got, gu := append([]float32(nil), g...), append([]float32(nil), u...)
+							for i, v := range special {
+								if n == 0 {
+									break
+								}
+								if inU {
+									gu[(i*5+n/2)%n] = v
+								} else {
+									got[(i*5+n/2)%n] = v
+								}
+							}
+							want := append([]float32(nil), got...)
+							SiluMul(got, gu)
+							siluMulGo(want, gu)
+							name := k.name + " " + sprintShape("siluMul", n, int(spread), si, 0)
+							if inU {
+								name += " in u"
+							}
+							expectBitsEqual(t, name, got, want)
+						}
+					}
+				}
+			}
+			var x []float32
+			for _, sign := range []uint32{0, 0x80000000} {
+				for b := uint32(0); b < siluVecLimit; b += 1009 {
+					x = append(x, math.Float32frombits(sign|b))
+				}
+			}
+			u := make([]float32, len(x))
+			Fill(u, 1)
+			got, want := append([]float32(nil), x...), append([]float32(nil), x...)
+			SiluMul(got, u)
+			siluMulGo(want, u)
+			expectBitsEqual(t, k.name+" siluMul sweep", got, want)
+		})
+	}
+}
+
 // FuzzVecKernels decodes the input into finite float32 rows and checks the
 // dot, axpy and softmax dispatchers, the row-list dot and axpy and the
 // query-block dot and axpy against their scalar loops at a fuzzed width, row
 // count, row list and query count;
-// the raw values, non-finite ones included, go through softmax on every exp
-// kernel.
+// the raw values, non-finite ones included, go through softmax and SiluMul
+// on every exp kernel and through ArgBestCos as scores and norms of a fuzzed
+// centroid count.
 func FuzzVecKernels(f *testing.F) {
 	seed := make([]byte, 4*16*70)
 	r := rng.New(1)
@@ -378,6 +530,23 @@ func FuzzVecKernels(f *testing.F) {
 			withExp(k, func() { softmax(sm) })
 			softmaxGo(smWant)
 			expectBitsEqual(t, k.name+" softmax", sm, smWant)
+			// Gates and multipliers are the raw values, and the same values
+			// clamped into the vector range.
+			u := raw[len(raw)/2:]
+			for _, gate := range [][]float32{raw[:len(u)], clampSilu(raw[:len(u)])} {
+				sg, sgWant := append([]float32(nil), gate...), append([]float32(nil), gate...)
+				withExp(k, func() { SiluMul(sg, u) })
+				siluMulGo(sgWant, u)
+				expectBitsEqual(t, k.name+" siluMul", sg, sgWant)
+			}
+		}
+		if c := 1 + int(pick)%9; len(raw) >= 2*c+1 {
+			n := (len(raw) - c) / (c + 1)
+			dots, kn, cn := raw[:c*n], raw[c*n:c*n+n], raw[c*n+n:c*n+n+c]
+			best, bestWant := make([]int, n), make([]int, n)
+			ArgBestCos(best, dots, n, kn, cn)
+			argBestCosGo(bestWant, dots, n, kn, cn)
+			expectIntsEqual(t, "argBestCos", best, bestWant)
 		}
 
 		// The row kernels' contract is finite inputs with finite partial
@@ -432,6 +601,19 @@ func FuzzVecKernels(f *testing.F) {
 		}
 		expectBitsEqual(t, "addScaledRowsBlock", got, want)
 	})
+}
+
+// clampSilu returns x with NaN as 0 and every value inside SiluMul's vector
+// range |x| < 80.
+func clampSilu(x []float32) []float32 {
+	lim := math.Float32frombits(siluVecLimit - 1)
+	out := make([]float32, len(x))
+	for i, v := range x {
+		if v == v {
+			out[i] = max(-lim, min(lim, v))
+		}
+	}
+	return out
 }
 
 // BenchmarkVecKernels times the three attention kernels over 4096 keys at

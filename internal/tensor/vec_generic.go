@@ -54,3 +54,11 @@ func (pm *PackedMat) panelBandRows(dsts [][]float32, x *Mat, lo, hi int) {
 func softmax(x []float32) {
 	softmaxGo(x)
 }
+
+func siluMul(g, u []float32) {
+	siluMulGo(g, u)
+}
+
+func argBestCos(best []int, dots []float32, stride int, kn, cn []float32) {
+	argBestCosGo(best, dots, stride, kn, cn)
+}
