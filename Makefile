@@ -32,12 +32,13 @@ test-xfer-race:
 	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/serve/ ./internal/kvcache/ ./internal/core/
 	GOMAXPROCS=2 $(GO) test -race -count=4 -run 'TestTransferTelemetryDeterministic' ./internal/serve/
 
-# Fleet determinism lane: the multi-replica router suite at the serial
-# schedule and at GOMAXPROCS=2 (race-enabled), locking identical placements,
-# tokens and metrics across replica counts {1,2,4} (DESIGN.md §9).
+# Fleet determinism lane: the multi-replica router suite and its front door,
+# the clusterkv-serve CLI, at the serial schedule and at GOMAXPROCS=2
+# (race-enabled), locking identical placements, tokens and metrics across
+# replica counts {1,2,4} (DESIGN.md §9).
 test-fleet:
-	GOMAXPROCS=1 $(GO) test -count=1 ./internal/fleet/
-	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/fleet/
+	GOMAXPROCS=1 $(GO) test -count=1 ./internal/fleet/ ./cmd/clusterkv-serve/
+	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/fleet/ ./cmd/clusterkv-serve/
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .

@@ -1,14 +1,17 @@
-// Command clusterkv-serve drives the continuous-batching serving engine
-// with a synthetic multi-tenant QA load (many questions over shared long
-// documents) and prints a throughput/latency report comparing compression
-// methods under identical load, plus the engine against serial
-// one-at-a-time decode of the same request set.
+// Command clusterkv-serve drives the serving stack — a fleet.Router over one
+// or more serve.Engine replicas — with a synthetic multi-tenant load (many
+// questions over shared long documents, or chat, agentic or RAG traffic) and
+// prints one report per compression method: the fleet summary, then each
+// replica's engine metrics. A closing table compares the methods under
+// identical load, and the fleet against serial one-at-a-time decode of the
+// same request set.
 //
-//	clusterkv-serve                      # default: 8 streams, 16 requests
+//	clusterkv-serve                      # default: 1 replica, 8 streams, 16 requests
 //	clusterkv-serve -streams 8 -requests 32 -doclen 2048
+//	clusterkv-serve -replicas 4 -method clusterkv   # prefix-affinity routing over 4 replicas
+//	clusterkv-serve -slo-ttft 150 -shed  # SLO-aware shedding (modeled ms)
 //	clusterkv-serve -rate 4              # open-loop Poisson arrivals, 4 req/s
-//	clusterkv-serve -method clusterkv    # single method
-//	clusterkv-serve -trace out.json      # Chrome trace_event timeline (Perfetto)
+//	clusterkv-serve -method clusterkv -trace out.json   # Chrome trace_event timeline (Perfetto)
 //	clusterkv-serve -metrics -           # text metrics exposition on stdout
 package main
 
@@ -24,7 +27,9 @@ import (
 	"clusterkv/internal/attention"
 	"clusterkv/internal/baselines"
 	"clusterkv/internal/core"
+	"clusterkv/internal/fleet"
 	"clusterkv/internal/kvcache"
+	"clusterkv/internal/metrics"
 	"clusterkv/internal/model"
 	"clusterkv/internal/obs"
 	"clusterkv/internal/parallel"
@@ -62,7 +67,8 @@ func methods(which string) ([]methodSpec, error) {
 }
 
 // positive returns an error naming the first of the named int flags whose
-// value is below 1: no load or engine dimension can be zero or negative.
+// value is below 1: no load, engine or fleet dimension can be zero or
+// negative.
 func positive(names ...string) error {
 	for _, n := range names {
 		if v := flag.Lookup(n).Value.(flag.Getter).Get().(int); v < 1 {
@@ -74,34 +80,40 @@ func positive(names ...string) error {
 
 func main() {
 	var (
-		streams   = flag.Int("streams", 8, "concurrent decode streams (continuous-batching batch size)")
-		workers   = flag.Int("workers", 0, "per-round decode step fan-out (0 = GOMAXPROCS); steps run on the shared intra-op pool, so effective concurrency is min(workers, intraop)")
-		intraOp   = flag.Int("intraop", 0, "shared worker pool width for kernels AND step fan-out (0 = GOMAXPROCS); outputs are width-independent, -intraop 1 serializes everything")
+		replicas  = flag.Int("replicas", 1, "engine replicas behind the router (prefix-affinity routing with a least-loaded fallback)")
+		streams   = flag.Int("streams", 8, "per-replica concurrent decode streams (continuous-batching batch size)")
+		intraOp   = flag.Int("intraop", 0, "shared worker pool width for kernels and step fan-out (0 = GOMAXPROCS); outputs are width-independent, -intraop 1 serializes everything")
 		requests  = flag.Int("requests", 16, "total requests in the load")
 		docs      = flag.Int("docs", 2, "shared documents tenants ask about")
 		docLen    = flag.Int("doclen", 1024, "document length (tokens)")
 		qLen      = flag.Int("qlen", 32, "question suffix length (tokens)")
 		newTok    = flag.Int("newtokens", 24, "tokens generated per request")
 		budget    = flag.Int("budget", 256, "per-head KV budget for compressed methods")
-		kvBudget  = flag.Int64("kvbudget", 0, "device KV budget in per-head token slots (0 = unlimited), metered in exact arena pages")
-		hostBud   = flag.Int64("hostbudget", 0, "host-tier KV budget in per-head token slots (0 = single-tier); with -kvbudget set, admission gates on device+host and cold pages spill host-ward between rounds")
-		rate      = flag.Float64("rate", 0, "open-loop arrival rate in req/s (0 = closed loop)")
+		kvBudget  = flag.Int64("kvbudget", 0, "per-replica device KV budget in per-head token slots (0 = unlimited), metered in exact arena pages")
+		hostBud   = flag.Int64("hostbudget", 0, "per-replica host-tier KV budget in per-head token slots (0 = single-tier); with -kvbudget set, admission gates on device+host and cold pages spill host-ward between rounds")
+		rate      = flag.Float64("rate", 0, "open-loop arrival rate in req/s, routed live through Router.Submit (0 = closed loop, one deterministic Router.Run)")
+		sloTTFT   = flag.Float64("slo-ttft", 0, "modeled TTFT SLO in milliseconds (0 = none)")
+		sloTBT    = flag.Float64("slo-tbt", 0, "modeled TBT SLO in milliseconds (0 = none)")
+		shed      = flag.Bool("shed", false, "shed requests predicted to miss -slo-ttft on every replica")
 		attrOn    = flag.Bool("attr", false, "print the per-request latency attribution table: per-phase breakdown on the modeled clock (DESIGN.md §14); -trace carries its span lanes and -metrics its clusterkv_attr_* series either way")
 		seed      = flag.Uint64("seed", 1, "master seed")
 		method    = flag.String("method", "all", "methods to serve (clusterkv, quest, fullkv, all)")
 		loadKind  = flag.String("load", "qa", "workload shape: qa (shared-doc questions), chat (multi-turn sessions), agentic (re-entry loops), rag (templated retrieval); non-qa loads ignore -requests/-docs/-doclen/-qlen")
 		noPrefix  = flag.Bool("noprefixcache", false, "declare no shared prefixes (every request prefills its whole prompt)")
 		noSerial  = flag.Bool("noserial", false, "skip the serial one-at-a-time baseline")
-		verifyOut = flag.Bool("verify", true, "check engine outputs match serial decode token-for-token")
-		traceOut  = flag.String("trace", "", "write a Chrome trace_event JSON timeline of the run (load in chrome://tracing or Perfetto); with -method all each method gets its own process lane")
-		metricsTo = flag.String("metrics", "", "write text metrics exposition to this file after the run (\"-\" = stdout); one series set per method, labeled method=<name>")
+		verifyOut = flag.Bool("verify", true, "check served outputs match serial decode token-for-token")
+		traceOut  = flag.String("trace", "", "write a Chrome trace_event JSON timeline of one method's run: router lane pid 0, replica i on pid i+1 (load in chrome://tracing or Perfetto)")
+		metricsTo = flag.String("metrics", "", "write text metrics exposition to this file after the run (\"-\" = stdout); one series set per method, labeled method=<name>, with replica=<i> on each engine's series")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
 	flag.Parse()
 	specs, err := methods(*method)
 	if err == nil {
-		err = positive("streams", "requests", "docs", "doclen", "qlen", "newtokens")
+		err = positive("replicas", "streams", "requests", "docs", "doclen", "qlen", "newtokens")
+	}
+	if err == nil && *traceOut != "" && len(specs) > 1 {
+		err = fmt.Errorf("-trace %s: needs a single -method (a trace is one fleet's lanes), got %d", *traceOut, len(specs))
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -178,9 +190,9 @@ func main() {
 	m := model.New(model.DefaultConfig())
 	fmt.Printf("load: %s\n", loadDesc)
 	if *rate > 0 {
-		fmt.Printf("arrivals: open-loop Poisson at %.2f req/s\n", *rate)
+		fmt.Printf("arrivals: open-loop Poisson at %.2f req/s (live routing via Router.Submit)\n", *rate)
 	} else {
-		fmt.Printf("arrivals: closed loop (all requests queued up front)\n")
+		fmt.Printf("arrivals: closed loop (all requests queued up front, deterministic Router.Run)\n")
 	}
 	admission := fmt.Sprintf("exact pages (%d-token pages)", kvcache.DefaultPageTokens)
 	if *hostBud > 0 && *kvBudget > 0 {
@@ -190,21 +202,20 @@ func main() {
 	if *noPrefix {
 		prefixCache = "off"
 	}
-	fmt.Printf("engine: %d streams, %d workers, intra-op pool %d, prefix cache %s, global KV budget %v, admission %s\n\n",
-		*streams, effWorkers(*workers), parallel.Default().Width(), prefixCache, budgetStr(*kvBudget), admission)
+	fmt.Printf("serving: %d replicas x %d streams, intra-op pool %d, prefix cache %s, KV budget %v per replica, admission %s\n\n",
+		*replicas, *streams, parallel.Default().Width(), prefixCache, budgetStr(*kvBudget), admission)
 
 	type row struct {
-		name                   string
-		serialTokS, engineTokS float64
-		speedup                float64
-		ttftP50, ttftP95       float64
-		tokP50                 float64
-		prefillSaved           int64
-		match                  string
+		name             string
+		serialTokS, tokS float64
+		speedup          float64
+		ttft, tbt        serve.LatencyStats
+		prefillSaved     int64
+		match            string
 	}
 	var rows []row
 
-	for mi, spec := range specs {
+	for _, spec := range specs {
 		reqs := buildRequests(load, spec, *budget)
 
 		var serialSecs float64
@@ -219,27 +230,32 @@ func main() {
 			}
 		}
 
-		cfg := serve.DefaultConfig()
-		cfg.MaxBatch = *streams
-		if *workers > 0 {
-			cfg.Workers = *workers
-		}
-		cfg.KVBudget = *kvBudget
-		cfg.HostBudget = *hostBud
-		cfg.Seed = *seed
-		cfg.Trace = tracer.Recorder(mi) // nil tracer -> disabled recorder
-		eng := serve.NewEngine(m, cfg)
-		resps := dispatch(eng, reqs, *rate, *seed)
-		eng.Close() // drain before the snapshot
-		mx := eng.Metrics()
-		arenaPeak := eng.Arena().PeakPages()
-		attrSnap := eng.Attribution().Snapshot()
+		ecfg := serve.DefaultConfig()
+		ecfg.MaxBatch = *streams
+		ecfg.KVBudget = *kvBudget
+		ecfg.HostBudget = *hostBud
+		ecfg.Seed = *seed
+		router := fleet.NewRouter(m, fleet.Config{
+			Replicas: *replicas,
+			Engine:   ecfg,
+			SLOTTFT:  *sloTTFT / 1e3,
+			SLOTBT:   *sloTBT / 1e3,
+			Shed:     *shed,
+			Seed:     *seed,
+			Trace:    tracer,
+		})
+		start := time.Now()
+		resps := dispatch(router, reqs, *rate, *seed)
+		wall := time.Since(start).Seconds()
+		router.Close() // drain before the snapshot
+		sum := router.Summary()
 		if reg != nil {
-			ml := obs.L("method", strings.ToLower(spec.name))
-			eng.FillRegistry(reg, ml)
-			attrSnap.FillRegistry(reg, ml)
+			router.FillRegistry(reg, obs.L("method", strings.ToLower(spec.name)))
 		}
 
+		// The table's wall columns come from the responses, so they read the
+		// same at every replica count.
+		var ttft, tbt metrics.Summary
 		failed, compared := 0, 0
 		match := "n/a"
 		for i, r := range resps {
@@ -247,9 +263,13 @@ func main() {
 				failed++
 				continue
 			}
+			ttft.Add(r.TTFT.Seconds())
+			if n := len(r.Tokens); n > 1 {
+				tbt.Add((r.Total - r.TTFT).Seconds() / float64(n-1))
+			}
 			if *verifyOut && serialOut != nil {
 				compared++
-				if !equalTokens(r.Tokens, serialOut[i]) {
+				if !slices.Equal(r.Tokens, serialOut[i]) {
 					match = "NO"
 				}
 			}
@@ -261,53 +281,39 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%s: %d requests failed\n", spec.name, failed)
 		}
 
-		naivePrefill := int64(0)
-		if mx.Completed > 0 {
-			for _, q := range load {
-				naivePrefill += int64(len(q.Prompt))
-			}
-		}
 		r := row{
 			name:         spec.name,
-			engineTokS:   mx.Throughput(),
-			ttftP50:      mx.TTFT.P50 * 1e3,
-			ttftP95:      mx.TTFT.P95 * 1e3,
-			tokP50:       mx.TokenLatency.P50 * 1e3,
-			prefillSaved: naivePrefill - mx.PrefillTokens,
+			tokS:         float64(sum.TokensGenerated) / wall,
+			ttft:         serve.Summarize(&ttft),
+			tbt:          serve.Summarize(&tbt),
+			prefillSaved: sum.SavedPrefillTokens,
 			match:        match,
 		}
 		if serialSecs > 0 {
 			r.serialTokS = float64(serialTok) / serialSecs
-			if r.engineTokS > 0 {
-				r.speedup = r.engineTokS / r.serialTokS
-			}
+			r.speedup = r.tokS / r.serialTokS
 		}
 		rows = append(rows, r)
 
-		fmt.Printf("== %s ==\n%s", spec.name, mx.String())
-		fmt.Printf("kv arena: peak %d live pages (%d tokens/page, shared prefix pages counted once)\n",
-			arenaPeak, kvcache.DefaultPageTokens)
-		if *hostBud > 0 {
-			fmt.Printf("host tier: %d slots resident (peak %d of %d), %d slots spilled, device peak %d of %d\n",
-				mx.KVHostUsed, mx.KVHostPeak, mx.KVHostCapacity, mx.KVSpilled, mx.KVDevicePeak, mx.KVCapacity)
+		fmt.Printf("== %s ==\n%s", spec.name, sum)
+		if *attrOn {
+			sum.Attribution.WriteTable(os.Stdout)
 		}
-		if tr := mx.Transfer; tr.PrefetchedPages > 0 {
-			fmt.Printf("prefetch: %.0f%% hit rate (%d of %d pages claimed by fetches), %.0f%% of transfer time hidden\n",
-				tr.PrefetchHitRate()*100, tr.PrefetchHits, tr.PrefetchedPages, tr.HiddenFrac()*100)
+		for i, rs := range sum.PerReplica {
+			fmt.Printf("-- replica %d --\n%s", i, rs.Metrics)
+			fmt.Printf("kv arena: peak %d live pages (%d tokens/page, shared prefix pages counted once)\n",
+				rs.ArenaPeakPages, kvcache.DefaultPageTokens)
 		}
 		if serialSecs > 0 {
 			fmt.Printf("serial baseline: %.1f tok/s (one request at a time, full per-request prefill)\n", r.serialTokS)
 			fmt.Printf("engine speedup:  %.2fx aggregate tokens/sec over serial decode\n", r.speedup)
-		}
-		if *attrOn {
-			attrSnap.WriteTable(os.Stdout)
 		}
 		fmt.Println()
 	}
 
 	// Summary table.
 	fmt.Printf("%-10s %12s %12s %9s %10s %10s %10s %14s %6s\n",
-		"method", "serial tok/s", "engine tok/s", "speedup", "ttft p50", "ttft p95", "tok p50", "prefill saved", "match")
+		"method", "serial tok/s", "engine tok/s", "speedup", "ttft p50", "ttft p95", "tbt p50", "prefill saved", "match")
 	for _, r := range rows {
 		serial := "-"
 		speedup := "-"
@@ -316,7 +322,7 @@ func main() {
 			speedup = fmt.Sprintf("%.2fx", r.speedup)
 		}
 		fmt.Printf("%-10s %12s %12.1f %9s %8.1fms %8.1fms %8.2fms %14d %6s\n",
-			r.name, serial, r.engineTokS, speedup, r.ttftP50, r.ttftP95, r.tokP50, r.prefillSaved, r.match)
+			r.name, serial, r.tokS, speedup, r.ttft.P50*1e3, r.ttft.P95*1e3, r.tbt.P50*1e3, r.prefillSaved, r.match)
 	}
 
 	if tracer != nil {
@@ -373,13 +379,6 @@ func writeMetrics(path string, reg *obs.Registry) {
 	}
 }
 
-func effWorkers(w int) int {
-	if w > 0 {
-		return w
-	}
-	return serve.DefaultConfig().Workers
-}
-
 func budgetStr(b int64) string {
 	if b <= 0 {
 		return "unlimited"
@@ -427,34 +426,22 @@ func runSerial(m *model.Model, reqs []serve.Request) [][]int {
 	return out
 }
 
-// dispatch submits the load: closed-loop as one deterministic batch,
-// open-loop with seeded Poisson gaps between Submits.
-func dispatch(eng *serve.Engine, reqs []serve.Request, rate float64, seed uint64) []serve.Response {
+// dispatch submits the load: closed loop as one deterministic Router.Run,
+// open loop through Router.Submit with seeded Poisson gaps between requests.
+func dispatch(r *fleet.Router, reqs []serve.Request, rate float64, seed uint64) []fleet.Response {
 	if rate <= 0 {
-		return eng.Run(reqs)
+		return r.Run(reqs)
 	}
-	tickets := make([]*serve.Ticket, len(reqs))
+	tickets := make([]*fleet.Ticket, len(reqs))
 	for i, a := range workload.PoissonArrivals(seed, len(reqs), rate) {
 		time.Sleep(time.Duration(a.Gap * float64(time.Second)))
-		tickets[i] = eng.Submit(reqs[i])
+		tickets[i] = r.Submit(reqs[i])
 	}
-	out := make([]serve.Response, len(tickets))
+	out := make([]fleet.Response, len(tickets))
 	for i, tk := range tickets {
 		out[i] = tk.Wait()
 	}
 	return out
-}
-
-func equalTokens(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func argmax(xs []float32) int {

@@ -3,10 +3,38 @@ package main
 import (
 	"os"
 	"os/exec"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
 )
+
+// TestMain runs main instead of the tests when CLUSTERKV_SERVE_ARGS is set:
+// the subprocess tests below re-exec the test binary with it.
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv("CLUSTERKV_SERVE_ARGS"); ok {
+		os.Args = append([]string{"clusterkv-serve"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runMain runs main in a child process with args and returns its stdout,
+// stderr and exit code.
+func runMain(t *testing.T, args string) (stdout, stderr string, code int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "CLUSTERKV_SERVE_ARGS="+args)
+	var out, errOut strings.Builder
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	if err := cmd.Run(); err != nil {
+		if _, ok := err.(*exec.ExitError); !ok {
+			t.Fatalf("%s: %v", args, err)
+		}
+	}
+	return out.String(), errOut.String(), cmd.ProcessState.ExitCode()
+}
 
 func TestMethodsRejectsUnknownNames(t *testing.T) {
 	for _, tc := range []struct {
@@ -43,39 +71,55 @@ func TestMethodsRejectsUnknownNames(t *testing.T) {
 	}
 }
 
-// TestShapeFlagsMustBePositive runs main in a child process: a load or engine
-// dimension below 1 exits 2 with one line naming the flag, and 1 is accepted.
+// TestShapeFlagsMustBePositive: a load, engine or fleet dimension below 1
+// exits 2 with one line naming the flag, and 1 is accepted. So does -trace
+// with more than one method, since one trace holds one fleet's lanes.
 func TestShapeFlagsMustBePositive(t *testing.T) {
-	if args, ok := os.LookupEnv("CLUSTERKV_SERVE_ARGS"); ok {
-		os.Args = append([]string{"clusterkv-serve"}, strings.Fields(args)...)
-		main()
-		return
-	}
 	// A small run, so a value the check let through still finishes fast.
-	const small = "-method fullkv -noserial -requests 1 -docs 1 -doclen 64 -qlen 4 -newtokens 1 -streams 1 "
+	const small = "-method fullkv -noserial -requests 1 -docs 1 -doclen 64 -qlen 4 -newtokens 1 -streams 1 -replicas 1 "
 	for _, tc := range []struct{ args, flag string }{
+		{"-replicas 0", "-replicas"},
+		{"-streams -1", "-streams"},
 		{"-requests 0", "-requests"},
 		{"-docs 0", "-docs"},
 		{"-doclen 0", "-doclen"},
 		{"-qlen 0", "-qlen"},
 		{"-newtokens 0", "-newtokens"},
-		{"-streams -1", "-streams"},
+		{"-method fullkv,quest -trace " + t.TempDir() + "/t.json", "-trace"},
 		{"-streams 1", ""},
 	} {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestShapeFlagsMustBePositive$")
-		cmd.Env = append(os.Environ(), "CLUSTERKV_SERVE_ARGS="+small+tc.args)
-		var stderr strings.Builder
-		cmd.Stderr = &stderr
-		err := cmd.Run()
+		_, stderr, code := runMain(t, small+tc.args)
 		if tc.flag == "" {
-			if err != nil {
-				t.Errorf("%s: %v\n%s", tc.args, err, stderr.String())
+			if code != 0 {
+				t.Errorf("%s: exit %d\n%s", tc.args, code, stderr)
 			}
 			continue
 		}
-		msg := strings.TrimSuffix(stderr.String(), "\n")
-		if code := cmd.ProcessState.ExitCode(); code != 2 || strings.Contains(msg, "\n") || !strings.HasPrefix(msg, tc.flag+" ") {
+		msg := strings.TrimSuffix(stderr, "\n")
+		if code != 2 || strings.Contains(msg, "\n") || !strings.HasPrefix(msg, tc.flag+" ") {
 			t.Errorf("%s: exit %d, stderr %q; want exit 2 and one line naming %s", tc.args, code, msg, tc.flag)
 		}
+	}
+}
+
+// TestPrefillSavedCountsServedRequestsOnly: on a load where most requests
+// fail admission, the table's "prefill saved" is the prefix-cache tokens the
+// served requests actually reused, not the whole load's prompt tokens minus
+// those prefilled.
+func TestPrefillSavedCountsServedRequestsOnly(t *testing.T) {
+	stdout, stderr, code := runMain(t, "-load chat -method fullkv -noserial -newtokens 4 -kvbudget 200")
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr)
+	}
+	reused := regexp.MustCompile(`(?m)^prefix cache: .*; (\d+) tokens reused`).FindStringSubmatch(stdout)
+	row := regexp.MustCompile(`(?m)^FullKV .* (\d+) +\S+$`).FindStringSubmatch(stdout)
+	if reused == nil || row == nil {
+		t.Fatalf("report lacks the fleet prefix-cache line or the FullKV table row:\n%s", stdout)
+	}
+	if !strings.Contains(stdout, "10 failed") {
+		t.Fatalf("load no longer fails admission, so it tests nothing:\n%s", stdout)
+	}
+	if row[1] != reused[1] {
+		t.Fatalf("table prefill saved %s, report reused %s tokens:\n%s", row[1], reused[1], stdout)
 	}
 }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"clusterkv/internal/attention"
@@ -261,42 +262,74 @@ func TestRouterDeterminismWithSLO(t *testing.T) {
 }
 
 // TestSingleReplicaMatchesEngineRun: a 1-replica fleet is exactly the engine.
-// Router.Run must reproduce Engine.Run token-for-token, with identical round
-// schedules and prefix-cache behaviour.
+// Router.Run must reproduce Engine.Run field by field — tokens, round
+// schedules, prefix-cache behaviour, modeled latencies and every breakdown
+// field but the replica stamp — and leave the replica with the engine's
+// deterministic Metrics, on one tier and on two (spill and transfers).
 func TestSingleReplicaMatchesEngineRun(t *testing.T) {
 	m := testModel()
 	reqs := fleetLoad(2, 10)
-	ecfg := serve.Config{Workers: 2, MaxBatch: 4, KVBudget: 2048, Seed: 7}
+	for _, tc := range []struct {
+		name string
+		ecfg serve.Config
+	}{
+		{"one-tier", serve.Config{Workers: 2, MaxBatch: 4, KVBudget: 2048, Seed: 7}},
+		{"two-tier", serve.Config{Workers: 2, MaxBatch: 4, KVBudget: 512, HostBudget: 8192, Seed: 7}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := serve.NewEngine(m, tc.ecfg)
+			want := eng.Run(reqs)
+			eng.Close()
+			wantMx := eng.Metrics()
 
-	eng := serve.NewEngine(m, ecfg)
-	want := eng.Run(reqs)
-	eng.Close()
-
-	r := NewRouter(m, Config{Replicas: 1, Engine: ecfg, Seed: 7})
-	got := r.Run(reqs)
-	r.Close()
-	for i := range want {
-		if got[i].Replica != 0 {
-			t.Fatalf("request %d on replica %d, want 0", i, got[i].Replica)
-		}
-		if (want[i].Err == nil) != (got[i].Err == nil) {
-			t.Fatalf("request %d err %v vs engine %v", i, got[i].Err, want[i].Err)
-		}
-		if len(got[i].Tokens) != len(want[i].Tokens) {
-			t.Fatalf("request %d has %d tokens, engine %d", i, len(got[i].Tokens), len(want[i].Tokens))
-		}
-		for j := range want[i].Tokens {
-			if got[i].Tokens[j] != want[i].Tokens[j] {
-				t.Fatalf("request %d token %d: %d vs engine %d", i, j, got[i].Tokens[j], want[i].Tokens[j])
+			r := NewRouter(m, Config{Replicas: 1, Engine: tc.ecfg, Seed: 7})
+			got := r.Run(reqs)
+			r.Close()
+			gotMx := r.Engine(0).Metrics()
+			for i := range want {
+				g, w := got[i], want[i]
+				if g.Replica != 0 {
+					t.Fatalf("request %d on replica %d, want 0", i, g.Replica)
+				}
+				if (w.Err == nil) != (g.Err == nil) {
+					t.Fatalf("request %d err %v vs engine %v", i, g.Err, w.Err)
+				}
+				if !slices.Equal(g.Tokens, w.Tokens) {
+					t.Fatalf("request %d tokens %v vs engine %v", i, g.Tokens, w.Tokens)
+				}
+				if g.AdmitRound != w.AdmitRound || g.DoneRound != w.DoneRound {
+					t.Fatalf("request %d rounds (%d,%d) vs engine (%d,%d)",
+						i, g.AdmitRound, g.DoneRound, w.AdmitRound, w.DoneRound)
+				}
+				if g.PrefixHit != w.PrefixHit {
+					t.Fatalf("request %d prefix hit %v vs engine %v", i, g.PrefixHit, w.PrefixHit)
+				}
+				if g.ModelTTFT != w.ModelTTFT || g.ModelTBT != w.ModelTBT {
+					t.Fatalf("request %d modeled ttft/tbt %v/%v vs engine %v/%v",
+						i, g.ModelTTFT, g.ModelTBT, w.ModelTTFT, w.ModelTBT)
+				}
+				if g.Breakdown == nil || w.Breakdown == nil {
+					t.Fatalf("request %d breakdown %v vs engine %v", i, g.Breakdown, w.Breakdown)
+				}
+				gb, wb := *g.Breakdown, *w.Breakdown
+				gb.Replica, wb.Replica = 0, 0
+				if gb != wb {
+					t.Fatalf("request %d breakdown\n%+v\nvs engine\n%+v", i, gb, wb)
+				}
 			}
-		}
-		if got[i].AdmitRound != want[i].AdmitRound || got[i].DoneRound != want[i].DoneRound {
-			t.Fatalf("request %d rounds (%d,%d) vs engine (%d,%d)",
-				i, got[i].AdmitRound, got[i].DoneRound, want[i].AdmitRound, want[i].DoneRound)
-		}
-		if got[i].PrefixHit != want[i].PrefixHit {
-			t.Fatalf("request %d prefix hit %v vs engine %v", i, got[i].PrefixHit, want[i].PrefixHit)
-		}
+			// Wall-clock fields are the only ones allowed to differ.
+			for _, mx := range []*serve.Metrics{&gotMx, &wantMx} {
+				mx.Elapsed = 0
+				mx.TTFT, mx.TokenLatency, mx.QueueWait = serve.LatencyStats{}, serve.LatencyStats{}, serve.LatencyStats{}
+			}
+			if gotMx != wantMx {
+				t.Fatalf("replica metrics\n%+v\nvs engine\n%+v", gotMx, wantMx)
+			}
+			if tc.ecfg.HostBudget > 0 && (gotMx.KVSpilled == 0 || gotMx.Transfer.Transfers == 0) {
+				t.Fatalf("two-tier load spilled %d slots in %d transfers: it covers no tiering",
+					gotMx.KVSpilled, gotMx.Transfer.Transfers)
+			}
+		})
 	}
 }
 

@@ -60,7 +60,7 @@ type Summary struct {
 
 	// Attribution is the merged per-phase latency attribution across every
 	// served request, replica-labeled and SLO-margin-stamped (DESIGN.md §14).
-	// String leaves its table out; render it with Attribution.String.
+	// String leaves its table out; render it with Attribution.WriteTable.
 	Attribution obs.AttributionSnapshot
 }
 

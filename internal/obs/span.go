@@ -119,10 +119,9 @@ func (b *Breakdown) Wall() float64 {
 // AttributionTopK is how many slowest requests a snapshot retains.
 const AttributionTopK = 8
 
-// Attribution aggregates Breakdowns. Each serve engine observes its own
-// retirements from the scheduler loop (deterministic order); the fleet
-// router merges per-replica aggregators in replica order, so snapshots
-// reproduce per seed. Safe for concurrent use.
+// Attribution aggregates Breakdowns. The fleet router keeps the one
+// aggregate a run has, observing each served response's breakdown in
+// submission order, so snapshots reproduce per seed. Safe for concurrent use.
 type Attribution struct {
 	mu        sync.Mutex
 	n         int

@@ -18,8 +18,7 @@ import (
 // function of round-deterministic counts, touched only on the scheduler
 // goroutine, and never read back by a scheduling decision.
 type attrTracker struct {
-	lm   memsim.LatencyModel
-	sink *obs.Attribution
+	lm memsim.LatencyModel
 
 	// clock is cumulative modeled seconds through the last priced round;
 	// prefill and tier are its prefill and tiering shares. Rounds the
@@ -34,10 +33,6 @@ type attrTracker struct {
 
 // clockStamp is the clock's running totals at one instant.
 type clockStamp struct{ clock, prefill, tier float64 }
-
-func newAttrTracker(lm memsim.LatencyModel) *attrTracker {
-	return &attrTracker{lm: lm, sink: obs.NewAttribution()}
-}
 
 // markSeen stamps the round each pending request first reached the
 // scheduler; its queue phase starts on the clock before that round.

@@ -54,8 +54,8 @@ func TestTraceAttributionFingerprintNeutral(t *testing.T) {
 // TestTraceAttributionTilingExact locks the span model's accounting
 // invariant: every retired request carries a Breakdown whose phases tile its
 // modeled wall time exactly, the exported span tree reproduces that tiling
-// (parent duration == sum of children), and the engine aggregator's totals
-// match the per-request breakdowns.
+// (parent duration == sum of children), and an aggregator fed the
+// responses' breakdowns totals them.
 func TestTraceAttributionTilingExact(t *testing.T) {
 	reqs := loadRequests(t)
 	tracer := obs.NewTracer(0)
@@ -64,9 +64,9 @@ func TestTraceAttributionTilingExact(t *testing.T) {
 		Trace: tracer.Recorder(0),
 	})
 	resps := eng.Run(reqs)
-	attr := eng.Attribution()
 	eng.Close()
 
+	attr := obs.NewAttribution()
 	var wallSum float64
 	byReq := map[uint64]*Response{}
 	for i := range resps {
@@ -97,6 +97,7 @@ func TestTraceAttributionTilingExact(t *testing.T) {
 			t.Fatalf("request %d: SeenRound %d outside (0, AdmitRound=%d]", i, b.SeenRound, b.AdmitRound)
 		}
 		wallSum += b.Wall()
+		attr.Observe(*b)
 		byReq[b.Req] = r
 	}
 
@@ -184,12 +185,13 @@ func TestTraceAttributionTieringCharged(t *testing.T) {
 		KVBudget: 512, HostBudget: 4096,
 	})
 	resps := eng.Run(reqs)
-	attr := eng.Attribution()
 	eng.Close()
+	attr := obs.NewAttribution()
 	for i := range resps {
 		if resps[i].Err != nil {
 			t.Fatalf("request %d failed: %v", i, resps[i].Err)
 		}
+		attr.Observe(*resps[i].Breakdown)
 	}
 	s := attr.Snapshot()
 	var tiering, prefill float64

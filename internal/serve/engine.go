@@ -270,15 +270,10 @@ func newEngine(m *model.Model, cfg Config, cost func(pageTokens int) memsim.Late
 	e.rt = kvcache.NewTransferRuntime(kvcache.Channel{SecPerPage: lm.SecPerPlanePage, LayerSec: lm.LayerSec})
 	e.rec = cfg.Trace
 	e.rt.SetTrace(cfg.Trace) // before loop starts: the runtime reads it unlocked
-	e.attr = newAttrTracker(lm)
+	e.attr = &attrTracker{lm: lm}
 	go e.loop()
 	return e
 }
-
-// Attribution returns the engine's per-request latency attribution
-// aggregator. Safe to snapshot concurrently; fully settled once the engine is
-// closed.
-func (e *Engine) Attribution() *obs.Attribution { return e.attr.sink }
 
 // TransferRuntime exposes the engine's transfer runtime (read-only use
 // intended: overlap gauges for tests and experiments).
@@ -1342,7 +1337,6 @@ func (e *Engine) retire(t *task, round int64, err error) {
 	t.resp.Total = time.Since(t.submitted)
 	if bd != nil {
 		t.resp.Breakdown = bd
-		e.attr.sink.Observe(*bd)
 		obs.EmitSpans(e.rec, bd, t.clkSeen)
 	}
 	e.mx.observeRetire(t, err)
