@@ -29,7 +29,6 @@ import (
 	"clusterkv/internal/core"
 	"clusterkv/internal/fleet"
 	"clusterkv/internal/kvcache"
-	"clusterkv/internal/metrics"
 	"clusterkv/internal/model"
 	"clusterkv/internal/obs"
 	"clusterkv/internal/parallel"
@@ -205,12 +204,13 @@ func main() {
 	fmt.Printf("serving: %d replicas x %d streams, intra-op pool %d, prefix cache %s, KV budget %v per replica, admission %s\n\n",
 		*replicas, *streams, parallel.Default().Width(), prefixCache, budgetStr(*kvBudget), admission)
 
+	// A row's wall latencies and prefill saved come from the fleet Summary,
+	// so they read the same at every replica count.
 	type row struct {
 		name             string
 		serialTokS, tokS float64
 		speedup          float64
-		ttft, tbt        serve.LatencyStats
-		prefillSaved     int64
+		sum              fleet.Summary
 		match            string
 	}
 	var rows []row
@@ -253,19 +253,12 @@ func main() {
 			router.FillRegistry(reg, obs.L("method", strings.ToLower(spec.name)))
 		}
 
-		// The table's wall columns come from the responses, so they read the
-		// same at every replica count.
-		var ttft, tbt metrics.Summary
 		failed, compared := 0, 0
 		match := "n/a"
 		for i, r := range resps {
 			if r.Err != nil {
 				failed++
 				continue
-			}
-			ttft.Add(r.TTFT.Seconds())
-			if n := len(r.Tokens); n > 1 {
-				tbt.Add((r.Total - r.TTFT).Seconds() / float64(n-1))
 			}
 			if *verifyOut && serialOut != nil {
 				compared++
@@ -281,14 +274,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%s: %d requests failed\n", spec.name, failed)
 		}
 
-		r := row{
-			name:         spec.name,
-			tokS:         float64(sum.TokensGenerated) / wall,
-			ttft:         serve.Summarize(&ttft),
-			tbt:          serve.Summarize(&tbt),
-			prefillSaved: sum.SavedPrefillTokens,
-			match:        match,
-		}
+		r := row{name: spec.name, tokS: float64(sum.TokensGenerated) / wall, sum: sum, match: match}
 		if serialSecs > 0 {
 			r.serialTokS = float64(serialTok) / serialSecs
 			r.speedup = r.tokS / r.serialTokS
@@ -321,8 +307,9 @@ func main() {
 			serial = fmt.Sprintf("%.1f", r.serialTokS)
 			speedup = fmt.Sprintf("%.2fx", r.speedup)
 		}
+		a := r.sum.Attribution
 		fmt.Printf("%-10s %12s %12.1f %9s %8.1fms %8.1fms %8.2fms %14d %6s\n",
-			r.name, serial, r.tokS, speedup, r.ttft.P50*1e3, r.ttft.P95*1e3, r.tbt.P50*1e3, r.prefillSaved, r.match)
+			r.name, serial, r.tokS, speedup, a.TTFT.P50*1e3, a.TTFT.P95*1e3, a.TBT.P50*1e3, r.sum.SavedPrefillTokens, r.match)
 	}
 
 	if tracer != nil {

@@ -83,17 +83,17 @@ func RunFleet(o Options) *Report {
 		fmt.Sprintf("%.0f%%", affinity.PrefixHitRate()*100),
 		fmt.Sprintf("%d", affinity.PrefillTokens),
 		fmt.Sprintf("%d", affinity.SavedPrefillPages),
-		fmt.Sprintf("%.1fms", affinity.ModelTTFT.P50*1e3),
-		fmt.Sprintf("%.1fms", affinity.ModelTTFT.P95*1e3),
-		fmt.Sprintf("%.1fms", affinity.ModelTBT.P50*1e3),
+		fmt.Sprintf("%.1fms", affinity.Attribution.ModelTTFT.P50*1e3),
+		fmt.Sprintf("%.1fms", affinity.Attribution.ModelTTFT.P95*1e3),
+		fmt.Sprintf("%.1fms", affinity.Attribution.ModelTBT.P50*1e3),
 		f2(affinity.Balance),
 		fmt.Sprintf("%d", affinity.Shed),
 	})
 	rep.AddMetric("affinity.prefix_hit_rate", affinity.PrefixHitRate(), "frac")
 	rep.AddMetric("affinity.prefill_tokens", float64(affinity.PrefillTokens), "tokens")
 	rep.AddMetric("affinity.saved_prefill_pages", float64(affinity.SavedPrefillPages), "pages")
-	rep.AddMetric("affinity.model_ttft_p50", affinity.ModelTTFT.P50*1e3, "ms")
-	rep.AddMetric("affinity.model_ttft_p95", affinity.ModelTTFT.P95*1e3, "ms")
+	rep.AddMetric("affinity.model_ttft_p50", affinity.Attribution.ModelTTFT.P50*1e3, "ms")
+	rep.AddMetric("affinity.model_ttft_p95", affinity.Attribution.ModelTTFT.P95*1e3, "ms")
 	rep.AddMetric("affinity.balance", affinity.Balance, "")
 
 	// Per-phase latency attribution for the fleet (DESIGN.md §14):

@@ -1,10 +1,15 @@
 package fleet
 
 import (
+	"errors"
 	"math"
 	"testing"
 
+	"clusterkv/internal/kvcache"
+	"clusterkv/internal/metrics"
 	"clusterkv/internal/obs"
+	"clusterkv/internal/serve"
+	"clusterkv/internal/workload"
 )
 
 // TestTraceFleetAttributionSummary locks the merged fleet view: every served
@@ -106,5 +111,125 @@ func TestTraceFleetAttributionRepeats(t *testing.T) {
 				t.Fatalf("request %d: %s phase %v vs %v", i, p, ba.Phases[p], bb.Phases[p])
 			}
 		}
+	}
+}
+
+// wantAggregate recomputes the one latency aggregate from the responses, in
+// the order the router folds them, and the SLO attainment from their
+// verdicts: shed responses are judged misses, failed ones are not judged.
+func wantAggregate(resps []Response) (model, measured [2]obs.LatencyStats, qwait obs.LatencyStats, attain float64) {
+	var mTTFT, mTBT, ttft, tbt, wait metrics.Summary
+	judged, missed := 0, 0
+	for _, r := range resps {
+		if errors.Is(r.Err, ErrSLOShed) {
+			judged++
+			missed++
+			continue
+		}
+		if r.Err != nil {
+			continue
+		}
+		if r.Breakdown.HasSLO {
+			judged++
+			if r.SLOMiss {
+				missed++
+			}
+		}
+		mTTFT.Add(r.ModelTTFT)
+		ttft.Add(r.TTFT.Seconds())
+		wait.Add(r.QueueWait.Seconds())
+		if n := len(r.Tokens); n > 1 {
+			mTBT.Add(r.ModelTBT)
+			tbt.Add((r.Total - r.TTFT).Seconds() / float64(n-1))
+		}
+	}
+	stats := func(s *metrics.Summary) obs.LatencyStats {
+		return obs.LatencyStats{N: s.N(), Mean: s.Mean(), P50: s.Quantile(0.5), P95: s.Quantile(0.95), Max: s.Max()}
+	}
+	attain = 1
+	if judged > 0 {
+		attain = 1 - float64(missed)/float64(judged)
+	}
+	return [2]obs.LatencyStats{stats(&mTTFT), stats(&mTBT)}, [2]obs.LatencyStats{stats(&ttft), stats(&tbt)}, stats(&wait), attain
+}
+
+// TestAggregateMatchesResponses: the Summary's latency distributions — modeled
+// and measured TTFT/TBT and queue wait — and its SLO attainment equal what the
+// responses themselves give, through Run and through streaming Submit, on a
+// load with requests shed at placement and served requests that miss their
+// TBT SLO. Two long unshared prompts cost more than the TTFT SLO to prefill
+// even on an idle replica, so both paths shed them whatever the timing; the
+// streaming path's TBT SLO is half a decode step, so every request it serves
+// misses whatever it was co-scheduled with.
+func TestAggregateMatchesResponses(t *testing.T) {
+	m := testModel()
+	reqs := fleetLoad(2, 16)
+	dc := workload.DefaultDocConfig()
+	dc.VocabSize, dc.NTopics = 128, 8
+	for i := range 2 {
+		dc.Seed = uint64(90 + i)
+		reqs = append(reqs, serve.Request{Prompt: workload.Doc(dc, 2048), MaxNewTokens: 4})
+	}
+	cfg := Config{
+		Replicas: 2,
+		Engine:   serve.Config{Workers: 2, MaxBatch: 4, KVBudget: 2048, Seed: 7},
+		Seed:     7,
+		SLOTTFT:  0.15,
+		SLOTBT:   0.0205,
+		Shed:     true,
+	}
+	lm := serve.CostModel(kvcache.DefaultPageTokens)
+	if p := lm.PrefillSec(2048); p <= cfg.SLOTTFT {
+		t.Fatalf("a 2048-token prefill costs %v, within the %v TTFT SLO: nothing is sure to shed", p, cfg.SLOTTFT)
+	}
+	for _, path := range []string{"run", "submit"} {
+		t.Run(path, func(t *testing.T) {
+			var resps []Response
+			var r *Router
+			if path == "run" {
+				r = NewRouter(m, cfg)
+				resps = r.Run(reqs)
+			} else {
+				scfg := cfg
+				scfg.SLOTBT = lm.DecodeSecPerTok / 2
+				r = NewRouter(m, scfg)
+				tickets := make([]*Ticket, len(reqs))
+				for i, req := range reqs {
+					tickets[i] = r.Submit(req)
+				}
+				for _, tk := range tickets {
+					resps = append(resps, tk.Wait())
+				}
+			}
+			r.Close()
+			sum := r.Summary()
+			shed, misses := 0, 0
+			for _, resp := range resps {
+				switch {
+				case errors.Is(resp.Err, ErrSLOShed):
+					shed++
+				case resp.Err == nil && resp.SLOMiss:
+					misses++
+				}
+			}
+			if shed == 0 || misses == 0 {
+				t.Fatalf("%d shed, %d served misses: the load must have both", shed, misses)
+			}
+			model, measured, qwait, attain := wantAggregate(resps)
+			a := sum.Attribution
+			if a.ModelTTFT != model[0] || a.ModelTBT != model[1] {
+				t.Fatalf("modeled ttft/tbt %s / %s, responses give %s / %s", a.ModelTTFT, a.ModelTBT, model[0], model[1])
+			}
+			if a.TTFT != measured[0] || a.TBT != measured[1] || a.QueueWait != qwait {
+				t.Fatalf("measured ttft/tbt/queue wait %s / %s / %s, responses give %s / %s / %s",
+					a.TTFT, a.TBT, a.QueueWait, measured[0], measured[1], qwait)
+			}
+			if sum.SLOAttainment != attain {
+				t.Fatalf("SLO attainment %v, responses give %v", sum.SLOAttainment, attain)
+			}
+			if int64(shed) != sum.Shed {
+				t.Fatalf("%d shed responses, summary shed %d", shed, sum.Shed)
+			}
+		})
 	}
 }

@@ -103,9 +103,10 @@ func TestTraceClockSubmitMatchesRun(t *testing.T) {
 	streamed.Close()
 	batched.Close()
 	gs, ws := streamed.Summary(), batched.Summary()
-	if gs.ModelTTFT != ws.ModelTTFT || gs.ModelTBT != ws.ModelTBT {
+	ga, wa := gs.Attribution, ws.Attribution
+	if ga.ModelTTFT != wa.ModelTTFT || ga.ModelTBT != wa.ModelTBT {
 		t.Fatalf("summaries' modeled latencies differ:\nsubmit %s / %s\nrun    %s / %s",
-			gs.ModelTTFT, gs.ModelTBT, ws.ModelTTFT, ws.ModelTBT)
+			ga.ModelTTFT, ga.ModelTBT, wa.ModelTTFT, wa.ModelTBT)
 	}
 	if gs.SavedPrefillTokens != ws.SavedPrefillTokens || gs.Attribution.String() != ws.Attribution.String() {
 		t.Fatalf("summaries differ: saved %d vs %d tokens\n%s\n---\n%s",
@@ -161,8 +162,8 @@ func TestTraceClockStreamingSummary(t *testing.T) {
 	if sum.Attribution.Requests != served {
 		t.Fatalf("summary attribution covers %d requests, %d served", sum.Attribution.Requests, served)
 	}
-	if sum.ModelTTFT.N != served {
-		t.Fatalf("summary modeled ttft has %d samples, %d served", sum.ModelTTFT.N, served)
+	if n := sum.Attribution.ModelTTFT.N; n != served {
+		t.Fatalf("summary modeled ttft has %d samples, %d served", n, served)
 	}
 	if want := 1 - float64(missed)/float64(served); sum.SLOAttainment != want {
 		t.Fatalf("summary SLO attainment %v, want %v", sum.SLOAttainment, want)

@@ -210,8 +210,9 @@ func runFleet(t *testing.T, m *model.Model, replicas int, reqs []serve.Request, 
 	fp.prefillTokens, fp.tokensOut = sum.PrefillTokens, sum.TokensGenerated
 	fp.savedTokens, fp.savedPages = sum.SavedPrefillTokens, sum.SavedPrefillPages
 	fp.balance, fp.sloAttain = sum.Balance, sum.SLOAttainment
-	fp.ttftP50, fp.ttftP95, fp.ttftN = sum.ModelTTFT.P50, sum.ModelTTFT.P95, float64(sum.ModelTTFT.N)
-	fp.tbt = sum.ModelTBT.P50
+	mt := sum.Attribution.ModelTTFT
+	fp.ttftP50, fp.ttftP95, fp.ttftN = mt.P50, mt.P95, float64(mt.N)
+	fp.tbt = sum.Attribution.ModelTBT.P50
 	for _, rs := range sum.PerReplica {
 		fp.perReplicaRouted = append(fp.perReplicaRouted, rs.Routed)
 	}
@@ -265,7 +266,8 @@ func TestRouterDeterminismWithSLO(t *testing.T) {
 // Router.Run must reproduce Engine.Run field by field — tokens, round
 // schedules, prefix-cache behaviour, modeled latencies and every breakdown
 // field but the replica stamp — and leave the replica with the engine's
-// deterministic Metrics, on one tier and on two (spill and transfers).
+// Metrics snapshot, compared whole, on one tier and on two (spill and
+// transfers).
 func TestSingleReplicaMatchesEngineRun(t *testing.T) {
 	m := testModel()
 	reqs := fleetLoad(2, 10)
@@ -316,11 +318,6 @@ func TestSingleReplicaMatchesEngineRun(t *testing.T) {
 				if gb != wb {
 					t.Fatalf("request %d breakdown\n%+v\nvs engine\n%+v", i, gb, wb)
 				}
-			}
-			// Wall-clock fields are the only ones allowed to differ.
-			for _, mx := range []*serve.Metrics{&gotMx, &wantMx} {
-				mx.Elapsed = 0
-				mx.TTFT, mx.TokenLatency, mx.QueueWait = serve.LatencyStats{}, serve.LatencyStats{}, serve.LatencyStats{}
 			}
 			if gotMx != wantMx {
 				t.Fatalf("replica metrics\n%+v\nvs engine\n%+v", gotMx, wantMx)

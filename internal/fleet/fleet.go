@@ -34,7 +34,6 @@ import (
 
 	"clusterkv/internal/kvcache"
 	"clusterkv/internal/memsim"
-	"clusterkv/internal/metrics"
 	"clusterkv/internal/model"
 	"clusterkv/internal/obs"
 	"clusterkv/internal/serve"
@@ -160,13 +159,12 @@ type Router struct {
 	routedReqs    []int64   // cumulative per-replica placements (Summary)
 
 	// Fleet accumulators.
-	shed, rerouted       int64
-	savedPrefillTokens   int64
-	savedPrefillPages    int64
-	sloMissed, sloJudged int64
-	modelTTFT, modelTBT  metrics.Summary
-	// attr merges every served request's latency breakdown (replica and SLO
-	// margin stamped in). Run folds in submission order — deterministic
+	shed, rerouted     int64
+	savedPrefillTokens int64
+	savedPrefillPages  int64
+	// attr is the one per-request latency aggregate: every served request's
+	// breakdown (replica and SLO margin stamped in) and its modeled and
+	// measured latencies. Run folds in submission order — deterministic
 	// because it walks the indexed out slice, never goroutine completion
 	// order; streaming tickets fold in Wait order.
 	attr *obs.Attribution
@@ -494,8 +492,6 @@ func (r *Router) Run(reqs []serve.Request) []Response {
 		r.placeSeq++
 		if p.shed {
 			r.shed++
-			r.sloJudged++
-			r.sloMissed++
 			out[i] = Response{
 				Response: serve.Response{Err: ErrSLOShed},
 				Replica:  -1, SLOMiss: true,
@@ -545,9 +541,10 @@ func (r *Router) Run(reqs []serve.Request) []Response {
 
 // observeLocked judges one completed response against the configured SLOs on
 // its modeled latencies, stamps the verdict's margin and the replica into its
-// breakdown, and folds it into the fleet accumulators. Shed and failed
-// responses are skipped (shedding was counted at placement). Caller holds
-// r.mu.
+// breakdown, and folds it into the fleet accumulators: the saved prefill and
+// the one latency aggregate, which takes the breakdown and the response's
+// latencies on both clocks. Shed and failed responses are skipped (shedding
+// was counted at placement). Caller holds r.mu.
 func (r *Router) observeLocked(promptLen int, resp *Response) {
 	if resp.Replica < 0 || resp.Err != nil {
 		return
@@ -563,23 +560,26 @@ func (r *Router) observeLocked(promptLen int, resp *Response) {
 		}
 		resp.SLOMargin = margin
 		resp.SLOMiss = margin < 0
-		r.sloJudged++
-		if resp.SLOMiss {
-			r.sloMissed++
-		}
 	}
 	reused := resp.PrefixReusedTokens
 	r.savedPrefillTokens += int64(reused)
 	r.savedPrefillPages += (r.lm.PagesFor(promptLen) - r.lm.PagesFor(promptLen-reused)) * r.planes
-	r.modelTTFT.Add(resp.ModelTTFT)
-	if len(resp.Tokens) > 1 {
-		r.modelTBT.Add(resp.ModelTBT)
-	}
 	bd := resp.Breakdown
 	bd.Replica = resp.Replica
 	bd.SLOMarginSec = resp.SLOMargin
 	bd.HasSLO = hasSLO
-	r.attr.Observe(*bd)
+	n := len(resp.Tokens)
+	l := obs.Latency{
+		Tokens:    n,
+		ModelTTFT: resp.ModelTTFT,
+		ModelTBT:  resp.ModelTBT,
+		TTFT:      resp.TTFT.Seconds(),
+		QueueWait: resp.QueueWait.Seconds(),
+	}
+	if n > 1 {
+		l.TBT = (resp.Total - resp.TTFT).Seconds() / float64(n-1)
+	}
+	r.attr.Observe(*bd, l)
 }
 
 // ---- Streaming --------------------------------------------------------------
@@ -664,8 +664,6 @@ func (r *Router) Submit(req serve.Request) *Ticket {
 	}
 	if r.cfg.SLOTTFT > 0 && r.cfg.Shed && minPred > r.cfg.SLOTTFT {
 		r.shed++
-		r.sloJudged++
-		r.sloMissed++
 		seq := r.placeSeq
 		r.placeSeq++
 		r.rec.Emit(obs.Event{Type: obs.EvFleetShed, Req: seq, N: -1, Sec: minPred})

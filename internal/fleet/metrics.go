@@ -20,8 +20,8 @@ type ReplicaStats struct {
 }
 
 // Summary is a point-in-time snapshot of fleet-wide routing and serving
-// state. Every field except the engines' wall-clock-derived counters is
-// deterministic for a fixed (load, config, seed).
+// state. Every field except the measured latency distributions in
+// Attribution is deterministic for a fixed (load, config, seed).
 type Summary struct {
 	Replicas int
 
@@ -43,12 +43,9 @@ type Summary struct {
 	// prompt (pages across all (layer, head) planes).
 	SavedPrefillTokens, SavedPrefillPages int64
 
-	// Modeled latency distributions (seconds; see Response.ModelTTFT).
-	ModelTTFT, ModelTBT serve.LatencyStats
-
 	// SLO attainment: fraction of judged requests whose modeled latencies
 	// met the configured SLOs (1 when no SLO is configured; shed requests
-	// count as misses).
+	// count as misses), from Attribution's verdicts plus Shed.
 	SLOTTFT, SLOTBT float64
 	SLOAttainment   float64
 
@@ -58,9 +55,12 @@ type Summary struct {
 
 	PerReplica []ReplicaStats
 
-	// Attribution is the merged per-phase latency attribution across every
-	// served request, replica-labeled and SLO-margin-stamped (DESIGN.md §14).
-	// String leaves its table out; render it with Attribution.WriteTable.
+	// Attribution is the one per-request latency aggregate across every
+	// served request: the per-phase attribution, replica-labeled and
+	// SLO-margin-stamped (DESIGN.md §14), beside the modeled and measured
+	// TTFT/TBT and queue-wait distributions. String prints the
+	// distributions and leaves the phase table out; render it with
+	// Attribution.WriteTable.
 	Attribution obs.AttributionSnapshot
 }
 
@@ -83,18 +83,17 @@ func (r *Router) Summary() Summary {
 		Rerouted:           r.rerouted,
 		SavedPrefillTokens: r.savedPrefillTokens,
 		SavedPrefillPages:  r.savedPrefillPages,
-		ModelTTFT:          serve.Summarize(&r.modelTTFT),
-		ModelTBT:           serve.Summarize(&r.modelTBT),
 		SLOTTFT:            r.cfg.SLOTTFT,
 		SLOTBT:             r.cfg.SLOTBT,
 		SLOAttainment:      1,
-	}
-	if r.sloJudged > 0 {
-		s.SLOAttainment = 1 - float64(r.sloMissed)/float64(r.sloJudged)
+		// Under r.mu, so the aggregate and Shed agree.
+		Attribution: r.attr.Snapshot(),
 	}
 	routed := append([]int64(nil), r.routedReqs...)
 	r.mu.Unlock()
-	s.Attribution = r.attr.Snapshot()
+	if judged := int64(s.Attribution.SLON) + s.Shed; judged > 0 {
+		s.SLOAttainment = 1 - float64(int64(s.Attribution.SLOMissed)+s.Shed)/float64(judged)
+	}
 
 	var maxRouted int64
 	for i, e := range r.engines {
@@ -138,8 +137,12 @@ func (r *Router) FillRegistry(reg *obs.Registry, labels ...obs.Label) {
 	gauge("clusterkv_fleet_prefix_hit_rate", s.PrefixHitRate())
 	gauge("clusterkv_fleet_balance", s.Balance)
 	gauge("clusterkv_fleet_slo_attainment", s.SLOAttainment)
-	s.ModelTTFT.Fill(reg, "clusterkv_fleet_model_ttft_seconds", labels)
-	s.ModelTBT.Fill(reg, "clusterkv_fleet_model_tbt_seconds", labels)
+	a := s.Attribution
+	a.ModelTTFT.Fill(reg, "clusterkv_fleet_model_ttft_seconds", labels)
+	a.ModelTBT.Fill(reg, "clusterkv_fleet_model_tbt_seconds", labels)
+	a.TTFT.Fill(reg, "clusterkv_fleet_ttft_seconds", labels)
+	a.TBT.Fill(reg, "clusterkv_fleet_tbt_seconds", labels)
+	a.QueueWait.Fill(reg, "clusterkv_fleet_queue_wait_seconds", labels)
 	for i, e := range r.engines {
 		rl := append(append([]obs.Label(nil), labels...), obs.L("replica", fmt.Sprint(i)))
 		e.FillRegistry(reg, rl...)
@@ -160,8 +163,11 @@ func (s Summary) String() string {
 		s.PrefixHits, s.PrefixMisses, s.PrefixPartialHits, s.PrefixHitRate()*100,
 		s.PrefixReusedTokens, s.SavedPrefillTokens, s.SavedPrefillPages)
 	fmt.Fprintf(&b, "tokens: %d prefilled, %d generated\n", s.PrefillTokens, s.TokensGenerated)
-	fmt.Fprintf(&b, "modeled ttft: %s\n", s.ModelTTFT)
-	fmt.Fprintf(&b, "modeled tbt:  %s\n", s.ModelTBT)
+	fmt.Fprintf(&b, "modeled ttft: %s\n", s.Attribution.ModelTTFT)
+	fmt.Fprintf(&b, "modeled tbt:  %s\n", s.Attribution.ModelTBT)
+	fmt.Fprintf(&b, "ttft:         %s\n", s.Attribution.TTFT)
+	fmt.Fprintf(&b, "tbt:          %s\n", s.Attribution.TBT)
+	fmt.Fprintf(&b, "queue wait:   %s\n", s.Attribution.QueueWait)
 	if s.SLOTTFT > 0 || s.SLOTBT > 0 {
 		fmt.Fprintf(&b, "slo: ttft %.2fms tbt %.2fms -> %.1f%% attainment\n",
 			s.SLOTTFT*1e3, s.SLOTBT*1e3, s.SLOAttainment*100)

@@ -97,9 +97,27 @@ func TestSummaryEmptyDistributions(t *testing.T) {
 	}
 }
 
+// TestLatencyStatsEmptyDistribution guards the n=0 formatting path: an empty
+// distribution prints as "no samples", not as zero-valued percentiles, on
+// every latency line of a zero-valued Summary, and neither it nor a
+// zero-valued engine snapshot renders NaN.
+func TestLatencyStatsEmptyDistribution(t *testing.T) {
+	s := Summary{}.String()
+	for _, line := range []string{"modeled ttft: n=0", "modeled tbt:  n=0", "ttft:         n=0", "tbt:          n=0", "queue wait:   n=0"} {
+		if !strings.Contains(s, line+"\n") {
+			t.Fatalf("empty summary must print %q:\n%s", line, s)
+		}
+	}
+	for _, out := range []string{s, serve.Metrics{}.String()} {
+		if strings.Contains(out, "NaN") || strings.Contains(out, "Inf") {
+			t.Fatalf("empty snapshot renders NaN/Inf:\n%s", out)
+		}
+	}
+}
+
 // TestModelLatencyExposition pins the text exposition of the fleet's modeled
-// latency summaries — written by serve.LatencyStats.Fill, as the replicas' own
-// summaries are — to the bytes this load produces on the replicas' modeled
+// latency summaries — written by obs.LatencyStats.Fill from the router's one
+// latency aggregate — to the bytes this load produces on the replicas' modeled
 // round clocks.
 func TestModelLatencyExposition(t *testing.T) {
 	const want = `# TYPE clusterkv_fleet_model_tbt_seconds gauge

@@ -3,31 +3,35 @@ package metrics
 import "sort"
 
 // Summary accumulates a sample set and reports order statistics. It backs
-// the serving engine's latency reporting (TTFT, per-token latency, queue
-// wait). The zero value is ready to use. Summary is not safe for concurrent
-// use; callers aggregate under their own lock.
+// the per-request latency distributions of obs.Attribution. The zero value is
+// ready to use. Summary is not safe for concurrent use; callers aggregate
+// under their own lock.
 type Summary struct {
 	xs     []float64
 	sorted bool
+	// sum is the running sum in insertion order, so Mean does not depend on
+	// whether an order statistic has sorted xs in place.
+	sum float64
 }
 
 // Add records one sample.
 func (s *Summary) Add(x float64) {
 	s.xs = append(s.xs, x)
 	s.sorted = false
-}
-
-// Merge records every sample of other into s.
-func (s *Summary) Merge(other *Summary) {
-	s.xs = append(s.xs, other.xs...)
-	s.sorted = false
+	s.sum += x
 }
 
 // N returns the number of recorded samples.
 func (s *Summary) N() int { return len(s.xs) }
 
-// Mean returns the sample mean (0 for an empty summary).
-func (s *Summary) Mean() float64 { return Mean(s.xs) }
+// Mean returns the sample mean (0 for an empty summary): the insertion-order
+// sum over N, whatever was called before it.
+func (s *Summary) Mean() float64 {
+	if len(s.xs) == 0 {
+		return 0
+	}
+	return s.sum / float64(len(s.xs))
+}
 
 // Min returns the smallest sample (0 for an empty summary).
 func (s *Summary) Min() float64 {

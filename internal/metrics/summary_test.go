@@ -98,14 +98,22 @@ func TestSummaryQuantileBounds(t *testing.T) {
 	}
 }
 
-func TestSummaryMerge(t *testing.T) {
-	var a, b Summary
-	a.Add(1)
-	a.Add(2)
-	b.Add(3)
-	b.Add(4)
-	a.Merge(&b)
-	if a.N() != 4 || a.Max() != 4 || a.Mean() != 2.5 {
-		t.Fatalf("merge: n=%d max=%v mean=%v", a.N(), a.Max(), a.Mean())
+// TestSummaryMeanIgnoresCallHistory: Mean is the insertion-order sum over N
+// before and after an order statistic sorts the samples in place. 0.3, 0.2,
+// 0.1 sum to 0.6 in that order and to 0.6000000000000001 sorted.
+func TestSummaryMeanIgnoresCallHistory(t *testing.T) {
+	var s Summary
+	var sum float64
+	for _, x := range []float64{0.3, 0.2, 0.1} {
+		s.Add(x)
+		sum += x
+	}
+	want := sum / 3
+	if got := s.Mean(); got != want {
+		t.Fatalf("first Mean = %v, want %v", got, want)
+	}
+	_ = s.Quantile(0.5) // sorts in place
+	if got := s.Mean(); got != want {
+		t.Fatalf("Mean after Quantile = %v, want %v", got, want)
 	}
 }

@@ -13,11 +13,13 @@ import (
 
 // The metrics registry: one namespace of labeled counters and gauges that
 // every subsystem's snapshot exports into, with a Prometheus-style text
-// exposition. serve.Metrics, fleet.Summary and the arena gauges publish into
-// a Registry via their FillRegistry methods, so one scrape (or one dump at
-// exit) sees the whole stack under consistent names — the cmd binaries
-// expose it behind -metrics / -metrics-addr. A distribution is published as gauges
-// labeled by statistic (serve.LatencyStats.Fill).
+// exposition. serve.Metrics (the engine's counters), fleet.Summary, the
+// router's Attribution snapshot and the arena gauges publish into a Registry
+// via their FillRegistry methods, so one scrape (or one dump at exit) sees
+// the whole stack under consistent names — clusterkv-serve exposes it behind
+// -metrics. Per-request latency distributions live only in the router's
+// Attribution and are published as gauges labeled by statistic
+// (LatencyStats.Fill).
 
 // Label is one name=value dimension of an instrument.
 type Label struct {

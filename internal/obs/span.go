@@ -14,9 +14,12 @@ import (
 // Breakdown — its modeled wall time on the engine's modeled round clock, tiled
 // exactly into phases — and an Attribution aggregates breakdowns into the
 // per-phase critical-path view an operator reads: totals, wall fractions,
-// quantiles and the top-K slowest requests. Phases are priced by
-// memsim.LatencyModel from deterministic counts (tokens, pages, rounds), so
-// a request's breakdown reproduces run-to-run. The transfer-stall pair
+// quantiles and the top-K slowest requests. The same aggregate folds each
+// request's Latency — modeled and measured TTFT/TBT side by side, plus the
+// measured queue wait — so a run has one per-request latency aggregate.
+// Phases are priced by memsim.LatencyModel from deterministic counts (tokens,
+// pages, rounds), so a request's breakdown reproduces run-to-run. The
+// transfer-stall pair
 // (XferExposedSec/XferHiddenSec) is on the modeled channel clock of
 // DESIGN.md §8: its sum over requests repeats exactly, but how an
 // overflowing layer window's exposed time splits between the requests of one
@@ -116,12 +119,63 @@ func (b *Breakdown) Wall() float64 {
 	return w
 }
 
+// Latency is one served request's latencies in seconds on both clocks:
+// ModelTTFT/ModelTBT on its replica's modeled round clock, TTFT/TBT/QueueWait
+// measured on the wall clock (TBT is (total − TTFT) per later token). The TBT
+// pair exists only for a request that generated more than one token.
+type Latency struct {
+	Tokens               int
+	ModelTTFT, ModelTBT  float64
+	TTFT, TBT, QueueWait float64
+}
+
+// LatencyStats condenses a latency distribution for reporting. All values
+// are seconds.
+type LatencyStats struct {
+	N                   int
+	Mean, P50, P95, Max float64
+}
+
+func statsOf(s *metrics.Summary) LatencyStats {
+	return LatencyStats{
+		N:    s.N(),
+		Mean: s.Mean(),
+		P50:  s.Quantile(0.5),
+		P95:  s.Quantile(0.95),
+		Max:  s.Max(),
+	}
+}
+
+func (l LatencyStats) String() string {
+	if l.N == 0 {
+		// An empty distribution has no quantiles; printing the zero-valued
+		// percentiles would read as "0ms latency" rather than "no samples".
+		return "n=0"
+	}
+	return fmt.Sprintf("n=%d mean=%.2fms p50=%.2fms p95=%.2fms max=%.2fms",
+		l.N, l.Mean*1e3, l.P50*1e3, l.P95*1e3, l.Max*1e3)
+}
+
+// Fill publishes the distribution into reg as one gauge per statistic,
+// discriminated by a stat label.
+func (l LatencyStats) Fill(reg *Registry, name string, labels []Label) {
+	with := func(stat string) []Label {
+		return append(append([]Label(nil), labels...), L("stat", stat))
+	}
+	reg.Gauge(name, with("count")...).Set(float64(l.N))
+	reg.Gauge(name, with("mean")...).Set(l.Mean)
+	reg.Gauge(name, with("p50")...).Set(l.P50)
+	reg.Gauge(name, with("p95")...).Set(l.P95)
+	reg.Gauge(name, with("max")...).Set(l.Max)
+}
+
 // AttributionTopK is how many slowest requests a snapshot retains.
 const AttributionTopK = 8
 
-// Attribution aggregates Breakdowns. The fleet router keeps the one
-// aggregate a run has, observing each served response's breakdown in
-// submission order, so snapshots reproduce per seed. Safe for concurrent use.
+// Attribution aggregates served requests: their Breakdowns and Latencies.
+// The fleet router keeps the one aggregate a run has, observing each served
+// response in submission order, so snapshots reproduce per seed (the
+// measured wall-clock distributions aside). Safe for concurrent use.
 type Attribution struct {
 	mu        sync.Mutex
 	n         int
@@ -134,14 +188,21 @@ type Attribution struct {
 	batched   int64
 	decRounds int64
 	slo       metrics.Summary
+	sloMissed int
+	modelTTFT metrics.Summary
+	modelTBT  metrics.Summary
+	ttft      metrics.Summary
+	tbt       metrics.Summary
+	qwait     metrics.Summary
 	top       []Breakdown
 }
 
 // NewAttribution returns an empty aggregator.
 func NewAttribution() *Attribution { return &Attribution{} }
 
-// Observe records one request's breakdown.
-func (a *Attribution) Observe(b Breakdown) {
+// Observe records one served request: its breakdown and its latencies. A
+// breakdown with HasSLO is judged, and missed when its margin is negative.
+func (a *Attribution) Observe(b Breakdown, l Latency) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.n++
@@ -157,6 +218,16 @@ func (a *Attribution) Observe(b Breakdown) {
 	a.decRounds += b.DecodeRounds
 	if b.HasSLO {
 		a.slo.Add(b.SLOMarginSec)
+		if b.SLOMarginSec < 0 {
+			a.sloMissed++
+		}
+	}
+	a.modelTTFT.Add(l.ModelTTFT)
+	a.ttft.Add(l.TTFT)
+	a.qwait.Add(l.QueueWait)
+	if l.Tokens > 1 {
+		a.modelTBT.Add(l.ModelTBT)
+		a.tbt.Add(l.TBT)
 	}
 	a.insertTop(b)
 }
@@ -175,33 +246,6 @@ func (a *Attribution) insertTop(b Breakdown) {
 	})
 	if len(a.top) > AttributionTopK {
 		a.top = a.top[:AttributionTopK]
-	}
-}
-
-// Merge folds other into a. Call in a deterministic order (replica index)
-// on quiesced aggregators to keep merged snapshots reproducible.
-func (a *Attribution) Merge(other *Attribution) {
-	if other == nil {
-		return
-	}
-	other.mu.Lock()
-	defer other.mu.Unlock()
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.n += other.n
-	for p := Phase(0); p < NumPhases; p++ {
-		a.phase[p].Merge(&other.phase[p])
-		a.phaseTot[p] += other.phaseTot[p]
-	}
-	a.wall.Merge(&other.wall)
-	a.credit += other.credit
-	a.xferExp += other.xferExp
-	a.xferHid += other.xferHid
-	a.batched += other.batched
-	a.decRounds += other.decRounds
-	a.slo.Merge(&other.slo)
-	for _, b := range other.top {
-		a.insertTop(b)
 	}
 }
 
@@ -228,10 +272,15 @@ type AttributionSnapshot struct {
 	XferExposedSec              float64
 	XferHiddenSec               float64
 	DecodeRounds, BatchedRounds int64
-	// SLON counts requests with an SLO margin; SLOMarginP50/Min summarize it.
-	SLON                       int
+	// SLON counts requests with an SLO margin, SLOMissed those with a
+	// negative one; SLOMarginP50/Min summarize the margins.
+	SLON, SLOMissed            int
 	SLOMarginP50, SLOMarginMin float64
-	Slowest                    []Breakdown
+	// ModelTTFT/ModelTBT are the modeled latency distributions, TTFT/TBT/
+	// QueueWait the measured ones (see Latency).
+	ModelTTFT, ModelTBT  LatencyStats
+	TTFT, TBT, QueueWait LatencyStats
+	Slowest              []Breakdown
 }
 
 // Snapshot returns the current aggregate.
@@ -254,6 +303,12 @@ func (a *Attribution) Snapshot() AttributionSnapshot {
 		DecodeRounds:    a.decRounds,
 		BatchedRounds:   a.batched,
 		SLON:            a.slo.N(),
+		SLOMissed:       a.sloMissed,
+		ModelTTFT:       statsOf(&a.modelTTFT),
+		ModelTBT:        statsOf(&a.modelTBT),
+		TTFT:            statsOf(&a.ttft),
+		TBT:             statsOf(&a.tbt),
+		QueueWait:       statsOf(&a.qwait),
 		Slowest:         append([]Breakdown(nil), a.top...),
 	}
 	if s.SLON > 0 {

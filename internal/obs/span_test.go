@@ -21,12 +21,24 @@ func TestAttributionObserveSnapshot(t *testing.T) {
 	b1 := mkBreakdown(1, -1, [NumPhases]float64{0.1, 0.2, 0.3, 0.4, 0, 0})
 	b2 := mkBreakdown(2, -1, [NumPhases]float64{0.2, 0, 0.1, 0.5, 0.1, 0.1})
 	b1.PrefixCreditSec = 0.05
-	a.Observe(b1)
-	a.Observe(b2)
+	a.Observe(b1, Latency{Tokens: 3, ModelTTFT: 0.6, ModelTBT: 0.2, TTFT: 0.03, TBT: 0.01, QueueWait: 0.02})
+	a.Observe(b2, Latency{Tokens: 1, ModelTTFT: 0.4, TTFT: 0.05, QueueWait: 0.04})
 
 	s := a.Snapshot()
 	if s.Requests != 2 {
 		t.Fatalf("Requests = %d, want 2", s.Requests)
+	}
+	// Every request has a TTFT and a queue wait; only the multi-token one a TBT.
+	if s.ModelTTFT.N != 2 || s.TTFT.N != 2 || s.QueueWait.N != 2 || s.ModelTBT.N != 1 || s.TBT.N != 1 {
+		t.Fatalf("latency counts: model ttft %d tbt %d, ttft %d tbt %d, queue wait %d; want 2 1 2 1 2",
+			s.ModelTTFT.N, s.ModelTBT.N, s.TTFT.N, s.TBT.N, s.QueueWait.N)
+	}
+	if s.ModelTTFT.Max != 0.6 || s.ModelTBT.P50 != 0.2 || s.TTFT.Max != 0.05 || s.TBT.Max != 0.01 || s.QueueWait.Max != 0.04 {
+		t.Fatalf("latency stats: model %s / %s, measured %s / %s / %s",
+			s.ModelTTFT, s.ModelTBT, s.TTFT, s.TBT, s.QueueWait)
+	}
+	if s.SLON != 0 || s.SLOMissed != 0 {
+		t.Fatalf("no SLO judged, snapshot has %d judged, %d missed", s.SLON, s.SLOMissed)
 	}
 	wantWall := b1.Wall() + b2.Wall()
 	if math.Abs(s.WallSec-wantWall) > 1e-12 {
@@ -61,7 +73,7 @@ func TestAttributionTopKBounded(t *testing.T) {
 	a := NewAttribution()
 	for i := 0; i < 3*AttributionTopK; i++ {
 		b := mkBreakdown(uint64(i), -1, [NumPhases]float64{0, 0, 0, float64(i) * 0.01, 0, 0})
-		a.Observe(b)
+		a.Observe(b, Latency{})
 	}
 	s := a.Snapshot()
 	if len(s.Slowest) != AttributionTopK {
@@ -77,45 +89,15 @@ func TestAttributionTopKBounded(t *testing.T) {
 	}
 }
 
-func TestAttributionMergeMatchesDirectObserve(t *testing.T) {
-	var parts [2]*Attribution
-	direct := NewAttribution()
-	for rep := 0; rep < 2; rep++ {
-		parts[rep] = NewAttribution()
-		for i := 0; i < 5; i++ {
-			b := mkBreakdown(uint64(rep*10+i), rep,
-				[NumPhases]float64{0.01, 0, 0.02, float64(i+1) * 0.03, 0.004, 0})
-			b.HasSLO = true
-			b.SLOMarginSec = 0.5 - float64(i)*0.1
-			parts[rep].Observe(b)
-			direct.Observe(b)
-		}
-	}
-	merged := NewAttribution()
-	merged.Merge(parts[0])
-	merged.Merge(parts[1])
-
-	ms, ds := merged.Snapshot(), direct.Snapshot()
-	if ms.Requests != ds.Requests || ms.WallSec != ds.WallSec ||
-		ms.SLON != ds.SLON || ms.SLOMarginMin != ds.SLOMarginMin {
-		t.Fatalf("merged snapshot diverges from direct:\n%+v\n%+v", ms, ds)
-	}
-	if len(ms.Slowest) != len(ds.Slowest) {
-		t.Fatalf("slowest lengths differ: %d vs %d", len(ms.Slowest), len(ds.Slowest))
-	}
-	for i := range ms.Slowest {
-		if ms.Slowest[i].Req != ds.Slowest[i].Req || ms.Slowest[i].Replica != ds.Slowest[i].Replica {
-			t.Fatalf("slowest[%d] differs: %+v vs %+v", i, ms.Slowest[i], ds.Slowest[i])
-		}
-	}
-}
-
 func TestAttributionFillRegistry(t *testing.T) {
 	a := NewAttribution()
 	b := mkBreakdown(7, -1, [NumPhases]float64{0.1, 0, 0.2, 0.3, 0, 0.05})
 	b.HasSLO = true
 	b.SLOMarginSec = -0.01
-	a.Observe(b)
+	a.Observe(b, Latency{})
+	if n := a.Snapshot().SLOMissed; n != 1 {
+		t.Fatalf("negative margin counted as %d misses, want 1", n)
+	}
 	reg := NewRegistry()
 	a.Snapshot().FillRegistry(reg)
 	var buf bytes.Buffer

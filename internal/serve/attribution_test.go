@@ -97,7 +97,7 @@ func TestTraceAttributionTilingExact(t *testing.T) {
 			t.Fatalf("request %d: SeenRound %d outside (0, AdmitRound=%d]", i, b.SeenRound, b.AdmitRound)
 		}
 		wallSum += b.Wall()
-		attr.Observe(*b)
+		attr.Observe(*b, obs.Latency{})
 		byReq[b.Req] = r
 	}
 
@@ -191,7 +191,7 @@ func TestTraceAttributionTieringCharged(t *testing.T) {
 		if resps[i].Err != nil {
 			t.Fatalf("request %d failed: %v", i, resps[i].Err)
 		}
-		attr.Observe(*resps[i].Breakdown)
+		attr.Observe(*resps[i].Breakdown, obs.Latency{})
 	}
 	s := attr.Snapshot()
 	var tiering, prefill float64

@@ -85,10 +85,10 @@ func TestBatchDecodeLoneStreamIsCohortOfOne(t *testing.T) {
 	if batchRounds != mx.BatchRounds {
 		t.Fatalf("trace has %d EvBatchRound, metrics %d batched rounds", batchRounds, mx.BatchRounds)
 	}
-	// One latency sample per stream per cohort round — first tokens ride their
-	// prefill rounds and are TTFT, not token latency.
-	if n := mx.TokenLatency.N; n != 11+3 {
-		t.Fatalf("%d token latencies, want the lone stream's 11 cohort rounds + the second's 3", n)
+	// One cohort step per stream per cohort round — first tokens ride their
+	// prefill rounds and count in neither.
+	if n := mx.DecodeStreamsBatched + mx.DecodeStreamsSolo; n != 11+3 {
+		t.Fatalf("%d cohort steps, want the lone stream's 11 cohort rounds + the second's 3", n)
 	}
 }
 

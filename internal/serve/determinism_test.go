@@ -10,8 +10,8 @@ import (
 )
 
 // engineRunFingerprint is everything about a full engine run that must be
-// reproducible: per-request token streams, scheduling rounds, and the
-// wall-clock-independent counters of the metrics snapshot.
+// reproducible: per-request token streams, scheduling rounds and modeled
+// latencies, and the whole metrics snapshot (it holds no wall-clock field).
 type engineRunFingerprint struct {
 	tokens     [][]int
 	admitRound []int64
@@ -21,13 +21,7 @@ type engineRunFingerprint struct {
 	modelTTFT  []float64
 	modelTBT   []float64
 
-	submitted, completed, failed            uint64
-	prefixHits, prefixMisses, prefixEvicted uint64
-	prefixPartial                           uint64
-	prefixReused                            int64
-	tokensGenerated, prefillTokens          int64
-	rounds, batchRounds                     int64
-	kvPeak                                  int64
+	mx Metrics
 }
 
 // loadRequests turns a seeded workload.NewLoad into engine requests.
@@ -95,13 +89,7 @@ func runEngineAt(t *testing.T, procs, engineWorkers int, reqs []Request, mutate 
 			fp.errs = append(fp.errs, "")
 		}
 	}
-	m := eng.Metrics()
-	fp.submitted, fp.completed, fp.failed = m.Submitted, m.Completed, m.Failed
-	fp.prefixHits, fp.prefixMisses, fp.prefixEvicted = m.PrefixHits, m.PrefixMisses, m.PrefixEvicted
-	fp.prefixPartial, fp.prefixReused = m.PrefixPartialHits, m.PrefixReusedTokens
-	fp.tokensGenerated, fp.prefillTokens = m.TokensGenerated, m.PrefillTokens
-	fp.rounds, fp.batchRounds = m.Rounds, m.BatchRounds
-	fp.kvPeak = m.KVPeak
+	fp.mx = eng.Metrics()
 	return fp
 }
 
@@ -133,28 +121,8 @@ func (a engineRunFingerprint) diff(b engineRunFingerprint) string {
 				i, a.modelTTFT[i], a.modelTBT[i], b.modelTTFT[i], b.modelTBT[i])
 		}
 	}
-	type counters struct {
-		a, b uint64
-		name string
-	}
-	for _, c := range []counters{
-		{a.submitted, b.submitted, "submitted"},
-		{a.completed, b.completed, "completed"},
-		{a.failed, b.failed, "failed"},
-		{a.prefixHits, b.prefixHits, "prefixHits"},
-		{a.prefixMisses, b.prefixMisses, "prefixMisses"},
-		{a.prefixEvicted, b.prefixEvicted, "prefixEvicted"},
-		{a.prefixPartial, b.prefixPartial, "prefixPartialHits"},
-		{uint64(a.prefixReused), uint64(b.prefixReused), "prefixReusedTokens"},
-		{uint64(a.tokensGenerated), uint64(b.tokensGenerated), "tokensGenerated"},
-		{uint64(a.prefillTokens), uint64(b.prefillTokens), "prefillTokens"},
-		{uint64(a.rounds), uint64(b.rounds), "rounds"},
-		{uint64(a.batchRounds), uint64(b.batchRounds), "batchRounds"},
-		{uint64(a.kvPeak), uint64(b.kvPeak), "kvPeak"},
-	} {
-		if c.a != c.b {
-			return fmt.Sprintf("metric %s: %d vs %d", c.name, c.a, c.b)
-		}
+	if a.mx != b.mx {
+		return fmt.Sprintf("metrics snapshot\n%+v\nvs\n%+v", a.mx, b.mx)
 	}
 	return ""
 }
@@ -168,8 +136,8 @@ func (a engineRunFingerprint) diff(b engineRunFingerprint) string {
 func TestEngineDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	reqs := loadRequests(t)
 	base := runEngineAt(t, 1, 1, reqs)
-	if base.completed != uint64(len(reqs)) || base.failed != 0 {
-		t.Fatalf("baseline run: %d completed, %d failed, want %d/0", base.completed, base.failed, len(reqs))
+	if base.mx.Completed != uint64(len(reqs)) || base.mx.Failed != 0 {
+		t.Fatalf("baseline run: %d completed, %d failed, want %d/0", base.mx.Completed, base.mx.Failed, len(reqs))
 	}
 	cases := []struct {
 		name           string
@@ -220,10 +188,10 @@ func TestEngineDeterminismNestedSessions(t *testing.T) {
 		reqs[i].Temperature = 0.8
 	}
 	base := runEngineAt(t, 1, 1, reqs)
-	if base.completed != uint64(len(reqs)) || base.failed != 0 {
-		t.Fatalf("baseline run: %d completed, %d failed, want %d/0", base.completed, base.failed, len(reqs))
+	if base.mx.Completed != uint64(len(reqs)) || base.mx.Failed != 0 {
+		t.Fatalf("baseline run: %d completed, %d failed, want %d/0", base.mx.Completed, base.mx.Failed, len(reqs))
 	}
-	if base.prefixPartial == 0 {
+	if base.mx.PrefixPartialHits == 0 {
 		t.Fatalf("nested conversation load produced no partial radix hits")
 	}
 	cases := []struct {

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -203,9 +203,8 @@ type task struct {
 	logits    []float32
 	probs     []float64 // sampling scratch, reused across tokens
 	sampler   *rng.RNG
-	tokenLat  []float64 // seconds per generated token
-	prefillN  int       // tokens actually prefilled by this task
-	failed    error     // set by a step that cannot proceed
+	prefillN  int   // tokens actually prefilled by this task
+	failed    error // set by a step that cannot proceed
 }
 
 // prefixEntry is one cached shared-prefix prefill.
@@ -612,7 +611,7 @@ func (e *Engine) loop() {
 		// the device gauge reflects the post-round steady state the budget
 		// promises. Spill decisions depend only on round-deterministic state
 		// (page counts, budgets, rounds), never on wall clock.
-		e.spillCold(active, round)
+		e.rebalanceTiers(active, round)
 		// High-water sampling at the round barrier: within a round only
 		// workers allocate (frees happen on this goroutine between rounds),
 		// so the end-of-round gauge is the round's deterministic maximum —
@@ -929,37 +928,34 @@ func (e *Engine) runRound(active []*task, round int64) {
 }
 
 // batchDecodeCohort advances every cohort member one token through the
-// batched decoder, then samples per task on the scheduler goroutine. The
-// cohort shares one wall-clock measurement: members ran concurrently, so
-// each token's latency is the cohort round time. A panic (arena exhaustion
-// mid-phase can leave members at different positions) fails the whole
-// cohort — the members retire at the round barrier like any failed step.
+// batched decoder, then samples per task on the scheduler goroutine. A panic
+// (arena exhaustion mid-phase can leave members at different positions)
+// fails the whole cohort — the members retire at the round barrier like any
+// failed step.
 func (e *Engine) batchDecodeCohort(cohort []*task, seqs []*model.Sequence, toks []int, lgs [][]float32) {
 	defer failOnPanic(cohort...)
-	start := time.Now()
 	e.bd.DecodeInto(seqs, toks, lgs)
-	el := time.Since(start).Seconds()
 	for _, t := range cohort {
 		t.lastTok = t.sample()
 		t.resp.Tokens = append(t.resp.Tokens, t.lastTok)
-		t.tokenLat = append(t.tokenLat, el)
 	}
 }
 
-// spillCold is the between-rounds tiering pass of two-tier admission,
-// rebalancing the accountant toward the device budget in both directions.
-// While device residency exceeds the budget, cold slots of active budgeted
-// sequences are re-accounted host-resident, oldest spill first (LRU by
-// coldRound, task id as the deterministic tiebreak). "Cold" means pages
-// beyond the sequence's device working set — a budgeted selector keeps at
-// most Budget tokens (plus the decode tail's page) hot per head; everything
-// else already lives host-side in its own residency ledger, so the spill is
-// pure accounting plus modeled device→host channel time. When retirements
-// open device headroom instead, previously spilled slots are promoted back
-// (most recent spill first, so long-cold pages stay host). Runs only on the
-// scheduler goroutine at the round barrier (workers are quiescent), on
-// round-deterministic state.
-func (e *Engine) spillCold(active []*task, round int64) {
+// rebalanceTiers is the between-rounds tiering pass of two-tier admission,
+// rebalancing the accountant toward the device budget in both directions
+// over one claim list (tierClaims). While device residency exceeds the
+// budget it walks the list forward, re-accounting cold slots host-resident:
+// idle cached prefixes first (a snapshot nobody decodes from has no hot
+// working set; a prefix with live forks is claimed, hot floor included,
+// through the forks), then active budgeted sequences' pages beyond their
+// device working set — already host-side in the selector's own residency
+// ledger, so a spill is pure accounting plus modeled device→host channel
+// time. When retirements open headroom instead, host slots are promoted and
+// the claims unwound walking the list backward, most recent spill first, so
+// long-cold pages stay host; residue beyond every claim belonged to retired
+// tasks. Runs only on the scheduler goroutine at the round barrier (workers
+// are quiescent), on round-deterministic state.
+func (e *Engine) rebalanceTiers(active []*task, round int64) {
 	if e.acct.HostCapacity() <= 0 {
 		return
 	}
@@ -969,163 +965,85 @@ func (e *Engine) spillCold(active []*task, round int64) {
 	}
 	P := int64(e.arena.PageTokens())
 	excess := e.acct.DeviceUsed() - devCap
-	if excess <= 0 {
-		if headroom := -excess; headroom > 0 {
-			e.promoteSpilled(active, headroom, P, round)
+	switch {
+	case excess > 0:
+		left := excess
+		for _, c := range e.tierClaims(active) {
+			if left <= 0 {
+				break
+			}
+			var cold int64
+			if c.t != nil {
+				cold = e.coldSlots(c.t)
+			} else if c.p.refs == 0 {
+				cold = c.p.snap.NumPages() * P
+			}
+			d := min(cold-*c.spilled, left)
+			if d <= 0 {
+				continue
+			}
+			e.acct.MoveToHost(d)
+			*c.spilled += d
+			left -= d
+			if c.t != nil {
+				c.t.coldRound = round
+			}
+			// Nobody waits on a device→host copy (the fetch path pays to
+			// bring pages back), but it occupies the modeled channel.
+			e.rt.AccountPages(int((d + P - 1) / P))
 		}
-		return
-	}
-	spillStart := excess
-	// Idle cached prefixes spill first: a snapshot nobody decodes from has
-	// no hot working set at all (its pages are read again only on the next
-	// prefix hit, which pays a fetch either way). Entries with live forks
-	// are skipped — their pages are claimed, hot floor included, through the
-	// forks' own cold accounting below. Oldest use first, deterministic.
-	var entries []*prefixEntry
-	for _, p := range e.cache.entries(nil) {
-		if p.ready && p.snap != nil && p.refs == 0 {
-			entries = append(entries, p)
+		if moved := excess - left; moved > 0 {
+			e.mx.spilled.Add(moved)
+			e.attr.addTierSlots(moved)
+			e.rec.Emit(obs.Event{Type: obs.EvPageSpill, Round: round, N: e.kvUnits(moved)})
 		}
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].lastUsed != entries[j].lastUsed {
-			return entries[i].lastUsed < entries[j].lastUsed
+	case excess < 0 && e.acct.HostUsed() > 0:
+		left := min(-excess, e.acct.HostUsed())
+		e.acct.MoveToDevice(left)
+		e.rt.AccountPages(int((left + P - 1) / P))
+		e.attr.addTierSlots(left)
+		e.rec.Emit(obs.Event{Type: obs.EvPagePromote, Round: round, N: e.kvUnits(left)})
+		claims := e.tierClaims(active)
+		for i := len(claims) - 1; i >= 0 && left > 0; i-- {
+			d := min(*claims[i].spilled, left)
+			*claims[i].spilled -= d
+			left -= d
 		}
-		return entries[i].seq < entries[j].seq
-	})
-	for _, p := range entries {
-		if excess <= 0 {
-			break
-		}
-		cold := p.snap.NumPages()*P - p.spilled
-		if cold <= 0 {
-			continue
-		}
-		d := cold
-		if d > excess {
-			d = excess
-		}
-		e.acct.MoveToHost(d)
-		p.spilled += d
-		excess -= d
-		e.mx.spilled.Add(d)
-		e.rt.AccountPages(int((d + P - 1) / P))
-	}
-	cands := make([]*task, 0, len(active))
-	for _, t := range active {
-		if t.seq != nil && t.req.Budget > 0 && t.req.NewSelector != nil {
-			cands = append(cands, t)
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].coldRound != cands[j].coldRound {
-			return cands[i].coldRound < cands[j].coldRound
-		}
-		return cands[i].id < cands[j].id
-	})
-	for _, t := range cands {
-		if excess <= 0 {
-			break
-		}
-		cold := e.coldSlots(t) - t.spilled
-		if cold <= 0 {
-			continue
-		}
-		d := cold
-		if d > excess {
-			d = excess
-		}
-		e.acct.MoveToHost(d)
-		t.spilled += d
-		t.coldRound = round
-		excess -= d
-		e.mx.spilled.Add(d)
-		// Device→host copies consume modeled channel time too; nobody waits
-		// on them (the fetch path pays to bring pages back).
-		e.rt.AccountPages(int((d + P - 1) / P))
-	}
-	if moved := spillStart - excess; moved > 0 {
-		e.attr.addTierSlots(moved)
-		e.rec.Emit(obs.Event{Type: obs.EvPageSpill, Round: round, N: e.kvUnits(moved)})
 	}
 }
 
-// promoteSpilled moves host-accounted slots back device-side while headroom
-// allows, unwinding the most recent spills first. Residual host accounting
-// left by retired tasks (their shared pages outliving them) is promoted once
-// the active claims are exhausted.
-func (e *Engine) promoteSpilled(active []*task, headroom, pageTokens, round int64) {
-	avail := e.acct.HostUsed()
-	if avail == 0 {
-		return
-	}
-	promote := headroom
-	if promote > avail {
-		promote = avail
-	}
-	e.acct.MoveToDevice(promote)
-	e.rt.AccountPages(int((promote + pageTokens - 1) / pageTokens))
-	e.attr.addTierSlots(promote)
-	e.rec.Emit(obs.Event{Type: obs.EvPagePromote, Round: round, N: e.kvUnits(promote)})
-	// Shrink per-task claims newest-spill-first so future pressure can spill
-	// them again; cached-prefix claims (the coldest) unwind last, and any
-	// residue beyond both belonged to retired tasks and needs no bookkeeping.
-	cands := make([]*task, 0, len(active))
-	for _, t := range active {
-		if t.spilled > 0 {
-			cands = append(cands, t)
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].coldRound != cands[j].coldRound {
-			return cands[i].coldRound > cands[j].coldRound
-		}
-		return cands[i].id > cands[j].id
-	})
-	left := promote
-	for _, t := range cands {
-		if left <= 0 {
-			break
-		}
-		d := t.spilled
-		if d > left {
-			d = left
-		}
-		t.spilled -= d
-		left -= d
-	}
-	if left <= 0 {
-		return
-	}
-	var entries []*prefixEntry
+// tierClaim is one holder of host-accounted slots, a cached prefix (p) or an
+// active budgeted sequence (t), with its place in spill order.
+type tierClaim struct {
+	spilled *int64
+	p       *prefixEntry
+	t       *task
+	order   [3]int64
+}
+
+// tierClaims lists the claims in spill order: cached prefixes by last use,
+// admission order breaking ties, then active budgeted sequences by the round
+// they last spilled, task id breaking ties.
+func (e *Engine) tierClaims(active []*task) []tierClaim {
+	var claims []tierClaim
 	for _, p := range e.cache.entries(nil) {
-		if p.spilled > 0 {
-			entries = append(entries, p)
+		if p.ready && p.snap != nil {
+			claims = append(claims, tierClaim{&p.spilled, p, nil, [3]int64{0, p.lastUsed, int64(p.seq)}})
 		}
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].lastUsed != entries[j].lastUsed {
-			return entries[i].lastUsed > entries[j].lastUsed
+	for _, t := range active {
+		if t.seq != nil && t.req.Budget > 0 && t.req.NewSelector != nil {
+			claims = append(claims, tierClaim{&t.spilled, nil, t, [3]int64{1, t.coldRound, int64(t.id)}})
 		}
-		return entries[i].seq > entries[j].seq
-	})
-	for _, p := range entries {
-		if left <= 0 {
-			break
-		}
-		d := p.spilled
-		if d > left {
-			d = left
-		}
-		p.spilled -= d
-		left -= d
 	}
+	slices.SortFunc(claims, func(a, b tierClaim) int { return slices.Compare(a.order[:], b.order[:]) })
+	return claims
 }
 
 // coldSlots returns the raw slots of t's sequence that sit beyond its
 // selector's device working set: per (layer, head) plane, pages past the
 // Budget hot tokens plus one tail page. Shared prefix pages may be claimed
-// cold by several forks; spillCold bounds total movement by the actual
+// cold by several forks; rebalanceTiers bounds total movement by the actual
 // device excess, so over-attribution cannot underflow the accountant.
 func (e *Engine) coldSlots(t *task) int64 {
 	P := e.arena.PageTokens()

@@ -5,54 +5,15 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"clusterkv/internal/metrics"
 	"clusterkv/internal/obs"
 )
 
-// LatencyStats condenses a latency distribution for reporting. All values
-// are seconds.
-type LatencyStats struct {
-	N                   int
-	Mean, P50, P95, Max float64
-}
-
-// Summarize condenses a metrics.Summary into the reporting shape.
-func Summarize(s *metrics.Summary) LatencyStats {
-	return LatencyStats{
-		N:    s.N(),
-		Mean: s.Mean(),
-		P50:  s.Quantile(0.5),
-		P95:  s.Quantile(0.95),
-		Max:  s.Max(),
-	}
-}
-
-func (l LatencyStats) String() string {
-	if l.N == 0 {
-		// An empty distribution has no quantiles; printing the zero-valued
-		// percentiles would read as "0ms latency" rather than "no samples".
-		return "n=0"
-	}
-	return fmt.Sprintf("n=%d mean=%.2fms p50=%.2fms p95=%.2fms max=%.2fms",
-		l.N, l.Mean*1e3, l.P50*1e3, l.P95*1e3, l.Max*1e3)
-}
-
-// Fill publishes the distribution into reg as one gauge per statistic,
-// discriminated by a stat label.
-func (l LatencyStats) Fill(reg *obs.Registry, name string, labels []obs.Label) {
-	with := func(stat string) []obs.Label {
-		return append(append([]obs.Label(nil), labels...), obs.L("stat", stat))
-	}
-	reg.Gauge(name, with("count")...).Set(float64(l.N))
-	reg.Gauge(name, with("mean")...).Set(l.Mean)
-	reg.Gauge(name, with("p50")...).Set(l.P50)
-	reg.Gauge(name, with("p95")...).Set(l.P95)
-	reg.Gauge(name, with("max")...).Set(l.Max)
-}
-
-// Metrics is a point-in-time snapshot of the engine's aggregate counters.
+// Metrics is a point-in-time snapshot of the engine's aggregate counters,
+// built from O(1) state and free of wall-clock readings: a deterministic run
+// reproduces it field for field. Per-request latency distributions are not
+// here; the fleet router's obs.Attribution folds them from the responses.
 type Metrics struct {
 	// Request counters.
 	Submitted, Completed, Failed uint64
@@ -70,8 +31,6 @@ type Metrics struct {
 	TokensGenerated, PrefillTokens int64
 	// Rounds is the number of scheduler rounds executed.
 	Rounds int64
-	// Elapsed spans first admission to last retirement.
-	Elapsed time.Duration
 	// KV accounting, in per-head token slots (see kvcache.Accountant).
 	// KVUsed is the live deduplicated page footprint and KVPeak its
 	// high-water mark sampled at round barriers (deterministic across worker
@@ -90,11 +49,8 @@ type Metrics struct {
 	// DecodeStreamsBatched sums cohort sizes over those rounds, while
 	// DecodeStreamsSolo counts rounds whose cohort was a single stream
 	// (first tokens ride their prefill step and count in neither).
-	// CohortSize is the cohort-size distribution over batched rounds, in
-	// streams.
 	BatchRounds                             int64
 	DecodeStreamsBatched, DecodeStreamsSolo int64
-	CohortSize                              LatencyStats
 	// Selector-metadata sharing, harvested from retired sequences' selectors
 	// (attention.SelStats): prefill pieces whose clustering was adopted from
 	// a shared KV page vs built by the request itself, and the prefill keys
@@ -106,18 +62,18 @@ type Metrics struct {
 	// channel-busy time vs the portion exposed to the modeled compute clock,
 	// plus layer-ahead prefetch page counters. Deterministic per seed.
 	Transfer metrics.Overlap
-	// Latency distributions.
-	TTFT, TokenLatency, QueueWait LatencyStats
-	// Scheduler gauges, averaged per round.
+	// Scheduler gauges, averaged per round: queued requests and active
+	// streams once the round's admissions are done.
 	MeanQueueDepth, MeanBatchOccupancy float64
 }
 
-// Throughput returns aggregate generated tokens per second over Elapsed.
-func (m Metrics) Throughput() float64 {
-	if m.Elapsed <= 0 {
+// CohortMean returns the mean batched-cohort size in streams over batched
+// rounds (0 before the first).
+func (m Metrics) CohortMean() float64 {
+	if m.BatchRounds == 0 {
 		return 0
 	}
-	return float64(m.TokensGenerated) / m.Elapsed.Seconds()
+	return float64(m.DecodeStreamsBatched) / float64(m.BatchRounds)
 }
 
 // String formats the snapshot as a small report.
@@ -125,8 +81,7 @@ func (m Metrics) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "requests: %d submitted, %d completed, %d failed\n",
 		m.Submitted, m.Completed, m.Failed)
-	fmt.Fprintf(&b, "tokens:   %d generated, %d prefilled, %.1f tok/s aggregate\n",
-		m.TokensGenerated, m.PrefillTokens, m.Throughput())
+	fmt.Fprintf(&b, "tokens:   %d generated, %d prefilled\n", m.TokensGenerated, m.PrefillTokens)
 	fmt.Fprintf(&b, "prefix cache: %d hits, %d misses (%d partial), %d evicted, %d tokens reused\n",
 		m.PrefixHits, m.PrefixMisses, m.PrefixPartialHits, m.PrefixEvicted, m.PrefixReusedTokens)
 	fmt.Fprintf(&b, "kv slots: %d used, %d peak, %d capacity\n",
@@ -136,9 +91,8 @@ func (m Metrics) String() string {
 			m.KVDevicePeak, m.KVCapacity, m.KVHostPeak, m.KVHostCapacity, m.KVSpilled)
 	}
 	if m.BatchRounds > 0 || m.DecodeStreamsSolo > 0 {
-		fmt.Fprintf(&b, "decode batch: %d batched rounds, %d batched streams, %d solo, cohort mean %.1f p50 %.0f max %.0f\n",
-			m.BatchRounds, m.DecodeStreamsBatched, m.DecodeStreamsSolo,
-			m.CohortSize.Mean, m.CohortSize.P50, m.CohortSize.Max)
+		fmt.Fprintf(&b, "decode batch: %d batched rounds, %d batched streams, %d solo, cohort mean %.1f\n",
+			m.BatchRounds, m.DecodeStreamsBatched, m.DecodeStreamsSolo, m.CohortMean())
 	}
 	if keys := m.MetaKeysAdopted + m.MetaKeysBuilt; keys > 0 {
 		fmt.Fprintf(&b, "meta segments: %d adopted from shared pages, %d built; keys %d adopted, %d clustered (%.0f%% adopted)\n",
@@ -158,18 +112,14 @@ func (m Metrics) String() string {
 	}
 	fmt.Fprintf(&b, "scheduler: %d rounds, mean queue depth %.2f, mean batch %.2f\n",
 		m.Rounds, m.MeanQueueDepth, m.MeanBatchOccupancy)
-	fmt.Fprintf(&b, "ttft:      %s\n", m.TTFT)
-	fmt.Fprintf(&b, "token lat: %s\n", m.TokenLatency)
-	fmt.Fprintf(&b, "queue wait: %s\n", m.QueueWait)
 	return b.String()
 }
 
 // FillRegistry publishes the snapshot into reg under the clusterkv_serve_*
 // namespace: monotone counters re-state cumulative totals (obs.Counter.Set is
-// max-keeping, so repeated fills are safe), point-in-time values become
-// gauges, and latency distributions become stat-labeled gauge families. The
-// snapshot is a *view* over Metrics — filling reads nothing back and can run
-// on any goroutine at any cadence.
+// max-keeping, so repeated fills are safe) and point-in-time values become
+// gauges. The snapshot is a *view* over Metrics — filling reads nothing back
+// and can run on any goroutine at any cadence.
 func (m Metrics) FillRegistry(reg *obs.Registry, labels ...obs.Label) {
 	cnt := func(name string, v int64) { reg.Counter(name, labels...).Set(v) }
 	gauge := func(name string, v float64) { reg.Gauge(name, labels...).Set(v) }
@@ -202,7 +152,6 @@ func (m Metrics) FillRegistry(reg *obs.Registry, labels ...obs.Label) {
 	gauge("clusterkv_serve_kv_host_capacity_slots", float64(m.KVHostCapacity))
 	gauge("clusterkv_serve_mean_queue_depth", m.MeanQueueDepth)
 	gauge("clusterkv_serve_mean_batch_occupancy", m.MeanBatchOccupancy)
-	gauge("clusterkv_serve_throughput_tok_per_sec", m.Throughput())
 	cnt("clusterkv_xfer_transfers_total", m.Transfer.Transfers)
 	cnt("clusterkv_xfer_pages_total", m.Transfer.Pages)
 	gauge("clusterkv_xfer_busy_seconds", m.Transfer.BusySec)
@@ -210,10 +159,6 @@ func (m Metrics) FillRegistry(reg *obs.Registry, labels ...obs.Label) {
 	gauge("clusterkv_xfer_hidden_frac", m.Transfer.HiddenFrac())
 	cnt("clusterkv_xfer_prefetched_pages_total", m.Transfer.PrefetchedPages)
 	cnt("clusterkv_xfer_prefetch_hits_total", m.Transfer.PrefetchHits)
-	m.CohortSize.Fill(reg, "clusterkv_serve_decode_cohort_streams", labels)
-	m.TTFT.Fill(reg, "clusterkv_serve_ttft_seconds", labels)
-	m.TokenLatency.Fill(reg, "clusterkv_serve_token_latency_seconds", labels)
-	m.QueueWait.Fill(reg, "clusterkv_serve_queue_wait_seconds", labels)
 }
 
 // FillRegistry publishes the engine's current Metrics snapshot plus the live
@@ -247,10 +192,8 @@ type engineMetrics struct {
 	// kvPeak, devPeak and hostPeak are round-barrier high-water marks in raw
 	// accountant slots (Metrics reports them per head).
 	kvPeak, devPeak, hostPeak int64
-	cohortSizes               metrics.Summary
-	queueDepth, batchOcc      metrics.Summary
-	ttft, tokenLat, qwait     metrics.Summary
-	firstAdmit, lastDone      time.Time
+	// queuedSum and activeSum sum the per-round scheduler gauges over Rounds.
+	queuedSum, activeSum int64
 }
 
 // observeKV records the accountant gauges sampled at a round barrier (after
@@ -276,8 +219,8 @@ func (x *engineMetrics) observeRound(queued, active int) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	x.c.Rounds++
-	x.queueDepth.Add(float64(queued))
-	x.batchOcc.Add(float64(active))
+	x.queuedSum += int64(queued)
+	x.activeSum += int64(active)
 }
 
 // observeBatch records one round's non-empty decode cohort: two or more
@@ -288,7 +231,6 @@ func (x *engineMetrics) observeBatch(cohort int) {
 	if cohort > 1 {
 		x.c.BatchRounds++
 		x.c.DecodeStreamsBatched += int64(cohort)
-		x.cohortSizes.Add(float64(cohort))
 	} else {
 		x.c.DecodeStreamsSolo++
 	}
@@ -305,10 +247,6 @@ func (x *engineMetrics) observeRejected() {
 func (x *engineMetrics) observeAdmit(t *task) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if x.firstAdmit.IsZero() {
-		x.firstAdmit = time.Now()
-	}
-	x.qwait.Add(t.resp.QueueWait.Seconds())
 	if t.entry != nil {
 		if t.builder {
 			x.c.PrefixMisses++
@@ -332,13 +270,6 @@ func (x *engineMetrics) observeRetire(t *task, err error) {
 	}
 	x.c.TokensGenerated += int64(len(t.resp.Tokens))
 	x.c.PrefillTokens += int64(t.prefillN)
-	if t.prefilled {
-		x.ttft.Add(t.resp.TTFT.Seconds())
-	}
-	for _, l := range t.tokenLat {
-		x.tokenLat.Add(l)
-	}
-	x.lastDone = time.Now()
 }
 
 // Metrics returns a snapshot of the engine's aggregate metrics.
@@ -347,12 +278,8 @@ func (e *Engine) Metrics() Metrics {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	m := x.c
-	if !x.firstAdmit.IsZero() && x.lastDone.After(x.firstAdmit) {
-		m.Elapsed = x.lastDone.Sub(x.firstAdmit)
-	}
 	m.Submitted = x.submitted.Load()
 	m.PrefixEvicted = x.prefixEvicted.Load()
-	m.CohortSize = Summarize(&x.cohortSizes)
 	m.KVUsed = e.kvUnits(e.acct.Used())
 	m.KVPeak = e.kvUnits(x.kvPeak)
 	m.KVCapacity = e.kvUnits(e.acct.Capacity())
@@ -367,10 +294,9 @@ func (e *Engine) Metrics() Metrics {
 	m.MetaKeysAdopted = x.metaKeysAdopted.Load()
 	m.MetaKeysBuilt = x.metaKeysBuilt.Load()
 	m.Transfer = e.rt.Stats()
-	m.TTFT = Summarize(&x.ttft)
-	m.TokenLatency = Summarize(&x.tokenLat)
-	m.QueueWait = Summarize(&x.qwait)
-	m.MeanQueueDepth = x.queueDepth.Mean()
-	m.MeanBatchOccupancy = x.batchOcc.Mean()
+	if m.Rounds > 0 {
+		m.MeanQueueDepth = float64(x.queuedSum) / float64(m.Rounds)
+		m.MeanBatchOccupancy = float64(x.activeSum) / float64(m.Rounds)
+	}
 	return m
 }

@@ -582,15 +582,12 @@ func TestEngineMetricsSnapshot(t *testing.T) {
 	if mx.TokensGenerated != 20 {
 		t.Fatalf("tokens generated = %d", mx.TokensGenerated)
 	}
-	if mx.Rounds <= 0 || mx.Elapsed <= 0 || mx.Throughput() <= 0 {
-		t.Fatalf("rounds=%d elapsed=%v tput=%v", mx.Rounds, mx.Elapsed, mx.Throughput())
-	}
-	if mx.TTFT.N != 4 || mx.QueueWait.N != 4 {
-		t.Fatalf("latency sample counts: ttft=%d qwait=%d", mx.TTFT.N, mx.QueueWait.N)
+	if mx.Rounds <= 0 {
+		t.Fatalf("rounds=%d", mx.Rounds)
 	}
 	// 4 requests × 5 tokens, first token of each rides its prefill step.
-	if mx.TokenLatency.N != 16 {
-		t.Fatalf("token latency samples = %d", mx.TokenLatency.N)
+	if steps := mx.DecodeStreamsBatched + mx.DecodeStreamsSolo; steps != 16 {
+		t.Fatalf("cohort decode steps = %d, want 16", steps)
 	}
 	if mx.KVUsed != 0 {
 		t.Fatalf("KV still charged after drain: %d", mx.KVUsed)

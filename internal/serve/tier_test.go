@@ -2,10 +2,13 @@ package serve
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"clusterkv/internal/memsim"
 	"clusterkv/internal/metrics"
+	"clusterkv/internal/obs"
 )
 
 // tierLoad builds a shared-document QA load whose prefill alone dwarfs the
@@ -165,5 +168,75 @@ func TestTransferTelemetryDeterministic(t *testing.T) {
 		if got := run(); got != want {
 			t.Fatalf("run %d: transfer telemetry %+v, want %+v", i+2, got, want)
 		}
+	}
+}
+
+// TestTieringWalkGolden pins the two-tier pass on a load that drives every
+// claim it keeps: two cached prefixes go idle (the second one's build already
+// spills the first), a full-attention stream and a budgeted ClusterKV stream
+// push the device over budget so both idle prefixes and the ClusterKV
+// stream's cold pages spill, the full-attention stream's retirement opens
+// headroom whose promote unwinds the task claim and then the newer prefix's
+// host claim, and the ClusterKV stream's growth spills that prefix again.
+// The per-round spill/promote/round-end stream and the prefixes' final host
+// claims are golden.
+func TestTieringWalkGolden(t *testing.T) {
+	const want = "1-2 end 192/0 | 3 spill 64 | 3-4 end 256/64 | 5 spill 256 | 5-8 end 256/320 | " +
+		"9 promote 128 | 9-46 end 256/192 | 47 spill 64 | 47-54 end 256/256 | claims doc1 128 doc2 128"
+	m := testModel()
+	doc1, doc2 := testDoc(31, 128), testDoc(35, 128)
+	ask := func(doc []int, seed uint64) Request {
+		return Request{Prompt: append(append([]int{}, doc...), testDoc(seed, 16)...), SharedPrefixLen: len(doc), MaxNewTokens: 2}
+	}
+	full := Request{Prompt: testDoc(33, 100), MaxNewTokens: 4}
+	budgeted := Request{Prompt: testDoc(34, 150), MaxNewTokens: 50, Budget: 16, NewSelector: clusterSel}
+
+	tracer := obs.NewTracer(0)
+	e := NewEngine(m, Config{Workers: 1, MaxBatch: 2, KVBudget: 256, HostBudget: 4096, Seed: 1, Trace: tracer.Recorder(0)})
+	defer e.Close()
+	for _, load := range [][]Request{{ask(doc1, 32)}, {ask(doc2, 36)}, {full, budgeted}} {
+		for i, r := range e.Run(load) {
+			if r.Err != nil {
+				t.Fatalf("request %d: %v", i, r.Err)
+			}
+		}
+	}
+
+	// Consecutive round ends with equal tier gauges fold into one range.
+	var parts []string
+	var from, last int64
+	var gauges string
+	flush := func() {
+		if gauges != "" {
+			parts = append(parts, fmt.Sprintf("%d-%d end %s", from, last, gauges))
+			gauges = ""
+		}
+	}
+	for _, ev := range tracer.Events() {
+		switch ev.Type {
+		case obs.EvPageSpill, obs.EvPagePromote:
+			flush()
+			parts = append(parts, fmt.Sprintf("%d %s %d", ev.Round, strings.TrimPrefix(ev.Type.String(), "page-"), ev.N))
+		case obs.EvRoundEnd:
+			if g := fmt.Sprintf("%d/%d", ev.N, ev.Aux); g != gauges {
+				flush()
+				from, gauges = ev.Round, g
+			}
+			last = ev.Round
+		}
+	}
+	flush()
+	// The engine is idle: the last spill pass ran before the last response
+	// was delivered, so its claims are settled.
+	claims := "claims"
+	for i, doc := range [][]int{doc1, doc2} {
+		for _, p := range e.cache.entries(nil) {
+			if sameTokens(p.tokens, doc) {
+				claims += fmt.Sprintf(" doc%d %d", i+1, e.kvUnits(p.spilled))
+			}
+		}
+	}
+	if got := strings.Join(append(parts, claims), " | "); got != want {
+		t.Fatalf("tiering stream changed:\n got %s\nwant %s", got, want)
 	}
 }

