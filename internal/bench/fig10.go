@@ -4,11 +4,8 @@ import (
 	"fmt"
 
 	"clusterkv/internal/attention"
-	"clusterkv/internal/baselines"
-	"clusterkv/internal/core"
 	"clusterkv/internal/kvcache"
 	"clusterkv/internal/metrics"
-	"clusterkv/internal/model"
 	"clusterkv/internal/workload"
 )
 
@@ -21,40 +18,6 @@ const fig10Warmup = 512
 
 // fig10Lambda is the retrieval-LM logit gain.
 const fig10Lambda = 10
-
-// modelMethods returns the §V method set configured for the transformer
-// engine (first-2-layers-full rule active, matching §V-A).
-func modelMethods() []MethodSpec {
-	return []MethodSpec{
-		{Name: "Quest", New: func() attention.Selector { return baselines.NewQuest(baselines.NewQuestConfig()) }},
-		{Name: "InfiniGen", New: func() attention.Selector { return baselines.NewInfiniGen(baselines.NewInfiniGenConfig()) }},
-		{Name: "ClusterKV", New: func() attention.Selector { return core.New(paperConfig()) }},
-		{Name: "FullKV", New: func() attention.Selector { return baselines.NewFullKV() }},
-	}
-}
-
-// traceMethodsPlain returns the method set for single-layer streaming runs
-// (bypass disabled).
-func traceMethodsPlain() []MethodSpec {
-	return []MethodSpec{
-		{Name: "Quest", New: func() attention.Selector {
-			cfg := baselines.NewQuestConfig()
-			cfg.BypassLayers = 0
-			return baselines.NewQuest(cfg)
-		}},
-		{Name: "InfiniGen", New: func() attention.Selector {
-			cfg := baselines.NewInfiniGenConfig()
-			cfg.BypassLayers = 0
-			return baselines.NewInfiniGen(cfg)
-		}},
-		{Name: "ClusterKV", New: func() attention.Selector {
-			cfg := paperConfig()
-			cfg.BypassLayers = 0
-			return core.New(cfg)
-		}},
-		{Name: "FullKV", New: func() attention.Selector { return baselines.NewFullKV() }},
-	}
-}
 
 // RunFig10 reproduces Fig. 10: language-modeling perplexity versus input
 // length with a 1024-token KV budget on a PG19-like stream, evaluated
@@ -93,7 +56,7 @@ func RunFig10(opt Options) *Report {
 	var rows []row
 	var fullPPL []float64
 	lm := workload.NewRetrievalLM(doc, tc, l, fig10Warmup, fig10Lambda)
-	for _, ms := range traceMethodsPlain() {
+	for _, ms := range TraceMethods() {
 		ppl := RetrievalPerplexity(lm, ms.New(), fig10Budget, checkpoints)
 		rows = append(rows, row{ms.Name, ppl})
 		if ms.Name == "FullKV" {
@@ -192,45 +155,6 @@ func RetrievalPerplexity(lm *workload.RetrievalLM, sel attention.Selector, budge
 	}
 	for ci < len(checkpoints) {
 		out = append(out, metrics.Perplexity(nll, max(1, evaluated)))
-		ci++
-	}
-	return out
-}
-
-// PerplexityCurveModel evaluates teacher-forced perplexity through the full
-// transformer engine (library utility; the Fig. 10 experiment uses the
-// retrieval LM instead — see workload.RetrievalLM).
-func PerplexityCurveModel(m *model.Model, stream []int, sel attention.Selector, budget int, checkpoints []int) []float64 {
-	seq := m.NewSequence(sel, budget)
-	vocab := m.Config().VocabSize
-
-	window := fig10Warmup
-	if window >= len(stream) {
-		window = len(stream) / 2
-	}
-	logits := make([]float32, window*vocab)
-	seq.Prefill(stream[:window], logits)
-	var nll float64
-	n := 0
-	for i := 0; i < window && i+1 < len(stream); i++ {
-		nll += metrics.NLLFromLogits(logits[i*vocab:(i+1)*vocab], stream[i+1])
-		n++
-	}
-
-	out := make([]float64, 0, len(checkpoints))
-	ci := 0
-	lg := make([]float32, vocab)
-	for t := window; t < len(stream)-1; t++ {
-		seq.DecodeInto(stream[t], lg)
-		nll += metrics.NLLFromLogits(lg, stream[t+1])
-		n++
-		for ci < len(checkpoints) && n >= checkpoints[ci]-1 {
-			out = append(out, metrics.Perplexity(nll, n))
-			ci++
-		}
-	}
-	for ci < len(checkpoints) {
-		out = append(out, metrics.Perplexity(nll, n))
 		ci++
 	}
 	return out

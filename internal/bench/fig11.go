@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"clusterkv/internal/cluster"
-	"clusterkv/internal/metrics"
 	"clusterkv/internal/workload"
 )
 
@@ -114,23 +113,4 @@ func RunFig11b(opt Options) *Report {
 		fmt.Sprintf("C0 values scaled by ctx/32768 = %.2f for this run.", scale),
 	)
 	return rep
-}
-
-// Fig11Summary computes headline recall numbers used in EXPERIMENTS.md.
-func Fig11Summary(opt Options) map[string]float64 {
-	opt = opt.withDefaults()
-	task := narrativeTrace(opt)
-	memo := NewMemo()
-	out := map[string]float64{}
-	for _, ms := range memo.TraceMethods(task.Trace) {
-		if ms.Name == "FullKV" {
-			continue
-		}
-		var xs []float64
-		for _, b := range RecallBudgets {
-			xs = append(xs, RunTrace(task.Trace, ms.New(), b).MeanRecall())
-		}
-		out[ms.Name] = metrics.Mean(xs)
-	}
-	return out
 }

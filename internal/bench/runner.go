@@ -7,7 +7,6 @@ package bench
 import (
 	"clusterkv/internal/attention"
 	"clusterkv/internal/baselines"
-	"clusterkv/internal/cluster"
 	"clusterkv/internal/core"
 	"clusterkv/internal/kvcache"
 	"clusterkv/internal/metrics"
@@ -167,14 +166,4 @@ func paperConfig() core.Config {
 	cfg := core.NewConfig()
 	cfg.SegmentTokens = 0
 	return cfg
-}
-
-// NewClusterKVForTrace builds a ClusterKV selector for trace harness runs
-// with the given overrides (used by the Fig. 11b ablations).
-func NewClusterKVForTrace(metric cluster.Metric, c0 int) *core.ClusterKV {
-	cfg := paperConfig()
-	cfg.BypassLayers = 0
-	cfg.Metric = metric
-	cfg.C0Override = c0
-	return core.New(cfg)
 }

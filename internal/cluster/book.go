@@ -41,9 +41,6 @@ func NewBook(d, start int) *Book {
 	return &Book{d: d, start: start, clusteredUpTo: start, prefix: []int{0}}
 }
 
-// Dim returns the key dimension.
-func (b *Book) Dim() int { return b.d }
-
 // Start returns the absolute position of the first clusterable token.
 func (b *Book) Start() int { return b.start }
 

@@ -92,16 +92,6 @@ func OPT67B() ModelShape {
 	}
 }
 
-// GLM49B returns the shape of GLM4-9B-Chat (GQA with 2 kv heads… modeled
-// with its published 32-layer, 4096-wide config).
-func GLM49B() ModelShape {
-	return ModelShape{
-		Name: "GLM4-9B", Params: 9_400_000_000,
-		NLayers: 40, NHeads: 32, NKVHeads: 2, HeadDim: 128,
-		DModel: 4096, FFNDim: 13696, VocabSize: 151552,
-	}
-}
-
 // SecPerKVPage returns the modeled PCIe seconds to move one (layer, head) KV
 // page of pageTokens tokens — K and V rows of headDim fp16 channels. It is
 // the per-page cost the transfer runtime (kvcache.TransferRuntime) charges

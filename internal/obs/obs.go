@@ -150,13 +150,6 @@ type Event struct {
 	Sec, Dur float64
 }
 
-// Sink receives every recorded event in emission order, synchronously under
-// the tracer lock — implementations must be fast and must never call back
-// into the tracer.
-type Sink interface {
-	Emit(Event)
-}
-
 // DefaultRingCapacity bounds a NewTracer(0) ring.
 const DefaultRingCapacity = 1 << 16
 
@@ -171,7 +164,6 @@ type Tracer struct {
 	n       int // retained events
 	total   uint64
 	dropped uint64
-	sinks   []Sink
 }
 
 // NewTracer returns a tracer retaining up to capacity events
@@ -181,13 +173,6 @@ func NewTracer(capacity int) *Tracer {
 		capacity = DefaultRingCapacity
 	}
 	return &Tracer{buf: make([]Event, capacity)}
-}
-
-// Attach adds a sink receiving every subsequent event.
-func (t *Tracer) Attach(s Sink) {
-	t.mu.Lock()
-	t.sinks = append(t.sinks, s)
-	t.mu.Unlock()
 }
 
 // Recorder returns a recorder stamping events with the given replica lane
@@ -218,9 +203,6 @@ func (t *Tracer) emit(ev Event) {
 	}
 	t.buf[i] = ev
 	t.n++
-	for _, s := range t.sinks {
-		s.Emit(ev)
-	}
 	t.mu.Unlock()
 }
 
@@ -271,18 +253,6 @@ func (t *Tracer) Events() []Event {
 	return out
 }
 
-// Reset drops every retained event and zeroes the counters; attached sinks
-// stay attached.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.start, t.n = 0, 0
-	t.total, t.dropped = 0, 0
-	t.mu.Unlock()
-}
-
 // Recorder is the emission handle instrumented code holds: a tracer plus the
 // replica lane to stamp. The zero value is disabled — Emit on it is a single
 // nil compare with no allocation, which is what lets the serving hot paths
@@ -294,9 +264,6 @@ type Recorder struct {
 
 // Enabled reports whether events will be recorded.
 func (r Recorder) Enabled() bool { return r.t != nil }
-
-// Replica returns the lane this recorder stamps.
-func (r Recorder) Replica() int { return r.replica }
 
 // Emit records ev, stamping the recorder's replica lane. A disabled
 // recorder's Emit is a no-op.

@@ -74,47 +74,6 @@ func TestNilTracerIsDisabled(t *testing.T) {
 	if tr.Len() != 0 || tr.Total() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
 		t.Fatal("nil tracer accessors must report empty")
 	}
-	tr.Reset() // must not panic
-}
-
-func TestTracerReset(t *testing.T) {
-	tr := NewTracer(2)
-	rec := tr.Recorder(0)
-	for i := 0; i < 5; i++ {
-		rec.Emit(Event{Type: EvRetire})
-	}
-	tr.Reset()
-	if tr.Len() != 0 || tr.Total() != 0 || tr.Dropped() != 0 {
-		t.Fatalf("after Reset: len=%d total=%d dropped=%d, want zeros",
-			tr.Len(), tr.Total(), tr.Dropped())
-	}
-	rec.Emit(Event{Type: EvRetire, N: 7})
-	evs := tr.Events()
-	if len(evs) != 1 || evs[0].N != 7 {
-		t.Fatalf("tracer unusable after Reset: %+v", evs)
-	}
-}
-
-type captureSink struct{ evs []Event }
-
-func (c *captureSink) Emit(ev Event) { c.evs = append(c.evs, ev) }
-
-func TestTracerSinkSeesEveryEvent(t *testing.T) {
-	tr := NewTracer(2) // smaller than the emission count: ring drops, sink keeps all
-	sink := &captureSink{}
-	tr.Attach(sink)
-	rec := tr.Recorder(1)
-	for i := 0; i < 6; i++ {
-		rec.Emit(Event{Type: EvPageSpill, N: int64(i)})
-	}
-	if len(sink.evs) != 6 {
-		t.Fatalf("sink saw %d events, want all 6 (ring bound must not apply)", len(sink.evs))
-	}
-	for i, ev := range sink.evs {
-		if ev.N != int64(i) || ev.Replica != 1 {
-			t.Fatalf("sink event %d: %+v", i, ev)
-		}
-	}
 }
 
 func TestEventTypeStrings(t *testing.T) {

@@ -11,8 +11,8 @@ import (
 // round barrier it prices the finished round with the shared
 // memsim.LatencyModel — one batched decode step, the round's admitted
 // prefills, and the tiering pass's spill/promote channel time. It keeps only
-// running totals; each task stamps the totals it needs as it passes the
-// scheduler (seen, head-of-line blocked, admitted, first token), so a
+// running totals; each task stamps them as it enters each lifecycle state
+// (queued, blocked, admitted, decoding: its first token is out), so a
 // retiring request's modeled wall time tiles exactly into phases and its
 // ModelTTFT/ModelTBT are differences of its stamps. Everything here is a pure
 // function of round-deterministic counts, touched only on the scheduler
@@ -31,51 +31,23 @@ type attrTracker struct {
 	curTierSlots int64
 }
 
-// clockStamp is the clock's running totals at one instant.
-type clockStamp struct{ clock, prefill, tier float64 }
-
-// markSeen stamps the round each pending request first reached the
-// scheduler; its queue phase starts on the clock before that round.
-func (a *attrTracker) markSeen(pending []*task, round int64) {
-	for _, t := range pending {
-		if t.seenRound == 0 {
-			t.seenRound = round
-			t.clkSeen = a.clock
-		}
-	}
-}
-
-// markBlocked stamps the clock when a request first blocks at the head of
-// the admission queue; its admit phase starts there.
-func (a *attrTracker) markBlocked(t *task) {
-	if !t.blocked {
-		t.blocked = true
-		t.clkHol = a.clock
-	}
-}
-
-// markAdmitted stamps the totals before the admission round is priced.
-func (a *attrTracker) markAdmitted(t *task) {
-	t.clkAdmit = clockStamp{a.clock, a.prefill, a.tier}
+// stamp returns the clock's running totals in round, for a task's state
+// entry (Engine.enter).
+func (a *attrTracker) stamp(round int64) stamp {
+	return stamp{round, a.clock, a.prefill, a.tier}
 }
 
 // addTierSlots charges the in-progress round's tiering pass with n raw
 // slots moved between tiers (spill or promote).
-func (a *attrTracker) addTierSlots(n int64) {
-	if n > 0 {
-		a.curTierSlots += n
-	}
-}
+func (a *attrTracker) addTierSlots(n int64) { a.curTierSlots += n }
 
 // endRound prices the finished round at the barrier: the round's shared
 // batched decode step, the own-prefill of every task admitted this round
 // (stamped onto the task for its later breakdown), and the tiering pass.
-// Tasks admitted this round produced their first token in it, so they stamp
-// the clock after it.
-func (a *attrTracker) endRound(active []*task, round int64) {
+func (a *attrTracker) endRound(active []*task) {
 	var prefill float64
 	for _, t := range active {
-		if t.resp.AdmitRound == round {
+		if t.state == stAdmitted {
 			t.attrOwnPrefill = a.lm.PrefillSec(t.prefillN)
 			prefill += t.attrOwnPrefill
 		}
@@ -85,58 +57,56 @@ func (a *attrTracker) endRound(active []*task, round int64) {
 	a.clock += a.lm.DecodeSecPerTok + prefill + tier
 	a.prefill += prefill
 	a.tier += tier
-	for _, t := range active {
-		if t.resp.AdmitRound == round {
-			t.clkFirst = a.clock
-		}
-	}
 }
 
 // finish tiles the retiring task's modeled wall time — clock(DoneRound) −
 // clock(SeenRound−1) — into phases and stamps the response's ModelTTFT
-// (clock(AdmitRound) − clock(SeenRound−1)) and ModelTBT. An admitted task
-// retires after its last round was priced; a refused one before the round
-// it was refused in was, so in both cases the running totals are the end of
-// its span. For an admitted task the tiling is exact by construction: queue
-// and admit cover the rounds before admission, and every resident round's
-// cost splits into its shared decode step, the task's own prefill,
+// (clock(AdmitRound) − clock(SeenRound−1)) and ModelTBT. It runs before the
+// task enters done, so t.state is the state it retires from. An admitted task
+// retires after its last round was priced; a refused or stalled one before
+// the round it ended in was, so in both cases the running totals are the end
+// of its span. For an admitted task the tiling is exact by construction:
+// queue and admit cover the rounds before admission, and every resident
+// round's cost splits into its shared decode step, the task's own prefill,
 // co-scheduled prefill (interference) and tiering.
 func (a *attrTracker) finish(t *task, round int64) *obs.Breakdown {
-	admit, begin := t.resp.AdmitRound, t.clkSeen
-	b := &obs.Breakdown{
-		Req: t.id, Replica: -1,
-		SeenRound: t.seenRound, AdmitRound: admit, DoneRound: round,
-	}
+	seen, admit := t.at[stQueued], t.at[stAdmitted]
+	admitted := t.state >= stAdmitted
+	b := &obs.Breakdown{Req: t.id, Replica: -1, SeenRound: seen.round, DoneRound: round}
 	// waited is where waiting ended: admission, or the refusal now. A
-	// request never admitted (refused as too large) spends its whole span
-	// queueing and retrying admission at the head of the line.
+	// request never admitted spends its whole span queueing and retrying
+	// admission at the head of the line.
 	waited := a.clock
-	if admit > 0 {
-		waited = t.clkAdmit.clock
+	if admitted {
+		waited = admit.clock
+		b.AdmitRound = admit.round
 	}
-	hol := t.clkHol
-	if !t.blocked {
-		hol = waited
+	// hol is where the head-of-line wait began; a task admitted without
+	// blocking carries its admission stamp as its blocked one.
+	hol := waited
+	if t.state >= stBlocked {
+		hol = t.at[stBlocked].clock
 	}
-	b.Phases[obs.PhaseQueue] = hol - begin
+	b.Phases[obs.PhaseQueue] = hol - seen.clock
 	b.Phases[obs.PhaseAdmit] = waited - hol
-	if admit > 0 {
+	if admitted {
+		first := t.at[stDecoding].clock
 		b.Phases[obs.PhasePrefill] = t.attrOwnPrefill
-		b.Phases[obs.PhaseDecode] = float64(round-admit+1) * a.lm.DecodeSecPerTok
-		interf := (a.prefill - t.clkAdmit.prefill) - t.attrOwnPrefill
+		b.Phases[obs.PhaseDecode] = float64(round-admit.round+1) * a.lm.DecodeSecPerTok
+		interf := (a.prefill - admit.prefill) - t.attrOwnPrefill
 		if interf < 0 {
 			interf = 0
 		}
 		b.Phases[obs.PhaseInterference] = interf
-		b.Phases[obs.PhaseTiering] = a.tier - t.clkAdmit.tier
-		b.DecodeRounds = round - admit + 1
+		b.Phases[obs.PhaseTiering] = a.tier - admit.tier
+		b.DecodeRounds = round - admit.round + 1
 		b.BatchedRounds = t.batchedRounds
 		if reused := t.resp.PrefixReusedTokens; reused > 0 {
 			b.PrefixCreditSec = a.lm.PrefillSec(t.prefillN+reused) - a.lm.PrefillSec(t.prefillN)
 		}
-		t.resp.ModelTTFT = t.clkFirst - begin
+		t.resp.ModelTTFT = first - seen.clock
 		if n := len(t.resp.Tokens); n > 1 {
-			t.resp.ModelTBT = (a.clock - t.clkFirst) / float64(n-1)
+			t.resp.ModelTBT = (a.clock - first) / float64(n-1)
 		}
 	}
 	if t.seq != nil {

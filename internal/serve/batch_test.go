@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"clusterkv/internal/obs"
@@ -22,7 +23,7 @@ func maxBatch(n int) func(*Config) { return func(c *Config) { c.MaxBatch = n } }
 // out rounds and counters, which legitimately differ between batch widths.
 func sameOutputs(a, b engineRunFingerprint) string {
 	for i := range a.tokens {
-		if !sameTokens(a.tokens[i], b.tokens[i]) {
+		if !slices.Equal(a.tokens[i], b.tokens[i]) {
 			return fmt.Sprintf("request %d: tokens %v vs %v", i, a.tokens[i], b.tokens[i])
 		}
 		if a.errs[i] != b.errs[i] {
@@ -79,7 +80,7 @@ func TestBatchDecodeMatchesPerStream(t *testing.T) {
 		}
 		m := testModel()
 		for i, req := range greedy {
-			if want := serialDecode(t, m, req); !sameTokens(got.tokens[i], want) {
+			if want := serialDecode(t, m, req); !slices.Equal(got.tokens[i], want) {
 				t.Fatalf("request %d: cohort-of-8 tokens %v, serial decode %v", i, got.tokens[i], want)
 			}
 		}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -57,7 +58,7 @@ func TestBatchDecodeLoneStreamIsCohortOfOne(t *testing.T) {
 		}
 	}
 	for _, i := range []int{0, len(reqs) - 1} {
-		if want := serialDecode(t, m, reqs[i]); !sameTokens(resps[i].Tokens, want) {
+		if want := serialDecode(t, m, reqs[i]); !slices.Equal(resps[i].Tokens, want) {
 			t.Fatalf("request %d: tokens %v, serial decode %v", i, resps[i].Tokens, want)
 		}
 	}
@@ -133,7 +134,7 @@ func TestBatchDecodeLoneStreamPanicIsolated(t *testing.T) {
 	if resps[2].Err != nil || resps[2].AdmitRound != 2 {
 		t.Fatalf("prefill beside the panic: err %v, admitted in round %d (want nil, 2)", resps[2].Err, resps[2].AdmitRound)
 	}
-	if want := serialDecode(t, m, chain[1]); !sameTokens(resps[2].Tokens, want) {
+	if want := serialDecode(t, m, chain[1]); !slices.Equal(resps[2].Tokens, want) {
 		t.Fatalf("prefill beside the panic: tokens %v, serial decode %v", resps[2].Tokens, want)
 	}
 	if live, used := e.Arena().LivePages(), e.Accountant().Used(); live != 0 || used != 0 {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"clusterkv/internal/attention"
 	"clusterkv/internal/metrics"
 	"clusterkv/internal/obs"
 )
@@ -174,13 +175,8 @@ func (e *Engine) FillRegistry(reg *obs.Registry, labels ...obs.Label) {
 
 // engineMetrics is the engine-internal accumulator.
 type engineMetrics struct {
-	submitted     atomic.Uint64
-	prefixEvicted atomic.Uint64
-	spilled       atomic.Int64
-	// selector-metadata piece and key counters, harvested from each
-	// sequence's selector at retirement.
-	metaAdopted, metaBuilt         atomic.Int64
-	metaKeysAdopted, metaKeysBuilt atomic.Int64
+	// submitted is written by submitters, outside the scheduler.
+	submitted atomic.Uint64
 	// curQueued/curActive are the last round barrier's scheduler gauges,
 	// exposed to routers through Engine.Occupancy (zeroed while idle).
 	curQueued, curActive atomic.Int64
@@ -189,9 +185,10 @@ type engineMetrics struct {
 	// c holds the mutex-guarded counters under their Metrics names;
 	// Engine.Metrics copies it and fills in the derived fields.
 	c Metrics
-	// kvPeak, devPeak and hostPeak are round-barrier high-water marks in raw
-	// accountant slots (Metrics reports them per head).
-	kvPeak, devPeak, hostPeak int64
+	// kvPeak, devPeak and hostPeak are round-barrier high-water marks and
+	// spilled the cumulative cold spills, in raw accountant slots (Metrics
+	// reports them per head).
+	kvPeak, devPeak, hostPeak, spilled int64
 	// queuedSum and activeSum sum the per-round scheduler gauges over Rounds.
 	queuedSum, activeSum int64
 }
@@ -244,6 +241,30 @@ func (x *engineMetrics) observeRejected() {
 	x.c.Failed++
 }
 
+func (x *engineMetrics) observeEvict() {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	x.c.PrefixEvicted++
+}
+
+// observeSpill records n raw slots moved device→host by one tiering pass.
+func (x *engineMetrics) observeSpill(n int64) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	x.spilled += n
+}
+
+// observeMeta harvests a retiring sequence's selector-metadata piece and key
+// counters.
+func (x *engineMetrics) observeMeta(st attention.SelStats) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	x.c.MetaSegsAdopted += st.MetaSegsAdopted
+	x.c.MetaSegsBuilt += st.MetaSegsBuilt
+	x.c.MetaKeysAdopted += st.MetaKeysAdopted
+	x.c.MetaKeysBuilt += st.MetaKeysBuilt
+}
+
 func (x *engineMetrics) observeAdmit(t *task) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -260,10 +281,10 @@ func (x *engineMetrics) observeAdmit(t *task) {
 	}
 }
 
-func (x *engineMetrics) observeRetire(t *task, err error) {
+func (x *engineMetrics) observeRetire(t *task) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if err != nil {
+	if t.resp.Err != nil {
 		x.c.Failed++
 	} else {
 		x.c.Completed++
@@ -279,7 +300,6 @@ func (e *Engine) Metrics() Metrics {
 	defer x.mu.Unlock()
 	m := x.c
 	m.Submitted = x.submitted.Load()
-	m.PrefixEvicted = x.prefixEvicted.Load()
 	m.KVUsed = e.kvUnits(e.acct.Used())
 	m.KVPeak = e.kvUnits(x.kvPeak)
 	m.KVCapacity = e.kvUnits(e.acct.Capacity())
@@ -288,11 +308,7 @@ func (e *Engine) Metrics() Metrics {
 	m.KVHostUsed = e.kvUnits(e.acct.HostUsed())
 	m.KVHostPeak = e.kvUnits(x.hostPeak)
 	m.KVHostCapacity = e.kvUnits(e.acct.HostCapacity())
-	m.KVSpilled = e.kvUnits(x.spilled.Load())
-	m.MetaSegsAdopted = x.metaAdopted.Load()
-	m.MetaSegsBuilt = x.metaBuilt.Load()
-	m.MetaKeysAdopted = x.metaKeysAdopted.Load()
-	m.MetaKeysBuilt = x.metaKeysBuilt.Load()
+	m.KVSpilled = e.kvUnits(x.spilled)
 	m.Transfer = e.rt.Stats()
 	if m.Rounds > 0 {
 		m.MeanQueueDepth = float64(x.queuedSum) / float64(m.Rounds)

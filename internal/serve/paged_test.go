@@ -107,6 +107,12 @@ func TestExactAdmissionHonorsSelectorBudget(t *testing.T) {
 	if resp.KVReserved != 64 {
 		t.Fatalf("admission hold = %d, want the selector budget 64", resp.KVReserved)
 	}
+	// Without a selector nothing keeps pages off the device, so Budget caps
+	// nothing: the same prompt is as oversized as an unbudgeted one.
+	resp = e.Submit(Request{Prompt: testDoc(2, 512), MaxNewTokens: 4, Budget: 64}).Wait()
+	if !errors.Is(resp.Err, ErrTooLarge) {
+		t.Fatalf("budget without a selector: err = %v (hold %d), want ErrTooLarge", resp.Err, resp.KVReserved)
+	}
 	// A sub-page budget keeps admitting small unbudgeted requests too.
 	e2 := NewEngine(m, Config{Workers: 1, KVBudget: 32, Seed: 1})
 	defer e2.Close()

@@ -154,9 +154,6 @@ func TestPrefixResidentTracksEviction(t *testing.T) {
 func TestOccupancyProbe(t *testing.T) {
 	m := testModel()
 	e := NewEngine(m, Config{Workers: 1, MaxBatch: 2, QueueCap: 8, Seed: 1})
-	if occ := e.Occupancy(); occ.IntakeCap != 8 {
-		t.Fatalf("IntakeCap = %d, want 8", occ.IntakeCap)
-	}
 	entered, release := make(chan struct{}), make(chan struct{})
 	var tickets []*Ticket
 	for i := 0; i < 5; i++ {
@@ -183,7 +180,7 @@ func TestOccupancyProbe(t *testing.T) {
 	}
 	e.Close()
 	occ = e.Occupancy()
-	if occ.Queued != 0 || occ.Active != 0 || occ.IntakeBacklog != 0 {
+	if occ.Queued != 0 || occ.Active != 0 {
 		t.Fatalf("drained engine occupancy not idle: %+v", occ)
 	}
 	if occ.LivePages != 0 {

@@ -74,7 +74,7 @@ func (c *radixCache) match(node *radixNode, probe []int) (*radixNode, int) {
 	P := c.pageTokens
 	run := probe[node.depth:]
 	for _, child := range node.children[prefixKey(run[:P])] {
-		if !sameTokens(child.edge[:P], run[:P]) {
+		if !slices.Equal(child.edge[:P], run[:P]) {
 			continue
 		}
 		limit := len(run) / P * P
@@ -83,7 +83,7 @@ func (c *radixCache) match(node *radixNode, probe []int) (*radixNode, int) {
 		}
 		k := 1
 		for ; k*P < limit; k++ {
-			if !sameTokens(child.edge[k*P:(k+1)*P], run[k*P:(k+1)*P]) {
+			if !slices.Equal(child.edge[k*P:(k+1)*P], run[k*P:(k+1)*P]) {
 				break
 			}
 		}
@@ -306,7 +306,7 @@ func (c *radixCache) lookup(prefix []int) cacheLookup {
 	// outright — ready means hit, building means wait — and admit guarantees
 	// at most one such entry exists.
 	for _, e := range node.entries {
-		if len(e.tokens) > len(prefix) || !sameTokens(e.tokens, prefix[:len(e.tokens)]) {
+		if len(e.tokens) > len(prefix) || !slices.Equal(e.tokens, prefix[:len(e.tokens)]) {
 			continue
 		}
 		if len(e.tokens) == len(prefix) {

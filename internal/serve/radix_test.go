@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"slices"
 	"testing"
 
 	"clusterkv/internal/obs"
@@ -77,7 +78,7 @@ func runNested(t *testing.T, reqs []Request) ([]Response, Metrics, *Engine) {
 		if resps[i].Err != nil || oracle[i].Err != nil {
 			t.Fatalf("request %d failed: shared=%v unshared=%v", i, resps[i].Err, oracle[i].Err)
 		}
-		if !sameTokens(resps[i].Tokens, oracle[i].Tokens) {
+		if !slices.Equal(resps[i].Tokens, oracle[i].Tokens) {
 			t.Fatalf("request %d: tokens %v differ from the no-sharing run %v",
 				i, resps[i].Tokens, oracle[i].Tokens)
 		}
@@ -225,7 +226,7 @@ func TestRadixLookupReusesLongestPrefixProperty(t *testing.T) {
 			for _, q := range seen {
 				var reuse int
 				switch {
-				case len(q) <= len(p) && sameTokens(q, p[:len(q)]):
+				case len(q) <= len(p) && slices.Equal(q, p[:len(q)]):
 					reuse = len(q) // whole cached prefix is an ancestor
 				default:
 					reuse = alignedFloor(lcp(q, p))
@@ -240,7 +241,7 @@ func TestRadixLookupReusesLongestPrefixProperty(t *testing.T) {
 			}
 			wantHit := oracle == len(p) && func() bool {
 				for _, q := range seen {
-					if sameTokens(q, p) {
+					if slices.Equal(q, p) {
 						return true
 					}
 				}

@@ -149,20 +149,28 @@ func failedTicket(id uint64, err error) *Ticket {
 	return t
 }
 
-// validate reports nil for a well-formed request.
-func (r *Request) validate() error {
-	switch {
-	case len(r.Prompt) == 0:
-		return ErrBadRequest
-	case r.MaxNewTokens <= 0:
-		return ErrBadRequest
-	case r.SharedPrefixLen < 0 || r.SharedPrefixLen >= len(r.Prompt):
-		return ErrBadRequest
-	case r.Temperature < 0 || math.IsNaN(r.Temperature) || math.IsInf(r.Temperature, 0):
-		return ErrBadRequest
+// valid reports whether the request is well formed, every prompt token a
+// vocabulary index below vocab, so malformed requests are rejected at intake
+// instead of panicking a decode worker mid-round.
+func (r *Request) valid(vocab int) bool {
+	if len(r.Prompt) == 0 || r.MaxNewTokens <= 0 ||
+		r.SharedPrefixLen < 0 || r.SharedPrefixLen >= len(r.Prompt) ||
+		r.Temperature < 0 || math.IsNaN(r.Temperature) || math.IsInf(r.Temperature, 0) {
+		return false
 	}
-	return nil
+	for _, t := range r.Prompt {
+		if t < 0 || t >= vocab {
+			return false
+		}
+	}
+	return true
 }
+
+// budgeted reports whether the request's selector keeps at most Budget
+// tokens per head device-resident. Only then are its pages beyond Budget host
+// memory: admission caps its hold at Budget, and the tiering pass may spill
+// those pages.
+func (r *Request) budgeted() bool { return r.Budget > 0 && r.NewSelector != nil }
 
 // PrefixKey content-addresses a shared prefix: the same hash the engine's
 // prefix-residency index is keyed by, and the last of AlignedPrefixKeys.
@@ -211,28 +219,4 @@ func fnv1a(h uint64, tokens []int) uint64 {
 		h *= fnvPrime64
 	}
 	return h
-}
-
-// tokensInRange reports whether every prompt token is a valid vocabulary
-// index, so malformed prompts are rejected at intake instead of panicking a
-// decode worker mid-round.
-func tokensInRange(tokens []int, vocab int) bool {
-	for _, t := range tokens {
-		if t < 0 || t >= vocab {
-			return false
-		}
-	}
-	return true
-}
-
-func sameTokens(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"sync"
 	"testing"
@@ -13,11 +14,14 @@ import (
 
 // Stress test for the engine over the shared intra-op worker pool:
 // randomized concurrent admissions (valid, invalid and oversized requests,
-// mixed tenants, shared and unshared prefixes) racing graceful Close and
-// deadline Shutdown. Its job is to catch the class of concurrency bug fixed
-// ad hoc in PR 1 (the rope-table growth race) structurally: run it under
-// `go test -race`, where any unsynchronized access in the engine ↔ pool ↔
-// model sandwich trips the detector. Short mode caps the iteration count.
+// mixed tenants, shared and unshared prefixes) through Submit, TrySubmit and
+// Run, racing graceful Close and deadline Shutdown. Every engine hands out
+// request ids 1..Submitted exactly once: a backpressured TrySubmit consumes
+// none, and a ticket from a closed engine carries id 0. Its job is to catch
+// concurrency bugs such as the rope-table growth race structurally: run it
+// under `go test -race`, where any unsynchronized access in the engine ↔
+// pool ↔ model sandwich trips the detector. Short mode caps the iteration
+// count.
 func TestEngineStressRandomizedLifecycles(t *testing.T) {
 	lifecycles := 12
 	submittersPer := 4
@@ -48,6 +52,14 @@ func TestEngineStressRandomizedLifecycles(t *testing.T) {
 			Seed:     uint64(lc),
 		})
 
+		// Each submitter mixes the three intake paths and records what it
+		// saw: ticket ids (0 on a closed engine), and per Run call how many
+		// ids it consumed and which ones its responses name.
+		type seen struct {
+			ids, runIDs []uint64
+			runN        uint64
+		}
+		out := make([]seen, submittersPer)
 		var wg sync.WaitGroup
 		for s := 0; s < submittersPer; s++ {
 			wg.Add(1)
@@ -55,8 +67,42 @@ func TestEngineStressRandomizedLifecycles(t *testing.T) {
 				defer wg.Done()
 				sr := rng.New(uint64(lc*100 + s))
 				for i := 0; i < reqsPerSubmitter; i++ {
-					req := randomRequest(sr, vocab)
-					tk := eng.Submit(req)
+					var tk *Ticket
+					switch sr.Intn(3) {
+					case 0:
+						tk = eng.Submit(randomRequest(sr, vocab))
+					case 1:
+						var ok bool
+						if tk, ok = eng.TrySubmit(randomRequest(sr, vocab)); !ok {
+							if tk != nil {
+								t.Errorf("backpressured TrySubmit returned ticket %d", tk.ID)
+							}
+							continue // backpressured: no id consumed
+						}
+					default:
+						reqs := make([]Request, 1+sr.Intn(3))
+						for j := range reqs {
+							reqs[j] = randomRequest(sr, vocab)
+						}
+						resps := eng.Run(reqs)
+						if errors.Is(resps[0].Err, ErrClosed) {
+							continue
+						}
+						out[s].runN += uint64(len(reqs))
+						for _, r := range resps {
+							if r.ID != 0 {
+								out[s].runIDs = append(out[s].runIDs, r.ID)
+							}
+						}
+						continue
+					}
+					if closed := tk.ID == 0; closed {
+						if resp := tk.Wait(); !errors.Is(resp.Err, ErrClosed) {
+							t.Errorf("ticket with id 0 resolved with %v, want ErrClosed", resp.Err)
+						}
+						continue
+					}
+					out[s].ids = append(out[s].ids, tk.ID)
 					if sr.Intn(2) == 0 {
 						tk.Wait() // closed-loop half: waits interleave with intake
 					}
@@ -64,9 +110,10 @@ func TestEngineStressRandomizedLifecycles(t *testing.T) {
 			}(s)
 		}
 
-		// Randomize the teardown path: graceful drain, generous deadline, or
-		// an aggressive deadline that aborts mid-flight.
-		switch r.Intn(3) {
+		// Randomize the teardown path: graceful drain, generous deadline, an
+		// aggressive deadline that aborts mid-flight, or a drain racing the
+		// submitters.
+		switch r.Intn(4) {
 		case 0:
 			wg.Wait()
 			eng.Close()
@@ -75,14 +122,32 @@ func TestEngineStressRandomizedLifecycles(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			_ = eng.Shutdown(ctx)
 			cancel()
-		default:
+		case 2:
 			ctx, cancel := context.WithTimeout(context.Background(), time.Duration(r.Intn(5_000_000)))
 			_ = eng.Shutdown(ctx) // may abort mid-flight
 			cancel()
 			wg.Wait() // submitters observe aborted/closed tickets; must not hang
+		default:
+			eng.Close()
+			wg.Wait()
 		}
 
+		// Ids are unique and, with the ones Run consumed, exactly 1..Submitted.
 		mx := eng.Metrics()
+		ids := map[uint64]bool{}
+		consumed := uint64(0)
+		for _, o := range out {
+			consumed += uint64(len(o.ids)) + o.runN
+			for _, id := range append(o.ids, o.runIDs...) {
+				if id < 1 || id > mx.Submitted || ids[id] {
+					t.Fatalf("lifecycle %d: id %d duplicated or outside 1..%d", lc, id, mx.Submitted)
+				}
+				ids[id] = true
+			}
+		}
+		if consumed != mx.Submitted {
+			t.Fatalf("lifecycle %d: submitters consumed %d ids, engine counted %d submitted", lc, consumed, mx.Submitted)
+		}
 		if mx.Completed+mx.Failed > mx.Submitted {
 			t.Fatalf("lifecycle %d: %d completed + %d failed > %d submitted",
 				lc, mx.Completed, mx.Failed, mx.Submitted)

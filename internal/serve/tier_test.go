@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -231,7 +232,7 @@ func TestTieringWalkGolden(t *testing.T) {
 	claims := "claims"
 	for i, doc := range [][]int{doc1, doc2} {
 		for _, p := range e.cache.entries(nil) {
-			if sameTokens(p.tokens, doc) {
+			if slices.Equal(p.tokens, doc) {
 				claims += fmt.Sprintf(" doc%d %d", i+1, e.kvUnits(p.spilled))
 			}
 		}

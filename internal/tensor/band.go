@@ -17,7 +17,7 @@ type bandCall struct {
 	pm       *PackedMat
 	dst, x   []float32   // vector kernels
 	dstM, xM *Mat        // MatTMat
-	dsts     [][]float32 // MatMulRows
+	dsts     [][]float32 // MatMulRowsOn
 }
 
 type bandKernel uint8

@@ -51,26 +51,21 @@ func matTMatBandGo(dst, m, x *Mat, lo, hi int) {
 	}
 }
 
-// MatMulRows computes dsts[s] = pm · x.Row(s) for every row s of x on the
-// shared intra-op pool — the batched LM-head projection. Each destination is
-// a caller-owned buffer (the serving engine passes per-task logits buffers
-// directly), and each is bit-identical to MatVec over the unpacked matrix.
-func (pm *PackedMat) MatMulRows(dsts [][]float32, x *Mat) {
-	pm.MatMulRowsOn(parallel.Default(), dsts, x)
-}
-
-// MatMulRowsOn is MatMulRows on an explicit pool (nil runs serial). The
+// MatMulRowsOn computes dsts[s] = pm · x.Row(s) for every row s of x on pool
+// p (nil runs serial) — the batched LM-head projection. Each destination is a
+// caller-owned buffer (the serving engine passes per-task logits buffers
+// directly), and each is bit-identical to MatVec over the unpacked matrix. The
 // parallel split is over panels, as in MatVecOn: a panel is swept once per
 // stream while it is cache-resident, and every output row keeps the serial
 // channel-ascending reduction order of panelBand, so each dsts[s] is
 // bit-identical to the per-stream packed GEMV at any width.
 func (pm *PackedMat) MatMulRowsOn(p *parallel.Pool, dsts [][]float32, x *Mat) {
 	if x.Cols != pm.Cols || len(dsts) != x.Rows {
-		panic("tensor: PackedMat.MatMulRows dimension mismatch")
+		panic("tensor: PackedMat.MatMulRowsOn dimension mismatch")
 	}
 	for _, d := range dsts {
 		if len(d) != pm.Rows {
-			panic("tensor: PackedMat.MatMulRows dst length mismatch")
+			panic("tensor: PackedMat.MatMulRowsOn dst length mismatch")
 		}
 	}
 	np := (pm.Rows + packRows - 1) / packRows
@@ -78,7 +73,7 @@ func (pm *PackedMat) MatMulRowsOn(p *parallel.Pool, dsts [][]float32, x *Mat) {
 	bandCall{kernel: bandPanelRows, pm: pm, dsts: dsts, xM: x}.on(p, np, kernelGrain(stride*x.Rows))
 }
 
-// panelBandRowsGo is the scalar MatMulRows over panels [lo, hi) (see
+// panelBandRowsGo is the scalar MatMulRowsOn over panels [lo, hi) (see
 // dotRowsGo).
 func (pm *PackedMat) panelBandRowsGo(dsts [][]float32, x *Mat, lo, hi int) {
 	stride := pm.Cols * packRows

@@ -106,15 +106,6 @@ func Add(dst, a, b []float32) {
 	}
 }
 
-// Copy copies src into dst and panics on length mismatch (unlike the builtin,
-// which silently truncates — we want layout bugs to be loud).
-func Copy(dst, src []float32) {
-	if len(dst) != len(src) {
-		panic("tensor: Copy length mismatch")
-	}
-	copy(dst, src)
-}
-
 // Fill sets every element of x to v.
 func Fill(x []float32, v float32) {
 	for i := range x {

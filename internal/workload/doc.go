@@ -47,44 +47,3 @@ func Doc(cfg DocConfig, n int) []int {
 	}
 	return out
 }
-
-// PG19Stream generates a language-modeling stream mirroring PG19 long-book
-// text: topic segments with a slowly drifting topic distribution plus
-// recurring "character" tokens that reappear throughout the stream (long
-// range reuse is what makes recallable compression matter for LM perplexity).
-func PG19Stream(cfg DocConfig, n int) []int {
-	rnd := rng.New(cfg.Seed ^ 0x19)
-	out := make([]int, 0, n)
-	tokensPerTopic := cfg.VocabSize / cfg.NTopics
-
-	// Recurring character tokens: a handful of tokens that appear in bursts
-	// across the whole stream.
-	numChars := 6
-	chars := make([]int, numChars)
-	for i := range chars {
-		chars[i] = rnd.Intn(cfg.VocabSize)
-	}
-
-	topic := rnd.Intn(cfg.NTopics)
-	for len(out) < n {
-		// Drift: usually stay on the current topic, sometimes move.
-		if rnd.Float64() < 0.25 {
-			topic = (topic + 1 + rnd.Intn(3)) % cfg.NTopics
-		}
-		segLen := cfg.SegMean/2 + rnd.Intn(cfg.SegMean)
-		for i := 0; i < segLen && len(out) < n; i++ {
-			r := rnd.Float64()
-			var tok int
-			switch {
-			case r < 0.10:
-				tok = chars[rnd.Intn(numChars)]
-			case r < 0.10+cfg.GlobalRate:
-				tok = rnd.Intn(cfg.VocabSize)
-			default:
-				tok = rnd.Intn(tokensPerTopic)*cfg.NTopics + topic
-			}
-			out = append(out, tok)
-		}
-	}
-	return out
-}

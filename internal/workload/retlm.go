@@ -7,9 +7,12 @@ import (
 	"clusterkv/internal/tensor"
 )
 
-// PG19StreamTopics generates a PG19-like token stream along with each
-// token's topic (-1 for character/global tokens). Same distribution as
-// PG19Stream, with the topic labels exposed for the retrieval LM.
+// PG19StreamTopics generates a language-modeling stream mirroring PG19
+// long-book text along with each token's topic (-1 for character/global
+// tokens): topic segments with a slowly drifting topic distribution plus
+// recurring "character" tokens that reappear throughout the stream (long
+// range reuse is what makes recallable compression matter for LM
+// perplexity).
 func PG19StreamTopics(cfg DocConfig, n int) (tokens []int, topics []int) {
 	rnd := rng.New(cfg.Seed ^ 0x19)
 	tokens = make([]int, 0, n)

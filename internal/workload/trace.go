@@ -297,18 +297,6 @@ func (t *Trace) AddStep(mix QueryMix, genTopic int, relevant []int, stepSeed uin
 // Len returns the current total length (prefill + appended steps).
 func (t *Trace) Len() int { return t.Cfg.L + len(t.Steps) }
 
-// TopicPositions returns the context positions whose token has the given
-// topic.
-func (t *Trace) TopicPositions(topic int) []int {
-	var out []int
-	for p, tp := range t.TokenTopic {
-		if tp == topic {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 func fillUnit(r *rng.RNG, v []float32) {
 	for j := range v {
 		v[j] = r.NormFloat32()
