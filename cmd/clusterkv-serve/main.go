@@ -22,6 +22,7 @@ import (
 	"runtime/pprof"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"clusterkv/internal/attention"
@@ -90,7 +91,7 @@ func main() {
 		budget    = flag.Int("budget", 256, "per-head KV budget for compressed methods")
 		kvBudget  = flag.Int64("kvbudget", 0, "per-replica device KV budget in per-head token slots (0 = unlimited), metered in exact arena pages")
 		hostBud   = flag.Int64("hostbudget", 0, "per-replica host-tier KV budget in per-head token slots (0 = single-tier); with -kvbudget set, admission gates on device+host and cold pages spill host-ward between rounds")
-		rate      = flag.Float64("rate", 0, "open-loop arrival rate in req/s, routed live through Router.Submit (0 = closed loop, one deterministic Router.Run)")
+		rate      = flag.Float64("rate", 0, "open-loop arrival rate in req/s, streamed through Router.Submit: placed by Run's ledger rule, each booking settled as its request completes (0 = closed loop, one deterministic Router.Run)")
 		sloTTFT   = flag.Float64("slo-ttft", 0, "modeled TTFT SLO in milliseconds (0 = none)")
 		sloTBT    = flag.Float64("slo-tbt", 0, "modeled TBT SLO in milliseconds (0 = none)")
 		shed      = flag.Bool("shed", false, "shed requests predicted to miss -slo-ttft on every replica")
@@ -189,7 +190,7 @@ func main() {
 	m := model.New(model.DefaultConfig())
 	fmt.Printf("load: %s\n", loadDesc)
 	if *rate > 0 {
-		fmt.Printf("arrivals: open-loop Poisson at %.2f req/s (live routing via Router.Submit)\n", *rate)
+		fmt.Printf("arrivals: open-loop Poisson at %.2f req/s (streamed through Router.Submit)\n", *rate)
 	} else {
 		fmt.Printf("arrivals: closed loop (all requests queued up front, deterministic Router.Run)\n")
 	}
@@ -415,19 +416,25 @@ func runSerial(m *model.Model, reqs []serve.Request) [][]int {
 
 // dispatch submits the load: closed loop as one deterministic Router.Run,
 // open loop through Router.Submit with seeded Poisson gaps between requests.
+// Each ticket is waited as soon as its request completes, so the router
+// settles its booking then and later arrivals are placed against the work
+// still outstanding, not the whole run's.
 func dispatch(r *fleet.Router, reqs []serve.Request, rate float64, seed uint64) []fleet.Response {
 	if rate <= 0 {
 		return r.Run(reqs)
 	}
-	tickets := make([]*fleet.Ticket, len(reqs))
+	out := make([]fleet.Response, len(reqs))
+	var wg sync.WaitGroup
 	for i, a := range workload.PoissonArrivals(seed, len(reqs), rate) {
 		time.Sleep(time.Duration(a.Gap * float64(time.Second)))
-		tickets[i] = r.Submit(reqs[i])
+		tk := r.Submit(reqs[i])
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i] = tk.Wait()
+		}()
 	}
-	out := make([]fleet.Response, len(tickets))
-	for i, tk := range tickets {
-		out[i] = tk.Wait()
-	}
+	wg.Wait()
 	return out
 }
 

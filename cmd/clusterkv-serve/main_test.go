@@ -123,3 +123,19 @@ func TestPrefillSavedCountsServedRequestsOnly(t *testing.T) {
 		t.Fatalf("table prefill saved %s, report reused %s tokens:\n%s", row[1], reused[1], stdout)
 	}
 }
+
+// TestOpenLoopServesEveryRequest: the open-loop -rate path, where each ticket
+// is waited as its request completes, serves the whole load and saves the
+// same prefill as the closed-loop run of that load (each of 4 documents
+// prefilled once, the other 12 requests hit).
+func TestOpenLoopServesEveryRequest(t *testing.T) {
+	stdout, stderr, code := runMain(t, "-rate 2000 -replicas 2 -method clusterkv -docs 4 -streams 4 -noserial -doclen 256 -newtokens 8")
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr)
+	}
+	for _, want := range []string{"16 completed, 0 failed", "prefill saved 3072 tokens / 768 pages"} {
+		if !strings.Contains(stdout, want) {
+			t.Fatalf("open-loop run does not print %q:\n%s", want, stdout)
+		}
+	}
+}

@@ -4,32 +4,34 @@
 // that a single engine cannot: a request whose shared document prefix is
 // already cached on replica A is a near-free prefill there and a full
 // re-prefill anywhere else, so *where* a request lands decides its TTFT. The
-// router has one placement rule, prefix affinity: route to the replica whose
-// prefix cache holds the longest resident prefix of the request's shared
-// prefix — probed at every page-aligned depth, so nested-prefix traffic
+// router has one placement rule, prefix affinity: route to the replica that,
+// by the router's ledger, holds the longest resident prefix of the request's
+// shared prefix — booked at every page-aligned depth, so nested-prefix traffic
 // (multi-turn chat, agentic re-entry, templated RAG) follows the replica
 // holding the deepest cached ancestor, not just exact hash matches — and fall
 // back to least-loaded (KV pages, then queue depth) with consistent hashing as
-// the deterministic tiebreaker for unshared or not yet placed prefixes. On
-// top of it sit per-replica admission backpressure (streaming submissions
-// probe replicas with serve.Engine.TrySubmit and fail over instead of
-// blocking on a saturated intake) and SLO-aware scheduling: every placement
-// carries a modeled TTFT (replica backlog + marginal prefill + first token,
-// priced on serve.CostModel), and requests predicted to miss a configured
-// TTFT SLO are re-routed to the best replica or, optionally, shed.
+// the deterministic tiebreaker for unshared or not yet placed prefixes. Every
+// placement carries a modeled TTFT (replica backlog + marginal prefill +
+// first token, priced on serve.CostModel), and requests predicted to miss a
+// configured TTFT SLO are re-routed to the best replica or, optionally, shed.
+// Run and the streaming Submit place through this one rule on one ledger;
+// Submit adds admission backpressure (serve.Engine.TrySubmit with failover
+// instead of blocking on a saturated intake) and Ticket.Wait settles each
+// streaming booking.
 //
-// Determinism: Router.Run places requests from router-owned ledgers only
-// (never wall clock or live gauges), each replica's engine is itself
-// deterministic, and modeled TTFT/TBT are read off each engine's modeled
-// round clock — so a fixed (load, config, seed) reproduces placements, token
-// streams and fleet metrics exactly, at any GOMAXPROCS. With one replica,
-// Router.Run degenerates to Engine.Run token-for-token.
+// Determinism: placement reads router-owned ledgers only (never wall clock or
+// engine gauges), each replica's engine is itself deterministic, and modeled
+// TTFT/TBT are read off each engine's modeled round clock — so a fixed (load,
+// config, seed) reproduces Router.Run's placements, token streams and fleet
+// metrics exactly, at any GOMAXPROCS. With one replica, Router.Run
+// degenerates to Engine.Run token-for-token.
 package fleet
 
 import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"sync"
 
 	"clusterkv/internal/kvcache"
@@ -104,18 +106,21 @@ type Ticket struct {
 	r         *Router
 	tk        *serve.Ticket
 	promptLen int
+	booked    booking
 	shed      *Response
 }
 
-// Wait blocks until the request completes and returns its Response, folded
-// into the fleet's Summary as Run folds its responses. Call it once per
-// ticket.
+// Wait blocks until the request completes and returns its Response. It
+// settles the request's booking on the router's load ledger and folds the
+// response into the fleet's Summary as Run folds its responses. Call it once
+// per ticket.
 func (t *Ticket) Wait() Response {
 	if t.shed != nil {
 		return *t.shed
 	}
 	out := Response{Response: t.tk.Wait(), Replica: t.Replica}
 	t.r.mu.Lock()
+	t.r.settleLocked(t.booked)
 	t.r.observeLocked(t.promptLen, &out)
 	t.r.mu.Unlock()
 	return out
@@ -143,8 +148,8 @@ type Router struct {
 
 	mu sync.Mutex
 	// Placement ledgers: the router's own deterministic model of each
-	// replica's state. Run consults only these (never live gauges), which is
-	// what makes fleet placement reproducible.
+	// replica's state. Placement consults only these (never engine gauges),
+	// which is what makes fleet placement reproducible.
 	prefixHome map[uint64]int // content hash (any chain depth) -> first replica assigned it
 	// charged books the pages a placed prefix made resident on a replica,
 	// keyed by the whole-prefix hash; nested prefixes are charged only their
@@ -272,9 +277,17 @@ type placement struct {
 	shed     bool
 	rerouted bool
 	hash     uint64
-	shared   bool
-	margToks int // marginal prefill tokens under the router's residency model
+	chain    []chainLink // nil for unshared requests
+	margToks int         // marginal prefill tokens under the router's residency model
 	predTTFT float64
+}
+
+// booking is what one placement added to its replica's load ledgers; a
+// streaming ticket settles it when it is waited.
+type booking struct {
+	rep   int
+	pages int64
+	sec   float64
 }
 
 // routeKey is the consistent-hash key: the shared prefix when there is one
@@ -335,7 +348,7 @@ func (r *Router) reqSec(req *serve.Request, margToks int) float64 {
 
 // predictTTFT models time-to-first-token on rep: everything already routed
 // there, then this request's marginal prefill and first batched decode step.
-func (r *Router) predictTTFT(req *serve.Request, rep, margToks int) float64 {
+func (r *Router) predictTTFT(rep, margToks int) float64 {
 	return r.backlogSec[rep] + r.lm.PrefillSec(margToks) + r.lm.DecodeSecPerTok
 }
 
@@ -374,9 +387,9 @@ func (r *Router) leastLoaded(h uint64) int {
 	return best
 }
 
-// place makes one deterministic routing decision and commits it to the
-// ledgers. Caller holds r.mu.
-func (r *Router) place(req *serve.Request) placement {
+// choose makes one deterministic routing decision from the ledgers; it books
+// nothing. Caller holds r.mu.
+func (r *Router) choose(req *serve.Request) placement {
 	h, shared := routeKey(req)
 	var chain []chainLink
 	if shared {
@@ -395,7 +408,7 @@ func (r *Router) place(req *serve.Request) placement {
 		rep = r.leastLoaded(h)
 	}
 	margToks := r.marginal(req, rep, chain)
-	pred := r.predictTTFT(req, rep, margToks)
+	pred := r.predictTTFT(rep, margToks)
 	rerouted := false
 	if slo := r.cfg.SLOTTFT; slo > 0 && pred > slo {
 		// Find the best-predicted replica: shedding is judged against it, so a request is shed only when *every* replica's
@@ -407,12 +420,12 @@ func (r *Router) place(req *serve.Request) placement {
 				continue
 			}
 			mt := r.marginal(req, c, chain)
-			if p := r.predictTTFT(req, c, mt); p < bestPred {
+			if p := r.predictTTFT(c, mt); p < bestPred {
 				best, bestPred, bestMarg = c, p, mt
 			}
 		}
 		if bestPred > slo && r.cfg.Shed {
-			return placement{replica: -1, shed: true, hash: h, shared: shared, predTTFT: bestPred}
+			return placement{replica: -1, shed: true, hash: h, predTTFT: bestPred}
 		}
 		if best != rep {
 			// Re-route: losing the cached prefix costs a re-prefill, but a
@@ -421,45 +434,75 @@ func (r *Router) place(req *serve.Request) placement {
 			rerouted = true
 		}
 	}
-	r.commit(req, rep, chain, margToks)
-	return placement{replica: rep, rerouted: rerouted, hash: h, shared: shared,
+	return placement{replica: rep, rerouted: rerouted, hash: h, chain: chain,
 		margToks: margToks, predTTFT: pred}
 }
 
-// commit books the placement into the router ledgers. Caller holds r.mu.
-// chain is nil for unshared requests; margToks encodes the resident depth the
-// placement was priced at (len(Prompt) - margToks), so the charged delta
-// covers only the pages this prefix adds beyond its deepest resident ancestor.
-func (r *Router) commit(req *serve.Request, rep int, chain []chainLink, margToks int) {
+// book commits placement p of the request numbered seq to the ledgers,
+// counts and traces a reroute, traces the placement, and returns what it
+// booked. The prefix chain is booked resident on the replica; the charged
+// delta covers only the pages the prefix adds beyond its deepest resident
+// ancestor (len(Prompt) − margToks tokens deep). Caller holds r.mu.
+func (r *Router) book(req *serve.Request, p placement, seq uint64) booking {
+	if p.rerouted {
+		r.rerouted++
+		r.rec.Emit(obs.Event{Type: obs.EvFleetReroute, Req: seq,
+			N: int64(p.replica), Sec: p.predTTFT})
+	}
+	r.rec.Emit(obs.Event{Type: obs.EvFleetPlace, Req: seq,
+		N: int64(p.replica), Aux: int64(p.margToks), Sec: p.predTTFT})
+	rep := p.replica
+	b := booking{rep: rep, pages: r.lm.PagesFor(p.margToks+req.MaxNewTokens) * r.planes,
+		sec: r.reqSec(req, p.margToks)}
 	r.assignedReqs[rep]++
 	r.routedReqs[rep]++
-	r.assignedPages[rep] += r.lm.PagesFor(margToks+req.MaxNewTokens) * r.planes
-	r.backlogSec[rep] += r.reqSec(req, margToks)
-	if len(chain) == 0 {
-		return
+	r.assignedPages[rep] += b.pages
+	r.backlogSec[rep] += b.sec
+	if len(p.chain) == 0 {
+		return b
 	}
-	key := prefixOn{chain[len(chain)-1].hash, rep}
+	key := prefixOn{p.chain[len(p.chain)-1].hash, rep}
 	if _, ok := r.charged[key]; !ok {
-		depth := len(req.Prompt) - margToks
-		if depth > req.SharedPrefixLen {
-			depth = req.SharedPrefixLen
-		}
+		depth := min(len(req.Prompt)-p.margToks, req.SharedPrefixLen)
 		r.charged[key] = (r.lm.PagesFor(req.SharedPrefixLen) - r.lm.PagesFor(depth)) * r.planes
 	}
-	for _, link := range chain {
+	for _, link := range p.chain {
 		r.chainOn[prefixOn{link.hash, rep}] = struct{}{}
 		if _, ok := r.prefixHome[link.hash]; !ok {
 			r.prefixHome[link.hash] = rep
 		}
+	}
+	return b
+}
+
+// shedLocked counts and traces the shed of the request numbered seq and
+// returns its response. Caller holds r.mu.
+func (r *Router) shedLocked(seq uint64, predTTFT float64) Response {
+	r.shed++
+	r.rec.Emit(obs.Event{Type: obs.EvFleetShed, Req: seq, N: -1, Sec: predTTFT})
+	return Response{Response: serve.Response{Err: ErrSLOShed}, Replica: -1, SLOMiss: true}
+}
+
+// settleLocked takes a waited streaming request's booking off the load
+// ledgers, never below zero (a Run in between rebased them); a replica left
+// with no booked request has no backlog. Prefix residency stays booked.
+// Caller holds r.mu.
+func (r *Router) settleLocked(b booking) {
+	rep := b.rep
+	r.assignedReqs[rep] = max(r.assignedReqs[rep]-1, 0)
+	r.assignedPages[rep] = max(r.assignedPages[rep]-b.pages, 0)
+	r.backlogSec[rep] = max(r.backlogSec[rep]-b.sec, 0)
+	if r.assignedReqs[rep] == 0 {
+		r.backlogSec[rep] = 0
 	}
 }
 
 // rebaseLocked resets the load ledgers to the state that actually survives a
 // drained fleet: no backlog, no queued requests, only cached prefix pages
 // still resident on their replicas. Run calls it on entry — Run is
-// synchronous, so by the time a previous Run (or a Waited streaming ticket)
-// returned, its routed work has completed and predicting TTFT against it
-// would spuriously reroute or shed. Caller holds r.mu.
+// synchronous, so by the time a previous Run returned, its routed work has
+// completed and predicting TTFT against it would spuriously reroute or shed
+// (a streaming ticket settles its own booking on Wait). Caller holds r.mu.
 func (r *Router) rebaseLocked() {
 	for i := range r.backlogSec {
 		r.backlogSec[i] = 0
@@ -483,30 +526,16 @@ func (r *Router) rebaseLocked() {
 func (r *Router) Run(reqs []serve.Request) []Response {
 	out := make([]Response, len(reqs))
 	perRep := make([][]int, len(r.engines))
-	places := make([]placement, len(reqs))
 	r.mu.Lock()
 	r.rebaseLocked()
 	for i := range reqs {
-		p := r.place(&reqs[i])
-		places[i] = p
+		p := r.choose(&reqs[i])
 		r.placeSeq++
 		if p.shed {
-			r.shed++
-			out[i] = Response{
-				Response: serve.Response{Err: ErrSLOShed},
-				Replica:  -1, SLOMiss: true,
-			}
-			r.rec.Emit(obs.Event{Type: obs.EvFleetShed, Req: uint64(i),
-				N: -1, Sec: p.predTTFT})
+			out[i] = r.shedLocked(uint64(i), p.predTTFT)
 			continue
 		}
-		if p.rerouted {
-			r.rerouted++
-			r.rec.Emit(obs.Event{Type: obs.EvFleetReroute, Req: uint64(i),
-				N: int64(p.replica), Sec: p.predTTFT})
-		}
-		r.rec.Emit(obs.Event{Type: obs.EvFleetPlace, Req: uint64(i),
-			N: int64(p.replica), Aux: int64(p.margToks), Sec: p.predTTFT})
+		r.book(&reqs[i], p, uint64(i))
 		perRep[p.replica] = append(perRep[p.replica], i)
 	}
 	r.mu.Unlock()
@@ -584,127 +613,66 @@ func (r *Router) observeLocked(promptLen int, resp *Response) {
 
 // ---- Streaming --------------------------------------------------------------
 
-// Submit routes one request immediately using live replica state — prefix
-// residency probes (Engine.ResidentPrefixLen), occupancy gauges, and
-// non-blocking TrySubmit with failover, so a saturated replica never blocks
-// the router. When every intake is full, Submit falls back to a blocking
-// Submit on the chosen replica (backpressure reaches the caller, requests
-// are never dropped silently). Streaming placement is latency-driven and
-// timing-dependent; use Run for the deterministic batch contract.
+// Submit places one request by Run's rule on the same ledger — choose, and
+// shed exactly as Run sheds — and hands it to the chosen replica with a
+// non-blocking TrySubmit, failing over to the others in load order when that
+// intake is full. Only when every intake is full does it block on the chosen
+// replica, so backpressure reaches the caller and nothing is dropped. The
+// placement is booked on the replica that accepted (its marginal prefill
+// re-priced there after a failover) and stays on the ledger until Ticket.Wait
+// settles it. Submit-all-then-Wait-all on a fresh router places and traces
+// exactly as Run; interleaved with completions the ledger differs, so
+// streaming placement is timing-dependent and Run keeps the deterministic
+// batch contract.
 func (r *Router) Submit(req serve.Request) *Ticket {
-	h, shared := routeKey(&req)
-	var chain []chainLink
-	if shared {
-		chain = r.prefixChain(&req)
-	}
-
-	// Candidate order: replicas holding the deepest resident prefix first
-	// (longest-prefix affinity, probed live via Engine.ResidentPrefixLen),
-	// then everyone by live load (pages, then queue depth, consistent hash
-	// tiebreak).
-	type cand struct {
-		rep      int
-		resDepth int // deepest live resident prefix depth in tokens
-		pages    int64
-		depth    int
-	}
-	cands := make([]cand, len(r.engines))
-	for i, e := range r.engines {
-		occ := e.Occupancy()
-		resDepth := 0
-		if shared {
-			resDepth = e.ResidentPrefixLen(req.Prompt[:req.SharedPrefixLen])
-		}
-		cands[i] = cand{
-			rep:      i,
-			resDepth: resDepth,
-			pages:    occ.LivePages,
-			depth:    occ.Queued + occ.Active,
-		}
-	}
-	less := func(a, b cand) bool {
-		if a.resDepth != b.resDepth {
-			return a.resDepth > b.resDepth
-		}
-		if a.pages != b.pages {
-			return a.pages < b.pages
-		}
-		if a.depth != b.depth {
-			return a.depth < b.depth
-		}
-		return mix(h, r.cfg.Seed, a.rep) > mix(h, r.cfg.Seed, b.rep)
-	}
-	// Selection sort of a handful of replicas: keep it allocation-light.
-	for i := range cands {
-		best := i
-		for j := i + 1; j < len(cands); j++ {
-			if less(cands[j], cands[best]) {
-				best = j
-			}
-		}
-		cands[i], cands[best] = cands[best], cands[i]
-	}
-
-	// Live prediction per candidate: each one's own modeled cost plus its
-	// queued work at the router's mean modeled service time. Shedding is
-	// judged against the best prediction, so a request is shed only when
-	// every replica is predicted to miss the SLO (the ErrSLOShed contract).
 	r.mu.Lock()
-	preds := make([]float64, len(cands))
-	minPred := math.Inf(1)
-	for i, c := range cands {
-		marg := r.marginal(&req, c.rep, chain)
-		if live := len(req.Prompt) - c.resDepth; c.resDepth > 0 && live < marg {
-			marg = live
-		}
-		preds[i] = r.reqSec(&req, marg) + float64(c.depth)*r.meanReqSecLocked(c.rep)
-		if preds[i] < minPred {
-			minPred = preds[i]
-		}
-	}
-	if r.cfg.SLOTTFT > 0 && r.cfg.Shed && minPred > r.cfg.SLOTTFT {
-		r.shed++
-		seq := r.placeSeq
-		r.placeSeq++
-		r.rec.Emit(obs.Event{Type: obs.EvFleetShed, Req: seq, N: -1, Sec: minPred})
+	p := r.choose(&req)
+	seq := r.placeSeq
+	r.placeSeq++
+	if p.shed {
+		resp := r.shedLocked(seq, p.predTTFT)
 		r.mu.Unlock()
-		return &Ticket{Replica: -1, PredTTFT: minPred, shed: &Response{
-			Response: serve.Response{Err: ErrSLOShed},
-			Replica:  -1, SLOMiss: true,
-		}}
+		return &Ticket{Replica: -1, PredTTFT: p.predTTFT, shed: &resp}
 	}
-	r.mu.Unlock()
-
-	// Admission backpressure: probe candidates in order, book the one that
-	// actually accepts; block on the best only when every intake is full.
-	accept := func(i int, tk *serve.Ticket) *Ticket {
-		c := cands[i]
+	tk := r.offerLocked(&req, &p)
+	if tk == nil {
+		r.mu.Unlock()
+		tk = r.engines[p.replica].Submit(req)
 		r.mu.Lock()
-		marg := r.marginal(&req, c.rep, chain)
-		if live := len(req.Prompt) - c.resDepth; c.resDepth > 0 && live < marg {
-			marg = live
-		}
-		r.commit(&req, c.rep, chain, marg)
-		seq := r.placeSeq
-		r.placeSeq++
-		r.rec.Emit(obs.Event{Type: obs.EvFleetPlace, Req: seq,
-			N: int64(c.rep), Aux: int64(marg), Sec: preds[i]})
-		r.mu.Unlock()
-		return &Ticket{Replica: c.rep, PredTTFT: preds[i], r: r, tk: tk, promptLen: len(req.Prompt)}
 	}
-	for i, c := range cands {
-		if tk, ok := r.engines[c.rep].TrySubmit(req); ok {
-			return accept(i, tk)
-		}
-	}
-	return accept(0, r.engines[cands[0].rep].Submit(req))
+	b := r.book(&req, p, seq)
+	r.mu.Unlock()
+	return &Ticket{Replica: p.replica, PredTTFT: p.predTTFT, r: r, tk: tk,
+		promptLen: len(req.Prompt), booked: b}
 }
 
-// meanReqSecLocked is the mean modeled service time of requests routed so
-// far (0 before the first placement). Caller holds r.mu.
-func (r *Router) meanReqSecLocked(rep int) float64 {
-	if r.assignedReqs[rep] == 0 {
-		return 0
+// offerLocked hands req to p's replica without blocking, then to the other
+// replicas in loadLess order, and returns the accepting replica's ticket, nil
+// when every intake is full. A failover moves p to the replica that accepted
+// and re-prices its marginal prefill and TTFT there. Caller holds r.mu.
+func (r *Router) offerLocked(req *serve.Request, p *placement) *serve.Ticket {
+	if tk, ok := r.engines[p.replica].TrySubmit(*req); ok {
+		return tk
 	}
-	return r.backlogSec[rep] / float64(r.assignedReqs[rep])
+	others := make([]int, 0, len(r.engines)-1)
+	for c := range r.engines {
+		if c != p.replica {
+			others = append(others, c)
+		}
+	}
+	slices.SortFunc(others, func(a, b int) int {
+		if r.loadLess(a, b, p.hash) {
+			return -1
+		}
+		return 1
+	})
+	for _, c := range others {
+		if tk, ok := r.engines[c].TrySubmit(*req); ok {
+			p.replica = c
+			p.margToks = r.marginal(req, c, p.chain)
+			p.predTTFT = r.predictTTFT(c, p.margToks)
+			return tk
+		}
+	}
+	return nil
 }

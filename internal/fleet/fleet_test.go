@@ -202,8 +202,8 @@ func TestRouterReuseRebasesBacklog(t *testing.T) {
 	}
 }
 
-// TestStreamingSubmitCompletes: the live (non-deterministic) routing path —
-// residency probes, occupancy, TrySubmit failover under a tiny intake queue —
+// TestStreamingSubmitCompletes: the streaming path — ledger placement,
+// TrySubmit failover under a tiny intake queue, settlement on Wait —
 // serves an open-loop stream completely and routes within the fleet.
 func TestStreamingSubmitCompletes(t *testing.T) {
 	m := testModel()

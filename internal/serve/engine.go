@@ -111,16 +111,6 @@ type Engine struct {
 
 	intake chan []*task
 
-	// resident is the router-facing prefix-residency index, refcounted
-	// content hashes of what the scheduler currently holds (building or
-	// published). Every entry registers its whole page-aligned prefix chain,
-	// so routers can probe nested depths. Refcounts keep a hash resident while any registrant lives (two entries
-	// legitimately share their common chain prefix). Maintained by the
-	// scheduler at entry creation/release; ResidentPrefixLen reads it
-	// lock-cheaply from any goroutine.
-	resMu    sync.RWMutex
-	resident map[uint64]int
-
 	submitMu sync.Mutex
 	closed   bool
 	inflight sync.WaitGroup
@@ -235,14 +225,13 @@ func newEngine(m *model.Model, cfg Config, cost func(pageTokens int) memsim.Late
 	mc := m.Config()
 	planes := int64(mc.NLayers * mc.NKVHeads)
 	e := &Engine{
-		m:        m,
-		cfg:      cfg,
-		planes:   planes,
-		cache:    newRadixCache(cfg.PageTokens),
-		intake:   make(chan []*task, cfg.QueueCap),
-		resident: make(map[uint64]int),
-		done:     make(chan struct{}),
-		bd:       m.NewBatchDecoder(),
+		m:      m,
+		cfg:    cfg,
+		planes: planes,
+		cache:  newRadixCache(cfg.PageTokens),
+		intake: make(chan []*task, cfg.QueueCap),
+		done:   make(chan struct{}),
+		bd:     m.NewBatchDecoder(),
 	}
 	capacity := cfg.KVBudget
 	if capacity > 0 {
@@ -275,27 +264,6 @@ func (e *Engine) kvUnits(v int64) int64 { return v / e.planes }
 
 // Accountant exposes the shared residency ledger (read-only use intended).
 func (e *Engine) Accountant() *kvcache.Accountant { return e.acct }
-
-// Occupancy is a point-in-time load probe for routers: scheduler gauges as of
-// the last round barrier plus the live arena footprint.
-type Occupancy struct {
-	// Queued and Active are the pending-queue depth and decoding-stream count
-	// observed at the most recent scheduler round (both 0 while the engine is
-	// fully idle).
-	Queued, Active int
-	// LivePages is the arena's current deduplicated page footprint.
-	LivePages int64
-}
-
-// Occupancy returns the engine's current load gauges. Values are a consistent
-// enough snapshot for routing heuristics, not a synchronized one.
-func (e *Engine) Occupancy() Occupancy {
-	return Occupancy{
-		Queued:    int(e.mx.curQueued.Load()),
-		Active:    int(e.mx.curActive.Load()),
-		LivePages: e.arena.LivePages(),
-	}
-}
 
 // Submit enqueues one request. It blocks while the intake queue is full and
 // returns immediately with a failed Ticket once the engine is closed.
@@ -360,7 +328,7 @@ func (e *Engine) enqueue(reqs []Request, block bool) (tickets []*Ticket, ok bool
 			bad = append(bad, i)
 			continue
 		}
-		ts = append(ts, &task{id: id, req: reqs[i], ch: tickets[i].ch, submitted: now})
+		ts = append(ts, &task{id: id, req: reqs[i], ch: tickets[i].ch, resp: Response{ID: id}, submitted: now})
 	}
 	if len(ts) > 0 && !block {
 		// The send happens under submitMu, so closeIntake (which takes the
@@ -481,7 +449,6 @@ func (e *Engine) enter(t *task, s state, round int64) {
 	t.state = s
 	switch s {
 	case stAdmitted:
-		t.resp.ID = t.id
 		t.resp.KVReserved = e.kvUnits(t.reserved)
 		t.resp.AdmitRound = round
 		t.resp.QueueWait = time.Since(t.submitted)

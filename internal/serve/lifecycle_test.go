@@ -23,10 +23,10 @@ func TestTraceLifecycleGolden(t *testing.T) {
 		"ticket 1 id 1 err <nil> rounds 1-4 ttft 0.0440913022 tbt 0.0254509828 bd 1/1/4 dec 4 bat 2 phases 0 0 0.0241099297 0.0799254902 0.0164088308 0 ev prefix-miss@1 admit@1 retire@4",
 		"ticket 2 id 2 err <nil> rounds 2-4 ttft 0.0804815055 tbt 0.0199813725 bd 1/2/4 dec 3 bat 2 phases 0 0.0440913022 0.00290257729 0.0599441176 0.0135062535 0 ev prefix-hit@2 admit@2 retire@4",
 		"ticket 3 id 3 err <nil> rounds 2-3 ttft 0.0804815055 tbt 0.0199813725 bd 1/2/3 dec 2 bat 1 phases 0.0440913022 0 0.0135062535 0.0399627451 0.00290257729 0 ev prefix-miss@2 admit@2 retire@3",
-		"ticket 4 id 0 err serve: request exceeds global KV budget rounds 0-2 ttft 0 tbt 0 bd 1/0/2 dec 0 bat 0 phases 0.0440913022 0 0 0 0 0 ev refuse@2 retire@2",
+		"ticket 4 id 4 err serve: request exceeds global KV budget rounds 0-2 ttft 0 tbt 0 bd 1/0/2 dec 0 bat 0 phases 0.0440913022 0 0 0 0 0 ev refuse@2 retire@2",
 		"ticket 5 id 5 err serve: internal fault: factory exploded rounds 2-2 ttft 0.0804815055 tbt 0 bd 1/2/2 dec 1 bat 0 phases 0.0440913022 0 0 0.0199813725 0.0164088308 0 ev admit@2 retire@2",
 		"ticket 6 id 6 err serve: invalid request rounds 0-0 ttft 0 tbt 0 ev ",
-		"ticket 7 id 0 err serve: internal fault: admission stalled with nothing active: cost 1036 slots, kv used 3320 of 4096, 0 cached prefixes rounds 0-5 ttft 0 tbt 0 bd 5/0/5 dec 0 bat 0 phases 0 0 0 0 0 0 ev retire@5",
+		"ticket 7 id 7 err serve: internal fault: admission stalled with nothing active: cost 1036 slots, kv used 3320 of 4096, 0 cached prefixes rounds 0-5 ttft 0 tbt 0 bd 5/0/5 dec 0 bat 0 phases 0 0 0 0 0 0 ev retire@5",
 		"ticket 8 id 8 err <nil> rounds 5-6 ttft 0.0440913022 tbt 0.0199813725 bd 5/5/6 dec 2 bat 0 phases 0 0 0.0241099297 0.0399627451 0 0 ev prefix-miss@5 admit@5 retire@6",
 	}
 	m := testModel()

@@ -177,9 +177,6 @@ func (e *Engine) FillRegistry(reg *obs.Registry, labels ...obs.Label) {
 type engineMetrics struct {
 	// submitted is written by submitters, outside the scheduler.
 	submitted atomic.Uint64
-	// curQueued/curActive are the last round barrier's scheduler gauges,
-	// exposed to routers through Engine.Occupancy (zeroed while idle).
-	curQueued, curActive atomic.Int64
 
 	mu sync.Mutex
 	// c holds the mutex-guarded counters under their Metrics names;
@@ -211,8 +208,6 @@ func (x *engineMetrics) observeKV(used, devUsed, hostUsed int64) {
 }
 
 func (x *engineMetrics) observeRound(queued, active int) {
-	x.curQueued.Store(int64(queued))
-	x.curActive.Store(int64(active))
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	x.c.Rounds++

@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"clusterkv/internal/attention"
 )
 
 // TestTrySubmitBackpressure: with a single-slot intake queue and the lone
@@ -86,9 +84,16 @@ func TestTrySubmitClosedAndInvalid(t *testing.T) {
 	}
 }
 
+// cachedPrefixLen is the depth of tokens the engine's radix cache would
+// serve from cached pages. The scheduler owns the cache, so call it only while
+// the engine is idle or closed (after a Wait or Close, which order the read
+// after the scheduler's writes).
+func cachedPrefixLen(e *Engine, tokens []int) int { return e.cache.lookup(tokens).reuse }
+
 // TestPrefixResidentProbe: after serving a shared-prefix load, the whole
-// shared document probes resident (the entry stays cached while the engine
-// lives), a foreign document probes 0, and Close empties the index.
+// shared document is resident in the radix cache (the entry stays cached
+// while the engine lives), a foreign document matches nothing, and Close
+// empties the cache.
 func TestPrefixResidentProbe(t *testing.T) {
 	m := testModel()
 	const docLen = 128
@@ -100,20 +105,20 @@ func TestPrefixResidentProbe(t *testing.T) {
 		}
 	}
 	doc := reqs[0].Prompt[:docLen]
-	if n := e.ResidentPrefixLen(doc); n != len(doc) {
-		t.Fatalf("served shared prefix probes %d resident tokens, want %d", n, len(doc))
+	if n := cachedPrefixLen(e, doc); n != len(doc) {
+		t.Fatalf("served shared prefix has %d resident tokens, want %d", n, len(doc))
 	}
-	if n := e.ResidentPrefixLen(testDoc(77, docLen)); n != 0 {
-		t.Fatalf("never-served prefix probes %d resident tokens", n)
+	if n := cachedPrefixLen(e, testDoc(77, docLen)); n != 0 {
+		t.Fatalf("never-served prefix has %d resident tokens", n)
 	}
 	e.Close()
-	if n := e.ResidentPrefixLen(doc); n != 0 {
-		t.Fatalf("prefix still probes %d resident tokens after Close released the cache", n)
+	if n := cachedPrefixLen(e, doc); n != 0 {
+		t.Fatalf("prefix still has %d resident tokens after Close released the cache", n)
 	}
 }
 
 // TestPrefixResidentTracksEviction: evicting an idle prefix under budget
-// pressure must also drop it from the residency index.
+// pressure must also drop it from the radix cache.
 func TestPrefixResidentTracksEviction(t *testing.T) {
 	m := testModel()
 	const docLen = 96
@@ -130,61 +135,20 @@ func TestPrefixResidentTracksEviction(t *testing.T) {
 	if resp := e.Submit(mk(docA, 31)).Wait(); resp.Err != nil {
 		t.Fatalf("docA request: %v", resp.Err)
 	}
-	if e.ResidentPrefixLen(docA) != len(docA) {
+	if cachedPrefixLen(e, docA) != len(docA) {
 		t.Fatal("docA not resident after serving")
 	}
 	if resp := e.Submit(mk(docB, 32)).Wait(); resp.Err != nil {
 		t.Fatalf("docB request: %v", resp.Err)
 	}
-	if e.ResidentPrefixLen(docB) != len(docB) {
+	if cachedPrefixLen(e, docB) != len(docB) {
 		t.Fatal("docB not resident after serving")
 	}
-	if n := e.ResidentPrefixLen(docA); n != 0 {
-		t.Fatalf("evicted docA still probes %d resident tokens", n)
+	if n := cachedPrefixLen(e, docA); n != 0 {
+		t.Fatalf("evicted docA still has %d resident tokens", n)
 	}
 	if e.Metrics().PrefixEvicted == 0 {
-		t.Fatal("no eviction happened; budget not tight enough to exercise the index")
-	}
-}
-
-// TestOccupancyProbe: gauges reflect a running engine and return to idle
-// zeros (with zero live pages) once everything drains. The first request's
-// selector factory blocks inside its prefill round until the gauge has been
-// sampled, so the busy snapshot does not depend on how fast requests finish.
-func TestOccupancyProbe(t *testing.T) {
-	m := testModel()
-	e := NewEngine(m, Config{Workers: 1, MaxBatch: 2, QueueCap: 8, Seed: 1})
-	entered, release := make(chan struct{}), make(chan struct{})
-	var tickets []*Ticket
-	for i := 0; i < 5; i++ {
-		req := Request{Prompt: testDoc(uint64(i), 256), MaxNewTokens: 8}
-		if i == 0 {
-			req.NewSelector = func() attention.Selector {
-				close(entered)
-				<-release
-				return nil
-			}
-		}
-		tickets = append(tickets, e.Submit(req))
-	}
-	<-entered
-	occ := e.Occupancy()
-	close(release)
-	if occ.Active < 1 || occ.Active > 2 {
-		t.Fatalf("Active = %d while a request is held in its prefill round, want 1..2 (MaxBatch 2)", occ.Active)
-	}
-	for _, tk := range tickets {
-		if resp := tk.Wait(); resp.Err != nil {
-			t.Fatalf("request failed: %v", resp.Err)
-		}
-	}
-	e.Close()
-	occ = e.Occupancy()
-	if occ.Queued != 0 || occ.Active != 0 {
-		t.Fatalf("drained engine occupancy not idle: %+v", occ)
-	}
-	if occ.LivePages != 0 {
-		t.Fatalf("drained engine still holds %d live pages", occ.LivePages)
+		t.Fatal("no eviction happened; budget not tight enough to exercise the cache")
 	}
 }
 

@@ -22,8 +22,6 @@ func (e *Engine) loop() {
 	for {
 		// Intake: block only when fully idle; otherwise drain what's there.
 		if open && len(pending) == 0 && len(active) == 0 {
-			e.mx.curQueued.Store(0)
-			e.mx.curActive.Store(0)
 			batch, ok := <-e.intake
 			if !ok {
 				open = false
@@ -49,8 +47,6 @@ func (e *Engine) loop() {
 			pending, active = nil, nil
 		}
 		if len(pending) == 0 && len(active) == 0 {
-			e.mx.curQueued.Store(0)
-			e.mx.curActive.Store(0)
 			if !open {
 				e.releasePrefixes()
 				return
@@ -229,7 +225,6 @@ func (e *Engine) admit(t *task, round int64) int64 {
 		entry = &prefixEntry{tokens: r.Prompt[:r.SharedPrefixLen], seq: e.cacheSeq}
 		e.cacheSeq++
 		e.cache.insert(entry)
-		e.markResident(entry)
 		entry.refs++
 		t.builder = true
 		t.reuse = reuse
@@ -312,12 +307,11 @@ func (e *Engine) evictIdlePrefix(round int64) bool {
 	return true
 }
 
-// releaseEntry returns a prefix entry's resources: its residency-index
-// registration and the snapshot's page references — pages still shared with
-// live forks survive until those sequences retire, so evicting a busy prefix
-// never invalidates its descendants.
+// releaseEntry returns a prefix entry's resources: the snapshot's page
+// references — pages still shared with live forks survive until those
+// sequences retire, so evicting a busy prefix never invalidates its
+// descendants.
 func (e *Engine) releaseEntry(p *prefixEntry) {
-	e.unmarkResident(p)
 	// Host-accounted slots stay host-side (Release clamps them to the live
 	// total); the rebalance pass promotes survivors back as headroom allows.
 	p.spilled = 0
@@ -333,46 +327,6 @@ func (e *Engine) releasePrefixes() {
 		e.cache.remove(p)
 		e.releaseEntry(p)
 	}
-}
-
-// ResidentPrefixLen reports the deepest prefix of tokens — probed at every
-// page boundary plus the whole slice — whose content hash is resident in the
-// engine's prefix cache (building or published), 0 when nothing matches. It
-// is the router-side probe behind longest-prefix affinity: nested-prefix
-// requests go to the replica holding the deepest match. The answer is
-// advisory: the scheduler may evict the entry between the probe and
-// admission, in which case the request simply rebuilds it.
-func (e *Engine) ResidentPrefixLen(tokens []int) int {
-	P := e.cfg.PageTokens
-	keys := alignedPrefixKeys(tokens, P)
-	e.resMu.RLock()
-	defer e.resMu.RUnlock()
-	for i := len(keys) - 1; i >= 0; i-- {
-		if e.resident[keys[i]] > 0 {
-			return min((i+1)*P, len(tokens))
-		}
-	}
-	return 0
-}
-
-// markResident registers entry p's whole page-aligned prefix chain in the
-// residency index — each hash a depth a router probe can reuse.
-func (e *Engine) markResident(p *prefixEntry) {
-	e.resMu.Lock()
-	for _, h := range alignedPrefixKeys(p.tokens, e.cfg.PageTokens) {
-		e.resident[h]++
-	}
-	e.resMu.Unlock()
-}
-
-func (e *Engine) unmarkResident(p *prefixEntry) {
-	e.resMu.Lock()
-	for _, h := range alignedPrefixKeys(p.tokens, e.cfg.PageTokens) {
-		if e.resident[h]--; e.resident[h] <= 0 {
-			delete(e.resident, h)
-		}
-	}
-	e.resMu.Unlock()
 }
 
 // retire releases a task's resources and delivers its response: an

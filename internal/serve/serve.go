@@ -86,7 +86,9 @@ type Request struct {
 
 // Response is the outcome of one request.
 type Response struct {
-	// ID is the engine-assigned request id, increasing in submission order.
+	// ID is the engine-assigned request id, increasing in submission order;
+	// it is the ticket's id whether or not the request was admitted (0 only
+	// when the engine was already closed).
 	ID uint64
 	// Tokens are the generated tokens (len == MaxNewTokens on success).
 	Tokens []int
@@ -172,23 +174,19 @@ func (r *Request) valid(vocab int) bool {
 // those pages.
 func (r *Request) budgeted() bool { return r.Budget > 0 && r.NewSelector != nil }
 
-// PrefixKey content-addresses a shared prefix: the same hash the engine's
-// prefix-residency index is keyed by, and the last of AlignedPrefixKeys.
-// Routers key placement by it over Prompt[:SharedPrefixLen]; to find the
-// replica that already holds the prefill they probe Engine.ResidentPrefixLen.
+// PrefixKey content-addresses a shared prefix: the same hash the radix
+// cache files page runs under, and the last of AlignedPrefixKeys. Routers key
+// placement by it over Prompt[:SharedPrefixLen].
 func PrefixKey(tokens []int) uint64 { return prefixKey(tokens) }
 
 // AlignedPrefixKeys returns the content hash of every page-aligned prefix of
 // tokens (pageTokens, 2·pageTokens, ...) plus the whole slice, in one rolling
 // FNV-1a pass; the last element always equals PrefixKey(tokens). These are
-// the depths the engine registers in its residency index, so a router can
-// probe a nested prefix from deepest to shallowest and place the request on
-// the replica holding the longest match. pageTokens must be positive.
+// the depths at which the radix cache can reuse a prefix's pages, so a router
+// that books them per replica can match a nested prefix from deepest to
+// shallowest and place the request on the replica holding the longest match.
+// pageTokens must be positive.
 func AlignedPrefixKeys(tokens []int, pageTokens int) []uint64 {
-	return alignedPrefixKeys(tokens, pageTokens)
-}
-
-func alignedPrefixKeys(tokens []int, pageTokens int) []uint64 {
 	if pageTokens <= 0 {
 		panic("serve: AlignedPrefixKeys needs a positive pageTokens")
 	}
@@ -212,7 +210,7 @@ const (
 
 // fnv1a rolls the FNV-1a hash h forward over tokens, one round per token: the
 // single spelling of the content hash behind PrefixKey, AlignedPrefixKeys and
-// the residency index.
+// the radix cache's child index.
 func fnv1a(h uint64, tokens []int) uint64 {
 	for _, t := range tokens {
 		h ^= uint64(t)

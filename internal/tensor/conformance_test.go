@@ -56,21 +56,6 @@ func refMatMul(c, a, b *Mat) {
 	}
 }
 
-func refMatMulT(c, a, b *Mat) {
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		crow := c.Data[i*c.Cols : (i+1)*c.Cols]
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Data[j*b.Cols : (j+1)*b.Cols]
-			var s float32
-			for k := range arow {
-				s += arow[k] * brow[k]
-			}
-			crow[j] = s
-		}
-	}
-}
-
 // fillRandom fills x with a mix of random values, exact zeros (to exercise
 // the zero-skip fast paths) and sign flips.
 func fillRandom(x []float32, r *rng.RNG) {
@@ -121,12 +106,10 @@ func TestMatKernelConformance(t *testing.T) {
 		m, k, n := shape[0], shape[1], shape[2]
 		a := NewMat(m, k)
 		b := NewMat(k, n)
-		bt := NewMat(n, k)
 		x := make([]float32, k)
 		xr := make([]float32, m)
 		fillRandom(a.Data, r)
 		fillRandom(b.Data, r)
-		fillRandom(bt.Data, r)
 		fillRandom(x, r)
 		fillRandom(xr, r)
 
@@ -136,8 +119,6 @@ func TestMatKernelConformance(t *testing.T) {
 		refMatTVec(wantMTV, a, xr)
 		wantMM := NewMat(m, n)
 		refMatMul(wantMM, a, b)
-		wantMMT := NewMat(m, n)
-		refMatMulT(wantMMT, a, bt)
 
 		for _, width := range conformanceWidths {
 			p := parallel.NewPool(width)
@@ -152,10 +133,6 @@ func TestMatKernelConformance(t *testing.T) {
 			gotMM := NewMat(m, n)
 			MatMulOn(p, gotMM, a, b)
 			bitsEqual(t, sprintShape("MatMul", m, k, n, width), gotMM.Data, wantMM.Data)
-
-			gotMMT := NewMat(m, n)
-			MatMulTOn(p, gotMMT, a, bt)
-			bitsEqual(t, sprintShape("MatMulT", m, k, n, width), gotMMT.Data, wantMMT.Data)
 			p.Close()
 		}
 
@@ -179,7 +156,6 @@ func TestMatKernelZeroRows(t *testing.T) {
 		MatTVecOn(p, make([]float32, 5), a, []float32{}) // 0 rows: dst stays zero
 		c := NewMat(0, 3)
 		MatMulOn(p, c, a, NewMat(5, 3))
-		MatMulTOn(p, c, a, NewMat(3, 5))
 		p.Close()
 	}
 }

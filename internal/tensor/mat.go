@@ -148,31 +148,3 @@ func matMulBandGo(c, a, b *Mat, lo, hi int) {
 		}
 	}
 }
-
-// MatMulT computes c = a · bᵀ. Shapes: a is M×K, b is N×K, c is M×N.
-// Output rows of c are computed in parallel with the serial per-element
-// reduction order, so results are bit-identical at any width.
-func MatMulT(c, a, b *Mat) {
-	MatMulTOn(parallel.Default(), c, a, b)
-}
-
-// MatMulTOn is MatMulT on an explicit pool (nil runs serial).
-func MatMulTOn(p *parallel.Pool, c, a, b *Mat) {
-	if a.Cols != b.Cols || c.Rows != a.Rows || c.Cols != b.Rows {
-		panic("tensor: MatMulT dimension mismatch")
-	}
-	p.For(a.Rows, kernelGrain(a.Cols*b.Rows), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-			crow := c.Data[i*c.Cols : (i+1)*c.Cols]
-			for j := 0; j < b.Rows; j++ {
-				brow := b.Data[j*b.Cols : (j+1)*b.Cols]
-				var s float32
-				for k := range arow {
-					s += arow[k] * brow[k]
-				}
-				crow[j] = s
-			}
-		}
-	})
-}

@@ -107,18 +107,3 @@ func ArgMax(x []float32) int {
 	}
 	return best
 }
-
-// ArgMin returns the index of the smallest element (first on ties).
-// It panics on an empty slice.
-func ArgMin(x []float32) int {
-	if len(x) == 0 {
-		panic("tensor: ArgMin of empty slice")
-	}
-	best := 0
-	for i := 1; i < len(x); i++ {
-		if x[i] < x[best] {
-			best = i
-		}
-	}
-	return best
-}

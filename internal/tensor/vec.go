@@ -227,21 +227,3 @@ func argBestCosGo(best []int, dots []float32, stride int, kn, cn []float32) {
 		best[i] = b
 	}
 }
-
-// LogSumExp returns log(sum(exp(x))) computed stably. It panics on empty x.
-func LogSumExp(x []float32) float32 {
-	if len(x) == 0 {
-		panic("tensor: LogSumExp of empty slice")
-	}
-	maxv := x[0]
-	for _, v := range x[1:] {
-		if v > maxv {
-			maxv = v
-		}
-	}
-	var sum float64
-	for _, v := range x {
-		sum += math.Exp(float64(v - maxv))
-	}
-	return maxv + float32(math.Log(sum))
-}
