@@ -2,6 +2,9 @@ package fleet
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -115,43 +118,41 @@ func TestLatencyStatsEmptyDistribution(t *testing.T) {
 	}
 }
 
-// TestModelLatencyExposition pins the text exposition of the fleet's modeled
-// latency summaries — written by obs.LatencyStats.Fill from the router's one
-// latency aggregate — to the bytes this load produces on the replicas' modeled
-// round clocks.
+// TestModelLatencyExposition pins the whole -metrics exposition of a fleet
+// run — every series's name, labels and kind, and every value except those of
+// the three wall-clock distributions (measured TTFT, TBT and queue wait),
+// whose series stay pinned without their values — to golden files, on one
+// tier and on two (so the host-tier and transfer series are non-zero). The
+// modeled latency summaries come from the router's one latency aggregate on
+// the replicas' modeled round clocks.
 func TestModelLatencyExposition(t *testing.T) {
-	const want = `# TYPE clusterkv_fleet_model_tbt_seconds gauge
-clusterkv_fleet_model_tbt_seconds{fleet="a",stat="count"} 8
-clusterkv_fleet_model_tbt_seconds{fleet="a",stat="max"} 0.021676986832975653
-clusterkv_fleet_model_tbt_seconds{fleet="a",stat="mean"} 0.020405276120008618
-clusterkv_fleet_model_tbt_seconds{fleet="a",stat="p50"} 0.01998137254901961
-clusterkv_fleet_model_tbt_seconds{fleet="a",stat="p95"} 0.021676986832975653
-# TYPE clusterkv_fleet_model_ttft_seconds gauge
-clusterkv_fleet_model_ttft_seconds{fleet="a",stat="count"} 8
-clusterkv_fleet_model_ttft_seconds{fleet="a",stat="max"} 0.07534743958946778
-clusterkv_fleet_model_ttft_seconds{fleet="a",stat="mean"} 0.06865648216825683
-clusterkv_fleet_model_ttft_seconds{fleet="a",stat="p50"} 0.07534743958946778
-clusterkv_fleet_model_ttft_seconds{fleet="a",stat="p95"} 0.07534743958946778
-`
-	r := NewRouter(testModel(), Config{
-		Replicas: 2, Seed: 7,
-		Engine: serve.Config{Workers: 2, MaxBatch: 4, KVBudget: 2048, Seed: 7},
-	})
-	r.Run(fleetLoad(2, 8))
-	reg := obs.NewRegistry()
-	r.FillRegistry(reg, obs.L("fleet", "a"))
-	r.Close()
-	var buf bytes.Buffer
-	if err := reg.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var got strings.Builder
-	for _, line := range strings.SplitAfter(buf.String(), "\n") {
-		if strings.Contains(line, "clusterkv_fleet_model_t") {
-			got.WriteString(line)
-		}
-	}
-	if got.String() != want {
-		t.Fatalf("modeled latency exposition changed:\n%s\nwant:\n%s", got.String(), want)
+	measured := regexp.MustCompile(`(?m)^(clusterkv_fleet_(?:ttft|tbt|queue_wait)_seconds\{[^}]*\}) .*$`)
+	for _, tc := range []struct {
+		name string
+		ecfg serve.Config
+	}{
+		{"one-tier", serve.Config{Workers: 2, MaxBatch: 4, KVBudget: 2048, Seed: 7}},
+		{"two-tier", serve.Config{Workers: 2, MaxBatch: 4, KVBudget: 256, HostBudget: 8192, Seed: 7}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRouter(testModel(), Config{Replicas: 2, Seed: 7, Engine: tc.ecfg})
+			r.Run(fleetLoad(2, 8))
+			reg := obs.NewRegistry()
+			r.FillRegistry(reg, obs.L("fleet", "a"))
+			r.Close()
+			var buf bytes.Buffer
+			if err := reg.WriteText(&buf); err != nil {
+				t.Fatal(err)
+			}
+			got := measured.ReplaceAllString(buf.String(), "$1")
+			golden := filepath.Join("testdata", "exposition-"+tc.name+".txt")
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				t.Fatalf("exposition differs from %s:\n%s", golden, got)
+			}
+		})
 	}
 }
