@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-seq test-xfer-race test-fleet test-trace test-kernels test-purego build-arm64 fuzz-kernels test-batch test-pool benchmark-check vet race bench bench-smoke bench-json bench-compare serve clean
+.PHONY: build test test-seq test-xfer-race test-fleet test-trace test-kernels test-purego build-arm64 fuzz-kernels test-batch test-pool benchmark-check vet bench bench-smoke bench-json bench-compare serve clean
 
 # Experiments with committed BENCH_<exp>.json baselines at the repo root —
 # the perf trajectory the compare gate tracks (DESIGN.md §14).

@@ -287,9 +287,7 @@ func main() {
 			sum.Attribution.WriteTable(os.Stdout)
 		}
 		for i, rs := range sum.PerReplica {
-			fmt.Printf("-- replica %d --\n%s", i, rs.Metrics)
-			fmt.Printf("kv arena: peak %d live pages (%d tokens/page, shared prefix pages counted once)\n",
-				rs.ArenaPeakPages, kvcache.DefaultPageTokens)
+			fmt.Printf("-- replica %d --\n%s", i, rs)
 		}
 		if serialSecs > 0 {
 			fmt.Printf("serial baseline: %.1f tok/s (one request at a time, full per-request prefill)\n", r.serialTokS)
@@ -315,7 +313,7 @@ func main() {
 
 	if tracer != nil {
 		if reg != nil {
-			tracer.FillRegistry(reg)
+			reg.Add(tracer.Table())
 		}
 		writeTrace(*traceOut, tracer)
 	}

@@ -5,6 +5,7 @@ import (
 	"os/exec"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -111,12 +112,12 @@ func TestPrefillSavedCountsServedRequestsOnly(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d\n%s", code, stderr)
 	}
-	reused := regexp.MustCompile(`(?m)^prefix cache: .*; (\d+) tokens reused`).FindStringSubmatch(stdout)
+	reused := regexp.MustCompile(`(?m)^prefix cache: [\d.]+ hit rate, .*, (\d+) tokens reused$`).FindStringSubmatch(stdout)
 	row := regexp.MustCompile(`(?m)^FullKV .* (\d+) +\S+$`).FindStringSubmatch(stdout)
 	if reused == nil || row == nil {
 		t.Fatalf("report lacks the fleet prefix-cache line or the FullKV table row:\n%s", stdout)
 	}
-	if !strings.Contains(stdout, "10 failed") {
+	if !regexp.MustCompile(`(?m)^requests: \d+ submitted, \d+ completed, 10 failed,`).MatchString(stdout) {
 		t.Fatalf("load no longer fails admission, so it tests nothing:\n%s", stdout)
 	}
 	if row[1] != reused[1] {
@@ -133,9 +134,19 @@ func TestOpenLoopServesEveryRequest(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d\n%s", code, stderr)
 	}
-	for _, want := range []string{"16 completed, 0 failed", "prefill saved 3072 tokens / 768 pages"} {
-		if !strings.Contains(stdout, want) {
-			t.Fatalf("open-loop run does not print %q:\n%s", want, stdout)
-		}
+	// Each replica prints its own requests line; together they serve the load.
+	var completed, failed int
+	lines := regexp.MustCompile(`(?m)^requests: \d+ submitted, (\d+) completed, (\d+) failed`).FindAllStringSubmatch(stdout, -1)
+	for _, m := range lines {
+		c, _ := strconv.Atoi(m[1])
+		f, _ := strconv.Atoi(m[2])
+		completed, failed = completed+c, failed+f
+	}
+	if len(lines) != 2 || completed != 16 || failed != 0 {
+		t.Fatalf("open-loop run serves %d completed, %d failed over %d replica lines, want 16, 0 over 2:\n%s",
+			completed, failed, len(lines), stdout)
+	}
+	if want := "prefill saved: 3072 tokens, 768 pages\n"; !strings.Contains(stdout, want) {
+		t.Fatalf("open-loop run does not print %q:\n%s", want, stdout)
 	}
 }

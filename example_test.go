@@ -130,7 +130,7 @@ func ExampleEngine() {
 	fmt.Printf("prefix cache: %d hits, %d misses, %d tokens reused\n", mx.PrefixHits, mx.PrefixMisses, mx.PrefixReusedTokens)
 	fmt.Printf("kv slots: %d peak of %d\n", mx.KVPeak, mx.KVCapacity)
 	fmt.Printf("%d rounds, cohort mean %.1f, meta segments %d adopted / %d built\n",
-		mx.Rounds, mx.CohortMean(), mx.MetaSegsAdopted, mx.MetaSegsBuilt)
+		mx.Rounds, float64(mx.DecodeStreamsBatched)/float64(mx.BatchRounds), mx.MetaSegsAdopted, mx.MetaSegsBuilt)
 	// Output:
 	// request 0 doc 0 hit false rounds  1..16 model ttft 285.4ms tokens [259 47 223 127]
 	// request 1 doc 1 hit false rounds  1..16 model ttft 285.4ms tokens [77 18 376 202]

@@ -3,6 +3,7 @@ package fleet
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"clusterkv/internal/kvcache"
@@ -74,9 +75,16 @@ func TestTraceFleetAttributionSummary(t *testing.T) {
 			t.Fatalf("slowest entry carries unstamped replica %d", b.Replica)
 		}
 	}
-	if sum.String() == "" || s.String() == "" {
+	if sum.String() == "" || attrTable(s) == "" {
 		t.Fatal("summary rendering is empty")
 	}
+}
+
+// attrTable renders a snapshot's attribution table.
+func attrTable(s obs.AttributionSnapshot) string {
+	var b strings.Builder
+	s.WriteTable(&b)
+	return b.String()
 }
 
 // TestTraceFleetAttributionRepeats locks merged-snapshot reproducibility:
@@ -89,7 +97,7 @@ func TestTraceFleetAttributionRepeats(t *testing.T) {
 	run := func() ([]Response, string) {
 		r := NewRouter(m, Config{Replicas: 2, Engine: ecfg, Seed: 7})
 		out := r.Run(reqs)
-		snap := r.Summary().Attribution.String()
+		snap := attrTable(r.Summary().Attribution)
 		r.Close()
 		return out, snap
 	}
@@ -218,10 +226,10 @@ func TestAggregateMatchesResponses(t *testing.T) {
 			model, measured, qwait, attain := wantAggregate(resps)
 			a := sum.Attribution
 			if a.ModelTTFT != model[0] || a.ModelTBT != model[1] {
-				t.Fatalf("modeled ttft/tbt %s / %s, responses give %s / %s", a.ModelTTFT, a.ModelTBT, model[0], model[1])
+				t.Fatalf("modeled ttft/tbt %+v / %+v, responses give %+v / %+v", a.ModelTTFT, a.ModelTBT, model[0], model[1])
 			}
 			if a.TTFT != measured[0] || a.TBT != measured[1] || a.QueueWait != qwait {
-				t.Fatalf("measured ttft/tbt/queue wait %s / %s / %s, responses give %s / %s / %s",
+				t.Fatalf("measured ttft/tbt/queue wait %+v / %+v / %+v, responses give %+v / %+v / %+v",
 					a.TTFT, a.TBT, a.QueueWait, measured[0], measured[1], qwait)
 			}
 			if sum.SLOAttainment != attain {

@@ -105,12 +105,12 @@ func TestTraceClockSubmitMatchesRun(t *testing.T) {
 	gs, ws := streamed.Summary(), batched.Summary()
 	ga, wa := gs.Attribution, ws.Attribution
 	if ga.ModelTTFT != wa.ModelTTFT || ga.ModelTBT != wa.ModelTBT {
-		t.Fatalf("summaries' modeled latencies differ:\nsubmit %s / %s\nrun    %s / %s",
+		t.Fatalf("summaries' modeled latencies differ:\nsubmit %+v / %+v\nrun    %+v / %+v",
 			ga.ModelTTFT, ga.ModelTBT, wa.ModelTTFT, wa.ModelTBT)
 	}
-	if gs.SavedPrefillTokens != ws.SavedPrefillTokens || gs.Attribution.String() != ws.Attribution.String() {
+	if gs.SavedPrefillTokens != ws.SavedPrefillTokens || attrTable(gs.Attribution) != attrTable(ws.Attribution) {
 		t.Fatalf("summaries differ: saved %d vs %d tokens\n%s\n---\n%s",
-			gs.SavedPrefillTokens, ws.SavedPrefillTokens, gs.Attribution, ws.Attribution)
+			gs.SavedPrefillTokens, ws.SavedPrefillTokens, attrTable(gs.Attribution), attrTable(ws.Attribution))
 	}
 }
 

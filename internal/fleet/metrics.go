@@ -1,8 +1,8 @@
 package fleet
 
 import (
-	"fmt"
-	"strings"
+	"slices"
+	"strconv"
 
 	"clusterkv/internal/obs"
 	"clusterkv/internal/serve"
@@ -14,10 +14,26 @@ import (
 type ReplicaStats struct {
 	// Routed is the number of requests the router placed on this replica.
 	Routed int64
-	// ArenaPeakPages is the replica arena's peak live page count.
-	ArenaPeakPages int64
+	// ArenaLivePages and ArenaPeakPages are the replica arena's live and
+	// peak page counts. ArenaMetaBytes is the selector metadata riding on
+	// shared pages as sidecars, in bytes: the accountant's unit is KV token
+	// slots, and a sidecar lives and dies with its page.
+	ArenaLivePages, ArenaPeakPages, ArenaMetaBytes int64
 	serve.Metrics
 }
+
+// Table publishes the replica's engine Metrics, its routed count and its
+// arena gauges.
+func (rs ReplicaStats) Table() []obs.Row {
+	return append(rs.Metrics.Table(),
+		obs.Counter("clusterkv_fleet_replica_routed_total", rs.Routed, "requests", "routed"),
+		obs.Gauge("clusterkv_arena_live_pages", rs.ArenaLivePages, "kv arena", "live pages"),
+		obs.Gauge("clusterkv_arena_peak_pages", rs.ArenaPeakPages, "kv arena", "peak pages"),
+		obs.Gauge("clusterkv_arena_meta_sidecar_bytes", rs.ArenaMetaBytes, "kv arena", "sidecar bytes"))
+}
+
+// String renders Table as the replica's report.
+func (rs ReplicaStats) String() string { return obs.Text(rs.Table()) }
 
 // Summary is a point-in-time snapshot of fleet-wide routing and serving
 // state. Every field except the measured latency distributions in
@@ -43,11 +59,10 @@ type Summary struct {
 	// prompt (pages across all (layer, head) planes).
 	SavedPrefillTokens, SavedPrefillPages int64
 
-	// SLO attainment: fraction of judged requests whose modeled latencies
-	// met the configured SLOs (1 when no SLO is configured; shed requests
-	// count as misses), from Attribution's verdicts plus Shed.
-	SLOTTFT, SLOTBT float64
-	SLOAttainment   float64
+	// SLOAttainment is the fraction of judged requests whose modeled
+	// latencies met the configured SLOs (1 when no SLO is configured; shed
+	// requests count as misses), from Attribution's verdicts plus Shed.
+	SLOAttainment float64
 
 	// Balance is max/mean routed requests per replica (1 = perfectly even,
 	// Replicas = everything on one replica).
@@ -83,8 +98,6 @@ func (r *Router) Summary() Summary {
 		Rerouted:           r.rerouted,
 		SavedPrefillTokens: r.savedPrefillTokens,
 		SavedPrefillPages:  r.savedPrefillPages,
-		SLOTTFT:            r.cfg.SLOTTFT,
-		SLOTBT:             r.cfg.SLOTBT,
 		SLOAttainment:      1,
 		// Under r.mu, so the aggregate and Shed agree.
 		Attribution: r.attr.Snapshot(),
@@ -97,7 +110,14 @@ func (r *Router) Summary() Summary {
 
 	var maxRouted int64
 	for i, e := range r.engines {
-		rs := ReplicaStats{Routed: routed[i], ArenaPeakPages: e.Arena().PeakPages(), Metrics: e.Metrics()}
+		a := e.Arena()
+		rs := ReplicaStats{
+			Routed:         routed[i],
+			ArenaLivePages: a.LivePages(),
+			ArenaPeakPages: a.PeakPages(),
+			ArenaMetaBytes: a.MetaBytes(),
+			Metrics:        e.Metrics(),
+		}
 		s.PerReplica = append(s.PerReplica, rs)
 		s.Routed += rs.Routed
 		s.Completed += rs.Completed
@@ -118,66 +138,50 @@ func (r *Router) Summary() Summary {
 	return s
 }
 
-// FillRegistry publishes the router's current Summary into reg under the
-// clusterkv_fleet_* namespace, then each replica engine's full serve view
-// under a replica label — one registry sees the whole fleet. Like the serve
-// view it is snapshot-in, never read-back, and safe at any cadence.
-func (r *Router) FillRegistry(reg *obs.Registry, labels ...obs.Label) {
-	s := r.Summary()
-	cnt := func(name string, v int64) { reg.Counter(name, labels...).Set(v) }
-	gauge := func(name string, v float64) { reg.Gauge(name, labels...).Set(v) }
-	gauge("clusterkv_fleet_replicas", float64(s.Replicas))
-	cnt("clusterkv_fleet_routed_total", s.Routed)
-	cnt("clusterkv_fleet_shed_total", s.Shed)
-	cnt("clusterkv_fleet_rerouted_total", s.Rerouted)
-	cnt("clusterkv_fleet_saved_prefill_tokens_total", s.SavedPrefillTokens)
-	cnt("clusterkv_fleet_saved_prefill_pages_total", s.SavedPrefillPages)
-	cnt("clusterkv_fleet_prefix_partial_hits_total", int64(s.PrefixPartialHits))
-	cnt("clusterkv_fleet_prefix_reused_tokens_total", s.PrefixReusedTokens)
-	gauge("clusterkv_fleet_prefix_hit_rate", s.PrefixHitRate())
-	gauge("clusterkv_fleet_balance", s.Balance)
-	gauge("clusterkv_fleet_slo_attainment", s.SLOAttainment)
-	a := s.Attribution
-	a.ModelTTFT.Fill(reg, "clusterkv_fleet_model_ttft_seconds", labels)
-	a.ModelTBT.Fill(reg, "clusterkv_fleet_model_tbt_seconds", labels)
-	a.TTFT.Fill(reg, "clusterkv_fleet_ttft_seconds", labels)
-	a.TBT.Fill(reg, "clusterkv_fleet_tbt_seconds", labels)
-	a.QueueWait.Fill(reg, "clusterkv_fleet_queue_wait_seconds", labels)
-	for i, e := range r.engines {
-		rl := append(append([]obs.Label(nil), labels...), obs.L("replica", fmt.Sprint(i)))
-		e.FillRegistry(reg, rl...)
-		reg.Counter("clusterkv_fleet_replica_routed_total", rl...).Set(s.PerReplica[i].Routed)
+// Table publishes the snapshot: the fleet's own rows under
+// clusterkv_fleet_* names, every replica's under a replica label, and the
+// attribution's flat aggregates.
+func (s Summary) Table() []obs.Row {
+	rows := s.fleetRows()
+	for i, rs := range s.PerReplica {
+		for _, row := range rs.Table() {
+			rows = append(rows, row.With(obs.L("replica", strconv.Itoa(i))))
+		}
 	}
-	s.Attribution.FillRegistry(reg, labels...)
+	return append(rows, s.Attribution.Table()...)
 }
 
-// String formats the snapshot as a small report: fleet aggregates plus one
-// row per replica.
-func (s Summary) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "fleet: %d replicas\n", s.Replicas)
-	fmt.Fprintf(&b, "routing: %d routed, %d shed, %d rerouted, balance %.2f (1 = even)\n",
-		s.Routed, s.Shed, s.Rerouted, s.Balance)
-	fmt.Fprintf(&b, "requests: %d completed, %d failed\n", s.Completed, s.Failed)
-	fmt.Fprintf(&b, "prefix cache: %d hits, %d misses (%d partial, %.0f%% hit rate); %d tokens reused, prefill saved %d tokens / %d pages\n",
-		s.PrefixHits, s.PrefixMisses, s.PrefixPartialHits, s.PrefixHitRate()*100,
-		s.PrefixReusedTokens, s.SavedPrefillTokens, s.SavedPrefillPages)
-	fmt.Fprintf(&b, "tokens: %d prefilled, %d generated\n", s.PrefillTokens, s.TokensGenerated)
-	fmt.Fprintf(&b, "modeled ttft: %s\n", s.Attribution.ModelTTFT)
-	fmt.Fprintf(&b, "modeled tbt:  %s\n", s.Attribution.ModelTBT)
-	fmt.Fprintf(&b, "ttft:         %s\n", s.Attribution.TTFT)
-	fmt.Fprintf(&b, "tbt:          %s\n", s.Attribution.TBT)
-	fmt.Fprintf(&b, "queue wait:   %s\n", s.Attribution.QueueWait)
-	if s.SLOTTFT > 0 || s.SLOTBT > 0 {
-		fmt.Fprintf(&b, "slo: ttft %.2fms tbt %.2fms -> %.1f%% attainment\n",
-			s.SLOTTFT*1e3, s.SLOTBT*1e3, s.SLOAttainment*100)
+// fleetRows is the fleet-wide part of Table: routing, prefix affinity, SLO
+// attainment and the latency distributions.
+func (s Summary) fleetRows() []obs.Row {
+	rows := []obs.Row{
+		obs.Gauge("clusterkv_fleet_replicas", s.Replicas, "fleet", "replicas"),
+		obs.Counter("clusterkv_fleet_routed_total", s.Routed, "routing", "routed"),
+		obs.Counter("clusterkv_fleet_shed_total", s.Shed, "routing", "shed"),
+		obs.Counter("clusterkv_fleet_rerouted_total", s.Rerouted, "routing", "rerouted"),
+		obs.Gauge("clusterkv_fleet_balance", s.Balance, "routing", "balance"),
+		obs.Gauge("clusterkv_fleet_prefix_hit_rate", s.PrefixHitRate(), "prefix cache", "hit rate"),
+		obs.Counter("clusterkv_fleet_prefix_partial_hits_total", s.PrefixPartialHits, "prefix cache", "partial hits"),
+		obs.Counter("clusterkv_fleet_prefix_reused_tokens_total", s.PrefixReusedTokens, "prefix cache", "tokens reused"),
+		obs.Counter("clusterkv_fleet_saved_prefill_tokens_total", s.SavedPrefillTokens, "prefill saved", "tokens"),
+		obs.Counter("clusterkv_fleet_saved_prefill_pages_total", s.SavedPrefillPages, "prefill saved", "pages"),
+		obs.Gauge("clusterkv_fleet_slo_attainment", s.SLOAttainment, "slo", "attainment"),
 	}
-	fmt.Fprintf(&b, "%-8s %7s %9s %7s %8s %8s %8s %7s %8s %9s\n",
-		"replica", "routed", "completed", "failed", "pfx hit", "pfx miss", "prefill", "tokens", "rounds", "kv peak")
-	for i, rs := range s.PerReplica {
-		fmt.Fprintf(&b, "%-8d %7d %9d %7d %8d %8d %8d %7d %8d %9d\n",
-			i, rs.Routed, rs.Completed, rs.Failed, rs.PrefixHits, rs.PrefixMisses,
-			rs.PrefillTokens, rs.TokensGenerated, rs.Rounds, rs.KVPeak)
-	}
-	return b.String()
+	a := s.Attribution
+	return slices.Concat(rows,
+		a.ModelTTFT.Table("clusterkv_fleet_model_ttft_seconds", "modeled ttft"),
+		a.ModelTBT.Table("clusterkv_fleet_model_tbt_seconds", "modeled tbt"),
+		a.TTFT.Table("clusterkv_fleet_ttft_seconds", "ttft"),
+		a.TBT.Table("clusterkv_fleet_tbt_seconds", "tbt"),
+		a.QueueWait.Table("clusterkv_fleet_queue_wait_seconds", "queue wait"))
+}
+
+// String renders the fleet-wide rows as the fleet's report; each replica's
+// block is ReplicaStats.String.
+func (s Summary) String() string { return obs.Text(s.fleetRows()) }
+
+// FillRegistry adds the router's current Summary table to reg under labels:
+// one snapshot, so the fleet and replica series agree.
+func (r *Router) FillRegistry(reg *obs.Registry, labels ...obs.Label) {
+	reg.Add(r.Summary().Table(), labels...)
 }

@@ -82,7 +82,7 @@ func TestRouterDeterminismWithTraceEnabled(t *testing.T) {
 
 // TestSummaryEmptyDistributions guards Summary formatting before any request
 // ran: no NaN/Inf from empty latency distributions or zero routed counts,
-// and the modeled latency lines read n=0.
+// and no modeled latency line (an empty distribution has no percentiles).
 func TestSummaryEmptyDistributions(t *testing.T) {
 	m := testModel()
 	r := NewRouter(m, Config{Replicas: 2, Engine: serve.Config{Workers: 1, MaxBatch: 2, Seed: 7}})
@@ -92,28 +92,28 @@ func TestSummaryEmptyDistributions(t *testing.T) {
 	if strings.Contains(out, "NaN") || strings.Contains(out, "Inf") {
 		t.Fatalf("empty summary renders NaN/Inf:\n%s", out)
 	}
-	if !strings.Contains(out, "modeled ttft: n=0") {
-		t.Fatalf("empty summary must print n=0 modeled ttft:\n%s", out)
+	if !strings.Contains(out, "fleet: 2 replicas\n") || strings.Contains(out, "modeled ttft") {
+		t.Fatalf("empty summary must print its replicas and no modeled ttft line:\n%s", out)
 	}
 	if s.Balance != 0 || s.PrefixHitRate() != 0 {
 		t.Fatalf("empty summary balance=%v hit rate=%v, want zeros", s.Balance, s.PrefixHitRate())
 	}
 }
 
-// TestLatencyStatsEmptyDistribution guards the n=0 formatting path: an empty
-// distribution prints as "no samples", not as zero-valued percentiles, on
-// every latency line of a zero-valued Summary, and neither it nor a
-// zero-valued engine snapshot renders NaN.
+// TestLatencyStatsEmptyDistribution guards the empty-distribution path: an
+// empty distribution prints no line at all — not zero-valued percentiles —
+// while a non-empty one beside it prints in full, and neither a zero-valued
+// Summary nor a zero-valued engine snapshot renders NaN.
 func TestLatencyStatsEmptyDistribution(t *testing.T) {
-	s := Summary{}.String()
-	for _, line := range []string{"modeled ttft: n=0", "modeled tbt:  n=0", "ttft:         n=0", "tbt:          n=0", "queue wait:   n=0"} {
-		if !strings.Contains(s, line+"\n") {
-			t.Fatalf("empty summary must print %q:\n%s", line, s)
-		}
+	s := Summary{}
+	s.Attribution.TBT = obs.LatencyStats{N: 1, Mean: 0.002, P50: 0.002, P95: 0.002, Max: 0.002}
+	out := s.String()
+	if want := "tbt: 1 samples, 2.00ms mean, 2.00ms p50, 2.00ms p95, 2.00ms max\n"; out != want {
+		t.Fatalf("summary with one non-empty distribution prints\n%s\nwant\n%s", out, want)
 	}
-	for _, out := range []string{s, serve.Metrics{}.String()} {
-		if strings.Contains(out, "NaN") || strings.Contains(out, "Inf") {
-			t.Fatalf("empty snapshot renders NaN/Inf:\n%s", out)
+	for _, out := range []string{out, Summary{}.String(), serve.Metrics{}.String()} {
+		if strings.Contains(out, "NaN") || strings.Contains(out, "Inf") || strings.Contains(out, "0.00ms") {
+			t.Fatalf("empty snapshot renders NaN/Inf or a zero latency:\n%s", out)
 		}
 	}
 }

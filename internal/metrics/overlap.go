@@ -23,16 +23,6 @@ type Overlap struct {
 	PrefetchHits    int64
 }
 
-// Add accumulates other into o.
-func (o *Overlap) Add(other Overlap) {
-	o.Transfers += other.Transfers
-	o.Pages += other.Pages
-	o.BusySec += other.BusySec
-	o.ExposedSec += other.ExposedSec
-	o.PrefetchedPages += other.PrefetchedPages
-	o.PrefetchHits += other.PrefetchHits
-}
-
 // HiddenSec returns the transfer time overlapped with compute.
 func (o Overlap) HiddenSec() float64 {
 	h := o.BusySec - o.ExposedSec

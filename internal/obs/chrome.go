@@ -75,13 +75,6 @@ func meta(name string, pid, tid int, value string) chromeEvent {
 	return chromeEvent{Name: name, Ph: "M", Pid: pid, Tid: tid, Args: args}
 }
 
-// WriteChromeTrace renders events as Chrome trace_event JSON. Events may
-// come straight from Tracer.Events; ordering within a lane follows the
-// modeled clocks, not slice order.
-func WriteChromeTrace(w io.Writer, events []Event) error {
-	return writeChromeTrace(w, events, 0)
-}
-
 // WriteChromeTraceFrom renders the tracer's retained events, annotating the
 // trace with a warning instant when the ring has overwritten (dropped)
 // events — the exported timeline is then a suffix of the run, not the whole

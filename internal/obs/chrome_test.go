@@ -37,8 +37,8 @@ func TestWriteChromeTraceValidJSON(t *testing.T) {
 		{Type: EvFleetShed, Replica: -1, Req: 1, N: -1, Sec: 0.3},
 	}
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, events); err != nil {
-		t.Fatalf("WriteChromeTrace: %v", err)
+	if err := writeChromeTrace(&buf, events, 0); err != nil {
+		t.Fatalf("writeChromeTrace: %v", err)
 	}
 
 	var tr decodedTrace
@@ -95,8 +95,8 @@ func TestWriteChromeTraceValidJSON(t *testing.T) {
 
 func TestWriteChromeTraceEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, nil); err != nil {
-		t.Fatalf("WriteChromeTrace(nil): %v", err)
+	if err := writeChromeTrace(&buf, nil, 0); err != nil {
+		t.Fatalf("writeChromeTrace(nil): %v", err)
 	}
 	var tr decodedTrace
 	if err := json.Unmarshal(buf.Bytes(), &tr); err != nil {
@@ -114,10 +114,10 @@ func TestWriteChromeTraceDeterministic(t *testing.T) {
 		{Type: EvFleetPlace, Replica: -1, Req: 0, N: 2},
 	}
 	var a, b bytes.Buffer
-	if err := WriteChromeTrace(&a, events); err != nil {
+	if err := writeChromeTrace(&a, events, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteChromeTrace(&b, events); err != nil {
+	if err := writeChromeTrace(&b, events, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {

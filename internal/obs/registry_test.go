@@ -2,64 +2,38 @@ package obs
 
 import (
 	"bytes"
-	"net/http/httptest"
 	"strings"
 	"testing"
 )
 
-func TestCounterSemantics(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(4)
-	if got := c.Value(); got != 5 {
-		t.Fatalf("Value = %d, want 5", got)
-	}
-	// Set is max-keeping: snapshot re-publishing can never rewind a counter.
-	c.Set(3)
-	if got := c.Value(); got != 5 {
-		t.Fatalf("Set(3) rewound counter to %d, want 5", got)
-	}
-	c.Set(17)
-	if got := c.Value(); got != 17 {
-		t.Fatalf("Set(17) -> %d, want 17", got)
-	}
-}
-
-func TestGaugeRoundTrips(t *testing.T) {
-	var g Gauge
-	for _, v := range []float64{0, 1.5, -3.25, 1e-9, 1e12} {
-		g.Set(v)
-		if got := g.Value(); got != v {
-			t.Fatalf("gauge round-trip %v -> %v", v, got)
-		}
-	}
-}
-
-func TestRegistryIdempotentGetters(t *testing.T) {
+func TestRegistryKindMismatchPanics(t *testing.T) {
 	reg := NewRegistry()
-	a := reg.Counter("x_total", L("m", "a"))
-	b := reg.Counter("x_total", L("m", "a"))
-	if a != b {
-		t.Fatal("same (name, labels) must return the same counter")
+	reg.Add([]Row{Counter("x_total", 1, "x", "a").With(L("m", "a"))})
+	// Re-adding the same (name, labels) replaces the sample, and a gauge
+	// under a counter's name with other labels is still a kind mismatch.
+	reg.Add([]Row{Counter("x_total", 2, "x", "a").With(L("m", "a"))})
+	var buf bytes.Buffer
+	if err := reg.WriteText(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if reg.Counter("x_total", L("m", "b")) == a {
-		t.Fatal("different labels must return a distinct counter")
+	if want := "# TYPE x_total counter\nx_total{m=\"a\"} 2\n"; buf.String() != want {
+		t.Fatalf("exposition %q, want %q", buf.String(), want)
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("re-registering a counter as a gauge must panic")
+			t.Fatal("re-adding a counter as a gauge must panic")
 		}
 	}()
-	reg.Gauge("x_total", L("m", "a"))
+	reg.Add([]Row{Seconds("x_total", 1, "x", "b").With(L("m", "b"))})
 }
 
 func TestWriteTextDeterministicAndSorted(t *testing.T) {
 	fill := func(order []string) string {
 		reg := NewRegistry()
 		for _, name := range order {
-			reg.Counter("b_total", L("m", name)).Set(1)
+			reg.Add([]Row{Counter("b_total", 1, "b", name)}, L("m", name))
 		}
-		reg.Gauge("a_gauge").Set(2.5)
+		reg.Add([]Row{Gauge("a_gauge", 2.5, "a", "gauge")})
 		var buf bytes.Buffer
 		if err := reg.WriteText(&buf); err != nil {
 			t.Fatalf("WriteText: %v", err)
@@ -95,33 +69,31 @@ func TestWriteTextDeterministicAndSorted(t *testing.T) {
 func TestLabelRenderingSorted(t *testing.T) {
 	reg := NewRegistry()
 	// Same label set in two orders must be the same series.
-	a := reg.Gauge("g", L("z", "1"), L("a", "2"))
-	b := reg.Gauge("g", L("a", "2"), L("z", "1"))
-	if a != b {
-		t.Fatal("label order must not split series")
-	}
-	a.Set(9)
+	reg.Add([]Row{Gauge("g", 1, "g", "v").With(L("z", "1"), L("a", "2"))})
+	reg.Add([]Row{Gauge("g", 9, "g", "v").With(L("a", "2"))}, L("z", "1"))
 	var buf bytes.Buffer
 	if err := reg.WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if want := `g{a="2",z="1"} 9`; !strings.Contains(buf.String(), want) {
-		t.Fatalf("exposition %q missing sorted labels %q", buf.String(), want)
+	if want := "# TYPE g gauge\n" + `g{a="2",z="1"} 9` + "\n"; buf.String() != want {
+		t.Fatalf("exposition %q, want one series with sorted labels %q", buf.String(), want)
 	}
 }
 
-func TestHandlerServesExposition(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("hits_total").Add(3)
-	rr := httptest.NewRecorder()
-	reg.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
-	if rr.Code != 200 {
-		t.Fatalf("status %d", rr.Code)
-	}
-	if ct := rr.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Fatalf("content-type %q", ct)
-	}
-	if !strings.Contains(rr.Body.String(), "hits_total 3") {
-		t.Fatalf("body missing counter:\n%s", rr.Body.String())
+// TestTextRender pins the report format: one line per Line in order of first
+// appearance, values in row order, counters as integers, Seconds in ms,
+// gauges to two decimals unless integral, and all-zero lines left out.
+func TestTextRender(t *testing.T) {
+	got := Text([]Row{
+		Counter("a_total", 3, "work", "done"),
+		Gauge("idle", 0, "idle", "streams"),
+		Seconds("busy_seconds", 0.0123456, "work", "busy"),
+		Gauge("frac", 0.756, "ratio", "hit rate"),
+		Gauge("slots", 2048, "ratio", "slots"),
+		Counter("b_total", 0, "work", "failed"),
+	})
+	want := "work: 3 done, 12.35ms busy, 0 failed\nratio: 0.76 hit rate, 2048 slots\n"
+	if got != want {
+		t.Fatalf("Text =\n%s\nwant\n%s", got, want)
 	}
 }

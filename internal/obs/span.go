@@ -3,8 +3,8 @@ package obs
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 
 	"clusterkv/internal/metrics"
@@ -146,27 +146,16 @@ func statsOf(s *metrics.Summary) LatencyStats {
 	}
 }
 
-func (l LatencyStats) String() string {
-	if l.N == 0 {
-		// An empty distribution has no quantiles; printing the zero-valued
-		// percentiles would read as "0ms latency" rather than "no samples".
-		return "n=0"
+// Table publishes the distribution as series name, one row per statistic
+// under a stat label, all printed on line.
+func (l LatencyStats) Table(name, line string) []Row {
+	return []Row{
+		Gauge(name, l.N, line, "samples").With(L("stat", "count")),
+		Seconds(name, l.Mean, line, "mean").With(L("stat", "mean")),
+		Seconds(name, l.P50, line, "p50").With(L("stat", "p50")),
+		Seconds(name, l.P95, line, "p95").With(L("stat", "p95")),
+		Seconds(name, l.Max, line, "max").With(L("stat", "max")),
 	}
-	return fmt.Sprintf("n=%d mean=%.2fms p50=%.2fms p95=%.2fms max=%.2fms",
-		l.N, l.Mean*1e3, l.P50*1e3, l.P95*1e3, l.Max*1e3)
-}
-
-// Fill publishes the distribution into reg as one gauge per statistic,
-// discriminated by a stat label.
-func (l LatencyStats) Fill(reg *Registry, name string, labels []Label) {
-	with := func(stat string) []Label {
-		return append(append([]Label(nil), labels...), L("stat", stat))
-	}
-	reg.Gauge(name, with("count")...).Set(float64(l.N))
-	reg.Gauge(name, with("mean")...).Set(l.Mean)
-	reg.Gauge(name, with("p50")...).Set(l.P50)
-	reg.Gauge(name, with("p95")...).Set(l.P95)
-	reg.Gauge(name, with("max")...).Set(l.Max)
 }
 
 // AttributionTopK is how many slowest requests a snapshot retains.
@@ -331,51 +320,52 @@ func (a *Attribution) Snapshot() AttributionSnapshot {
 	return s
 }
 
-// FillRegistry publishes the snapshot's aggregates into reg under
-// clusterkv_attr_* names, labeled by phase plus any caller labels (e.g. one
-// series set per method or per routing policy).
-func (s AttributionSnapshot) FillRegistry(reg *Registry, labels ...Label) {
-	reg.Counter("clusterkv_attr_requests_total", labels...).Set(int64(s.Requests))
-	reg.Gauge("clusterkv_attr_wall_seconds", labels...).Set(s.WallSec)
-	reg.Gauge("clusterkv_attr_prefix_credit_seconds", labels...).Set(s.PrefixCreditSec)
-	reg.Gauge("clusterkv_attr_xfer_exposed_seconds", labels...).Set(s.XferExposedSec)
-	reg.Gauge("clusterkv_attr_xfer_hidden_seconds", labels...).Set(s.XferHiddenSec)
-	reg.Counter("clusterkv_attr_decode_rounds_total", labels...).Set(s.DecodeRounds)
-	reg.Counter("clusterkv_attr_batched_rounds_total", labels...).Set(s.BatchedRounds)
+// Table publishes the snapshot's flat aggregates under clusterkv_attr_*
+// names: its totals, then the per-phase ones labeled by phase. The slowest
+// requests stay in WriteTable.
+func (s AttributionSnapshot) Table() []Row {
+	rows := s.totals()
 	for _, ps := range s.Phases {
-		pl := append(append([]Label{}, labels...), L("phase", ps.Phase))
-		reg.Gauge("clusterkv_attr_phase_seconds", pl...).Set(ps.TotalSec)
-		reg.Gauge("clusterkv_attr_phase_frac_wall", pl...).Set(ps.FracWall)
-		reg.Gauge("clusterkv_attr_phase_p95_seconds", pl...).Set(ps.P95)
+		line, phase := "phase "+ps.Phase, L("phase", ps.Phase)
+		rows = append(rows,
+			Seconds("clusterkv_attr_phase_seconds", ps.TotalSec, line, "total").With(phase),
+			Gauge("clusterkv_attr_phase_frac_wall", ps.FracWall, line, "of wall").With(phase),
+			Seconds("clusterkv_attr_phase_p95_seconds", ps.P95, line, "p95").With(phase))
 	}
-	if s.SLON > 0 {
-		reg.Gauge("clusterkv_attr_slo_margin_p50_seconds", labels...).Set(s.SLOMarginP50)
-		reg.Gauge("clusterkv_attr_slo_margin_min_seconds", labels...).Set(s.SLOMarginMin)
-	}
+	return rows
 }
 
-// WriteTable renders the human-readable per-phase breakdown table.
+// totals is the whole-run part of Table: the attribution line and, once a
+// request was judged against an SLO, the slo margin line.
+func (s AttributionSnapshot) totals() []Row {
+	rows := []Row{
+		Counter("clusterkv_attr_requests_total", s.Requests, "attribution", "requests"),
+		Seconds("clusterkv_attr_wall_seconds", s.WallSec, "attribution", "modeled wall"),
+		Seconds("clusterkv_attr_prefix_credit_seconds", s.PrefixCreditSec, "attribution", "prefix credit"),
+		Seconds("clusterkv_attr_xfer_exposed_seconds", s.XferExposedSec, "attribution", "xfer exposed"),
+		Seconds("clusterkv_attr_xfer_hidden_seconds", s.XferHiddenSec, "attribution", "xfer hidden"),
+		Counter("clusterkv_attr_decode_rounds_total", s.DecodeRounds, "attribution", "decode rounds"),
+		Counter("clusterkv_attr_batched_rounds_total", s.BatchedRounds, "attribution", "batched rounds"),
+	}
+	if s.SLON > 0 {
+		rows = append(rows,
+			Seconds("clusterkv_attr_slo_margin_p50_seconds", s.SLOMarginP50, "slo margin", "p50"),
+			Seconds("clusterkv_attr_slo_margin_min_seconds", s.SLOMarginMin, "slo margin", "min"))
+	}
+	return rows
+}
+
+// WriteTable renders the human-readable breakdown: the totals as report
+// lines, the per-phase table closed by the whole modeled wall, and the
+// slowest requests.
 func (s AttributionSnapshot) WriteTable(w io.Writer) {
-	fmt.Fprintf(w, "attribution: %d requests, modeled wall %.1f ms (p50 %.2f / p95 %.2f / max %.2f ms)\n",
-		s.Requests, s.WallSec*1e3, s.WallP50*1e3, s.WallP95*1e3, s.WallMax*1e3)
+	io.WriteString(w, Text(s.totals()))
 	fmt.Fprintf(w, "  %-13s %12s %7s %10s %10s %10s\n", "phase", "total ms", "%wall", "p50 ms", "p95 ms", "max ms")
-	for _, ps := range s.Phases {
+	wall := PhaseStats{Phase: "wall", TotalSec: s.WallSec, FracWall: 1, P50: s.WallP50, P95: s.WallP95, Max: s.WallMax}
+	for _, ps := range append(slices.Clip(s.Phases), wall) {
 		fmt.Fprintf(w, "  %-13s %12.2f %6.1f%% %10.3f %10.3f %10.3f\n",
 			ps.Phase, ps.TotalSec*1e3, ps.FracWall*100, ps.P50*1e3, ps.P95*1e3, ps.Max*1e3)
 	}
-	fmt.Fprintf(w, "  prefix credit %.2f ms", s.PrefixCreditSec*1e3)
-	if s.DecodeRounds > 0 {
-		fmt.Fprintf(w, " | batched rounds %d/%d", s.BatchedRounds, s.DecodeRounds)
-	}
-	if s.XferExposedSec > 0 || s.XferHiddenSec > 0 {
-		fmt.Fprintf(w, " | xfer exposed %.2f ms hidden %.2f ms",
-			s.XferExposedSec*1e3, s.XferHiddenSec*1e3)
-	}
-	if s.SLON > 0 {
-		fmt.Fprintf(w, " | slo margin p50 %.2f ms min %.2f ms",
-			s.SLOMarginP50*1e3, s.SLOMarginMin*1e3)
-	}
-	fmt.Fprintln(w)
 	for i, b := range s.Slowest {
 		if i == 0 {
 			fmt.Fprintf(w, "  slowest requests (modeled wall):\n")
@@ -391,13 +381,6 @@ func (s AttributionSnapshot) WriteTable(w io.Writer) {
 			b.Phases[PhaseInterference]*1e3, b.Phases[PhaseTiering]*1e3,
 			b.SeenRound, b.DoneRound)
 	}
-}
-
-// String renders the breakdown table.
-func (s AttributionSnapshot) String() string {
-	var b strings.Builder
-	s.WriteTable(&b)
-	return strings.TrimRight(b.String(), "\n")
 }
 
 // SpanEvent encodes a Breakdown as EvSpan trace events: one parent span
@@ -433,14 +416,16 @@ func EmitSpans(r Recorder, b *Breakdown, clockBegin float64) {
 	}
 }
 
-// FillRegistry publishes the tracer's ring health under
-// clusterkv_trace_* names — total events, retained, and dropped by ring
-// wraparound (satellite: the overwrite-oldest ring must not drop silently).
-func (t *Tracer) FillRegistry(reg *Registry) {
+// Table publishes the tracer's ring health under clusterkv_trace_* names:
+// events recorded, retained, and dropped by ring wraparound (the
+// overwrite-oldest ring must not drop silently). A nil tracer has no rows.
+func (t *Tracer) Table() []Row {
 	if t == nil {
-		return
+		return nil
 	}
-	reg.Counter("clusterkv_trace_events_total").Set(int64(t.Total()))
-	reg.Gauge("clusterkv_trace_events_retained").Set(float64(t.Len()))
-	reg.Counter("clusterkv_trace_events_dropped_total").Set(int64(t.Dropped()))
+	return []Row{
+		Counter("clusterkv_trace_events_total", t.Total(), "trace", "events"),
+		Gauge("clusterkv_trace_events_retained", t.Len(), "trace", "retained"),
+		Counter("clusterkv_trace_events_dropped_total", t.Dropped(), "trace", "dropped"),
+	}
 }

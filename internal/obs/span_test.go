@@ -34,7 +34,7 @@ func TestAttributionObserveSnapshot(t *testing.T) {
 			s.ModelTTFT.N, s.ModelTBT.N, s.TTFT.N, s.TBT.N, s.QueueWait.N)
 	}
 	if s.ModelTTFT.Max != 0.6 || s.ModelTBT.P50 != 0.2 || s.TTFT.Max != 0.05 || s.TBT.Max != 0.01 || s.QueueWait.Max != 0.04 {
-		t.Fatalf("latency stats: model %s / %s, measured %s / %s / %s",
+		t.Fatalf("latency stats: model %+v / %+v, measured %+v / %+v / %+v",
 			s.ModelTTFT, s.ModelTBT, s.TTFT, s.TBT, s.QueueWait)
 	}
 	if s.SLON != 0 || s.SLOMissed != 0 {
@@ -64,8 +64,10 @@ func TestAttributionObserveSnapshot(t *testing.T) {
 	if len(s.Slowest) != 2 || s.Slowest[0].Req != 1 {
 		t.Fatalf("Slowest = %+v, want req 1 (wall %v) first", s.Slowest, b1.Wall())
 	}
-	if !strings.Contains(s.String(), "attribution: 2 requests") {
-		t.Fatalf("String() missing header:\n%s", s.String())
+	var table strings.Builder
+	s.WriteTable(&table)
+	if !strings.Contains(table.String(), "attribution: 2 requests") {
+		t.Fatalf("WriteTable missing header:\n%s", table.String())
 	}
 }
 
@@ -89,7 +91,7 @@ func TestAttributionTopKBounded(t *testing.T) {
 	}
 }
 
-func TestAttributionFillRegistry(t *testing.T) {
+func TestAttributionTable(t *testing.T) {
 	a := NewAttribution()
 	b := mkBreakdown(7, -1, [NumPhases]float64{0.1, 0, 0.2, 0.3, 0, 0.05})
 	b.HasSLO = true
@@ -99,7 +101,7 @@ func TestAttributionFillRegistry(t *testing.T) {
 		t.Fatalf("negative margin counted as %d misses, want 1", n)
 	}
 	reg := NewRegistry()
-	a.Snapshot().FillRegistry(reg)
+	reg.Add(a.Snapshot().Table())
 	var buf bytes.Buffer
 	reg.WriteText(&buf)
 	out := buf.String()

@@ -204,12 +204,12 @@ func TestTraceAttributionTieringCharged(t *testing.T) {
 		}
 	}
 	if tiering <= 0 {
-		t.Fatalf("two-tier spill run charged no tiering time:\n%s", s)
+		t.Fatalf("two-tier spill run charged no tiering time:\n%+v", s)
 	}
 	if prefill <= 0 {
-		t.Fatalf("run charged no prefill time:\n%s", s)
+		t.Fatalf("run charged no prefill time:\n%+v", s)
 	}
 	if s.PrefixCreditSec <= 0 {
-		t.Fatalf("shared-prefix load earned no prefix credit:\n%s", s)
+		t.Fatalf("shared-prefix load earned no prefix credit:\n%+v", s)
 	}
 }

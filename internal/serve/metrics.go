@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -68,110 +66,52 @@ type Metrics struct {
 	MeanQueueDepth, MeanBatchOccupancy float64
 }
 
-// CohortMean returns the mean batched-cohort size in streams over batched
-// rounds (0 before the first).
-func (m Metrics) CohortMean() float64 {
-	if m.BatchRounds == 0 {
-		return 0
+// Table publishes the snapshot under the clusterkv_serve_* and
+// clusterkv_xfer_* names: cumulative totals as counters, point-in-time values
+// as gauges. It is a view over Metrics and reads nothing back.
+func (m Metrics) Table() []obs.Row {
+	return []obs.Row{
+		obs.Counter("clusterkv_serve_requests_submitted_total", m.Submitted, "requests", "submitted"),
+		obs.Counter("clusterkv_serve_requests_completed_total", m.Completed, "requests", "completed"),
+		obs.Counter("clusterkv_serve_requests_failed_total", m.Failed, "requests", "failed"),
+		obs.Counter("clusterkv_serve_tokens_generated_total", m.TokensGenerated, "tokens", "generated"),
+		obs.Counter("clusterkv_serve_prefill_tokens_total", m.PrefillTokens, "tokens", "prefilled"),
+		obs.Counter("clusterkv_serve_prefix_hits_total", m.PrefixHits, "prefix cache", "hits"),
+		obs.Counter("clusterkv_serve_prefix_misses_total", m.PrefixMisses, "prefix cache", "misses"),
+		obs.Counter("clusterkv_serve_prefix_partial_hits_total", m.PrefixPartialHits, "prefix cache", "partial"),
+		obs.Counter("clusterkv_serve_prefix_evicted_total", m.PrefixEvicted, "prefix cache", "evicted"),
+		obs.Counter("clusterkv_serve_prefix_reused_tokens_total", m.PrefixReusedTokens, "prefix cache", "tokens reused"),
+		obs.Gauge("clusterkv_serve_kv_used_slots", m.KVUsed, "kv slots", "used"),
+		obs.Gauge("clusterkv_serve_kv_peak_slots", m.KVPeak, "kv slots", "peak"),
+		obs.Gauge("clusterkv_serve_kv_capacity_slots", m.KVCapacity, "kv slots", "capacity"),
+		obs.Gauge("clusterkv_serve_kv_device_used_slots", m.KVDeviceUsed, "kv device", "used"),
+		obs.Gauge("clusterkv_serve_kv_device_peak_slots", m.KVDevicePeak, "kv device", "peak"),
+		obs.Gauge("clusterkv_serve_kv_host_used_slots", m.KVHostUsed, "kv host", "used"),
+		obs.Gauge("clusterkv_serve_kv_host_peak_slots", m.KVHostPeak, "kv host", "peak"),
+		obs.Gauge("clusterkv_serve_kv_host_capacity_slots", m.KVHostCapacity, "kv host", "capacity"),
+		obs.Counter("clusterkv_serve_kv_spilled_slots_total", m.KVSpilled, "kv host", "spilled"),
+		obs.Counter("clusterkv_serve_decode_batch_rounds_total", m.BatchRounds, "decode batch", "batched rounds"),
+		obs.Counter("clusterkv_serve_decode_batched_streams_total", m.DecodeStreamsBatched, "decode batch", "batched streams"),
+		obs.Counter("clusterkv_serve_decode_solo_streams_total", m.DecodeStreamsSolo, "decode batch", "solo"),
+		obs.Counter("clusterkv_serve_meta_segments_adopted_total", m.MetaSegsAdopted, "meta segments", "adopted from shared pages"),
+		obs.Counter("clusterkv_serve_meta_segments_built_total", m.MetaSegsBuilt, "meta segments", "built"),
+		obs.Counter("clusterkv_serve_meta_keys_adopted_total", m.MetaKeysAdopted, "meta segments", "keys adopted"),
+		obs.Counter("clusterkv_serve_meta_keys_built_total", m.MetaKeysBuilt, "meta segments", "keys clustered"),
+		obs.Counter("clusterkv_xfer_transfers_total", m.Transfer.Transfers, "transfers", "moves"),
+		obs.Counter("clusterkv_xfer_pages_total", m.Transfer.Pages, "transfers", "pages"),
+		obs.Seconds("clusterkv_xfer_busy_seconds", m.Transfer.BusySec, "transfers", "busy"),
+		obs.Seconds("clusterkv_xfer_exposed_seconds", m.Transfer.ExposedSec, "transfers", "exposed"),
+		obs.Gauge("clusterkv_xfer_hidden_frac", m.Transfer.HiddenFrac(), "transfers", "hidden frac"),
+		obs.Counter("clusterkv_xfer_prefetched_pages_total", m.Transfer.PrefetchedPages, "prefetch", "pages issued"),
+		obs.Counter("clusterkv_xfer_prefetch_hits_total", m.Transfer.PrefetchHits, "prefetch", "hit"),
+		obs.Counter("clusterkv_serve_rounds_total", m.Rounds, "scheduler", "rounds"),
+		obs.Gauge("clusterkv_serve_mean_queue_depth", m.MeanQueueDepth, "scheduler", "mean queue depth"),
+		obs.Gauge("clusterkv_serve_mean_batch_occupancy", m.MeanBatchOccupancy, "scheduler", "mean batch"),
 	}
-	return float64(m.DecodeStreamsBatched) / float64(m.BatchRounds)
 }
 
-// String formats the snapshot as a small report.
-func (m Metrics) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "requests: %d submitted, %d completed, %d failed\n",
-		m.Submitted, m.Completed, m.Failed)
-	fmt.Fprintf(&b, "tokens:   %d generated, %d prefilled\n", m.TokensGenerated, m.PrefillTokens)
-	fmt.Fprintf(&b, "prefix cache: %d hits, %d misses (%d partial), %d evicted, %d tokens reused\n",
-		m.PrefixHits, m.PrefixMisses, m.PrefixPartialHits, m.PrefixEvicted, m.PrefixReusedTokens)
-	fmt.Fprintf(&b, "kv slots: %d used, %d peak, %d capacity\n",
-		m.KVUsed, m.KVPeak, m.KVCapacity)
-	if m.KVHostCapacity > 0 {
-		fmt.Fprintf(&b, "kv tiers: device peak %d/%d, host peak %d/%d, %d slots spilled\n",
-			m.KVDevicePeak, m.KVCapacity, m.KVHostPeak, m.KVHostCapacity, m.KVSpilled)
-	}
-	if m.BatchRounds > 0 || m.DecodeStreamsSolo > 0 {
-		fmt.Fprintf(&b, "decode batch: %d batched rounds, %d batched streams, %d solo, cohort mean %.1f\n",
-			m.BatchRounds, m.DecodeStreamsBatched, m.DecodeStreamsSolo, m.CohortMean())
-	}
-	if keys := m.MetaKeysAdopted + m.MetaKeysBuilt; keys > 0 {
-		fmt.Fprintf(&b, "meta segments: %d adopted from shared pages, %d built; keys %d adopted, %d clustered (%.0f%% adopted)\n",
-			m.MetaSegsAdopted, m.MetaSegsBuilt, m.MetaKeysAdopted, m.MetaKeysBuilt,
-			float64(m.MetaKeysAdopted)/float64(keys)*100)
-	}
-	if m.Transfer.Transfers > 0 {
-		fmt.Fprintf(&b, "transfers: %d moves, %d pages, busy %.1fms, exposed %.1fms, hidden %.1fms (%.0f%%)\n",
-			m.Transfer.Transfers, m.Transfer.Pages,
-			m.Transfer.BusySec*1e3, m.Transfer.ExposedSec*1e3,
-			m.Transfer.HiddenSec()*1e3, m.Transfer.HiddenFrac()*100)
-		if m.Transfer.PrefetchedPages > 0 {
-			fmt.Fprintf(&b, "prefetch:  %d pages issued, %d hit (%.0f%% hit rate)\n",
-				m.Transfer.PrefetchedPages, m.Transfer.PrefetchHits,
-				m.Transfer.PrefetchHitRate()*100)
-		}
-	}
-	fmt.Fprintf(&b, "scheduler: %d rounds, mean queue depth %.2f, mean batch %.2f\n",
-		m.Rounds, m.MeanQueueDepth, m.MeanBatchOccupancy)
-	return b.String()
-}
-
-// FillRegistry publishes the snapshot into reg under the clusterkv_serve_*
-// namespace: monotone counters re-state cumulative totals (obs.Counter.Set is
-// max-keeping, so repeated fills are safe) and point-in-time values become
-// gauges. The snapshot is a *view* over Metrics — filling reads nothing back
-// and can run on any goroutine at any cadence.
-func (m Metrics) FillRegistry(reg *obs.Registry, labels ...obs.Label) {
-	cnt := func(name string, v int64) { reg.Counter(name, labels...).Set(v) }
-	gauge := func(name string, v float64) { reg.Gauge(name, labels...).Set(v) }
-	cnt("clusterkv_serve_requests_submitted_total", int64(m.Submitted))
-	cnt("clusterkv_serve_requests_completed_total", int64(m.Completed))
-	cnt("clusterkv_serve_requests_failed_total", int64(m.Failed))
-	cnt("clusterkv_serve_prefix_hits_total", int64(m.PrefixHits))
-	cnt("clusterkv_serve_prefix_misses_total", int64(m.PrefixMisses))
-	cnt("clusterkv_serve_prefix_evicted_total", int64(m.PrefixEvicted))
-	cnt("clusterkv_serve_prefix_partial_hits_total", int64(m.PrefixPartialHits))
-	cnt("clusterkv_serve_prefix_reused_tokens_total", m.PrefixReusedTokens)
-	cnt("clusterkv_serve_tokens_generated_total", m.TokensGenerated)
-	cnt("clusterkv_serve_prefill_tokens_total", m.PrefillTokens)
-	cnt("clusterkv_serve_rounds_total", m.Rounds)
-	cnt("clusterkv_serve_kv_spilled_slots_total", m.KVSpilled)
-	cnt("clusterkv_serve_decode_batch_rounds_total", m.BatchRounds)
-	cnt("clusterkv_serve_decode_batched_streams_total", m.DecodeStreamsBatched)
-	cnt("clusterkv_serve_decode_solo_streams_total", m.DecodeStreamsSolo)
-	cnt("clusterkv_serve_meta_segments_adopted_total", m.MetaSegsAdopted)
-	cnt("clusterkv_serve_meta_segments_built_total", m.MetaSegsBuilt)
-	cnt("clusterkv_serve_meta_keys_adopted_total", m.MetaKeysAdopted)
-	cnt("clusterkv_serve_meta_keys_built_total", m.MetaKeysBuilt)
-	gauge("clusterkv_serve_kv_used_slots", float64(m.KVUsed))
-	gauge("clusterkv_serve_kv_peak_slots", float64(m.KVPeak))
-	gauge("clusterkv_serve_kv_capacity_slots", float64(m.KVCapacity))
-	gauge("clusterkv_serve_kv_device_used_slots", float64(m.KVDeviceUsed))
-	gauge("clusterkv_serve_kv_device_peak_slots", float64(m.KVDevicePeak))
-	gauge("clusterkv_serve_kv_host_used_slots", float64(m.KVHostUsed))
-	gauge("clusterkv_serve_kv_host_peak_slots", float64(m.KVHostPeak))
-	gauge("clusterkv_serve_kv_host_capacity_slots", float64(m.KVHostCapacity))
-	gauge("clusterkv_serve_mean_queue_depth", m.MeanQueueDepth)
-	gauge("clusterkv_serve_mean_batch_occupancy", m.MeanBatchOccupancy)
-	cnt("clusterkv_xfer_transfers_total", m.Transfer.Transfers)
-	cnt("clusterkv_xfer_pages_total", m.Transfer.Pages)
-	gauge("clusterkv_xfer_busy_seconds", m.Transfer.BusySec)
-	gauge("clusterkv_xfer_exposed_seconds", m.Transfer.ExposedSec)
-	gauge("clusterkv_xfer_hidden_frac", m.Transfer.HiddenFrac())
-	cnt("clusterkv_xfer_prefetched_pages_total", m.Transfer.PrefetchedPages)
-	cnt("clusterkv_xfer_prefetch_hits_total", m.Transfer.PrefetchHits)
-}
-
-// FillRegistry publishes the engine's current Metrics snapshot plus the live
-// arena gauges into reg. Page sidecars (selector metadata riding on shared
-// pages) show here in bytes, not on the accountant: its unit is KV token
-// slots, and a sidecar lives and dies with its page.
-func (e *Engine) FillRegistry(reg *obs.Registry, labels ...obs.Label) {
-	e.Metrics().FillRegistry(reg, labels...)
-	reg.Gauge("clusterkv_arena_live_pages", labels...).Set(float64(e.arena.LivePages()))
-	reg.Gauge("clusterkv_arena_peak_pages", labels...).Set(float64(e.arena.PeakPages()))
-	reg.Gauge("clusterkv_arena_meta_sidecar_bytes", labels...).Set(float64(e.arena.MetaBytes()))
-}
+// String renders Table as the engine's report.
+func (m Metrics) String() string { return obs.Text(m.Table()) }
 
 // engineMetrics is the engine-internal accumulator.
 type engineMetrics struct {
