@@ -26,12 +26,13 @@ test-seq:
 # Transfer-runtime race lane: the serve engine and the kvcache/core
 # transfer-path packages under the race detector at GOMAXPROCS=2, the
 # narrowest schedule that still interleaves the streams of a round on the
-# engine's one runtime (DESIGN.md §8); then the telemetry determinism test
-# and the intake stress test four more times, since a schedule-dependent total
-# or a lost or doubled request id shows up only sometimes.
+# engine's one runtime (DESIGN.md §8); then the telemetry determinism test,
+# the intake stress test and the two host-tier tests four more times, since a
+# schedule-dependent total, a lost or doubled request id, or a Metrics read
+# racing the scheduler's spill pass shows up only sometimes.
 test-xfer-race:
 	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/serve/ ./internal/kvcache/ ./internal/core/
-	GOMAXPROCS=2 $(GO) test -race -count=4 -run 'TestTransferTelemetryDeterministic|TestEngineStressRandomizedLifecycles' ./internal/serve/
+	GOMAXPROCS=2 $(GO) test -race -count=4 -run 'TestTransferTelemetryDeterministic|TestEngineStressRandomizedLifecycles|TestShutdownMidSpillDrainsCleanly|TestTwoTierHostCountFollowsFootprint' ./internal/serve/
 
 # Fleet determinism lane: the multi-replica router suite and its front door,
 # the clusterkv-serve CLI, at the serial schedule and at GOMAXPROCS=2

@@ -315,7 +315,7 @@ func BenchmarkServeSerialBaseline(b *testing.B) {
 // one divergent descendant.
 func BenchmarkForkDivergence(b *testing.B) {
 	m := clusterkv.NewModel(clusterkv.DefaultModelConfig())
-	arena := clusterkv.NewKVArena(clusterkv.DefaultKVPageTokens, nil)
+	arena := clusterkv.NewKVArena(clusterkv.DefaultKVPageTokens)
 	doc := clusterkv.Doc(clusterkv.DefaultDocConfig(), 1024)
 	tail := clusterkv.Doc(clusterkv.DefaultDocConfig(), 16)
 
@@ -362,7 +362,7 @@ func BenchmarkPrefixHitOnPrefill1k(b *testing.B) {
 func benchPrefixHit(b *testing.B, cfg clusterkv.Config) {
 	mc := clusterkv.DefaultModelConfig()
 	m := clusterkv.NewModel(mc)
-	arena := clusterkv.NewKVArena(clusterkv.DefaultKVPageTokens, nil)
+	arena := clusterkv.NewKVArena(clusterkv.DefaultKVPageTokens)
 	doc := clusterkv.Doc(clusterkv.DefaultDocConfig(), 1024)
 	question := clusterkv.Doc(clusterkv.DefaultDocConfig(), 32)
 
@@ -405,7 +405,7 @@ func benchPrefixHit(b *testing.B, cfg clusterkv.Config) {
 // (BenchmarkPoolFanout, BenchmarkFullResident) is what a served hit never sees.
 func BenchmarkPrefillHit4k32(b *testing.B) {
 	m := clusterkv.NewModel(clusterkv.DefaultModelConfig())
-	arena := clusterkv.NewKVArena(clusterkv.DefaultKVPageTokens, nil)
+	arena := clusterkv.NewKVArena(clusterkv.DefaultKVPageTokens)
 	base := m.NewSequenceIn(arena, nil, 0)
 	base.Prefill(clusterkv.Doc(clusterkv.DefaultDocConfig(), 4096), nil)
 	snap := base.Snapshot()

@@ -122,15 +122,8 @@ type KVArena = kvcache.Arena
 // DefaultKVPageTokens is the default arena page size in tokens.
 const DefaultKVPageTokens = kvcache.DefaultPageTokens
 
-// NewKVArena builds an arena with the given page size; acct (may be nil) is
-// charged pageTokens slots per live page.
-func NewKVArena(pageTokens int, acct *KVAccountant) *KVArena {
-	return kvcache.NewArena(pageTokens, acct)
-}
-
-// KVAccountant tracks aggregate KV slots against a budget (see
-// kvcache.Accountant).
-type KVAccountant = kvcache.Accountant
+// NewKVArena builds an arena with the given page size.
+func NewKVArena(pageTokens int) *KVArena { return kvcache.NewArena(pageTokens) }
 
 // TransferRuntime is the tiered-KV transfer accountant: page-granular
 // fetches, prefetches and offloads applied in program order and charged to

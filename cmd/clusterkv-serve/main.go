@@ -21,6 +21,7 @@ import (
 	"os"
 	"runtime/pprof"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -66,13 +67,14 @@ func methods(which string) ([]methodSpec, error) {
 	return out, nil
 }
 
-// positive returns an error naming the first of the named int flags whose
-// value is below 1: no load, engine or fleet dimension can be zero or
-// negative.
-func positive(names ...string) error {
+// atLeast returns an error naming the first of the named numeric flags whose
+// value is below lo: no load, engine or fleet dimension can be below 1, and
+// no budget, rate, SLO or pool width below 0 (where 0 means none or default).
+func atLeast(lo float64, names ...string) error {
 	for _, n := range names {
-		if v := flag.Lookup(n).Value.(flag.Getter).Get().(int); v < 1 {
-			return fmt.Errorf("-%s %d: must be at least 1", n, v)
+		v := flag.Lookup(n).Value.String()
+		if f, _ := strconv.ParseFloat(v, 64); f < lo { // flag.Parse accepted v as a number
+			return fmt.Errorf("-%s %s: must be at least %g", n, v, lo)
 		}
 	}
 	return nil
@@ -110,7 +112,13 @@ func main() {
 	flag.Parse()
 	specs, err := methods(*method)
 	if err == nil {
-		err = positive("replicas", "streams", "requests", "docs", "doclen", "qlen", "newtokens")
+		err = atLeast(1, "replicas", "streams", "requests", "docs", "doclen", "qlen", "newtokens")
+	}
+	if err == nil {
+		err = atLeast(0, "kvbudget", "hostbudget", "budget", "rate", "slo-ttft", "slo-tbt", "intraop")
+	}
+	if err == nil && *hostBud > 0 && *kvBudget == 0 {
+		err = fmt.Errorf("-hostbudget %d: needs a -kvbudget, the device tier it backs", *hostBud)
 	}
 	if err == nil && *traceOut != "" && len(specs) > 1 {
 		err = fmt.Errorf("-trace %s: needs a single -method (a trace is one fleet's lanes), got %d", *traceOut, len(specs))

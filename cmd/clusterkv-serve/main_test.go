@@ -73,8 +73,9 @@ func TestMethodsRejectsUnknownNames(t *testing.T) {
 }
 
 // TestShapeFlagsMustBePositive: a load, engine or fleet dimension below 1
-// exits 2 with one line naming the flag, and 1 is accepted. So does -trace
-// with more than one method, since one trace holds one fleet's lanes.
+// exits 2 with one line naming the flag, and 1 is accepted. So do a negative
+// budget, rate, SLO or pool width, a host tier without a device budget, and
+// -trace with more than one method, since one trace holds one fleet's lanes.
 func TestShapeFlagsMustBePositive(t *testing.T) {
 	// A small run, so a value the check let through still finishes fast.
 	const small = "-method fullkv -noserial -requests 1 -docs 1 -doclen 64 -qlen 4 -newtokens 1 -streams 1 -replicas 1 "
@@ -86,8 +87,17 @@ func TestShapeFlagsMustBePositive(t *testing.T) {
 		{"-doclen 0", "-doclen"},
 		{"-qlen 0", "-qlen"},
 		{"-newtokens 0", "-newtokens"},
+		{"-kvbudget -3", "-kvbudget"},
+		{"-hostbudget -1", "-hostbudget"},
+		{"-hostbudget 5", "-hostbudget"},
+		{"-budget -5", "-budget"},
+		{"-rate -1", "-rate"},
+		{"-slo-ttft -1", "-slo-ttft"},
+		{"-slo-tbt -0.5", "-slo-tbt"},
+		{"-intraop -1", "-intraop"},
 		{"-method fullkv,quest -trace " + t.TempDir() + "/t.json", "-trace"},
 		{"-streams 1", ""},
+		{"-kvbudget 4096 -hostbudget 4096 -budget 0 -rate 0 -slo-ttft 0 -slo-tbt 0 -intraop 0", ""},
 	} {
 		_, stderr, code := runMain(t, small+tc.args)
 		if tc.flag == "" {

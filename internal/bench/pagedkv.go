@@ -129,7 +129,7 @@ func RunPagedKV(o Options) *Report {
 		"exact mode lets admitted sequences grow page-by-page past a tight budget (admission throttles instead of failing mid-decode), so its tight-budget high-water reflects real decode length, not the budget")
 
 	// Fork-divergence dedup: the block-granular sharing the COW arena buys.
-	arena := kvcache.NewArena(kvcache.DefaultPageTokens, nil)
+	arena := kvcache.NewArena(kvcache.DefaultPageTokens)
 	divDoc := workload.Doc(lc.Doc, 8*kvcache.DefaultPageTokens)
 	base := m.NewSequenceIn(arena, nil, 0)
 	base.Prefill(divDoc, nil)

@@ -29,7 +29,7 @@ func TestPageMasksMatchMemberWalk(t *testing.T) {
 				}
 				sel := New(cfg)
 				sel.Reset(1, 1, d)
-				s := kvcache.NewStoreIn(kvcache.NewArena(P, nil), d)
+				s := kvcache.NewStoreIn(kvcache.NewArena(P), d)
 				src := buildStores(5, 1, 1, n+appended, d)[0]
 				for i := 0; i < n; i++ {
 					s.Append(src.Key(i), src.Value(i))

@@ -265,7 +265,7 @@ func TestConcurrentForksPublishOnce(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const forks = 8
-			a := kvcache.NewArena(kvcache.DefaultPageTokens, nil)
+			a := kvcache.NewArena(kvcache.DefaultPageTokens)
 			base := kvcache.NewStoreIn(a, 8)
 			src := buildStores(1, 1, 1, tc.n, 8)[0]
 			base.AppendBatch(src.ReadKeys(0, src.Len(), nil), src.ReadValues(0, src.Len(), nil))

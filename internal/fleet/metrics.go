@@ -16,7 +16,7 @@ type ReplicaStats struct {
 	Routed int64
 	// ArenaLivePages and ArenaPeakPages are the replica arena's live and
 	// peak page counts. ArenaMetaBytes is the selector metadata riding on
-	// shared pages as sidecars, in bytes: the accountant's unit is KV token
+	// shared pages as sidecars, in bytes: the KV footprint's unit is token
 	// slots, and a sidecar lives and dies with its page.
 	ArenaLivePages, ArenaPeakPages, ArenaMetaBytes int64
 	serve.Metrics

@@ -42,40 +42,36 @@ type pageMeta struct {
 // Arena is a process- or engine-wide allocator of KV pages. Every Store is a
 // page table over exactly one arena; forks share pages by reference count, so
 // the arena's live-page gauge is the exact deduplicated KV footprint across
-// all sequences built on it — the quantity exact admission control meters.
+// all sequences built on it — the quantity exact admission control meters,
+// as LivePages × PageTokens raw token slots.
 //
 // An Arena is safe for concurrent use.
 type Arena struct {
 	mu         sync.Mutex
 	pageTokens int
-	acct       *Accountant // optional: charged pageTokens per live page
 	free       map[int][]*page
 	live       int64
 	peak       int64
-	allocs     int64 // total allocations (incl. reused pages)
 	// metaBytes is the declared size of all live page sidecars.
 	metaBytes atomic.Int64
 }
 
-// NewArena returns an arena with the given page size in tokens. acct, when
-// non-nil, is charged pageTokens slots per page on allocation and released on
-// refcount-zero free — the exact-accounting substrate of serve admission.
-func NewArena(pageTokens int, acct *Accountant) *Arena {
+// NewArena returns an arena with the given page size in tokens.
+func NewArena(pageTokens int) *Arena {
 	if pageTokens <= 0 {
 		panic("kvcache: non-positive arena page size")
 	}
 	return &Arena{
 		pageTokens: pageTokens,
-		acct:       acct,
 		free:       make(map[int][]*page),
 	}
 }
 
-var defaultArena = NewArena(DefaultPageTokens, nil)
+var defaultArena = NewArena(DefaultPageTokens)
 
-// DefaultArena returns the process-wide arena NewStore allocates from. It has
-// no accountant: standalone stores (tests, examples, trace harnesses) are not
-// budget-gated.
+// DefaultArena returns the process-wide arena NewStore allocates from.
+// Nothing budgets it: standalone stores (tests, examples, trace harnesses)
+// are not admission-gated.
 func DefaultArena() *Arena { return defaultArena }
 
 // PageTokens returns the page size in tokens.
@@ -95,18 +91,9 @@ func (a *Arena) PeakPages() int64 {
 	return a.peak
 }
 
-// Allocs returns the total number of page allocations served (including
-// recycled pages); Allocs − LivePages is the number of frees.
-func (a *Arena) Allocs() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.allocs
-}
-
 // MetaBytes returns the declared size of every page sidecar currently
-// attached to a live page of this arena. Sidecars are not charged to the
-// accountant (its unit is KV token slots); this gauge is how their footprint
-// is observed.
+// attached to a live page of this arena. Sidecars are not KV token slots, so
+// the page footprint leaves them out; this gauge is how theirs is observed.
 func (a *Arena) MetaBytes() int64 { return a.metaBytes.Load() }
 
 // clearMeta drops pg's sidecar. It is called at the only two points where a
@@ -133,11 +120,9 @@ func (a *Arena) alloc(headDim int) *page {
 		a.free[headDim] = list[:len(list)-1]
 	}
 	a.live++
-	a.allocs++
 	if a.live > a.peak {
 		a.peak = a.live
 	}
-	acct := a.acct
 	a.mu.Unlock()
 
 	if pg == nil {
@@ -151,11 +136,6 @@ func (a *Arena) alloc(headDim int) *page {
 		pg = &page{keys: slab[:n:n], vals: slab[n:]}
 	}
 	pg.refs.Store(1)
-	if acct != nil {
-		// Unconditional: admission control gates *requests*; an admitted
-		// sequence's appends must never fail mid-decode.
-		acct.Grow(int64(a.pageTokens))
-	}
 	return pg
 }
 
@@ -169,7 +149,7 @@ func (a *Arena) retain(pg *page) {
 }
 
 // release drops one reference and recycles the page when the count reaches
-// zero, returning the accountant's slots.
+// zero.
 func (a *Arena) release(pg *page, headDim int) {
 	left := pg.refs.Add(-1)
 	if left > 0 {
@@ -183,11 +163,7 @@ func (a *Arena) release(pg *page, headDim int) {
 	a.mu.Lock()
 	a.free[headDim] = append(a.free[headDim], pg)
 	a.live--
-	acct := a.acct
 	a.mu.Unlock()
-	if acct != nil {
-		acct.Release(int64(a.pageTokens))
-	}
 }
 
 // readRows copies rows [from, from+n) into dstK and/or dstV (either may be

@@ -1,9 +1,6 @@
 package kvcache
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestStoreAppendAndAccess(t *testing.T) {
 	s := NewStore(2)
@@ -112,66 +109,8 @@ func TestStoreForkOfFork(t *testing.T) {
 	}
 }
 
-func TestAccountantReserveRelease(t *testing.T) {
-	a := NewAccountant(100)
-	if !a.TryReserve(60) || !a.TryReserve(40) {
-		t.Fatal("reservations within capacity refused")
-	}
-	if a.TryReserve(1) {
-		t.Fatal("over-capacity reservation granted")
-	}
-	a.Release(50)
-	if a.Used() != 50 || a.Peak() != 100 {
-		t.Fatalf("used=%d peak=%d", a.Used(), a.Peak())
-	}
-	if !a.TryReserve(50) {
-		t.Fatal("freed capacity not reusable")
-	}
-}
-
-func TestAccountantUnlimited(t *testing.T) {
-	a := NewAccountant(0)
-	if !a.TryReserve(1 << 40) {
-		t.Fatal("unlimited accountant refused")
-	}
-}
-
-func TestAccountantDoubleReleasePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on over-release")
-		}
-	}()
-	a := NewAccountant(10)
-	a.TryReserve(5)
-	a.Release(6)
-}
-
-func TestAccountantConcurrent(t *testing.T) {
-	a := NewAccountant(64)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				if a.TryReserve(8) {
-					a.Release(8)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if a.Used() != 0 {
-		t.Fatalf("leaked reservations: %d", a.Used())
-	}
-	if a.Peak() > 64 {
-		t.Fatalf("peak %d exceeds capacity", a.Peak())
-	}
-}
-
 func TestLedgerFetchCountsTransfers(t *testing.T) {
-	l := NewLedger()
+	l := NewLedgerPaged(1)
 	l.Extend(4, TierDevice)
 	l.OffloadAll()
 	moved := l.Fetch([]int{0, 1})
@@ -186,7 +125,7 @@ func TestLedgerFetchCountsTransfers(t *testing.T) {
 }
 
 func TestLedgerEvict(t *testing.T) {
-	l := NewLedger()
+	l := NewLedgerPaged(1)
 	l.Extend(2, TierDevice)
 	l.Evict([]int{0})
 	if l.TierOf(0) != TierHost || l.TierOf(1) != TierDevice {
@@ -198,7 +137,7 @@ func TestLedgerEvict(t *testing.T) {
 }
 
 func TestLedgerPartialOffload(t *testing.T) {
-	l := NewLedger()
+	l := NewLedgerPaged(1)
 	l.Extend(4, TierDevice)
 	l.Offload(1, 3)
 	want := []Tier{TierDevice, TierHost, TierHost, TierDevice}
@@ -214,7 +153,7 @@ func TestLedgerPartialOffload(t *testing.T) {
 // cache evictions, periodic offloads — and checks tier state and counters
 // after every move.
 func TestLedgerInterleavedPromoteEvict(t *testing.T) {
-	l := NewLedger()
+	l := NewLedgerPaged(1)
 	l.Extend(6, TierDevice)
 	l.OffloadAll() // post-prefill offload: all host
 
@@ -260,18 +199,5 @@ func TestLedgerInterleavedPromoteEvict(t *testing.T) {
 	}
 	if l.Len() != 8 {
 		t.Fatalf("ledger length %d, want 8", l.Len())
-	}
-}
-
-func TestLedgerResetCounters(t *testing.T) {
-	l := NewLedger()
-	l.Extend(1, TierHost)
-	l.Fetch([]int{0})
-	l.ResetCounters()
-	if l.HostToDevice != 0 || l.DeviceHits != 0 {
-		t.Fatal("ResetCounters did not zero")
-	}
-	if l.TierOf(0) != TierDevice {
-		t.Fatal("ResetCounters must keep residency")
 	}
 }

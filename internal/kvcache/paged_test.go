@@ -36,7 +36,7 @@ func wantRow(t *testing.T, s *Store, i int) {
 // copy-on-write, never mutate rows the parent (or a sibling fork) still
 // reads — the load-bearing invariant behind snapshot rewind under paging.
 func TestStoreTruncateAfterForkAliasing(t *testing.T) {
-	a := NewArena(8, nil) // small pages so the scenario spans several
+	a := NewArena(8) // small pages so the scenario spans several
 	parent := NewStoreIn(a, 2)
 	fillN(parent, 0, 20) // pages: 8+8+4
 
@@ -84,7 +84,7 @@ func TestStoreTruncateAfterForkAliasing(t *testing.T) {
 // inspection: fully common pages stay shared after divergence; only the
 // partially filled boundary page is copied.
 func TestForkSharesPagesByRefcount(t *testing.T) {
-	a := NewArena(8, nil)
+	a := NewArena(8)
 	s := NewStoreIn(a, 4)
 	fillN(s, 0, 20) // 2 full pages + 4 rows in page 2
 
@@ -116,43 +116,39 @@ func TestForkSharesPagesByRefcount(t *testing.T) {
 }
 
 // TestArenaAccountantChargesSharedPagesOnce is the shared-prefix accounting
-// regression (satellite of the TryReserve double-count fix): forking never
-// charges, COW charges only the copied page, and releasing the last holder
-// frees the slots.
+// regression (satellite of the TryReserve double-count fix): the arena's live
+// pages are the footprint, so forking never charges, COW charges only the
+// copied page, and releasing the last holder frees it.
 func TestArenaAccountantChargesSharedPagesOnce(t *testing.T) {
-	acct := NewAccountant(0)
-	a := NewArena(64, acct)
+	a := NewArena(64)
 	s := NewStoreIn(a, 2)
-	fillN(s, 0, 128) // exactly 2 pages -> 128 slots
+	fillN(s, 0, 128) // exactly 2 pages
 
-	if acct.Used() != 128 {
-		t.Fatalf("prefill charge = %d, want 128", acct.Used())
+	if a.LivePages() != 2 {
+		t.Fatalf("prefill charge = %d pages, want 2", a.LivePages())
 	}
 	forks := make([]*Store, 5)
 	for i := range forks {
 		forks[i] = s.Fork()
 	}
-	if acct.Used() != 128 {
-		t.Fatalf("forking charged: %d, want unchanged 128", acct.Used())
+	if a.LivePages() != 2 {
+		t.Fatalf("forking charged: %d pages, want unchanged 2", a.LivePages())
 	}
 	// Each fork diverges by one token: page-boundary divergence allocates
 	// one private page per fork, no COW copy of shared pages.
 	for _, f := range forks {
 		fillN(f, 128, 1)
 	}
-	if acct.Used() != 128+5*64 {
-		t.Fatalf("divergence charge = %d, want %d", acct.Used(), 128+5*64)
+	if a.LivePages() != 2+5 {
+		t.Fatalf("divergence charge = %d pages, want %d", a.LivePages(), 2+5)
 	}
 	for _, f := range forks {
 		f.Free()
 	}
-	if acct.Used() != 128 {
-		t.Fatalf("fork release = %d, want 128", acct.Used())
+	if a.LivePages() != 2 {
+		t.Fatalf("fork release = %d pages, want 2", a.LivePages())
 	}
 	s.Free()
-	if acct.Used() != 0 {
-		t.Fatalf("leaked %d slots", acct.Used())
-	}
 	if a.LivePages() != 0 {
 		t.Fatalf("leaked %d pages", a.LivePages())
 	}
@@ -161,44 +157,45 @@ func TestArenaAccountantChargesSharedPagesOnce(t *testing.T) {
 // TestArenaCOWMidPageCharges: diverging inside a shared page charges exactly
 // one extra page (the copy), and releasing the fork returns it.
 func TestArenaCOWMidPageCharges(t *testing.T) {
-	acct := NewAccountant(0)
-	a := NewArena(64, acct)
+	a := NewArena(64)
 	s := NewStoreIn(a, 2)
-	fillN(s, 0, 100) // 2 pages (64 + 36): 128 slots
+	fillN(s, 0, 100) // 2 pages (64 + 36)
 
 	f := s.Fork()
 	fillN(f, 100, 1) // COW of the partial page 1
-	if acct.Used() != 192 {
-		t.Fatalf("mid-page divergence = %d, want 192 (2 shared-era pages + 1 copy)", acct.Used())
+	if a.LivePages() != 3 {
+		t.Fatalf("mid-page divergence = %d pages, want 3 (2 shared-era pages + 1 copy)", a.LivePages())
 	}
 	if s.PageRef(0) != 2 || s.PageRef(1) != 1 || f.PageRef(1) != 1 {
 		t.Fatalf("refcounts after COW: %d/%d/%d", s.PageRef(0), s.PageRef(1), f.PageRef(1))
 	}
 	f.Free()
-	if acct.Used() != 128 {
-		t.Fatalf("after fork free = %d, want 128", acct.Used())
+	if a.LivePages() != 2 {
+		t.Fatalf("after fork free = %d pages, want 2", a.LivePages())
 	}
 	s.Free()
-	if acct.Used() != 0 || a.LivePages() != 0 {
-		t.Fatalf("leak: %d slots, %d pages", acct.Used(), a.LivePages())
+	if a.LivePages() != 0 {
+		t.Fatalf("leaked %d pages", a.LivePages())
 	}
 }
 
 // TestArenaRecyclesFreedPages: refcount-zero pages return to the free list
 // and back the next allocation.
 func TestArenaRecyclesFreedPages(t *testing.T) {
-	a := NewArena(16, nil)
+	a := NewArena(16)
 	s := NewStoreIn(a, 2)
 	fillN(s, 0, 32)
 	s.Free()
 	if a.LivePages() != 0 {
 		t.Fatalf("live after free: %d", a.LivePages())
 	}
-	before := a.Allocs()
+	if n := len(a.free[2]); n != 2 {
+		t.Fatalf("%d pages on the free list after free, want 2", n)
+	}
 	s2 := NewStoreIn(a, 2)
 	fillN(s2, 0, 32)
-	if a.Allocs() != before+2 {
-		t.Fatalf("allocs %d -> %d", before, a.Allocs())
+	if n := len(a.free[2]); n != 0 {
+		t.Fatalf("%d freed pages left unused by the refill, want 0", n)
 	}
 	for i := 0; i < 32; i++ {
 		wantRow(t, s2, i)
@@ -211,7 +208,7 @@ func TestArenaRecyclesFreedPages(t *testing.T) {
 // TestStoreAppendBatchAcrossPages: one batch spanning several pages lands
 // row-exact, including into a partially filled tail.
 func TestStoreAppendBatchAcrossPages(t *testing.T) {
-	a := NewArena(8, nil)
+	a := NewArena(8)
 	s := NewStoreIn(a, 2)
 	fillN(s, 0, 5) // partial first page
 	n := 20
@@ -237,7 +234,7 @@ func TestStoreAppendBatchAcrossPages(t *testing.T) {
 // TestStoreFlatViewMatchesPages: the ReadKeys/ReadValues flat copy is
 // bit-identical to the page reads, across appends, truncates and re-appends.
 func TestStoreFlatViewMatchesPages(t *testing.T) {
-	a := NewArena(8, nil)
+	a := NewArena(8)
 	s := NewStoreIn(a, 3)
 	check := func() {
 		t.Helper()
@@ -273,7 +270,7 @@ func TestStoreFlatViewMatchesPages(t *testing.T) {
 // TestReadKeysRangedCopy: the non-retaining selector read matches per-token
 // access across page boundaries and reuses caller scratch.
 func TestReadKeysRangedCopy(t *testing.T) {
-	a := NewArena(8, nil)
+	a := NewArena(8)
 	s := NewStoreIn(a, 3)
 	fillN(s, 0, 21) // pages 8+8+5
 	for _, r := range [][2]int{{0, 21}, {3, 19}, {8, 16}, {5, 5}, {20, 21}} {
@@ -331,7 +328,7 @@ func TestLedgerPagedFetchStraddle(t *testing.T) {
 		t.Fatalf("page dedup failed: hits=%d, want 1 (one page)", l.DeviceHits)
 	}
 	// Unsorted positions across pages dedup per page.
-	l.ResetCounters()
+	resetCounters(l)
 	if moved := l.Fetch([]int{9, 1, 8, 2}); moved != 1 {
 		t.Fatalf("mixed fetch moved %d, want 1 (page 2 only)", moved)
 	}
@@ -341,7 +338,7 @@ func TestLedgerPagedFetchStraddle(t *testing.T) {
 
 	// Evicting one token demotes its whole page (co-located tokens lose
 	// device residency with it), without touching transfer counters.
-	l.ResetCounters()
+	resetCounters(l)
 	l.Evict([]int{5})
 	if l.TierOf(4) != TierHost || l.TierOf(7) != TierHost {
 		t.Fatal("page eviction did not demote co-located tokens")
@@ -384,22 +381,8 @@ func TestLedgerPagedOffloadBoundaries(t *testing.T) {
 	}
 }
 
-// TestAccountantGrow: unconditional growth past capacity is visible in
-// Used/Peak and throttles TryReserve until released.
-func TestAccountantGrow(t *testing.T) {
-	a := NewAccountant(100)
-	if !a.TryReserve(80) {
-		t.Fatal("initial reserve refused")
-	}
-	a.Grow(50) // decode growth: allowed past capacity
-	if a.Used() != 130 || a.Peak() != 130 {
-		t.Fatalf("used=%d peak=%d", a.Used(), a.Peak())
-	}
-	if a.TryReserve(1) {
-		t.Fatal("reserve granted while over capacity")
-	}
-	a.Release(130)
-	if !a.TryReserve(100) {
-		t.Fatal("capacity not restored")
-	}
+// resetCounters zeroes l's transfer counters, keeping residency state.
+func resetCounters(l *Ledger) {
+	l.HostToDevice, l.DeviceHits = 0, 0
+	l.prefetchedPages, l.prefetchHits = 0, 0
 }

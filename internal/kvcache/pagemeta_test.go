@@ -25,7 +25,7 @@ func TestPageMetaInvalidationOracle(t *testing.T) {
 	const P, d, nStores = 4, 2, 5
 	for seed := uint64(1); seed <= 20; seed++ {
 		r := rng.New(seed)
-		a := NewArena(P, nil)
+		a := NewArena(P)
 		stores := make([]*Store, nStores)
 		model := make([][]float32, nStores) // keys then values per row, 2·d floats
 		for i := range stores {
@@ -121,7 +121,7 @@ func TestPageMetaInvalidationOracle(t *testing.T) {
 // out at the default page size: Truncate(1000) into the full page
 // [960, 1024), then an in-place Append.
 func TestPageMetaStaleAfterTruncateAppend(t *testing.T) {
-	a := NewArena(DefaultPageTokens, nil)
+	a := NewArena(DefaultPageTokens)
 	s := NewStoreIn(a, 2)
 	fillN(s, 0, 1100)
 	if !s.SetPageMeta(15, "seg", 8) {
@@ -151,7 +151,7 @@ func TestPageMetaStaleAfterTruncateAppend(t *testing.T) {
 }
 
 func TestSetPageMetaRefusesPartialTail(t *testing.T) {
-	a := NewArena(8, nil)
+	a := NewArena(8)
 	s := NewStoreIn(a, 2)
 	fillN(s, 0, 12)
 	if s.SetPageMeta(1, "x", 1) {
@@ -167,7 +167,7 @@ func TestSetPageMetaRefusesPartialTail(t *testing.T) {
 }
 
 func TestRecycledPageHasNilMeta(t *testing.T) {
-	a := NewArena(8, nil)
+	a := NewArena(8)
 	s := NewStoreIn(a, 2)
 	fillN(s, 0, 8)
 	s.SetPageMeta(0, "x", 100)

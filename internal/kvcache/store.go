@@ -1,8 +1,9 @@
 // Package kvcache implements the key/value cache substrate: per-(layer, head)
 // paged stores for key and value vectors backed by a reference-counted page
-// arena, with gather primitives used by sparse attention, a two-tier
-// (host/device) residency ledger used by the offloading simulation, and a
-// cross-sequence accountant for admission control.
+// arena, with gather primitives used by sparse attention and a two-tier
+// (host/device) residency ledger used by the offloading simulation. An
+// arena's live pages are the exact cross-sequence footprint admission
+// control meters.
 //
 // The paper's system offloads the full K/V to CPU memory after prefill and
 // keeps only selected clusters on the GPU (§IV-A). In this reproduction the
@@ -34,8 +35,8 @@ type Store struct {
 func NewStore(headDim int) *Store { return NewStoreIn(DefaultArena(), headDim) }
 
 // NewStoreIn returns an empty store allocating from the given arena. Serving
-// engines pass their own accountant-backed arena so every page the store
-// allocates is charged against the engine's KV budget.
+// engines pass their own arena, whose live pages their KV budget meters, so
+// every page the store allocates counts against it.
 func NewStoreIn(a *Arena, headDim int) *Store {
 	if headDim <= 0 {
 		panic("kvcache: non-positive head dimension")
@@ -281,7 +282,7 @@ func (s *Store) Truncate(n int) {
 }
 
 // Free releases every page reference held by the store, returning pages whose
-// count reaches zero to the arena (and their slots to the accountant). The
+// count reaches zero to the arena (and out of its footprint). The
 // store is empty but reusable afterwards; Free is idempotent.
 func (s *Store) Free() {
 	for _, pg := range s.pages {

@@ -22,7 +22,7 @@ const (
 // simulated transfers. It is the bookkeeping behind the paper's Fig. 5
 // offload arrows and the §IV-D cache-hit accounting, at the granularity real
 // offloaders move data: whole pages, not tokens. A page-1 ledger
-// (NewLedger) degenerates to exact per-token residency.
+// (NewLedgerPaged(1)) degenerates to exact per-token residency.
 //
 // Page rules:
 //   - Fetch promotes every page containing a requested position; a page
@@ -66,10 +66,6 @@ type Ledger struct {
 	xferExposed int64
 	xferHidden  int64
 }
-
-// NewLedger returns a token-granular ledger (page size 1), the exact
-// residency bookkeeping the per-token experiments use.
-func NewLedger() *Ledger { return NewLedgerPaged(1) }
 
 // NewLedgerPaged returns a ledger tracking residency in pages of the given
 // token count.
@@ -276,14 +272,6 @@ func (l *Ledger) PrefetchCounters() (issued, hits int64) {
 	return l.prefetchedPages, l.prefetchHits
 }
 
-// ResetCounters zeroes the transfer counters, keeping residency state.
-func (l *Ledger) ResetCounters() {
-	l.HostToDevice = 0
-	l.DeviceHits = 0
-	l.prefetchedPages = 0
-	l.prefetchHits = 0
-}
-
 func (l *Ledger) demote(pg int) {
 	l.tiers[pg] = TierHost
 	l.prefetched[pg] = false
@@ -292,7 +280,7 @@ func (l *Ledger) demote(pg int) {
 // PageSet accumulates the pages covering token positions added in any order
 // — a selector walking cluster member lists — and yields them ascending and
 // de-duplicated without sorting: one bit per page. A set over 1-token pages
-// (NewPageSet(1)) is a plain position set, the same convention as NewLedger.
+// (NewPageSet(1)) is a plain position set, the same convention as a page-1 Ledger.
 // Not safe for concurrent use.
 type PageSet struct {
 	pageTokens int

@@ -251,42 +251,3 @@ func TestPrefetchHitAccounting(t *testing.T) {
 		t.Fatalf("DeviceHits=%d, want 3", devHits)
 	}
 }
-
-// TestTieredAccountant covers the host-tier dimension: combined-capacity
-// admission, spill/unspill moves, and release clamping.
-func TestTieredAccountant(t *testing.T) {
-	a := NewTieredAccountant(100, 50)
-	if !a.TryReserve(130) {
-		t.Fatal("reservation within device+host refused")
-	}
-	if a.TryReserve(30) {
-		t.Fatal("reservation past combined capacity granted")
-	}
-	if a.TotalCapacity() != 150 {
-		t.Fatalf("TotalCapacity=%d", a.TotalCapacity())
-	}
-	a.MoveToHost(40)
-	if a.DeviceUsed() != 90 || a.HostUsed() != 40 {
-		t.Fatalf("after spill: dev=%d host=%d", a.DeviceUsed(), a.HostUsed())
-	}
-	a.MoveToDevice(10)
-	if a.DeviceUsed() != 100 || a.HostUsed() != 30 {
-		t.Fatalf("after unspill: dev=%d host=%d", a.DeviceUsed(), a.HostUsed())
-	}
-	if a.HostPeak() != 40 {
-		t.Fatalf("host peak %d, want 40", a.HostPeak())
-	}
-	// Releasing slots that were host-accounted shrinks the host side too.
-	a.Release(110)
-	if a.Used() != 20 || a.HostUsed() > a.Used() {
-		t.Fatalf("after release: used=%d host=%d", a.Used(), a.HostUsed())
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("MoveToHost past device residency did not panic")
-			}
-		}()
-		a.MoveToHost(1000)
-	}()
-}

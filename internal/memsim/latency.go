@@ -78,13 +78,6 @@ func roundUpToPages(tokens float64, pageTokens int) float64 {
 	return math.Ceil(tokens/p) * p
 }
 
-// PageTransfer returns the PCIe time to move the given number of whole KV
-// pages (pageTokens tokens per page, per-(layer, head) planes included in
-// KVBytesPerToken's per-token figure times pageTokens).
-func (hw Hardware) PageTransfer(m ModelShape, pages int, pageTokens int) float64 {
-	return float64(pages) * float64(pageTokens) * m.KVBytesPerToken() / hw.PCIeBandwidth
-}
-
 // DecodeStepClusterKV models one ClusterKV decode step: weights + attention
 // over B gathered tokens + centroid scoring + PCIe transfer of cache-missed
 // tokens (overlapped with compute). With PageTokens set, the transfer term

@@ -155,9 +155,9 @@ func (m *Model) NewSequence(sel attention.Selector, budget int) *Sequence {
 }
 
 // NewSequenceIn creates an empty sequence whose KV stores allocate pages from
-// the given arena, so an engine-owned accountant meters every page the
-// sequence touches. Callers that care about the arena's gauges (or its
-// accountant) should Release the sequence when done with it.
+// the given arena, so an engine that meters the arena's live pages counts
+// every page the sequence touches. Callers that care about the arena's
+// gauges should Release the sequence when done with it.
 func (m *Model) NewSequenceIn(a *kvcache.Arena, sel attention.Selector, budget int) *Sequence {
 	s := &Sequence{m: m, sel: sel, budget: budget}
 	cfg := m.cfg

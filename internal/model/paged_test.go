@@ -12,7 +12,7 @@ import (
 // inspection), while each divergent tail is exclusively owned.
 func TestForkedSequencesShareCommonPages(t *testing.T) {
 	m := New(tinyConfig())
-	arena := kvcache.NewArena(kvcache.DefaultPageTokens, nil)
+	arena := kvcache.NewArena(kvcache.DefaultPageTokens)
 	pageTokens := arena.PageTokens()
 
 	// Prefix of 2.5 pages: two full shared pages plus a partial boundary.
@@ -66,7 +66,7 @@ func TestForkedSequencesShareCommonPages(t *testing.T) {
 // stores read as empty afterwards.
 func TestSequenceReleaseIdempotent(t *testing.T) {
 	m := New(tinyConfig())
-	arena := kvcache.NewArena(16, nil)
+	arena := kvcache.NewArena(16)
 	seq := m.NewSequenceIn(arena, nil, 0)
 	seq.Prefill(tinyDoc(40), nil)
 	if arena.LivePages() == 0 {

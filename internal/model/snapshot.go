@@ -21,7 +21,7 @@ type Snapshot struct {
 
 // Release drops the snapshot's page references. Pages still shared with live
 // descendants survive until those sequences release them; fully idle pages
-// return to the arena (and their slots to its accountant). The snapshot must
+// return to the arena (and leave its footprint). The snapshot must
 // not be forked from afterwards. Release is idempotent.
 func (snap *Snapshot) Release() {
 	for _, st := range snap.stores {

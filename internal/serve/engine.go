@@ -32,8 +32,7 @@ type Config struct {
 	// (backpressure). Default 256.
 	QueueCap int
 	// KVBudget is the global KV-residency budget across all sequences and
-	// cached prefixes, in per-head token slots (see kvcache.Accountant).
-	// 0 means unlimited.
+	// cached prefixes, in per-head token slots. 0 means unlimited.
 	//
 	// The budget meters *actual arena pages* (deduplicated across forks: a
 	// page shared by ten sequences is charged once) and admission needs only
@@ -87,17 +86,25 @@ func CostModel(pageTokens int) memsim.LatencyModel {
 // Engine is a continuous-batching serving engine over one Model. All methods
 // are safe for concurrent use.
 type Engine struct {
-	m    *model.Model
-	cfg  Config
-	acct *kvcache.Accountant
-	// arena backs every sequence and cached prefix the engine creates. It
-	// charges acct per live page, so Used() is the exact deduplicated KV
-	// footprint.
+	m   *model.Model
+	cfg Config
+	// arena backs every sequence and cached prefix the engine creates. Its
+	// live pages are the one KV meter: LivePages × PageTokens raw slots is
+	// the exact deduplicated footprint (kvUsed).
 	arena *kvcache.Arena
 	// planes is the number of (layer, kvHead) stores per sequence; the
-	// accountant runs in raw slots (tokens × planes) and the engine reports
-	// per-head units by dividing back out.
+	// budgets and the meter run in raw slots (tokens × planes) and the
+	// engine reports per-head units by dividing back out.
 	planes int64
+	// kvCap and hostCap are the device and host budgets in raw slots (kvCap
+	// <= 0: unlimited; hostCap 0: one tier). held is this round's admission
+	// holds, taken at admit and zeroed at the round barrier, by which every
+	// admission has prefilled its real pages; loop goroutine only. hostUsed
+	// is the footprint's host-resident part, written by the scheduler and
+	// read atomically by Metrics.
+	kvCap, hostCap int64
+	held           int64
+	hostUsed       atomic.Int64
 	// rt is the engine-wide transfer runtime: every RuntimeAware selector's
 	// simulated KV movement shares this one modeled PCIe channel, whose clock
 	// the scheduler advances at each round barrier.
@@ -165,7 +172,6 @@ type task struct {
 	// entry.tokens[reuse:] on top of it.
 	baseSnap *model.Snapshot
 	reuse    int
-	reserved int64
 	// spilled is the raw slot count currently accounted host-resident for
 	// this task; coldRound is the round it last spilled (LRU order for the
 	// next spill pass). Touched only by the scheduler between rounds.
@@ -233,18 +239,13 @@ func newEngine(m *model.Model, cfg Config, cost func(pageTokens int) memsim.Late
 		done:   make(chan struct{}),
 		bd:     m.NewBatchDecoder(),
 	}
-	capacity := cfg.KVBudget
-	if capacity > 0 {
-		capacity *= planes
+	e.kvCap = cfg.KVBudget
+	if e.kvCap > 0 {
+		e.kvCap *= planes
+		// A host tier needs a finite device budget to tier against.
+		e.hostCap = max(cfg.HostBudget, 0) * planes
 	}
-	hostCap := cfg.HostBudget
-	if hostCap > 0 && capacity > 0 {
-		hostCap *= planes
-	} else {
-		hostCap = 0 // host tier needs a finite device budget to tier against
-	}
-	e.acct = kvcache.NewTieredAccountant(capacity, hostCap)
-	e.arena = kvcache.NewArena(cfg.PageTokens, e.acct)
+	e.arena = kvcache.NewArena(cfg.PageTokens)
 	lm := cost(cfg.PageTokens)
 	e.rt = kvcache.NewTransferRuntime(kvcache.Channel{SecPerPage: lm.SecPerPlanePage, LayerSec: lm.LayerSec})
 	e.rec = cfg.Trace
@@ -254,16 +255,32 @@ func newEngine(m *model.Model, cfg Config, cost func(pageTokens int) memsim.Late
 	return e
 }
 
-// Arena exposes the engine's page arena (read-only use intended: gauges for
-// tests and the pagedkv experiment).
+// Arena exposes the engine's page arena: gauges for tests and the pagedkv
+// experiment. Its live pages are the footprint the budget meters, so a store
+// a caller builds on it (kvcache.NewStoreIn) pins budget until it is freed.
 func (e *Engine) Arena() *kvcache.Arena { return e.arena }
 
-// kvUnits converts raw accountant slots to the per-head token units the
-// config and metrics speak.
+// kvUnits converts raw slots to the per-head token units the config and
+// metrics speak.
 func (e *Engine) kvUnits(v int64) int64 { return v / e.planes }
 
-// Accountant exposes the shared residency ledger (read-only use intended).
-func (e *Engine) Accountant() *kvcache.Accountant { return e.acct }
+// pageSlots is the arena's live footprint in raw slots.
+func (e *Engine) pageSlots() int64 { return e.arena.LivePages() * int64(e.cfg.PageTokens) }
+
+// kvUsed is the footprint admission meters: the live pages plus this round's
+// admission holds. Loop goroutine only.
+func (e *Engine) kvUsed() int64 { return e.pageSlots() + e.held }
+
+// shrinkHost caps the host-resident count at kvUsed after the scheduler
+// frees pages, so pages accounted host-side that are gone take their host
+// slots with them. The cap counts this round's holds, so during admission it
+// can leave host slots above the live pages; the barrier's promote settles
+// them. Loop goroutine only.
+func (e *Engine) shrinkHost() {
+	if used := e.kvUsed(); e.hostUsed.Load() > used {
+		e.hostUsed.Store(used)
+	}
+}
 
 // Submit enqueues one request. It blocks while the intake queue is full and
 // returns immediately with a failed Ticket once the engine is closed.
@@ -449,7 +466,6 @@ func (e *Engine) enter(t *task, s state, round int64) {
 	t.state = s
 	switch s {
 	case stAdmitted:
-		t.resp.KVReserved = e.kvUnits(t.reserved)
 		t.resp.AdmitRound = round
 		t.resp.QueueWait = time.Since(t.submitted)
 		e.mx.observeAdmit(t)
@@ -468,7 +484,7 @@ func (e *Engine) enter(t *task, s state, round int64) {
 				Req: t.id, N: int64(t.req.SharedPrefixLen)})
 		}
 		e.rec.Emit(obs.Event{Type: obs.EvAdmit, Round: round,
-			Req: t.id, N: e.kvUnits(t.reserved), Aux: disp})
+			Req: t.id, N: t.resp.KVReserved, Aux: disp})
 	case stDone:
 		t.resp.DoneRound = round
 		t.resp.Total = time.Since(t.submitted)

@@ -13,7 +13,7 @@ import (
 // TestTraceLifecycleGolden pins every deterministic way a request leaves the
 // engine: a served cold build, an exact prefix hit, a partial radix reuse, a
 // refusal (ErrTooLarge), a failed step (a panicking selector factory gives
-// ErrInternal), a stalled head (a hold taken through Accountant()) and an
+// ErrInternal), a stalled head (pages pinned on Arena()) and an
 // intake rejection — then a cold rebuild once the stall is cleared. Per
 // ticket the golden holds the response's id, error, rounds, breakdown and
 // modeled latencies, and the rounds of its admission, refusal, retirement and
@@ -26,7 +26,7 @@ func TestTraceLifecycleGolden(t *testing.T) {
 		"ticket 4 id 4 err serve: request exceeds global KV budget rounds 0-2 ttft 0 tbt 0 bd 1/0/2 dec 0 bat 0 phases 0.0440913022 0 0 0 0 0 ev refuse@2 retire@2",
 		"ticket 5 id 5 err serve: internal fault: factory exploded rounds 2-2 ttft 0.0804815055 tbt 0 bd 1/2/2 dec 1 bat 0 phases 0.0440913022 0 0 0.0199813725 0.0164088308 0 ev admit@2 retire@2",
 		"ticket 6 id 6 err serve: invalid request rounds 0-0 ttft 0 tbt 0 ev ",
-		"ticket 7 id 7 err serve: internal fault: admission stalled with nothing active: cost 1036 slots, kv used 3320 of 4096, 0 cached prefixes rounds 0-5 ttft 0 tbt 0 bd 5/0/5 dec 0 bat 0 phases 0 0 0 0 0 0 ev retire@5",
+		"ticket 7 id 7 err serve: internal fault: admission stalled with nothing active: cost 259 slots, kv used 816 of 1024, 0 cached prefixes rounds 0-5 ttft 0 tbt 0 bd 5/0/5 dec 0 bat 0 phases 0 0 0 0 0 0 ev retire@5",
 		"ticket 8 id 8 err <nil> rounds 5-6 ttft 0.0440913022 tbt 0.0199813725 bd 5/5/6 dec 2 bat 0 phases 0 0 0.0241099297 0.0399627451 0 0 ev prefix-miss@5 admit@5 retire@6",
 	}
 	m := testModel()
@@ -54,16 +54,13 @@ func TestTraceLifecycleGolden(t *testing.T) {
 		ids = append(ids, uint64(i+1))
 		resps = append(resps, r)
 	}
-	acct := e.Accountant()
-	pin := acct.Capacity() - acct.Used() - 8 // the cached prefixes hold the rest
-	if !acct.TryReserve(pin) {
-		t.Fatal("could not pin the budget")
-	}
+	// Pin all the budget but 8 slots; the cached prefixes hold the rest.
+	pin := pinPages(e, 8)
 	tk := e.Submit(Request{Prompt: testDoc(49, 256), MaxNewTokens: 2}) // stalled head
 	tickets = append(tickets, tk)
 	ids = append(ids, tk.ID)
 	resps = append(resps, tk.Wait())
-	acct.Release(pin)
+	pin.Free()
 	tk = e.Submit(ask(doc, 50, 2)) // cold rebuild: the stall evicted the cache
 	tickets = append(tickets, tk)
 	ids = append(ids, tk.ID)

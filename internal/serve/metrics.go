@@ -30,10 +30,11 @@ type Metrics struct {
 	TokensGenerated, PrefillTokens int64
 	// Rounds is the number of scheduler rounds executed.
 	Rounds int64
-	// KV accounting, in per-head token slots (see kvcache.Accountant).
-	// KVUsed is the live deduplicated page footprint and KVPeak its
-	// high-water mark sampled at round barriers (deterministic across worker
-	// interleavings, unlike the accountant's instantaneous peak).
+	// KV accounting, in per-head token slots. KVUsed is the live
+	// deduplicated page footprint — the engine arena's live pages, so read
+	// mid-round it leaves out the admission holds of prefills still running —
+	// and KVPeak its high-water mark sampled at round barriers
+	// (deterministic across worker interleavings).
 	KVUsed, KVPeak, KVCapacity int64
 	// Two-tier gauges. Device used/peak are sampled at round barriers after
 	// the spill pass, so KVDevicePeak is what the device tier actually had
@@ -123,14 +124,14 @@ type engineMetrics struct {
 	// Engine.Metrics copies it and fills in the derived fields.
 	c Metrics
 	// kvPeak, devPeak and hostPeak are round-barrier high-water marks and
-	// spilled the cumulative cold spills, in raw accountant slots (Metrics
-	// reports them per head).
+	// spilled the cumulative cold spills, in raw slots (Metrics reports them
+	// per head).
 	kvPeak, devPeak, hostPeak, spilled int64
 	// queuedSum and activeSum sum the per-round scheduler gauges over Rounds.
 	queuedSum, activeSum int64
 }
 
-// observeKV records the accountant gauges sampled at a round barrier (after
+// observeKV records the KV gauges sampled at a round barrier (after
 // the spill pass), tracking deterministic round-granular high-water marks
 // for the total footprint and both tiers.
 func (x *engineMetrics) observeKV(used, devUsed, hostUsed int64) {
@@ -235,14 +236,15 @@ func (e *Engine) Metrics() Metrics {
 	defer x.mu.Unlock()
 	m := x.c
 	m.Submitted = x.submitted.Load()
-	m.KVUsed = e.kvUnits(e.acct.Used())
+	used, host := e.pageSlots(), e.hostUsed.Load()
+	m.KVUsed = e.kvUnits(used)
 	m.KVPeak = e.kvUnits(x.kvPeak)
-	m.KVCapacity = e.kvUnits(e.acct.Capacity())
-	m.KVDeviceUsed = e.kvUnits(e.acct.DeviceUsed())
+	m.KVCapacity = e.kvUnits(e.kvCap)
+	m.KVDeviceUsed = e.kvUnits(used - host)
 	m.KVDevicePeak = e.kvUnits(x.devPeak)
-	m.KVHostUsed = e.kvUnits(e.acct.HostUsed())
+	m.KVHostUsed = e.kvUnits(host)
 	m.KVHostPeak = e.kvUnits(x.hostPeak)
-	m.KVHostCapacity = e.kvUnits(e.acct.HostCapacity())
+	m.KVHostCapacity = e.kvUnits(e.hostCap)
 	m.KVSpilled = e.kvUnits(x.spilled)
 	m.Transfer = e.rt.Stats()
 	if m.Rounds > 0 {

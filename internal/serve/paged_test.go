@@ -8,8 +8,8 @@ import (
 // TestExactAdmissionAdmitsLoadWorstCaseRefuses is the admission-policy
 // acceptance lock: on a long-generation shared-doc load whose every request
 // an up-front worst-case reservation (marginal tail + MaxNewTokens + 1 slots)
-// would refuse outright as larger than the whole KVBudget, the page
-// accountant — which gates on prefill pages plus one page of decode headroom
+// would refuse outright as larger than the whole KVBudget, exact page
+// admission — which gates on prefill pages plus one page of decode headroom
 // — serves all of them.
 func TestExactAdmissionAdmitsLoadWorstCaseRefuses(t *testing.T) {
 	m := testModel()
@@ -39,9 +39,9 @@ func TestExactAdmissionAdmitsLoadWorstCaseRefuses(t *testing.T) {
 
 // TestExactAdmissionSharedPagesChargedOnce is the shared-prefix accounting
 // regression (the TryReserve double-count fix): with every request forking
-// one cached document, the accountant charges the prefix pages once — after
-// the load drains, exactly the snapshot's pages stay charged, regardless of
-// how many forks read them.
+// one cached document, the footprint holds the prefix pages once — after the
+// load drains, exactly the snapshot's pages stay charged, regardless of how
+// many forks read them.
 func TestExactAdmissionSharedPagesChargedOnce(t *testing.T) {
 	m := testModel()
 	planes := int64(m.Config().NLayers * m.Config().NKVHeads)
@@ -61,17 +61,13 @@ func TestExactAdmissionSharedPagesChargedOnce(t *testing.T) {
 	}
 	pageTokens := int64(e.Arena().PageTokens())
 	prefixPages := int64((docLen + int(pageTokens) - 1) / int(pageTokens))
-	wantRaw := prefixPages * pageTokens * planes
-	if used := e.Accountant().Used(); used != wantRaw {
-		t.Fatalf("post-drain charge = %d raw slots, want the cached prefix alone = %d", used, wantRaw)
+	if used := e.Metrics().KVUsed; used != prefixPages*pageTokens {
+		t.Fatalf("post-drain charge = %d slots, want the cached prefix alone = %d", used, prefixPages*pageTokens)
 	}
 	if live := e.Arena().LivePages(); live != prefixPages*planes {
 		t.Fatalf("live pages = %d, want %d (snapshot only)", live, prefixPages*planes)
 	}
 	e.Close()
-	if used := e.Accountant().Used(); used != 0 {
-		t.Fatalf("leaked %d raw slots after Close", used)
-	}
 	if live := e.Arena().LivePages(); live != 0 {
 		t.Fatalf("leaked %d live pages after Close", live)
 	}
@@ -160,7 +156,7 @@ func TestExactAdmissionSerialisesUnderTightBudget(t *testing.T) {
 }
 
 // TestExactAdmissionMetrics checks the per-head unit reporting of the exact
-// accountant: capacity round-trips the config, the peak is positive and
+// page meter: capacity round-trips the config, the peak is positive and
 // bounded, and a completed load leaves only the cached prefix charged.
 func TestExactAdmissionMetrics(t *testing.T) {
 	m := testModel()

@@ -117,13 +117,6 @@ func failOnPanic(tasks ...*task) {
 // decoder. Every later token comes from the round's cohort (runRound).
 func (e *Engine) prefillStep(t *task) {
 	defer failOnPanic(t)
-	if t.reserved > 0 {
-		// Swap the admission hold for the real page charges the allocations
-		// below make. Admission only runs between rounds, so nothing races
-		// the window between release and allocation.
-		e.acct.Release(t.reserved)
-		t.reserved = 0
-	}
 	r := &t.req
 	var sel attention.Selector
 	if r.NewSelector != nil {
@@ -161,7 +154,7 @@ func (e *Engine) prefillStep(t *task) {
 				func() {
 					// The snapshot retains the prefix pages; drop the builder
 					// sequence's own references even if Prefill panics, so a
-					// failed build never strands pages on the accountant.
+					// failed build never strands pages in the arena.
 					defer base.Release()
 					base.Prefill(t.entry.tokens, nil)
 					t.entry.snap = base.Snapshot() // published by the scheduler post-round

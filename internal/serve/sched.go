@@ -60,7 +60,7 @@ func (e *Engine) loop() {
 		}
 		// Admission: FIFO with head-of-line blocking, so a burst of small
 		// requests cannot starve a large one forever.
-		var headCost int64 // what a blocked head asked the accountant for
+		var headCost int64 // what a blocked head asked the budget for
 		for len(pending) > 0 && len(active) < e.cfg.MaxBatch {
 			t := pending[0]
 			headCost = e.admit(t, round)
@@ -76,13 +76,14 @@ func (e *Engine) loop() {
 			// The head waits on a retirement or a finished prefix build, and
 			// nothing is active to deliver either: intake only queues behind
 			// it, idle prefixes were already evicted for it. With correct
-			// accounting only a hold taken through Accountant() (or a cached
-			// prefix the request itself pins) gets here; fail the head rather
-			// than retry a state that cannot change. The round never began.
+			// accounting only pages pinned on Arena() from outside the engine
+			// (or a cached prefix the request itself pins) get here; fail the
+			// head rather than retry a state that cannot change. The round
+			// never began. The state is reported per head, like Metrics.
 			t := pending[0]
 			pending = pending[1:]
 			e.retire(t, round, fmt.Errorf("%w: admission stalled with nothing active: cost %d slots, kv used %d of %d, %d cached prefixes",
-				ErrInternal, headCost, e.acct.Used(), e.acct.TotalCapacity(), len(e.cache.entries(nil))))
+				ErrInternal, e.kvUnits(headCost), e.kvUnits(e.kvUsed()), e.kvUnits(e.kvCap+e.hostCap), len(e.cache.entries(nil))))
 			round--
 			continue
 		}
@@ -94,6 +95,8 @@ func (e *Engine) loop() {
 		}
 
 		e.runRound(active, round)
+		// Every admission has prefilled: its real pages replace its hold.
+		e.held = 0
 		// The round barrier on the channel clock: the spill traffic booked
 		// below leads the next round's link timeline.
 		e.rt.Advance()
@@ -104,12 +107,12 @@ func (e *Engine) loop() {
 		e.rebalanceTiers(active, round)
 		// High-water sampling at the round barrier: within a round only
 		// workers allocate (frees happen on this goroutine between rounds),
-		// so the end-of-round gauge is the round's deterministic maximum —
-		// unlike the accountant's internal peak, which can catch transient
-		// COW release/alloc interleavings in either order.
-		e.mx.observeKV(e.acct.Used(), e.acct.DeviceUsed(), e.acct.HostUsed())
+		// so the end-of-round gauge is the round's deterministic maximum,
+		// whatever order a round's COW releases and allocations ran in.
+		used, host := e.kvUsed(), e.hostUsed.Load()
+		e.mx.observeKV(used, used-host, host)
 		e.rec.Emit(obs.Event{Type: obs.EvRoundEnd, Round: round,
-			N: e.kvUnits(e.acct.DeviceUsed()), Aux: e.kvUnits(e.acct.HostUsed())})
+			N: e.kvUnits(used - host), Aux: e.kvUnits(host)})
 		// Price the finished round on the modeled clock before any
 		// retirement below reads it; the round's admissions have their
 		// first token out once it is priced.
@@ -186,19 +189,20 @@ func (e *Engine) admit(t *task, round int64) int64 {
 	}
 	builds := share && entry == nil
 
-	// The arena charges actual pages as prefill/decode allocate them,
-	// deduplicated by refcount, so shared prefix pages are charged once no
-	// matter how many forks hold them. Admission reserves only a provisional
-	// hold — the request's expected prefill pages plus a small decode
-	// headroom — which the prefill step swaps for the real page charges.
+	// The footprint is the arena's live pages, deduplicated by refcount, so
+	// shared prefix pages count once no matter how many forks hold them.
+	// Admission takes only a provisional hold — the request's expected
+	// prefill pages plus a small decode headroom — which stands in for those
+	// pages until the round barrier, when the prefill has allocated them.
 	cost := e.pageEstimate(r, builds, reuse)
-	granted := e.acct.TryReserve(cost)
+	fits := func() bool { return e.kvCap <= 0 || e.kvUsed()+cost <= e.kvCap+e.hostCap }
+	granted := fits()
 	for !granted && e.evictIdlePrefix(round) {
 		// Free idle cached prefixes (oldest first) and retry. The entry and
 		// pages this admission relies on are safe: the hit entry is pinned by
 		// refs above, and partial reuse holds its own page references through
 		// t.baseSnap.
-		granted = e.acct.TryReserve(cost)
+		granted = fits()
 	}
 	if !granted {
 		if entry != nil {
@@ -207,11 +211,12 @@ func (e *Engine) admit(t *task, round int64) int64 {
 		if t.baseSnap != nil {
 			t.baseSnap.Release()
 			t.baseSnap = nil
+			e.shrinkHost()
 		}
 		// A request too large for the *combined* device + host capacity can
 		// never be admitted; anything smaller waits for retirements (and,
 		// with a host tier, for spills) to free room.
-		if cap := e.acct.TotalCapacity(); cap > 0 && cost > cap {
+		if e.kvCap > 0 && cost > e.kvCap+e.hostCap {
 			e.rec.Emit(obs.Event{Type: obs.EvRefuse, Round: round,
 				Req: t.id, N: e.kvUnits(cost)})
 			e.retire(t, round, ErrTooLarge)
@@ -220,7 +225,8 @@ func (e *Engine) admit(t *task, round int64) int64 {
 		}
 		return cost
 	}
-	t.reserved = cost
+	t.resp.KVReserved = e.kvUnits(cost)
+	e.held += cost
 	if builds {
 		entry = &prefixEntry{tokens: r.Prompt[:r.SharedPrefixLen], seq: e.cacheSeq}
 		e.cacheSeq++
@@ -264,8 +270,8 @@ func (e *Engine) admit(t *task, round int64) int64 {
 // request unadmittable (a 512-token prompt with Budget 64 admits under
 // KVBudget 300). Without a selector Budget keeps nothing off the device, and
 // the cap is the request's whole marginal sequence, which only binds below
-// one page. The hold is provisional either way; real page charges replace it
-// at prefill.
+// one page. The hold is provisional either way; the real pages replace it
+// at the round barrier.
 func (e *Engine) pageEstimate(r *Request, builds bool, reuse int) int64 {
 	p := int64(e.arena.PageTokens())
 	toks := int64(len(r.Prompt)+1-reuse) + min(int64(r.MaxNewTokens), p) // +1: re-fed last prompt token
@@ -312,12 +318,14 @@ func (e *Engine) evictIdlePrefix(round int64) bool {
 // sequences retire, so evicting a busy prefix never invalidates its
 // descendants.
 func (e *Engine) releaseEntry(p *prefixEntry) {
-	// Host-accounted slots stay host-side (Release clamps them to the live
-	// total); the rebalance pass promotes survivors back as headroom allows.
+	// Host-accounted slots stay host-side (shrinkHost caps them at the
+	// footprint); the rebalance pass promotes survivors back as headroom
+	// allows.
 	p.spilled = 0
 	if p.snap != nil {
 		p.snap.Release()
 		p.snap = nil
+		e.shrinkHost()
 	}
 }
 
@@ -329,9 +337,8 @@ func (e *Engine) releasePrefixes() {
 	}
 }
 
-// retire releases a task's resources and delivers its response: an
-// admission hold the prefill never swapped out, the sequence's pages, and the
-// prefix entry reference.
+// retire releases a task's resources and delivers its response: the
+// sequence's pages and the prefix entry reference.
 func (e *Engine) retire(t *task, round int64, err error) {
 	// Modeled clock first: the breakdown's stall harvest reads the
 	// sequence's selector ledgers, which Release below tears down. Aborted
@@ -339,16 +346,12 @@ func (e *Engine) retire(t *task, round int64, err error) {
 	if round > 0 {
 		t.resp.Breakdown = e.attr.finish(t, round)
 	}
-	if t.reserved > 0 {
-		e.acct.Release(t.reserved)
-		t.reserved = 0
-	}
 	// Host-accounted (spilled) slots are NOT moved back on retirement: shared
 	// prefix pages this fork claimed cold typically stay live through the
 	// snapshot and sibling forks, and yanking them device-side would force a
-	// pointless re-spill. Release clamps host accounting to the live total,
-	// and the next round's tier rebalance promotes slots back as device
-	// headroom appears.
+	// pointless re-spill. shrinkHost caps host accounting at the footprint
+	// below, and the next round's tier rebalance promotes slots back as
+	// device headroom appears.
 	t.spilled = 0
 	if t.seq != nil {
 		if sel := t.seq.Selector(); sel != nil {
@@ -363,6 +366,7 @@ func (e *Engine) retire(t *task, round int64, err error) {
 		t.baseSnap.Release()
 		t.baseSnap = nil
 	}
+	e.shrinkHost()
 	if t.entry != nil {
 		t.entry.refs--
 		t.entry = nil

@@ -9,11 +9,11 @@
 //   - continuous batching: admission happens at every decode-round boundary,
 //     so a finished request's slot is refilled immediately instead of
 //     waiting for a whole batch to drain;
-//   - admission control: a bounded intake queue provides backpressure, and a
-//     shared kvcache.Accountant tracks aggregate KV residency against a
-//     global budget. The engine's paged arena meters *exact* page residency
-//     (shared copy-on-write pages charged once, admission on prefill pages
-//     plus a small decode headroom);
+//   - admission control: a bounded intake queue provides backpressure, and
+//     the engine's paged arena is the one KV meter against a global budget:
+//     its live pages are the *exact* footprint (shared copy-on-write pages
+//     counted once), and admission holds only prefill pages plus a small
+//     decode headroom until the round's prefill has allocated them;
 //   - prefix caching: requests that declare a shared prompt prefix (the
 //     long-document multi-question scenario ClusterKV targets) reuse one
 //     prefill via copy-on-write kvcache.Store forks instead of recomputing

@@ -419,8 +419,8 @@ func TestShutdownAbortsOnExpiredContext(t *testing.T) {
 	if aborted == 0 {
 		t.Fatal("no request was aborted by an expired shutdown")
 	}
-	if e.Accountant().Used() != 0 {
-		t.Fatalf("leaked KV charges after shutdown: %d", e.Accountant().Used())
+	if live := e.Arena().LivePages(); live != 0 {
+		t.Fatalf("leaked %d arena pages after shutdown", live)
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 // TestShutdownMidSpillDrainsCleanly is the regression lock for Shutdown
 // racing the two-tier spill/promote pass: aborting an engine whose scheduler
 // is actively re-accounting pages host-ward must still release every arena
-// page and every accountant slot — a leak here would pin simulated KV for the
-// life of the process. The load is sized so spilling is provably in progress
+// page and zero both tiers' gauges — a leak here would pin simulated KV for
+// the life of the process. The load is sized so spilling is provably in progress
 // (KVSpilled > 0) before the abort lands mid-round.
 func TestShutdownMidSpillDrainsCleanly(t *testing.T) {
 	m := testModel()
@@ -54,14 +54,14 @@ func TestShutdownMidSpillDrainsCleanly(t *testing.T) {
 	if lp := e.Arena().LivePages(); lp != 0 {
 		t.Fatalf("leaked %d arena pages after mid-spill shutdown", lp)
 	}
-	acct := e.Accountant()
-	if used := acct.Used(); used != 0 {
-		t.Fatalf("leaked %d accountant slots after mid-spill shutdown", used)
+	mx := e.Metrics()
+	if mx.KVUsed != 0 {
+		t.Fatalf("leaked %d KV slots after mid-spill shutdown", mx.KVUsed)
 	}
-	if h := acct.HostUsed(); h != 0 {
-		t.Fatalf("host tier still accounts %d slots after shutdown", h)
+	if mx.KVHostUsed != 0 {
+		t.Fatalf("host tier still accounts %d slots after shutdown", mx.KVHostUsed)
 	}
-	if d := acct.DeviceUsed(); d != 0 {
-		t.Fatalf("device tier still accounts %d slots after shutdown", d)
+	if mx.KVDeviceUsed != 0 {
+		t.Fatalf("device tier still accounts %d slots after shutdown", mx.KVDeviceUsed)
 	}
 }

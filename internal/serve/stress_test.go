@@ -152,8 +152,8 @@ func TestEngineStressRandomizedLifecycles(t *testing.T) {
 			t.Fatalf("lifecycle %d: %d completed + %d failed > %d submitted",
 				lc, mx.Completed, mx.Failed, mx.Submitted)
 		}
-		if used := eng.Accountant().Used(); used != 0 {
-			t.Fatalf("lifecycle %d: %d KV slots leaked after shutdown", lc, used)
+		if live := eng.Arena().LivePages(); live != 0 {
+			t.Fatalf("lifecycle %d: %d arena pages leaked after shutdown", lc, live)
 		}
 	}
 }

@@ -1,13 +1,14 @@
 package serve
 
 import (
+	"fmt"
 	"slices"
 
 	"clusterkv/internal/obs"
 )
 
 // rebalanceTiers is the between-rounds tiering pass of two-tier admission,
-// rebalancing the accountant toward the device budget in both directions
+// rebalancing the host count toward the device budget in both directions
 // over one claim list (tierClaims). While device residency exceeds the
 // budget it walks the list forward, re-accounting cold slots host-resident:
 // idle cached prefixes first (a snapshot nobody decodes from has no hot
@@ -21,15 +22,11 @@ import (
 // tasks. Runs only on the scheduler goroutine at the round barrier (workers
 // are quiescent), on round-deterministic state.
 func (e *Engine) rebalanceTiers(active []*task, round int64) {
-	if e.acct.HostCapacity() <= 0 {
-		return
-	}
-	devCap := e.acct.Capacity()
-	if devCap <= 0 {
+	if e.hostCap <= 0 {
 		return
 	}
 	P := int64(e.arena.PageTokens())
-	excess := e.acct.DeviceUsed() - devCap
+	excess := e.kvUsed() - e.hostUsed.Load() - e.kvCap
 	switch {
 	case excess > 0:
 		left := excess
@@ -47,7 +44,7 @@ func (e *Engine) rebalanceTiers(active []*task, round int64) {
 			if d <= 0 {
 				continue
 			}
-			e.acct.MoveToHost(d)
+			e.moveHost(d)
 			*c.spilled += d
 			left -= d
 			if c.t != nil {
@@ -62,9 +59,9 @@ func (e *Engine) rebalanceTiers(active []*task, round int64) {
 			e.attr.addTierSlots(moved)
 			e.rec.Emit(obs.Event{Type: obs.EvPageSpill, Round: round, N: e.kvUnits(moved)})
 		}
-	case excess < 0 && e.acct.HostUsed() > 0:
-		left := min(-excess, e.acct.HostUsed())
-		e.acct.MoveToDevice(left)
+	case excess < 0 && e.hostUsed.Load() > 0:
+		left := min(-excess, e.hostUsed.Load())
+		e.moveHost(-left)
 		e.rt.AccountPages(int((left + P - 1) / P))
 		e.attr.addTierSlots(left)
 		e.rec.Emit(obs.Event{Type: obs.EvPagePromote, Round: round, N: e.kvUnits(left)})
@@ -75,6 +72,17 @@ func (e *Engine) rebalanceTiers(active []*task, round int64) {
 			left -= d
 		}
 	}
+}
+
+// moveHost re-accounts n raw slots host-resident (a spill, n > 0) or
+// device-resident (a promote, n < 0): the footprint is unchanged, only its
+// split moves. Moving more than the side it leaves holds is an engine bug.
+func (e *Engine) moveHost(n int64) {
+	host := e.hostUsed.Load()
+	if dev := e.kvUsed() - host; n > 0 && n > dev || -n > host {
+		panic(fmt.Sprintf("serve: moving %d slots host-ward with %d device- and %d host-resident", n, dev, host))
+	}
+	e.hostUsed.Store(host + n)
 }
 
 // tierClaim is one holder of host-accounted slots, a cached prefix (p) or an
@@ -109,7 +117,7 @@ func (e *Engine) tierClaims(active []*task) []tierClaim {
 // selector's device working set: per (layer, head) plane, pages past the
 // Budget hot tokens plus one tail page. Shared prefix pages may be claimed
 // cold by several forks; rebalanceTiers bounds total movement by the actual
-// device excess, so over-attribution cannot underflow the accountant.
+// device excess, so over-attribution cannot underflow the device count.
 func (e *Engine) coldSlots(t *task) int64 {
 	P := e.arena.PageTokens()
 	mc := e.m.Config()

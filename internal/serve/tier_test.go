@@ -241,3 +241,82 @@ func TestTieringWalkGolden(t *testing.T) {
 		t.Fatalf("tiering stream changed:\n got %s\nwant %s", got, want)
 	}
 }
+
+// TestTwoTierHostCountFollowsFootprint locks the host tier's bookkeeping on
+// a live engine. A budgeted ClusterKV stream with a long prompt spills its
+// cold pages host-ward, then retires while a short full-attention stream
+// keeps decoding. At every round barrier the host count stays within the
+// footprint and the host budget; after the retirement it shrinks, and no
+// promote moves more slots device-ward than the footprint holds: the retired
+// stream's host slots leave with its pages instead of being promoted as
+// phantoms. Admission spans both tiers: a request costing more than the
+// device budget but less than device + host is served, one costing more than
+// both is refused.
+func TestTwoTierHostCountFollowsFootprint(t *testing.T) {
+	const devBudget, hostBudget = 128, 1024 // per-head slots
+	m := testModel()
+	tracer := obs.NewTracer(0)
+	e := NewEngine(m, Config{Workers: 1, MaxBatch: 2, KVBudget: devBudget, HostBudget: hostBudget, Seed: 1, Trace: tracer.Recorder(0)})
+	defer e.Close()
+	spilled := Request{Prompt: testDoc(61, 512), MaxNewTokens: 4, Budget: 16, NewSelector: clusterSel}
+	decoding := Request{Prompt: testDoc(62, 16), MaxNewTokens: 40}
+	for i, r := range e.Run([]Request{spilled, decoding}) {
+		if r.Err != nil {
+			t.Fatalf("request %d: %v", i, r.Err)
+		}
+	}
+	mid := Request{Prompt: testDoc(63, 300), MaxNewTokens: 4}
+	huge := Request{Prompt: testDoc(64, 2000), MaxNewTokens: 4}
+	got := e.Run([]Request{mid, huge})
+	if r := got[0]; r.Err != nil || r.KVReserved <= devBudget || r.KVReserved > devBudget+hostBudget {
+		t.Fatalf("request between the device and the combined budget: err %v, cost %d; want served at a cost in (%d, %d]",
+			r.Err, r.KVReserved, devBudget, devBudget+hostBudget)
+	}
+	if !errors.Is(got[1].Err, ErrTooLarge) {
+		t.Fatalf("request beyond device + host: err %v, want ErrTooLarge", got[1].Err)
+	}
+
+	var retired int64 // the spilled stream's retirement round
+	hostAt := map[int64]int64{}
+	promoted := map[int64]int64{}
+	for _, ev := range tracer.Events() {
+		switch ev.Type {
+		case obs.EvRetire:
+			if ev.Req == 1 {
+				retired = ev.Round
+			}
+		case obs.EvPagePromote:
+			promoted[ev.Round] = ev.N
+		case obs.EvRoundEnd:
+			device, host := ev.N, ev.Aux
+			if device < 0 || host > hostBudget {
+				t.Fatalf("round %d: host %d slots against a footprint of %d and a host budget of %d",
+					ev.Round, host, device+host, hostBudget)
+			}
+			if n := promoted[ev.Round]; n > device+host {
+				t.Fatalf("round %d promoted %d slots, more than the whole footprint of %d", ev.Round, n, device+host)
+			}
+			hostAt[ev.Round] = host
+		}
+	}
+	if retired == 0 || hostAt[retired] == 0 {
+		t.Fatalf("the budgeted stream retired in round %d holding %d host slots; the load must spill it", retired, hostAt[retired])
+	}
+	if after, ok := hostAt[retired+1]; !ok || after >= hostAt[retired] {
+		t.Fatalf("host count %d after the spilled stream retired (round %d), %d before: want it to shrink while the other stream decodes",
+			after, retired+1, hostAt[retired])
+	}
+
+	// The idle engine holds no pages, so moving a slot either way is an
+	// engine bug and panics.
+	for _, n := range []int64{1, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("moveHost(%d) on an empty footprint did not panic", n)
+				}
+			}()
+			e.moveHost(n)
+		}()
+	}
+}

@@ -41,13 +41,6 @@ func (m *Mat) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
 // Set assigns element (i, j).
 func (m *Mat) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }
 
-// Clone returns a deep copy of m.
-func (m *Mat) Clone() *Mat {
-	out := NewMat(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
-
 // kernelGrain is the shared fan-out policy: the minimum block length so
 // each parallel block does a worthwhile amount of inner-loop work.
 func kernelGrain(perIndexOps int) int { return parallel.Grain(perIndexOps) }

@@ -1,10 +1,6 @@
 package tensor
 
-import (
-	"math"
-
-	"clusterkv/internal/rng"
-)
+import "clusterkv/internal/rng"
 
 // TruncatedSVD computes an approximate rank-r factorization of the n×d matrix
 // a: the top-r right singular vectors V (d×r, orthonormal columns) and the
@@ -118,37 +114,4 @@ func ProjectRows(a, v *Mat) *Mat {
 		}
 	}
 	return out
-}
-
-// ReconstructionError returns |a - a·v·vᵀ|_F / |a|_F, the relative Frobenius
-// error of projecting a onto the subspace spanned by v's columns. Used in
-// tests to validate TruncatedSVD.
-func ReconstructionError(a, v *Mat) float64 {
-	proj := ProjectRows(a, v) // n×r
-	var num, den float64
-	row := make([]float32, a.Cols)
-	for i := 0; i < a.Rows; i++ {
-		// reconstruct row i: proj_i · vᵀ
-		Fill(row, 0)
-		prow := proj.Row(i)
-		for j := 0; j < v.Cols; j++ {
-			pj := prow[j]
-			if pj == 0 {
-				continue
-			}
-			for k := 0; k < v.Rows; k++ {
-				row[k] += pj * v.At(k, j)
-			}
-		}
-		arow := a.Row(i)
-		for k := range arow {
-			diff := float64(arow[k] - row[k])
-			num += diff * diff
-			den += float64(arow[k]) * float64(arow[k])
-		}
-	}
-	if den == 0 {
-		return 0
-	}
-	return math.Sqrt(num / den)
 }

@@ -38,7 +38,6 @@ var surface = []string{
 	"H2OConfig",
 	"Hardware",
 	"InfiniGenConfig",
-	"KVAccountant",
 	"KVArena",
 	"Llama31_8B",
 	"LoadConfig",
