@@ -27,12 +27,12 @@ test-seq:
 # transfer-path packages under the race detector at GOMAXPROCS=2, the
 # narrowest schedule that still interleaves the streams of a round on the
 # engine's one runtime (DESIGN.md §8); then the telemetry determinism test,
-# the intake stress test and the two host-tier tests four more times, since a
+# the intake stress test and the three host-tier tests four more times, since a
 # schedule-dependent total, a lost or doubled request id, or a Metrics read
 # racing the scheduler's spill pass shows up only sometimes.
 test-xfer-race:
 	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/serve/ ./internal/kvcache/ ./internal/core/
-	GOMAXPROCS=2 $(GO) test -race -count=4 -run 'TestTransferTelemetryDeterministic|TestEngineStressRandomizedLifecycles|TestShutdownMidSpillDrainsCleanly|TestTwoTierHostCountFollowsFootprint' ./internal/serve/
+	GOMAXPROCS=2 $(GO) test -race -count=4 -run 'TestTransferTelemetryDeterministic|TestEngineStressRandomizedLifecycles|TestShutdownMidSpillDrainsCleanly|TestTwoTierHostCountFollowsFootprint|TestEvictedSpilledPrefixTakesItsHostSlots' ./internal/serve/
 
 # Fleet determinism lane: the multi-replica router suite and its front door,
 # the clusterkv-serve CLI, at the serial schedule and at GOMAXPROCS=2

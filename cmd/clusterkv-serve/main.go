@@ -35,6 +35,7 @@ import (
 	"clusterkv/internal/obs"
 	"clusterkv/internal/parallel"
 	"clusterkv/internal/serve"
+	"clusterkv/internal/tensor"
 	"clusterkv/internal/workload"
 )
 
@@ -102,8 +103,7 @@ func main() {
 		method    = flag.String("method", "all", "methods to serve (clusterkv, quest, fullkv, all)")
 		loadKind  = flag.String("load", "qa", "workload shape: qa (shared-doc questions), chat (multi-turn sessions), agentic (re-entry loops), rag (templated retrieval); non-qa loads ignore -requests/-docs/-doclen/-qlen")
 		noPrefix  = flag.Bool("noprefixcache", false, "declare no shared prefixes (every request prefills its whole prompt)")
-		noSerial  = flag.Bool("noserial", false, "skip the serial one-at-a-time baseline")
-		verifyOut = flag.Bool("verify", true, "check served outputs match serial decode token-for-token")
+		noSerial  = flag.Bool("noserial", false, "skip the serial one-at-a-time baseline and the token-for-token check of served outputs against it")
 		traceOut  = flag.String("trace", "", "write a Chrome trace_event JSON timeline of one method's run: router lane pid 0, replica i on pid i+1 (load in chrome://tracing or Perfetto)")
 		metricsTo = flag.String("metrics", "", "write text metrics exposition to this file after the run (\"-\" = stdout); one series set per method, labeled method=<name>, with replica=<i> on each engine's series")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -269,7 +269,7 @@ func main() {
 				failed++
 				continue
 			}
-			if *verifyOut && serialOut != nil {
+			if serialOut != nil {
 				compared++
 				if !slices.Equal(r.Tokens, serialOut[i]) {
 					match = "NO"
@@ -412,7 +412,7 @@ func runSerial(m *model.Model, reqs []serve.Request) [][]int {
 		toks := make([]int, 0, req.MaxNewTokens)
 		for j := 0; j < req.MaxNewTokens; j++ {
 			seq.DecodeInto(tok, logits)
-			tok = argmax(logits)
+			tok = tensor.ArgMax(logits)
 			toks = append(toks, tok)
 		}
 		out[i] = toks
@@ -442,14 +442,4 @@ func dispatch(r *fleet.Router, reqs []serve.Request, rate float64, seed uint64) 
 	}
 	wg.Wait()
 	return out
-}
-
-func argmax(xs []float32) int {
-	best := 0
-	for i, v := range xs {
-		if v > xs[best] {
-			best = i
-		}
-	}
-	return best
 }

@@ -6,9 +6,10 @@
 // re-prefill anywhere else, so *where* a request lands decides its TTFT. The
 // router has one placement rule, prefix affinity: route to the replica that,
 // by the router's ledger, holds the longest resident prefix of the request's
-// shared prefix — booked at every page-aligned depth, so nested-prefix traffic
-// (multi-turn chat, agentic re-entry, templated RAG) follows the replica
-// holding the deepest cached ancestor, not just exact hash matches — and fall
+// shared prefix — booked at every page-aligned depth, the depths a replica's
+// prefix cache reuses pages at, so nested-prefix traffic (multi-turn chat,
+// agentic re-entry, templated RAG) follows the replica holding the deepest
+// cached ancestor, not just exact hash matches — and fall
 // back to least-loaded (KV pages, then queue depth) with consistent hashing as
 // the deterministic tiebreaker for unshared or not yet placed prefixes. Every
 // placement carries a modeled TTFT (replica backlog + marginal prefill +
@@ -308,9 +309,9 @@ type chainLink struct {
 }
 
 // prefixChain returns the request's residency probe chain, deepest last:
-// every page-aligned prefix depth plus the whole prefix, mirroring what the
-// replicas' radix caches register, so nested-prefix requests route to the
-// replica holding the deepest cached ancestor.
+// every page-aligned prefix depth plus the whole prefix, the depths at which
+// a replica's prefix cache can reuse pages, so nested-prefix requests route
+// to the replica holding the deepest cached ancestor.
 func (r *Router) prefixChain(req *serve.Request) []chainLink {
 	prefix := req.Prompt[:req.SharedPrefixLen]
 	pageTokens := r.cfg.Engine.PageTokens

@@ -60,7 +60,7 @@ func (snap *Snapshot) NumPages() int64 {
 // Like Snapshot it is zero-copy: each store is forked and truncated, so a
 // page-aligned n shares pages purely by refcount, and an unaligned n keeps a
 // shared tail page that descendants copy-on-write at their first append. The
-// radix prefix cache uses it to fork the longest page-aligned common prefix
+// prefix cache uses it to fork the longest page-aligned common prefix
 // out of a deeper cached entry. snap itself is unaffected.
 func (snap *Snapshot) Prefix(n int) *Snapshot {
 	if n < 0 || n > snap.pos {

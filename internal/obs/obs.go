@@ -41,7 +41,7 @@ const (
 	EvRetire
 	// EvPrefixHit / EvPrefixMiss record a shared-prefix request served from /
 	// building a cache entry (Req, N = prefix tokens; on a miss Aux = tokens
-	// reused from a cached ancestor's pages via radix partial reuse, 0 on a
+	// reused from a cached ancestor's pages by partial reuse, 0 on a
 	// cold build). EvPrefixEvict records an idle entry dropped under budget
 	// pressure at round Round (N = slots released, 0 under exact accounting
 	// where pages free on release).

@@ -40,7 +40,7 @@ const (
 	// while the KV budget was busy.
 	PhaseAdmit
 	// PhasePrefill is the request's own prefill compute, after prefix-reuse
-	// credit (only the suffix the radix cache couldn't serve is charged).
+	// credit (only the suffix the prefix cache couldn't serve is charged).
 	PhasePrefill
 	// PhaseDecode is the request's own decode rounds: one batched
 	// weight-streaming step per resident round.
@@ -89,7 +89,7 @@ type Breakdown struct {
 	SeenRound, AdmitRound, DoneRound int64
 	// Phases is the exact tiling of the request's modeled wall time.
 	Phases [NumPhases]float64
-	// PrefixCreditSec is the modeled prefill time avoided by radix
+	// PrefixCreditSec is the modeled prefill time avoided by
 	// prefix reuse — what PhasePrefill would have cost extra without it.
 	PrefixCreditSec float64
 	// DecodeRounds counts resident decode rounds; BatchedRounds how many of

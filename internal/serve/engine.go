@@ -110,10 +110,10 @@ type Engine struct {
 	// the scheduler advances at each round barrier.
 	rt *kvcache.TransferRuntime
 
-	// cache is the scheduler-owned radix prefix cache; cacheSeq numbers
+	// cache is the scheduler-owned prefix cache; cacheSeq numbers
 	// entries in admission order for deterministic LRU tie-breaks. Touched
 	// only on the loop goroutine.
-	cache    *radixCache
+	cache    *prefixCache
 	cacheSeq uint64
 
 	intake chan []*task
@@ -166,10 +166,10 @@ type task struct {
 	entry   *prefixEntry // non-nil when sharing a prefix
 	builder bool         // this task builds entry's snapshot
 	// baseSnap and reuse carry a builder's partial prefix reuse: the
-	// longest page-aligned (or whole-entry) common prefix found in the radix
-	// cache, forked zero-copy at admission so the reused pages survive any
-	// later eviction of their source entry. The builder prefills only
-	// entry.tokens[reuse:] on top of it.
+	// longest page-aligned (or whole-entry) common prefix found in the
+	// prefix cache, forked zero-copy at admission so the reused pages
+	// survive any later eviction of their source entry. The builder
+	// prefills only entry.tokens[reuse:] on top of it.
 	baseSnap *model.Snapshot
 	reuse    int
 	// spilled is the raw slot count currently accounted host-resident for
@@ -202,8 +202,6 @@ type prefixEntry struct {
 	refs     int    // active tasks forked from (or building) this entry
 	seq      uint64 // admission order; deterministic LRU/spill tie-break
 	lastUsed int64  // round of last use, for LRU eviction under pressure
-	// node anchors the entry in the radix cache.
-	node *radixNode
 	// spilled is the raw slot count of this entry's pages accounted
 	// host-resident (two-tier mode): a cached prefix nobody is decoding from
 	// is the coldest state the engine holds.
@@ -234,7 +232,7 @@ func newEngine(m *model.Model, cfg Config, cost func(pageTokens int) memsim.Late
 		m:      m,
 		cfg:    cfg,
 		planes: planes,
-		cache:  newRadixCache(cfg.PageTokens),
+		cache:  &prefixCache{pageTokens: cfg.PageTokens},
 		intake: make(chan []*task, cfg.QueueCap),
 		done:   make(chan struct{}),
 		bd:     m.NewBatchDecoder(),
@@ -271,14 +269,14 @@ func (e *Engine) pageSlots() int64 { return e.arena.LivePages() * int64(e.cfg.Pa
 // admission holds. Loop goroutine only.
 func (e *Engine) kvUsed() int64 { return e.pageSlots() + e.held }
 
-// shrinkHost caps the host-resident count at kvUsed after the scheduler
-// frees pages, so pages accounted host-side that are gone take their host
-// slots with them. The cap counts this round's holds, so during admission it
-// can leave host slots above the live pages; the barrier's promote settles
-// them. Loop goroutine only.
+// shrinkHost caps the host-resident count at the live pages after the
+// scheduler frees pages, so pages accounted host-side that are gone take
+// their host slots with them. Admission holds stand for pages not yet
+// allocated, none of them host-side, so the cap leaves them out. Loop
+// goroutine only.
 func (e *Engine) shrinkHost() {
-	if used := e.kvUsed(); e.hostUsed.Load() > used {
-		e.hostUsed.Store(used)
+	if live := e.pageSlots(); e.hostUsed.Load() > live {
+		e.hostUsed.Store(live)
 	}
 }
 

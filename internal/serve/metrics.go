@@ -19,7 +19,7 @@ type Metrics struct {
 	// Prefix-cache counters. Hits and misses count shared-prefix requests
 	// only; requests without a shared prefix count in neither.
 	// PrefixPartialHits is the subset of misses whose builder reused a cached
-	// ancestor's pages (radix cache), and PrefixReusedTokens the total prompt
+	// ancestor's pages, and PrefixReusedTokens the total prompt
 	// tokens served from cached pages across full hits and partial reuse.
 	PrefixHits, PrefixMisses, PrefixEvicted uint64
 	PrefixPartialHits                       uint64

@@ -9,6 +9,7 @@ import (
 	"clusterkv/internal/model"
 	"clusterkv/internal/obs"
 	"clusterkv/internal/parallel"
+	"clusterkv/internal/tensor"
 )
 
 // runRound executes one step for every active task, in two lock-step phases:
@@ -186,13 +187,7 @@ func (e *Engine) prefillStep(t *task) {
 func (t *task) sample() int {
 	logits := t.logits
 	if t.sampler == nil {
-		best := 0
-		for i, v := range logits {
-			if v > logits[best] {
-				best = i
-			}
-		}
-		return best
+		return tensor.ArgMax(logits)
 	}
 	invT := 1 / t.req.Temperature
 	maxv := float64(logits[0])

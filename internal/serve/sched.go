@@ -155,7 +155,7 @@ func (e *Engine) loop() {
 
 // admit tries to activate the pending head, leaving it admitted, blocked
 // (waiting on KV room or on a prefix build) or done (refused). It resolves
-// the request against the prefix cache (exact hit, partial radix reuse, or a
+// the request against the prefix cache (exact hit, partial reuse, or a
 // new builder entry), takes the provisional admission hold, and wires the
 // task to its prefix entry. It returns the hold it asked for, in raw slots (0
 // when it waited on a prefix build before estimating).
@@ -318,8 +318,8 @@ func (e *Engine) evictIdlePrefix(round int64) bool {
 // sequences retire, so evicting a busy prefix never invalidates its
 // descendants.
 func (e *Engine) releaseEntry(p *prefixEntry) {
-	// Host-accounted slots stay host-side (shrinkHost caps them at the
-	// footprint); the rebalance pass promotes survivors back as headroom
+	// Host-accounted slots stay host-side (shrinkHost caps them at the live
+	// pages); the rebalance pass promotes survivors back as headroom
 	// allows.
 	p.spilled = 0
 	if p.snap != nil {
@@ -349,7 +349,7 @@ func (e *Engine) retire(t *task, round int64, err error) {
 	// Host-accounted (spilled) slots are NOT moved back on retirement: shared
 	// prefix pages this fork claimed cold typically stay live through the
 	// snapshot and sibling forks, and yanking them device-side would force a
-	// pointless re-spill. shrinkHost caps host accounting at the footprint
+	// pointless re-spill. shrinkHost caps host accounting at the live pages
 	// below, and the next round's tier rebalance promotes slots back as
 	// device headroom appears.
 	t.spilled = 0

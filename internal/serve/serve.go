@@ -17,8 +17,8 @@
 //   - prefix caching: requests that declare a shared prompt prefix (the
 //     long-document multi-question scenario ClusterKV targets) reuse one
 //     prefill via copy-on-write kvcache.Store forks instead of recomputing
-//     it, sharing every fully common KV page block-granularly. The cache is
-//     a radix tree over page-aligned token runs, so nested prefixes
+//     it, sharing every fully common KV page block-granularly. A lookup
+//     compares the prefix with every cached entry, so nested prefixes
 //     (multi-turn chat, agentic re-entry, templated RAG) reuse the longest
 //     page-aligned common prefix of any cached entry even without an exact
 //     match;
@@ -100,7 +100,7 @@ type Response struct {
 	// PrefixReusedTokens is the number of prompt tokens whose prefill was
 	// skipped via the prefix cache: SharedPrefixLen on a full hit, the
 	// longest page-aligned (or whole-entry) cached ancestor's depth when the
-	// radix cache partially covered a new prefix, 0 on a cold build.
+	// cache partially covered a new prefix, 0 on a cold build.
 	PrefixReusedTokens int
 	// KVReserved is the admission charge in per-head token slots: the
 	// page-rounded prefill estimate (plus decode headroom) the request was
@@ -174,15 +174,15 @@ func (r *Request) valid(vocab int) bool {
 // those pages.
 func (r *Request) budgeted() bool { return r.Budget > 0 && r.NewSelector != nil }
 
-// PrefixKey content-addresses a shared prefix: the same hash the radix
-// cache files page runs under, and the last of AlignedPrefixKeys. Routers key
-// placement by it over Prompt[:SharedPrefixLen].
+// PrefixKey content-addresses a shared prefix: the last of
+// AlignedPrefixKeys. Routers key placement by it over
+// Prompt[:SharedPrefixLen]; the engine's cache compares tokens, not hashes.
 func PrefixKey(tokens []int) uint64 { return prefixKey(tokens) }
 
 // AlignedPrefixKeys returns the content hash of every page-aligned prefix of
 // tokens (pageTokens, 2·pageTokens, ...) plus the whole slice, in one rolling
 // FNV-1a pass; the last element always equals PrefixKey(tokens). These are
-// the depths at which the radix cache can reuse a prefix's pages, so a router
+// the depths at which the prefix cache can reuse a prefix's pages, so a router
 // that books them per replica can match a nested prefix from deepest to
 // shallowest and place the request on the replica holding the longest match.
 // pageTokens must be positive.
@@ -200,7 +200,6 @@ func AlignedPrefixKeys(tokens []int, pageTokens int) []uint64 {
 }
 
 // prefixKey content-addresses a shared prefix with FNV-1a over its tokens.
-// Hits verify the actual tokens, so a collision can never alias prefills.
 func prefixKey(tokens []int) uint64 { return fnv1a(fnvOffset64, tokens) }
 
 const (
@@ -209,8 +208,7 @@ const (
 )
 
 // fnv1a rolls the FNV-1a hash h forward over tokens, one round per token: the
-// single spelling of the content hash behind PrefixKey, AlignedPrefixKeys and
-// the radix cache's child index.
+// single spelling of the content hash behind PrefixKey and AlignedPrefixKeys.
 func fnv1a(h uint64, tokens []int) uint64 {
 	for _, t := range tokens {
 		h ^= uint64(t)

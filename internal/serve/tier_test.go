@@ -320,3 +320,51 @@ func TestTwoTierHostCountFollowsFootprint(t *testing.T) {
 		}()
 	}
 }
+
+// TestEvictedSpilledPrefixTakesItsHostSlots: evicting an idle prefix whose
+// pages sit host-side, to admit the second request of a round whose first
+// admission still holds its slots, frees those host slots with the pages.
+// The two admissions' pages fit the device, so the round ends with nothing
+// host-resident and promotes nothing: a slot left host-side for the first
+// admission's hold would be promoted at the barrier as a page that never
+// existed, and charged on the modeled channel.
+func TestEvictedSpilledPrefixTakesItsHostSlots(t *testing.T) {
+	m := testModel()
+	tracer := obs.NewTracer(0)
+	// 16-token pages. Device 128 and host 64 per-head slots: the 128-token
+	// document fills the device alone, a 48-token request beside it spills
+	// part of it host-ward, and two such requests do not fit beside it.
+	e := NewEngine(m, Config{Workers: 1, MaxBatch: 2, PageTokens: 16, KVBudget: 128, HostBudget: 64, Seed: 1, Trace: tracer.Recorder(0)})
+	defer e.Close()
+	doc := testDoc(71, 128)
+	ask := Request{Prompt: append(append([]int{}, doc...), testDoc(72, 16)...), SharedPrefixLen: len(doc), MaxNewTokens: 2}
+	short := func(seed uint64) Request { return Request{Prompt: testDoc(seed, 48), MaxNewTokens: 2} }
+	for _, load := range [][]Request{{ask}, {short(73)}, {short(74), short(75)}} {
+		for i, r := range e.Run(load) {
+			if r.Err != nil {
+				t.Fatalf("request %d: %v", i, r.Err)
+			}
+		}
+	}
+
+	var evicted, spilledHost int64
+	for _, ev := range tracer.Events() {
+		switch ev.Type {
+		case obs.EvPageSpill:
+			spilledHost += ev.N
+		case obs.EvPrefixEvict:
+			evicted = ev.Round
+		case obs.EvPagePromote:
+			if evicted > 0 {
+				t.Fatalf("round %d promoted %d slots after the spilled prefix was evicted in round %d", ev.Round, ev.N, evicted)
+			}
+		case obs.EvRoundEnd:
+			if evicted > 0 && ev.Aux != 0 {
+				t.Fatalf("round %d ended with %d host slots after the only host-side pages were evicted in round %d", ev.Round, ev.Aux, evicted)
+			}
+		}
+	}
+	if spilledHost == 0 || evicted == 0 {
+		t.Fatalf("spilled %d slots, evicted in round %d: the load must spill the idle prefix and evict it", spilledHost, evicted)
+	}
+}

@@ -141,7 +141,7 @@ func TestMatKernelConformance(t *testing.T) {
 		MatVec(gotMV, a, x)
 		bitsEqual(t, sprintShape("MatVec/default", m, k, n, 0), gotMV, wantMV)
 		gotMM := NewMat(m, n)
-		MatMul(gotMM, a, b)
+		MatMulOn(parallel.Default(), gotMM, a, b)
 		bitsEqual(t, sprintShape("MatMul/default", m, k, n, 0), gotMM.Data, wantMM.Data)
 	}
 }

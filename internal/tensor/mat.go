@@ -107,23 +107,19 @@ func matTVecBandGo(dst []float32, m *Mat, x []float32, lo, hi int) {
 	}
 }
 
-// MatMul computes c = a · b. Shapes: a is M×K, b is K×N, c is M×N.
-// c must not alias a or b. Output rows are computed in parallel; each row
-// accumulates over k in ascending order (with the a==0 skip) exactly as the
-// serial loop, so results are bit-identical at any width.
-func MatMul(c, a, b *Mat) {
-	MatMulOn(parallel.Default(), c, a, b)
-}
-
-// MatMulOn is MatMul on an explicit pool (nil runs serial).
+// MatMulOn computes c = a · b on pool p (nil runs serial). Shapes: a is M×K,
+// b is K×N, c is M×N. c must not alias a or b. Output rows are computed in
+// parallel; each row accumulates over k in ascending order (with the a==0
+// skip) exactly as the serial loop, so results are bit-identical at any
+// width.
 func MatMulOn(p *parallel.Pool, c, a, b *Mat) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
-		panic("tensor: MatMul dimension mismatch")
+		panic("tensor: MatMulOn dimension mismatch")
 	}
 	p.For(a.Rows, kernelGrain(a.Cols*b.Cols), func(lo, hi int) { matMulBand(c, a, b, lo, hi) })
 }
 
-// matMulBandGo is the scalar MatMul over output rows [lo, hi) (see
+// matMulBandGo is the scalar MatMulOn over output rows [lo, hi) (see
 // dotRowsGo).
 func matMulBandGo(c, a, b *Mat, lo, hi int) {
 	Fill(c.Data[lo*c.Cols:hi*c.Cols], 0)

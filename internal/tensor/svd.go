@@ -92,26 +92,3 @@ func orthonormalizeRows(m *Mat) {
 		}
 	}
 }
-
-// ProjectRows computes b = a · v where a is n×d and v is d×r, returning the
-// n×r matrix of projected rows. Used to build InfiniGen's "partial keys".
-func ProjectRows(a, v *Mat) *Mat {
-	if a.Cols != v.Rows {
-		panic("tensor: ProjectRows dimension mismatch")
-	}
-	out := NewMat(a.Rows, v.Cols)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			vrow := v.Row(k)
-			for j, vv := range vrow {
-				orow[j] += av * vv
-			}
-		}
-	}
-	return out
-}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"clusterkv/internal/parallel"
 	"clusterkv/internal/rng"
 )
 
@@ -170,7 +171,7 @@ func TestMatMulAgainstNaive(t *testing.T) {
 		b.Data[i] = r.NormFloat32()
 	}
 	c := NewMat(4, 3)
-	MatMul(c, a, b)
+	MatMulOn(parallel.Default(), c, a, b)
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 3; j++ {
 			var want float32
@@ -339,9 +340,9 @@ func TestTruncatedSVDCapturesVariance(t *testing.T) {
 func TestProjectRows(t *testing.T) {
 	a := WrapMat(1, 2, []float32{3, 4})
 	v := WrapMat(2, 1, []float32{1, 0}) // project onto first axis
-	p := ProjectRows(a, v)
+	p := projectRows(a, v)
 	if p.At(0, 0) != 3 {
-		t.Fatalf("ProjectRows got %v", p.At(0, 0))
+		t.Fatalf("projectRows got %v", p.At(0, 0))
 	}
 }
 
@@ -392,7 +393,7 @@ func BenchmarkSiluMul128(b *testing.B) {
 // error of projecting a onto the subspace spanned by v's columns. The oracle
 // TruncatedSVD is checked against.
 func reconstructionError(a, v *Mat) float64 {
-	proj := ProjectRows(a, v) // n×r
+	proj := projectRows(a, v) // n×r
 	var num, den float64
 	row := make([]float32, a.Cols)
 	for i := 0; i < a.Rows; i++ {
@@ -419,4 +420,27 @@ func reconstructionError(a, v *Mat) float64 {
 		return 0
 	}
 	return math.Sqrt(num / den)
+}
+
+// projectRows computes b = a · v where a is n×d and v is d×r, returning the
+// n×r matrix of projected rows: reconstructionError's projection.
+func projectRows(a, v *Mat) *Mat {
+	if a.Cols != v.Rows {
+		panic("tensor: projectRows dimension mismatch")
+	}
+	out := NewMat(a.Rows, v.Cols)
+	for i := 0; i < a.Rows; i++ {
+		arow := a.Row(i)
+		orow := out.Row(i)
+		for k, av := range arow {
+			if av == 0 {
+				continue
+			}
+			vrow := v.Row(k)
+			for j, vv := range vrow {
+				orow[j] += av * vv
+			}
+		}
+	}
+	return out
 }

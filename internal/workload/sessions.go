@@ -6,7 +6,7 @@ import "clusterkv/internal/rng"
 // request to request instead of matching exactly — multi-turn conversation,
 // agentic tool-call re-entry, and templated RAG. A flat exact-match prefix
 // cache gets little or no reuse on them (every turn's declared prefix is new);
-// the serve engine's radix cache reuses the longest page-aligned common
+// the serve engine's prefix cache reuses the longest page-aligned common
 // prefix, which for these loads is nearly the whole history. All generators
 // are deterministic: identical configs yield identical request sequences.
 
@@ -88,7 +88,7 @@ func ConversationLoad(cfg ConversationConfig) []QARequest {
 // AgenticConfig shapes an agentic re-entry load: Agents independent agent
 // loops of Steps iterations. Each iteration re-enters the model with the
 // *entire* previous prompt plus one new tool observation, declaring the whole
-// previous prompt shared — the pattern where radix reuse approaches 100% of
+// previous prompt shared — the pattern where partial reuse approaches 100% of
 // the prompt.
 type AgenticConfig struct {
 	Doc DocConfig
@@ -160,7 +160,7 @@ func AgenticLoad(cfg AgenticConfig) []QARequest {
 // template ++ chunk_1 ++ ... ++ chunk_k ++ question, with chunks drawn from a
 // shared pool. The whole retrieved context is declared shared; two requests
 // whose retrievals agree on a leading run of chunks share that run's pages
-// under the radix cache even though their full prefixes differ.
+// under the prefix cache even though their full prefixes differ.
 type RAGConfig struct {
 	Doc DocConfig
 	// TemplateLen is the instruction template every prompt starts with.
@@ -193,7 +193,7 @@ func DefaultRAGConfig() RAGConfig {
 
 // RAGLoad materialises the RAG load. Retrieval is Zipf-flavoured (low chunk
 // indices retrieved more often), so leading-chunk agreement — and with it
-// radix reuse — actually occurs. QARequest.Doc carries the first retrieved
+// partial reuse — actually occurs. QARequest.Doc carries the first retrieved
 // chunk's index.
 func RAGLoad(cfg RAGConfig) []QARequest {
 	if cfg.TemplateLen <= 0 || cfg.NChunks <= 0 || cfg.ChunkLen <= 0 ||
