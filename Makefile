@@ -38,12 +38,13 @@ test-xfer-race:
 # the clusterkv-serve CLI, at the serial schedule and at GOMAXPROCS=2
 # (race-enabled), locking identical placements, tokens and metrics across
 # replica counts {1,2,4} (DESIGN.md §9); then the streaming Submit/Wait tests
-# four more times, since a booking settled twice or never, or a ticket lost in
-# failover, shows up only under some interleavings.
+# and the malformed-shared-prefix test (Run and Submit on one router) four
+# more times, since a booking settled twice or never, a ticket lost in
+# failover, or a router left locked shows up only under some interleavings.
 test-fleet:
 	GOMAXPROCS=1 $(GO) test -count=1 ./internal/fleet/ ./cmd/clusterkv-serve/
 	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/fleet/ ./cmd/clusterkv-serve/
-	GOMAXPROCS=2 $(GO) test -race -count=4 -run 'Submit|Streaming' ./internal/fleet/
+	GOMAXPROCS=2 $(GO) test -race -count=4 -run 'Submit|Streaming|MalformedSharedPrefix' ./internal/fleet/
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .

@@ -206,7 +206,7 @@ func main() {
 	if *hostBud > 0 && *kvBudget > 0 {
 		admission = fmt.Sprintf("two-tier exact pages (device %d + host %d slots/head)", *kvBudget, *hostBud)
 	}
-	prefixCache := "radix"
+	prefixCache := "on"
 	if *noPrefix {
 		prefixCache = "off"
 	}

@@ -55,7 +55,6 @@ func RunAblations(opt Options) []*Report {
 		Title:   "Decode-time clustering cadence m and C+ over 512 generated tokens (paper §III-B defaults m=320, C+=4)",
 		Headers: []string{"m", "C+", "Recall", "Fidelity", "DecodeMetaOps"},
 	}
-	prefillOps := int64(-1)
 	for _, mw := range []int{80, 160, 320, 640} {
 		for _, cp := range []int{2, 4, 8} {
 			cfg := paperConfig()
@@ -63,21 +62,18 @@ func RunAblations(opt Options) []*Report {
 			cfg.DecodeWindow = mw
 			cfg.DecodeClusters = cp
 			run := RunTrace(longTask.Trace, memo.ClusterKV(cfg), budget)
-			if prefillOps < 0 {
-				// Memoised prefill: decode-only ops = total − first-run prefill.
-				prefillOps = 0
-			}
 			mRep.Rows = append(mRep.Rows, []string{
 				fmt.Sprint(mw), fmt.Sprint(cp),
 				f3(run.MeanRecall()), f3(run.MeanFidelity()),
-				fmt.Sprint(run.Stats.MetaOps),
+				fmt.Sprint(run.Stats.MetaOps - run.PrefillMetaOps),
 			})
 		}
 	}
 	mRep.Notes = append(mRep.Notes,
 		"smaller m clusters the generated tail sooner (better recall of generated",
-		"tokens) at more frequent clustering launches; MetaOps includes the shared",
-		"memoised prefill clustering only on its first computation.")
+		"tokens) at more frequent clustering launches; DecodeMetaOps counts decode-time",
+		"clustering only (total MetaOps minus what OnPrefill added, which every row",
+		"pays alike for the shared memoised prefill).")
 
 	// --- Sink tokens -------------------------------------------------------
 	sRep := &Report{

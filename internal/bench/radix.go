@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"clusterkv/internal/kvcache"
 	"clusterkv/internal/model"
@@ -9,15 +10,16 @@ import (
 	"clusterkv/internal/workload"
 )
 
-// RunRadix measures the engine's radix prefix cache on nested-prefix serving
+// RunRadix measures the engine's prefix cache on nested-prefix serving
 // loads — multi-turn chat, agentic re-entry and templated RAG, plus the
 // shared-document QA load as a single-level control — against what an
 // exact-match-only cache would prefill. Exact matching only reuses a prefill
 // when a request's shared prefix equals a cached one token-for-token, so
 // every chat turn and agent step re-prefills its whole growing history; that
 // count is arithmetic on the request list (each distinct prefix once, every
-// suffix). The radix cache forks from the longest resident page-aligned
-// ancestor and prefills only the suffix. The same load with sharing switched
+// suffix). The engine's cache reuses what serve.PrefixReuse allows — a cached
+// ancestor whole, or any cached prefix's longest page-aligned common run —
+// and prefills only the rest. The same load with sharing switched
 // off (SharedPrefixLen zeroed) must produce the same tokens — the cache
 // changes what is prefilled, never what is generated.
 func RunRadix(o Options) *Report {
@@ -91,17 +93,18 @@ func RunRadix(o Options) *Report {
 	// the first request declaring a prefix pays its whole prompt, later
 	// requests declaring the identical prefix pay only their suffix.
 	exactOnlyPrefill := func(reqs []serve.Request) int64 {
-		seen := map[uint64]bool{}
+		var seen [][]int
 		var toks int64
 		for _, r := range reqs {
 			toks += int64(len(r.Prompt))
 			if r.SharedPrefixLen == 0 {
 				continue
 			}
-			if h := serve.PrefixKey(r.Prompt[:r.SharedPrefixLen]); seen[h] {
+			prefix := r.Prompt[:r.SharedPrefixLen]
+			if slices.ContainsFunc(seen, func(s []int) bool { return slices.Equal(s, prefix) }) {
 				toks -= int64(r.SharedPrefixLen)
 			} else {
-				seen[h] = true
+				seen = append(seen, prefix)
 			}
 		}
 		return toks

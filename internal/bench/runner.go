@@ -57,6 +57,9 @@ type RunResult struct {
 	NeedleFidelity []float64
 	// Stats are the selector's accumulated counters.
 	Stats attention.SelStats
+	// PrefillMetaOps is Stats.MetaOps right after OnPrefill: the prefill's
+	// metadata-building ops, so Stats.MetaOps − PrefillMetaOps is decode's.
+	PrefillMetaOps int64
 }
 
 // MeanRecall returns the average recall across steps and heads.
@@ -82,7 +85,7 @@ func RunTrace(tr *workload.Trace, sel attention.Selector, budget int) *RunResult
 		sel.OnPrefill(0, h, s)
 	}
 
-	res := &RunResult{}
+	res := &RunResult{PrefillMetaOps: sel.Stats().MetaOps}
 	var scores, wFull, wSel []float32
 	var scratch attention.Scratch
 	for _, step := range tr.Steps {

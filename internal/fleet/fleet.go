@@ -5,11 +5,11 @@
 // already cached on replica A is a near-free prefill there and a full
 // re-prefill anywhere else, so *where* a request lands decides its TTFT. The
 // router has one placement rule, prefix affinity: route to the replica that,
-// by the router's ledger, holds the longest resident prefix of the request's
-// shared prefix — booked at every page-aligned depth, the depths a replica's
-// prefix cache reuses pages at, so nested-prefix traffic (multi-turn chat,
-// agentic re-entry, templated RAG) follows the replica holding the deepest
-// cached ancestor, not just exact hash matches — and fall
+// by the router's ledger of booked prefixes, offers the deepest reuse of the
+// request's shared prefix under the engine's own rule (serve.PrefixReuse), so
+// nested-prefix traffic (multi-turn chat, agentic re-entry, templated RAG)
+// follows the replica holding the deepest cached ancestor and is priced at
+// the prefill that replica's engine will actually skip — and fall
 // back to least-loaded (KV pages, then queue depth) with consistent hashing as
 // the deterministic tiebreaker for unshared or not yet placed prefixes. Every
 // placement carries a modeled TTFT (replica backlog + marginal prefill +
@@ -127,10 +127,14 @@ func (t *Ticket) Wait() Response {
 	return out
 }
 
-// prefixOn keys the "prefix charged on replica" ledger.
-type prefixOn struct {
-	hash uint64
-	rep  int
+// resident is one shared prefix booked onto a replica: the ledger's model of
+// an entry in that replica's prefix cache.
+type resident struct {
+	tokens  []int
+	replica int
+	// pages are the KV pages the prefix added on its replica beyond the
+	// deepest reuse already resident there (the rebase model).
+	pages int64
 }
 
 // Router places requests across a fleet of engine replicas. All methods are
@@ -151,18 +155,11 @@ type Router struct {
 	// Placement ledgers: the router's own deterministic model of each
 	// replica's state. Placement consults only these (never engine gauges),
 	// which is what makes fleet placement reproducible.
-	prefixHome map[uint64]int // content hash (any chain depth) -> first replica assigned it
-	// charged books the pages a placed prefix made resident on a replica,
-	// keyed by the whole-prefix hash; nested prefixes are charged only their
-	// marginal pages beyond the deepest ancestor already resident there.
-	// chainOn indexes every page-aligned chain hash resident per replica —
-	// membership only, for the longest-prefix marginal walk.
-	charged       map[prefixOn]int64 // prefix pages added on a replica (rebase model)
-	chainOn       map[prefixOn]struct{}
-	assignedReqs  []int64   // requests routed since the last rebase
-	assignedPages []int64   // modeled KV pages routed per replica (prefix counted once)
-	backlogSec    []float64 // modeled seconds of work routed since the last rebase
-	routedReqs    []int64   // cumulative per-replica placements (Summary)
+	residents     []resident // booked shared prefixes, in booking order
+	assignedReqs  []int64    // requests routed since the last rebase
+	assignedPages []int64    // modeled KV pages routed per replica (prefix counted once)
+	backlogSec    []float64  // modeled seconds of work routed since the last rebase
+	routedReqs    []int64    // cumulative per-replica placements (Summary)
 
 	// Fleet accumulators.
 	shed, rerouted     int64
@@ -197,14 +194,11 @@ func NewRouter(m *model.Model, cfg Config) *Router {
 	}
 	mc := m.Config()
 	r := &Router{
-		m:          m,
-		cfg:        cfg,
-		lm:         serve.CostModel(cfg.Engine.PageTokens),
-		planes:     int64(mc.NLayers * mc.NKVHeads),
-		prefixHome: make(map[uint64]int),
-		charged:    make(map[prefixOn]int64),
-		chainOn:    make(map[prefixOn]struct{}),
-		attr:       obs.NewAttribution(),
+		m:      m,
+		cfg:    cfg,
+		lm:     serve.CostModel(cfg.Engine.PageTokens),
+		planes: int64(mc.NLayers * mc.NKVHeads),
+		attr:   obs.NewAttribution(),
 	}
 	r.rec = cfg.Trace.Recorder(-1) // nil-safe: disabled on a nil tracer
 	r.engines = make([]*serve.Engine, cfg.Replicas)
@@ -278,8 +272,8 @@ type placement struct {
 	shed     bool
 	rerouted bool
 	hash     uint64
-	chain    []chainLink // nil for unshared requests
-	margToks int         // marginal prefill tokens under the router's residency model
+	prefix   []int // the declared shared prefix; nil for unshared requests
+	margToks int   // marginal prefill tokens under the router's residency model
 	predTTFT float64
 }
 
@@ -291,52 +285,41 @@ type booking struct {
 	sec   float64
 }
 
-// routeKey is the consistent-hash key: the shared prefix when there is one
-// (so equal-prefix requests hash alike), the whole prompt otherwise.
-func routeKey(req *serve.Request) (uint64, bool) {
-	if req.SharedPrefixLen > 0 {
-		return serve.PrefixKey(req.Prompt[:req.SharedPrefixLen]), true
+// routeKey returns the request's shared prefix and its consistent-hash key:
+// FNV-1a over the prefix, so equal-prefix requests hash alike, or over the
+// whole prompt when the request shares nothing. A SharedPrefixLen outside
+// (0, len(Prompt)) routes as unshared, leaving its replica's intake to
+// reject the request.
+func routeKey(req *serve.Request) (h uint64, prefix []int) {
+	key := req.Prompt
+	if req.SharedPrefixLen > 0 && req.SharedPrefixLen < len(req.Prompt) {
+		prefix = req.Prompt[:req.SharedPrefixLen]
+		key = prefix
 	}
-	return serve.PrefixKey(req.Prompt), false
-}
-
-// chainLink is one probe depth of a shared prefix: the content hash of its
-// first depth tokens. The last link is always the whole prefix (hash ==
-// routeKey), so exact matches rank deepest.
-type chainLink struct {
-	hash  uint64
-	depth int
-}
-
-// prefixChain returns the request's residency probe chain, deepest last:
-// every page-aligned prefix depth plus the whole prefix, the depths at which
-// a replica's prefix cache can reuse pages, so nested-prefix requests route
-// to the replica holding the deepest cached ancestor.
-func (r *Router) prefixChain(req *serve.Request) []chainLink {
-	prefix := req.Prompt[:req.SharedPrefixLen]
-	pageTokens := r.cfg.Engine.PageTokens
-	hashes := serve.AlignedPrefixKeys(prefix, pageTokens)
-	links := make([]chainLink, len(hashes))
-	for i, hh := range hashes {
-		d := (i + 1) * pageTokens
-		if d > len(prefix) {
-			d = len(prefix)
-		}
-		links[i] = chainLink{hash: hh, depth: d}
+	h = 14695981039346656037 // FNV-1a 64-bit offset basis
+	for _, t := range key {
+		h ^= uint64(t)
+		h *= 1099511628211 // FNV-1a 64-bit prime
 	}
-	return links
+	return h, prefix
 }
 
-// marginal returns the prefill tokens the request would actually cost on rep
-// under the router's residency model: the tokens past the deepest chain link
-// already resident there, the full prompt when nothing matches.
-func (r *Router) marginal(req *serve.Request, rep int, chain []chainLink) int {
-	for i := len(chain) - 1; i >= 0; i-- {
-		if _, ok := r.chainOn[prefixOn{chain[i].hash, rep}]; ok {
-			return len(req.Prompt) - chain[i].depth
+// reuse returns the prefill tokens of prefix that the prefixes booked on rep
+// let it skip: the deepest serve.PrefixReuse among them.
+func (r *Router) reuse(prefix []int, rep int) int {
+	deepest := 0
+	for _, e := range r.residents {
+		if e.replica == rep {
+			deepest = max(deepest, serve.PrefixReuse(e.tokens, prefix, r.cfg.Engine.PageTokens))
 		}
 	}
-	return len(req.Prompt)
+	return deepest
+}
+
+// marginal returns the prefill tokens the request would actually cost on
+// rep under the router's residency model.
+func (r *Router) marginal(req *serve.Request, rep int, prefix []int) int {
+	return len(req.Prompt) - r.reuse(prefix, rep)
 }
 
 // reqSec is the modeled service time the request adds to a replica:
@@ -391,24 +374,20 @@ func (r *Router) leastLoaded(h uint64) int {
 // choose makes one deterministic routing decision from the ledgers; it books
 // nothing. Caller holds r.mu.
 func (r *Router) choose(req *serve.Request) placement {
-	h, shared := routeKey(req)
-	var chain []chainLink
-	if shared {
-		chain = r.prefixChain(req)
-	}
-	// Longest-prefix affinity: walk the chain deepest-first, so an exact
-	// prefix home wins over a shallower ancestor's home.
-	rep := -1
-	for i := len(chain) - 1; i >= 0; i-- {
-		if home, ok := r.prefixHome[chain[i].hash]; ok {
-			rep = home
-			break
+	h, prefix := routeKey(req)
+	// Longest-prefix affinity: the home is the replica of the earliest-booked
+	// prefix offering the deepest reuse, so that reuse is also the deepest on
+	// the home; without a home nothing reuses any of the prefix.
+	rep, deepest := -1, 0
+	for _, e := range r.residents {
+		if n := serve.PrefixReuse(e.tokens, prefix, r.cfg.Engine.PageTokens); n > deepest {
+			rep, deepest = e.replica, n
 		}
 	}
 	if rep < 0 {
 		rep = r.leastLoaded(h)
 	}
-	margToks := r.marginal(req, rep, chain)
+	margToks := len(req.Prompt) - deepest
 	pred := r.predictTTFT(rep, margToks)
 	rerouted := false
 	if slo := r.cfg.SLOTTFT; slo > 0 && pred > slo {
@@ -420,7 +399,7 @@ func (r *Router) choose(req *serve.Request) placement {
 			if c == rep {
 				continue
 			}
-			mt := r.marginal(req, c, chain)
+			mt := r.marginal(req, c, prefix)
 			if p := r.predictTTFT(c, mt); p < bestPred {
 				best, bestPred, bestMarg = c, p, mt
 			}
@@ -435,15 +414,15 @@ func (r *Router) choose(req *serve.Request) placement {
 			rerouted = true
 		}
 	}
-	return placement{replica: rep, rerouted: rerouted, hash: h, chain: chain,
+	return placement{replica: rep, rerouted: rerouted, hash: h, prefix: prefix,
 		margToks: margToks, predTTFT: pred}
 }
 
 // book commits placement p of the request numbered seq to the ledgers,
 // counts and traces a reroute, traces the placement, and returns what it
-// booked. The prefix chain is booked resident on the replica; the charged
-// delta covers only the pages the prefix adds beyond its deepest resident
-// ancestor (len(Prompt) − margToks tokens deep). Caller holds r.mu.
+// booked. A shared prefix not already fully resident on the replica joins
+// the resident list, charged only the pages it adds beyond the deepest reuse
+// already resident there. Caller holds r.mu.
 func (r *Router) book(req *serve.Request, p placement, seq uint64) booking {
 	if p.rerouted {
 		r.rerouted++
@@ -459,19 +438,9 @@ func (r *Router) book(req *serve.Request, p placement, seq uint64) booking {
 	r.routedReqs[rep]++
 	r.assignedPages[rep] += b.pages
 	r.backlogSec[rep] += b.sec
-	if len(p.chain) == 0 {
-		return b
-	}
-	key := prefixOn{p.chain[len(p.chain)-1].hash, rep}
-	if _, ok := r.charged[key]; !ok {
-		depth := min(len(req.Prompt)-p.margToks, req.SharedPrefixLen)
-		r.charged[key] = (r.lm.PagesFor(req.SharedPrefixLen) - r.lm.PagesFor(depth)) * r.planes
-	}
-	for _, link := range p.chain {
-		r.chainOn[prefixOn{link.hash, rep}] = struct{}{}
-		if _, ok := r.prefixHome[link.hash]; !ok {
-			r.prefixHome[link.hash] = rep
-		}
+	if depth := r.reuse(p.prefix, rep); depth < len(p.prefix) {
+		r.residents = append(r.residents, resident{tokens: p.prefix, replica: rep,
+			pages: (r.lm.PagesFor(len(p.prefix)) - r.lm.PagesFor(depth)) * r.planes})
 	}
 	return b
 }
@@ -510,8 +479,8 @@ func (r *Router) rebaseLocked() {
 		r.assignedReqs[i] = 0
 		r.assignedPages[i] = 0
 	}
-	for key, pages := range r.charged {
-		r.assignedPages[key.rep] += pages
+	for _, e := range r.residents {
+		r.assignedPages[e.replica] += e.pages
 	}
 }
 
@@ -670,7 +639,7 @@ func (r *Router) offerLocked(req *serve.Request, p *placement) *serve.Ticket {
 	for _, c := range others {
 		if tk, ok := r.engines[c].TrySubmit(*req); ok {
 			p.replica = c
-			p.margToks = r.marginal(req, c, p.chain)
+			p.margToks = r.marginal(req, c, p.prefix)
 			p.predTTFT = r.predictTTFT(c, p.margToks)
 			return tk
 		}

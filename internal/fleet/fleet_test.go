@@ -3,8 +3,11 @@ package fleet
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
+	"clusterkv/internal/obs"
 	"clusterkv/internal/serve"
 )
 
@@ -28,19 +31,19 @@ func TestAffinityKeepsDocumentsTogether(t *testing.T) {
 
 	docLen := reqs[0].SharedPrefixLen
 	var promptToks int64
-	docReplica := map[uint64]int{}
+	docReplica := map[string]int{} // keyed by the document's tokens
 	for i, resp := range resps {
 		if resp.Err != nil {
 			t.Fatalf("request %d: %v", i, resp.Err)
 		}
 		promptToks += int64(len(reqs[i].Prompt))
-		h := serve.PrefixKey(reqs[i].Prompt[:reqs[i].SharedPrefixLen])
-		if rep, ok := docReplica[h]; ok {
+		doc := fmt.Sprint(reqs[i].Prompt[:reqs[i].SharedPrefixLen])
+		if rep, ok := docReplica[doc]; ok {
 			if rep != resp.Replica {
 				t.Fatalf("document split across replicas %d and %d", rep, resp.Replica)
 			}
 		} else {
-			docReplica[h] = resp.Replica
+			docReplica[doc] = resp.Replica
 		}
 	}
 	if len(docReplica) != nDocs {
@@ -271,4 +274,96 @@ func TestRouterShutdownAborts(t *testing.T) {
 			t.Fatalf("replica %d leaked %d arena pages after shutdown", i, lp)
 		}
 	}
+}
+
+// TestMalformedSharedPrefixRoutesUnshared: a SharedPrefixLen outside
+// (0, len(Prompt)) routes as unshared, so through Run and Submit alike the
+// request reaches a replica's intake and resolves with serve.ErrBadRequest,
+// as on a bare engine, and the router goes on serving. A panic is recovered
+// and reported at once: left unrecovered under the router's lock, it would
+// hang the router's next call instead.
+func TestMalformedSharedPrefixRoutesUnshared(t *testing.T) {
+	m := testModel()
+	r := NewRouter(m, Config{
+		Replicas: 2,
+		Engine:   serve.Config{Workers: 1, MaxBatch: 2, Seed: 3},
+		Seed:     3,
+	})
+	defer r.Close()
+	guard := func(what string, f func()) {
+		defer func() {
+			if v := recover(); v != nil {
+				t.Fatalf("%s panicked: %v", what, v)
+			}
+		}()
+		f()
+	}
+	var bad []serve.Request
+	for _, n := range []int{9, 3, -1} {
+		bad = append(bad, serve.Request{Prompt: []int{1, 2, 3}, SharedPrefixLen: n, MaxNewTokens: 1})
+	}
+	guard("Run", func() {
+		for i, resp := range r.Run(bad) {
+			if !errors.Is(resp.Err, serve.ErrBadRequest) {
+				t.Fatalf("Run: SharedPrefixLen %d: err %v, want ErrBadRequest", bad[i].SharedPrefixLen, resp.Err)
+			}
+		}
+	})
+	for _, req := range bad {
+		guard("Submit", func() {
+			if resp := r.Submit(req).Wait(); !errors.Is(resp.Err, serve.ErrBadRequest) {
+				t.Fatalf("Submit: SharedPrefixLen %d: err %v, want ErrBadRequest", req.SharedPrefixLen, resp.Err)
+			}
+		})
+	}
+	valid := fleetLoad(1, 1)[0]
+	guard("valid Submit", func() {
+		if resp := r.Submit(valid).Wait(); resp.Err != nil || len(resp.Tokens) != valid.MaxNewTokens {
+			t.Fatalf("valid request after malformed ones: %d tokens, err %v", len(resp.Tokens), resp.Err)
+		}
+	})
+}
+
+// TestPlacementPricesEngineReuse: the router prices a placement at the
+// prefill its replica's engine actually does. At 16-token pages, B's shared
+// prefix extends A's unaligned 40-token prefix by 24 tokens; B follows A to
+// its replica, whose engine reuses A's cached entry whole, so B's fleet-place
+// event carries len(B.Prompt) − 40 marginal prefill tokens.
+func TestPlacementPricesEngineReuse(t *testing.T) {
+	doc := fleetLoad(1, 1)[0].Prompt
+	question := doc[100:116]
+	a := doc[:40]
+	b := doc[:64]
+	reqs := []serve.Request{
+		{Prompt: append(slices.Clone(a), question...), SharedPrefixLen: len(a), MaxNewTokens: 2},
+		{Prompt: append(slices.Clone(b), question...), SharedPrefixLen: len(b), MaxNewTokens: 2},
+	}
+	tracer := obs.NewTracer(0)
+	r := NewRouter(testModel(), Config{
+		Replicas: 2,
+		Engine:   serve.Config{Workers: 1, MaxBatch: 2, PageTokens: 16, Seed: 4},
+		Seed:     4,
+		Trace:    tracer,
+	})
+	resps := r.Run(reqs)
+	r.Close()
+	for i, resp := range resps {
+		if resp.Err != nil {
+			t.Fatalf("request %d: %v", i, resp.Err)
+		}
+	}
+	if resps[1].Replica != resps[0].Replica || resps[1].PrefixReusedTokens != len(a) {
+		t.Fatalf("B served on replica %d reusing %d tokens, want replica %d reusing %d",
+			resps[1].Replica, resps[1].PrefixReusedTokens, resps[0].Replica, len(a))
+	}
+	want := int64(len(reqs[1].Prompt) - resps[1].PrefixReusedTokens)
+	for _, ev := range tracer.Events() {
+		if ev.Type == obs.EvFleetPlace && ev.Req == 1 {
+			if ev.Aux != want {
+				t.Fatalf("B priced at %d marginal prefill tokens, engine prefilled %d", ev.Aux, want)
+			}
+			return
+		}
+	}
+	t.Fatal("no fleet-place event for B")
 }

@@ -68,36 +68,43 @@ func (c *prefixCache) remove(e *prefixEntry) {
 	c.byAdmit = slices.DeleteFunc(c.byAdmit, func(x *prefixEntry) bool { return x == e })
 }
 
-// lookup ranks every live entry by the reuse it offers the probe:
-//
-//   - an entry token-equal to the probe answers outright: an exact hit when
-//     ready (reuse = len(prefix)), wait while it builds — admit guarantees
-//     at most one such entry exists;
-//   - an entry whose whole token run is a prefix of the probe offers its
-//     length, unaligned tail included;
-//   - any other entry offers its common prefix with the probe rounded down
-//     to whole pages, the depth a truncated fork of its snapshot can share.
-//
-// Ready entries compete on reuse, the earliest admitted winning a tie. If a
-// still-building entry would beat every ready candidate, lookup reports wait
-// instead: the request holds a round rather than duplicating the build.
+// PrefixReuse is the one prefix-reuse rule, shared by the engine's cache and
+// the fleet router's placement ledger: the tokens of probe a cached prefix
+// lets a request skip. A cached prefix that is a token-prefix of probe is
+// reused whole, unaligned tail included; any other shares its common prefix
+// with probe rounded down to whole pages, the depth a truncated fork of its
+// snapshot can share. pageTokens must be positive.
+func PrefixReuse(cached, probe []int, pageTokens int) int {
+	if pageTokens <= 0 {
+		panic("serve: PrefixReuse needs a positive pageTokens")
+	}
+	n := 0
+	for n < len(cached) && n < len(probe) && cached[n] == probe[n] {
+		n++
+	}
+	if n == len(cached) {
+		return n
+	}
+	return n / pageTokens * pageTokens
+}
+
+// lookup ranks every live entry by the reuse it offers the probe
+// (PrefixReuse). An entry token-equal to the probe answers outright: an
+// exact hit when ready (reuse = len(prefix)), wait while it builds — admit
+// guarantees at most one such entry exists. Ready entries compete on reuse,
+// the earliest admitted winning a tie. If a still-building entry would beat
+// every ready candidate, lookup reports wait instead: the request holds a
+// round rather than duplicating the build.
 func (c *prefixCache) lookup(prefix []int) cacheLookup {
 	var lk cacheLookup
 	buildReuse := 0 // deepest reuse a still-building entry would offer
 	for _, e := range c.byAdmit {
-		n := 0
-		for n < len(e.tokens) && n < len(prefix) && e.tokens[n] == prefix[n] {
-			n++
-		}
-		reuse := n / c.pageTokens * c.pageTokens
-		if n == len(e.tokens) {
-			if n == len(prefix) {
-				if !e.ready {
-					return cacheLookup{wait: true}
-				}
-				return cacheLookup{exact: e, reuse: n}
+		reuse := PrefixReuse(e.tokens, prefix, c.pageTokens)
+		if reuse == len(e.tokens) && reuse == len(prefix) {
+			if !e.ready {
+				return cacheLookup{wait: true}
 			}
-			reuse = n
+			return cacheLookup{exact: e, reuse: reuse}
 		}
 		switch {
 		case !e.ready:

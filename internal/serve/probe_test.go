@@ -152,27 +152,10 @@ func TestPrefixResidentTracksEviction(t *testing.T) {
 	}
 }
 
-// TestAlignedPrefixKeys locks the exported hash chain: one key per page
-// boundary plus the whole slice, each equal to PrefixKey of that prefix, and a
-// named panic — not an integer-divide fault — on a non-positive page size.
-func TestAlignedPrefixKeys(t *testing.T) {
+// TestPrefixReuseRejectsBadPageTokens: a non-positive page size is a named
+// panic, not an integer-divide fault.
+func TestPrefixReuseRejectsBadPageTokens(t *testing.T) {
 	toks := testDoc(5, 40)
-	keys := AlignedPrefixKeys(toks, 16)
-	depths := []int{16, 32, 40}
-	if len(keys) != len(depths) {
-		t.Fatalf("%d keys for 40 tokens at 16/page, want %d", len(keys), len(depths))
-	}
-	for i, d := range depths {
-		if keys[i] != PrefixKey(toks[:d]) {
-			t.Fatalf("key %d is not PrefixKey(tokens[:%d])", i, d)
-		}
-	}
-	if got := AlignedPrefixKeys(toks[:32], 16); len(got) != 2 || got[1] != keys[1] {
-		t.Fatalf("page-aligned slice: keys %v, want the first two of %v", got, keys)
-	}
-	if got := AlignedPrefixKeys(nil, 16); len(got) != 0 {
-		t.Fatalf("empty slice produced keys %v", got)
-	}
 	for _, p := range []int{0, -4} {
 		func() {
 			defer func() {
@@ -180,7 +163,7 @@ func TestAlignedPrefixKeys(t *testing.T) {
 					t.Fatalf("pageTokens=%d: panic value %v, want a message naming pageTokens", p, r)
 				}
 			}()
-			AlignedPrefixKeys(toks, p)
+			PrefixReuse(toks[:24], toks, p)
 		}()
 	}
 }

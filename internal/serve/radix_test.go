@@ -39,18 +39,19 @@ func conversationRequests() []Request {
 // per request, the tokens it would reuse (the whole prefix on a repeat, 0
 // otherwise), and in total the tokens it would prefill.
 func exactMatchOnly(reqs []Request) (reused []int, prefill int64) {
-	seen := map[uint64]bool{}
+	var seen [][]int
 	reused = make([]int, len(reqs))
 	for i, r := range reqs {
 		prefill += int64(len(r.Prompt))
 		if r.SharedPrefixLen == 0 {
 			continue
 		}
-		if h := prefixKey(r.Prompt[:r.SharedPrefixLen]); seen[h] {
+		prefix := r.Prompt[:r.SharedPrefixLen]
+		if slices.ContainsFunc(seen, func(s []int) bool { return slices.Equal(s, prefix) }) {
 			reused[i] = r.SharedPrefixLen
 			prefill -= int64(r.SharedPrefixLen)
 		} else {
-			seen[h] = true
+			seen = append(seen, prefix)
 		}
 	}
 	return reused, prefill

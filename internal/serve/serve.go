@@ -65,9 +65,10 @@ var (
 type Request struct {
 	// Prompt is the full token prompt.
 	Prompt []int
-	// SharedPrefixLen marks Prompt[:SharedPrefixLen] as shareable: requests
-	// carrying an identical prefix reuse a single prefill snapshot
-	// (content-addressed, verified token-by-token). 0 disables sharing.
+	// SharedPrefixLen marks Prompt[:SharedPrefixLen] as shareable: the
+	// prefix cache compares it token by token with every cached prefix and
+	// reuses what PrefixReuse allows, a whole identical prefix included.
+	// 0 disables sharing.
 	// Must be < len(Prompt): the engine needs at least one suffix token to
 	// replay selector prefill over the forked stores.
 	SharedPrefixLen int
@@ -173,46 +174,3 @@ func (r *Request) valid(vocab int) bool {
 // memory: admission caps its hold at Budget, and the tiering pass may spill
 // those pages.
 func (r *Request) budgeted() bool { return r.Budget > 0 && r.NewSelector != nil }
-
-// PrefixKey content-addresses a shared prefix: the last of
-// AlignedPrefixKeys. Routers key placement by it over
-// Prompt[:SharedPrefixLen]; the engine's cache compares tokens, not hashes.
-func PrefixKey(tokens []int) uint64 { return prefixKey(tokens) }
-
-// AlignedPrefixKeys returns the content hash of every page-aligned prefix of
-// tokens (pageTokens, 2·pageTokens, ...) plus the whole slice, in one rolling
-// FNV-1a pass; the last element always equals PrefixKey(tokens). These are
-// the depths at which the prefix cache can reuse a prefix's pages, so a router
-// that books them per replica can match a nested prefix from deepest to
-// shallowest and place the request on the replica holding the longest match.
-// pageTokens must be positive.
-func AlignedPrefixKeys(tokens []int, pageTokens int) []uint64 {
-	if pageTokens <= 0 {
-		panic("serve: AlignedPrefixKeys needs a positive pageTokens")
-	}
-	out := make([]uint64, 0, len(tokens)/pageTokens+1)
-	h := uint64(fnvOffset64)
-	for lo := 0; lo < len(tokens); lo += pageTokens {
-		h = fnv1a(h, tokens[lo:min(lo+pageTokens, len(tokens))])
-		out = append(out, h)
-	}
-	return out
-}
-
-// prefixKey content-addresses a shared prefix with FNV-1a over its tokens.
-func prefixKey(tokens []int) uint64 { return fnv1a(fnvOffset64, tokens) }
-
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// fnv1a rolls the FNV-1a hash h forward over tokens, one round per token: the
-// single spelling of the content hash behind PrefixKey and AlignedPrefixKeys.
-func fnv1a(h uint64, tokens []int) uint64 {
-	for _, t := range tokens {
-		h ^= uint64(t)
-		h *= fnvPrime64
-	}
-	return h
-}
