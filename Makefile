@@ -112,8 +112,8 @@ test-batch:
 # Pool lane: the spin paths of internal/parallel (hot helper, caller's wait,
 # park after the window) are schedule-sensitive, so the pool suite and the
 # model suites that sit on it — the decode step ≡ the per-stream serial
-# oracle, prefill conformance (cold ≡ prefix hit ≡ that oracle), cohort of one
-# ≡ cohort of eight — run under
+# oracle, prefill conformance (cold ≡ prefix hit ≡ that oracle, with and
+# without per-position logits), cohort of one ≡ cohort of eight — run under
 # the race detector at GOMAXPROCS 1 (every spin must yield), 2 and 4, three
 # times each (DESIGN.md §6, §13).
 test-pool:

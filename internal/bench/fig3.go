@@ -22,8 +22,7 @@ func runProbe(opt Options, layer, head, steps int) *probeRun {
 	m := model.New(cfg)
 	doc := workload.Doc(workload.DefaultDocConfig(), opt.ModelCtx)
 	seq := m.NewSequence(nil, 0)
-	last := seq.Prefill(doc, nil)
-	_ = last
+	seq.Prefill(doc, nil)
 
 	pr := &probeRun{}
 	seq.Probe = func(l, h int, w []float32) {

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -113,6 +114,79 @@ func TestPrefillConformanceTable(t *testing.T) {
 						t.Fatalf("float %d differs: %g vs %g", i, got[i], want[i])
 					}
 				}
+			})
+		}
+	}
+}
+
+// prefillArmFingerprint is what a prefill leaves for the rest of the
+// sequence's life, the part both Prefill arms must agree on: the returned
+// hidden state, every (layer, KV head) store's K/V and the logits of
+// decodeSteps greedy decode steps after it. Without per-position logits the
+// last layer attends only for the returned row; with them, for every row.
+func prefillArmFingerprint(seq *Sequence, tokens []int, withLogits bool, decodeSteps int) []float32 {
+	var logits []float32
+	if withLogits {
+		logits = make([]float32, len(tokens)*seq.m.cfg.VocabSize)
+	}
+	out := seq.Prefill(tokens, logits)
+	for _, st := range seq.stores {
+		out = append(out, st.ReadKeys(0, st.Len(), nil)...)
+		out = append(out, st.ReadValues(0, st.Len(), nil)...)
+	}
+	tok := tokens[len(tokens)-1]
+	for step := 0; step < decodeSteps; step++ {
+		dl := seq.Decode(tok)
+		out = append(out, dl...)
+		tok = argmax(dl)
+	}
+	return out
+}
+
+// TestPrefillConformanceWithoutLogits locks the path every server prefill
+// takes (no per-position logits) against the all-rows path the other suites
+// check: at every pool width and at prompt lengths around the query block and
+// the pool's grain, both arms return the same hidden state and leave the same
+// K/V and the same next decode logits, bit for bit.
+func TestPrefillConformanceWithoutLogits(t *testing.T) {
+	m := New(DefaultConfig())
+	r := rng.New(17)
+	for _, n := range []int{1, 2, 7, 8, 9, 63, 64, 65, 200} {
+		tokens := make([]int, n)
+		for i := range tokens {
+			tokens[i] = r.Intn(m.cfg.VocabSize)
+		}
+		for _, width := range prefillWidths {
+			withPoolWidth(t, width, func() {
+				want := prefillArmFingerprint(m.NewSequence(nil, 0), tokens, true, 4)
+				got := prefillArmFingerprint(m.NewSequence(nil, 0), tokens, false, 4)
+				sameBits(t, fmt.Sprintf("n=%d width=%d: nil logits vs logits", n, width), got, want)
+			})
+		}
+	}
+}
+
+// TestPrefillHitWithoutLogitsMatchesLogitsArm is the same lock on the path a
+// prefix hit takes: a 1- and a 32-token suffix prefilled on a fork of a
+// 1024-token document's snapshot.
+func TestPrefillHitWithoutLogitsMatchesLogitsArm(t *testing.T) {
+	m := New(DefaultConfig())
+	r := rng.New(19)
+	const docLen = 1024
+	tokens := make([]int, docLen+32)
+	for i := range tokens {
+		tokens[i] = r.Intn(m.cfg.VocabSize)
+	}
+	base := m.NewSequence(nil, 0)
+	base.Prefill(tokens[:docLen], nil)
+	snap := base.Snapshot()
+	for _, n := range []int{1, 32} {
+		suffix := tokens[docLen : docLen+n]
+		for _, width := range prefillWidths {
+			withPoolWidth(t, width, func() {
+				want := prefillArmFingerprint(m.NewSequenceFrom(snap, nil, 0), suffix, true, 4)
+				got := prefillArmFingerprint(m.NewSequenceFrom(snap, nil, 0), suffix, false, 4)
+				sameBits(t, fmt.Sprintf("suffix %d, width %d: nil logits vs logits", n, width), got, want)
 			})
 		}
 	}
