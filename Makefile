@@ -99,15 +99,17 @@ build-arm64:
 fuzz-kernels:
 	$(GO) test -run=NONE -fuzz=FuzzVecKernels -fuzztime=10s ./internal/tensor
 
-# Decode-cohort conformance lane: the cross-stream batched GEMM kernels, the
-# BatchDecoder suites (the one executor at cohort size 1 against sizes 2..8;
+# Decode-cohort conformance lane: the batched GEMM kernels (MatTMat, which
+# prefill's row blocks run as well as decode cohorts, against per-row GEMVs
+# and, through TestMatKernelConformance, the naive GEMM at pool widths
+# {1, 2, 3, 8}), the BatchDecoder suites (the one executor at cohort size 1 against sizes 2..8;
 # its comparison with the tests' per-stream serial oracle is in test-pool) and
 # the engine's cohort-of-8 ≡ cohort-of-1 ≡ serial-decode suites at
 # GOMAXPROCS=1 and at GOMAXPROCS=2 with the race detector, locking that a
 # stream's tokens do not depend on who shares its cohort (DESIGN.md §13).
 test-batch:
-	GOMAXPROCS=1 $(GO) test -count=1 -run 'MatTMat|MatMulRows|BatchDecode' ./internal/tensor/ ./internal/model/ ./internal/serve/
-	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'MatTMat|MatMulRows|BatchDecode' ./internal/tensor/ ./internal/model/ ./internal/serve/
+	GOMAXPROCS=1 $(GO) test -count=1 -run 'MatTMat|MatMulRows|MatKernel|BatchDecode' ./internal/tensor/ ./internal/model/ ./internal/serve/
+	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'MatTMat|MatMulRows|MatKernel|BatchDecode' ./internal/tensor/ ./internal/model/ ./internal/serve/
 
 # Pool lane: the spin paths of internal/parallel (hot helper, caller's wait,
 # park after the window) are schedule-sensitive, so the pool suite and the

@@ -15,7 +15,9 @@ import (
 // between the GEMM phases, because KV state is per-sequence; attention is
 // layerAttn over the cohort — selection per stream, or per (stream, KV head)
 // for a HeadParallel selector, then every (stream, head) pair fanned out over
-// the shared pool.
+// the shared pool. Everything after attention — the output projection, the
+// residual adds and the SwiGLU block — is outFFN, the same body (and the same
+// MatTMat kernel) prefill runs on each of its query blocks.
 //
 // Determinism contract: every batched kernel keeps, per row, the reduction
 // order of a serial GEMV, and streams share nothing but read-only weights, so
@@ -47,26 +49,28 @@ func (m *Model) NewBatchDecoder() *BatchDecoder {
 	return &BatchDecoder{m: m}
 }
 
-// grow sizes every scratch matrix to an S-row cohort, reusing backing
-// storage when capacity allows.
+// resize makes mt a rows×cols matrix, reusing its backing storage when
+// capacity allows.
+func resize(mt *tensor.Mat, rows, cols int) {
+	mt.Rows, mt.Cols = rows, cols
+	if need := rows * cols; cap(mt.Data) < need {
+		mt.Data = make([]float32, need)
+	} else {
+		mt.Data = mt.Data[:need]
+	}
+}
+
+// grow sizes every scratch matrix to an S-row cohort.
 func (bd *BatchDecoder) grow(S int) {
 	cfg := bd.m.cfg
-	size := func(mt *tensor.Mat, cols int) {
-		mt.Rows, mt.Cols = S, cols
-		if need := S * cols; cap(mt.Data) < need {
-			mt.Data = make([]float32, need)
-		} else {
-			mt.Data = mt.Data[:need]
-		}
-	}
-	size(&bd.x, cfg.DModel)
-	size(&bd.normed, cfg.DModel)
-	size(&bd.q, cfg.NHeads*cfg.HeadDim)
-	size(&bd.k, cfg.NKVHeads*cfg.HeadDim)
-	size(&bd.v, cfg.NKVHeads*cfg.HeadDim)
-	size(&bd.attnOut, cfg.NHeads*cfg.HeadDim)
-	size(&bd.gate, cfg.FFNDim)
-	size(&bd.up, cfg.FFNDim)
+	resize(&bd.x, S, cfg.DModel)
+	resize(&bd.normed, S, cfg.DModel)
+	resize(&bd.q, S, cfg.NHeads*cfg.HeadDim)
+	resize(&bd.k, S, cfg.NKVHeads*cfg.HeadDim)
+	resize(&bd.v, S, cfg.NKVHeads*cfg.HeadDim)
+	resize(&bd.attnOut, S, cfg.NHeads*cfg.HeadDim)
+	resize(&bd.gate, S, cfg.FFNDim)
+	resize(&bd.up, S, cfg.FFNDim)
 }
 
 // DecodeInto advances every sequence in the cohort by one token: seqs[i]
@@ -148,23 +152,7 @@ func (bd *BatchDecoder) DecodeInto(seqs []*Sequence, tokens []int, logits [][]fl
 		// (stream, KV head), then every (stream, head) pair on its own
 		// scratch, each writing a disjoint slice of its attnOut row.
 		bd.attn.run(pool, l)
-		tensor.MatTMatOn(pool, &bd.normed, lw.wo, &bd.attnOut)
-		for i := range seqs {
-			tensor.Add(bd.x.Row(i), bd.x.Row(i), bd.normed.Row(i))
-		}
-		// SwiGLU block, batched: same phase order as ffnBlock per stream.
-		for i := range seqs {
-			rmsNorm(bd.normed.Row(i), bd.x.Row(i), lw.ffnNorm)
-		}
-		tensor.MatTMatOn(pool, &bd.gate, lw.w1, &bd.normed)
-		tensor.MatTMatOn(pool, &bd.up, lw.w3, &bd.normed)
-		for i := range seqs {
-			tensor.SiluMul(bd.gate.Row(i), bd.up.Row(i))
-		}
-		tensor.MatTMatOn(pool, &bd.normed, lw.w2, &bd.gate)
-		for i := range seqs {
-			tensor.Add(bd.x.Row(i), bd.x.Row(i), bd.normed.Row(i))
-		}
+		lw.outFFN(pool, &bd.x, &bd.attnOut, &bd.normed, &bd.gate, &bd.up)
 		for _, s := range seqs {
 			if s.la != nil {
 				s.la.AfterLayer(l)
@@ -182,4 +170,27 @@ func (bd *BatchDecoder) DecodeInto(seqs []*Sequence, tokens []int, logits [][]fl
 	}
 	w.embedP.MatMulRowsOn(pool, logits, &bd.normed)
 	bd.attn.seqs = nil // the cohort slice is the caller's to reuse
+}
+
+// outFFN is a layer's post-attention body over the rows of x: the output
+// projection of attnOut into the residual, then the SwiGLU block, every
+// weight product one MatTMat on pool (nil runs serial). normed, gate and up
+// are scratch of x's row count (gate and up FFNDim wide). The decode step
+// runs it on its cohort, prefill on each query block; row i is the
+// per-row GEMV step's arithmetic bit for bit.
+func (lw *layerWeights) outFFN(pool *parallel.Pool, x, attnOut, normed, gate, up *tensor.Mat) {
+	tensor.MatTMatOn(pool, normed, lw.wo, attnOut)
+	for i := 0; i < x.Rows; i++ {
+		tensor.Add(x.Row(i), x.Row(i), normed.Row(i))
+		rmsNorm(normed.Row(i), x.Row(i), lw.ffnNorm)
+	}
+	tensor.MatTMatOn(pool, gate, lw.w1, normed)
+	tensor.MatTMatOn(pool, up, lw.w3, normed)
+	for i := 0; i < x.Rows; i++ {
+		tensor.SiluMul(gate.Row(i), up.Row(i))
+	}
+	tensor.MatTMatOn(pool, normed, lw.w2, gate)
+	for i := 0; i < x.Rows; i++ {
+		tensor.Add(x.Row(i), x.Row(i), normed.Row(i))
+	}
 }

@@ -205,24 +205,13 @@ func (s *Sequence) Selector() attention.Selector { return s.sel }
 const prefillQueryBlock = 8
 
 // prefillScratch is the per-executor scratch of the position-parallel
-// attention + FFN phase. A block of the phase takes one from the prefill's
-// free list and puts it back, so no float buffer is ever shared between
-// concurrent positions and a prefill makes at most pool-width of them.
+// attention + FFN phase: outFFN's operands for one query block, resized to
+// its row count. A block of the phase takes one from the prefill's free list
+// and puts it back, so no float buffer is ever shared between concurrent
+// positions and a prefill makes at most pool-width of them.
 type prefillScratch struct {
-	attnOut []float32 // prefillQueryBlock rows of NHeads*HeadDim
-	normed  []float32
-	ffnGate []float32
-	ffnUp   []float32
-	attn    attention.Scratch
-}
-
-func newPrefillScratch(cfg Config) *prefillScratch {
-	return &prefillScratch{
-		attnOut: make([]float32, prefillQueryBlock*cfg.NHeads*cfg.HeadDim),
-		normed:  make([]float32, cfg.DModel),
-		ffnGate: make([]float32, cfg.FFNDim),
-		ffnUp:   make([]float32, cfg.FFNDim),
-	}
+	attnOut, normed, gate, up tensor.Mat
+	attn                      attention.Scratch
 }
 
 // Prefill processes the whole prompt with full attention, layer by layer
@@ -242,11 +231,14 @@ func newPrefillScratch(cfg Config) *prefillScratch {
 // still prices prefill per token.
 //
 // The O(L²) hot path is intra-op parallel on the shared parallel.Default
-// pool: per-position work (norms, rope, attention, FFN) fans out over
-// positions, and the QKV projections run as blocked GEMMs. Every parallel
-// split writes disjoint outputs with the serial per-element reduction order,
-// so outputs are bit-identical to a single-worker run at any pool width;
-// only the serial KV append preserves store order by construction.
+// pool, in two row-parallel phases per layer around the serial KV append:
+// norm, QKV projections and rope over blocks of positions, then attention
+// and outFFN over query blocks. Every weight product is the decode step's
+// MatTMat run serially on a block's rows, and outFFN is the decode step's
+// post-attention body. Every parallel split writes disjoint outputs with the
+// serial per-element reduction order, so outputs are bit-identical to a
+// single-worker run at any pool width; only the serial KV append preserves
+// store order by construction.
 func (s *Sequence) Prefill(tokens []int, wantLogits []float32) []float32 {
 	cfg := s.m.cfg
 	w := s.m.w
@@ -264,11 +256,11 @@ func (s *Sequence) Prefill(tokens []int, wantLogits []float32) []float32 {
 	// Grow the rope table up front so parallel workers only read it.
 	s.m.ropeAt(s.pos + n - 1)
 
-	// hidden[i] for all positions (row-major n×DModel).
-	hs := make([]float32, n*cfg.DModel)
+	// hidden[i] for all positions.
+	hs := tensor.NewMat(n, cfg.DModel)
 	pool.For(n, 64, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			copy(hs[i*cfg.DModel:(i+1)*cfg.DModel], w.embed.Row(tokens[i]))
+			copy(hs.Row(i), w.embed.Row(tokens[i]))
 		}
 	})
 
@@ -280,25 +272,25 @@ func (s *Sequence) Prefill(tokens []int, wantLogits []float32) []float32 {
 	qall := tensor.NewMat(n, qdim)
 	kall := tensor.NewMat(n, kvdim)
 	vall := tensor.NewMat(n, kvdim)
+	qkvGrain := parallel.Grain(cfg.DModel * (qdim + 2*kvdim))
 
 	for l := 0; l < cfg.NLayers; l++ {
 		if s.la != nil {
 			s.la.BeforeLayer(l)
 		}
 		lw := &w.layers[l]
-		// Pre-attention norms, row-parallel.
-		pool.For(n, 16, func(lo, hi int) {
+		// Pre-attention norm, QKV projections, rotary embedding and sink
+		// shaping, row-parallel: each block projects its own rows with a
+		// serial MatTMat (MatTMatOn on the pool would split the few output
+		// columns instead).
+		pool.For(n, qkvGrain, func(lo, hi int) {
+			normed := normAll.RowBlock(lo, hi)
 			for i := lo; i < hi; i++ {
-				rmsNorm(normAll.Row(i), hs[i*cfg.DModel:(i+1)*cfg.DModel], lw.attnNorm)
+				rmsNorm(normAll.Row(i), hs.Row(i), lw.attnNorm)
 			}
-		})
-		// QKV for all positions as blocked GEMMs (row i of the product is
-		// exactly the per-position MatTVec of the serial path).
-		tensor.MatMulOn(pool, qall, normAll, lw.wq)
-		tensor.MatMulOn(pool, kall, normAll, lw.wk)
-		tensor.MatMulOn(pool, vall, normAll, lw.wv)
-		// Rotary embedding + sink shaping, row-parallel.
-		pool.For(n, 16, func(lo, hi int) {
+			tensor.MatTMatOn(nil, qall.RowBlock(lo, hi), lw.wq, normed)
+			tensor.MatTMatOn(nil, kall.RowBlock(lo, hi), lw.wk, normed)
+			tensor.MatTMatOn(nil, vall.RowBlock(lo, hi), lw.wv, normed)
 			for i := lo; i < hi; i++ {
 				pos := s.pos + i
 				q := qall.Row(i)
@@ -341,19 +333,19 @@ func (s *Sequence) Prefill(tokens []int, wantLogits []float32) []float32 {
 			select {
 			case sc = <-scratch:
 			default:
-				sc = newPrefillScratch(cfg)
+				sc = new(prefillScratch)
 			}
 			for i0 := lo; i0 < hi; i0 += prefillQueryBlock {
 				nq := min(prefillQueryBlock, hi-i0)
+				resize(&sc.attnOut, nq, qdim)
+				resize(&sc.normed, nq, cfg.DModel)
+				resize(&sc.gate, nq, cfg.FFNDim)
+				resize(&sc.up, nq, cfg.FFNDim)
 				for hh := 0; hh < cfg.NHeads; hh++ {
 					off := hh * cfg.HeadDim
-					sc.attn.FullBlock(sc.attnOut[off:], qall.Data[i0*qdim+off:], qdim, s.Store(l, hh/group), s.pos+i0+1, nq)
+					sc.attn.FullBlock(sc.attnOut.Data[off:], qall.Data[i0*qdim+off:], qdim, s.Store(l, hh/group), s.pos+i0+1, nq)
 				}
-				for i := i0; i < i0+nq; i++ {
-					h := hs[i*cfg.DModel : (i+1)*cfg.DModel]
-					addProjected(h, lw.wo, sc.attnOut[(i-i0)*qdim:(i-i0+1)*qdim], sc.normed)
-					ffnBlock(h, lw, sc.normed, sc.ffnGate, sc.ffnUp)
-				}
+				lw.outFFN(nil, hs.RowBlock(i0, i0+nq), &sc.attnOut, &sc.normed, &sc.gate, &sc.up)
 			}
 			scratch <- sc
 		})
@@ -376,14 +368,13 @@ func (s *Sequence) Prefill(tokens []int, wantLogits []float32) []float32 {
 		pool.For(n, 1, func(lo, hi int) {
 			normed := make([]float32, cfg.DModel)
 			for i := lo; i < hi; i++ {
-				h := hs[i*cfg.DModel : (i+1)*cfg.DModel]
-				rmsNorm(normed, h, w.finalNorm)
+				rmsNorm(normed, hs.Row(i), w.finalNorm)
 				w.embedP.MatVecOn(nil, wantLogits[i*cfg.VocabSize:(i+1)*cfg.VocabSize], normed)
 			}
 		})
 	}
 	last := make([]float32, cfg.DModel)
-	copy(last, hs[(n-1)*cfg.DModel:])
+	copy(last, hs.Row(n-1))
 	return last
 }
 
@@ -399,23 +390,6 @@ func (m *Model) shapeQuery(q []float32) {
 	if m.cfg.SinkStrength != 0 {
 		tensor.Axpy(sinkQueryGain, m.w.sinkDir, q)
 	}
-}
-
-// addProjected computes h += woᵀ·attnOut using scratch (DModel).
-func addProjected(h []float32, wo *tensor.Mat, attnOut, scratch []float32) {
-	tensor.MatTVec(scratch, wo, attnOut)
-	tensor.Add(h, h, scratch)
-}
-
-// ffnBlock is the SwiGLU block over caller-provided scratch (normed: DModel,
-// gate/up: FFNDim), so parallel prefill positions can run it concurrently.
-func ffnBlock(h []float32, lw *layerWeights, normed, gate, up []float32) {
-	rmsNorm(normed, h, lw.ffnNorm)
-	tensor.MatTVec(gate, lw.w1, normed)
-	tensor.MatTVec(up, lw.w3, normed)
-	tensor.SiluMul(gate, up)
-	tensor.MatTVec(normed, lw.w2, gate)
-	tensor.Add(h, h, normed)
 }
 
 // Decode processes one token through the model using the sequence's

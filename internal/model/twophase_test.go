@@ -113,6 +113,23 @@ func (o *serialOracle) decodeInto(token int, logits []float32) {
 	w.embedP.MatVecOn(nil, logits, o.normed)
 }
 
+// addProjected computes h += woᵀ·attnOut using scratch (DModel).
+func addProjected(h []float32, wo *tensor.Mat, attnOut, scratch []float32) {
+	tensor.MatTVec(scratch, wo, attnOut)
+	tensor.Add(h, h, scratch)
+}
+
+// ffnBlock is the SwiGLU block of one row over caller-provided scratch
+// (normed: DModel, gate/up: FFNDim), one GEMV per weight matrix.
+func ffnBlock(h []float32, lw *layerWeights, normed, gate, up []float32) {
+	rmsNorm(normed, h, lw.ffnNorm)
+	tensor.MatTVec(gate, lw.w1, normed)
+	tensor.MatTVec(up, lw.w3, normed)
+	tensor.SiluMul(gate, up)
+	tensor.MatTVec(normed, lw.w2, gate)
+	tensor.Add(h, h, normed)
+}
+
 // selectionCounters is the part of SelStats a decode step's selections set.
 func selectionCounters(s attention.SelStats) [6]int64 {
 	return [6]int64{s.SelectCalls, s.TokensSelected, s.TokensHit, s.TokensLoaded, s.ScoreOps, s.ClustersSelected}

@@ -2,14 +2,15 @@ package tensor
 
 import "clusterkv/internal/parallel"
 
-// Cross-stream batched GEMM kernels (DESIGN.md §13). A decode round with S
-// streams issues the same weight-matrix products S times as GEMVs; these
-// kernels walk each weight row once and apply it to every stream's
-// activation, so the weight operand streams from memory once per round
-// instead of once per stream. Each output row keeps the exact per-element
-// reduction order of the corresponding GEMV (rows ascending, the x == 0
-// skip, one accumulator per element), so batched results are bit-identical
-// to the per-stream kernels at any batch size and any pool width.
+// Batched GEMM kernels (DESIGN.md §13). MatTMat is the one kernel that
+// applies a layer's weights to activations: the decode step runs it on its
+// cohort's rows (one per stream) and prefill on blocks of prompt rows. It
+// walks each weight row once and applies it to every activation row, so the
+// weight operand streams from memory once per call instead of once per row.
+// Each output row keeps the exact per-element reduction order of the
+// corresponding GEMV (rows ascending, the x == 0 skip, one accumulator per
+// element), so batched results are bit-identical to the per-row kernels at
+// any row count and any pool width.
 
 // MatTMat computes dst.Row(s) = mᵀ · x.Row(s) for every row s of x on the
 // shared intra-op pool. Shapes: m is R×C, x is S×R, dst is S×C. Row s of dst

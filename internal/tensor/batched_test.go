@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -14,7 +15,9 @@ import (
 // batched and per-stream decode without changing a single token.
 
 var batchWidths = []int{1, 2, 3, 8}
-var batchSizes = []int{1, 2, 3, 8}
+
+// batchSizes are decode cohorts (1–8) and prefill row blocks (33, 200).
+var batchSizes = []int{1, 2, 3, 8, 33, 200}
 
 func randMat(r *rng.RNG, rows, cols int, zeroFrac float64) *Mat {
 	m := NewMat(rows, cols)
@@ -99,5 +102,50 @@ func TestPackedMatMulRowsMatchesMatVec(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// benchShapes are the weight shapes of the kernel benchmarks: a projection of
+// the default model (64×128, its w1/w3) and a paper-scale one.
+var benchShapes = []struct{ r, c int }{{64, 128}, {512, 1024}}
+
+// reportGFLOPs reports the multiply-adds of b.N calls over rows activation
+// rows of an r×c weight matrix as GFLOP/s.
+func reportGFLOPs(b *testing.B, r, c, rows int) {
+	b.ReportMetric(2*float64(r*c*rows)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+}
+
+// BenchmarkMatTMat times the one weight-product kernel serially at decode
+// cohort sizes (1, 4, 8) and a prefill-like row block (32).
+func BenchmarkMatTMat(b *testing.B) {
+	for _, sh := range benchShapes {
+		r := rng.New(uint64(sh.r))
+		m := randMat(r, sh.r, sh.c, 0)
+		for _, S := range []int{1, 4, 8, 32} {
+			x := randMat(r, S, sh.r, 0)
+			dst := NewMat(S, sh.c)
+			b.Run(fmt.Sprintf("%dx%d/rows%d", sh.r, sh.c, S), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					MatTMatOn(nil, dst, m, x)
+				}
+				reportGFLOPs(b, sh.r, sh.c, S)
+			})
+		}
+	}
+}
+
+// BenchmarkMatTVec is BenchmarkMatTMat's per-row GEMV baseline.
+func BenchmarkMatTVec(b *testing.B) {
+	for _, sh := range benchShapes {
+		r := rng.New(uint64(sh.r))
+		m := randMat(r, sh.r, sh.c, 0)
+		x := randMat(r, 1, sh.r, 0)
+		dst := make([]float32, sh.c)
+		b.Run(fmt.Sprintf("%dx%d", sh.r, sh.c), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				MatTVecOn(nil, dst, m, x.Row(0))
+			}
+			reportGFLOPs(b, sh.r, sh.c, 1)
+		})
 	}
 }

@@ -131,7 +131,7 @@ func TestMatKernelConformance(t *testing.T) {
 			bitsEqual(t, sprintShape("MatTVec", m, k, n, width), gotMTV, wantMTV)
 
 			gotMM := NewMat(m, n)
-			MatMulOn(p, gotMM, a, b)
+			MatTMatOn(p, gotMM, b, a)
 			bitsEqual(t, sprintShape("MatMul", m, k, n, width), gotMM.Data, wantMM.Data)
 			p.Close()
 		}
@@ -141,7 +141,7 @@ func TestMatKernelConformance(t *testing.T) {
 		MatVec(gotMV, a, x)
 		bitsEqual(t, sprintShape("MatVec/default", m, k, n, 0), gotMV, wantMV)
 		gotMM := NewMat(m, n)
-		MatMulOn(parallel.Default(), gotMM, a, b)
+		MatTMat(gotMM, b, a)
 		bitsEqual(t, sprintShape("MatMul/default", m, k, n, 0), gotMM.Data, wantMM.Data)
 	}
 }
@@ -155,7 +155,7 @@ func TestMatKernelZeroRows(t *testing.T) {
 		MatVecOn(p, []float32{}, a, make([]float32, 5))
 		MatTVecOn(p, make([]float32, 5), a, []float32{}) // 0 rows: dst stays zero
 		c := NewMat(0, 3)
-		MatMulOn(p, c, a, NewMat(5, 3))
+		MatTMatOn(p, c, NewMat(5, 3), a)
 		p.Close()
 	}
 }

@@ -35,6 +35,11 @@ func (m *Mat) Row(i int) []float32 {
 	return m.Data[i*m.Cols : (i+1)*m.Cols]
 }
 
+// RowBlock returns rows [lo, hi) as a matrix aliasing m's storage.
+func (m *Mat) RowBlock(lo, hi int) *Mat {
+	return &Mat{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
+}
+
 // At returns element (i, j).
 func (m *Mat) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
 
@@ -103,37 +108,6 @@ func matTVecBandGo(dst []float32, m *Mat, x []float32, lo, hi int) {
 		row := m.Data[i*m.Cols+lo : i*m.Cols+hi]
 		for j, v := range row {
 			band[j] += xi * v
-		}
-	}
-}
-
-// MatMulOn computes c = a · b on pool p (nil runs serial). Shapes: a is M×K,
-// b is K×N, c is M×N. c must not alias a or b. Output rows are computed in
-// parallel; each row accumulates over k in ascending order (with the a==0
-// skip) exactly as the serial loop, so results are bit-identical at any
-// width.
-func MatMulOn(p *parallel.Pool, c, a, b *Mat) {
-	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
-		panic("tensor: MatMulOn dimension mismatch")
-	}
-	p.For(a.Rows, kernelGrain(a.Cols*b.Cols), func(lo, hi int) { matMulBand(c, a, b, lo, hi) })
-}
-
-// matMulBandGo is the scalar MatMulOn over output rows [lo, hi) (see
-// dotRowsGo).
-func matMulBandGo(c, a, b *Mat, lo, hi int) {
-	Fill(c.Data[lo*c.Cols:hi*c.Cols], 0)
-	for i := lo; i < hi; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		crow := c.Data[i*c.Cols : (i+1)*c.Cols]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
 		}
 	}
 }

@@ -171,7 +171,7 @@ func TestMatMulAgainstNaive(t *testing.T) {
 		b.Data[i] = r.NormFloat32()
 	}
 	c := NewMat(4, 3)
-	MatMulOn(parallel.Default(), c, a, b)
+	MatTMatOn(parallel.Default(), c, b, a)
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 3; j++ {
 			var want float32

@@ -225,17 +225,6 @@ func matTVecBand(dst []float32, m *Mat, x []float32, lo, hi int) {
 	axpyRows(band, x, m.Data[lo:], m.Cols)
 }
 
-func matMulBand(c, a, b *Mat, lo, hi int) {
-	if !useVec || a.Cols == 0 || b.Cols < 8 {
-		matMulBandGo(c, a, b, lo, hi)
-		return
-	}
-	Fill(c.Data[lo*c.Cols:hi*c.Cols], 0)
-	for i := lo; i < hi; i++ {
-		axpyRows(c.Row(i), a.Row(i), b.Data, b.Cols)
-	}
-}
-
 func matTMatBand(dst, m, x *Mat, lo, hi int) {
 	if !useVec || m.Rows == 0 || hi-lo < 8 {
 		matTMatBandGo(dst, m, x, lo, hi)

@@ -222,11 +222,6 @@ func TestVecMatKernels(t *testing.T) {
 			matTMatBandGo(want, m, x, lo, hi)
 			expectBitsEqual(t, sprintShape("matTMatBand", sh.r, sh.c, sh.s, lo), got.Data, want.Data)
 		}
-		got, want := NewMat(sh.s, sh.c), NewMat(sh.s, sh.c)
-		matMulBand(got, x, m, 0, sh.s)
-		matMulBandGo(want, x, m, 0, sh.s)
-		expectBitsEqual(t, sprintShape("matMulBand", sh.r, sh.c, sh.s, 0), got.Data, want.Data)
-
 		// Packed head: m's columns are the activations, its rows the vocabulary.
 		pm := Pack(m)
 		np := (sh.r + packRows - 1) / packRows

@@ -35,10 +35,6 @@ func matTVecBand(dst []float32, m *Mat, x []float32, lo, hi int) {
 	matTVecBandGo(dst, m, x, lo, hi)
 }
 
-func matMulBand(c, a, b *Mat, lo, hi int) {
-	matMulBandGo(c, a, b, lo, hi)
-}
-
 func matTMatBand(dst, m, x *Mat, lo, hi int) {
 	matTMatBandGo(dst, m, x, lo, hi)
 }
