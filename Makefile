@@ -27,24 +27,26 @@ test-seq:
 # transfer-path packages under the race detector at GOMAXPROCS=2, the
 # narrowest schedule that still interleaves the streams of a round on the
 # engine's one runtime (DESIGN.md §8); then the telemetry determinism test,
-# the intake stress test and the three host-tier tests four more times, since a
-# schedule-dependent total, a lost or doubled request id, or a Metrics read
-# racing the scheduler's spill pass shows up only sometimes.
+# the intake stress test, the three host-tier tests and the cached-prefix
+# accessor test four more times, since a schedule-dependent total, a lost or
+# doubled request id, or a Metrics or CachedPrefixes read racing the
+# scheduler shows up only sometimes.
 test-xfer-race:
 	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/serve/ ./internal/kvcache/ ./internal/core/
-	GOMAXPROCS=2 $(GO) test -race -count=4 -run 'TestTransferTelemetryDeterministic|TestEngineStressRandomizedLifecycles|TestShutdownMidSpillDrainsCleanly|TestTwoTierHostCountFollowsFootprint|TestEvictedSpilledPrefixTakesItsHostSlots' ./internal/serve/
+	GOMAXPROCS=2 $(GO) test -race -count=4 -run 'TestTransferTelemetryDeterministic|TestEngineStressRandomizedLifecycles|TestShutdownMidSpillDrainsCleanly|TestTwoTierHostCountFollowsFootprint|TestEvictedSpilledPrefixTakesItsHostSlots|TestCachedPrefixesFollowsEviction' ./internal/serve/
 
 # Fleet determinism lane: the multi-replica router suite and its front door,
 # the clusterkv-serve CLI, at the serial schedule and at GOMAXPROCS=2
 # (race-enabled), locking identical placements, tokens and metrics across
-# replica counts {1,2,4} (DESIGN.md §9); then the streaming Submit/Wait tests
-# and the malformed-shared-prefix test (Run and Submit on one router) four
-# more times, since a booking settled twice or never, a ticket lost in
-# failover, or a router left locked shows up only under some interleavings.
+# replica counts {1,2,4} (DESIGN.md §9); then the streaming Submit/Wait tests,
+# the 2000-Submit residency soak and the malformed-shared-prefix test (Run and
+# Submit on one router) four more times, since a booking settled twice or
+# never, a ticket lost in failover, a residency refresh racing the engines, or
+# a router left locked shows up only under some interleavings.
 test-fleet:
 	GOMAXPROCS=1 $(GO) test -count=1 ./internal/fleet/ ./cmd/clusterkv-serve/
 	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/fleet/ ./cmd/clusterkv-serve/
-	GOMAXPROCS=2 $(GO) test -race -count=4 -run 'Submit|Streaming|MalformedSharedPrefix' ./internal/fleet/
+	GOMAXPROCS=2 $(GO) test -race -count=4 -run 'Submit|Streaming|Soak|MalformedSharedPrefix' ./internal/fleet/
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .

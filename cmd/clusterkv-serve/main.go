@@ -92,7 +92,7 @@ func main() {
 		qLen      = flag.Int("qlen", 32, "question suffix length (tokens)")
 		newTok    = flag.Int("newtokens", 24, "tokens generated per request")
 		budget    = flag.Int("budget", 256, "per-head KV budget for compressed methods")
-		kvBudget  = flag.Int64("kvbudget", 0, "per-replica device KV budget in per-head token slots (0 = unlimited), metered in exact arena pages")
+		kvBudget  = flag.Int64("kvbudget", 0, "per-replica device KV budget in per-head token slots, metered in exact arena pages (0 = unlimited: the prefix cache then never evicts and grows with the distinct documents served, so set it for an open-loop -rate server over an open document set)")
 		hostBud   = flag.Int64("hostbudget", 0, "per-replica host-tier KV budget in per-head token slots (0 = single-tier); with -kvbudget set, admission gates on device+host and cold pages spill host-ward between rounds")
 		rate      = flag.Float64("rate", 0, "open-loop arrival rate in req/s, streamed through Router.Submit: placed by Run's ledger rule, each booking settled as its request completes (0 = closed loop, one deterministic Router.Run)")
 		sloTTFT   = flag.Float64("slo-ttft", 0, "modeled TTFT SLO in milliseconds (0 = none)")

@@ -5,13 +5,17 @@
 // already cached on replica A is a near-free prefill there and a full
 // re-prefill anywhere else, so *where* a request lands decides its TTFT. The
 // router has one placement rule, prefix affinity: route to the replica that,
-// by the router's ledger of booked prefixes, offers the deepest reuse of the
-// request's shared prefix under the engine's own rule (serve.PrefixReuse), so
-// nested-prefix traffic (multi-turn chat, agentic re-entry, templated RAG)
-// follows the replica holding the deepest cached ancestor and is priced at
-// the prefill that replica's engine will actually skip — and fall
-// back to least-loaded (KV pages, then queue depth) with consistent hashing as
-// the deterministic tiebreaker for unshared or not yet placed prefixes. Every
+// by the router's residents (the prefixes its engines cache, plus those booked
+// since the last refresh), offers the deepest reuse of the request's shared
+// prefix under the engine's own rule (serve.PrefixReuse), so nested-prefix
+// traffic (multi-turn chat, agentic re-entry, templated RAG) follows the
+// replica holding the deepest cached ancestor and is priced at the prefill
+// that replica's engine will actually skip — and fall back to least-loaded
+// (KV pages, then queue depth) with consistent hashing as the deterministic
+// tiebreaker for unshared or not yet placed prefixes. The engines own prefix
+// residency: a refresh takes each replica's cached prefixes and live arena
+// pages from its engine, so an entry the engine evicted stops attracting and
+// pricing placements. Every
 // placement carries a modeled TTFT (replica backlog + marginal prefill +
 // first token, priced on serve.CostModel), and requests predicted to miss a
 // configured TTFT SLO are re-routed to the best replica or, optionally, shed.
@@ -20,11 +24,12 @@
 // instead of blocking on a saturated intake) and Ticket.Wait settles each
 // streaming booking.
 //
-// Determinism: placement reads router-owned ledgers only (never wall clock or
-// engine gauges), each replica's engine is itself deterministic, and modeled
-// TTFT/TBT are read off each engine's modeled round clock — so a fixed (load,
-// config, seed) reproduces Router.Run's placements, token streams and fleet
-// metrics exactly, at any GOMAXPROCS. With one replica, Router.Run
+// Determinism: placement reads router-owned ledgers only (never wall clock),
+// which Run refreshes from the engines only on entry, when the fleet is
+// drained and each replica's engine, itself deterministic, has settled; and
+// modeled TTFT/TBT are read off each engine's modeled round clock — so a fixed
+// (load, config, seed) reproduces Router.Run's placements, token streams and
+// fleet metrics exactly, at any GOMAXPROCS. With one replica, Router.Run
 // degenerates to Engine.Run token-for-token.
 package fleet
 
@@ -127,14 +132,11 @@ func (t *Ticket) Wait() Response {
 	return out
 }
 
-// resident is one shared prefix booked onto a replica: the ledger's model of
-// an entry in that replica's prefix cache.
+// resident is one shared prefix on a replica: an entry of that replica's
+// prefix cache as of the last refresh, or one booked there since.
 type resident struct {
 	tokens  []int
 	replica int
-	// pages are the KV pages the prefix added on its replica beyond the
-	// deepest reuse already resident there (the rebase model).
-	pages int64
 }
 
 // Router places requests across a fleet of engine replicas. All methods are
@@ -152,12 +154,12 @@ type Router struct {
 	planes int64
 
 	mu sync.Mutex
-	// Placement ledgers: the router's own deterministic model of each
-	// replica's state. Placement consults only these (never engine gauges),
-	// which is what makes fleet placement reproducible.
-	residents     []resident // booked shared prefixes, in booking order
+	// Placement ledgers: each replica's state as placement sees it.
+	// refreshLocked resets residency and pages to the engine's; placement
+	// consults only these, which is what makes fleet placement reproducible.
+	residents     []resident // shared prefixes on replicas, in booking order
 	assignedReqs  []int64    // requests routed since the last rebase
-	assignedPages []int64    // modeled KV pages routed per replica (prefix counted once)
+	assignedPages []int64    // arena pages at the last refresh plus modeled pages routed since
 	backlogSec    []float64  // modeled seconds of work routed since the last rebase
 	routedReqs    []int64    // cumulative per-replica placements (Summary)
 
@@ -391,9 +393,10 @@ func (r *Router) choose(req *serve.Request) placement {
 	pred := r.predictTTFT(rep, margToks)
 	rerouted := false
 	if slo := r.cfg.SLOTTFT; slo > 0 && pred > slo {
-		// Find the best-predicted replica: shedding is judged against it, so a request is shed only when *every* replica's
-		// modeled TTFT misses the SLO (the ErrSLOShed contract). Strictly
-		// better only, so ties deterministically keep the original choice.
+		// Find the best-predicted replica: shedding is judged against it,
+		// so a request is shed only when *every* replica's modeled TTFT
+		// misses the SLO (the ErrSLOShed contract). Strictly better only, so
+		// ties deterministically keep the original choice.
 		best, bestPred, bestMarg := rep, pred, margToks
 		for c := 0; c < len(r.engines); c++ {
 			if c == rep {
@@ -420,9 +423,9 @@ func (r *Router) choose(req *serve.Request) placement {
 
 // book commits placement p of the request numbered seq to the ledgers,
 // counts and traces a reroute, traces the placement, and returns what it
-// booked. A shared prefix not already fully resident on the replica joins
-// the resident list, charged only the pages it adds beyond the deepest reuse
-// already resident there. Caller holds r.mu.
+// booked. A shared prefix not already resident on the replica joins the
+// resident list, as the replica's engine will insert it into its cache.
+// Caller holds r.mu.
 func (r *Router) book(req *serve.Request, p placement, seq uint64) booking {
 	if p.rerouted {
 		r.rerouted++
@@ -438,9 +441,10 @@ func (r *Router) book(req *serve.Request, p placement, seq uint64) booking {
 	r.routedReqs[rep]++
 	r.assignedPages[rep] += b.pages
 	r.backlogSec[rep] += b.sec
-	if depth := r.reuse(p.prefix, rep); depth < len(p.prefix) {
-		r.residents = append(r.residents, resident{tokens: p.prefix, replica: rep,
-			pages: (r.lm.PagesFor(len(p.prefix)) - r.lm.PagesFor(depth)) * r.planes})
+	if p.prefix != nil && !slices.ContainsFunc(r.residents, func(e resident) bool {
+		return e.replica == rep && slices.Equal(e.tokens, p.prefix)
+	}) {
+		r.residents = append(r.residents, resident{tokens: p.prefix, replica: rep})
 	}
 	return b
 }
@@ -454,9 +458,9 @@ func (r *Router) shedLocked(seq uint64, predTTFT float64) Response {
 }
 
 // settleLocked takes a waited streaming request's booking off the load
-// ledgers, never below zero (a Run in between rebased them); a replica left
-// with no booked request has no backlog. Prefix residency stays booked.
-// Caller holds r.mu.
+// ledgers, never below zero (a Run in between rebased them). A replica left
+// with no booked request has no backlog, and its residency and pages are
+// refreshed from its engine. Caller holds r.mu.
 func (r *Router) settleLocked(b booking) {
 	rep := b.rep
 	r.assignedReqs[rep] = max(r.assignedReqs[rep]-1, 0)
@@ -464,24 +468,37 @@ func (r *Router) settleLocked(b booking) {
 	r.backlogSec[rep] = max(r.backlogSec[rep]-b.sec, 0)
 	if r.assignedReqs[rep] == 0 {
 		r.backlogSec[rep] = 0
+		r.refreshLocked(rep)
 	}
 }
 
 // rebaseLocked resets the load ledgers to the state that actually survives a
-// drained fleet: no backlog, no queued requests, only cached prefix pages
-// still resident on their replicas. Run calls it on entry — Run is
+// drained fleet: no backlog, no queued requests, and each replica's residency
+// and pages as its engine holds them. Run calls it on entry — Run is
 // synchronous, so by the time a previous Run returned, its routed work has
 // completed and predicting TTFT against it would spuriously reroute or shed
 // (a streaming ticket settles its own booking on Wait). Caller holds r.mu.
 func (r *Router) rebaseLocked() {
-	for i := range r.backlogSec {
+	for i := range r.engines {
 		r.backlogSec[i] = 0
 		r.assignedReqs[i] = 0
-		r.assignedPages[i] = 0
+		r.refreshLocked(i)
 	}
-	for _, e := range r.residents {
-		r.assignedPages[e.replica] += e.pages
-	}
+}
+
+// refreshLocked takes rep's residency from its engine, the one owner of it:
+// the page ledger becomes the arena's live pages, and rep's residents keep,
+// in booking order, only the prefixes the engine still caches, so its LRU
+// evictions drop out. Caller holds r.mu.
+func (r *Router) refreshLocked(rep int) {
+	eng := r.engines[rep]
+	r.assignedPages[rep] = eng.Arena().LivePages()
+	cached := eng.CachedPrefixes()
+	r.residents = slices.DeleteFunc(r.residents, func(e resident) bool {
+		return e.replica == rep && !slices.ContainsFunc(cached, func(c []int) bool {
+			return slices.Equal(c, e.tokens)
+		})
+	})
 }
 
 // ---- Deterministic batch ----------------------------------------------------

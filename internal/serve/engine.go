@@ -258,6 +258,18 @@ func newEngine(m *model.Model, cfg Config, cost func(pageTokens int) memsim.Late
 // a caller builds on it (kvcache.NewStoreIn) pins budget until it is freed.
 func (e *Engine) Arena() *kvcache.Arena { return e.arena }
 
+// CachedPrefixes returns the token lists of the prefix cache's live entries,
+// ready or still building, in admission order: the engine's prefix residency,
+// which the fleet router reads rather than models. Safe from any goroutine;
+// it sees the cache as of its last insert or removal. Callers must not
+// modify the result.
+func (e *Engine) CachedPrefixes() [][]int {
+	if p := e.cache.published.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
 // kvUnits converts raw slots to the per-head token units the config and
 // metrics speak.
 func (e *Engine) kvUnits(v int64) int64 { return v / e.planes }

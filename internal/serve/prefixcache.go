@@ -1,14 +1,21 @@
 package serve
 
-import "slices"
+import (
+	"slices"
+	"sync/atomic"
+)
 
 // The engine's prefix cache: the live entries in admission order. A lookup
 // scans them all, so nested prefixes (multi-turn chat, agentic re-entry,
 // templated RAG) need no shared structure: a lookup that misses exactly still
 // finds the cached entry sharing the most with the probe and reuses its pages
 // up to the longest page-aligned common prefix via a zero-copy truncated fork
-// (model.Snapshot.Prefix). A serving load keeps a handful of entries live, so
-// the scan costs microseconds against milliseconds of prefill.
+// (model.Snapshot.Prefix). Under a KVBudget, eviction keeps the live entries
+// to what the budget holds, so the scan costs microseconds against
+// milliseconds of prefill. With a budget of 0 nothing is ever evicted: the
+// cache holds one entry per distinct prefix served, and grows with the
+// number of distinct documents (an open-loop server over an open document
+// set should set a budget).
 //
 // Entries own their pages through their snapshots. Eviction is entry-granular
 // LRU with a deterministic (lastUsed, seq) order, where seq is the admission
@@ -16,7 +23,10 @@ import "slices"
 // oldest-admitted first.
 //
 // Exactly one goroutine (the scheduler loop) touches the cache; no locking
-// anywhere here.
+// anywhere here. insert and remove republish the entries' token lists through
+// an atomic pointer, the one view other goroutines read
+// (Engine.CachedPrefixes), so a publish happens before any ticket the same
+// round resolves.
 
 // cacheLookup is the cache's answer for one declared prefix.
 type cacheLookup struct {
@@ -37,7 +47,10 @@ type cacheLookup struct {
 
 type prefixCache struct {
 	// byAdmit lists every live entry in admission order.
-	byAdmit    []*prefixEntry
+	byAdmit []*prefixEntry
+	// published holds byAdmit's token lists, replaced whole on every insert
+	// and remove.
+	published  atomic.Pointer[[][]int]
 	pageTokens int
 }
 
@@ -62,10 +75,23 @@ func (c *prefixCache) evictVictim() *prefixEntry {
 	return v
 }
 
-func (c *prefixCache) insert(e *prefixEntry) { c.byAdmit = append(c.byAdmit, e) }
+func (c *prefixCache) insert(e *prefixEntry) {
+	c.byAdmit = append(c.byAdmit, e)
+	c.publish()
+}
 
 func (c *prefixCache) remove(e *prefixEntry) {
 	c.byAdmit = slices.DeleteFunc(c.byAdmit, func(x *prefixEntry) bool { return x == e })
+	c.publish()
+}
+
+// publish stores a fresh list of the live entries' tokens in admission order.
+func (c *prefixCache) publish() {
+	toks := make([][]int, len(c.byAdmit))
+	for i, e := range c.byAdmit {
+		toks[i] = e.tokens
+	}
+	c.published.Store(&toks)
 }
 
 // PrefixReuse is the one prefix-reuse rule, shared by the engine's cache and

@@ -3,7 +3,9 @@ package serve
 import (
 	"fmt"
 	"hash/fnv"
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"clusterkv/internal/rng"
@@ -120,5 +122,94 @@ func TestPrefixLookupGolden(t *testing.T) {
 	}
 	if got := digest.Sum64(); got != want {
 		t.Fatalf("lookup digest %#x, want %#x", got, want)
+	}
+}
+
+// TestCachedPrefixesFollowsEviction: Engine.CachedPrefixes is the cache's
+// live entries in admission order, evictions included. Four Runs on a budget
+// that holds two cached 32-token prefixes serve A, B, C, then A again: C's
+// admission evicts A (the least recently used) and A's return evicts B, so
+// after each Run the accessor reads [A], [A B], [B C], [C A]. A second
+// goroutine reads it throughout, while the runs are in flight: every list it
+// sees holds distinct prefixes of the load, never more than the three served.
+func TestCachedPrefixesFollowsEviction(t *testing.T) {
+	a, b, c := testDoc(21, 32), testDoc(22, 32), testDoc(23, 32)
+	req := func(prefix []int) Request {
+		prompt := append(slices.Clip(prefix), testDoc(99, 8)...)
+		return Request{Prompt: prompt, SharedPrefixLen: len(prefix), MaxNewTokens: 1}
+	}
+	// 16-token pages: a cached prefix holds 32 slots per head and a cold
+	// builder is gated on 42, so a third prefix forces one eviction (see
+	// TestPrefixEvictTieBreakSameRound).
+	eng := NewEngine(testModel(), Config{Workers: 1, MaxBatch: 2, Seed: 5, PageTokens: 16, KVBudget: 100})
+	defer eng.Close()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var reads int
+	var bad string
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			got := eng.CachedPrefixes()
+			reads++
+			runtime.Gosched() // leave the scheduler loop its turn at GOMAXPROCS=1
+			if len(got) > 3 {
+				bad = fmt.Sprintf("%d cached prefixes", len(got))
+			}
+			for i, p := range got {
+				if !slices.Equal(p, a) && !slices.Equal(p, b) && !slices.Equal(p, c) {
+					bad = fmt.Sprintf("entry %d is no prefix of the load", i)
+				}
+				for _, q := range got[i+1:] {
+					if slices.Equal(p, q) {
+						bad = fmt.Sprintf("entry %d listed twice", i)
+					}
+				}
+			}
+		}
+	}()
+
+	steps := []struct {
+		serve []int
+		want  [][]int
+	}{
+		{a, [][]int{a}},
+		{b, [][]int{a, b}},
+		{c, [][]int{b, c}},
+		{a, [][]int{c, a}},
+	}
+	for i, st := range steps {
+		if resp := eng.Run([]Request{req(st.serve)})[0]; resp.Err != nil {
+			t.Fatalf("run %d: %v", i, resp.Err)
+		}
+		got := eng.CachedPrefixes()
+		var entries [][]int
+		for _, e := range eng.cache.entries(nil) {
+			entries = append(entries, e.tokens)
+		}
+		if !slices.EqualFunc(got, entries, slices.Equal) {
+			t.Fatalf("run %d: accessor lists %d prefixes, cache holds %d in another order", i, len(got), len(entries))
+		}
+		if !slices.EqualFunc(got, st.want, slices.Equal) {
+			t.Fatalf("run %d: %d cached prefixes, want %d in admission order", i, len(got), len(st.want))
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if bad != "" {
+		t.Fatalf("concurrent read: %s", bad)
+	}
+	if reads == 0 {
+		t.Fatal("the concurrent reader never ran")
+	}
+	if m := eng.Metrics(); m.PrefixEvicted != 2 {
+		t.Fatalf("%d evictions, want 2", m.PrefixEvicted)
 	}
 }
