@@ -74,7 +74,8 @@ bench-json:
 bench-compare:
 	$(GO) run ./cmd/clusterkv-bench -exp $(BENCH_TRACKED) -json bench-out -compare .
 
-# Kernel conformance lane: the blocked/packed/fused decode kernel suites, the
+# Kernel conformance lane: the blocked row kernels, the LM head's transposed
+# layout (PackedMat) and the fused decode kernel suites, the
 # query-block kernels against per-query calls (DotRowsBlock,
 # AddScaledRowsBlock), the prefill query block against per-query attention
 # (FullBlock), the vector ≡ scalar suite (Vec: AVX2 kernels against the Go
@@ -102,7 +103,8 @@ fuzz-kernels:
 	$(GO) test -run=NONE -fuzz=FuzzVecKernels -fuzztime=10s ./internal/tensor
 
 # Decode-cohort conformance lane: the batched GEMM kernels (MatTMat, which
-# prefill's row blocks run as well as decode cohorts, against per-row GEMVs
+# prefill's row blocks run as well as decode cohorts, and the LM head's block
+# product PackedMat.MatMulOn, against per-row GEMVs
 # and, through TestMatKernelConformance, the naive GEMM at pool widths
 # {1, 2, 3, 8}), the BatchDecoder suites (the one executor at cohort size 1 against sizes 2..8;
 # its comparison with the tests' per-stream serial oracle is in test-pool) and
@@ -110,8 +112,8 @@ fuzz-kernels:
 # GOMAXPROCS=1 and at GOMAXPROCS=2 with the race detector, locking that a
 # stream's tokens do not depend on who shares its cohort (DESIGN.md §13).
 test-batch:
-	GOMAXPROCS=1 $(GO) test -count=1 -run 'MatTMat|MatMulRows|MatKernel|BatchDecode' ./internal/tensor/ ./internal/model/ ./internal/serve/
-	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'MatTMat|MatMulRows|MatKernel|BatchDecode' ./internal/tensor/ ./internal/model/ ./internal/serve/
+	GOMAXPROCS=1 $(GO) test -count=1 -run 'MatTMat|PackedMatMul|MatKernel|BatchDecode' ./internal/tensor/ ./internal/model/ ./internal/serve/
+	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'MatTMat|PackedMatMul|MatKernel|BatchDecode' ./internal/tensor/ ./internal/model/ ./internal/serve/
 
 # Pool lane: the spin paths of internal/parallel (hot helper, caller's wait,
 # park after the window) are schedule-sensitive, so the pool suite and the

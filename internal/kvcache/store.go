@@ -53,9 +53,6 @@ func (s *Store) HeadDim() int { return s.headDim }
 // Len returns the number of tokens stored.
 func (s *Store) Len() int { return s.n }
 
-// Arena returns the arena this store allocates from.
-func (s *Store) Arena() *Arena { return s.arena }
-
 // PageTokens returns the arena page size in tokens.
 func (s *Store) PageTokens() int { return s.arena.pageTokens }
 

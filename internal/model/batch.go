@@ -39,6 +39,7 @@ type BatchDecoder struct {
 	k, v      tensor.Mat // S×(NKVHeads·HeadDim)
 	attnOut   tensor.Mat // S×(NHeads·HeadDim)
 	gate, up  tensor.Mat // S×FFNDim
+	logits    tensor.Mat // S×VocabSize, copied out to the callers' buffers
 	// attn is the live cohort's attention phase over q and attnOut.
 	attn layerAttn
 }
@@ -71,6 +72,7 @@ func (bd *BatchDecoder) grow(S int) {
 	resize(&bd.attnOut, S, cfg.NHeads*cfg.HeadDim)
 	resize(&bd.gate, S, cfg.FFNDim)
 	resize(&bd.up, S, cfg.FFNDim)
+	resize(&bd.logits, S, cfg.VocabSize)
 }
 
 // DecodeInto advances every sequence in the cohort by one token: seqs[i]
@@ -168,7 +170,10 @@ func (bd *BatchDecoder) DecodeInto(seqs []*Sequence, tokens []int, logits [][]fl
 	for i := range seqs {
 		rmsNorm(bd.normed.Row(i), bd.x.Row(i), w.finalNorm)
 	}
-	w.embedP.MatMulRowsOn(pool, logits, &bd.normed)
+	w.embedP.MatMulOn(pool, &bd.logits, &bd.normed)
+	for i, dst := range logits {
+		copy(dst, bd.logits.Row(i))
+	}
 	bd.attn.seqs = nil // the cohort slice is the caller's to reuse
 }
 

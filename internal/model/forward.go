@@ -235,10 +235,11 @@ type prefillScratch struct {
 // norm, QKV projections and rope over blocks of positions, then attention
 // and outFFN over query blocks. Every weight product is the decode step's
 // MatTMat run serially on a block's rows, and outFFN is the decode step's
-// post-attention body. Every parallel split writes disjoint outputs with the
-// serial per-element reduction order, so outputs are bit-identical to a
-// single-worker run at any pool width; only the serial KV append preserves
-// store order by construction.
+// post-attention body; per-position logits are one LM-head block product
+// over all n rows, split over the vocabulary on the pool. Every parallel
+// split writes disjoint outputs with the serial per-element reduction order,
+// so outputs are bit-identical to a single-worker run at any pool width;
+// only the serial KV append preserves store order by construction.
 func (s *Sequence) Prefill(tokens []int, wantLogits []float32) []float32 {
 	cfg := s.m.cfg
 	w := s.m.w
@@ -365,13 +366,10 @@ func (s *Sequence) Prefill(tokens []int, wantLogits []float32) []float32 {
 	}
 
 	if wantLogits != nil {
-		pool.For(n, 1, func(lo, hi int) {
-			normed := make([]float32, cfg.DModel)
-			for i := lo; i < hi; i++ {
-				rmsNorm(normed, hs.Row(i), w.finalNorm)
-				w.embedP.MatVecOn(nil, wantLogits[i*cfg.VocabSize:(i+1)*cfg.VocabSize], normed)
-			}
-		})
+		for i := 0; i < n; i++ {
+			rmsNorm(normAll.Row(i), hs.Row(i), w.finalNorm)
+		}
+		w.embedP.MatMulOn(pool, tensor.WrapMat(n, cfg.VocabSize, wantLogits), normAll)
 	}
 	last := make([]float32, cfg.DModel)
 	copy(last, hs.Row(n-1))

@@ -110,7 +110,15 @@ func (o *serialOracle) decodeInto(token int, logits []float32) {
 	}
 	s.pos++
 	rmsNorm(o.normed, o.hidden, w.finalNorm)
-	w.embedP.MatVecOn(nil, logits, o.normed)
+	// The LM head as a plain loop over embed's rows, channels ascending:
+	// independent of the transposed layout and the kernel under test.
+	for v := range logits {
+		var acc float32
+		for j, e := range w.embed.Row(v) {
+			acc += o.normed[j] * e
+		}
+		logits[v] = acc
+	}
 }
 
 // addProjected computes h += woᵀ·attnOut using scratch (DModel).

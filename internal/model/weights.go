@@ -23,8 +23,9 @@ type layerWeights struct {
 // weights holds all model parameters.
 type weights struct {
 	embed *tensor.Mat // VocabSize × DModel, tied with the LM head
-	// embedP is embed pre-packed into 4-row panels for the decode LM-head
-	// GEMV (tensor.PackedMat) — the largest single GEMV of a decode step.
+	// embedP is embed stored transposed for the LM head (tensor.PackedMat),
+	// the largest single weight product of a decode step: it runs the one
+	// MatTMat kernel like every other weight matrix.
 	embedP    *tensor.PackedMat
 	layers    []layerWeights
 	finalNorm []float32

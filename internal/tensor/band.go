@@ -14,20 +14,15 @@ import (
 type bandCall struct {
 	kernel   bandKernel
 	m        *Mat
-	pm       *PackedMat
-	dst, x   []float32   // vector kernels
-	dstM, xM *Mat        // MatTMat
-	dsts     [][]float32 // MatMulRowsOn
+	dst, x   []float32 // MatTVec
+	dstM, xM *Mat      // MatTMat
 }
 
 type bandKernel uint8
 
 const (
-	bandMatVec bandKernel = iota
-	bandMatTVec
+	bandMatTVec bandKernel = iota
 	bandMatTMat
-	bandPanel
-	bandPanelRows
 )
 
 var bandCalls = sync.Pool{New: func() any { return new(bandCall) }}
@@ -35,16 +30,10 @@ var bandCalls = sync.Pool{New: func() any { return new(bandCall) }}
 // Run implements parallel.Body over the kernel's band index.
 func (c *bandCall) Run(lo, hi int) {
 	switch c.kernel {
-	case bandMatVec:
-		matVecBand(c.dst, c.m, c.x, lo, hi)
 	case bandMatTVec:
 		matTVecBand(c.dst, c.m, c.x, lo, hi)
 	case bandMatTMat:
 		matTMatBand(c.dstM, c.m, c.xM, lo, hi)
-	case bandPanel:
-		c.pm.panelBand(c.dst, c.x, lo, hi)
-	case bandPanelRows:
-		c.pm.panelBandRows(c.dsts, c.xM, lo, hi)
 	}
 }
 

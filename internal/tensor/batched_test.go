@@ -71,35 +71,29 @@ func TestMatTMatMatchesMatTVec(t *testing.T) {
 	}
 }
 
-func TestPackedMatMulRowsMatchesMatVec(t *testing.T) {
+// TestPackedMatMulMatchesMatVec: the LM head's block product is the per-row
+// product, on vocabularies whose row count is not a multiple of 8.
+func TestPackedMatMulMatchesMatVec(t *testing.T) {
 	shapes := []struct{ r, c int }{
-		{512, 64}, // LM-head shape
-		{33, 16},  // tail panel with 1 live row
-		{4, 8},    // single panel
-		{130, 48}, // tail panel with 2 live rows
+		{513, 64},  // LM-head shape plus one row
+		{1000, 96}, // wider activations
+		{33, 16},   // tiny
 	}
 	r := rng.New(37)
 	for _, sh := range shapes {
-		m := randMat(r, sh.r, sh.c, 0)
-		pm := Pack(m)
+		pm := Pack(randMat(r, sh.r, sh.c, 0))
 		for _, S := range batchSizes {
 			x := randMat(r, S, sh.c, 0.05)
-			want := make([][]float32, S)
+			want := NewMat(S, sh.r)
 			for s := 0; s < S; s++ {
-				want[s] = make([]float32, sh.r)
-				pm.MatVecOn(nil, want[s], x.Row(s))
+				pm.MatVecOn(nil, want.Row(s), x.Row(s))
 			}
 			for _, width := range batchWidths {
 				pool := parallel.NewPool(width)
-				got := make([][]float32, S)
-				for s := 0; s < S; s++ {
-					got[s] = make([]float32, sh.r)
-				}
-				pm.MatMulRowsOn(pool, got, x)
+				got := NewMat(S, sh.r)
+				pm.MatMulOn(pool, got, x)
 				pool.Close()
-				for s := 0; s < S; s++ {
-					expectBitsEqual(t, "MatMulRows", got[s], want[s])
-				}
+				expectBitsEqual(t, "PackedMat.MatMulOn", got.Data, want.Data)
 			}
 		}
 	}
@@ -116,21 +110,28 @@ func reportGFLOPs(b *testing.B, r, c, rows int) {
 }
 
 // BenchmarkMatTMat times the one weight-product kernel serially at decode
-// cohort sizes (1, 4, 8) and a prefill-like row block (32).
+// cohort sizes (1, 4, 8) and a prefill-like row block (32), and on the LM
+// head: embedᵀ of the default model (DModel × VocabSize) for a lone stream
+// and a cohort of 8.
 func BenchmarkMatTMat(b *testing.B) {
 	for _, sh := range benchShapes {
-		r := rng.New(uint64(sh.r))
-		m := randMat(r, sh.r, sh.c, 0)
-		for _, S := range []int{1, 4, 8, 32} {
-			x := randMat(r, S, sh.r, 0)
-			dst := NewMat(S, sh.c)
-			b.Run(fmt.Sprintf("%dx%d/rows%d", sh.r, sh.c, S), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					MatTMatOn(nil, dst, m, x)
-				}
-				reportGFLOPs(b, sh.r, sh.c, S)
-			})
-		}
+		benchMatTMat(b, fmt.Sprintf("%dx%d", sh.r, sh.c), sh.r, sh.c, []int{1, 4, 8, 32})
+	}
+	benchMatTMat(b, "lmhead64x512", 64, 512, []int{1, 8})
+}
+
+func benchMatTMat(b *testing.B, name string, rows, cols int, cohorts []int) {
+	r := rng.New(uint64(rows))
+	m := randMat(r, rows, cols, 0)
+	for _, S := range cohorts {
+		x := randMat(r, S, rows, 0)
+		dst := NewMat(S, cols)
+		b.Run(fmt.Sprintf("%s/rows%d", name, S), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				MatTMatOn(nil, dst, m, x)
+			}
+			reportGFLOPs(b, rows, cols, S)
+		})
 	}
 }
 

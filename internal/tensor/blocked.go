@@ -1,12 +1,8 @@
 package tensor
 
-import (
-	"unsafe"
+import "unsafe"
 
-	"clusterkv/internal/parallel"
-)
-
-// Blocked and packed GEMV kernels (DESIGN.md §12). The Go compiler does not
+// Blocked GEMV kernels (DESIGN.md §12). The Go compiler does not
 // auto-vectorize, so the win available to a pure-Go GEMV is instruction-level
 // parallelism: a single dot product is one serial FP-add dependency chain,
 // while four rows processed together keep four independent chains in flight.
@@ -235,80 +231,5 @@ func AddScaledRowsBlock(out []float32, outStride int, w []float32, wStride, nq i
 func addScaledRowsBlockLoop(out []float32, outStride int, w []float32, wStride, nq int, rows []float32, m, d int) {
 	for j := 0; j < nq; j++ {
 		addScaledRows(out[j*outStride:j*outStride+d], w[j*wStride:j*wStride+m], rows, d)
-	}
-}
-
-// packRows is the PackedMat panel height.
-const packRows = 4
-
-// PackedMat is a matrix pre-packed into 4-row interleaved panels for the
-// fastest pure-Go GEMV over static weights (the decode LM-head projection):
-// panel p holds rows [4p, 4p+4) column-interleaved, so one sequential sweep
-// of a panel feeds four independent accumulator chains from a single memory
-// stream. The tail panel zero-pads missing rows. Packing is a layout copy —
-// build once for long-lived weights, not per call.
-type PackedMat struct {
-	Rows, Cols int
-	// panels holds ceil(Rows/4) panels of Cols*4 elements:
-	// panels[p*Cols*4 + j*4 + k] == source row (4p+k), column j.
-	panels []float32
-}
-
-// Pack copies m into the panel layout.
-func Pack(m *Mat) *PackedMat {
-	np := (m.Rows + packRows - 1) / packRows
-	pm := &PackedMat{Rows: m.Rows, Cols: m.Cols, panels: make([]float32, np*m.Cols*packRows)}
-	for i := 0; i < m.Rows; i++ {
-		p, k := i/packRows, i%packRows
-		base := p * m.Cols * packRows
-		row := m.Row(i)
-		for j, v := range row {
-			pm.panels[base+j*packRows+k] = v
-		}
-	}
-	return pm
-}
-
-// MatVec computes dst = pm · x on the shared intra-op pool. Each output row
-// keeps the serial channel-ascending reduction order, so the result is
-// bit-identical to MatVec over the unpacked matrix at any pool width.
-func (pm *PackedMat) MatVec(dst, x []float32) {
-	pm.MatVecOn(parallel.Default(), dst, x)
-}
-
-// MatVecOn is MatVec on an explicit pool (nil runs serial).
-func (pm *PackedMat) MatVecOn(p *parallel.Pool, dst, x []float32) {
-	if len(x) != pm.Cols || len(dst) != pm.Rows {
-		panic("tensor: PackedMat.MatVec dimension mismatch")
-	}
-	np := (pm.Rows + packRows - 1) / packRows
-	stride := pm.Cols * packRows
-	bandCall{kernel: bandPanel, pm: pm, dst: dst, x: x}.on(p, np, kernelGrain(stride))
-}
-
-// panelBandGo is the scalar PackedMat GEMV over panels [lo, hi) (see
-// dotRowsGo).
-func (pm *PackedMat) panelBandGo(dst, x []float32, lo, hi int) {
-	stride := pm.Cols * packRows
-	for pi := lo; pi < hi; pi++ {
-		panel := pm.panels[pi*stride : (pi+1)*stride]
-		var s0, s1, s2, s3 float32
-		for j, xj := range x {
-			s0 += xj * panel[j*packRows]
-			s1 += xj * panel[j*packRows+1]
-			s2 += xj * panel[j*packRows+2]
-			s3 += xj * panel[j*packRows+3]
-		}
-		base := pi * packRows
-		dst[base] = s0
-		if base+1 < pm.Rows {
-			dst[base+1] = s1
-		}
-		if base+2 < pm.Rows {
-			dst[base+2] = s2
-		}
-		if base+3 < pm.Rows {
-			dst[base+3] = s3
-		}
 	}
 }

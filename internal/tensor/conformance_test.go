@@ -123,7 +123,7 @@ func TestMatKernelConformance(t *testing.T) {
 		for _, width := range conformanceWidths {
 			p := parallel.NewPool(width)
 			gotMV := make([]float32, m)
-			MatVecOn(p, gotMV, a, x)
+			Pack(a).MatVecOn(p, gotMV, x)
 			bitsEqual(t, sprintShape("MatVec", m, k, n, width), gotMV, wantMV)
 
 			gotMTV := make([]float32, k)
@@ -138,7 +138,7 @@ func TestMatKernelConformance(t *testing.T) {
 
 		// The default-pool entry points must agree with the references too.
 		gotMV := make([]float32, m)
-		MatVec(gotMV, a, x)
+		Pack(a).MatVec(gotMV, x)
 		bitsEqual(t, sprintShape("MatVec/default", m, k, n, 0), gotMV, wantMV)
 		gotMM := NewMat(m, n)
 		MatTMat(gotMM, b, a)
@@ -152,7 +152,7 @@ func TestMatKernelZeroRows(t *testing.T) {
 	for _, width := range conformanceWidths {
 		p := parallel.NewPool(width)
 		a := NewMat(0, 5)
-		MatVecOn(p, []float32{}, a, make([]float32, 5))
+		Pack(a).MatVecOn(p, []float32{}, make([]float32, 5))
 		MatTVecOn(p, make([]float32, 5), a, []float32{}) // 0 rows: dst stays zero
 		c := NewMat(0, 3)
 		MatTMatOn(p, c, NewMat(5, 3), a)

@@ -50,33 +50,6 @@ func (m *Mat) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }
 // each parallel block does a worthwhile amount of inner-loop work.
 func kernelGrain(perIndexOps int) int { return parallel.Grain(perIndexOps) }
 
-// MatVec computes dst = m · x (m is Rows×Cols, x has Cols entries,
-// dst has Rows entries). dst must not alias x. Rows are computed in
-// parallel on the shared intra-op pool; each output element keeps the
-// serial reduction order, so results are bit-identical at any width.
-func MatVec(dst []float32, m *Mat, x []float32) {
-	MatVecOn(parallel.Default(), dst, m, x)
-}
-
-// MatVecOn is MatVec on an explicit pool (nil runs serial).
-func MatVecOn(p *parallel.Pool, dst []float32, m *Mat, x []float32) {
-	if len(x) != m.Cols || len(dst) != m.Rows {
-		panic("tensor: MatVec dimension mismatch")
-	}
-	bandCall{kernel: bandMatVec, dst: dst, m: m, x: x}.on(p, m.Rows, kernelGrain(m.Cols))
-}
-
-func matVecBand(dst []float32, m *Mat, x []float32, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		var s float32
-		for j, v := range row {
-			s += v * x[j]
-		}
-		dst[i] = s
-	}
-}
-
 // MatTVec computes dst = mᵀ · x (x has Rows entries, dst has Cols entries).
 // The parallel split is over output *columns*: each dst[j] accumulates over
 // rows in ascending order exactly as the serial loop does (including the
@@ -110,4 +83,45 @@ func matTVecBandGo(dst []float32, m *Mat, x []float32, lo, hi int) {
 			band[j] += xi * v
 		}
 	}
+}
+
+// PackedMat is a weight matrix W (Rows×Cols) applied as y = W·x — the LM
+// head, whose rows are the vocabulary. It stores W transposed, so every
+// product runs the one weight-product kernel over Wᵀ: one vector is a
+// MatTVec, a block of rows one MatTMat. Each y[i] is the dot of x with row i
+// of W, channels ascending from a zero accumulator — the row-major loop's
+// bits for finite weights. Packing is a copy: build once for long-lived
+// weights, not per call.
+type PackedMat struct {
+	Rows, Cols int
+	t          *Mat // Wᵀ, Cols×Rows
+}
+
+// Pack copies m into the transposed layout.
+func Pack(m *Mat) *PackedMat {
+	t := NewMat(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j, v := range m.Row(i) {
+			t.Data[j*m.Rows+i] = v
+		}
+	}
+	return &PackedMat{Rows: m.Rows, Cols: m.Cols, t: t}
+}
+
+// MatVec computes dst = W · x on the shared intra-op pool, bit-identical at
+// any pool width.
+func (pm *PackedMat) MatVec(dst, x []float32) {
+	pm.MatVecOn(parallel.Default(), dst, x)
+}
+
+// MatVecOn is MatVec on an explicit pool (nil runs serial).
+func (pm *PackedMat) MatVecOn(p *parallel.Pool, dst, x []float32) {
+	MatTVecOn(p, dst, pm.t, x)
+}
+
+// MatMulOn computes dst.Row(s) = W · x.Row(s) for every row s of x on pool p
+// (nil runs serial): x is S×Cols, dst S×Rows. Row s of dst is bit-identical
+// to MatVecOn over x.Row(s) at any row count and pool width.
+func (pm *PackedMat) MatMulOn(p *parallel.Pool, dst, x *Mat) {
+	MatTMatOn(p, dst, pm.t, x)
 }

@@ -31,12 +31,13 @@ func TruncatedSVD(a *Mat, r, iters int, seed uint64) (v *Mat, sigma []float32) {
 	}
 	orthonormalizeRows(vt)
 
+	ap := Pack(a)
 	tmp := make([]float32, n)
 	next := NewMat(r, d)
 	for it := 0; it < iters; it++ {
 		// next_i = aᵀ (a v_i)
 		for i := 0; i < r; i++ {
-			MatVec(tmp, a, vt.Row(i))
+			ap.MatVec(tmp, vt.Row(i))
 			MatTVec(next.Row(i), a, tmp)
 		}
 		vt, next = next, vt
@@ -46,7 +47,7 @@ func TruncatedSVD(a *Mat, r, iters int, seed uint64) (v *Mat, sigma []float32) {
 	// Singular values: sigma_i = |a v_i|.
 	sigma = make([]float32, r)
 	for i := 0; i < r; i++ {
-		MatVec(tmp, a, vt.Row(i))
+		ap.MatVec(tmp, vt.Row(i))
 		sigma[i] = Norm(tmp)
 	}
 	// Sort by descending sigma (subspace iteration usually yields this order

@@ -142,7 +142,7 @@ func TestSoftmaxEmpty(t *testing.T) {
 func TestMatVec(t *testing.T) {
 	m := WrapMat(2, 3, []float32{1, 2, 3, 4, 5, 6})
 	dst := make([]float32, 2)
-	MatVec(dst, m, []float32{1, 1, 1})
+	Pack(m).MatVec(dst, []float32{1, 1, 1})
 	if dst[0] != 6 || dst[1] != 15 {
 		t.Fatalf("MatVec got %v", dst)
 	}

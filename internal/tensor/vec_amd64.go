@@ -30,9 +30,6 @@ func axpyRowsAVX2(out *float32, n int, w *float32, m int, rows *float32, stride 
 func axpyRowsPtrAVX2(out *float32, n int, w *float32, rows **float32, m int)
 
 //go:noescape
-func panelDotAVX2(dst, x, panels *float32, np, cols int)
-
-//go:noescape
 func maxAbsAVX2(x *float32, n int) (max float32, absBits uint32)
 
 //go:noescape
@@ -241,43 +238,6 @@ func matTMatBand(dst, m, x *Mat, lo, hi int) {
 				m.Data[i0*m.Cols+lo:], m.Cols)
 		}
 	}
-}
-
-// wholePanels returns the end of the panels in [lo, hi) that hold four real
-// rows; a zero-padded last panel stays with the scalar loop, which knows
-// which of its rows exist.
-func (pm *PackedMat) wholePanels(hi int) int {
-	if hi*packRows > pm.Rows {
-		return hi - 1
-	}
-	return hi
-}
-
-func (pm *PackedMat) panelBand(dst, x []float32, lo, hi int) {
-	whole := pm.wholePanels(hi)
-	if !useVec || pm.Cols == 0 || whole <= lo {
-		pm.panelBandGo(dst, x, lo, hi)
-		return
-	}
-	panelDotAVX2(&dst[lo*packRows], &x[0], &pm.panels[lo*pm.Cols*packRows], whole-lo, pm.Cols)
-	pm.panelBandGo(dst, x, whole, hi)
-}
-
-func (pm *PackedMat) panelBandRows(dsts [][]float32, x *Mat, lo, hi int) {
-	whole := pm.wholePanels(hi)
-	if !useVec || pm.Cols == 0 || whole <= lo {
-		pm.panelBandRowsGo(dsts, x, lo, hi)
-		return
-	}
-	stride := pm.Cols * packRows
-	blk := max(4, vecBlock/stride)
-	for p0 := lo; p0 < whole; p0 += blk {
-		p1 := min(p0+blk, whole)
-		for s, dst := range dsts {
-			panelDotAVX2(&dst[p0*packRows], &x.Data[s*x.Cols], &pm.panels[p0*stride], p1-p0, pm.Cols)
-		}
-	}
-	pm.panelBandRowsGo(dsts, x, whole, hi)
 }
 
 func softmax(x []float32) {

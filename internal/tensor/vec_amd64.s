@@ -527,78 +527,6 @@ done:
 	VZEROUPPER
 	RET
 
-// func panelDotAVX2(dst, x, panels *float32, np, cols int)
-//
-// PackedMat GEMV over np whole panels: dst[4p+k] = <x, source row 4p+k>. A
-// panel stores its four rows column-interleaved, which is the row-lane
-// layout already: one XMM accumulator per panel adds x[j]·(column j of the
-// four rows) in ascending j. Four panels run together to keep four
-// independent chains in flight. cols > 0.
-TEXT ·panelDotAVX2(SB), NOSPLIT, $0-40
-	MOVQ dst+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ panels+16(FP), DX
-	MOVQ np+24(FP), BX
-	MOVQ cols+32(FP), CX
-	MOVQ CX, R8
-	SHLQ $4, R8 // panel size in bytes
-p4:
-	CMPQ BX, $4
-	JLT  p1
-	LEAQ (DX)(R8*1), R9
-	LEAQ (R9)(R8*1), R10
-	LEAQ (R10)(R8*1), R11
-	VXORPS X0, X0, X0
-	VXORPS X1, X1, X1
-	VXORPS X2, X2, X2
-	VXORPS X3, X3, X3
-	XORQ AX, AX
-	XORQ R12, R12
-col4:
-	VBROADCASTSS (SI)(AX*4), X8
-	VMULPS (DX)(R12*1), X8, X4
-	VADDPS X4, X0, X0
-	VMULPS (R9)(R12*1), X8, X5
-	VADDPS X5, X1, X1
-	VMULPS (R10)(R12*1), X8, X6
-	VADDPS X6, X2, X2
-	VMULPS (R11)(R12*1), X8, X7
-	VADDPS X7, X3, X3
-	ADDQ $16, R12
-	INCQ AX
-	CMPQ AX, CX
-	JLT  col4
-	VMOVUPS X0, (DI)
-	VMOVUPS X1, 16(DI)
-	VMOVUPS X2, 32(DI)
-	VMOVUPS X3, 48(DI)
-	ADDQ $64, DI
-	LEAQ (R11)(R8*1), DX
-	SUBQ $4, BX
-	JMP  p4
-p1:
-	TESTQ BX, BX
-	JLE   done
-	VXORPS X0, X0, X0
-	XORQ AX, AX
-	XORQ R12, R12
-col1:
-	VBROADCASTSS (SI)(AX*4), X8
-	VMULPS (DX)(R12*1), X8, X4
-	VADDPS X4, X0, X0
-	ADDQ $16, R12
-	INCQ AX
-	CMPQ AX, CX
-	JLT  col1
-	VMOVUPS X0, (DI)
-	ADDQ $16, DI
-	ADDQ R8, DX
-	DECQ BX
-	JMP  p1
-done:
-	VZEROUPPER
-	RET
-
 DATA absmask<>+0(SB)/4, $0x7fffffff
 GLOBL absmask<>(SB), RODATA|NOPTR, $4
 

@@ -205,8 +205,7 @@ func TestVecRowIndexOutOfPagePanics(t *testing.T) {
 	}
 }
 
-// TestVecMatKernels covers the GEMV/GEMM bands and the packed LM head that
-// reuse the axpy and panel kernels.
+// TestVecMatKernels covers the GEMM bands that reuse the axpy kernels.
 func TestVecMatKernels(t *testing.T) {
 	needVec(t)
 	for _, sh := range []struct{ r, c, s int }{
@@ -221,24 +220,6 @@ func TestVecMatKernels(t *testing.T) {
 			matTMatBand(got, m, x, lo, hi)
 			matTMatBandGo(want, m, x, lo, hi)
 			expectBitsEqual(t, sprintShape("matTMatBand", sh.r, sh.c, sh.s, lo), got.Data, want.Data)
-		}
-		// Packed head: m's columns are the activations, its rows the vocabulary.
-		pm := Pack(m)
-		np := (sh.r + packRows - 1) / packRows
-		acts := randMat(r, sh.s, sh.c, 0)
-		gotD, wantD := make([][]float32, sh.s), make([][]float32, sh.s)
-		for s := range gotD {
-			gotD[s], wantD[s] = make([]float32, sh.r), make([]float32, sh.r)
-		}
-		for _, band := range [][2]int{{0, np}, {np / 2, np}, {0, np / 2}} {
-			pm.panelBand(gotD[0], acts.Row(0), band[0], band[1])
-			pm.panelBandGo(wantD[0], acts.Row(0), band[0], band[1])
-			expectBitsEqual(t, sprintShape("panelBand", sh.r, sh.c, band[0], band[1]), gotD[0], wantD[0])
-			pm.panelBandRows(gotD, acts, band[0], band[1])
-			pm.panelBandRowsGo(wantD, acts, band[0], band[1])
-			for s := range gotD {
-				expectBitsEqual(t, sprintShape("panelBandRows", sh.r, sh.c, s, band[1]), gotD[s], wantD[s])
-			}
 		}
 	}
 }

@@ -39,14 +39,6 @@ func matTMatBand(dst, m, x *Mat, lo, hi int) {
 	matTMatBandGo(dst, m, x, lo, hi)
 }
 
-func (pm *PackedMat) panelBand(dst, x []float32, lo, hi int) {
-	pm.panelBandGo(dst, x, lo, hi)
-}
-
-func (pm *PackedMat) panelBandRows(dsts [][]float32, x *Mat, lo, hi int) {
-	pm.panelBandRowsGo(dsts, x, lo, hi)
-}
-
 func softmax(x []float32) {
 	softmaxGo(x)
 }

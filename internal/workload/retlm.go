@@ -84,6 +84,8 @@ type RetrievalLM struct {
 	// next-token distribution is the mixture of token identities retrieved
 	// by attention, so missing attended tokens shifts predictions directly.
 	tokenDirs *tensor.Mat
+	// head is tokenDirs packed for Logits' product.
+	head *tensor.PackedMat
 }
 
 // NewRetrievalLM builds the LM and generates its stream of n+1 tokens: a
@@ -107,6 +109,7 @@ func NewRetrievalLM(doc DocConfig, tc TraceConfig, n, warmup int, lambda float32
 	for v := 0; v < doc.VocabSize; v++ {
 		fillUnit(dr, lm.tokenDirs.Row(v))
 	}
+	lm.head = tensor.Pack(lm.tokenDirs)
 	lm.generate(n)
 	return lm
 }
@@ -252,6 +255,6 @@ func (lm *RetrievalLM) Logits(outs [][]float32) []float32 {
 		tensor.Axpy(1, o, mean)
 	}
 	tensor.Scale(lm.Lambda/float32(len(outs)), mean)
-	tensor.MatVec(logits, lm.tokenDirs, mean)
+	lm.head.MatVec(logits, mean)
 	return logits
 }
