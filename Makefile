@@ -3,8 +3,10 @@ GO ?= go
 .PHONY: build test test-seq test-xfer-race test-fleet test-trace test-kernels test-purego build-arm64 fuzz-kernels test-batch test-pool benchmark-check vet bench bench-smoke bench-json bench-compare serve clean
 
 # Experiments with committed BENCH_<exp>.json baselines at the repo root —
-# the perf trajectory the compare gate tracks (DESIGN.md §14).
-BENCH_TRACKED = fleet,pagedkv,overlap,radix
+# the perf trajectory the compare gate tracks (DESIGN.md §14): the serving
+# experiments and the paper artifacts Table I, Fig. 12 and the §V-C cache
+# study.
+BENCH_TRACKED = fleet,pagedkv,overlap,prefixcache,tab1,fig12,cache
 
 build:
 	$(GO) build ./...
@@ -61,16 +63,20 @@ test-trace:
 
 # Machine-readable bench trajectory: refresh the committed BENCH_<exp>.json
 # baselines at the repo root (typed metrics + options + seed + commit) for the
-# tracked experiments, whose every metric is a pure function of (options,
-# seed). Quick scale — not a measurement run. Run this (and commit the diff)
-# whenever a change intentionally moves a tracked metric.
+# seven tracked experiments, whose every metric is a pure function of
+# (options, seed). Every number a report prints is one named cell, and the
+# snapshot lists them all: <report id>.<row>.<col> in a paper table
+# (tab1.clusterkv.b256), explicit names in the serving experiments
+# (affinity.prefix_hit_rate). Quick scale — not a measurement run. Run this
+# (and commit the diff) whenever a change intentionally moves a tracked metric.
 bench-json:
 	$(GO) run ./cmd/clusterkv-bench -exp $(BENCH_TRACKED) -json .
 
-# Trajectory gate: re-run the tracked experiments and diff every metric
-# against the committed repo-root baselines; any change to a tracked metric,
-# or a missing one, fails (DESIGN.md §14). Fresh snapshots land in bench-out/
-# as a CI artifact.
+# Trajectory gate: re-run the tracked experiments (fleet, pagedkv, overlap,
+# prefixcache, tab1, fig12, cache) and diff every named cell against the
+# committed repo-root baselines; any change to a tracked metric, or a missing
+# one, fails (DESIGN.md §14). Fresh snapshots land in bench-out/ as a CI
+# artifact.
 bench-compare:
 	$(GO) run ./cmd/clusterkv-bench -exp $(BENCH_TRACKED) -json bench-out -compare .
 

@@ -23,6 +23,8 @@ func RunAblations(opt Options) []*Report {
 		mut(&cfg)
 		return RunTrace(task.Trace, memo.ClusterKV(cfg), budget)
 	}
+	recall := func(run *RunResult) Cell { return num("", run.MeanRecall(), "frac", "%.3f") }
+	fidelity := func(run *RunResult) Cell { return num("", run.MeanFidelity(), "frac", "%.3f") }
 
 	// --- Cache retention horizon R ---------------------------------------
 	rRep := &Report{
@@ -32,11 +34,8 @@ func RunAblations(opt Options) []*Report {
 	}
 	for _, r := range []int{0, 1, 2, 4, 8} {
 		run := runWith(func(c *core.Config) { c.CacheR = r })
-		rRep.Rows = append(rRep.Rows, []string{
-			fmt.Sprint(r),
-			fmt.Sprintf("%.0f%%", run.Stats.HitRate()*100),
-			f3(run.MeanRecall()), f3(run.MeanFidelity()),
-		})
+		rRep.AddRow(label(fmt.Sprint(r)), num("", run.Stats.HitRate(), "frac", "%.0f%%"),
+			recall(run), fidelity(run))
 	}
 	rRep.Notes = append(rRep.Notes, "selection quality is R-independent; R trades GPU memory for hit rate.")
 
@@ -62,11 +61,8 @@ func RunAblations(opt Options) []*Report {
 			cfg.DecodeWindow = mw
 			cfg.DecodeClusters = cp
 			run := RunTrace(longTask.Trace, memo.ClusterKV(cfg), budget)
-			mRep.Rows = append(mRep.Rows, []string{
-				fmt.Sprint(mw), fmt.Sprint(cp),
-				f3(run.MeanRecall()), f3(run.MeanFidelity()),
-				fmt.Sprint(run.Stats.MetaOps - run.PrefillMetaOps),
-			})
+			mRep.AddRow(label(fmt.Sprint(mw)), label(fmt.Sprint(cp)), recall(run), fidelity(run),
+				num("", float64(run.Stats.MetaOps-run.PrefillMetaOps), "ops", "%.0f"))
 		}
 	}
 	mRep.Notes = append(mRep.Notes,
@@ -83,9 +79,7 @@ func RunAblations(opt Options) []*Report {
 	}
 	for _, sk := range []int{0, 4, 16, 64} {
 		run := runWith(func(c *core.Config) { c.SinkTokens = sk })
-		sRep.Rows = append(sRep.Rows, []string{
-			fmt.Sprint(sk), f3(run.MeanRecall()), f3(run.MeanFidelity()),
-		})
+		sRep.AddRow(label(fmt.Sprint(sk)), recall(run), fidelity(run))
 	}
 	sRep.Notes = append(sRep.Notes, "sinks are outliers in key space; clustering them wastes centroids and recall.")
 
@@ -103,10 +97,7 @@ func RunAblations(opt Options) []*Report {
 		cfg.BypassLayers = 0
 		cfg.Init = init.v
 		run := RunTrace(task.Trace, core.New(cfg), budget)
-		iRep.Rows = append(iRep.Rows, []string{
-			init.name, f3(run.MeanRecall()), f3(run.MeanFidelity()),
-			fmt.Sprint(run.Stats.MetaOps),
-		})
+		iRep.AddRow(label(init.name), recall(run), fidelity(run), num("", float64(run.Stats.MetaOps), "ops", "%.0f"))
 	}
 	iRep.Notes = append(iRep.Notes, "Equal PrefillMetaOps: K-means from either seeding runs to the 16-iteration cap, so k-means++ saves no assignment passes; it only adds its O(n·c·d) seeding.")
 
@@ -122,9 +113,7 @@ func RunAblations(opt Options) []*Report {
 		cfg.KMeansIters = it
 		// Fresh (non-memoised) selector: the iteration cap changes clustering.
 		run := RunTrace(task.Trace, core.New(cfg), budget)
-		kRep.Rows = append(kRep.Rows, []string{
-			fmt.Sprint(it), f3(run.MeanRecall()), fmt.Sprint(run.Stats.MetaOps),
-		})
+		kRep.AddRow(label(fmt.Sprint(it)), recall(run), num("", float64(run.Stats.MetaOps), "ops", "%.0f"))
 	}
 
 	// --- Prefill segment length (the one non-paper default) -----------------
@@ -139,11 +128,8 @@ func RunAblations(opt Options) []*Report {
 		cfg.SegmentTokens = seg
 		sel := core.New(cfg)
 		run := RunTrace(task.Trace, sel, budget)
-		gRep.Rows = append(gRep.Rows, []string{
-			fmt.Sprint(seg), fmt.Sprint(sel.Book(0, 0).NumClusters()),
-			f3(run.MeanRecall()), f3(run.MeanFidelity()),
-			fmt.Sprint(run.Stats.MetaOps),
-		})
+		gRep.AddRow(label(fmt.Sprint(seg)), num("", float64(sel.Book(0, 0).NumClusters()), "count", "%.0f"),
+			recall(run), fidelity(run), num("", float64(run.Stats.MetaOps), "ops", "%.0f"))
 	}
 	gRep.Notes = append(gRep.Notes,
 		"segments make prefill clustering linear in L (each S-token piece is its own L/80-rule",

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -109,7 +108,7 @@ func TestReportFormats(t *testing.T) {
 	rep := &Report{
 		ID: "x", Title: "demo",
 		Headers: []string{"A", "B"},
-		Rows:    [][]string{{"1", "2"}, {"3", "4"}},
+		Rows:    [][]Cell{{label("1"), label("2")}, {label("3"), label("4")}},
 		Notes:   []string{"hello"},
 	}
 	s := rep.String()
@@ -214,8 +213,8 @@ func TestRunCacheSmall(t *testing.T) {
 	if len(rep.Rows) != 4 {
 		t.Fatalf("%d rows", len(rep.Rows))
 	}
-	if rep.Rows[0][1] != "0%" {
-		t.Fatalf("no-cache hit rate %s", rep.Rows[0][1])
+	if got := rep.Rows[0][1].String(); got != "0%" {
+		t.Fatalf("no-cache hit rate %s", got)
 	}
 }
 
@@ -236,15 +235,11 @@ func TestRunXferOverlapSmall(t *testing.T) {
 		t.Fatalf("%d rows", len(rep.Rows))
 	}
 	row := rep.Rows[0]
-	if row[0] != "8/8" {
+	if row[0].String() != "8/8" {
 		t.Fatalf("served %s, want 8/8 (beyond-device load must be served)", row[0])
 	}
-	var hidden float64
-	if _, err := fmt.Sscanf(row[4], "%f%%", &hidden); err != nil {
-		t.Fatalf("parse hidden%% %q: %v", row[4], err)
-	}
-	if hidden < 50 {
-		t.Fatalf("hid only %.0f%% of transfer time", hidden)
+	if hidden := row[4]; hidden.Name != "async.hidden_frac" || hidden.Value < 0.5 {
+		t.Fatalf("hid only %s of transfer time (%s)", hidden, hidden.Name)
 	}
 }
 

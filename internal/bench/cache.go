@@ -42,16 +42,12 @@ func RunCache(opt Options) *Report {
 			miss = 1
 		}
 		t := pipeTime(miss)
-		label := fmt.Sprint(r)
+		name := fmt.Sprint(r)
 		if r == 0 {
-			label = "0 (no cache)"
+			name = "0 (no cache)"
 		}
-		rep.Rows = append(rep.Rows, []string{
-			label,
-			fmt.Sprintf("%.0f%%", cts.Stats.HitRate()*100),
-			f2(t * 1000),
-			fmt.Sprintf("%.1fx", base/t),
-		})
+		rep.AddRow(label(name), num("", cts.Stats.HitRate(), "frac", "%.0f%%"),
+			num("", t*1000, "ms", "%.2f"), num("", base/t, "", "%.1fx"))
 	}
 	rep.Notes = append(rep.Notes,
 		"paper: average hit rates 63% (R=1) and 74% (R=2); decoding throughput",

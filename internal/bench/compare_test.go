@@ -147,7 +147,7 @@ func TestCompareMissingAndNew(t *testing.T) {
 func TestCompareExperimentMismatch(t *testing.T) {
 	a := snapWith()
 	b := snapWith()
-	b.Experiment = "radix"
+	b.Experiment = "prefixcache"
 	if _, err := Compare(a, b); err == nil {
 		t.Fatal("cross-experiment compare did not error")
 	}

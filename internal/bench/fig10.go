@@ -64,11 +64,11 @@ func RunFig10(opt Options) *Report {
 		}
 	}
 	for _, r := range rows {
-		cells := []string{r.name}
+		cells := []Cell{label(r.name)}
 		for _, p := range r.ppl {
-			cells = append(cells, f2(p))
+			cells = append(cells, num("", p, "ppl", "%.2f"))
 		}
-		rep.Rows = append(rep.Rows, cells)
+		rep.AddRow(cells...)
 	}
 	for _, r := range rows {
 		if r.name == "FullKV" || fullPPL == nil {
@@ -78,8 +78,8 @@ func RunFig10(opt Options) *Report {
 		for i := range r.ppl {
 			devs = append(devs, r.ppl[i]-fullPPL[i])
 		}
-		rep.Notes = append(rep.Notes,
-			fmt.Sprintf("%s mean ppl deviation from Full KV: %+.2f", r.name, metrics.Mean(devs)))
+		rep.Notef("%s mean ppl deviation from Full KV: %s", r.name,
+			num("fig10."+segment(r.name)+".mean_deviation", metrics.Mean(devs), "ppl", "%+.2f"))
 	}
 	rep.Notes = append(rep.Notes,
 		"paper: ClusterKV deviates up to 0.5 ppl, InfiniGen ~2, Quest ~4; absolute",

@@ -41,12 +41,12 @@ func RunFig11a(opt Options) *Report {
 		if ms.Name == "FullKV" {
 			continue
 		}
-		row := []string{ms.Name}
+		row := []Cell{label(ms.Name)}
 		for _, b := range RecallBudgets {
 			run := RunTrace(task.Trace, ms.New(), b)
-			row = append(row, f3(run.MeanRecall()))
+			row = append(row, num("", run.MeanRecall(), "frac", "%.3f"))
 		}
-		rep.Rows = append(rep.Rows, row)
+		rep.AddRow(row...)
 	}
 	rep.Notes = append(rep.Notes,
 		"recall = |I_T intersect I_T_true| / B averaged over heads and decoding steps;",
@@ -101,12 +101,12 @@ func RunFig11b(opt Options) *Report {
 		cfg.BypassLayers = 0
 		cfg.Metric = v.metric
 		cfg.C0Override = v.c0
-		row := []string{v.name}
+		row := []Cell{label(v.name)}
 		for _, b := range RecallBudgets {
 			run := RunTrace(task.Trace, memo.ClusterKV(cfg), b)
-			row = append(row, f3(run.MeanRecall()))
+			row = append(row, num("", run.MeanRecall(), "frac", "%.3f"))
 		}
-		rep.Rows = append(rep.Rows, row)
+		rep.AddRow(row...)
 	}
 	rep.Notes = append(rep.Notes,
 		"paper shape: cosine > L2 and inner product; recall saturates beyond C0=400 (=L/80 at 32k);",

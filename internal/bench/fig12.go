@@ -104,9 +104,10 @@ func RunFig12(opt Options) []*Report {
 			pre := hw.Prefill(shape, p)
 			fullTotal := pre.Total + float64(d)*hw.DecodeStepFull(shape, lAvg).Total
 
-			row := []string{fmt.Sprintf("%dk", p/1024), fmt.Sprint(d), f2(fullTotal)}
-			trow := []string{fmt.Sprintf("%dk", p/1024), fmt.Sprint(d),
-				f1(float64(d) / (float64(d) * hw.DecodeStepFull(shape, lAvg).Total))}
+			pk, dk := label(fmt.Sprintf("%dk", p/1024)), label(fmt.Sprint(d))
+			row := []Cell{pk, dk, num("", fullTotal, "s", "%.2f")}
+			trow := []Cell{pk, dk,
+				num("", float64(d)/(float64(d)*hw.DecodeStepFull(shape, lAvg).Total), "tok/s", "%.1f")}
 			var speed1024, thr1024, fullThr float64
 			fullThr = 1 / hw.DecodeStepFull(shape, lAvg).Total
 			for _, b := range Fig12Budgets {
@@ -118,17 +119,15 @@ func RunFig12(opt Options) []*Report {
 					MissRate: cts.MissRate,
 				})
 				total := pre.Total + exposed + float64(d)*step.Total
-				row = append(row, f2(total))
-				trow = append(trow, f1(1/step.Total))
+				row = append(row, num("", total, "s", "%.2f"))
+				trow = append(trow, num("", 1/step.Total, "tok/s", "%.1f"))
 				if b == 1024 {
 					speed1024 = fullTotal / total
 					thr1024 = (1 / step.Total) / fullThr
 				}
 			}
-			row = append(row, f2(speed1024), f2(pre.Total))
-			trow = append(trow, f2(thr1024))
-			lat.Rows = append(lat.Rows, row)
-			thr.Rows = append(thr.Rows, trow)
+			lat.AddRow(append(row, num("", speed1024, "", "%.2f"), num("", pre.Total, "s", "%.2f"))...)
+			thr.AddRow(append(trow, num("", thr1024, "", "%.2f"))...)
 		}
 	}
 	lat.Notes = append(lat.Notes,

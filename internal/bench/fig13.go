@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 
 	"clusterkv/internal/memsim"
 	"clusterkv/internal/metrics"
@@ -41,12 +42,12 @@ func RunFig13a(opt Options) *Report {
 			MissRate: cts.MissRate,
 		}).Total
 		speedups = append(speedups, infini/ckv)
-		rep.Rows = append(rep.Rows, []string{
-			fmt.Sprint(d), f2(full), f2(infini), f2(ckv), f2(infini / ckv),
-		})
+		rep.AddRow(label(fmt.Sprint(d)), num("", full, "s", "%.2f"), num("", infini, "s", "%.2f"),
+			num("", ckv, "s", "%.2f"), num("", infini/ckv, "", "%.2f"))
 	}
+	rep.Notef("average speedup %s (paper: 2.3x average; InfiniGen latency is",
+		num("fig13a.mean_speedup", metrics.Mean(speedups), "", "%.2fx"))
 	rep.Notes = append(rep.Notes,
-		fmt.Sprintf("average speedup %.2fx (paper: 2.3x average; InfiniGen latency is", metrics.Mean(speedups)),
 		"comparable to full KV due to its per-token O(L*r) selection, paper SV-C).",
 	)
 	return rep
@@ -84,27 +85,14 @@ func RunFig13b(opt Options) *Report {
 			}).Total
 			dev := (ckv - quest) / quest
 			devs = append(devs, dev)
-			rep.Rows = append(rep.Rows, []string{
-				fmt.Sprintf("%dk", p/1024), fmt.Sprint(d),
-				f2(quest), f2(ckv), fmt.Sprintf("%+.1f%%", dev*100),
-			})
+			rep.AddRow(label(fmt.Sprintf("%dk", p/1024)), label(fmt.Sprint(d)),
+				num("", quest, "s", "%.2f"), num("", ckv, "s", "%.2f"), num("", dev, "frac", "%+.1f%%"))
 		}
 	}
-	rep.Notes = append(rep.Notes,
-		fmt.Sprintf("max |deviation| %.1f%% (paper: up to 5%%).", maxAbsPct(devs)),
-	)
+	maxDev := 0.0
+	for _, x := range devs {
+		maxDev = max(maxDev, math.Abs(x))
+	}
+	rep.Notef("max |deviation| %s (paper: up to 5%%).", num("fig13b.max_abs_deviation", maxDev, "frac", "%.1f%%"))
 	return rep
-}
-
-func maxAbsPct(xs []float64) float64 {
-	m := 0.0
-	for _, x := range xs {
-		if x < 0 {
-			x = -x
-		}
-		if x > m {
-			m = x
-		}
-	}
-	return m * 100
 }

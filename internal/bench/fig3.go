@@ -73,12 +73,10 @@ func RunFig3a(opt Options) *Report {
 			ranks[i] = append(ranks[i], rank[p])
 		}
 		if s%8 == 0 || s == steps-1 {
-			rep.Rows = append(rep.Rows, []string{
-				fmt.Sprint(s),
-				fmt.Sprint(rank[probes[0]]),
-				fmt.Sprint(rank[probes[1]]),
-				fmt.Sprint(rank[probes[2]]),
-			})
+			rep.AddRow(label(fmt.Sprint(s)),
+				num("", float64(rank[probes[0]]), "rank", "%.0f"),
+				num("", float64(rank[probes[1]]), "rank", "%.0f"),
+				num("", float64(rank[probes[2]]), "rank", "%.0f"))
 		}
 	}
 	for i, p := range probes {
@@ -91,8 +89,9 @@ func RunFig3a(opt Options) *Report {
 				hi = r
 			}
 		}
-		rep.Notes = append(rep.Notes,
-			fmt.Sprintf("token %d rank range [%d, %d] — importance fluctuates across steps", p, lo, hi))
+		pre := fmt.Sprintf("fig3a.tok_%d.", p)
+		rep.Notef("token %d rank range [%s, %s] — importance fluctuates across steps", p,
+			num(pre+"rank_min", float64(lo), "rank", "%.0f"), num(pre+"rank_max", float64(hi), "rank", "%.0f"))
 	}
 	rep.Notes = append(rep.Notes,
 		"paper: tokens move between important and unimportant during decoding,",
@@ -130,15 +129,14 @@ func RunFig3b(opt Options) *Report {
 	}
 	sort.Ints(counts)
 	for _, c := range counts {
-		rep.Rows = append(rep.Rows, []string{fmt.Sprint(c), fmt.Sprint(hist[c])})
+		rep.AddRow(label(fmt.Sprint(c)), num("", float64(hist[c]), "pages", "%.0f"))
 	}
 
 	pagesTouched := len(pages)
 	pageTokens := pagesTouched * pageSize
-	rep.Notes = append(rep.Notes,
-		fmt.Sprintf("pages touched: %d -> page-granular recall needs %d tokens of budget for %d important tokens (%.1fx waste)",
-			pagesTouched, pageTokens, topN, float64(pageTokens)/float64(topN)),
-	)
+	rep.Notef("pages touched: %s -> page-granular recall needs %d tokens of budget for %d important tokens (%s waste)",
+		num("fig3b.pages_touched", float64(pagesTouched), "pages", "%.0f"), pageTokens, topN,
+		num("fig3b.page_waste", float64(pageTokens)/float64(topN), "", "%.1fx"))
 
 	// Coverage comparison at a fixed 256-token budget: how many of the
 	// top-64 important tokens does each granularity capture when both pick
@@ -199,9 +197,10 @@ func RunFig3b(opt Options) *Report {
 		budget -= take
 	}
 
+	rep.Notef("within a %d-token budget, page granularity covers %s/%d important tokens, semantic-cluster granularity covers %s/%d",
+		coverBudget, num("fig3b.page_covered", float64(covered), "tokens", "%.0f"), topN,
+		num("fig3b.cluster_covered", float64(clusterCovered), "tokens", "%.0f"), topN)
 	rep.Notes = append(rep.Notes,
-		fmt.Sprintf("within a %d-token budget, page granularity covers %d/%d important tokens, semantic-cluster granularity covers %d/%d",
-			coverBudget, covered, topN, clusterCovered, topN),
 		"paper: each 16-token page holds only 1-2 important tokens, so page-granular",
 		"recall wastes budget on unimportant page fill.",
 	)

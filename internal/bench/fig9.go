@@ -86,15 +86,15 @@ func RunFig9(opt Options) (*Fig9Result, *Report) {
 		}
 		taskScores := make([][]float64, len(methods))
 		for mi, ms := range methods {
-			row := []string{spec.Name, ms.Name}
+			row := []Cell{label(spec.Name), label(ms.Name)}
 			taskScores[mi] = make([]float64, len(Budgets))
 			for bi, b := range Budgets {
 				run := RunTrace(task.Trace, ms.New(), b)
 				s := taskScore(spec, run)
 				taskScores[mi][bi] = s
-				row = append(row, f2(s))
+				row = append(row, num("", s, "score", "%.2f"))
 			}
-			rep.Rows = append(rep.Rows, row)
+			rep.AddRow(row...)
 		}
 		res.Scores = append(res.Scores, taskScores)
 	}
@@ -114,15 +114,15 @@ func RunTab1(opt Options) (*Report, *Fig9Result) {
 		Headers: []string{"Method", "B=256", "B=512", "B=1024", "B=2048"},
 	}
 	for mi, name := range res.Methods {
-		row := []string{name}
+		row := []Cell{label(name)}
 		for bi := range Budgets {
 			var xs []float64
 			for ti := range res.Tasks {
 				xs = append(xs, res.Scores[ti][mi][bi])
 			}
-			row = append(row, f2(metrics.Mean(xs)))
+			row = append(row, num("", metrics.Mean(xs), "score", "%.2f"))
 		}
-		rep.Rows = append(rep.Rows, row)
+		rep.AddRow(row...)
 	}
 	rep.Notes = append(rep.Notes,
 		"paper Table I: Quest 35.63/40.83/43.23/45.59, InfiniGen 43.69/45.04/45.13/45.14,",

@@ -77,24 +77,19 @@ func RunFleet(o Options) *Report {
 	}
 
 	affinity := run(replicas, 0, false)
-	rep.Rows = append(rep.Rows, []string{
-		"affinity",
-		fmt.Sprintf("%d", affinity.Replicas),
-		fmt.Sprintf("%.0f%%", affinity.PrefixHitRate()*100),
-		fmt.Sprintf("%d", affinity.PrefillTokens),
-		fmt.Sprintf("%d", affinity.SavedPrefillPages),
-		fmt.Sprintf("%.1fms", affinity.Attribution.ModelTTFT.P50*1e3),
-		fmt.Sprintf("%.1fms", affinity.Attribution.ModelTTFT.P95*1e3),
-		fmt.Sprintf("%.1fms", affinity.Attribution.ModelTBT.P50*1e3),
-		f2(affinity.Balance),
-		fmt.Sprintf("%d", affinity.Shed),
-	})
-	rep.AddMetric("affinity.prefix_hit_rate", affinity.PrefixHitRate(), "frac")
-	rep.AddMetric("affinity.prefill_tokens", float64(affinity.PrefillTokens), "tokens")
-	rep.AddMetric("affinity.saved_prefill_pages", float64(affinity.SavedPrefillPages), "pages")
-	rep.AddMetric("affinity.model_ttft_p50", affinity.Attribution.ModelTTFT.P50*1e3, "ms")
-	rep.AddMetric("affinity.model_ttft_p95", affinity.Attribution.ModelTTFT.P95*1e3, "ms")
-	rep.AddMetric("affinity.balance", affinity.Balance, "")
+	prefill := num("affinity.prefill_tokens", float64(affinity.PrefillTokens), "tokens", "%.0f")
+	rep.AddRow(
+		label("affinity"),
+		label(fmt.Sprintf("%d", affinity.Replicas)),
+		num("affinity.prefix_hit_rate", affinity.PrefixHitRate(), "frac", "%.0f%%"),
+		prefill,
+		num("affinity.saved_prefill_pages", float64(affinity.SavedPrefillPages), "pages", "%.0f"),
+		num("affinity.model_ttft_p50", affinity.Attribution.ModelTTFT.P50*1e3, "ms", "%.1fms"),
+		num("affinity.model_ttft_p95", affinity.Attribution.ModelTTFT.P95*1e3, "ms", "%.1fms"),
+		num("affinity.model_tbt_p50", affinity.Attribution.ModelTBT.P50*1e3, "ms", "%.1fms"),
+		num("affinity.balance", affinity.Balance, "", "%.2f"),
+		num("affinity.shed", float64(affinity.Shed), "count", "%.0f"),
+	)
 
 	// Per-phase latency attribution for the fleet (DESIGN.md §14):
 	// where the modeled wall time actually went, request-weighted. The phase
@@ -102,10 +97,11 @@ func RunFleet(o Options) *Report {
 	s := affinity.Attribution
 	rep.AddMetric("attr.model_wall_ms", s.WallSec*1e3, "ms")
 	for _, ps := range s.Phases {
-		rep.AddMetric("attr.model_"+ps.Phase+"_ms", ps.TotalSec*1e3, "ms")
-		rep.Notes = append(rep.Notes, fmt.Sprintf(
-			"attribution: %-12s %8.2fms  %5.1f%% of wall  (p95 %.2fms)",
-			ps.Phase, ps.TotalSec*1e3, ps.FracWall*100, ps.P95*1e3))
+		pre := "attr.model_" + ps.Phase
+		rep.Notef("attribution: %-12s %s  %s of wall  (p95 %s)", ps.Phase,
+			num(pre+"_ms", ps.TotalSec*1e3, "ms", "%8.2fms"),
+			num(pre+"_frac", ps.FracWall, "frac", "%5.1f%%"),
+			num(pre+"_p95_ms", ps.P95*1e3, "ms", "%.2fms"))
 	}
 	rep.AddMetric("attr.prefix_credit_saved_ms", s.PrefixCreditSec*1e3, "ms")
 
@@ -124,18 +120,17 @@ func RunFleet(o Options) *Report {
 		fmt.Sprintf("load: %d requests over %d shared %d-token docs, %d-token questions, %d new tokens; %d replicas, MaxBatch 4",
 			nReqs, nDocs, docLen, qLen, maxNew, replicas),
 		"modeled latencies cost the real token/page/round counts as Llama-3.1-8B on the paper GPU (memsim); deterministic per seed",
-		fmt.Sprintf("affinity prefilled %d tokens (each doc once fleet-wide); pages saved = prefill pages avoided vs full per-request prefill",
-			affinity.PrefillTokens),
+		fmt.Sprintf("affinity prefilled %s tokens (each doc once fleet-wide); pages saved = prefill pages avoided vs full per-request prefill",
+			prefill),
 		"cache-oblivious baselines (round-robin, least-loaded): recorded rows in EXPERIMENTS.md",
 	)
 	for _, sr := range sloRows {
-		rep.Notes = append(rep.Notes, fmt.Sprintf(
-			"slo %dms, %d replica(s): %.0f%% attainment, %d shed, %d rerouted",
-			int(sloTTFT*1e3), sr.replicas, sr.sum.SLOAttainment*100, sr.sum.Shed, sr.sum.Rerouted))
 		pre := fmt.Sprintf("slo.replicas_%d.", sr.replicas)
-		rep.AddMetric(pre+"attainment", sr.sum.SLOAttainment, "frac")
-		rep.AddMetric(pre+"shed", float64(sr.sum.Shed), "count")
-		rep.AddMetric(pre+"rerouted", float64(sr.sum.Rerouted), "count")
+		rep.Notef("slo %dms, %d replica(s): %s attainment, %s shed, %s rerouted",
+			int(sloTTFT*1e3), sr.replicas,
+			num(pre+"attainment", sr.sum.SLOAttainment, "frac", "%.0f%%"),
+			num(pre+"shed", float64(sr.sum.Shed), "count", "%.0f"),
+			num(pre+"rerouted", float64(sr.sum.Rerouted), "count", "%.0f"))
 	}
 	return rep
 }

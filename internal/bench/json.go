@@ -9,10 +9,10 @@ import (
 
 // Machine-readable bench snapshots: the schema-versioned BENCH_<exp>.json
 // files that form the repository's performance trajectory. Each snapshot
-// captures one experiment's reports — tables, notes and typed metrics —
-// together with the options, seed and commit that produced them, so a later
-// re-anchor can diff the same experiment across commits without parsing
-// ASCII tables.
+// captures one experiment's reports — tables as rendered text, notes, and
+// every named cell as a typed metric — together with the options, seed and
+// commit that produced them, so a later re-anchor can diff the same
+// experiment across commits without parsing ASCII tables.
 
 // SnapshotSchema is the snapshot format version. Bump on any
 // backwards-incompatible change to Snapshot's JSON shape.
@@ -56,9 +56,9 @@ func NewSnapshot(experiment, commit string, o Options, reports []*Report) Snapsh
 			ID:      r.ID,
 			Title:   r.Title,
 			Headers: r.Headers,
-			Rows:    r.Rows,
+			Rows:    r.texts(),
 			Notes:   r.Notes,
-			Metrics: r.Metrics,
+			Metrics: r.named(),
 		})
 	}
 	return s

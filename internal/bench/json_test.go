@@ -12,10 +12,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		ID:      "fleet",
 		Title:   "test report",
 		Headers: []string{"a", "b"},
-		Rows:    [][]string{{"1", "2"}},
 		Notes:   []string{"note"},
 	}
-	rep.AddMetric("affinity.prefix_hit_rate", 0.75, "frac")
+	rep.AddRow(num("affinity.prefix_hit_rate", 0.75, "frac", "%.0f%%"), label("2"))
 	rep.AddMetric("affinity.balance", 1.0, "")
 
 	o := Options{MaxCtx: 8192, ModelCtx: 4096, Seed: 17}
@@ -51,6 +50,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	r := s.Reports[0]
 	if r.ID != "fleet" || len(r.Rows) != 1 || len(r.Headers) != 2 || len(r.Notes) != 1 {
 		t.Fatalf("report fields lost in round trip: %+v", r)
+	}
+	if r.Rows[0][0] != "75%" {
+		t.Fatalf("row renders %q, want the cell's text 75%%", r.Rows[0][0])
 	}
 	if len(r.Metrics) != 2 {
 		t.Fatalf("%d metrics, want 2", len(r.Metrics))

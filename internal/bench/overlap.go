@@ -31,12 +31,12 @@ func RunOverlap(opt Options) *Report {
 			Budget: 1024, Clusters: cts.AvgClusters, MissRate: cts.MissRate,
 		})
 		total := prefill + exposed + 1024*step.Total
-		rep.Rows = append(rep.Rows, []string{
-			fmt.Sprintf("%dk", p/1024),
-			f2(prefill), f2(busy), f3(exposed),
-			fmt.Sprintf("%.1f%%", busy/prefill*100),
-			fmt.Sprintf("%.2f%%", busy/total*100),
-		})
+		rep.AddRow(
+			label(fmt.Sprintf("%dk", p/1024)),
+			num("", prefill, "s", "%.2f"), num("", busy, "s", "%.2f"), num("", exposed, "s", "%.3f"),
+			num("", busy/prefill, "frac", "%.1f%%"),
+			num("", busy/total, "frac", "%.2f%%"),
+		)
 	}
 	rep.Notes = append(rep.Notes,
 		"clustering is launched right after QKV+RoPE of each layer and overlaps",
@@ -134,21 +134,16 @@ func RunXferOverlap(o Options) *Report {
 	eng.Close()
 	mx := eng.Metrics()
 	tr := mx.Transfer
-	rep.Rows = append(rep.Rows, []string{
-		fmt.Sprintf("%d/%d", served, nReqs),
-		f1(tr.BusySec * 1e3),
-		f1(tr.ExposedSec * 1e3),
-		f1(tr.HiddenSec() * 1e3),
-		fmt.Sprintf("%.0f%%", tr.HiddenFrac()*100),
-		fmt.Sprintf("%.0f%%", tr.PrefetchHitRate()*100),
-		fmt.Sprintf("%d/%d", mx.KVDevicePeak, mx.KVCapacity),
-		fmt.Sprintf("%d/%d", mx.KVHostPeak, mx.KVHostCapacity),
-	})
-	rep.AddMetric("async.busy_ms", tr.BusySec*1e3, "ms")
-	rep.AddMetric("async.exposed_ms", tr.ExposedSec*1e3, "ms")
-	rep.AddMetric("async.hidden_frac", tr.HiddenFrac(), "frac")
-	rep.AddMetric("async.prefetch_hit_rate", tr.PrefetchHitRate(), "frac")
-	rep.AddMetric("async.kv_device_peak", float64(mx.KVDevicePeak), "slots")
+	rep.AddRow(
+		num("async.served", float64(served), "count", fmt.Sprintf("%%.0f/%d", nReqs)),
+		num("async.busy_ms", tr.BusySec*1e3, "ms", "%.1f"),
+		num("async.exposed_ms", tr.ExposedSec*1e3, "ms", "%.1f"),
+		num("async.hidden_ms", tr.HiddenSec()*1e3, "ms", "%.1f"),
+		num("async.hidden_frac", tr.HiddenFrac(), "frac", "%.0f%%"),
+		num("async.prefetch_hit_rate", tr.PrefetchHitRate(), "frac", "%.0f%%"),
+		num("async.kv_device_peak", float64(mx.KVDevicePeak), "slots", fmt.Sprintf("%%.0f/%d", mx.KVCapacity)),
+		num("async.kv_host_peak", float64(mx.KVHostPeak), "slots", fmt.Sprintf("%%.0f/%d", mx.KVHostCapacity)),
+	)
 	rep.Notes = append(rep.Notes,
 		fmt.Sprintf("load: %d requests, %d docs x %d tokens, %d-token questions, %d new tokens, budget %d",
 			nReqs, lc.NDocs, docLen, qLen, maxNew, budget),

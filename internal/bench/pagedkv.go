@@ -86,13 +86,13 @@ func RunPagedKV(o Options) *Report {
 				worstRefused++
 			}
 		}
-		rep.Rows = append(rep.Rows, []string{
-			fmt.Sprintf("%d", budget), "worst-case reserve (arithmetic)",
-			fmt.Sprintf("%d/%d", len(reqs)-worstRefused, len(reqs)),
-			fmt.Sprintf("%d", worstRefused), "-", "-", "-",
-		})
-		rep.AddMetric(key+"worstcase.admitted", float64(len(reqs)-worstRefused), "count")
-		rep.AddMetric(key+"worstcase.refused", float64(worstRefused), "count")
+		outOf := fmt.Sprintf("%%.0f/%d", len(reqs))
+		rep.AddRow(
+			label(fmt.Sprintf("%d", budget)), label("worst-case reserve (arithmetic)"),
+			num(key+"worstcase.admitted", float64(len(reqs)-worstRefused), "count", outOf),
+			num(key+"worstcase.refused", float64(worstRefused), "count", "%.0f"),
+			label("-"), label("-"), label("-"),
+		)
 
 		eng := serve.NewEngine(m, serve.Config{
 			Workers: 2, MaxBatch: 4, KVBudget: budget, Seed: o.Seed,
@@ -108,17 +108,14 @@ func RunPagedKV(o Options) *Report {
 		}
 		mx := eng.Metrics()
 		eng.Close()
-		rep.Rows = append(rep.Rows, []string{
-			fmt.Sprintf("%d", budget), "exact paged-COW",
-			fmt.Sprintf("%d/%d", admitted, len(reqs)),
-			fmt.Sprintf("%d", refused),
-			fmt.Sprintf("%d", mx.KVPeak),
-			f2(mx.MeanBatchOccupancy),
-			fmt.Sprintf("%d", mx.Rounds),
-		})
-		rep.AddMetric(key+"exact.admitted", float64(admitted), "count")
-		rep.AddMetric(key+"exact.refused", float64(refused), "count")
-		rep.AddMetric(key+"exact.kv_peak", float64(mx.KVPeak), "slots")
+		rep.AddRow(
+			label(fmt.Sprintf("%d", budget)), label("exact paged-COW"),
+			num(key+"exact.admitted", float64(admitted), "count", outOf),
+			num(key+"exact.refused", float64(refused), "count", "%.0f"),
+			num(key+"exact.kv_peak", float64(mx.KVPeak), "slots", "%.0f"),
+			num(key+"exact.mean_batch", mx.MeanBatchOccupancy, "", "%.2f"),
+			num(key+"exact.rounds", float64(mx.Rounds), "count", "%.0f"),
+		)
 	}
 	rep.Notes = append(rep.Notes,
 		fmt.Sprintf("load: %d requests, %d docs × %d tokens, %d-token questions, %d new tokens each",
@@ -146,11 +143,9 @@ func RunPagedKV(o Options) *Report {
 	planes := int64(cfg.NLayers * cfg.NKVHeads)
 	perCopyPages := int64((len(divDoc)+len(answer)+kvcache.DefaultPageTokens-1)/kvcache.DefaultPageTokens) * planes
 	live := arena.LivePages()
-	rep.Notes = append(rep.Notes, fmt.Sprintf(
-		"fork divergence: %d forks of a %d-token doc, %d-token divergent tails -> %d live pages vs %d for per-fork copies (%.1fx dedup)",
-		forks, len(divDoc), len(answer), live, forks*perCopyPages,
-		float64(forks*perCopyPages)/float64(live)))
-	rep.AddMetric("fork_dedup_ratio", float64(forks*perCopyPages)/float64(live), "")
+	rep.Notef("fork divergence: %d forks of a %d-token doc, %d-token divergent tails -> %s live pages vs %d for per-fork copies (%s dedup)",
+		forks, len(divDoc), len(answer), num("fork_live_pages", float64(live), "pages", "%.0f"), forks*perCopyPages,
+		num("fork_dedup_ratio", float64(forks*perCopyPages)/float64(live), "", "%.1fx"))
 	for i := range seqs {
 		seqs[i].Release()
 	}

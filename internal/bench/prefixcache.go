@@ -10,7 +10,7 @@ import (
 	"clusterkv/internal/workload"
 )
 
-// RunRadix measures the engine's prefix cache on nested-prefix serving
+// RunPrefixCache measures the engine's prefix cache on nested-prefix serving
 // loads — multi-turn chat, agentic re-entry and templated RAG, plus the
 // shared-document QA load as a single-level control — against what an
 // exact-match-only cache would prefill. Exact matching only reuses a prefill
@@ -22,7 +22,7 @@ import (
 // and prefills only the rest. The same load with sharing switched
 // off (SharedPrefixLen zeroed) must produce the same tokens — the cache
 // changes what is prefilled, never what is generated.
-func RunRadix(o Options) *Report {
+func RunPrefixCache(o Options) *Report {
 	o = o.withDefaults()
 	mcfg := model.DefaultConfig()
 	m := model.New(mcfg)
@@ -111,8 +111,8 @@ func RunRadix(o Options) *Report {
 	}
 
 	rep := &Report{
-		ID:    "radix",
-		Title: "radix prefix cache vs exact-match-only reuse, nested-prefix loads",
+		ID:    "prefixcache",
+		Title: "prefix cache vs exact-match-only reuse, nested-prefix loads",
 		Headers: []string{"load", "reqs", "hits", "partial", "reused toks",
 			"prefill toks", "exact-only toks", "toks saved", "pages saved", "identical"},
 	}
@@ -124,36 +124,27 @@ func RunRadix(o Options) *Report {
 			unshared[i].SharedPrefixLen = 0
 		}
 		uResps, _ := run(unshared)
-		same := identical(rResps, uResps)
+		same := 0.0
+		if identical(rResps, uResps) {
+			same = 1
+		}
 		exactOnly := exactOnlyPrefill(c.reqs)
 		savedToks := exactOnly - rm.PrefillTokens
 		// Partial reuse is page-aligned, so the saved prefill divides into
 		// whole pages; planes = layers x kv heads (one arena page per plane).
 		savedPages := savedToks / pageTokens * planes
 
-		rep.Rows = append(rep.Rows, []string{
-			c.name, fmt.Sprintf("%d", len(c.reqs)),
-			fmt.Sprintf("%d", rm.PrefixHits),
-			fmt.Sprintf("%d", rm.PrefixPartialHits),
-			fmt.Sprintf("%d", rm.PrefixReusedTokens),
-			fmt.Sprintf("%d", rm.PrefillTokens),
-			fmt.Sprintf("%d", exactOnly),
-			fmt.Sprintf("%d", savedToks),
-			fmt.Sprintf("%d", savedPages),
-			fmt.Sprintf("%v", same),
-		})
-
-		rep.AddMetric(c.name+".flat.prefill_tokens", float64(exactOnly), "tokens")
-		rep.AddMetric(c.name+".radix.prefill_tokens", float64(rm.PrefillTokens), "tokens")
-		rep.AddMetric(c.name+".radix.partial_hits", float64(rm.PrefixPartialHits), "count")
-		rep.AddMetric(c.name+".radix.reused_tokens", float64(rm.PrefixReusedTokens), "tokens")
-		rep.AddMetric(c.name+".saved_prefill_tokens", float64(savedToks), "tokens")
-		rep.AddMetric(c.name+".saved_prefill_pages", float64(savedPages), "pages")
-		if same {
-			rep.AddMetric(c.name+".token_identical", 1, "bool")
-		} else {
-			rep.AddMetric(c.name+".token_identical", 0, "bool")
-		}
+		rep.AddRow(
+			label(c.name), label(fmt.Sprintf("%d", len(c.reqs))),
+			num(c.name+".cache.hits", float64(rm.PrefixHits), "count", "%.0f"),
+			num(c.name+".cache.partial_hits", float64(rm.PrefixPartialHits), "count", "%.0f"),
+			num(c.name+".cache.reused_tokens", float64(rm.PrefixReusedTokens), "tokens", "%.0f"),
+			num(c.name+".cache.prefill_tokens", float64(rm.PrefillTokens), "tokens", "%.0f"),
+			num(c.name+".flat.prefill_tokens", float64(exactOnly), "tokens", "%.0f"),
+			num(c.name+".saved_prefill_tokens", float64(savedToks), "tokens", "%.0f"),
+			num(c.name+".saved_prefill_pages", float64(savedPages), "pages", "%.0f"),
+			num(c.name+".token_identical", same, "bool", "%v"),
+		)
 	}
 
 	rep.Notes = append(rep.Notes,

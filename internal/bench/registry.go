@@ -33,8 +33,8 @@ func Registry() map[string]Runner {
 		"fleet": func(o Options) []*Report {
 			return []*Report{RunFleet(o)}
 		},
-		"radix": func(o Options) []*Report {
-			return []*Report{RunRadix(o)}
+		"prefixcache": func(o Options) []*Report {
+			return []*Report{RunPrefixCache(o)}
 		},
 	}
 }
@@ -44,6 +44,6 @@ func RegistryOrder() []string {
 	return []string{
 		"fig3a", "fig3b", "fig9", "tab1", "fig10",
 		"fig11a", "fig11b", "fig12", "fig13a", "fig13b",
-		"cache", "overlap", "ablations", "pagedkv", "fleet", "radix",
+		"cache", "overlap", "ablations", "pagedkv", "fleet", "prefixcache",
 	}
 }
