@@ -85,14 +85,21 @@ bench-compare:
 # query-block kernels against per-query calls (DotRowsBlock,
 # AddScaledRowsBlock), the prefill query block against per-query attention
 # (FullBlock), the vector ≡ scalar suite (Vec: AVX2 kernels against the Go
-# loops, the exp pin, softmax and SiluMul on the AVX2 and the AVX-512 exp,
-# the arg-best, the fuzz seed corpus) and K-means against its key-major
-# oracle at GOMAXPROCS=1 and at GOMAXPROCS=2 with the race detector,
-# locking the bit-identity contract of DESIGN.md §12 independently of the
-# scheduler.
+# loops, the exp pin and the table exp's fallback, softmax, SoftmaxRows and
+# SiluMul on the AVX2 and the AVX-512 exp, the arg-best, the fuzz seed corpus)
+# and K-means against its key-major oracle at GOMAXPROCS=1 and at
+# GOMAXPROCS=2 with the race detector, locking the bit-identity contract of
+# DESIGN.md §12 independently of the scheduler. Each runs twice: as the CPU
+# dispatches, and under the noavx512 tag, which keeps the AVX-512 kernels off
+# so the AVX2 ones stay tested on AVX-512 hosts.
+KERNEL_TESTS = 'Block|DotRows|AddScaledRows|PackedMat|Fused|DecodeSteady|Vec|KMeans|ArgBest|Silu'
+KERNEL_PKGS = ./internal/tensor/ ./internal/attention/ ./internal/kvcache/ ./internal/model/ ./internal/cluster/
+
 test-kernels:
-	GOMAXPROCS=1 $(GO) test -count=1 -run 'Block|DotRows|AddScaledRows|PackedMat|Fused|DecodeSteady|Vec|KMeans|ArgBest|Silu' ./internal/tensor/ ./internal/attention/ ./internal/kvcache/ ./internal/model/ ./internal/cluster/
-	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'Block|DotRows|AddScaledRows|PackedMat|Fused|DecodeSteady|Vec|KMeans|ArgBest|Silu' ./internal/tensor/ ./internal/attention/ ./internal/kvcache/ ./internal/model/ ./internal/cluster/
+	for tags in '' noavx512; do \
+		GOMAXPROCS=1 $(GO) test -count=1 -tags "$$tags" -run $(KERNEL_TESTS) $(KERNEL_PKGS) || exit 1; \
+		GOMAXPROCS=2 $(GO) test -race -count=1 -tags "$$tags" -run $(KERNEL_TESTS) $(KERNEL_PKGS) || exit 1; \
+	done
 
 # Generic-path lanes: the scalar Go kernels are what every target but amd64
 # runs, so the packages that sit on them are tested with the vector path

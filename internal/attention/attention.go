@@ -93,9 +93,10 @@ func (sc *Scratch) FullN(out, q []float32, s *kvcache.Store, n int) {
 // pass, so a page is fetched once per block instead of once per query. A page
 // every query sees whole is one DotRowsBlock and one AddScaledRowsBlock call
 // for the block; the causal diagonal page, where the queries' row counts
-// differ, is one DotRows and one AddScaledRows call per query. Each query's
-// scores, softmax and sums are therefore FullN's, in FullN's order:
-// bit-identical to nq FullN calls.
+// differ, is one DotRows and one AddScaledRows call per query; the score rows
+// go through one SoftmaxRows. Each query's scores, softmax and sums are
+// therefore FullN's, in FullN's order: bit-identical to nq FullN calls. Every
+// query is read before any output is written, so out may be q itself.
 func (sc *Scratch) FullBlock(out, q []float32, stride int, s *kvcache.Store, n0, nq int) {
 	d := s.HeadDim()
 	span := n0 + nq - 1 // tokens the last query sees; row j of scores uses n0+j of them
@@ -114,8 +115,8 @@ func (sc *Scratch) FullBlock(out, q []float32, stride int, s *kvcache.Store, n0,
 		}
 		i += pageRows
 	}
+	tensor.SoftmaxRows(scores, span, n0, nq)
 	for j := 0; j < nq; j++ {
-		tensor.Softmax(scores[j*span : j*span+n0+j])
 		tensor.Fill(out[j*stride:j*stride+d], 0)
 	}
 	for p, i := 0, 0; i < span; p++ {

@@ -11,7 +11,9 @@ import (
 
 	"clusterkv/internal/attention"
 	"clusterkv/internal/kvcache"
+	"clusterkv/internal/parallel"
 	"clusterkv/internal/rng"
+	"clusterkv/internal/tensor"
 )
 
 // blockVsFullN runs one block of nq queries at n0 both ways, the queries and
@@ -38,7 +40,7 @@ func blockVsFullN(t *testing.T, ctx string, s *kvcache.Store, n0, nq int) {
 		perQuery.FullN(want, q[j*stride:j*stride+d], s, n0+j)
 		for c := range want {
 			if math.Float32bits(got[j*stride+c]) != math.Float32bits(want[c]) {
-				t.Fatalf("%s n0=%d nq=%d: query %d channel %d: block %v, FullN %v", ctx, n0, nq, j, c, got[j*stride+c], want[c])
+				t.Fatalf("%s d=%d n0=%d nq=%d: query %d channel %d: block %v, FullN %v", ctx, d, n0, nq, j, c, got[j*stride+c], want[c])
 			}
 		}
 		for c := d; c < stride && j*stride+c < len(got); c++ {
@@ -47,28 +49,52 @@ func blockVsFullN(t *testing.T, ctx string, s *kvcache.Store, n0, nq int) {
 			}
 		}
 	}
+	// In place, as a prefill runs it: the outputs overwrite the queries.
+	inPlace := append([]float32(nil), q...)
+	block.FullBlock(inPlace, inPlace, stride, s, n0, nq)
+	for j := 0; j < nq; j++ {
+		for c := 0; c < d; c++ {
+			if math.Float32bits(inPlace[j*stride+c]) != math.Float32bits(got[j*stride+c]) {
+				t.Fatalf("%s n0=%d nq=%d: in place, query %d channel %d: %v, not %v", ctx, n0, nq, j, c, inPlace[j*stride+c], got[j*stride+c])
+			}
+		}
+	}
 }
 
+// TestFullBlockMatchesFullN checks every query count a 16-lane kernel call
+// pads and counts past one call, blocks that start on and off a page
+// boundary, and head dims on and off the 16-lane kernels' widths, with the
+// AVX-512 kernels on and off.
 func TestFullBlockMatchesFullN(t *testing.T) {
-	const d = 16
-	P := kvcache.DefaultPageTokens
-	for _, n0 := range []int{1, P - 1, P, P + 1, 3*P + 5} {
-		for _, nq := range []int{1, 2, 7, 8} {
-			n := n0 + nq - 1
-			// The block ends exactly at the store's end, on a partial tail page
-			// for most shapes, or well inside a longer store.
-			blockVsFullN(t, "exact", conformanceStore(uint64(n), n, d), n0, nq)
-			blockVsFullN(t, "longer", conformanceStore(uint64(n), n+P+3, d), n0, nq)
+	for _, on := range []bool{true, false} {
+		func() {
+			defer tensor.SetAVX512(tensor.SetAVX512(on))
+			fullBlockShapes(t)
+		}()
+	}
+}
 
-			// A fork shares the document's pages and appends the block's own
-			// keys behind them, as a prefix hit's prefill does.
-			doc := conformanceStore(uint64(n0), n0, d)
-			fork := doc.Fork()
-			tail := conformanceStore(7, nq-1, d)
-			for i := 0; i < tail.Len(); i++ {
-				fork.Append(tail.Key(i), tail.Value(i))
+func fullBlockShapes(t *testing.T) {
+	P := kvcache.DefaultPageTokens
+	for _, d := range []int{4, 8, 12, 16, 64} {
+		for _, n0 := range []int{1, P - 1, P, P + 1, 3*P + 5} {
+			for _, nq := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 33} {
+				n := n0 + nq - 1
+				// The block ends exactly at the store's end, on a partial tail
+				// page for most shapes, or well inside a longer store.
+				blockVsFullN(t, "exact", conformanceStore(uint64(n), n, d), n0, nq)
+				blockVsFullN(t, "longer", conformanceStore(uint64(n), n+P+3, d), n0, nq)
+
+				// A fork shares the document's pages and appends the block's own
+				// keys behind them, as a prefix hit's prefill does.
+				doc := conformanceStore(uint64(n0), n0, d)
+				fork := doc.Fork()
+				tail := conformanceStore(7, nq-1, d)
+				for i := 0; i < tail.Len(); i++ {
+					fork.Append(tail.Key(i), tail.Value(i))
+				}
+				blockVsFullN(t, "fork", fork, n0, nq)
 			}
-			blockVsFullN(t, "fork", fork, n0, nq)
 		}
 	}
 }
@@ -111,11 +137,69 @@ func BenchmarkFullResident(b *testing.B) { fullBench(b, 1, 0) }
 
 func BenchmarkFullStreaming16(b *testing.B) { fullBench(b, 16, 0) }
 
-// BenchmarkFullBlock1, 4 and 8 are one query block of a prefill over a
-// resident store: 1 is FullN's per-query kernels, 4 a prefix hit's pool block
-// at width 2, 8 prefillQueryBlock.
+// BenchmarkFullBlock1, 4, 8 and 16 are one query block of a prefill over a
+// resident store: 1 is FullN's per-query kernels, 4 and 8 the blocks a prefix
+// hit's prefill ran before its attention was split by head, 16 the model's
+// prefillQueryBlock.
 func BenchmarkFullBlock1(b *testing.B) { fullBench(b, 1, 1) }
 
 func BenchmarkFullBlock4(b *testing.B) { fullBench(b, 1, 4) }
 
 func BenchmarkFullBlock8(b *testing.B) { fullBench(b, 1, 8) }
+
+func BenchmarkFullBlock16(b *testing.B) { fullBench(b, 1, 16) }
+
+// BenchmarkFullBlockHeads is the attention phase of one prefix-hit prefill
+// layer on the shared pool: 4 heads × 32 queries at the end of a 4128-token
+// context of head dim 16, the queries and outputs one 64-wide row per
+// position as in a prefill's query matrix, reported per query and head.
+// heads is the prefill's split — one unit per head, whose two FullBlock
+// calls of 16 queries walk the head's pages while they sit in the worker's
+// L2; rows is the split it replaced — 8 blocks of 4 positions, each
+// attending all 4 heads, so every block streams every head's pages.
+func BenchmarkFullBlockHeads(b *testing.B) {
+	const heads, n, d, nq = 4, 4128, 16, 32
+	sts := make([]*kvcache.Store, heads)
+	for h := range sts {
+		sts[h] = conformanceStore(uint64(h+1), n, d)
+	}
+	const width = heads * d
+	q := make([]float32, nq*width)
+	for j := 0; j < nq; j++ {
+		copy(q[j*width:], conformanceQuery(uint64(9+j), width))
+	}
+	out := make([]float32, len(q))
+	pool := parallel.Default()
+	scratch := make(chan *attention.Scratch, pool.Width())
+	for range pool.Width() {
+		scratch <- new(attention.Scratch)
+	}
+	n0 := n - nq + 1
+	for _, split := range []struct {
+		name        string
+		units, rows int
+	}{{"heads", heads, 16}, {"rows", nq / 4, 4}} {
+		b.Run(split.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				pool.For(split.units, 1, func(lo, hi int) {
+					sc := <-scratch
+					for u := lo; u < hi; u++ {
+						if split.units == heads { // one head, every query
+							for j0 := 0; j0 < nq; j0 += split.rows {
+								off := j0*width + u*d
+								sc.FullBlock(out[off:], q[off:], width, sts[u], n0+j0, split.rows)
+							}
+							continue
+						}
+						for h := range heads { // every head, one block of queries
+							off := u*split.rows*width + h*d
+							sc.FullBlock(out[off:], q[off:], width, sts[h], n0+u*split.rows, split.rows)
+						}
+					}
+					scratch <- sc
+				})
+			}
+			b.ReportMetric(b.Elapsed().Seconds()*1e6/float64(b.N*nq*heads), "us/query")
+		})
+	}
+}

@@ -3,19 +3,15 @@ package bench
 // Runner regenerates one experiment and returns its reports.
 type Runner func(Options) []*Report
 
-// Registry maps experiment ids (DESIGN.md §3) to runners.
+// Registry maps experiment ids (DESIGN.md §3) to runners. Its fig9 and tab1
+// runners share one score grid per Options, so running both computes it once.
 func Registry() map[string]Runner {
+	var grids fig9Grids
 	return map[string]Runner{
-		"fig3a": func(o Options) []*Report { return []*Report{RunFig3a(o)} },
-		"fig3b": func(o Options) []*Report { return []*Report{RunFig3b(o)} },
-		"fig9": func(o Options) []*Report {
-			_, rep := RunFig9(o)
-			return []*Report{rep}
-		},
-		"tab1": func(o Options) []*Report {
-			rep, _ := RunTab1(o)
-			return []*Report{rep}
-		},
+		"fig3a":  func(o Options) []*Report { return []*Report{RunFig3a(o)} },
+		"fig3b":  func(o Options) []*Report { return []*Report{RunFig3b(o)} },
+		"fig9":   func(o Options) []*Report { return []*Report{fig9Report(grids.scores(o))} },
+		"tab1":   func(o Options) []*Report { return []*Report{tab1Report(grids.scores(o), o)} },
 		"fig10":  func(o Options) []*Report { return []*Report{RunFig10(o)} },
 		"fig11a": func(o Options) []*Report { return []*Report{RunFig11a(o)} },
 		"fig11b": func(o Options) []*Report { return []*Report{RunFig11b(o)} },

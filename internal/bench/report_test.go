@@ -11,11 +11,12 @@ import (
 // experiment carries a metric name, and no metric name repeats within an
 // experiment, so each printed number is exactly one gated value.
 func TestEveryNumberIsNamedOnce(t *testing.T) {
+	reg := Registry() // one registry: fig9 and tab1 share their score grid
 	for _, id := range RegistryOrder() {
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
 			seen := map[string]bool{}
-			for _, rep := range Registry()[id](smallOptions()) {
+			for _, rep := range reg[id](smallOptions()) {
 				for _, row := range rep.Rows {
 					for _, c := range row {
 						if c.Format != "" && c.Name == "" {

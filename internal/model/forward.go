@@ -197,21 +197,28 @@ func (s *Sequence) Len() int { return s.pos }
 // Selector returns the attached selection policy (may be nil).
 func (s *Sequence) Selector() attention.Selector { return s.sel }
 
-// prefillQueryBlock is how many consecutive positions of a prefill attend
-// together (attention.Scratch.FullBlock), each KV page fetched once for all of
-// them. 8 of {4, 8, 16} on BenchmarkPrefill4kWorkers2: with the multi-query
-// kernels 16 adds 3–7 % over 8 and doubles the score scratch (EXPERIMENTS.md
-// has the sweep).
-const prefillQueryBlock = 8
+// prefillQueryBlock is how many consecutive positions one unit of a
+// prefill's attention phase takes for one head, in one
+// attention.Scratch.FullBlock call: the unit walks that head's K/V pages once
+// for all of them, and the 16-lane kernels transpose each page once for the
+// block. 16 of {8, 16, 32} on BenchmarkPrefillHit4k32/w2: a prefix hit's
+// 32-token question is 8 units on 4 heads, which two workers share evenly
+// even when one wakes late, and a unit's score rows (264 KB at a 4128-token
+// context) stay in L2 beside its head's pages.
+const prefillQueryBlock = 16
 
-// prefillScratch is the per-executor scratch of the position-parallel
-// attention + FFN phase: outFFN's operands for one query block, resized to
-// its row count. A block of the phase takes one from the prefill's free list
-// and puts it back, so no float buffer is ever shared between concurrent
-// positions and a prefill makes at most pool-width of them.
+// prefillFFNRows is the row count of one outFFN call in the prefill's FFN
+// phase: the decode cohort's MatTMat shape.
+const prefillFFNRows = 8
+
+// prefillScratch is the per-executor scratch of the prefill's attention and
+// FFN phases: the score rows of FullBlock and outFFN's operands for one row
+// block, resized to its row count. A block of a phase takes one from the
+// prefill's free list and puts it back, so no float buffer is ever shared
+// between concurrent blocks and a prefill makes at most pool-width of them.
 type prefillScratch struct {
-	attnOut, normed, gate, up tensor.Mat
-	attn                      attention.Scratch
+	normed, gate, up tensor.Mat
+	attn             attention.Scratch
 }
 
 // Prefill processes the whole prompt with full attention, layer by layer
@@ -231,9 +238,10 @@ type prefillScratch struct {
 // still prices prefill per token.
 //
 // The O(L²) hot path is intra-op parallel on the shared parallel.Default
-// pool, in two row-parallel phases per layer around the serial KV append:
-// norm, QKV projections and rope over blocks of positions, then attention
-// and outFFN over query blocks. Every weight product is the decode step's
+// pool, in three phases per layer around the serial KV append: norm, QKV
+// projections and rope over blocks of positions; attention over (head,
+// query block) units, each walking one head's pages for its block; and
+// outFFN over row blocks. Every weight product is the decode step's
 // MatTMat run serially on a block's rows, and outFFN is the decode step's
 // post-attention body; per-position logits are one LM-head block product
 // over all n rows, split over the vocabulary on the pool. Every parallel
@@ -265,8 +273,9 @@ func (s *Sequence) Prefill(tokens []int, wantLogits []float32) []float32 {
 		}
 	})
 
-	// Free list of the attention phase's scratch: executors never outnumber
-	// the pool width, so neither do the scratches made, and a put never blocks.
+	// Free list of the attention and FFN phases' scratch: executors never
+	// outnumber the pool width, so neither do the scratches made, and a put
+	// never blocks.
 	scratch := make(chan *prefillScratch, pool.Width())
 
 	normAll := tensor.NewMat(n, cfg.DModel)
@@ -317,36 +326,41 @@ func (s *Sequence) Prefill(tokens []int, wantLogits []float32) []float32 {
 					v[kv*cfg.HeadDim:(kv+1)*cfg.HeadDim])
 			}
 		}
-		// Causal attention + FFN, position-parallel. Blocks are fine-grained
-		// (grain 4) so the dynamic scheduler balances the causal skew — late
-		// positions attend over longer prefixes than early ones — and a helper
-		// that wakes late; inside one, positions attend a query block at a time.
-		// The last layer's K/V are in the stores by now, so without per-position
-		// logits its only row anyone reads is the returned one, n−1.
+		// Causal attention, head-wise (DESIGN.md §6): a unit is one head over
+		// prefillQueryBlock positions, its outputs written over those rows'
+		// queries in qall (FullBlock reads every query of its block before it
+		// writes an output). Units are head-major, so a pool block walks one
+		// head's pages for consecutive position ranges while they sit in its
+		// cache, and grain 1 lets the dynamic scheduler balance the causal
+		// skew — late positions attend over longer prefixes than early ones.
+		// The last layer's K/V are in the stores by now, so without
+		// per-position logits its only row anyone reads is the returned one,
+		// n−1.
 		first := 0
 		if l == cfg.NLayers-1 && wantLogits == nil {
 			first = n - 1
 		}
 		group := cfg.GroupSize()
-		pool.For(n-first, 4, func(lo, hi int) {
-			lo, hi = lo+first, hi+first
-			var sc *prefillScratch
-			select {
-			case sc = <-scratch:
-			default:
-				sc = new(prefillScratch)
+		chunks := (n - first + prefillQueryBlock - 1) / prefillQueryBlock
+		pool.For(cfg.NHeads*chunks, 1, func(lo, hi int) {
+			sc := takeScratch(scratch)
+			for u := lo; u < hi; u++ {
+				hh, i0 := u/chunks, first+u%chunks*prefillQueryBlock
+				off := i0*qdim + hh*cfg.HeadDim
+				sc.attn.FullBlock(qall.Data[off:], qall.Data[off:], qdim, s.Store(l, hh/group), s.pos+i0+1, min(prefillQueryBlock, n-i0))
 			}
-			for i0 := lo; i0 < hi; i0 += prefillQueryBlock {
-				nq := min(prefillQueryBlock, hi-i0)
-				resize(&sc.attnOut, nq, qdim)
-				resize(&sc.normed, nq, cfg.DModel)
-				resize(&sc.gate, nq, cfg.FFNDim)
-				resize(&sc.up, nq, cfg.FFNDim)
-				for hh := 0; hh < cfg.NHeads; hh++ {
-					off := hh * cfg.HeadDim
-					sc.attn.FullBlock(sc.attnOut.Data[off:], qall.Data[i0*qdim+off:], qdim, s.Store(l, hh/group), s.pos+i0+1, nq)
-				}
-				lw.outFFN(nil, hs.RowBlock(i0, i0+nq), &sc.attnOut, &sc.normed, &sc.gate, &sc.up)
+			scratch <- sc
+		})
+		// Output projection and FFN over row blocks, each the decode step's
+		// post-attention body on its rows.
+		pool.For(n-first, prefillFFNRows, func(lo, hi int) {
+			sc := takeScratch(scratch)
+			for i0 := lo + first; i0 < hi+first; i0 += prefillFFNRows {
+				i1 := min(i0+prefillFFNRows, hi+first)
+				resize(&sc.normed, i1-i0, cfg.DModel)
+				resize(&sc.gate, i1-i0, cfg.FFNDim)
+				resize(&sc.up, i1-i0, cfg.FFNDim)
+				lw.outFFN(nil, hs.RowBlock(i0, i1), qall.RowBlock(i0, i1), &sc.normed, &sc.gate, &sc.up)
 			}
 			scratch <- sc
 		})
@@ -374,6 +388,17 @@ func (s *Sequence) Prefill(tokens []int, wantLogits []float32) []float32 {
 	last := make([]float32, cfg.DModel)
 	copy(last, hs.Row(n-1))
 	return last
+}
+
+// takeScratch returns a scratch from the prefill's free list, or a new one
+// when every made one is in use.
+func takeScratch(free chan *prefillScratch) *prefillScratch {
+	select {
+	case sc := <-free:
+		return sc
+	default:
+		return new(prefillScratch)
+	}
 }
 
 // shapeKey applies the attention-sink offset to keys of sink positions.

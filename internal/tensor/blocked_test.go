@@ -115,7 +115,7 @@ type blockShape struct{ d, nq, m, xStride, outStride int }
 func blockShapes() []blockShape {
 	var shapes []blockShape
 	for _, d := range []int{4, 7, 8, 12, 16, 32, 64, 128} {
-		for _, nq := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 13} {
+		for _, nq := range blockQueryCounts {
 			for _, m := range []int{1, 7, 15, 16, 24, 37, 64} {
 				shapes = append(shapes,
 					blockShape{d, nq, m, d, m},
@@ -124,6 +124,26 @@ func blockShapes() []blockShape {
 		}
 	}
 	return shapes
+}
+
+// blockQueryCounts are the query counts of the block tests: every count a
+// 16-lane call pads, and counts past one call of 32.
+var blockQueryCounts = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 33}
+
+// onBothDispatches runs fn with the AVX-512 kernels on and then off, so the
+// AVX2 kernels stay tested on AVX-512 hosts (elsewhere both runs take the
+// AVX2 or the Go path).
+func onBothDispatches(t *testing.T, fn func(t *testing.T)) {
+	for _, on := range []bool{true, false} {
+		name := "avx2"
+		if on {
+			name = "avx512"
+		}
+		t.Run(name, func(t *testing.T) {
+			defer tensor.SetAVX512(tensor.SetAVX512(on))
+			fn(t)
+		})
+	}
 }
 
 // poisoned returns n values with NaN in every position a block call must not
@@ -148,6 +168,10 @@ func expectBlockBits(t *testing.T, what string, sh blockShape, j int, got, want 
 }
 
 func TestDotRowsBlockMatchesPerQuery(t *testing.T) {
+	onBothDispatches(t, testDotRowsBlock)
+}
+
+func testDotRowsBlock(t *testing.T) {
 	for _, sh := range blockShapes() {
 		r := rng.New(uint64(sh.d*1e4 + sh.nq*100 + sh.m))
 		page := randSlice(r, 64*sh.d) // a partial page holds m of its 64 rows
@@ -169,6 +193,10 @@ func TestDotRowsBlockMatchesPerQuery(t *testing.T) {
 }
 
 func TestAddScaledRowsBlockMatchesPerQuery(t *testing.T) {
+	onBothDispatches(t, testAddScaledRowsBlock)
+}
+
+func testAddScaledRowsBlock(t *testing.T) {
 	negZero := float32(math.Copysign(0, -1))
 	for _, sh := range blockShapes() {
 		r := rng.New(uint64(sh.d*1e4 + sh.nq*100 + sh.m + 7))

@@ -178,9 +178,9 @@ func TestMatTVecZeroRowsClearsDst(t *testing.T) {
 }
 
 // TestVecPath reports which kernels this build and CPU run: the AVX2 path
-// (vec_amd64.s) or the Go loops.
+// (vec_amd64.s) or the Go loops, and the AVX-512 kernels on top of it.
 func TestVecPath(t *testing.T) {
-	t.Logf("tensor kernels: useVec=%v useExp8=%v", useVec, useExp8)
+	t.Logf("tensor kernels: useVec=%v useExp8=%v useBlock16=%v", useVec, useExp8, useBlock16)
 }
 
 func sprintShape(op string, m, k, n, width int) string {

@@ -10,22 +10,36 @@
 // the repository are implemented, each as a straightforward, allocation
 // conscious scalar loop. The Go compiler does not vectorize those loops, so
 // on amd64 with AVX2 and FMA the hot ones (DotRows, AddScaledRows and their
-// row-list forms, Softmax, SiluMul, ArgBestCos, the GEMV/GEMM bands and the
-// packed LM head) run assembly kernels instead — vec_amd64.s, chosen once at
-// init by CPUID; every other target, GOAMD64=v3 and the purego build tag run
-// the Go loops. The one contract of both paths (DESIGN.md §12):
+// row-list and query-block forms, Softmax, SoftmaxRows, SiluMul, ArgBestCos,
+// the GEMV/GEMM bands and the packed LM head) run assembly kernels instead —
+// vec_amd64.s, chosen once at init by CPUID, with 16-lane query-block
+// kernels and an 8-lane exp where the CPU has AVX-512F; every other target,
+// GOAMD64=v3 and the purego build tag run the Go loops. The one contract of
+// all paths (DESIGN.md §12):
 //
-//   - Vector lanes hold *independent* reduction chains (eight rows' dot
-//     products, eight output channels), never pieces of one chain, and
-//     float32 products and sums are separate operations, never fused.
+//   - Vector lanes hold *independent* reduction chains (sixteen or eight
+//     rows' dot products, output channels, softmax rows), never pieces of
+//     one chain, and float32 products and sums are separate operations,
+//     never fused.
 //   - So each chain performs the scalar loop's operations in the scalar
 //     loop's order, and for finite inputs every result is bit-identical to
-//     the Go loop at any width, blocking or path. Softmax with a NaN or ±Inf
-//     input, and SiluMul with one or with a gate of magnitude 80 or more,
-//     always take the scalar loop.
+//     the Go loop at any width, blocking or path. The exp of Softmax and
+//     SiluMul is float32(math.Exp(float64(x))) on every path: a replica of
+//     math's instruction sequence, or (AVX-512) a table fast path that hands
+//     each block whose float32 rounding it cannot vouch for to the replica,
+//     checked on every float32 of a softmax's range by TestVecExpPin.
+//     Softmax with a NaN or ±Inf input, and SiluMul with one or with a gate
+//     of magnitude 80 or more, always take the scalar loop.
 package tensor
 
 import "math"
+
+// SetAVX512 turns the AVX-512 kernels — the 8-lane exp of Softmax and
+// SiluMul, the 16-lane query-block kernels — on or off and reports whether
+// they were on. It cannot turn on what the CPU or the build lacks, and no
+// output depends on it: tests use it to run the AVX2 kernels on AVX-512
+// hosts. It must not be called while kernels run.
+func SetAVX512(on bool) (was bool) { return setAVX512(on) }
 
 // Dot returns the inner product of a and b. It panics if lengths differ.
 func Dot(a, b []float32) float32 {
@@ -147,6 +161,29 @@ func Softmax(x []float32) {
 		return
 	}
 	softmax(x)
+}
+
+// SoftmaxRows is Softmax on each row of a causal query block's scores: row
+// j in [0, nq) is x[j·stride:][:n0+j], one element longer than the row
+// before it, and an empty row is a no-op. Every row is bit-identical to
+// Softmax of it alone; the vector path runs the exps of four rows side by
+// side, so their serial sums interleave (DESIGN.md §12). Rows must not
+// overlap: stride ≥ n0+nq−1.
+func SoftmaxRows(x []float32, stride, n0, nq int) {
+	if nq <= 0 {
+		return
+	}
+	if n0 < 0 || stride < n0+nq-1 || len(x) < (nq-1)*stride+n0+nq-1 {
+		panic("tensor: SoftmaxRows shape mismatch")
+	}
+	softmaxRows(x, stride, n0, nq)
+}
+
+// softmaxRowsLoop is SoftmaxRows as one softmax call per non-empty row.
+func softmaxRowsLoop(x []float32, stride, n0, nq int) {
+	for j := max(0, 1-n0); j < nq; j++ {
+		softmax(x[j*stride : j*stride+n0+j])
+	}
 }
 
 // softmaxGo is the scalar Softmax loop over a non-empty x (see dotRowsGo).

@@ -38,15 +38,31 @@ func scaleAVX2(x *float32, n int, a float32)
 //go:noescape
 func expSumAVX2(x *float32, n int, max, sum float32) float32
 
-// useExp8 picks the 8-lane exp kernel for Softmax: AVX-512F with OS-saved
-// ZMM state, on top of useVec. Tests turn it off to check the AVX2 kernel on
-// the same machine.
-var useExp8 = useVec && cpuHasAVX512()
+// useExp8 picks the 8-lane exp kernels of Softmax and SiluMul, and
+// useBlock16 the 16-lane query-block kernels, where cpuAVX512 holds:
+// AVX-512F with OS-saved ZMM state, on top of useVec. SetAVX512 and the
+// tests' withExp turn them off to check the AVX2 kernels on the same machine,
+// and the noavx512 build tag for a whole test run.
+var (
+	cpuAVX512  = useVec && cpuHasAVX512()
+	useExp8    = cpuAVX512
+	useBlock16 = cpuAVX512
+)
+
+func setAVX512(on bool) (was bool) {
+	was = useExp8 || useBlock16
+	useExp8 = on && cpuAVX512
+	useBlock16 = useExp8
+	return was
+}
 
 func cpuHasAVX512() bool
 
 //go:noescape
-func expSumAVX512(x *float32, n int, max, sum float32) float32
+func expSumAVX512(x *float32, n int, max, sum float32) (s float32, slow int)
+
+//go:noescape
+func expSumRows4AVX512(xs **float32, n int, maxs, sums *float32) (slow int)
 
 //go:noescape
 func siluMulAVX2(x, u *float32, n int)
@@ -63,10 +79,24 @@ func dotRowsBlockAVX2(dsts, xs **float32, nq int, rows *float32, m, d int, scale
 //go:noescape
 func axpyRowsBlockAVX2(outs, ws **float32, nq int, rows *float32, m, n, stride int)
 
+//go:noescape
+func dotRowsBlockAVX512(dsts, xs **float32, nq int, rows *float32, m, d int, scale float32)
+
+//go:noescape
+func axpyRowsBlockAVX512(outs, ws **float32, nq int, rows *float32, m, n, stride int)
+
 // blockQueries is how many queries one call of a block kernel takes, through
-// pointer lists padded to a multiple of four by repeating the last query: a
-// repeat computes the same bits into the same place.
-const blockQueries = 8
+// pointer lists padded by repeating the last query — to a multiple of four
+// for the AVX2 kernels, of eight for the AVX-512 ones: a repeat computes the
+// same bits into the same place. A 16-lane call takes up to 32 queries, so a
+// page's rows are transposed once for a whole block of a prefill's queries;
+// up to blockQueries16Min queries stay on the AVX2 kernels, where padding to
+// eight would double the work.
+const (
+	blockQueries      = 8
+	blockQueries16    = 32
+	blockQueries16Min = 4
+)
 
 // blockDotMaxDim is the widest row dotRowsBlockAVX2 takes: sixteen
 // transposed rows of 64 channels fill its 4 KB frame.
@@ -160,14 +190,27 @@ func dotRowsBlock(dst []float32, dstStride int, xs []float32, xStride, nq int, r
 		dotRowsBlockLoop(dst, dstStride, xs, xStride, nq, rows, m, d, scale)
 		return
 	}
-	var dp, xp [blockQueries]*float32
-	for j0 := 0; j0 < nq; j0 += blockQueries {
-		k := min(blockQueries, nq-j0)
-		for t := range dp {
-			j := j0 + min(t, k-1)
-			dp[t], xp[t] = &dst[j*dstStride], &xs[j*xStride]
+	if useBlock16 && nq > blockQueries16Min {
+		var dp, xp [blockQueries16]*float32
+		for j0 := 0; j0 < nq; j0 += blockQueries16 {
+			k := min(blockQueries16, nq-j0)
+			kp := (k + 7) &^ 7
+			for t := range kp {
+				j := j0 + min(t, k-1)
+				dp[t], xp[t] = &dst[j*dstStride], &xs[j*xStride]
+			}
+			dotRowsBlockAVX512(&dp[0], &xp[0], kp, &rows[0], m16, d, scale)
 		}
-		dotRowsBlockAVX2(&dp[0], &xp[0], (k+3)&^3, &rows[0], m16, d, scale)
+	} else {
+		var dp, xp [blockQueries]*float32
+		for j0 := 0; j0 < nq; j0 += blockQueries {
+			k := min(blockQueries, nq-j0)
+			for t := range dp {
+				j := j0 + min(t, k-1)
+				dp[t], xp[t] = &dst[j*dstStride], &xs[j*xStride]
+			}
+			dotRowsBlockAVX2(&dp[0], &xp[0], (k+3)&^3, &rows[0], m16, d, scale)
+		}
 	}
 	if m16 < m {
 		dotRowsBlockLoop(dst[m16:], dstStride, xs, xStride, nq, rows[m16*d:], m-m16, d, scale)
@@ -177,6 +220,18 @@ func dotRowsBlock(dst []float32, dstStride int, xs []float32, xStride, nq int, r
 func addScaledRowsBlock(out []float32, outStride int, w []float32, wStride, nq int, rows []float32, m, d int) {
 	if !useVec || nq < 2 || d < 8 {
 		addScaledRowsBlockLoop(out, outStride, w, wStride, nq, rows, m, d)
+		return
+	}
+	if useBlock16 && nq > blockQueries16Min && d%16 == 0 {
+		var op, wp [blockQueries]*float32
+		for j0 := 0; j0 < nq; j0 += blockQueries {
+			k := min(blockQueries, nq-j0)
+			for t := range op {
+				j := j0 + min(t, k-1)
+				op[t], wp[t] = &out[j*outStride], &w[j*wStride]
+			}
+			axpyRowsBlockAVX512(&op[0], &wp[0], blockQueries, &rows[0], m, d, d)
+		}
 		return
 	}
 	d8 := d &^ 7
@@ -251,12 +306,21 @@ func softmax(x []float32) {
 		softmaxGo(x)
 		return
 	}
+	softmaxFrom(x, 0, maxv, 0)
+}
+
+// softmaxFrom finishes the softmax of a finite x, n ≥ 8, whose first from
+// elements (a multiple of 8) already hold their exps, summed serially in
+// sum.
+func softmaxFrom(x []float32, from int, maxv, sum float32) {
+	n := len(x)
 	n4 := n &^ 3
-	var sum float32
-	wide := 0 // elements the 8-lane kernel took
+	wide := from // elements the 8-lane kernel took
 	if useExp8 {
 		wide = n &^ 7
-		sum = expSumAVX512(&x[0], wide, maxv, 0)
+		if wide > from {
+			sum, _ = expSumAVX512(&x[from], wide-from, maxv, sum)
+		}
 	}
 	if wide < n4 {
 		sum = expSumAVX2(&x[wide], n4-wide, maxv, sum)
@@ -271,6 +335,43 @@ func softmax(x []float32) {
 	scaleAVX2(&x[0], n8, inv)
 	for i := n8; i < n; i++ {
 		x[i] *= inv
+	}
+}
+
+// softmaxRows takes the rows four at a time through expSumRows4AVX512 over
+// the n0&^7 elements every row has, and finishes each row alone; a row
+// holding a NaN or ±Inf, and the last nq%4 rows, take softmax's path.
+func softmaxRows(x []float32, stride, n0, nq int) {
+	if !useExp8 || n0 < 8 || nq < 4 {
+		softmaxRowsLoop(x, stride, n0, nq)
+		return
+	}
+	common := n0 &^ 7
+	var (
+		ptrs       [4]*float32
+		maxs, sums [4]float32
+		rows       [4]int
+		k          int
+	)
+	for j := 0; j < nq; j++ {
+		row := x[j*stride : j*stride+n0+j]
+		maxv, absBits := maxAbsAVX2(&row[0], len(row))
+		if absBits >= 0x7f800000 {
+			softmaxGo(row)
+			continue
+		}
+		ptrs[k], maxs[k], rows[k] = &row[0], maxv, j
+		if k++; k == len(rows) {
+			sums = [4]float32{}
+			expSumRows4AVX512(&ptrs[0], common, &maxs[0], &sums[0])
+			for t, r := range rows {
+				softmaxFrom(x[r*stride:r*stride+n0+r], common, maxs[t], sums[t])
+			}
+			k = 0
+		}
+	}
+	for t, r := range rows[:k] {
+		softmaxFrom(x[r*stride:r*stride+n0+r], 0, maxs[t], 0)
 	}
 }
 

@@ -2,13 +2,16 @@
 
 #include "textflag.h"
 
-// AVX2 + FMA kernels behind vec_amd64.go (DESIGN.md §12). Every kernel puts
-// *independent* reduction chains in the vector lanes and never splits one
+// AVX2 + FMA kernels behind vec_amd64.go (DESIGN.md §12), and AVX-512F
+// twins of the exp, the SiLU gate and the query-block kernels. Every kernel
+// puts *independent* reduction chains in the vector lanes and never splits one
 // chain across lanes, and float32 arithmetic is a separate VMULPS and VADDPS
 // (no fused multiply-add), so each lane performs exactly the operations of
 // the scalar Go loop in the same order: results are bit-identical for finite
-// inputs. Row and column tails stay in Go; no kernel reads past its slice.
-// Every routine ends in VZEROUPPER.
+// inputs. The one exception is how expSumAVX512 reaches its exps, through a
+// table instead of math.Exp's sequence; each exp is still math.Exp's float32
+// (see the kernel). Row and column tails stay in Go; no kernel reads past its
+// slice. Every routine ends in VZEROUPPER.
 
 // func cpuHasAVX2FMA() bool
 //
@@ -280,6 +283,125 @@ chan:
 	VZEROUPPER
 	RET
 
+// ZSCORE adds query t's broadcast channel, at t·4(R9), times the transposed
+// channel of sixteen rows in Z0 into query t's accumulator acc.
+#define ZSCORE(t, acc) \
+	VBROADCASTSS (t*4)(R9), Z1; \
+	VMULPS       Z0, Z1, Z1; \
+	VADDPS       Z1, acc, acc
+
+// ZSTORE scales query t's sixteen scores and stores them at byte offset DI
+// of dsts[j+t]; SI is dsts, R12 is 4·j, Z15 the scale.
+#define ZSTORE(t, acc) \
+	MOVQ    (t*8)(SI)(R12*2), R14; \
+	VMULPS  Z15, acc, acc; \
+	VMOVUPS acc, (R14)(DI*1)
+
+// func dotRowsBlockAVX512(dsts, xs **float32, nq int, rows *float32, m, d int, scale float32)
+//
+// dotRowsBlockAVX2's contract on sixteen lanes: nq%8 == 0, 0 < nq ≤ 32,
+// m%16 == 0, m > 0, d%4 == 0, 0 < d ≤ 64. The queries are transposed once
+// per call into the frame's upper 8 KB (channel c of query t at 4096 + 128·c
+// + 4·t), and every sixteen rows once into its lower 4 KB as the AVX2 kernel
+// lays them out, which puts channel c of all sixteen rows in one ZMM at 64·c.
+// Each group of eight queries then keeps eight accumulators, one per query
+// with the rows in the lanes, and adds its channels in ascending order with
+// broadcasts, VMULPS and VADDPS alone: every lane is the chain of
+// dotRowsAVX2's lanes.
+TEXT ·dotRowsBlockAVX512(SB), $12288-52
+	MOVQ d+40(FP), CX
+	SHLQ $2, CX
+	VBROADCASTSS scale+48(FP), Z15
+	XORQ DI, DI // 8·j: the query group's offset in xs
+qgroup:
+	MOVQ xs+8(FP), SI
+	MOVQ (SI)(DI*1), R8
+	MOVQ 8(SI)(DI*1), R9
+	MOVQ 16(SI)(DI*1), R10
+	MOVQ 24(SI)(DI*1), R11
+	MOVQ 32(SI)(DI*1), R12
+	MOVQ 40(SI)(DI*1), R13
+	MOVQ 48(SI)(DI*1), R14
+	MOVQ 56(SI)(DI*1), R15
+	MOVQ DI, BX
+	SHRQ $1, BX
+	LEAQ 4096(SP)(BX*1), BX
+	XORQ AX, AX
+qchunk:
+	TRANS8CHUNK
+	VMOVUPS Y1, (BX)
+	VMOVUPS Y2, 128(BX)
+	VMOVUPS Y3, 256(BX)
+	VMOVUPS Y4, 384(BX)
+	ADDQ $512, BX
+	ADDQ $16, AX
+	CMPQ AX, CX
+	JLT  qchunk
+	ADDQ $64, DI
+	MOVQ nq+16(FP), R14
+	SHLQ $3, R14
+	CMPQ DI, R14
+	JLT  qgroup
+
+	MOVQ rows+24(FP), R8
+	XORQ DI, DI // byte offset of the sixteen rows in every dst
+zrows16:
+	LEAQ (SP), BX
+	TRANS8STORE(ztrans0)
+	LEAQ (R15)(CX*1), R8
+	LEAQ 32(SP), BX
+	TRANS8STORE(ztrans1)
+	LEAQ (R15)(CX*1), R13 // the next sixteen rows
+	XORQ R12, R12
+zbatch:
+	VPXORD Z16, Z16, Z16
+	VPXORD Z17, Z17, Z17
+	VPXORD Z18, Z18, Z18
+	VPXORD Z19, Z19, Z19
+	VPXORD Z20, Z20, Z20
+	VPXORD Z21, Z21, Z21
+	VPXORD Z22, Z22, Z22
+	VPXORD Z23, Z23, Z23
+	LEAQ (SP), BX
+	LEAQ 4096(SP)(R12*1), R9
+	MOVQ CX, AX
+zchan:
+	VMOVUPS (BX), Z0
+	ZSCORE(0, Z16)
+	ZSCORE(1, Z17)
+	ZSCORE(2, Z18)
+	ZSCORE(3, Z19)
+	ZSCORE(4, Z20)
+	ZSCORE(5, Z21)
+	ZSCORE(6, Z22)
+	ZSCORE(7, Z23)
+	ADDQ $64, BX
+	ADDQ $128, R9
+	SUBQ $4, AX
+	JGT  zchan
+	MOVQ dsts+0(FP), SI
+	ZSTORE(0, Z16)
+	ZSTORE(1, Z17)
+	ZSTORE(2, Z18)
+	ZSTORE(3, Z19)
+	ZSTORE(4, Z20)
+	ZSTORE(5, Z21)
+	ZSTORE(6, Z22)
+	ZSTORE(7, Z23)
+	ADDQ $32, R12
+	MOVQ nq+16(FP), R14
+	SHLQ $2, R14
+	CMPQ R12, R14
+	JLT  zbatch
+	MOVQ R13, R8
+	ADDQ $64, DI
+	MOVQ m+32(FP), R14
+	SHLQ $2, R14
+	CMPQ DI, R14
+	JLT  zrows16
+	VZEROUPPER
+	RET
+
 // The axpy-rows kernels compute out[j] += w[i]·row_i[j] for rows i ascending.
 // Lanes are output channels: 32, 16 or 8 of them are held in registers while
 // every row streams past, so each out[j] adds its products in row order.
@@ -527,6 +649,93 @@ done:
 	VZEROUPPER
 	RET
 
+// ZAXPY adds w[i]·(the row's sixteen channels in Z0), w at wreg and i in AX,
+// into one query's accumulator acc.
+#define ZAXPY(wreg, acc) \
+	VBROADCASTSS (wreg)(AX*4), Z1; \
+	VMULPS       Z0, Z1, Z1; \
+	VADDPS       Z1, acc, acc
+
+// ZLOADQ and ZSTOREQ move query t's sixteen-channel accumulator from and to
+// channel byte offset CX of outs[j+t]; SI is outs, DI is 8·j.
+#define ZLOADQ(t, acc) \
+	MOVQ    (t*8)(SI)(DI*1), BX; \
+	VMOVUPS (BX)(CX*1), acc
+
+#define ZSTOREQ(t, acc) \
+	MOVQ    (t*8)(SI)(DI*1), BX; \
+	VMOVUPS acc, (BX)(CX*1)
+
+// func axpyRowsBlockAVX512(outs, ws **float32, nq int, rows *float32, m, n, stride int)
+//
+// axpyRowsBlockAVX2's contract on sixteen lanes: nq%8 == 0, nq > 0, n%16 ==
+// 0, n > 0, m > 0. Eight queries at a time hold a sixteen-channel block each
+// in Z16-Z23 while the rows stream past, so a row is loaded once for eight
+// outputs and every out[c] adds its products in row order, as
+// axpyRowsAVX2's lanes do.
+TEXT ·axpyRowsBlockAVX512(SB), NOSPLIT, $0-56
+	MOVQ stride+48(FP), DX
+	SHLQ $2, DX
+	XORQ CX, CX // channel byte offset of the block
+zc16:
+	XORQ DI, DI
+zb8:
+	MOVQ ws+8(FP), SI
+	MOVQ (SI)(DI*1), R8
+	MOVQ 8(SI)(DI*1), R9
+	MOVQ 16(SI)(DI*1), R10
+	MOVQ 24(SI)(DI*1), R11
+	MOVQ 32(SI)(DI*1), R12
+	MOVQ 40(SI)(DI*1), R13
+	MOVQ 48(SI)(DI*1), R14
+	MOVQ 56(SI)(DI*1), R15
+	MOVQ outs+0(FP), SI
+	ZLOADQ(0, Z16)
+	ZLOADQ(1, Z17)
+	ZLOADQ(2, Z18)
+	ZLOADQ(3, Z19)
+	ZLOADQ(4, Z20)
+	ZLOADQ(5, Z21)
+	ZLOADQ(6, Z22)
+	ZLOADQ(7, Z23)
+	MOVQ rows+24(FP), BX
+	ADDQ CX, BX
+	XORQ AX, AX
+zr16:
+	VMOVUPS (BX), Z0
+	ZAXPY(R8, Z16)
+	ZAXPY(R9, Z17)
+	ZAXPY(R10, Z18)
+	ZAXPY(R11, Z19)
+	ZAXPY(R12, Z20)
+	ZAXPY(R13, Z21)
+	ZAXPY(R14, Z22)
+	ZAXPY(R15, Z23)
+	ADDQ DX, BX
+	INCQ AX
+	CMPQ AX, m+32(FP)
+	JLT  zr16
+	ZSTOREQ(0, Z16)
+	ZSTOREQ(1, Z17)
+	ZSTOREQ(2, Z18)
+	ZSTOREQ(3, Z19)
+	ZSTOREQ(4, Z20)
+	ZSTOREQ(5, Z21)
+	ZSTOREQ(6, Z22)
+	ZSTOREQ(7, Z23)
+	ADDQ $64, DI
+	MOVQ nq+16(FP), BX
+	SHLQ $3, BX
+	CMPQ DI, BX
+	JLT  zb8
+	ADDQ $64, CX
+	MOVQ n+40(FP), BX
+	SHLQ $2, BX
+	CMPQ CX, BX
+	JLT  zc16
+	VZEROUPPER
+	RET
+
 DATA absmask<>+0(SB)/4, $0x7fffffff
 GLOBL absmask<>(SB), RODATA|NOPTR, $4
 
@@ -770,43 +979,238 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func expSumAVX512(x *float32, n int, max, sum float32) float32
+// Table constants of expSumAVX512's fast path (bit patterns, so every value
+// is exactly the float64 intended): 16/ln2, ln2/16, the shifter 1.5·2^52
+// whose low mantissa bits take the integer k when added, 2^(j/16) correctly
+// rounded for j in [0, 16), the coefficients c4..c1 of the degree-4
+// polynomial near-minimax for e^r on |r| ≤ 0.021665 (c0 = 1; mpmath
+// chebyfit, error 2^-38.5 relative), and the three tests of the fallback:
+// the midpoint offset 2^28 + 2^16 and mask 2^29 − 2^17 (see the kernel) and
+// -87, below which e^z leaves the float32 normal range.
+DATA expt<>+0(SB)/8, $0x40371547652b82fe
+DATA expt<>+8(SB)/8, $0x3fa62e42fefa39ef
+DATA expt<>+16(SB)/8, $0x4338000000000000
+DATA expt<>+24(SB)/8, $0x3ff0000000000000
+DATA expt<>+32(SB)/8, $0x3ff0b5586cf9890f
+DATA expt<>+40(SB)/8, $0x3ff172b83c7d517b
+DATA expt<>+48(SB)/8, $0x3ff2387a6e756238
+DATA expt<>+56(SB)/8, $0x3ff306fe0a31b715
+DATA expt<>+64(SB)/8, $0x3ff3dea64c123422
+DATA expt<>+72(SB)/8, $0x3ff4bfdad5362a27
+DATA expt<>+80(SB)/8, $0x3ff5ab07dd485429
+DATA expt<>+88(SB)/8, $0x3ff6a09e667f3bcd
+DATA expt<>+96(SB)/8, $0x3ff7a11473eb0187
+DATA expt<>+104(SB)/8, $0x3ff8ace5422aa0db
+DATA expt<>+112(SB)/8, $0x3ff9c49182a3f090
+DATA expt<>+120(SB)/8, $0x3ffae89f995ad3ad
+DATA expt<>+128(SB)/8, $0x3ffc199bdd85529c
+DATA expt<>+136(SB)/8, $0x3ffd5818dcfba487
+DATA expt<>+144(SB)/8, $0x3ffea4afa2a490da
+DATA expt<>+152(SB)/8, $0x3fa55570ad2d8ee7
+DATA expt<>+160(SB)/8, $0x3fc5557e59212e32
+DATA expt<>+168(SB)/8, $0x3fdfffffffe5b737
+DATA expt<>+176(SB)/8, $0x3fefffffffb12593
+DATA expt<>+184(SB)/8, $0x0000000010010000
+DATA expt<>+192(SB)/8, $0x000000001ffe0000
+DATA expt<>+200(SB)/8, $0xc055c00000000000
+GLOBL expt<>(SB), RODATA|NOPTR, $208
+
+// EXPPD8M is EXPPD8 with its constants read from memory (broadcast operands)
+// instead of EXPK8's registers, and the same instructions otherwise: the
+// fallback of the table kernels, which keep their own constants in Z8, Z10,
+// Z12 and Z22-Z30. Clobbers Z1, Y2 and Z4.
+#define EXPPD8M \
+	VMULPD.BCST expk<>+0(SB), Z0, Z1; \
+	VCVTPD2DQ Z1, Y2; \
+	VCVTDQ2PD Y2, Z1; \
+	VFNMADD231PD.BCST expk<>+8(SB), Z1, Z0; \
+	VFNMADD231PD.BCST expk<>+16(SB), Z1, Z0; \
+	VMULPD.BCST expk<>+24(SB), Z0, Z0; \
+	VBROADCASTSD expk<>+32(SB), Z1; \
+	VFMADD213PD.BCST exph<>+0(SB), Z0, Z1; \
+	VFMADD213PD.BCST exph<>+32(SB), Z0, Z1; \
+	VFMADD213PD.BCST exph<>+64(SB), Z0, Z1; \
+	VFMADD213PD.BCST exph<>+96(SB), Z0, Z1; \
+	VFMADD213PD.BCST exph<>+128(SB), Z0, Z1; \
+	VFMADD213PD.BCST exph<>+160(SB), Z0, Z1; \
+	VFMADD213PD.BCST expk<>+40(SB), Z0, Z1; \
+	VMULPD    Z1, Z0, Z0; \
+	VADDPD.BCST expk<>+48(SB), Z0, Z1; \
+	VMULPD    Z1, Z0, Z0; \
+	VADDPD.BCST expk<>+48(SB), Z0, Z1; \
+	VMULPD    Z1, Z0, Z0; \
+	VADDPD.BCST expk<>+48(SB), Z0, Z1; \
+	VMULPD    Z1, Z0, Z0; \
+	VADDPD.BCST expk<>+48(SB), Z0, Z1; \
+	VFMADD213PD.BCST expk<>+40(SB), Z1, Z0; \
+	VPMOVSXDQ Y2, Z4; \
+	VPADDQ.BCST expk<>+64(SB), Z4, Z4; \
+	VPSLLQ    $52, Z4, Z4; \
+	VMULPD    Z4, Z0, Z0
+
+// EXPTK loads the table kernels' constants: the -104 clamp in Z8, 1.0 in
+// Z10, 0.0625 in Z12 and the fast path's in Z22-Z30.
+#define EXPTK \
+	VBROADCASTSD expk<>+56(SB), Z8; \
+	VBROADCASTSD expk<>+40(SB), Z10; \
+	VBROADCASTSD expk<>+24(SB), Z12; \
+	VBROADCASTSD expt<>+0(SB), Z22; \
+	VBROADCASTSD expt<>+8(SB), Z23; \
+	VBROADCASTSD expt<>+16(SB), Z24; \
+	VMOVUPD      expt<>+24(SB), Z25; \
+	VMOVUPD      expt<>+88(SB), Z26; \
+	VBROADCASTSD expt<>+152(SB), Z27; \
+	VBROADCASTSD expt<>+160(SB), Z28; \
+	VBROADCASTSD expt<>+168(SB), Z29; \
+	VBROADCASTSD expt<>+176(SB), Z30
+
+// EXPT8 computes the eight exps of the block at ptr less the max in maxY:
+// the fast path's float64 values in Z3, z in Z0, the live lanes (z ≥ -104)
+// in K1, and a nonzero K2 when the block must take EXPPD8M instead.
+#define EXPT8(ptr, maxY) \
+	VMOVUPS   (ptr), Y0; \
+	VSUBPS    maxY, Y0, Y0; \
+	VCVTPS2PD Y0, Z0; \
+	VCMPPD    $0x15, Z8, Z0, K1; \
+	VMOVAPD   Z24, Z1; \
+	VFMADD231PD Z22, Z0, Z1; \
+	VSUBPD    Z24, Z1, Z2; \
+	VMOVAPD   Z0, Z4; \
+	VFNMADD231PD Z23, Z2, Z4; \
+	VMULPD    Z12, Z2, Z2; \
+	VPERMI2PD Z26, Z25, Z1; \
+	VMOVAPD   Z27, Z3; \
+	VFMADD213PD Z28, Z4, Z3; \
+	VFMADD213PD Z29, Z4, Z3; \
+	VFMADD213PD Z30, Z4, Z3; \
+	VFMADD213PD Z10, Z4, Z3; \
+	VMULPD    Z1, Z3, Z3; \
+	VSCALEFPD Z2, Z3, Z3; \
+	VPADDQ.BCST expt<>+184(SB), Z3, Z1; \
+	VPTESTNMQ.BCST expt<>+192(SB), Z1, K2; \
+	VCMPPD.BCST $0x11, expt<>+200(SB), Z0, K3; \
+	KORW      K3, K2, K2; \
+	KANDW     K1, K2, K2; \
+	KORTESTW  K2, K2
+
+// EXPSUM8 stores the eight float32 exps in Y0 at ptr and adds them, in lane
+// order, to the serial sum in sumX.
+#define EXPSUM8(ptr, sumX) \
+	VMOVUPS Y0, (ptr); \
+	VADDSS  (ptr), sumX, sumX; \
+	VADDSS  4(ptr), sumX, sumX; \
+	VADDSS  8(ptr), sumX, sumX; \
+	VADDSS  12(ptr), sumX, sumX; \
+	VADDSS  16(ptr), sumX, sumX; \
+	VADDSS  20(ptr), sumX, sumX; \
+	VADDSS  24(ptr), sumX, sumX; \
+	VADDSS  28(ptr), sumX, sumX
+
+// EXPROW8 is one block of one row: the fast path, or the fallback at the
+// out-of-line label slow, which counts the block in DX and returns to back.
+#define EXPROW8(ptr, maxY, sumX, slow, back) \
+	EXPT8(ptr, maxY); \
+	JNE slow; \
+	VCVTPD2PS.Z Z3, K1, Y0; \
+back: \
+	EXPSUM8(ptr, sumX)
+
+#define EXPSLOW8(slow, back) \
+slow: \
+	INCQ DX; \
+	EXPPD8M; \
+	VCVTPD2PS.Z Z0, K1, Y0; \
+	JMP back
+
+// func expSumAVX512(x *float32, n int, max, sum float32) (s float32, slow int)
 //
-// expSumAVX2 on eight float64 lanes: the same instruction sequence per lane,
-// with the constants and Horner coefficients in Z7-Z21. n%8 == 0, n > 0. The
-// -104 clamp is the zeroing mask K1 of the final conversion. The float32 sum
-// is still carried serially, in lane order, by scalar adds that read the
-// stored block back: the serial chain is this kernel's floor, and lane
-// shuffles feeding it would compete with the 512-bit arithmetic for a port.
-TEXT ·expSumAVX512(SB), NOSPLIT, $0-28
+// expSumAVX2's contract on eight lanes, n%8 == 0, n > 0; slow counts the
+// blocks that took the fallback. The fast path (EXPT8) computes e^z in
+// float64 as 2^(k/16)·p(r): k = round(z·16/ln2) through the shifter, r = z −
+// k·ln2/16 in one fused step (the constant's own error adds under 2^-48 at
+// |k| ≤ 2400), 2^(j/16) for j = k mod 16 from the table by VPERMI2PD, p the
+// degree-4 near-minimax polynomial of e^r (|r| ≤ ln2/32, error 2^-38.5
+// relative) and the power 2^⌊k/16⌋ by VSCALEFPD: within 2^14.6 ulps of the
+// float64 math.Exp returns (itself within one ulp of e^z). Rounding that to
+// float32 drops 29 mantissa bits, and both values round alike unless the
+// dropped bits of the fast one lie within 2^16 ulps of the midpoint 2^28:
+// (bits + 2^28 + 2^16) has no bit of [17, 29) set exactly there, about one
+// lane in 4000 and one block in 500. A block with such a lane, or with a live
+// lane below -87 (where float32(e^z) is subnormal and drops more bits), is
+// recomputed by EXPPD8M — math.archExp's instruction sequence, expSumAVX2's
+// lanes — so every lane is float32(math.Exp(float64(z))); TestVecExpPin
+// checks that on every float32 in [-105, 0]. The -104 clamp is the zeroing
+// mask K1 of the final conversion, which also hides the fast path's NaN on a
+// -Inf lane. The float32 sum is carried serially, in lane order, by scalar
+// adds that read the stored block back (expSumRows4AVX512 runs four such
+// chains side by side).
+TEXT ·expSumAVX512(SB), NOSPLIT, $0-40
 	MOVQ x+0(FP), SI
 	MOVQ n+8(FP), CX
+	XORQ DX, DX
 	VBROADCASTSS max+16(FP), Y6
 	VMOVSS sum+20(FP), X5
-	EXPK8
-	VBROADCASTSD expk<>+56(SB), Z8
+	EXPTK
 block:
-	VMOVUPS   (SI), Y0
-	VSUBPS    Y6, Y0, Y0
-	VCVTPS2PD Y0, Z0
-	VCMPPD    $0x15, Z8, Z0, K1 // not x < -104
-	EXPPD8
-	VCVTPD2PS.Z Z0, K1, Y0
-	VMOVUPS   Y0, (SI)
-	VADDSS    (SI), X5, X5
-	VADDSS    4(SI), X5, X5
-	VADDSS    8(SI), X5, X5
-	VADDSS    12(SI), X5, X5
-	VADDSS    16(SI), X5, X5
-	VADDSS    20(SI), X5, X5
-	VADDSS    24(SI), X5, X5
-	VADDSS    28(SI), X5, X5
-	ADDQ      $32, SI
-	SUBQ      $8, CX
-	JGT       block
-	VMOVSS    X5, ret+24(FP)
+	EXPROW8(SI, Y6, X5, slow, back)
+	ADDQ $32, SI
+	SUBQ $8, CX
+	JGT  block
+	VMOVSS X5, s+24(FP)
+	MOVQ   DX, slow+32(FP)
 	VZEROUPPER
 	RET
+	EXPSLOW8(slow, back)
+
+// func expSumRows4AVX512(xs **float32, n int, maxs, sums *float32) (slow int)
+//
+// expSumAVX512 on four rows side by side: for i in [0, n), xs[r][i] =
+// float32(math.Exp(float64(xs[r][i]-maxs[r]))) and sums[r] += xs[r][i], r in
+// [0, 4), with the same contract per row. Each row keeps its own serial sum,
+// in its own order, so the four chains interleave and the exp arithmetic,
+// not one chain's latency, sets the pace. The rows must not overlap.
+TEXT ·expSumRows4AVX512(SB), NOSPLIT, $0-40
+	MOVQ xs+0(FP), SI
+	MOVQ (SI), R8
+	MOVQ 8(SI), R9
+	MOVQ 16(SI), R10
+	MOVQ 24(SI), R11
+	MOVQ n+8(FP), CX
+	MOVQ maxs+16(FP), SI
+	VBROADCASTSS (SI), Y16
+	VBROADCASTSS 4(SI), Y17
+	VBROADCASTSS 8(SI), Y18
+	VBROADCASTSS 12(SI), Y19
+	MOVQ sums+24(FP), SI
+	VMOVSS (SI), X5
+	VMOVSS 4(SI), X6
+	VMOVSS 8(SI), X7
+	VMOVSS 12(SI), X9
+	XORQ DX, DX
+	EXPTK
+rblock:
+	EXPROW8(R8, Y16, X5, slow0, back0)
+	EXPROW8(R9, Y17, X6, slow1, back1)
+	EXPROW8(R10, Y18, X7, slow2, back2)
+	EXPROW8(R11, Y19, X9, slow3, back3)
+	ADDQ $32, R8
+	ADDQ $32, R9
+	ADDQ $32, R10
+	ADDQ $32, R11
+	SUBQ $8, CX
+	JGT  rblock
+	MOVQ sums+24(FP), SI
+	VMOVSS X5, (SI)
+	VMOVSS X6, 4(SI)
+	VMOVSS X7, 8(SI)
+	VMOVSS X9, 12(SI)
+	MOVQ DX, slow+32(FP)
+	VZEROUPPER
+	RET
+	EXPSLOW8(slow0, back0)
+	EXPSLOW8(slow1, back1)
+	EXPSLOW8(slow2, back2)
+	EXPSLOW8(slow3, back3)
 
 DATA siluk<>+0(SB)/4, $0x80000000
 DATA siluk<>+4(SB)/4, $1.0

@@ -40,7 +40,10 @@ type expKernel struct {
 var expKernels = func() []expKernel {
 	ks := []expKernel{{"avx2", false, expSumAVX2}}
 	if useExp8 {
-		ks = append(ks, expKernel{"avx512", true, expSumAVX512})
+		ks = append(ks, expKernel{"avx512", true, func(x *float32, n int, max, sum float32) float32 {
+			s, _ := expSumAVX512(x, n, max, sum)
+			return s
+		}})
 	}
 	return ks
 }()
@@ -259,7 +262,9 @@ func TestVecSoftmax(t *testing.T) {
 // CPU has it) to float32(math.Exp(float64(x))) over the whole input range of
 // a softmax, [-105, 0] (below -104 both are +0): every 37th float32 with
 // -short, every one without. It is the test that fails if a Go release
-// changes math.archExp, whose instruction sequence the kernels replicate.
+// changes math.archExp, whose instruction sequence the kernels replicate, and
+// the proof that expSumAVX512's table path is within the error bound its
+// fallback test assumes (TestVecExpFallback drives the fallback itself).
 func TestVecExpPin(t *testing.T) {
 	needVec(t)
 	step := uint32(1)
@@ -318,6 +323,99 @@ func expPinRange(t *testing.T, k expKernel, from, to, step uint32) {
 		t.Fatalf("%s: %d of %d values differ from math.Exp", k.name, bad, checked)
 	}
 	t.Logf("%s: %d values identical to float32(math.Exp)", k.name, checked)
+}
+
+// expMidpointInputs searches the float32 z in [-87, 0) for n whose float64
+// math.Exp lies within 2^12 ulps of a float32 rounding midpoint: 29 dropped
+// mantissa bits near 2^28, where the fast path of expSumAVX512, within 2^14.6
+// ulps of it, is inside its 2^16-ulp window and must fall back.
+func expMidpointInputs(n int) []float32 {
+	var zs []float32
+	for b := math.Float32bits(-1e-3); len(zs) < n; b += 7 {
+		z := math.Float32frombits(b)
+		if z < -87 {
+			panic("expMidpointInputs: search ran out of range")
+		}
+		low := math.Float64bits(math.Exp(float64(z))) & (1<<29 - 1)
+		if d := int64(low) - 1<<28; -1<<12 < d && d < 1<<12 {
+			zs = append(zs, z)
+		}
+	}
+	return zs
+}
+
+// TestVecExpFallback drives the fallback of expSumAVX512 on every block kind
+// that must take it — a lane whose exp sits near a float32 rounding
+// midpoint, a live lane in (-104, -87] where the float32 result is subnormal
+// — and on blocks that must not: -Inf and -0 lanes, clamped and exact. Each
+// such block holds one special lane among seven 0s; the kernel's count of
+// slow blocks must be exactly the first kind's, and every lane
+// float32(math.Exp(float64(z))).
+func TestVecExpFallback(t *testing.T) {
+	if !useExp8 {
+		t.Skip("CPU lacks AVX-512F: no table exp to fall back from")
+	}
+	slowZ := expMidpointInputs(16)
+	for _, b := range []uint32{math.Float32bits(-87.5), math.Float32bits(-103.99), math.Float32bits(-87) + 1, math.Float32bits(-100)} {
+		slowZ = append(slowZ, math.Float32frombits(b))
+	}
+	fastZ := []float32{float32(math.Inf(-1)), float32(math.Copysign(0, -1)), -104.5, -86.99, -1e-30}
+	var in []float32
+	for _, z := range append(slowZ, fastZ...) {
+		block := make([]float32, 8)
+		block[len(in)/8%8] = z
+		in = append(in, block...)
+	}
+	out := append([]float32(nil), in...)
+	sum, slow := expSumAVX512(&out[0], len(out), 0, 0)
+	if slow != len(slowZ) {
+		t.Errorf("%d blocks took the fallback, want the %d with a midpoint or subnormal lane", slow, len(slowZ))
+	}
+	var want float32
+	for i, z := range in {
+		e := float32(math.Exp(float64(z)))
+		want += e
+		if math.Float32bits(out[i]) != math.Float32bits(e) {
+			t.Errorf("exp(%g [%08x]) = %g [%08x], math.Exp gives %g", z, math.Float32bits(z), out[i], math.Float32bits(out[i]), e)
+		}
+	}
+	if math.Float32bits(sum) != math.Float32bits(want) {
+		t.Errorf("serial sum %g, want %g", sum, want)
+	}
+}
+
+// TestVecSoftmaxRows checks SoftmaxRows against the scalar loop on each row,
+// on every exp kernel: row counts around the four the rows kernel takes,
+// shortest rows around its 8-element blocks, and rows holding NaN or ±Inf,
+// which leave the group for the scalar loop.
+func TestVecSoftmaxRows(t *testing.T) {
+	needVec(t)
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	for _, k := range expKernels {
+		withExp(k, func() {
+			for _, nq := range []int{1, 2, 3, 4, 5, 7, 8, 9, 13, 33} {
+				for _, n0 := range []int{0, 1, 7, 8, 9, 15, 64, 100} {
+					for _, special := range []float32{0, nan, inf} {
+						stride := n0 + nq + 2
+						r := rng.New(uint64(nq*1000 + n0))
+						x := oddSlice(r, nq*stride)
+						for i := range x {
+							x[i] *= 30
+						}
+						if special != 0 && nq > 1 {
+							x[stride+n0/2] = special // row 1
+						}
+						want := append([]float32(nil), x...)
+						SoftmaxRows(x, stride, n0, nq)
+						for j := max(0, 1-n0); j < nq; j++ {
+							softmaxGo(want[j*stride : j*stride+n0+j])
+						}
+						expectBitsEqual(t, k.name+" "+sprintShape("softmaxRows", nq, n0, int(special), 0), x, want)
+					}
+				}
+			}
+		})
+	}
 }
 
 // argBestCosInputs fills a c×stride score block and the norms of n keys and
@@ -473,8 +571,9 @@ func TestVecSiluMul(t *testing.T) {
 
 // FuzzVecKernels decodes the input into finite float32 rows and checks the
 // dot, axpy and softmax dispatchers, the row-list dot and axpy and the
-// query-block dot and axpy against their scalar loops at a fuzzed width, row
-// count, row list and query count;
+// query-block dot and axpy (on the 16-lane and the AVX2 kernels) against
+// their scalar loops at a fuzzed width up to 64, row count, row list and
+// query count up to 33;
 // the raw values, non-finite ones included, go through softmax and SiluMul
 // on every exp kernel and through ArgBestCos as scores and norms of a fuzzed
 // centroid count.
@@ -491,8 +590,12 @@ func FuzzVecKernels(f *testing.F) {
 	}
 	f.Add([]byte{0, 0, 0x80, 0x7f, 0, 0, 0xc0, 0x7f, 0, 0, 0x80, 0xff, 1, 2, 3, 4, 5, 6, 7, 8,
 		9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32}, uint8(1), uint8(3))
-	f.Add(seed[:4*16*20], uint8(3), uint8(3)) // d = 16, 19 rows: one block of 16 and a tail, 4 queries
-	f.Add(seed, uint8(3), uint8(7))           // d = 16, a whole 64-row page and 8 queries
+	f.Add(seed[:4*16*20], uint8(3), uint8(3))  // d = 16, 19 rows: one block of 16 and a tail, 4 queries
+	f.Add(seed, uint8(3), uint8(7))            // d = 16, a whole 64-row page and 8 queries
+	f.Add(seed, uint8(3), uint8(15))           // d = 16, 16 queries: two 8-query groups of one 16-lane call
+	f.Add(seed, uint8(3), uint8(16))           // d = 16, 17 queries: a padded third group
+	f.Add(seed, uint8(15), uint8(32))          // d = 64, 16 rows and as many queries
+	f.Add(seed[:4*16*70], uint8(1), uint8(32)) // d = 8, 33 queries: past one 32-query call
 	f.Fuzz(func(t *testing.T, data []byte, d4, pick uint8) {
 		raw := make([]float32, len(data)/4)
 		for i := range raw {
@@ -533,7 +636,7 @@ func FuzzVecKernels(f *testing.F) {
 				vals[i] = max(-1e6, min(1e6, v))
 			}
 		}
-		d := 4 * (int(d4)%8 + 1)
+		d := 4 * (int(d4)%16 + 1)
 		m := len(vals)/d - 1
 		if m < 1 {
 			return
@@ -562,20 +665,27 @@ func FuzzVecKernels(f *testing.F) {
 		addScaledRowsListGo(want, w, ptrs, 0)
 		expectBitsEqual(t, "addScaledRowsList", got, want)
 
-		// A block of the first nq rows as queries, sharing one weight row.
-		nq := min(1+int(pick)%8, m)
-		got, want = make([]float32, nq*m), make([]float32, nq*m)
-		dotRowsBlock(got, m, rows, d, nq, rows, m, d, 0.5)
-		for j := 0; j < nq; j++ {
-			dotRowsGo(want[j*m:(j+1)*m], rows[j*d:(j+1)*d], rows, d, 0.5)
+		// A block of the first nq rows as queries, sharing one weight row, on
+		// the 16-lane and the AVX2 block kernels.
+		nq := min(1+int(pick)%33, m)
+		for _, wide := range []bool{useBlock16, false} {
+			func() {
+				defer func(saved bool) { useBlock16 = saved }(useBlock16)
+				useBlock16 = wide
+				got, want := make([]float32, nq*m), make([]float32, nq*m)
+				dotRowsBlock(got, m, rows, d, nq, rows, m, d, 0.5)
+				for j := 0; j < nq; j++ {
+					dotRowsGo(want[j*m:(j+1)*m], rows[j*d:(j+1)*d], rows, d, 0.5)
+				}
+				expectBitsEqual(t, "dotRowsBlock", got, want)
+				got, want = make([]float32, nq*d), make([]float32, nq*d)
+				addScaledRowsBlock(got, d, w, 0, nq, rows, m, d)
+				for j := 0; j < nq; j++ {
+					addScaledRowsGo(want[j*d:(j+1)*d], w, rows, d)
+				}
+				expectBitsEqual(t, "addScaledRowsBlock", got, want)
+			}()
 		}
-		expectBitsEqual(t, "dotRowsBlock", got, want)
-		got, want = make([]float32, nq*d), make([]float32, nq*d)
-		addScaledRowsBlock(got, d, w, 0, nq, rows, m, d)
-		for j := 0; j < nq; j++ {
-			addScaledRowsGo(want[j*d:(j+1)*d], w, rows, d)
-		}
-		expectBitsEqual(t, "addScaledRowsBlock", got, want)
 	})
 }
 
@@ -627,7 +737,7 @@ func BenchmarkVecBlockKernels(b *testing.B) {
 	const n, d, page = 4096, 16, 64
 	r := rng.New(3)
 	rows := randMat(r, n, d, 0).Data
-	for _, nq := range []int{4, 8} {
+	for _, nq := range []int{4, 8, 16} {
 		xs, w := randMat(r, nq, d, 0).Data, randMat(r, nq, n, 0).Data
 		dst, out := make([]float32, nq*n), make([]float32, nq*d)
 		for _, k := range []struct {
@@ -672,6 +782,26 @@ func BenchmarkVecBlockKernels(b *testing.B) {
 					softmax(sm)
 				}
 			})
+		})
+	}
+	// The eight causal score rows of a query block, 4224 to 4231 long, taken
+	// together (rows) and one at a time (perrow), in ns per row.
+	const nq = 8
+	span := n + 128 + nq - 1
+	block, rows := randMat(r, nq, span, 0).Data, make([]float32, nq*span)
+	for _, k := range []struct {
+		name string
+		fn   func()
+	}{
+		{"softmax/rows", func() { softmaxRows(rows, span, n+128, nq) }},
+		{"softmax/perrow", func() { softmaxRowsLoop(rows, span, n+128, nq) }},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(rows, block)
+				k.fn()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nq), "ns/row")
 		})
 	}
 }

@@ -5,7 +5,9 @@ package tensor
 // Builds without the vector path (every target but amd64, GOAMD64=v3, and
 // the purego tag): each kernel is its scalar Go loop.
 
-const useVec, useExp8 = false, false
+const useVec, useExp8, useBlock16 = false, false, false
+
+func setAVX512(bool) bool { return false }
 
 func dotRows(dst, x, rows []float32, d int, scale float32) {
 	dotRowsGo(dst, x, rows, d, scale)
@@ -41,6 +43,10 @@ func matTMatBand(dst, m, x *Mat, lo, hi int) {
 
 func softmax(x []float32) {
 	softmaxGo(x)
+}
+
+func softmaxRows(x []float32, stride, n0, nq int) {
+	softmaxRowsLoop(x, stride, n0, nq)
 }
 
 func siluMul(g, u []float32) {
