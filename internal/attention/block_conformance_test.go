@@ -13,7 +13,6 @@ import (
 	"clusterkv/internal/kvcache"
 	"clusterkv/internal/parallel"
 	"clusterkv/internal/rng"
-	"clusterkv/internal/tensor"
 )
 
 // blockVsFullN runs one block of nq queries at n0 both ways, the queries and
@@ -63,18 +62,10 @@ func blockVsFullN(t *testing.T, ctx string, s *kvcache.Store, n0, nq int) {
 
 // TestFullBlockMatchesFullN checks every query count a 16-lane kernel call
 // pads and counts past one call, blocks that start on and off a page
-// boundary, and head dims on and off the 16-lane kernels' widths, with the
-// AVX-512 kernels on and off.
+// boundary, and head dims on and off the 16-lane kernels' widths. It runs on
+// the dispatch the CPU picks; make test-kernels runs it again under the
+// noavx512 tag, on the AVX2 kernels.
 func TestFullBlockMatchesFullN(t *testing.T) {
-	for _, on := range []bool{true, false} {
-		func() {
-			defer tensor.SetAVX512(tensor.SetAVX512(on))
-			fullBlockShapes(t)
-		}()
-	}
-}
-
-func fullBlockShapes(t *testing.T) {
 	P := kvcache.DefaultPageTokens
 	for _, d := range []int{4, 8, 12, 16, 64} {
 		for _, n0 := range []int{1, P - 1, P, P + 1, 3*P + 5} {

@@ -130,11 +130,14 @@ func blockShapes() []blockShape {
 // 16-lane call pads, and counts past one call of 32.
 var blockQueryCounts = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 33}
 
-// onBothDispatches runs fn with the AVX-512 kernels on and then off, so the
-// AVX2 kernels stay tested on AVX-512 hosts (elsewhere both runs take the
-// AVX2 or the Go path).
+// onBothDispatches runs fn with the AVX-512 kernels on, where the binary
+// runs them, and then off, so the AVX2 kernels stay tested on AVX-512 hosts
+// (elsewhere the one run takes the AVX2 or the Go path).
 func onBothDispatches(t *testing.T, fn func(t *testing.T)) {
 	for _, on := range []bool{true, false} {
+		if on && !tensor.AVX512 {
+			continue
+		}
 		name := "avx2"
 		if on {
 			name = "avx512"

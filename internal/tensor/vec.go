@@ -34,13 +34,6 @@ package tensor
 
 import "math"
 
-// SetAVX512 turns the AVX-512 kernels — the 8-lane exp of Softmax and
-// SiluMul, the 16-lane query-block kernels — on or off and reports whether
-// they were on. It cannot turn on what the CPU or the build lacks, and no
-// output depends on it: tests use it to run the AVX2 kernels on AVX-512
-// hosts. It must not be called while kernels run.
-func SetAVX512(on bool) (was bool) { return setAVX512(on) }
-
 // Dot returns the inner product of a and b. It panics if lengths differ.
 func Dot(a, b []float32) float32 {
 	if len(a) != len(b) {
@@ -167,8 +160,8 @@ func Softmax(x []float32) {
 // j in [0, nq) is x[j·stride:][:n0+j], one element longer than the row
 // before it, and an empty row is a no-op. Every row is bit-identical to
 // Softmax of it alone; the vector path runs the exps of four rows side by
-// side, so their serial sums interleave (DESIGN.md §12). Rows must not
-// overlap: stride ≥ n0+nq−1.
+// side and adds them to the rows' four serial sums with one vector add per
+// element (DESIGN.md §12). Rows must not overlap: stride ≥ n0+nq−1.
 func SoftmaxRows(x []float32, stride, n0, nq int) {
 	if nq <= 0 {
 		return

@@ -40,15 +40,18 @@ func expSumAVX2(x *float32, n int, max, sum float32) float32
 
 // useExp8 picks the 8-lane exp kernels of Softmax and SiluMul, and
 // useBlock16 the 16-lane query-block kernels, where cpuAVX512 holds:
-// AVX-512F with OS-saved ZMM state, on top of useVec. SetAVX512 and the
-// tests' withExp turn them off to check the AVX2 kernels on the same machine,
-// and the noavx512 build tag for a whole test run.
+// AVX-512F with OS-saved ZMM state, on top of useVec, in a build without the
+// noavx512 tag. Tests turn them off to check the AVX2 kernels on the same
+// machine (setAVX512, withExp), and the tag does for a whole test binary. No
+// output depends on them.
 var (
-	cpuAVX512  = useVec && cpuHasAVX512()
+	cpuAVX512  = useVec && avx512Allowed && cpuHasAVX512()
 	useExp8    = cpuAVX512
 	useBlock16 = cpuAVX512
 )
 
+// setAVX512 turns the AVX-512 kernels on or off, short of what cpuAVX512
+// allows, and reports whether they were on.
 func setAVX512(on bool) (was bool) {
 	was = useExp8 || useBlock16
 	useExp8 = on && cpuAVX512
@@ -310,8 +313,8 @@ func softmax(x []float32) {
 }
 
 // softmaxFrom finishes the softmax of a finite x, n ≥ 8, whose first from
-// elements (a multiple of 8) already hold their exps, summed serially in
-// sum.
+// elements (a multiple of 8, and 0 without useExp8) already hold their exps,
+// summed serially in sum.
 func softmaxFrom(x []float32, from int, maxv, sum float32) {
 	n := len(x)
 	n4 := n &^ 3

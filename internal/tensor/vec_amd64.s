@@ -1093,27 +1093,16 @@ GLOBL expt<>(SB), RODATA|NOPTR, $208
 	KANDW     K1, K2, K2; \
 	KORTESTW  K2, K2
 
-// EXPSUM8 stores the eight float32 exps in Y0 at ptr and adds them, in lane
-// order, to the serial sum in sumX.
-#define EXPSUM8(ptr, sumX) \
-	VMOVUPS Y0, (ptr); \
-	VADDSS  (ptr), sumX, sumX; \
-	VADDSS  4(ptr), sumX, sumX; \
-	VADDSS  8(ptr), sumX, sumX; \
-	VADDSS  12(ptr), sumX, sumX; \
-	VADDSS  16(ptr), sumX, sumX; \
-	VADDSS  20(ptr), sumX, sumX; \
-	VADDSS  24(ptr), sumX, sumX; \
-	VADDSS  28(ptr), sumX, sumX
-
-// EXPROW8 is one block of one row: the fast path, or the fallback at the
-// out-of-line label slow, which counts the block in DX and returns to back.
-#define EXPROW8(ptr, maxY, sumX, slow, back) \
+// EXPROW8 is one block of one row: the eight float32 exps of the block at
+// ptr less the max in maxY, in Y0 and stored back at ptr, from the fast path
+// or from the fallback at the out-of-line label slow (EXPSLOW8), which counts
+// the block in DX and returns to back.
+#define EXPROW8(ptr, maxY, slow, back) \
 	EXPT8(ptr, maxY); \
 	JNE slow; \
 	VCVTPD2PS.Z Z3, K1, Y0; \
 back: \
-	EXPSUM8(ptr, sumX)
+	VMOVUPS Y0, (ptr)
 
 #define EXPSLOW8(slow, back) \
 slow: \
@@ -1142,8 +1131,8 @@ slow: \
 // checks that on every float32 in [-105, 0]. The -104 clamp is the zeroing
 // mask K1 of the final conversion, which also hides the fast path's NaN on a
 // -Inf lane. The float32 sum is carried serially, in lane order, by scalar
-// adds that read the stored block back (expSumRows4AVX512 runs four such
-// chains side by side).
+// adds that read the stored block back; that chain of adds, not the exp, sets
+// the pace of one row, which is why expSumRows4AVX512 runs four.
 TEXT ·expSumAVX512(SB), NOSPLIT, $0-40
 	MOVQ x+0(FP), SI
 	MOVQ n+8(FP), CX
@@ -1152,7 +1141,15 @@ TEXT ·expSumAVX512(SB), NOSPLIT, $0-40
 	VMOVSS sum+20(FP), X5
 	EXPTK
 block:
-	EXPROW8(SI, Y6, X5, slow, back)
+	EXPROW8(SI, Y6, slow, back)
+	VADDSS  (SI), X5, X5
+	VADDSS  4(SI), X5, X5
+	VADDSS  8(SI), X5, X5
+	VADDSS  12(SI), X5, X5
+	VADDSS  16(SI), X5, X5
+	VADDSS  20(SI), X5, X5
+	VADDSS  24(SI), X5, X5
+	VADDSS  28(SI), X5, X5
 	ADDQ $32, SI
 	SUBQ $8, CX
 	JGT  block
@@ -1166,9 +1163,12 @@ block:
 //
 // expSumAVX512 on four rows side by side: for i in [0, n), xs[r][i] =
 // float32(math.Exp(float64(xs[r][i]-maxs[r]))) and sums[r] += xs[r][i], r in
-// [0, 4), with the same contract per row. Each row keeps its own serial sum,
-// in its own order, so the four chains interleave and the exp arithmetic,
-// not one chain's latency, sets the pace. The rows must not overlap.
+// [0, 4), with the same contract per row. A step computes one block of each
+// row (Y11, Y13, Y14 and Y0) and transposes the 4×8 exps into eight columns
+// of four (unpack, then shuffle gives column c | c+4 in one YMM), so the
+// rows' four serial sums, the lanes of X5, take their block with eight
+// VADDPS: every lane still adds its row's elements one at a time in order.
+// The rows must not overlap.
 TEXT ·expSumRows4AVX512(SB), NOSPLIT, $0-40
 	MOVQ xs+0(FP), SI
 	MOVQ (SI), R8
@@ -1182,17 +1182,37 @@ TEXT ·expSumRows4AVX512(SB), NOSPLIT, $0-40
 	VBROADCASTSS 8(SI), Y18
 	VBROADCASTSS 12(SI), Y19
 	MOVQ sums+24(FP), SI
-	VMOVSS (SI), X5
-	VMOVSS 4(SI), X6
-	VMOVSS 8(SI), X7
-	VMOVSS 12(SI), X9
+	VMOVUPS (SI), X5
 	XORQ DX, DX
 	EXPTK
 rblock:
-	EXPROW8(R8, Y16, X5, slow0, back0)
-	EXPROW8(R9, Y17, X6, slow1, back1)
-	EXPROW8(R10, Y18, X7, slow2, back2)
-	EXPROW8(R11, Y19, X9, slow3, back3)
+	EXPROW8(R8, Y16, slow0, back0)
+	VMOVAPS Y0, Y11
+	EXPROW8(R9, Y17, slow1, back1)
+	VMOVAPS Y0, Y13
+	EXPROW8(R10, Y18, slow2, back2)
+	VMOVAPS Y0, Y14
+	EXPROW8(R11, Y19, slow3, back3)
+	VUNPCKLPS Y13, Y11, Y1
+	VUNPCKHPS Y13, Y11, Y2
+	VUNPCKLPS Y0, Y14, Y3
+	VUNPCKHPS Y0, Y14, Y4
+	VSHUFPS $0x44, Y3, Y1, Y0
+	VSHUFPS $0xEE, Y3, Y1, Y1
+	VSHUFPS $0x44, Y4, Y2, Y3
+	VSHUFPS $0xEE, Y4, Y2, Y2
+	VADDPS X0, X5, X5
+	VADDPS X1, X5, X5
+	VADDPS X3, X5, X5
+	VADDPS X2, X5, X5
+	VEXTRACTF128 $1, Y0, X0
+	VEXTRACTF128 $1, Y1, X1
+	VEXTRACTF128 $1, Y3, X3
+	VEXTRACTF128 $1, Y2, X2
+	VADDPS X0, X5, X5
+	VADDPS X1, X5, X5
+	VADDPS X3, X5, X5
+	VADDPS X2, X5, X5
 	ADDQ $32, R8
 	ADDQ $32, R9
 	ADDQ $32, R10
@@ -1200,10 +1220,7 @@ rblock:
 	SUBQ $8, CX
 	JGT  rblock
 	MOVQ sums+24(FP), SI
-	VMOVSS X5, (SI)
-	VMOVSS X6, 4(SI)
-	VMOVSS X7, 8(SI)
-	VMOVSS X9, 12(SI)
+	VMOVUPS X5, (SI)
 	MOVQ DX, slow+32(FP)
 	VZEROUPPER
 	RET

@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"math"
 	"testing"
+	"unsafe"
 
 	"clusterkv/internal/rng"
 )
@@ -258,13 +259,14 @@ func TestVecSoftmax(t *testing.T) {
 	}
 }
 
-// TestVecExpPin pins every exp kernel (expSumAVX2, and expSumAVX512 where the
-// CPU has it) to float32(math.Exp(float64(x))) over the whole input range of
-// a softmax, [-105, 0] (below -104 both are +0): every 37th float32 with
-// -short, every one without. It is the test that fails if a Go release
-// changes math.archExp, whose instruction sequence the kernels replicate, and
-// the proof that expSumAVX512's table path is within the error bound its
-// fallback test assumes (TestVecExpFallback drives the fallback itself).
+// TestVecExpPin pins every exp kernel (expSumAVX2, and expSumAVX512 and
+// expSumRows4AVX512 where the CPU has them) to float32(math.Exp(float64(x)))
+// over the whole input range of a softmax, [-105, 0] (below -104 both are
+// +0): every 37th float32 with -short, every one without. It is the test
+// that fails if a Go release changes math.archExp, whose instruction
+// sequence the kernels replicate, and the proof that the table path is
+// within the error bound its fallback test assumes (TestVecExpFallback
+// drives the fallback itself).
 func TestVecExpPin(t *testing.T) {
 	needVec(t)
 	step := uint32(1)
@@ -280,11 +282,43 @@ func TestVecExpPin(t *testing.T) {
 		from, to := lo+p*span, min(lo+(p+1)*span-1, hi)
 		t.Run(itoa(int(p)), func(t *testing.T) {
 			t.Parallel()
-			for _, k := range expKernels {
+			for _, k := range expPinKernels {
 				expPinRange(t, k, from, to, step)
 			}
 		})
 	}
+}
+
+// expPinKernels are expKernels and, where the 8-lane exp runs, the rows
+// kernel.
+var expPinKernels = func() []expKernel {
+	ks := expKernels[:len(expKernels):len(expKernels)]
+	if useExp8 {
+		ks = append(ks, expKernel{"avx512rows", true, expRows4Serial})
+	}
+	return ks
+}()
+
+// expRows4Serial runs x[:n] through expSumRows4AVX512 as four rows of
+// (n&^31)/4 elements and the rest through expSumAVX512, then returns sum
+// plus the exps added serially here: it pins the rows kernel's exps, not its
+// four sums, which TestVecSoftmaxRows checks.
+func expRows4Serial(x *float32, n int, max, sum float32) float32 {
+	s := unsafe.Slice(x, n)
+	q := n &^ 31 / 4
+	if q > 0 {
+		ptrs := [4]*float32{&s[0], &s[q], &s[2*q], &s[3*q]}
+		maxs := [4]float32{max, max, max, max}
+		var sums [4]float32
+		expSumRows4AVX512(&ptrs[0], q, &maxs[0], &sums[0])
+	}
+	if r := 4 * q; r < n {
+		expSumAVX512(&s[r], n-r, max, 0)
+	}
+	for _, e := range s {
+		sum += e
+	}
+	return sum
 }
 
 // expPinRange checks every step-th float32 bit pattern in [from, to].
@@ -344,13 +378,15 @@ func expMidpointInputs(n int) []float32 {
 	return zs
 }
 
-// TestVecExpFallback drives the fallback of expSumAVX512 on every block kind
-// that must take it — a lane whose exp sits near a float32 rounding
-// midpoint, a live lane in (-104, -87] where the float32 result is subnormal
-// — and on blocks that must not: -Inf and -0 lanes, clamped and exact. Each
-// such block holds one special lane among seven 0s; the kernel's count of
-// slow blocks must be exactly the first kind's, and every lane
-// float32(math.Exp(float64(z))).
+// TestVecExpFallback drives the fallback of expSumAVX512 and
+// expSumRows4AVX512 on every block kind that must take it — a lane whose exp
+// sits near a float32 rounding midpoint, a live lane in (-104, -87] where the
+// float32 result is subnormal — and on blocks that must not: -Inf and -0
+// lanes, clamped and exact. Each such block holds one special lane among
+// seven 0s; the kernels' count of slow blocks must be exactly the first
+// kind's, and every lane float32(math.Exp(float64(z))). The rows kernel runs
+// the blocks as four rows, each starting at a different block, so each row's
+// fallback runs while the other three take the fast path.
 func TestVecExpFallback(t *testing.T) {
 	if !useExp8 {
 		t.Skip("CPU lacks AVX-512F: no table exp to fall back from")
@@ -371,23 +407,49 @@ func TestVecExpFallback(t *testing.T) {
 	if slow != len(slowZ) {
 		t.Errorf("%d blocks took the fallback, want the %d with a midpoint or subnormal lane", slow, len(slowZ))
 	}
+	expectExps(t, "expSumAVX512", in, out, sum)
+
+	var (
+		rows, outs [4][]float32
+		ptrs       [4]*float32
+		maxs, sums [4]float32
+	)
+	for r := range rows {
+		rows[r] = append(append([]float32(nil), in[8*r:]...), in[:8*r]...)
+		outs[r] = append([]float32(nil), rows[r]...)
+		ptrs[r] = &outs[r][0]
+	}
+	if slow := expSumRows4AVX512(&ptrs[0], len(in), &maxs[0], &sums[0]); slow != 4*len(slowZ) {
+		t.Errorf("rows kernel: %d blocks took the fallback, want %d", slow, 4*len(slowZ))
+	}
+	for r := range rows {
+		expectExps(t, "expSumRows4AVX512 row "+itoa(r), rows[r], outs[r], sums[r])
+	}
+}
+
+// expectExps checks that out holds float32(math.Exp(float64(z))) for each z
+// of in and sum their serial float32 sum.
+func expectExps(t *testing.T, what string, in, out []float32, sum float32) {
+	t.Helper()
 	var want float32
 	for i, z := range in {
 		e := float32(math.Exp(float64(z)))
 		want += e
 		if math.Float32bits(out[i]) != math.Float32bits(e) {
-			t.Errorf("exp(%g [%08x]) = %g [%08x], math.Exp gives %g", z, math.Float32bits(z), out[i], math.Float32bits(out[i]), e)
+			t.Errorf("%s: exp(%g [%08x]) = %g [%08x], math.Exp gives %g", what, z, math.Float32bits(z), out[i], math.Float32bits(out[i]), e)
 		}
 	}
 	if math.Float32bits(sum) != math.Float32bits(want) {
-		t.Errorf("serial sum %g, want %g", sum, want)
+		t.Errorf("%s: serial sum %g, want %g", what, sum, want)
 	}
 }
 
 // TestVecSoftmaxRows checks SoftmaxRows against the scalar loop on each row,
 // on every exp kernel: row counts around the four the rows kernel takes,
 // shortest rows around its 8-element blocks, and rows holding NaN or ±Inf,
-// which leave the group for the scalar loop.
+// which leave the group for the scalar loop. Scores of spread 3 keep most
+// exps within a few powers of two of each other, so a sum that takes them
+// out of order rounds differently; spread 30 reaches the clamp.
 func TestVecSoftmaxRows(t *testing.T) {
 	needVec(t)
 	nan, inf := float32(math.NaN()), float32(math.Inf(1))
@@ -400,7 +462,7 @@ func TestVecSoftmaxRows(t *testing.T) {
 						r := rng.New(uint64(nq*1000 + n0))
 						x := oddSlice(r, nq*stride)
 						for i := range x {
-							x[i] *= 30
+							x[i] *= 3 + 27*float32(i/stride%2)
 						}
 						if special != 0 && nq > 1 {
 							x[stride+n0/2] = special // row 1

@@ -1,0 +1,7 @@
+//go:build amd64 && !amd64.v3 && !purego && !noavx512
+
+package tensor
+
+// Without the noavx512 build tag the AVX-512 kernels run wherever the CPU
+// has them (vec_noavx512.go).
+const avx512Allowed = true

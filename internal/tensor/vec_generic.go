@@ -5,7 +5,7 @@ package tensor
 // Builds without the vector path (every target but amd64, GOAMD64=v3, and
 // the purego tag): each kernel is its scalar Go loop.
 
-const useVec, useExp8, useBlock16 = false, false, false
+const useVec, cpuAVX512, useExp8, useBlock16 = false, false, false, false
 
 func setAVX512(bool) bool { return false }
 

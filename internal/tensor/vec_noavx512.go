@@ -2,10 +2,7 @@
 
 package tensor
 
-// The noavx512 build tag runs the AVX2 kernels on AVX-512 hosts for a whole
-// build, so the packages above tensor are tested on both: make test-kernels
-// runs its set with and without it.
-func init() {
-	cpuAVX512 = false
-	setAVX512(false)
-}
+// The noavx512 build tag keeps the AVX-512 kernels off for a whole build, so
+// the AVX2 kernels, and the packages above tensor on them, are tested on
+// AVX-512 hosts too: make test-kernels runs its set with and without it.
+const avx512Allowed = false
