@@ -86,13 +86,15 @@ bench-compare:
 # AddScaledRowsBlock), the prefill query block against per-query attention
 # (FullBlock), the vector ≡ scalar suite (Vec: AVX2 kernels against the Go
 # loops, the exp pin and the table exp's fallback, softmax, SoftmaxRows and
-# SiluMul on the AVX2 and the AVX-512 exp, the arg-best, the fuzz seed corpus)
-# and K-means against its key-major oracle at GOMAXPROCS=1 and at
+# SiluMul on the AVX2 and the AVX-512 exp, the arg-best, the fuzz seed corpus),
+# K-means against its key-major oracle and the model suites that run those
+# kernels end to end (prefill conformance, the two-phase decode step and the
+# batch decoder against their serial oracles) at GOMAXPROCS=1 and at
 # GOMAXPROCS=2 with the race detector, locking the bit-identity contract of
 # DESIGN.md §12 independently of the scheduler. Each runs twice: as the CPU
 # dispatches, and under the noavx512 tag, which keeps the AVX-512 kernels off
 # so the AVX2 ones stay tested on AVX-512 hosts.
-KERNEL_TESTS = 'Block|DotRows|AddScaledRows|PackedMat|Fused|DecodeSteady|Vec|KMeans|ArgBest|Silu'
+KERNEL_TESTS = 'Block|DotRows|AddScaledRows|PackedMat|Fused|DecodeSteady|Vec|KMeans|ArgBest|Silu|Prefill|TwoPhase|BatchDecode'
 KERNEL_PKGS = ./internal/tensor/ ./internal/attention/ ./internal/kvcache/ ./internal/model/ ./internal/cluster/
 
 test-kernels:

@@ -32,8 +32,9 @@ import (
 
 // ---- The ClusterKV method -------------------------------------------------
 
-// Config holds every ClusterKV tunable (sink tokens, C0 = L/ClusterRatio,
-// decode-window m and C+, cache horizon R, clustering metric, ...).
+// Config holds every ClusterKV tunable (sink tokens, prefill segment length,
+// decode-window m and C+, cache horizon R, clustering metric, ...); the
+// prefill cluster count follows the paper's C0 = L/80 rule.
 type Config = core.Config
 
 // ClusterKV is the compression method: an attention Selector that clusters

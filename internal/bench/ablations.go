@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"clusterkv/internal/cluster"
 	"clusterkv/internal/core"
 	"clusterkv/internal/workload"
 )
@@ -83,24 +82,6 @@ func RunAblations(opt Options) []*Report {
 	}
 	sRep.Notes = append(sRep.Notes, "sinks are outliers in key space; clustering them wastes centroids and recall.")
 
-	// --- K-means seeding strategy (extension beyond the paper) -------------
-	iRep := &Report{
-		ID:      "ablation-kmeans-init",
-		Title:   "K-means seeding: random sampling (paper) vs k-means++",
-		Headers: []string{"Init", "Recall", "Fidelity", "PrefillMetaOps"},
-	}
-	for _, init := range []struct {
-		name string
-		v    cluster.Init
-	}{{"random", cluster.RandomInit}, {"k-means++", cluster.PlusPlusInit}} {
-		cfg := paperConfig()
-		cfg.BypassLayers = 0
-		cfg.Init = init.v
-		run := RunTrace(task.Trace, core.New(cfg), budget)
-		iRep.AddRow(label(init.name), recall(run), fidelity(run), num("", float64(run.Stats.MetaOps), "ops", "%.0f"))
-	}
-	iRep.Notes = append(iRep.Notes, "Equal PrefillMetaOps: K-means from either seeding runs to the 16-iteration cap, so k-means++ saves no assignment passes; it only adds its O(n·c·d) seeding.")
-
 	// --- K-means iteration cap --------------------------------------------
 	kRep := &Report{
 		ID:      "ablation-kmeans-iters",
@@ -135,5 +116,5 @@ func RunAblations(opt Options) []*Report {
 		"segments make prefill clustering linear in L (each S-token piece is its own L/80-rule",
 		"K-means) and let prefix-cache hits adopt a cached prefix's clusters from its KV pages;",
 		"core.NewConfig ships S=4096, the tab/fig reproductions above pin S=0 (DESIGN.md §2).")
-	return []*Report{rRep, mRep, sRep, iRep, kRep, gRep}
+	return []*Report{rRep, mRep, sRep, kRep, gRep}
 }

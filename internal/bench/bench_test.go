@@ -93,8 +93,10 @@ func TestCalibrationTraceSharesStructure(t *testing.T) {
 
 func TestMeasureClusterKVCounts(t *testing.T) {
 	cts := MeasureClusterKV(1024, 16, 256, traceCoreConfig(), 1)
-	if cts.PrefillMetaOps <= 0 || cts.KMeansIters <= 0 {
-		t.Fatalf("prefill counters: %+v", cts)
+	// Four heads of 1008 clustered keys in 12 clusters at d = 32: 15.5
+	// iterations on average.
+	if cts.PrefillMetaOps != 23998464 || cts.KMeansIters != 15.5 {
+		t.Fatalf("prefill counters: %+v, want PrefillMetaOps 23998464 and KMeansIters 15.5", cts)
 	}
 	if cts.AvgClusters <= 0 || cts.AvgSelected <= 0 {
 		t.Fatalf("decode counters: %+v", cts)

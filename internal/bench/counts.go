@@ -51,16 +51,10 @@ func MeasureClusterKV(ctxLen, steps, budget int, cfg core.Config, seed uint64) C
 	}
 	var c Counts
 	c.PrefillMetaOps = sel.Stats().MetaOps
-	// iters ≈ ops / (heads × clusteredLen × C0 × d)
-	clusteredLen := ctxLen - cfg.SinkTokens
-	c0 := clusteredLen / cfg.ClusterRatio
-	if cfg.C0Override > 0 {
-		c0 = cfg.C0Override
-	}
-	if c0 < cfg.MinClusters {
-		c0 = cfg.MinClusters
-	}
-	den := float64(tr.Cfg.Heads) * float64(clusteredLen) * float64(c0) * float64(tr.Cfg.D)
+	// iters ≈ ops / (heads × clusteredLen × C0 × d), read off the book
+	// before decode clustering extends it.
+	book := sel.Book(0, 0)
+	den := float64(tr.Cfg.Heads) * float64(book.TotalTokens()) * float64(book.NumClusters()) * float64(tr.Cfg.D)
 	if den > 0 {
 		c.KMeansIters = float64(c.PrefillMetaOps) / den
 	}

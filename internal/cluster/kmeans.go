@@ -46,22 +46,6 @@ func (m Metric) String() string {
 	}
 }
 
-// Init selects the centroid initialisation strategy.
-type Init int
-
-const (
-	// RandomInit samples c distinct keys uniformly (the paper's choice:
-	// "we first randomly sample key vectors as the initial centroids").
-	RandomInit Init = iota
-	// PlusPlusInit is k-means++ seeding: subsequent centroids are sampled
-	// proportionally to their distance from the chosen set. Slower to seed
-	// (O(n·c·d)), and no cheaper to iterate on the keys this repository
-	// clusters: runs from either seeding hit the iteration cap, so their
-	// AssignOps are equal (the ablation-kmeans-init report) — an extension
-	// ablation beyond the paper.
-	PlusPlusInit
-)
-
 // Config controls K-means behaviour.
 type Config struct {
 	// Metric is the assignment distance (default Cosine).
@@ -70,8 +54,6 @@ type Config struct {
 	// stops as soon as an assignment pass changes no labels. Zero means the
 	// package default (16).
 	MaxIters int
-	// Init is the centroid initialisation strategy (default RandomInit).
-	Init Init
 	// Seed drives the deterministic centroid initialisation.
 	Seed uint64
 }
@@ -130,15 +112,11 @@ func KMeans(keys []float32, d, c int, cfg Config) *Result {
 
 	key := func(i int) []float32 { return keys[i*d : (i+1)*d] }
 
-	// Initial centroids.
+	// Initial centroids: c distinct keys sampled uniformly ("we first
+	// randomly sample key vectors as the initial centroids", §III-B).
 	cents := tensor.NewMat(c, d)
-	switch cfg.Init {
-	case PlusPlusInit:
-		seedPlusPlus(cents, keys, d, cfg.Metric, rnd)
-	default:
-		for i, idx := range rnd.Sample(n, c) {
-			copy(cents.Row(i), key(idx))
-		}
+	for i, idx := range rnd.Sample(n, c) {
+		copy(cents.Row(i), key(idx))
 	}
 
 	labels := make([]int, n)

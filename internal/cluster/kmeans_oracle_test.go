@@ -39,13 +39,8 @@ func kmeansOracle(keys []float32, d, c int, cfg Config) *Result {
 
 	// Initial centroids.
 	cents := tensor.NewMat(c, d)
-	switch cfg.Init {
-	case PlusPlusInit:
-		seedPlusPlus(cents, keys, d, cfg.Metric, rnd)
-	default:
-		for i, idx := range rnd.Sample(n, c) {
-			copy(cents.Row(i), key(idx))
-		}
+	for i, idx := range rnd.Sample(n, c) {
+		copy(cents.Row(i), key(idx))
 	}
 
 	labels := make([]int, n)
@@ -248,8 +243,8 @@ func oracleKeys(kind string, n, d int) []float32 {
 }
 
 // TestKMeansMatchesOracle locks KMeans to the key-major loop it replaced:
-// the whole Result, at pool widths {1, 2, 3, 8}, for every metric and
-// initialisation, n over every residue mod 8 and across several assignment
+// the whole Result, at pool widths {1, 2, 3, 8}, for every metric, n over
+// every residue mod 8 and across several assignment
 // blocks, c ∈ {1, 4, 6, 51} and c ≥ n, head dims on and off the vector
 // kernels' multiples, and all-zero and duplicated keys.
 func TestKMeansMatchesOracle(t *testing.T) {
@@ -278,16 +273,14 @@ func TestKMeansMatchesOracle(t *testing.T) {
 		for _, kind := range sh.kinds {
 			keys := oracleKeys(kind, sh.n, sh.d)
 			for _, metric := range []Metric{Cosine, L2, InnerProduct} {
-				for _, init := range []Init{RandomInit, PlusPlusInit} {
-					for _, c := range cs {
-						cfg := Config{Metric: metric, Init: init, Seed: uint64(sh.n + c)}
-						want := kmeansOracle(keys, sh.d, c, cfg)
-						for _, width := range []int{1, 2, 3, 8} {
-							var got *Result
-							withPoolWidth(width, func() { got = KMeans(keys, sh.d, c, cfg) })
-							name := fmt.Sprintf("%s %v init=%d n=%d d=%d c=%d width=%d", kind, metric, init, sh.n, sh.d, c, width)
-							expectSameResult(t, name, got, want)
-						}
+				for _, c := range cs {
+					cfg := Config{Metric: metric, Seed: uint64(sh.n + c)}
+					want := kmeansOracle(keys, sh.d, c, cfg)
+					for _, width := range []int{1, 2, 3, 8} {
+						var got *Result
+						withPoolWidth(width, func() { got = KMeans(keys, sh.d, c, cfg) })
+						name := fmt.Sprintf("%s %v n=%d d=%d c=%d width=%d", kind, metric, sh.n, sh.d, c, width)
+						expectSameResult(t, name, got, want)
 					}
 				}
 			}

@@ -34,9 +34,6 @@ type Config struct {
 	// SinkTokens is the number of initial tokens kept unclustered and always
 	// selected (attention sinks, §III-B). Paper default: 16.
 	SinkTokens int
-	// ClusterRatio sets the prefill cluster count C0 = clusteredLen/ClusterRatio
-	// (paper: C0 = L/80, i.e. ratio 80).
-	ClusterRatio int
 	// C0Override, when > 0, fixes the prefill cluster count regardless of
 	// context length (used by the Fig. 11b ablation C0 ∈ {200,...,800}). With
 	// several segments each gets its share, C0Override·segLen/clusteredLen.
@@ -53,8 +50,6 @@ type Config struct {
 	// NewConfig's 4096 is the one non-paper default (DESIGN.md §2). Keep it a
 	// multiple of the KV page size or few segments will end on a full page.
 	SegmentTokens int
-	// MinClusters floors the prefill cluster count (default 4).
-	MinClusters int
 	// DecodeWindow is m: decode-time clustering is applied every m generated
 	// tokens (paper default 320).
 	DecodeWindow int
@@ -62,16 +57,14 @@ type Config struct {
 	// default 4).
 	DecodeClusters int
 	// CacheR is the cache retention horizon in decode steps (paper default 1;
-	// 0 disables the cache so every selected token is a transfer).
+	// 0 disables the cache so every selected token is a transfer). New
+	// panics on a negative horizon.
 	CacheR int
 	// BypassLayers disables selection on the first N layers, matching the
 	// Quest-aligned evaluation setting (§V-A). Paper default 2.
 	BypassLayers int
 	// Metric is the clustering distance (paper default cosine).
 	Metric cluster.Metric
-	// Init is the K-means seeding strategy (paper default: random sampling;
-	// PlusPlusInit is an extension ablation).
-	Init cluster.Init
 	// KMeansIters caps K-means iterations (default 16).
 	KMeansIters int
 	// Seed makes clustering deterministic.
@@ -91,9 +84,7 @@ type Config struct {
 func NewConfig() Config {
 	return Config{
 		SinkTokens:     16,
-		ClusterRatio:   80,
 		SegmentTokens:  4096,
-		MinClusters:    4,
 		DecodeWindow:   320,
 		DecodeClusters: 4,
 		CacheR:         1,
@@ -209,11 +200,8 @@ var (
 
 // New returns a ClusterKV selector with the given configuration.
 func New(cfg Config) *ClusterKV {
-	if cfg.ClusterRatio <= 0 {
-		cfg.ClusterRatio = 80
-	}
-	if cfg.MinClusters <= 0 {
-		cfg.MinClusters = 4
+	if cfg.CacheR < 0 {
+		panic("core: negative CacheR (the recall cache's retention horizon)")
 	}
 	if cfg.DecodeWindow <= 0 {
 		cfg.DecodeWindow = 320
@@ -354,7 +342,6 @@ func (c *ClusterKV) clusterPiece(book *cluster.Book, layer, head int, s *kvcache
 	key := segKey{from: from, to: to, c: cnt, km: cluster.Config{
 		Metric:   c.cfg.Metric,
 		MaxIters: c.cfg.KMeansIters,
-		Init:     c.cfg.Init,
 		Seed:     seed,
 	}}
 	keysN := int64(to - from)
@@ -392,13 +379,20 @@ func (c *ClusterKV) clusterPiece(book *cluster.Book, layer, head int, s *kvcache
 	}
 }
 
-// segmentClusterCount is the paper's C0 = L/ClusterRatio rule applied to one
-// piece of segLen of the prefill's clusteredLen clustered keys.
+// The paper's prefill cluster count C0 = L/clusterRatio, floored at
+// minClusters.
+const (
+	clusterRatio = 80
+	minClusters  = 4
+)
+
+// segmentClusterCount is the C0 rule applied to one piece of segLen of the
+// prefill's clusteredLen clustered keys.
 func (c *ClusterKV) segmentClusterCount(segLen, clusteredLen int) int {
 	if c.cfg.C0Override > 0 {
 		return max(1, c.cfg.C0Override*segLen/clusteredLen)
 	}
-	return max(segLen/c.cfg.ClusterRatio, c.cfg.MinClusters)
+	return max(segLen/clusterRatio, minClusters)
 }
 
 // OnAppend implements attention.Selector: register the newly decoded token;
@@ -420,7 +414,6 @@ func (c *ClusterKV) OnAppend(layer, head int, s *kvcache.Store) {
 	res := cluster.KMeans(keys, d, c.cfg.DecodeClusters, cluster.Config{
 		Metric:   c.cfg.Metric,
 		MaxIters: c.cfg.KMeansIters,
-		Init:     c.cfg.Init,
 		Seed:     c.cfg.Seed ^ mix(uint64(layer), uint64(head)) ^ uint64(s.Len()),
 	})
 	// The Book requires batches to be contiguous from ClusteredUpTo; the
@@ -626,9 +619,6 @@ func (c *ClusterKV) issuePrefetch(next, head int, q []float32, budget int) {
 // host residency.
 func (c *ClusterKV) EndStep() {
 	c.step++
-	if c.cfg.CacheR < 0 {
-		return // negative R: infinite cache (ablation)
-	}
 	// A cluster selected at step s stays cached through the selections of
 	// steps s+1..s+R ("the KV of selected tokens from the last R decoding
 	// steps", §IV-D); R=0 disables the cache.

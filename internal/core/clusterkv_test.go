@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -334,19 +337,32 @@ func TestLedgerResidencyAfterPrefill(t *testing.T) {
 }
 
 func TestNameAndConfig(t *testing.T) {
-	sel := New(traceConfig())
+	want := traceConfig()
+	want.SegmentTokens, want.CacheR = 256, 3
+	sel := New(want)
 	if sel.Name() != "ClusterKV" {
 		t.Fatal("wrong name")
 	}
-	if sel.Config().ClusterRatio != 80 {
-		t.Fatal("config not retained")
+	if cfg := sel.Config(); !reflect.DeepEqual(cfg, want) {
+		t.Fatalf("config not retained: %+v, want %+v", cfg, want)
 	}
 }
 
 func TestNewDefaultsFilled(t *testing.T) {
 	sel := New(Config{})
 	cfg := sel.Config()
-	if cfg.ClusterRatio != 80 || cfg.DecodeWindow != 320 || cfg.DecodeClusters != 4 || cfg.MinClusters != 4 {
+	if cfg.DecodeWindow != 320 || cfg.DecodeClusters != 4 {
 		t.Fatalf("zero-config defaults: %+v", cfg)
 	}
+}
+
+func TestNewRejectsNegativeCacheR(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "negative CacheR") {
+			t.Fatalf("New with CacheR = -1: recovered %v, want a negative CacheR panic", r)
+		}
+	}()
+	cfg := NewConfig()
+	cfg.CacheR = -1
+	New(cfg)
 }

@@ -188,9 +188,6 @@ func (o *oracleKV) issuePrefetch(next, head int, q []float32, budget int) {
 func (o *oracleKV) endStep() {
 	o.step++
 	o.stats.Steps++
-	if o.live.cfg.CacheR < 0 {
-		return
-	}
 	for i, oh := range o.states {
 		for cl, last := range oh.cache {
 			if o.step-last > int64(o.live.cfg.CacheR) {
@@ -240,10 +237,15 @@ func TestSelectMatchesSortOracle(t *testing.T) {
 		name   string
 		mutate func(*Config)
 	}
+	const (
+		layers, heads = 3, 2
+		n, d          = 700, 8
+		steps         = 70
+	)
 	variants := []variant{
 		{"R1", func(c *Config) {}},
 		{"R0", func(c *Config) { c.CacheR = 0 }},
-		{"Rinf", func(c *Config) { c.CacheR = -1 }},
+		{"Rinf", func(c *Config) { c.CacheR = steps }}, // no cached cluster ever expires
 		{"R2", func(c *Config) { c.CacheR = 2 }},
 		{"shuffled-members", func(c *Config) { c.PrefillClusterer = shuffledClusterer }},
 		{"shuffled-segments", func(c *Config) {
@@ -251,11 +253,6 @@ func TestSelectMatchesSortOracle(t *testing.T) {
 			c.SegmentTokens = 256
 		}},
 	}
-	const (
-		layers, heads = 3, 2
-		n, d          = 700, 8
-		steps         = 70
-	)
 	for _, v := range variants {
 		for _, async := range []bool{false, true} {
 			for _, budget := range []int{40, 150, 333} {

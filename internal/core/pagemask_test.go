@@ -41,7 +41,7 @@ func TestPageMasksMatchMemberWalk(t *testing.T) {
 				}
 				st := sel.state(0, 0)
 				book := st.book
-				if book.NumClusters() <= (n-cfg.SinkTokens)/cfg.ClusterRatio {
+				if book.NumClusters() <= (n-cfg.SinkTokens)/clusterRatio {
 					t.Fatalf("no decode batch was clustered: %d clusters", book.NumClusters())
 				}
 				masked, walked := kvcache.NewLedgerPaged(P), kvcache.NewLedgerPaged(P)

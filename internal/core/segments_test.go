@@ -53,7 +53,7 @@ func TestSegmentsAdoptedEqualBuilt(t *testing.T) {
 		st.MetaKeysBuilt != n-16 || st.MetaKeysAdopted != 0 {
 		t.Fatalf("first prefill: %+v, want 3 pieces and %d keys built, none adopted", st, n-16)
 	}
-	// 240, 256, 64 and 6 keys: each piece's len/80 is floored at MinClusters.
+	// 240, 256, 64 and 6 keys: each piece's len/80 is floored at minClusters.
 	wantClusters := max(240/80, 4) + max(256/80, 4) + max(64/80, 4) + max(6/80, 4)
 	if got := first.Book(0, 0).NumClusters(); got != wantClusters {
 		t.Fatalf("%d clusters, want %d", got, wantClusters)

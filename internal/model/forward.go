@@ -213,13 +213,16 @@ const prefillFFNRows = 8
 
 // prefillScratch is the per-executor scratch of the prefill's attention and
 // FFN phases: the score rows of FullBlock and outFFN's operands for one row
-// block, resized to its row count. A block of a phase takes one from the
-// prefill's free list and puts it back, so no float buffer is ever shared
-// between concurrent blocks and a prefill makes at most pool-width of them.
+// block, resized to its row count. A block of a phase takes one from
+// prefillScratches and puts it back, so no float buffer is ever shared
+// between concurrent blocks, and the buffers outlive a prefill.
 type prefillScratch struct {
 	normed, gate, up tensor.Mat
 	attn             attention.Scratch
 }
+
+// prefillScratches is the free list of prefillScratch shared by all prefills.
+var prefillScratches = sync.Pool{New: func() any { return new(prefillScratch) }}
 
 // Prefill processes the whole prompt with full attention, layer by layer
 // (the standard parallel prefill), fills the KV caches, notifies the
@@ -272,11 +275,6 @@ func (s *Sequence) Prefill(tokens []int, wantLogits []float32) []float32 {
 			copy(hs.Row(i), w.embed.Row(tokens[i]))
 		}
 	})
-
-	// Free list of the attention and FFN phases' scratch: executors never
-	// outnumber the pool width, so neither do the scratches made, and a put
-	// never blocks.
-	scratch := make(chan *prefillScratch, pool.Width())
 
 	normAll := tensor.NewMat(n, cfg.DModel)
 	qall := tensor.NewMat(n, qdim)
@@ -343,18 +341,18 @@ func (s *Sequence) Prefill(tokens []int, wantLogits []float32) []float32 {
 		group := cfg.GroupSize()
 		chunks := (n - first + prefillQueryBlock - 1) / prefillQueryBlock
 		pool.For(cfg.NHeads*chunks, 1, func(lo, hi int) {
-			sc := takeScratch(scratch)
+			sc := prefillScratches.Get().(*prefillScratch)
 			for u := lo; u < hi; u++ {
 				hh, i0 := u/chunks, first+u%chunks*prefillQueryBlock
 				off := i0*qdim + hh*cfg.HeadDim
 				sc.attn.FullBlock(qall.Data[off:], qall.Data[off:], qdim, s.Store(l, hh/group), s.pos+i0+1, min(prefillQueryBlock, n-i0))
 			}
-			scratch <- sc
+			prefillScratches.Put(sc)
 		})
 		// Output projection and FFN over row blocks, each the decode step's
 		// post-attention body on its rows.
 		pool.For(n-first, prefillFFNRows, func(lo, hi int) {
-			sc := takeScratch(scratch)
+			sc := prefillScratches.Get().(*prefillScratch)
 			for i0 := lo + first; i0 < hi+first; i0 += prefillFFNRows {
 				i1 := min(i0+prefillFFNRows, hi+first)
 				resize(&sc.normed, i1-i0, cfg.DModel)
@@ -362,7 +360,7 @@ func (s *Sequence) Prefill(tokens []int, wantLogits []float32) []float32 {
 				resize(&sc.up, i1-i0, cfg.FFNDim)
 				lw.outFFN(nil, hs.RowBlock(i0, i1), qall.RowBlock(i0, i1), &sc.normed, &sc.gate, &sc.up)
 			}
-			scratch <- sc
+			prefillScratches.Put(sc)
 		})
 		if s.la != nil {
 			s.la.AfterLayer(l)
@@ -388,17 +386,6 @@ func (s *Sequence) Prefill(tokens []int, wantLogits []float32) []float32 {
 	last := make([]float32, cfg.DModel)
 	copy(last, hs.Row(n-1))
 	return last
-}
-
-// takeScratch returns a scratch from the prefill's free list, or a new one
-// when every made one is in use.
-func takeScratch(free chan *prefillScratch) *prefillScratch {
-	select {
-	case sc := <-free:
-		return sc
-	default:
-		return new(prefillScratch)
-	}
 }
 
 // shapeKey applies the attention-sink offset to keys of sink positions.
