@@ -95,7 +95,7 @@ bench-compare:
 # dispatches, and under the noavx512 tag, which keeps the AVX-512 kernels off
 # so the AVX2 ones stay tested on AVX-512 hosts.
 KERNEL_TESTS = 'Block|DotRows|AddScaledRows|PackedMat|Fused|DecodeSteady|Vec|KMeans|ArgBest|Silu|Prefill|TwoPhase|BatchDecode'
-KERNEL_PKGS = ./internal/tensor/ ./internal/attention/ ./internal/kvcache/ ./internal/model/ ./internal/cluster/
+KERNEL_PKGS = ./internal/tensor/ ./internal/attention/ ./internal/model/ ./internal/cluster/
 
 test-kernels:
 	for tags in '' noavx512; do \

@@ -168,8 +168,9 @@ func TestQuestBypassAndFull(t *testing.T) {
 func infinigenForTest(spec float64) *InfiniGen {
 	cfg := NewInfiniGenConfig()
 	cfg.BypassLayers = 0
-	cfg.SpecNoise = spec
-	return NewInfiniGen(cfg)
+	g := NewInfiniGen(cfg)
+	g.specNoise = spec
+	return g
 }
 
 func TestInfiniGenSelectsExactBudget(t *testing.T) {
@@ -258,6 +259,36 @@ func TestInfiniGenProjectorHook(t *testing.T) {
 	}
 }
 
+// TestInfiniGenPartialBasisIsDefault asserts that a Projector returning
+// PartialBasis on the prefill keys is InfiniGen without a Projector: same
+// selection, same metadata cost.
+func TestInfiniGenPartialBasisIsDefault(t *testing.T) {
+	run := func(proj func(layer, head int, keys *tensor.Mat, r int) *tensor.Mat) ([]int, attention.SelStats) {
+		cfg := NewInfiniGenConfig()
+		cfg.BypassLayers = 0
+		cfg.Projector = proj
+		g := NewInfiniGen(cfg)
+		g.Reset(2, 2, 16)
+		s := fillStore(41, 240, 16)
+		g.OnPrefill(1, 1, s)
+		idx := g.Select(1, 1, randQ(42, 16), s, 48)
+		return idx, g.Stats()
+	}
+	wantIdx, wantStats := run(nil)
+	gotIdx, gotStats := run(PartialBasis)
+	if len(gotIdx) != len(wantIdx) || len(wantIdx) != 48 {
+		t.Fatalf("|idx| = %d with PartialBasis, %d without", len(gotIdx), len(wantIdx))
+	}
+	for i := range wantIdx {
+		if gotIdx[i] != wantIdx[i] {
+			t.Fatalf("idx[%d] = %d with PartialBasis, %d without", i, gotIdx[i], wantIdx[i])
+		}
+	}
+	if gotStats.MetaOps != wantStats.MetaOps || gotStats.MetaOps == 0 {
+		t.Fatalf("MetaOps = %d with PartialBasis, %d without", gotStats.MetaOps, wantStats.MetaOps)
+	}
+}
+
 func TestInfiniGenPartialDims(t *testing.T) {
 	g := infinigenForTest(0)
 	g.Reset(1, 1, 16)
@@ -330,7 +361,7 @@ func TestH2OKeptSetConvergesToBudget(t *testing.T) {
 }
 
 func TestH2OProtectsRecentWindow(t *testing.T) {
-	h := h2oForTest() // RecentFraction 0.5
+	h := h2oForTest() // h2oRecentFraction 0.5
 	h.Reset(1, 1, 8)
 	s := fillStore(29, 200, 8)
 	h.OnPrefill(0, 0, s)
@@ -402,10 +433,10 @@ func TestAllMethodsImplementSelector(t *testing.T) {
 
 func TestSparseOutputsFiniteForAllMethods(t *testing.T) {
 	sels := []attention.Selector{
-		NewQuest(QuestConfig{PageSize: 16}),
-		NewInfiniGen(InfiniGenConfig{PartialRatio: 0.25, SVDIters: 5}),
-		NewH2O(H2OConfig{RecentFraction: 0.5}),
-		NewStreamingLLM(StreamingConfig{SinkTokens: 16}),
+		NewQuest(QuestConfig{}),
+		NewInfiniGen(InfiniGenConfig{}),
+		NewH2O(H2OConfig{}),
+		NewStreamingLLM(StreamingConfig{}),
 	}
 	s := fillStore(37, 400, 8)
 	out := make([]float32, 8)

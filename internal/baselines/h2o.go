@@ -13,16 +13,17 @@ import (
 // the canonical *non-recallable* eviction method of the paper's Fig. 1b:
 // once a token is evicted it can never return.
 type H2OConfig struct {
-	// RecentFraction of the budget is reserved for the most recent tokens;
-	// the rest keeps the heavy hitters by accumulated attention mass.
-	// Original default: 0.5.
-	RecentFraction float64
 	// BypassLayers disables selection on the first N layers.
 	BypassLayers int
 }
 
 // NewH2OConfig returns the original H2O defaults.
-func NewH2OConfig() H2OConfig { return H2OConfig{RecentFraction: 0.5, BypassLayers: 2} }
+func NewH2OConfig() H2OConfig { return H2OConfig{BypassLayers: 2} }
+
+// h2oRecentFraction of the budget is reserved for the most recent tokens;
+// the rest keeps the heavy hitters by accumulated attention mass (the
+// original default).
+const h2oRecentFraction = 0.5
 
 type h2oHead struct {
 	// kept holds the positions still in the compressed cache, ascending.
@@ -48,12 +49,7 @@ type H2O struct {
 var _ attention.Selector = (*H2O)(nil)
 
 // NewH2O returns an H2O selector.
-func NewH2O(cfg H2OConfig) *H2O {
-	if cfg.RecentFraction <= 0 || cfg.RecentFraction >= 1 {
-		cfg.RecentFraction = 0.5
-	}
-	return &H2O{cfg: cfg}
-}
+func NewH2O(cfg H2OConfig) *H2O { return &H2O{cfg: cfg} }
 
 // Name implements attention.Selector.
 func (h *H2O) Name() string { return "H2O" }
@@ -92,7 +88,7 @@ func (h *H2O) OnAppend(layer, head int, s *kvcache.Store) {
 // prefill token ranks heavy hitters; the recent window fills the rest.
 func (h *H2O) seed(st *h2oHead, q []float32, s *kvcache.Store, budget int) {
 	n := s.Len()
-	recent := int(float64(budget) * h.cfg.RecentFraction)
+	recent := int(float64(budget) * h2oRecentFraction)
 	if recent > n {
 		recent = n
 	}
@@ -174,7 +170,7 @@ func (h *H2O) Select(layer, head int, q []float32, s *kvcache.Store, budget int)
 	out := append([]int(nil), st.kept...)
 
 	// Evict down to budget: protect the recent window, drop lowest mass.
-	recent := int(float64(budget) * h.cfg.RecentFraction)
+	recent := int(float64(budget) * h2oRecentFraction)
 	for len(st.kept) > budget {
 		worst, worstAcc := -1, math.Inf(1)
 		cutoff := n - recent

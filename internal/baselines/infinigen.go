@@ -15,32 +15,43 @@ import (
 // reduced space alongside the full keys, and scores every previous token with
 // the partial inner product — per-token recall at O(L·r) selection cost.
 type InfiniGenConfig struct {
-	// PartialRatio is the fraction of head channels kept by the SVD
-	// projection (the original "partial weight ratio"; default 0.25).
-	PartialRatio float64
-	// SVDIters is the subspace-iteration count for the truncated SVD.
-	SVDIters int
 	// BypassLayers disables selection on the first N layers, matching the
 	// evaluation alignment of §V-A.
 	BypassLayers int
-	// SpecNoise models InfiniGen's speculative selection: the original
-	// prefetches layer i's KV using attention speculated from layer i−1's
-	// inputs through skewed partial weights, so the selection query is an
-	// approximation of the true query. SpecNoise is the relative magnitude
-	// of that approximation error (0 disables; default 0.35, roughly the
-	// adjacent-layer query mismatch observed in the transformer engine).
-	SpecNoise float64
-	// Seed drives the deterministic SVD initialisation.
-	Seed uint64
-	// Projector, when non-nil, replaces the built-in truncated SVD with a
-	// caller-provided d×r projection (memoisation hook for harnesses that
-	// sweep budgets over the same context).
+	// Projector, when non-nil, replaces PartialBasis on the prefill keys
+	// with a caller-provided d×r projection (the hook a harness uses to
+	// calibrate offline and to memoise the basis across budget sweeps).
 	Projector func(layer, head int, keys *tensor.Mat, r int) *tensor.Mat
 }
 
 // NewInfiniGenConfig returns defaults mirroring the original configuration.
 func NewInfiniGenConfig() InfiniGenConfig {
-	return InfiniGenConfig{PartialRatio: 0.25, SVDIters: 10, BypassLayers: 2, SpecNoise: 0.55}
+	return InfiniGenConfig{BypassLayers: 2}
+}
+
+// InfiniGen's original settings, the ones §V-A compares at.
+const (
+	// infinigenPartialRatio is the fraction of head channels kept by the
+	// SVD projection (the original "partial weight ratio").
+	infinigenPartialRatio = 0.25
+	// infinigenSVDIters is the subspace-iteration count of the truncated SVD.
+	infinigenSVDIters = 10
+	// infinigenSpecNoise models InfiniGen's speculative selection: the
+	// original prefetches layer i's KV using attention speculated from layer
+	// i−1's inputs through skewed partial weights, so the selection query is
+	// an approximation of the true query. This is the relative magnitude of
+	// that approximation error, roughly the adjacent-layer query mismatch
+	// observed in the transformer engine.
+	infinigenSpecNoise = 0.55
+)
+
+// PartialBasis is InfiniGen's offline partial-weight generation: the d×r
+// leading right singular vectors of keys (n×d) by truncated SVD, seeded by
+// (layer, head). It is the projection InfiniGen uses when its config has no
+// Projector.
+func PartialBasis(layer, head int, keys *tensor.Mat, r int) *tensor.Mat {
+	v, _ := tensor.TruncatedSVD(keys, r, infinigenSVDIters, uint64(layer*131+head))
+	return v
 }
 
 type infinigenHead struct {
@@ -53,25 +64,20 @@ type infinigenHead struct {
 
 // InfiniGen implements attention.Selector with SVD partial-key selection.
 type InfiniGen struct {
-	cfg    InfiniGenConfig
-	heads  int
-	d      int
-	r      int
-	states []*infinigenHead
-	stats  attention.SelStats
+	cfg       InfiniGenConfig
+	specNoise float64 // infinigenSpecNoise; the package's tests vary it
+	heads     int
+	d         int
+	r         int
+	states    []*infinigenHead
+	stats     attention.SelStats
 }
 
 var _ attention.Selector = (*InfiniGen)(nil)
 
 // NewInfiniGen returns an InfiniGen selector.
 func NewInfiniGen(cfg InfiniGenConfig) *InfiniGen {
-	if cfg.PartialRatio <= 0 || cfg.PartialRatio > 1 {
-		cfg.PartialRatio = 0.25
-	}
-	if cfg.SVDIters <= 0 {
-		cfg.SVDIters = 10
-	}
-	return &InfiniGen{cfg: cfg}
+	return &InfiniGen{cfg: cfg, specNoise: infinigenSpecNoise}
 }
 
 // Name implements attention.Selector.
@@ -80,7 +86,7 @@ func (g *InfiniGen) Name() string { return "InfiniGen" }
 // Reset implements attention.Selector.
 func (g *InfiniGen) Reset(layers, heads, headDim int) {
 	g.heads, g.d = heads, headDim
-	g.r = int(float64(headDim)*g.cfg.PartialRatio + 0.5)
+	g.r = int(float64(headDim)*infinigenPartialRatio + 0.5)
 	if g.r < 1 {
 		g.r = 1
 	}
@@ -106,19 +112,17 @@ func (g *InfiniGen) OnPrefill(layer, head int, s *kvcache.Store) {
 	// Non-retaining read: the key matrix is scratch for the SVD; only the
 	// projection basis survives, so the store keeps no flat mirror.
 	keyMat := tensor.WrapMat(n, d, s.ReadKeys(0, n, nil))
-	var v *tensor.Mat
+	project := PartialBasis
 	if g.cfg.Projector != nil {
-		v = g.cfg.Projector(layer, head, keyMat, g.r)
-	} else {
-		v, _ = tensor.TruncatedSVD(keyMat, g.r, g.cfg.SVDIters, g.cfg.Seed^uint64(layer*131+head))
+		project = g.cfg.Projector
 	}
-	st.v = v
-	st.partials = make([]float32, 0, n*v.Cols)
+	st.v = project(layer, head, keyMat, g.r)
+	st.partials = make([]float32, 0, n*st.v.Cols)
 	st.n = 0
 	g.projectNew(st, s)
 	// SVD + projection cost: iters×n×d×r for the subspace iteration plus
 	// n×d×r for the projection.
-	g.stats.MetaOps += int64(g.cfg.SVDIters+1) * int64(n) * int64(d) * int64(v.Cols)
+	g.stats.MetaOps += int64(infinigenSVDIters+1) * int64(n) * int64(d) * int64(st.v.Cols)
 }
 
 func (g *InfiniGen) projectNew(st *infinigenHead, s *kvcache.Store) {
@@ -208,10 +212,10 @@ func (g *InfiniGen) Select(layer, head int, q []float32, s *kvcache.Store, budge
 }
 
 // speculate applies the speculative-query approximation error: a
-// deterministic pseudo-random perturbation of relative magnitude SpecNoise,
+// deterministic pseudo-random perturbation of relative magnitude specNoise,
 // seeded from the query contents so replays are reproducible.
 func (g *InfiniGen) speculate(q []float32, layer, head int) []float32 {
-	if g.cfg.SpecNoise <= 0 {
+	if g.specNoise <= 0 {
 		return q
 	}
 	var h uint64 = 0xcbf29ce484222325 ^ uint64(layer*8191+head)
@@ -221,7 +225,7 @@ func (g *InfiniGen) speculate(q []float32, layer, head int) []float32 {
 	rnd := rng.New(h)
 	norm := tensor.Norm(q)
 	out := make([]float32, len(q))
-	scale := float32(g.cfg.SpecNoise) * norm / float32(math.Sqrt(float64(len(q))))
+	scale := float32(g.specNoise) * norm / float32(math.Sqrt(float64(len(q))))
 	for i, v := range q {
 		out[i] = v + scale*rnd.NormFloat32()
 	}

@@ -11,9 +11,6 @@ import (
 // QuestConfig configures the Quest reimplementation (Tang et al., ICML'24;
 // paper §II-C, Fig. 1c).
 type QuestConfig struct {
-	// PageSize is the number of consecutive tokens per page (original
-	// default, and the paper's Fig. 3b setting: 16).
-	PageSize int
 	// BypassLayers disables selection on the first N layers (original Quest
 	// setting: 2).
 	BypassLayers int
@@ -21,8 +18,12 @@ type QuestConfig struct {
 
 // NewQuestConfig returns the original Quest defaults.
 func NewQuestConfig() QuestConfig {
-	return QuestConfig{PageSize: 16, BypassLayers: 2}
+	return QuestConfig{BypassLayers: 2}
 }
+
+// questPageSize is the number of consecutive tokens per page (the original
+// default, and the paper's Fig. 3b setting).
+const questPageSize = 16
 
 // questHead holds per-(layer, head) page metadata: per-channel elementwise
 // max and min over each page's keys. The page score for query q is
@@ -47,12 +48,7 @@ type Quest struct {
 var _ attention.Selector = (*Quest)(nil)
 
 // NewQuest returns a Quest selector.
-func NewQuest(cfg QuestConfig) *Quest {
-	if cfg.PageSize <= 0 {
-		cfg.PageSize = 16
-	}
-	return &Quest{cfg: cfg}
-}
+func NewQuest(cfg QuestConfig) *Quest { return &Quest{cfg: cfg} }
 
 // Name implements attention.Selector.
 func (q *Quest) Name() string { return "Quest" }
@@ -89,7 +85,7 @@ func (q *Quest) OnAppend(layer, head int, s *kvcache.Store) {
 
 func (q *Quest) extendPages(st *questHead, s *kvcache.Store) {
 	d := s.HeadDim()
-	ps := q.cfg.PageSize
+	const ps = questPageSize
 	for st.n+ps <= s.Len() {
 		base := len(st.maxs)
 		st.maxs = append(st.maxs, make([]float32, d)...)
@@ -115,7 +111,7 @@ func (q *Quest) extendPages(st *questHead, s *kvcache.Store) {
 }
 
 // Select implements attention.Selector: rank pages by the per-channel
-// max-bound score and take the top budget/PageSize pages; the trailing
+// max-bound score and take the top budget/questPageSize pages; the trailing
 // partial page (tokens not yet covered by metadata) is always included.
 func (q *Quest) Select(layer, head int, qv []float32, s *kvcache.Store, budget int) []int {
 	if layer < q.cfg.BypassLayers {
@@ -127,7 +123,7 @@ func (q *Quest) Select(layer, head int, qv []float32, s *kvcache.Store, budget i
 	}
 	st := q.state(layer, head)
 	d := s.HeadDim()
-	ps := q.cfg.PageSize
+	const ps = questPageSize
 	numPages := st.n / ps
 
 	tail := n - st.n // uncovered trailing tokens, always attended

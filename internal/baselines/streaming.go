@@ -9,15 +9,16 @@ import (
 // ICLR'24): a fixed pattern of attention-sink tokens plus a recency window —
 // the paper's Fig. 1b "fixed pattern" non-recallable compression.
 type StreamingConfig struct {
-	// SinkTokens is the number of initial tokens always kept (default 16,
-	// matching the sink count ClusterKV retains).
-	SinkTokens int
 	// BypassLayers disables selection on the first N layers.
 	BypassLayers int
 }
 
 // NewStreamingConfig returns defaults aligned with the paper's sink setting.
-func NewStreamingConfig() StreamingConfig { return StreamingConfig{SinkTokens: 16, BypassLayers: 2} }
+func NewStreamingConfig() StreamingConfig { return StreamingConfig{BypassLayers: 2} }
+
+// streamingSinkTokens is the number of initial tokens always kept (the sink
+// count ClusterKV retains).
+const streamingSinkTokens = 16
 
 // StreamingLLM implements attention.Selector with sinks + recency.
 type StreamingLLM struct {
@@ -28,12 +29,7 @@ type StreamingLLM struct {
 var _ attention.Selector = (*StreamingLLM)(nil)
 
 // NewStreamingLLM returns a StreamingLLM selector.
-func NewStreamingLLM(cfg StreamingConfig) *StreamingLLM {
-	if cfg.SinkTokens < 0 {
-		cfg.SinkTokens = 16
-	}
-	return &StreamingLLM{cfg: cfg}
-}
+func NewStreamingLLM(cfg StreamingConfig) *StreamingLLM { return &StreamingLLM{cfg: cfg} }
 
 // Name implements attention.Selector.
 func (st *StreamingLLM) Name() string { return "StreamingLLM" }
@@ -47,8 +43,8 @@ func (st *StreamingLLM) OnPrefill(layer, head int, s *kvcache.Store) {}
 // OnAppend implements attention.Selector.
 func (st *StreamingLLM) OnAppend(layer, head int, s *kvcache.Store) {}
 
-// Select implements attention.Selector: the first SinkTokens positions plus
-// the most recent budget−SinkTokens positions.
+// Select implements attention.Selector: the first streamingSinkTokens
+// positions plus the most recent budget−streamingSinkTokens positions.
 func (st *StreamingLLM) Select(layer, head int, q []float32, s *kvcache.Store, budget int) []int {
 	if layer < st.cfg.BypassLayers {
 		return nil
@@ -57,10 +53,7 @@ func (st *StreamingLLM) Select(layer, head int, q []float32, s *kvcache.Store, b
 	if budget >= n {
 		return nil
 	}
-	sinks := st.cfg.SinkTokens
-	if sinks > budget {
-		sinks = budget
-	}
+	sinks := min(streamingSinkTokens, budget)
 	recent := budget - sinks
 	out := make([]int, 0, budget)
 	for i := 0; i < sinks; i++ {

@@ -74,7 +74,7 @@ func (m *Memo) InfiniGen(cfg baselines.InfiniGenConfig, calib *workload.Trace) *
 		if calib != nil && head < len(calib.Keys) {
 			src = calib.Keys[head]
 		}
-		v, _ = tensor.TruncatedSVD(src, r, cfg.SVDIters, cfg.Seed^uint64(layer*131+head))
+		v = baselines.PartialBasis(layer, head, src, r)
 		m.mu.Lock()
 		m.projs[key] = v
 		m.mu.Unlock()
@@ -97,27 +97,12 @@ func CalibrationTrace(cfg workload.TraceConfig) *workload.Trace {
 	return workload.NewTrace(cfg)
 }
 
-// TraceMethods mirrors the package-level TraceMethods but routes the
-// expensive prefill artifacts through the Memo and calibrates InfiniGen
-// offline against a sibling of tr.
+// TraceMethods is the package-level TraceMethods with the expensive prefill
+// artifacts routed through the Memo and InfiniGen calibrated offline against
+// a sibling of tr.
 func (m *Memo) TraceMethods(tr *workload.Trace) []MethodSpec {
 	calib := CalibrationTrace(tr.Cfg)
-	return []MethodSpec{
-		{Name: "Quest", New: func() attention.Selector {
-			cfg := baselines.NewQuestConfig()
-			cfg.BypassLayers = 0
-			return baselines.NewQuest(cfg)
-		}},
-		{Name: "InfiniGen", New: func() attention.Selector {
-			cfg := baselines.NewInfiniGenConfig()
-			cfg.BypassLayers = 0
-			return m.InfiniGen(cfg, calib)
-		}},
-		{Name: "ClusterKV", New: func() attention.Selector {
-			cfg := paperConfig()
-			cfg.BypassLayers = 0
-			return m.ClusterKV(cfg)
-		}},
-		{Name: "FullKV", New: func() attention.Selector { return baselines.NewFullKV() }},
-	}
+	return traceMethods(
+		func(cfg core.Config) attention.Selector { return m.ClusterKV(cfg) },
+		func(cfg baselines.InfiniGenConfig) attention.Selector { return m.InfiniGen(cfg, calib) })
 }

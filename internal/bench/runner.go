@@ -25,6 +25,17 @@ type MethodSpec struct {
 // bypass is disabled; the first-two-layers-full rule is applied in the
 // model-based experiments instead).
 func TraceMethods() []MethodSpec {
+	return traceMethods(
+		func(cfg core.Config) attention.Selector { return core.New(cfg) },
+		func(cfg baselines.InfiniGenConfig) attention.Selector { return baselines.NewInfiniGen(cfg) })
+}
+
+// traceMethods is the one trace-harness method list. Only ClusterKV and
+// InfiniGen build expensive prefill artifacts, so only their constructors
+// vary (Memo.TraceMethods caches those artifacts); each gets its method's
+// defaults with layer bypass disabled.
+func traceMethods(newClusterKV func(core.Config) attention.Selector,
+	newInfiniGen func(baselines.InfiniGenConfig) attention.Selector) []MethodSpec {
 	return []MethodSpec{
 		{Name: "Quest", New: func() attention.Selector {
 			cfg := baselines.NewQuestConfig()
@@ -34,12 +45,12 @@ func TraceMethods() []MethodSpec {
 		{Name: "InfiniGen", New: func() attention.Selector {
 			cfg := baselines.NewInfiniGenConfig()
 			cfg.BypassLayers = 0
-			return baselines.NewInfiniGen(cfg)
+			return newInfiniGen(cfg)
 		}},
 		{Name: "ClusterKV", New: func() attention.Selector {
 			cfg := paperConfig()
 			cfg.BypassLayers = 0
-			return core.New(cfg)
+			return newClusterKV(cfg)
 		}},
 		{Name: "FullKV", New: func() attention.Selector { return baselines.NewFullKV() }},
 	}

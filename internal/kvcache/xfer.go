@@ -37,7 +37,7 @@ const ticksPerSec = 1e12
 
 func ticks(sec float64) int64 { return int64(math.Round(max(sec, 0) * ticksPerSec)) }
 
-// Transfer kinds, the Aux of obs.EvTransferStart/Complete.
+// Transfer kinds, the Aux of obs.EvTransferComplete.
 const (
 	kindFetch = iota
 	kindPrefetch
@@ -78,7 +78,7 @@ type TransferRuntime struct {
 	pfIssued  int64
 	pfHits    int64
 
-	// rec, when enabled via SetTrace, receives transfer start/complete and
+	// rec, when enabled via SetTrace, receives transfer-complete and
 	// prefetch issue/land events. Written once before any traffic (see
 	// SetTrace), so the unlocked Enabled checks are race-free.
 	rec obs.Recorder
@@ -90,8 +90,8 @@ func NewTransferRuntime(ch Channel) *TransferRuntime {
 }
 
 // SetTrace attaches a trace recorder emitting transfer and prefetch events
-// (obs.EvTransferStart/Complete at the channel-busy offset, prefetch
-// issue/land). It must be called before any transfer traffic — the
+// (one obs.EvTransferComplete per transfer at its channel-busy offset,
+// prefetch issue/land). It must be called before any transfer traffic — the
 // engine wires it during construction.
 func (rt *TransferRuntime) SetTrace(rec obs.Recorder) { rt.rec = rec }
 
@@ -170,11 +170,8 @@ func (rt *TransferRuntime) book(kind int64, pages int, dur, exposed int64) {
 	rt.busy += dur
 	rt.exposed += exposed
 	if rt.rec.Enabled() {
-		seq := uint64(rt.transfers)
-		rt.rec.Emit(obs.Event{Type: obs.EvTransferStart,
-			Req: seq, N: int64(pages), Sec: start, Aux: kind})
-		rt.rec.Emit(obs.Event{Type: obs.EvTransferComplete,
-			Req: seq, N: int64(pages), Sec: start, Dur: float64(dur) / ticksPerSec, Aux: kind})
+		rt.rec.Emit(obs.Event{Type: obs.EvTransferComplete, Req: uint64(rt.transfers),
+			N: int64(pages), Sec: start, Dur: float64(dur) / ticksPerSec, Aux: kind})
 	}
 }
 

@@ -248,8 +248,6 @@ func writeChromeTrace(w io.Writer, events []Event, dropped uint64) error {
 				Pid: pid, Tid: laneTransfers,
 				Args: map[string]any{"xfer": ev.Req, "pages": ev.N},
 			})
-		case EvTransferStart:
-			// Rendered via the matching EvTransferComplete slice.
 		case EvFleetPlace:
 			out = append(out, chromeEvent{
 				Name: "place", Ph: "i", Ts: float64(ev.Req) * RoundUsec,

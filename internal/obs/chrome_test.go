@@ -29,7 +29,6 @@ func TestWriteChromeTraceValidJSON(t *testing.T) {
 		{Type: EvPrefixHit, Round: 1, Replica: 0, Req: 11, N: 96},
 		{Type: EvPageSpill, Round: 2, Replica: 0, N: 64},
 		{Type: EvPrefetchIssue, Replica: 0, N: 4},
-		{Type: EvTransferStart, Replica: 0, Req: 0, N: 4, Sec: 0.001, Aux: 1},
 		{Type: EvTransferComplete, Replica: 0, Req: 0, N: 4, Sec: 0.001, Dur: 0.0005, Aux: 1},
 		{Type: EvRoundEnd, Round: 2, Replica: 0, N: 512, Aux: 128},
 		{Type: EvRetire, Round: 3, Replica: 0, Req: 11, N: 6},

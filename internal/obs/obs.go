@@ -57,12 +57,10 @@ const (
 	// prefetch.
 	EvPrefetchIssue
 	EvPrefetchLand
-	// EvTransferStart / EvTransferComplete bracket one serviced transfer on
-	// the modeled channel clock: Req = transfer sequence number, N = pages,
-	// Sec = modeled channel-busy offset at start (seconds), Dur = modeled
-	// duration (complete only), Aux = kind (0 fetch, 1 prefetch, 2 offload /
-	// accounting-only).
-	EvTransferStart
+	// EvTransferComplete records one serviced transfer on the modeled
+	// channel clock: Req = transfer sequence number, N = pages, Sec = modeled
+	// channel-busy offset at start (seconds), Dur = modeled duration, Aux =
+	// kind (0 fetch, 1 prefetch, 2 offload / accounting-only).
 	EvTransferComplete
 	// EvFleetPlace / EvFleetReroute / EvFleetShed record router decisions:
 	// Req = request index in submission order, N = chosen replica (-1 shed),
@@ -109,8 +107,6 @@ func (t EventType) String() string {
 		return "prefetch-issue"
 	case EvPrefetchLand:
 		return "prefetch-land"
-	case EvTransferStart:
-		return "transfer-start"
 	case EvTransferComplete:
 		return "transfer-complete"
 	case EvFleetPlace:

@@ -78,7 +78,7 @@ func TestNilTracerIsDisabled(t *testing.T) {
 
 func TestEventTypeStrings(t *testing.T) {
 	seen := map[string]bool{}
-	for ty := EvRoundBegin; ty <= EvFleetShed; ty++ {
+	for ty := EvRoundBegin; ty <= EvSpan; ty++ {
 		s := ty.String()
 		if s == "unknown" || s == "" {
 			t.Fatalf("event type %d has no taxonomy name", ty)

@@ -6,36 +6,20 @@ import (
 	"clusterkv/internal/parallel"
 )
 
-// bandCall is one call of a banded decode-path kernel in a form Pool.Do can
-// carry without a closure: these kernels run several times per decode round,
-// and a closure handed to Pool.For is heap-allocated on every call, which the
-// steady-state zero-allocation decode contract (DESIGN.md §12) forbids at any
-// pool width. Only the operands of the chosen kernel are set.
+// bandCall is one MatTMat call in a form Pool.Do can carry without a
+// closure: the kernel runs several times per decode round, and a closure
+// handed to Pool.For is heap-allocated on every call, which the steady-state
+// zero-allocation decode contract (DESIGN.md §12) forbids at any pool width.
+// The operands are Mat values, so a caller's one-row views (MatTVecOn) stay
+// on its stack.
 type bandCall struct {
-	kernel   bandKernel
-	m        *Mat
-	dst, x   []float32 // MatTVec
-	dstM, xM *Mat      // MatTMat
+	dst, m, x Mat
 }
-
-type bandKernel uint8
-
-const (
-	bandMatTVec bandKernel = iota
-	bandMatTMat
-)
 
 var bandCalls = sync.Pool{New: func() any { return new(bandCall) }}
 
-// Run implements parallel.Body over the kernel's band index.
-func (c *bandCall) Run(lo, hi int) {
-	switch c.kernel {
-	case bandMatTVec:
-		matTVecBand(c.dst, c.m, c.x, lo, hi)
-	case bandMatTMat:
-		matTMatBand(c.dstM, c.m, c.xM, lo, hi)
-	}
-}
+// Run implements parallel.Body over the output-column band.
+func (c *bandCall) Run(lo, hi int) { matTMatBand(&c.dst, &c.m, &c.x, lo, hi) }
 
 // on runs the call over [0, n) on p: directly when the pool would not fan it
 // out, through a recycled heap copy otherwise.

@@ -15,22 +15,25 @@ import "clusterkv/internal/parallel"
 
 // MatTMat computes dst.Row(s) = mᵀ · x.Row(s) for every row s of x on the
 // shared intra-op pool. Shapes: m is R×C, x is S×R, dst is S×C. Row s of dst
-// is bit-identical to MatTVec(dst.Row(s), m, x.Row(s)).
+// is bit-identical to MatTVec(dst.Row(s), m, x.Row(s)), its one-row case.
 func MatTMat(dst, m, x *Mat) {
 	MatTMatOn(parallel.Default(), dst, m, x)
 }
 
 // MatTMatOn is MatTMat on an explicit pool (nil runs serial). The parallel
-// split is over output *columns*, as in MatTVecOn: every (stream, column)
-// element accumulates m's rows in ascending order with the per-stream
-// x == 0 skip, so each dst row is bit-identical to the per-stream GEMV at
-// any width. Within a column band each weight row is loaded once and
-// applied to all streams — the cross-stream bandwidth amortization.
+// split is over output *columns*: every (stream, column) element accumulates
+// m's rows in ascending order with the per-stream x == 0 skip, so each dst
+// row is bit-identical to the one-row call at any width. The skip is an
+// optimisation of the scalar loop, not a semantic: the vector kernel adds the
+// exact zero instead, which differs only when the skipped row of m holds a
+// NaN or ±Inf — finite weights are the contract. Within a column band each
+// weight row is loaded once and applied to all streams — the cross-stream
+// bandwidth amortization.
 func MatTMatOn(p *parallel.Pool, dst, m, x *Mat) {
 	if x.Cols != m.Rows || dst.Rows != x.Rows || dst.Cols != m.Cols {
 		panic("tensor: MatTMat dimension mismatch")
 	}
-	bandCall{kernel: bandMatTMat, dstM: dst, m: m, xM: x}.on(p, m.Cols, kernelGrain(m.Rows*x.Rows))
+	bandCall{dst: *dst, m: *m, x: *x}.on(p, m.Cols, kernelGrain(m.Rows*x.Rows))
 }
 
 // matTMatBandGo is the scalar MatTMat column band (see dotRowsGo).

@@ -99,6 +99,44 @@ func TestPackedMatMulMatchesMatVec(t *testing.T) {
 	}
 }
 
+// TestWeightProductsDoNotAllocate locks the decode path's allocation
+// contract (DESIGN.md §12) for the weight products: warm MatTVecOn(nil, …),
+// MatTVec and MatTMat calls allocate nothing, whether the default pool runs
+// them inline or fans their column bands out.
+func TestWeightProductsDoNotAllocate(t *testing.T) {
+	r := rng.New(59)
+	for _, sh := range []struct{ r, c int }{{16, 24}, {512, 1024}} {
+		m := randMat(r, sh.r, sh.c, 0.1)
+		x := randMat(r, 4, sh.r, 0.1)
+		dst := NewMat(4, sh.c)
+		pool := parallel.NewPool(2)
+		prev := parallel.SetDefault(pool)
+		fanned := !pool.RunsInline(sh.c, kernelGrain(sh.r))
+		checks := []struct {
+			name string
+			call func()
+			// pooled calls recycle their band call through a sync.Pool,
+			// which the race detector drops a share of Puts from.
+			pooled bool
+		}{
+			{"MatTVecOn(nil)", func() { MatTVecOn(nil, dst.Row(0), m, x.Row(0)) }, false},
+			{"MatTVec", func() { MatTVec(dst.Row(0), m, x.Row(0)) }, fanned},
+			{"MatTMat", func() { MatTMat(dst, m, x) }, fanned},
+		}
+		for _, c := range checks {
+			if c.pooled && raceEnabled {
+				continue
+			}
+			c.call()
+			if a := testing.AllocsPerRun(20, c.call); a != 0 {
+				t.Errorf("%dx%d: warm %s allocates %.1f objects/call, want 0", sh.r, sh.c, c.name, a)
+			}
+		}
+		parallel.SetDefault(prev)
+		pool.Close()
+	}
+}
+
 // benchShapes are the weight shapes of the kernel benchmarks: a projection of
 // the default model (64×128, its w1/w3) and a paper-scale one.
 var benchShapes = []struct{ r, c int }{{64, 128}, {512, 1024}}
@@ -135,7 +173,8 @@ func benchMatTMat(b *testing.B, name string, rows, cols int, cohorts []int) {
 	}
 }
 
-// BenchmarkMatTVec is BenchmarkMatTMat's per-row GEMV baseline.
+// BenchmarkMatTVec is BenchmarkMatTMat's per-row GEMV baseline: the GEMV
+// entry point, which runs that kernel over one row.
 func BenchmarkMatTVec(b *testing.B) {
 	for _, sh := range benchShapes {
 		r := rng.New(uint64(sh.r))

@@ -50,48 +50,25 @@ func (m *Mat) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }
 // each parallel block does a worthwhile amount of inner-loop work.
 func kernelGrain(perIndexOps int) int { return parallel.Grain(perIndexOps) }
 
-// MatTVec computes dst = mᵀ · x (x has Rows entries, dst has Cols entries).
-// The parallel split is over output *columns*: each dst[j] accumulates over
-// rows in ascending order exactly as the serial loop does (including the
-// x[i] == 0 skip), so results are bit-identical at any width. The skip is an
-// optimisation of the scalar loop, not a semantic: the vector kernel adds the
-// exact zero instead, which differs only when the skipped row of m holds a
-// NaN or ±Inf — finite weights are the contract.
+// MatTVec computes dst = mᵀ · x (x has Rows entries, dst has Cols entries):
+// MatTMat over one row, so it shares that kernel's column split and its
+// bits at any pool width.
 func MatTVec(dst []float32, m *Mat, x []float32) {
 	MatTVecOn(parallel.Default(), dst, m, x)
 }
 
 // MatTVecOn is MatTVec on an explicit pool (nil runs serial).
 func MatTVecOn(p *parallel.Pool, dst []float32, m *Mat, x []float32) {
-	if len(x) != m.Rows || len(dst) != m.Cols {
-		panic("tensor: MatTVec dimension mismatch")
-	}
-	bandCall{kernel: bandMatTVec, dst: dst, m: m, x: x}.on(p, m.Cols, kernelGrain(m.Rows))
-}
-
-// matTVecBandGo is the scalar MatTVec column band (see dotRowsGo).
-func matTVecBandGo(dst []float32, m *Mat, x []float32, lo, hi int) {
-	band := dst[lo:hi]
-	Fill(band, 0)
-	for i := 0; i < m.Rows; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		row := m.Data[i*m.Cols+lo : i*m.Cols+hi]
-		for j, v := range row {
-			band[j] += xi * v
-		}
-	}
+	MatTMatOn(p, &Mat{Rows: 1, Cols: len(dst), Data: dst}, m, &Mat{Rows: 1, Cols: len(x), Data: x})
 }
 
 // PackedMat is a weight matrix W (Rows×Cols) applied as y = W·x — the LM
 // head, whose rows are the vocabulary. It stores W transposed, so every
-// product runs the one weight-product kernel over Wᵀ: one vector is a
-// MatTVec, a block of rows one MatTMat. Each y[i] is the dot of x with row i
-// of W, channels ascending from a zero accumulator — the row-major loop's
-// bits for finite weights. Packing is a copy: build once for long-lived
-// weights, not per call.
+// product runs the one weight-product kernel over Wᵀ: MatTMat over one row
+// or a block of rows. Each y[i] is the dot of x with row i of W, channels
+// ascending from a zero accumulator — the row-major loop's bits for finite
+// weights. Packing is a copy: build once for long-lived weights, not per
+// call.
 type PackedMat struct {
 	Rows, Cols int
 	t          *Mat // Wᵀ, Cols×Rows

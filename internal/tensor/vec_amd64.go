@@ -270,16 +270,6 @@ func addScaledRowsList(out, w []float32, rows []*float32, d int) {
 	addScaledRowsListGo(out, w, rows, n8)
 }
 
-func matTVecBand(dst []float32, m *Mat, x []float32, lo, hi int) {
-	if !useVec || m.Rows == 0 || hi-lo < 8 {
-		matTVecBandGo(dst, m, x, lo, hi)
-		return
-	}
-	band := dst[lo:hi]
-	Fill(band, 0)
-	axpyRows(band, x, m.Data[lo:], m.Cols)
-}
-
 func matTMatBand(dst, m, x *Mat, lo, hi int) {
 	if !useVec || m.Rows == 0 || hi-lo < 8 {
 		matTMatBandGo(dst, m, x, lo, hi)

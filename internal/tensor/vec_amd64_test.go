@@ -159,11 +159,14 @@ func TestVecAddScaledRows(t *testing.T) {
 					addScaledRows(got, w, rows, d)
 					addScaledRowsGo(want, w, rows, d)
 				} else {
-					// Strided rows are the GEMV shape: MatTVec over a column band.
+					// Strided rows are the GEMV shape: a one-row MatTMat over
+					// a column band.
 					mat := &Mat{Rows: m, Cols: stride, Data: rows[:m*stride]}
-					got, want = make([]float32, stride), make([]float32, stride)
-					matTVecBand(got, mat, w, 2, 2+d)
-					matTVecBandGo(want, mat, w, 2, 2+d)
+					x := &Mat{Rows: 1, Cols: m, Data: w}
+					gotM, wantM := NewMat(1, stride), NewMat(1, stride)
+					matTMatBand(gotM, mat, x, 2, 2+d)
+					matTMatBandGo(wantM, mat, x, 2, 2+d)
+					got, want = gotM.Data, wantM.Data
 				}
 				expectBitsEqual(t, sprintShape("addScaledRows", m, d, stride, 0), got, want)
 			}

@@ -33,10 +33,6 @@ func addScaledRowsBlock(out []float32, outStride int, w []float32, wStride, nq i
 	addScaledRowsBlockLoop(out, outStride, w, wStride, nq, rows, m, d)
 }
 
-func matTVecBand(dst []float32, m *Mat, x []float32, lo, hi int) {
-	matTVecBandGo(dst, m, x, lo, hi)
-}
-
 func matTMatBand(dst, m, x *Mat, lo, hi int) {
 	matTMatBandGo(dst, m, x, lo, hi)
 }
