@@ -16,6 +16,7 @@ package attention
 
 import (
 	"math"
+	"math/bits"
 
 	"clusterkv/internal/kvcache"
 	"clusterkv/internal/tensor"
@@ -30,6 +31,10 @@ type Scratch struct {
 	// keys and vals are Sparse's row tables: the addresses of the selected
 	// K and V rows, in index-list order.
 	keys, vals []*float32
+	// tile is FullBlock's key-major score tile, and query one of its
+	// queries that FullN attends instead.
+	tile  tensor.ScoreTile
+	query []float32
 }
 
 // Scores returns the score buffer sized to n, growing capacity geometrically
@@ -89,15 +94,70 @@ func (sc *Scratch) FullN(out, q []float32, s *kvcache.Store, n int) {
 
 // FullBlock is FullN for nq consecutive prefill positions at once: query j —
 // q[j·stride:][:d] — attends the first n0+j tokens and writes out[j·stride:][:d].
-// Pages are the outer loop, in the score pass and again in the weighted-sum
-// pass, so a page is fetched once per block instead of once per query. A page
-// every query sees whole is one DotRowsBlock and one AddScaledRowsBlock call
-// for the block; the causal diagonal page, where the queries' row counts
-// differ, is one DotRows and one AddScaledRows call per query; the score rows
-// go through one SoftmaxRows. Each query's scores, softmax and sums are
-// therefore FullN's, in FullN's order: bit-identical to nq FullN calls. Every
-// query is read before any output is written, so out may be q itself.
+// Each query's scores, softmax and sums are FullN's, in FullN's order:
+// bit-identical to nq FullN calls. Every query of a block is read before any
+// of its outputs is written, so out may be q itself.
+//
+// Where the score tile runs (tensor.TileRuns), the queries go in blocks of up
+// to tensor.TileLanes through a key-major tensor.ScoreTile, one query per
+// lane (DESIGN.md §12): each block walks the K pages once into the tile, runs
+// its softmax once, and walks the V pages once. A block of tileMinQueries or
+// fewer, and every block elsewhere, takes the row-major walk (fullRows).
 func (sc *Scratch) FullBlock(out, q []float32, stride int, s *kvcache.Store, n0, nq int) {
+	d := s.HeadDim()
+	if n0 < 1 || !tensor.TileRuns(d) {
+		sc.fullRows(out, q, stride, s, n0, nq)
+		return
+	}
+	for j0 := 0; j0 < nq; j0 += tensor.TileLanes {
+		k, o := min(tensor.TileLanes, nq-j0), j0*stride
+		if k <= tileMinQueries {
+			sc.fullRows(out[o:], q[o:], stride, s, n0+j0, k)
+		} else {
+			sc.fullTile(out[o:], q[o:], stride, s, n0+j0, k)
+		}
+	}
+}
+
+// tileMinQueries is the largest block that stays row-major: a tile's cost
+// does not depend on how many of its lanes hold queries, and up to four
+// queries (the last layer's one row among them) are cheaper row by row.
+const tileMinQueries = 4
+
+// fullTile is FullBlock for 1 ≤ nq ≤ tensor.TileLanes queries, n0 ≥ 1, on
+// the score tile. A query whose scores hold a NaN or ±Inf, where FullN's
+// softmax is the scalar loop, is attended by FullN itself.
+func (sc *Scratch) fullTile(out, q []float32, stride int, s *kvcache.Store, n0, nq int) {
+	d := s.HeadDim()
+	t := &sc.tile
+	t.Start(q, stride, nq, d, n0, float32(1/math.Sqrt(float64(d))))
+	span := t.Span()
+	for p, i := 0, 0; i < span; p++ {
+		rows := min(s.PageRows(p), span-i)
+		t.Dot(s.KeyPage(p), rows)
+		i += rows
+	}
+	t.Softmax()
+	for p, i := 0, 0; i < span; p++ {
+		rows := min(s.PageRows(p), span-i)
+		t.AddScaled(s.ValuePage(p), rows)
+		i += rows
+	}
+	for rest := t.Store(out, stride); rest != 0; rest &= rest - 1 {
+		j := bits.TrailingZeros32(rest)
+		sc.query = grow(sc.query, d)
+		t.Query(sc.query, j)
+		sc.FullN(out[j*stride:j*stride+d], sc.query, s, n0+j)
+	}
+}
+
+// fullRows is FullBlock with the pages as the outer loop, in the score pass
+// and again in the weighted-sum pass, so a page is fetched once per block
+// instead of once per query. A page every query sees whole is one
+// DotRowsBlock and one AddScaledRowsBlock call for the block; the causal
+// diagonal page, where the queries' row counts differ, is one DotRows and one
+// AddScaledRows call per query; the score rows go through one SoftmaxRows.
+func (sc *Scratch) fullRows(out, q []float32, stride int, s *kvcache.Store, n0, nq int) {
 	d := s.HeadDim()
 	span := n0 + nq - 1 // tokens the last query sees; row j of scores uses n0+j of them
 	scores := sc.Scores(nq * span)

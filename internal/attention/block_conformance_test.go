@@ -7,18 +7,39 @@ package attention_test
 
 import (
 	"math"
+	"strconv"
 	"testing"
 
 	"clusterkv/internal/attention"
 	"clusterkv/internal/kvcache"
 	"clusterkv/internal/parallel"
 	"clusterkv/internal/rng"
+	"clusterkv/internal/tensor"
 )
 
-// blockVsFullN runs one block of nq queries at n0 both ways, the queries and
-// outputs laid out at a row stride wider than the head dim (a head's slice of
-// a prefill's query matrix).
-func blockVsFullN(t *testing.T, ctx string, s *kvcache.Store, n0, nq int) {
+// blockDispatches are FullBlock as the CPU dispatches it (the score tile
+// where it runs) and its row-major walk.
+var blockDispatches = []struct {
+	name string
+	run  func(sc *attention.Scratch, out, q []float32, stride int, s *kvcache.Store, n0, nq int)
+}{
+	{"dispatch", (*attention.Scratch).FullBlock},
+	{"rows", (*attention.Scratch).FullRows},
+}
+
+// blockVsFullN runs one block of nq queries at n0 both ways on every
+// dispatch, the queries and outputs laid out at a row stride wider than the
+// head dim (a head's slice of a prefill's query matrix); edit, if not nil,
+// changes the queries first.
+func blockVsFullN(t *testing.T, ctx string, s *kvcache.Store, n0, nq int, edit func(q []float32, stride int)) {
+	t.Helper()
+	for _, dp := range blockDispatches {
+		blockVsFullNOn(t, ctx+" "+dp.name, dp.run, s, n0, nq, edit)
+	}
+}
+
+func blockVsFullNOn(t *testing.T, ctx string, run func(sc *attention.Scratch, out, q []float32, stride int, s *kvcache.Store, n0, nq int),
+	s *kvcache.Store, n0, nq int, edit func(q []float32, stride int)) {
 	t.Helper()
 	d := s.HeadDim()
 	stride := 3*d + 5
@@ -27,13 +48,16 @@ func blockVsFullN(t *testing.T, ctx string, s *kvcache.Store, n0, nq int) {
 	for i := range q {
 		q[i] = r.NormFloat32()
 	}
+	if edit != nil {
+		edit(q, stride)
+	}
 	poison := float32(math.NaN())
 	got := make([]float32, nq*stride)
 	for i := range got {
 		got[i] = poison
 	}
 	var block, perQuery attention.Scratch
-	block.FullBlock(got, q, stride, s, n0, nq)
+	run(&block, got, q, stride, s, n0, nq)
 	want := make([]float32, d)
 	for j := 0; j < nq; j++ {
 		perQuery.FullN(want, q[j*stride:j*stride+d], s, n0+j)
@@ -50,7 +74,7 @@ func blockVsFullN(t *testing.T, ctx string, s *kvcache.Store, n0, nq int) {
 	}
 	// In place, as a prefill runs it: the outputs overwrite the queries.
 	inPlace := append([]float32(nil), q...)
-	block.FullBlock(inPlace, inPlace, stride, s, n0, nq)
+	run(&block, inPlace, inPlace, stride, s, n0, nq)
 	for j := 0; j < nq; j++ {
 		for c := 0; c < d; c++ {
 			if math.Float32bits(inPlace[j*stride+c]) != math.Float32bits(got[j*stride+c]) {
@@ -60,21 +84,24 @@ func blockVsFullN(t *testing.T, ctx string, s *kvcache.Store, n0, nq int) {
 	}
 }
 
-// TestFullBlockMatchesFullN checks every query count a 16-lane kernel call
-// pads and counts past one call, blocks that start on and off a page
-// boundary, and head dims on and off the 16-lane kernels' widths. It runs on
-// the dispatch the CPU picks; make test-kernels runs it again under the
-// noavx512 tag, on the AVX2 kernels.
+// TestFullBlockMatchesFullN checks FullBlock on both dispatches — the
+// score tile where the CPU runs it, and the row-major walk — against FullN:
+// query counts on and off the 16-query tile and the 4-query row-major
+// threshold, blocks that start on and off a page boundary and the tile's
+// 8-key groups, and head dims across the tile's 16-, 8- and 4-channel
+// blocks. make test-kernels runs it again under the noavx512 tag, where both
+// are the row-major walk on the AVX2 kernels. TestFullBlockNonFinite and
+// TestFullBlockExpFallback add the scores the fast paths hand back.
 func TestFullBlockMatchesFullN(t *testing.T) {
 	P := kvcache.DefaultPageTokens
-	for _, d := range []int{4, 8, 12, 16, 64} {
-		for _, n0 := range []int{1, P - 1, P, P + 1, 3*P + 5} {
-			for _, nq := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 33} {
+	for _, d := range []int{4, 8, 12, 16, 32, 64} {
+		for _, n0 := range []int{1, 5, 17, P - 1, P, P + 1, P + 23, 3*P + 5} {
+			for _, nq := range []int{1, 2, 3, 4, 5, 8, 15, 16, 17, 31, 32, 33} {
 				n := n0 + nq - 1
 				// The block ends exactly at the store's end, on a partial tail
 				// page for most shapes, or well inside a longer store.
-				blockVsFullN(t, "exact", conformanceStore(uint64(n), n, d), n0, nq)
-				blockVsFullN(t, "longer", conformanceStore(uint64(n), n+P+3, d), n0, nq)
+				blockVsFullN(t, "exact", conformanceStore(uint64(n), n, d), n0, nq, nil)
+				blockVsFullN(t, "longer", conformanceStore(uint64(n), n+P+3, d), n0, nq, nil)
 
 				// A fork shares the document's pages and appends the block's own
 				// keys behind them, as a prefix hit's prefill does.
@@ -84,10 +111,90 @@ func TestFullBlockMatchesFullN(t *testing.T) {
 				for i := 0; i < tail.Len(); i++ {
 					fork.Append(tail.Key(i), tail.Value(i))
 				}
-				blockVsFullN(t, "fork", fork, n0, nq)
+				blockVsFullN(t, "fork", fork, n0, nq, nil)
 			}
 		}
 	}
+}
+
+// TestFullBlockNonFinite checks score rows holding NaN or ±Inf, which FullN
+// runs through the scalar softmax: a query with a non-finite channel, and a
+// key with one on the causal diagonal, which only the later queries of the
+// block see — the earlier ones keep the tile's path beside them.
+func TestFullBlockNonFinite(t *testing.T) {
+	const d, n0 = 16, 70
+	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+		for _, nq := range []int{5, 16, 17} {
+			name := "query " + strconv.FormatFloat(float64(bad), 'g', -1, 32) + " nq=" + strconv.Itoa(nq)
+			s := conformanceStore(uint64(nq), n0+nq-1, d)
+			blockVsFullN(t, name, s, n0, nq, func(q []float32, stride int) { q[2*stride+3] = bad })
+
+			s = kvcache.NewStore(d)
+			src := conformanceStore(uint64(nq), n0+nq-1, d)
+			for i := 0; i < src.Len(); i++ {
+				k := append([]float32(nil), src.Key(i)...)
+				if i == n0+2 {
+					k[5] = bad
+				}
+				s.Append(k, src.Value(i))
+			}
+			blockVsFullN(t, "diagonal key "+name, s, n0, nq, nil)
+			// With channel 5 of every query positive, a -Inf there scores -Inf
+			// beside finite scores: FullN's scalar softmax gives it an exp of
+			// 0, as the tile does, so those queries stay on the tile.
+			blockVsFullN(t, "diagonal key, positive queries "+name, s, n0, nq, func(q []float32, stride int) {
+				for j := 0; j < nq; j++ {
+					q[j*stride+5] = float32(math.Abs(float64(q[j*stride+5]))) + 0.5
+				}
+			})
+		}
+	}
+}
+
+// expMidpoint returns n scores z < 0 whose float64 e^z lies within 2^12 ulps
+// of a float32 rounding midpoint, where the table exp cannot vouch for its
+// rounding and must fall back to math.Exp's sequence.
+func expMidpoint(n int) []float32 {
+	var zs []float32
+	for b := math.Float32bits(-1e-3); len(zs) < n; b += 7 {
+		z := math.Float32frombits(b)
+		low := math.Float64bits(math.Exp(float64(z))) & (1<<29 - 1)
+		if d := int64(low) - 1<<28; -1<<12 < d && d < 1<<12 {
+			zs = append(zs, z)
+		}
+	}
+	return zs
+}
+
+// TestFullBlockExpFallback runs blocks whose lanes take the exp's fallback:
+// key 0 scores 0, the max, and every later key scores a midpoint exponent
+// for every query, so each 8-lane half of those tile rows falls back. Channel
+// 0 of a query is 1 and of a key 4z, the rest random, so at head dim 16
+// (scale 1/4) the score is z exactly.
+func TestFullBlockExpFallback(t *testing.T) {
+	const d, n0, nq = 16, 40, 16
+	n := n0 + nq - 1
+	zs := expMidpoint(n)
+	r := rng.New(11)
+	s := kvcache.NewStore(d)
+	k, v := make([]float32, d), make([]float32, d)
+	for i := 0; i < n; i++ {
+		for c := range k {
+			k[c], v[c] = r.NormFloat32(), r.NormFloat32()
+		}
+		k[0] = 0
+		if i > 0 {
+			k[0] = 4 * zs[i]
+		}
+		s.Append(k, v)
+	}
+	blockVsFullN(t, "midpoint exps", s, n0, nq, func(q []float32, stride int) {
+		for j := 0; j < nq; j++ {
+			row := q[j*stride : j*stride+d]
+			tensor.Fill(row, 0)
+			row[0] = 1
+		}
+	})
 }
 
 // fullBench times attention over a 4224-token context of head dim 16 — one

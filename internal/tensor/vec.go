@@ -13,14 +13,15 @@
 // row-list and query-block forms, Softmax, SoftmaxRows, SiluMul, ArgBestCos,
 // the GEMV/GEMM bands and the packed LM head) run assembly kernels instead —
 // vec_amd64.s, chosen once at init by CPUID, with 16-lane query-block
-// kernels and an 8-lane exp where the CPU has AVX-512F; every other target,
+// kernels, an 8-lane exp, the register-tiled GEMM and prefill attention's
+// ScoreTile where the CPU has AVX-512F; every other target,
 // GOAMD64=v3 and the purego build tag run the Go loops. The one contract of
 // all paths (DESIGN.md §12):
 //
 //   - Vector lanes hold *independent* reduction chains (sixteen or eight
-//     rows' dot products, output channels, softmax rows), never pieces of
-//     one chain, and float32 products and sums are separate operations,
-//     never fused.
+//     rows' dot products, output channels, a score tile's queries), never
+//     pieces of one chain, and float32 products and sums are separate
+//     operations, never fused.
 //   - So each chain performs the scalar loop's operations in the scalar
 //     loop's order, and for finite inputs every result is bit-identical to
 //     the Go loop at any width, blocking or path. The exp of Softmax and
@@ -159,9 +160,7 @@ func Softmax(x []float32) {
 // SoftmaxRows is Softmax on each row of a causal query block's scores: row
 // j in [0, nq) is x[j·stride:][:n0+j], one element longer than the row
 // before it, and an empty row is a no-op. Every row is bit-identical to
-// Softmax of it alone; the vector path runs the exps of four rows side by
-// side and adds them to the rows' four serial sums with one vector add per
-// element (DESIGN.md §12). Rows must not overlap: stride ≥ n0+nq−1.
+// Softmax of it alone. Rows must not overlap: stride ≥ n0+nq−1.
 func SoftmaxRows(x []float32, stride, n0, nq int) {
 	if nq <= 0 {
 		return
@@ -169,11 +168,6 @@ func SoftmaxRows(x []float32, stride, n0, nq int) {
 	if n0 < 0 || stride < n0+nq-1 || len(x) < (nq-1)*stride+n0+nq-1 {
 		panic("tensor: SoftmaxRows shape mismatch")
 	}
-	softmaxRows(x, stride, n0, nq)
-}
-
-// softmaxRowsLoop is SoftmaxRows as one softmax call per non-empty row.
-func softmaxRowsLoop(x []float32, stride, n0, nq int) {
 	for j := max(0, 1-n0); j < nq; j++ {
 		softmax(x[j*stride : j*stride+n0+j])
 	}

@@ -39,7 +39,8 @@ func scaleAVX2(x *float32, n int, a float32)
 func expSumAVX2(x *float32, n int, max, sum float32) float32
 
 // useExp8 picks the 8-lane exp kernels of Softmax and SiluMul, and
-// useBlock16 the 16-lane query-block kernels, where cpuAVX512 holds:
+// useBlock16 the 16-lane query-block kernels, MatTMat's register tile and
+// the score tile (TileRuns), where cpuAVX512 holds:
 // AVX-512F with OS-saved ZMM state, on top of useVec, in a build without the
 // noavx512 tag. Tests turn them off to check the AVX2 kernels on the same
 // machine (setAVX512, withExp), and the tag does for a whole test binary. No
@@ -65,7 +66,16 @@ func cpuHasAVX512() bool
 func expSumAVX512(x *float32, n int, max, sum float32) (s float32, slow int)
 
 //go:noescape
-func expSumRows4AVX512(xs **float32, n int, maxs, sums *float32) (slow int)
+func tileDotAVX512(rows, qt, keys *float32, m, d int, scale float32, vis int, st *tileState)
+
+//go:noescape
+func tileExpSumAVX512(rows *float32, m int, st *tileState) (slow int)
+
+//go:noescape
+func tileAxpyAVX512(acc, rows, inv, vals *float32, m, d int)
+
+//go:noescape
+func matTMatTileAVX512(dsts, xs **float32, w *float32, k, n, stride int, zero bool)
 
 //go:noescape
 func siluMulAVX2(x, u *float32, n int)
@@ -91,8 +101,8 @@ func axpyRowsBlockAVX512(outs, ws **float32, nq int, rows *float32, m, n, stride
 // blockQueries is how many queries one call of a block kernel takes, through
 // pointer lists padded by repeating the last query — to a multiple of four
 // for the AVX2 kernels, of eight for the AVX-512 ones: a repeat computes the
-// same bits into the same place. A 16-lane call takes up to 32 queries, so a
-// page's rows are transposed once for a whole block of a prefill's queries;
+// same bits into the same place. A 16-lane dot call takes up to 32 queries
+// (K-means' centroids), so sixteen rows are transposed once for all of them;
 // up to blockQueries16Min queries stay on the AVX2 kernels, where padding to
 // eight would double the work.
 const (
@@ -225,18 +235,6 @@ func addScaledRowsBlock(out []float32, outStride int, w []float32, wStride, nq i
 		addScaledRowsBlockLoop(out, outStride, w, wStride, nq, rows, m, d)
 		return
 	}
-	if useBlock16 && nq > blockQueries16Min && d%16 == 0 {
-		var op, wp [blockQueries]*float32
-		for j0 := 0; j0 < nq; j0 += blockQueries {
-			k := min(blockQueries, nq-j0)
-			for t := range op {
-				j := j0 + min(t, k-1)
-				op[t], wp[t] = &out[j*outStride], &w[j*wStride]
-			}
-			axpyRowsBlockAVX512(&op[0], &wp[0], blockQueries, &rows[0], m, d, d)
-		}
-		return
-	}
 	d8 := d &^ 7
 	var op, wp [blockQueries]*float32
 	for j0 := 0; j0 < nq; j0 += blockQueries {
@@ -270,23 +268,110 @@ func addScaledRowsList(out, w []float32, rows []*float32, d int) {
 	addScaledRowsListGo(out, w, rows, n8)
 }
 
+// The ScoreTile kernels run where TileRuns holds, the scalar loops
+// elsewhere; ScoreTile has checked every shape.
+func tileDot(rows, qt, keys []float32, m, d int, scale float32, vis int, st *tileState) {
+	if !TileRuns(d) {
+		tileDotGo(rows, qt, keys, m, d, scale, vis, st)
+		return
+	}
+	tileDotAVX512(&rows[0], &qt[0], &keys[0], m, d, scale, vis, st)
+}
+
+func tileExpSum(rows []float32, m int, st *tileState) {
+	if !useBlock16 {
+		tileExpSumGo(rows, m, st)
+		return
+	}
+	tileExpSumAVX512(&rows[0], m, st)
+}
+
+func tileAxpy(acc, rows []float32, inv *[TileLanes]float32, vals []float32, m, d int) {
+	if !TileRuns(d) {
+		tileAxpyGo(acc, rows, inv, vals, m, d)
+		return
+	}
+	tileAxpyAVX512(&acc[0], &rows[0], &inv[0], &vals[0], m, d)
+}
+
+// matTMatBand runs a column band on the register tile where the CPU has
+// AVX-512F: activation rows in groups of eight (a last group of five to
+// seven padded by repeating its last row), 32 columns at a time, then the
+// 16- and 8-column tails on the query-block kernels and the last columns on
+// axpyTail. A group of two to four rows, and every group on an AVX2 CPU,
+// takes axpyRowsBlockAVX2 four rows at a time; a lone row takes axpyRows, the
+// GEMV. The weight rows go in blocks of vecBlock floats of the band, each
+// applied to every group while it is cache-resident; the tile starts its
+// first block from zeroed registers, so only the columns it does not cover
+// are cleared first.
 func matTMatBand(dst, m, x *Mat, lo, hi int) {
 	if !useVec || m.Rows == 0 || hi-lo < 8 {
 		matTMatBandGo(dst, m, x, lo, hi)
 		return
 	}
-	for s := 0; s < x.Rows; s++ {
-		Fill(dst.Data[s*dst.Cols+lo:s*dst.Cols+hi], 0)
+	n := hi - lo
+	n32 := n &^ 31
+	for s0 := 0; s0 < x.Rows; s0 += matTMatGroup {
+		from := lo
+		if matTMatTiled(x.Rows - s0) {
+			from += n32
+		}
+		for s := s0; s < min(s0+matTMatGroup, x.Rows); s++ {
+			Fill(dst.Data[s*dst.Cols+from:s*dst.Cols+hi], 0)
+		}
 	}
-	blk := max(8, vecBlock/(hi-lo))
+	blk := max(8, vecBlock/n)
+	var dp, xp [matTMatGroup]*float32
 	for i0 := 0; i0 < m.Rows; i0 += blk {
-		i1 := min(i0+blk, m.Rows)
-		for s := 0; s < x.Rows; s++ {
-			axpyRows(dst.Data[s*dst.Cols+lo:s*dst.Cols+hi], x.Data[s*x.Cols+i0:s*x.Cols+i1],
-				m.Data[i0*m.Cols+lo:], m.Cols)
+		k := min(blk, m.Rows-i0)
+		w := m.Data[i0*m.Cols+lo:]
+		for s0 := 0; s0 < x.Rows; s0 += matTMatGroup {
+			g := min(matTMatGroup, x.Rows-s0)
+			if g == 1 {
+				axpyRows(dst.Data[s0*dst.Cols+lo:s0*dst.Cols+hi], x.Data[s0*x.Cols+i0:s0*x.Cols+i0+k], w, m.Cols)
+				continue
+			}
+			groupRows(&xp, x.Data, x.Cols, s0, g, i0)
+			c := 0 // columns done
+			if matTMatTiled(g) {
+				if n32 > 0 {
+					groupRows(&dp, dst.Data, dst.Cols, s0, g, lo)
+					matTMatTileAVX512(&dp[0], &xp[0], &w[0], k, n32, m.Cols, i0 == 0)
+					c = n32
+				}
+				if n-c >= 16 {
+					groupRows(&dp, dst.Data, dst.Cols, s0, g, lo+c)
+					axpyRowsBlockAVX512(&dp[0], &xp[0], matTMatGroup, &w[c], k, 16, m.Cols)
+					c += 16
+				}
+			}
+			if n8 := (n - c) &^ 7; n8 > 0 {
+				groupRows(&dp, dst.Data, dst.Cols, s0, g, lo+c)
+				axpyRowsBlockAVX2(&dp[0], &xp[0], (g+3)&^3, &w[c], k, n8, m.Cols)
+				c += n8
+			}
+			for s := s0; c < n && s < s0+g; s++ {
+				axpyTail(dst.Data[s*dst.Cols+lo:s*dst.Cols+hi], x.Data[s*x.Cols+i0:s*x.Cols+i0+k], w, m.Cols, c)
+			}
 		}
 	}
 }
+
+// matTMatGroup is the activation rows of one register tile.
+const matTMatGroup = 8
+
+// groupRows points ptrs at element off of rows s0..s0+g−1 of a matrix of
+// cols columns, padded by repeating the last row: a repeat computes the same
+// bits into the same place.
+func groupRows(ptrs *[matTMatGroup]*float32, data []float32, cols, s0, g, off int) {
+	for t := range ptrs {
+		ptrs[t] = &data[(s0+min(t, g-1))*cols+off]
+	}
+}
+
+// matTMatTiled reports whether a group of the band's last g ≥ 1 activation
+// rows goes through the register tile.
+func matTMatTiled(g int) bool { return useBlock16 && g > 4 }
 
 func softmax(x []float32) {
 	n := len(x)
@@ -299,21 +384,12 @@ func softmax(x []float32) {
 		softmaxGo(x)
 		return
 	}
-	softmaxFrom(x, 0, maxv, 0)
-}
-
-// softmaxFrom finishes the softmax of a finite x, n ≥ 8, whose first from
-// elements (a multiple of 8, and 0 without useExp8) already hold their exps,
-// summed serially in sum.
-func softmaxFrom(x []float32, from int, maxv, sum float32) {
-	n := len(x)
 	n4 := n &^ 3
-	wide := from // elements the 8-lane kernel took
+	wide := 0 // elements the 8-lane kernel took
+	var sum float32
 	if useExp8 {
 		wide = n &^ 7
-		if wide > from {
-			sum, _ = expSumAVX512(&x[from], wide-from, maxv, sum)
-		}
+		sum, _ = expSumAVX512(&x[0], wide, maxv, 0)
 	}
 	if wide < n4 {
 		sum = expSumAVX2(&x[wide], n4-wide, maxv, sum)
@@ -328,43 +404,6 @@ func softmaxFrom(x []float32, from int, maxv, sum float32) {
 	scaleAVX2(&x[0], n8, inv)
 	for i := n8; i < n; i++ {
 		x[i] *= inv
-	}
-}
-
-// softmaxRows takes the rows four at a time through expSumRows4AVX512 over
-// the n0&^7 elements every row has, and finishes each row alone; a row
-// holding a NaN or ±Inf, and the last nq%4 rows, take softmax's path.
-func softmaxRows(x []float32, stride, n0, nq int) {
-	if !useExp8 || n0 < 8 || nq < 4 {
-		softmaxRowsLoop(x, stride, n0, nq)
-		return
-	}
-	common := n0 &^ 7
-	var (
-		ptrs       [4]*float32
-		maxs, sums [4]float32
-		rows       [4]int
-		k          int
-	)
-	for j := 0; j < nq; j++ {
-		row := x[j*stride : j*stride+n0+j]
-		maxv, absBits := maxAbsAVX2(&row[0], len(row))
-		if absBits >= 0x7f800000 {
-			softmaxGo(row)
-			continue
-		}
-		ptrs[k], maxs[k], rows[k] = &row[0], maxv, j
-		if k++; k == len(rows) {
-			sums = [4]float32{}
-			expSumRows4AVX512(&ptrs[0], common, &maxs[0], &sums[0])
-			for t, r := range rows {
-				softmaxFrom(x[r*stride:r*stride+n0+r], common, maxs[t], sums[t])
-			}
-			k = 0
-		}
-	}
-	for t, r := range rows[:k] {
-		softmaxFrom(x[r*stride:r*stride+n0+r], 0, maxs[t], 0)
 	}
 }
 

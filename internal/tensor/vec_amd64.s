@@ -2,16 +2,17 @@
 
 #include "textflag.h"
 
-// AVX2 + FMA kernels behind vec_amd64.go (DESIGN.md §12), and AVX-512F
-// twins of the exp, the SiLU gate and the query-block kernels. Every kernel
+// AVX2 + FMA kernels behind vec_amd64.go (DESIGN.md §12), AVX-512F twins
+// of the exp, the SiLU gate and the query-block kernels, and the AVX-512F
+// register tile of MatTMat and score tile of prefill attention. Every kernel
 // puts *independent* reduction chains in the vector lanes and never splits one
 // chain across lanes, and float32 arithmetic is a separate VMULPS and VADDPS
 // (no fused multiply-add), so each lane performs exactly the operations of
 // the scalar Go loop in the same order: results are bit-identical for finite
-// inputs. The one exception is how expSumAVX512 reaches its exps, through a
-// table instead of math.Exp's sequence; each exp is still math.Exp's float32
-// (see the kernel). Row and column tails stay in Go; no kernel reads past its
-// slice. Every routine ends in VZEROUPPER.
+// inputs. The one exception is how expSumAVX512 and tileExpSumAVX512 reach
+// their exps, through a table instead of math.Exp's sequence; each exp is
+// still math.Exp's float32 (see expSumAVX512). Row and column tails stay in
+// Go; no kernel reads past its slice. Every routine ends in VZEROUPPER.
 
 // func cpuHasAVX2FMA() bool
 //
@@ -736,6 +737,117 @@ zr16:
 	VZEROUPPER
 	RET
 
+// MACC adds the broadcast activation of the row at xreg, weight row AX,
+// times the weight row's 32 columns in Z0 | Z1 into that row's accumulators
+// lo | hi.
+#define MACC(xreg, lo, hi) \
+	VBROADCASTSS (xreg)(AX*4), Z2; \
+	VMULPS       Z0, Z2, Z3; \
+	VADDPS       Z3, lo, lo; \
+	VMULPS       Z1, Z2, Z4; \
+	VADDPS       Z4, hi, hi
+
+// MLOAD and MSTORE move activation row t's 32-column accumulators from and
+// to column byte offset CX of dsts[t]; SI is dsts.
+#define MLOAD(t, lo, hi) \
+	MOVQ    (t*8)(SI), BX; \
+	VMOVUPS (BX)(CX*1), lo; \
+	VMOVUPS 64(BX)(CX*1), hi
+
+#define MSTORE(t, lo, hi) \
+	MOVQ    (t*8)(SI), BX; \
+	VMOVUPS lo, (BX)(CX*1); \
+	VMOVUPS hi, 64(BX)(CX*1)
+
+// func matTMatTileAVX512(dsts, xs **float32, w *float32, k, n, stride int, zero bool)
+//
+// The register tile of MatTMat: dsts[t][c] += Σ_i xs[t][i]·w[i·stride + c]
+// for the eight activation rows t, c in [0, n) and weight rows i ascending
+// in [0, k); n%32 == 0, n > 0, k > 0. With zero the sums start from +0
+// instead of dsts' values. Each 32-column block keeps the eight rows' sums
+// in Z16-Z31 across the whole reduction, so a weight row is loaded once for
+// eight outputs and a destination once per block, and every output adds its
+// products in weight-row order, as axpyRowsAVX2's lanes do.
+TEXT ·matTMatTileAVX512(SB), NOSPLIT, $0-49
+	MOVQ xs+8(FP), SI
+	MOVQ (SI), R8
+	MOVQ 8(SI), R9
+	MOVQ 16(SI), R10
+	MOVQ 24(SI), R11
+	MOVQ 32(SI), R12
+	MOVQ 40(SI), R13
+	MOVQ 48(SI), R14
+	MOVQ 56(SI), R15
+	MOVQ stride+40(FP), DX
+	SHLQ $2, DX
+	MOVQ k+24(FP), DI
+	XORQ CX, CX // column byte offset of the block
+mcol:
+	CMPB zero+48(FP), $0
+	JEQ  mload
+	VPXORD Z16, Z16, Z16
+	VPXORD Z17, Z17, Z17
+	VPXORD Z18, Z18, Z18
+	VPXORD Z19, Z19, Z19
+	VPXORD Z20, Z20, Z20
+	VPXORD Z21, Z21, Z21
+	VPXORD Z22, Z22, Z22
+	VPXORD Z23, Z23, Z23
+	VPXORD Z24, Z24, Z24
+	VPXORD Z25, Z25, Z25
+	VPXORD Z26, Z26, Z26
+	VPXORD Z27, Z27, Z27
+	VPXORD Z28, Z28, Z28
+	VPXORD Z29, Z29, Z29
+	VPXORD Z30, Z30, Z30
+	VPXORD Z31, Z31, Z31
+	JMP  mrows
+mload:
+	MOVQ dsts+0(FP), SI
+	MLOAD(0, Z16, Z17)
+	MLOAD(1, Z18, Z19)
+	MLOAD(2, Z20, Z21)
+	MLOAD(3, Z22, Z23)
+	MLOAD(4, Z24, Z25)
+	MLOAD(5, Z26, Z27)
+	MLOAD(6, Z28, Z29)
+	MLOAD(7, Z30, Z31)
+mrows:
+	MOVQ w+16(FP), SI
+	ADDQ CX, SI
+	XORQ AX, AX
+mrow:
+	VMOVUPS (SI), Z0
+	VMOVUPS 64(SI), Z1
+	MACC(R8, Z16, Z17)
+	MACC(R9, Z18, Z19)
+	MACC(R10, Z20, Z21)
+	MACC(R11, Z22, Z23)
+	MACC(R12, Z24, Z25)
+	MACC(R13, Z26, Z27)
+	MACC(R14, Z28, Z29)
+	MACC(R15, Z30, Z31)
+	ADDQ DX, SI
+	INCQ AX
+	CMPQ AX, DI
+	JLT  mrow
+	MOVQ dsts+0(FP), SI
+	MSTORE(0, Z16, Z17)
+	MSTORE(1, Z18, Z19)
+	MSTORE(2, Z20, Z21)
+	MSTORE(3, Z22, Z23)
+	MSTORE(4, Z24, Z25)
+	MSTORE(5, Z26, Z27)
+	MSTORE(6, Z28, Z29)
+	MSTORE(7, Z30, Z31)
+	ADDQ $128, CX
+	MOVQ n+32(FP), BX
+	SHLQ $2, BX
+	CMPQ CX, BX
+	JLT  mcol
+	VZEROUPPER
+	RET
+
 DATA absmask<>+0(SB)/4, $0x7fffffff
 GLOBL absmask<>(SB), RODATA|NOPTR, $4
 
@@ -1132,7 +1244,8 @@ slow: \
 // mask K1 of the final conversion, which also hides the fast path's NaN on a
 // -Inf lane. The float32 sum is carried serially, in lane order, by scalar
 // adds that read the stored block back; that chain of adds, not the exp, sets
-// the pace of one row, which is why expSumRows4AVX512 runs four.
+// the pace of one row, which is why prefill attention runs the tile's
+// lane-parallel sums instead (tileExpSumAVX512).
 TEXT ·expSumAVX512(SB), NOSPLIT, $0-40
 	MOVQ x+0(FP), SI
 	MOVQ n+8(FP), CX
@@ -1159,75 +1272,366 @@ block:
 	RET
 	EXPSLOW8(slow, back)
 
-// func expSumRows4AVX512(xs **float32, n int, maxs, sums *float32) (slow int)
+// The score-tile kernels of prefill attention (ScoreTile, DESIGN.md §12).
+// The tile is key-major: one 64-byte row per key, holding that key's score,
+// and later its exp, for sixteen queries, one per lane. Every lane is one
+// query's FullN chain: its dot products add their channels in ascending
+// order from +0 and are then scaled, its exps are the table exp's, its sum
+// adds them in key order, and its outputs add the value rows in key order.
+
+// TDOT8(c) adds channel c of the current four-channel step into the scores
+// of the eight keys at R8 (keys 1, 2 at CX and 2·CX past it, 3 at R9, 4 at
+// 4·CX past R8, 5 at 2·CX past R9, 6 at R10 and 7 at CX past it), Z16-Z23:
+// Qᵀ's row of channel c, at 64·c(R11), times the key's channel c broadcast
+// from memory.
+#define TDOT8(c) \
+	VMOVUPS     (c*64)(R11), Z0; \
+	VMULPS.BCST (c*4)(R8), Z0, Z1; \
+	VADDPS      Z1, Z16, Z16; \
+	VMULPS.BCST (c*4)(R8)(CX*1), Z0, Z2; \
+	VADDPS      Z2, Z17, Z17; \
+	VMULPS.BCST (c*4)(R8)(CX*2), Z0, Z3; \
+	VADDPS      Z3, Z18, Z18; \
+	VMULPS.BCST (c*4)(R9), Z0, Z4; \
+	VADDPS      Z4, Z19, Z19; \
+	VMULPS.BCST (c*4)(R8)(CX*4), Z0, Z5; \
+	VADDPS      Z5, Z20, Z20; \
+	VMULPS.BCST (c*4)(R9)(CX*2), Z0, Z6; \
+	VADDPS      Z6, Z21, Z21; \
+	VMULPS.BCST (c*4)(R10), Z0, Z7; \
+	VADDPS      Z7, Z22, Z22; \
+	VMULPS.BCST (c*4)(R10)(CX*1), Z0, Z9; \
+	VADDPS      Z9, Z23, Z23
+
+// TDOT1(c) is TDOT8 for the one key at R8, into Z16.
+#define TDOT1(c) \
+	VMOVUPS     (c*64)(R11), Z0; \
+	VMULPS.BCST (c*4)(R8), Z0, Z1; \
+	VADDPS      Z1, Z16, Z16
+
+// TFIN(acc, k) finishes a key every lane sees: it scales the dot products
+// in acc by Z31, takes them into the lanes' max in Z30 and stores them at
+// row k of DI. TFINM(acc, k) finishes a key of the causal diagonal: only the
+// lanes at or past DX (clamped to 0; R14 is 0 and R15 0xffff) see it and
+// take it into their max, the others get -Inf (Z27); DX steps to the next
+// key's.
+#define TFIN(acc, k) \
+	VMULPS  Z31, acc, acc; \
+	VMAXPS  acc, Z30, Z30; \
+	VMOVUPS acc, (k*64)(DI)
+
+#define TFINM(acc, k) \
+	MOVQ      DX, R12; \
+	TESTQ     R12, R12; \
+	CMOVQLT   R14, R12; \
+	SHLXQ     R12, R15, R13; \
+	KMOVW     R13, K1; \
+	INCQ      DX; \
+	VMULPS    Z31, acc, acc; \
+	VMAXPS    acc, Z30, K1, Z30; \
+	VBLENDMPS acc, Z27, K1, acc; \
+	VMOVUPS   acc, (k*64)(DI)
+
+// func tileDotAVX512(rows, qt, keys *float32, m, d int, scale float32, vis int, st *tileState)
 //
-// expSumAVX512 on four rows side by side: for i in [0, n), xs[r][i] =
-// float32(math.Exp(float64(xs[r][i]-maxs[r]))) and sums[r] += xs[r][i], r in
-// [0, 4), with the same contract per row. A step computes one block of each
-// row (Y11, Y13, Y14 and Y0) and transposes the 4×8 exps into eight columns
-// of four (unpack, then shuffle gives column c | c+4 in one YMM), so the
-// rows' four serial sums, the lanes of X5, take their block with eight
-// VADDPS: every lane still adds its row's elements one at a time in order.
-// The rows must not overlap.
-TEXT ·expSumRows4AVX512(SB), NOSPLIT, $0-40
-	MOVQ xs+0(FP), SI
-	MOVQ (SI), R8
-	MOVQ 8(SI), R9
-	MOVQ 16(SI), R10
-	MOVQ 24(SI), R11
-	MOVQ n+8(FP), CX
-	MOVQ maxs+16(FP), SI
-	VBROADCASTSS (SI), Y16
-	VBROADCASTSS 4(SI), Y17
-	VBROADCASTSS 8(SI), Y18
-	VBROADCASTSS 12(SI), Y19
-	MOVQ sums+24(FP), SI
-	VMOVUPS (SI), X5
-	XORQ DX, DX
-	EXPTK
-rblock:
-	EXPROW8(R8, Y16, slow0, back0)
-	VMOVAPS Y0, Y11
-	EXPROW8(R9, Y17, slow1, back1)
-	VMOVAPS Y0, Y13
-	EXPROW8(R10, Y18, slow2, back2)
-	VMOVAPS Y0, Y14
-	EXPROW8(R11, Y19, slow3, back3)
-	VUNPCKLPS Y13, Y11, Y1
-	VUNPCKHPS Y13, Y11, Y2
-	VUNPCKLPS Y0, Y14, Y3
-	VUNPCKHPS Y0, Y14, Y4
-	VSHUFPS $0x44, Y3, Y1, Y0
-	VSHUFPS $0xEE, Y3, Y1, Y1
-	VSHUFPS $0x44, Y4, Y2, Y3
-	VSHUFPS $0xEE, Y4, Y2, Y2
-	VADDPS X0, X5, X5
-	VADDPS X1, X5, X5
-	VADDPS X3, X5, X5
-	VADDPS X2, X5, X5
-	VEXTRACTF128 $1, Y0, X0
-	VEXTRACTF128 $1, Y1, X1
-	VEXTRACTF128 $1, Y3, X3
-	VEXTRACTF128 $1, Y2, X2
-	VADDPS X0, X5, X5
-	VADDPS X1, X5, X5
-	VADDPS X3, X5, X5
-	VADDPS X2, X5, X5
-	ADDQ $32, R8
-	ADDQ $32, R9
-	ADDQ $32, R10
-	ADDQ $32, R11
-	SUBQ $8, CX
-	JGT  rblock
-	MOVQ sums+24(FP), SI
-	VMOVUPS X5, (SI)
-	MOVQ DX, slow+32(FP)
+// The score kernel: for the m > 0 keys keys[i·d:][:d], row i of rows gets,
+// in lane j, scale·<Qᵀ's column j, key i>, Qᵀ's channel c at qt[16·c:], and
+// -Inf where j < vis+i; d%4 == 0, d > 0, vis+m ≤ 64. Eight keys at a time
+// keep their sums in eight registers and take each channel's Qᵀ row once: a
+// key channel is broadcast into the multiply from memory, so no key is
+// transposed. The lanes that see a key carry their running max in st.max
+// across calls; the lane mask is built only for a group of keys that reaches
+// the diagonal.
+TEXT ·tileDotAVX512(SB), NOSPLIT, $0-64
+	MOVQ rows+0(FP), DI
+	MOVQ qt+8(FP), SI
+	MOVQ keys+16(FP), R8
+	MOVQ m+24(FP), BX
+	MOVQ d+32(FP), CX
+	SHLQ $2, CX
+	VBROADCASTSS scale+40(FP), Z31
+	MOVQ vis+48(FP), DX
+	MOVQ st+56(FP), AX
+	VMOVUPS (AX), Z30
+	VBROADCASTSS neginf<>(SB), Z27
+	XORQ R14, R14
+	MOVL $0xffff, R15
+tkeys8:
+	CMPQ BX, $8
+	JLT  tkey1
+	LEAQ (R8)(CX*2), R9
+	ADDQ CX, R9
+	LEAQ (R9)(CX*2), R10
+	ADDQ CX, R10
+	VPXORD Z16, Z16, Z16
+	VPXORD Z17, Z17, Z17
+	VPXORD Z18, Z18, Z18
+	VPXORD Z19, Z19, Z19
+	VPXORD Z20, Z20, Z20
+	VPXORD Z21, Z21, Z21
+	VPXORD Z22, Z22, Z22
+	VPXORD Z23, Z23, Z23
+	MOVQ SI, R11
+	MOVQ CX, AX
+tchan8:
+	TDOT8(0)
+	TDOT8(1)
+	TDOT8(2)
+	TDOT8(3)
+	ADDQ $16, R8
+	ADDQ $16, R9
+	ADDQ $16, R10
+	ADDQ $256, R11
+	SUBQ $16, AX
+	JGT  tchan8
+	CMPQ DX, $-7
+	JGT  tmask8 // the group's last key is on the diagonal
+	TFIN(Z16, 0)
+	TFIN(Z17, 1)
+	TFIN(Z18, 2)
+	TFIN(Z19, 3)
+	TFIN(Z20, 4)
+	TFIN(Z21, 5)
+	TFIN(Z22, 6)
+	TFIN(Z23, 7)
+	ADDQ $8, DX
+	JMP  tnext8
+tmask8:
+	TFINM(Z16, 0)
+	TFINM(Z17, 1)
+	TFINM(Z18, 2)
+	TFINM(Z19, 3)
+	TFINM(Z20, 4)
+	TFINM(Z21, 5)
+	TFINM(Z22, 6)
+	TFINM(Z23, 7)
+tnext8:
+	ADDQ $512, DI
+	LEAQ (R10)(CX*1), R8 // R10 has stepped to key 7's end: the next key
+	SUBQ $8, BX
+	JMP  tkeys8
+tkey1:
+	TESTQ BX, BX
+	JEQ   tdone
+	VPXORD Z16, Z16, Z16
+	MOVQ SI, R11
+	MOVQ CX, AX
+tchan1:
+	TDOT1(0)
+	TDOT1(1)
+	TDOT1(2)
+	TDOT1(3)
+	ADDQ $16, R8
+	ADDQ $256, R11
+	SUBQ $16, AX
+	JGT  tchan1
+	TFINM(Z16, 0)
+	ADDQ $64, DI
+	DECQ BX
+	JMP  tkey1
+tdone:
+	MOVQ st+56(FP), AX
+	VMOVUPS Z30, (AX)
 	VZEROUPPER
 	RET
-	EXPSLOW8(slow0, back0)
-	EXPSLOW8(slow1, back1)
-	EXPSLOW8(slow2, back2)
-	EXPSLOW8(slow3, back3)
+
+// func tileExpSumAVX512(rows *float32, m int, st *tileState) (slow int)
+//
+// The softmax kernel: for the m > 0 rows of the tile, every lane's score x
+// becomes float32(math.Exp(float64(x − st.max[lane]))) and is added to
+// st.sum[lane]; slow counts the 8-lane halves that took the fallback. Each
+// row is two blocks of EXPROW8, the table exp of expSumAVX512 with its
+// fallback, the lanes of a block being eight queries; the sums are the
+// lanes of Y5 | Y9, one VADDPS a half, so every query's sum adds its exps
+// serially in key order. A -Inf score (a key the query does not see) is
+// clamped to +0, which leaves the sum as it was; a NaN or +Inf score makes
+// the lane's sum NaN.
+TEXT ·tileExpSumAVX512(SB), NOSPLIT, $0-32
+	MOVQ rows+0(FP), SI
+	MOVQ m+8(FP), CX
+	MOVQ st+16(FP), R9
+	VMOVUPS (R9), Y6
+	VMOVUPS 32(R9), Y7
+	VMOVUPS 64(R9), Y5
+	VMOVUPS 96(R9), Y9
+	XORQ DX, DX
+	EXPTK
+	LEAQ 32(SI), R8
+trow:
+	EXPROW8(SI, Y6, tslow0, tback0)
+	VADDPS Y0, Y5, Y5
+	EXPROW8(R8, Y7, tslow1, tback1)
+	VADDPS Y0, Y9, Y9
+	ADDQ $64, SI
+	ADDQ $64, R8
+	DECQ CX
+	JGT  trow
+	VMOVUPS Y5, 64(R9)
+	VMOVUPS Y9, 96(R9)
+	MOVQ DX, slow+24(FP)
+	VZEROUPPER
+	RET
+	EXPSLOW8(tslow0, tback0)
+	EXPSLOW8(tslow1, tback1)
+
+// TAXPY(c, acc) adds the weights in Z0 times channel c of the value row at
+// R8 (broadcast from memory) into channel c's accumulator acc.
+#define TAXPY(c, acc) \
+	VMULPS.BCST (c*4)(R8), Z0, Z1; \
+	VADDPS      Z1, acc, acc
+
+// TLOAD and TSTORE move the accumulator of channel c of the block at DI.
+#define TLOAD(c, acc) VMOVUPS (c*64)(DI), acc
+#define TSTORE(c, acc) VMOVUPS acc, (c*64)(DI)
+
+// func tileAxpyAVX512(acc, rows, inv *float32, vals *float32, m, d int)
+//
+// The weighted-sum kernel: for the m > 0 rows i of the tile ascending, lane
+// j's weight p = rows[i][j]·inv[j] times value row i, vals[i·d:][:d], is
+// added into acc[16·c + j] for every channel c; d%4 == 0, d > 0. The
+// channels go in blocks of 16, then 8, then 4, one accumulator each, with
+// the queries in the lanes: a value channel is broadcast into the multiply,
+// and every output adds its products in key order, as AddScaledRows' lanes
+// do.
+TEXT ·tileAxpyAVX512(SB), NOSPLIT, $0-48
+	// TWEIGHTS starts a walk of a channel block: SI at the tile's first
+	// row, R8 at the block's channels of value row 0, BX the m rows.
+#define TWEIGHTS \
+	MOVQ rows+8(FP), SI; \
+	MOVQ R10, R8; \
+	MOVQ m+32(FP), BX
+
+	MOVQ acc+0(FP), DI
+	MOVQ inv+16(FP), AX
+	VMOVUPS (AX), Z31
+	MOVQ vals+24(FP), R10 // channel c0 of value row 0
+	MOVQ d+40(FP), CX
+	SHLQ $2, CX
+	MOVQ CX, R11 // channel bytes left
+tc16:
+	CMPQ R11, $64
+	JLT  tc8
+	TLOAD(0, Z15)
+	TLOAD(1, Z16)
+	TLOAD(2, Z17)
+	TLOAD(3, Z18)
+	TLOAD(4, Z19)
+	TLOAD(5, Z20)
+	TLOAD(6, Z21)
+	TLOAD(7, Z22)
+	TLOAD(8, Z23)
+	TLOAD(9, Z24)
+	TLOAD(10, Z25)
+	TLOAD(11, Z26)
+	TLOAD(12, Z27)
+	TLOAD(13, Z28)
+	TLOAD(14, Z29)
+	TLOAD(15, Z30)
+	TWEIGHTS
+tr16:
+	VMULPS (SI), Z31, Z0
+	TAXPY(0, Z15)
+	TAXPY(1, Z16)
+	TAXPY(2, Z17)
+	TAXPY(3, Z18)
+	TAXPY(4, Z19)
+	TAXPY(5, Z20)
+	TAXPY(6, Z21)
+	TAXPY(7, Z22)
+	TAXPY(8, Z23)
+	TAXPY(9, Z24)
+	TAXPY(10, Z25)
+	TAXPY(11, Z26)
+	TAXPY(12, Z27)
+	TAXPY(13, Z28)
+	TAXPY(14, Z29)
+	TAXPY(15, Z30)
+	ADDQ $64, SI
+	ADDQ CX, R8
+	DECQ BX
+	JGT  tr16
+	TSTORE(0, Z15)
+	TSTORE(1, Z16)
+	TSTORE(2, Z17)
+	TSTORE(3, Z18)
+	TSTORE(4, Z19)
+	TSTORE(5, Z20)
+	TSTORE(6, Z21)
+	TSTORE(7, Z22)
+	TSTORE(8, Z23)
+	TSTORE(9, Z24)
+	TSTORE(10, Z25)
+	TSTORE(11, Z26)
+	TSTORE(12, Z27)
+	TSTORE(13, Z28)
+	TSTORE(14, Z29)
+	TSTORE(15, Z30)
+	ADDQ $1024, DI
+	ADDQ $64, R10
+	SUBQ $64, R11
+	JMP  tc16
+tc8:
+	CMPQ R11, $32
+	JLT  tc4
+	TLOAD(0, Z15)
+	TLOAD(1, Z16)
+	TLOAD(2, Z17)
+	TLOAD(3, Z18)
+	TLOAD(4, Z19)
+	TLOAD(5, Z20)
+	TLOAD(6, Z21)
+	TLOAD(7, Z22)
+	TWEIGHTS
+tr8:
+	VMULPS (SI), Z31, Z0
+	TAXPY(0, Z15)
+	TAXPY(1, Z16)
+	TAXPY(2, Z17)
+	TAXPY(3, Z18)
+	TAXPY(4, Z19)
+	TAXPY(5, Z20)
+	TAXPY(6, Z21)
+	TAXPY(7, Z22)
+	ADDQ $64, SI
+	ADDQ CX, R8
+	DECQ BX
+	JGT  tr8
+	TSTORE(0, Z15)
+	TSTORE(1, Z16)
+	TSTORE(2, Z17)
+	TSTORE(3, Z18)
+	TSTORE(4, Z19)
+	TSTORE(5, Z20)
+	TSTORE(6, Z21)
+	TSTORE(7, Z22)
+	ADDQ $512, DI
+	ADDQ $32, R10
+	SUBQ $32, R11
+tc4:
+	CMPQ R11, $16
+	JLT  tadone
+	TLOAD(0, Z15)
+	TLOAD(1, Z16)
+	TLOAD(2, Z17)
+	TLOAD(3, Z18)
+	TWEIGHTS
+tr4:
+	VMULPS (SI), Z31, Z0
+	TAXPY(0, Z15)
+	TAXPY(1, Z16)
+	TAXPY(2, Z17)
+	TAXPY(3, Z18)
+	ADDQ $64, SI
+	ADDQ CX, R8
+	DECQ BX
+	JGT  tr4
+	TSTORE(0, Z15)
+	TSTORE(1, Z16)
+	TSTORE(2, Z17)
+	TSTORE(3, Z18)
+tadone:
+	VZEROUPPER
+	RET
 
 DATA siluk<>+0(SB)/4, $0x80000000
 DATA siluk<>+4(SB)/4, $1.0

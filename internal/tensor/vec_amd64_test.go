@@ -212,22 +212,38 @@ func TestVecRowIndexOutOfPagePanics(t *testing.T) {
 	}
 }
 
-// TestVecMatKernels covers the GEMM bands that reuse the axpy kernels.
+// withBlock16 runs fn with the 16-lane block kernels, the register tile and
+// the score tile on or off (never on where the CPU lacks them).
+func withBlock16(on bool, fn func()) {
+	defer func(saved bool) { useBlock16 = saved }(useBlock16)
+	useBlock16 = on && cpuAVX512
+	fn()
+}
+
+// TestVecMatKernels covers the GEMM bands on the register tile and on the
+// AVX2 kernels: activation row counts that fill, pad and miss the tile's
+// eight rows, band widths that leave 32-, 16- and 8-column tails and a last
+// few columns, and weights over more than one reduction block.
 func TestVecMatKernels(t *testing.T) {
 	needVec(t)
-	for _, sh := range []struct{ r, c, s int }{
-		{64, 64, 1}, {64, 128, 8}, {128, 64, 3}, {17, 37, 2}, {300, 40, 8}, {5, 8, 1}, {1, 9, 2},
-	} {
-		r := rng.New(uint64(sh.r*131 + sh.c))
-		m := randMat(r, sh.r, sh.c, 0)
-		x := randMat(r, sh.s, sh.r, 0.2)
-		for _, band := range [][2]int{{0, sh.c}, {1, sh.c}, {3, sh.c - 2}} {
-			lo, hi := band[0], band[1]
-			got, want := NewMat(sh.s, sh.c), NewMat(sh.s, sh.c)
-			matTMatBand(got, m, x, lo, hi)
-			matTMatBandGo(want, m, x, lo, hi)
-			expectBitsEqual(t, sprintShape("matTMatBand", sh.r, sh.c, sh.s, lo), got.Data, want.Data)
-		}
+	for _, wide := range []bool{true, false} {
+		withBlock16(wide, func() {
+			for _, sh := range []struct{ r, c, s int }{
+				{64, 64, 1}, {64, 128, 8}, {128, 64, 3}, {17, 37, 2}, {300, 40, 8}, {5, 8, 1}, {1, 9, 2},
+				{64, 56, 5}, {64, 72, 9}, {40, 95, 33}, {17, 48, 6}, {300, 63, 13}, {9, 31, 7}, {600, 120, 16},
+			} {
+				r := rng.New(uint64(sh.r*131 + sh.c))
+				m := randMat(r, sh.r, sh.c, 0)
+				x := randMat(r, sh.s, sh.r, 0.2)
+				for _, band := range [][2]int{{0, sh.c}, {1, sh.c}, {3, sh.c - 2}} {
+					lo, hi := band[0], band[1]
+					got, want := NewMat(sh.s, sh.c), NewMat(sh.s, sh.c)
+					matTMatBand(got, m, x, lo, hi)
+					matTMatBandGo(want, m, x, lo, hi)
+					expectBitsEqual(t, sprintShape("matTMatBand", sh.r, sh.c, sh.s, lo), got.Data, want.Data)
+				}
+			}
+		})
 	}
 }
 
@@ -262,14 +278,14 @@ func TestVecSoftmax(t *testing.T) {
 	}
 }
 
-// TestVecExpPin pins every exp kernel (expSumAVX2, and expSumAVX512 and
-// expSumRows4AVX512 where the CPU has them) to float32(math.Exp(float64(x)))
-// over the whole input range of a softmax, [-105, 0] (below -104 both are
-// +0): every 37th float32 with -short, every one without. It is the test
-// that fails if a Go release changes math.archExp, whose instruction
-// sequence the kernels replicate, and the proof that the table path is
-// within the error bound its fallback test assumes (TestVecExpFallback
-// drives the fallback itself).
+// TestVecExpPin pins every exp kernel (expSumAVX2, and expSumAVX512 and the
+// score tile's tileExpSumAVX512 where the CPU has them) to
+// float32(math.Exp(float64(x))) over the whole input range of a softmax,
+// [-105, 0] (below -104 both are +0): every 37th float32 with -short, every
+// one without. It is the test that fails if a Go release changes
+// math.archExp, whose instruction sequence the kernels replicate, and the
+// proof that the table path is within the error bound its fallback test
+// assumes (TestVecExpFallback drives the fallback itself).
 func TestVecExpPin(t *testing.T) {
 	needVec(t)
 	step := uint32(1)
@@ -292,30 +308,30 @@ func TestVecExpPin(t *testing.T) {
 	}
 }
 
-// expPinKernels are expKernels and, where the 8-lane exp runs, the rows
-// kernel.
+// expPinKernels are expKernels and, where the 8-lane exp runs, the tile's.
 var expPinKernels = func() []expKernel {
 	ks := expKernels[:len(expKernels):len(expKernels)]
 	if useExp8 {
-		ks = append(ks, expKernel{"avx512rows", true, expRows4Serial})
+		ks = append(ks, expKernel{"avx512tile", true, expTileSerial})
 	}
 	return ks
 }()
 
-// expRows4Serial runs x[:n] through expSumRows4AVX512 as four rows of
-// (n&^31)/4 elements and the rest through expSumAVX512, then returns sum
-// plus the exps added serially here: it pins the rows kernel's exps, not its
-// four sums, which TestVecSoftmaxRows checks.
-func expRows4Serial(x *float32, n int, max, sum float32) float32 {
+// expTileSerial runs x[:n] through tileExpSumAVX512 as a tile of n/16 rows
+// and the rest through expSumAVX512, then returns sum plus the exps added
+// serially here: it pins the tile kernel's exps, not its lane sums, which
+// TestVecTileKernels checks.
+func expTileSerial(x *float32, n int, max, sum float32) float32 {
 	s := unsafe.Slice(x, n)
-	q := n &^ 31 / 4
-	if q > 0 {
-		ptrs := [4]*float32{&s[0], &s[q], &s[2*q], &s[3*q]}
-		maxs := [4]float32{max, max, max, max}
-		var sums [4]float32
-		expSumRows4AVX512(&ptrs[0], q, &maxs[0], &sums[0])
+	m := n / TileLanes
+	if m > 0 {
+		var st tileState
+		for j := range st.max {
+			st.max[j] = max
+		}
+		tileExpSumAVX512(&s[0], m, &st)
 	}
-	if r := 4 * q; r < n {
+	if r := m * TileLanes; r < n {
 		expSumAVX512(&s[r], n-r, max, 0)
 	}
 	for _, e := range s {
@@ -382,14 +398,15 @@ func expMidpointInputs(n int) []float32 {
 }
 
 // TestVecExpFallback drives the fallback of expSumAVX512 and
-// expSumRows4AVX512 on every block kind that must take it — a lane whose exp
+// tileExpSumAVX512 on every block kind that must take it — a lane whose exp
 // sits near a float32 rounding midpoint, a live lane in (-104, -87] where the
 // float32 result is subnormal — and on blocks that must not: -Inf and -0
 // lanes, clamped and exact. Each such block holds one special lane among
 // seven 0s; the kernels' count of slow blocks must be exactly the first
-// kind's, and every lane float32(math.Exp(float64(z))). The rows kernel runs
-// the blocks as four rows, each starting at a different block, so each row's
-// fallback runs while the other three take the fast path.
+// kind's, and every lane float32(math.Exp(float64(z))). The tile kernel runs
+// the blocks as the halves of its rows, so a slow block sits beside a fast
+// one in either half, and every lane's sum must be the serial sum of its
+// column.
 func TestVecExpFallback(t *testing.T) {
 	if !useExp8 {
 		t.Skip("CPU lacks AVX-512F: no table exp to fall back from")
@@ -398,7 +415,7 @@ func TestVecExpFallback(t *testing.T) {
 	for _, b := range []uint32{math.Float32bits(-87.5), math.Float32bits(-103.99), math.Float32bits(-87) + 1, math.Float32bits(-100)} {
 		slowZ = append(slowZ, math.Float32frombits(b))
 	}
-	fastZ := []float32{float32(math.Inf(-1)), float32(math.Copysign(0, -1)), -104.5, -86.99, -1e-30}
+	fastZ := []float32{float32(math.Inf(-1)), float32(math.Copysign(0, -1)), -104.5, -86.99, -1e-30, 0}
 	var in []float32
 	for _, z := range append(slowZ, fastZ...) {
 		block := make([]float32, 8)
@@ -412,21 +429,21 @@ func TestVecExpFallback(t *testing.T) {
 	}
 	expectExps(t, "expSumAVX512", in, out, sum)
 
-	var (
-		rows, outs [4][]float32
-		ptrs       [4]*float32
-		maxs, sums [4]float32
-	)
-	for r := range rows {
-		rows[r] = append(append([]float32(nil), in[8*r:]...), in[:8*r]...)
-		outs[r] = append([]float32(nil), rows[r]...)
-		ptrs[r] = &outs[r][0]
-	}
-	if slow := expSumRows4AVX512(&ptrs[0], len(in), &maxs[0], &sums[0]); slow != 4*len(slowZ) {
-		t.Errorf("rows kernel: %d blocks took the fallback, want %d", slow, 4*len(slowZ))
-	}
-	for r := range rows {
-		expectExps(t, "expSumRows4AVX512 row "+itoa(r), rows[r], outs[r], sums[r])
+	for shift := 0; shift < 2; shift++ { // slow blocks in the other half
+		tile := append(append([]float32(nil), in[8*shift:]...), in[:8*shift]...)
+		rows := len(tile) / TileLanes
+		exps := append([]float32(nil), tile...)
+		var st tileState
+		if slow := tileExpSumAVX512(&exps[0], rows, &st); slow != len(slowZ) {
+			t.Errorf("tile kernel, shift %d: %d blocks took the fallback, want %d", shift, slow, len(slowZ))
+		}
+		for j := 0; j < TileLanes; j++ {
+			var col, colExps []float32
+			for i := 0; i < rows; i++ {
+				col, colExps = append(col, tile[i*TileLanes+j]), append(colExps, exps[i*TileLanes+j])
+			}
+			expectExps(t, "tileExpSumAVX512 lane "+itoa(j), col, colExps, st.sum[j])
+		}
 	}
 }
 
@@ -448,11 +465,10 @@ func expectExps(t *testing.T, what string, in, out []float32, sum float32) {
 }
 
 // TestVecSoftmaxRows checks SoftmaxRows against the scalar loop on each row,
-// on every exp kernel: row counts around the four the rows kernel takes,
-// shortest rows around its 8-element blocks, and rows holding NaN or ±Inf,
-// which leave the group for the scalar loop. Scores of spread 3 keep most
-// exps within a few powers of two of each other, so a sum that takes them
-// out of order rounds differently; spread 30 reaches the clamp.
+// on every exp kernel: shortest rows around the 8-element blocks, and rows
+// holding NaN or ±Inf, which take the scalar loop. Scores of spread 3 keep
+// most exps within a few powers of two of each other, so a sum that takes
+// them out of order rounds differently; spread 30 reaches the clamp.
 func TestVecSoftmaxRows(t *testing.T) {
 	needVec(t)
 	nan, inf := float32(math.NaN()), float32(math.Inf(1))
@@ -635,10 +651,13 @@ func TestVecSiluMul(t *testing.T) {
 }
 
 // FuzzVecKernels decodes the input into finite float32 rows and checks the
-// dot, axpy and softmax dispatchers, the row-list dot and axpy and the
-// query-block dot and axpy (on the 16-lane and the AVX2 kernels) against
-// their scalar loops at a fuzzed width up to 64, row count, row list and
-// query count up to 33;
+// dot, axpy and softmax dispatchers, the row-list dot and axpy, the
+// query-block dot and axpy and matTMatBand (on the 16-lane kernels and the
+// register tile, and on the AVX2 kernels) and the three score-tile kernels
+// against their scalar loops at a fuzzed width up to 64, row count, row list
+// and query count up to 33 (a causal block of them through ScoreTiles, and
+// the kernels alone with the causal lane mask at a fuzzed offset), and 1 to
+// 33 activation rows at band widths that leave 32-, 16- and 8-column tails;
 // the raw values, non-finite ones included, go through softmax and SiluMul
 // on every exp kernel and through ArgBestCos as scores and norms of a fuzzed
 // centroid count.
@@ -661,6 +680,14 @@ func FuzzVecKernels(f *testing.F) {
 	f.Add(seed, uint8(3), uint8(16))           // d = 16, 17 queries: a padded third group
 	f.Add(seed, uint8(15), uint8(32))          // d = 64, 16 rows and as many queries
 	f.Add(seed[:4*16*70], uint8(1), uint8(32)) // d = 8, 33 queries: past one 32-query call
+	long := make([]byte, 4*64*40)
+	for i := 0; i < len(long); i += 4 {
+		binary.LittleEndian.PutUint32(long[i:], math.Float32bits(r.NormFloat32()))
+	}
+	for _, nq := range []int{5, 16, 17, 32} { // tiles of 5 and 16 queries, and a second tile
+		f.Add(seed, uint8(3), uint8(nq-1))  // d = 16
+		f.Add(long, uint8(15), uint8(nq-1)) // d = 64
+	}
 	f.Fuzz(func(t *testing.T, data []byte, d4, pick uint8) {
 		raw := make([]float32, len(data)/4)
 		for i := range raw {
@@ -733,10 +760,8 @@ func FuzzVecKernels(f *testing.F) {
 		// A block of the first nq rows as queries, sharing one weight row, on
 		// the 16-lane and the AVX2 block kernels.
 		nq := min(1+int(pick)%33, m)
-		for _, wide := range []bool{useBlock16, false} {
-			func() {
-				defer func(saved bool) { useBlock16 = saved }(useBlock16)
-				useBlock16 = wide
+		for _, wide := range []bool{true, false} {
+			withBlock16(wide, func() {
 				got, want := make([]float32, nq*m), make([]float32, nq*m)
 				dotRowsBlock(got, m, rows, d, nq, rows, m, d, 0.5)
 				for j := 0; j < nq; j++ {
@@ -749,7 +774,40 @@ func FuzzVecKernels(f *testing.F) {
 					addScaledRowsGo(want[j*d:(j+1)*d], w, rows, d)
 				}
 				expectBitsEqual(t, "addScaledRowsBlock", got, want)
-			}()
+			})
+		}
+
+		// The score tile: the last nq rows' causal block over all m rows as
+		// keys and values, in chunks of a fuzzed page size, and the kernels
+		// alone on up to 48 keys, the lane mask at a fuzzed offset.
+		if TileRuns(d) {
+			vrows := vals[len(vals)-m*d:]
+			tileBlockVsLoops(t, "tileBlock", rows[(m-nq)*d:], rows, vrows, m-nq+1, nq, d, 1+int(pick)%64)
+			mk := min(m, 48)
+			tileKernelsVsLoops(t, "tile", rows, rows, vrows, min(nq, TileLanes), mk, d, int(pick)%17-8)
+		}
+
+		// MatTMat: S activation rows over an R×C weight matrix, both cut
+		// cyclically from vals, C = 8..79 leaving every tail of the tile.
+		S := 1 + int(pick)%33
+		C := 8 + 8*(int(d4)%9) + int(pick/33)%8
+		R := 1 + len(vals)%300
+		wm, xm := NewMat(R, C), NewMat(S, R)
+		for i := range wm.Data {
+			wm.Data[i] = vals[i%len(vals)]
+		}
+		for i := range xm.Data {
+			xm.Data[i] = vals[(i+7)%len(vals)]
+		}
+		for _, wide := range []bool{true, false} {
+			withBlock16(wide, func() {
+				for _, lo := range []int{0, 3} {
+					got, want := NewMat(S, C), NewMat(S, C)
+					matTMatBand(got, wm, xm, lo, C)
+					matTMatBandGo(want, wm, xm, lo, C)
+					expectBitsEqual(t, sprintShape("matTMatBand", R, C, S, lo), got.Data, want.Data)
+				}
+			})
 		}
 	})
 }
@@ -797,7 +855,11 @@ func BenchmarkVecKernels(b *testing.B) {
 
 // BenchmarkVecBlockKernels times one page walk of a query block against the
 // same queries one at a time, 4096 keys at head dim 16 in 64-row pages, in ns
-// per query, and the softmax over 4224 scores on each exp kernel.
+// per query, and the softmax over 4224 scores on each exp kernel. The tile16
+// rows are the score tile of 16 queries (ScoreTile) over the same keys: its
+// score pass (dot, Qᵀ's transpose included), its softmax over the 4224 to
+// 4239 keys of a causal block, in ns per query's row, and its weighted sum
+// (axpy, the output transpose included).
 func BenchmarkVecBlockKernels(b *testing.B) {
 	const n, d, page = 4096, 16, 64
 	r := rng.New(3)
@@ -849,24 +911,199 @@ func BenchmarkVecBlockKernels(b *testing.B) {
 			})
 		})
 	}
-	// The eight causal score rows of a query block, 4224 to 4231 long, taken
-	// together (rows) and one at a time (perrow), in ns per row.
-	const nq = 8
-	span := n + 128 + nq - 1
-	block, rows := randMat(r, nq, span, 0).Data, make([]float32, nq*span)
-	for _, k := range []struct {
-		name string
-		fn   func()
-	}{
-		{"softmax/rows", func() { softmaxRows(rows, span, n+128, nq) }},
-		{"softmax/perrow", func() { softmaxRowsLoop(rows, span, n+128, nq) }},
-	} {
-		b.Run(k.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				copy(rows, block)
-				k.fn()
+	if !TileRuns(d) {
+		return
+	}
+	const nq = TileLanes
+	xs, out := randMat(r, nq, d, 0).Data, make([]float32, nq*d)
+	var tile ScoreTile
+	walk := func(fn func([]float32, int), data []float32, span int) {
+		for p := 0; p < span; p += page {
+			fn(data[p*d:], min(page, span-p))
+		}
+	}
+	b.Run("dot/tile16", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			tile.Start(xs, d, nq, d, n-nq+1, 0.25)
+			walk(tile.Dot, rows, n)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nq), "ns/query")
+	})
+	b.Run("axpy/tile16", func(b *testing.B) {
+		tile.Softmax()
+		for i := 0; i < b.N; i++ {
+			tile.sum = 0
+			walk(tile.AddScaled, rows, n)
+			tile.Store(out, d)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nq), "ns/query")
+	})
+	keys := randMat(r, n+128+nq, d, 0).Data
+	tile.Start(xs, d, nq, d, n+128, 0.25)
+	walk(tile.Dot, keys, tile.Span())
+	scores, st := append([]float32(nil), tile.rows...), tile.st
+	b.Run("softmax/tile16", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			copy(tile.rows, scores)
+			tile.st = st
+			tile.Softmax()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nq), "ns/row")
+	})
+}
+
+func needTile(t testing.TB) {
+	t.Helper()
+	if !TileRuns(4) {
+		t.Skip("CPU lacks AVX-512F, or the noavx512 tag is set: the score tile does not run")
+	}
+}
+
+// tileKernelsVsLoops checks each score-tile kernel against its scalar loop
+// on m keys and values of width d: the scores of 16 lanes of queries from
+// q (lanes past nq zero) with the lanes below vis+i masked off key i, their
+// exps and lane sums, and the weighted sums, carrying state in from a
+// previous call.
+func tileKernelsVsLoops(t *testing.T, name string, q, keys, vals []float32, nq, m, d, vis int) {
+	t.Helper()
+	qt := make([]float32, d*TileLanes)
+	for c := 0; c < d; c++ {
+		for j := 0; j < nq; j++ {
+			qt[c*TileLanes+j] = q[j*d+c]
+		}
+	}
+	var st, stWant tileState
+	for j := range st.max {
+		st.max[j] = float32(j) - 8 // a max carried in from earlier keys
+		st.sum[j] = float32(j) / 4
+	}
+	stWant = st
+	got, want := make([]float32, m*TileLanes), make([]float32, m*TileLanes)
+	tileDotAVX512(&got[0], &qt[0], &keys[0], m, d, 0.25, vis, &st)
+	tileDotGo(want, qt, keys, m, d, 0.25, vis, &stWant)
+	expectBitsEqual(t, name+" tileDot", got, want)
+	expectBitsEqual(t, name+" tileDot max", st.max[:], stWant.max[:])
+	tileExpSumAVX512(&got[0], m, &st)
+	tileExpSumGo(want, m, &stWant)
+	expectBitsEqual(t, name+" tileExpSum", got, want)
+	expectBitsEqual(t, name+" tileExpSum sums", st.sum[:], stWant.sum[:])
+	var inv [TileLanes]float32
+	for j := range inv {
+		inv[j] = 1 / st.sum[j]
+	}
+	acc, accWant := make([]float32, d*TileLanes), make([]float32, d*TileLanes)
+	for i := range acc {
+		acc[i] = float32(i%7) - 3
+	}
+	copy(accWant, acc)
+	tileAxpyAVX512(&acc[0], &got[0], &inv[0], &vals[0], m, d)
+	tileAxpyGo(accWant, want, &inv, vals, m, d)
+	expectBitsEqual(t, name+" tileAxpy", acc, accWant)
+}
+
+// tileBlockVsLoops attends nq ≤ 33 queries, q[j·d:][:d] seeing the first
+// n0+j of the keys and values, through ScoreTiles of up to 16 queries fed
+// in chunks of page rows, and checks every output against the scalar
+// loops: dotRowsGo, softmaxGo and addScaledRowsGo over its own keys.
+func tileBlockVsLoops(t *testing.T, name string, q, keys, vals []float32, n0, nq, d, page int) {
+	t.Helper()
+	var tile ScoreTile
+	out := make([]float32, nq*d)
+	for j0 := 0; j0 < nq; j0 += TileLanes {
+		k := min(TileLanes, nq-j0)
+		tile.Start(q[j0*d:], d, k, d, n0+j0, 0.25)
+		span := tile.Span()
+		for i := 0; i < span; i += page {
+			tile.Dot(keys[i*d:], min(page, span-i))
+		}
+		tile.Softmax()
+		for i := 0; i < span; i += page {
+			tile.AddScaled(vals[i*d:], min(page, span-i))
+		}
+		if skipped := tile.Store(out[j0*d:], d); skipped != 0 {
+			t.Fatalf("%s: finite scores reported non-finite: %b", name, skipped)
+		}
+	}
+	want := make([]float32, d)
+	for j := 0; j < nq; j++ {
+		n := n0 + j
+		scores := make([]float32, n)
+		dotRowsGo(scores, q[j*d:(j+1)*d], keys, d, 0.25)
+		softmaxGo(scores)
+		Fill(want, 0)
+		addScaledRowsGo(want, scores, vals, d)
+		expectBitsEqual(t, name+" query "+itoa(j), out[j*d:(j+1)*d], want)
+	}
+}
+
+// TestVecTileKernels checks the score-tile kernels against their scalar
+// loops at every head dim the tile takes up to 64 and key counts around its
+// 8-key groups, with the causal mask at every offset, and whole blocks of 1
+// to 33 queries against FullN's scalar loops, on and off the 16-query tile
+// and with chunks that split the 8-key groups, on the kernels and on the
+// scalar loops ScoreTile runs where they do not.
+func TestVecTileKernels(t *testing.T) {
+	needTile(t)
+	for _, d := range []int{4, 8, 12, 16, 20, 24, 28, 32, 48, 64} {
+		for _, m := range []int{1, 2, 7, 8, 9, 15, 16, 17, 64, 70} {
+			for _, vis := range []int{-100, -m, -3, 0, 1, 5, 15, 16, 64 - m} {
+				if vis+m > 64 {
+					continue // past the kernel's mask width
+				}
+				r := rng.New(uint64(d*1000 + m*10 + vis + 200))
+				q, keys, vals := oddSlice(r, TileLanes*d), oddSlice(r, m*d), oddSlice(r, m*d)
+				for _, nq := range []int{1, 5, 16} {
+					tileKernelsVsLoops(t, sprintShape("tile", d, m, nq, vis+200), q, keys, vals, nq, m, d, vis)
+				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nq), "ns/row")
-		})
+		}
+		for _, wide := range []bool{true, false} { // the kernels, and ScoreTile on its scalar loops
+			withBlock16(wide, func() {
+				for _, nq := range []int{1, 2, 5, 15, 16, 17, 31, 32, 33} {
+					for _, n0 := range []int{1, 7, 64, 65, 100} {
+						for _, page := range []int{64, 13} {
+							n := n0 + nq - 1
+							r := rng.New(uint64(d*100 + nq*7 + n0))
+							q, keys, vals := oddSlice(r, nq*d), oddSlice(r, n*d), oddSlice(r, n*d)
+							tileBlockVsLoops(t, sprintShape("tileBlock", d, nq, n0, page), q, keys, vals, n0, nq, d, page)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestVecTileNonFinite checks that a query whose scores hold a NaN or ±Inf
+// is left to the caller and the other lanes keep their FullN bits.
+func TestVecTileNonFinite(t *testing.T) {
+	needTile(t)
+	const d, n0, nq = 16, 40, 9
+	n := n0 + nq - 1
+	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+		r := rng.New(5)
+		q, keys, vals := oddSlice(r, nq*d), oddSlice(r, n*d), oddSlice(r, n*d)
+		q[3*d+2] = bad // query 3 scores every key non-finite (or NaN)
+		var tile ScoreTile
+		out := make([]float32, nq*d)
+		tile.Start(q, d, nq, d, n0, 0.25)
+		tile.Dot(keys, n)
+		tile.Softmax()
+		tile.AddScaled(vals, n)
+		if skipped := tile.Store(out, d); skipped != 1<<3 {
+			t.Fatalf("%v: Store skipped %b, want query 3 alone", bad, skipped)
+		}
+		want := make([]float32, d)
+		for j := 0; j < nq; j++ {
+			if j == 3 {
+				continue
+			}
+			scores := make([]float32, n0+j)
+			dotRowsGo(scores, q[j*d:(j+1)*d], keys, d, 0.25)
+			softmaxGo(scores)
+			Fill(want, 0)
+			addScaledRowsGo(want, scores, vals, d)
+			expectBitsEqual(t, "beside a non-finite lane, query "+itoa(j), out[j*d:(j+1)*d], want)
+		}
 	}
 }

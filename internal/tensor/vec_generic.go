@@ -41,8 +41,16 @@ func softmax(x []float32) {
 	softmaxGo(x)
 }
 
-func softmaxRows(x []float32, stride, n0, nq int) {
-	softmaxRowsLoop(x, stride, n0, nq)
+func tileDot(rows, qt, keys []float32, m, d int, scale float32, vis int, st *tileState) {
+	tileDotGo(rows, qt, keys, m, d, scale, vis, st)
+}
+
+func tileExpSum(rows []float32, m int, st *tileState) {
+	tileExpSumGo(rows, m, st)
+}
+
+func tileAxpy(acc, rows []float32, inv *[TileLanes]float32, vals []float32, m, d int) {
+	tileAxpyGo(acc, rows, inv, vals, m, d)
 }
 
 func siluMul(g, u []float32) {
