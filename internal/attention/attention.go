@@ -101,28 +101,24 @@ func (sc *Scratch) FullN(out, q []float32, s *kvcache.Store, n int) {
 // Where the score tile runs (tensor.TileRuns), the queries go in blocks of up
 // to tensor.TileLanes through a key-major tensor.ScoreTile, one query per
 // lane (DESIGN.md §12): each block walks the K pages once into the tile, runs
-// its softmax once, and walks the V pages once. A block of tileMinQueries or
-// fewer, and every block elsewhere, takes the row-major walk (fullRows).
+// its softmax once, and walks the V pages once. A block the tile does not
+// take, too few queries or a host without it, takes the row-major walk
+// (fullRows).
 func (sc *Scratch) FullBlock(out, q []float32, stride int, s *kvcache.Store, n0, nq int) {
 	d := s.HeadDim()
-	if n0 < 1 || !tensor.TileRuns(d) {
+	if n0 < 1 || !tensor.TileRuns(d, nq) {
 		sc.fullRows(out, q, stride, s, n0, nq)
 		return
 	}
 	for j0 := 0; j0 < nq; j0 += tensor.TileLanes {
 		k, o := min(tensor.TileLanes, nq-j0), j0*stride
-		if k <= tileMinQueries {
-			sc.fullRows(out[o:], q[o:], stride, s, n0+j0, k)
-		} else {
+		if tensor.TileRuns(d, k) {
 			sc.fullTile(out[o:], q[o:], stride, s, n0+j0, k)
+		} else {
+			sc.fullRows(out[o:], q[o:], stride, s, n0+j0, k)
 		}
 	}
 }
-
-// tileMinQueries is the largest block that stays row-major: a tile's cost
-// does not depend on how many of its lanes hold queries, and up to four
-// queries (the last layer's one row among them) are cheaper row by row.
-const tileMinQueries = 4
 
 // fullTile is FullBlock for 1 ≤ nq ≤ tensor.TileLanes queries, n0 ≥ 1, on
 // the score tile. A query whose scores hold a NaN or ±Inf, where FullN's

@@ -86,8 +86,9 @@ func blockVsFullNOn(t *testing.T, ctx string, run func(sc *attention.Scratch, ou
 
 // TestFullBlockMatchesFullN checks FullBlock on both dispatches — the
 // score tile where the CPU runs it, and the row-major walk — against FullN:
-// query counts on and off the 16-query tile and the 4-query row-major
-// threshold, blocks that start on and off a page boundary and the tile's
+// every query count up to 17 (each filling of the tile's lanes and of the
+// row-major walk's padding to 4, 8 and 16) and 31 to 33 (a second tile),
+// blocks that start on and off a page boundary and the tile's
 // 8-key groups, and head dims across the tile's 16-, 8- and 4-channel
 // blocks. make test-kernels runs it again under the noavx512 tag, where both
 // are the row-major walk on the AVX2 kernels. TestFullBlockNonFinite and
@@ -96,7 +97,7 @@ func TestFullBlockMatchesFullN(t *testing.T) {
 	P := kvcache.DefaultPageTokens
 	for _, d := range []int{4, 8, 12, 16, 32, 64} {
 		for _, n0 := range []int{1, 5, 17, P - 1, P, P + 1, P + 23, 3*P + 5} {
-			for _, nq := range []int{1, 2, 3, 4, 5, 8, 15, 16, 17, 31, 32, 33} {
+			for _, nq := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 31, 32, 33} {
 				n := n0 + nq - 1
 				// The block ends exactly at the store's end, on a partial tail
 				// page for most shapes, or well inside a longer store.
@@ -120,7 +121,9 @@ func TestFullBlockMatchesFullN(t *testing.T) {
 // TestFullBlockNonFinite checks score rows holding NaN or ±Inf, which FullN
 // runs through the scalar softmax: a query with a non-finite channel, and a
 // key with one on the causal diagonal, which only the later queries of the
-// block see — the earlier ones keep the tile's path beside them.
+// block see — the earlier ones keep the tile's path beside them. A value row
+// with one on the diagonal leaves every score finite: the queries that see it
+// take it into their outputs as FullN does, and the earlier ones must not.
 func TestFullBlockNonFinite(t *testing.T) {
 	const d, n0 = 16, 70
 	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
@@ -129,15 +132,19 @@ func TestFullBlockNonFinite(t *testing.T) {
 			s := conformanceStore(uint64(nq), n0+nq-1, d)
 			blockVsFullN(t, name, s, n0, nq, func(q []float32, stride int) { q[2*stride+3] = bad })
 
-			s = kvcache.NewStore(d)
 			src := conformanceStore(uint64(nq), n0+nq-1, d)
+			vs := kvcache.NewStore(d)
+			s = kvcache.NewStore(d)
 			for i := 0; i < src.Len(); i++ {
 				k := append([]float32(nil), src.Key(i)...)
+				v := append([]float32(nil), src.Value(i)...)
 				if i == n0+2 {
-					k[5] = bad
+					k[5], v[5] = bad, bad
 				}
 				s.Append(k, src.Value(i))
+				vs.Append(src.Key(i), v)
 			}
+			blockVsFullN(t, "diagonal value "+name, vs, n0, nq, nil)
 			blockVsFullN(t, "diagonal key "+name, s, n0, nq, nil)
 			// With channel 5 of every query positive, a -Inf there scores -Inf
 			// beside finite scores: FullN's scalar softmax gives it an exp of

@@ -19,16 +19,17 @@ const TileLanes = 16
 // and each output element go through FullN's operations in FullN's order
 // (channels ascending from +0 then the scale, keys ascending), so the tile is
 // bit-identical to FullN per query for finite inputs. A key query j does not
-// see scores -Inf in its lane and so weighs an exact 0 in its softmax and its
-// sum; the value rows it adds 0 times must be finite, the contract of
-// AddScaledRows. A query whose scores hold a NaN or ±Inf, where FullN's
-// softmax is the scalar loop, is not stored: Store reports it and the caller
-// attends it with FullN.
+// see scores -Inf in its lane, stays out of its max, adds an exact 0 to its
+// sum, and its value row is not added into the lane's outputs, so a NaN or
+// ±Inf in that row leaves the query's output as FullN leaves it. A query
+// whose scores hold a NaN or ±Inf, where FullN's softmax is the scalar loop,
+// is not stored: Store reports it and the caller attends it with FullN.
 //
 // One block is Start, Dot over the span's keys in order, Softmax, AddScaled
-// over the same keys in order, Store. The vector kernels run where TileRuns
-// holds, their scalar loops elsewhere; a ScoreTile reuses its buffers, so a
-// warm one allocates nothing. It is not safe for concurrent use.
+// over the same keys in order, Store. The vector kernels run where
+// tileKernels holds, their scalar loops elsewhere; a ScoreTile reuses its
+// buffers, so a warm one allocates nothing. It is not safe for concurrent
+// use.
 type ScoreTile struct {
 	qt   []float32 // Qᵀ: channel c of query j at c·TileLanes+j
 	rows []float32 // scores, then exps: key i of query j at i·TileLanes+j
@@ -49,9 +50,21 @@ type tileState struct {
 	sum [TileLanes]float32
 }
 
-// TileRuns reports whether the tile kernels run for head dim d on this CPU
-// and build: AVX-512F, and d a multiple of 4.
-func TileRuns(d int) bool { return useBlock16 && d > 0 && d%4 == 0 }
+// TileRuns reports whether a block of nq queries of head dim d goes through
+// the score tile on this CPU and build: the tile kernels run (tileKernels)
+// and the block has more than tileMinRows queries.
+func TileRuns(d, nq int) bool { return tileKernels(d) && nq > tileMinRows }
+
+// tileKernels reports whether the tile kernels run for head dim d: AVX-512F,
+// and d a multiple of 4.
+func tileKernels(d int) bool { return useBlock16 && d > 0 && d%4 == 0 }
+
+// tileMinRows is the most queries, or activation rows, that stay off the
+// 16-lane kernels: the score tile, MatTMat's register tile and the 16-lane
+// query-block kernels. A 16-lane call costs the same however few of its
+// lanes hold rows, and up to four rows (the last prefill layer's one row,
+// small decode cohorts) are cheaper on the narrower kernels.
+const tileMinRows = 4
 
 // Start begins a block of nq queries, query j being q[j·stride:][:d] and
 // seeing the first n0+j keys, at score scale. 1 ≤ nq ≤ TileLanes, n0 ≥ 1.
@@ -109,13 +122,14 @@ func (t *ScoreTile) Softmax() {
 	Fill(t.acc, 0)
 }
 
-// AddScaled adds the next m value rows, vals[i·d:][:d] for i < m, into every
-// lane's output at that lane's softmax weight for the row.
+// AddScaled adds the next m value rows, vals[i·d:][:d] for i < m, into the
+// output of every lane that sees the row, at that lane's softmax weight for
+// it.
 func (t *ScoreTile) AddScaled(vals []float32, m int) {
 	if m < 1 || t.sum+m > t.scored || len(vals) < m*t.d {
 		panic("tensor: ScoreTile.AddScaled past the scored keys")
 	}
-	tileAxpy(t.acc, t.rows[t.sum*TileLanes:(t.sum+m)*TileLanes], &t.inv, vals, m, t.d)
+	tileAxpy(t.acc, t.rows[t.sum*TileLanes:(t.sum+m)*TileLanes], &t.inv, vals, m, t.d, t.sum-t.n0+1)
 	t.sum += m
 }
 
@@ -198,10 +212,11 @@ func tileExpSumGo(rows []float32, m int, st *tileState) {
 }
 
 // tileAxpyGo is the scalar weighted-sum loop: for keys i ascending, lane j's
-// weight p = e·inv[j] times value row i is added into lane j's outputs.
-func tileAxpyGo(acc, rows []float32, inv *[TileLanes]float32, vals []float32, m, d int) {
+// weight p = e·inv[j] times value row i is added into lane j's outputs; lanes
+// below vis+i do not see key i and are left as they are.
+func tileAxpyGo(acc, rows []float32, inv *[TileLanes]float32, vals []float32, m, d, vis int) {
 	for i := 0; i < m; i++ {
-		for j := 0; j < TileLanes; j++ {
+		for j := max(vis+i, 0); j < TileLanes; j++ {
 			p := rows[i*TileLanes+j] * inv[j]
 			for c := 0; c < d; c++ {
 				acc[c*TileLanes+j] += p * vals[i*d+c]

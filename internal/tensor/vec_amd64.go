@@ -40,7 +40,7 @@ func expSumAVX2(x *float32, n int, max, sum float32) float32
 
 // useExp8 picks the 8-lane exp kernels of Softmax and SiluMul, and
 // useBlock16 the 16-lane query-block kernels, MatTMat's register tile and
-// the score tile (TileRuns), where cpuAVX512 holds:
+// the score tile (tileKernels), where cpuAVX512 holds:
 // AVX-512F with OS-saved ZMM state, on top of useVec, in a build without the
 // noavx512 tag. Tests turn them off to check the AVX2 kernels on the same
 // machine (setAVX512, withExp), and the tag does for a whole test binary. No
@@ -72,7 +72,7 @@ func tileDotAVX512(rows, qt, keys *float32, m, d int, scale float32, vis int, st
 func tileExpSumAVX512(rows *float32, m int, st *tileState) (slow int)
 
 //go:noescape
-func tileAxpyAVX512(acc, rows, inv, vals *float32, m, d int)
+func tileAxpyAVX512(acc, rows, inv, vals *float32, m, d, vis int)
 
 //go:noescape
 func matTMatTileAVX512(dsts, xs **float32, w *float32, k, n, stride int, zero bool)
@@ -103,12 +103,11 @@ func axpyRowsBlockAVX512(outs, ws **float32, nq int, rows *float32, m, n, stride
 // for the AVX2 kernels, of eight for the AVX-512 ones: a repeat computes the
 // same bits into the same place. A 16-lane dot call takes up to 32 queries
 // (K-means' centroids), so sixteen rows are transposed once for all of them;
-// up to blockQueries16Min queries stay on the AVX2 kernels, where padding to
-// eight would double the work.
+// up to tileMinRows queries stay on the AVX2 kernels, where padding to eight
+// would double the work.
 const (
-	blockQueries      = 8
-	blockQueries16    = 32
-	blockQueries16Min = 4
+	blockQueries   = 8
+	blockQueries16 = 32
 )
 
 // blockDotMaxDim is the widest row dotRowsBlockAVX2 takes: sixteen
@@ -203,7 +202,7 @@ func dotRowsBlock(dst []float32, dstStride int, xs []float32, xStride, nq int, r
 		dotRowsBlockLoop(dst, dstStride, xs, xStride, nq, rows, m, d, scale)
 		return
 	}
-	if useBlock16 && nq > blockQueries16Min {
+	if useBlock16 && nq > tileMinRows {
 		var dp, xp [blockQueries16]*float32
 		for j0 := 0; j0 < nq; j0 += blockQueries16 {
 			k := min(blockQueries16, nq-j0)
@@ -268,10 +267,10 @@ func addScaledRowsList(out, w []float32, rows []*float32, d int) {
 	addScaledRowsListGo(out, w, rows, n8)
 }
 
-// The ScoreTile kernels run where TileRuns holds, the scalar loops
+// The ScoreTile kernels run where tileKernels holds, the scalar loops
 // elsewhere; ScoreTile has checked every shape.
 func tileDot(rows, qt, keys []float32, m, d int, scale float32, vis int, st *tileState) {
-	if !TileRuns(d) {
+	if !tileKernels(d) {
 		tileDotGo(rows, qt, keys, m, d, scale, vis, st)
 		return
 	}
@@ -286,24 +285,23 @@ func tileExpSum(rows []float32, m int, st *tileState) {
 	tileExpSumAVX512(&rows[0], m, st)
 }
 
-func tileAxpy(acc, rows []float32, inv *[TileLanes]float32, vals []float32, m, d int) {
-	if !TileRuns(d) {
-		tileAxpyGo(acc, rows, inv, vals, m, d)
+func tileAxpy(acc, rows []float32, inv *[TileLanes]float32, vals []float32, m, d, vis int) {
+	if !tileKernels(d) {
+		tileAxpyGo(acc, rows, inv, vals, m, d, vis)
 		return
 	}
-	tileAxpyAVX512(&acc[0], &rows[0], &inv[0], &vals[0], m, d)
+	tileAxpyAVX512(&acc[0], &rows[0], &inv[0], &vals[0], m, d, vis)
 }
 
 // matTMatBand runs a column band on the register tile where the CPU has
 // AVX-512F: activation rows in groups of eight (a last group of five to
 // seven padded by repeating its last row), 32 columns at a time, then the
 // 16- and 8-column tails on the query-block kernels and the last columns on
-// axpyTail. A group of two to four rows, and every group on an AVX2 CPU,
-// takes axpyRowsBlockAVX2 four rows at a time; a lone row takes axpyRows, the
-// GEMV. The weight rows go in blocks of vecBlock floats of the band, each
-// applied to every group while it is cache-resident; the tile starts its
-// first block from zeroed registers, so only the columns it does not cover
-// are cleared first.
+// axpyTail. A group of tileMinRows or fewer rows, and every group on an AVX2
+// CPU, takes axpyRows a row at a time, the GEMV. The weight rows go in
+// blocks of vecBlock floats of the band, each applied to every group while
+// it is cache-resident; the tile starts its first block from zeroed
+// registers, so only the columns it does not cover are cleared first.
 func matTMatBand(dst, m, x *Mat, lo, hi int) {
 	if !useVec || m.Rows == 0 || hi-lo < 8 {
 		matTMatBandGo(dst, m, x, lo, hi)
@@ -327,27 +325,27 @@ func matTMatBand(dst, m, x *Mat, lo, hi int) {
 		w := m.Data[i0*m.Cols+lo:]
 		for s0 := 0; s0 < x.Rows; s0 += matTMatGroup {
 			g := min(matTMatGroup, x.Rows-s0)
-			if g == 1 {
-				axpyRows(dst.Data[s0*dst.Cols+lo:s0*dst.Cols+hi], x.Data[s0*x.Cols+i0:s0*x.Cols+i0+k], w, m.Cols)
+			if !matTMatTiled(g) {
+				for s := s0; s < s0+g; s++ {
+					axpyRows(dst.Data[s*dst.Cols+lo:s*dst.Cols+hi], x.Data[s*x.Cols+i0:s*x.Cols+i0+k], w, m.Cols)
+				}
 				continue
 			}
 			groupRows(&xp, x.Data, x.Cols, s0, g, i0)
 			c := 0 // columns done
-			if matTMatTiled(g) {
-				if n32 > 0 {
-					groupRows(&dp, dst.Data, dst.Cols, s0, g, lo)
-					matTMatTileAVX512(&dp[0], &xp[0], &w[0], k, n32, m.Cols, i0 == 0)
-					c = n32
-				}
-				if n-c >= 16 {
-					groupRows(&dp, dst.Data, dst.Cols, s0, g, lo+c)
-					axpyRowsBlockAVX512(&dp[0], &xp[0], matTMatGroup, &w[c], k, 16, m.Cols)
-					c += 16
-				}
+			if n32 > 0 {
+				groupRows(&dp, dst.Data, dst.Cols, s0, g, lo)
+				matTMatTileAVX512(&dp[0], &xp[0], &w[0], k, n32, m.Cols, i0 == 0)
+				c = n32
+			}
+			if n-c >= 16 {
+				groupRows(&dp, dst.Data, dst.Cols, s0, g, lo+c)
+				axpyRowsBlockAVX512(&dp[0], &xp[0], matTMatGroup, &w[c], k, 16, m.Cols)
+				c += 16
 			}
 			if n8 := (n - c) &^ 7; n8 > 0 {
 				groupRows(&dp, dst.Data, dst.Cols, s0, g, lo+c)
-				axpyRowsBlockAVX2(&dp[0], &xp[0], (g+3)&^3, &w[c], k, n8, m.Cols)
+				axpyRowsBlockAVX2(&dp[0], &xp[0], matTMatGroup, &w[c], k, n8, m.Cols)
 				c += n8
 			}
 			for s := s0; c < n && s < s0+g; s++ {
@@ -371,7 +369,7 @@ func groupRows(ptrs *[matTMatGroup]*float32, data []float32, cols, s0, g, off in
 
 // matTMatTiled reports whether a group of the band's last g ≥ 1 activation
 // rows goes through the register tile.
-func matTMatTiled(g int) bool { return useBlock16 && g > 4 }
+func matTMatTiled(g int) bool { return useBlock16 && g > tileMinRows }
 
 func softmax(x []float32) {
 	n := len(x)

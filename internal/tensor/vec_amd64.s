@@ -1475,35 +1475,53 @@ trow:
 	EXPSLOW8(tslow1, tback1)
 
 // TAXPY(c, acc) adds the weights in Z0 times channel c of the value row at
-// R8 (broadcast from memory) into channel c's accumulator acc.
+// R8 (broadcast from memory) into channel c's accumulator acc, in the lanes
+// of K1.
 #define TAXPY(c, acc) \
 	VMULPS.BCST (c*4)(R8), Z0, Z1; \
-	VADDPS      Z1, acc, acc
+	VADDPS      Z1, acc, K1, acc
+
+// TMASK(next) sets K1 to the lanes that see the value row, those at or past
+// DX (R9 is 0xffff), where DX > 0: rows before the causal diagonal keep the
+// every-lane K1 that TWEIGHTS sets. DX steps to the next row's.
+#define TMASK(next) \
+	TESTQ DX, DX; \
+	JLE   next; \
+	SHLXQ DX, R9, R13; \
+	KMOVW R13, K1; \
+next: \
+	INCQ  DX
 
 // TLOAD and TSTORE move the accumulator of channel c of the block at DI.
 #define TLOAD(c, acc) VMOVUPS (c*64)(DI), acc
 #define TSTORE(c, acc) VMOVUPS acc, (c*64)(DI)
 
-// func tileAxpyAVX512(acc, rows, inv *float32, vals *float32, m, d int)
+// func tileAxpyAVX512(acc, rows, inv *float32, vals *float32, m, d, vis int)
 //
 // The weighted-sum kernel: for the m > 0 rows i of the tile ascending, lane
 // j's weight p = rows[i][j]·inv[j] times value row i, vals[i·d:][:d], is
-// added into acc[16·c + j] for every channel c; d%4 == 0, d > 0. The
-// channels go in blocks of 16, then 8, then 4, one accumulator each, with
-// the queries in the lanes: a value channel is broadcast into the multiply,
-// and every output adds its products in key order, as AddScaledRows' lanes
-// do.
-TEXT ·tileAxpyAVX512(SB), NOSPLIT, $0-48
+// added into acc[16·c + j] for every channel c and every lane j ≥ vis+i, the
+// lanes that see key i; the others are left as they are, so a NaN or ±Inf in
+// a row a lane does not see stays out of it. d%4 == 0, d > 0, vis+m ≤ 64.
+// The channels go in blocks of 16, then 8, then 4, one accumulator each,
+// with the queries in the lanes: a value channel is broadcast into the
+// multiply, and every output adds its products in key order, as
+// AddScaledRows' lanes do.
+TEXT ·tileAxpyAVX512(SB), NOSPLIT, $0-56
 	// TWEIGHTS starts a walk of a channel block: SI at the tile's first
-	// row, R8 at the block's channels of value row 0, BX the m rows.
+	// row, R8 at the block's channels of value row 0, BX the m rows, DX
+	// row 0's first seeing lane, K1 every lane.
 #define TWEIGHTS \
-	MOVQ rows+8(FP), SI; \
-	MOVQ R10, R8; \
-	MOVQ m+32(FP), BX
+	MOVQ  rows+8(FP), SI; \
+	MOVQ  R10, R8; \
+	MOVQ  m+32(FP), BX; \
+	MOVQ  vis+48(FP), DX; \
+	KMOVW R9, K1
 
 	MOVQ acc+0(FP), DI
 	MOVQ inv+16(FP), AX
 	VMOVUPS (AX), Z31
+	MOVL $0xffff, R9
 	MOVQ vals+24(FP), R10 // channel c0 of value row 0
 	MOVQ d+40(FP), CX
 	SHLQ $2, CX
@@ -1529,6 +1547,7 @@ tc16:
 	TLOAD(15, Z30)
 	TWEIGHTS
 tr16:
+	TMASK(tm16)
 	VMULPS (SI), Z31, Z0
 	TAXPY(0, Z15)
 	TAXPY(1, Z16)
@@ -1583,6 +1602,7 @@ tc8:
 	TLOAD(7, Z22)
 	TWEIGHTS
 tr8:
+	TMASK(tm8)
 	VMULPS (SI), Z31, Z0
 	TAXPY(0, Z15)
 	TAXPY(1, Z16)
@@ -1616,6 +1636,7 @@ tc4:
 	TLOAD(3, Z18)
 	TWEIGHTS
 tr4:
+	TMASK(tm4)
 	VMULPS (SI), Z31, Z0
 	TAXPY(0, Z15)
 	TAXPY(1, Z16)

@@ -780,7 +780,7 @@ func FuzzVecKernels(f *testing.F) {
 		// The score tile: the last nq rows' causal block over all m rows as
 		// keys and values, in chunks of a fuzzed page size, and the kernels
 		// alone on up to 48 keys, the lane mask at a fuzzed offset.
-		if TileRuns(d) {
+		if tileKernels(d) {
 			vrows := vals[len(vals)-m*d:]
 			tileBlockVsLoops(t, "tileBlock", rows[(m-nq)*d:], rows, vrows, m-nq+1, nq, d, 1+int(pick)%64)
 			mk := min(m, 48)
@@ -911,7 +911,7 @@ func BenchmarkVecBlockKernels(b *testing.B) {
 			})
 		})
 	}
-	if !TileRuns(d) {
+	if !tileKernels(d) {
 		return
 	}
 	const nq = TileLanes
@@ -954,7 +954,7 @@ func BenchmarkVecBlockKernels(b *testing.B) {
 
 func needTile(t testing.TB) {
 	t.Helper()
-	if !TileRuns(4) {
+	if !tileKernels(4) {
 		t.Skip("CPU lacks AVX-512F, or the noavx512 tag is set: the score tile does not run")
 	}
 }
@@ -962,8 +962,8 @@ func needTile(t testing.TB) {
 // tileKernelsVsLoops checks each score-tile kernel against its scalar loop
 // on m keys and values of width d: the scores of 16 lanes of queries from
 // q (lanes past nq zero) with the lanes below vis+i masked off key i, their
-// exps and lane sums, and the weighted sums, carrying state in from a
-// previous call.
+// exps and lane sums, and the weighted sums, which leave the masked lanes
+// untouched, carrying state in from a previous call.
 func tileKernelsVsLoops(t *testing.T, name string, q, keys, vals []float32, nq, m, d, vis int) {
 	t.Helper()
 	qt := make([]float32, d*TileLanes)
@@ -994,10 +994,14 @@ func tileKernelsVsLoops(t *testing.T, name string, q, keys, vals []float32, nq, 
 	acc, accWant := make([]float32, d*TileLanes), make([]float32, d*TileLanes)
 	for i := range acc {
 		acc[i] = float32(i%7) - 3
+		if acc[i] == 0 {
+			// -0, which a masked-off lane's 0·v would turn into +0.
+			acc[i] = float32(math.Copysign(0, -1))
+		}
 	}
 	copy(accWant, acc)
-	tileAxpyAVX512(&acc[0], &got[0], &inv[0], &vals[0], m, d)
-	tileAxpyGo(accWant, want, &inv, vals, m, d)
+	tileAxpyAVX512(&acc[0], &got[0], &inv[0], &vals[0], m, d, vis)
+	tileAxpyGo(accWant, want, &inv, vals, m, d, vis)
 	expectBitsEqual(t, name+" tileAxpy", acc, accWant)
 }
 

@@ -49,8 +49,8 @@ func tileExpSum(rows []float32, m int, st *tileState) {
 	tileExpSumGo(rows, m, st)
 }
 
-func tileAxpy(acc, rows []float32, inv *[TileLanes]float32, vals []float32, m, d int) {
-	tileAxpyGo(acc, rows, inv, vals, m, d)
+func tileAxpy(acc, rows []float32, inv *[TileLanes]float32, vals []float32, m, d, vis int) {
+	tileAxpyGo(acc, rows, inv, vals, m, d, vis)
 }
 
 func siluMul(g, u []float32) {
