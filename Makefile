@@ -81,23 +81,22 @@ bench-compare:
 	$(GO) run ./cmd/clusterkv-bench -exp $(BENCH_TRACKED) -json bench-out -compare .
 
 # Kernel conformance lane: the blocked row kernels, the LM head's transposed
-# layout (PackedMat) and the fused decode kernel suites, the
-# query-block kernels against per-query calls (DotRowsBlock,
-# AddScaledRowsBlock), the prefill query block against per-query attention
-# (FullBlock, on the score tile and the row-major walk), the GEMM bands
-# against the naive GEMM at pool widths {1, 2, 3, 8} (MatKernel), the
-# vector ≡ scalar suite (Vec: AVX2 kernels against the Go loops, the score
-# tile's and the register tile's kernels, the exp pin and the table exp's
-# fallback, softmax, SoftmaxRows and SiluMul on the AVX2 and the AVX-512 exp,
-# the arg-best, the fuzz seed corpus),
-# K-means against its key-major oracle and the model suites that run those
-# kernels end to end (prefill conformance, the two-phase decode step and the
-# batch decoder against their serial oracles) at GOMAXPROCS=1 and at
-# GOMAXPROCS=2 with the race detector, locking the bit-identity contract of
-# DESIGN.md §12 independently of the scheduler. Each runs twice: as the CPU
-# dispatches, and under the noavx512 tag, which keeps the AVX-512 kernels off
-# so the AVX2 ones stay tested on AVX-512 hosts.
-KERNEL_TESTS = 'Block|DotRows|AddScaledRows|PackedMat|MatKernel|Fused|DecodeSteady|Vec|KMeans|ArgBest|Silu|Prefill|TwoPhase|BatchDecode'
+# layout (PackedMat) and the fused decode kernel suites, the prefill query
+# block against per-query attention (FullBlock, on the score tile's AVX-512
+# and AVX2 kernels), the GEMM bands against the naive GEMM at pool widths
+# {1, 2, 3, 8} (MatKernel), the score tile's dot as K-means' entry against
+# Dot (TileDot), the vector ≡ scalar suite (Vec: AVX2 kernels against the Go
+# loops, both forms of the score tile's kernels and the register tile's, the
+# exp pin and the table exp's fallback, softmax and SiluMul on the AVX2 and
+# the AVX-512 exp, the arg-best, the fuzz seed corpus), K-means against its
+# key-major oracle and the model suites that run those kernels end to end
+# (prefill conformance, the two-phase decode step and the batch decoder
+# against their serial oracles) at GOMAXPROCS=1 and at GOMAXPROCS=2 with the
+# race detector, locking the bit-identity contract of DESIGN.md §12
+# independently of the scheduler. Each runs twice: as the CPU dispatches,
+# and under the noavx512 tag, which keeps the AVX-512 kernels off for the
+# whole binary, so the AVX2 ones stay tested on AVX-512 hosts.
+KERNEL_TESTS = 'Block|DotRows|AddScaledRows|TileDot|PackedMat|MatKernel|Fused|DecodeSteady|Vec|KMeans|ArgBest|Silu|Prefill|TwoPhase|BatchDecode'
 KERNEL_PKGS = ./internal/tensor/ ./internal/attention/ ./internal/model/ ./internal/cluster/
 
 test-kernels:

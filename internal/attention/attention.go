@@ -98,24 +98,22 @@ func (sc *Scratch) FullN(out, q []float32, s *kvcache.Store, n int) {
 // bit-identical to nq FullN calls. Every query of a block is read before any
 // of its outputs is written, so out may be q itself.
 //
-// Where the score tile runs (tensor.TileRuns), the queries go in blocks of up
-// to tensor.TileLanes through a key-major tensor.ScoreTile, one query per
-// lane (DESIGN.md §12): each block walks the K pages once into the tile, runs
-// its softmax once, and walks the V pages once. A block the tile does not
-// take, too few queries or a host without it, takes the row-major walk
-// (fullRows).
+// The queries go in blocks of up to tensor.TileLanes through a key-major
+// tensor.ScoreTile, one query per lane (DESIGN.md §12): each block walks the
+// K pages once into the tile, runs its softmax once, and walks the V pages
+// once. A block the tile does not take (tensor.TileRuns: a lone query, or a
+// host without the vector path) and n0 < 1 attend a query at a time with
+// FullN.
 func (sc *Scratch) FullBlock(out, q []float32, stride int, s *kvcache.Store, n0, nq int) {
 	d := s.HeadDim()
-	if n0 < 1 || !tensor.TileRuns(d, nq) {
-		sc.fullRows(out, q, stride, s, n0, nq)
-		return
-	}
 	for j0 := 0; j0 < nq; j0 += tensor.TileLanes {
-		k, o := min(tensor.TileLanes, nq-j0), j0*stride
-		if tensor.TileRuns(d, k) {
-			sc.fullTile(out[o:], q[o:], stride, s, n0+j0, k)
-		} else {
-			sc.fullRows(out[o:], q[o:], stride, s, n0+j0, k)
+		k := min(tensor.TileLanes, nq-j0)
+		if n0 >= 1 && tensor.TileRuns(d, k) {
+			sc.fullTile(out[j0*stride:], q[j0*stride:], stride, s, n0+j0, k)
+			continue
+		}
+		for j := j0; j < j0+k; j++ {
+			sc.FullN(out[j*stride:j*stride+d], q[j*stride:j*stride+d], s, n0+j)
 		}
 	}
 }
@@ -144,49 +142,6 @@ func (sc *Scratch) fullTile(out, q []float32, stride int, s *kvcache.Store, n0, 
 		sc.query = grow(sc.query, d)
 		t.Query(sc.query, j)
 		sc.FullN(out[j*stride:j*stride+d], sc.query, s, n0+j)
-	}
-}
-
-// fullRows is FullBlock with the pages as the outer loop, in the score pass
-// and again in the weighted-sum pass, so a page is fetched once per block
-// instead of once per query. A page every query sees whole is one
-// DotRowsBlock and one AddScaledRowsBlock call for the block; the causal
-// diagonal page, where the queries' row counts differ, is one DotRows and one
-// AddScaledRows call per query; the score rows go through one SoftmaxRows.
-func (sc *Scratch) fullRows(out, q []float32, stride int, s *kvcache.Store, n0, nq int) {
-	d := s.HeadDim()
-	span := n0 + nq - 1 // tokens the last query sees; row j of scores uses n0+j of them
-	scores := sc.Scores(nq * span)
-	inv := float32(1 / math.Sqrt(float64(d)))
-	for p, i := 0, 0; i < span; p++ {
-		keys, pageRows := s.KeyPage(p), s.PageRows(p)
-		if i+pageRows <= n0 {
-			tensor.DotRowsBlock(scores[i:], span, q, stride, nq, keys, pageRows, d, inv)
-		} else {
-			for j := 0; j < nq; j++ {
-				if rows := min(pageRows, n0+j-i); rows > 0 {
-					tensor.DotRows(scores[j*span+i:j*span+i+rows], q[j*stride:j*stride+d], keys, d, inv)
-				}
-			}
-		}
-		i += pageRows
-	}
-	tensor.SoftmaxRows(scores, span, n0, nq)
-	for j := 0; j < nq; j++ {
-		tensor.Fill(out[j*stride:j*stride+d], 0)
-	}
-	for p, i := 0, 0; i < span; p++ {
-		vals, pageRows := s.ValuePage(p), s.PageRows(p)
-		if i+pageRows <= n0 {
-			tensor.AddScaledRowsBlock(out, stride, scores[i:], span, nq, vals, pageRows, d)
-		} else {
-			for j := 0; j < nq; j++ {
-				if rows := min(pageRows, n0+j-i); rows > 0 {
-					tensor.AddScaledRows(out[j*stride:j*stride+d], scores[j*span+i:j*span+i+rows], vals, d)
-				}
-			}
-		}
-		i += pageRows
 	}
 }
 

@@ -17,14 +17,19 @@ import (
 	"clusterkv/internal/tensor"
 )
 
-// blockDispatches are FullBlock as the CPU dispatches it (the score tile
-// where it runs) and its row-major walk.
+// blockDispatches are FullBlock as the CPU dispatches it (the score tile's
+// 16-lane kernels where the CPU has AVX-512F) and with the AVX-512 kernels
+// off, on the tile's AVX2 kernels (on a host without the vector path both
+// attend a query at a time with FullN).
 var blockDispatches = []struct {
 	name string
 	run  func(sc *attention.Scratch, out, q []float32, stride int, s *kvcache.Store, n0, nq int)
 }{
 	{"dispatch", (*attention.Scratch).FullBlock},
-	{"rows", (*attention.Scratch).FullRows},
+	{"avx2 tile", func(sc *attention.Scratch, out, q []float32, stride int, s *kvcache.Store, n0, nq int) {
+		defer tensor.SetAVX512(tensor.SetAVX512(false))
+		sc.FullBlock(out, q, stride, s, n0, nq)
+	}},
 }
 
 // blockVsFullN runs one block of nq queries at n0 both ways on every
@@ -85,18 +90,21 @@ func blockVsFullNOn(t *testing.T, ctx string, run func(sc *attention.Scratch, ou
 }
 
 // TestFullBlockMatchesFullN checks FullBlock on both dispatches — the
-// score tile where the CPU runs it, and the row-major walk — against FullN:
-// every query count up to 17 (each filling of the tile's lanes and of the
-// row-major walk's padding to 4, 8 and 16) and 31 to 33 (a second tile),
-// blocks that start on and off a page boundary and the tile's
-// 8-key groups, and head dims across the tile's 16-, 8- and 4-channel
-// blocks. make test-kernels runs it again under the noavx512 tag, where both
-// are the row-major walk on the AVX2 kernels. TestFullBlockNonFinite and
+// score tile's 16-lane kernels where the CPU runs them, and its AVX2
+// kernels — against FullN: every query count up to 17 (each filling of the
+// tile's lanes; one query is FullN's own) and 31 to 33 (a second tile),
+// blocks that start on and off a page boundary and the tile's key groups,
+// and head dims across the tile's 16-, 8- and 4-channel blocks, up to 128
+// (at 68, 96 and 128 on fewer block starts). TestFullBlockNonFinite and
 // TestFullBlockExpFallback add the scores the fast paths hand back.
 func TestFullBlockMatchesFullN(t *testing.T) {
 	P := kvcache.DefaultPageTokens
-	for _, d := range []int{4, 8, 12, 16, 32, 64} {
-		for _, n0 := range []int{1, 5, 17, P - 1, P, P + 1, P + 23, 3*P + 5} {
+	for _, d := range []int{4, 8, 12, 16, 32, 64, 68, 96, 128} {
+		n0s := []int{1, 5, 17, P - 1, P, P + 1, P + 23, 3*P + 5}
+		if d > 64 {
+			n0s = []int{1, P + 1, 3*P + 5}
+		}
+		for _, n0 := range n0s {
 			for _, nq := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 31, 32, 33} {
 				n := n0 + nq - 1
 				// The block ends exactly at the store's end, on a partial tail

@@ -12,6 +12,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"clusterkv/internal/parallel"
@@ -60,9 +61,34 @@ type Config struct {
 
 const defaultMaxIters = 16
 
-// argBestGrain is the fewest keys an assignment block takes, so the vector
-// arg-best runs on whole lane groups rather than on per-block tails.
-const argBestGrain = 64
+// lanes is the keys of one key tile: cosine and inner-product assignment
+// score a tile's keys, one per lane, against every centroid at once.
+const lanes = tensor.TileLanes
+
+// assignBlocks is the most blocks an assignment pass over key tiles splits
+// into: each block scores into its own c×lanes rows of the call's scratch.
+const assignBlocks = 16
+
+// scratch is one call's working memory, kept in scratches for the next
+// calls, so only the Result allocates what grows with n: the key tiles —
+// tile t's channel c of key t·lanes+j at tiles[t·d·lanes + c·lanes + j] —
+// and the c×lanes score rows of every assignment block, the key norms, the
+// unit weights, and the update step's member rows and cursors.
+type scratch struct {
+	tiles, scores, norms, ones []float32
+	members                    []*float32
+	cursor                     []int
+}
+
+// scratches holds the scratch of up to eight finished calls: a prefill runs
+// its KMeans calls one after another, so eight outnumbers the prefills that
+// run at once, and it bounds the memory kept between calls. It is a channel
+// rather than a sync.Pool, which under the race detector drops a share of
+// its Puts at random: a call allocates the same in every build.
+var scratches = make(chan *scratch, 8)
+
+// resize returns buf with length n, reallocated only if it is too short.
+func resize[T any](buf []T, n int) []T { return slices.Grow(buf[:0], n)[:n] }
 
 // Result is the outcome of clustering n keys into c clusters, including the
 // Fig. 8 metadata. Token indices inside Result are *local* to the clustered
@@ -126,76 +152,114 @@ func KMeans(keys []float32, d, c int, cfg Config) *Result {
 	sizes := make([]int, c)
 
 	pool := parallel.Default()
-	// Shared fan-out policy: an assignment index costs c·d ops, a norm d.
-	assignGrain := max(argBestGrain, parallel.Grain(c*d))
+	var sc *scratch
+	select {
+	case sc = <-scratches:
+	default:
+		sc = new(scratch)
+	}
+	defer func() {
+		clear(sc.members) // the keys are the caller's
+		select {
+		case scratches <- sc:
+		default:
+		}
+	}()
 
 	// ones is the unit weight of every member in the update step and the
 	// unit norm that turns the cosine arg-best into the inner-product one
 	// (dot/1 is exact).
-	ones := make([]float32, n)
+	sc.ones = resize(sc.ones, n)
+	ones := sc.ones
 	tensor.Fill(ones, 1)
-	var keyNorms, centNorm []float32
-	switch cfg.Metric {
-	case Cosine:
-		keyNorms = make([]float32, n)
-		pool.For(n, parallel.Grain(d), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				keyNorms[i] = tensor.Norm(key(i))
-			}
-		})
-		centNorm = make([]float32, c)
-	case InnerProduct:
+	sc.norms = resize(sc.norms, n+c)
+	keyNorms, centNorm := sc.norms[:n], sc.norms[n:]
+	if cfg.Metric == InnerProduct {
 		keyNorms, centNorm = ones, ones[:c]
-	}
-	// Cosine and inner-product assignment scratch: the c×n score matrix
-	// (row j holds every key's dot product with centroid j) and the new
-	// labels.
-	var scores []float32
-	var next []int
-	if cfg.Metric != L2 {
-		scores = make([]float32, c*n)
-		next = make([]int, n)
 	}
 
 	// Scratch for the deterministic parallel update step: members of each
 	// cluster in ascending key order and their rows (rebuilt per iteration).
 	sortedIdx := make([]int, n)
-	members := make([]*float32, n)
 	prefix := make([]int, c+1)
-	cursor := make([]int, c)
+	sc.members, sc.cursor = resize(sc.members, n), resize(sc.cursor, c)
+	members, cursor := sc.members, sc.cursor
 
-	// Assignment, key-parallel: each labels[i] is an independent arg-best
-	// over read-only centroids, so any split is bit-identical to serial.
-	// The changed counter is an integer (exact, order-free) accumulated once
-	// per block — no atomics ever touch float data.
-	var changed atomic.Int64
-	assign := func(lo, hi int) {
-		blockChanged := 0
-		if cfg.Metric == L2 {
-			for i := lo; i < hi; i++ {
-				ki := key(i)
-				best, bestScore := 0, float32(math.Inf(1))
-				for j := 0; j < c; j++ {
-					if s := tensor.SqDist(ki, cents.Row(j)); s < bestScore {
-						bestScore, best = s, j
+	// Assignment, parallel over tiles of lanes keys: each labels[i] is an
+	// independent arg-best over read-only centroids, so any split is
+	// bit-identical to serial. The changed counter is an integer (exact,
+	// order-free) accumulated once per block — no atomics ever touch float
+	// data. Cosine and inner product score a whole tile at a time, the keys
+	// in the lanes and each centroid channel broadcast (tensor.TileDot, the
+	// score tile's dot), so every score is tensor.Dot(k_i, c_j) to the bit:
+	// the keys are laid out channel-major once a call, the last tile
+	// zero-padded, and a block of tiles scores into its own c×lanes rows,
+	// which feed the arg-best at stride lanes. The same pass takes the
+	// cosine's key norms, tensor.Norm's sums four keys side by side.
+	units := (n + lanes - 1) / lanes
+	grain := max(parallel.Grain(c*d*lanes), (units+assignBlocks-1)/assignBlocks)
+	var tiles, scores []float32
+	if cfg.Metric != L2 {
+		sc.tiles, sc.scores = resize(sc.tiles, units*d*lanes), resize(sc.scores, (units+grain-1)/grain*c*lanes)
+		tiles, scores = sc.tiles, sc.scores
+		norms := sc.norms[:n]
+		pool.For(units, parallel.Grain(d*lanes), func(lo, hi int) {
+			for t := lo; t < hi; t++ {
+				tile := tiles[t*d*lanes : (t+1)*d*lanes]
+				i0, k := t*lanes, min(lanes, n-t*lanes)
+				if k < lanes {
+					clear(tile)
+				}
+				j := 0
+				for ; j+4 <= k; j += 4 {
+					src := keys[(i0+j)*d : (i0+j+4)*d]
+					k0, k1, k2, k3 := src[:d], src[d:2*d], src[2*d:3*d], src[3*d:]
+					var s0, s1, s2, s3 float32
+					for ch, v0 := range k0 {
+						v1, v2, v3 := k1[ch], k2[ch], k3[ch]
+						q := (*[4]float32)(tile[ch*lanes+j:])
+						q[0], q[1], q[2], q[3] = v0, v1, v2, v3
+						s0, s1, s2, s3 = s0+v0*v0, s1+v1*v1, s2+v2*v2, s3+v3*v3
+					}
+					for r, s := range [4]float32{s0, s1, s2, s3} {
+						norms[i0+j+r] = float32(math.Sqrt(float64(s)))
 					}
 				}
-				if labels[i] != best {
-					labels[i] = best
-					blockChanged++
+				for ; j < k; j++ {
+					for ch, v := range key(i0 + j) {
+						tile[ch*lanes+j] = v
+					}
+					norms[i0+j] = tensor.Norm(key(i0 + j))
 				}
 			}
-		} else {
-			// Centroid-major: the block's keys scored against every
-			// centroid, the centroids being the queries of one
-			// DotRowsBlock (each score is tensor.Dot(k_i, c_j) to the bit,
-			// and a group of keys is transposed once per eight centroids),
-			// then the arg-best over eight keys per lane group.
-			tensor.DotRowsBlock(scores[lo:], n, cents.Data, d, c, keys[lo*d:hi*d], hi-lo, d, 1)
-			tensor.ArgBestCos(next[lo:hi], scores[lo:], n, keyNorms[lo:hi], centNorm)
-			for i := lo; i < hi; i++ {
-				if labels[i] != next[i] {
-					labels[i] = next[i]
+		})
+	}
+	var changed atomic.Int64
+	assign := func(lo, hi int) {
+		var best [lanes]int
+		blockChanged := 0
+		for t := lo; t < hi; t++ {
+			i0, k := t*lanes, min(lanes, n-t*lanes)
+			if cfg.Metric == L2 {
+				for j := range k {
+					ki, bestScore := key(i0+j), float32(math.Inf(1))
+					best[j] = 0
+					for jc := 0; jc < c; jc++ {
+						if s := tensor.SqDist(ki, cents.Row(jc)); s < bestScore {
+							bestScore, best[j] = s, jc
+						}
+					}
+				}
+			} else {
+				// Blocks hold at least grain tiles, so lo/grain is this
+				// block's own.
+				dots := scores[lo/grain*c*lanes:][:c*lanes]
+				tensor.TileDot(dots, tiles[t*d*lanes:(t+1)*d*lanes], cents.Data, c, d)
+				tensor.ArgBestCos(best[:k], dots, lanes, keyNorms[i0:i0+k], centNorm)
+			}
+			for j, b := range best[:k] {
+				if labels[i0+j] != b {
+					labels[i0+j] = b
 					blockChanged++
 				}
 			}
@@ -231,7 +295,7 @@ func KMeans(keys []float32, d, c int, cfg Config) *Result {
 			}
 		}
 		changed.Store(0)
-		pool.For(n, assignGrain, assign)
+		pool.For(units, grain, assign)
 		for j := range sizes {
 			sizes[j] = 0
 		}

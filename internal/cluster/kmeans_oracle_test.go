@@ -246,7 +246,7 @@ func oracleKeys(kind string, n, d int) []float32 {
 // the whole Result, at pool widths {1, 2, 3, 8}, for every metric, n over
 // every residue mod 8 and across several assignment
 // blocks, c ∈ {1, 4, 6, 51} and c ≥ n, head dims on and off the vector
-// kernels' multiples, and all-zero and duplicated keys.
+// kernels' multiples and up to 128, and all-zero and duplicated keys.
 func TestKMeansMatchesOracle(t *testing.T) {
 	type shape struct {
 		n, d  int
@@ -259,7 +259,8 @@ func TestKMeansMatchesOracle(t *testing.T) {
 	}
 	shapes = append(shapes,
 		shape{63, 16, all}, shape{130, 16, []string{"random", "dup"}}, shape{517, 16, []string{"random"}},
-		shape{29, 5, []string{"random"}}, shape{200, 12, []string{"random", "dup"}})
+		shape{29, 5, []string{"random"}}, shape{200, 12, []string{"random", "dup"}},
+		shape{100, 68, []string{"random", "dup"}}, shape{70, 96, []string{"random"}}, shape{130, 128, []string{"random", "zero"}})
 	for _, sh := range shapes {
 		var cs []int
 		for _, c := range []int{1, 4, 6, 51} {
@@ -305,23 +306,34 @@ func TestKMeansNoAllocsPerIteration(t *testing.T) {
 	}
 }
 
-// benchmarkKMeans times one cosine clustering of n keys at head dim 16 into
+// benchmarkKMeans times one cosine clustering of n keys at head dim d into
 // c clusters on the given implementation.
-func benchmarkKMeans(b *testing.B, n, c int, fn func([]float32, int, int, Config) *Result) {
-	keys := oracleKeys("random", n, 16)
+func benchmarkKMeans(b *testing.B, n, d, c int, fn func([]float32, int, int, Config) *Result) {
+	keys := oracleKeys("random", n, d)
 	cfg := Config{Seed: 9}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fn(keys, 16, c, cfg)
+		fn(keys, d, c, cfg)
 	}
 }
 
+// BenchmarkKMeans32x4 to BenchmarkKMeans4080x51 are the clusterings the
+// benchmark workloads run: 32 × 4, a decode-time segment, in all three;
+// 224 × 4 and 496 × 6, a sessions_churn_fleet prompt's; 1008 × 12, a
+// qa_shared_batch document's; 4080 × 51, longctx_decode's document.
+func BenchmarkKMeans32x4(b *testing.B)    { benchmarkKMeans(b, 32, 16, 4, KMeans) }
+func BenchmarkKMeans224x4(b *testing.B)   { benchmarkKMeans(b, 224, 16, 4, KMeans) }
+func BenchmarkKMeans496x6(b *testing.B)   { benchmarkKMeans(b, 496, 16, 6, KMeans) }
+func BenchmarkKMeans1008x12(b *testing.B) { benchmarkKMeans(b, 1008, 16, 12, KMeans) }
+func BenchmarkKMeans4080x51(b *testing.B) { benchmarkKMeans(b, 4080, 16, 51, KMeans) }
+
 // BenchmarkKMeans512x6 is about the clustering of one sessions_churn_fleet
 // prompt (480 keys into 6 clusters).
-func BenchmarkKMeans512x6(b *testing.B)       { benchmarkKMeans(b, 512, 6, KMeans) }
-func BenchmarkKMeans512x6Oracle(b *testing.B) { benchmarkKMeans(b, 512, 6, kmeansOracle) }
+func BenchmarkKMeans512x6(b *testing.B)       { benchmarkKMeans(b, 512, 16, 6, KMeans) }
+func BenchmarkKMeans512x6Oracle(b *testing.B) { benchmarkKMeans(b, 512, 16, 6, kmeansOracle) }
 
 // BenchmarkKMeans4096x51 is a 4k-token prefill's: 4096 keys into 51
-// clusters.
-func BenchmarkKMeans4096x51(b *testing.B)       { benchmarkKMeans(b, 4096, 51, KMeans) }
-func BenchmarkKMeans4096x51Oracle(b *testing.B) { benchmarkKMeans(b, 4096, 51, kmeansOracle) }
+// clusters; d128 is the same at the paper models' head dim.
+func BenchmarkKMeans4096x51(b *testing.B)       { benchmarkKMeans(b, 4096, 16, 51, KMeans) }
+func BenchmarkKMeans4096x51Oracle(b *testing.B) { benchmarkKMeans(b, 4096, 16, 51, kmeansOracle) }
+func BenchmarkKMeans4096x51d128(b *testing.B)   { benchmarkKMeans(b, 4096, 128, 51, KMeans) }

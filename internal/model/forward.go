@@ -200,11 +200,16 @@ func (s *Sequence) Selector() attention.Selector { return s.sel }
 // prefillQueryBlock is how many consecutive positions one unit of a
 // prefill's attention phase takes for one head, in one
 // attention.Scratch.FullBlock call: the unit walks that head's K/V pages once
-// for all of them, and the 16-lane kernels transpose each page once for the
-// block. 16 of {8, 16, 32} on BenchmarkPrefillHit4k32/w2: a prefix hit's
-// 32-token question is 8 units on 4 heads, which two workers share evenly
-// even when one wakes late, and a unit's score rows (264 KB at a 4128-token
-// context) stay in L2 beside its head's pages.
+// for all of them, one query in each lane of a key-major score tile, which
+// takes 16, so no page is transposed. 16 of {8, 16, 32} on
+// BenchmarkPrefillHit4k32/w2: a prefix hit's 32-token question is 8 units on
+// 4 heads, which two workers share evenly even when one wakes late, and a
+// unit's score tile (264 KB at a 4128-token context) stays in L2 beside its
+// head's pages. Counted over 4 s of each benchmark workload
+// (longctx_decode, qa_shared_batch, sessions_churn_fleet), every FullBlock
+// call of more than one query had exactly 16 (13,224, 19,992 and 160,728
+// calls) and every other call one (168, 2,460 and 6,844): no block of 2 to
+// 15 queries ran, so the tile runs with every lane live.
 const prefillQueryBlock = 16
 
 // prefillFFNRows is the row count of one outFFN call in the prefill's FFN

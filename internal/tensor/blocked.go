@@ -182,54 +182,3 @@ func addScaledRowsListGo(out, w []float32, rows []*float32, from int) {
 		}
 	}
 }
-
-// DotRowsBlock is DotRows for a block of nq queries over the same m rows:
-// query j is xs[j·xStride:][:d] and writes dst[j·dstStride:][:m]. Every
-// score is bit-identical to the DotRows call for its query; the vector path
-// transposes each group of rows once for all the queries instead of once per
-// query (DESIGN.md §12).
-func DotRowsBlock(dst []float32, dstStride int, xs []float32, xStride, nq int, rows []float32, m, d int, scale float32) {
-	if nq <= 0 || m <= 0 {
-		return
-	}
-	if len(xs) < (nq-1)*xStride+d || len(dst) < (nq-1)*dstStride+m {
-		panic("tensor: DotRowsBlock queries or outputs too short")
-	}
-	if len(rows) < m*d {
-		panic("tensor: DotRowsBlock rows too short")
-	}
-	dotRowsBlock(dst, dstStride, xs, xStride, nq, rows, m, d, scale)
-}
-
-// dotRowsBlockLoop is DotRowsBlock as one DotRows call per query.
-func dotRowsBlockLoop(dst []float32, dstStride int, xs []float32, xStride, nq int, rows []float32, m, d int, scale float32) {
-	for j := 0; j < nq; j++ {
-		dotRows(dst[j*dstStride:j*dstStride+m], xs[j*xStride:j*xStride+d], rows, d, scale)
-	}
-}
-
-// AddScaledRowsBlock is AddScaledRows for a block of nq queries over the
-// same m rows: query j adds Σ_i w[j·wStride+i]·rows[i·d:][:d], i < m, into
-// out[j·outStride:][:d]. Every output is bit-identical to the AddScaledRows
-// call for its query; the vector path loads each row once for all the
-// queries (DESIGN.md §12).
-func AddScaledRowsBlock(out []float32, outStride int, w []float32, wStride, nq int, rows []float32, m, d int) {
-	if nq <= 0 || m <= 0 {
-		return
-	}
-	if len(out) < (nq-1)*outStride+d || len(w) < (nq-1)*wStride+m {
-		panic("tensor: AddScaledRowsBlock outputs or weights too short")
-	}
-	if len(rows) < m*d {
-		panic("tensor: AddScaledRowsBlock rows too short")
-	}
-	addScaledRowsBlock(out, outStride, w, wStride, nq, rows, m, d)
-}
-
-// addScaledRowsBlockLoop is AddScaledRowsBlock as one AddScaledRows call per
-// query.
-func addScaledRowsBlockLoop(out []float32, outStride int, w []float32, wStride, nq int, rows []float32, m, d int) {
-	for j := 0; j < nq; j++ {
-		addScaledRows(out[j*outStride:j*outStride+d], w[j*wStride:j*wStride+m], rows, d)
-	}
-}

@@ -106,30 +106,6 @@ func TestPackedMatVecBitIdentical(t *testing.T) {
 	}
 }
 
-// blockShape is one query block over one page of rows: nq queries of width d
-// at row stride xStride (wider than d where they are one head's slice of a
-// query matrix, as under GQA), m rows of a page that holds 64, and outputs at
-// row stride outStride.
-type blockShape struct{ d, nq, m, xStride, outStride int }
-
-func blockShapes() []blockShape {
-	var shapes []blockShape
-	for _, d := range []int{4, 7, 8, 12, 16, 32, 64, 128} {
-		for _, nq := range blockQueryCounts {
-			for _, m := range []int{1, 7, 15, 16, 24, 37, 64} {
-				shapes = append(shapes,
-					blockShape{d, nq, m, d, m},
-					blockShape{d, nq, m, 4*d + 3, m + 11})
-			}
-		}
-	}
-	return shapes
-}
-
-// blockQueryCounts are the query counts of the block tests: every count a
-// 16-lane call pads, and counts past one call of 32.
-var blockQueryCounts = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 33}
-
 // onBothDispatches runs fn with the AVX-512 kernels on, where the binary
 // runs them, and then off, so the AVX2 kernels stay tested on AVX-512 hosts
 // (elsewhere the one run takes the AVX2 or the Go path).
@@ -149,83 +125,43 @@ func onBothDispatches(t *testing.T, fn func(t *testing.T)) {
 	}
 }
 
-// poisoned returns n values with NaN in every position a block call must not
-// write: each output row past its first width elements.
-func poisoned(r *rng.RNG, n, stride, width int) []float32 {
-	out := randSlice(r, n)
-	for i := range out {
-		if i%stride >= width {
-			out[i] = float32(math.NaN())
-		}
-	}
-	return out
-}
-
-func expectBlockBits(t *testing.T, what string, sh blockShape, j int, got, want []float32) {
-	t.Helper()
-	for c := range want {
-		if math.Float32bits(got[c]) != math.Float32bits(want[c]) {
-			t.Fatalf("%s %+v: query %d element %d = %v, per-query call gives %v", what, sh, j, c, got[c], want[c])
-		}
-	}
-}
-
-func TestDotRowsBlockMatchesPerQuery(t *testing.T) {
-	onBothDispatches(t, testDotRowsBlock)
-}
-
-func testDotRowsBlock(t *testing.T) {
-	for _, sh := range blockShapes() {
-		r := rng.New(uint64(sh.d*1e4 + sh.nq*100 + sh.m))
-		page := randSlice(r, 64*sh.d) // a partial page holds m of its 64 rows
-		rows := page[:sh.m*sh.d]
-		xs := randSlice(r, (sh.nq-1)*sh.xStride+sh.d)
-		dst := poisoned(r, sh.nq*sh.outStride, sh.outStride, sh.m)
-		tensor.DotRowsBlock(dst, sh.outStride, xs, sh.xStride, sh.nq, rows, sh.m, sh.d, 0.25)
-		want := make([]float32, sh.m)
-		for j := 0; j < sh.nq; j++ {
-			tensor.DotRows(want, xs[j*sh.xStride:j*sh.xStride+sh.d], rows, sh.d, 0.25)
-			expectBlockBits(t, "DotRowsBlock", sh, j, dst[j*sh.outStride:], want)
-			for c := sh.m; c < sh.outStride; c++ {
-				if v := dst[j*sh.outStride+c]; v == v {
-					t.Fatalf("DotRowsBlock %+v: query %d wrote past its %d scores", sh, j, sh.m)
+// TestTileDotMatchesDot checks TileDot, the one multi-vector dot of K-means
+// assignment, against Dot on every dispatch: a tile of up to 16 keys, the
+// rest of its lanes zero as K-means pads its last tile, scored against m
+// centroids around the kernels' 8- and 4-key groups, at head dims on and
+// off the vector kernels' multiple of 4 and up to 128, with ±0 and
+// duplicated rows among them.
+func TestTileDotMatchesDot(t *testing.T) {
+	onBothDispatches(t, func(t *testing.T) {
+		for _, d := range []int{1, 4, 7, 8, 12, 16, 64, 68, 96, 128} {
+			for _, keys := range []int{1, 5, 16} {
+				for _, m := range []int{1, 3, 4, 5, 6, 8, 9, 12, 51} {
+					r := rng.New(uint64(d*1e4 + keys*100 + m))
+					key, cent := randSlice(r, keys*d), randSlice(r, m*d)
+					cent[0], key[d-1] = float32(math.Copysign(0, -1)), 0
+					copy(cent[(m-1)*d:], key[:d])
+					tile := make([]float32, d*tensor.TileLanes)
+					for j := 0; j < keys; j++ {
+						for c := 0; c < d; c++ {
+							tile[c*tensor.TileLanes+j] = key[j*d+c]
+						}
+					}
+					dst := make([]float32, m*tensor.TileLanes)
+					tensor.TileDot(dst, tile, cent, m, d)
+					for i := 0; i < m; i++ {
+						for j := 0; j < tensor.TileLanes; j++ {
+							lane := make([]float32, d)
+							if j < keys {
+								lane = key[j*d : (j+1)*d]
+							}
+							want := tensor.Dot(lane, cent[i*d:(i+1)*d])
+							if got := dst[i*tensor.TileLanes+j]; math.Float32bits(got) != math.Float32bits(want) {
+								t.Fatalf("d=%d keys=%d m=%d: centroid %d lane %d: %v, Dot gives %v", d, keys, m, i, j, got, want)
+							}
+						}
+					}
 				}
 			}
 		}
-	}
-}
-
-func TestAddScaledRowsBlockMatchesPerQuery(t *testing.T) {
-	onBothDispatches(t, testAddScaledRowsBlock)
-}
-
-func testAddScaledRowsBlock(t *testing.T) {
-	negZero := float32(math.Copysign(0, -1))
-	for _, sh := range blockShapes() {
-		r := rng.New(uint64(sh.d*1e4 + sh.nq*100 + sh.m + 7))
-		page := randSlice(r, 64*sh.d)
-		rows := page[:sh.m*sh.d]
-		// Weights are a score matrix (row stride outStride ≥ m) with the exact
-		// zeros of softmax underflow and a -0 among them.
-		w := randSlice(r, (sh.nq-1)*sh.outStride+sh.m)
-		for i := 0; i < len(w); i += 3 {
-			w[i] = 0
-		}
-		for i := 1; i < len(w); i += 7 {
-			w[i] = negZero
-		}
-		out := poisoned(r, sh.nq*sh.xStride, sh.xStride, sh.d)
-		before := append([]float32(nil), out...)
-		tensor.AddScaledRowsBlock(out, sh.xStride, w, sh.outStride, sh.nq, rows, sh.m, sh.d)
-		for j := 0; j < sh.nq; j++ {
-			want := append([]float32(nil), before[j*sh.xStride:j*sh.xStride+sh.d]...)
-			tensor.AddScaledRows(want, w[j*sh.outStride:j*sh.outStride+sh.m], rows, sh.d)
-			expectBlockBits(t, "AddScaledRowsBlock", sh, j, out[j*sh.xStride:], want)
-			for c := sh.d; c < sh.xStride && j*sh.xStride+c < len(out); c++ {
-				if v := out[j*sh.xStride+c]; v == v {
-					t.Fatalf("AddScaledRowsBlock %+v: query %d wrote past its %d channels", sh, j, sh.d)
-				}
-			}
-		}
-	}
+	})
 }

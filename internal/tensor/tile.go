@@ -52,19 +52,42 @@ type tileState struct {
 
 // TileRuns reports whether a block of nq queries of head dim d goes through
 // the score tile on this CPU and build: the tile kernels run (tileKernels)
-// and the block has more than tileMinRows queries.
-func TileRuns(d, nq int) bool { return tileKernels(d) && nq > tileMinRows }
+// and the block has more than one query, a lone query being FullN's.
+func TileRuns(d, nq int) bool { return tileKernels(d) && nq > 1 }
 
-// tileKernels reports whether the tile kernels run for head dim d: AVX-512F,
-// and d a multiple of 4.
-func tileKernels(d int) bool { return useBlock16 && d > 0 && d%4 == 0 }
+// tileKernels reports whether the tile kernels run for head dim d: the
+// vector path (their 16-lane form where the CPU has AVX-512F, the AVX2 one
+// on YMM halves elsewhere), and d a multiple of 4.
+func tileKernels(d int) bool { return useVec && d > 0 && d%4 == 0 }
 
-// tileMinRows is the most queries, or activation rows, that stay off the
-// 16-lane kernels: the score tile, MatTMat's register tile and the 16-lane
-// query-block kernels. A 16-lane call costs the same however few of its
-// lanes hold rows, and up to four rows (the last prefill layer's one row,
-// small decode cohorts) are cheaper on the narrower kernels.
-const tileMinRows = 4
+// AVX512 reports whether this binary runs the AVX-512 kernels at all: the
+// CPU has them and the build lacks the noavx512 tag. SetAVX512 turns them
+// off, or back on where AVX512 holds, and reports whether they were on, so
+// tests check the AVX2 kernels, the score tile's among them, on an AVX-512
+// host too. No output depends on it; it must not be called while kernels
+// run.
+var AVX512 = cpuAVX512
+
+func SetAVX512(on bool) (was bool) { return setAVX512(on) }
+
+// TileDot writes the dot product of each of the m rows rows[i·d:][:d] with
+// each of a tile's TileLanes lane vectors, lane j's channel c at
+// lanes[c·TileLanes+j], to dst[i·TileLanes+j]. It is the score kernel of
+// ScoreTile with no lane masked and scale 1: channels ascending from +0,
+// then ×1, so each element is Dot(lane j, row i) to the bit. K-means scores
+// a tile of keys against its centroids with it.
+func TileDot(dst, lanes, rows []float32, m, d int) {
+	if m < 1 || d < 1 || len(dst) < m*TileLanes || len(lanes) < d*TileLanes || len(rows) < m*d {
+		panic("tensor: TileDot shape mismatch")
+	}
+	// The running max is not wanted: starting it at +Inf, which no finite
+	// score replaces, spares the scalar loop its updates.
+	var st tileState
+	for j := range st.max {
+		st.max[j] = float32(math.Inf(1))
+	}
+	tileDot(dst, lanes, rows, m, d, 1, -m, &st)
+}
 
 // Start begins a block of nq queries, query j being q[j·stride:][:d] and
 // seeing the first n0+j keys, at score scale. 1 ≤ nq ≤ TileLanes, n0 ≥ 1.
@@ -176,22 +199,30 @@ func growFloats(buf []float32, n int) []float32 {
 // tileDotGo is the scalar score-kernel loop: rows[i·TileLanes+j] is key i's
 // score for lane j, channels ascending from +0, then the scale; lanes below
 // vis+i do not see key i and score -Inf, the others update their max (a
-// score the max is not above replaces it, as VMAXPS does).
+// score the max is not above replaces it, as VMAXPS does). Eight lanes' sums
+// run side by side, each its own chain.
 func tileDotGo(rows, qt, keys []float32, m, d int, scale float32, vis int, st *tileState) {
-	for i := 0; i < m; i++ {
-		key := keys[i*d : i*d+d]
-		for j := 0; j < TileLanes; j++ {
-			var s float32
+	for i := range m {
+		key, row := keys[i*d:i*d+d], rows[i*TileLanes:(i+1)*TileLanes]
+		for j := 0; j < TileLanes; j += 8 {
+			var s0, s1, s2, s3, s4, s5, s6, s7 float32
 			for c, k := range key {
-				s += qt[c*TileLanes+j] * k
+				q := (*[8]float32)(qt[c*TileLanes+j:])
+				s0 += q[0] * k
+				s1 += q[1] * k
+				s2 += q[2] * k
+				s3 += q[3] * k
+				s4 += q[4] * k
+				s5 += q[5] * k
+				s6 += q[6] * k
+				s7 += q[7] * k
 			}
-			s *= scale
+			*(*[8]float32)(row[j:]) = [8]float32{s0 * scale, s1 * scale, s2 * scale, s3 * scale, s4 * scale, s5 * scale, s6 * scale, s7 * scale}
+		}
+		for j, s := range row {
 			if j < vis+i {
-				rows[i*TileLanes+j] = float32(math.Inf(-1))
-				continue
-			}
-			rows[i*TileLanes+j] = s
-			if !(st.max[j] > s) {
+				row[j] = float32(math.Inf(-1))
+			} else if !(st.max[j] > s) {
 				st.max[j] = s
 			}
 		}

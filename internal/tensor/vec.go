@@ -10,16 +10,16 @@
 // the repository are implemented, each as a straightforward, allocation
 // conscious scalar loop. The Go compiler does not vectorize those loops, so
 // on amd64 with AVX2 and FMA the hot ones (DotRows, AddScaledRows and their
-// row-list and query-block forms, Softmax, SoftmaxRows, SiluMul, ArgBestCos,
-// the GEMV/GEMM bands and the packed LM head) run assembly kernels instead —
-// vec_amd64.s, chosen once at init by CPUID, with 16-lane query-block
-// kernels, an 8-lane exp, the register-tiled GEMM and prefill attention's
-// ScoreTile where the CPU has AVX-512F; every other target,
-// GOAMD64=v3 and the purego build tag run the Go loops. The one contract of
-// all paths (DESIGN.md §12):
+// row-list forms, Softmax, SiluMul, ArgBestCos, the GEMV/GEMM bands, the
+// packed LM head and the key-major ScoreTile, the one multi-vector dot of
+// prefill attention and K-means) run assembly kernels instead —
+// vec_amd64.s, chosen once at init by CPUID, with an 8-lane exp, the
+// register-tiled GEMM and the score tile's 16-lane form where the CPU has
+// AVX-512F; every other target, GOAMD64=v3 and the purego build tag run the
+// Go loops. The one contract of all paths (DESIGN.md §12):
 //
-//   - Vector lanes hold *independent* reduction chains (sixteen or eight
-//     rows' dot products, output channels, a score tile's queries), never
+//   - Vector lanes hold *independent* reduction chains (eight rows' dot
+//     products, output channels, a score tile's queries or keys), never
 //     pieces of one chain, and float32 products and sums are separate
 //     operations, never fused.
 //   - So each chain performs the scalar loop's operations in the scalar
@@ -155,22 +155,6 @@ func Softmax(x []float32) {
 		return
 	}
 	softmax(x)
-}
-
-// SoftmaxRows is Softmax on each row of a causal query block's scores: row
-// j in [0, nq) is x[j·stride:][:n0+j], one element longer than the row
-// before it, and an empty row is a no-op. Every row is bit-identical to
-// Softmax of it alone. Rows must not overlap: stride ≥ n0+nq−1.
-func SoftmaxRows(x []float32, stride, n0, nq int) {
-	if nq <= 0 {
-		return
-	}
-	if n0 < 0 || stride < n0+nq-1 || len(x) < (nq-1)*stride+n0+nq-1 {
-		panic("tensor: SoftmaxRows shape mismatch")
-	}
-	for j := max(0, 1-n0); j < nq; j++ {
-		softmax(x[j*stride : j*stride+n0+j])
-	}
 }
 
 // softmaxGo is the scalar Softmax loop over a non-empty x (see dotRowsGo).

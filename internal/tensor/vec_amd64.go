@@ -38,9 +38,18 @@ func scaleAVX2(x *float32, n int, a float32)
 //go:noescape
 func expSumAVX2(x *float32, n int, max, sum float32) float32
 
+//go:noescape
+func tileDotAVX2(rows, qt, keys *float32, m, d int, scale float32, vis int, st *tileState)
+
+//go:noescape
+func tileExpSumAVX2(rows *float32, m int, st *tileState)
+
+//go:noescape
+func tileAxpyAVX2(acc, rows, inv, vals *float32, m, d, vis int)
+
 // useExp8 picks the 8-lane exp kernels of Softmax and SiluMul, and
-// useBlock16 the 16-lane query-block kernels, MatTMat's register tile and
-// the score tile (tileKernels), where cpuAVX512 holds:
+// useBlock16 MatTMat's register tile and its 16-column tail kernel and the
+// score tile's 16-lane kernels, where cpuAVX512 holds:
 // AVX-512F with OS-saved ZMM state, on top of useVec, in a build without the
 // noavx512 tag. Tests turn them off to check the AVX2 kernels on the same
 // machine (setAVX512, withExp), and the tag does for a whole test binary. No
@@ -87,32 +96,10 @@ func siluMulAVX512(x, u *float32, n int)
 func argBestCosAVX2(best *int, dots *float32, stride int, kn, cn *float32, n, c int)
 
 //go:noescape
-func dotRowsBlockAVX2(dsts, xs **float32, nq int, rows *float32, m, d int, scale float32)
-
-//go:noescape
 func axpyRowsBlockAVX2(outs, ws **float32, nq int, rows *float32, m, n, stride int)
 
 //go:noescape
-func dotRowsBlockAVX512(dsts, xs **float32, nq int, rows *float32, m, d int, scale float32)
-
-//go:noescape
 func axpyRowsBlockAVX512(outs, ws **float32, nq int, rows *float32, m, n, stride int)
-
-// blockQueries is how many queries one call of a block kernel takes, through
-// pointer lists padded by repeating the last query — to a multiple of four
-// for the AVX2 kernels, of eight for the AVX-512 ones: a repeat computes the
-// same bits into the same place. A 16-lane dot call takes up to 32 queries
-// (K-means' centroids), so sixteen rows are transposed once for all of them;
-// up to tileMinRows queries stay on the AVX2 kernels, where padding to eight
-// would double the work.
-const (
-	blockQueries   = 8
-	blockQueries16 = 32
-)
-
-// blockDotMaxDim is the widest row dotRowsBlockAVX2 takes: sixteen
-// transposed rows of 64 channels fill its 4 KB frame.
-const blockDotMaxDim = 64
 
 // vecBlock is the weight footprint, in float32s (32 KB), of one row block of
 // the batched kernels: a block is applied to every stream while it is
@@ -196,59 +183,6 @@ func axpyTail(out, w, rows []float32, stride, from int) {
 	}
 }
 
-func dotRowsBlock(dst []float32, dstStride int, xs []float32, xStride, nq int, rows []float32, m, d int, scale float32) {
-	m16 := m &^ 15
-	if !useVec || nq < 2 || m16 == 0 || d%4 != 0 || d > blockDotMaxDim {
-		dotRowsBlockLoop(dst, dstStride, xs, xStride, nq, rows, m, d, scale)
-		return
-	}
-	if useBlock16 && nq > tileMinRows {
-		var dp, xp [blockQueries16]*float32
-		for j0 := 0; j0 < nq; j0 += blockQueries16 {
-			k := min(blockQueries16, nq-j0)
-			kp := (k + 7) &^ 7
-			for t := range kp {
-				j := j0 + min(t, k-1)
-				dp[t], xp[t] = &dst[j*dstStride], &xs[j*xStride]
-			}
-			dotRowsBlockAVX512(&dp[0], &xp[0], kp, &rows[0], m16, d, scale)
-		}
-	} else {
-		var dp, xp [blockQueries]*float32
-		for j0 := 0; j0 < nq; j0 += blockQueries {
-			k := min(blockQueries, nq-j0)
-			for t := range dp {
-				j := j0 + min(t, k-1)
-				dp[t], xp[t] = &dst[j*dstStride], &xs[j*xStride]
-			}
-			dotRowsBlockAVX2(&dp[0], &xp[0], (k+3)&^3, &rows[0], m16, d, scale)
-		}
-	}
-	if m16 < m {
-		dotRowsBlockLoop(dst[m16:], dstStride, xs, xStride, nq, rows[m16*d:], m-m16, d, scale)
-	}
-}
-
-func addScaledRowsBlock(out []float32, outStride int, w []float32, wStride, nq int, rows []float32, m, d int) {
-	if !useVec || nq < 2 || d < 8 {
-		addScaledRowsBlockLoop(out, outStride, w, wStride, nq, rows, m, d)
-		return
-	}
-	d8 := d &^ 7
-	var op, wp [blockQueries]*float32
-	for j0 := 0; j0 < nq; j0 += blockQueries {
-		k := min(blockQueries, nq-j0)
-		for t := range op {
-			j := j0 + min(t, k-1)
-			op[t], wp[t] = &out[j*outStride], &w[j*wStride]
-		}
-		axpyRowsBlockAVX2(&op[0], &wp[0], (k+3)&^3, &rows[0], m, d8, d)
-	}
-	for j := 0; d8 < d && j < nq; j++ {
-		axpyTail(out[j*outStride:j*outStride+d], w[j*wStride:j*wStride+m], rows, d, d8)
-	}
-}
-
 func addScaledRows(out, w, rows []float32, d int) {
 	if !useVec || len(w) == 0 || d < 8 {
 		addScaledRowsGo(out, w, rows, d)
@@ -267,36 +201,46 @@ func addScaledRowsList(out, w []float32, rows []*float32, d int) {
 	addScaledRowsListGo(out, w, rows, n8)
 }
 
-// The ScoreTile kernels run where tileKernels holds, the scalar loops
-// elsewhere; ScoreTile has checked every shape.
+// The ScoreTile kernels run where tileKernels holds, the 16-lane ones where
+// the CPU has AVX-512F and the AVX2 ones on YMM halves elsewhere, and the
+// scalar loops where tileKernels fails; ScoreTile has checked every shape.
 func tileDot(rows, qt, keys []float32, m, d int, scale float32, vis int, st *tileState) {
-	if !tileKernels(d) {
+	switch {
+	case !tileKernels(d):
 		tileDotGo(rows, qt, keys, m, d, scale, vis, st)
-		return
+	case useBlock16:
+		tileDotAVX512(&rows[0], &qt[0], &keys[0], m, d, scale, vis, st)
+	default:
+		tileDotAVX2(&rows[0], &qt[0], &keys[0], m, d, scale, vis, st)
 	}
-	tileDotAVX512(&rows[0], &qt[0], &keys[0], m, d, scale, vis, st)
 }
 
 func tileExpSum(rows []float32, m int, st *tileState) {
-	if !useBlock16 {
+	switch {
+	case !useVec:
 		tileExpSumGo(rows, m, st)
-		return
+	case useBlock16:
+		tileExpSumAVX512(&rows[0], m, st)
+	default:
+		tileExpSumAVX2(&rows[0], m, st)
 	}
-	tileExpSumAVX512(&rows[0], m, st)
 }
 
 func tileAxpy(acc, rows []float32, inv *[TileLanes]float32, vals []float32, m, d, vis int) {
-	if !tileKernels(d) {
+	switch {
+	case !tileKernels(d):
 		tileAxpyGo(acc, rows, inv, vals, m, d, vis)
-		return
+	case useBlock16:
+		tileAxpyAVX512(&acc[0], &rows[0], &inv[0], &vals[0], m, d, vis)
+	default:
+		tileAxpyAVX2(&acc[0], &rows[0], &inv[0], &vals[0], m, d, vis)
 	}
-	tileAxpyAVX512(&acc[0], &rows[0], &inv[0], &vals[0], m, d, vis)
 }
 
 // matTMatBand runs a column band on the register tile where the CPU has
 // AVX-512F: activation rows in groups of eight (a last group of five to
 // seven padded by repeating its last row), 32 columns at a time, then the
-// 16- and 8-column tails on the query-block kernels and the last columns on
+// 16- and 8-column tails on the axpy block kernels and the last columns on
 // axpyTail. A group of tileMinRows or fewer rows, and every group on an AVX2
 // CPU, takes axpyRows a row at a time, the GEMV. The weight rows go in
 // blocks of vecBlock floats of the band, each applied to every group while
@@ -370,6 +314,11 @@ func groupRows(ptrs *[matTMatGroup]*float32, data []float32, cols, s0, g, off in
 // matTMatTiled reports whether a group of the band's last g ≥ 1 activation
 // rows goes through the register tile.
 func matTMatTiled(g int) bool { return useBlock16 && g > tileMinRows }
+
+// tileMinRows is the most activation rows that stay off the register tile:
+// a tile call costs the same however few of its eight rows are live, and up
+// to four rows (small decode cohorts) are cheaper a row at a time.
+const tileMinRows = 4
 
 func softmax(x []float32) {
 	n := len(x)

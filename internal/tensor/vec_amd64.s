@@ -2,9 +2,10 @@
 
 #include "textflag.h"
 
-// AVX2 + FMA kernels behind vec_amd64.go (DESIGN.md §12), AVX-512F twins
-// of the exp, the SiLU gate and the query-block kernels, and the AVX-512F
-// register tile of MatTMat and score tile of prefill attention. Every kernel
+// AVX2 + FMA kernels behind vec_amd64.go (DESIGN.md §12), the score tile of
+// prefill attention and K-means among them, AVX-512F twins of the exp, the
+// SiLU gate and the score tile, and the AVX-512F register tile of MatTMat
+// with its 16-column tail. Every kernel
 // puts *independent* reduction chains in the vector lanes and never splits one
 // chain across lanes, and float32 arithmetic is a separate VMULPS and VADDPS
 // (no fused multiply-add), so each lane performs exactly the operations of
@@ -162,244 +163,6 @@ chunk:
 	ADDQ    $64, DX
 	SUBQ    $8, BX
 	JGT     group
-	VZEROUPPER
-	RET
-
-// TRANS8STORE transposes the eight rows at R8 (ROWS8 sets the rest) into the
-// frame at BX, channel c at 64·c(BX); loop names the macro's label. Clobbers
-// AX, BX, Y1-Y8.
-#define TRANS8STORE(loop) \
-	ROWS8; \
-	XORQ AX, AX; \
-loop: \
-	TRANS8CHUNK; \
-	VMOVUPS Y1, (BX); \
-	VMOVUPS Y2, 64(BX); \
-	VMOVUPS Y3, 128(BX); \
-	VMOVUPS Y4, 192(BX); \
-	ADDQ $256, BX; \
-	ADDQ $16, AX; \
-	CMPQ AX, CX; \
-	JLT  loop
-
-// SCORE1 adds channel AX + xoff of the four queries at R8..R11 times the
-// transposed channel at BX + toff (rows 0-7 | 8-15) into Y8..Y11 | Y12..Y15.
-#define SCORE1(xoff, toff) \
-	VMOVUPS      (toff)(BX), Y0; \
-	VMOVUPS      (toff+32)(BX), Y1; \
-	VBROADCASTSS (xoff)(R8)(AX*1), Y2; \
-	VMULPS       Y0, Y2, Y3; \
-	VADDPS       Y3, Y8, Y8; \
-	VMULPS       Y1, Y2, Y2; \
-	VADDPS       Y2, Y12, Y12; \
-	VBROADCASTSS (xoff)(R9)(AX*1), Y2; \
-	VMULPS       Y0, Y2, Y3; \
-	VADDPS       Y3, Y9, Y9; \
-	VMULPS       Y1, Y2, Y2; \
-	VADDPS       Y2, Y13, Y13; \
-	VBROADCASTSS (xoff)(R10)(AX*1), Y2; \
-	VMULPS       Y0, Y2, Y3; \
-	VADDPS       Y3, Y10, Y10; \
-	VMULPS       Y1, Y2, Y2; \
-	VADDPS       Y2, Y14, Y14; \
-	VBROADCASTSS (xoff)(R11)(AX*1), Y2; \
-	VMULPS       Y0, Y2, Y3; \
-	VADDPS       Y3, Y11, Y11; \
-	VMULPS       Y1, Y2, Y2; \
-	VADDPS       Y2, Y15, Y15
-
-// STORE2 scales and stores query k's sixteen scores, Y(lo) | Y(hi), at byte
-// offset DI of dsts[j+k]; SI is dsts, R12 is 8·j, Y0 the scale.
-#define STORE2(k, lo, hi) \
-	MOVQ    (k*8)(SI)(R12*1), R14; \
-	VMULPS  Y0, lo, lo; \
-	VMULPS  Y0, hi, hi; \
-	VMOVUPS lo, (R14)(DI*1); \
-	VMOVUPS hi, 32(R14)(DI*1)
-
-// func dotRowsBlockAVX2(dsts, xs **float32, nq int, rows *float32, m, d int, scale float32)
-//
-// dsts[j][r] = scale·<xs[j], rows[r·d : (r+1)·d]> for j in [0, nq) and r in
-// [0, m); nq%4 == 0, nq > 0, m%16 == 0, m > 0, d%4 == 0, 0 < d ≤ 64. Sixteen
-// rows at a time are transposed once, into the frame (channel c of rows 0-7
-// | 8-15 at 64·c | 64·c+32), and every query is then scored against them
-// with broadcasts, VMULPS and VADDPS alone: four queries by two 8-row groups
-// are eight independent chains, each adding its channels in ascending order
-// as dotRowsAVX2's lanes do.
-TEXT ·dotRowsBlockAVX2(SB), $4096-52
-	MOVQ rows+24(FP), R8
-	MOVQ d+40(FP), CX
-	SHLQ $2, CX
-	XORQ DI, DI // byte offset of the sixteen rows in every dst
-rows16:
-	LEAQ (SP), BX
-	TRANS8STORE(trans0)
-	LEAQ (R15)(CX*1), R8
-	LEAQ 32(SP), BX
-	TRANS8STORE(trans1)
-	LEAQ (R15)(CX*1), R13 // the next sixteen rows
-	XORQ R12, R12
-batch:
-	MOVQ xs+8(FP), SI
-	MOVQ (SI)(R12*1), R8
-	MOVQ 8(SI)(R12*1), R9
-	MOVQ 16(SI)(R12*1), R10
-	MOVQ 24(SI)(R12*1), R11
-	VXORPS Y8, Y8, Y8
-	VXORPS Y9, Y9, Y9
-	VXORPS Y10, Y10, Y10
-	VXORPS Y11, Y11, Y11
-	VXORPS Y12, Y12, Y12
-	VXORPS Y13, Y13, Y13
-	VXORPS Y14, Y14, Y14
-	VXORPS Y15, Y15, Y15
-	LEAQ (SP), BX
-	XORQ AX, AX
-chan:
-	SCORE1(0, 0)
-	SCORE1(4, 64)
-	SCORE1(8, 128)
-	SCORE1(12, 192)
-	ADDQ $256, BX
-	ADDQ $16, AX
-	CMPQ AX, CX
-	JLT  chan
-	VBROADCASTSS scale+48(FP), Y0
-	MOVQ dsts+0(FP), SI
-	STORE2(0, Y8, Y12)
-	STORE2(1, Y9, Y13)
-	STORE2(2, Y10, Y14)
-	STORE2(3, Y11, Y15)
-	ADDQ $32, R12
-	MOVQ nq+16(FP), R14
-	SHLQ $3, R14
-	CMPQ R12, R14
-	JLT  batch
-	MOVQ R13, R8
-	ADDQ $64, DI
-	MOVQ m+32(FP), R14
-	SHLQ $2, R14
-	CMPQ DI, R14
-	JLT  rows16
-	VZEROUPPER
-	RET
-
-// ZSCORE adds query t's broadcast channel, at t·4(R9), times the transposed
-// channel of sixteen rows in Z0 into query t's accumulator acc.
-#define ZSCORE(t, acc) \
-	VBROADCASTSS (t*4)(R9), Z1; \
-	VMULPS       Z0, Z1, Z1; \
-	VADDPS       Z1, acc, acc
-
-// ZSTORE scales query t's sixteen scores and stores them at byte offset DI
-// of dsts[j+t]; SI is dsts, R12 is 4·j, Z15 the scale.
-#define ZSTORE(t, acc) \
-	MOVQ    (t*8)(SI)(R12*2), R14; \
-	VMULPS  Z15, acc, acc; \
-	VMOVUPS acc, (R14)(DI*1)
-
-// func dotRowsBlockAVX512(dsts, xs **float32, nq int, rows *float32, m, d int, scale float32)
-//
-// dotRowsBlockAVX2's contract on sixteen lanes: nq%8 == 0, 0 < nq ≤ 32,
-// m%16 == 0, m > 0, d%4 == 0, 0 < d ≤ 64. The queries are transposed once
-// per call into the frame's upper 8 KB (channel c of query t at 4096 + 128·c
-// + 4·t), and every sixteen rows once into its lower 4 KB as the AVX2 kernel
-// lays them out, which puts channel c of all sixteen rows in one ZMM at 64·c.
-// Each group of eight queries then keeps eight accumulators, one per query
-// with the rows in the lanes, and adds its channels in ascending order with
-// broadcasts, VMULPS and VADDPS alone: every lane is the chain of
-// dotRowsAVX2's lanes.
-TEXT ·dotRowsBlockAVX512(SB), $12288-52
-	MOVQ d+40(FP), CX
-	SHLQ $2, CX
-	VBROADCASTSS scale+48(FP), Z15
-	XORQ DI, DI // 8·j: the query group's offset in xs
-qgroup:
-	MOVQ xs+8(FP), SI
-	MOVQ (SI)(DI*1), R8
-	MOVQ 8(SI)(DI*1), R9
-	MOVQ 16(SI)(DI*1), R10
-	MOVQ 24(SI)(DI*1), R11
-	MOVQ 32(SI)(DI*1), R12
-	MOVQ 40(SI)(DI*1), R13
-	MOVQ 48(SI)(DI*1), R14
-	MOVQ 56(SI)(DI*1), R15
-	MOVQ DI, BX
-	SHRQ $1, BX
-	LEAQ 4096(SP)(BX*1), BX
-	XORQ AX, AX
-qchunk:
-	TRANS8CHUNK
-	VMOVUPS Y1, (BX)
-	VMOVUPS Y2, 128(BX)
-	VMOVUPS Y3, 256(BX)
-	VMOVUPS Y4, 384(BX)
-	ADDQ $512, BX
-	ADDQ $16, AX
-	CMPQ AX, CX
-	JLT  qchunk
-	ADDQ $64, DI
-	MOVQ nq+16(FP), R14
-	SHLQ $3, R14
-	CMPQ DI, R14
-	JLT  qgroup
-
-	MOVQ rows+24(FP), R8
-	XORQ DI, DI // byte offset of the sixteen rows in every dst
-zrows16:
-	LEAQ (SP), BX
-	TRANS8STORE(ztrans0)
-	LEAQ (R15)(CX*1), R8
-	LEAQ 32(SP), BX
-	TRANS8STORE(ztrans1)
-	LEAQ (R15)(CX*1), R13 // the next sixteen rows
-	XORQ R12, R12
-zbatch:
-	VPXORD Z16, Z16, Z16
-	VPXORD Z17, Z17, Z17
-	VPXORD Z18, Z18, Z18
-	VPXORD Z19, Z19, Z19
-	VPXORD Z20, Z20, Z20
-	VPXORD Z21, Z21, Z21
-	VPXORD Z22, Z22, Z22
-	VPXORD Z23, Z23, Z23
-	LEAQ (SP), BX
-	LEAQ 4096(SP)(R12*1), R9
-	MOVQ CX, AX
-zchan:
-	VMOVUPS (BX), Z0
-	ZSCORE(0, Z16)
-	ZSCORE(1, Z17)
-	ZSCORE(2, Z18)
-	ZSCORE(3, Z19)
-	ZSCORE(4, Z20)
-	ZSCORE(5, Z21)
-	ZSCORE(6, Z22)
-	ZSCORE(7, Z23)
-	ADDQ $64, BX
-	ADDQ $128, R9
-	SUBQ $4, AX
-	JGT  zchan
-	MOVQ dsts+0(FP), SI
-	ZSTORE(0, Z16)
-	ZSTORE(1, Z17)
-	ZSTORE(2, Z18)
-	ZSTORE(3, Z19)
-	ZSTORE(4, Z20)
-	ZSTORE(5, Z21)
-	ZSTORE(6, Z22)
-	ZSTORE(7, Z23)
-	ADDQ $32, R12
-	MOVQ nq+16(FP), R14
-	SHLQ $2, R14
-	CMPQ R12, R14
-	JLT  zbatch
-	MOVQ R13, R8
-	ADDQ $64, DI
-	MOVQ m+32(FP), R14
-	SHLQ $2, R14
-	CMPQ DI, R14
-	JLT  zrows16
 	VZEROUPPER
 	RET
 
@@ -561,7 +324,8 @@ TEXT ·axpyRowsPtrAVX2(SB), NOSPLIT, $0-40
 // queries at a time hold a 16-channel block each (an 8-channel one for the
 // last block of an odd n/8) in registers while the rows stream past, so a row
 // is loaded once for four outputs and every out[c] adds its products in row
-// order, as axpyRowsAVX2's lanes do.
+// order, as axpyRowsAVX2's lanes do. MatTMat's 8-column tail calls it with a
+// register tile's activation rows as the queries.
 TEXT ·axpyRowsBlockAVX2(SB), NOSPLIT, $0-56
 	// WPTRS points R8..R11 at ws[j..j+3], DI being 8·j.
 #define WPTRS \
@@ -673,7 +437,7 @@ done:
 // 0, n > 0, m > 0. Eight queries at a time hold a sixteen-channel block each
 // in Z16-Z23 while the rows stream past, so a row is loaded once for eight
 // outputs and every out[c] adds its products in row order, as
-// axpyRowsAVX2's lanes do.
+// axpyRowsAVX2's lanes do: MatTMat's 16-column tail.
 TEXT ·axpyRowsBlockAVX512(SB), NOSPLIT, $0-56
 	MOVQ stride+48(FP), DX
 	SHLQ $2, DX
@@ -1272,7 +1036,8 @@ block:
 	RET
 	EXPSLOW8(slow, back)
 
-// The score-tile kernels of prefill attention (ScoreTile, DESIGN.md §12).
+// The score-tile kernels of prefill attention (ScoreTile, DESIGN.md §12),
+// whose dot K-means runs too (TileDot).
 // The tile is key-major: one 64-byte row per key, holding that key's score,
 // and later its exp, for sixteen queries, one per lane. Every lane is one
 // query's FullN chain: its dot products add their channels in ascending
@@ -1651,6 +1416,315 @@ tr4:
 	TSTORE(2, Z17)
 	TSTORE(3, Z18)
 tadone:
+	VZEROUPPER
+	RET
+
+// The score tile's AVX2 kernels: the AVX-512 kernels' contract and layout,
+// each 16-lane row of the tile as two YMM halves, lanes 0-7 | 8-15. A lane
+// mask is a YMM pair built by comparing the first seeing lane, broadcast,
+// against the lane numbers (tlanes, 0-15 as int32, two a DATA word), and it
+// is applied by VBLENDVPS: the lanes that do not see a key keep what they
+// held.
+DATA tlanes<>+0(SB)/8, $0x0000000100000000
+DATA tlanes<>+8(SB)/8, $0x0000000300000002
+DATA tlanes<>+16(SB)/8, $0x0000000500000004
+DATA tlanes<>+24(SB)/8, $0x0000000700000006
+DATA tlanes<>+32(SB)/8, $0x0000000900000008
+DATA tlanes<>+40(SB)/8, $0x0000000b0000000a
+DATA tlanes<>+48(SB)/8, $0x0000000d0000000c
+DATA tlanes<>+56(SB)/8, $0x0000000f0000000e
+GLOBL tlanes<>(SB), RODATA|NOPTR, $64
+
+// YHIDE(reg, xlo, lo, hi) sets lo | hi (xlo being lo's lower half) to the
+// lanes below reg's value, those that do not see the key: all ones where
+// reg > lane as int32, else zero.
+#define YHIDE(reg, xlo, lo, hi) \
+	VMOVQ        reg, xlo; \
+	VPBROADCASTD xlo, lo; \
+	VPCMPGTD     tlanes<>+32(SB), lo, hi; \
+	VPCMPGTD     tlanes<>(SB), lo, lo
+
+// YDOT1(key, lo, hi) adds Qᵀ's row of a channel, in Y0 | Y1, times the key
+// channel at key, broadcast, into the key's scores lo | hi. YDOT4(c) does it
+// for channel c of the current four-channel step, Qᵀ's row at 64·c(R11), and
+// the four keys at R8 (keys 1, 2 at CX and 2·CX past it, 3 at R9), key k's
+// scores in Y(8+2k) | Y(9+2k).
+#define YDOT1(key, lo, hi) \
+	VBROADCASTSS key, Y2; \
+	VMULPS       Y2, Y0, Y3; \
+	VADDPS       Y3, lo, lo; \
+	VMULPS       Y2, Y1, Y3; \
+	VADDPS       Y3, hi, hi
+
+#define YDOT4(c) \
+	VMOVUPS (c*64)(R11), Y0; \
+	VMOVUPS (c*64+32)(R11), Y1; \
+	YDOT1((c*4)(R8), Y8, Y9); \
+	YDOT1((c*4)(R8)(CX*1), Y10, Y11); \
+	YDOT1((c*4)(R8)(CX*2), Y12, Y13); \
+	YDOT1((c*4)(R9), Y14, Y15)
+
+// YFIN(lo, hi, k) finishes a key every lane sees: it scales the dot products
+// in lo | hi by Y6, takes them into the lanes' max in Y4 | Y5 and stores them
+// at row k of DI. YFINM(lo, hi, k) finishes a key of the causal diagonal:
+// the lanes below DX keep their max and get -Inf (Y7); DX steps to the next
+// key's.
+#define YFIN(lo, hi, k) \
+	VMULPS  Y6, lo, lo; \
+	VMULPS  Y6, hi, hi; \
+	VMAXPS  lo, Y4, Y4; \
+	VMAXPS  hi, Y5, Y5; \
+	VMOVUPS lo, (k*64)(DI); \
+	VMOVUPS hi, (k*64+32)(DI)
+
+#define YFINM(lo, hi, k) \
+	YHIDE(DX, X0, Y0, Y1); \
+	INCQ      DX; \
+	VMULPS    Y6, lo, lo; \
+	VMULPS    Y6, hi, hi; \
+	VMAXPS    lo, Y4, Y2; \
+	VMAXPS    hi, Y5, Y3; \
+	VBLENDVPS Y0, Y4, Y2, Y4; \
+	VBLENDVPS Y1, Y5, Y3, Y5; \
+	VBLENDVPS Y0, Y7, lo, lo; \
+	VBLENDVPS Y1, Y7, hi, hi; \
+	VMOVUPS   lo, (k*64)(DI); \
+	VMOVUPS   hi, (k*64+32)(DI)
+
+// func tileDotAVX2(rows, qt, keys *float32, m, d int, scale float32, vis int, st *tileState)
+//
+// tileDotAVX512's contract on YMM halves, for any vis: four keys at a time
+// keep their sums in eight registers and take each channel's Qᵀ row once,
+// with the key channel broadcast; the lane masks are built only for a group
+// of keys that reaches the diagonal.
+TEXT ·tileDotAVX2(SB), NOSPLIT, $0-64
+	MOVQ rows+0(FP), DI
+	MOVQ qt+8(FP), SI
+	MOVQ keys+16(FP), R8
+	MOVQ m+24(FP), BX
+	MOVQ d+32(FP), CX
+	SHLQ $2, CX
+	VBROADCASTSS scale+40(FP), Y6
+	MOVQ vis+48(FP), DX
+	MOVQ st+56(FP), AX
+	VMOVUPS (AX), Y4
+	VMOVUPS 32(AX), Y5
+	VBROADCASTSS neginf<>(SB), Y7
+ykeys4:
+	CMPQ BX, $4
+	JLT  ykey1
+	LEAQ (R8)(CX*2), R9
+	ADDQ CX, R9
+	VXORPS Y8, Y8, Y8
+	VXORPS Y9, Y9, Y9
+	VXORPS Y10, Y10, Y10
+	VXORPS Y11, Y11, Y11
+	VXORPS Y12, Y12, Y12
+	VXORPS Y13, Y13, Y13
+	VXORPS Y14, Y14, Y14
+	VXORPS Y15, Y15, Y15
+	MOVQ SI, R11
+	MOVQ CX, AX
+ychan4:
+	YDOT4(0)
+	YDOT4(1)
+	YDOT4(2)
+	YDOT4(3)
+	ADDQ $16, R8
+	ADDQ $16, R9
+	ADDQ $256, R11
+	SUBQ $16, AX
+	JGT  ychan4
+	CMPQ DX, $-3
+	JGT  ymask4 // the group's last key is on the diagonal
+	YFIN(Y8, Y9, 0)
+	YFIN(Y10, Y11, 1)
+	YFIN(Y12, Y13, 2)
+	YFIN(Y14, Y15, 3)
+	ADDQ $4, DX
+	JMP  ynext4
+ymask4:
+	YFINM(Y8, Y9, 0)
+	YFINM(Y10, Y11, 1)
+	YFINM(Y12, Y13, 2)
+	YFINM(Y14, Y15, 3)
+ynext4:
+	ADDQ $256, DI
+	MOVQ R9, R8 // R9 has stepped to key 3's end: the next key
+	SUBQ $4, BX
+	JMP  ykeys4
+ykey1:
+	TESTQ BX, BX
+	JEQ   ydone
+	VXORPS Y8, Y8, Y8
+	VXORPS Y9, Y9, Y9
+	MOVQ SI, R11
+	MOVQ CX, AX
+ychan1:
+	VMOVUPS (R11), Y0
+	VMOVUPS 32(R11), Y1
+	YDOT1((R8), Y8, Y9)
+	VMOVUPS 64(R11), Y0
+	VMOVUPS 96(R11), Y1
+	YDOT1(4(R8), Y8, Y9)
+	VMOVUPS 128(R11), Y0
+	VMOVUPS 160(R11), Y1
+	YDOT1(8(R8), Y8, Y9)
+	VMOVUPS 192(R11), Y0
+	VMOVUPS 224(R11), Y1
+	YDOT1(12(R8), Y8, Y9)
+	ADDQ $16, R8
+	ADDQ $256, R11
+	SUBQ $16, AX
+	JGT  ychan1
+	YFINM(Y8, Y9, 0)
+	ADDQ $64, DI
+	DECQ BX
+	JMP  ykey1
+ydone:
+	MOVQ st+56(FP), AX
+	VMOVUPS Y4, (AX)
+	VMOVUPS Y5, 32(AX)
+	VZEROUPPER
+	RET
+
+// YEXP4(off) turns the four scores at byte off of the row at SI into their
+// exps less the lanes' max, st.max at R9, stores them back and adds them
+// into the lanes' sums, st.sum at 64(R9): expSumAVX2's block, one lane a
+// query.
+#define YEXP4(off) \
+	VMOVUPS    (off)(SI), X0; \
+	VSUBPS     (off)(R9), X0, X0; \
+	VCVTPS2PD  X0, Y0; \
+	VCMPPD     $0x11, Y8, Y0, Y3; \
+	EXPPD4; \
+	VANDNPD    Y0, Y3, Y0; \
+	VCVTPD2PSY Y0, X0; \
+	VMOVUPS    X0, (off)(SI); \
+	VADDPS     (64+off)(R9), X0, X0; \
+	VMOVUPS    X0, (64+off)(R9)
+
+// func tileExpSumAVX2(rows *float32, m int, st *tileState)
+//
+// tileExpSumAVX512's contract with expSumAVX2's exp: for the m > 0 rows of
+// the tile, every lane's score x becomes float32(math.Exp(float64(x −
+// st.max[lane]))), math.archExp's instruction sequence on four float64
+// lanes (EXPPD4), and is added to st.sum[lane], so every query's sum adds
+// its exps serially in key order. Below -104, and so on a -Inf score, the
+// exp is +0, which leaves the sum as it was; a NaN or +Inf score makes the
+// lane's sum NaN. The sums stay in st: EXPPD4's constants take the
+// registers.
+TEXT ·tileExpSumAVX2(SB), NOSPLIT, $0-24
+	MOVQ rows+0(FP), SI
+	MOVQ m+8(FP), CX
+	MOVQ st+16(FP), R9
+	EXPK4
+	VBROADCASTSD expk<>+56(SB), Y8
+yrow:
+	YEXP4(0)
+	YEXP4(16)
+	YEXP4(32)
+	YEXP4(48)
+	ADDQ $64, SI
+	DECQ CX
+	JGT  yrow
+	VZEROUPPER
+	RET
+
+// YAXPY(c, lo, hi) adds the weights in Y0 | Y1 times channel c of the value
+// row at R8 (broadcast) into channel c's accumulators lo | hi. YAXPYM does
+// it in the lanes that see the row alone: the others, Y14 | Y15, keep their
+// accumulators' bits.
+#define YAXPY(c, lo, hi) \
+	VBROADCASTSS (c*4)(R8), Y2; \
+	VMULPS       Y2, Y0, Y3; \
+	VADDPS       Y3, lo, lo; \
+	VMULPS       Y2, Y1, Y3; \
+	VADDPS       Y3, hi, hi
+
+#define YAXPYM(c, lo, hi) \
+	VBROADCASTSS (c*4)(R8), Y2; \
+	VMULPS       Y2, Y0, Y3; \
+	VADDPS       Y3, lo, Y3; \
+	VBLENDVPS    Y14, lo, Y3, lo; \
+	VMULPS       Y2, Y1, Y3; \
+	VADDPS       Y3, hi, Y3; \
+	VBLENDVPS    Y15, hi, Y3, hi
+
+// YWEIGHTS sets Y0 | Y1 to the weights of the tile row at SI, its exps
+// times the lanes' 1/sum in Y12 | Y13.
+#define YWEIGHTS \
+	VMULPS (SI), Y12, Y0; \
+	VMULPS 32(SI), Y13, Y1
+
+// func tileAxpyAVX2(acc, rows, inv *float32, vals *float32, m, d, vis int)
+//
+// tileAxpyAVX512's contract on YMM halves: the channels go in blocks of 4,
+// eight accumulators, while the m rows stream past. The rows before the
+// causal diagonal (DX ≤ 0) add into every lane; from the diagonal on, each
+// row's add is blended into the lanes that see it, so a NaN or ±Inf in a
+// row a lane does not see stays out of it.
+TEXT ·tileAxpyAVX2(SB), NOSPLIT, $0-56
+	MOVQ acc+0(FP), DI
+	MOVQ inv+16(FP), AX
+	VMOVUPS (AX), Y12
+	VMOVUPS 32(AX), Y13
+	MOVQ vals+24(FP), R10 // channel c0 of value row 0
+	MOVQ d+40(FP), CX
+	SHLQ $2, CX
+	MOVQ CX, R11 // channel bytes left
+yc4:
+	VMOVUPS (DI), Y4
+	VMOVUPS 32(DI), Y5
+	VMOVUPS 64(DI), Y6
+	VMOVUPS 96(DI), Y7
+	VMOVUPS 128(DI), Y8
+	VMOVUPS 160(DI), Y9
+	VMOVUPS 192(DI), Y10
+	VMOVUPS 224(DI), Y11
+	MOVQ rows+8(FP), SI
+	MOVQ R10, R8
+	MOVQ m+32(FP), BX
+	MOVQ vis+48(FP), DX
+yr4:
+	TESTQ DX, DX
+	JGT   yrm4 // the causal diagonal: every later row is masked
+	YWEIGHTS
+	YAXPY(0, Y4, Y5)
+	YAXPY(1, Y6, Y7)
+	YAXPY(2, Y8, Y9)
+	YAXPY(3, Y10, Y11)
+	ADDQ $64, SI
+	ADDQ CX, R8
+	INCQ DX
+	DECQ BX
+	JGT  yr4
+	JMP  ys4
+yrm4:
+	YHIDE(DX, X14, Y14, Y15)
+	YWEIGHTS
+	YAXPYM(0, Y4, Y5)
+	YAXPYM(1, Y6, Y7)
+	YAXPYM(2, Y8, Y9)
+	YAXPYM(3, Y10, Y11)
+	ADDQ $64, SI
+	ADDQ CX, R8
+	INCQ DX
+	DECQ BX
+	JGT  yrm4
+ys4:
+	VMOVUPS Y4, (DI)
+	VMOVUPS Y5, 32(DI)
+	VMOVUPS Y6, 64(DI)
+	VMOVUPS Y7, 96(DI)
+	VMOVUPS Y8, 128(DI)
+	VMOVUPS Y9, 160(DI)
+	VMOVUPS Y10, 192(DI)
+	VMOVUPS Y11, 224(DI)
+	ADDQ $256, DI
+	ADDQ $16, R10
+	SUBQ $16, R11
+	JGT  yc4
 	VZEROUPPER
 	RET
 

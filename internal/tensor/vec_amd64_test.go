@@ -212,8 +212,8 @@ func TestVecRowIndexOutOfPagePanics(t *testing.T) {
 	}
 }
 
-// withBlock16 runs fn with the 16-lane block kernels, the register tile and
-// the score tile on or off (never on where the CPU lacks them).
+// withBlock16 runs fn with MatTMat's register tile and the score tile's
+// 16-lane kernels on or off (never on where the CPU lacks them).
 func withBlock16(on bool, fn func()) {
 	defer func(saved bool) { useBlock16 = saved }(useBlock16)
 	useBlock16 = on && cpuAVX512
@@ -278,18 +278,19 @@ func TestVecSoftmax(t *testing.T) {
 	}
 }
 
-// TestVecExpPin pins every exp kernel (expSumAVX2, and expSumAVX512 and the
-// score tile's tileExpSumAVX512 where the CPU has them) to
-// float32(math.Exp(float64(x))) over the whole input range of a softmax,
-// [-105, 0] (below -104 both are +0): every 37th float32 with -short, every
-// one without. It is the test that fails if a Go release changes
-// math.archExp, whose instruction sequence the kernels replicate, and the
-// proof that the table path is within the error bound its fallback test
-// assumes (TestVecExpFallback drives the fallback itself).
+// TestVecExpPin pins every exp kernel (expSumAVX2 and the score tile's
+// tileExpSumAVX2, and expSumAVX512 and tileExpSumAVX512 where the CPU has
+// them) to float32(math.Exp(float64(x))) over the whole input range of a
+// softmax, [-105, 0] (below -104 both are +0): every 37th float32 with
+// -short or under the race detector, every one otherwise. It is the test
+// that fails if a Go release changes math.archExp, whose instruction
+// sequence the kernels replicate, and the proof that the table path is
+// within the error bound its fallback test assumes (TestVecExpFallback
+// drives the fallback itself).
 func TestVecExpPin(t *testing.T) {
 	needVec(t)
 	step := uint32(1)
-	if testing.Short() {
+	if testing.Short() || raceEnabled {
 		step = 37
 	}
 	lo, hi := math.Float32bits(float32(math.Copysign(0, -1))), math.Float32bits(-105)
@@ -308,36 +309,42 @@ func TestVecExpPin(t *testing.T) {
 	}
 }
 
-// expPinKernels are expKernels and, where the 8-lane exp runs, the tile's.
+// expPinKernels are expKernels and the score tile's exp kernels, each with
+// the row kernel of its width for the tail.
 var expPinKernels = func() []expKernel {
 	ks := expKernels[:len(expKernels):len(expKernels)]
+	ks = append(ks, expKernel{"avx2tile", false, expTileSerial(tileExpSumAVX2, expKernels[0].fn)})
 	if useExp8 {
-		ks = append(ks, expKernel{"avx512tile", true, expTileSerial})
+		ks = append(ks, expKernel{"avx512tile", true, expTileSerial(func(rows *float32, m int, st *tileState) {
+			tileExpSumAVX512(rows, m, st)
+		}, expKernels[1].fn)})
 	}
 	return ks
 }()
 
-// expTileSerial runs x[:n] through tileExpSumAVX512 as a tile of n/16 rows
-// and the rest through expSumAVX512, then returns sum plus the exps added
-// serially here: it pins the tile kernel's exps, not its lane sums, which
-// TestVecTileKernels checks.
-func expTileSerial(x *float32, n int, max, sum float32) float32 {
-	s := unsafe.Slice(x, n)
-	m := n / TileLanes
-	if m > 0 {
-		var st tileState
-		for j := range st.max {
-			st.max[j] = max
+// expTileSerial returns an exp kernel that runs x[:n] through tile as a
+// tile of n/16 rows and the rest through tail, then returns sum plus the
+// exps added serially here: it pins the tile kernel's exps, not its lane
+// sums, which TestVecTileKernels checks.
+func expTileSerial(tile func(rows *float32, m int, st *tileState), tail func(x *float32, n int, max, sum float32) float32) func(x *float32, n int, max, sum float32) float32 {
+	return func(x *float32, n int, max, sum float32) float32 {
+		s := unsafe.Slice(x, n)
+		m := n / TileLanes
+		if m > 0 {
+			var st tileState
+			for j := range st.max {
+				st.max[j] = max
+			}
+			tile(&s[0], m, &st)
 		}
-		tileExpSumAVX512(&s[0], m, &st)
+		if r := m * TileLanes; r < n {
+			tail(&s[r], n-r, max, 0)
+		}
+		for _, e := range s {
+			sum += e
+		}
+		return sum
 	}
-	if r := m * TileLanes; r < n {
-		expSumAVX512(&s[r], n-r, max, 0)
-	}
-	for _, e := range s {
-		sum += e
-	}
-	return sum
 }
 
 // expPinRange checks every step-th float32 bit pattern in [from, to].
@@ -461,41 +468,6 @@ func expectExps(t *testing.T, what string, in, out []float32, sum float32) {
 	}
 	if math.Float32bits(sum) != math.Float32bits(want) {
 		t.Errorf("%s: serial sum %g, want %g", what, sum, want)
-	}
-}
-
-// TestVecSoftmaxRows checks SoftmaxRows against the scalar loop on each row,
-// on every exp kernel: shortest rows around the 8-element blocks, and rows
-// holding NaN or ±Inf, which take the scalar loop. Scores of spread 3 keep
-// most exps within a few powers of two of each other, so a sum that takes
-// them out of order rounds differently; spread 30 reaches the clamp.
-func TestVecSoftmaxRows(t *testing.T) {
-	needVec(t)
-	nan, inf := float32(math.NaN()), float32(math.Inf(1))
-	for _, k := range expKernels {
-		withExp(k, func() {
-			for _, nq := range []int{1, 2, 3, 4, 5, 7, 8, 9, 13, 33} {
-				for _, n0 := range []int{0, 1, 7, 8, 9, 15, 64, 100} {
-					for _, special := range []float32{0, nan, inf} {
-						stride := n0 + nq + 2
-						r := rng.New(uint64(nq*1000 + n0))
-						x := oddSlice(r, nq*stride)
-						for i := range x {
-							x[i] *= 3 + 27*float32(i/stride%2)
-						}
-						if special != 0 && nq > 1 {
-							x[stride+n0/2] = special // row 1
-						}
-						want := append([]float32(nil), x...)
-						SoftmaxRows(x, stride, n0, nq)
-						for j := max(0, 1-n0); j < nq; j++ {
-							softmaxGo(want[j*stride : j*stride+n0+j])
-						}
-						expectBitsEqual(t, k.name+" "+sprintShape("softmaxRows", nq, n0, int(special), 0), x, want)
-					}
-				}
-			}
-		})
 	}
 }
 
@@ -651,13 +623,13 @@ func TestVecSiluMul(t *testing.T) {
 }
 
 // FuzzVecKernels decodes the input into finite float32 rows and checks the
-// dot, axpy and softmax dispatchers, the row-list dot and axpy, the
-// query-block dot and axpy and matTMatBand (on the 16-lane kernels and the
-// register tile, and on the AVX2 kernels) and the three score-tile kernels
-// against their scalar loops at a fuzzed width up to 64, row count, row list
-// and query count up to 33 (a causal block of them through ScoreTiles, and
-// the kernels alone with the causal lane mask at a fuzzed offset), and 1 to
-// 33 activation rows at band widths that leave 32-, 16- and 8-column tails;
+// dot, axpy and softmax dispatchers, the row-list dot and axpy, matTMatBand
+// (on the 16-lane kernels and the register tile, and on the AVX2 kernels),
+// the three score-tile kernels on each kernel set and TileDot against their
+// scalar loops at a fuzzed width up to 128, row count, row list and query
+// count up to 33 (a causal block of them through ScoreTiles, and the kernels
+// alone with the causal lane mask at a fuzzed offset), and 1 to 33
+// activation rows at band widths that leave 32-, 16- and 8-column tails;
 // the raw values, non-finite ones included, go through softmax and SiluMul
 // on every exp kernel and through ArgBestCos as scores and norms of a fuzzed
 // centroid count.
@@ -674,12 +646,12 @@ func FuzzVecKernels(f *testing.F) {
 	}
 	f.Add([]byte{0, 0, 0x80, 0x7f, 0, 0, 0xc0, 0x7f, 0, 0, 0x80, 0xff, 1, 2, 3, 4, 5, 6, 7, 8,
 		9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32}, uint8(1), uint8(3))
-	f.Add(seed[:4*16*20], uint8(3), uint8(3))  // d = 16, 19 rows: one block of 16 and a tail, 4 queries
+	f.Add(seed[:4*16*20], uint8(3), uint8(3))  // d = 16, 19 rows: two 8-key groups and a tail, 4 queries
 	f.Add(seed, uint8(3), uint8(7))            // d = 16, a whole 64-row page and 8 queries
-	f.Add(seed, uint8(3), uint8(15))           // d = 16, 16 queries: two 8-query groups of one 16-lane call
-	f.Add(seed, uint8(3), uint8(16))           // d = 16, 17 queries: a padded third group
+	f.Add(seed, uint8(3), uint8(15))           // d = 16, 16 queries: a full tile
+	f.Add(seed, uint8(3), uint8(16))           // d = 16, 17 queries: a second tile of one
 	f.Add(seed, uint8(15), uint8(32))          // d = 64, 16 rows and as many queries
-	f.Add(seed[:4*16*70], uint8(1), uint8(32)) // d = 8, 33 queries: past one 32-query call
+	f.Add(seed[:4*16*70], uint8(1), uint8(32)) // d = 8, 33 queries: a third tile
 	long := make([]byte, 4*64*40)
 	for i := 0; i < len(long); i += 4 {
 		binary.LittleEndian.PutUint32(long[i:], math.Float32bits(r.NormFloat32()))
@@ -688,6 +660,7 @@ func FuzzVecKernels(f *testing.F) {
 		f.Add(seed, uint8(3), uint8(nq-1))  // d = 16
 		f.Add(long, uint8(15), uint8(nq-1)) // d = 64
 	}
+	f.Add(long, uint8(31), uint8(16)) // d = 128, 17 queries
 	f.Fuzz(func(t *testing.T, data []byte, d4, pick uint8) {
 		raw := make([]float32, len(data)/4)
 		for i := range raw {
@@ -728,7 +701,7 @@ func FuzzVecKernels(f *testing.F) {
 				vals[i] = max(-1e6, min(1e6, v))
 			}
 		}
-		d := 4 * (int(d4)%16 + 1)
+		d := 4 * (int(d4)%32 + 1)
 		m := len(vals)/d - 1
 		if m < 1 {
 			return
@@ -757,34 +730,21 @@ func FuzzVecKernels(f *testing.F) {
 		addScaledRowsListGo(want, w, ptrs, 0)
 		expectBitsEqual(t, "addScaledRowsList", got, want)
 
-		// A block of the first nq rows as queries, sharing one weight row, on
-		// the 16-lane and the AVX2 block kernels.
 		nq := min(1+int(pick)%33, m)
-		for _, wide := range []bool{true, false} {
-			withBlock16(wide, func() {
-				got, want := make([]float32, nq*m), make([]float32, nq*m)
-				dotRowsBlock(got, m, rows, d, nq, rows, m, d, 0.5)
-				for j := 0; j < nq; j++ {
-					dotRowsGo(want[j*m:(j+1)*m], rows[j*d:(j+1)*d], rows, d, 0.5)
-				}
-				expectBitsEqual(t, "dotRowsBlock", got, want)
-				got, want = make([]float32, nq*d), make([]float32, nq*d)
-				addScaledRowsBlock(got, d, w, 0, nq, rows, m, d)
-				for j := 0; j < nq; j++ {
-					addScaledRowsGo(want[j*d:(j+1)*d], w, rows, d)
-				}
-				expectBitsEqual(t, "addScaledRowsBlock", got, want)
-			})
-		}
 
-		// The score tile: the last nq rows' causal block over all m rows as
-		// keys and values, in chunks of a fuzzed page size, and the kernels
-		// alone on up to 48 keys, the lane mask at a fuzzed offset.
+		// The score tile on each kernel set: the last nq rows' causal block
+		// over all m rows as keys and values, in chunks of a fuzzed page
+		// size, and the kernels alone on up to 48 keys, the lane mask at a
+		// fuzzed offset; and TileDot, K-means' entry, against Dot.
 		if tileKernels(d) {
 			vrows := vals[len(vals)-m*d:]
-			tileBlockVsLoops(t, "tileBlock", rows[(m-nq)*d:], rows, vrows, m-nq+1, nq, d, 1+int(pick)%64)
-			mk := min(m, 48)
-			tileKernelsVsLoops(t, "tile", rows, rows, vrows, min(nq, TileLanes), mk, d, int(pick)%17-8)
+			for _, ks := range tileKernelSets {
+				withBlock16(ks.wide, func() {
+					tileBlockVsLoops(t, ks.name+" tileBlock", rows[(m-nq)*d:], rows, vrows, m-nq+1, nq, d, 1+int(pick)%64)
+					tileDotVsDot(t, ks.name, rows, m, d)
+				})
+				tileKernelsVsLoops(t, ks, "tile", rows, rows, vrows, min(nq, TileLanes), min(m, 48), d, int(pick)%17-8)
+			}
 		}
 
 		// MatTMat: S activation rows over an R×C weight matrix, both cut
@@ -853,53 +813,16 @@ func BenchmarkVecKernels(b *testing.B) {
 	}
 }
 
-// BenchmarkVecBlockKernels times one page walk of a query block against the
-// same queries one at a time, 4096 keys at head dim 16 in 64-row pages, in ns
-// per query, and the softmax over 4224 scores on each exp kernel. The tile16
-// rows are the score tile of 16 queries (ScoreTile) over the same keys: its
-// score pass (dot, Qᵀ's transpose included), its softmax over the 4224 to
-// 4239 keys of a causal block, in ns per query's row, and its weighted sum
-// (axpy, the output transpose included).
+// BenchmarkVecBlockKernels times the softmax over 4224 scores on each exp
+// kernel, and the score tile of 16 queries (ScoreTile) over 4096 keys in
+// 64-row pages on each of its kernel sets, in ns per query: its score pass
+// (dot, Qᵀ's transpose included), its weighted sum (axpy, the output
+// transpose included), and its softmax over the 4224 to 4239 keys of a
+// causal block, in ns per query's row. The tile rows run at head dim 16 and
+// 128.
 func BenchmarkVecBlockKernels(b *testing.B) {
-	const n, d, page = 4096, 16, 64
+	const n, page = 4096, 64
 	r := rng.New(3)
-	rows := randMat(r, n, d, 0).Data
-	for _, nq := range []int{4, 8, 16} {
-		xs, w := randMat(r, nq, d, 0).Data, randMat(r, nq, n, 0).Data
-		dst, out := make([]float32, nq*n), make([]float32, nq*d)
-		for _, k := range []struct {
-			name string
-			fn   func()
-		}{
-			{"dot/block", func() {
-				for p := 0; p < n; p += page {
-					dotRowsBlock(dst[p:], n, xs, d, nq, rows[p*d:], page, d, 0.25)
-				}
-			}},
-			{"dot/perquery", func() {
-				for p := 0; p < n; p += page {
-					dotRowsBlockLoop(dst[p:], n, xs, d, nq, rows[p*d:], page, d, 0.25)
-				}
-			}},
-			{"axpy/block", func() {
-				for p := 0; p < n; p += page {
-					addScaledRowsBlock(out, d, w[p:], n, nq, rows[p*d:], page, d)
-				}
-			}},
-			{"axpy/perquery", func() {
-				for p := 0; p < n; p += page {
-					addScaledRowsBlockLoop(out, d, w[p:], n, nq, rows[p*d:], page, d)
-				}
-			}},
-		} {
-			b.Run(k.name+itoa(nq), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					k.fn()
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nq), "ns/query")
-			})
-		}
-	}
 	src, sm := randMat(r, 1, n+128, 0).Data, make([]float32, n+128)
 	for _, k := range expKernels {
 		b.Run("softmax/"+k.name, func(b *testing.B) {
@@ -911,61 +834,124 @@ func BenchmarkVecBlockKernels(b *testing.B) {
 			})
 		})
 	}
-	if !tileKernels(d) {
+	if !tileKernels(4) {
 		return
 	}
 	const nq = TileLanes
-	xs, out := randMat(r, nq, d, 0).Data, make([]float32, nq*d)
-	var tile ScoreTile
-	walk := func(fn func([]float32, int), data []float32, span int) {
-		for p := 0; p < span; p += page {
-			fn(data[p*d:], min(page, span-p))
+	for _, ks := range tileKernelSets {
+		for _, d := range []int{16, 128} {
+			rows := randMat(r, n, d, 0).Data
+			xs, out := randMat(r, nq, d, 0).Data, make([]float32, nq*d)
+			var tile ScoreTile
+			walk := func(fn func([]float32, int), data []float32, span int) {
+				for p := 0; p < span; p += page {
+					fn(data[p*d:], min(page, span-p))
+				}
+			}
+			name := func(kernel string) string {
+				if d == 16 {
+					return kernel + "/tile16/" + ks.name
+				}
+				return kernel + "/tile16/" + ks.name + "/d" + itoa(d)
+			}
+			withBlock16(ks.wide, func() {
+				b.Run(name("dot"), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						tile.Start(xs, d, nq, d, n-nq+1, 0.25)
+						walk(tile.Dot, rows, n)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nq), "ns/query")
+				})
+				b.Run(name("axpy"), func(b *testing.B) {
+					tile.Softmax()
+					for i := 0; i < b.N; i++ {
+						tile.sum = 0
+						walk(tile.AddScaled, rows, n)
+						tile.Store(out, d)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nq), "ns/query")
+				})
+				if d != 16 {
+					return
+				}
+				keys := randMat(r, n+128+nq, d, 0).Data
+				tile.Start(xs, d, nq, d, n+128, 0.25)
+				walk(tile.Dot, keys, tile.Span())
+				scores, st := append([]float32(nil), tile.rows...), tile.st
+				b.Run(name("softmax"), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						copy(tile.rows, scores)
+						tile.st = st
+						tile.Softmax()
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nq), "ns/row")
+				})
+			})
 		}
 	}
-	b.Run("dot/tile16", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tile.Start(xs, d, nq, d, n-nq+1, 0.25)
-			walk(tile.Dot, rows, n)
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nq), "ns/query")
-	})
-	b.Run("axpy/tile16", func(b *testing.B) {
-		tile.Softmax()
-		for i := 0; i < b.N; i++ {
-			tile.sum = 0
-			walk(tile.AddScaled, rows, n)
-			tile.Store(out, d)
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nq), "ns/query")
-	})
-	keys := randMat(r, n+128+nq, d, 0).Data
-	tile.Start(xs, d, nq, d, n+128, 0.25)
-	walk(tile.Dot, keys, tile.Span())
-	scores, st := append([]float32(nil), tile.rows...), tile.st
-	b.Run("softmax/tile16", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			copy(tile.rows, scores)
-			tile.st = st
-			tile.Softmax()
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nq), "ns/row")
-	})
 }
 
 func needTile(t testing.TB) {
 	t.Helper()
 	if !tileKernels(4) {
-		t.Skip("CPU lacks AVX-512F, or the noavx512 tag is set: the score tile does not run")
+		t.Skip("CPU lacks AVX2+FMA: the score tile runs its scalar loops")
 	}
 }
 
-// tileKernelsVsLoops checks each score-tile kernel against its scalar loop
-// on m keys and values of width d: the scores of 16 lanes of queries from
-// q (lanes past nq zero) with the lanes below vis+i masked off key i, their
-// exps and lane sums, and the weighted sums, which leave the masked lanes
-// untouched, carrying state in from a previous call.
-func tileKernelsVsLoops(t *testing.T, name string, q, keys, vals []float32, nq, m, d, vis int) {
+// tileKernelSet is one form of the score tile's three kernels, and the
+// useBlock16 setting under which the dispatchers pick it.
+type tileKernelSet struct {
+	name   string
+	wide   bool
+	dot    func(rows, qt, keys *float32, m, d int, scale float32, vis int, st *tileState)
+	expSum func(rows *float32, m int, st *tileState)
+	axpy   func(acc, rows, inv, vals *float32, m, d, vis int)
+}
+
+// tileKernelSets are the score-tile kernels this CPU runs: the AVX2 ones,
+// and the 16-lane ones where the CPU has AVX-512F.
+var tileKernelSets = func() []tileKernelSet {
+	ks := []tileKernelSet{{"avx2", false, tileDotAVX2, tileExpSumAVX2, tileAxpyAVX2}}
+	if cpuAVX512 {
+		ks = append(ks, tileKernelSet{"avx512", true, tileDotAVX512, func(rows *float32, m int, st *tileState) {
+			tileExpSumAVX512(rows, m, st)
+		}, tileAxpyAVX512})
+	}
+	return ks
+}()
+
+// tilePath is one way ScoreTile runs: on the vector path or off it, and on
+// the 16-lane kernels or off them.
+type tilePath struct {
+	name      string
+	vec, wide bool
+}
+
+// tilePaths are the ways ScoreTile runs on this CPU: on each kernel set,
+// and on its scalar loops, as on a host without the vector path.
+var tilePaths = func() []tilePath {
+	ps := []tilePath{{"go", false, false}}
+	for _, ks := range tileKernelSets {
+		ps = append(ps, tilePath{ks.name, true, ks.wide})
+	}
+	return ps
+}()
+
+// withTilePath runs fn with the dispatchers on path.
+func withTilePath(path tilePath, fn func()) {
+	defer func(v bool) { useVec = v }(useVec)
+	useVec = path.vec
+	withBlock16(path.wide, fn)
+}
+
+// tileKernelsVsLoops checks each of ks's score-tile kernels against its
+// scalar loop on m keys and values of width d: the scores of 16 lanes of
+// queries from q (lanes past nq zero) with the lanes below vis+i masked off
+// key i, their exps and lane sums, and the weighted sums, which leave the
+// masked lanes untouched, carrying state in from a previous call.
+func tileKernelsVsLoops(t *testing.T, ks tileKernelSet, name string, q, keys, vals []float32, nq, m, d, vis int) {
 	t.Helper()
+	name = ks.name + " " + name
 	qt := make([]float32, d*TileLanes)
 	for c := 0; c < d; c++ {
 		for j := 0; j < nq; j++ {
@@ -979,11 +965,11 @@ func tileKernelsVsLoops(t *testing.T, name string, q, keys, vals []float32, nq, 
 	}
 	stWant = st
 	got, want := make([]float32, m*TileLanes), make([]float32, m*TileLanes)
-	tileDotAVX512(&got[0], &qt[0], &keys[0], m, d, 0.25, vis, &st)
+	ks.dot(&got[0], &qt[0], &keys[0], m, d, 0.25, vis, &st)
 	tileDotGo(want, qt, keys, m, d, 0.25, vis, &stWant)
 	expectBitsEqual(t, name+" tileDot", got, want)
 	expectBitsEqual(t, name+" tileDot max", st.max[:], stWant.max[:])
-	tileExpSumAVX512(&got[0], m, &st)
+	ks.expSum(&got[0], m, &st)
 	tileExpSumGo(want, m, &stWant)
 	expectBitsEqual(t, name+" tileExpSum", got, want)
 	expectBitsEqual(t, name+" tileExpSum sums", st.sum[:], stWant.sum[:])
@@ -1000,7 +986,7 @@ func tileKernelsVsLoops(t *testing.T, name string, q, keys, vals []float32, nq, 
 		}
 	}
 	copy(accWant, acc)
-	tileAxpyAVX512(&acc[0], &got[0], &inv[0], &vals[0], m, d, vis)
+	ks.axpy(&acc[0], &got[0], &inv[0], &vals[0], m, d, vis)
 	tileAxpyGo(accWant, want, &inv, vals, m, d, vis)
 	expectBitsEqual(t, name+" tileAxpy", acc, accWant)
 }
@@ -1040,74 +1026,113 @@ func tileBlockVsLoops(t *testing.T, name string, q, keys, vals []float32, n0, nq
 	}
 }
 
-// TestVecTileKernels checks the score-tile kernels against their scalar
-// loops at every head dim the tile takes up to 64 and key counts around its
-// 8-key groups, with the causal mask at every offset, and whole blocks of 1
-// to 33 queries against FullN's scalar loops, on and off the 16-query tile
-// and with chunks that split the 8-key groups, on the kernels and on the
-// scalar loops ScoreTile runs where they do not.
+// tileDotVsDot checks TileDot, K-means' entry to the score kernel, against
+// Dot: the first min(m, 16) rows as the tile's lanes (the rest zero, as
+// K-means pads its last key tile) against every row.
+func tileDotVsDot(t *testing.T, name string, rows []float32, m, d int) {
+	t.Helper()
+	tile := make([]float32, d*TileLanes)
+	for j := 0; j < min(m, TileLanes); j++ {
+		for c := 0; c < d; c++ {
+			tile[c*TileLanes+j] = rows[j*d+c]
+		}
+	}
+	got, want := make([]float32, m*TileLanes), make([]float32, m*TileLanes)
+	TileDot(got, tile, rows, m, d)
+	for i := 0; i < m; i++ {
+		for j := 0; j < TileLanes; j++ {
+			lane := make([]float32, d)
+			if j < m {
+				lane = rows[j*d : (j+1)*d]
+			}
+			want[i*TileLanes+j] = Dot(lane, rows[i*d:(i+1)*d])
+		}
+	}
+	expectBitsEqual(t, name+" TileDot", got, want)
+}
+
+// TestVecTileKernels checks each set of score-tile kernels against their
+// scalar loops at head dims up to 128 that are multiples of 4 and key
+// counts around their 8- and 4-key groups, with the causal mask at every
+// offset, and whole blocks of 1 to 33 queries against FullN's scalar loops,
+// on and off the 16-query tile and with chunks that split the key groups,
+// on each kernel set and on the scalar loops ScoreTile runs where they do
+// not.
 func TestVecTileKernels(t *testing.T) {
 	needTile(t)
-	for _, d := range []int{4, 8, 12, 16, 20, 24, 28, 32, 48, 64} {
-		for _, m := range []int{1, 2, 7, 8, 9, 15, 16, 17, 64, 70} {
+	for _, d := range []int{4, 8, 12, 16, 20, 24, 28, 32, 48, 64, 68, 96, 128} {
+		for _, m := range []int{1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 64, 70} {
 			for _, vis := range []int{-100, -m, -3, 0, 1, 5, 15, 16, 64 - m} {
 				if vis+m > 64 {
-					continue // past the kernel's mask width
+					continue // past the 16-lane kernel's mask width
 				}
 				r := rng.New(uint64(d*1000 + m*10 + vis + 200))
 				q, keys, vals := oddSlice(r, TileLanes*d), oddSlice(r, m*d), oddSlice(r, m*d)
-				for _, nq := range []int{1, 5, 16} {
-					tileKernelsVsLoops(t, sprintShape("tile", d, m, nq, vis+200), q, keys, vals, nq, m, d, vis)
+				for _, ks := range tileKernelSets {
+					for _, nq := range []int{1, 5, 16} {
+						tileKernelsVsLoops(t, ks, sprintShape("tile", d, m, nq, vis+200), q, keys, vals, nq, m, d, vis)
+					}
 				}
 			}
 		}
-		for _, wide := range []bool{true, false} { // the kernels, and ScoreTile on its scalar loops
-			withBlock16(wide, func() {
+		for _, path := range tilePaths {
+			withTilePath(path, func() {
 				for _, nq := range []int{1, 2, 5, 15, 16, 17, 31, 32, 33} {
 					for _, n0 := range []int{1, 7, 64, 65, 100} {
 						for _, page := range []int{64, 13} {
 							n := n0 + nq - 1
 							r := rng.New(uint64(d*100 + nq*7 + n0))
 							q, keys, vals := oddSlice(r, nq*d), oddSlice(r, n*d), oddSlice(r, n*d)
-							tileBlockVsLoops(t, sprintShape("tileBlock", d, nq, n0, page), q, keys, vals, n0, nq, d, page)
+							tileBlockVsLoops(t, path.name+" "+sprintShape("tileBlock", d, nq, n0, page), q, keys, vals, n0, nq, d, page)
 						}
 					}
+				}
+				for _, m := range []int{1, 3, 4, 6, 12, 51} {
+					r := rng.New(uint64(d*10 + m))
+					tileDotVsDot(t, path.name+" "+sprintShape("tileDot", d, m, 0, 0), oddSlice(r, m*d), m, d)
 				}
 			})
 		}
 	}
 }
 
-// TestVecTileNonFinite checks that a query whose scores hold a NaN or ±Inf
-// is left to the caller and the other lanes keep their FullN bits.
+// TestVecTileNonFinite checks, on each kernel set, that a query whose
+// scores hold a NaN or ±Inf is left to the caller and the other lanes keep
+// their FullN bits.
 func TestVecTileNonFinite(t *testing.T) {
 	needTile(t)
 	const d, n0, nq = 16, 40, 9
 	n := n0 + nq - 1
-	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
-		r := rng.New(5)
-		q, keys, vals := oddSlice(r, nq*d), oddSlice(r, n*d), oddSlice(r, n*d)
-		q[3*d+2] = bad // query 3 scores every key non-finite (or NaN)
-		var tile ScoreTile
-		out := make([]float32, nq*d)
-		tile.Start(q, d, nq, d, n0, 0.25)
-		tile.Dot(keys, n)
-		tile.Softmax()
-		tile.AddScaled(vals, n)
-		if skipped := tile.Store(out, d); skipped != 1<<3 {
-			t.Fatalf("%v: Store skipped %b, want query 3 alone", bad, skipped)
-		}
-		want := make([]float32, d)
-		for j := 0; j < nq; j++ {
-			if j == 3 {
-				continue
+	for _, ks := range tileKernelSets {
+		for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+			r := rng.New(5)
+			q, keys, vals := oddSlice(r, nq*d), oddSlice(r, n*d), oddSlice(r, n*d)
+			q[3*d+2] = bad // query 3 scores every key non-finite (or NaN)
+			var tile ScoreTile
+			out := make([]float32, nq*d)
+			var skipped uint32
+			withBlock16(ks.wide, func() {
+				tile.Start(q, d, nq, d, n0, 0.25)
+				tile.Dot(keys, n)
+				tile.Softmax()
+				tile.AddScaled(vals, n)
+				skipped = tile.Store(out, d)
+			})
+			if skipped != 1<<3 {
+				t.Fatalf("%s %v: Store skipped %b, want query 3 alone", ks.name, bad, skipped)
 			}
-			scores := make([]float32, n0+j)
-			dotRowsGo(scores, q[j*d:(j+1)*d], keys, d, 0.25)
-			softmaxGo(scores)
-			Fill(want, 0)
-			addScaledRowsGo(want, scores, vals, d)
-			expectBitsEqual(t, "beside a non-finite lane, query "+itoa(j), out[j*d:(j+1)*d], want)
+			want := make([]float32, d)
+			for j := 0; j < nq; j++ {
+				if j == 3 {
+					continue
+				}
+				scores := make([]float32, n0+j)
+				dotRowsGo(scores, q[j*d:(j+1)*d], keys, d, 0.25)
+				softmaxGo(scores)
+				Fill(want, 0)
+				addScaledRowsGo(want, scores, vals, d)
+				expectBitsEqual(t, ks.name+" beside a non-finite lane, query "+itoa(j), out[j*d:(j+1)*d], want)
+			}
 		}
 	}
 }

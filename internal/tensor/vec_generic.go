@@ -25,14 +25,6 @@ func addScaledRowsList(out, w []float32, rows []*float32, d int) {
 	addScaledRowsListGo(out, w, rows, 0)
 }
 
-func dotRowsBlock(dst []float32, dstStride int, xs []float32, xStride, nq int, rows []float32, m, d int, scale float32) {
-	dotRowsBlockLoop(dst, dstStride, xs, xStride, nq, rows, m, d, scale)
-}
-
-func addScaledRowsBlock(out []float32, outStride int, w []float32, wStride, nq int, rows []float32, m, d int) {
-	addScaledRowsBlockLoop(out, outStride, w, wStride, nq, rows, m, d)
-}
-
 func matTMatBand(dst, m, x *Mat, lo, hi int) {
 	matTMatBandGo(dst, m, x, lo, hi)
 }
