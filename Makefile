@@ -83,7 +83,9 @@ bench-compare:
 # Kernel conformance lane: the blocked row kernels, the LM head's transposed
 # layout (PackedMat) and the fused decode kernel suites, the prefill query
 # block against per-query attention (FullBlock, on the score tile's AVX-512
-# and AVX2 kernels), the GEMM bands against the naive GEMM at pool widths
+# and AVX2 kernels), the shared-page group attention against per-member Full
+# and its kernels against per-member ones (FullShared, GroupKernels,
+# SharedPages), the GEMM bands against the naive GEMM at pool widths
 # {1, 2, 3, 8} (MatKernel), the score tile's dot as K-means' entry against
 # Dot (TileDot), the vector ≡ scalar suite (Vec: AVX2 kernels against the Go
 # loops, both forms of the score tile's kernels and the register tile's, the
@@ -96,7 +98,7 @@ bench-compare:
 # independently of the scheduler. Each runs twice: as the CPU dispatches,
 # and under the noavx512 tag, which keeps the AVX-512 kernels off for the
 # whole binary, so the AVX2 ones stay tested on AVX-512 hosts.
-KERNEL_TESTS = 'Block|DotRows|AddScaledRows|TileDot|PackedMat|MatKernel|Fused|DecodeSteady|Vec|KMeans|ArgBest|Silu|Prefill|TwoPhase|BatchDecode'
+KERNEL_TESTS = 'Block|DotRows|AddScaledRows|TileDot|PackedMat|MatKernel|Fused|DecodeSteady|Vec|KMeans|ArgBest|Silu|Prefill|TwoPhase|BatchDecode|GroupKernels|FullShared|SharedPages'
 KERNEL_PKGS = ./internal/tensor/ ./internal/attention/ ./internal/model/ ./internal/cluster/
 
 test-kernels:
@@ -125,12 +127,14 @@ fuzz-kernels:
 # and, through TestMatKernelConformance, the naive GEMM at pool widths
 # {1, 2, 3, 8}), the BatchDecoder suites (the one executor at cohort size 1 against sizes 2..8;
 # its comparison with the tests' per-stream serial oracle is in test-pool) and
-# the engine's cohort-of-8 ≡ cohort-of-1 ≡ serial-decode suites at
+# the engine's cohort-of-8 ≡ cohort-of-1 ≡ serial-decode suites, and the
+# grouped attention of full picks over shared pages (FullShared and its
+# kernels, a cohort forked from two snapshots against the serial oracle) at
 # GOMAXPROCS=1 and at GOMAXPROCS=2 with the race detector, locking that a
 # stream's tokens do not depend on who shares its cohort (DESIGN.md §13).
 test-batch:
-	GOMAXPROCS=1 $(GO) test -count=1 -run 'MatTMat|PackedMatMul|MatKernel|BatchDecode' ./internal/tensor/ ./internal/model/ ./internal/serve/
-	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'MatTMat|PackedMatMul|MatKernel|BatchDecode' ./internal/tensor/ ./internal/model/ ./internal/serve/
+	GOMAXPROCS=1 $(GO) test -count=1 -run 'MatTMat|PackedMatMul|MatKernel|BatchDecode|FullShared|GroupKernels|SharedPages' ./internal/tensor/ ./internal/attention/ ./internal/model/ ./internal/serve/
+	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'MatTMat|PackedMatMul|MatKernel|BatchDecode|FullShared|GroupKernels|SharedPages' ./internal/tensor/ ./internal/attention/ ./internal/model/ ./internal/serve/
 
 # Pool lane: the spin paths of internal/parallel (hot helper, caller's wait,
 # park after the window) are schedule-sensitive, so the pool suite and the

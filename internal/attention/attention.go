@@ -35,6 +35,11 @@ type Scratch struct {
 	// queries that FullN attends instead.
 	tile  tensor.ScoreTile
 	query []float32
+	// rows, kp, vp and lanes are FullShared's: the members' score rows, the
+	// shared run's K and V pages, and the K page transposed.
+	rows   [][]float32
+	kp, vp [][]float32
+	lanes  tensor.KeyLanes
 }
 
 // Scores returns the score buffer sized to n, growing capacity geometrically
@@ -89,6 +94,59 @@ func (sc *Scratch) FullN(out, q []float32, s *kvcache.Store, n int) {
 		}
 		tensor.AddScaledRows(out, scores[i:i+rows], s.ValuePage(p), d)
 		i += rows
+	}
+}
+
+// FullShared is Full for a group of decode queries whose stores share their
+// first r pages: member g attends all of s[g] with q[g] and writes out[g],
+// and pages [0, r) of every s[g] are the same physical full pages
+// (kvcache.Store.SharedPages). Each member's output is Full's, to the bit.
+//
+// The shared run is walked once for the whole group (DESIGN.md §12): each K
+// page is scored for every member with its keys in the vector lanes
+// (tensor.KeyLanes.GroupDot), the members' exp sums run side by side over
+// the run and on over their tails' common length, each then continuing over
+// the rest of its own (tensor.SoftmaxRows), and each V page's rows are
+// loaded once for every member's weighted sum (tensor.GroupAddScaled). Each
+// member's private tail, the pages from r on, goes through DotRows and
+// AddScaledRows as in FullN, after the run, which keeps every member's key
+// order. The members' scores are kept in sc, so one Scratch serves the whole
+// group.
+func (sc *Scratch) FullShared(out, q [][]float32, s []*kvcache.Store, r int) {
+	G := len(q)
+	if len(out) != G || len(s) != G || G == 0 {
+		panic("attention: FullShared member count mismatch")
+	}
+	d, P := s[0].HeadDim(), s[0].PageTokens()
+	inv := float32(1 / math.Sqrt(float64(d)))
+	sc.kp, sc.vp = grow(sc.kp, r), grow(sc.vp, r)
+	for p := range r {
+		sc.kp[p], sc.vp[p] = s[0].KeyPage(p), s[0].ValuePage(p)
+	}
+	sc.rows = grow(sc.rows, G)
+	for g, st := range s {
+		sc.rows[g] = grow(sc.rows[g], st.Len())
+	}
+	rows := sc.rows[:G]
+	sc.lanes.GroupDot(rows, q, sc.kp, P, d, inv)
+	for g, st := range s {
+		for p, i := r, r*P; i < st.Len(); p++ {
+			n := st.PageRows(p)
+			tensor.DotRows(rows[g][i:i+n], q[g], st.KeyPage(p), d, inv)
+			i += n
+		}
+	}
+	tensor.SoftmaxRows(rows)
+	for _, o := range out {
+		tensor.Fill(o, 0)
+	}
+	tensor.GroupAddScaled(out, rows, sc.vp, P, d)
+	for g, st := range s {
+		for p, i := r, r*P; i < st.Len(); p++ {
+			n := st.PageRows(p)
+			tensor.AddScaledRows(out[g], rows[g][i:i+n], st.ValuePage(p), d)
+			i += n
+		}
 	}
 }
 

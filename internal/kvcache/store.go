@@ -130,6 +130,21 @@ func (s *Store) Value(i int) []float32 {
 	return s.pages[i/P].vals[off : off+s.headDim]
 }
 
+// SharedPages returns the number of leading pages that are the same physical
+// page in s and o and full in both: the run of keys and values the two stores
+// hold in one copy. Pages are written only at the tail and copy-on-written
+// once shared, so a full page held by both holds the same rows for both; a
+// copy-on-written tail, or a fork truncated mid-page, ends the run.
+func (s *Store) SharedPages(o *Store) int {
+	n := min(s.n, o.n) / s.arena.pageTokens
+	for p := 0; p < n; p++ {
+		if s.pages[p] != o.pages[p] {
+			return p
+		}
+	}
+	return n
+}
+
 // writableTail returns the tail page with room for one more row, allocating a
 // fresh page at a page boundary and copy-on-writing a shared tail so the
 // write can never be observed through a fork or snapshot.

@@ -14,8 +14,10 @@ import (
 // streams from memory once per round. Rope and KV append stay per-stream in
 // between the GEMM phases, because KV state is per-sequence; attention is
 // layerAttn over the cohort — selection per stream, or per (stream, KV head)
-// for a HeadParallel selector, then every (stream, head) pair fanned out over
-// the shared pool. Everything after attention — the output projection, the
+// for a HeadParallel selector, then the attention units fanned out over the
+// shared pool: per head, one group for the full picks whose stores share
+// pages, attended in one pass over those pages, and a (stream, head) unit
+// for every other pick. Everything after attention — the output projection, the
 // residual adds and the SwiGLU block — is outFFN, the same body (and the same
 // MatTMat kernel) prefill runs on each of its query blocks.
 //
@@ -151,8 +153,9 @@ func (bd *BatchDecoder) DecodeInto(seqs []*Sequence, tokens []int, logits [][]fl
 			}
 		}
 		// Attention in two phases (layerAttn): selection per stream or per
-		// (stream, KV head), then every (stream, head) pair on its own
-		// scratch, each writing a disjoint slice of its attnOut row.
+		// (stream, KV head), then the attention units — groups of full
+		// picks over shared pages and (stream, head) pairs — each writing
+		// disjoint slices of the attnOut rows.
 		bd.attn.run(pool, l)
 		lw.outFFN(pool, &bd.x, &bd.attnOut, &bd.normed, &bd.gate, &bd.up)
 		for _, s := range seqs {

@@ -452,11 +452,16 @@ type headPick struct {
 // which has no Probe, selects one KV head's group of query heads per unit;
 // any other stream walks all its heads in one unit, in head order, so its
 // Selector sees the call sequence of a serial decode and needs no locking.
-// Attention then fans out over (stream, head) pairs, each on the head's own
-// attention.Scratch, writing its disjoint slice of out. Heads are
-// independent, so both phases only re-order work and outputs are
-// bit-identical at any pool width. It is a parallel.Body so that neither
-// dispatch allocates.
+// Attention then fans out over attention units, one query head each: the
+// full picks of a head whose stores share their leading pages (forks of one
+// cached prefix) form one unit, attended in one pass over the shared pages
+// (attention.Scratch.FullShared) on the first member's scratch; every other
+// pick — sparse, full over pages of its own, or a lone stream's — is a
+// (stream, head) unit on the head's own scratch, as attendHead. Each unit
+// writes disjoint slices of out. Heads and streams are independent and a
+// group gives each member Full's bits, so both phases only re-order work and
+// outputs are bit-identical at any pool width and any cohort. It is a
+// parallel.Body so that neither dispatch allocates.
 type layerAttn struct {
 	seqs   []*Sequence
 	q, out []float32 // stream i's query heads / attention output at row i
@@ -465,9 +470,24 @@ type layerAttn struct {
 	// units lists the selection phase's work: stream seq's query heads
 	// [lo, hi).
 	units []selUnit
+	// heads lists the attention phase's work, built by group once selection
+	// is done: query head hh of the streams mem[lo:hi], in cohort order.
+	heads []headUnit
+	// mem holds the units' streams; gq, gout and gst hold, at the same
+	// index, the stream's query and output slices of the unit's head and
+	// its store, which is what FullShared takes.
+	mem      []int
+	gq, gout [][]float32
+	gst      []*kvcache.Store
+	// grouped marks the streams a group has taken, one head at a time.
+	grouped []bool
 }
 
 type selUnit struct{ seq, lo, hi int }
+
+// headUnit is one attention unit: query head hh of the streams mem[lo:hi],
+// whose stores share their first r pages when there is more than one.
+type headUnit struct{ hh, lo, hi, r int }
 
 // plan points the phases at a cohort and lists its selection units.
 func (a *layerAttn) plan(seqs []*Sequence, q, out []float32) {
@@ -497,13 +517,65 @@ func (a *layerAttn) run(pool *parallel.Pool, layer int) {
 			keys += s.picks[i].n
 		}
 	}
-	n := len(a.seqs) * cfg.NHeads
+	a.group()
+	n := len(a.heads)
 	a.attend = true
 	pool.Do(n, parallel.Grain(2*cfg.HeadDim*keys/n), a)
 }
 
-// Run implements parallel.Body over selection units or (stream, head) pairs
-// (attention).
+// group lists the attention units of every query head: each stream whose
+// pick is full, and which no earlier stream has taken, leads a unit and
+// takes every later full pick whose store shares at least its first page
+// with the leader's (kvcache.Store.SharedPages), so a group is keyed by its
+// first physical page and its members are in cohort order; r is the run
+// every member shares with the leader. Any other pick is a unit of its own.
+// A lone stream never groups.
+func (a *layerAttn) group() {
+	cfg := a.seqs[0].m.cfg
+	d, row, gs := cfg.HeadDim, cfg.NHeads*cfg.HeadDim, cfg.GroupSize()
+	a.heads, a.mem = a.heads[:0], a.mem[:0]
+	a.gq, a.gout, a.gst = a.gq[:0], a.gout[:0], a.gst[:0]
+	if cap(a.grouped) < len(a.seqs) {
+		a.grouped = make([]bool, len(a.seqs))
+	}
+	grouped := a.grouped[:len(a.seqs)]
+	for hh := 0; hh < cfg.NHeads; hh++ {
+		clear(grouped)
+		for i, s := range a.seqs {
+			if grouped[i] {
+				continue
+			}
+			u := headUnit{hh: hh, lo: len(a.mem)}
+			a.member(i, hh, d, row, gs)
+			if s.picks[hh].full {
+				lead := a.gst[u.lo]
+				u.r = lead.NumPages()
+				for j := i + 1; j < len(a.seqs); j++ {
+					if grouped[j] || !a.seqs[j].picks[hh].full {
+						continue
+					}
+					if r := lead.SharedPages(a.seqs[j].Store(a.layer, hh/gs)); r > 0 {
+						grouped[j] = true
+						u.r = min(u.r, r)
+						a.member(j, hh, d, row, gs)
+					}
+				}
+			}
+			u.hi = len(a.mem)
+			a.heads = append(a.heads, u)
+		}
+	}
+}
+
+// member appends stream i's head hh to the unit being listed.
+func (a *layerAttn) member(i, hh, d, row, gs int) {
+	a.mem = append(a.mem, i)
+	a.gq = append(a.gq, a.q[i*row+hh*d:i*row+(hh+1)*d])
+	a.gout = append(a.gout, a.out[i*row+hh*d:i*row+(hh+1)*d])
+	a.gst = append(a.gst, a.seqs[i].Store(a.layer, hh/gs))
+}
+
+// Run implements parallel.Body over selection units or attention units.
 func (a *layerAttn) Run(lo, hi int) {
 	cfg := a.seqs[0].m.cfg
 	row := cfg.NHeads * cfg.HeadDim
@@ -513,9 +585,13 @@ func (a *layerAttn) Run(lo, hi int) {
 		}
 		return
 	}
-	for i := lo; i < hi; i++ {
-		si, hh := i/cfg.NHeads, i%cfg.NHeads
-		a.seqs[si].attendHead(a.layer, hh, a.q[si*row:(si+1)*row], a.out[si*row:(si+1)*row])
+	for _, u := range a.heads[lo:hi] {
+		si := a.mem[u.lo]
+		if u.hi-u.lo == 1 {
+			a.seqs[si].attendHead(a.layer, u.hh, a.q[si*row:(si+1)*row], a.out[si*row:(si+1)*row])
+			continue
+		}
+		a.seqs[si].attn[u.hh].FullShared(a.gout[u.lo:u.hi], a.gq[u.lo:u.hi], a.gst[u.lo:u.hi], u.r)
 	}
 }
 
@@ -549,8 +625,10 @@ func (s *Sequence) selectHeads(l int, q []float32, lo, hi int) {
 	}
 }
 
-// attendHead is the attention phase for one query head: full or sparse
-// attention as its pick says, written straight into the head's slice of out.
+// attendHead is the attention phase of one (stream, head) unit: full or
+// sparse attention as its pick says, written straight into the head's slice
+// of out. A full pick that shares pages with another stream's is attended
+// in that group's unit instead (layerAttn.group).
 func (s *Sequence) attendHead(l, hh int, q, out []float32) {
 	cfg := s.m.cfg
 	d := cfg.HeadDim

@@ -18,8 +18,10 @@ type bandCall struct {
 
 var bandCalls = sync.Pool{New: func() any { return new(bandCall) }}
 
-// Run implements parallel.Body over the output-column band.
-func (c *bandCall) Run(lo, hi int) { matTMatBand(&c.dst, &c.m, &c.x, lo, hi) }
+// Run implements parallel.Body over column tiles [lo, hi) (matTMatSplit).
+func (c *bandCall) Run(lo, hi int) {
+	matTMatBand(&c.dst, &c.m, &c.x, lo*matTMatCols, min(hi*matTMatCols, c.m.Cols))
+}
 
 // on runs the call over [0, n) on p: directly when the pool would not fan it
 // out, through a recycled heap copy otherwise.

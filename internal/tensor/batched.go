@@ -21,9 +21,10 @@ func MatTMat(dst, m, x *Mat) {
 }
 
 // MatTMatOn is MatTMat on an explicit pool (nil runs serial). The parallel
-// split is over output *columns*: every (stream, column) element accumulates
-// m's rows in ascending order with the per-stream x == 0 skip, so each dst
-// row is bit-identical to the one-row call at any width. The skip is an
+// split is over whole 32-column tiles of the output (matTMatSplit): every
+// (stream, column) element accumulates m's rows in ascending order with the
+// per-stream x == 0 skip, so each dst row is bit-identical to the one-row
+// call at any width. The skip is an
 // optimisation of the scalar loop, not a semantic: the vector kernel adds the
 // exact zero instead, which differs only when the skipped row of m holds a
 // NaN or ±Inf — finite weights are the contract. Within a column band each
@@ -33,8 +34,25 @@ func MatTMatOn(p *parallel.Pool, dst, m, x *Mat) {
 	if x.Cols != m.Rows || dst.Rows != x.Rows || dst.Cols != m.Cols {
 		panic("tensor: MatTMat dimension mismatch")
 	}
-	bandCall{dst: *dst, m: *m, x: *x}.on(p, m.Cols, kernelGrain(m.Rows*x.Rows))
+	tiles, grain := matTMatSplit(m, x)
+	bandCall{dst: *dst, m: *m, x: *x}.on(p, tiles, grain)
 }
+
+// matTMatSplit returns how MatTMatOn splits a product: into column tiles of
+// matTMatCols (the register tile's width; the last one may be narrower), at
+// least grain tiles to a block, so that a pooled block holds at least
+// matTMatBlockOps multiply-adds. Below that a block does not pay for its
+// dispatch: products under twice it — every layer product of a small decode
+// cohort — run serially (BenchmarkMatTMat's pooled rows).
+func matTMatSplit(m, x *Mat) (tiles, grain int) {
+	tiles = (m.Cols + matTMatCols - 1) / matTMatCols
+	return tiles, max(1, matTMatBlockOps/max(1, m.Rows*x.Rows*matTMatCols))
+}
+
+const (
+	matTMatCols     = 32
+	matTMatBlockOps = 1 << 16
+)
 
 // matTMatBandGo is the scalar MatTMat column band (see dotRowsGo).
 func matTMatBandGo(dst, m, x *Mat, lo, hi int) {

@@ -111,7 +111,7 @@ func TestWeightProductsDoNotAllocate(t *testing.T) {
 		dst := NewMat(4, sh.c)
 		pool := parallel.NewPool(2)
 		prev := parallel.SetDefault(pool)
-		fanned := !pool.RunsInline(sh.c, kernelGrain(sh.r))
+		fans := func(x *Mat) bool { return !pool.RunsInline(matTMatSplit(m, x)) }
 		checks := []struct {
 			name string
 			call func()
@@ -120,8 +120,8 @@ func TestWeightProductsDoNotAllocate(t *testing.T) {
 			pooled bool
 		}{
 			{"MatTVecOn(nil)", func() { MatTVecOn(nil, dst.Row(0), m, x.Row(0)) }, false},
-			{"MatTVec", func() { MatTVec(dst.Row(0), m, x.Row(0)) }, fanned},
-			{"MatTMat", func() { MatTMat(dst, m, x) }, fanned},
+			{"MatTVec", func() { MatTVec(dst.Row(0), m, x.Row(0)) }, fans(&Mat{Rows: 1, Cols: sh.r})},
+			{"MatTMat", func() { MatTMat(dst, m, x) }, fans(x)},
 		}
 		for _, c := range checks {
 			if c.pooled && raceEnabled {
@@ -150,12 +150,17 @@ func reportGFLOPs(b *testing.B, r, c, rows int) {
 // BenchmarkMatTMat times the one weight-product kernel serially at decode
 // cohort sizes (1, 4, 8) and a prefill-like row block (32), and on the LM
 // head: embedᵀ of the default model (DModel × VocabSize) for a lone stream
-// and a cohort of 8.
+// and a cohort of 8. Its pool rows are the decode rows serially and on the
+// shared pool, as the decode step calls it, for the four layer shapes of the
+// default model (64×64 for wq, wk, wv and wo, 64×128 for w1 and w3, 128×64
+// for w2) and the LM head: where a pooled block pays for its dispatch
+// (matTMatSplit).
 func BenchmarkMatTMat(b *testing.B) {
 	for _, sh := range benchShapes {
 		benchMatTMat(b, fmt.Sprintf("%dx%d", sh.r, sh.c), sh.r, sh.c, []int{1, 4, 8, 32})
 	}
 	benchMatTMat(b, "lmhead64x512", 64, 512, []int{1, 8})
+	b.Run("pool", benchMatTMatPool)
 }
 
 func benchMatTMat(b *testing.B, name string, rows, cols int, cohorts []int) {
@@ -170,6 +175,32 @@ func benchMatTMat(b *testing.B, name string, rows, cols int, cohorts []int) {
 			}
 			reportGFLOPs(b, rows, cols, S)
 		})
+	}
+}
+
+func benchMatTMatPool(b *testing.B) {
+	pool := parallel.Default()
+	for _, sh := range []struct {
+		name       string
+		rows, cols int
+	}{{"64x64", 64, 64}, {"64x128", 64, 128}, {"128x64", 128, 64}, {"lmhead64x512", 64, 512}} {
+		r := rng.New(uint64(sh.rows + sh.cols))
+		m := randMat(r, sh.rows, sh.cols, 0)
+		for _, S := range []int{1, 4, 8} {
+			x := randMat(r, S, sh.rows, 0)
+			dst := NewMat(S, sh.cols)
+			for _, p := range []struct {
+				name string
+				pool *parallel.Pool
+			}{{"serial", nil}, {"pooled", pool}} {
+				b.Run(fmt.Sprintf("%s/rows%d/%s", sh.name, S, p.name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						MatTMatOn(p.pool, dst, m, x)
+					}
+					reportGFLOPs(b, sh.rows, sh.cols, S)
+				})
+			}
+		}
 	}
 }
 

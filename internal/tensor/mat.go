@@ -46,10 +46,6 @@ func (m *Mat) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
 // Set assigns element (i, j).
 func (m *Mat) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }
 
-// kernelGrain is the shared fan-out policy: the minimum block length so
-// each parallel block does a worthwhile amount of inner-loop work.
-func kernelGrain(perIndexOps int) int { return parallel.Grain(perIndexOps) }
-
 // MatTVec computes dst = mᵀ · x (x has Rows entries, dst has Cols entries):
 // MatTMat over one row, so it shares that kernel's column split and its
 // bits at any pool width.

@@ -11,8 +11,9 @@
 // conscious scalar loop. The Go compiler does not vectorize those loops, so
 // on amd64 with AVX2 and FMA the hot ones (DotRows, AddScaledRows and their
 // row-list forms, Softmax, SiluMul, ArgBestCos, the GEMV/GEMM bands, the
-// packed LM head and the key-major ScoreTile, the one multi-vector dot of
-// prefill attention and K-means) run assembly kernels instead —
+// packed LM head, the key-major ScoreTile, the one multi-vector dot of
+// prefill attention and K-means, and the group kernels of decode attention
+// over shared pages) run assembly kernels instead —
 // vec_amd64.s, chosen once at init by CPUID, with an 8-lane exp, the
 // register-tiled GEMM and the score tile's 16-lane form where the CPU has
 // AVX-512F; every other target, GOAMD64=v3 and the purego build tag run the
@@ -157,6 +158,18 @@ func Softmax(x []float32) {
 	softmax(x)
 }
 
+// softmax is Softmax over a non-empty x: its max, its exps and their serial
+// sum, and the scale by 1/sum, each on the vector path where it runs. A NaN
+// or ±Inf takes the scalar loop, which defines those.
+func softmax(x []float32) {
+	maxv, finite := rowMax(x)
+	if !finite {
+		softmaxGo(x)
+		return
+	}
+	scaleRow(x, 1/expSumRow(x, maxv, 0))
+}
+
 // softmaxGo is the scalar Softmax loop over a non-empty x (see dotRowsGo).
 func softmaxGo(x []float32) {
 	maxv := x[0]
@@ -165,13 +178,7 @@ func softmaxGo(x []float32) {
 			maxv = v
 		}
 	}
-	var sum float32
-	for i, v := range x {
-		e := float32(math.Exp(float64(v - maxv)))
-		x[i] = e
-		sum += e
-	}
-	inv := 1 / sum
+	inv := 1 / expSumGo(x, maxv, 0)
 	for i := range x {
 		x[i] *= inv
 	}

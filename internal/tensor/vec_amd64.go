@@ -2,8 +2,6 @@
 
 package tensor
 
-import "math"
-
 // Vector path (DESIGN.md §12): each dispatcher below hands the part of its
 // problem that fills whole vector blocks to a kernel in vec_amd64.s and the
 // row and column tails to the scalar loop, so no kernel reads past a slice.
@@ -320,38 +318,46 @@ func matTMatTiled(g int) bool { return useBlock16 && g > tileMinRows }
 // to four rows (small decode cohorts) are cheaper a row at a time.
 const tileMinRows = 4
 
-func softmax(x []float32) {
+// expSumRow turns x into its exps less max, every x[i]−max being ≤ 0 or
+// -Inf, and returns sum plus them, added in order: the 8-lane table exp, the
+// 4-lane archExp replica, then the scalar loop, each exp being
+// float32(math.Exp(float64(x[i]−max))) on all three.
+func expSumRow(x []float32, max, sum float32) float32 {
+	if !useVec {
+		return expSumGo(x, max, sum)
+	}
 	n := len(x)
-	if !useVec || n < 8 {
-		softmaxGo(x)
-		return
-	}
-	maxv, absBits := maxAbsAVX2(&x[0], n)
-	if absBits >= 0x7f800000 { // a NaN or ±Inf: the scalar loop defines those
-		softmaxGo(x)
-		return
-	}
 	n4 := n &^ 3
 	wide := 0 // elements the 8-lane kernel took
-	var sum float32
-	if useExp8 {
+	if useExp8 && n >= 8 {
 		wide = n &^ 7
-		sum, _ = expSumAVX512(&x[0], wide, maxv, 0)
+		sum, _ = expSumAVX512(&x[0], wide, max, sum)
 	}
 	if wide < n4 {
-		sum = expSumAVX2(&x[wide], n4-wide, maxv, sum)
+		sum = expSumAVX2(&x[wide], n4-wide, max, sum)
 	}
-	for i := n4; i < n; i++ {
-		e := float32(math.Exp(float64(x[i] - maxv)))
-		x[i] = e
-		sum += e
+	return expSumGo(x[n4:], max, sum)
+}
+
+// scaleRow multiplies x by a in place.
+func scaleRow(x []float32, a float32) {
+	n8 := 0
+	if useVec && len(x) >= 8 {
+		n8 = len(x) &^ 7
+		scaleAVX2(&x[0], n8, a)
 	}
-	inv := 1 / sum
-	n8 := n &^ 7
-	scaleAVX2(&x[0], n8, inv)
-	for i := n8; i < n; i++ {
-		x[i] *= inv
+	for i := n8; i < len(x); i++ {
+		x[i] *= a
 	}
+}
+
+// rowMax returns Softmax's max of x and whether every element is finite.
+func rowMax(x []float32) (float32, bool) {
+	if !useVec || len(x) < 8 {
+		return rowMaxGo(x)
+	}
+	m, absBits := maxAbsAVX2(&x[0], len(x))
+	return m, absBits < 0x7f800000
 }
 
 // siluVecLimit is the bit pattern of 80: below it in magnitude e^-x is a
@@ -394,5 +400,146 @@ func argBestCos(best []int, dots []float32, stride int, kn, cn []float32) {
 		// key's result depends on its own column alone.
 		o := n - 8
 		argBestCosAVX2(&best[o], &dots[o], stride, &kn[o], &cn[0], 8, len(cn))
+	}
+}
+
+//go:noescape
+func keysTAVX2(dst, src *float32, nb, d, cs, ts, ss int)
+
+//go:noescape
+func groupDotAVX2(dst, q **float32, nq int, kt *float32, m, d int, scale float32, i0 int)
+
+//go:noescape
+func groupDotAVX512(dst, q **float32, nq int, kt *float32, m, d int, scale float32, i0 int)
+
+//go:noescape
+func groupExpSumAVX2(rows **float32, nq, n int, max, sum *float32)
+
+//go:noescape
+func groupExpSumAVX512(rows **float32, nq, n int, max, sum *float32) (slow int)
+
+//go:noescape
+func groupAxpyAVX2(outs, ws **float32, vals *float32, m, d, i0 int)
+
+//go:noescape
+func groupAxpyAVX512(outs, ws **float32, nq int, vals *float32, m, d, i0 int)
+
+// keyLanes is how many keys GroupDot puts in the lanes of one tile for m
+// keys of head dim d: 16 where the CPU has AVX-512F, 8 on AVX2, and 0 where
+// the page does not fill whole tiles or d is not a multiple of 4, which
+// leaves each member to dotRows.
+func keyLanes(m, d int) int {
+	switch {
+	case !useVec || d%4 != 0:
+		return 0
+	case useBlock16 && m%16 == 0:
+		return 16
+	case m%8 == 0:
+		return 8
+	}
+	return 0
+}
+
+// groupDot scores up to groupMax members a kernel call, page by page: each
+// page is transposed once for the call into tiles of L keys, tile t's
+// channel c at kt[(t·d+c)·L:][:L], eight keys (four channels at a time) per
+// transposing step.
+func groupDot(kl *KeyLanes, dst, q, pages [][]float32, m, d int, scale float32) {
+	L := keyLanes(m, d)
+	if L == 0 {
+		for p, keys := range pages {
+			for g := range q {
+				dotRows(dst[g][p*m:(p+1)*m], q[g], keys[:m*d], d, scale)
+			}
+		}
+		return
+	}
+	kl.kt = growFloats(kl.kt, m*d)
+	kt := &kl.kt[0]
+	var qp, dp [groupMax]*float32
+	for g0 := 0; g0 < len(q); g0 += groupMax {
+		k := min(groupMax, len(q)-g0)
+		for j := range k {
+			qp[j], dp[j] = &q[g0+j][0], &dst[g0+j][0]
+		}
+		for p, keys := range pages {
+			// The blocks of eight keys fill tile halves when L is 16: the
+			// even blocks the low halves, the odd ones the high.
+			for h := 0; h < L/8; h++ {
+				keysTAVX2(&kl.kt[h*8], &keys[h*8*d], m/L, d, 4*L, 4*L*d, 4*L*d)
+			}
+			if L == 16 {
+				groupDotAVX512(&dp[0], &qp[0], k, kt, m, d, scale, p*m)
+			} else {
+				groupDotAVX2(&dp[0], &qp[0], k, kt, m, d, scale, p*m)
+			}
+		}
+	}
+}
+
+// groupExpSum runs the kernel over the rows' first n elements in whole
+// blocks (eight on AVX-512F, four on AVX2) and each row's last ones on
+// expSumGo. rows holds 1 to groupMax rows.
+func groupExpSum(rows [][]float32, n int, max, sum []float32) {
+	done := 0
+	if useVec {
+		done = n &^ 3
+		if useExp8 {
+			done = n &^ 7
+		}
+	}
+	if done > 0 {
+		// The kernels take eight rows, the last one repeated.
+		var rp [groupMax]*float32
+		var mx, s [groupMax]float32
+		for j := range rp {
+			g := min(j, len(rows)-1)
+			rp[j], mx[j], s[j] = &rows[g][0], max[g], sum[g]
+		}
+		if useExp8 {
+			groupExpSumAVX512(&rp[0], len(rows), done, &mx[0], &s[0])
+		} else {
+			groupExpSumAVX2(&rp[0], len(rows), done, &mx[0], &s[0])
+		}
+		copy(sum, s[:len(rows)])
+	}
+	for g, row := range rows {
+		sum[g] = expSumGo(row[done:n], max[g], sum[g])
+	}
+}
+
+// groupAddScaled runs up to eight members a call, 16 channels to a register,
+// where the CPU has AVX-512F, and four members a call, 8 channels to a
+// register, on AVX2; a call short of four members repeats its last one (a
+// repeat computes the same bits into the same place). A head dim those
+// widths do not divide leaves each member to addScaledRows.
+func groupAddScaled(out, w, pages [][]float32, m, d int) {
+	wide := useBlock16 && d%16 == 0
+	if !wide && !(useVec && d%8 == 0) {
+		for p, vals := range pages {
+			for g := range out {
+				addScaledRows(out[g], w[g][p*m:(p+1)*m], vals[:m*d], d)
+			}
+		}
+		return
+	}
+	step := 4
+	if wide {
+		step = groupMax
+	}
+	var op, wp [groupMax]*float32
+	for g0 := 0; g0 < len(out); g0 += step {
+		k := min(step, len(out)-g0)
+		for j := range step {
+			g := g0 + min(j, k-1)
+			op[j], wp[j] = &out[g][0], &w[g][0]
+		}
+		for p, vals := range pages {
+			if wide {
+				groupAxpyAVX512(&op[0], &wp[0], max(k, 4), &vals[0], m, d, p*m)
+			} else {
+				groupAxpyAVX2(&op[0], &wp[0], &vals[0], m, d, p*m)
+			}
+		}
 	}
 }

@@ -3,17 +3,19 @@
 #include "textflag.h"
 
 // AVX2 + FMA kernels behind vec_amd64.go (DESIGN.md §12), the score tile of
-// prefill attention and K-means among them, AVX-512F twins of the exp, the
-// SiLU gate and the score tile, and the AVX-512F register tile of MatTMat
-// with its 16-column tail. Every kernel
-// puts *independent* reduction chains in the vector lanes and never splits one
-// chain across lanes, and float32 arithmetic is a separate VMULPS and VADDPS
-// (no fused multiply-add), so each lane performs exactly the operations of
-// the scalar Go loop in the same order: results are bit-identical for finite
-// inputs. The one exception is how expSumAVX512 and tileExpSumAVX512 reach
-// their exps, through a table instead of math.Exp's sequence; each exp is
-// still math.Exp's float32 (see expSumAVX512). Row and column tails stay in
-// Go; no kernel reads past its slice. Every routine ends in VZEROUPPER.
+// prefill attention and K-means and the group kernels of decode attention
+// over shared pages among them, AVX-512F twins of the exp, the SiLU gate,
+// the score tile and the group kernels, and the AVX-512F register tile of
+// MatTMat with its 16-column tail. Every kernel puts *independent* reduction
+// chains in the vector lanes and never splits one chain across lanes, and
+// float32 arithmetic is a separate VMULPS and VADDPS (no fused
+// multiply-add), so each lane performs exactly the operations of the scalar
+// Go loop in the same order: results are bit-identical for finite inputs.
+// The one exception is how expSumAVX512, tileExpSumAVX512 and
+// groupExpSumAVX512 reach their exps, through a table instead of math.Exp's
+// sequence; each exp is still math.Exp's float32 (see expSumAVX512). Row and
+// column tails stay in Go; no kernel reads past its slice. Every routine
+// ends in VZEROUPPER.
 
 // func cpuHasAVX2FMA() bool
 //
@@ -1846,3 +1848,702 @@ cent:
 	JGT       group
 	VZEROUPPER
 	RET
+
+// The group kernels of decode attention over shared pages (DESIGN.md §12):
+// the queries of G streams that hold the same K/V pages attend them in one
+// pass. GroupDot's page is transposed once (keysTAVX2) into tiles of 8 or 16
+// keys, channel-major, and scored with the keys in the lanes and each
+// member's query channel broadcast: every lane is one (member, key) dot
+// product with its channels added in ascending order from +0, then scaled,
+// as DotRows' lanes. The exp-sum kernels run the members' rows block by
+// block, each row's sum its own serial chain, so the chains of different
+// members overlap. The weighted-sum kernels hold four members' outputs,
+// channels in the lanes, while each value row is loaded once for all four.
+
+// func keysTAVX2(dst, src *float32, nb, d, cs, ts, ss int)
+//
+// Transposes nb blocks of eight key rows of d channels (d%4 == 0, d > 0,
+// nb > 0), block b at src + b·ss bytes, into dst: channel c of block b's
+// eight keys at dst + b·ts + c·cs bytes, the keys in the lanes.
+TEXT ·keysTAVX2(SB), NOSPLIT, $0-56
+	MOVQ dst+0(FP), SI
+	MOVQ src+8(FP), R8
+	MOVQ nb+16(FP), BX
+	MOVQ d+24(FP), CX
+	SHLQ $2, CX
+	MOVQ cs+32(FP), DX
+kblock:
+	ROWS8
+	MOVQ SI, DI
+	XORQ AX, AX
+kchunk:
+	TRANS8CHUNK
+	VMOVUPS Y1, (DI)
+	ADDQ    DX, DI
+	VMOVUPS Y2, (DI)
+	ADDQ    DX, DI
+	VMOVUPS Y3, (DI)
+	ADDQ    DX, DI
+	VMOVUPS Y4, (DI)
+	ADDQ    DX, DI
+	ADDQ    $16, AX
+	CMPQ    AX, CX
+	JLT     kchunk
+	ADDQ    ts+40(FP), SI
+	ADDQ    ss+48(FP), R8
+	DECQ    BX
+	JGT     kblock
+	VZEROUPPER
+	RET
+
+// func groupDotAVX512(dst, q **float32, nq int, kt *float32, m, d int, scale float32, i0 int)
+//
+// For each member k < nq: dst[k][i0+i] = scale·<q[k], key i> for the m keys
+// (m%16 == 0, m > 0) of the 16-key tiles at kt, tile t's channel c at
+// kt[(t·d+c)·16:]; d > 0. Members go in pairs, four tiles at a time: eight
+// sums in flight, each tile channel loaded once and each query channel
+// broadcast once for the pair's four tiles; a last odd member takes the
+// four tiles alone.
+TEXT ·groupDotAVX512(SB), NOSPLIT, $0-64
+	MOVQ dst+0(FP), R12
+	MOVQ q+8(FP), R13
+	MOVQ nq+16(FP), R14
+	MOVQ d+40(FP), CX
+	SHLQ $6, CX // one tile's bytes
+	VBROADCASTSS scale+48(FP), Z31
+zpair:
+	CMPQ R14, $2
+	JLT  zmember
+	MOVQ i0+56(FP), AX
+	MOVQ (R12), DI
+	LEAQ (DI)(AX*4), DI
+	MOVQ 8(R12), DX
+	LEAQ (DX)(AX*4), DX
+	MOVQ (R13), SI
+	MOVQ 8(R13), R15
+	MOVQ kt+24(FP), R8
+	MOVQ m+32(FP), BX
+ptiles4:
+	CMPQ BX, $64
+	JLT  ptile1
+	MOVQ R8, R9
+	LEAQ (R8)(CX*2), R10
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	XORQ R11, R11
+	MOVQ d+40(FP), AX
+pchan4:
+	VMOVUPS (R9), Z8
+	VMOVUPS (R9)(CX*1), Z9
+	VMOVUPS (R10), Z10
+	VMOVUPS (R10)(CX*1), Z11
+	VBROADCASTSS (SI)(R11*1), Z12
+	VBROADCASTSS (R15)(R11*1), Z13
+	VMULPS  Z8, Z12, Z14
+	VADDPS  Z14, Z0, Z0
+	VMULPS  Z9, Z12, Z15
+	VADDPS  Z15, Z1, Z1
+	VMULPS  Z10, Z12, Z16
+	VADDPS  Z16, Z2, Z2
+	VMULPS  Z11, Z12, Z17
+	VADDPS  Z17, Z3, Z3
+	VMULPS  Z8, Z13, Z18
+	VADDPS  Z18, Z4, Z4
+	VMULPS  Z9, Z13, Z19
+	VADDPS  Z19, Z5, Z5
+	VMULPS  Z10, Z13, Z20
+	VADDPS  Z20, Z6, Z6
+	VMULPS  Z11, Z13, Z21
+	VADDPS  Z21, Z7, Z7
+	ADDQ    $4, R11
+	ADDQ    $64, R9
+	ADDQ    $64, R10
+	DECQ    AX
+	JGT     pchan4
+	VMULPS  Z31, Z0, Z0
+	VMULPS  Z31, Z1, Z1
+	VMULPS  Z31, Z2, Z2
+	VMULPS  Z31, Z3, Z3
+	VMULPS  Z31, Z4, Z4
+	VMULPS  Z31, Z5, Z5
+	VMULPS  Z31, Z6, Z6
+	VMULPS  Z31, Z7, Z7
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z1, 64(DI)
+	VMOVUPS Z2, 128(DI)
+	VMOVUPS Z3, 192(DI)
+	VMOVUPS Z4, (DX)
+	VMOVUPS Z5, 64(DX)
+	VMOVUPS Z6, 128(DX)
+	VMOVUPS Z7, 192(DX)
+	ADDQ    $256, DI
+	ADDQ    $256, DX
+	LEAQ    (R8)(CX*4), R8
+	SUBQ    $64, BX
+	JMP     ptiles4
+ptile1:
+	TESTQ BX, BX
+	JEQ   pnext
+	MOVQ  R8, R9
+	VPXORD Z0, Z0, Z0
+	VPXORD Z4, Z4, Z4
+	XORQ  R11, R11
+	MOVQ  d+40(FP), AX
+pchan1:
+	VMOVUPS (R9), Z8
+	VBROADCASTSS (SI)(R11*1), Z12
+	VBROADCASTSS (R15)(R11*1), Z13
+	VMULPS  Z8, Z12, Z14
+	VADDPS  Z14, Z0, Z0
+	VMULPS  Z8, Z13, Z18
+	VADDPS  Z18, Z4, Z4
+	ADDQ    $4, R11
+	ADDQ    $64, R9
+	DECQ    AX
+	JGT     pchan1
+	VMULPS  Z31, Z0, Z0
+	VMULPS  Z31, Z4, Z4
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z4, (DX)
+	ADDQ    $64, DI
+	ADDQ    $64, DX
+	ADDQ    CX, R8
+	SUBQ    $16, BX
+	JMP     ptile1
+pnext:
+	ADDQ $16, R12
+	ADDQ $16, R13
+	SUBQ $2, R14
+	JMP  zpair
+zmember:
+	TESTQ R14, R14
+	JEQ   zdone
+	MOVQ i0+56(FP), AX
+	MOVQ (R12), DI
+	LEAQ (DI)(AX*4), DI
+	MOVQ (R13), SI
+	MOVQ kt+24(FP), R8
+	MOVQ m+32(FP), BX
+ztiles4:
+	CMPQ BX, $64
+	JLT  ztile1
+	MOVQ R8, R9
+	LEAQ (R8)(CX*2), R10
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	MOVQ SI, R11
+	MOVQ d+40(FP), AX
+zchan4:
+	VBROADCASTSS (R11), Z4
+	VMULPS  (R9), Z4, Z5
+	VADDPS  Z5, Z0, Z0
+	VMULPS  (R9)(CX*1), Z4, Z6
+	VADDPS  Z6, Z1, Z1
+	VMULPS  (R10), Z4, Z7
+	VADDPS  Z7, Z2, Z2
+	VMULPS  (R10)(CX*1), Z4, Z8
+	VADDPS  Z8, Z3, Z3
+	ADDQ    $4, R11
+	ADDQ    $64, R9
+	ADDQ    $64, R10
+	DECQ    AX
+	JGT     zchan4
+	VMULPS  Z31, Z0, Z0
+	VMULPS  Z31, Z1, Z1
+	VMULPS  Z31, Z2, Z2
+	VMULPS  Z31, Z3, Z3
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z1, 64(DI)
+	VMOVUPS Z2, 128(DI)
+	VMOVUPS Z3, 192(DI)
+	ADDQ    $256, DI
+	LEAQ    (R8)(CX*4), R8
+	SUBQ    $64, BX
+	JMP     ztiles4
+ztile1:
+	TESTQ BX, BX
+	JEQ   zdone
+	MOVQ  R8, R9
+	VPXORD Z0, Z0, Z0
+	MOVQ  SI, R11
+	MOVQ  d+40(FP), AX
+zchan1:
+	VBROADCASTSS (R11), Z4
+	VMULPS  (R9), Z4, Z5
+	VADDPS  Z5, Z0, Z0
+	ADDQ    $4, R11
+	ADDQ    $64, R9
+	DECQ    AX
+	JGT     zchan1
+	VMULPS  Z31, Z0, Z0
+	VMOVUPS Z0, (DI)
+	ADDQ    $64, DI
+	ADDQ    CX, R8
+	SUBQ    $16, BX
+	JMP     ztile1
+zdone:
+	VZEROUPPER
+	RET
+
+// func groupDotAVX2(dst, q **float32, g int, kt *float32, m, d int, scale float32)
+//
+// groupDotAVX512 on 8-key tiles (m%8 == 0), tile t's channel c at
+// kt[(t·d+c)·8:].
+TEXT ·groupDotAVX2(SB), NOSPLIT, $0-64
+	MOVQ dst+0(FP), R12
+	MOVQ q+8(FP), R13
+	MOVQ nq+16(FP), R14
+	MOVQ d+40(FP), CX
+	SHLQ $5, CX // one tile's bytes
+	VBROADCASTSS scale+48(FP), Y15
+ymember:
+	MOVQ i0+56(FP), AX
+	MOVQ (R12), DI
+	LEAQ (DI)(AX*4), DI
+	MOVQ (R13), SI
+	MOVQ kt+24(FP), R8
+	MOVQ m+32(FP), BX
+ytiles4:
+	CMPQ BX, $32
+	JLT  ytile1
+	MOVQ R8, R9
+	LEAQ (R8)(CX*2), R10
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	MOVQ SI, R11
+	MOVQ d+40(FP), AX
+ychan4:
+	VBROADCASTSS (R11), Y4
+	VMULPS  (R9), Y4, Y5
+	VADDPS  Y5, Y0, Y0
+	VMULPS  (R9)(CX*1), Y4, Y6
+	VADDPS  Y6, Y1, Y1
+	VMULPS  (R10), Y4, Y7
+	VADDPS  Y7, Y2, Y2
+	VMULPS  (R10)(CX*1), Y4, Y8
+	VADDPS  Y8, Y3, Y3
+	ADDQ    $4, R11
+	ADDQ    $32, R9
+	ADDQ    $32, R10
+	DECQ    AX
+	JGT     ychan4
+	VMULPS  Y15, Y0, Y0
+	VMULPS  Y15, Y1, Y1
+	VMULPS  Y15, Y2, Y2
+	VMULPS  Y15, Y3, Y3
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ    $128, DI
+	LEAQ    (R8)(CX*4), R8
+	SUBQ    $32, BX
+	JMP     ytiles4
+ytile1:
+	TESTQ BX, BX
+	JEQ   ynext
+	MOVQ  R8, R9
+	VXORPS Y0, Y0, Y0
+	MOVQ  SI, R11
+	MOVQ  d+40(FP), AX
+ychan1:
+	VBROADCASTSS (R11), Y4
+	VMULPS  (R9), Y4, Y5
+	VADDPS  Y5, Y0, Y0
+	ADDQ    $4, R11
+	ADDQ    $32, R9
+	DECQ    AX
+	JGT     ychan1
+	VMULPS  Y15, Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    CX, R8
+	SUBQ    $8, BX
+	JMP     ytile1
+ynext:
+	ADDQ $8, R12
+	ADDQ $8, R13
+	DECQ R14
+	JGT  ymember
+	VZEROUPPER
+	RET
+
+// func groupExpSumAVX512(rows **float32, nq, n int, max, sum *float32) (slow int)
+//
+// For each row k < nq and i < n (n%8 == 0, n > 0): rows[k][i] =
+// float32(math.Exp(float64(rows[k][i] − max[k]))), added to sum[k] in order
+// of i; slow counts the blocks that took the fallback. max and sum hold
+// eight entries, those past nq ignored. Each block of eight keys takes every
+// row's exps from the table exp of expSumAVX512 (GSLOT: EXPROW8, row k's
+// exps kept in Y13+k), transposes the eight rows' blocks so that each key's
+// exps are the lanes of one vector, one lane per row, and adds the eight
+// vectors in key order into the sums in Y31: every row's sum is its own
+// serial chain, and the rows' chains run side by side in the lanes. Four
+// rows or fewer take half the transpose, into the low four lanes. The
+// lanes of rows past nq hold whatever their registers held, and their sums
+// are dropped.
+TEXT ·groupExpSumAVX512(SB), NOSPLIT, $0-48
+	// GSLOT(k, reg) runs row k's block into reg.
+#define GSLOT(k, reg, slow, back) \
+	MOVQ max+24(FP), SI; \
+	VBROADCASTSS (k*4)(SI), Y6; \
+	MOVQ (k*8)(DI), SI; \
+	ADDQ AX, SI; \
+	EXPROW8(SI, Y6, slow, back); \
+	VMOVAPS Y0, reg
+
+	MOVQ rows+0(FP), DI
+	MOVQ n+16(FP), CX
+	SHLQ $2, CX
+	MOVQ sum+32(FP), SI
+	VMOVUPS (SI), Y31
+	XORQ DX, DX
+	XORQ AX, AX // the block's byte offset
+	EXPTK
+gblock:
+	GSLOT(0, Y13, gslow0, gback0)
+	CMPQ nq+8(FP), $1
+	JLE  gsum
+	GSLOT(1, Y14, gslow1, gback1)
+	CMPQ nq+8(FP), $2
+	JLE  gsum
+	GSLOT(2, Y15, gslow2, gback2)
+	CMPQ nq+8(FP), $3
+	JLE  gsum
+	GSLOT(3, Y16, gslow3, gback3)
+	CMPQ nq+8(FP), $4
+	JLE  gsum4
+	GSLOT(4, Y17, gslow4, gback4)
+	CMPQ nq+8(FP), $5
+	JLE  gsum
+	GSLOT(5, Y18, gslow5, gback5)
+	CMPQ nq+8(FP), $6
+	JLE  gsum
+	GSLOT(6, Y19, gslow6, gback6)
+	CMPQ nq+8(FP), $7
+	JLE  gsum
+	GSLOT(7, Y20, gslow7, gback7)
+gsum:
+	// Rows r0..r7 (Y13..Y20) to keys c0..c7: unpack (t), shuffle (u),
+	// then the 128-bit halves: c_j = [u_j.lo | u_{j+4}.lo] for j < 4 and
+	// the high halves for j ≥ 4.
+	VUNPCKLPS Y14, Y13, Y1
+	VUNPCKHPS Y14, Y13, Y2
+	VUNPCKLPS Y16, Y15, Y3
+	VUNPCKHPS Y16, Y15, Y4
+	VUNPCKLPS Y18, Y17, Y5
+	VUNPCKHPS Y18, Y17, Y7
+	VUNPCKLPS Y20, Y19, Y9
+	VUNPCKHPS Y20, Y19, Y11
+	VSHUFPS   $0x44, Y3, Y1, Y13
+	VSHUFPS   $0xEE, Y3, Y1, Y14
+	VSHUFPS   $0x44, Y4, Y2, Y15
+	VSHUFPS   $0xEE, Y4, Y2, Y16
+	VSHUFPS   $0x44, Y9, Y5, Y17
+	VSHUFPS   $0xEE, Y9, Y5, Y18
+	VSHUFPS   $0x44, Y11, Y7, Y19
+	VSHUFPS   $0xEE, Y11, Y7, Y20
+	VSHUFF32X4 $0, Y17, Y13, Y1
+	VSHUFF32X4 $0, Y18, Y14, Y2
+	VSHUFF32X4 $0, Y19, Y15, Y3
+	VSHUFF32X4 $0, Y20, Y16, Y4
+	VSHUFF32X4 $3, Y17, Y13, Y5
+	VSHUFF32X4 $3, Y18, Y14, Y7
+	VSHUFF32X4 $3, Y19, Y15, Y9
+	VSHUFF32X4 $3, Y20, Y16, Y11
+	VADDPS Y1, Y31, Y31
+	VADDPS Y2, Y31, Y31
+	VADDPS Y3, Y31, Y31
+	VADDPS Y4, Y31, Y31
+	VADDPS Y5, Y31, Y31
+	VADDPS Y7, Y31, Y31
+	VADDPS Y9, Y31, Y31
+	VADDPS Y11, Y31, Y31
+	JMP  gnext
+gsum4:
+	// Up to four rows: c_j = u_j.lo for j < 4 and u_{j-4}.hi for j ≥ 4,
+	// added into the low four lanes of the sums.
+	VUNPCKLPS Y14, Y13, Y1
+	VUNPCKHPS Y14, Y13, Y2
+	VUNPCKLPS Y16, Y15, Y3
+	VUNPCKHPS Y16, Y15, Y4
+	VUNPCKLPD Y3, Y1, Y5
+	VUNPCKHPD Y3, Y1, Y7
+	VUNPCKLPD Y4, Y2, Y9
+	VUNPCKHPD Y4, Y2, Y11
+	VADDPS X5, X31, X31
+	VADDPS X7, X31, X31
+	VADDPS X9, X31, X31
+	VADDPS X11, X31, X31
+	VEXTRACTF128 $1, Y5, X5
+	VADDPS X5, X31, X31
+	VEXTRACTF128 $1, Y7, X7
+	VADDPS X7, X31, X31
+	VEXTRACTF128 $1, Y9, X9
+	VADDPS X9, X31, X31
+	VEXTRACTF128 $1, Y11, X11
+	VADDPS X11, X31, X31
+gnext:
+	ADDQ $32, AX
+	CMPQ AX, CX
+	JLT  gblock
+	MOVQ sum+32(FP), SI
+	VMOVUPS Y31, (SI)
+	MOVQ DX, slow+40(FP)
+	VZEROUPPER
+	RET
+	EXPSLOW8(gslow0, gback0)
+	EXPSLOW8(gslow1, gback1)
+	EXPSLOW8(gslow2, gback2)
+	EXPSLOW8(gslow3, gback3)
+	EXPSLOW8(gslow4, gback4)
+	EXPSLOW8(gslow5, gback5)
+	EXPSLOW8(gslow6, gback6)
+	EXPSLOW8(gslow7, gback7)
+
+// func groupExpSumAVX2(rows **float32, nq, n int, max, sum *float32)
+//
+// groupExpSumAVX512's contract on blocks of four keys (n%4 == 0, n > 0),
+// each row's block expSumAVX2's EXPPD4, math.archExp's instruction
+// sequence. The sums stay in sum across blocks: TRANS8CHUNK needs Y1-Y8,
+// so the constants it clobbers (Y7, Y8) are reloaded after it.
+TEXT ·groupExpSumAVX2(SB), NOSPLIT, $0-40
+	MOVQ rows+0(FP), DI
+	MOVQ (DI), R8
+	MOVQ 8(DI), R9
+	MOVQ 16(DI), R10
+	MOVQ 24(DI), R11
+	MOVQ 32(DI), R12
+	MOVQ 40(DI), R13
+	MOVQ 48(DI), R14
+	MOVQ 56(DI), R15
+	MOVQ n+16(FP), CX
+	SHLQ $2, CX
+	XORQ AX, AX
+	EXPK4
+	VBROADCASTSD expk<>+56(SB), Y8
+hblock:
+	XORQ BX, BX
+hrow:
+	MOVQ max+24(FP), SI
+	VBROADCASTSS (SI)(BX*4), X6
+	MOVQ (DI)(BX*8), SI
+	ADDQ AX, SI
+	VMOVUPS   (SI), X0
+	VSUBPS    X6, X0, X0
+	VCVTPS2PD X0, Y0
+	VCMPPD    $0x11, Y8, Y0, Y3 // x < -104
+	EXPPD4
+	VANDNPD   Y0, Y3, Y0
+	VCVTPD2PSY Y0, X0
+	VMOVUPS   X0, (SI)
+	INCQ BX
+	CMPQ BX, nq+8(FP)
+	JLT  hrow
+	TRANS8CHUNK
+	MOVQ sum+32(FP), SI
+	VMOVUPS (SI), Y0
+	VADDPS  Y1, Y0, Y0
+	VADDPS  Y2, Y0, Y0
+	VADDPS  Y3, Y0, Y0
+	VADDPS  Y4, Y0, Y0
+	VMOVUPS Y0, (SI)
+	VPBROADCASTQ expk<>+64(SB), Y7
+	VBROADCASTSD expk<>+56(SB), Y8
+	ADDQ $16, AX
+	CMPQ AX, CX
+	JLT  hblock
+	VZEROUPPER
+	RET
+
+// func groupAxpyAVX512(outs, ws **float32, nq int, vals *float32, m, d, i0 int)
+//
+// For the members k < nq (4 ≤ nq ≤ 8; outs and ws hold eight entries) and
+// the m > 0 value rows i ascending: outs[k][c] += ws[k][i0+i]·vals[i·d + c] for
+// every channel c (d%16 == 0, d > 0). Sixteen channels of every member's
+// outputs are held in registers (Z0-Z7) while the rows stream past, so a
+// value row is loaded once for all the members and every output adds its
+// products in row order, as AddScaledRows' lanes do. Members 4 to 7 are
+// skipped past nq, in every row, so each member costs one multiply and one
+// add a row.
+TEXT ·groupAxpyAVX512(SB), NOSPLIT, $0-56
+	MOVQ outs+0(FP), R13
+	MOVQ ws+8(FP), DI
+	MOVQ (DI), AX
+	MOVQ 8(DI), BX
+	MOVQ 16(DI), DX
+	MOVQ 24(DI), SI
+	MOVQ 32(DI), R8
+	MOVQ 40(DI), R9
+	MOVQ 48(DI), R10
+	MOVQ 56(DI), R11
+	MOVQ i0+48(FP), R14 // the weights' first index
+	SHLQ $2, R14
+	ADDQ R14, AX
+	ADDQ R14, BX
+	ADDQ R14, DX
+	ADDQ R14, SI
+	ADDQ R14, R8
+	ADDQ R14, R9
+	ADDQ R14, R10
+	ADDQ R14, R11
+	MOVQ nq+16(FP), R12
+	MOVQ d+40(FP), CX
+	SHLQ $2, CX
+	XORQ R15, R15 // the channel block's byte offset
+ablock:
+	MOVQ (R13), DI
+	VMOVUPS (DI)(R15*1), Z0
+	MOVQ 8(R13), DI
+	VMOVUPS (DI)(R15*1), Z1
+	MOVQ 16(R13), DI
+	VMOVUPS (DI)(R15*1), Z2
+	MOVQ 24(R13), DI
+	VMOVUPS (DI)(R15*1), Z3
+	CMPQ R12, $5
+	JLT  aload
+	MOVQ 32(R13), DI
+	VMOVUPS (DI)(R15*1), Z4
+	CMPQ R12, $6
+	JLT  aload
+	MOVQ 40(R13), DI
+	VMOVUPS (DI)(R15*1), Z5
+	CMPQ R12, $7
+	JLT  aload
+	MOVQ 48(R13), DI
+	VMOVUPS (DI)(R15*1), Z6
+	CMPQ R12, $8
+	JLT  aload
+	MOVQ 56(R13), DI
+	VMOVUPS (DI)(R15*1), Z7
+aload:
+	MOVQ vals+24(FP), DI
+	ADDQ R15, DI
+	XORQ R14, R14
+arow:
+	VMOVUPS (DI), Z8
+	VMULPS.BCST (AX)(R14*4), Z8, Z9
+	VADDPS  Z9, Z0, Z0
+	VMULPS.BCST (BX)(R14*4), Z8, Z10
+	VADDPS  Z10, Z1, Z1
+	VMULPS.BCST (DX)(R14*4), Z8, Z11
+	VADDPS  Z11, Z2, Z2
+	VMULPS.BCST (SI)(R14*4), Z8, Z12
+	VADDPS  Z12, Z3, Z3
+	CMPQ R12, $5
+	JLT  anext
+	VMULPS.BCST (R8)(R14*4), Z8, Z13
+	VADDPS  Z13, Z4, Z4
+	CMPQ R12, $6
+	JLT  anext
+	VMULPS.BCST (R9)(R14*4), Z8, Z14
+	VADDPS  Z14, Z5, Z5
+	CMPQ R12, $7
+	JLT  anext
+	VMULPS.BCST (R10)(R14*4), Z8, Z15
+	VADDPS  Z15, Z6, Z6
+	CMPQ R12, $8
+	JLT  anext
+	VMULPS.BCST (R11)(R14*4), Z8, Z16
+	VADDPS  Z16, Z7, Z7
+anext:
+	ADDQ CX, DI
+	INCQ R14
+	CMPQ R14, m+32(FP)
+	JLT  arow
+	MOVQ (R13), DI
+	VMOVUPS Z0, (DI)(R15*1)
+	MOVQ 8(R13), DI
+	VMOVUPS Z1, (DI)(R15*1)
+	MOVQ 16(R13), DI
+	VMOVUPS Z2, (DI)(R15*1)
+	MOVQ 24(R13), DI
+	VMOVUPS Z3, (DI)(R15*1)
+	CMPQ R12, $5
+	JLT  astored
+	MOVQ 32(R13), DI
+	VMOVUPS Z4, (DI)(R15*1)
+	CMPQ R12, $6
+	JLT  astored
+	MOVQ 40(R13), DI
+	VMOVUPS Z5, (DI)(R15*1)
+	CMPQ R12, $7
+	JLT  astored
+	MOVQ 48(R13), DI
+	VMOVUPS Z6, (DI)(R15*1)
+	CMPQ R12, $8
+	JLT  astored
+	MOVQ 56(R13), DI
+	VMOVUPS Z7, (DI)(R15*1)
+astored:
+	ADDQ $64, R15
+	CMPQ R15, CX
+	JLT  ablock
+	VZEROUPPER
+	RET
+
+// func groupAxpyAVX2(outs, ws **float32, vals *float32, m, d, i0 int)
+//
+// groupAxpyAVX512 on eight channels to a register (d%8 == 0).
+TEXT ·groupAxpyAVX2(SB), NOSPLIT, $0-48
+	MOVQ outs+0(FP), DI
+	MOVQ (DI), R8
+	MOVQ 8(DI), R9
+	MOVQ 16(DI), R10
+	MOVQ 24(DI), R11
+	MOVQ ws+8(FP), DI
+	MOVQ (DI), AX
+	MOVQ 8(DI), BX
+	MOVQ 16(DI), DX
+	MOVQ 24(DI), SI
+	MOVQ i0+40(FP), R12
+	ADDQ m+24(FP), R12 // one past the last weight index
+	MOVQ d+32(FP), CX
+	SHLQ $2, CX
+	XORQ R15, R15
+bblock:
+	VMOVUPS (R8)(R15*1), Y0
+	VMOVUPS (R9)(R15*1), Y1
+	VMOVUPS (R10)(R15*1), Y2
+	VMOVUPS (R11)(R15*1), Y3
+	MOVQ vals+16(FP), DI
+	ADDQ R15, DI
+	MOVQ i0+40(FP), R14
+brow:
+	VMOVUPS (DI), Y4
+	VBROADCASTSS (AX)(R14*4), Y5
+	VMULPS  Y4, Y5, Y5
+	VADDPS  Y5, Y0, Y0
+	VBROADCASTSS (BX)(R14*4), Y6
+	VMULPS  Y4, Y6, Y6
+	VADDPS  Y6, Y1, Y1
+	VBROADCASTSS (DX)(R14*4), Y7
+	VMULPS  Y4, Y7, Y7
+	VADDPS  Y7, Y2, Y2
+	VBROADCASTSS (SI)(R14*4), Y8
+	VMULPS  Y4, Y8, Y8
+	VADDPS  Y8, Y3, Y3
+	ADDQ CX, DI
+	INCQ R14
+	CMPQ R14, R12
+	JLT  brow
+	VMOVUPS Y0, (R8)(R15*1)
+	VMOVUPS Y1, (R9)(R15*1)
+	VMOVUPS Y2, (R10)(R15*1)
+	VMOVUPS Y3, (R11)(R15*1)
+	ADDQ $32, R15
+	CMPQ R15, CX
+	JLT  bblock
+	VZEROUPPER
+	RET
+

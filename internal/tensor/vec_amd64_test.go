@@ -628,11 +628,12 @@ func TestVecSiluMul(t *testing.T) {
 // the three score-tile kernels on each kernel set and TileDot against their
 // scalar loops at a fuzzed width up to 128, row count, row list and query
 // count up to 33 (a causal block of them through ScoreTiles, and the kernels
-// alone with the causal lane mask at a fuzzed offset), and 1 to 33
-// activation rows at band widths that leave 32-, 16- and 8-column tails;
-// the raw values, non-finite ones included, go through softmax and SiluMul
-// on every exp kernel and through ArgBestCos as scores and norms of a fuzzed
-// centroid count.
+// alone with the causal lane mask at a fuzzed offset), the three group
+// kernels for 1 to 9 members over pages of 1 to 24 keys on every path, and
+// 1 to 33 activation rows at band widths that leave 32-, 16- and 8-column
+// tails; the raw values, non-finite ones included, go through softmax,
+// SoftmaxRows and SiluMul on every exp kernel and through ArgBestCos as
+// scores and norms of a fuzzed centroid count.
 func FuzzVecKernels(f *testing.F) {
 	seed := make([]byte, 4*16*70)
 	r := rng.New(1)
@@ -661,6 +662,11 @@ func FuzzVecKernels(f *testing.F) {
 		f.Add(long, uint8(15), uint8(nq-1)) // d = 64
 	}
 	f.Add(long, uint8(31), uint8(16)) // d = 128, 17 queries
+	// The group kernels: 5 members over pages of 16 keys at d = 16, 9 (a
+	// second call of one) at d = 64, 8 over pages of 8 at d = 8.
+	f.Add(seed, uint8(3), uint8(139))
+	f.Add(long, uint8(15), uint8(143))
+	f.Add(seed, uint8(1), uint8(70))
 	f.Fuzz(func(t *testing.T, data []byte, d4, pick uint8) {
 		raw := make([]float32, len(data)/4)
 		for i := range raw {
@@ -744,6 +750,44 @@ func FuzzVecKernels(f *testing.F) {
 					tileDotVsDot(t, ks.name, rows, m, d)
 				})
 				tileKernelsVsLoops(t, ks, "tile", rows, rows, vrows, min(nq, TileLanes), min(m, 48), d, int(pick)%17-8)
+			}
+		}
+
+		// The group kernels on every path: up to nine members' queries (key
+		// rows) over pages of a fuzzed size cut from the rows, and
+		// SoftmaxRows on the raw values, non-finite ones included, as rows
+		// of members of three lengths, against Softmax per row.
+		if G, pm := 1+int(pick)%9, 1+int(pick/9)%24; m >= pm {
+			np := min(m/pm, 4)
+			kp, vp := make([][]float32, np), make([][]float32, np)
+			for p := range kp {
+				kp[p], vp[p] = rows[p*pm*d:(p+1)*pm*d], vals[len(vals)-(p+1)*pm*d:len(vals)-p*pm*d]
+			}
+			q, out := make([][]float32, G), make([][]float32, G)
+			for g := range q {
+				q[g], out[g] = rows[(g%m)*d:(g%m+1)*d], x
+			}
+			smRows := make([][]float32, G)
+			n := len(raw) / G
+			for _, path := range tilePaths {
+				for _, k := range expKernels {
+					withTilePath(path, func() {
+						withExp(k, func() {
+							groupKernelsVsLoops(t, path.name+"/"+k.name, q, kp, vp, out, pm, d)
+							for g := range smRows {
+								smRows[g] = append([]float32(nil), raw[g*n:(g+1)*n-min(g%3, n)]...)
+							}
+							SoftmaxRows(smRows)
+							for g, row := range smRows {
+								want := append([]float32(nil), raw[g*n:g*n+len(row)]...)
+								if len(want) > 0 {
+									softmaxGo(want)
+								}
+								expectBitsEqual(t, path.name+"/"+k.name+" SoftmaxRows", row, want)
+							}
+						})
+					})
+				}
 			}
 		}
 
@@ -1134,5 +1178,87 @@ func TestVecTileNonFinite(t *testing.T) {
 				expectBitsEqual(t, ks.name+" beside a non-finite lane, query "+itoa(j), out[j*d:(j+1)*d], want)
 			}
 		}
+	}
+}
+
+// TestVecGroupKernels runs the group kernels' conformance on every path
+// this CPU has: the 16-lane kernels, the AVX2 ones and the scalar loops,
+// each exp kernel under the first two, and checks the dispatchers against
+// the scalar group loops too.
+func TestVecGroupKernels(t *testing.T) {
+	needVec(t)
+	r := rng.New(71)
+	for _, path := range tilePaths {
+		for _, k := range expKernels {
+			withTilePath(path, func() {
+				withExp(k, func() {
+					groupShapes(func(G, npages, m, d int, tails []int) {
+						name := path.name + "/" + k.name
+						groupVsMembers(t, name, r, G, npages, m, d, tails, nil)
+						groupVsLoops(t, name, r, G, npages, m, d)
+					})
+				})
+			})
+		}
+	}
+}
+
+// groupVsLoops checks the three group dispatchers against their scalar
+// loops on one shape.
+func groupVsLoops(t *testing.T, name string, r *rng.RNG, G, npages, m, d int) {
+	t.Helper()
+	kp, vp, q := make([][]float32, npages), make([][]float32, npages), make([][]float32, G)
+	for p := range kp {
+		kp[p], vp[p] = oddValues(r, m*d), oddValues(r, m*d)
+	}
+	out := make([][]float32, G)
+	for g := range q {
+		q[g], out[g] = oddValues(r, d), oddValues(r, d)
+	}
+	groupKernelsVsLoops(t, name, q, kp, vp, out, m, d)
+}
+
+// groupKernelsVsLoops checks the group dispatchers against their scalar
+// loops: the members' queries q over the K pages kp of m keys, their exps
+// from a running sum of j for row j, and their weighted sums of the V pages
+// vp into copies of out.
+func groupKernelsVsLoops(t *testing.T, name string, q, kp, vp, out [][]float32, m, d int) {
+	t.Helper()
+	G, npages := len(q), len(kp)
+	name = sprintShape(name+" group", G, npages*m, d, 0)
+	got, want := make([][]float32, G), make([][]float32, G)
+	for g := range q {
+		got[g], want[g] = make([]float32, npages*m), make([]float32, npages*m)
+	}
+	var kl KeyLanes
+	groupDot(&kl, got, q, kp, m, d, 0.25)
+	groupDotGo(want, q, kp, m, d, 0.25)
+	for g := range got {
+		expectBitsEqual(t, name+" dot", got[g], want[g])
+	}
+	for g0 := 0; g0 < G; g0 += groupMax {
+		rows, rowsWant := got[g0:min(g0+groupMax, G)], want[g0:min(g0+groupMax, G)]
+		mx, sum, sumWant := make([]float32, len(rows)), make([]float32, len(rows)), make([]float32, len(rows))
+		for j, row := range rows {
+			mx[j], _ = rowMaxGo(row)
+			sum[j] = float32(j)
+			sumWant[j] = sum[j]
+		}
+		groupExpSum(rows, npages*m, mx, sum)
+		groupExpSumGo(rowsWant, npages*m, mx, sumWant)
+		expectBitsEqual(t, name+" expSum sums", sum, sumWant)
+		for j := range rows {
+			expectBitsEqual(t, name+" expSum", rows[j], rowsWant[j])
+		}
+	}
+	outGot, outWant := make([][]float32, G), make([][]float32, G)
+	for g := range out {
+		outGot[g] = append([]float32(nil), out[g]...)
+		outWant[g] = append([]float32(nil), out[g]...)
+	}
+	groupAddScaled(outGot, got, vp, m, d)
+	groupAddScaledGo(outWant, want, vp, m, d)
+	for g := range out {
+		expectBitsEqual(t, name+" axpy", outGot[g], outWant[g])
 	}
 }

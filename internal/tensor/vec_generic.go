@@ -29,10 +29,6 @@ func matTMatBand(dst, m, x *Mat, lo, hi int) {
 	matTMatBandGo(dst, m, x, lo, hi)
 }
 
-func softmax(x []float32) {
-	softmaxGo(x)
-}
-
 func tileDot(rows, qt, keys []float32, m, d int, scale float32, vis int, st *tileState) {
 	tileDotGo(rows, qt, keys, m, d, scale, vis, st)
 }
@@ -51,4 +47,22 @@ func siluMul(g, u []float32) {
 
 func argBestCos(best []int, dots []float32, stride int, kn, cn []float32) {
 	argBestCosGo(best, dots, stride, kn, cn)
+}
+
+func rowMax(x []float32) (float32, bool) { return rowMaxGo(x) }
+
+func expSumRow(x []float32, max, sum float32) float32 { return expSumGo(x, max, sum) }
+
+func scaleRow(x []float32, a float32) { Scale(a, x) }
+
+func groupDot(_ *KeyLanes, dst, q, pages [][]float32, m, d int, scale float32) {
+	groupDotGo(dst, q, pages, m, d, scale)
+}
+
+func groupExpSum(rows [][]float32, n int, max, sum []float32) {
+	groupExpSumGo(rows, n, max, sum)
+}
+
+func groupAddScaled(out, w, pages [][]float32, m, d int) {
+	groupAddScaledGo(out, w, pages, m, d)
 }
