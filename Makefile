@@ -90,7 +90,9 @@ bench-compare:
 # Dot (TileDot), the vector ≡ scalar suite (Vec: AVX2 kernels against the Go
 # loops, both forms of the score tile's kernels and the register tile's, the
 # exp pin and the table exp's fallback, softmax and SiluMul on the AVX2 and
-# the AVX-512 exp, the arg-best, the fuzz seed corpus), K-means against its
+# the AVX-512 exp, the arg-best, the fuzz seed corpus), the pair unit of
+# decode attention against a Full or Sparse call per head and its kernels
+# against their scalar loops (Pair), K-means against its
 # key-major oracle and the model suites that run those kernels end to end
 # (prefill conformance, the two-phase decode step and the batch decoder
 # against their serial oracles) at GOMAXPROCS=1 and at GOMAXPROCS=2 with the
@@ -98,7 +100,7 @@ bench-compare:
 # independently of the scheduler. Each runs twice: as the CPU dispatches,
 # and under the noavx512 tag, which keeps the AVX-512 kernels off for the
 # whole binary, so the AVX2 ones stay tested on AVX-512 hosts.
-KERNEL_TESTS = 'Block|DotRows|AddScaledRows|TileDot|PackedMat|MatKernel|Fused|DecodeSteady|Vec|KMeans|ArgBest|Silu|Prefill|TwoPhase|BatchDecode|GroupKernels|FullShared|SharedPages'
+KERNEL_TESTS = 'Block|DotRows|AddScaledRows|TileDot|PackedMat|MatKernel|Fused|DecodeSteady|Vec|KMeans|ArgBest|Silu|Prefill|TwoPhase|BatchDecode|GroupKernels|FullShared|SharedPages|Pair'
 KERNEL_PKGS = ./internal/tensor/ ./internal/attention/ ./internal/model/ ./internal/cluster/
 
 test-kernels:
@@ -129,12 +131,13 @@ fuzz-kernels:
 # its comparison with the tests' per-stream serial oracle is in test-pool) and
 # the engine's cohort-of-8 ≡ cohort-of-1 ≡ serial-decode suites, and the
 # grouped attention of full picks over shared pages (FullShared and its
-# kernels, a cohort forked from two snapshots against the serial oracle) at
-# GOMAXPROCS=1 and at GOMAXPROCS=2 with the race detector, locking that a
+# kernels, a cohort forked from two snapshots against the serial oracle) and
+# the pair unit every other pick takes (Pair) at GOMAXPROCS=1 and at
+# GOMAXPROCS=2 with the race detector, locking that a
 # stream's tokens do not depend on who shares its cohort (DESIGN.md §13).
 test-batch:
-	GOMAXPROCS=1 $(GO) test -count=1 -run 'MatTMat|PackedMatMul|MatKernel|BatchDecode|FullShared|GroupKernels|SharedPages' ./internal/tensor/ ./internal/attention/ ./internal/model/ ./internal/serve/
-	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'MatTMat|PackedMatMul|MatKernel|BatchDecode|FullShared|GroupKernels|SharedPages' ./internal/tensor/ ./internal/attention/ ./internal/model/ ./internal/serve/
+	GOMAXPROCS=1 $(GO) test -count=1 -run 'MatTMat|PackedMatMul|MatKernel|BatchDecode|FullShared|GroupKernels|SharedPages|Pair' ./internal/tensor/ ./internal/attention/ ./internal/model/ ./internal/serve/
+	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'MatTMat|PackedMatMul|MatKernel|BatchDecode|FullShared|GroupKernels|SharedPages|Pair' ./internal/tensor/ ./internal/attention/ ./internal/model/ ./internal/serve/
 
 # Pool lane: the spin paths of internal/parallel (hot helper, caller's wait,
 # park after the window) are schedule-sensitive, so the pool suite and the

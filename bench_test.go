@@ -564,30 +564,49 @@ func benchClusterKVDecodeSteadyAllocs(b *testing.B) {
 // evaluation model's head dim and reports ns per attended token; fn receives
 // a query, an output buffer and budget scattered positions in ascending order.
 func attnBench(b *testing.B, n, budget int, fn func(sc *attention.Scratch, out, q []float32, st *kvcache.Store, idx []int)) {
+	attnBenchOn(b, 1, 1, n, budget, func(sc *attention.Scratch, out, q [2][]float32, st [2]*kvcache.Store, idx []int) {
+		fn(sc, out[0], q[0], st[0], idx)
+	})
+}
+
+// attnBenchOn is attnBench over stores stores of n tokens each, taken in
+// turn heads at a time (one or two), so with 16 stores (8.6 MB at 4096
+// tokens, against 2 MB of L2) a store's rows come from L3, as a served
+// request finds them; it reports ns per attended token and head.
+func attnBenchOn(b *testing.B, stores, heads, n, budget int, fn func(sc *attention.Scratch, out, q [2][]float32, st [2]*kvcache.Store, idx []int)) {
 	d := clusterkv.DefaultModelConfig().HeadDim
 	r := rng.New(1)
-	st := kvcache.NewStore(d)
-	defer st.Free()
+	sts := make([]*kvcache.Store, stores)
 	k, v := make([]float32, d), make([]float32, d)
-	for i := 0; i < n; i++ {
-		for j := range k {
-			k[j], v[j] = r.NormFloat32(), r.NormFloat32()
+	for i := range sts {
+		sts[i] = kvcache.NewStore(d)
+		defer sts[i].Free()
+		for range n {
+			for j := range k {
+				k[j], v[j] = r.NormFloat32(), r.NormFloat32()
+			}
+			sts[i].Append(k, v)
 		}
-		st.Append(k, v)
 	}
 	idx := r.Perm(n)[:budget]
 	sort.Ints(idx)
-	q, out := make([]float32, d), make([]float32, d)
-	for j := range q {
-		q[j] = r.NormFloat32()
+	var q, out [2][]float32
+	for h := range q {
+		q[h], out[h] = make([]float32, d), make([]float32, d)
+		for j := range q[h] {
+			q[h][j] = r.NormFloat32()
+		}
 	}
 	var sc attention.Scratch
-	fn(&sc, out, q, st, idx) // grow the scratch
+	at := func(i int) [2]*kvcache.Store {
+		return [2]*kvcache.Store{sts[i*heads%stores], sts[(i*heads+1)%stores]}
+	}
+	fn(&sc, out, q, at(0), idx) // grow the scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fn(&sc, out, q, st, idx)
+		fn(&sc, out, q, at(i), idx)
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(budget), "ns/token")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(budget*heads), "ns/token")
 }
 
 // BenchmarkAttnFullN4k measures full attention of one query over 4096
@@ -605,6 +624,23 @@ func BenchmarkAttnFullN4k(b *testing.B) {
 func BenchmarkAttnSparse1kOf4k(b *testing.B) {
 	attnBench(b, 4096, 1024, func(sc *attention.Scratch, out, q []float32, st *kvcache.Store, idx []int) {
 		sc.Sparse(out, q, st, idx)
+	})
+}
+
+// BenchmarkAttnSparse1kOf4kStreaming is BenchmarkAttnSparse1kOf4k cycling
+// over 16 stores, so the selected rows come from L3; /pair attends two
+// stores a call through Scratch.Pair, the unit a decode step runs, and
+// reports ns per token and head.
+func BenchmarkAttnSparse1kOf4kStreaming(b *testing.B) {
+	b.Run("head", func(b *testing.B) {
+		attnBenchOn(b, 16, 1, 4096, 1024, func(sc *attention.Scratch, out, q [2][]float32, st [2]*kvcache.Store, idx []int) {
+			sc.Sparse(out[0], q[0], st[0], idx)
+		})
+	})
+	b.Run("pair", func(b *testing.B) {
+		attnBenchOn(b, 16, 2, 4096, 1024, func(sc *attention.Scratch, out, q [2][]float32, st [2]*kvcache.Store, idx []int) {
+			sc.Pair(out, q, st, [2][]int{idx, idx})
+		})
 	})
 }
 

@@ -3,8 +3,10 @@
 // full causal attention, sparse attention over an explicit index set, and
 // raw attention-weight probes used for importance analysis.
 //
-// All routines operate on a single (layer, head) kvcache.Store; batching
-// across heads is done by callers. The gather paths are *fused* with the
+// Most routines operate on a single (layer, head) kvcache.Store; FullShared
+// attends one head of several streams over their shared pages, and Pair two
+// heads of one stream side by side, the decode step's units. The gather
+// paths are *fused* with the
 // score and weighted-sum loops (DESIGN.md §12): a sparse call turns the index
 // list into a table of K and V row addresses, one page lookup per stretch of
 // the list that stays inside one page, and scores and sums the whole table in
@@ -36,7 +38,8 @@ type Scratch struct {
 	tile  tensor.ScoreTile
 	query []float32
 	// rows, kp, vp and lanes are FullShared's: the members' score rows, the
-	// shared run's K and V pages, and the K page transposed.
+	// shared run's K and V pages, and the K page transposed. Pair keeps its
+	// two heads' score rows in rows and both heads' page tables in kp and vp.
 	rows   [][]float32
 	kp, vp [][]float32
 	lanes  tensor.KeyLanes
@@ -150,6 +153,55 @@ func (sc *Scratch) FullShared(out, q [][]float32, s []*kvcache.Store, r int) {
 	}
 }
 
+// Pair attends two heads of one decode step side by side: head h attends
+// s[h] with q[h] over idx[h] — nil for the whole store, as Full, else the
+// listed positions, as Sparse — and writes out[h]. Each head's output is
+// Full's or Sparse's, to the bit, and a position past its store panics.
+//
+// The two heads are independent chains run in the same pass (DESIGN.md §12):
+// tensor.PairDot scores both heads' rows with their groups of eight
+// interleaved, tensor.PairSoftmax carries the two rows' exp sums as two
+// chains in flight, and tensor.PairAddScaled adds both heads' value rows
+// with the two accumulations interleaved. The kernels read each row in
+// place, turning a position into its page and row themselves, so a sparse
+// head builds no table of row addresses; the dot prefetches a sparse head's
+// value rows for the weighted sum. Page sizes the kernels do not take
+// (tensor.PairRuns) attend a head at a time.
+func (sc *Scratch) Pair(out, q [2][]float32, s [2]*kvcache.Store, idx [2][]int) {
+	d, P := s[0].HeadDim(), s[0].PageTokens()
+	if !tensor.PairRuns(P) {
+		for h, st := range s {
+			if idx[h] == nil {
+				sc.Full(out[h], q[h], st)
+			} else {
+				sc.Sparse(out[h], q[h], st, idx[h])
+			}
+		}
+		return
+	}
+	np0, np := s[0].NumPages(), s[0].NumPages()+s[1].NumPages()
+	sc.kp, sc.vp = grow(sc.kp, np), grow(sc.vp, np)
+	sc.rows = grow(sc.rows, 2)
+	var keys, vals [2]tensor.PairRows
+	var w [2][]float32
+	for h, st := range s {
+		n := st.NumPages()
+		kp, vp := sc.kp[h*np0:][:n], sc.vp[h*np0:][:n]
+		for p := range n {
+			kp[p], vp[p] = st.KeyPage(p), st.ValuePage(p)
+		}
+		keys[h] = tensor.PairRows{Pages: kp, Ahead: vp, Idx: idx[h], N: st.Len()}
+		vals[h] = tensor.PairRows{Pages: vp, Idx: idx[h], N: st.Len()}
+		sc.rows[h] = grow(sc.rows[h], keys[h].Len())
+		w[h] = sc.rows[h]
+	}
+	tensor.PairDot(w, q, keys, P, d, float32(1/math.Sqrt(float64(d))))
+	tensor.PairSoftmax(w)
+	tensor.Fill(out[0], 0)
+	tensor.Fill(out[1], 0)
+	tensor.PairAddScaled(out, w, vals, P, d)
+}
+
 // FullBlock is FullN for nq consecutive prefill positions at once: query j —
 // q[j·stride:][:d] — attends the first n0+j tokens and writes out[j·stride:][:d].
 // Each query's scores, softmax and sums are FullN's, in FullN's order:
@@ -208,10 +260,17 @@ func (sc *Scratch) fullTile(out, q []float32, stride int, s *kvcache.Store, n0, 
 // K and V rows' addresses — one page lookup per stretch of idx that stays
 // inside one page — and hands the whole table to the row-list kernels
 // (tensor.DotRowsList, AddScaledRowsList), one call each, which read the rows
-// from their pages in place: a scattered selection costs what a contiguous
-// one does, with no gathered copy. idx order is preserved — scores and
+// from their pages in place, with no gathered copy. A scattered row still
+// costs more than a contiguous one: on a 2-vCPU AVX-512 host,
+// BenchmarkAttnSparse1kOf4k reads about 10 ns a key against about 6 for
+// BenchmarkAttnFullN4k with the rows in cache, and about 20 cycling over 16
+// stores whose rows come from L3, where each key is two cache misses the
+// hardware prefetcher cannot predict, and where Pair, the decode step's
+// unit, does no better a head. idx order is preserved — scores and
 // accumulation follow idx exactly as the unfused per-token loop, so outputs
 // are bit-identical to it. A position past its page's valid rows panics.
+// Prefill, probes and the tests' oracles call it; a decode step's picks go
+// through Pair.
 func (sc *Scratch) Sparse(out, q []float32, s *kvcache.Store, idx []int) {
 	m := len(idx)
 	d := s.HeadDim()

@@ -250,6 +250,26 @@ func BenchmarkFullResident(b *testing.B) { fullBench(b, 1, 0) }
 
 func BenchmarkFullStreaming16(b *testing.B) { fullBench(b, 16, 0) }
 
+// BenchmarkFullStreaming16Pair is BenchmarkFullStreaming16 two stores a
+// call through Scratch.Pair, the unit a decode step runs, reported per head
+// and per key and head.
+func BenchmarkFullStreaming16Pair(b *testing.B) {
+	const n, d, stores = 4224, 16, 16
+	sts := make([]*kvcache.Store, stores)
+	for i := range sts {
+		sts[i] = conformanceStore(uint64(i+1), n, d)
+	}
+	q := [2][]float32{conformanceQuery(9, d), conformanceQuery(10, d)}
+	out := [2][]float32{make([]float32, d), make([]float32, d)}
+	var sc attention.Scratch
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sc.Pair(out, q, [2]*kvcache.Store{sts[2*i%stores], sts[(2*i+1)%stores]}, [2][]int{})
+	}
+	b.ReportMetric(b.Elapsed().Seconds()*1e6/float64(2*b.N), "us/head")
+	b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(2*b.N*n), "ns/key")
+}
+
 // BenchmarkFullBlock1, 4, 8 and 16 are one query block of a prefill over a
 // resident store: 1 is FullN's per-query kernels, 4 and 8 the blocks a prefix
 // hit's prefill ran before its attention was split by head, 16 the model's

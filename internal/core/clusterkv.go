@@ -109,8 +109,10 @@ type headState struct {
 	// ledger tracks simulated residency and transfer counts.
 	ledger *kvcache.Ledger
 	// masks holds one page bitmap per cluster of book, built when the
-	// cluster enters it.
-	masks pageMasks
+	// cluster enters it; posMasks one position bitmap (posSet's), built the
+	// first time the cluster is selected whole.
+	masks    pageMasks
+	posMasks lazyMasks
 	// scratch for cluster scores and the top-cluster pick.
 	scores []float32
 	top    cluster.TopScratch
@@ -158,6 +160,31 @@ func (st *headState) syncMasks() {
 		pm.lo = append(pm.lo, lo)
 		pm.at = append(pm.at, len(pm.words))
 	}
+}
+
+// lazyMasks holds a bitmap per cluster, each made on its first use: a
+// position mask spans every word between a cluster's first and last
+// members — about the whole context for a semantic cluster, 26 KB for the
+// 55 clusters of a 4,128-token test plane — so building them all when a
+// prefix hit adopts its clusters would cost the hit's first token some
+// 35 µs a plane, and most are never selected whole.
+type lazyMasks struct {
+	lo, from, to []int // cluster cl's first word, and its words[from:to]; from < 0 until built
+	words        []uint64
+}
+
+// addTo inserts the members of cluster cl into ps through its mask, made
+// from members the first time.
+func (lm *lazyMasks) addTo(ps *kvcache.PageSet, cl int, members []int) {
+	for len(lm.from) <= cl {
+		lm.lo, lm.from, lm.to = append(lm.lo, 0), append(lm.from, -1), append(lm.to, 0)
+	}
+	if lm.from[cl] < 0 {
+		lm.from[cl] = len(lm.words)
+		lm.lo[cl], lm.words = ps.AppendMask(lm.words, members)
+		lm.to[cl] = len(lm.words)
+	}
+	ps.AddMask(lm.lo[cl], lm.words[lm.from[cl]:lm.to[cl]])
 }
 
 // addTo inserts cluster cl's pages into ps.
@@ -257,7 +284,7 @@ func (c *ClusterKV) OnPrefill(layer, head int, s *kvcache.Store) {
 	// Residency is tracked at the store's page granularity: offload and
 	// fetch move whole arena pages, the unit memsim charges PCIe for.
 	st.book = cluster.NewBook(s.HeadDim(), sinks)
-	st.masks = pageMasks{}
+	st.masks, st.posMasks = pageMasks{}, lazyMasks{}
 	st.ledger = kvcache.NewLedgerPaged(s.PageTokens())
 	st.posSet = kvcache.NewPageSet(1)
 	st.pageSet = kvcache.NewPageSet(s.PageTokens())
@@ -477,7 +504,11 @@ func (c *ClusterKV) Select(layer, head int, q []float32, s *kvcache.Store, budge
 	taken := 0
 	for i, cl := range clusters {
 		members := book.PickMembers(clusters, lastTake, i)
-		st.posSet.Add(members)
+		if len(members) == book.Size(cl) {
+			st.posMasks.addTo(st.posSet, cl, members) // a whole cluster: its mask
+		} else {
+			st.posSet.Add(members) // the trimmed last one
+		}
 		taken += len(members)
 		if st.cachedAt[cl] >= 0 {
 			sh.stats.TokensHit += int64(len(members))

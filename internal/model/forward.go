@@ -452,42 +452,59 @@ type headPick struct {
 // which has no Probe, selects one KV head's group of query heads per unit;
 // any other stream walks all its heads in one unit, in head order, so its
 // Selector sees the call sequence of a serial decode and needs no locking.
-// Attention then fans out over attention units, one query head each: the
-// full picks of a head whose stores share their leading pages (forks of one
-// cached prefix) form one unit, attended in one pass over the shared pages
+// Attention then fans out over attention units: the full picks of a head
+// whose stores share their leading pages (forks of one cached prefix) form
+// one unit, attended in one pass over the shared pages
 // (attention.Scratch.FullShared) on the first member's scratch; every other
-// pick — sparse, full over pages of its own, or a lone stream's — is a
-// (stream, head) unit on the head's own scratch, as attendHead. Each unit
+// pick of a stream pairs with its next such pick in head order, each pair
+// one unit attended side by side (attention.Scratch.Pair) on the first
+// head's scratch, and an odd last pick is a unit of its own. A cohort of one
+// never groups, so its units are the pairs of its heads; where its
+// selection may run a pair at a time too (pairSelects), each unit selects
+// its two heads and attends them, and the layer is one dispatch. Each unit
 // writes disjoint slices of out. Heads and streams are independent and a
-// group gives each member Full's bits, so both phases only re-order work and
-// outputs are bit-identical at any pool width and any cohort. It is a
-// parallel.Body so that neither dispatch allocates.
+// group or pair gives each head Full's or Sparse's bits, so both phases only
+// re-order work and outputs are bit-identical at any pool width and any
+// cohort. It is a parallel.Body so that no dispatch allocates.
 type layerAttn struct {
 	seqs   []*Sequence
 	q, out []float32 // stream i's query heads / attention output at row i
 	layer  int
-	attend bool // the phase Run executes
+	phase  int // what Run executes: selectPhase, attendPhase or pairPhase
 	// units lists the selection phase's work: stream seq's query heads
 	// [lo, hi).
 	units []selUnit
-	// heads lists the attention phase's work, built by group once selection
-	// is done: query head hh of the streams mem[lo:hi], in cohort order.
+	// heads lists the shared-page groups, built by group once selection is
+	// done: query head hh of the streams mem[lo:hi], in cohort order. pairs
+	// lists every other attention unit, after the groups.
 	heads []headUnit
-	// mem holds the units' streams; gq, gout and gst hold, at the same
-	// index, the stream's query and output slices of the unit's head and
+	pairs []pairUnit
+	// mem holds the groups' streams; gq, gout and gst hold, at the same
+	// index, the stream's query and output slices of the group's head and
 	// its store, which is what FullShared takes.
 	mem      []int
 	gq, gout [][]float32
 	gst      []*kvcache.Store
-	// grouped marks the streams a group has taken, one head at a time.
-	grouped []bool
+	// taken marks stream i's head hh, at i·NHeads+hh, once a group has it.
+	taken []bool
 }
+
+// The phases layerAttn.Run executes.
+const (
+	selectPhase = iota
+	attendPhase
+	pairPhase // a cohort of one: select and attend a pair a unit
+)
 
 type selUnit struct{ seq, lo, hi int }
 
-// headUnit is one attention unit: query head hh of the streams mem[lo:hi],
-// whose stores share their first r pages when there is more than one.
+// headUnit is one shared-page group: query head hh of the streams
+// mem[lo:hi], at least two, whose stores share their first r pages.
 type headUnit struct{ hh, lo, hi, r int }
+
+// pairUnit is heads h0 and h1 of stream seq, attended side by side, or h0
+// alone where h1 is −1.
+type pairUnit struct{ seq, h0, h1 int }
 
 // plan points the phases at a cohort and lists its selection units.
 func (a *layerAttn) plan(seqs []*Sequence, q, out []float32) {
@@ -506,9 +523,26 @@ func (a *layerAttn) plan(seqs []*Sequence, q, out []float32) {
 	}
 }
 
-// run executes both phases of one layer; q must hold the rotated queries.
+// pairSelects reports whether a cohort of one selects in its pair units:
+// no Probe, and a selector that is absent or attention.HeadParallel with
+// KV groups of one or two query heads, so that no two units select for the
+// same KV head.
+func (a *layerAttn) pairSelects() bool {
+	s := a.seqs[0]
+	return len(a.seqs) == 1 && s.Probe == nil && (s.sel == nil || s.hp && s.m.cfg.GroupSize() <= 2)
+}
+
+// run executes one layer; q must hold the rotated queries.
 func (a *layerAttn) run(pool *parallel.Pool, layer int) {
-	a.layer, a.attend = layer, false
+	a.layer = layer
+	if a.pairSelects() {
+		a.pairs = a.pairs[:0]
+		a.pairUp(0, nil)
+		a.phase = pairPhase
+		pool.Do(len(a.pairs), 1, a)
+		return
+	}
+	a.phase = selectPhase
 	pool.Do(len(a.units), 1, a)
 	cfg := a.seqs[0].m.cfg
 	keys := 0
@@ -518,56 +552,83 @@ func (a *layerAttn) run(pool *parallel.Pool, layer int) {
 		}
 	}
 	a.group()
-	n := len(a.heads)
-	a.attend = true
+	n := len(a.heads) + len(a.pairs)
+	a.phase = attendPhase
 	pool.Do(n, parallel.Grain(2*cfg.HeadDim*keys/n), a)
 }
 
-// group lists the attention units of every query head: each stream whose
-// pick is full, and which no earlier stream has taken, leads a unit and
-// takes every later full pick whose store shares at least its first page
-// with the leader's (kvcache.Store.SharedPages), so a group is keyed by its
-// first physical page and its members are in cohort order; r is the run
-// every member shares with the leader. Any other pick is a unit of its own.
-// A lone stream never groups.
+// group lists the attention units: for every query head, each stream whose
+// pick is full, and which no earlier stream's group has taken, leads a
+// group of every later full pick whose store shares at least its first
+// page with the leader's (kvcache.Store.SharedPages), so a group is keyed
+// by its first physical page and its members are in cohort order; r is the
+// run every member shares with the leader. A lead no one joins stays
+// ungrouped, as does every sparse pick, and each stream's ungrouped picks
+// go in pairs (pairUp). A lone stream never groups.
 func (a *layerAttn) group() {
 	cfg := a.seqs[0].m.cfg
-	d, row, gs := cfg.HeadDim, cfg.NHeads*cfg.HeadDim, cfg.GroupSize()
-	a.heads, a.mem = a.heads[:0], a.mem[:0]
+	d, row, gs, nh := cfg.HeadDim, cfg.NHeads*cfg.HeadDim, cfg.GroupSize(), cfg.NHeads
+	a.heads, a.pairs, a.mem = a.heads[:0], a.pairs[:0], a.mem[:0]
 	a.gq, a.gout, a.gst = a.gq[:0], a.gout[:0], a.gst[:0]
-	if cap(a.grouped) < len(a.seqs) {
-		a.grouped = make([]bool, len(a.seqs))
+	if cap(a.taken) < len(a.seqs)*nh {
+		a.taken = make([]bool, len(a.seqs)*nh)
 	}
-	grouped := a.grouped[:len(a.seqs)]
-	for hh := 0; hh < cfg.NHeads; hh++ {
-		clear(grouped)
+	taken := a.taken[:len(a.seqs)*nh]
+	clear(taken)
+	for hh := 0; hh < nh; hh++ {
 		for i, s := range a.seqs {
-			if grouped[i] {
+			if taken[i*nh+hh] || !s.picks[hh].full {
 				continue
 			}
 			u := headUnit{hh: hh, lo: len(a.mem)}
 			a.member(i, hh, d, row, gs)
-			if s.picks[hh].full {
-				lead := a.gst[u.lo]
-				u.r = lead.NumPages()
-				for j := i + 1; j < len(a.seqs); j++ {
-					if grouped[j] || !a.seqs[j].picks[hh].full {
-						continue
-					}
-					if r := lead.SharedPages(a.seqs[j].Store(a.layer, hh/gs)); r > 0 {
-						grouped[j] = true
-						u.r = min(u.r, r)
-						a.member(j, hh, d, row, gs)
-					}
+			lead := a.gst[u.lo]
+			u.r = lead.NumPages()
+			for j := i + 1; j < len(a.seqs); j++ {
+				if taken[j*nh+hh] || !a.seqs[j].picks[hh].full {
+					continue
+				}
+				if r := lead.SharedPages(a.seqs[j].Store(a.layer, hh/gs)); r > 0 {
+					taken[j*nh+hh] = true
+					u.r = min(u.r, r)
+					a.member(j, hh, d, row, gs)
 				}
 			}
 			u.hi = len(a.mem)
+			if u.hi-u.lo == 1 { // no one joined: the pick stays the stream's
+				a.mem, a.gq, a.gout, a.gst = a.mem[:u.lo], a.gq[:u.lo], a.gout[:u.lo], a.gst[:u.lo]
+				continue
+			}
+			taken[i*nh+hh] = true
 			a.heads = append(a.heads, u)
 		}
 	}
+	for i := range a.seqs {
+		a.pairUp(i, taken[i*nh:(i+1)*nh])
+	}
 }
 
-// member appends stream i's head hh to the unit being listed.
+// pairUp lists stream i's heads that taken does not mark (all of them for
+// a nil taken) as pair units, in head order.
+func (a *layerAttn) pairUp(i int, taken []bool) {
+	h0 := -1
+	for hh := range a.seqs[i].picks {
+		if taken != nil && taken[hh] {
+			continue
+		}
+		if h0 < 0 {
+			h0 = hh
+			continue
+		}
+		a.pairs = append(a.pairs, pairUnit{i, h0, hh})
+		h0 = -1
+	}
+	if h0 >= 0 {
+		a.pairs = append(a.pairs, pairUnit{i, h0, -1})
+	}
+}
+
+// member appends stream i's head hh to the group being listed.
 func (a *layerAttn) member(i, hh, d, row, gs int) {
 	a.mem = append(a.mem, i)
 	a.gq = append(a.gq, a.q[i*row+hh*d:i*row+(hh+1)*d])
@@ -575,23 +636,34 @@ func (a *layerAttn) member(i, hh, d, row, gs int) {
 	a.gst = append(a.gst, a.seqs[i].Store(a.layer, hh/gs))
 }
 
-// Run implements parallel.Body over selection units or attention units.
+// Run implements parallel.Body over the units of the phase.
 func (a *layerAttn) Run(lo, hi int) {
 	cfg := a.seqs[0].m.cfg
 	row := cfg.NHeads * cfg.HeadDim
-	if !a.attend {
+	switch a.phase {
+	case selectPhase:
 		for _, u := range a.units[lo:hi] {
 			a.seqs[u.seq].selectHeads(a.layer, a.q[u.seq*row:(u.seq+1)*row], u.lo, u.hi)
 		}
-		return
-	}
-	for _, u := range a.heads[lo:hi] {
-		si := a.mem[u.lo]
-		if u.hi-u.lo == 1 {
-			a.seqs[si].attendHead(a.layer, u.hh, a.q[si*row:(si+1)*row], a.out[si*row:(si+1)*row])
-			continue
+	case pairPhase:
+		for _, u := range a.pairs[lo:hi] {
+			s, q := a.seqs[u.seq], a.q[u.seq*row:(u.seq+1)*row]
+			s.selectHeads(a.layer, q, u.h0, u.h0+1)
+			if u.h1 >= 0 {
+				s.selectHeads(a.layer, q, u.h1, u.h1+1)
+			}
+			s.attendPair(a.layer, u.h0, u.h1, q, a.out[u.seq*row:(u.seq+1)*row])
 		}
-		a.seqs[si].attn[u.hh].FullShared(a.gout[u.lo:u.hi], a.gq[u.lo:u.hi], a.gst[u.lo:u.hi], u.r)
+	default:
+		for u := lo; u < hi; u++ {
+			if u < len(a.pairs) {
+				p := a.pairs[u]
+				a.seqs[p.seq].attendPair(a.layer, p.h0, p.h1, a.q[p.seq*row:(p.seq+1)*row], a.out[p.seq*row:(p.seq+1)*row])
+				continue
+			}
+			g := a.heads[u-len(a.pairs)]
+			a.seqs[a.mem[g.lo]].attn[g.hh].FullShared(a.gout[g.lo:g.hi], a.gq[g.lo:g.hi], a.gst[g.lo:g.hi], g.r)
+		}
 	}
 }
 
@@ -625,18 +697,37 @@ func (s *Sequence) selectHeads(l int, q []float32, lo, hi int) {
 	}
 }
 
-// attendHead is the attention phase of one (stream, head) unit: full or
-// sparse attention as its pick says, written straight into the head's slice
-// of out. A full pick that shares pages with another stream's is attended
-// in that group's unit instead (layerAttn.group).
-func (s *Sequence) attendHead(l, hh int, q, out []float32) {
+// attendPair is the attention of one pair unit: heads h0 and h1, full or
+// sparse as their picks say, side by side on h0's scratch
+// (attention.Scratch.Pair), or h0 alone where h1 is −1; each is written
+// straight into its head's slice of out.
+func (s *Sequence) attendPair(l, h0, h1 int, q, out []float32) {
 	cfg := s.m.cfg
-	d := cfg.HeadDim
-	st := s.Store(l, hh/cfg.GroupSize())
-	qh, oh := q[hh*d:(hh+1)*d], out[hh*d:(hh+1)*d]
-	if pk := &s.picks[hh]; pk.full {
-		s.attn[hh].Full(oh, qh, st)
-	} else {
-		s.attn[hh].Sparse(oh, qh, st, pk.idx)
+	d, gs := cfg.HeadDim, cfg.GroupSize()
+	if h1 < 0 {
+		st, qh, oh := s.Store(l, h0/gs), q[h0*d:(h0+1)*d], out[h0*d:(h0+1)*d]
+		if pk := &s.picks[h0]; pk.full {
+			s.attn[h0].Full(oh, qh, st)
+		} else {
+			s.attn[h0].Sparse(oh, qh, st, pk.idx)
+		}
+		return
 	}
+	hs := [2]int{h0, h1}
+	var qs, os [2][]float32
+	var sts [2]*kvcache.Store
+	var idx [2][]int
+	for j, hh := range hs {
+		qs[j], os[j], sts[j] = q[hh*d:(hh+1)*d], out[hh*d:(hh+1)*d], s.Store(l, hh/gs)
+		if pk := &s.picks[hh]; !pk.full {
+			if idx[j] = pk.idx; idx[j] == nil {
+				idx[j] = noPositions
+			}
+		}
+	}
+	s.attn[h0].Pair(os, qs, sts, idx)
 }
+
+// noPositions is an empty selection, which Pair must not read as nil (the
+// whole store).
+var noPositions = []int{}

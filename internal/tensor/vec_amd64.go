@@ -2,6 +2,8 @@
 
 package tensor
 
+import "math/bits"
+
 // Vector path (DESIGN.md §12): each dispatcher below hands the part of its
 // problem that fills whole vector blocks to a kernel in vec_amd64.s and the
 // row and column tails to the scalar loop, so no kernel reads past a slice.
@@ -541,5 +543,159 @@ func groupAddScaled(out, w, pages [][]float32, m, d int) {
 				groupAxpyAVX2(&op[0], &wp[0], &vals[0], m, d, p*m)
 			}
 		}
+	}
+}
+
+// pairHead is one head of a pair kernel call, in the layout the assembly
+// reads (PH_* in vec_amd64.s).
+type pairHead struct {
+	dst   *float32   // scores (dot) or outputs (weighted sum)
+	x     *float32   // query (dot) or weights (weighted sum)
+	pages *[]float32 // the page table
+	idx   *int       // positions, or nil: row j is position j
+	n     int        // rows the kernel takes
+	j     int        // rows done (dot)
+	pf    *[]float32 // pages whose listed rows the dot prefetches
+	lim   int        // the positions the pages hold: a listed one past them is bad
+}
+
+// The pair kernels report bad for a listed position past its head's rows,
+// which they check before reading the row.
+
+//go:noescape
+func pairDotAVX2(h *[2]pairHead, shift, mask, stride int, scale float32) (bad bool)
+
+//go:noescape
+func pairAxpyAVX2(h *[2]pairHead, shift, mask, stride, c0, c1 int) (bad bool)
+
+//go:noescape
+func pairAxpyAVX512(h *[2]pairHead, shift, mask, stride, c0, c1 int) (bad bool)
+
+// pairKernels reports whether the pair kernels run for pages of P rows: the
+// vector path and PairRuns.
+func pairKernels(P int) bool { return useVec && PairRuns(P) }
+
+// pairHeads fills the kernel state of both heads for n[h] rows each; dst
+// is set wherever it is not empty, as the weighted sum needs.
+func pairHeads(hs *[2]pairHead, dst, x [2][]float32, rows *[2]PairRows, n [2]int) {
+	for h := range rows {
+		r := &rows[h]
+		hs[h] = pairHead{n: n[h], lim: r.N}
+		if len(dst[h]) > 0 {
+			hs[h].dst = &dst[h][0]
+		}
+		if n[h] == 0 {
+			continue
+		}
+		hs[h].x, hs[h].pages, hs[h].pf = &x[h][0], &r.Pages[0], &r.Pages[0]
+		if r.Idx != nil {
+			hs[h].idx = &r.Idx[0]
+		}
+	}
+}
+
+// pairDot runs each head's whole groups of eight rows on pairDotAVX2, both
+// heads in one call, and its last rows on dotRows (a full head: they share
+// the last page) or dotRowsList.
+func pairDot(dst, q [2][]float32, rows *[2]PairRows, P, d int, scale float32) {
+	if !pairKernels(P) || d%4 != 0 {
+		pairDotGo(dst, q, rows, P, d, scale)
+		return
+	}
+	var n [2]int
+	for h := range rows {
+		n[h] = rows[h].Len() &^ 7
+	}
+	if n[0]+n[1] > 0 {
+		var hs [2]pairHead
+		pairHeads(&hs, dst, q, rows, n)
+		for h := range rows {
+			if rows[h].Ahead != nil && n[h] > 0 && rows[h].Idx != nil {
+				hs[h].pf = &rows[h].Ahead[0]
+			}
+		}
+		if pairDotAVX2(&hs, bits.TrailingZeros(uint(P)), P-1, 4*d, scale) {
+			panic(errPastRows)
+		}
+	}
+	for h := range rows {
+		r, j := &rows[h], n[h]
+		m := r.Len()
+		if j == m {
+			continue
+		}
+		if r.Idx == nil {
+			dotRows(dst[h][j:m], q[h], r.Pages[j/P][j%P*d:], d, scale)
+			continue
+		}
+		var ptr [8]*float32
+		for i, pos := range r.Idx[j:] {
+			ptr[i] = r.row(pos, P, d)
+		}
+		dotRowsList(dst[h][j:m], q[h], ptr[:m-j], d, scale)
+	}
+}
+
+// pairExp is one row of pairExpSumAVX512, in the layout the assembly reads
+// (PX_* in vec_amd64.s).
+type pairExp struct {
+	x        *float32
+	max, sum float32
+}
+
+//go:noescape
+func pairExpSumAVX512(h *[2]pairExp, n int) (slow int)
+
+// pairSoftmax runs both rows' common whole blocks of eight on
+// pairExpSumAVX512 where the CPU has AVX-512F, and each row's rest on
+// expSumRow, which continues its sum; elsewhere each row is Softmax's: on
+// AVX2 the exp (EXPPD4), not the sum's chain, sets a row's pace.
+func pairSoftmax(w [2][]float32) {
+	var mx [2]float32
+	var ok [2]bool
+	for h := range w {
+		mx[h], ok[h] = rowMax(w[h])
+	}
+	if !useExp8 || !ok[0] || !ok[1] {
+		Softmax(w[0])
+		Softmax(w[1])
+		return
+	}
+	xs := [2]pairExp{{x: &w[0][0], max: mx[0]}, {x: &w[1][0], max: mx[1]}}
+	n := min(len(w[0]), len(w[1])) &^ 7
+	if n > 0 {
+		pairExpSumAVX512(&xs, n)
+	}
+	for h := range w {
+		scaleRow(w[h], 1/expSumRow(w[h][n:], mx[h], xs[h].sum))
+	}
+}
+
+// pairAddScaled runs both heads' rows on the kernels over the channels that
+// fill whole vectors — sixteen to a register where the CPU has AVX-512F,
+// eight on AVX2 — and the last d%8 channels on the scalar loop, which is
+// how AddScaledRows and AddScaledRowsList split them.
+func pairAddScaled(out, w [2][]float32, rows *[2]PairRows, P, d int) {
+	if !pairKernels(P) || d < 8 {
+		pairAddScaledGo(out, w, rows, P, d, 0)
+		return
+	}
+	var hs [2]pairHead
+	pairHeads(&hs, out, w, rows, [2]int{rows[0].Len(), rows[1].Len()})
+	shift, mask := bits.TrailingZeros(uint(P)), P-1
+	c, bad := 0, false
+	if useBlock16 && d >= 16 {
+		c = d &^ 15
+		bad = pairAxpyAVX512(&hs, shift, mask, 4*d, 0, 4*c)
+	}
+	if c8 := d &^ 7; c < c8 && !bad {
+		bad = pairAxpyAVX2(&hs, shift, mask, 4*d, 4*c, 4*c8)
+		c = c8
+	}
+	if bad {
+		panic(errPastRows)
+	}
+	if c < d {
+		pairAddScaledGo(out, w, rows, P, d, c)
 	}
 }

@@ -2547,3 +2547,288 @@ brow:
 	VZEROUPPER
 	RET
 
+
+// The pair kernels of decode attention (pair.go) run two heads of one
+// stream side by side, each head described by a pairHead in the layout
+// below. Row j of a head is position j, or position idx[j] where idx is set;
+// a position is row pos&mask of page pos>>shift, the page's rows at the
+// address its slice header in the page table holds, stride bytes apart.
+#define PH_DST 0
+#define PH_X 8
+#define PH_PAGES 16
+#define PH_IDX 24
+#define PH_N 32
+#define PH_J 40
+#define PH_PF 48
+#define PH_LIM 56
+#define PH_SIZE 64
+
+// A row of pairExpSumAVX512 (pairExp).
+#define PX_X 0
+#define PX_MAX 8
+#define PX_SUM 12
+#define PX_SIZE 16
+
+// ROWS8DX points R9..R15 at the seven rows after R8, DX bytes apart.
+#define ROWS8DX \
+	LEAQ (R8)(DX*1), R9; \
+	LEAQ (R9)(DX*1), R10; \
+	LEAQ (R10)(DX*1), R11; \
+	LEAQ (R11)(DX*1), R12; \
+	LEAQ (R12)(DX*1), R13; \
+	LEAQ (R13)(DX*1), R14; \
+	LEAQ (R14)(DX*1), R15
+
+// func pairDotAVX2(h *[2]pairHead, shift, mask, stride int, scale float32) (bad bool)
+//
+// For each head, dst[j] = scale·<x, row j> for j in [j, n) (n%8 == 0; pages
+// of at least eight rows, so eight consecutive positions from a multiple of
+// eight share a page). The heads take turns a group of eight rows at a
+// time, so the two groups' loads and sums are independent work in flight;
+// each group is DOT8CHUNK over its rows, the rows in the lanes, as
+// dotRowsAVX2. A listed group prefetches each row of the head's PH_PF pages,
+// which the weighted sum reads next. A listed position not below the head's
+// lim stops the kernel with bad set, before its row is read.
+TEXT ·pairDotAVX2(SB), NOSPLIT, $0-41
+	// PAIRPOS sets reg to the row of the head at DI listed at idx[j+k] (idx at
+	// DX, j in BX, shift in CX), or leaves for pbad if the position is not
+	// below PH_LIM, and prefetches the same row of the pages at PH_PF.
+	// Clobbers AX and SI.
+#define PAIRPOS(k, reg) \
+	MOVQ       (k*8)(DX)(BX*8), reg; \
+	CMPQ       reg, PH_LIM(DI); \
+	JAE        pbad; \
+	MOVQ       reg, AX; \
+	SHRQ       CX, AX; \
+	ANDQ       mask+16(FP), reg; \
+	IMULQ      stride+24(FP), reg; \
+	LEAQ       (AX)(AX*2), AX; \
+	MOVQ       PH_PF(DI), SI; \
+	MOVQ       (SI)(AX*8), SI; \
+	PREFETCHT0 (SI)(reg*1); \
+	MOVQ       PH_PAGES(DI), SI; \
+	ADDQ       (SI)(AX*8), reg
+
+	MOVQ         shift+8(FP), CX
+	VBROADCASTSS scale+32(FP), Y10
+ploop:
+	MOVQ h+0(FP), DI
+phead:
+	MOVQ PH_J(DI), BX
+	CMPQ BX, PH_N(DI)
+	JGE  pnext
+	MOVQ PH_IDX(DI), DX
+	TESTQ DX, DX
+	JNE  plisted
+	MOVQ  BX, AX
+	SHRQ  CX, AX
+	LEAQ  (AX)(AX*2), AX
+	MOVQ  PH_PAGES(DI), SI
+	MOVQ  (SI)(AX*8), R8
+	MOVQ  BX, AX
+	ANDQ  mask+16(FP), AX
+	IMULQ stride+24(FP), AX
+	ADDQ  AX, R8
+	MOVQ  stride+24(FP), DX
+	ROWS8DX
+	JMP   pdot
+plisted:
+	PAIRPOS(0, R8)
+	PAIRPOS(1, R9)
+	PAIRPOS(2, R10)
+	PAIRPOS(3, R11)
+	PAIRPOS(4, R12)
+	PAIRPOS(5, R13)
+	PAIRPOS(6, R14)
+	PAIRPOS(7, R15)
+pdot:
+	MOVQ   PH_X(DI), SI
+	VXORPS Y0, Y0, Y0
+	XORQ   AX, AX
+pchunk:
+	DOT8CHUNK
+	ADDQ $16, AX
+	CMPQ AX, stride+24(FP)
+	JLT  pchunk
+	VMULPS  Y10, Y0, Y0
+	MOVQ    PH_DST(DI), DX
+	VMOVUPS Y0, (DX)(BX*4)
+	ADDQ    $8, BX
+	MOVQ    BX, PH_J(DI)
+pnext:
+	ADDQ $PH_SIZE, DI
+	MOVQ h+0(FP), DX
+	LEAQ (2*PH_SIZE)(DX), DX
+	CMPQ DI, DX
+	JLT  phead
+	MOVQ h+0(FP), DI
+	MOVQ PH_J(DI), BX
+	CMPQ BX, PH_N(DI)
+	JLT  ploop
+	MOVQ (PH_SIZE+PH_J)(DI), BX
+	CMPQ BX, (PH_SIZE+PH_N)(DI)
+	JLT  ploop
+	MOVB $0, bad+40(FP)
+	VZEROUPPER
+	RET
+pbad:
+	MOVB $1, bad+40(FP)
+	VZEROUPPER
+	RET
+
+// func pairAxpyAVX2(h *[2]pairHead, shift, mask, stride, c0, c1 int) (bad bool)
+//
+// For each head and its rows j in [0, n): dst[c] += x[j]·(row j)[c] for the
+// channels whose byte offsets c·4 lie in [c0, c1), eight to a register
+// ((c1−c0)%32 == 0, c1 > c0). dst is set for both heads even where n is 0.
+// A listed position not below the head's lim stops the kernel with bad set,
+// before its row is read.
+TEXT ·pairAxpyAVX2(SB), NOSPLIT, $0-49
+	// AXKEY adds row j (j in BX) of one head — positions at idx (or j
+	// itself where idx is nil), each below the head's lim at offset lim of
+	// its state or the kernel leaves for abad; page table at pages; weights
+	// at w — times its weight into acc, at channel byte offset R15 (shift in
+	// CX, mask in R12, stride in R13): the multiply and add of axpyRowsAVX2,
+	// in its operand order. Clobbers AX, DX and tmp.
+#define AXKEY(idx, pages, w, acc, tmp, lim, seq) \
+	MOVQ         BX, AX; \
+	TESTQ        idx, idx; \
+	JEQ          seq; \
+	MOVQ         (idx)(BX*8), AX; \
+	MOVQ         h+0(FP), DX; \
+	CMPQ         AX, lim(DX); \
+	JAE          abad; \
+seq: \
+	MOVQ         AX, DX; \
+	SHRQ         CX, DX; \
+	ANDQ         R12, AX; \
+	IMULQ        R13, AX; \
+	LEAQ         (DX)(DX*2), DX; \
+	ADDQ         (pages)(DX*8), AX; \
+	VBROADCASTSS (w)(BX*4), tmp; \
+	VMULPS       (AX)(R15*1), tmp, tmp; \
+	VADDPS       tmp, acc, acc
+
+	// AXBODY is the pair weighted sum over the channel bytes [c0, c1) in blocks
+	// of step bytes, one register (acc0, acc1) per head and block: the heads'
+	// rows alternate over their common length, then each head's own rest
+	// follows, so each output adds its rows in order.
+#define AXBODY(acc0, acc1, t0, t1, step) \
+	MOVQ h+0(FP), DX; \
+	MOVQ PH_IDX(DX), R8; \
+	MOVQ PH_PAGES(DX), R9; \
+	MOVQ PH_X(DX), R10; \
+	MOVQ (PH_SIZE+PH_IDX)(DX), R11; \
+	MOVQ (PH_SIZE+PH_PAGES)(DX), SI; \
+	MOVQ (PH_SIZE+PH_X)(DX), DI; \
+	MOVQ PH_N(DX), R14; \
+	CMPQ R14, (PH_SIZE+PH_N)(DX); \
+	JLE  2(PC); \
+	MOVQ (PH_SIZE+PH_N)(DX), R14; \
+	MOVQ shift+8(FP), CX; \
+	MOVQ mask+16(FP), R12; \
+	MOVQ stride+24(FP), R13; \
+	MOVQ c0+32(FP), R15; \
+ablock: \
+	MOVQ    h+0(FP), DX; \
+	MOVQ    PH_DST(DX), AX; \
+	VMOVUPS (AX)(R15*1), acc0; \
+	MOVQ    (PH_SIZE+PH_DST)(DX), AX; \
+	VMOVUPS (AX)(R15*1), acc1; \
+	XORQ    BX, BX; \
+aboth: \
+	CMPQ BX, R14; \
+	JGE  arest0; \
+	AXKEY(R8, R9, R10, acc0, t0, PH_LIM, aseq0); \
+	AXKEY(R11, SI, DI, acc1, t1, PH_SIZE+PH_LIM, aseq1); \
+	INCQ BX; \
+	JMP  aboth; \
+arest0: \
+	MOVQ h+0(FP), DX; \
+	CMPQ BX, PH_N(DX); \
+	JGE  arest1; \
+	AXKEY(R8, R9, R10, acc0, t0, PH_LIM, aseq2); \
+	INCQ BX; \
+	JMP  arest0; \
+arest1: \
+	MOVQ R14, BX; \
+arest1k: \
+	MOVQ h+0(FP), DX; \
+	CMPQ BX, (PH_SIZE+PH_N)(DX); \
+	JGE  astore; \
+	AXKEY(R11, SI, DI, acc1, t1, PH_SIZE+PH_LIM, aseq3); \
+	INCQ BX; \
+	JMP  arest1k; \
+astore: \
+	MOVQ    h+0(FP), DX; \
+	MOVQ    PH_DST(DX), AX; \
+	VMOVUPS acc0, (AX)(R15*1); \
+	MOVQ    (PH_SIZE+PH_DST)(DX), AX; \
+	VMOVUPS acc1, (AX)(R15*1); \
+	ADDQ    $step, R15; \
+	CMPQ    R15, c1+40(FP); \
+	JLT     ablock; \
+	MOVB    $0, bad+48(FP); \
+	VZEROUPPER; \
+	RET; \
+abad: \
+	MOVB    $1, bad+48(FP); \
+	VZEROUPPER; \
+	RET
+
+	AXBODY(Y0, Y1, Y2, Y3, 32)
+
+// func pairAxpyAVX512(h *[2]pairHead, shift, mask, stride, c0, c1 int) (bad bool)
+//
+// pairAxpyAVX2 with sixteen channels to a register ((c1−c0)%64 == 0).
+TEXT ·pairAxpyAVX512(SB), NOSPLIT, $0-49
+	AXBODY(Z0, Z1, Z2, Z3, 64)
+
+// func pairExpSumAVX512(h *[2]pairExp, n int) (slow int)
+//
+// expSumAVX512 on two rows side by side over their first n elements (n%8 ==
+// 0, n > 0): each block of eight takes both rows' table exps (EXPROW8), and
+// the two sums, each carried serially in key order by scalar adds as in
+// expSumAVX512, are two independent chains in flight, so two rows take about
+// the time of one.
+TEXT ·pairExpSumAVX512(SB), NOSPLIT, $0-24
+	MOVQ h+0(FP), BX
+	MOVQ PX_X(BX), SI
+	MOVQ (PX_SIZE+PX_X)(BX), DI
+	MOVQ n+8(FP), CX
+	XORQ DX, DX
+	VBROADCASTSS PX_MAX(BX), Y6
+	VBROADCASTSS (PX_SIZE+PX_MAX)(BX), Y7
+	VMOVSS PX_SUM(BX), X5
+	VMOVSS (PX_SIZE+PX_SUM)(BX), X9
+	EXPTK
+xblock:
+	EXPROW8(SI, Y6, xslow0, xback0)
+	EXPROW8(DI, Y7, xslow1, xback1)
+	VADDSS (SI), X5, X5
+	VADDSS (DI), X9, X9
+	VADDSS 4(SI), X5, X5
+	VADDSS 4(DI), X9, X9
+	VADDSS 8(SI), X5, X5
+	VADDSS 8(DI), X9, X9
+	VADDSS 12(SI), X5, X5
+	VADDSS 12(DI), X9, X9
+	VADDSS 16(SI), X5, X5
+	VADDSS 16(DI), X9, X9
+	VADDSS 20(SI), X5, X5
+	VADDSS 20(DI), X9, X9
+	VADDSS 24(SI), X5, X5
+	VADDSS 24(DI), X9, X9
+	VADDSS 28(SI), X5, X5
+	VADDSS 28(DI), X9, X9
+	ADDQ $32, SI
+	ADDQ $32, DI
+	SUBQ $8, CX
+	JGT  xblock
+	VMOVSS X5, PX_SUM(BX)
+	VMOVSS X9, (PX_SIZE+PX_SUM)(BX)
+	MOVQ   DX, slow+16(FP)
+	VZEROUPPER
+	RET
+	EXPSLOW8(xslow0, xback0)
+	EXPSLOW8(xslow1, xback1)

@@ -791,6 +791,24 @@ func FuzzVecKernels(f *testing.F) {
 			}
 		}
 
+		// The pair kernels on both kernel sets: a full head over pages of a
+		// fuzzed power-of-two size cut from the rows beside a listed head over
+		// the same pages, against their scalar loops, and PairSoftmax on the raw values, non-finite ones included, as two
+		// rows, against Softmax per row.
+		pairVsLoops(t, x, rows, vals[len(vals)-m*d:], w, idx, m, d, 8<<(int(pick)%4))
+		for _, k := range expKernels {
+			h := len(raw) / 2
+			sm := [2][]float32{append([]float32(nil), raw[:h]...), append([]float32(nil), raw[h:]...)}
+			withExp(k, func() { PairSoftmax(sm) })
+			for j, row := range sm {
+				want := append([]float32(nil), raw[j*h:j*h+len(row)]...)
+				if len(want) > 0 {
+					softmaxGo(want)
+				}
+				expectBitsEqual(t, k.name+" PairSoftmax", row, want)
+			}
+		}
+
 		// MatTMat: S activation rows over an R×C weight matrix, both cut
 		// cyclically from vals, C = 8..79 leaving every tail of the tile.
 		S := 1 + int(pick)%33
@@ -1260,5 +1278,43 @@ func groupKernelsVsLoops(t *testing.T, name string, q, kp, vp, out [][]float32, 
 	groupAddScaledGo(outWant, want, vp, m, d)
 	for g := range out {
 		expectBitsEqual(t, name+" axpy", outGot[g], outWant[g])
+	}
+}
+
+// pairVsLoops checks PairDot and PairAddScaled, on every kernel set, against
+// pairDotGo and pairAddScaledGo: head 0 attends all m rows of keys and vals
+// in pages of P rows, head 1 the positions idx less 7 (rowPtrs' offset).
+func pairVsLoops(t *testing.T, x, keys, vals, w []float32, idx []int, m, d, P int) {
+	t.Helper()
+	var kp, vp [][]float32
+	for i := 0; i < m; i += P {
+		n := min(P, m-i)
+		kp, vp = append(kp, keys[i*d:(i+n)*d]), append(vp, vals[i*d:(i+n)*d])
+	}
+	pos := make([]int, len(idx))
+	for j, i := range idx {
+		pos[j] = i - 7
+	}
+	kr := [2]PairRows{{Pages: kp, N: m}, {Pages: kp, Ahead: vp, Idx: pos, N: m}}
+	vr := [2]PairRows{{Pages: vp, N: m}, {Pages: vp, Idx: pos, N: m}}
+	q := [2][]float32{x, keys[:d]}
+	ws := [2][]float32{w[:m], w[len(w)-len(pos):]}
+	for _, ks := range tileKernelSets {
+		withBlock16(ks.wide, func() {
+			got := [2][]float32{make([]float32, m), make([]float32, len(pos))}
+			want := [2][]float32{make([]float32, m), make([]float32, len(pos))}
+			PairDot(got, q, kr, P, d, 0.5)
+			pairDotGo(want, q, &kr, P, d, 0.5)
+			for h := range got {
+				expectBitsEqual(t, ks.name+" PairDot", got[h], want[h])
+			}
+			out := [2][]float32{make([]float32, d), make([]float32, d)}
+			outWant := [2][]float32{make([]float32, d), make([]float32, d)}
+			PairAddScaled(out, ws, vr, P, d)
+			pairAddScaledGo(outWant, ws, &vr, P, d, 0)
+			for h := range out {
+				expectBitsEqual(t, ks.name+" PairAddScaled", out[h], outWant[h])
+			}
+		})
 	}
 }

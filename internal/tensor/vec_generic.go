@@ -66,3 +66,16 @@ func groupExpSum(rows [][]float32, n int, max, sum []float32) {
 func groupAddScaled(out, w, pages [][]float32, m, d int) {
 	groupAddScaledGo(out, w, pages, m, d)
 }
+
+func pairDot(dst, q [2][]float32, rows *[2]PairRows, P, d int, scale float32) {
+	pairDotGo(dst, q, rows, P, d, scale)
+}
+
+func pairAddScaled(out, w [2][]float32, rows *[2]PairRows, P, d int) {
+	pairAddScaledGo(out, w, rows, P, d, 0)
+}
+
+func pairSoftmax(w [2][]float32) {
+	Softmax(w[0])
+	Softmax(w[1])
+}
