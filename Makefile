@@ -89,7 +89,8 @@ bench-compare:
 # {1, 2, 3, 8} (MatKernel), the score tile's dot as K-means' entry against
 # Dot (TileDot), the vector ≡ scalar suite (Vec: AVX2 kernels against the Go
 # loops, both forms of the score tile's kernels and the register tile's, the
-# exp pin and the table exp's fallback, softmax and SiluMul on the AVX2 and
+# exp pin on every exp kernel and the table exps' fallback (SoftmaxRows'
+# two-row one among them), softmax, SoftmaxRows and SiluMul on the AVX2 and
 # the AVX-512 exp, the arg-best, the fuzz seed corpus), the pair unit of
 # decode attention against a Full or Sparse call per head and its kernels
 # against their scalar loops (Pair), K-means against its

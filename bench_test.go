@@ -463,7 +463,6 @@ func benchDecodeSteadyAllocs(b *testing.B) {
 		seq.DecodeInto(tok, logits)
 	}
 	allocs := testing.AllocsPerRun(40, func() { seq.DecodeInto(tok, logits) })
-	b.ReportMetric(allocs, "allocs/round")
 	if allocs > 0.5 {
 		b.Fatalf("steady-state decode allocates %.1f objects/round, want 0", allocs)
 	}
@@ -471,6 +470,7 @@ func benchDecodeSteadyAllocs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		seq.DecodeInto(tok, logits)
 	}
+	b.ReportMetric(allocs, "allocs/round") // after ResetTimer, which drops metrics
 }
 
 // BenchmarkBatchDecodeSteadyAllocs extends the steady-state allocation
@@ -501,7 +501,6 @@ func benchBatchDecodeSteadyAllocs(b *testing.B) {
 		bd.DecodeInto(seqs, toks, lgs)
 	}
 	allocs := testing.AllocsPerRun(40, func() { bd.DecodeInto(seqs, toks, lgs) })
-	b.ReportMetric(allocs, "allocs/round")
 	if allocs > 0.5 {
 		b.Fatalf("steady-state batched decode allocates %.1f objects/round, want 0", allocs)
 	}
@@ -509,6 +508,7 @@ func benchBatchDecodeSteadyAllocs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		bd.DecodeInto(seqs, toks, lgs)
 	}
+	b.ReportMetric(allocs, "allocs/round") // after ResetTimer, which drops metrics
 }
 
 // BenchmarkClusterKVDecodeSteadyAllocs extends the steady-state allocation
@@ -552,7 +552,7 @@ func benchClusterKVDecodeSteadyAllocs(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			seq.DecodeInto(tok, logits)
 		}
-		b.ReportMetric(allocs, "allocs/step") // after ResetTimer, which drops metrics
+		b.ReportMetric(allocs, "allocs/round") // after ResetTimer, which drops metrics
 	}
 	b.Run("sync", func(b *testing.B) { run(b, nil) })
 	b.Run("runtime", func(b *testing.B) {

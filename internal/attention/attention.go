@@ -107,14 +107,13 @@ func (sc *Scratch) FullN(out, q []float32, s *kvcache.Store, n int) {
 //
 // The shared run is walked once for the whole group (DESIGN.md §12): each K
 // page is scored for every member with its keys in the vector lanes
-// (tensor.KeyLanes.GroupDot), the members' exp sums run side by side over
-// the run and on over their tails' common length, each then continuing over
-// the rest of its own (tensor.SoftmaxRows), and each V page's rows are
-// loaded once for every member's weighted sum (tensor.GroupAddScaled). Each
-// member's private tail, the pages from r on, goes through DotRows and
-// AddScaledRows as in FullN, after the run, which keeps every member's key
-// order. The members' scores are kept in sc, so one Scratch serves the whole
-// group.
+// (tensor.KeyLanes.GroupDot), the members' rows take the softmax two at a
+// time, each pair's exp sums side by side (tensor.SoftmaxRows), and each V
+// page's rows are loaded once for every member's weighted sum
+// (tensor.GroupAddScaled). Each member's private tail, the pages from r on,
+// goes through DotRows and AddScaledRows as in FullN, after the run, which
+// keeps every member's key order. The members' scores are kept in sc, so one
+// Scratch serves the whole group.
 func (sc *Scratch) FullShared(out, q [][]float32, s []*kvcache.Store, r int) {
 	G := len(q)
 	if len(out) != G || len(s) != G || G == 0 {
@@ -160,7 +159,7 @@ func (sc *Scratch) FullShared(out, q [][]float32, s []*kvcache.Store, r int) {
 //
 // The two heads are independent chains run in the same pass (DESIGN.md §12):
 // tensor.PairDot scores both heads' rows with their groups of eight
-// interleaved, tensor.PairSoftmax carries the two rows' exp sums as two
+// interleaved, tensor.SoftmaxRows carries the two rows' exp sums as two
 // chains in flight, and tensor.PairAddScaled adds both heads' value rows
 // with the two accumulations interleaved. The kernels read each row in
 // place, turning a position into its page and row themselves, so a sparse
@@ -196,7 +195,7 @@ func (sc *Scratch) Pair(out, q [2][]float32, s [2]*kvcache.Store, idx [2][]int) 
 		w[h] = sc.rows[h]
 	}
 	tensor.PairDot(w, q, keys, P, d, float32(1/math.Sqrt(float64(d))))
-	tensor.PairSoftmax(w)
+	tensor.SoftmaxRows(w[:])
 	tensor.Fill(out[0], 0)
 	tensor.Fill(out[1], 0)
 	tensor.PairAddScaled(out, w, vals, P, d)

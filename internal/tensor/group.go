@@ -6,15 +6,11 @@ import "math"
 // queries of several streams that hold the same leading K/V pages attend
 // those pages in one pass. GroupDot scores a K page with its keys in the
 // vector lanes and the members' queries broadcast, so the page is transposed
-// once for up to eight members; SoftmaxRows runs the members' exp sums side by
-// side, each its own serial chain in key order; GroupAddScaled loads each
-// value row once and adds it into every member's outputs, one chain per
-// member. Each member's scores, exps, sum and outputs are what DotRows,
-// Softmax and AddScaledRows give it alone, to the bit.
-
-// groupMax is the most members one kernel call takes; longer groups go in
-// calls of groupMax.
-const groupMax = 8
+// once for up to eight members; GroupAddScaled loads each value row once and
+// adds it into every member's outputs, one chain per member. Between the two
+// the members' rows take SoftmaxRows, two at a time. Each member's scores,
+// exps, sum and outputs are what DotRows, Softmax and AddScaledRows give it
+// alone, to the bit.
 
 // KeyLanes is GroupDot's scratch: a K page transposed into tiles of keys,
 // channel-major, so one channel of a tile's keys is one vector. A KeyLanes
@@ -68,39 +64,6 @@ func GroupAddScaled(out, w, pages [][]float32, m, d int) {
 	groupAddScaled(out, w, pages, m, d)
 }
 
-// SoftmaxRows is Softmax on every row of rows, to the bit, the rows' exp
-// sums side by side: over the rows' common length the group exp kernel adds
-// each row's exps to its own sum in key order, the rows' chains in the lanes
-// of one register, and each row's remaining elements continue its chain. A
-// row with a NaN or ±Inf, where Softmax is the scalar loop, takes Softmax
-// itself.
-func SoftmaxRows(rows [][]float32) {
-	var mx, sum [groupMax]float32
-	var live [groupMax][]float32
-	for g0 := 0; g0 < len(rows); g0 += groupMax {
-		k, n := 0, 0
-		for _, row := range rows[g0:min(g0+groupMax, len(rows))] {
-			m, ok := rowMax(row)
-			if !ok {
-				Softmax(row)
-				continue
-			}
-			if k == 0 || len(row) < n {
-				n = len(row)
-			}
-			live[k], mx[k], sum[k] = row, m, 0
-			k++
-		}
-		if k == 0 {
-			continue
-		}
-		groupExpSum(live[:k], n, mx[:k], sum[:k])
-		for j, row := range live[:k] {
-			scaleRow(row, 1/expSumRow(row[n:], mx[j], sum[j]))
-		}
-	}
-}
-
 // rowMaxGo returns Softmax's max of x and whether every element is finite;
 // an empty x is not.
 func rowMaxGo(x []float32) (float32, bool) {
@@ -125,15 +88,6 @@ func groupDotGo(dst, q, pages [][]float32, m, d int, scale float32) {
 		for g := range q {
 			dotRowsGo(dst[g][p*m:(p+1)*m], q[g], keys, d, scale)
 		}
-	}
-}
-
-// groupExpSumGo is the scalar exp-sum loop: for every row g and i < n,
-// rows[g][i] = float32(math.Exp(float64(rows[g][i] − max[g]))), added to
-// sum[g] in order.
-func groupExpSumGo(rows [][]float32, n int, max, sum []float32) {
-	for g, row := range rows {
-		sum[g] = expSumGo(row[:n], max[g], sum[g])
 	}
 }
 

@@ -4,12 +4,11 @@ import "unsafe"
 
 // Pair kernels of decode attention (DESIGN.md §12): two heads of one stream,
 // each over its own store, attended side by side. PairDot scores both heads'
-// keys with their groups of eight rows interleaved, PairSoftmax carries the
+// keys with their groups of eight rows interleaved, SoftmaxRows carries the
 // two exp sums as two serial chains side by side, and PairAddScaled adds both
 // heads' value rows into their own outputs with the two chains interleaved,
 // so every phase has two independent chains in flight where a lone head has
-// one. A
-// head's rows are read in place from its pages: a full head's row j is
+// one. A head's rows are read in place from its pages: a full head's row j is
 // position j, a sparse head's is position Idx[j], and the kernels turn each
 // position into its page and row themselves, so no table of row addresses
 // is built. Each head's scores and outputs are what DotRows/DotRowsList and
@@ -93,13 +92,21 @@ func PairAddScaled(out, w [2][]float32, rows [2]PairRows, P, d int) {
 	pairAddScaled(out, w, &rows, P, d)
 }
 
-// PairSoftmax is Softmax on both rows, to the bit, the two exp sums side by
-// side: where the CPU has AVX-512F, each block of eight takes both rows'
-// exps and the two serial sums are two chains in flight, over the rows'
-// common length, and each row's rest continues its own chain. A row with a
-// NaN or ±Inf, where Softmax is the scalar loop, or an empty one, takes
-// Softmax alone, as does every row without the 8-lane exp.
-func PairSoftmax(w [2][]float32) { pairSoftmax(w) }
+// SoftmaxRows is Softmax on every row of rows, to the bit, two rows at a
+// time: rows (0, 1), (2, 3) and so on share a pass in which, where the CPU
+// has AVX-512F, each block of eight takes both rows' exps and the two serial
+// sums are two chains in flight, over the pair's common length, and each
+// row's rest continues its own chain. A pair with an empty row or one that
+// holds a NaN or ±Inf (where Softmax is the scalar loop) takes Softmax per
+// row, as do an odd last row and every row without the 8-lane exp.
+func SoftmaxRows(rows [][]float32) {
+	for i := 0; i+1 < len(rows); i += 2 {
+		pairSoftmax([2][]float32{rows[i], rows[i+1]})
+	}
+	if len(rows)%2 == 1 {
+		Softmax(rows[len(rows)-1])
+	}
+}
 
 // pairDotGo is the scalar PairDot loop: each head's DotRows loop, a row at
 // a time.

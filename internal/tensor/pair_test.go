@@ -57,10 +57,10 @@ func pairVsHeads(t *testing.T, name string, r *rng.RNG, P, d int, n, m [2]int, l
 		expectBitsEqual(t, fmt.Sprint(name, " PairDot head ", h), got[h], want[h])
 		expectBitsEqual(t, fmt.Sprint(name, " pairDotGo head ", h), goRef[h], want[h])
 	}
-	PairSoftmax(got)
+	SoftmaxRows(got[:])
 	for h := range want {
 		Softmax(want[h])
-		expectBitsEqual(t, fmt.Sprint(name, " PairSoftmax head ", h), got[h], want[h])
+		expectBitsEqual(t, fmt.Sprint(name, " SoftmaxRows head ", h), got[h], want[h])
 	}
 	var out, outWant, outGo [2][]float32
 	for h := range out {

@@ -415,16 +415,14 @@ func groupDotAVX2(dst, q **float32, nq int, kt *float32, m, d int, scale float32
 func groupDotAVX512(dst, q **float32, nq int, kt *float32, m, d int, scale float32, i0 int)
 
 //go:noescape
-func groupExpSumAVX2(rows **float32, nq, n int, max, sum *float32)
-
-//go:noescape
-func groupExpSumAVX512(rows **float32, nq, n int, max, sum *float32) (slow int)
-
-//go:noescape
 func groupAxpyAVX2(outs, ws **float32, vals *float32, m, d, i0 int)
 
 //go:noescape
 func groupAxpyAVX512(outs, ws **float32, nq int, vals *float32, m, d, i0 int)
+
+// groupMax is the most members one kernel call takes; longer groups go in
+// calls of groupMax.
+const groupMax = 8
 
 // keyLanes is how many keys GroupDot puts in the lanes of one tile for m
 // keys of head dim d: 16 where the CPU has AVX-512F, 8 on AVX2, and 0 where
@@ -476,37 +474,6 @@ func groupDot(kl *KeyLanes, dst, q, pages [][]float32, m, d int, scale float32) 
 				groupDotAVX2(&dp[0], &qp[0], k, kt, m, d, scale, p*m)
 			}
 		}
-	}
-}
-
-// groupExpSum runs the kernel over the rows' first n elements in whole
-// blocks (eight on AVX-512F, four on AVX2) and each row's last ones on
-// expSumGo. rows holds 1 to groupMax rows.
-func groupExpSum(rows [][]float32, n int, max, sum []float32) {
-	done := 0
-	if useVec {
-		done = n &^ 3
-		if useExp8 {
-			done = n &^ 7
-		}
-	}
-	if done > 0 {
-		// The kernels take eight rows, the last one repeated.
-		var rp [groupMax]*float32
-		var mx, s [groupMax]float32
-		for j := range rp {
-			g := min(j, len(rows)-1)
-			rp[j], mx[j], s[j] = &rows[g][0], max[g], sum[g]
-		}
-		if useExp8 {
-			groupExpSumAVX512(&rp[0], len(rows), done, &mx[0], &s[0])
-		} else {
-			groupExpSumAVX2(&rp[0], len(rows), done, &mx[0], &s[0])
-		}
-		copy(sum, s[:len(rows)])
-	}
-	for g, row := range rows {
-		sum[g] = expSumGo(row[done:n], max[g], sum[g])
 	}
 }
 

@@ -3,19 +3,20 @@
 #include "textflag.h"
 
 // AVX2 + FMA kernels behind vec_amd64.go (DESIGN.md §12), the score tile of
-// prefill attention and K-means and the group kernels of decode attention
-// over shared pages among them, AVX-512F twins of the exp, the SiLU gate,
-// the score tile and the group kernels, and the AVX-512F register tile of
-// MatTMat with its 16-column tail. Every kernel puts *independent* reduction
-// chains in the vector lanes and never splits one chain across lanes, and
-// float32 arithmetic is a separate VMULPS and VADDPS (no fused
-// multiply-add), so each lane performs exactly the operations of the scalar
-// Go loop in the same order: results are bit-identical for finite inputs.
-// The one exception is how expSumAVX512, tileExpSumAVX512 and
-// groupExpSumAVX512 reach their exps, through a table instead of math.Exp's
-// sequence; each exp is still math.Exp's float32 (see expSumAVX512). Row and
-// column tails stay in Go; no kernel reads past its slice. Every routine
-// ends in VZEROUPPER.
+// prefill attention and K-means, the group kernels of decode attention over
+// shared pages and the pair kernels of every other decode pick among them;
+// AVX-512F twins of the exp, the SiLU gate, the score tile, the group
+// kernels and the pair weighted sum; the AVX-512F two-row exp of
+// SoftmaxRows; and the AVX-512F register tile of MatTMat with its 16-column
+// tail. Every kernel puts *independent* reduction chains in the vector lanes
+// and never splits one chain across lanes, and float32 arithmetic is a
+// separate VMULPS and VADDPS (no fused multiply-add), so each lane performs
+// exactly the operations of the scalar Go loop in the same order: results
+// are bit-identical for finite inputs. The one exception is how
+// expSumAVX512, tileExpSumAVX512 and pairExpSumAVX512 reach their exps,
+// through a table instead of math.Exp's sequence; each exp is still
+// math.Exp's float32 (see expSumAVX512). Row and column tails stay in Go; no
+// kernel reads past its slice. Every routine ends in VZEROUPPER.
 
 // func cpuHasAVX2FMA() bool
 //
@@ -2175,194 +2176,6 @@ ynext:
 	ADDQ $8, R13
 	DECQ R14
 	JGT  ymember
-	VZEROUPPER
-	RET
-
-// func groupExpSumAVX512(rows **float32, nq, n int, max, sum *float32) (slow int)
-//
-// For each row k < nq and i < n (n%8 == 0, n > 0): rows[k][i] =
-// float32(math.Exp(float64(rows[k][i] − max[k]))), added to sum[k] in order
-// of i; slow counts the blocks that took the fallback. max and sum hold
-// eight entries, those past nq ignored. Each block of eight keys takes every
-// row's exps from the table exp of expSumAVX512 (GSLOT: EXPROW8, row k's
-// exps kept in Y13+k), transposes the eight rows' blocks so that each key's
-// exps are the lanes of one vector, one lane per row, and adds the eight
-// vectors in key order into the sums in Y31: every row's sum is its own
-// serial chain, and the rows' chains run side by side in the lanes. Four
-// rows or fewer take half the transpose, into the low four lanes. The
-// lanes of rows past nq hold whatever their registers held, and their sums
-// are dropped.
-TEXT ·groupExpSumAVX512(SB), NOSPLIT, $0-48
-	// GSLOT(k, reg) runs row k's block into reg.
-#define GSLOT(k, reg, slow, back) \
-	MOVQ max+24(FP), SI; \
-	VBROADCASTSS (k*4)(SI), Y6; \
-	MOVQ (k*8)(DI), SI; \
-	ADDQ AX, SI; \
-	EXPROW8(SI, Y6, slow, back); \
-	VMOVAPS Y0, reg
-
-	MOVQ rows+0(FP), DI
-	MOVQ n+16(FP), CX
-	SHLQ $2, CX
-	MOVQ sum+32(FP), SI
-	VMOVUPS (SI), Y31
-	XORQ DX, DX
-	XORQ AX, AX // the block's byte offset
-	EXPTK
-gblock:
-	GSLOT(0, Y13, gslow0, gback0)
-	CMPQ nq+8(FP), $1
-	JLE  gsum
-	GSLOT(1, Y14, gslow1, gback1)
-	CMPQ nq+8(FP), $2
-	JLE  gsum
-	GSLOT(2, Y15, gslow2, gback2)
-	CMPQ nq+8(FP), $3
-	JLE  gsum
-	GSLOT(3, Y16, gslow3, gback3)
-	CMPQ nq+8(FP), $4
-	JLE  gsum4
-	GSLOT(4, Y17, gslow4, gback4)
-	CMPQ nq+8(FP), $5
-	JLE  gsum
-	GSLOT(5, Y18, gslow5, gback5)
-	CMPQ nq+8(FP), $6
-	JLE  gsum
-	GSLOT(6, Y19, gslow6, gback6)
-	CMPQ nq+8(FP), $7
-	JLE  gsum
-	GSLOT(7, Y20, gslow7, gback7)
-gsum:
-	// Rows r0..r7 (Y13..Y20) to keys c0..c7: unpack (t), shuffle (u),
-	// then the 128-bit halves: c_j = [u_j.lo | u_{j+4}.lo] for j < 4 and
-	// the high halves for j ≥ 4.
-	VUNPCKLPS Y14, Y13, Y1
-	VUNPCKHPS Y14, Y13, Y2
-	VUNPCKLPS Y16, Y15, Y3
-	VUNPCKHPS Y16, Y15, Y4
-	VUNPCKLPS Y18, Y17, Y5
-	VUNPCKHPS Y18, Y17, Y7
-	VUNPCKLPS Y20, Y19, Y9
-	VUNPCKHPS Y20, Y19, Y11
-	VSHUFPS   $0x44, Y3, Y1, Y13
-	VSHUFPS   $0xEE, Y3, Y1, Y14
-	VSHUFPS   $0x44, Y4, Y2, Y15
-	VSHUFPS   $0xEE, Y4, Y2, Y16
-	VSHUFPS   $0x44, Y9, Y5, Y17
-	VSHUFPS   $0xEE, Y9, Y5, Y18
-	VSHUFPS   $0x44, Y11, Y7, Y19
-	VSHUFPS   $0xEE, Y11, Y7, Y20
-	VSHUFF32X4 $0, Y17, Y13, Y1
-	VSHUFF32X4 $0, Y18, Y14, Y2
-	VSHUFF32X4 $0, Y19, Y15, Y3
-	VSHUFF32X4 $0, Y20, Y16, Y4
-	VSHUFF32X4 $3, Y17, Y13, Y5
-	VSHUFF32X4 $3, Y18, Y14, Y7
-	VSHUFF32X4 $3, Y19, Y15, Y9
-	VSHUFF32X4 $3, Y20, Y16, Y11
-	VADDPS Y1, Y31, Y31
-	VADDPS Y2, Y31, Y31
-	VADDPS Y3, Y31, Y31
-	VADDPS Y4, Y31, Y31
-	VADDPS Y5, Y31, Y31
-	VADDPS Y7, Y31, Y31
-	VADDPS Y9, Y31, Y31
-	VADDPS Y11, Y31, Y31
-	JMP  gnext
-gsum4:
-	// Up to four rows: c_j = u_j.lo for j < 4 and u_{j-4}.hi for j ≥ 4,
-	// added into the low four lanes of the sums.
-	VUNPCKLPS Y14, Y13, Y1
-	VUNPCKHPS Y14, Y13, Y2
-	VUNPCKLPS Y16, Y15, Y3
-	VUNPCKHPS Y16, Y15, Y4
-	VUNPCKLPD Y3, Y1, Y5
-	VUNPCKHPD Y3, Y1, Y7
-	VUNPCKLPD Y4, Y2, Y9
-	VUNPCKHPD Y4, Y2, Y11
-	VADDPS X5, X31, X31
-	VADDPS X7, X31, X31
-	VADDPS X9, X31, X31
-	VADDPS X11, X31, X31
-	VEXTRACTF128 $1, Y5, X5
-	VADDPS X5, X31, X31
-	VEXTRACTF128 $1, Y7, X7
-	VADDPS X7, X31, X31
-	VEXTRACTF128 $1, Y9, X9
-	VADDPS X9, X31, X31
-	VEXTRACTF128 $1, Y11, X11
-	VADDPS X11, X31, X31
-gnext:
-	ADDQ $32, AX
-	CMPQ AX, CX
-	JLT  gblock
-	MOVQ sum+32(FP), SI
-	VMOVUPS Y31, (SI)
-	MOVQ DX, slow+40(FP)
-	VZEROUPPER
-	RET
-	EXPSLOW8(gslow0, gback0)
-	EXPSLOW8(gslow1, gback1)
-	EXPSLOW8(gslow2, gback2)
-	EXPSLOW8(gslow3, gback3)
-	EXPSLOW8(gslow4, gback4)
-	EXPSLOW8(gslow5, gback5)
-	EXPSLOW8(gslow6, gback6)
-	EXPSLOW8(gslow7, gback7)
-
-// func groupExpSumAVX2(rows **float32, nq, n int, max, sum *float32)
-//
-// groupExpSumAVX512's contract on blocks of four keys (n%4 == 0, n > 0),
-// each row's block expSumAVX2's EXPPD4, math.archExp's instruction
-// sequence. The sums stay in sum across blocks: TRANS8CHUNK needs Y1-Y8,
-// so the constants it clobbers (Y7, Y8) are reloaded after it.
-TEXT ·groupExpSumAVX2(SB), NOSPLIT, $0-40
-	MOVQ rows+0(FP), DI
-	MOVQ (DI), R8
-	MOVQ 8(DI), R9
-	MOVQ 16(DI), R10
-	MOVQ 24(DI), R11
-	MOVQ 32(DI), R12
-	MOVQ 40(DI), R13
-	MOVQ 48(DI), R14
-	MOVQ 56(DI), R15
-	MOVQ n+16(FP), CX
-	SHLQ $2, CX
-	XORQ AX, AX
-	EXPK4
-	VBROADCASTSD expk<>+56(SB), Y8
-hblock:
-	XORQ BX, BX
-hrow:
-	MOVQ max+24(FP), SI
-	VBROADCASTSS (SI)(BX*4), X6
-	MOVQ (DI)(BX*8), SI
-	ADDQ AX, SI
-	VMOVUPS   (SI), X0
-	VSUBPS    X6, X0, X0
-	VCVTPS2PD X0, Y0
-	VCMPPD    $0x11, Y8, Y0, Y3 // x < -104
-	EXPPD4
-	VANDNPD   Y0, Y3, Y0
-	VCVTPD2PSY Y0, X0
-	VMOVUPS   X0, (SI)
-	INCQ BX
-	CMPQ BX, nq+8(FP)
-	JLT  hrow
-	TRANS8CHUNK
-	MOVQ sum+32(FP), SI
-	VMOVUPS (SI), Y0
-	VADDPS  Y1, Y0, Y0
-	VADDPS  Y2, Y0, Y0
-	VADDPS  Y3, Y0, Y0
-	VADDPS  Y4, Y0, Y0
-	VMOVUPS Y0, (SI)
-	VPBROADCASTQ expk<>+64(SB), Y7
-	VBROADCASTSD expk<>+56(SB), Y8
-	ADDQ $16, AX
-	CMPQ AX, CX
-	JLT  hblock
 	VZEROUPPER
 	RET
 

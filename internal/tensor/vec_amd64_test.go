@@ -279,8 +279,8 @@ func TestVecSoftmax(t *testing.T) {
 }
 
 // TestVecExpPin pins every exp kernel (expSumAVX2 and the score tile's
-// tileExpSumAVX2, and expSumAVX512 and tileExpSumAVX512 where the CPU has
-// them) to float32(math.Exp(float64(x))) over the whole input range of a
+// tileExpSumAVX2, and expSumAVX512, tileExpSumAVX512 and SoftmaxRows'
+// pairExpSumAVX512 where the CPU has them) to float32(math.Exp(float64(x))) over the whole input range of a
 // softmax, [-105, 0] (below -104 both are +0): every 37th float32 with
 // -short or under the race detector, every one otherwise. It is the test
 // that fails if a Go release changes math.archExp, whose instruction
@@ -309,18 +309,48 @@ func TestVecExpPin(t *testing.T) {
 	}
 }
 
-// expPinKernels are expKernels and the score tile's exp kernels, each with
-// the row kernel of its width for the tail.
+// expPinKernels are expKernels, the score tile's exp kernels, each with the
+// row kernel of its width for the tail, and the two-row kernel.
 var expPinKernels = func() []expKernel {
 	ks := expKernels[:len(expKernels):len(expKernels)]
 	ks = append(ks, expKernel{"avx2tile", false, expTileSerial(tileExpSumAVX2, expKernels[0].fn)})
 	if useExp8 {
 		ks = append(ks, expKernel{"avx512tile", true, expTileSerial(func(rows *float32, m int, st *tileState) {
 			tileExpSumAVX512(rows, m, st)
-		}, expKernels[1].fn)})
+		}, expKernels[1].fn)}, expKernel{"avx512pair", true, expPairSerial})
 	}
 	return ks
 }()
+
+// expPairSerial runs x[:n] (n%8 == 0) through pairExpSumAVX512 as two rows,
+// its halves' whole blocks of eight, and the rest through expSumAVX512, then
+// returns sum plus the exps added serially here, or NaN if either row's sum
+// is not the serial sum of its own exps from its start (sum for row 0, 0 for
+// row 1): it pins both rows' exps and sums.
+func expPairSerial(x *float32, n int, max, sum float32) float32 {
+	s := unsafe.Slice(x, n)
+	h := n / 2 &^ 7
+	if h > 0 {
+		xs := [2]pairExp{{x: &s[0], max: max, sum: sum}, {x: &s[h], max: max}}
+		pairExpSumAVX512(&xs, h)
+		for j, row := range [2][]float32{s[:h], s[h : 2*h]} {
+			want := [2]float32{sum, 0}[j]
+			for _, e := range row {
+				want += e
+			}
+			if math.Float32bits(want) != math.Float32bits(xs[j].sum) {
+				return float32(math.NaN())
+			}
+		}
+	}
+	if 2*h < n {
+		expSumAVX512(&s[2*h], n-2*h, max, 0)
+	}
+	for _, e := range s {
+		sum += e
+	}
+	return sum
+}
 
 // expTileSerial returns an exp kernel that runs x[:n] through tile as a
 // tile of n/16 rows and the rest through tail, then returns sum plus the
@@ -404,16 +434,17 @@ func expMidpointInputs(n int) []float32 {
 	return zs
 }
 
-// TestVecExpFallback drives the fallback of expSumAVX512 and
-// tileExpSumAVX512 on every block kind that must take it — a lane whose exp
-// sits near a float32 rounding midpoint, a live lane in (-104, -87] where the
-// float32 result is subnormal — and on blocks that must not: -Inf and -0
-// lanes, clamped and exact. Each such block holds one special lane among
-// seven 0s; the kernels' count of slow blocks must be exactly the first
-// kind's, and every lane float32(math.Exp(float64(z))). The tile kernel runs
-// the blocks as the halves of its rows, so a slow block sits beside a fast
-// one in either half, and every lane's sum must be the serial sum of its
-// column.
+// TestVecExpFallback drives the fallback of expSumAVX512, tileExpSumAVX512
+// and pairExpSumAVX512 on every block kind that must take it — a lane whose
+// exp sits near a float32 rounding midpoint, a live lane in (-104, -87]
+// where the float32 result is subnormal — and on blocks that must not: -Inf
+// and -0 lanes, clamped and exact. Each such block holds one special lane
+// among seven 0s; the kernels' count of slow blocks must be exactly the
+// first kind's, and every lane float32(math.Exp(float64(z))). The tile
+// kernel runs the blocks as the halves of its rows, so a slow block sits
+// beside a fast one in either half, and every lane's sum must be the serial
+// sum of its column; the two-row kernel runs them in row 0, in row 1 and in
+// both, and each row's sum must be its serial sum.
 func TestVecExpFallback(t *testing.T) {
 	if !useExp8 {
 		t.Skip("CPU lacks AVX-512F: no table exp to fall back from")
@@ -450,6 +481,29 @@ func TestVecExpFallback(t *testing.T) {
 				col, colExps = append(col, tile[i*TileLanes+j]), append(colExps, exps[i*TileLanes+j])
 			}
 			expectExps(t, "tileExpSumAVX512 lane "+itoa(j), col, colExps, st.sum[j])
+		}
+	}
+
+	// The two-row kernel: the slow blocks in row 0 beside fast ones, in row
+	// 1, and in both, row 1 a block behind row 0.
+	zeros := make([]float32, len(in))
+	behind := append(append([]float32(nil), in[8:]...), in[:8]...)
+	for _, c := range []struct {
+		name string
+		rows [2][]float32
+		slow int
+	}{
+		{"row 0", [2][]float32{in, zeros}, len(slowZ)},
+		{"row 1", [2][]float32{zeros, in}, len(slowZ)},
+		{"both rows", [2][]float32{in, behind}, 2 * len(slowZ)},
+	} {
+		exps := [2][]float32{append([]float32(nil), c.rows[0]...), append([]float32(nil), c.rows[1]...)}
+		xs := [2]pairExp{{x: &exps[0][0]}, {x: &exps[1][0]}}
+		if slow := pairExpSumAVX512(&xs, len(in)); slow != c.slow {
+			t.Errorf("pair kernel, slow blocks in %s: %d blocks took the fallback, want %d", c.name, slow, c.slow)
+		}
+		for h := range exps {
+			expectExps(t, "pairExpSumAVX512 "+c.name+", row "+itoa(h), c.rows[h], exps[h], xs[h].sum)
 		}
 	}
 }
@@ -628,9 +682,10 @@ func TestVecSiluMul(t *testing.T) {
 // the three score-tile kernels on each kernel set and TileDot against their
 // scalar loops at a fuzzed width up to 128, row count, row list and query
 // count up to 33 (a causal block of them through ScoreTiles, and the kernels
-// alone with the causal lane mask at a fuzzed offset), the three group
-// kernels for 1 to 9 members over pages of 1 to 24 keys on every path, and
-// 1 to 33 activation rows at band widths that leave 32-, 16- and 8-column
+// alone with the causal lane mask at a fuzzed offset), the group dot and
+// weighted sum for 1 to 9 members over pages of 1 to 24 keys on every path,
+// the pair dot and weighted sum over pages of 8 to 64 rows, and 1 to 33
+// activation rows at band widths that leave 32-, 16- and 8-column
 // tails; the raw values, non-finite ones included, go through softmax,
 // SoftmaxRows and SiluMul on every exp kernel and through ArgBestCos as
 // scores and norms of a fuzzed centroid count.
@@ -680,6 +735,22 @@ func FuzzVecKernels(f *testing.F) {
 			withExp(k, func() { softmax(sm) })
 			softmaxGo(smWant)
 			expectBitsEqual(t, k.name+" softmax", sm, smWant)
+			// SoftmaxRows on 1 to 9 rows of three lengths, against Softmax
+			// per row.
+			G := 1 + int(pick)%9
+			n := len(raw) / G
+			smRows := make([][]float32, G)
+			for g := range smRows {
+				smRows[g] = append([]float32(nil), raw[g*n:(g+1)*n-min(g%3, n)]...)
+			}
+			withExp(k, func() { SoftmaxRows(smRows) })
+			for g, row := range smRows {
+				want := append([]float32(nil), raw[g*n:g*n+len(row)]...)
+				if len(want) > 0 {
+					softmaxGo(want)
+				}
+				expectBitsEqual(t, k.name+" SoftmaxRows", row, want)
+			}
 			// Gates and multipliers are the raw values, and the same values
 			// clamped into the vector range.
 			u := raw[len(raw)/2:]
@@ -754,9 +825,7 @@ func FuzzVecKernels(f *testing.F) {
 		}
 
 		// The group kernels on every path: up to nine members' queries (key
-		// rows) over pages of a fuzzed size cut from the rows, and
-		// SoftmaxRows on the raw values, non-finite ones included, as rows
-		// of members of three lengths, against Softmax per row.
+		// rows) over pages of a fuzzed size cut from the rows.
 		if G, pm := 1+int(pick)%9, 1+int(pick/9)%24; m >= pm {
 			np := min(m/pm, 4)
 			kp, vp := make([][]float32, np), make([][]float32, np)
@@ -767,47 +836,17 @@ func FuzzVecKernels(f *testing.F) {
 			for g := range q {
 				q[g], out[g] = rows[(g%m)*d:(g%m+1)*d], x
 			}
-			smRows := make([][]float32, G)
-			n := len(raw) / G
 			for _, path := range tilePaths {
-				for _, k := range expKernels {
-					withTilePath(path, func() {
-						withExp(k, func() {
-							groupKernelsVsLoops(t, path.name+"/"+k.name, q, kp, vp, out, pm, d)
-							for g := range smRows {
-								smRows[g] = append([]float32(nil), raw[g*n:(g+1)*n-min(g%3, n)]...)
-							}
-							SoftmaxRows(smRows)
-							for g, row := range smRows {
-								want := append([]float32(nil), raw[g*n:g*n+len(row)]...)
-								if len(want) > 0 {
-									softmaxGo(want)
-								}
-								expectBitsEqual(t, path.name+"/"+k.name+" SoftmaxRows", row, want)
-							}
-						})
-					})
-				}
+				withTilePath(path, func() {
+					groupKernelsVsLoops(t, path.name, q, kp, vp, out, pm, d)
+				})
 			}
 		}
 
 		// The pair kernels on both kernel sets: a full head over pages of a
 		// fuzzed power-of-two size cut from the rows beside a listed head over
-		// the same pages, against their scalar loops, and PairSoftmax on the raw values, non-finite ones included, as two
-		// rows, against Softmax per row.
+		// the same pages, against their scalar loops.
 		pairVsLoops(t, x, rows, vals[len(vals)-m*d:], w, idx, m, d, 8<<(int(pick)%4))
-		for _, k := range expKernels {
-			h := len(raw) / 2
-			sm := [2][]float32{append([]float32(nil), raw[:h]...), append([]float32(nil), raw[h:]...)}
-			withExp(k, func() { PairSoftmax(sm) })
-			for j, row := range sm {
-				want := append([]float32(nil), raw[j*h:j*h+len(row)]...)
-				if len(want) > 0 {
-					softmaxGo(want)
-				}
-				expectBitsEqual(t, k.name+" PairSoftmax", row, want)
-			}
-		}
 
 		// MatTMat: S activation rows over an R×C weight matrix, both cut
 		// cyclically from vals, C = 8..79 leaving every tail of the tile.
@@ -1221,7 +1260,7 @@ func TestVecGroupKernels(t *testing.T) {
 	}
 }
 
-// groupVsLoops checks the three group dispatchers against their scalar
+// groupVsLoops checks the two group dispatchers against their scalar
 // loops on one shape.
 func groupVsLoops(t *testing.T, name string, r *rng.RNG, G, npages, m, d int) {
 	t.Helper()
@@ -1237,9 +1276,8 @@ func groupVsLoops(t *testing.T, name string, r *rng.RNG, G, npages, m, d int) {
 }
 
 // groupKernelsVsLoops checks the group dispatchers against their scalar
-// loops: the members' queries q over the K pages kp of m keys, their exps
-// from a running sum of j for row j, and their weighted sums of the V pages
-// vp into copies of out.
+// loops: the members' queries q over the K pages kp of m keys, and the
+// weighted sums of the V pages vp at those scores into copies of out.
 func groupKernelsVsLoops(t *testing.T, name string, q, kp, vp, out [][]float32, m, d int) {
 	t.Helper()
 	G, npages := len(q), len(kp)
@@ -1253,21 +1291,6 @@ func groupKernelsVsLoops(t *testing.T, name string, q, kp, vp, out [][]float32, 
 	groupDotGo(want, q, kp, m, d, 0.25)
 	for g := range got {
 		expectBitsEqual(t, name+" dot", got[g], want[g])
-	}
-	for g0 := 0; g0 < G; g0 += groupMax {
-		rows, rowsWant := got[g0:min(g0+groupMax, G)], want[g0:min(g0+groupMax, G)]
-		mx, sum, sumWant := make([]float32, len(rows)), make([]float32, len(rows)), make([]float32, len(rows))
-		for j, row := range rows {
-			mx[j], _ = rowMaxGo(row)
-			sum[j] = float32(j)
-			sumWant[j] = sum[j]
-		}
-		groupExpSum(rows, npages*m, mx, sum)
-		groupExpSumGo(rowsWant, npages*m, mx, sumWant)
-		expectBitsEqual(t, name+" expSum sums", sum, sumWant)
-		for j := range rows {
-			expectBitsEqual(t, name+" expSum", rows[j], rowsWant[j])
-		}
 	}
 	outGot, outWant := make([][]float32, G), make([][]float32, G)
 	for g := range out {

@@ -59,10 +59,6 @@ func groupDot(_ *KeyLanes, dst, q, pages [][]float32, m, d int, scale float32) {
 	groupDotGo(dst, q, pages, m, d, scale)
 }
 
-func groupExpSum(rows [][]float32, n int, max, sum []float32) {
-	groupExpSumGo(rows, n, max, sum)
-}
-
 func groupAddScaled(out, w, pages [][]float32, m, d int) {
 	groupAddScaledGo(out, w, pages, m, d)
 }
