@@ -93,15 +93,20 @@ bench-compare:
 # two-row one among them), softmax, SoftmaxRows and SiluMul on the AVX2 and
 # the AVX-512 exp, the arg-best, the fuzz seed corpus), the pair unit of
 # decode attention against a Full or Sparse call per head and its kernels
-# against their scalar loops (Pair), K-means against its
+# against their scalar loops (Pair), the row kernels of RMSNorm, RoPE with
+# sink shaping and K-means' centroid sums against their scalar loops
+# (RowKernels, AddRowsByLabel), K-means against its
 # key-major oracle and the model suites that run those kernels end to end
 # (prefill conformance, the two-phase decode step and the batch decoder
 # against their serial oracles) at GOMAXPROCS=1 and at GOMAXPROCS=2 with the
 # race detector, locking the bit-identity contract of DESIGN.md §12
 # independently of the scheduler. Each runs twice: as the CPU dispatches,
 # and under the noavx512 tag, which keeps the AVX-512 kernels off for the
-# whole binary, so the AVX2 ones stay tested on AVX-512 hosts.
-KERNEL_TESTS = 'Block|DotRows|AddScaledRows|TileDot|PackedMat|MatKernel|Fused|DecodeSteady|Vec|KMeans|ArgBest|Silu|Prefill|TwoPhase|BatchDecode|GroupKernels|FullShared|SharedPages|Pair'
+# whole binary, so the AVX2 ones stay tested on AVX-512 hosts. Kernel
+# benchmarks read single-thread rates only with GOMAXPROCS=1 in the
+# environment: the default intra-op pool is sized once, at init, so
+# `go test -cpu 1` still runs it at the machine's width.
+KERNEL_TESTS = 'Block|DotRows|AddScaledRows|TileDot|PackedMat|MatKernel|Fused|DecodeSteady|Vec|KMeans|ArgBest|Silu|Prefill|TwoPhase|BatchDecode|GroupKernels|FullShared|SharedPages|Pair|RowKernels|AddRowsByLabel'
 KERNEL_PKGS = ./internal/tensor/ ./internal/attention/ ./internal/model/ ./internal/cluster/
 
 test-kernels:

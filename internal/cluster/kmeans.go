@@ -72,12 +72,10 @@ const assignBlocks = 16
 // scratch is one call's working memory, kept in scratches for the next
 // calls, so only the Result allocates what grows with n: the key tiles —
 // tile t's channel c of key t·lanes+j at tiles[t·d·lanes + c·lanes + j] —
-// and the c×lanes score rows of every assignment block, the key norms, the
-// unit weights, and the update step's member rows and cursors.
+// and the c×lanes score rows of every assignment block, the key norms and
+// the unit norms of inner-product assignment.
 type scratch struct {
 	tiles, scores, norms, ones []float32
-	members                    []*float32
-	cursor                     []int
 }
 
 // scratches holds the scratch of up to eight finished calls: a prefill runs
@@ -159,31 +157,21 @@ func KMeans(keys []float32, d, c int, cfg Config) *Result {
 		sc = new(scratch)
 	}
 	defer func() {
-		clear(sc.members) // the keys are the caller's
 		select {
 		case scratches <- sc:
 		default:
 		}
 	}()
 
-	// ones is the unit weight of every member in the update step and the
-	// unit norm that turns the cosine arg-best into the inner-product one
+	// The unit norms turn the cosine arg-best into the inner-product one
 	// (dot/1 is exact).
-	sc.ones = resize(sc.ones, n)
-	ones := sc.ones
-	tensor.Fill(ones, 1)
 	sc.norms = resize(sc.norms, n+c)
 	keyNorms, centNorm := sc.norms[:n], sc.norms[n:]
 	if cfg.Metric == InnerProduct {
-		keyNorms, centNorm = ones, ones[:c]
+		sc.ones = resize(sc.ones, n)
+		tensor.Fill(sc.ones, 1)
+		keyNorms, centNorm = sc.ones, sc.ones[:c]
 	}
-
-	// Scratch for the deterministic parallel update step: members of each
-	// cluster in ascending key order and their rows (rebuilt per iteration).
-	sortedIdx := make([]int, n)
-	prefix := make([]int, c+1)
-	sc.members, sc.cursor = resize(sc.members, n), resize(sc.cursor, c)
-	members, cursor := sc.members, sc.cursor
 
 	// Assignment, parallel over tiles of lanes keys: each labels[i] is an
 	// independent arg-best over read-only centroids, so any split is
@@ -268,23 +256,6 @@ func KMeans(keys []float32, d, c int, cfg Config) *Result {
 			changed.Add(int64(blockChanged))
 		}
 	}
-	// Update step: centroid = mean of members (the custom-kernel step of
-	// paper §IV-B). Parallel over clusters: each centroid adds its members
-	// in ascending key order — the exact order of the serial
-	// accumulate-and-divide — so the update is bit-identical at any worker
-	// count.
-	update := func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			row := cents.Row(j)
-			tensor.Fill(row, 0)
-			tensor.AddScaledRowsList(row, ones[:sizes[j]], members[prefix[j]:prefix[j+1]], d)
-			if sizes[j] > 0 {
-				tensor.Scale(1/float32(sizes[j]), row)
-			}
-		}
-	}
-	updateGrain := parallel.Grain(d * (n/c + 1))
-
 	var assignOps int64
 	iters := 0
 	for iter := 0; iter < maxIters; iter++ {
@@ -308,20 +279,27 @@ func KMeans(keys []float32, d, c int, cfg Config) *Result {
 		// centroid among clusters with >1 member (deterministic scan).
 		repairEmptyClusters(keys, d, cents, labels, sizes, cfg.Metric)
 
-		// The member lists come from a serial counting sort.
-		sortByLabel(labels, sizes, prefix, cursor, sortedIdx)
-		for k, i := range sortedIdx {
-			members[k] = &keys[i*d]
+		// Update step: centroid = mean of members (the custom-kernel step of
+		// paper §IV-B). Every key is added into its centroid in ascending
+		// key order, the order of the serial accumulate-and-divide, so each
+		// centroid is its members' sum in key order from +0, then ×1/size.
+		// A cluster the repair could not fill stays at zero.
+		clear(cents.Data)
+		tensor.AddRowsByLabel(cents.Data, keys, labels, d)
+		for j, sz := range sizes {
+			if sz > 0 {
+				tensor.Scale(1/float32(sz), cents.Row(j))
+			}
 		}
-		pool.For(c, updateGrain, update)
 		if changed.Load() == 0 {
 			break
 		}
 	}
 
-	// The last iteration's counting sort is computed from the final labels,
-	// so its outputs are exactly the Fig. 8 metadata — hand them off instead
-	// of re-deriving.
+	// The Fig. 8 metadata: one counting sort of the final labels.
+	sortedIdx := make([]int, n)
+	prefix := make([]int, c+1)
+	sortByLabel(labels, sizes, prefix, make([]int, c), sortedIdx)
 	return &Result{
 		Centroids:     cents,
 		Labels:        labels,

@@ -123,9 +123,7 @@ func (bd *BatchDecoder) DecodeInto(seqs []*Sequence, tokens []int, logits [][]fl
 				s.la.BeforeLayer(l)
 			}
 		}
-		for i := range seqs {
-			rmsNorm(bd.normed.Row(i), bd.x.Row(i), lw.attnNorm)
-		}
+		normRows(&bd.normed, &bd.x, lw.attnNorm)
 		tensor.MatTMatOn(pool, &bd.q, lw.wq, &bd.normed)
 		tensor.MatTMatOn(pool, &bd.k, lw.wk, &bd.normed)
 		tensor.MatTMatOn(pool, &bd.v, lw.wv, &bd.normed)
@@ -133,18 +131,10 @@ func (bd *BatchDecoder) DecodeInto(seqs []*Sequence, tokens []int, logits [][]fl
 		// serial in cohort order: appends mutate the per-sequence stores and
 		// must keep store order = position order.
 		for i, s := range seqs {
-			pos := s.pos
-			q := bd.q.Row(i)
-			for hh := 0; hh < cfg.NHeads; hh++ {
-				qh := q[hh*cfg.HeadDim : (hh+1)*cfg.HeadDim]
-				s.m.applyRope(qh, pos)
-				s.m.shapeQuery(qh)
-			}
 			k, v := bd.k.Row(i), bd.v.Row(i)
+			s.m.ropeRow(bd.q.Row(i), k, s.pos)
 			for kv := 0; kv < cfg.NKVHeads; kv++ {
 				kh := k[kv*cfg.HeadDim : (kv+1)*cfg.HeadDim]
-				s.m.applyRope(kh, pos)
-				s.m.shapeKey(kh, pos)
 				st := s.Store(l, kv)
 				st.Append(kh, v[kv*cfg.HeadDim:(kv+1)*cfg.HeadDim])
 				if s.sel != nil {
@@ -170,9 +160,7 @@ func (bd *BatchDecoder) DecodeInto(seqs []*Sequence, tokens []int, logits [][]fl
 		}
 		s.pos++
 	}
-	for i := range seqs {
-		rmsNorm(bd.normed.Row(i), bd.x.Row(i), w.finalNorm)
-	}
+	normRows(&bd.normed, &bd.x, w.finalNorm)
 	w.embedP.MatMulOn(pool, &bd.logits, &bd.normed)
 	for i, dst := range logits {
 		copy(dst, bd.logits.Row(i))
@@ -190,8 +178,8 @@ func (lw *layerWeights) outFFN(pool *parallel.Pool, x, attnOut, normed, gate, up
 	tensor.MatTMatOn(pool, normed, lw.wo, attnOut)
 	for i := 0; i < x.Rows; i++ {
 		tensor.Add(x.Row(i), x.Row(i), normed.Row(i))
-		rmsNorm(normed.Row(i), x.Row(i), lw.ffnNorm)
 	}
+	normRows(normed, x, lw.ffnNorm)
 	tensor.MatTMatOn(pool, gate, lw.w1, normed)
 	tensor.MatTMatOn(pool, up, lw.w3, normed)
 	for i := 0; i < x.Rows; i++ {

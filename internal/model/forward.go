@@ -17,17 +17,18 @@ import (
 type Model struct {
 	cfg Config
 	w   *weights
-	// rope is the lazily grown cos/sin table, published atomically so
+	// rope is the lazily grown rotary table, published atomically so
 	// concurrent decoders read it lock-free; growth happens under ropeMu and
 	// republishes a longer table (rows are immutable once created).
 	rope   atomic.Pointer[ropeTable]
 	ropeMu sync.Mutex
 }
 
-// ropeTable holds per-position rotary tables: [pos][HeadDim/2].
+// ropeTable holds per-position rotary pairs, [pos][2·HeadDim]: C, the pairs
+// (cos θᵢ, cos θᵢ), then S, the pairs (−sin θᵢ, sin θᵢ), the layout
+// tensor.RopeRow reads; applyRope reads cos θᵢ and sin θᵢ from them.
 type ropeTable struct {
-	cos [][]float32
-	sin [][]float32
+	cs [][]float32
 }
 
 // New builds a model with deterministic structured weights.
@@ -39,14 +40,14 @@ func New(cfg Config) *Model {
 // Config returns the model configuration.
 func (m *Model) Config() Config { return m.cfg }
 
-// ropeAt returns the cos/sin tables for a position, growing the cache.
-// The fast path is a lock-free atomic load; growth is serialised.
-func (m *Model) ropeAt(pos int) (cosv, sinv []float32) {
+// ropeAt returns the rotary pairs of a position, growing the cache. The
+// fast path is a lock-free atomic load; growth is serialised.
+func (m *Model) ropeAt(pos int) []float32 {
 	t := m.rope.Load()
-	if t == nil || pos >= len(t.cos) {
+	if t == nil || pos >= len(t.cs) {
 		t = m.growRope(pos)
 	}
-	return t.cos[pos], t.sin[pos]
+	return t.cs[pos]
 }
 
 // growRope extends the rope table to cover pos (with headroom) and publishes
@@ -55,7 +56,7 @@ func (m *Model) growRope(pos int) *ropeTable {
 	m.ropeMu.Lock()
 	defer m.ropeMu.Unlock()
 	t := m.rope.Load()
-	if t != nil && pos < len(t.cos) {
+	if t != nil && pos < len(t.cs) {
 		return t // another goroutine grew it first
 	}
 	var old ropeTable
@@ -63,40 +64,60 @@ func (m *Model) growRope(pos int) *ropeTable {
 		old = *t
 	}
 	want := pos + 1
-	if doubled := 2 * len(old.cos); doubled > want {
+	if doubled := 2 * len(old.cs); doubled > want {
 		want = doubled
 	}
-	nt := &ropeTable{
-		cos: make([][]float32, want),
-		sin: make([][]float32, want),
-	}
-	copy(nt.cos, old.cos)
-	copy(nt.sin, old.sin)
-	half := m.cfg.HeadDim / 2
-	for p := len(old.cos); p < want; p++ {
-		c := make([]float32, half)
-		s := make([]float32, half)
-		for i := 0; i < half; i++ {
-			freq := math.Pow(m.cfg.RopeTheta, -2*float64(i)/float64(m.cfg.HeadDim))
+	nt := &ropeTable{cs: make([][]float32, want)}
+	copy(nt.cs, old.cs)
+	d := m.cfg.HeadDim
+	for p := len(old.cs); p < want; p++ {
+		cs := make([]float32, 2*d)
+		for i := 0; i < d/2; i++ {
+			freq := math.Pow(m.cfg.RopeTheta, -2*float64(i)/float64(d))
 			ang := float64(p) * freq
-			c[i] = float32(math.Cos(ang))
-			s[i] = float32(math.Sin(ang))
+			c, s := float32(math.Cos(ang)), float32(math.Sin(ang))
+			cs[2*i], cs[2*i+1], cs[d+2*i], cs[d+2*i+1] = c, c, -s, s
 		}
-		nt.cos[p] = c
-		nt.sin[p] = s
+		nt.cs[p] = cs
 	}
 	m.rope.Store(nt)
 	return nt
 }
 
-// applyRope rotates v (HeadDim) in place for the given position.
+// applyRope rotates v (HeadDim) in place for the given position. Each
+// product is rounded on its own, so no target fuses it into the add.
 func (m *Model) applyRope(v []float32, pos int) {
-	cosv, sinv := m.ropeAt(pos)
-	half := len(v) / 2
-	for i := 0; i < half; i++ {
+	cs := m.ropeAt(pos)
+	d := len(v)
+	for i := 0; i < d/2; i++ {
+		c, s := cs[2*i], cs[d+2*i+1]
 		a, b := v[2*i], v[2*i+1]
-		v[2*i] = a*cosv[i] - b*sinv[i]
-		v[2*i+1] = a*sinv[i] + b*cosv[i]
+		v[2*i] = float32(a*c) - float32(b*s)
+		v[2*i+1] = float32(a*s) + float32(b*c)
+	}
+}
+
+// ropeRow rotates and sink-shapes one position's query heads q and key
+// heads k: applyRope then shapeQuery on each query head, applyRope then
+// shapeKey on each key head, in one tensor.RopeRow call where the row
+// kernels take HeadDim.
+func (m *Model) ropeRow(q, k []float32, pos int) {
+	d := m.cfg.HeadDim
+	if tensor.RowKernels(d) {
+		var kAdd []float32
+		if pos < m.cfg.SinkTokens {
+			kAdd = m.w.sinkK
+		}
+		tensor.RopeRow(q, k, m.ropeAt(pos), m.w.sinkQ, kAdd)
+		return
+	}
+	for h := 0; h < len(q); h += d {
+		m.applyRope(q[h:h+d], pos)
+		m.shapeQuery(q[h : h+d])
+	}
+	for h := 0; h < len(k); h += d {
+		m.applyRope(k[h:h+d], pos)
+		m.shapeKey(k[h:h+d], pos)
 	}
 }
 
@@ -109,6 +130,19 @@ func rmsNorm(dst, x, gain []float32) {
 	inv := float32(1 / math.Sqrt(ss/float64(len(x))+1e-6))
 	for i := range x {
 		dst[i] = x[i] * inv * gain[i]
+	}
+}
+
+// normRows writes rmsNorm of each row of x into the same row of dst, on
+// tensor.RMSNormRows where the row kernels take x's width.
+func normRows(dst, x *tensor.Mat, gain []float32) {
+	if tensor.RowKernels(len(gain)) {
+		n := x.Rows * x.Cols
+		tensor.RMSNormRows(dst.Data[:n], x.Data[:n], gain)
+		return
+	}
+	for i := 0; i < x.Rows; i++ {
+		rmsNorm(dst.Row(i), x.Row(i), gain)
 	}
 }
 
@@ -298,26 +332,12 @@ func (s *Sequence) Prefill(tokens []int, wantLogits []float32) []float32 {
 		// columns instead).
 		pool.For(n, qkvGrain, func(lo, hi int) {
 			normed := normAll.RowBlock(lo, hi)
-			for i := lo; i < hi; i++ {
-				rmsNorm(normAll.Row(i), hs.Row(i), lw.attnNorm)
-			}
+			normRows(normed, hs.RowBlock(lo, hi), lw.attnNorm)
 			tensor.MatTMatOn(nil, qall.RowBlock(lo, hi), lw.wq, normed)
 			tensor.MatTMatOn(nil, kall.RowBlock(lo, hi), lw.wk, normed)
 			tensor.MatTMatOn(nil, vall.RowBlock(lo, hi), lw.wv, normed)
 			for i := lo; i < hi; i++ {
-				pos := s.pos + i
-				q := qall.Row(i)
-				for hh := 0; hh < cfg.NHeads; hh++ {
-					qh := q[hh*cfg.HeadDim : (hh+1)*cfg.HeadDim]
-					s.m.applyRope(qh, pos)
-					s.m.shapeQuery(qh)
-				}
-				k := kall.Row(i)
-				for kv := 0; kv < cfg.NKVHeads; kv++ {
-					kh := k[kv*cfg.HeadDim : (kv+1)*cfg.HeadDim]
-					s.m.applyRope(kh, pos)
-					s.m.shapeKey(kh, pos)
-				}
+				s.m.ropeRow(qall.Row(i), kall.Row(i), s.pos+i)
 			}
 		})
 		// KV append stays serial: store order is position order.
@@ -383,9 +403,7 @@ func (s *Sequence) Prefill(tokens []int, wantLogits []float32) []float32 {
 	}
 
 	if wantLogits != nil {
-		for i := 0; i < n; i++ {
-			rmsNorm(normAll.Row(i), hs.Row(i), w.finalNorm)
-		}
+		normRows(normAll, hs, w.finalNorm)
 		w.embedP.MatMulOn(pool, tensor.WrapMat(n, cfg.VocabSize, wantLogits), normAll)
 	}
 	last := make([]float32, cfg.DModel)
@@ -395,15 +413,15 @@ func (s *Sequence) Prefill(tokens []int, wantLogits []float32) []float32 {
 
 // shapeKey applies the attention-sink offset to keys of sink positions.
 func (m *Model) shapeKey(k []float32, pos int) {
-	if pos < m.cfg.SinkTokens && m.cfg.SinkStrength != 0 {
-		tensor.Axpy(m.cfg.SinkStrength, m.w.sinkDir, k)
+	if pos < m.cfg.SinkTokens && m.w.sinkK != nil {
+		tensor.Add(k, k, m.w.sinkK)
 	}
 }
 
 // shapeQuery biases every query toward the sink direction.
 func (m *Model) shapeQuery(q []float32) {
-	if m.cfg.SinkStrength != 0 {
-		tensor.Axpy(sinkQueryGain, m.w.sinkDir, q)
+	if m.w.sinkQ != nil {
+		tensor.Add(q, q, m.w.sinkQ)
 	}
 }
 

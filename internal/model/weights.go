@@ -29,10 +29,12 @@ type weights struct {
 	embedP    *tensor.PackedMat
 	layers    []layerWeights
 	finalNorm []float32
-	// sinkDir is the attention-sink shaping direction in key space
-	// (HeadDim); keys of positions < SinkTokens receive +SinkStrength·sinkDir
-	// and every query receives +sinkQueryGain·sinkDir.
-	sinkDir []float32
+	// sinkQ and sinkK are the attention-sink shaping offsets in key space
+	// (HeadDim), sinkQueryGain·dir and SinkStrength·dir along one unit
+	// direction dir: every query receives +sinkQ and the keys of positions <
+	// SinkTokens +sinkK. Both are nil where SinkStrength is 0, which shapes
+	// nothing.
+	sinkQ, sinkK []float32
 }
 
 const (
@@ -106,11 +108,17 @@ func buildWeights(cfg Config) *weights {
 
 	// --- Attention-sink direction -----------------------------------------
 	sr := root.Split(7)
-	w.sinkDir = make([]float32, cfg.HeadDim)
-	for j := range w.sinkDir {
-		w.sinkDir[j] = sr.NormFloat32()
+	dir := make([]float32, cfg.HeadDim)
+	for j := range dir {
+		dir[j] = sr.NormFloat32()
 	}
-	tensor.Normalize(w.sinkDir)
+	tensor.Normalize(dir)
+	if cfg.SinkStrength != 0 {
+		w.sinkQ, w.sinkK = make([]float32, cfg.HeadDim), make([]float32, cfg.HeadDim)
+		for j, v := range dir {
+			w.sinkQ[j], w.sinkK[j] = sinkQueryGain*v, cfg.SinkStrength*v
+		}
+	}
 	return w
 }
 

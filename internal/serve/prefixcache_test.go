@@ -144,7 +144,10 @@ func TestCachedPrefixesFollowsEviction(t *testing.T) {
 	eng := NewEngine(testModel(), Config{Workers: 1, MaxBatch: 2, Seed: 5, PageTokens: 16, KVBudget: 100})
 	defer eng.Close()
 
-	stop := make(chan struct{})
+	// ready closes after the reader's first read, and the runs start only
+	// then: a reader first scheduled after close(stop) would otherwise exit
+	// without reading.
+	stop, ready := make(chan struct{}), make(chan struct{})
 	var wg sync.WaitGroup
 	var reads int
 	var bad string
@@ -158,7 +161,9 @@ func TestCachedPrefixesFollowsEviction(t *testing.T) {
 			default:
 			}
 			got := eng.CachedPrefixes()
-			reads++
+			if reads++; reads == 1 {
+				close(ready)
+			}
 			runtime.Gosched() // leave the scheduler loop its turn at GOMAXPROCS=1
 			if len(got) > 3 {
 				bad = fmt.Sprintf("%d cached prefixes", len(got))
@@ -185,6 +190,7 @@ func TestCachedPrefixesFollowsEviction(t *testing.T) {
 		{c, [][]int{b, c}},
 		{a, [][]int{c, a}},
 	}
+	<-ready
 	for i, st := range steps {
 		if resp := eng.Run([]Request{req(st.serve)})[0]; resp.Err != nil {
 			t.Fatalf("run %d: %v", i, resp.Err)

@@ -13,8 +13,9 @@
 // row-list forms, Softmax, SiluMul, ArgBestCos, the GEMV/GEMM bands, the
 // packed LM head, the key-major ScoreTile, the one multi-vector dot of
 // prefill attention and K-means, the group kernels of decode attention
-// over shared pages, and the pair kernels of two heads' decode attention)
-// run assembly kernels instead —
+// over shared pages, the pair kernels of two heads' decode attention, and
+// the row kernels of RMSNorm, RoPE and K-means' centroid sums) run assembly
+// kernels instead —
 // vec_amd64.s, chosen once at init by CPUID, with an 8-lane exp, the
 // register-tiled GEMM and the score tile's 16-lane form where the CPU has
 // AVX-512F; every other target, GOAMD64=v3 and the purego build tag run the

@@ -666,3 +666,57 @@ func pairAddScaled(out, w [2][]float32, rows *[2]PairRows, P, d int) {
 		pairAddScaledGo(out, w, rows, P, d, c)
 	}
 }
+
+//go:noescape
+func rmsNormAVX512(dst, x, gain *float32, n, d int)
+
+//go:noescape
+func ropeAVX512(v *float32, n, d int, cs, add *float32)
+
+//go:noescape
+func addRowsByLabelAVX2(dst, rows *float32, labels *int, n, d, w, m int) (bad bool)
+
+//go:noescape
+func addRowsByLabelAVX512(dst, rows *float32, labels *int, n, d, w, m int) (bad bool)
+
+// rowKernels reports whether the row kernels take rows of d channels: one
+// ZMM register holds sixteen of a row's channels.
+func rowKernels(d int) bool { return useBlock16 && d > 0 && d%16 == 0 }
+
+func rmsNormRows(dst, x, gain []float32, n, d int) {
+	rmsNormAVX512(&dst[0], &x[0], &gain[0], n, d)
+}
+
+// ropeRows rotates the len(v)/d heads of v, then adds add to each where it
+// is not empty.
+func ropeRows(v, cs, add []float32, d int) {
+	if len(v) == 0 {
+		return
+	}
+	var a *float32
+	if len(add) > 0 {
+		a = &add[0]
+	}
+	ropeAVX512(&v[0], len(v)/d, d, &cs[0], a)
+}
+
+// addRowsByLabel runs the channels that fill whole vectors on the kernels —
+// sixteen to a register where the CPU has AVX-512F, then eight — and the
+// last d%8 on the scalar loop. The first kernel checks every label.
+func addRowsByLabel(dst, rows []float32, labels []int, d int) {
+	c, m, bad := 0, len(dst)/d, false
+	if useBlock16 && d >= 16 {
+		c = d &^ 15
+		bad = addRowsByLabelAVX512(&dst[0], &rows[0], &labels[0], len(labels), d, c, m)
+	}
+	if c8 := d &^ 7; useVec && c < c8 && !bad {
+		bad = addRowsByLabelAVX2(&dst[c], &rows[c], &labels[0], len(labels), d, c8-c, m)
+		c = c8
+	}
+	if bad {
+		panic(errLabel)
+	}
+	if c < d {
+		addRowsByLabelGo(dst, rows, labels, d, c)
+	}
+}

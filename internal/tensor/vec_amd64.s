@@ -7,12 +7,13 @@
 // shared pages and the pair kernels of every other decode pick among them;
 // AVX-512F twins of the exp, the SiLU gate, the score tile, the group
 // kernels and the pair weighted sum; the AVX-512F two-row exp of
-// SoftmaxRows; and the AVX-512F register tile of MatTMat with its 16-column
-// tail. Every kernel puts *independent* reduction chains in the vector lanes
-// and never splits one chain across lanes, and float32 arithmetic is a
-// separate VMULPS and VADDPS (no fused multiply-add), so each lane performs
-// exactly the operations of the scalar Go loop in the same order: results
-// are bit-identical for finite inputs. The one exception is how
+// SoftmaxRows; the AVX-512F register tile of MatTMat with its 16-column
+// tail; and the row kernels: AVX-512F RMSNorm and RoPE, and K-means'
+// centroid sums on both widths. Every kernel puts *independent* reduction
+// chains in the vector lanes and never splits one chain across lanes, and
+// float32 arithmetic is a separate VMULPS and VADDPS (no fused
+// multiply-add), so each lane performs exactly the operations of the scalar
+// Go loop in the same order: results are bit-identical for finite inputs. The one exception is how
 // expSumAVX512, tileExpSumAVX512 and pairExpSumAVX512 reach their exps,
 // through a table instead of math.Exp's sequence; each exp is still
 // math.Exp's float32 (see expSumAVX512). Row and column tails stay in Go; no
@@ -2645,3 +2646,261 @@ xblock:
 	RET
 	EXPSLOW8(xslow0, xback0)
 	EXPSLOW8(xslow1, xback1)
+
+// 1e-6 and 1 as float64 bit patterns.
+DATA rmsk<>+0(SB)/8, $0x3eb0c6f7a0b5ed8d
+DATA rmsk<>+8(SB)/8, $0x3ff0000000000000
+GLOBL rmsk<>(SB), RODATA|NOPTR, $16
+
+// NEXTROW(prev, cur, i) points cur at the group's row i, the row after prev's
+// where the group has more than i rows (AX), else at prev's row again.
+#define NEXTROW(prev, cur, i) \
+	LEAQ    (prev)(CX*1), cur; \
+	CMPQ    AX, $i; \
+	CMOVQLE prev, cur
+
+// SQACC(col, t) widens the eight rows' channel in col to float64, squares it
+// and adds it to the rows' sums in Z31.
+#define SQACC(col, t) \
+	VCVTPS2PD col, t; \
+	VMULPD    t, t, t; \
+	VADDPD    t, Z31, Z31
+
+// func rmsNormAVX512(dst, x, gain *float32, n, d int)
+//
+// RMSNorm of n ≥ 1 rows of d channels (d%16 == 0, d > 0), eight rows at a
+// time with the rows in the lanes: eight channels of each of the group's
+// rows are loaded and transposed, so channel c of every row is one register,
+// which is widened to float64, squared and added to the rows' sums: each
+// row's sum is the scalar loop's serial chain in channel order. A last group
+// of fewer rows repeats its last row in the spare lanes. The eight sums then
+// take the scalar loop's ss/d + 1e-6, square root, reciprocal and float32
+// rounding, each correctly rounded as there, and every row is scaled
+// sixteen channels at a time as (x·inv)·gain, in that operand order. dst
+// may alias x: a group's rows are all read before any is written.
+TEXT ·rmsNormAVX512(SB), NOSPLIT, $32-40
+	MOVQ         dst+0(FP), DI
+	MOVQ         x+8(FP), SI
+	MOVQ         gain+16(FP), DX
+	MOVQ         n+24(FP), BX
+	MOVQ         d+32(FP), CX
+	VCVTSI2SDQ   CX, X0, X0
+	VBROADCASTSD X0, Z24               // float64(d)
+	VBROADCASTSD rmsk<>+0(SB), Z25     // 1e-6
+	VBROADCASTSD rmsk<>+8(SB), Z26     // 1
+	SHLQ         $2, CX                // row stride in bytes
+
+group:
+	MOVQ         BX, AX
+	CMPQ         AX, $8
+	JLE          rows
+	MOVQ         $8, AX                // the group's rows
+rows:
+	MOVQ         SI, R8
+	CMPQ         AX, $1
+	JEQ          one
+	NEXTROW(R8, R9, 1)
+	NEXTROW(R9, R10, 2)
+	NEXTROW(R10, R11, 3)
+	NEXTROW(R11, R12, 4)
+	NEXTROW(R12, R13, 5)
+	NEXTROW(R13, R14, 6)
+	NEXTROW(R14, R15, 7)
+	VPXORQ       Z31, Z31, Z31         // the eight sums
+	XORQ         AX, AX
+
+sum:
+	VMOVUPS      (R8)(AX*1), Y0
+	VMOVUPS      (R9)(AX*1), Y1
+	VMOVUPS      (R10)(AX*1), Y2
+	VMOVUPS      (R11)(AX*1), Y3
+	VMOVUPS      (R12)(AX*1), Y4
+	VMOVUPS      (R13)(AX*1), Y5
+	VMOVUPS      (R14)(AX*1), Y6
+	VMOVUPS      (R15)(AX*1), Y7
+	VUNPCKLPS    Y1, Y0, Y8
+	VUNPCKHPS    Y1, Y0, Y9
+	VUNPCKLPS    Y3, Y2, Y10
+	VUNPCKHPS    Y3, Y2, Y11
+	VUNPCKLPS    Y5, Y4, Y12
+	VUNPCKHPS    Y5, Y4, Y13
+	VUNPCKLPS    Y7, Y6, Y14
+	VUNPCKHPS    Y7, Y6, Y15
+	VSHUFPS      $0x44, Y10, Y8, Y0    // rows 0-3, channels 0 | 4
+	VSHUFPS      $0xee, Y10, Y8, Y1    // 1 | 5
+	VSHUFPS      $0x44, Y11, Y9, Y2    // 2 | 6
+	VSHUFPS      $0xee, Y11, Y9, Y3    // 3 | 7
+	VSHUFPS      $0x44, Y14, Y12, Y4   // rows 4-7
+	VSHUFPS      $0xee, Y14, Y12, Y5
+	VSHUFPS      $0x44, Y15, Y13, Y6
+	VSHUFPS      $0xee, Y15, Y13, Y7
+	VPERM2F128   $0x20, Y4, Y0, Y8     // channel 0 of rows 0-7
+	VPERM2F128   $0x20, Y5, Y1, Y9
+	VPERM2F128   $0x20, Y6, Y2, Y10
+	VPERM2F128   $0x20, Y7, Y3, Y11
+	VPERM2F128   $0x31, Y4, Y0, Y12    // channel 4
+	VPERM2F128   $0x31, Y5, Y1, Y13
+	VPERM2F128   $0x31, Y6, Y2, Y14
+	VPERM2F128   $0x31, Y7, Y3, Y15
+	SQACC(Y8, Z16)
+	SQACC(Y9, Z17)
+	SQACC(Y10, Z18)
+	SQACC(Y11, Z19)
+	SQACC(Y12, Z20)
+	SQACC(Y13, Z21)
+	SQACC(Y14, Z22)
+	SQACC(Y15, Z23)
+	ADDQ         $32, AX
+	CMPQ         AX, CX
+	JLT          sum
+	VMOVAPD      Z31, Z0
+
+inv:
+	VDIVPD       Z24, Z0, Z0
+	VADDPD       Z25, Z0, Z0
+	VSQRTPD      Z0, Z0
+	VDIVPD       Z0, Z26, Z0
+	VCVTPD2PS    Z0, Y0
+	VMOVUPS      Y0, (SP)              // the rows' inv
+	MOVQ         BX, AX
+	CMPQ         AX, $8
+	JLE          scaled
+	MOVQ         $8, AX
+scaled:
+	XORQ         R9, R9
+
+row:
+	VBROADCASTSS (SP)(R9*4), Z5
+	XORQ         R11, R11
+
+scale:
+	VMOVUPS      (SI)(R11*1), Z6
+	VMULPS       Z5, Z6, Z6
+	VMULPS       (DX)(R11*1), Z6, Z6
+	VMOVUPS      Z6, (DI)(R11*1)
+	ADDQ         $64, R11
+	CMPQ         R11, CX
+	JLT          scale
+	ADDQ         CX, SI
+	ADDQ         CX, DI
+	INCQ         R9
+	CMPQ         R9, AX
+	JLT          row
+	SUBQ         AX, BX
+	JGT          group
+	VZEROUPPER
+	RET
+
+one:
+	// A lone row's sum is one chain however it is laid out: scalar adds
+	// in lane 0 skip the transposes.
+	VXORPS       X0, X0, X0
+	VXORPS       X2, X2, X2
+	XORQ         AX, AX
+one1:
+	VCVTSS2SD    (SI)(AX*1), X2, X1    // merged into X2, not the last square
+	VMULSD       X1, X1, X1
+	VADDSD       X1, X0, X0
+	ADDQ         $4, AX
+	CMPQ         AX, CX
+	JLT          one1
+	JMP          inv
+
+// func ropeAVX512(v *float32, n, d int, cs, add *float32)
+//
+// Rotates n ≥ 1 heads of d channels (d%16 == 0, d > 0) in place by one
+// position's rotary pairs, sixteen channels at a time, as v·C + swap(v)·S:
+// cs holds C = (c, c) pairs, then S = (−s, +s) pairs, so an even lane is
+// a·c + b·(−s), bit for bit the scalar a·c − b·s, and an odd lane a·s + b·c.
+// Each lane adds in the scalar loop's operand order (the masked add takes
+// the even lanes), which a NaN's payload follows. Where add is not nil it is
+// added to every rotated head after.
+TEXT ·ropeAVX512(SB), NOSPLIT, $0-40
+	MOVQ     v+0(FP), DI
+	MOVQ     n+8(FP), BX
+	MOVQ     d+16(FP), CX
+	MOVQ     cs+24(FP), SI
+	MOVQ     add+32(FP), DX
+	SHLQ     $2, CX                   // a head's bytes: S's offset in cs
+	LEAQ     (SI)(CX*1), R9
+	MOVW     $0x5555, AX
+	KMOVW    AX, K1                   // the even lanes
+
+head:
+	XORQ     R8, R8
+
+chunk:
+	VMOVUPS  (DI)(R8*1), Z0           // (a, b) pairs
+	VPERMILPS $0xb1, Z0, Z1           // (b, a)
+	VMULPS   (SI)(R8*1), Z0, Z2       // (a·c, b·c)
+	VMULPS   (R9)(R8*1), Z1, Z3       // (b·(−s), a·s)
+	VADDPS   Z2, Z3, Z4               // odd: a·s + b·c
+	VADDPS   Z3, Z2, K1, Z4           // even: a·c + b·(−s)
+	TESTQ    DX, DX
+	JZ       store
+	VADDPS   (DX)(R8*1), Z4, Z4
+
+store:
+	VMOVUPS  Z4, (DI)(R8*1)
+	ADDQ     $64, R8
+	CMPQ     R8, CX
+	JLT      chunk
+	ADDQ     CX, DI
+	DECQ     BX
+	JNZ      head
+	VZEROUPPER
+	RET
+
+// func addRowsByLabelAVX2(dst, rows *float32, labels *int, n, d, w, m int) (bad bool)
+//
+// For rows i in [0, n) ascending, adds the first w channels of row i (rows
+// of d channels) into row labels[i] of dst, eight channels at a time: each
+// element is the scalar loop's dst + row, in that operand order. n > 0,
+// w%8 == 0 and w > 0. It stops and reports bad at a label that does not
+// name one of dst's m rows, before it touches that row.
+TEXT ·addRowsByLabelAVX2(SB), NOSPLIT, $0-57
+	// ADDBYLABEL(reg, bytes) is the body of the add-by-label kernels on
+	// registers of the given width.
+#define ADDBYLABEL(reg, bytes) \
+	MOVQ  dst+0(FP), DI; \
+	MOVQ  rows+8(FP), SI; \
+	MOVQ  labels+16(FP), BX; \
+	MOVQ  n+24(FP), CX; \
+	MOVQ  d+32(FP), DX; \
+	MOVQ  w+40(FP), R8; \
+	MOVQ  m+48(FP), R10; \
+	SHLQ  $2, DX; \
+	SHLQ  $2, R8; \
+lrow: \
+	MOVQ  (BX), AX; \
+	CMPQ  AX, R10; \
+	JAE   lbad; \
+	IMULQ DX, AX; \
+	ADDQ  DI, AX; \
+	XORQ  R9, R9; \
+lchunk: \
+	VMOVUPS (AX)(R9*1), reg; \
+	VADDPS  (SI)(R9*1), reg, reg; \
+	VMOVUPS reg, (AX)(R9*1); \
+	ADDQ  $bytes, R9; \
+	CMPQ  R9, R8; \
+	JLT   lchunk; \
+	ADDQ  DX, SI; \
+	ADDQ  $8, BX; \
+	DECQ  CX; \
+	JNZ   lrow; \
+	MOVB  $0, bad+56(FP); \
+	VZEROUPPER; \
+	RET; \
+lbad: \
+	MOVB  $1, bad+56(FP); \
+	VZEROUPPER; \
+	RET
+
+	ADDBYLABEL(Y0, 32)
+
+// func addRowsByLabelAVX512(dst, rows *float32, labels *int, n, d, w, m int) (bad bool)
+//
+// addRowsByLabelAVX2 sixteen channels at a time (w%16 == 0).
+TEXT ·addRowsByLabelAVX512(SB), NOSPLIT, $0-57
+	ADDBYLABEL(Z0, 64)

@@ -687,8 +687,9 @@ func TestVecSiluMul(t *testing.T) {
 // the pair dot and weighted sum over pages of 8 to 64 rows, and 1 to 33
 // activation rows at band widths that leave 32-, 16- and 8-column
 // tails; the raw values, non-finite ones included, go through softmax,
-// SoftmaxRows and SiluMul on every exp kernel and through ArgBestCos as
-// scores and norms of a fuzzed centroid count.
+// SoftmaxRows and SiluMul on every exp kernel, through ArgBestCos as
+// scores and norms of a fuzzed centroid count, and through RMSNormRows and
+// RopeRow as rows and heads of a fuzzed multiple of 16 channels.
 func FuzzVecKernels(f *testing.F) {
 	seed := make([]byte, 4*16*70)
 	r := rng.New(1)
@@ -760,6 +761,40 @@ func FuzzVecKernels(f *testing.F) {
 				siluMulGo(sgWant, u)
 				expectBitsEqual(t, k.name+" siluMul", sg, sgWant)
 			}
+		}
+		// The row kernels on the raw values, one NaN payload among them:
+		// rows of a fuzzed multiple of 16 channels through RMSNormRows, the
+		// last row's worth as the gain,
+		// and up to four of them as query heads and the rest as key heads
+		// through RopeRow at a fuzzed position, with the sink adds or
+		// without.
+		if dr := 16 * (1 + int(d4)%8); RowKernels(dr) && len(raw) >= dr {
+			n := len(raw) / dr
+			x := sameNaN(raw[:n*dr])
+			gain := x[len(x)-dr:]
+			got, want := make([]float32, n*dr), make([]float32, n*dr)
+			RMSNormRows(got, x, gain)
+			for i := 0; i < n; i++ {
+				rmsNormRef(want[i*dr:(i+1)*dr], x[i*dr:(i+1)*dr], gain)
+			}
+			expectBitsEqual(t, "RMSNormRows", got, want)
+			nq := min(n, 1+int(pick)%4)
+			cs := ropePairs(int(pick)*int(pick), dr)
+			var qAdd, kAdd []float32
+			if pick%2 == 1 {
+				qAdd, kAdd = gain, x[:dr]
+			}
+			q, k := append([]float32(nil), x[:nq*dr]...), append([]float32(nil), x[nq*dr:]...)
+			wq, wk := append([]float32(nil), q...), append([]float32(nil), k...)
+			RopeRow(q, k, cs, qAdd, kAdd)
+			for h := 0; h < len(wq); h += dr {
+				ropeRef(wq[h:h+dr], cs, qAdd)
+			}
+			for h := 0; h < len(wk); h += dr {
+				ropeRef(wk[h:h+dr], cs, kAdd)
+			}
+			expectBitsEqual(t, "RopeRow q", q, wq)
+			expectBitsEqual(t, "RopeRow k", k, wk)
 		}
 		if c := 1 + int(pick)%9; len(raw) >= 2*c+1 {
 			n := (len(raw) - c) / (c + 1)
@@ -871,6 +906,26 @@ func FuzzVecKernels(f *testing.F) {
 			})
 		}
 	})
+}
+
+// sameNaN returns x with every NaN replaced by its first: which payload
+// an operation on two NaNs returns follows its operand order, which Go
+// leaves to the compiler for the scalar loops (see rowNaNs).
+func sameNaN(x []float32) []float32 {
+	out := append([]float32(nil), x...)
+	nan := float32(math.NaN())
+	for _, v := range x {
+		if v != v {
+			nan = v
+			break
+		}
+	}
+	for i, v := range out {
+		if v != v {
+			out[i] = nan
+		}
+	}
+	return out
 }
 
 // clampSilu returns x with NaN as 0 and every value inside SiluMul's vector

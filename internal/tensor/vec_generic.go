@@ -75,3 +75,13 @@ func pairSoftmax(w [2][]float32) {
 	Softmax(w[0])
 	Softmax(w[1])
 }
+
+func rowKernels(int) bool { return false }
+
+func rmsNormRows(_, _, _ []float32, _, _ int) { panic("tensor: no row kernels") }
+
+func ropeRows(_, _, _ []float32, _ int) { panic("tensor: no row kernels") }
+
+func addRowsByLabel(dst, rows []float32, labels []int, d int) {
+	addRowsByLabelGo(dst, rows, labels, d, 0)
+}
