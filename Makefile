@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-seq test-xfer-race test-fleet test-trace test-kernels test-purego build-arm64 fuzz-kernels test-batch test-pool benchmark-check vet bench bench-smoke bench-json bench-compare serve clean
+.PHONY: build test test-seq test-xfer-race test-fleet test-trace test-kernels test-purego build-arm64 check-fused fuzz-kernels test-batch test-pool benchmark-check vet bench bench-smoke bench-kernels bench-json bench-compare serve clean
 
 # Experiments with committed BENCH_<exp>.json baselines at the repo root —
 # the perf trajectory the compare gate tracks (DESIGN.md §14): the serving
@@ -53,6 +53,18 @@ test-fleet:
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
+# Single-thread kernel rates, six runs each: the register-tiled GEMM at a
+# decode cohort of 8 (the 64×128 FFN shape), a 16-query prefill block of the
+# score tile, K-means' 4096 keys into 51 clusters and the pair unit of
+# decode attention over 4224 keys. GOMAXPROCS=1 is set in the environment:
+# the intra-op pool is sized once, at init, so `-cpu 1` would still run it
+# at the machine's width. Compare against another commit with medians of
+# alternating runs.
+bench-kernels:
+	GOMAXPROCS=1 $(GO) test -run=NONE -bench 'BenchmarkMatTMat$$/^64x128$$/^rows8$$' -count 6 ./internal/tensor/
+	GOMAXPROCS=1 $(GO) test -run=NONE -bench 'BenchmarkFullBlock16$$|BenchmarkFullStreaming16Pair$$' -count 6 ./internal/attention/
+	GOMAXPROCS=1 $(GO) test -run=NONE -bench 'BenchmarkKMeans4096x51$$' -count 6 ./internal/cluster/
+
 # Tracing determinism lane: re-run the serve and fleet determinism suites
 # with the event tracer attached, locking the observability contract — a
 # traced run is token- and round-identical to an untraced run at the serial
@@ -100,13 +112,16 @@ bench-compare:
 # (prefill conformance, the two-phase decode step and the batch decoder
 # against their serial oracles) at GOMAXPROCS=1 and at GOMAXPROCS=2 with the
 # race detector, locking the bit-identity contract of DESIGN.md §12
-# independently of the scheduler. Each runs twice: as the CPU dispatches,
-# and under the noavx512 tag, which keeps the AVX-512 kernels off for the
-# whole binary, so the AVX2 ones stay tested on AVX-512 hosts. Kernel
+# independently of the scheduler; and FMA32, the one rounding of a chain's
+# step that every Go loop calls, against math/big (FMA). Each runs twice: as
+# the CPU dispatches, and under the noavx512 tag, which keeps the AVX-512
+# kernels off for the whole binary, so the AVX2 ones stay tested on AVX-512
+# hosts; then once more at GOMAXPROCS=1 built with GOAMD64=v3, whose
+# compiler must not fuse a scalar loop's multiply-add either. Kernel
 # benchmarks read single-thread rates only with GOMAXPROCS=1 in the
 # environment: the default intra-op pool is sized once, at init, so
 # `go test -cpu 1` still runs it at the machine's width.
-KERNEL_TESTS = 'Block|DotRows|AddScaledRows|TileDot|PackedMat|MatKernel|Fused|DecodeSteady|Vec|KMeans|ArgBest|Silu|Prefill|TwoPhase|BatchDecode|GroupKernels|FullShared|SharedPages|Pair|RowKernels|AddRowsByLabel'
+KERNEL_TESTS = 'Block|DotRows|AddScaledRows|TileDot|PackedMat|MatKernel|Fused|DecodeSteady|Vec|KMeans|ArgBest|Silu|Prefill|TwoPhase|BatchDecode|GroupKernels|FullShared|SharedPages|Pair|RowKernels|AddRowsByLabel|FMA'
 KERNEL_PKGS = ./internal/tensor/ ./internal/attention/ ./internal/model/ ./internal/cluster/
 
 test-kernels:
@@ -114,6 +129,7 @@ test-kernels:
 		GOMAXPROCS=1 $(GO) test -count=1 -tags "$$tags" -run $(KERNEL_TESTS) $(KERNEL_PKGS) || exit 1; \
 		GOMAXPROCS=2 $(GO) test -race -count=1 -tags "$$tags" -run $(KERNEL_TESTS) $(KERNEL_PKGS) || exit 1; \
 	done
+	GOAMD64=v3 GOMAXPROCS=1 $(GO) test -count=1 -run $(KERNEL_TESTS) $(KERNEL_PKGS)
 
 # Generic-path lanes: the scalar Go kernels are what every target but amd64
 # runs, so the packages that sit on them are tested with the vector path
@@ -123,6 +139,21 @@ test-purego:
 
 build-arm64:
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/tensor
+
+# Fused-op lane: the Go spec lets a compiler fuse x*y + z, and Go's arm64
+# compiler does, which would give arm64 other bits than amd64 (DESIGN.md
+# §12). Every multiply-add of the module's Go code is therefore either a
+# tensor.FMA32 call, rounded once by contract, or written with an explicit
+# conversion, which the spec says is rounded on its own. This lane fails on
+# any FMADD, FMSUB, FNMADD or FNMSUB (S or D) in the arm64 listing whose
+# source line is not in FMA32's file. The compiler replays a cached
+# package's listing, so the lane needs no clean build; build-arm64 first
+# fails a build that does not compile.
+check-fused: build-arm64
+	@ops=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./... 2>&1 | \
+		grep -E '[[:space:]]FN?M(ADD|SUB)[SD][[:space:]]' | grep -v '/internal/tensor/fma\.go:'); \
+	if [ -n "$$ops" ]; then echo "$$ops"; echo "check-fused: $$(echo "$$ops" | wc -l) implicit fused ops"; exit 1; fi; \
+	echo "check-fused: no implicit fused op"
 
 # Ten seconds of native fuzzing of the vector kernels against the scalar
 # loops, starting from the seed corpus in the test.

@@ -38,7 +38,7 @@ func unfusedSparse(out, q []float32, s *kvcache.Store, idx []int) {
 		}
 		row := s.Value(p)
 		for t := range out {
-			out[t] += w * row[t]
+			out[t] = tensor.FMA32(w, row[t], out[t])
 		}
 	}
 }

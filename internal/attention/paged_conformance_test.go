@@ -12,6 +12,7 @@ import (
 	"clusterkv/internal/attention"
 	"clusterkv/internal/kvcache"
 	"clusterkv/internal/rng"
+	"clusterkv/internal/tensor"
 )
 
 // flatFull recomputes Full attention from the flat views with the reference
@@ -25,7 +26,7 @@ func flatFull(out, q []float32, s *kvcache.Store) {
 		row := keys[i*d : (i+1)*d]
 		var dot float32
 		for j := range q {
-			dot += q[j] * row[j]
+			dot = tensor.FMA32(q[j], row[j], dot)
 		}
 		scores[i] = dot * inv
 	}
@@ -41,7 +42,7 @@ func flatFull(out, q []float32, s *kvcache.Store) {
 		}
 		row := vals[i*d : (i+1)*d]
 		for j := range out {
-			out[j] += w * row[j]
+			out[j] = tensor.FMA32(w, row[j], out[j])
 		}
 	}
 }
@@ -102,7 +103,7 @@ func TestPageAwareGatherBitIdentical(t *testing.T) {
 			for i := 0; i < st.Len(); i++ {
 				var dot float32
 				for j := range q {
-					dot += q[j] * keys[i*d+j]
+					dot = tensor.FMA32(q[j], keys[i*d+j], dot)
 				}
 				if math.Float32bits(w1[i]) != math.Float32bits(dot*inv) {
 					t.Fatalf("n=%d %s: Weights diverges at token %d", n, name, i)

@@ -86,7 +86,7 @@ func (g *InfiniGen) Name() string { return "InfiniGen" }
 // Reset implements attention.Selector.
 func (g *InfiniGen) Reset(layers, heads, headDim int) {
 	g.heads, g.d = heads, headDim
-	g.r = int(float64(headDim)*infinigenPartialRatio + 0.5)
+	g.r = int(float64(float64(headDim)*infinigenPartialRatio) + 0.5)
 	if g.r < 1 {
 		g.r = 1
 	}
@@ -138,7 +138,7 @@ func (g *InfiniGen) projectNew(st *infinigenHead, s *kvcache.Store) {
 			}
 			vrow := st.v.Row(c)
 			for j := 0; j < r; j++ {
-				row[j] += kv * vrow[j]
+				row[j] += float32(kv * vrow[j])
 			}
 		}
 	}
@@ -185,7 +185,7 @@ func (g *InfiniGen) Select(layer, head int, q []float32, s *kvcache.Store, budge
 		}
 		vrow := st.v.Row(c)
 		for j := 0; j < r; j++ {
-			qp[j] += qv * vrow[j]
+			qp[j] += float32(qv * vrow[j])
 		}
 	}
 	if cap(st.scores) < n {
@@ -196,7 +196,7 @@ func (g *InfiniGen) Select(layer, head int, q []float32, s *kvcache.Store, budge
 		row := st.partials[i*r : (i+1)*r]
 		var sc float32
 		for j := range row {
-			sc += qp[j] * row[j]
+			sc += float32(qp[j] * row[j])
 		}
 		scores[i] = sc
 	}
@@ -227,7 +227,7 @@ func (g *InfiniGen) speculate(q []float32, layer, head int) []float32 {
 	out := make([]float32, len(q))
 	scale := float32(g.specNoise) * norm / float32(math.Sqrt(float64(len(q))))
 	for i, v := range q {
-		out[i] = v + scale*rnd.NormFloat32()
+		out[i] = v + float32(scale*rnd.NormFloat32())
 	}
 	return out
 }

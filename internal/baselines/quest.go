@@ -144,8 +144,8 @@ func (q *Quest) Select(layer, head int, qv []float32, s *kvcache.Store, budget i
 		mn := st.mins[p*d : (p+1)*d]
 		var sc float32
 		for c := 0; c < d; c++ {
-			a := qv[c] * mx[c]
-			b := qv[c] * mn[c]
+			a := float32(qv[c] * mx[c])
+			b := float32(qv[c] * mn[c])
 			if a > b {
 				sc += a
 			} else {

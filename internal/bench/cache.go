@@ -33,6 +33,7 @@ func RunCache(opt Options) *Report {
 	}
 
 	base := pipeTime(1) // no cache: every selected token loads from host
+	var hitR1 float64
 	for _, r := range []int{0, 1, 2, 4} {
 		cfg := traceCoreConfig()
 		cfg.CacheR = r
@@ -48,11 +49,16 @@ func RunCache(opt Options) *Report {
 		}
 		rep.AddRow(label(name), num("", cts.Stats.HitRate(), "frac", "%.0f%%"),
 			num("", t*1000, "ms", "%.2f"), num("", base/t, "", "%.1fx"))
+		if r == 1 {
+			hitR1 = cts.Stats.HitRate()
+		}
 	}
 	rep.Notes = append(rep.Notes,
 		"paper: average hit rates 63% (R=1) and 74% (R=2); decoding throughput",
 		"improves 2.3x and 3x vs direct CPU loads.",
 		fmt.Sprintf("measured on a %d-token NarrativeQA-like sample, 128 decode steps.", ctx),
 	)
+	rep.Notef("gate: HitRate at R=1 in [55%%, 85%%] (%.0f%%): %s.", hitR1*100,
+		gate("cache", "hitrate_r1_in_0_55_0_85", hitR1 >= 0.55 && hitR1 <= 0.85))
 	return rep
 }

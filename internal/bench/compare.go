@@ -15,7 +15,9 @@ import (
 // and slot counts, hit fractions, identity checks — is a pure function of
 // (options, seed), so the gate has one rule: a metric whose value differs at
 // all from its baseline fails. An intentional move ships with a refreshed
-// baseline in the same commit (DESIGN.md §14).
+// baseline in the same commit (DESIGN.md §14). The paper's claims are gate
+// cells (<id>.gate.<claim>, bool): one that reads false fails as well,
+// whatever its baseline holds.
 
 // Delta statuses.
 const (
@@ -43,7 +45,8 @@ type CompareResult struct {
 	Fails      int
 }
 
-// OK reports whether every baseline metric is present and unchanged.
+// OK reports whether every baseline metric is present and unchanged, and
+// every gate holds.
 func (r CompareResult) OK() bool { return r.Fails == 0 }
 
 // flatMetrics flattens a snapshot's reports into (ordered names, name→metric).
@@ -64,7 +67,8 @@ func flatMetrics(s Snapshot) ([]string, map[string]Metric) {
 // Compare diffs two snapshots of the same experiment. A baseline metric whose
 // current value differs fails; one absent from the current snapshot fails as
 // MISSING (refresh the baseline to retire a metric); a metric present only in
-// the current snapshot is informational.
+// the current snapshot is informational. A current gate that reads false
+// fails, new or unchanged.
 func Compare(base, cur Snapshot) (CompareResult, error) {
 	if base.Experiment != cur.Experiment {
 		return CompareResult{}, fmt.Errorf("bench: comparing %q against %q", cur.Experiment, base.Experiment)
@@ -84,7 +88,7 @@ func Compare(base, cur Snapshot) (CompareResult, error) {
 		case !ok:
 			d.Status = StatusMissing
 			res.Fails++
-		case cm.Value == bm.Value:
+		case cm.Value == bm.Value && !(isGate(name) && cm.Value == 0):
 			d.Cur, d.HaveCur, d.Status = cm.Value, true, StatusOK
 		default:
 			d.Cur, d.HaveCur, d.Status = cm.Value, true, StatusFail
@@ -105,9 +109,12 @@ func Compare(base, cur Snapshot) (CompareResult, error) {
 			continue
 		}
 		cm := curM[name]
-		res.Deltas = append(res.Deltas, MetricDelta{
-			Name: name, Unit: cm.Unit, Cur: cm.Value, HaveCur: true, Status: StatusNew,
-		})
+		d := MetricDelta{Name: name, Unit: cm.Unit, Cur: cm.Value, HaveCur: true, Status: StatusNew}
+		if isGate(name) && cm.Value == 0 {
+			d.Status = StatusFail
+			res.Fails++
+		}
+		res.Deltas = append(res.Deltas, d)
 	}
 	return res, nil
 }

@@ -186,3 +186,64 @@ func TestCompareRoundTripThroughDisk(t *testing.T) {
 		}
 	}
 }
+
+// TestComparePaperGates: the committed tab1, fig12 and cache baselines hold
+// every paper gate, and a copy of tab1's in which ClusterKV falls below
+// Quest at B=256 — its score lowered and its gate false, as a re-taken
+// baseline would carry them — fails against the committed baseline and
+// against itself: a broken ordering cannot be re-taken into the gate.
+func TestComparePaperGates(t *testing.T) {
+	for exp, n := range map[string]int{"tab1": 4, "fig12": 2, "cache": 1} {
+		s, err := ReadSnapshot("../../BENCH_" + exp + ".json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		gates := 0
+		for _, r := range s.Reports {
+			for _, m := range r.Metrics {
+				if isGate(m.Name) {
+					gates++
+					if m.Value != 1 {
+						t.Errorf("%s: gate %s reads %v", exp, m.Name, m.Value)
+					}
+				}
+			}
+		}
+		if gates != n {
+			t.Errorf("%s: %d gates, want %d", exp, gates, n)
+		}
+	}
+
+	base, err := ReadSnapshot("../../BENCH_tab1.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := base
+	flipped.Reports = append([]ReportSnapshot(nil), base.Reports...)
+	for i := range flipped.Reports {
+		ms := append([]Metric(nil), flipped.Reports[i].Metrics...)
+		val := map[string]float64{}
+		for _, m := range ms {
+			val[m.Name] = m.Value
+		}
+		for j := range ms {
+			switch ms[j].Name {
+			case "tab1.clusterkv.b256":
+				ms[j].Value = val["tab1.quest.b256"] - 1
+			case "tab1.gate.clusterkv_ge_baselines.b256":
+				ms[j].Value = 0
+			}
+		}
+		flipped.Reports[i].Metrics = ms
+	}
+	res, err := Compare(base, flipped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.OK() || res.Fails != 2 {
+		t.Fatalf("flipped tab1 ordering against the baseline: %d fails, want 2", res.Fails)
+	}
+	if res, _ = Compare(flipped, flipped); res.OK() || res.Fails != 1 {
+		t.Fatalf("flipped tab1 ordering against itself: %d fails, want 1", res.Fails)
+	}
+}

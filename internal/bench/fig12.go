@@ -52,7 +52,7 @@ type pipeResult struct{ mainTotal, sideBusy, total, exposed float64 }
 func pipelineOverlap(stages []pipeStage) pipeResult {
 	var mainT, sideT, busy float64
 	for _, st := range stages {
-		ready := mainT + st.readyFrac*st.compute
+		ready := mainT + float64(st.readyFrac*st.compute)
 		if st.sideJob > 0 {
 			if sideT < ready {
 				sideT = ready
@@ -98,11 +98,12 @@ func RunFig12(opt Options) []*Report {
 		}
 	}
 
+	var speed32k, gain32k float64 // the claims' cells: P = 32k, D = 1024
 	for _, p := range Fig12Prompts {
 		for _, d := range Fig12Decodes {
 			lAvg := p + d/2
 			pre := hw.Prefill(shape, p)
-			fullTotal := pre.Total + float64(d)*hw.DecodeStepFull(shape, lAvg).Total
+			fullTotal := pre.Total + float64(float64(d)*hw.DecodeStepFull(shape, lAvg).Total)
 
 			pk, dk := label(fmt.Sprintf("%dk", p/1024)), label(fmt.Sprint(d))
 			row := []Cell{pk, dk, num("", fullTotal, "s", "%.2f")}
@@ -118,7 +119,7 @@ func RunFig12(opt Options) []*Report {
 					Clusters: cts.AvgClusters,
 					MissRate: cts.MissRate,
 				})
-				total := pre.Total + exposed + float64(d)*step.Total
+				total := pre.Total + exposed + float64(float64(d)*step.Total)
 				row = append(row, num("", total, "s", "%.2f"))
 				trow = append(trow, num("", 1/step.Total, "tok/s", "%.1f"))
 				if b == 1024 {
@@ -128,6 +129,9 @@ func RunFig12(opt Options) []*Report {
 			}
 			lat.AddRow(append(row, num("", speed1024, "", "%.2f"), num("", pre.Total, "s", "%.2f"))...)
 			thr.AddRow(append(trow, num("", thr1024, "", "%.2f"))...)
+			if p == 32*1024 && d == 1024 {
+				speed32k, gain32k = speed1024, thr1024
+			}
 		}
 	}
 	lat.Notes = append(lat.Notes,
@@ -135,7 +139,11 @@ func RunFig12(opt Options) []*Report {
 		"Ada-6000 cost model (internal/memsim/hardware.go); paper: 2x speedup at P=32k,",
 		"D=1024, budget 1024; clustering overhead 6-8% of prefill.",
 	)
+	lat.Notef("gate: Speedup@1024 at P=32k, D=1024 >= 1.8 (%.2f): %s.", speed32k,
+		gate("fig12", "speedup_32k_1024_ge_1_8", speed32k >= 1.8))
 	thr.Notes = append(thr.Notes, "paper: decoding throughput improves by up to 2.5x.")
+	thr.Notef("gate: Gain@1024 at P=32k, D=1024 >= 2.0 (%.2f): %s.", gain32k,
+		gate("fig12-throughput", "gain_32k_1024_ge_2_0", gain32k >= 2.0))
 	return []*Report{lat, thr}
 }
 

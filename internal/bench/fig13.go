@@ -30,17 +30,17 @@ func RunFig13a(opt Options) *Report {
 	for _, d := range []int{128, 256} {
 		lAvg := p + d/2
 		pre := hw.Prefill(shape, p).Total
-		full := pre + float64(d)*hw.DecodeStepOffloadFull(shape, lAvg).Total
-		infini := pre + float64(d)*hw.DecodeStepInfiniGen(shape, lAvg, memsim.InfiniGenCounts{
+		full := pre + float64(float64(d)*hw.DecodeStepOffloadFull(shape, lAvg).Total)
+		infini := pre + float64(float64(d)*hw.DecodeStepInfiniGen(shape, lAvg, memsim.InfiniGenCounts{
 			Budget:     budget,
 			PartialDim: shape.HeadDim / 4,
-		}).Total
+		}).Total)
 		exposed, _, _ := clusterPrefillExposure(hw, shape, p, cts.KMeansIters, 2)
-		ckv := pre + exposed + float64(d)*hw.DecodeStepClusterKV(shape, memsim.ClusterKVCounts{
+		ckv := pre + exposed + float64(float64(d)*hw.DecodeStepClusterKV(shape, memsim.ClusterKVCounts{
 			Budget:   budget,
 			Clusters: cts.AvgClusters,
 			MissRate: cts.MissRate,
-		}).Total
+		}).Total)
 		speedups = append(speedups, infini/ckv)
 		rep.AddRow(label(fmt.Sprint(d)), num("", full, "s", "%.2f"), num("", infini, "s", "%.2f"),
 			num("", ckv, "s", "%.2f"), num("", infini/ckv, "", "%.2f"))
@@ -74,15 +74,15 @@ func RunFig13b(opt Options) *Report {
 		for _, d := range []int{256, 512} {
 			lAvg := p + d/2
 			pre := hw.Prefill(shape, p).Total
-			quest := pre + float64(d)*hw.DecodeStepQuest(shape, lAvg, memsim.QuestCounts{
+			quest := pre + float64(float64(d)*hw.DecodeStepQuest(shape, lAvg, memsim.QuestCounts{
 				Budget: budget, PageSize: 16,
-			}).Total
+			}).Total)
 			exposed, _, _ := clusterPrefillExposure(hw, shape, p, cts.KMeansIters, 2)
-			ckv := pre + exposed + float64(d)*hw.DecodeStepClusterKV(shape, memsim.ClusterKVCounts{
+			ckv := pre + exposed + float64(float64(d)*hw.DecodeStepClusterKV(shape, memsim.ClusterKVCounts{
 				Budget:   budget,
 				Clusters: cts.AvgClusters,
 				MissRate: cts.MissRate,
-			}).Total
+			}).Total)
 			dev := (ckv - quest) / quest
 			devs = append(devs, dev)
 			rep.AddRow(label(fmt.Sprintf("%dk", p/1024)), label(fmt.Sprint(d)),

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"clusterkv/internal/metrics"
@@ -48,7 +49,7 @@ const scoreWeightNeedle = 0.6
 
 // taskScore converts a run into a LongBench-style score.
 func taskScore(spec workload.TaskSpec, r *RunResult) float64 {
-	fid := scoreWeightNeedle*r.MeanNeedleFidelity() + (1-scoreWeightNeedle)*r.MeanFidelity()
+	fid := float64(scoreWeightNeedle*r.MeanNeedleFidelity()) + float64((1-scoreWeightNeedle)*r.MeanFidelity())
 	return spec.BaseScore * fid
 }
 
@@ -133,6 +134,7 @@ func tab1Report(res *Fig9Result, opt Options) *Report {
 		Title:   "Average scores on eight LongBench-style datasets (paper Table I)",
 		Headers: []string{"Method", "B=256", "B=512", "B=1024", "B=2048"},
 	}
+	means := map[string][]float64{}
 	for mi, name := range res.Methods {
 		row := []Cell{label(name)}
 		for bi := range Budgets {
@@ -140,6 +142,7 @@ func tab1Report(res *Fig9Result, opt Options) *Report {
 			for ti := range res.Tasks {
 				xs = append(xs, res.Scores[ti][mi][bi])
 			}
+			means[name] = append(means[name], metrics.Mean(xs))
 			row = append(row, num("", metrics.Mean(xs), "score", "%.2f"))
 		}
 		rep.AddRow(row...)
@@ -149,6 +152,19 @@ func tab1Report(res *Fig9Result, opt Options) *Report {
 		"ClusterKV 46.69/48.02/48.34/48.70, Full KV 49.01.",
 		fmt.Sprintf("context lengths capped at %d tokens for this run.", opt.MaxCtx),
 	)
+	// The table's claim: ClusterKV scores at least the better of Quest and
+	// InfiniGen at every budget.
+	ckv, quest, infini := means["ClusterKV"], means["Quest"], means["InfiniGen"]
+	if len(ckv) == len(Budgets) && len(quest) == len(Budgets) && len(infini) == len(Budgets) {
+		var gates []any
+		var bs []string
+		for bi, b := range Budgets {
+			gates = append(gates, gate("tab1", fmt.Sprintf("clusterkv_ge_baselines.b%d", b), ckv[bi] >= max(quest[bi], infini[bi])))
+			bs = append(bs, fmt.Sprint(b))
+		}
+		rep.Notef("gate: ClusterKV >= max(Quest, InfiniGen) at B=%s: "+strings.Repeat("/%s", len(gates))[1:]+".",
+			append([]any{strings.Join(bs, "/")}, gates...)...)
+	}
 	return rep
 }
 

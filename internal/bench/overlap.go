@@ -30,7 +30,7 @@ func RunOverlap(opt Options) *Report {
 		step := hw.DecodeStepClusterKV(shape, memsim.ClusterKVCounts{
 			Budget: 1024, Clusters: cts.AvgClusters, MissRate: cts.MissRate,
 		})
-		total := prefill + exposed + 1024*step.Total
+		total := prefill + exposed + float64(1024*step.Total)
 		rep.AddRow(
 			label(fmt.Sprintf("%dk", p/1024)),
 			num("", prefill, "s", "%.2f"), num("", busy, "s", "%.2f"), num("", exposed, "s", "%.3f"),

@@ -41,6 +41,21 @@ func num(name string, v float64, unit, format string) Cell {
 	return Cell{Metric: Metric{Name: name, Value: v, Unit: unit}, Format: format}
 }
 
+// gate returns the bool cell of one of the paper's claims, named
+// <id>.gate.<claim>: true where ok holds. Compare fails a gate that reads
+// false whatever its baseline holds, so no re-taken snapshot carries a
+// broken claim.
+func gate(id, claim string, ok bool) Cell {
+	v := 0.0
+	if ok {
+		v = 1
+	}
+	return num(id+".gate."+claim, v, "bool", "%v")
+}
+
+// isGate reports whether a metric name is a gate's.
+func isGate(name string) bool { return strings.Contains(name, ".gate.") }
+
 // String renders the cell as its table text.
 func (c Cell) String() string {
 	switch {

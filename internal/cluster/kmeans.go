@@ -207,7 +207,7 @@ func KMeans(keys []float32, d, c int, cfg Config) *Result {
 						v1, v2, v3 := k1[ch], k2[ch], k3[ch]
 						q := (*[4]float32)(tile[ch*lanes+j:])
 						q[0], q[1], q[2], q[3] = v0, v1, v2, v3
-						s0, s1, s2, s3 = s0+v0*v0, s1+v1*v1, s2+v2*v2, s3+v3*v3
+						s0, s1, s2, s3 = s0+float32(v0*v0), s1+float32(v1*v1), s2+float32(v2*v2), s3+float32(v3*v3)
 					}
 					for r, s := range [4]float32{s0, s1, s2, s3} {
 						norms[i0+j+r] = float32(math.Sqrt(float64(s)))

@@ -77,6 +77,8 @@ type Config struct {
 	// clustering across budget sweeps; tests use it to inject degenerate
 	// clusterings. A hook's results are not a function of the keys alone, so
 	// they are never published to KV pages, nor are published ones adopted.
+	// keys is scratch that the next piece of the head reuses: a hook must
+	// not keep it past its return.
 	PrefillClusterer func(layer, head, from int, keys []float32, d, c int) *cluster.Result
 }
 
@@ -210,12 +212,14 @@ type ClusterKV struct {
 	rt *kvcache.TransferRuntime
 }
 
-// headShard holds one KV head's counters — Stats sums the shards — and the
+// headShard holds one KV head's counters — Stats sums the shards —, the
 // budget its latest Select saw, which sizes the head's prefetch predictions
-// for the next layer.
+// for the next layer, and the key matrix of the head's latest clustering
+// call, whose buffer the next one reuses (readKeys).
 type headShard struct {
 	stats      attention.SelStats
 	lastBudget int
+	keys       []float32
 }
 
 var (
@@ -385,9 +389,7 @@ func (c *ClusterKV) clusterPiece(book *cluster.Book, layer, head int, s *kvcache
 			return
 		}
 	}
-	// Non-retaining read: the key matrix lives only for this clustering
-	// call, so the store never carries a flat mirror of its pages.
-	keys := s.ReadKeys(from, to, nil)
+	keys := c.readKeys(head, s, from, to)
 	var res *cluster.Result
 	if hook != nil {
 		res = hook(layer, head, from, keys, d, cnt)
@@ -404,6 +406,17 @@ func (c *ClusterKV) clusterPiece(book *cluster.Book, layer, head int, s *kvcache
 		packed := res.Pack()
 		s.SetPageMeta(lastPage, &segMeta{key: key, res: packed}, packed.Bytes())
 	}
+}
+
+// readKeys copies keys [from, to) of s out of its pages into KV head head's
+// scratch and returns them. The matrix lives only for one clustering call,
+// so the store never carries a flat mirror of its pages, and the buffer
+// serves the head's every piece: a warm head's read allocates nothing. The
+// shard is the head's alone, so heads read in parallel (HeadParallel).
+func (c *ClusterKV) readKeys(head int, s *kvcache.Store, from, to int) []float32 {
+	sh := &c.shards[head]
+	sh.keys = s.ReadKeys(from, to, sh.keys)
+	return sh.keys
 }
 
 // The paper's prefill cluster count C0 = L/clusterRatio, floored at
@@ -437,7 +450,7 @@ func (c *ClusterKV) OnAppend(layer, head int, s *kvcache.Store) {
 		return
 	}
 	d := s.HeadDim()
-	keys := s.ReadKeys(st.pendingFrom, s.Len(), nil)
+	keys := c.readKeys(head, s, st.pendingFrom, s.Len())
 	res := cluster.KMeans(keys, d, c.cfg.DecodeClusters, cluster.Config{
 		Metric:   c.cfg.Metric,
 		MaxIters: c.cfg.KMeansIters,

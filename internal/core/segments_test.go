@@ -103,6 +103,30 @@ func TestSegmentsPrefixAdoption(t *testing.T) {
 	}
 }
 
+// TestPieceKeyReadSteadyAllocs: a head reads each piece's keys into its
+// shard's buffer, so once a prefill has warmed it a piece read allocates
+// nothing, and each KV head has a buffer of its own.
+func TestPieceKeyReadSteadyAllocs(t *testing.T) {
+	s := buildStores(1, 1, 1, 3*256, 8)[0]
+	sel := New(segConfig())
+	sel.Reset(1, 2, s.HeadDim())
+	sel.OnPrefill(0, 0, s)
+	if a := testing.AllocsPerRun(20, func() {
+		sel.readKeys(0, s, 16, 256)
+		sel.readKeys(0, s, 256+64, 512)
+	}); a != 0 {
+		t.Fatalf("a warm piece read allocates %v times", a)
+	}
+	got := sel.readKeys(0, s, 256, 512)
+	if !slices.Equal(got, s.ReadKeys(256, 512, nil)) {
+		t.Fatal("piece read differs from ReadKeys")
+	}
+	other := sel.readKeys(1, s, 0, 64)
+	if !slices.Equal(got, s.ReadKeys(256, 512, nil)) || &other[0] == &got[0] {
+		t.Fatal("KV heads share a key buffer")
+	}
+}
+
 // TestShortPromptIgnoresSegmentTokens: below Q = S/16 the segmented rule is
 // the paper's rule bit for bit, and SegmentTokens 0 always is.
 func TestShortPromptIgnoresSegmentTokens(t *testing.T) {

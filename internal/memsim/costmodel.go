@@ -54,7 +54,7 @@ func NewLatencyModel(hw Hardware, shape ModelShape, pageTokens int) LatencyModel
 // PCIe movement of the KV pages that prefill writes.
 func (lm LatencyModel) PrefillSec(n int) float64 {
 	pages := lm.PagesFor(n) * lm.PagePlanes
-	return lm.PrefillSecPerTok*float64(n) + lm.SecPerPlanePage*float64(pages)
+	return float64(lm.PrefillSecPerTok*float64(n)) + float64(lm.SecPerPlanePage*float64(pages))
 }
 
 // PagesFor returns the per-plane page count covering n tokens.

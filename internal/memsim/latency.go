@@ -87,12 +87,12 @@ func (hw Hardware) DecodeStepClusterKV(m ModelShape, c ClusterKVCounts) DecodeBr
 	kvBudgetBytes := float64(c.Budget) * m.KVBytesPerToken()
 	// Centroid matrix read + scores: C centroids × HeadDim per (kv head,
 	// layer), read at gather bandwidth.
-	centroidBytes := c.Clusters * float64(m.HeadDim*m.NKVHeads*m.NLayers) * bytesPerScalar
+	centroidBytes := float64(c.Clusters*float64(m.HeadDim*m.NKVHeads*m.NLayers)) * bytesPerScalar
 	missTokens := roundUpToPages(c.MissRate*float64(c.Budget), c.PageTokens)
 	b := DecodeBreakdown{
 		Weights:   m.WeightBytes() / hw.HBMBandwidth,
 		Attention: kvBudgetBytes / hw.AttnGatherBandwidth,
-		Selection: centroidBytes/hw.AttnGatherBandwidth + hw.LaunchOverhead*0.5, // scoring + sort/gather kernels
+		Selection: centroidBytes/hw.AttnGatherBandwidth + float64(hw.LaunchOverhead*0.5), // scoring + sort/gather kernels
 		Transfer:  missTokens * m.KVBytesPerToken() / hw.PCIeBandwidth,
 		Launch:    hw.LaunchOverhead,
 	}
@@ -110,11 +110,11 @@ type QuestCounts struct {
 // selected budget. Quest keeps KV resident on the GPU — no PCIe term.
 func (hw Hardware) DecodeStepQuest(m ModelShape, l int, c QuestCounts) DecodeBreakdown {
 	pages := float64(l) / float64(c.PageSize)
-	metaBytes := pages * float64(2*m.HeadDim*m.NKVHeads*m.NLayers) * bytesPerScalar
+	metaBytes := float64(pages*float64(2*m.HeadDim*m.NKVHeads*m.NLayers)) * bytesPerScalar
 	b := DecodeBreakdown{
 		Weights:   m.WeightBytes() / hw.HBMBandwidth,
 		Attention: float64(c.Budget) * m.KVBytesPerToken() / hw.AttnGatherBandwidth,
-		Selection: metaBytes/hw.AttnGatherBandwidth + hw.LaunchOverhead*0.5,
+		Selection: metaBytes/hw.AttnGatherBandwidth + float64(hw.LaunchOverhead*0.5),
 		Launch:    hw.LaunchOverhead,
 	}
 	return hw.finish(b)

@@ -64,13 +64,13 @@ func (s *Summary) Quantile(q float64) float64 {
 	if q >= 1 {
 		return s.xs[len(s.xs)-1]
 	}
-	pos := q * float64(len(s.xs)-1)
+	pos := float64(q * float64(len(s.xs)-1))
 	lo := int(pos)
 	frac := pos - float64(lo)
 	if lo+1 >= len(s.xs) {
 		return s.xs[lo]
 	}
-	return s.xs[lo]*(1-frac) + s.xs[lo+1]*frac
+	return float64(s.xs[lo]*(1-frac)) + float64(s.xs[lo+1]*frac)
 }
 
 func (s *Summary) ensureSorted() {

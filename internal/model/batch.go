@@ -176,9 +176,7 @@ func (bd *BatchDecoder) DecodeInto(seqs []*Sequence, tokens []int, logits [][]fl
 // per-row GEMV step's arithmetic bit for bit.
 func (lw *layerWeights) outFFN(pool *parallel.Pool, x, attnOut, normed, gate, up *tensor.Mat) {
 	tensor.MatTMatOn(pool, normed, lw.wo, attnOut)
-	for i := 0; i < x.Rows; i++ {
-		tensor.Add(x.Row(i), x.Row(i), normed.Row(i))
-	}
+	tensor.Add(x.Data, x.Data, normed.Data)
 	normRows(normed, x, lw.ffnNorm)
 	tensor.MatTMatOn(pool, gate, lw.w1, normed)
 	tensor.MatTMatOn(pool, up, lw.w3, normed)
@@ -186,7 +184,5 @@ func (lw *layerWeights) outFFN(pool *parallel.Pool, x, attnOut, normed, gate, up
 		tensor.SiluMul(gate.Row(i), up.Row(i))
 	}
 	tensor.MatTMatOn(pool, normed, lw.w2, gate)
-	for i := 0; i < x.Rows; i++ {
-		tensor.Add(x.Row(i), x.Row(i), normed.Row(i))
-	}
+	tensor.Add(x.Data, x.Data, normed.Data)
 }

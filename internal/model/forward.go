@@ -125,7 +125,7 @@ func (m *Model) ropeRow(q, k []float32, pos int) {
 func rmsNorm(dst, x, gain []float32) {
 	var ss float64
 	for _, v := range x {
-		ss += float64(v) * float64(v)
+		ss += float64(float64(v) * float64(v))
 	}
 	inv := float32(1 / math.Sqrt(ss/float64(len(x))+1e-6))
 	for i := range x {

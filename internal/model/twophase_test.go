@@ -115,7 +115,7 @@ func (o *serialOracle) decodeInto(token int, logits []float32) {
 	for v := range logits {
 		var acc float32
 		for j, e := range w.embed.Row(v) {
-			acc += o.normed[j] * e
+			acc = tensor.FMA32(o.normed[j], e, acc)
 		}
 		logits[v] = acc
 	}

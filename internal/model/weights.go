@@ -65,7 +65,7 @@ func buildWeights(cfg Config) *weights {
 		row := w.embed.Row(v)
 		base := topicDirs.Row(topic)
 		for j := range row {
-			row[j] = cfg.TopicStrength*base[j] + embedNoise*embRNG.NormFloat32()
+			row[j] = float32(cfg.TopicStrength*base[j]) + float32(embedNoise*embRNG.NormFloat32())
 		}
 		tensor.Normalize(row)
 	}
@@ -144,7 +144,7 @@ func blendMat(r *rng.RNG, shared *tensor.Mat, align float32, rows, cols int) *te
 		srow := shared.Row(i)
 		drow := m.Row(i)
 		for j := 0; j < cols && j < len(srow); j++ {
-			drow[j] = align*srow[j] + (1-align)*drow[j]
+			drow[j] = float32(align*srow[j]) + float32((1-align)*drow[j])
 		}
 	}
 	return m

@@ -150,7 +150,7 @@ func writeChromeTrace(w io.Writer, events []Event, dropped uint64) error {
 		if round < 1 {
 			round = 1
 		}
-		return float64(round-1) * RoundUsec
+		return float64(float64(round-1) * RoundUsec)
 	}
 	instant := func(ev Event, tid int, name string, args map[string]any) chromeEvent {
 		return chromeEvent{Name: name, Ph: "i", Ts: roundTs(ev.Round),

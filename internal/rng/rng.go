@@ -64,7 +64,7 @@ func (r *RNG) Intn(n int) int {
 
 // Float64 returns a uniform float64 in [0, 1).
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Float32 returns a uniform float32 in [0, 1).

@@ -68,7 +68,7 @@ func matTMatBandGo(dst, m, x *Mat, lo, hi int) {
 			}
 			band := dst.Data[s*dst.Cols+lo : s*dst.Cols+hi]
 			for j, v := range row {
-				band[j] += xi * v
+				band[j] = FMA32(xi, v, band[j])
 			}
 		}
 	}

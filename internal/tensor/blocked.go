@@ -40,10 +40,10 @@ func dotRowsGo(dst, x, rows []float32, d int, scale float32) {
 		r3 := rows[(i+3)*d : (i+3)*d+d]
 		var s0, s1, s2, s3 float32
 		for j, xj := range x {
-			s0 += xj * r0[j]
-			s1 += xj * r1[j]
-			s2 += xj * r2[j]
-			s3 += xj * r3[j]
+			s0 = FMA32(xj, r0[j], s0)
+			s1 = FMA32(xj, r1[j], s1)
+			s2 = FMA32(xj, r2[j], s2)
+			s3 = FMA32(xj, r3[j], s3)
 		}
 		dst[i] = s0 * scale
 		dst[i+1] = s1 * scale
@@ -54,7 +54,7 @@ func dotRowsGo(dst, x, rows []float32, d int, scale float32) {
 		row := rows[i*d : i*d+d]
 		var s float32
 		for j, xj := range x {
-			s += xj * row[j]
+			s = FMA32(xj, row[j], s)
 		}
 		dst[i] = s * scale
 	}
@@ -80,7 +80,7 @@ func dotRowsListGo(dst, x []float32, rows []*float32, d int, scale float32) {
 		row := unsafe.Slice(p, d)
 		var s float32
 		for j, xj := range x {
-			s += xj * row[j]
+			s = FMA32(xj, row[j], s)
 		}
 		dst[i] = s * scale
 	}
@@ -122,12 +122,10 @@ func addScaledRowsGo(out, w, rows []float32, d int) {
 		r2 := rows[(i+2)*d : (i+2)*d+d]
 		r3 := rows[(i+3)*d : (i+3)*d+d]
 		for j := range out {
-			v := out[j]
-			v += w0 * r0[j]
-			v += w1 * r1[j]
-			v += w2 * r2[j]
-			v += w3 * r3[j]
-			out[j] = v
+			v := FMA32(w0, r0[j], out[j])
+			v = FMA32(w1, r1[j], v)
+			v = FMA32(w2, r2[j], v)
+			out[j] = FMA32(w3, r3[j], v)
 		}
 	}
 	for ; i < m; i++ {
@@ -137,7 +135,7 @@ func addScaledRowsGo(out, w, rows []float32, d int) {
 		}
 		row := rows[i*d : i*d+d]
 		for j := range out {
-			out[j] += wi * row[j]
+			out[j] = FMA32(wi, row[j], out[j])
 		}
 	}
 }
@@ -178,7 +176,7 @@ func addScaledRowsListGo(out, w []float32, rows []*float32, from int) {
 		}
 		row := unsafe.Slice(rows[i], n)[from:]
 		for j, v := range row {
-			tail[j] += wi * v
+			tail[j] = FMA32(wi, v, tail[j])
 		}
 	}
 }

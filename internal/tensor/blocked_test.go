@@ -35,7 +35,7 @@ func TestDotRowsBitIdentical(t *testing.T) {
 		for i := 0; i < shape.m; i++ {
 			var s float32
 			for j := 0; j < shape.d; j++ {
-				s += x[j] * rows[i*shape.d+j]
+				s = tensor.FMA32(x[j], rows[i*shape.d+j], s)
 			}
 			want := s * scale
 			if math.Float32bits(got[i]) != math.Float32bits(want) {
@@ -65,7 +65,7 @@ func TestAddScaledRowsBitIdentical(t *testing.T) {
 				continue
 			}
 			for j := 0; j < shape.d; j++ {
-				want[j] += w[i] * rows[i*shape.d+j]
+				want[j] = tensor.FMA32(w[i], rows[i*shape.d+j], want[j])
 			}
 		}
 		for j := range got {
@@ -90,7 +90,7 @@ func TestPackedMatVecBitIdentical(t *testing.T) {
 		for i := range want {
 			var s float32
 			for j, v := range m.Row(i) {
-				s += v * x[j]
+				s = tensor.FMA32(x[j], v, s)
 			}
 			want[i] = s
 		}

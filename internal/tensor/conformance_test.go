@@ -19,7 +19,7 @@ func refMatVec(dst []float32, m *Mat, x []float32) {
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		var s float32
 		for j, v := range row {
-			s += v * x[j]
+			s = FMA32(x[j], v, s)
 		}
 		dst[i] = s
 	}
@@ -34,7 +34,7 @@ func refMatTVec(dst []float32, m *Mat, x []float32) {
 			continue
 		}
 		for j, v := range row {
-			dst[j] += xi * v
+			dst[j] = FMA32(xi, v, dst[j])
 		}
 	}
 }
@@ -50,7 +50,7 @@ func refMatMul(c, a, b *Mat) {
 			}
 			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
 			for j, bv := range brow {
-				crow[j] += av * bv
+				crow[j] = FMA32(av, bv, crow[j])
 			}
 		}
 	}

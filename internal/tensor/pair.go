@@ -121,7 +121,7 @@ func pairDotGo(dst, q [2][]float32, rows *[2]PairRows, P, d int, scale float32) 
 			row := unsafe.Slice(r.row(pos, P, d), d)
 			var s float32
 			for c, x := range q[h] {
-				s += x * row[c]
+				s = FMA32(x, row[c], s)
 			}
 			dst[h][j] = s * scale
 		}
@@ -158,7 +158,7 @@ func pairAddScaledGo(out, w [2][]float32, rows *[2]PairRows, P, d, from int) {
 			}
 			row := unsafe.Slice(r.row(pos, P, d), d)[from:]
 			for c, v := range row {
-				tail[c] += wj * v
+				tail[c] = FMA32(wj, v, tail[c])
 			}
 		}
 	}

@@ -208,14 +208,14 @@ func tileDotGo(rows, qt, keys []float32, m, d int, scale float32, vis int, st *t
 			var s0, s1, s2, s3, s4, s5, s6, s7 float32
 			for c, k := range key {
 				q := (*[8]float32)(qt[c*TileLanes+j:])
-				s0 += q[0] * k
-				s1 += q[1] * k
-				s2 += q[2] * k
-				s3 += q[3] * k
-				s4 += q[4] * k
-				s5 += q[5] * k
-				s6 += q[6] * k
-				s7 += q[7] * k
+				s0 = FMA32(q[0], k, s0)
+				s1 = FMA32(q[1], k, s1)
+				s2 = FMA32(q[2], k, s2)
+				s3 = FMA32(q[3], k, s3)
+				s4 = FMA32(q[4], k, s4)
+				s5 = FMA32(q[5], k, s5)
+				s6 = FMA32(q[6], k, s6)
+				s7 = FMA32(q[7], k, s7)
 			}
 			*(*[8]float32)(row[j:]) = [8]float32{s0 * scale, s1 * scale, s2 * scale, s3 * scale, s4 * scale, s5 * scale, s6 * scale, s7 * scale}
 		}
@@ -250,7 +250,7 @@ func tileAxpyGo(acc, rows []float32, inv *[TileLanes]float32, vals []float32, m,
 		for j := max(vis+i, 0); j < TileLanes; j++ {
 			p := rows[i*TileLanes+j] * inv[j]
 			for c := 0; c < d; c++ {
-				acc[c*TileLanes+j] += p * vals[i*d+c]
+				acc[c*TileLanes+j] = FMA32(p, vals[i*d+c], acc[c*TileLanes+j])
 			}
 		}
 	}

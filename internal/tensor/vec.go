@@ -18,16 +18,20 @@
 // kernels instead —
 // vec_amd64.s, chosen once at init by CPUID, with an 8-lane exp, the
 // register-tiled GEMM and the score tile's 16-lane form where the CPU has
-// AVX-512F; every other target, GOAMD64=v3 and the purego build tag run the
-// Go loops. The one contract of all paths (DESIGN.md §12):
+// AVX-512F; every other target and the purego build tag run the Go loops.
+// The one contract of all paths (DESIGN.md §12):
 //
 //   - Vector lanes hold *independent* reduction chains (eight rows' dot
 //     products, output channels, a score tile's queries or keys), never
-//     pieces of one chain, and float32 products and sums are separate
-//     operations, never fused.
+//     pieces of one chain, and each step of a chain is one fused
+//     multiply-add, a·b + acc rounded once: VFMADD231PS in the kernels,
+//     FMA32 in the Go loops. Every other product (a scale, a softmax
+//     weight, the SiLU gate, RoPE, a norm) is rounded on its own, and the
+//     Go loops write it with an explicit conversion where a compiler could
+//     fuse it.
 //   - So each chain performs the scalar loop's operations in the scalar
 //     loop's order, and for finite inputs every result is bit-identical to
-//     the Go loop at any width, blocking or path. The exp of Softmax and
+//     the Go loop at any width, blocking, path or GOARCH. The exp of Softmax and
 //     SiluMul is float32(math.Exp(float64(x))) on every path: a replica of
 //     math's instruction sequence, or (AVX-512) a table fast path that hands
 //     each block whose float32 rounding it cannot vouch for to the replica,
@@ -45,7 +49,7 @@ func Dot(a, b []float32) float32 {
 	}
 	var s float32
 	for i := range a {
-		s += a[i] * b[i]
+		s = FMA32(a[i], b[i], s)
 	}
 	return s
 }
@@ -54,7 +58,7 @@ func Dot(a, b []float32) float32 {
 func Norm(a []float32) float32 {
 	var s float32
 	for _, v := range a {
-		s += v * v
+		s += float32(v * v)
 	}
 	return float32(math.Sqrt(float64(s)))
 }
@@ -67,7 +71,7 @@ func SqDist(a, b []float32) float32 {
 	var s float32
 	for i := range a {
 		d := a[i] - b[i]
-		s += d * d
+		s += float32(d * d)
 	}
 	return s
 }
@@ -80,9 +84,9 @@ func CosineSim(a, b []float32) float32 {
 	}
 	var dot, na, nb float32
 	for i := range a {
-		dot += a[i] * b[i]
-		na += a[i] * a[i]
-		nb += b[i] * b[i]
+		dot += float32(a[i] * b[i])
+		na += float32(a[i] * a[i])
+		nb += float32(b[i] * b[i])
 	}
 	if na == 0 || nb == 0 {
 		return 0
@@ -96,7 +100,7 @@ func Axpy(alpha float32, x, y []float32) {
 		panic("tensor: Axpy length mismatch")
 	}
 	for i := range x {
-		y[i] += alpha * x[i]
+		y[i] += float32(alpha * x[i])
 	}
 }
 
@@ -112,7 +116,12 @@ func Add(dst, a, b []float32) {
 	if len(a) != len(b) || len(dst) != len(a) {
 		panic("tensor: Add length mismatch")
 	}
-	for i := range a {
+	addRow(dst, a, b)
+}
+
+// addGo is the scalar Add loop over [from, len(dst)) (see dotRowsGo).
+func addGo(dst, a, b []float32, from int) {
+	for i := from; i < len(dst); i++ {
 		dst[i] = a[i] + b[i]
 	}
 }

@@ -1,4 +1,4 @@
-//go:build amd64 && !amd64.v3 && !purego
+//go:build amd64 && !purego
 
 package tensor
 
@@ -7,8 +7,9 @@ import "math/bits"
 // Vector path (DESIGN.md §12): each dispatcher below hands the part of its
 // problem that fills whole vector blocks to a kernel in vec_amd64.s and the
 // row and column tails to the scalar loop, so no kernel reads past a slice.
-// The build excludes GOAMD64=v3, where the compiler fuses the scalar loops'
-// multiply-adds and they stop being the oracle for separate VMULPS/VADDPS.
+// Every GOAMD64 level runs it: the scalar loops' multiply-adds are FMA32
+// calls or explicitly rounded products, so no level's compiler can fuse
+// them into other bits.
 
 // useVec is decided once, at init, by CPUID: AVX2, FMA and OS-saved YMM
 // state — with FMA and AVX the predicate under which package math itself
@@ -178,7 +179,7 @@ func axpyTail(out, w, rows []float32, stride, from int) {
 		}
 		row := rows[i*stride+from : i*stride+n]
 		for j, v := range row {
-			tail[j] += wi * v
+			tail[j] = FMA32(wi, v, tail[j])
 		}
 	}
 }
@@ -351,6 +352,20 @@ func scaleRow(x []float32, a float32) {
 	for i := n8; i < len(x); i++ {
 		x[i] *= a
 	}
+}
+
+//go:noescape
+func addAVX2(dst, a, b *float32, n int)
+
+// addRow is Add's loop: whole blocks of eight on addAVX2, the rest in Go.
+// One add an element, so every path has the same bits.
+func addRow(dst, a, b []float32) {
+	n8 := 0
+	if useVec && len(dst) >= 8 {
+		n8 = len(dst) &^ 7
+		addAVX2(&dst[0], &a[0], &b[0], n8)
+	}
+	addGo(dst, a, b, n8)
 }
 
 // rowMax returns Softmax's max of x and whether every element is finite.

@@ -1,4 +1,4 @@
-//go:build amd64 && !amd64.v3 && !purego
+//go:build amd64 && !purego
 
 #include "textflag.h"
 
@@ -11,9 +11,12 @@
 // tail; and the row kernels: AVX-512F RMSNorm and RoPE, and K-means'
 // centroid sums on both widths. Every kernel puts *independent* reduction
 // chains in the vector lanes and never splits one chain across lanes, and
-// float32 arithmetic is a separate VMULPS and VADDPS (no fused
-// multiply-add), so each lane performs exactly the operations of the scalar
-// Go loop in the same order: results are bit-identical for finite inputs. The one exception is how
+// every step of an accumulation chain (a dot product, a weighted sum, a
+// MatTMat column) is one VFMADD231PS, a·b + acc rounded once, which is
+// tensor.FMA32; every other product (a scale, a softmax weight, RoPE, the
+// SiLU gate, the RMSNorm gain) is a VMULPS of its own. So each lane performs
+// exactly the operations of the scalar Go loop in the same order: results
+// are bit-identical for finite inputs. The one exception is how
 // expSumAVX512, tileExpSumAVX512 and pairExpSumAVX512 reach their exps,
 // through a table instead of math.Exp's sequence; each exp is still
 // math.Exp's float32 (see expSumAVX512). Row and column tails stay in Go; no
@@ -82,17 +85,13 @@ no:
 #define DOT8CHUNK \
 	TRANS8CHUNK; \
 	VBROADCASTSS (SI)(AX*1), Y9; \
-	VMULPS      Y1, Y9, Y1; \
-	VADDPS      Y1, Y0, Y0; \
+	VFMADD231PS Y1, Y9, Y0; \
 	VBROADCASTSS 4(SI)(AX*1), Y9; \
-	VMULPS      Y2, Y9, Y2; \
-	VADDPS      Y2, Y0, Y0; \
+	VFMADD231PS Y2, Y9, Y0; \
 	VBROADCASTSS 8(SI)(AX*1), Y9; \
-	VMULPS      Y3, Y9, Y3; \
-	VADDPS      Y3, Y0, Y0; \
+	VFMADD231PS Y3, Y9, Y0; \
 	VBROADCASTSS 12(SI)(AX*1), Y9; \
-	VMULPS      Y4, Y9, Y4; \
-	VADDPS      Y4, Y0, Y0
+	VFMADD231PS Y4, Y9, Y0
 
 // ROWS8 points R9..R15 at the seven rows after R8, CX bytes apart.
 #define ROWS8 \
@@ -201,14 +200,10 @@ c32: \
 r32: \
 	ROW; \
 	VBROADCASTSS (SI)(AX*4), Y8; \
-	VMULPS (R9), Y8, Y4; \
-	VADDPS Y4, Y0, Y0; \
-	VMULPS 32(R9), Y8, Y5; \
-	VADDPS Y5, Y1, Y1; \
-	VMULPS 64(R9), Y8, Y6; \
-	VADDPS Y6, Y2, Y2; \
-	VMULPS 96(R9), Y8, Y7; \
-	VADDPS Y7, Y3, Y3; \
+	VFMADD231PS (R9), Y8, Y0; \
+	VFMADD231PS 32(R9), Y8, Y1; \
+	VFMADD231PS 64(R9), Y8, Y2; \
+	VFMADD231PS 96(R9), Y8, Y3; \
 	INCQ AX; \
 	CMPQ AX, BX; \
 	JLT  r32; \
@@ -230,10 +225,8 @@ c16: \
 r16: \
 	ROW; \
 	VBROADCASTSS (SI)(AX*4), Y8; \
-	VMULPS (R9), Y8, Y4; \
-	VADDPS Y4, Y0, Y0; \
-	VMULPS 32(R9), Y8, Y5; \
-	VADDPS Y5, Y1, Y1; \
+	VFMADD231PS (R9), Y8, Y0; \
+	VFMADD231PS 32(R9), Y8, Y1; \
 	INCQ AX; \
 	CMPQ AX, BX; \
 	JLT  r16; \
@@ -251,8 +244,7 @@ c8: \
 r8: \
 	ROW; \
 	VBROADCASTSS (SI)(AX*4), Y8; \
-	VMULPS (R9), Y8, Y4; \
-	VADDPS Y4, Y0, Y0; \
+	VFMADD231PS (R9), Y8, Y0; \
 	INCQ AX; \
 	CMPQ AX, BX; \
 	JLT  r8; \
@@ -290,15 +282,12 @@ TEXT ·axpyRowsPtrAVX2(SB), NOSPLIT, $0-40
 // accumulators lo | hi; AXPYQ1 is its 8-channel half.
 #define AXPYQ(wreg, lo, hi) \
 	VBROADCASTSS (wreg)(AX*4), Y2; \
-	VMULPS       Y0, Y2, Y3; \
-	VADDPS       Y3, lo, lo; \
-	VMULPS       Y1, Y2, Y2; \
-	VADDPS       Y2, hi, hi
+	VFMADD231PS Y0, Y2, lo; \
+	VFMADD231PS Y1, Y2, hi
 
 #define AXPYQ1(wreg, acc) \
 	VBROADCASTSS (wreg)(AX*4), Y2; \
-	VMULPS       Y0, Y2, Y2; \
-	VADDPS       Y2, acc, acc
+	VFMADD231PS Y0, Y2, acc
 
 // LOADQ and STOREQ move query k's 8-channel accumulator (LOADQ2 and STOREQ2
 // its 16-channel pair) from and to channel byte offset CX of outs[j+k]; SI is
@@ -422,8 +411,7 @@ done:
 // into one query's accumulator acc.
 #define ZAXPY(wreg, acc) \
 	VBROADCASTSS (wreg)(AX*4), Z1; \
-	VMULPS       Z0, Z1, Z1; \
-	VADDPS       Z1, acc, acc
+	VFMADD231PS Z0, Z1, acc
 
 // ZLOADQ and ZSTOREQ move query t's sixteen-channel accumulator from and to
 // channel byte offset CX of outs[j+t]; SI is outs, DI is 8·j.
@@ -510,10 +498,8 @@ zr16:
 // lo | hi.
 #define MACC(xreg, lo, hi) \
 	VBROADCASTSS (xreg)(AX*4), Z2; \
-	VMULPS       Z0, Z2, Z3; \
-	VADDPS       Z3, lo, lo; \
-	VMULPS       Z1, Z2, Z4; \
-	VADDPS       Z4, hi, hi
+	VFMADD231PS Z0, Z2, lo; \
+	VFMADD231PS Z1, Z2, hi
 
 // MLOAD and MSTORE move activation row t's 32-column accumulators from and
 // to column byte offset CX of dsts[t]; SI is dsts.
@@ -613,6 +599,27 @@ mrow:
 	SHLQ $2, BX
 	CMPQ CX, BX
 	JLT  mcol
+	VZEROUPPER
+	RET
+
+// func addAVX2(dst, a, b *float32, n int)
+//
+// dst[i] = a[i] + b[i] for i in [0, n); n%8 == 0, n > 0. dst may alias a
+// or b: each block is read before it is written.
+TEXT ·addAVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ n+24(FP), CX
+	SHLQ $2, CX
+	XORQ AX, AX
+add8:
+	VMOVUPS (SI)(AX*1), Y0
+	VADDPS  (DX)(AX*1), Y0, Y0
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JLT     add8
 	VZEROUPPER
 	RET
 
@@ -1055,28 +1062,19 @@ block:
 // from memory.
 #define TDOT8(c) \
 	VMOVUPS     (c*64)(R11), Z0; \
-	VMULPS.BCST (c*4)(R8), Z0, Z1; \
-	VADDPS      Z1, Z16, Z16; \
-	VMULPS.BCST (c*4)(R8)(CX*1), Z0, Z2; \
-	VADDPS      Z2, Z17, Z17; \
-	VMULPS.BCST (c*4)(R8)(CX*2), Z0, Z3; \
-	VADDPS      Z3, Z18, Z18; \
-	VMULPS.BCST (c*4)(R9), Z0, Z4; \
-	VADDPS      Z4, Z19, Z19; \
-	VMULPS.BCST (c*4)(R8)(CX*4), Z0, Z5; \
-	VADDPS      Z5, Z20, Z20; \
-	VMULPS.BCST (c*4)(R9)(CX*2), Z0, Z6; \
-	VADDPS      Z6, Z21, Z21; \
-	VMULPS.BCST (c*4)(R10), Z0, Z7; \
-	VADDPS      Z7, Z22, Z22; \
-	VMULPS.BCST (c*4)(R10)(CX*1), Z0, Z9; \
-	VADDPS      Z9, Z23, Z23
+	VFMADD231PS.BCST (c*4)(R8), Z0, Z16; \
+	VFMADD231PS.BCST (c*4)(R8)(CX*1), Z0, Z17; \
+	VFMADD231PS.BCST (c*4)(R8)(CX*2), Z0, Z18; \
+	VFMADD231PS.BCST (c*4)(R9), Z0, Z19; \
+	VFMADD231PS.BCST (c*4)(R8)(CX*4), Z0, Z20; \
+	VFMADD231PS.BCST (c*4)(R9)(CX*2), Z0, Z21; \
+	VFMADD231PS.BCST (c*4)(R10), Z0, Z22; \
+	VFMADD231PS.BCST (c*4)(R10)(CX*1), Z0, Z23
 
 // TDOT1(c) is TDOT8 for the one key at R8, into Z16.
 #define TDOT1(c) \
 	VMOVUPS     (c*64)(R11), Z0; \
-	VMULPS.BCST (c*4)(R8), Z0, Z1; \
-	VADDPS      Z1, Z16, Z16
+	VFMADD231PS.BCST (c*4)(R8), Z0, Z16
 
 // TFIN(acc, k) finishes a key every lane sees: it scales the dot products
 // in acc by Z31, takes them into the lanes' max in Z30 and stores them at
@@ -1247,8 +1245,7 @@ trow:
 // R8 (broadcast from memory) into channel c's accumulator acc, in the lanes
 // of K1.
 #define TAXPY(c, acc) \
-	VMULPS.BCST (c*4)(R8), Z0, Z1; \
-	VADDPS      Z1, acc, K1, acc
+	VFMADD231PS.BCST (c*4)(R8), Z0, K1, acc
 
 // TMASK(next) sets K1 to the lanes that see the value row, those at or past
 // DX (R9 is 0xffff), where DX > 0: rows before the causal diagonal keep the
@@ -1455,10 +1452,8 @@ GLOBL tlanes<>(SB), RODATA|NOPTR, $64
 // scores in Y(8+2k) | Y(9+2k).
 #define YDOT1(key, lo, hi) \
 	VBROADCASTSS key, Y2; \
-	VMULPS       Y2, Y0, Y3; \
-	VADDPS       Y3, lo, lo; \
-	VMULPS       Y2, Y1, Y3; \
-	VADDPS       Y3, hi, hi
+	VFMADD231PS Y2, Y0, lo; \
+	VFMADD231PS Y2, Y1, hi
 
 #define YDOT4(c) \
 	VMOVUPS (c*64)(R11), Y0; \
@@ -1641,18 +1636,16 @@ yrow:
 // accumulators' bits.
 #define YAXPY(c, lo, hi) \
 	VBROADCASTSS (c*4)(R8), Y2; \
-	VMULPS       Y2, Y0, Y3; \
-	VADDPS       Y3, lo, lo; \
-	VMULPS       Y2, Y1, Y3; \
-	VADDPS       Y3, hi, hi
+	VFMADD231PS Y2, Y0, lo; \
+	VFMADD231PS Y2, Y1, hi
 
 #define YAXPYM(c, lo, hi) \
 	VBROADCASTSS (c*4)(R8), Y2; \
-	VMULPS       Y2, Y0, Y3; \
-	VADDPS       Y3, lo, Y3; \
+	VMOVAPS      lo, Y3; \
+	VFMADD231PS  Y2, Y0, Y3; \
 	VBLENDVPS    Y14, lo, Y3, lo; \
-	VMULPS       Y2, Y1, Y3; \
-	VADDPS       Y3, hi, Y3; \
+	VMOVAPS      hi, Y3; \
+	VFMADD231PS  Y2, Y1, Y3; \
 	VBLENDVPS    Y15, hi, Y3, hi
 
 // YWEIGHTS sets Y0 | Y1 to the weights of the tile row at SI, its exps
@@ -1947,22 +1940,14 @@ pchan4:
 	VMOVUPS (R10)(CX*1), Z11
 	VBROADCASTSS (SI)(R11*1), Z12
 	VBROADCASTSS (R15)(R11*1), Z13
-	VMULPS  Z8, Z12, Z14
-	VADDPS  Z14, Z0, Z0
-	VMULPS  Z9, Z12, Z15
-	VADDPS  Z15, Z1, Z1
-	VMULPS  Z10, Z12, Z16
-	VADDPS  Z16, Z2, Z2
-	VMULPS  Z11, Z12, Z17
-	VADDPS  Z17, Z3, Z3
-	VMULPS  Z8, Z13, Z18
-	VADDPS  Z18, Z4, Z4
-	VMULPS  Z9, Z13, Z19
-	VADDPS  Z19, Z5, Z5
-	VMULPS  Z10, Z13, Z20
-	VADDPS  Z20, Z6, Z6
-	VMULPS  Z11, Z13, Z21
-	VADDPS  Z21, Z7, Z7
+	VFMADD231PS Z8, Z12, Z0
+	VFMADD231PS Z9, Z12, Z1
+	VFMADD231PS Z10, Z12, Z2
+	VFMADD231PS Z11, Z12, Z3
+	VFMADD231PS Z8, Z13, Z4
+	VFMADD231PS Z9, Z13, Z5
+	VFMADD231PS Z10, Z13, Z6
+	VFMADD231PS Z11, Z13, Z7
 	ADDQ    $4, R11
 	ADDQ    $64, R9
 	ADDQ    $64, R10
@@ -2001,10 +1986,8 @@ pchan1:
 	VMOVUPS (R9), Z8
 	VBROADCASTSS (SI)(R11*1), Z12
 	VBROADCASTSS (R15)(R11*1), Z13
-	VMULPS  Z8, Z12, Z14
-	VADDPS  Z14, Z0, Z0
-	VMULPS  Z8, Z13, Z18
-	VADDPS  Z18, Z4, Z4
+	VFMADD231PS Z8, Z12, Z0
+	VFMADD231PS Z8, Z13, Z4
 	ADDQ    $4, R11
 	ADDQ    $64, R9
 	DECQ    AX
@@ -2045,14 +2028,10 @@ ztiles4:
 	MOVQ d+40(FP), AX
 zchan4:
 	VBROADCASTSS (R11), Z4
-	VMULPS  (R9), Z4, Z5
-	VADDPS  Z5, Z0, Z0
-	VMULPS  (R9)(CX*1), Z4, Z6
-	VADDPS  Z6, Z1, Z1
-	VMULPS  (R10), Z4, Z7
-	VADDPS  Z7, Z2, Z2
-	VMULPS  (R10)(CX*1), Z4, Z8
-	VADDPS  Z8, Z3, Z3
+	VFMADD231PS (R9), Z4, Z0
+	VFMADD231PS (R9)(CX*1), Z4, Z1
+	VFMADD231PS (R10), Z4, Z2
+	VFMADD231PS (R10)(CX*1), Z4, Z3
 	ADDQ    $4, R11
 	ADDQ    $64, R9
 	ADDQ    $64, R10
@@ -2079,8 +2058,7 @@ ztile1:
 	MOVQ  d+40(FP), AX
 zchan1:
 	VBROADCASTSS (R11), Z4
-	VMULPS  (R9), Z4, Z5
-	VADDPS  Z5, Z0, Z0
+	VFMADD231PS (R9), Z4, Z0
 	ADDQ    $4, R11
 	ADDQ    $64, R9
 	DECQ    AX
@@ -2126,14 +2104,10 @@ ytiles4:
 	MOVQ d+40(FP), AX
 ychan4:
 	VBROADCASTSS (R11), Y4
-	VMULPS  (R9), Y4, Y5
-	VADDPS  Y5, Y0, Y0
-	VMULPS  (R9)(CX*1), Y4, Y6
-	VADDPS  Y6, Y1, Y1
-	VMULPS  (R10), Y4, Y7
-	VADDPS  Y7, Y2, Y2
-	VMULPS  (R10)(CX*1), Y4, Y8
-	VADDPS  Y8, Y3, Y3
+	VFMADD231PS (R9), Y4, Y0
+	VFMADD231PS (R9)(CX*1), Y4, Y1
+	VFMADD231PS (R10), Y4, Y2
+	VFMADD231PS (R10)(CX*1), Y4, Y3
 	ADDQ    $4, R11
 	ADDQ    $32, R9
 	ADDQ    $32, R10
@@ -2160,8 +2134,7 @@ ytile1:
 	MOVQ  d+40(FP), AX
 ychan1:
 	VBROADCASTSS (R11), Y4
-	VMULPS  (R9), Y4, Y5
-	VADDPS  Y5, Y0, Y0
+	VFMADD231PS (R9), Y4, Y0
 	ADDQ    $4, R11
 	ADDQ    $32, R9
 	DECQ    AX
@@ -2188,8 +2161,8 @@ ynext:
 // outputs are held in registers (Z0-Z7) while the rows stream past, so a
 // value row is loaded once for all the members and every output adds its
 // products in row order, as AddScaledRows' lanes do. Members 4 to 7 are
-// skipped past nq, in every row, so each member costs one multiply and one
-// add a row.
+// skipped past nq, in every row, so each member costs one fused
+// multiply-add a row.
 TEXT ·groupAxpyAVX512(SB), NOSPLIT, $0-56
 	MOVQ outs+0(FP), R13
 	MOVQ ws+8(FP), DI
@@ -2246,30 +2219,22 @@ aload:
 	XORQ R14, R14
 arow:
 	VMOVUPS (DI), Z8
-	VMULPS.BCST (AX)(R14*4), Z8, Z9
-	VADDPS  Z9, Z0, Z0
-	VMULPS.BCST (BX)(R14*4), Z8, Z10
-	VADDPS  Z10, Z1, Z1
-	VMULPS.BCST (DX)(R14*4), Z8, Z11
-	VADDPS  Z11, Z2, Z2
-	VMULPS.BCST (SI)(R14*4), Z8, Z12
-	VADDPS  Z12, Z3, Z3
+	VFMADD231PS.BCST (AX)(R14*4), Z8, Z0
+	VFMADD231PS.BCST (BX)(R14*4), Z8, Z1
+	VFMADD231PS.BCST (DX)(R14*4), Z8, Z2
+	VFMADD231PS.BCST (SI)(R14*4), Z8, Z3
 	CMPQ R12, $5
 	JLT  anext
-	VMULPS.BCST (R8)(R14*4), Z8, Z13
-	VADDPS  Z13, Z4, Z4
+	VFMADD231PS.BCST (R8)(R14*4), Z8, Z4
 	CMPQ R12, $6
 	JLT  anext
-	VMULPS.BCST (R9)(R14*4), Z8, Z14
-	VADDPS  Z14, Z5, Z5
+	VFMADD231PS.BCST (R9)(R14*4), Z8, Z5
 	CMPQ R12, $7
 	JLT  anext
-	VMULPS.BCST (R10)(R14*4), Z8, Z15
-	VADDPS  Z15, Z6, Z6
+	VFMADD231PS.BCST (R10)(R14*4), Z8, Z6
 	CMPQ R12, $8
 	JLT  anext
-	VMULPS.BCST (R11)(R14*4), Z8, Z16
-	VADDPS  Z16, Z7, Z7
+	VFMADD231PS.BCST (R11)(R14*4), Z8, Z7
 anext:
 	ADDQ CX, DI
 	INCQ R14
@@ -2336,17 +2301,13 @@ bblock:
 brow:
 	VMOVUPS (DI), Y4
 	VBROADCASTSS (AX)(R14*4), Y5
-	VMULPS  Y4, Y5, Y5
-	VADDPS  Y5, Y0, Y0
+	VFMADD231PS Y4, Y5, Y0
 	VBROADCASTSS (BX)(R14*4), Y6
-	VMULPS  Y4, Y6, Y6
-	VADDPS  Y6, Y1, Y1
+	VFMADD231PS Y4, Y6, Y1
 	VBROADCASTSS (DX)(R14*4), Y7
-	VMULPS  Y4, Y7, Y7
-	VADDPS  Y7, Y2, Y2
+	VFMADD231PS Y4, Y7, Y2
 	VBROADCASTSS (SI)(R14*4), Y8
-	VMULPS  Y4, Y8, Y8
-	VADDPS  Y8, Y3, Y3
+	VFMADD231PS Y4, Y8, Y3
 	ADDQ CX, DI
 	INCQ R14
 	CMPQ R14, R12
@@ -2502,7 +2463,7 @@ TEXT ·pairAxpyAVX2(SB), NOSPLIT, $0-49
 	// itself where idx is nil), each below the head's lim at offset lim of
 	// its state or the kernel leaves for abad; page table at pages; weights
 	// at w — times its weight into acc, at channel byte offset R15 (shift in
-	// CX, mask in R12, stride in R13): the multiply and add of axpyRowsAVX2,
+	// CX, mask in R12, stride in R13): the fused multiply-add of axpyRowsAVX2,
 	// in its operand order. Clobbers AX, DX and tmp.
 #define AXKEY(idx, pages, w, acc, tmp, lim, seq) \
 	MOVQ         BX, AX; \
@@ -2520,8 +2481,7 @@ seq: \
 	LEAQ         (DX)(DX*2), DX; \
 	ADDQ         (pages)(DX*8), AX; \
 	VBROADCASTSS (w)(BX*4), tmp; \
-	VMULPS       (AX)(R15*1), tmp, tmp; \
-	VADDPS       tmp, acc, acc
+	VFMADD231PS (AX)(R15*1), tmp, acc
 
 	// AXBODY is the pair weighted sum over the channel bytes [c0, c1) in blocks
 	// of step bytes, one register (acc0, acc1) per head and block: the heads'

@@ -1,4 +1,4 @@
-//go:build amd64 && !amd64.v3 && !purego
+//go:build amd64 && !purego
 
 package tensor
 
@@ -91,6 +91,67 @@ func TestVecDotRows(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestVecAdd holds Add's kernel to its scalar loop at every length
+// through two blocks and a tail, into a fresh slice and in place.
+func TestVecAdd(t *testing.T) {
+	needVec(t)
+	r := rng.New(29)
+	for n := 0; n <= 40; n++ {
+		a, b := oddSlice(r, n), oddSlice(r, n)
+		got, want := make([]float32, n), make([]float32, n)
+		addRow(got, a, b)
+		addGo(want, a, b, 0)
+		expectBitsEqual(t, sprintShape("add", n, 0, 0, 0), got, want)
+		addRow(a, a, b)
+		expectBitsEqual(t, sprintShape("add in place", n, 0, 0, 0), a, want)
+	}
+}
+
+// expectFMALanes checks FMA32(a, b[j], c[j]) for eight lanes j against one
+// row of axpyRowsAVX2, whose VFMADD231PS takes a broadcast, b[j] and c[j].
+func expectFMALanes(t *testing.T, a float32, b, c []float32) {
+	t.Helper()
+	got, want := append([]float32(nil), c[:8]...), make([]float32, 8)
+	for j := range want {
+		want[j] = FMA32(a, b[j], c[j])
+	}
+	axpyRowsAVX2(&got[0], 8, &a, 1, &b[0], 8)
+	for j := range got {
+		if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+			t.Fatalf("FMA32(%08x, %08x, %08x) = %08x, VFMADD231PS %08x", math.Float32bits(a),
+				math.Float32bits(b[j]), math.Float32bits(c[j]), math.Float32bits(want[j]), math.Float32bits(got[j]))
+		}
+	}
+}
+
+// TestVecFMA32 holds FMA32 to the hardware's fused multiply-add on random
+// bit patterns — NaNs of every payload, infinities, zeros and subnormals
+// among them — and on triples whose product and addend nearly cancel.
+func TestVecFMA32(t *testing.T) {
+	needVec(t)
+	r := rng.New(61)
+	specials := []uint32{0, 0x80000000, 1, 0x807fffff, 0x00800000, 0x7f7fffff, 0x7f800000, 0xff800000,
+		0x7fc00000, 0xffc00000, 0x7f800001, 0xffbfffff, 0x3f800000, 0xbf800000}
+	draw := func() float32 {
+		if r.Intn(8) == 0 {
+			return math.Float32frombits(specials[r.Intn(len(specials))])
+		}
+		return math.Float32frombits(uint32(r.Uint64()))
+	}
+	var b, c [8]float32
+	for i := 0; i < 100_000; i++ {
+		a := draw()
+		for j := range b {
+			b[j], c[j] = draw(), draw()
+			if i%2 == 0 {
+				b[j] = r.NormFloat32()
+				c[j] = -float32(float64(a) * float64(b[j]))
+			}
+		}
+		expectFMALanes(t, a, b[:], c[:])
 	}
 }
 
@@ -677,6 +738,7 @@ func TestVecSiluMul(t *testing.T) {
 }
 
 // FuzzVecKernels decodes the input into finite float32 rows and checks the
+// raw values through FMA32 against the kernels' VFMADD231PS, the
 // dot, axpy and softmax dispatchers, the row-list dot and axpy, matTMatBand
 // (on the 16-lane kernels and the register tile, and on the AVX2 kernels),
 // the three score-tile kernels on each kernel set and TileDot against their
@@ -730,6 +792,13 @@ func FuzzVecKernels(f *testing.F) {
 		}
 		if len(raw) == 0 {
 			return
+		}
+		// FMA32 against VFMADD231PS itself on the raw values, non-finite
+		// ones and NaN payloads included.
+		if useVec {
+			for i := 0; i+17 <= len(raw); i += 17 {
+				expectFMALanes(t, raw[i], raw[i+1:i+9], raw[i+9:i+17])
+			}
 		}
 		for _, k := range expKernels {
 			sm, smWant := append([]float32(nil), raw...), append([]float32(nil), raw...)

@@ -1,4 +1,4 @@
-//go:build amd64 && !amd64.v3 && !purego && !noavx512
+//go:build amd64 && !purego && !noavx512
 
 package tensor
 

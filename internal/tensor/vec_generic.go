@@ -1,9 +1,9 @@
-//go:build !amd64 || amd64.v3 || purego
+//go:build !amd64 || purego
 
 package tensor
 
-// Builds without the vector path (every target but amd64, GOAMD64=v3, and
-// the purego tag): each kernel is its scalar Go loop.
+// Builds without the vector path (every target but amd64, and the purego
+// tag): each kernel is its scalar Go loop.
 
 const useVec, cpuAVX512, useExp8, useBlock16 = false, false, false, false
 
@@ -54,6 +54,8 @@ func rowMax(x []float32) (float32, bool) { return rowMaxGo(x) }
 func expSumRow(x []float32, max, sum float32) float32 { return expSumGo(x, max, sum) }
 
 func scaleRow(x []float32, a float32) { Scale(a, x) }
+
+func addRow(dst, a, b []float32) { addGo(dst, a, b, 0) }
 
 func groupDot(_ *KeyLanes, dst, q, pages [][]float32, m, d int, scale float32) {
 	groupDotGo(dst, q, pages, m, d, scale)

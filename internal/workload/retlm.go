@@ -207,7 +207,7 @@ func (lm *RetrievalLM) KV(h, p int) (k, v []float32) {
 	// Values carry the token identity (copy-model head).
 	id := lm.tokenDirs.Row(lm.Tokens[p])
 	for j := range v {
-		v[j] = id[j] + 0.1*hr.NormFloat32()
+		v[j] = id[j] + float32(0.1*hr.NormFloat32())
 	}
 	return k, v
 }
@@ -237,7 +237,7 @@ func (lm *RetrievalLM) Query(h, p int) []float32 {
 		tensor.Scale(cfg.Sharpness, q)
 	}
 	for j := range q {
-		q[j] += 0.5 * sr.NormFloat32()
+		q[j] += float32(0.5 * sr.NormFloat32())
 	}
 	for oc := 0; oc < cfg.OutlierChannels && oc < cfg.D; oc++ {
 		ch := (oc * 7) % cfg.D

@@ -188,7 +188,7 @@ func scheduleSteps(task *Task, rnd *rng.RNG) {
 		for j := 0; j < 3; j++ {
 			t := pool[(s+j*3)%len(pool)]
 			if _, taken := mix.TopicWeights[t]; !taken {
-				mix.TopicWeights[t] = 0.18 + 0.1*float32(j%2)
+				mix.TopicWeights[t] = 0.18 + float32(0.1*float32(j%2))
 			}
 		}
 		genTopic := task.NeedleTopic[hop]

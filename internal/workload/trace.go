@@ -192,8 +192,8 @@ func (t *Trace) genToken(h int, hr *rng.RNG, key, val []float32, topic, pos int)
 		dir := t.topicDirs[h].Row(topic)
 		vdir := t.valueDirs[h].Row(topic)
 		for j := range key {
-			key[j] = cfg.TopicStrength*dir[j] + cfg.NoiseStd*hr.NormFloat32()
-			val[j] = vdir[j] + 0.3*hr.NormFloat32()
+			key[j] = float32(cfg.TopicStrength*dir[j]) + float32(cfg.NoiseStd*hr.NormFloat32())
+			val[j] = vdir[j] + float32(0.3*hr.NormFloat32())
 		}
 	} else {
 		for j := range key {
@@ -205,13 +205,13 @@ func (t *Trace) genToken(h int, hr *rng.RNG, key, val []float32, topic, pos int)
 	// with small relative jitter — the KIVI phenomenon (§III-B).
 	for oc := 0; oc < cfg.OutlierChannels && oc < cfg.D; oc++ {
 		ch := (oc * 7) % cfg.D
-		key[ch] += cfg.OutlierMean * (1 + cfg.OutlierStd*hr.NormFloat32())
+		key[ch] += float32(cfg.OutlierMean * (1 + float32(cfg.OutlierStd*hr.NormFloat32())))
 	}
 	// Per-token global magnitude (lognormal): key norms in real models vary
 	// strongly token-to-token. Cosine clustering is invariant to this scale;
 	// L2 and inner-product distances are dominated by it.
 	if cfg.ScaleStd > 0 {
-		s := float32(math.Exp(cfg.ScaleStd*hr.NormFloat64() - cfg.ScaleStd*cfg.ScaleStd/2))
+		s := float32(math.Exp(float64(cfg.ScaleStd*hr.NormFloat64()) - float64(cfg.ScaleStd*cfg.ScaleStd/2)))
 		for j := range key {
 			key[j] *= s
 		}
@@ -226,8 +226,8 @@ func (t *Trace) genToken(h int, hr *rng.RNG, key, val []float32, topic, pos int)
 		ang := float64(pos) * freq
 		c, s := float32(math.Cos(ang)), float32(math.Sin(ang))
 		a, b := key[2*pr], key[2*pr+1]
-		key[2*pr] = a*c - b*s
-		key[2*pr+1] = a*s + b*c
+		key[2*pr] = float32(a*c) - float32(b*s)
+		key[2*pr+1] = float32(a*s) + float32(b*c)
 	}
 	// Attention-sink offset.
 	if pos >= 0 && pos < cfg.SinkTokens {
@@ -271,7 +271,7 @@ func (t *Trace) AddStep(mix QueryMix, genTopic int, relevant []int, stepSeed uin
 			tensor.Scale(cfg.Sharpness, q)
 		}
 		for j := range q {
-			q[j] += 3 * mix.Noise * sr.NormFloat32()
+			q[j] += float32(3 * mix.Noise * sr.NormFloat32())
 		}
 		// Queries place no mass on the outlier channels (noise there is
 		// zeroed): in real models the outlier key channels act as a
