@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-seq test-xfer-race test-fleet test-trace test-kernels test-purego build-arm64 check-fused fuzz-kernels test-batch test-pool benchmark-check vet bench bench-smoke bench-kernels bench-json bench-compare serve clean
+.PHONY: build test test-seq test-xfer-race test-fleet test-trace test-kernels test-purego build-arm64 check-fused fuzz-kernels test-batch test-pool check-lanes benchmark-check vet bench bench-smoke bench-kernels bench-json bench-compare serve clean
 
 # Experiments with committed BENCH_<exp>.json baselines at the repo root —
 # the perf trajectory the compare gate tracks (DESIGN.md §14): the serving
@@ -33,9 +33,11 @@ test-seq:
 # accessor test four more times, since a schedule-dependent total, a lost or
 # doubled request id, or a Metrics or CachedPrefixes read racing the
 # scheduler shows up only sometimes.
+XFER_RACE_TESTS = 'TestTransferTelemetryDeterministic|TestEngineStressRandomizedLifecycles|TestShutdownMidSpillDrainsCleanly|TestTwoTierHostCountFollowsFootprint|TestEvictedSpilledPrefixTakesItsHostSlots|TestCachedPrefixesFollowsEviction'
+
 test-xfer-race:
 	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/serve/ ./internal/kvcache/ ./internal/core/
-	GOMAXPROCS=2 $(GO) test -race -count=4 -run 'TestTransferTelemetryDeterministic|TestEngineStressRandomizedLifecycles|TestShutdownMidSpillDrainsCleanly|TestTwoTierHostCountFollowsFootprint|TestEvictedSpilledPrefixTakesItsHostSlots|TestCachedPrefixesFollowsEviction' ./internal/serve/
+	GOMAXPROCS=2 $(GO) test -race -count=4 -run $(XFER_RACE_TESTS) ./internal/serve/
 
 # Fleet determinism lane: the multi-replica router suite and its front door,
 # the clusterkv-serve CLI, at the serial schedule and at GOMAXPROCS=2
@@ -45,10 +47,12 @@ test-xfer-race:
 # Submit on one router) four more times, since a booking settled twice or
 # never, a ticket lost in failover, a residency refresh racing the engines, or
 # a router left locked shows up only under some interleavings.
+FLEET_RACE_TESTS = 'Submit|Streaming|Soak|MalformedSharedPrefix'
+
 test-fleet:
 	GOMAXPROCS=1 $(GO) test -count=1 ./internal/fleet/ ./cmd/clusterkv-serve/
 	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/fleet/ ./cmd/clusterkv-serve/
-	GOMAXPROCS=2 $(GO) test -race -count=4 -run 'Submit|Streaming|Soak|MalformedSharedPrefix' ./internal/fleet/
+	GOMAXPROCS=2 $(GO) test -race -count=4 -run $(FLEET_RACE_TESTS) ./internal/fleet/
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
@@ -60,18 +64,24 @@ bench:
 # the intra-op pool is sized once, at init, so `-cpu 1` would still run it
 # at the machine's width. Compare against another commit with medians of
 # alternating runs.
+BENCH_TENSOR = 'BenchmarkMatTMat$$/^64x128$$/^rows8$$'
+BENCH_ATTENTION = 'BenchmarkFullBlock16$$|BenchmarkFullStreaming16Pair$$'
+BENCH_CLUSTER = 'BenchmarkKMeans4096x51$$'
+
 bench-kernels:
-	GOMAXPROCS=1 $(GO) test -run=NONE -bench 'BenchmarkMatTMat$$/^64x128$$/^rows8$$' -count 6 ./internal/tensor/
-	GOMAXPROCS=1 $(GO) test -run=NONE -bench 'BenchmarkFullBlock16$$|BenchmarkFullStreaming16Pair$$' -count 6 ./internal/attention/
-	GOMAXPROCS=1 $(GO) test -run=NONE -bench 'BenchmarkKMeans4096x51$$' -count 6 ./internal/cluster/
+	GOMAXPROCS=1 $(GO) test -run=NONE -bench $(BENCH_TENSOR) -count 6 ./internal/tensor/
+	GOMAXPROCS=1 $(GO) test -run=NONE -bench $(BENCH_ATTENTION) -count 6 ./internal/attention/
+	GOMAXPROCS=1 $(GO) test -run=NONE -bench $(BENCH_CLUSTER) -count 6 ./internal/cluster/
 
 # Tracing determinism lane: re-run the serve and fleet determinism suites
 # with the event tracer attached, locking the observability contract — a
 # traced run is token- and round-identical to an untraced run at the serial
 # schedule and under the race detector at GOMAXPROCS=2 (DESIGN.md §10).
+TRACE_PKGS = ./internal/serve/ ./internal/fleet/ ./internal/obs/
+
 test-trace:
-	GOMAXPROCS=1 $(GO) test -count=1 -run 'Trace' ./internal/serve/ ./internal/fleet/ ./internal/obs/
-	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'Trace' ./internal/serve/ ./internal/fleet/ ./internal/obs/
+	GOMAXPROCS=1 $(GO) test -count=1 -run 'Trace' $(TRACE_PKGS)
+	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'Trace' $(TRACE_PKGS)
 
 # Machine-readable bench trajectory: refresh the committed BENCH_<exp>.json
 # baselines at the repo root (typed metrics + options + seed + commit) for the
@@ -172,9 +182,12 @@ fuzz-kernels:
 # the pair unit every other pick takes (Pair) at GOMAXPROCS=1 and at
 # GOMAXPROCS=2 with the race detector, locking that a
 # stream's tokens do not depend on who shares its cohort (DESIGN.md §13).
+BATCH_TESTS = 'MatTMat|PackedMatMul|MatKernel|BatchDecode|FullShared|GroupKernels|SharedPages|Pair'
+BATCH_PKGS = ./internal/tensor/ ./internal/attention/ ./internal/model/ ./internal/serve/
+
 test-batch:
-	GOMAXPROCS=1 $(GO) test -count=1 -run 'MatTMat|PackedMatMul|MatKernel|BatchDecode|FullShared|GroupKernels|SharedPages|Pair' ./internal/tensor/ ./internal/attention/ ./internal/model/ ./internal/serve/
-	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'MatTMat|PackedMatMul|MatKernel|BatchDecode|FullShared|GroupKernels|SharedPages|Pair' ./internal/tensor/ ./internal/attention/ ./internal/model/ ./internal/serve/
+	GOMAXPROCS=1 $(GO) test -count=1 -run $(BATCH_TESTS) $(BATCH_PKGS)
+	GOMAXPROCS=2 $(GO) test -race -count=1 -run $(BATCH_TESTS) $(BATCH_PKGS)
 
 # Pool lane: the spin paths of internal/parallel (hot helper, caller's wait,
 # park after the window) are schedule-sensitive, so the pool suite and the
@@ -183,11 +196,39 @@ test-batch:
 # without per-position logits), cohort of one ≡ cohort of eight — run under
 # the race detector at GOMAXPROCS 1 (every spin must yield), 2 and 4, three
 # times each (DESIGN.md §6, §13).
+POOL_TESTS = 'TwoPhase|Conformance|BatchDecode|PrefillHit'
+
 test-pool:
 	for p in 1 2 4; do \
 		GOMAXPROCS=$$p $(GO) test -race -count=3 ./internal/parallel/ || exit 1; \
-		GOMAXPROCS=$$p $(GO) test -race -count=3 -run 'TwoPhase|Conformance|BatchDecode|PrefillHit' ./internal/model/ || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -race -count=3 -run $(POOL_TESTS) ./internal/model/ || exit 1; \
 	done
+
+# Lane check: a lane's -run, -bench or -fuzz regex that matches nothing in a
+# package it names runs nothing there and still passes. For every lane
+# above that selects by regex, go test -list (which sees top-level names,
+# so a regex is cut at its first /) must find at least one match in each
+# of its packages.
+check-lanes:
+	@fail=0; \
+	lane() { name=$$1 re=$${2%%/*}; shift 2; \
+		for pkg in "$$@"; do \
+			if ! $(GO) test -list "$$re" $$pkg | grep -qE '^(Test|Benchmark|Fuzz|Example)'; then \
+				echo "check-lanes: $$name: no test in $$pkg matches $$re"; fail=1; \
+			fi; \
+		done; }; \
+	lane test-xfer-race $(XFER_RACE_TESTS) ./internal/serve/; \
+	lane test-fleet $(FLEET_RACE_TESTS) ./internal/fleet/; \
+	lane test-trace 'Trace' $(TRACE_PKGS); \
+	lane test-kernels $(KERNEL_TESTS) $(KERNEL_PKGS); \
+	lane test-batch $(BATCH_TESTS) $(BATCH_PKGS); \
+	lane test-pool $(POOL_TESTS) ./internal/model/; \
+	lane fuzz-kernels FuzzVecKernels ./internal/tensor/; \
+	lane bench-kernels $(BENCH_TENSOR) ./internal/tensor/; \
+	lane bench-kernels $(BENCH_ATTENTION) ./internal/attention/; \
+	lane bench-kernels $(BENCH_CLUSTER) ./internal/cluster/; \
+	if [ $$fail -ne 0 ]; then exit 1; fi; \
+	echo "check-lanes: every lane matches a test in each of its packages"
 
 # Nested benchmark module (benchmark/, driven by BENCHMARK.json): it compiles
 # against this module's API but sits outside `go test ./...`, so vet and test

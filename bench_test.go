@@ -620,7 +620,8 @@ func BenchmarkAttnFullN4k(b *testing.B) {
 
 // BenchmarkAttnSparse1kOf4k measures sparse attention over 1024 positions
 // scattered through 4096 (25 % density: about 16 isolated rows per 64-token
-// page) — the shape of a longctx_decode ClusterKV step.
+// page) — the shape of a longctx_decode ClusterKV step — on Sparse, which is
+// Scratch.Pair with one head.
 func BenchmarkAttnSparse1kOf4k(b *testing.B) {
 	attnBench(b, 4096, 1024, func(sc *attention.Scratch, out, q []float32, st *kvcache.Store, idx []int) {
 		sc.Sparse(out, q, st, idx)
@@ -628,9 +629,10 @@ func BenchmarkAttnSparse1kOf4k(b *testing.B) {
 }
 
 // BenchmarkAttnSparse1kOf4kStreaming is BenchmarkAttnSparse1kOf4k cycling
-// over 16 stores, so the selected rows come from L3; /pair attends two
-// stores a call through Scratch.Pair, the unit a decode step runs, and
-// reports ns per token and head.
+// over 16 stores, so the selected rows come from L3, and reports ns per
+// token and head: /head attends one store a call (Sparse: Scratch.Pair with
+// the second head absent, a lone decode head's unit), /pair two (the unit a
+// decode step runs for every other pick).
 func BenchmarkAttnSparse1kOf4kStreaming(b *testing.B) {
 	b.Run("head", func(b *testing.B) {
 		attnBenchOn(b, 16, 1, 4096, 1024, func(sc *attention.Scratch, out, q [2][]float32, st [2]*kvcache.Store, idx []int) {

@@ -4,16 +4,15 @@
 // raw attention-weight probes used for importance analysis.
 //
 // Most routines operate on a single (layer, head) kvcache.Store; FullShared
-// attends one head of several streams over their shared pages, and Pair two
-// heads of one stream side by side, the decode step's units. The gather
-// paths are *fused* with the
-// score and weighted-sum loops (DESIGN.md §12): a sparse call turns the index
-// list into a table of K and V row addresses, one page lookup per stretch of
-// the list that stays inside one page, and scores and sums the whole table in
-// one kernel call each, reading the rows from their pages in place with no
-// intermediate gathered copy. Per-row arithmetic order matches a contiguous
-// layout exactly, so exact-path outputs are bit-identical to attention over a
-// flat copy of the rows (Store.ReadKeys/ReadValues) at any worker count.
+// attends one head of several streams over their shared pages, and Pair one
+// or two heads of one stream side by side, the decode step's units. Every
+// decode head and every Sparse call goes through Pair's kernels, which are
+// *fused* with the gather (DESIGN.md §12): they turn each listed position
+// into its page and row themselves and read the rows from their pages in
+// place, with no intermediate gathered copy. Per-row arithmetic order
+// matches a contiguous layout exactly, so exact-path outputs are
+// bit-identical to attention over a flat copy of the rows
+// (Store.ReadKeys/ReadValues) at any worker count.
 package attention
 
 import (
@@ -30,16 +29,13 @@ import (
 // safe for concurrent use; give each goroutine its own.
 type Scratch struct {
 	scores []float32
-	// keys and vals are Sparse's row tables: the addresses of the selected
-	// K and V rows, in index-list order.
-	keys, vals []*float32
 	// tile is FullBlock's key-major score tile, and query one of its
 	// queries that FullN attends instead.
 	tile  tensor.ScoreTile
 	query []float32
 	// rows, kp, vp and lanes are FullShared's: the members' score rows, the
 	// shared run's K and V pages, and the K page transposed. Pair keeps its
-	// two heads' score rows in rows and both heads' page tables in kp and vp.
+	// heads' score rows in rows and their page tables in kp and vp.
 	rows   [][]float32
 	kp, vp [][]float32
 	lanes  tensor.KeyLanes
@@ -152,52 +148,47 @@ func (sc *Scratch) FullShared(out, q [][]float32, s []*kvcache.Store, r int) {
 	}
 }
 
-// Pair attends two heads of one decode step side by side: head h attends
-// s[h] with q[h] over idx[h] — nil for the whole store, as Full, else the
-// listed positions, as Sparse — and writes out[h]. Each head's output is
-// Full's or Sparse's, to the bit, and a position past its store panics.
+// Pair attends one or two heads of one decode step side by side: head h
+// attends s[h] with q[h] over idx[h] — nil for the whole store, as Full,
+// else the listed positions in order — and writes out[h]. A nil s[1] leaves
+// the second head absent, and out[1] and q[1] unused. Each head's output is
+// Full's, or attention over a gathered copy of the listed rows, to the bit,
+// and a position past its store panics.
 //
 // The two heads are independent chains run in the same pass (DESIGN.md §12):
 // tensor.PairDot scores both heads' rows with their groups of eight
 // interleaved, tensor.SoftmaxRows carries the two rows' exp sums as two
 // chains in flight, and tensor.PairAddScaled adds both heads' value rows
 // with the two accumulations interleaved. The kernels read each row in
-// place, turning a position into its page and row themselves, so a sparse
-// head builds no table of row addresses; the dot prefetches a sparse head's
-// value rows for the weighted sum. Page sizes the kernels do not take
-// (tensor.PairRuns) attend a head at a time.
+// place, turning a position into its page and row themselves, and the dot
+// prefetches a sparse head's value rows for the weighted sum.
 func (sc *Scratch) Pair(out, q [2][]float32, s [2]*kvcache.Store, idx [2][]int) {
 	d, P := s[0].HeadDim(), s[0].PageTokens()
-	if !tensor.PairRuns(P) {
-		for h, st := range s {
-			if idx[h] == nil {
-				sc.Full(out[h], q[h], st)
-			} else {
-				sc.Sparse(out[h], q[h], st, idx[h])
-			}
-		}
-		return
+	heads, np := 1, s[0].NumPages()
+	if s[1] != nil {
+		heads, np = 2, np+s[1].NumPages()
 	}
-	np0, np := s[0].NumPages(), s[0].NumPages()+s[1].NumPages()
 	sc.kp, sc.vp = grow(sc.kp, np), grow(sc.vp, np)
-	sc.rows = grow(sc.rows, 2)
+	sc.rows = grow(sc.rows, heads)
 	var keys, vals [2]tensor.PairRows
 	var w [2][]float32
-	for h, st := range s {
+	kp, vp := sc.kp, sc.vp
+	for h, st := range s[:heads] {
 		n := st.NumPages()
-		kp, vp := sc.kp[h*np0:][:n], sc.vp[h*np0:][:n]
 		for p := range n {
 			kp[p], vp[p] = st.KeyPage(p), st.ValuePage(p)
 		}
-		keys[h] = tensor.PairRows{Pages: kp, Ahead: vp, Idx: idx[h], N: st.Len()}
-		vals[h] = tensor.PairRows{Pages: vp, Idx: idx[h], N: st.Len()}
+		keys[h] = tensor.PairRows{Pages: kp[:n], Ahead: vp[:n], Idx: idx[h], N: st.Len()}
+		vals[h] = tensor.PairRows{Pages: vp[:n], Idx: idx[h], N: st.Len()}
+		kp, vp = kp[n:], vp[n:]
 		sc.rows[h] = grow(sc.rows[h], keys[h].Len())
 		w[h] = sc.rows[h]
 	}
 	tensor.PairDot(w, q, keys, P, d, float32(1/math.Sqrt(float64(d))))
-	tensor.SoftmaxRows(w[:])
-	tensor.Fill(out[0], 0)
-	tensor.Fill(out[1], 0)
+	tensor.SoftmaxRows(w[:heads])
+	for _, o := range out[:heads] {
+		tensor.Fill(o, 0)
+	}
 	tensor.PairAddScaled(out, w, vals, P, d)
 }
 
@@ -255,46 +246,24 @@ func (sc *Scratch) fullTile(out, q []float32, stride int, s *kvcache.Store, n0, 
 }
 
 // Sparse computes out = softmax(q·K_Sᵀ/√d)·V_S over the tokens listed in
-// idx, fusing the gather with the kernels: it builds the table of the listed
-// K and V rows' addresses — one page lookup per stretch of idx that stays
-// inside one page — and hands the whole table to the row-list kernels
-// (tensor.DotRowsList, AddScaledRowsList), one call each, which read the rows
-// from their pages in place, with no gathered copy. A scattered row still
-// costs more than a contiguous one: on a 2-vCPU AVX-512 host,
-// BenchmarkAttnSparse1kOf4k reads about 10 ns a key against about 6 for
-// BenchmarkAttnFullN4k with the rows in cache, and about 20 cycling over 16
-// stores whose rows come from L3, where each key is two cache misses the
-// hardware prefetcher cannot predict, and where Pair, the decode step's
-// unit, does no better a head. idx order is preserved — scores and
-// accumulation follow idx exactly as the unfused per-token loop, so outputs
-// are bit-identical to it. A position past its page's valid rows panics.
-// Prefill, probes and the tests' oracles call it; a decode step's picks go
-// through Pair.
+// idx: Pair with one head. idx order is kept (scores and accumulation
+// follow idx exactly as the unfused per-token loop, so outputs are
+// bit-identical to it), a nil or empty list gives zeros, and a position
+// past the store panics. A scattered row still costs more than a contiguous
+// one: on a 2-vCPU AVX-512 host, BenchmarkAttnSparse1kOf4k reads about 7 ns
+// a key against about 5 for BenchmarkAttnFullN4k with the rows in cache,
+// and about 15 cycling over 16 stores whose rows come from L3, where each
+// key is two cache misses the hardware prefetcher cannot predict.
 func (sc *Scratch) Sparse(out, q []float32, s *kvcache.Store, idx []int) {
-	m := len(idx)
-	d := s.HeadDim()
-	P := s.PageTokens()
-	scores := sc.Scores(m)
-	sc.keys, sc.vals = grow(sc.keys, m), grow(sc.vals, m)
-	keys, vals := sc.keys[:m], sc.vals[:m]
-	for j := 0; j < m; {
-		p := idx[j] / P
-		start := p * P
-		kp, vp := s.KeyPage(p), s.ValuePage(p)
-		for {
-			// PageRow checks the row against its page's valid rows.
-			r := idx[j] - start
-			keys[j], vals[j] = tensor.PageRow(kp, r, d), tensor.PageRow(vp, r, d)
-			if j++; j == m || uint(idx[j]-start) >= uint(P) {
-				break
-			}
-		}
+	if idx == nil {
+		idx = noPositions
 	}
-	tensor.DotRowsList(scores, q, keys, d, float32(1/math.Sqrt(float64(d))))
-	tensor.Softmax(scores)
-	tensor.Fill(out, 0)
-	tensor.AddScaledRowsList(out, scores, vals, d)
+	sc.Pair([2][]float32{out}, [2][]float32{q}, [2]*kvcache.Store{s}, [2][]int{idx})
 }
+
+// noPositions is an empty list, which Pair must not read as nil (the whole
+// store).
+var noPositions = []int{}
 
 // Weights writes the scaled raw attention logits q·k_i/√d for every token i
 // into dst (length must be ≥ s.Len()). No softmax is applied; these are the

@@ -1,10 +1,9 @@
 package attention_test
 
-// Row-table conformance (DESIGN.md §12): Sparse turns the whole index list
-// into K and V row tables, one page lookup per stretch of the list inside one
-// page, for one call of each row-list kernel. Scattered, duplicated and
-// shuffled selections — which never form a run of consecutive positions —
-// must stay bit-identical to the unfused per-token gather, and a position
+// Scattered-list conformance (DESIGN.md §12): Sparse's kernels turn each
+// listed position into its page and row themselves. Scattered, duplicated
+// and shuffled selections — which never form a run of consecutive positions
+// — must stay bit-identical to the unfused per-token gather, and a position
 // past the store's last row must panic rather than read a stale page row.
 
 import (
@@ -45,9 +44,9 @@ func TestFusedSparsePageGroups(t *testing.T) {
 }
 
 // TestFusedSparsePastTailPanics feeds positions outside the store, inside the
-// tail page's unwritten rows and beyond it: the row table is checked row by
-// row against its page, so each panics rather than handing the kernels the
-// address of a stale page row.
+// tail page's unwritten rows and beyond it: the kernels check each listed
+// position against the store's length before reading its row, so each
+// panics rather than reading a stale page row.
 func TestFusedSparsePastTailPanics(t *testing.T) {
 	const d, n = 16, 100 // tail page holds rows 64..99
 	s := conformanceStore(1, n, d)

@@ -49,6 +49,9 @@ func flatFull(out, q []float32, s *kvcache.Store) {
 
 // softmaxRef mirrors tensor.Softmax's exact operation order.
 func softmaxRef(xs []float32) {
+	if len(xs) == 0 {
+		return
+	}
 	maxv := xs[0]
 	for _, v := range xs[1:] {
 		if v > maxv {

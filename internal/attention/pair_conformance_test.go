@@ -1,11 +1,12 @@
 package attention_test
 
-// Pair conformance (DESIGN.md §12): Scratch.Pair attends two heads side by
-// side, each full or sparse, and every head's output must be what Full or
-// Sparse gives it alone, to the bit — on the AVX-512 and the AVX2 kernels
-// (make test-purego runs the scalar loops) — for head dims 4 to 128, full
-// heads of unequal lengths that cross page boundaries, sparse lists of 0 to
-// 1,024 positions (unsorted, repeating, straddling the pages), and a NaN or
+// Pair conformance (DESIGN.md §12): Scratch.Pair attends one or two heads
+// side by side, each full or sparse, and every head's output must be what
+// attention over a flat copy of its rows gives it (flatFull, unfusedSparse),
+// to the bit — on the AVX-512 and the AVX2 kernels (make test-purego runs
+// the scalar loops) — for head dims 4 to 128, full heads of unequal lengths
+// that cross page boundaries, sparse lists of 0 to 1,024 positions
+// (unsorted, repeating, straddling the pages), a lone head, and a NaN or
 // ±Inf in one head's keys or values.
 
 import (
@@ -29,7 +30,8 @@ func pairList(r *rng.RNG, n, m int) []int {
 	return idx
 }
 
-// pairVsHeads checks one Pair call against a Full or Sparse call per head.
+// pairVsHeads checks one Pair call against a flat reference per head; a nil
+// s[1] is an absent second head, whose output Pair must leave alone.
 func pairVsHeads(t *testing.T, name string, s [2]*kvcache.Store, idx [2][]int) {
 	t.Helper()
 	d := s[0].HeadDim()
@@ -40,13 +42,14 @@ func pairVsHeads(t *testing.T, name string, s [2]*kvcache.Store, idx [2][]int) {
 	}
 	var sc attention.Scratch
 	sc.Pair(got, q, s, idx)
-	for h := range s {
+	for h, st := range s {
 		want := make([]float32, d)
-		var ref attention.Scratch
-		if idx[h] == nil {
-			ref.Full(want, q[h], s[h])
-		} else {
-			ref.Sparse(want, q[h], s[h], idx[h])
+		switch {
+		case st == nil: // untouched
+		case idx[h] == nil:
+			flatFull(want, q[h], st)
+		default:
+			unfusedSparse(want, q[h], st, idx[h])
 		}
 		expectBits(t, fmt.Sprintf("%s head %d", name, h), got[h], want)
 	}
@@ -81,6 +84,25 @@ func TestPairConformance(t *testing.T) {
 	})
 }
 
+// TestPairLoneHead attends one head, the second absent, as a lone decode
+// head and Sparse do: full over stores that end on and off a page boundary,
+// and sparse over lists of 0 to 1,024 positions.
+func TestPairLoneHead(t *testing.T) {
+	pairDispatches(func(disp string) {
+		for _, d := range []int{4, 16, 64, 128} {
+			r := rng.New(uint64(d) + 3)
+			for _, n := range []int{1, 9, 64, 64*5 + 37, 1100} {
+				s := [2]*kvcache.Store{conformanceStore(uint64(n+d), n, d)}
+				name := fmt.Sprintf("%s d=%d n=%d", disp, d, n)
+				pairVsHeads(t, name+" full", s, [2][]int{})
+				for _, m := range []int{0, 7, 8, 9, 1024} {
+					pairVsHeads(t, fmt.Sprint(name, " sparse m=", m), s, [2][]int{pairList(r, n, m)})
+				}
+			}
+		}
+	})
+}
+
 // spoiledStore is conformanceStore with v written into channel 1 of the key
 // (or the value) of position at.
 func spoiledStore(seed uint64, n, d, at int, v float32, key bool) *kvcache.Store {
@@ -102,7 +124,7 @@ func spoiledStore(seed uint64, n, d, at int, v float32, key bool) *kvcache.Store
 
 // TestPairNonFinite puts a NaN, +Inf or −Inf into one head's keys (its
 // scores, so its softmax is the scalar loop) or values: each head keeps
-// Full's or Sparse's bits, the other head untouched.
+// its flat reference's bits, the other head untouched.
 func TestPairNonFinite(t *testing.T) {
 	pairDispatches(func(disp string) {
 		for _, v := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {

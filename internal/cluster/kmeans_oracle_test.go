@@ -12,7 +12,7 @@ import (
 )
 
 // kmeansOracle is KMeans as it was before its assignment went
-// centroid-major and its update through AddScaledRowsList: key-major
+// centroid-major and its update through a row-list weighted sum: key-major
 // assignment with a scalar arg-best per key and an Axpy per member. Every
 // Result field of KMeans must equal this one's to the bit.
 func kmeansOracle(keys []float32, d, c int, cfg Config) *Result {

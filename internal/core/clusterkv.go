@@ -110,11 +110,10 @@ type headState struct {
 	live     []int
 	// ledger tracks simulated residency and transfer counts.
 	ledger *kvcache.Ledger
-	// masks holds one page bitmap per cluster of book, built when the
-	// cluster enters it; posMasks one position bitmap (posSet's), built the
-	// first time the cluster is selected whole.
-	masks    pageMasks
-	posMasks lazyMasks
+	// masks holds one page bitmap per cluster of book (pageSet's), built the
+	// first time the cluster's pages are needed whole; posMasks one position
+	// bitmap (posSet's), built the first time the cluster is selected whole.
+	masks, posMasks lazyMasks
 	// scratch for cluster scores and the top-cluster pick.
 	scores []float32
 	top    cluster.TopScratch
@@ -139,37 +138,15 @@ type headState struct {
 	prefetchStep int64
 }
 
-// pageMasks holds a page bitmap per cluster of a book, made by
-// PageSet.AppendMask: cluster cl's starts at word lo[cl] of the page space
-// and is words[at[cl]:at[cl+1]]. A fetch, a prefetch or an expiry ORs whole
-// clusters' masks into a PageSet, giving the pages a walk over their members
-// would give.
-type pageMasks struct {
-	lo, at []int
-	words  []uint64
-}
-
-// syncMasks builds the page masks of the clusters the head's book gained
-// since the last call.
-func (st *headState) syncMasks() {
-	pm := &st.masks
-	if len(pm.at) == 0 {
-		pm.at = append(pm.at, 0)
-	}
-	for cl := len(pm.lo); cl < st.book.NumClusters(); cl++ {
-		var lo int
-		lo, pm.words = st.pageSet.AppendMask(pm.words, st.book.Members(cl))
-		pm.lo = append(pm.lo, lo)
-		pm.at = append(pm.at, len(pm.words))
-	}
-}
-
-// lazyMasks holds a bitmap per cluster, each made on its first use: a
-// position mask spans every word between a cluster's first and last
-// members — about the whole context for a semantic cluster, 26 KB for the
-// 55 clusters of a 4,128-token test plane — so building them all when a
-// prefix hit adopts its clusters would cost the hit's first token some
-// 35 µs a plane, and most are never selected whole.
+// lazyMasks holds a bitmap per cluster of a book, made by
+// PageSet.AppendMask on its first use; ORing it into the PageSet gives what
+// a walk over the cluster's members would give. A position mask spans every
+// word between a cluster's first and last members — about the whole context
+// for a semantic cluster, 26 KB for the 55 clusters of a 4,128-token test
+// plane — so building them all when a prefix hit adopts its clusters would
+// cost the hit's first token some 35 µs a plane, and most are never selected
+// whole. A page mask is built the first time a fetch, a prefetch or an
+// expiry takes the cluster whole.
 type lazyMasks struct {
 	lo, from, to []int // cluster cl's first word, and its words[from:to]; from < 0 until built
 	words        []uint64
@@ -187,11 +164,6 @@ func (lm *lazyMasks) addTo(ps *kvcache.PageSet, cl int, members []int) {
 		lm.to[cl] = len(lm.words)
 	}
 	ps.AddMask(lm.lo[cl], lm.words[lm.from[cl]:lm.to[cl]])
-}
-
-// addTo inserts cluster cl's pages into ps.
-func (pm *pageMasks) addTo(ps *kvcache.PageSet, cl int) {
-	ps.AddMask(pm.lo[cl], pm.words[pm.at[cl]:pm.at[cl+1]])
 }
 
 // ClusterKV implements attention.Selector.
@@ -288,7 +260,7 @@ func (c *ClusterKV) OnPrefill(layer, head int, s *kvcache.Store) {
 	// Residency is tracked at the store's page granularity: offload and
 	// fetch move whole arena pages, the unit memsim charges PCIe for.
 	st.book = cluster.NewBook(s.HeadDim(), sinks)
-	st.masks, st.posMasks = pageMasks{}, lazyMasks{}
+	st.masks, st.posMasks = lazyMasks{}, lazyMasks{}
 	st.ledger = kvcache.NewLedgerPaged(s.PageTokens())
 	st.posSet = kvcache.NewPageSet(1)
 	st.pageSet = kvcache.NewPageSet(s.PageTokens())
@@ -307,7 +279,6 @@ func (c *ClusterKV) OnPrefill(layer, head int, s *kvcache.Store) {
 		c.clusterPiece(st.book, layer, head, s, from, to, onCut, n-sinks)
 		from = to
 	}
-	st.syncMasks()
 	// Post-prefill offload (Fig. 5): everything beyond the sinks moves to
 	// host memory; sinks stay resident.
 	st.ledger.Offload(sinks, n)
@@ -459,7 +430,6 @@ func (c *ClusterKV) OnAppend(layer, head int, s *kvcache.Store) {
 	// The Book requires batches to be contiguous from ClusteredUpTo; the
 	// pending tail starts exactly there by construction.
 	st.book.AddBatch(res)
-	st.syncMasks()
 	c.shards[head].stats.MetaOps += res.AssignOps
 	st.ledger.Offload(st.pendingFrom, s.Len())
 	st.pendingFrom = s.Len()
@@ -580,7 +550,7 @@ func (st *headState) pickedPages(clusters []int, lastTake int) []int {
 		if i == len(clusters)-1 && lastTake < st.book.Size(cl) {
 			st.pageSet.Add(st.book.Members(cl)[:lastTake])
 		} else {
-			st.masks.addTo(st.pageSet, cl)
+			st.masks.addTo(st.pageSet, cl, st.book.Members(cl))
 		}
 	}
 	st.pages = st.pageSet.AppendTo(st.pages[:0])
@@ -671,7 +641,7 @@ func (c *ClusterKV) EndStep() {
 		for _, cl := range st.live {
 			if c.step-st.cachedAt[cl] > int64(c.cfg.CacheR) {
 				st.cachedAt[cl] = -1
-				st.masks.addTo(st.pageSet, cl)
+				st.masks.addTo(st.pageSet, cl, st.book.Members(cl))
 			} else {
 				keep = append(keep, cl)
 			}

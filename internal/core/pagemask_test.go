@@ -64,7 +64,7 @@ func TestPageMasksMatchMemberWalk(t *testing.T) {
 					var got []int
 					if round%3 == 2 { // an expiry: whole clusters
 						for _, cl := range clusters {
-							st.masks.addTo(st.pageSet, cl)
+							st.masks.addTo(st.pageSet, cl, book.Members(cl))
 							positions = append(positions, book.Members(cl)...)
 						}
 						got = st.pageSet.AppendTo(nil)

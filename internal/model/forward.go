@@ -722,20 +722,13 @@ func (s *Sequence) selectHeads(l int, q []float32, lo, hi int) {
 func (s *Sequence) attendPair(l, h0, h1 int, q, out []float32) {
 	cfg := s.m.cfg
 	d, gs := cfg.HeadDim, cfg.GroupSize()
-	if h1 < 0 {
-		st, qh, oh := s.Store(l, h0/gs), q[h0*d:(h0+1)*d], out[h0*d:(h0+1)*d]
-		if pk := &s.picks[h0]; pk.full {
-			s.attn[h0].Full(oh, qh, st)
-		} else {
-			s.attn[h0].Sparse(oh, qh, st, pk.idx)
-		}
-		return
-	}
-	hs := [2]int{h0, h1}
 	var qs, os [2][]float32
 	var sts [2]*kvcache.Store
 	var idx [2][]int
-	for j, hh := range hs {
+	for j, hh := range [2]int{h0, h1} {
+		if hh < 0 {
+			break
+		}
 		qs[j], os[j], sts[j] = q[hh*d:(hh+1)*d], out[hh*d:(hh+1)*d], s.Store(l, hh/gs)
 		if pk := &s.picks[hh]; !pk.full {
 			if idx[j] = pk.idx; idx[j] == nil {

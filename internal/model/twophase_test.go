@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"clusterkv/internal/attention"
@@ -351,6 +352,53 @@ func TestTwoPhaseBatchMatchesSerialOracle(t *testing.T) {
 				compareWithOracle(t, fmt.Sprintf("width %d cohort %d", width, S), want, got,
 					func(toks []int, lgs [][]float32) { bd.DecodeInto(got, toks, lgs) })
 			})
+		}
+	}
+}
+
+// TestTwoPhaseOddHeadsPairUnitsMatchSerialOracle runs models of three query
+// heads, over three KV heads and over one, so each stream's last head is a
+// pair unit of its own (pairUp's odd remainder), which Scratch.Pair attends
+// alone: cohorts of one and three, ClusterKV's full picks in its bypass
+// layers and sparse picks past them, Quest and full attention, at GOMAXPROCS
+// 1 and 2, against the serial oracle.
+func TestTwoPhaseOddHeadsPairUnitsMatchSerialOracle(t *testing.T) {
+	cohort := func(m *Model, S int) []*Sequence {
+		seqs := make([]*Sequence, S)
+		for i := range seqs {
+			var sel attention.Selector
+			switch i % 3 {
+			case 0:
+				sel = core.New(core.NewConfig())
+			case 1:
+				sel = baselines.NewQuest(baselines.NewQuestConfig())
+			}
+			seqs[i] = m.NewSequence(sel, twoPhaseBudget)
+			seqs[i].Prefill(twoPhaseTokens(m, uint64(700+i), twoPhasePrompt-24*i), nil)
+		}
+		return seqs
+	}
+	for _, kv := range []int{3, 1} {
+		cfg := DefaultConfig()
+		cfg.NHeads, cfg.NKVHeads = 3, kv
+		for _, procs := range []int{1, 2} {
+			for _, S := range []int{1, 3} {
+				t.Run(fmt.Sprintf("kv=%d/procs=%d/cohort=%d", kv, procs, S), func(t *testing.T) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					withPoolWidth(t, procs, func() {
+						m := New(cfg)
+						want, got := cohort(m, S), cohort(m, S)
+						defer releaseAll(want)
+						defer releaseAll(got)
+						bd := m.NewBatchDecoder()
+						compareWithOracle(t, "odd heads", want, got,
+							func(toks []int, lgs [][]float32) { bd.DecodeInto(got, toks, lgs) })
+						if st := got[0].sel.Stats(); st.TokensSelected == 0 {
+							t.Fatalf("no sparse pick: %+v", st)
+						}
+					})
+				})
+			}
 		}
 	}
 }

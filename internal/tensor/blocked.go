@@ -1,7 +1,5 @@
 package tensor
 
-import "unsafe"
-
 // Blocked GEMV kernels (DESIGN.md §12). The Go compiler does not
 // auto-vectorize, so the win available to a pure-Go GEMV is instruction-level
 // parallelism: a single dot product is one serial FP-add dependency chain,
@@ -60,32 +58,6 @@ func dotRowsGo(dst, x, rows []float32, d int, scale float32) {
 	}
 }
 
-// DotRowsList is DotRows over a row list: dst[i] = scale * <x, row i>, row
-// i being the d float32s that rows[i] points at — a KV row read in place in
-// its page. The list may be in any order and repeat rows. Each dst[i] is
-// bit-identical to the DotRows result for that row, so a scattered selection
-// costs what a contiguous one does. The kernels read the rows unchecked: the
-// caller guarantees that every rows[i] addresses d readable values
-// (PageRow checks each row against its page).
-func DotRowsList(dst, x []float32, rows []*float32, d int, scale float32) {
-	if len(x) != d || len(dst) != len(rows) {
-		panic("tensor: DotRowsList length mismatch")
-	}
-	dotRowsList(dst, x, rows, d, scale)
-}
-
-// dotRowsListGo is the scalar DotRowsList loop (see dotRowsGo).
-func dotRowsListGo(dst, x []float32, rows []*float32, d int, scale float32) {
-	for i, p := range rows {
-		row := unsafe.Slice(p, d)
-		var s float32
-		for j, xj := range x {
-			s = FMA32(xj, row[j], s)
-		}
-		dst[i] = s * scale
-	}
-}
-
 // AddScaledRows computes out[j] += Σ_i w[i] * rows[i*d + j] — the weighted
 // row sum of attention's value accumulation — four rows per pass. Each
 // out[j] accumulates rows in ascending order exactly as the serial loop
@@ -136,47 +108,6 @@ func addScaledRowsGo(out, w, rows []float32, d int) {
 		row := rows[i*d : i*d+d]
 		for j := range out {
 			out[j] = FMA32(wi, row[j], out[j])
-		}
-	}
-}
-
-// PageRow returns the address of row r of page, a page of d-float32 rows:
-// one entry of the row list DotRowsList and AddScaledRowsList read. The row's
-// last value is indexed first, so a row not wholly inside the page's length —
-// r negative or at or past the rows the page holds — panics rather than
-// handing the kernels an address past it; that one check covers the address
-// taken below.
-func PageRow(page []float32, r, d int) *float32 {
-	_ = page[r*d+d-1]
-	return (*float32)(unsafe.Add(unsafe.Pointer(unsafe.SliceData(page)), uintptr(r*d)*4))
-}
-
-// AddScaledRowsList is AddScaledRows over a row list (see DotRowsList):
-// out[j] += Σ_i w[i] * (the row at rows[i])[j], rows taken in list order, so
-// the result is bit-identical to AddScaledRows over a gathered copy of the
-// listed rows.
-func AddScaledRowsList(out, w []float32, rows []*float32, d int) {
-	if len(out) != d || len(w) != len(rows) {
-		panic("tensor: AddScaledRowsList length mismatch")
-	}
-	addScaledRowsList(out, w, rows, d)
-}
-
-// addScaledRowsListGo is the scalar AddScaledRowsList loop over the channels
-// [from, len(out)) (see dotRowsGo); the vector path hands it the channel tail.
-func addScaledRowsListGo(out, w []float32, rows []*float32, from int) {
-	n := len(out)
-	if from == n {
-		return
-	}
-	tail := out[from:]
-	for i, wi := range w {
-		if wi == 0 {
-			continue
-		}
-		row := unsafe.Slice(rows[i], n)[from:]
-		for j, v := range row {
-			tail[j] = FMA32(wi, v, tail[j])
 		}
 	}
 }

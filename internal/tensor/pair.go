@@ -1,18 +1,19 @@
 package tensor
 
-import "unsafe"
-
-// Pair kernels of decode attention (DESIGN.md §12): two heads of one stream,
-// each over its own store, attended side by side. PairDot scores both heads'
-// keys with their groups of eight rows interleaved, SoftmaxRows carries the
-// two exp sums as two serial chains side by side, and PairAddScaled adds both
-// heads' value rows into their own outputs with the two chains interleaved,
-// so every phase has two independent chains in flight where a lone head has
-// one. A head's rows are read in place from its pages: a full head's row j is
-// position j, a sparse head's is position Idx[j], and the kernels turn each
-// position into its page and row themselves, so no table of row addresses
-// is built. Each head's scores and outputs are what DotRows/DotRowsList and
-// AddScaledRows/AddScaledRowsList give it alone, to the bit.
+// Pair kernels of decode attention (DESIGN.md §12): one or two heads of one
+// stream, each over its own store, attended side by side. PairDot scores
+// both heads' keys with their groups of eight rows interleaved, SoftmaxRows
+// carries the two exp sums as two serial chains side by side, and
+// PairAddScaled adds both heads' value rows into their own outputs with the
+// two chains interleaved, so every phase has two independent chains in
+// flight where a lone head has one. A head's rows are read in place from
+// its pages: a full head's row j is position j, a sparse head's is position
+// Idx[j], and the kernels turn each position into its page and row
+// themselves, so no table of row addresses is built. Each head's scores and
+// outputs are what DotRows and AddScaledRows give it over a gathered copy
+// of its rows, to the bit. A head of no rows — an absent second head, with
+// no pages and N 0 — may pass nil for its query and output, which are then
+// not touched.
 
 // PairRows is one head's rows for the pair kernels: the store's pages, P
 // rows of d values each, every one full but the last; N, the positions they
@@ -24,12 +25,6 @@ type PairRows struct {
 	Idx          []int
 	N            int
 }
-
-// PairRuns reports whether the pair kernels take pages of P rows: P a power
-// of two of at least eight, so a position's page and row are a shift and a
-// mask and eight consecutive positions from a multiple of eight share a
-// page. Other page sizes attend a head at a time.
-func PairRuns(P int) bool { return P >= 8 && P&(P-1) == 0 }
 
 // Len returns how many rows the head attends: len(Idx), or N when Idx is
 // nil.
@@ -43,12 +38,13 @@ func (r *PairRows) Len() int {
 // errPastRows is the panic of a listed position at or past a head's N.
 const errPastRows = "tensor: pair position past the rows"
 
-// row returns the address of position pos, which must be below N.
-func (r *PairRows) row(pos, P, d int) *float32 {
+// row returns the d values of position pos, which must be below N.
+func (r *PairRows) row(pos, P, d int) []float32 {
 	if uint(pos) >= uint(r.N) {
 		panic(errPastRows)
 	}
-	return PageRow(r.Pages[pos/P], pos%P, d)
+	o := pos % P * d
+	return r.Pages[pos/P][o : o+d]
 }
 
 // check panics unless the pages, and Ahead's if set, hold every position
@@ -70,7 +66,7 @@ func (r *PairRows) check(P, d int) {
 // ascending from +0, then the scale). P is the page size in rows.
 func PairDot(dst, q [2][]float32, rows [2]PairRows, P, d int, scale float32) {
 	for h := range rows {
-		if len(q[h]) != d || len(dst[h]) < rows[h].Len() || P < 1 {
+		if n := rows[h].Len(); n > 0 && len(q[h]) != d || len(dst[h]) < n || P < 1 {
 			panic("tensor: PairDot shape mismatch")
 		}
 		rows[h].check(P, d)
@@ -80,11 +76,10 @@ func PairDot(dst, q [2][]float32, rows [2]PairRows, P, d int, scale float32) {
 
 // PairAddScaled adds both heads' weighted rows into their outputs:
 // out[h][c] += Σ_j w[h][j]·(row j of rows[h])[c], j ascending, which is
-// AddScaledRows (a full head) or AddScaledRowsList (a sparse one) for that
-// head, to the bit.
+// AddScaledRows over that head's rows, to the bit.
 func PairAddScaled(out, w [2][]float32, rows [2]PairRows, P, d int) {
 	for h := range rows {
-		if len(out[h]) != d || len(w[h]) < rows[h].Len() || P < 1 {
+		if n := rows[h].Len(); n > 0 && len(out[h]) != d || len(w[h]) < n || P < 1 {
 			panic("tensor: PairAddScaled shape mismatch")
 		}
 		rows[h].check(P, d)
@@ -118,7 +113,7 @@ func pairDotGo(dst, q [2][]float32, rows *[2]PairRows, P, d int, scale float32) 
 			if r.Idx != nil {
 				pos = r.Idx[j]
 			}
-			row := unsafe.Slice(r.row(pos, P, d), d)
+			row := r.row(pos, P, d)
 			var s float32
 			for c, x := range q[h] {
 				s = FMA32(x, row[c], s)
@@ -130,10 +125,13 @@ func pairDotGo(dst, q [2][]float32, rows *[2]PairRows, P, d int, scale float32) 
 
 // pairAddScaledGo is the scalar PairAddScaled loop over the channels
 // [from, d): a full head's AddScaledRows loop page by page, a sparse head's
-// AddScaledRowsList loop.
+// the same loop a listed row at a time.
 func pairAddScaledGo(out, w [2][]float32, rows *[2]PairRows, P, d, from int) {
 	for h := range rows {
 		r := &rows[h]
+		if r.Len() == 0 {
+			continue
+		}
 		if r.Idx == nil && from == 0 {
 			for p, i := 0, 0; i < r.N; p++ {
 				n := min(P, r.N-i)
@@ -156,7 +154,7 @@ func pairAddScaledGo(out, w [2][]float32, rows *[2]PairRows, P, d, from int) {
 			if r.Idx != nil {
 				pos = r.Idx[j]
 			}
-			row := unsafe.Slice(r.row(pos, P, d), d)[from:]
+			row := r.row(pos, P, d)[from:]
 			for c, v := range row {
 				tail[c] = FMA32(wj, v, tail[c])
 			}

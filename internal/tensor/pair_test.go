@@ -28,9 +28,10 @@ func pairHeadRows(r *rng.RNG, n, P, d int, listed bool, m int) (PairRows, [][]fl
 	return pr, vals
 }
 
-// pairVsHeads checks PairDot and PairAddScaled against each head's own
-// DotRows/DotRowsList and AddScaledRows/AddScaledRowsList, and against the
-// scalar pair loops. spoil, if set, edits the keys and values first.
+// pairVsHeads checks PairDot and PairAddScaled against DotRows and
+// AddScaledRows over each head's gathered rows, and against the scalar pair
+// loops. A head of no rows is absent: no pages, and a nil query and output.
+// spoil, if set, edits the keys and values first.
 func pairVsHeads(t *testing.T, name string, r *rng.RNG, P, d int, n, m [2]int, listed [2]bool, spoil func(k, v [2]PairRows)) {
 	t.Helper()
 	name = fmt.Sprintf("%s P=%d d=%d n=%v m=%v listed=%v", name, P, d, n, m, listed)
@@ -40,7 +41,9 @@ func pairVsHeads(t *testing.T, name string, r *rng.RNG, P, d int, n, m [2]int, l
 		var vals [][]float32
 		rows[h], vals = pairHeadRows(r, n[h], P, d, listed[h], m[h])
 		vrows[h] = PairRows{Pages: vals, Idx: rows[h].Idx, N: n[h]}
-		q[h] = oddValues(r, d)
+		if n[h] > 0 || listed[h] {
+			q[h] = oddValues(r, d)
+		}
 	}
 	if spoil != nil {
 		spoil(rows, vrows)
@@ -53,7 +56,9 @@ func pairVsHeads(t *testing.T, name string, r *rng.RNG, P, d int, n, m [2]int, l
 	PairDot(got, q, rows, P, d, scale)
 	pairDotGo(goRef, q, &rows, P, d, scale)
 	for h, pr := range rows {
-		headDot(want[h], q[h], pr, P, d, scale)
+		if q[h] != nil {
+			headDot(want[h], q[h], pr, P, d, scale)
+		}
 		expectBitsEqual(t, fmt.Sprint(name, " PairDot head ", h), got[h], want[h])
 		expectBitsEqual(t, fmt.Sprint(name, " pairDotGo head ", h), goRef[h], want[h])
 	}
@@ -64,13 +69,18 @@ func pairVsHeads(t *testing.T, name string, r *rng.RNG, P, d int, n, m [2]int, l
 	}
 	var out, outWant, outGo [2][]float32
 	for h := range out {
-		out[h] = oddValues(r, d)
-		outWant[h] = append([]float32(nil), out[h]...)
-		outGo[h] = append([]float32(nil), out[h]...)
+		if q[h] != nil {
+			out[h] = oddValues(r, d)
+			outWant[h] = append([]float32(nil), out[h]...)
+			outGo[h] = append([]float32(nil), out[h]...)
+		}
 	}
 	PairAddScaled(out, got, vrows, P, d)
 	pairAddScaledGo(outGo, got, &vrows, P, d, 0)
 	for h, pr := range vrows {
+		if q[h] == nil {
+			continue
+		}
 		headAddScaled(outWant[h], got[h], pr, P, d)
 		expectBitsEqual(t, fmt.Sprint(name, " PairAddScaled head ", h), out[h], outWant[h])
 		if !hasNonFinite(pr) {
@@ -79,38 +89,29 @@ func pairVsHeads(t *testing.T, name string, r *rng.RNG, P, d int, n, m [2]int, l
 	}
 }
 
-// headDot is one head's scores through the per-head kernels.
-func headDot(dst, q []float32, pr PairRows, P, d int, scale float32) {
-	if pr.Idx == nil {
-		for p, i := 0, 0; i < pr.N; p++ {
-			k := min(P, pr.N-i)
-			DotRows(dst[i:i+k], q, pr.Pages[p], d, scale)
-			i += k
+// gathered returns a flat copy of one head's rows in the order it attends
+// them.
+func gathered(pr PairRows, P, d int) []float32 {
+	flat := make([]float32, 0, pr.Len()*d)
+	for j := range pr.Len() {
+		pos := j
+		if pr.Idx != nil {
+			pos = pr.Idx[j]
 		}
-		return
+		flat = append(flat, pr.Pages[pos/P][pos%P*d:][:d]...)
 	}
-	ptr := make([]*float32, len(pr.Idx))
-	for j, pos := range pr.Idx {
-		ptr[j] = PageRow(pr.Pages[pos/P], pos%P, d)
-	}
-	DotRowsList(dst, q, ptr, d, scale)
+	return flat
 }
 
-// headAddScaled is one head's weighted sum through the per-head kernels.
+// headDot is one head's scores through DotRows over its gathered rows.
+func headDot(dst, q []float32, pr PairRows, P, d int, scale float32) {
+	DotRows(dst, q, gathered(pr, P, d), d, scale)
+}
+
+// headAddScaled is one head's weighted sum through AddScaledRows over its
+// gathered rows.
 func headAddScaled(out, w []float32, pr PairRows, P, d int) {
-	if pr.Idx == nil {
-		for p, i := 0, 0; i < pr.N; p++ {
-			k := min(P, pr.N-i)
-			AddScaledRows(out, w[i:i+k], pr.Pages[p], d)
-			i += k
-		}
-		return
-	}
-	ptr := make([]*float32, len(pr.Idx))
-	for j, pos := range pr.Idx {
-		ptr[j] = PageRow(pr.Pages[pos/P], pos%P, d)
-	}
-	AddScaledRowsList(out, w, ptr, d)
+	AddScaledRows(out, w[:pr.Len()], gathered(pr, P, d), d)
 }
 
 // hasNonFinite reports whether a head's pages hold a NaN or ±Inf, where
@@ -130,17 +131,19 @@ func hasNonFinite(pr PairRows) bool {
 // pairShapes runs check on the pair kernels' shapes: head dims 4 to 128 and
 // some that no vector width divides, pages of 8 to 64 rows and one the
 // kernels do not take (12), full heads of unequal lengths that cross page
-// boundaries, and listed heads of 0 to 1,024 positions.
+// boundaries, listed heads of 0 to 1,024 positions, and a full or listed
+// head beside an absent one.
 func pairShapes(check func(P, d int, n, m [2]int, listed [2]bool)) {
 	for _, d := range []int{4, 8, 12, 16, 20, 64, 68, 128} {
 		for _, P := range []int{8, 16, 64, 12} {
-			for _, n := range [][2]int{{1, 1}, {7, 9}, {64, 65}, {200, 131}, {P*3 + 5, P}, {1100, 1100}} {
+			for _, n := range [][2]int{{1, 1}, {7, 9}, {64, 65}, {200, 131}, {P*3 + 5, P}, {1100, 1100}, {9, 0}, {200, 0}} {
 				check(P, d, n, [2]int{}, [2]bool{})
 			}
 			for _, m := range [][2]int{{0, 1}, {7, 8}, {9, 256}, {1024, 7}, {8, 0}} {
 				check(P, d, [2]int{300, 1100}, m, [2]bool{true, true})
 				check(P, d, [2]int{300, 1100}, m, [2]bool{true, false})
 				check(P, d, [2]int{130, 77}, m, [2]bool{false, true})
+				check(P, d, [2]int{300, 0}, m, [2]bool{true, false})
 			}
 		}
 	}

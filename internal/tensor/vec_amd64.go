@@ -28,9 +28,6 @@ func dotRowsPtrAVX2(dst, x *float32, rows **float32, m, d int, scale float32)
 func axpyRowsAVX2(out *float32, n int, w *float32, m int, rows *float32, stride int)
 
 //go:noescape
-func axpyRowsPtrAVX2(out *float32, n int, w *float32, rows **float32, m int)
-
-//go:noescape
 func maxAbsAVX2(x *float32, n int) (max float32, absBits uint32)
 
 //go:noescape
@@ -135,25 +132,6 @@ func dotRowsTail(dst, x []float32, pad *[8]*float32, d int, scale float32) {
 	copy(dst, res[:len(dst)])
 }
 
-func dotRowsList(dst, x []float32, rows []*float32, d int, scale float32) {
-	m := len(rows)
-	if !useVec || m == 0 || d == 0 || d%4 != 0 {
-		dotRowsListGo(dst, x, rows, d, scale)
-		return
-	}
-	m8 := m &^ 7
-	if m8 > 0 {
-		dotRowsPtrAVX2(&dst[0], &x[0], &rows[0], m8, d, scale)
-	}
-	if m8 < m {
-		var pad [8]*float32
-		for i := copy(pad[:], rows[m8:]); i < len(pad); i++ {
-			pad[i] = rows[m-1]
-		}
-		dotRowsTail(dst[m8:], x, &pad, d, scale)
-	}
-}
-
 // axpyRows computes out[j] += Σ_i w[i]·row_i[j] for rows i ascending, row i
 // being rows[i·stride:]. Needs useVec and len(w) > 0. The zero-weight skip of
 // the scalar loops is not reproduced: for finite rows a zero weight adds an
@@ -190,16 +168,6 @@ func addScaledRows(out, w, rows []float32, d int) {
 		return
 	}
 	axpyRows(out, w, rows, d)
-}
-
-func addScaledRowsList(out, w []float32, rows []*float32, d int) {
-	if !useVec || len(w) == 0 || d < 8 {
-		addScaledRowsListGo(out, w, rows, 0)
-		return
-	}
-	n8 := d &^ 7
-	axpyRowsPtrAVX2(&out[0], n8, &w[0], &rows[0], len(w))
-	addScaledRowsListGo(out, w, rows, n8)
 }
 
 // The ScoreTile kernels run where tileKernels holds, the 16-lane ones where
@@ -554,22 +522,21 @@ func pairAxpyAVX2(h *[2]pairHead, shift, mask, stride, c0, c1 int) (bad bool)
 func pairAxpyAVX512(h *[2]pairHead, shift, mask, stride, c0, c1 int) (bad bool)
 
 // pairKernels reports whether the pair kernels run for pages of P rows: the
-// vector path and PairRuns.
-func pairKernels(P int) bool { return useVec && PairRuns(P) }
+// vector path, and P a power of two of at least eight, so a position's page
+// and row are a shift and a mask and eight consecutive positions from a
+// multiple of eight share a page. Other page sizes take the scalar loops.
+func pairKernels(P int) bool { return useVec && P >= 8 && P&(P-1) == 0 }
 
-// pairHeads fills the kernel state of both heads for n[h] rows each; dst
-// is set wherever it is not empty, as the weighted sum needs.
+// pairHeads fills the kernel state of both heads for n[h] rows each. A head
+// of no rows keeps nil pointers: the kernels neither read nor write it.
 func pairHeads(hs *[2]pairHead, dst, x [2][]float32, rows *[2]PairRows, n [2]int) {
 	for h := range rows {
 		r := &rows[h]
 		hs[h] = pairHead{n: n[h], lim: r.N}
-		if len(dst[h]) > 0 {
-			hs[h].dst = &dst[h][0]
-		}
 		if n[h] == 0 {
 			continue
 		}
-		hs[h].x, hs[h].pages, hs[h].pf = &x[h][0], &r.Pages[0], &r.Pages[0]
+		hs[h].dst, hs[h].x, hs[h].pages, hs[h].pf = &dst[h][0], &x[h][0], &r.Pages[0], &r.Pages[0]
 		if r.Idx != nil {
 			hs[h].idx = &r.Idx[0]
 		}
@@ -578,7 +545,8 @@ func pairHeads(hs *[2]pairHead, dst, x [2][]float32, rows *[2]PairRows, n [2]int
 
 // pairDot runs each head's whole groups of eight rows on pairDotAVX2, both
 // heads in one call, and its last rows on dotRows (a full head: they share
-// the last page) or dotRowsList.
+// the last page) or, padded to eight by repeating the last listed row, on
+// dotRowsTail.
 func pairDot(dst, q [2][]float32, rows *[2]PairRows, P, d int, scale float32) {
 	if !pairKernels(P) || d%4 != 0 {
 		pairDotGo(dst, q, rows, P, d, scale)
@@ -610,11 +578,11 @@ func pairDot(dst, q [2][]float32, rows *[2]PairRows, P, d int, scale float32) {
 			dotRows(dst[h][j:m], q[h], r.Pages[j/P][j%P*d:], d, scale)
 			continue
 		}
-		var ptr [8]*float32
-		for i, pos := range r.Idx[j:] {
-			ptr[i] = r.row(pos, P, d)
+		var pad [8]*float32
+		for i := range pad {
+			pad[i] = &r.row(r.Idx[min(j+i, m-1)], P, d)[0]
 		}
-		dotRowsList(dst[h][j:m], q[h], ptr[:m-j], d, scale)
+		dotRowsTail(dst[h][j:m], q[h], &pad, d, scale)
 	}
 }
 
@@ -656,7 +624,7 @@ func pairSoftmax(w [2][]float32) {
 // pairAddScaled runs both heads' rows on the kernels over the channels that
 // fill whole vectors — sixteen to a register where the CPU has AVX-512F,
 // eight on AVX2 — and the last d%8 channels on the scalar loop, which is
-// how AddScaledRows and AddScaledRowsList split them.
+// how AddScaledRows splits them.
 func pairAddScaled(out, w [2][]float32, rows *[2]PairRows, P, d int) {
 	if !pairKernels(P) || d < 8 {
 		pairAddScaledGo(out, w, rows, P, d, 0)

@@ -169,93 +169,14 @@ chunk:
 	VZEROUPPER
 	RET
 
-// The axpy-rows kernels compute out[j] += w[i]·row_i[j] for rows i ascending.
-// Lanes are output channels: 32, 16 or 8 of them are held in registers while
-// every row streams past, so each out[j] adds its products in row order.
-// Register use: DI out, CX channels left (n%8 == 0), SI w, BX m (> 0),
-// DX rows (advanced with DI), R8 row stride in bytes, R9 current row,
-// AX row counter, R12 the next row of a sequential walk; the pointer-list
-// variant loads row AX's address from R10[AX], DX being the channel offset
-// of the block. AXPYROWS is the whole loop nest, the two kernels differing
-// only in ROW, which sets R9 for row AX.
-
-#define ROWSEQ \
-	MOVQ R12, R9; \
-	ADDQ R8, R12
-
-#define ROWPTR \
-	MOVQ (R10)(AX*8), R9; \
-	ADDQ DX, R9
-
-#define AXPYROWS(ROW) \
-c32: \
-	CMPQ CX, $32; \
-	JLT  c16; \
-	VMOVUPS (DI), Y0; \
-	VMOVUPS 32(DI), Y1; \
-	VMOVUPS 64(DI), Y2; \
-	VMOVUPS 96(DI), Y3; \
-	XORQ AX, AX; \
-	MOVQ DX, R12; \
-r32: \
-	ROW; \
-	VBROADCASTSS (SI)(AX*4), Y8; \
-	VFMADD231PS (R9), Y8, Y0; \
-	VFMADD231PS 32(R9), Y8, Y1; \
-	VFMADD231PS 64(R9), Y8, Y2; \
-	VFMADD231PS 96(R9), Y8, Y3; \
-	INCQ AX; \
-	CMPQ AX, BX; \
-	JLT  r32; \
-	VMOVUPS Y0, (DI); \
-	VMOVUPS Y1, 32(DI); \
-	VMOVUPS Y2, 64(DI); \
-	VMOVUPS Y3, 96(DI); \
-	ADDQ $128, DI; \
-	ADDQ $128, DX; \
-	SUBQ $32, CX; \
-	JMP  c32; \
-c16: \
-	CMPQ CX, $16; \
-	JLT  c8; \
-	VMOVUPS (DI), Y0; \
-	VMOVUPS 32(DI), Y1; \
-	XORQ AX, AX; \
-	MOVQ DX, R12; \
-r16: \
-	ROW; \
-	VBROADCASTSS (SI)(AX*4), Y8; \
-	VFMADD231PS (R9), Y8, Y0; \
-	VFMADD231PS 32(R9), Y8, Y1; \
-	INCQ AX; \
-	CMPQ AX, BX; \
-	JLT  r16; \
-	VMOVUPS Y0, (DI); \
-	VMOVUPS Y1, 32(DI); \
-	ADDQ $64, DI; \
-	ADDQ $64, DX; \
-	SUBQ $16, CX; \
-c8: \
-	CMPQ CX, $8; \
-	JLT  done; \
-	VMOVUPS (DI), Y0; \
-	XORQ AX, AX; \
-	MOVQ DX, R12; \
-r8: \
-	ROW; \
-	VBROADCASTSS (SI)(AX*4), Y8; \
-	VFMADD231PS (R9), Y8, Y0; \
-	INCQ AX; \
-	CMPQ AX, BX; \
-	JLT  r8; \
-	VMOVUPS Y0, (DI); \
-done: \
-	VZEROUPPER; \
-	RET
-
 // func axpyRowsAVX2(out *float32, n int, w *float32, m int, rows *float32, stride int)
 //
-// Row i starts at rows[i·stride].
+// out[j] += w[i]·row_i[j] for rows i ascending, row i starting at
+// rows[i·stride]. Lanes are output channels: 32, 16 or 8 of them are held in
+// registers while every row streams past, so each out[j] adds its products
+// in row order. Register use: DI out, CX channels left (n%8 == 0), SI w, BX
+// m (> 0), DX rows (advanced with DI), R8 row stride in bytes, R9 current
+// row, AX row counter.
 TEXT ·axpyRowsAVX2(SB), NOSPLIT, $0-48
 	MOVQ out+0(FP), DI
 	MOVQ n+8(FP), CX
@@ -264,19 +185,70 @@ TEXT ·axpyRowsAVX2(SB), NOSPLIT, $0-48
 	MOVQ rows+32(FP), DX
 	MOVQ stride+40(FP), R8
 	SHLQ $2, R8
-	AXPYROWS(ROWSEQ)
-
-// func axpyRowsPtrAVX2(out *float32, n int, w *float32, rows **float32, m int)
-//
-// Row i starts at rows[i]. The caller has checked every row.
-TEXT ·axpyRowsPtrAVX2(SB), NOSPLIT, $0-40
-	MOVQ out+0(FP), DI
-	MOVQ n+8(FP), CX
-	MOVQ w+16(FP), SI
-	MOVQ rows+24(FP), R10
-	MOVQ m+32(FP), BX
-	XORQ DX, DX
-	AXPYROWS(ROWPTR)
+c32:
+	CMPQ CX, $32
+	JLT  c16
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS 64(DI), Y2
+	VMOVUPS 96(DI), Y3
+	XORQ AX, AX
+	MOVQ DX, R9
+r32:
+	VBROADCASTSS (SI)(AX*4), Y8
+	VFMADD231PS (R9), Y8, Y0
+	VFMADD231PS 32(R9), Y8, Y1
+	VFMADD231PS 64(R9), Y8, Y2
+	VFMADD231PS 96(R9), Y8, Y3
+	ADDQ R8, R9
+	INCQ AX
+	CMPQ AX, BX
+	JLT  r32
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ $128, DI
+	ADDQ $128, DX
+	SUBQ $32, CX
+	JMP  c32
+c16:
+	CMPQ CX, $16
+	JLT  c8
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+	XORQ AX, AX
+	MOVQ DX, R9
+r16:
+	VBROADCASTSS (SI)(AX*4), Y8
+	VFMADD231PS (R9), Y8, Y0
+	VFMADD231PS 32(R9), Y8, Y1
+	ADDQ R8, R9
+	INCQ AX
+	CMPQ AX, BX
+	JLT  r16
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	ADDQ $64, DI
+	ADDQ $64, DX
+	SUBQ $16, CX
+c8:
+	CMPQ CX, $8
+	JLT  done
+	VMOVUPS (DI), Y0
+	XORQ AX, AX
+	MOVQ DX, R9
+r8:
+	VBROADCASTSS (SI)(AX*4), Y8
+	VFMADD231PS (R9), Y8, Y0
+	ADDQ R8, R9
+	INCQ AX
+	CMPQ AX, BX
+	JLT  r8
+	VMOVUPS Y0, (DI)
+done:
+	VZEROUPPER
+	RET
 
 // AXPYQ adds w[i]·(Y0 | Y1), w at wreg and i in AX, into one query's
 // accumulators lo | hi; AXPYQ1 is its 8-channel half.
@@ -2455,9 +2427,9 @@ pbad:
 //
 // For each head and its rows j in [0, n): dst[c] += x[j]·(row j)[c] for the
 // channels whose byte offsets c·4 lie in [c0, c1), eight to a register
-// ((c1−c0)%32 == 0, c1 > c0). dst is set for both heads even where n is 0.
-// A listed position not below the head's lim stops the kernel with bad set,
-// before its row is read.
+// ((c1−c0)%32 == 0, c1 > c0). A head whose dst is nil (n is 0) is neither
+// read nor written. A listed position not below the head's lim stops the
+// kernel with bad set, before its row is read.
 TEXT ·pairAxpyAVX2(SB), NOSPLIT, $0-49
 	// AXKEY adds row j (j in BX) of one head — positions at idx (or j
 	// itself where idx is nil), each below the head's lim at offset lim of
@@ -2506,8 +2478,12 @@ seq: \
 ablock: \
 	MOVQ    h+0(FP), DX; \
 	MOVQ    PH_DST(DX), AX; \
+	TESTQ   AX, AX; \
+	JEQ     2(PC); \
 	VMOVUPS (AX)(R15*1), acc0; \
 	MOVQ    (PH_SIZE+PH_DST)(DX), AX; \
+	TESTQ   AX, AX; \
+	JEQ     2(PC); \
 	VMOVUPS (AX)(R15*1), acc1; \
 	XORQ    BX, BX; \
 aboth: \
@@ -2536,8 +2512,12 @@ arest1k: \
 astore: \
 	MOVQ    h+0(FP), DX; \
 	MOVQ    PH_DST(DX), AX; \
+	TESTQ   AX, AX; \
+	JEQ     2(PC); \
 	VMOVUPS acc0, (AX)(R15*1); \
 	MOVQ    (PH_SIZE+PH_DST)(DX), AX; \
+	TESTQ   AX, AX; \
+	JEQ     2(PC); \
 	VMOVUPS acc1, (AX)(R15*1); \
 	ADDQ    $step, R15; \
 	CMPQ    R15, c1+40(FP); \

@@ -155,50 +155,6 @@ func TestVecFMA32(t *testing.T) {
 	}
 }
 
-// indexLists are row lists over a page of n rows starting at position base:
-// scattered ascending, descending, duplicated, unsorted.
-func indexLists(r *rng.RNG, n, base int) [][]int {
-	var asc, desc, dup, mixed []int
-	for i := 0; i < n; i++ {
-		if r.Float64() < 0.25 {
-			asc = append(asc, base+i)
-		}
-		desc = append(desc, base+n-1-i)
-		dup = append(dup, base+i/3)
-		mixed = append(mixed, base+r.Intn(n))
-	}
-	return [][]int{nil, asc, desc, dup, mixed, mixed[:1], mixed[:7], mixed[:9]}
-}
-
-// rowPtrs is the row list of idx over a page of d-channel rows whose first
-// row is position base.
-func rowPtrs(rows []float32, idx []int, base, d int) []*float32 {
-	ptrs := make([]*float32, len(idx))
-	for i, ix := range idx {
-		ptrs[i] = PageRow(rows, ix-base, d)
-	}
-	return ptrs
-}
-
-func TestVecDotRowsList(t *testing.T) {
-	needVec(t)
-	const pageRows, base = 64, 640
-	for _, d := range vecDims {
-		r := rng.New(uint64(d))
-		x := oddSlice(r, d)
-		// A half-filled tail page: only the first 37 rows exist.
-		for _, n := range []int{pageRows, 37} {
-			rows := oddSlice(r, n*d)
-			for li, idx := range indexLists(r, n, base) {
-				got, want := oddSlice(r, len(idx)), make([]float32, len(idx))
-				DotRowsList(got, x, rowPtrs(rows, idx, base, d), d, 0.25)
-				dotRowsListGo(want, x, rowPtrs(rows, idx, base, d), d, 0.25)
-				expectBitsEqual(t, sprintShape("dotRowsList", len(idx), d, li, n), got, want)
-			}
-		}
-	}
-}
-
 func TestVecAddScaledRows(t *testing.T) {
 	needVec(t)
 	for _, d := range append([]int{7, 12, 37}, vecDims...) {
@@ -232,44 +188,6 @@ func TestVecAddScaledRows(t *testing.T) {
 				expectBitsEqual(t, sprintShape("addScaledRows", m, d, stride, 0), got, want)
 			}
 		}
-	}
-}
-
-func TestVecAddScaledRowsList(t *testing.T) {
-	needVec(t)
-	const pageRows, base = 64, 128
-	for _, d := range append([]int{12}, vecDims...) {
-		r := rng.New(uint64(d) + 99)
-		for _, n := range []int{pageRows, 37} {
-			rows := oddSlice(r, n*d)
-			for li, idx := range indexLists(r, n, base) {
-				w := oddSlice(r, len(idx))
-				for i := 0; i < len(w); i += 4 {
-					w[i] = 0
-				}
-				got, want := make([]float32, d), make([]float32, d)
-				AddScaledRowsList(got, w, rowPtrs(rows, idx, base, d), d)
-				addScaledRowsListGo(want, w, rowPtrs(rows, idx, base, d), 0)
-				expectBitsEqual(t, sprintShape("addScaledRowsList", len(idx), d, li, n), got, want)
-			}
-		}
-	}
-}
-
-func TestVecRowIndexOutOfPagePanics(t *testing.T) {
-	page := make([]float32, 37*16)
-	for _, bad := range []int{63, 100 + 37, 100 + 64, -1} {
-		idx := []int{100, 101, bad}
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("PageRow: index %d outside the page's 37 rows did not panic", bad)
-				}
-			}()
-			for _, ix := range idx {
-				PageRow(page, ix-100, 16)
-			}
-		}()
 	}
 }
 
@@ -738,20 +656,21 @@ func TestVecSiluMul(t *testing.T) {
 }
 
 // FuzzVecKernels decodes the input into finite float32 rows and checks the
-// raw values through FMA32 against the kernels' VFMADD231PS, the
-// dot, axpy and softmax dispatchers, the row-list dot and axpy, matTMatBand
-// (on the 16-lane kernels and the register tile, and on the AVX2 kernels),
-// the three score-tile kernels on each kernel set and TileDot against their
-// scalar loops at a fuzzed width up to 128, row count, row list and query
-// count up to 33 (a causal block of them through ScoreTiles, and the kernels
-// alone with the causal lane mask at a fuzzed offset), the group dot and
-// weighted sum for 1 to 9 members over pages of 1 to 24 keys on every path,
-// the pair dot and weighted sum over pages of 8 to 64 rows, and 1 to 33
-// activation rows at band widths that leave 32-, 16- and 8-column
-// tails; the raw values, non-finite ones included, go through softmax,
-// SoftmaxRows and SiluMul on every exp kernel, through ArgBestCos as
-// scores and norms of a fuzzed centroid count, and through RMSNormRows and
-// RopeRow as rows and heads of a fuzzed multiple of 16 channels.
+// raw values through FMA32 against the kernels' VFMADD231PS, the dot, axpy
+// and softmax dispatchers, matTMatBand (on the 16-lane kernels and the
+// register tile, and on the AVX2 kernels), the three score-tile kernels on
+// each kernel set and TileDot against their scalar loops at a fuzzed width
+// up to 128, row count, row list and query count up to 33 (a causal block
+// of them through ScoreTiles, and the kernels alone with the causal lane
+// mask at a fuzzed offset), the group dot and weighted sum for 1 to 9
+// members over pages of 1 to 24 keys on every path, the pair dot and
+// weighted sum over pages of 8 to 64 rows beside a listed or an absent
+// second head, and 1 to 33 activation rows at band widths that leave 32-,
+// 16- and 8-column tails; the raw values, non-finite ones included, go
+// through softmax, SoftmaxRows and SiluMul on every exp kernel, through
+// ArgBestCos as scores and norms of a fuzzed centroid count, and through
+// RMSNormRows and RopeRow as rows and heads of a fuzzed multiple of 16
+// channels.
 func FuzzVecKernels(f *testing.F) {
 	seed := make([]byte, 4*16*70)
 	r := rng.New(1)
@@ -891,25 +810,18 @@ func FuzzVecKernels(f *testing.F) {
 		w := vals[len(vals)-m:]
 		idx := make([]int, 0, m)
 		for i := 0; i < m; i++ {
-			idx = append(idx, 7+(i*int(pick|1)+int(pick))%m)
+			idx = append(idx, (i*int(pick|1)+int(pick))%m)
 		}
 
 		got, want := make([]float32, m), make([]float32, m)
 		dotRows(got, x, rows, d, 0.5)
 		dotRowsGo(want, x, rows, d, 0.5)
 		expectBitsEqual(t, "dotRows", got, want)
-		ptrs := rowPtrs(rows, idx, 7, d)
-		DotRowsList(got, x, ptrs, d, 0.5)
-		dotRowsListGo(want, x, ptrs, d, 0.5)
-		expectBitsEqual(t, "dotRowsList", got, want)
 
 		got, want = make([]float32, d), make([]float32, d)
 		addScaledRows(got, w, rows, d)
 		addScaledRowsGo(want, w, rows, d)
 		expectBitsEqual(t, "addScaledRows", got, want)
-		AddScaledRowsList(got, w, ptrs, d)
-		addScaledRowsListGo(want, w, ptrs, 0)
-		expectBitsEqual(t, "addScaledRowsList", got, want)
 
 		nq := min(1+int(pick)%33, m)
 
@@ -1430,7 +1342,8 @@ func groupKernelsVsLoops(t *testing.T, name string, q, kp, vp, out [][]float32, 
 
 // pairVsLoops checks PairDot and PairAddScaled, on every kernel set, against
 // pairDotGo and pairAddScaledGo: head 0 attends all m rows of keys and vals
-// in pages of P rows, head 1 the positions idx less 7 (rowPtrs' offset).
+// in pages of P rows, and head 1 the positions idx, or is absent (no pages,
+// N 0, a nil query and output).
 func pairVsLoops(t *testing.T, x, keys, vals, w []float32, idx []int, m, d, P int) {
 	t.Helper()
 	var kp, vp [][]float32
@@ -1438,30 +1351,38 @@ func pairVsLoops(t *testing.T, x, keys, vals, w []float32, idx []int, m, d, P in
 		n := min(P, m-i)
 		kp, vp = append(kp, keys[i*d:(i+n)*d]), append(vp, vals[i*d:(i+n)*d])
 	}
-	pos := make([]int, len(idx))
-	for j, i := range idx {
-		pos[j] = i - 7
-	}
-	kr := [2]PairRows{{Pages: kp, N: m}, {Pages: kp, Ahead: vp, Idx: pos, N: m}}
-	vr := [2]PairRows{{Pages: vp, N: m}, {Pages: vp, Idx: pos, N: m}}
-	q := [2][]float32{x, keys[:d]}
-	ws := [2][]float32{w[:m], w[len(w)-len(pos):]}
-	for _, ks := range tileKernelSets {
-		withBlock16(ks.wide, func() {
-			got := [2][]float32{make([]float32, m), make([]float32, len(pos))}
-			want := [2][]float32{make([]float32, m), make([]float32, len(pos))}
-			PairDot(got, q, kr, P, d, 0.5)
-			pairDotGo(want, q, &kr, P, d, 0.5)
-			for h := range got {
-				expectBitsEqual(t, ks.name+" PairDot", got[h], want[h])
-			}
-			out := [2][]float32{make([]float32, d), make([]float32, d)}
-			outWant := [2][]float32{make([]float32, d), make([]float32, d)}
-			PairAddScaled(out, ws, vr, P, d)
-			pairAddScaledGo(outWant, ws, &vr, P, d, 0)
-			for h := range out {
-				expectBitsEqual(t, ks.name+" PairAddScaled", out[h], outWant[h])
-			}
-		})
+	for _, absent := range []bool{false, true} {
+		kr := [2]PairRows{{Pages: kp, N: m}, {Pages: kp, Ahead: vp, Idx: idx, N: m}}
+		vr := [2]PairRows{{Pages: vp, N: m}, {Pages: vp, Idx: idx, N: m}}
+		q := [2][]float32{x, keys[:d]}
+		ws := [2][]float32{w[:m], w[len(w)-len(idx):]}
+		if absent {
+			kr[1], vr[1], q[1], ws[1] = PairRows{}, PairRows{}, nil, nil
+		}
+		name := " listed"
+		if absent {
+			name = " absent"
+		}
+		for _, ks := range tileKernelSets {
+			withBlock16(ks.wide, func() {
+				got := [2][]float32{make([]float32, m), make([]float32, kr[1].Len())}
+				want := [2][]float32{make([]float32, m), make([]float32, kr[1].Len())}
+				PairDot(got, q, kr, P, d, 0.5)
+				pairDotGo(want, q, &kr, P, d, 0.5)
+				for h := range got {
+					expectBitsEqual(t, ks.name+" PairDot"+name, got[h], want[h])
+				}
+				out := [2][]float32{make([]float32, d), make([]float32, d)}
+				outWant := [2][]float32{make([]float32, d), make([]float32, d)}
+				if absent {
+					out[1], outWant[1] = nil, nil
+				}
+				PairAddScaled(out, ws, vr, P, d)
+				pairAddScaledGo(outWant, ws, &vr, P, d, 0)
+				for h := range out {
+					expectBitsEqual(t, ks.name+" PairAddScaled"+name, out[h], outWant[h])
+				}
+			})
+		}
 	}
 }

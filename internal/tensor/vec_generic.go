@@ -13,16 +13,8 @@ func dotRows(dst, x, rows []float32, d int, scale float32) {
 	dotRowsGo(dst, x, rows, d, scale)
 }
 
-func dotRowsList(dst, x []float32, rows []*float32, d int, scale float32) {
-	dotRowsListGo(dst, x, rows, d, scale)
-}
-
 func addScaledRows(out, w, rows []float32, d int) {
 	addScaledRowsGo(out, w, rows, d)
-}
-
-func addScaledRowsList(out, w []float32, rows []*float32, d int) {
-	addScaledRowsListGo(out, w, rows, 0)
 }
 
 func matTMatBand(dst, m, x *Mat, lo, hi int) {
